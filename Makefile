@@ -1,12 +1,13 @@
 # Tier-1 gate: every change must keep `make check` green.
 GO ?= go
 
-# Packages touched by the fork-join parallelism (PR 3): the -race pass
-# over these runs with GOMAXPROCS=4 so the pool actually forks even on
-# small CI machines.
+# Packages touched by the fork-join parallelism (PR 3, and the
+# fragment store's parallel group commit): the -race pass over these
+# runs with GOMAXPROCS=4 so the pool actually forks even on small CI
+# machines.
 PAR_PKGS = ./internal/par/ ./internal/erasure/ ./internal/archive/ \
-	./internal/merkle/ ./internal/bloom/ ./internal/fault/ ./internal/obs/ \
-	./internal/sim/ ./internal/simnet/
+	./internal/blobstore/ ./internal/merkle/ ./internal/bloom/ \
+	./internal/fault/ ./internal/obs/ ./internal/sim/ ./internal/simnet/
 
 .PHONY: check vet vet-rand build test race race-par fuzz-corpora bench bench-smoke bench-json bench-gate bench-json-pr7 bench-gate-pr7 bench-mem bench-json-pr8 cover cover-write soak-smoke scenarios-smoke blobstore-smoke introspect-smoke
 
@@ -98,23 +99,29 @@ soak-smoke:
 # GOMAXPROCS 1 and 4, and — the apples-to-apples guarantee behind the
 # memory-vs-disk ablation — identical to the same soak on the
 # in-memory backend.  Real I/O may change wall-clock, never the
-# trajectory.
+# trajectory.  Both fsync disciplines sit behind the gate: per-batch
+# (the default) and the scheduler's group commit (-flush 5s, what the
+# benchmark's archive-disk-1k runs), whose parallel join over the dirty
+# volumes is the only place the store layer forks.
 blobstore-smoke:
 	@$(GO) build -o /tmp/osexp-smoke ./cmd/osexp; \
 	tmp=$$(mktemp -d); \
-	GOMAXPROCS=1 /tmp/osexp-smoke -metrics $$tmp/m1.txt soak 1 -nodes 1000 -ops 100000 -backend disk -storedir $$tmp/vols1 > $$tmp/out1.txt 2> $$tmp/err1.txt || exit 1; \
-	GOMAXPROCS=4 /tmp/osexp-smoke -metrics $$tmp/m4.txt soak 1 -nodes 1000 -ops 100000 -backend disk -storedir $$tmp/vols4 > $$tmp/out4.txt 2> /dev/null || exit 1; \
-	GOMAXPROCS=4 /tmp/osexp-smoke -metrics $$tmp/mm.txt soak 1 -nodes 1000 -ops 100000 -backend mem > $$tmp/outm.txt 2> /dev/null || exit 1; \
-	if ! cmp -s $$tmp/m1.txt $$tmp/m4.txt; then echo "blobstore-smoke: disk metrics differ across GOMAXPROCS"; exit 1; fi; \
-	if ! cmp -s $$tmp/out1.txt $$tmp/out4.txt; then echo "blobstore-smoke: disk summaries differ across GOMAXPROCS"; exit 1; fi; \
-	if ! cmp -s $$tmp/m1.txt $$tmp/mm.txt; then echo "blobstore-smoke: metrics differ between mem and disk backends"; exit 1; fi; \
-	if ! cmp -s $$tmp/out1.txt $$tmp/outm.txt; then echo "blobstore-smoke: summaries differ between mem and disk backends"; exit 1; fi; \
-	if ! grep -q '^archival maintenance: scrubbed' $$tmp/out1.txt; then \
-		echo "blobstore-smoke: no scrub/repair line in the report"; cat $$tmp/out1.txt; exit 1; fi; \
-	if ! grep -q '^blobstore: ' $$tmp/err1.txt; then \
-		echo "blobstore-smoke: no real-I/O rail on stderr"; cat $$tmp/err1.txt; exit 1; fi; \
+	for flush in 0 5s; do \
+		run="soak 1 -nodes 1000 -ops 100000 -flush $$flush"; \
+		GOMAXPROCS=1 /tmp/osexp-smoke -metrics $$tmp/m1.txt $$run -backend disk -storedir $$tmp/vols1-$$flush > $$tmp/out1.txt 2> $$tmp/err1.txt || exit 1; \
+		GOMAXPROCS=4 /tmp/osexp-smoke -metrics $$tmp/m4.txt $$run -backend disk -storedir $$tmp/vols4-$$flush > $$tmp/out4.txt 2> /dev/null || exit 1; \
+		GOMAXPROCS=4 /tmp/osexp-smoke -metrics $$tmp/mm.txt $$run -backend mem > $$tmp/outm.txt 2> /dev/null || exit 1; \
+		if ! cmp -s $$tmp/m1.txt $$tmp/m4.txt; then echo "blobstore-smoke: disk metrics differ across GOMAXPROCS (-flush $$flush)"; exit 1; fi; \
+		if ! cmp -s $$tmp/out1.txt $$tmp/out4.txt; then echo "blobstore-smoke: disk summaries differ across GOMAXPROCS (-flush $$flush)"; exit 1; fi; \
+		if ! cmp -s $$tmp/m1.txt $$tmp/mm.txt; then echo "blobstore-smoke: metrics differ between mem and disk backends (-flush $$flush)"; exit 1; fi; \
+		if ! cmp -s $$tmp/out1.txt $$tmp/outm.txt; then echo "blobstore-smoke: summaries differ between mem and disk backends (-flush $$flush)"; exit 1; fi; \
+		if ! grep -q '^archival maintenance: scrubbed' $$tmp/out1.txt; then \
+			echo "blobstore-smoke: no scrub/repair line in the report (-flush $$flush)"; cat $$tmp/out1.txt; exit 1; fi; \
+		if ! grep -q '^blobstore: .* puts/flush), .* group commits' $$tmp/err1.txt; then \
+			echo "blobstore-smoke: no real-I/O rail on stderr (-flush $$flush)"; cat $$tmp/err1.txt; exit 1; fi; \
+	done; \
 	rm -rf $$tmp; \
-	echo "blobstore-smoke: 1k-node disk soak byte-identical at GOMAXPROCS 1 and 4 and to the mem backend"
+	echo "blobstore-smoke: 1k-node disk soak byte-identical at GOMAXPROCS 1 and 4 and to the mem backend, per-batch and group-commit"
 
 # Introspection determinism gate (PR 10): a 10k-node flash-crowd soak
 # with the replica controller on must emit byte-identical metrics and

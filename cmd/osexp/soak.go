@@ -259,8 +259,11 @@ func runSoak(w io.Writer, seed int64, ob *obsink) {
 	// they only exist on the disk backend, and the mem-vs-disk ablation
 	// compares stdout byte for byte.
 	if bs, vols := world.BlobStats(); vols > 0 {
-		fmt.Fprintf(os.Stderr, "blobstore: %d volumes; %.1f MB written, %.1f MB read, %d puts, %d gets, %d drops, %d fsyncs, %d compactions\n",
+		rounds, joined := world.Pool.Arch.GroupCommits()
+		fmt.Fprintf(os.Stderr, "blobstore: %d volumes; %.1f MB written, %.1f MB read, %d puts, %d gets, %d drops, %d fsyncs, %d compactions; %d flushes (%.1f puts/flush), %d group commits (%.1f volumes each)\n",
 			vols, float64(bs.BytesWritten)/1e6, float64(bs.BytesRead)/1e6,
-			bs.Puts, bs.Gets, bs.Drops, bs.Syncs, bs.Compactions)
+			bs.Puts, bs.Gets, bs.Drops, bs.Syncs, bs.Compactions,
+			bs.Flushes, float64(bs.Puts)/float64(max(bs.Flushes, 1)),
+			rounds, float64(joined)/float64(max(rounds, 1)))
 	}
 }

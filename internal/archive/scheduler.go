@@ -197,7 +197,9 @@ func (sc *Scheduler) Start() (stop func()) {
 		if sc.cfg.FlushInterval > 0 {
 			// Hand durability back: drain the dirty set and restore the
 			// per-batch discipline.
-			_ = sc.svc.SyncDirty()
+			if err := sc.svc.SyncDirty(); err != nil {
+				sc.stats.FlushErrors++
+			}
 			sc.svc.SyncEachBatch = true
 		}
 	}

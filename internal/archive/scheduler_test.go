@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -207,5 +208,63 @@ func TestSchedulerGroupCommit(t *testing.T) {
 	stop()
 	if !svc.SyncEachBatch {
 		t.Fatal("stop did not restore per-batch durability")
+	}
+}
+
+// flakyStore is a memory store whose Sync can be made to fail.
+type flakyStore struct {
+	*NodeStore
+	fail error
+}
+
+func (f *flakyStore) Sync() error { return f.fail }
+
+// TestSyncDirtyKeepsFailedStoresDirty: every store whose Sync fails —
+// not just the first — stays in the dirty set, so its unsynced bytes
+// are retried; and a failure on the scheduler's stop path is counted,
+// not swallowed.
+func TestSyncDirtyKeepsFailedStoresDirty(t *testing.T) {
+	k := sim.NewKernel(67)
+	net := simnet.New(k, simnet.Config{})
+	svc := NewService(net, net.AddRandomNodes(16, 100, 2))
+	stores := map[simnet.NodeID]*flakyStore{}
+	svc.SetStoreFactory(func(id simnet.NodeID) Store {
+		stores[id] = &flakyStore{NodeStore: NewNodeStore()}
+		return stores[id]
+	})
+	sc := NewScheduler(svc, SchedulerConfig{
+		ScrubInterval:  time.Hour,
+		RepairInterval: time.Hour,
+		FlushInterval:  time.Minute,
+	})
+	stop := sc.Start()
+	if _, err := svc.Archive(make([]byte, 256), Config{DataShards: 4, TotalFragments: 8}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ids := svc.StoreNodes()
+	if len(ids) < 3 || svc.DirtyStores() != len(ids) {
+		t.Fatalf("want every one of >= 3 stores dirty, have %d of %d", svc.DirtyStores(), len(ids))
+	}
+	errLow, errHigh := errors.New("low volume: EIO"), errors.New("high volume: EIO")
+	stores[ids[1]].fail, stores[ids[len(ids)-1]].fail = errLow, errHigh
+
+	if err := svc.SyncDirty(); err != errLow {
+		t.Fatalf("SyncDirty returned %v, want the first failure in node order", err)
+	}
+	if svc.DirtyStores() != 2 || !svc.dirty[ids[1]] || !svc.dirty[ids[len(ids)-1]] {
+		t.Fatalf("dirty set %v, want exactly the two failed stores", svc.dirty)
+	}
+	stores[ids[1]].fail = nil
+	if err := svc.SyncDirty(); err != errHigh || svc.DirtyStores() != 1 {
+		t.Fatalf("retry: err %v with %d dirty, want the remaining failure alone", err, svc.DirtyStores())
+	}
+
+	stop()
+	if got := sc.Stats().FlushErrors; got != 1 {
+		t.Fatalf("stop-path sync failure counted %d times, want 1", got)
+	}
+	stores[ids[len(ids)-1]].fail = nil
+	if err := svc.SyncDirty(); err != nil || svc.DirtyStores() != 0 {
+		t.Fatalf("healed store did not drain: err %v, %d dirty", err, svc.DirtyStores())
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"oceanstore/internal/guid"
 	"oceanstore/internal/obs"
+	"oceanstore/internal/par"
 	"oceanstore/internal/simnet"
 )
 
@@ -51,6 +52,9 @@ type Service struct {
 	// group-commits instead clears the flag and flushes on its own
 	// period via SyncDirty.
 	dirty map[simnet.NodeID]bool
+	// commits counts SyncDirty rounds that had stores to join;
+	// commitVolumes sums the stores they joined.
+	commits, commitVolumes int64
 	// SyncEachBatch syncs every store touched by an Archive or
 	// RepairRoot before the call returns.  Leave it set unless a
 	// scheduler runs SyncDirty on a flush period — an unsynced write is
@@ -224,10 +228,48 @@ func (s *Service) store(id simnet.NodeID) Store {
 // Store returns a node's fragment store (tests inject disk loss here).
 func (s *Service) Store(id simnet.NodeID) Store { return s.store(id) }
 
-// SyncDirty syncs every store with unsynced writes, in node order, and
-// returns the first error.  The per-batch discipline calls this from
-// Archive/RepairRoot; a group-committing scheduler calls it on its
-// flush period instead.
+// ioWidth is how many stores one group commit drives at once.  The
+// workers block in fsync rather than burn CPU, so the width follows
+// what the volumes' disks can overlap, not GOMAXPROCS.
+const ioWidth = 16
+
+// joinStores runs op on each listed store across the I/O worker set,
+// joins, and folds the outcome in list order: stores whose op succeeded
+// leave the dirty set, and the first error is returned.  Every store is
+// touched by exactly one worker, the caller is parked until all have
+// returned, and results land in per-index slots — so the fold is
+// independent of scheduling.  In-memory stores have no I/O to overlap
+// and are skipped: a memory-backed service never forks.
+func (s *Service) joinStores(ids []simnet.NodeID, op func(Store) error) error {
+	errs := make([]error, len(ids))
+	disk := make([]int, 0, len(ids))
+	for i, id := range ids {
+		if _, mem := s.stores[id].(*NodeStore); !mem {
+			disk = append(disk, i)
+		}
+	}
+	par.DoWide(ioWidth, len(disk), 1, func(lo, hi int) {
+		for _, i := range disk[lo:hi] {
+			errs[i] = op(s.stores[ids[i]])
+		}
+	})
+	var first error
+	for i, err := range errs {
+		if err == nil {
+			delete(s.dirty, ids[i])
+		} else if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// SyncDirty group-commits every store with unsynced writes — all
+// volumes at once, joined before it returns — and reports the first
+// error in node order.  A store whose Sync failed stays dirty, so its
+// unsynced bytes are retried by the next call.  The per-batch
+// discipline calls this from Archive/RepairRoot; a group-committing
+// scheduler calls it on its flush period instead.
 func (s *Service) SyncDirty() error {
 	if len(s.dirty) == 0 {
 		return nil
@@ -237,32 +279,25 @@ func (s *Service) SyncDirty() error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var first error
-	for _, id := range ids {
-		if err := s.stores[id].Sync(); err != nil && first == nil {
-			first = err
-			continue
-		}
-		delete(s.dirty, id)
-	}
-	return first
+	s.commits++
+	s.commitVolumes += int64(len(ids))
+	return s.joinStores(ids, Store.Sync)
 }
 
 // DirtyStores reports how many stores hold writes not yet covered by a
 // Sync — the durability exposure window a PartialFsync crash attacks.
 func (s *Service) DirtyStores() int { return len(s.dirty) }
 
-// CloseStores syncs and closes every materialized store, in node
-// order, returning the first error.  The service is unusable for new
-// data afterwards; call it when a disk-backed world shuts down.
+// GroupCommits reports how many SyncDirty rounds had stores to join and
+// how many stores they joined in total.
+func (s *Service) GroupCommits() (rounds, volumes int64) { return s.commits, s.commitVolumes }
+
+// CloseStores syncs and closes every materialized store — the same
+// all-at-once join as SyncDirty — and returns the first error in node
+// order.  The service is unusable for new data afterwards; call it
+// when a disk-backed world shuts down.
 func (s *Service) CloseStores() error {
-	first := s.SyncDirty()
-	for _, id := range s.StoreNodes() {
-		if err := s.stores[id].Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return s.joinStores(s.StoreNodes(), Store.Close)
 }
 
 // Archive encodes data, disperses the fragments across domains, and

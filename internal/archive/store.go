@@ -6,8 +6,10 @@ import "oceanstore/internal/guid"
 // service talks to its stores only through this interface, so a
 // deployment can swap the in-memory NodeStore for a real-I/O backend
 // (internal/blobstore) without the service — or anything above it —
-// noticing.  Implementations are used from exactly one simulator
-// thread and need no internal locking.
+// noticing.  Implementations need no internal locking: a store is only
+// ever used by one goroutine at a time — the simulator thread, or, while
+// that thread is parked in a group commit (Service.SyncDirty,
+// CloseStores), the single I/O worker that owns the store for the join.
 //
 // Behavioural contract (shared by every backend, pinned by
 // archive tests so the memory/disk ablation is apples-to-apples):

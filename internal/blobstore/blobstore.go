@@ -19,8 +19,17 @@
 // writes at any byte offset and drop unsynced tails, so recovery is a
 // tested path, not a hope.
 //
-// Stores are single-threaded like everything else in the simulation:
-// one store belongs to one simulated node under one kernel.
+// Appends are write-behind: records are framed into a bounded
+// in-memory tail that reaches the file in one pwrite at Sync, Close,
+// Compact, a tear, or when it passes tailCap.  Nothing in the tail is
+// promised to anyone — it sits strictly beyond the synced offset — and
+// Get serves refs that still live there.
+//
+// A Store has no internal locking.  The rule is one goroutine per
+// store at a time: the simulation's kernel thread in normal operation,
+// and exactly one I/O worker while archive.Service fans a group commit
+// out over the dirty volumes (the kernel thread is parked in the join
+// and touches no store until every worker has returned).
 package blobstore
 
 import (
@@ -53,6 +62,13 @@ const (
 	kindDrop   = 2
 	headerLen  = 13
 	maxPayload = 1 << 28
+
+	// tailCap bounds the write-behind tail: an append that leaves it at
+	// or past the cap flushes it.  A group-commit interval's worth of
+	// fragment records is a few KiB per volume, so in practice the cap
+	// only bites on bulk loads; a record larger than the cap is flushed
+	// as soon as it is framed and its oversized buffer is not kept.
+	tailCap = 64 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -98,7 +114,10 @@ type Stats struct {
 	BytesWritten      int64
 	BytesRead         int64
 	Syncs             int64
-	Compactions       int64
+	// Flushes counts the pwrites that moved the write-behind tail to
+	// the file; Puts+Drops over Flushes is the coalescing factor.
+	Flushes     int64
+	Compactions int64
 	// RecoveredFrags is the live fragment count rebuilt by the last
 	// open/recover scan.
 	RecoveredFrags int64
@@ -119,16 +138,19 @@ type Store struct {
 	f      *os.File
 	size   int64 // logical end of the log (next append offset)
 	synced int64 // prefix guaranteed durable by the last fsync
-	index  map[guid.GUID]map[int]ref
-	live   int64 // bytes of records the index still references
-	stats  Stats
+	// tail holds the framed records of [size-len(tail), size): appended
+	// but not yet written to the file.
+	tail  []byte
+	index map[guid.GUID]map[int]ref
+	live  int64 // bytes of records the index still references
+	stats Stats
 
 	// torn >= 0 arms the failpoint: the next append writes only that
 	// many bytes of its record, then the store crashes.
 	torn    int
 	crashed bool
 	closed  bool
-	ioErr   error // first write error, surfaced by Sync/Close
+	ioErr   error // first write error; wedges appends and Sync until Recover
 }
 
 // Open opens (or creates) a volume and rebuilds its index by scanning
@@ -251,39 +273,81 @@ func (s *Store) apply(kind byte, payload []byte, r ref) error {
 	return nil
 }
 
-// append frames and writes one record at the log tail, honouring the
-// torn-write failpoint.
-func (s *Store) append(kind byte, payload []byte) (ref, error) {
-	rec := make([]byte, headerLen+len(payload))
-	binary.BigEndian.PutUint32(rec[0:], magic)
-	rec[4] = kind
-	binary.BigEndian.PutUint32(rec[5:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(rec[9:], crc32.Checksum(payload, crcTable))
-	copy(rec[headerLen:], payload)
-	if s.torn >= 0 {
-		keep := s.torn
-		if keep > len(rec) {
-			keep = len(rec)
-		}
-		s.torn = -1
-		if keep > 0 {
-			if _, err := s.f.WriteAt(rec[:keep], s.size); err != nil {
-				s.ioErr = err
-			}
-			s.size += int64(keep)
-			s.stats.BytesWritten += int64(keep)
-		}
-		s.crashed = true
-		return ref{}, ErrCrashed
+// beginRecord reserves a record header at the end of dst; the payload
+// is appended behind it and seal backfills length and CRC.
+func beginRecord(dst []byte, kind byte) []byte {
+	var hdr [headerLen]byte
+	binary.BigEndian.PutUint32(hdr[0:], magic)
+	hdr[4] = kind
+	return append(dst, hdr[:]...)
+}
+
+// seal completes the record framed at tail[start:] — length, CRC — and
+// makes it part of the log, honouring the torn-write failpoint and the
+// tail cap.  On error the record is not to be indexed.
+func (s *Store) seal(start int) (ref, error) {
+	if s.ioErr != nil {
+		s.tail = s.tail[:start]
+		return ref{}, s.ioErr
 	}
-	if _, err := s.f.WriteAt(rec, s.size); err != nil {
-		s.ioErr = err
-		return ref{}, err
-	}
+	rec := s.tail[start:]
+	binary.BigEndian.PutUint32(rec[5:], uint32(len(rec)-headerLen))
+	binary.BigEndian.PutUint32(rec[9:], crc32.Checksum(rec[headerLen:], crcTable))
 	r := ref{off: s.size, size: int64(len(rec))}
 	s.size += r.size
+	if s.torn >= 0 {
+		// The power cut lands inside this record: every append completed
+		// before it goes out ahead of it in the same write.
+		keep := min(s.torn, len(rec))
+		s.torn = -1
+		s.stats.BytesWritten += int64(keep)
+		s.crashFlush(start + keep)
+		return ref{}, ErrCrashed
+	}
 	s.stats.BytesWritten += r.size
+	if len(s.tail) >= tailCap {
+		if err := s.flush(); err != nil {
+			return ref{}, err
+		}
+	}
 	return r, nil
+}
+
+// tailOff is the file offset of tail[0]: the end of what has been
+// handed to the file.
+func (s *Store) tailOff() int64 { return s.size - int64(len(s.tail)) }
+
+// flush moves the whole tail to the file in one pwrite.  A failed
+// write keeps the tail and wedges the store (ioErr) until Recover.
+func (s *Store) flush() error {
+	if len(s.tail) == 0 {
+		return nil
+	}
+	if _, err := s.f.WriteAt(s.tail, s.tailOff()); err != nil {
+		s.ioErr = err
+		return err
+	}
+	s.stats.Flushes++
+	if cap(s.tail) > 2*tailCap {
+		s.tail = nil // one oversized record must not pin its buffer
+	} else {
+		s.tail = s.tail[:0]
+	}
+	return nil
+}
+
+// crashFlush is a flush the process does not survive: only the first n
+// bytes of the tail reach the file, the rest dies with the store.
+func (s *Store) crashFlush(n int) {
+	off := s.tailOff()
+	if n > 0 {
+		if _, err := s.f.WriteAt(s.tail[:n], off); err != nil {
+			s.ioErr = err
+		}
+	}
+	s.size = off + int64(n)
+	s.tail = s.tail[:0]
+	s.crashed = true
 }
 
 // Put stores a fragment after verifying it — a well-behaved server
@@ -301,7 +365,9 @@ func (s *Store) Put(sf archive.StoredFragment) error {
 // putRecord appends a put record without verification (Tamper persists
 // deliberately-rotted payloads through here).
 func (s *Store) putRecord(sf archive.StoredFragment) error {
-	r, err := s.append(kindPut, encodePut(sf))
+	start := len(s.tail)
+	s.tail = appendPut(beginRecord(s.tail, kindPut), sf)
+	r, err := s.seal(start)
 	if err != nil {
 		return err
 	}
@@ -319,8 +385,9 @@ func (s *Store) putRecord(sf archive.StoredFragment) error {
 	return nil
 }
 
-// Get reads a fragment back from disk.  The framing CRC is re-checked
-// on every read, so media corruption of a record's header or payload
+// Get reads a fragment back — from disk, or from the tail when its
+// record has not been flushed yet.  The framing CRC is re-checked on
+// every read, so media corruption of a record's header or payload
 // surfaces as a missing fragment rather than garbage — silent rot
 // injected *within* a valid record (Tamper) still reads back fine and
 // is the Merkle layer's job to catch.
@@ -332,9 +399,14 @@ func (s *Store) Get(root guid.GUID, index int) (archive.StoredFragment, bool) {
 	if !ok {
 		return archive.StoredFragment{}, false
 	}
-	rec := make([]byte, r.size)
-	if _, err := s.f.ReadAt(rec, r.off); err != nil {
-		return archive.StoredFragment{}, false
+	var rec []byte
+	if o := r.off - s.tailOff(); o >= 0 {
+		rec = s.tail[o : o+r.size] // decodePut copies out of it
+	} else {
+		rec = make([]byte, r.size)
+		if _, err := s.f.ReadAt(rec, r.off); err != nil {
+			return archive.StoredFragment{}, false
+		}
 	}
 	s.stats.BytesRead += r.size
 	s.stats.Gets++
@@ -392,7 +464,9 @@ func (s *Store) Drop(root guid.GUID, index int) {
 	if !ok {
 		return
 	}
-	if _, err := s.append(kindDrop, encodeDrop(root, index)); err != nil {
+	start := len(s.tail)
+	s.tail = appendDrop(beginRecord(s.tail, kindDrop), root, index)
+	if _, err := s.seal(start); err != nil {
 		return // crashed mid-tombstone: the index dies with the crash
 	}
 	s.live -= r.size
@@ -420,8 +494,9 @@ func (s *Store) Tamper(root guid.GUID, index int, mut func(data []byte)) bool {
 	return s.putRecord(sf) == nil
 }
 
-// Sync fsyncs the volume: every completed append before this call is
-// durable afterwards.  No-op when nothing new was written.
+// Sync flushes the tail and fsyncs the volume: every completed append
+// before this call is durable afterwards.  No-op when nothing new was
+// written.
 func (s *Store) Sync() error {
 	if err := s.usable(); err != nil {
 		return err
@@ -431,6 +506,9 @@ func (s *Store) Sync() error {
 	}
 	if s.synced == s.size {
 		return nil
+	}
+	if err := s.flush(); err != nil {
+		return err
 	}
 	if err := s.f.Sync(); err != nil {
 		return err
@@ -470,7 +548,8 @@ func (s *Store) usable() error {
 // ---- Crash injection (archive.Crashable) ----
 
 // TearNextAppend arms the torn-write failpoint: the next record append
-// writes only keep bytes, then the store crashes — the moment a power
+// reaches the file only as far as its first keep bytes (behind the
+// whole tail before it), then the store crashes — the moment a power
 // cut lands mid-write.
 func (s *Store) TearNextAppend(keep int) { s.torn = keep }
 
@@ -481,12 +560,19 @@ func (s *Store) Crash() { s.crashed = true }
 // Recover replays the volume as a fresh open.  With dropUnsynced set,
 // bytes appended since the last Sync are discarded first — the crash
 // happened before the fsync, so those records never reached the
-// platter.
+// platter.  Without it every completed append counts as handed to the
+// OS, so what is left of the tail (nothing, after a tear) is flushed
+// before the scan.
 func (s *Store) Recover(dropUnsynced bool) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if dropUnsynced && s.size > s.synced {
+	if !dropUnsynced {
+		if err := s.flush(); err != nil {
+			return err
+		}
+	} else if s.size > s.synced {
+		s.tail = s.tail[:0]
 		s.stats.TruncatedBytes += s.size - s.synced
 		if err := s.f.Truncate(s.synced); err != nil {
 			return err
@@ -526,6 +612,9 @@ func (s *Store) maybeCompact() {
 // volumes.
 func (s *Store) Compact() error {
 	if err := s.usable(); err != nil {
+		return err
+	}
+	if err := s.flush(); err != nil { // the rewrite reads every live record from the file
 		return err
 	}
 	tmpPath := s.cfg.Path + ".compact"
@@ -597,27 +686,20 @@ func (s *Store) Unsynced() int64 { return s.size - s.synced }
 
 // ---- Payload encoding ----
 
-// encodePut frames a fragment:
+// appendPut appends a fragment's payload to dst:
 //
 //	root [guid.Size] | u32 index | u32 total | u32 nproof |
 //	proof [nproof * guid.Size] | u32 dataLen | data
-func encodePut(sf archive.StoredFragment) []byte {
-	n := guid.Size + 4 + 4 + 4 + len(sf.Proof)*guid.Size + 4 + len(sf.Data)
-	out := make([]byte, n)
-	o := copy(out, sf.Root[:])
-	binary.BigEndian.PutUint32(out[o:], uint32(sf.Index))
-	o += 4
-	binary.BigEndian.PutUint32(out[o:], uint32(sf.Total))
-	o += 4
-	binary.BigEndian.PutUint32(out[o:], uint32(len(sf.Proof)))
-	o += 4
+func appendPut(dst []byte, sf archive.StoredFragment) []byte {
+	dst = append(dst, sf.Root[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(sf.Index))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(sf.Total))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(sf.Proof)))
 	for _, p := range sf.Proof {
-		o += copy(out[o:], p[:])
+		dst = append(dst, p[:]...)
 	}
-	binary.BigEndian.PutUint32(out[o:], uint32(len(sf.Data)))
-	o += 4
-	copy(out[o:], sf.Data)
-	return out
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(sf.Data)))
+	return append(dst, sf.Data...)
 }
 
 func decodePut(payload []byte) (archive.StoredFragment, error) {
@@ -651,11 +733,9 @@ func decodePut(payload []byte) (archive.StoredFragment, error) {
 	return sf, nil
 }
 
-func encodeDrop(root guid.GUID, index int) []byte {
-	out := make([]byte, guid.Size+4)
-	copy(out, root[:])
-	binary.BigEndian.PutUint32(out[guid.Size:], uint32(index))
-	return out
+func appendDrop(dst []byte, root guid.GUID, index int) []byte {
+	dst = append(dst, root[:]...)
+	return binary.BigEndian.AppendUint32(dst, uint32(index))
 }
 
 func decodeDrop(payload []byte) (guid.GUID, int, error) {

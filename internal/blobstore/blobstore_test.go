@@ -310,3 +310,120 @@ func TestRecoveryIgnoresGarbageTail(t *testing.T) {
 		t.Fatalf("truncated %d bytes, want %d", s2.Stats().TruncatedBytes, len(junk))
 	}
 }
+
+// TestReadYourUnsyncedWrites: refs whose records are still in the
+// write-behind tail behave exactly like flushed ones — Get returns
+// them, Tamper rewrites them, Drop forgets them, Compact carries them —
+// and one Sync puts the lot on disk with a single pwrite.
+func TestReadYourUnsyncedWrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.log")
+	root, frags := mkFrags(t, 61, 1200)
+	s := openStore(t, path, Config{DisableAutoCompact: true})
+	for _, f := range frags {
+		if err := s.Put(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range frags {
+		g, ok := s.Get(root, f.Index)
+		if !ok || !reflect.DeepEqual(g, f) {
+			t.Fatalf("unsynced fragment %d unreadable or mangled", f.Index)
+		}
+	}
+	if !s.Tamper(root, 1, func(d []byte) { d[0] ^= 0xff }) {
+		t.Fatal("tamper missed a tail-resident fragment")
+	}
+	if g, ok := s.Get(root, 1); !ok || g.Verify() {
+		t.Fatal("tail-resident rot did not read back rotted")
+	}
+	s.Drop(root, 2)
+	if _, ok := s.Get(root, 2); ok {
+		t.Fatal("dropped tail-resident fragment still readable")
+	}
+	if st := s.Stats(); st.Flushes != 0 || st.Syncs != 0 {
+		t.Fatalf("nothing asked for a flush yet: %+v", st)
+	}
+
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if s.DeadBytes() != 0 {
+		t.Fatalf("compaction left %d dead bytes", s.DeadBytes())
+	}
+	want := []int{0, 1, 3, 4, 5, 6, 7}
+	if got := s.Indexes(root); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after compacting a tail-resident log: %v, want %v", got, want)
+	}
+	if err := s.Put(frags[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// One flush for Compact, one for Sync — ten appends, two pwrites.
+	if st := s.Stats(); st.Flushes != 2 || st.Syncs != 1 {
+		t.Fatalf("flushes %d syncs %d, want 2 and 1", st.Flushes, st.Syncs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openStore(t, path, Config{})
+	defer s2.Close()
+	for _, f := range frags {
+		g, ok := s2.Get(root, f.Index)
+		if !ok {
+			t.Fatalf("fragment %d lost across reopen", f.Index)
+		}
+		if rotted := f.Index == 1; g.Verify() == rotted {
+			t.Fatalf("fragment %d: verify=%v after reopen", f.Index, g.Verify())
+		}
+	}
+}
+
+// TestTailIsBounded: the tail flushes itself once it passes tailCap, a
+// read spanning flushed and unflushed records sees both, and a single
+// record far larger than the cap does not leave its buffer pinned.
+func TestTailIsBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.log")
+	s := openStore(t, path, Config{DisableAutoCompact: true})
+	defer s.Close()
+	var roots []guid.GUID
+	var all [][]archive.StoredFragment
+	for i := 0; s.Stats().Flushes == 0; i++ {
+		if i > 1000 {
+			t.Fatal("tail never flushed itself")
+		}
+		root, frags := mkFrags(t, int64(100+i), 4000)
+		roots, all = append(roots, root), append(all, frags)
+		for _, f := range frags {
+			if err := s.Put(f); err != nil {
+				t.Fatal(err)
+			}
+			if len(s.tail) >= tailCap {
+				t.Fatalf("tail at %d bytes, cap %d", len(s.tail), tailCap)
+			}
+		}
+	}
+	if s.Stats().Syncs != 0 {
+		t.Fatal("cap flush must not fsync")
+	}
+	for i, frags := range all {
+		for _, f := range frags {
+			if g, ok := s.Get(roots[i], f.Index); !ok || !reflect.DeepEqual(g, f) {
+				t.Fatalf("fragment %d/%d unreadable across the flush boundary", i, f.Index)
+			}
+		}
+	}
+
+	root, big := mkFrags(t, 7, 16*tailCap)
+	if err := s.Put(big[0]); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.tail) != 0 || cap(s.tail) > 2*tailCap {
+		t.Fatalf("oversized record left len %d cap %d in the tail", len(s.tail), cap(s.tail))
+	}
+	if g, ok := s.Get(root, big[0].Index); !ok || !reflect.DeepEqual(g, big[0]) {
+		t.Fatal("oversized record unreadable")
+	}
+}

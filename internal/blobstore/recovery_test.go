@@ -1,9 +1,12 @@
 package blobstore
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"oceanstore/internal/archive"
 )
 
 // TestTornWriteEveryOffset is the crash-recovery property test: kill
@@ -29,7 +32,7 @@ func TestTornWriteEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := s.Size()
-	recLen := headerLen + len(encodePut(victim))
+	recLen := headerLen + len(appendPut(nil, victim))
 
 	checkPrefix := func(j int) {
 		t.Helper()
@@ -116,7 +119,7 @@ func TestTornWriteThenMoreWrites(t *testing.T) {
 	}
 	// Tear fragment 2 mid-payload, recover, then write it again for
 	// real plus two more.
-	recLen := headerLen + len(encodePut(frags[2]))
+	recLen := headerLen + len(appendPut(nil, frags[2]))
 	s.TearNextAppend(recLen / 2)
 	if err := s.Put(frags[2]); err != ErrCrashed {
 		t.Fatalf("torn put returned %v", err)
@@ -143,5 +146,130 @@ func TestTornWriteThenMoreWrites(t *testing.T) {
 		if g, ok := s2.Get(root, idx); !ok || !g.Verify() {
 			t.Fatalf("fragment %d corrupt after tear+recover+append history", idx)
 		}
+	}
+}
+
+// TestTornFlushEveryOffset extends the kill-at-every-byte property to
+// the coalesced path: a tail of three unsynced records behind a synced
+// prefix goes out in one pwrite, and that pwrite is cut at EVERY byte
+// offset.  A plain recovery must keep exactly the longest run of whole
+// records that reached the file; a drop-unsynced recovery exactly the
+// synced prefix.  Nothing short, corrupt or duplicated may ever be
+// readable, and a fresh open must agree with the recovered store.
+func TestTornFlushEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	root, frags := mkFrags(t, 47, 400)
+	synced, tail := frags[:2], frags[2:5]
+
+	// ends[k] is the tail offset at which record k is complete.
+	var ends []int
+	total := 0
+	for _, f := range tail {
+		total += headerLen + len(appendPut(nil, f))
+		ends = append(ends, total)
+	}
+
+	check := func(j int, dropUnsynced bool) {
+		path := filepath.Join(dir, "vol.log")
+		os.Remove(path)
+		s := openStore(t, path, Config{DisableAutoCompact: true})
+		for _, f := range synced {
+			if err := s.Put(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		base := s.Size()
+		for _, f := range tail {
+			if err := s.Put(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(s.tail) != total {
+			t.Fatalf("tail holds %d bytes, want all %d unsynced record bytes", len(s.tail), total)
+		}
+
+		s.crashFlush(j)
+		if err := s.Put(tail[0]); err != ErrCrashed {
+			t.Fatalf("offset %d: crashed store accepted a put: %v", j, err)
+		}
+		if err := s.Recover(dropUnsynced); err != nil {
+			t.Fatalf("offset %d: recovery failed: %v", j, err)
+		}
+
+		whole := 0 // tail records entirely inside the first j bytes
+		if !dropUnsynced {
+			for _, e := range ends {
+				if e <= j {
+					whole++
+				}
+			}
+		}
+		want := append(append([]archive.StoredFragment(nil), synced...), tail[:whole]...)
+		wantSize := base
+		if whole > 0 {
+			wantSize += int64(ends[whole-1])
+		}
+		verify := func(st *Store, who string) {
+			t.Helper()
+			var wantIdx []int
+			for _, f := range want {
+				wantIdx = append(wantIdx, f.Index)
+				g, ok := st.Get(root, f.Index)
+				if !ok || !reflect.DeepEqual(g, f) {
+					t.Fatalf("offset %d drop=%v: %s lost or mangled fragment %d", j, dropUnsynced, who, f.Index)
+				}
+			}
+			if got := st.Indexes(root); !reflect.DeepEqual(got, wantIdx) {
+				t.Fatalf("offset %d drop=%v: %s holds %v, want %v", j, dropUnsynced, who, got, wantIdx)
+			}
+			if got := st.Size(); got != wantSize {
+				t.Fatalf("offset %d drop=%v: %s size %d, want %d", j, dropUnsynced, who, got, wantSize)
+			}
+		}
+		verify(s, "recovered store")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2 := openStore(t, path, Config{DisableAutoCompact: true})
+		verify(s2, "fresh open")
+		s2.Close()
+	}
+	for j := 0; j <= total; j++ {
+		check(j, false)
+		check(j, true)
+	}
+}
+
+// TestTearFlushesTailAhead: a torn append must not cost the appends
+// completed before it, even though they were still in the tail — the
+// tail goes out ahead of the torn record in the same write.
+func TestTearFlushesTailAhead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.log")
+	root, frags := mkFrags(t, 53, 400)
+	s := openStore(t, path, Config{DisableAutoCompact: true})
+	defer s.Close()
+	for _, f := range frags[:3] {
+		if err := s.Put(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Stats().Flushes != 0 {
+		t.Fatal("unsynced puts were flushed one by one")
+	}
+	s.TearNextAppend(7)
+	if err := s.Put(frags[3]); err != ErrCrashed {
+		t.Fatalf("torn put returned %v", err)
+	}
+	if err := s.Recover(false); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Indexes(root), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("tear kept %v, want every completed append %v", got, want)
+	}
+	if s.Stats().TruncatedBytes != 7 {
+		t.Fatalf("truncated %d bytes, want the 7 torn ones", s.Stats().TruncatedBytes)
 	}
 }

@@ -376,6 +376,7 @@ func (w *SoakWorld) BlobStats() (blobstore.Stats, int) {
 		agg.BytesWritten += st.BytesWritten
 		agg.BytesRead += st.BytesRead
 		agg.Syncs += st.Syncs
+		agg.Flushes += st.Flushes
 		agg.Compactions += st.Compactions
 		agg.RecoveredFrags += st.RecoveredFrags
 		agg.TruncatedBytes += st.TruncatedBytes

@@ -54,6 +54,14 @@ func Do(n, grain int, fn func(lo, hi int)) {
 	doProcs(Procs(), n, grain, fn)
 }
 
+// DoWide is Do on exactly width workers whatever GOMAXPROCS says — for
+// fan-outs whose workers block in the kernel (an fsync per chunk)
+// rather than burn CPU, where the useful width is the devices' queue
+// depth, not the core count.  Same chunking, same ordering contract.
+func DoWide(width, n, grain int, fn func(lo, hi int)) {
+	doProcs(width, n, grain, fn)
+}
+
 func doProcs(procs, n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

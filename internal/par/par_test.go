@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -159,5 +160,28 @@ func TestMapErrFirstIndexWins(t *testing.T) {
 func TestProcsFloor(t *testing.T) {
 	if Procs() < 1 {
 		t.Fatalf("Procs() = %d", Procs())
+	}
+}
+
+// TestDoWideIgnoresGOMAXPROCS: DoWide's width is the caller's, not the
+// scheduler's — with one proc, four chunks that each wait for the other
+// three only finish if four workers really exist.  (A serial fallback
+// here would hang, and the test timeout would say so.)
+func TestDoWideIgnoresGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var barrier sync.WaitGroup
+	barrier.Add(4)
+	hits := make([]int, 4)
+	DoWide(4, 4, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			hits[i]++
+		}
+		barrier.Done()
+		barrier.Wait()
+	})
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("index %d visited %d times", i, h)
+		}
 	}
 }
