@@ -4,14 +4,15 @@ GO ?= go
 # Packages touched by the fork-join parallelism (PR 3, and the
 # fragment store's parallel group commit): the -race pass over these
 # runs with GOMAXPROCS=4 so the pool actually forks even on small CI
-# machines.
+# machines.  The kernel and the network are single-threaded by design
+# and fork nothing; plain `race` covers them.
 PAR_PKGS = ./internal/par/ ./internal/erasure/ ./internal/archive/ \
 	./internal/blobstore/ ./internal/merkle/ ./internal/bloom/ \
-	./internal/fault/ ./internal/obs/ ./internal/sim/ ./internal/simnet/
+	./internal/fault/ ./internal/obs/
 
-.PHONY: check vet vet-rand build test race race-par fuzz-corpora bench bench-smoke bench-json bench-gate bench-json-pr7 bench-gate-pr7 bench-mem bench-json-pr8 cover cover-write soak-smoke scenarios-smoke blobstore-smoke introspect-smoke
+.PHONY: check vet vet-rand build test race race-par fuzz-corpora bench bench-smoke cover cover-write soak-smoke scenarios-smoke blobstore-smoke introspect-smoke
 
-check: vet vet-rand build race race-par fuzz-corpora bench-smoke cover soak-smoke scenarios-smoke blobstore-smoke introspect-smoke bench-gate-pr7 bench-mem
+check: vet vet-rand build race race-par fuzz-corpora bench-smoke cover soak-smoke scenarios-smoke blobstore-smoke introspect-smoke
 
 vet:
 	$(GO) vet ./...
@@ -68,12 +69,10 @@ cover-write:
 
 # Determinism gate for the soak engine at scale: the same seeded
 # 100k-node soak must emit byte-identical metrics and summary at
-# GOMAXPROCS 1 and 4, and at any kernel shard count (-shards 1 vs the
-# default region-scaled sharding).  The run also asserts a peak-RSS
-# budget (the mem line osexp prints to stderr): the zero-alloc
-# messaging work holds 100k nodes + 10k ops under ~265 MB, and the
-# budget fails the gate if resident memory doubles.  The full-scale
-# run is
+# GOMAXPROCS 1 and 4.  The run also asserts a peak-RSS budget (the mem
+# line osexp prints to stderr): the zero-alloc messaging work holds
+# 100k nodes + 10k ops under ~265 MB, and the budget fails the gate if
+# resident memory doubles.  The full-scale run is
 #   osexp -metrics soak.txt soak 1 -nodes 1000000 -ops 1000000
 SOAK_RSS_BUDGET_MB ?= 512
 soak-smoke:
@@ -81,17 +80,14 @@ soak-smoke:
 	tmp=$$(mktemp -d); \
 	GOMAXPROCS=1 /tmp/osexp-smoke -metrics $$tmp/m1.txt soak 1 -nodes 100000 -ops 10000 > $$tmp/out1.txt 2> $$tmp/mem1.txt || exit 1; \
 	GOMAXPROCS=4 /tmp/osexp-smoke -metrics $$tmp/m4.txt soak 1 -nodes 100000 -ops 10000 > $$tmp/out4.txt || exit 1; \
-	GOMAXPROCS=4 /tmp/osexp-smoke -metrics $$tmp/ms1.txt soak 1 -nodes 100000 -ops 10000 -shards 1 > $$tmp/outs1.txt || exit 1; \
 	if ! cmp -s $$tmp/m1.txt $$tmp/m4.txt; then echo "soak-smoke: metrics differ across GOMAXPROCS"; exit 1; fi; \
 	if ! cmp -s $$tmp/out1.txt $$tmp/out4.txt; then echo "soak-smoke: summaries differ across GOMAXPROCS"; exit 1; fi; \
-	if ! cmp -s $$tmp/m4.txt $$tmp/ms1.txt; then echo "soak-smoke: metrics differ across shard counts"; exit 1; fi; \
-	if ! cmp -s $$tmp/out4.txt $$tmp/outs1.txt; then echo "soak-smoke: summaries differ across shard counts"; exit 1; fi; \
 	rss=$$(sed -n 's/.*peak RSS \([0-9.]*\) MB.*/\1/p' $$tmp/mem1.txt); \
 	if [ -z "$$rss" ]; then echo "soak-smoke: no peak RSS line on stderr"; exit 1; fi; \
 	if awk "BEGIN{exit !($$rss > $(SOAK_RSS_BUDGET_MB))}"; then \
 		echo "soak-smoke: peak RSS $$rss MB exceeds budget $(SOAK_RSS_BUDGET_MB) MB"; exit 1; fi; \
 	rm -rf $$tmp; \
-	echo "soak-smoke: 100k nodes byte-identical at GOMAXPROCS 1 and 4 and at shards 1 vs default; peak RSS $$rss MB within $(SOAK_RSS_BUDGET_MB) MB"
+	echo "soak-smoke: 100k nodes byte-identical at GOMAXPROCS 1 and 4; peak RSS $$rss MB within $(SOAK_RSS_BUDGET_MB) MB"
 
 # Real-I/O gate for the blobstore backend (PR 9): a disk-backed
 # 1k-node soak with the scrub/repair scheduler on, volumes in a temp
@@ -125,10 +121,9 @@ blobstore-smoke:
 
 # Introspection determinism gate (PR 10): a 10k-node flash-crowd soak
 # with the replica controller on must emit byte-identical metrics and
-# summary at GOMAXPROCS 1 and 4 and at shards 1 vs the default
-# region-scaled sharding — the control loop's EWMA folds, sorted
-# candidate passes, and modeled read queues draw nothing from the
-# wall clock or scheduler interleaving.  The report must carry the
+# summary at GOMAXPROCS 1 and 4 — the control loop's EWMA folds,
+# sorted candidate passes, and modeled read queues draw nothing from
+# the wall clock or scheduler interleaving.  The report must carry the
 # introspection and read-latency rails the flash ablation greps for.
 introspect-smoke:
 	@$(GO) build -o /tmp/osexp-smoke ./cmd/osexp; \
@@ -136,11 +131,8 @@ introspect-smoke:
 	args="soak 1 -nodes 10000 -ops 20000 -introspect -flash 2m"; \
 	GOMAXPROCS=1 /tmp/osexp-smoke -metrics $$tmp/m1.txt $$args > $$tmp/out1.txt 2> /dev/null || exit 1; \
 	GOMAXPROCS=4 /tmp/osexp-smoke -metrics $$tmp/m4.txt $$args > $$tmp/out4.txt 2> /dev/null || exit 1; \
-	GOMAXPROCS=4 /tmp/osexp-smoke -metrics $$tmp/ms1.txt $$args -shards 1 > $$tmp/outs1.txt 2> /dev/null || exit 1; \
 	if ! cmp -s $$tmp/m1.txt $$tmp/m4.txt; then echo "introspect-smoke: metrics differ across GOMAXPROCS"; exit 1; fi; \
 	if ! cmp -s $$tmp/out1.txt $$tmp/out4.txt; then echo "introspect-smoke: summaries differ across GOMAXPROCS"; exit 1; fi; \
-	if ! cmp -s $$tmp/m4.txt $$tmp/ms1.txt; then echo "introspect-smoke: metrics differ across shard counts"; exit 1; fi; \
-	if ! cmp -s $$tmp/out4.txt $$tmp/outs1.txt; then echo "introspect-smoke: summaries differ across shard counts"; exit 1; fi; \
 	if ! grep -q '^introspect: ' $$tmp/out1.txt; then \
 		echo "introspect-smoke: no introspection rail in the report"; cat $$tmp/out1.txt; exit 1; fi; \
 	if ! grep -q '^read latency: ' $$tmp/out1.txt; then \
@@ -148,7 +140,7 @@ introspect-smoke:
 	if ! grep -q 'promotes' $$tmp/out1.txt; then \
 		echo "introspect-smoke: controller made no decisions"; cat $$tmp/out1.txt; exit 1; fi; \
 	rm -rf $$tmp; \
-	echo "introspect-smoke: 10k-node flash soak byte-identical at GOMAXPROCS 1 and 4 and at shards 1 vs default"
+	echo "introspect-smoke: 10k-node flash soak byte-identical at GOMAXPROCS 1 and 4"
 
 # Adversarial gate: run the whole scenario catalogue — every defense
 # armed (invariants must hold) and switched off (invariants must
@@ -165,47 +157,3 @@ scenarios-smoke:
 	if ! cmp -s $$tmp/out1.txt $$tmp/out4.txt; then echo "scenarios-smoke: reports differ across GOMAXPROCS"; exit 1; fi; \
 	rm -rf $$tmp; \
 	echo "scenarios-smoke: all invariants hold armed, all break disarmed; dumps byte-identical at GOMAXPROCS 1 and 4"
-
-# Full benchmark pass rendered as JSON against the checked-in baseline.
-# Refresh after performance work: `make bench-json` then commit the
-# updated BENCH_PR3.json (and a new bench/BASELINE_*.txt if the baseline
-# itself should move forward).
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem ./... \
-		| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR3.txt -o BENCH_PR3.json
-
-# Regression gate: fail if any benchmark is more than GATE_PCT percent
-# slower than the checked-in baseline.  Single-run benchmarks are noisy;
-# the default threshold is deliberately loose.
-GATE_PCT ?= 30
-bench-gate:
-	$(GO) test -run '^$$' -bench . -benchmem ./... \
-		| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR3.txt -gate $(GATE_PCT) -o /dev/null
-
-# PR 7 scale benchmark: end-to-end soak throughput at 10k and 100k
-# nodes against the pre-sharding baseline pinned in
-# bench/BASELINE_PR7.txt.  The gate fails if throughput falls back
-# toward the pre-PR numbers; BENCH_PR7.json records the speedup.
-bench-json-pr7:
-	$(GO) test -run '^$$' -bench SoakOpsPerCore -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR7.txt -o BENCH_PR7.json
-
-bench-gate-pr7:
-	$(GO) test -run '^$$' -bench SoakOpsPerCore -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR7.txt -gate $(GATE_PCT) -o /dev/null
-
-# Memory-regression gate (PR 8): the message-path and per-commit
-# benchmarks run with -benchmem and their allocs/op are compared to
-# bench/BASELINE_PR8.txt.  The messaging benches are pinned at ZERO
-# allocs/op — any new allocation on those paths trips the gate at any
-# threshold (0 baseline + nonzero current = infinite regression).
-bench-mem:
-	$(GO) test -run '^$$' -bench 'MsgUnbatched|MsgBatched|VersionGUID|BlockEncrypt' -benchmem . \
-		| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR8.txt -gate-allocs 10 -o /dev/null
-
-# PR 8 scale benchmark: refresh BENCH_PR8.json — soak throughput at 10k
-# and 100k nodes (vs the PR 7 pre-shard baseline) with allocs/op from
-# the memory benches alongside.
-bench-json-pr8:
-	$(GO) test -run '^$$' -bench 'SoakOpsPerCore|MsgUnbatched|MsgBatched|VersionGUID|BlockEncrypt' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -baseline bench/BASELINE_PR7.txt -o BENCH_PR8.json

@@ -17,9 +17,9 @@
 // never interleaves or reorders lines.
 //
 // With -metrics FILE the instrumented experiments (latency, fragments,
-// updatepath, soak, scenarios) additionally dump their observability counters in
-// cmd/benchjson-compatible Benchmark lines; with -trace FILE they dump
-// per-message trace events as JSONL.  Both dumps are deterministic:
+// updatepath, soak, scenarios) additionally dump their observability
+// counters as `go test -bench`-style Benchmark lines; with -trace FILE
+// they dump per-message trace events as JSONL.  Both dumps are deterministic:
 // the same seed produces byte-identical files at any GOMAXPROCS.
 package main
 
@@ -33,6 +33,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"oceanstore/internal/obs"
 	"oceanstore/internal/par"
@@ -60,6 +61,17 @@ var experiments = []experiment{
 	{"fanout", "ablation — dissemination tree fanout vs depth and load", runFanout},
 	{"soak", "steady state — Zipf mix over a maintained pool with churn", runSoak},
 	{"scenarios", "adversarial suite — each audit defense armed vs switched off", runScenarios},
+}
+
+// runFailed is set by fail; main exits 1 on it once the dumps are out.
+var runFailed atomic.Bool
+
+// fail reports an environment error an experiment could not recover
+// from — its report is already printed, but must not pass for a clean
+// run.  Experiments under -seeds run concurrently, hence the atomic.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "osexp: "+format+"\n", args...)
+	runFailed.Store(true)
 }
 
 // flaggedExperiments maps the experiments that take their own flags
@@ -369,6 +381,9 @@ func main() {
 	}
 	stopProfiles()
 	closeSinks()
+	if runFailed.Load() {
+		os.Exit(1)
+	}
 }
 
 func usage() {
@@ -386,7 +401,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "  -memprofile FILE  write a pprof allocs profile of the run")
 	fmt.Fprintln(os.Stderr, "soak flags (after the seed): -nodes -ops -clients -objects -secondaries -write -create -zipf")
 	fmt.Fprintln(os.Stderr, "  -size -think -openloop -arrival -maxinflight -churn -downfor -grow -growat")
-	fmt.Fprintln(os.Stderr, "  -shards -backend -storedir -scrub -flush -introspect -iepoch -readsvc")
+	fmt.Fprintln(os.Stderr, "  -backend -storedir -scrub -flush -introspect -iepoch -readsvc")
 	fmt.Fprintln(os.Stderr, "  -flash -flashfor -flashmass -flashobjs -diurnal -nightrate -hotrotate")
 	fmt.Fprintln(os.Stderr, "scenarios flags (after the seed): -only NAME -armedonly -interval D")
 }

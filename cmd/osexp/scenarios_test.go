@@ -2,10 +2,18 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"oceanstore/internal/archive"
+	"oceanstore/internal/core"
+	"oceanstore/internal/simnet"
+	"oceanstore/internal/workload"
 )
 
 func findExperiment(t *testing.T, name string) experiment {
@@ -155,6 +163,81 @@ func TestSoakReportShape(t *testing.T) {
 	}
 	if strings.Contains(out, "WARNING") {
 		t.Errorf("small soak run should drain cleanly; got:\n%s", out)
+	}
+}
+
+// failCloseStore is a fragment store whose final flush fails, the way a
+// blobstore volume's does when the disk fills or the fsync errors.
+type failCloseStore struct{ *archive.NodeStore }
+
+func (failCloseStore) Close() error { return errors.New("injected: final flush failed") }
+
+// TestSoakCloseErrorFailsTheRun: every volume holds acknowledged but
+// unwritten records until Close, so a soak whose stores fail to close
+// must not pass for a clean run — the error comes back from the run,
+// and reporting it flags the process for a non-zero exit.
+func TestSoakCloseErrorFailsTheRun(t *testing.T) {
+	o := soakOpts
+	o.nodes, o.ops, o.churn = 32, 60, 0
+	run := func(factory func(simnet.NodeID) archive.Store) error {
+		cfg := core.DefaultSoakConfig(o.nodes)
+		// A store keeps the backend it materialized with, and creating an
+		// object archives its first version — so build the world empty,
+		// swap the factory, then provision the objects.
+		objects := cfg.Objects
+		cfg.Objects = 0
+		world, err := core.NewSoakWorld(1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		world.Pool.Arch.SetStoreFactory(factory)
+		for i := 0; i < objects; i++ {
+			world.Do(workload.Request{Kind: workload.OpCreate}, func(ok bool) {
+				if !ok {
+					t.Fatal("object create failed")
+				}
+			})
+		}
+		cfg.Objects = objects
+		var buf bytes.Buffer
+		err = soakWorld(&buf, world, cfg, o, nil)
+		if !strings.Contains(buf.String(), "committed updates across objects: ") {
+			t.Fatalf("report must still be printed in full; got:\n%s", buf.String())
+		}
+		if len(world.Pool.Arch.StoreNodes()) == 0 {
+			t.Fatal("run archived nothing — no store was there to close")
+		}
+		return err
+	}
+	healthy := func(simnet.NodeID) archive.Store { return archive.NewNodeStore() }
+	failing := func(simnet.NodeID) archive.Store { return failCloseStore{archive.NewNodeStore()} }
+	if err := run(healthy); err != nil {
+		t.Fatalf("healthy stores: soak returned %v", err)
+	}
+	err := run(failing)
+	if err == nil || !strings.Contains(err.Error(), "final flush failed") {
+		t.Fatalf("failing Close was swallowed: soak returned %v", err)
+	}
+	defer runFailed.Store(false)
+	if runFailed.Load() {
+		t.Fatal("failure flag set before anything failed")
+	}
+	fail("soak: closing the fragment stores: %v", err)
+	if !runFailed.Load() {
+		t.Fatal("fail() did not flag the process for a non-zero exit")
+	}
+}
+
+// TestSoakRejectsRemovedFlag: -shards selected nothing and is gone; an
+// old script passing it must get a flag error, not a silent default.
+func TestSoakRejectsRemovedFlag(t *testing.T) {
+	saved := soakOpts
+	defer func() { soakOpts = saved }()
+	fs := soakFlagSet()
+	fs.Init("soak", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse([]string{"-nodes", "64", "-shards", "1"}); err == nil {
+		t.Fatal("-shards parsed; want a flag error")
 	}
 }
 

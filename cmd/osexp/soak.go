@@ -12,13 +12,8 @@ import (
 	"oceanstore/internal/workload"
 )
 
-// soakOpts are the soak experiment's knobs.  The struct initializers
-// are the defaults; soakFlagSet echoes them so `osexp all` (which
-// never parses soak flags) and `osexp soak` agree.  Defaults are sized
-// so the full experiment suite stays fast; a heavy run looks like
-//
-//	osexp -metrics soak.txt soak 1 -nodes 10000 -ops 1000000
-var soakOpts = struct {
+// soakOptions are the soak experiment's knobs.
+type soakOptions struct {
 	nodes       int
 	ops         int
 	clients     int
@@ -36,7 +31,6 @@ var soakOpts = struct {
 	downFor     time.Duration
 	grow        int
 	growAt      time.Duration
-	shards      int
 	backend     string
 	storeDir    string
 	scrub       time.Duration
@@ -51,7 +45,15 @@ var soakOpts = struct {
 	diurnal     time.Duration
 	nightRate   float64
 	hotRotate   time.Duration
-}{
+}
+
+// soakOpts holds the knobs' values; the initializers are the defaults.
+// soakFlagSet echoes them so `osexp all` (which never parses soak
+// flags) and `osexp soak` agree.  Defaults are sized so the full
+// experiment suite stays fast; a heavy run looks like
+//
+//	osexp -metrics soak.txt soak 1 -nodes 10000 -ops 1000000
+var soakOpts = soakOptions{
 	nodes:     256,
 	ops:       4000,
 	write:     0.3,
@@ -92,7 +94,6 @@ func soakFlagSet() *flag.FlagSet {
 	fs.DurationVar(&o.downFor, "downfor", o.downFor, "how long a bounced node stays down")
 	fs.IntVar(&o.grow, "grow", o.grow, "nodes to add mid-run (0 disables growth)")
 	fs.DurationVar(&o.growAt, "growat", o.growAt, "virtual time of the growth burst")
-	fs.IntVar(&o.shards, "shards", o.shards, "kernel event-queue shards (0 = scale with nodes; output is identical at any value)")
 	fs.StringVar(&o.backend, "backend", o.backend, "fragment store backend: mem or disk (output is identical either way)")
 	fs.StringVar(&o.storeDir, "storedir", o.storeDir, "volume directory for -backend disk (empty = fresh temp dir, removed after)")
 	fs.DurationVar(&o.scrub, "scrub", o.scrub, "archival scrub/repair scheduler tick (0 disables maintenance)")
@@ -111,8 +112,8 @@ func soakFlagSet() *flag.FlagSet {
 }
 
 // runSoak drives the closed/open-loop traffic engine over a soak
-// world: a meshless batch-delivery pool under churn, with reads,
-// full-path writes, and object creates drawn from a Zipf mix.
+// world: a meshless pool under churn, with reads, full-path writes,
+// and object creates drawn from a Zipf mix.
 func runSoak(w io.Writer, seed int64, ob *obsink) {
 	o := soakOpts
 	cfg := core.DefaultSoakConfig(o.nodes)
@@ -127,9 +128,6 @@ func runSoak(w io.Writer, seed int64, ob *obsink) {
 	}
 	if o.maxInfl > 0 {
 		cfg.MaxInFlight = o.maxInfl
-	}
-	if o.shards > 0 {
-		cfg.Shards = o.shards
 	}
 	cfg.Backend = o.backend
 	cfg.ScrubInterval = o.scrub
@@ -146,20 +144,6 @@ func runSoak(w io.Writer, seed int64, ob *obsink) {
 		// real service time, or there is no tail to bend.
 		cfg.ReadService = 2 * time.Millisecond
 	}
-	var shape workload.Shape
-	if o.diurnal > 0 {
-		shape.DiurnalPeriod = o.diurnal
-		shape.DiurnalNightRate = o.nightRate
-	}
-	if o.hotRotate > 0 {
-		shape.RotateEvery = o.hotRotate
-	}
-	if o.flash > 0 {
-		shape.FlashAt = o.flash
-		shape.FlashFor = o.flashFor
-		shape.FlashMass = o.flashMass
-		shape.FlashObjects = o.flashObjs
-	}
 	if o.backend == "disk" {
 		cfg.StoreDir = o.storeDir
 		if cfg.StoreDir == "" {
@@ -175,7 +159,31 @@ func runSoak(w io.Writer, seed int64, ob *obsink) {
 	if err != nil {
 		panic(err)
 	}
-	defer world.Close()
+	if err := soakWorld(w, world, cfg, o, ob); err != nil {
+		fail("soak: closing the fragment stores: %v", err)
+	}
+}
+
+// soakWorld runs the engine over a built world, prints the report and
+// closes the world.  The close error is the run's outcome, not noise:
+// every volume holds acknowledged-but-unwritten records in its
+// write-behind tail until Close, so a failed final flush or fsync means
+// the report above it describes data that never reached the disk.
+func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOptions, ob *obsink) error {
+	var shape workload.Shape
+	if o.diurnal > 0 {
+		shape.DiurnalPeriod = o.diurnal
+		shape.DiurnalNightRate = o.nightRate
+	}
+	if o.hotRotate > 0 {
+		shape.RotateEvery = o.hotRotate
+	}
+	if o.flash > 0 {
+		shape.FlashAt = o.flash
+		shape.FlashFor = o.flashFor
+		shape.FlashMass = o.flashMass
+		shape.FlashObjects = o.flashObjs
+	}
 	world.Instrument(ob.registry(), ob.tracer())
 	eng := workload.NewEngine(world.Pool.K, workload.EngineConfig{
 		Clients:       cfg.Clients,
@@ -266,4 +274,5 @@ func runSoak(w io.Writer, seed int64, ob *obsink) {
 			bs.Flushes, float64(bs.Puts)/float64(max(bs.Flushes, 1)),
 			rounds, float64(joined)/float64(max(rounds, 1)))
 	}
+	return world.Close()
 }

@@ -54,13 +54,6 @@ type PoolConfig struct {
 	// storage node gets on first use (e.g. a blobstore volume per
 	// node); nil keeps the in-memory NodeStore.
 	StoreFactory func(simnet.NodeID) archive.Store
-	// BatchDelivery turns on simnet's same-tick delivery batching
-	// (one event-heap push per distinct delivery time).
-	BatchDelivery bool
-	// Shards partitions the kernel's event heap by region (domain mod
-	// Shards).  Under merge execution the trajectory is identical at
-	// any shard count; 0 or 1 leaves the kernel unsharded.
-	Shards int
 }
 
 // DefaultPoolConfig is a 64-node, 4-domain pool with WAN-ish latency.
@@ -139,8 +132,6 @@ func NewPool(seed int64, cfg PoolConfig) *Pool {
 		BaseLatency:    cfg.BaseLatency,
 		LatencyPerUnit: cfg.LatencyPerUnit,
 		DropProb:       cfg.DropProb,
-		BatchDelivery:  cfg.BatchDelivery,
-		Shards:         cfg.Shards,
 	})
 	nodes := net.AddRandomNodes(cfg.Nodes, cfg.Extent, cfg.Domains)
 	var mesh *plaxton.Mesh

@@ -99,11 +99,6 @@ type SoakConfig struct {
 	Domains        int
 	BaseLatency    time.Duration
 	LatencyPerUnit time.Duration
-	// Shards partitions the kernel's event heap by region (domain mod
-	// Shards).  The trajectory is identical at any value (merge
-	// execution); large worlds shard so each region's queue stays
-	// small.  0 or 1 = unsharded.
-	Shards int
 }
 
 // DefaultSoakConfig scales a soak world to the given node count:
@@ -139,7 +134,6 @@ func DefaultSoakConfig(nodes int) SoakConfig {
 		Domains:         8,
 		BaseLatency:     15 * time.Millisecond,
 		LatencyPerUnit:  time.Millisecond,
-		Shards:          clamp(nodes/16384, 1, 8),
 	}
 }
 
@@ -226,8 +220,6 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 		BaseLatency:    cfg.BaseLatency,
 		LatencyPerUnit: cfg.LatencyPerUnit,
 		NoMesh:         true,
-		BatchDelivery:  true,
-		Shards:         cfg.Shards,
 	}
 	switch cfg.Backend {
 	case "", "mem":

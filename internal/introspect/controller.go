@@ -14,8 +14,8 @@
 // randomness, never reads the wall clock, and iterates objects in a
 // fully ordered fashion (pressure descending, object index ascending
 // on ties), so two runs with the same observation stream make the same
-// decisions.  Everything here runs on kernel ticks in the caller's
-// shard, making it safe under merge-mode kernel sharding.
+// decisions.  Everything here runs on kernel ticks, in the kernel's one
+// (time, seq) event order.
 package introspect
 
 import (

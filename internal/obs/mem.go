@@ -4,8 +4,8 @@
 // These values are real-machine facts — they vary with GC timing,
 // GOMAXPROCS and allocator layout — so they must NEVER enter a
 // Registry: registry dumps are part of the determinism contract
-// (byte-identical at any GOMAXPROCS and shard count), and one runtime
-// gauge would break it.  MemSample therefore lives beside the
+// (byte-identical at any GOMAXPROCS and storage backend), and one
+// runtime gauge would break it.  MemSample therefore lives beside the
 // registry, not in it: drivers print it to stderr or a side channel,
 // and `make soak-smoke` asserts budgets against it.
 package obs

@@ -13,7 +13,7 @@
 // (par.Map over seeds or grid cells) give each simulator its own
 // Registry and Merge them afterwards in seed/cell order — the same
 // ordered-merge discipline internal/par uses for output buffers.  With
-// that discipline the merged snapshot, the benchjson dump and the JSONL
+// that discipline the merged snapshot, the Benchmark-line dump and the JSONL
 // trace are byte-identical at any GOMAXPROCS.
 //
 // Hot-path cost.  Layers resolve handles (Counter, Gauge, Histogram)
@@ -54,8 +54,8 @@ func (k Key) less(o Key) bool {
 }
 
 // nodeLabel renders the node component for dumps.  Labels avoid '-'
-// because cmd/benchjson strips a trailing -<digits> (the GOMAXPROCS
-// suffix of go test) from benchmark names.
+// because benchmark-format tooling (benchstat and kin) strips a trailing
+// -<digits> (the GOMAXPROCS suffix of go test) from benchmark names.
 func (k Key) nodeLabel() string {
 	if k.Node == NodeWide {
 		return "all"
@@ -388,9 +388,8 @@ func (r *Registry) Snapshot() []Metric {
 	return out
 }
 
-// WriteBench dumps the registry in `go test -bench` line format, which
-// cmd/benchjson parses directly, so metrics ride the same report/gate
-// tooling as performance numbers:
+// WriteBench dumps the registry in `go test -bench` line format, so
+// metrics can ride the same tooling as performance numbers:
 //
 //	Benchmark<prefix>/<layer>/<name>/<node> 1 <value> <unit>...
 //

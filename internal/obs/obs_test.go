@@ -167,7 +167,7 @@ func TestRegistryMergeAndSnapshotOrder(t *testing.T) {
 		t.Fatalf("missing merged counter line in:\n%s", x.String())
 	}
 	if strings.Contains(x.String(), "-") {
-		t.Fatalf("dump contains '-', which cmd/benchjson may strip:\n%s", x.String())
+		t.Fatalf("dump contains '-', which benchmark-format tooling may strip:\n%s", x.String())
 	}
 }
 

@@ -15,7 +15,7 @@ func TestEventQueueZeroAlloc(t *testing.T) {
 	fn := func() {}
 	seed := func(n int) {
 		for i := 0; i < n; i++ {
-			q.push(event{key: eventKey{time: time.Duration((i * 37) % 64), order: uint64(i)}, fn: fn})
+			q.push(eventKey{time: time.Duration((i * 37) % 64), seq: uint64(i)}, fn)
 		}
 	}
 	// Warm the slices to their steady-state capacity.

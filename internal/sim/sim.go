@@ -7,232 +7,54 @@
 // insertion sequence, and all randomness flows from a single seeded
 // source.  The same seed always reproduces the same run, byte for byte.
 //
-// # Sharding
-//
-// The kernel optionally splits its event heap into per-region shards so
-// that worlds of 10⁵–10⁶ nodes keep their queues small and — for
-// shard-confined workloads — can execute regions concurrently.  Two
-// modes exist:
-//
-//   - Shard(n): n queues, one total order.  Events keep the global
-//     (time, insertion-seq) key and execution pops the minimum across
-//     all shard heads, so the trajectory is bit-identical to a single
-//     heap at any shard count and any GOMAXPROCS.  This is the mode the
-//     full protocol stack (whose layers share state freely across
-//     regions) runs in.
-//
-//   - ShardEpoch(n, epoch): per-shard sequence counters and RNG
-//     streams, with the total order (time, srcShard, shardSeq) packed
-//     into one uint64.  Run* executes fixed windows of length epoch:
-//     within a window every shard drains its own queue independently —
-//     in parallel via internal/par's fork-join when SetParallel(true)
-//     and procs > 1, serially in shard order otherwise; both take
-//     identical trajectories by construction — and cross-shard events
-//     buffer in per-(src,dst) outboxes that merge at the barrier in
-//     fixed (dst, src) order.  Provided epoch ≤ the minimum cross-shard
-//     event latency (the lookahead), no event can arrive inside the
-//     window that created it, so barrier handoff never reorders
-//     causality; the kernel panics on violations.  Closures in an
-//     epoch-sharded world must be shard-confined: they may only touch
-//     state owned by their shard and must draw time and randomness via
-//     ShardNow/ShardRand (the legacy Now/Rand/At read the "currently
-//     executing shard" register, which parallel windows do not
-//     maintain).
+// The kernel is one heap, one clock, one RNG, and it is single-threaded
+// by design: every quantity the experiments report is a function of one
+// total (time, seq) event order, and a kernel small enough to audit is
+// what makes that order trustworthy at a million nodes.  DESIGN.md §11
+// records why it is not partitioned by region.
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
-
-	"oceanstore/internal/par"
 )
 
-// ExecMode selects how a sharded kernel executes events.
-type ExecMode int
-
-const (
-	// ExecMerge pops the global minimum key across all shard queues:
-	// one total order, single-threaded, valid for any world.
-	ExecMerge ExecMode = iota
-	// ExecEpoch runs shards independently within fixed epoch windows,
-	// exchanging cross-shard events at barriers.  Requires ShardEpoch
-	// configuration and shard-confined closures.
-	ExecEpoch
-)
-
-const maxShards = 1 << 16
-
-// forever bounds Run's window loop; no schedulable time exceeds it.
+// forever bounds Run's loop; no schedulable time exceeds it.
 const forever = time.Duration(math.MaxInt64)
 
-// Kernel is the event loop.  Unless running epoch-sharded windows in
-// parallel, it is single-threaded by design so that runs are exactly
-// reproducible.
+// Kernel is the event loop.
 type Kernel struct {
-	now  time.Duration
-	seq  uint64 // global insertion order (merge-key mode)
-	seed int64
-	rng  *rand.Rand // master stream (shard 0)
-
-	shards    []*shard
-	epoch     time.Duration // barrier spacing; 0 = merge keys
-	exec      ExecMode
-	parallel  bool
-	cur       int  // shard of the executing event (serial modes only)
-	buffering bool // inside an epoch window: cross-shard posts buffer
-	halted    bool
-}
-
-// shard is one region's event queue plus the state its events may
-// touch without synchronisation: a local clock, a sequence counter and
-// (in epoch mode) a private RNG stream.
-type shard struct {
-	queue eventQueue
-	now   time.Duration
-	seq   uint64
-	rng   *rand.Rand
-	out   [][]event // cross-shard outboxes, one per destination shard
+	now    time.Duration
+	seq    uint64 // insertion order, the tie-break among equal times
+	rng    *rand.Rand
+	queue  eventQueue
+	halted bool
 }
 
 // NewKernel creates a kernel whose randomness derives from seed.
 func NewKernel(seed int64) *Kernel {
-	k := &Kernel{seed: seed, rng: rand.New(rand.NewSource(seed))}
-	k.shards = []*shard{{rng: k.rng}}
-	return k
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
-
-// Shard splits the event heap into n per-region queues that still
-// execute in the single global (time, seq) order: pure partitioning,
-// bit-identical to one heap at any n.  Must be called before any event
-// is scheduled.
-func (k *Kernel) Shard(n int) {
-	k.configureShards(n, 0)
-}
-
-// ShardEpoch configures n shards with per-shard sequence counters and
-// RNG streams and an epoch window of the given length, enabling
-// ExecEpoch barrier execution.  epoch must not exceed the minimum
-// latency of any cross-shard event the world will schedule (the
-// lookahead bound).  Must be called before any event is scheduled.
-func (k *Kernel) ShardEpoch(n int, epoch time.Duration) {
-	if epoch <= 0 {
-		panic("sim: ShardEpoch requires a positive epoch")
-	}
-	k.configureShards(n, epoch)
-	k.exec = ExecEpoch
-}
-
-func (k *Kernel) configureShards(n int, epoch time.Duration) {
-	if n < 1 || n > maxShards {
-		panic(fmt.Sprintf("sim: shard count %d out of range [1,%d]", n, maxShards))
-	}
-	if k.Pending() > 0 {
-		panic("sim: shard configuration must precede scheduling")
-	}
-	k.shards = make([]*shard, n)
-	k.epoch = epoch
-	for i := range k.shards {
-		sh := &shard{now: k.now, rng: k.rng, out: make([][]event, n)}
-		if epoch > 0 && i > 0 {
-			// Independent per-shard streams: splitmix the seed so
-			// neighbouring shards decorrelate.  Shard 0 keeps the master
-			// stream, so a 1-shard epoch world draws like an unsharded one.
-			s := uint64(k.seed) + uint64(i)*0x9E3779B97F4A7C15
-			s ^= s >> 30
-			s *= 0xBF58476D1CE4E5B9
-			s ^= s >> 27
-			sh.rng = rand.New(rand.NewSource(int64(s)))
-		}
-		k.shards[i] = sh
-	}
-	k.cur = 0
-}
-
-// ShardCount reports the configured number of shards.
-func (k *Kernel) ShardCount() int { return len(k.shards) }
-
-// Epoch reports the configured barrier spacing (0 when merge-keyed).
-func (k *Kernel) Epoch() time.Duration { return k.epoch }
-
-// SetExec overrides the execution strategy.  The only meaningful
-// override is ExecMerge on an epoch-configured kernel: it executes the
-// same per-shard-keyed event set in one global (time, shard, seq)
-// order, which is the reference trajectory the barrier mode must — and
-// equivalence tests verify it does — reproduce.
-func (k *Kernel) SetExec(m ExecMode) {
-	if m == ExecEpoch && k.epoch == 0 {
-		panic("sim: ExecEpoch requires ShardEpoch configuration")
-	}
-	k.exec = m
-}
-
-// SetParallel enables fork-join execution of epoch windows when the
-// machine has more than one proc.  Only legal for worlds whose events
-// are shard-confined; the serial fallback takes the identical
-// trajectory, so dumps stay byte-identical at any GOMAXPROCS.
-func (k *Kernel) SetParallel(on bool) { k.parallel = on }
 
 // Now returns the current virtual time.
-func (k *Kernel) Now() time.Duration { return k.shards[k.cur].now }
+func (k *Kernel) Now() time.Duration { return k.now }
 
-// Rand returns the kernel's seeded random source.  In an epoch-sharded
-// world use ShardRand from shard-confined closures instead.
-func (k *Kernel) Rand() *rand.Rand { return k.shards[k.cur].rng }
+// Rand returns the kernel's seeded random source.
+func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// ShardNow returns shard s's local clock: the timestamp of its current
-// event inside a window, the last barrier otherwise.  Safe to call
-// from s's own closures under parallel execution.
-func (k *Kernel) ShardNow(s int) time.Duration { return k.shards[s].now }
-
-// ShardRand returns shard s's RNG stream.  Draws from confined
-// closures are deterministic under any execution mode because only
-// shard s's events consume the stream, in per-shard order.
-func (k *Kernel) ShardRand(s int) *rand.Rand { return k.shards[s].rng }
-
-// At schedules fn to run at absolute virtual time t on the shard of
-// the currently executing event.  Scheduling in the past runs the
-// event at the current time (it cannot rewind the clock).
+// At schedules fn to run at absolute virtual time t.  Scheduling in the
+// past runs the event at the current time (it cannot rewind the clock).
 func (k *Kernel) At(t time.Duration, fn func()) {
-	k.Post(k.cur, k.cur, t, fn)
+	if t < k.now {
+		t = k.now
+	}
+	k.seq++
+	k.queue.push(eventKey{time: t, seq: k.seq}, fn)
 }
 
 // After schedules fn to run d after the current virtual time.
-func (k *Kernel) After(d time.Duration, fn func()) {
-	k.Post(k.cur, k.cur, k.shards[k.cur].now+d, fn)
-}
-
-// Post schedules fn at absolute time t on shard `to`, on behalf of
-// shard `from` (whose clock clamps past times and whose sequence
-// counter breaks ties in epoch mode).  Cross-shard posts made inside
-// an epoch window buffer in from's outbox and hand off at the next
-// barrier; the destination queue is never touched concurrently.
-func (k *Kernel) Post(from, to int, t time.Duration, fn func()) {
-	src := k.shards[from]
-	if t < src.now {
-		t = src.now
-	}
-	var order uint64
-	if k.epoch > 0 {
-		src.seq++
-		order = uint64(from)<<48 | src.seq
-	} else {
-		k.seq++
-		order = k.seq
-	}
-	ev := event{key: eventKey{time: t, order: order}, fn: fn}
-	if k.buffering && from != to {
-		src.out[to] = append(src.out[to], ev)
-		return
-	}
-	k.shards[to].queue.push(ev)
-}
-
-// PostAfter schedules fn on shard `to`, d after shard from's clock.
-func (k *Kernel) PostAfter(from, to int, d time.Duration, fn func()) {
-	k.Post(from, to, k.shards[from].now+d, fn)
-}
+func (k *Kernel) After(d time.Duration, fn func()) { k.At(k.now+d, fn) }
 
 // Every schedules fn to run now+d and then every d thereafter, until
 // the returned cancel function is called.  Used for soft-state beacons,
@@ -252,7 +74,6 @@ func (k *Kernel) Every(d time.Duration, fn func()) (cancel func()) {
 }
 
 // Run executes events until the queue is empty or Halt is called.
-// Under ExecEpoch the clock lands on the barrier after the last event.
 func (k *Kernel) Run() { k.run(forever, nil) }
 
 // RunUntil executes events with timestamps <= t, then advances the
@@ -260,7 +81,7 @@ func (k *Kernel) Run() { k.run(forever, nil) }
 func (k *Kernel) RunUntil(t time.Duration) {
 	k.run(t, nil)
 	if !k.halted && k.now < t {
-		k.setNow(t)
+		k.now = t
 	}
 }
 
@@ -268,176 +89,43 @@ func (k *Kernel) RunUntil(t time.Duration) {
 func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now + d) }
 
 // RunWhile executes events while cond stays true and the queue is
-// non-empty.  cond is checked between events (between windows under
-// ExecEpoch), so the driver loop for "run until the workload drains"
-// costs one closure call per event instead of repeated RunFor probing.
+// non-empty.  cond is checked between events, so the driver loop for
+// "run until the workload drains" costs one closure call per event
+// instead of repeated RunFor probing.
 func (k *Kernel) RunWhile(cond func() bool) { k.run(forever, cond) }
 
 // Halt stops the current Run/RunUntil after the executing event
-// returns (after the window's barrier under ExecEpoch).  Pending
-// events stay queued.
+// returns.  Pending events stay queued.
 func (k *Kernel) Halt() { k.halted = true }
 
 // Pending reports how many events are queued.
-func (k *Kernel) Pending() int {
-	n := 0
-	for _, sh := range k.shards {
-		n += sh.queue.len()
-		for _, box := range sh.out {
-			n += len(box)
-		}
-	}
-	return n
-}
+func (k *Kernel) Pending() int { return k.queue.len() }
 
 func (k *Kernel) run(limit time.Duration, cond func() bool) {
 	k.halted = false
-	if k.exec == ExecEpoch {
-		k.runEpochs(limit, cond)
-		return
-	}
-	if len(k.shards) == 1 {
-		sh := k.shards[0]
-		for sh.queue.len() > 0 && !k.halted && sh.queue.key[0].time <= limit &&
-			(cond == nil || cond()) {
-			key, fn := sh.queue.pop()
-			k.now = key.time
-			sh.now = key.time
-			fn()
-		}
-		return
-	}
-	for !k.halted {
-		best := -1
-		var bk eventKey
-		for s, sh := range k.shards {
-			if sh.queue.len() == 0 {
-				continue
-			}
-			if best < 0 || sh.queue.key[0].less(bk) {
-				best, bk = s, sh.queue.key[0]
-			}
-		}
-		if best < 0 || bk.time > limit || (cond != nil && !cond()) {
-			return
-		}
-		sh := k.shards[best]
-		_, fn := sh.queue.pop()
-		k.now = bk.time
-		sh.now = bk.time
-		k.cur = best
+	q := &k.queue
+	for q.len() > 0 && !k.halted && q.key[0].time <= limit &&
+		(cond == nil || cond()) {
+		key, fn := q.pop()
+		k.now = key.time
 		fn()
 	}
 }
 
-// runEpochs executes fixed windows [start, start+epoch) whose
-// boundaries depend only on the epoch length — never on when execution
-// began or how work interleaved — so serial and parallel runs cut time
-// at identical points.
-func (k *Kernel) runEpochs(limit time.Duration, cond func() bool) {
-	n := len(k.shards)
-	for !k.halted && (cond == nil || cond()) {
-		first := forever
-		for _, sh := range k.shards {
-			if sh.queue.len() > 0 && sh.queue.key[0].time < first {
-				first = sh.queue.key[0].time
-			}
-		}
-		// An empty world (first == forever) must return even when limit
-		// is forever too, or Run() would spin cutting empty windows.
-		if first == forever || first > limit {
-			return
-		}
-		start := first - first%k.epoch
-		end := start + k.epoch
-		bound, inclusive := end, false
-		if end > limit {
-			bound, inclusive = limit, true
-		}
-		k.buffering = true
-		if k.parallel && par.Procs() > 1 {
-			par.Do(n, 1, func(lo, hi int) {
-				for s := lo; s < hi; s++ {
-					k.runShardWindow(s, bound, inclusive)
-				}
-			})
-		} else {
-			for s := 0; s < n; s++ {
-				k.cur = s
-				k.runShardWindow(s, bound, inclusive)
-			}
-		}
-		k.buffering = false
-		// Barrier: hand cross-shard events over in fixed (dst, src)
-		// order.  An event due before the window's true end would have
-		// belonged inside the window we just ran — the world broke the
-		// lookahead contract.
-		for to := 0; to < n; to++ {
-			dst := k.shards[to]
-			for from := 0; from < n; from++ {
-				box := k.shards[from].out[to]
-				for _, ev := range box {
-					if ev.key.time < end {
-						panic(fmt.Sprintf(
-							"sim: cross-shard event at %v violates epoch lookahead (window ends %v)",
-							ev.key.time, end))
-					}
-					dst.queue.push(ev)
-				}
-				k.shards[from].out[to] = box[:0]
-			}
-		}
-		k.setNow(bound)
-	}
-}
-
-// runShardWindow drains shard s's events due inside the window.  It
-// touches only shard-owned state, so windows may run concurrently.
-func (k *Kernel) runShardWindow(s int, bound time.Duration, inclusive bool) {
-	sh := k.shards[s]
-	for sh.queue.len() > 0 {
-		t := sh.queue.key[0].time
-		if t > bound || (t == bound && !inclusive) {
-			return
-		}
-		_, fn := sh.queue.pop()
-		sh.now = t
-		fn()
-	}
-}
-
-// setNow advances the global clock and every shard's local clock.
-func (k *Kernel) setNow(t time.Duration) {
-	k.now = t
-	for _, sh := range k.shards {
-		if sh.now < t {
-			sh.now = t
-		}
-	}
-}
-
-type event struct {
-	key eventKey
-	fn  func()
-}
-
-// eventKey is the kernel's total order: timestamp, ties broken by the
-// order word.  In merge-key mode order is the global insertion
-// sequence; in epoch mode it packs (srcShard << 48) | perShardSeq, so
-// one uint64 comparison yields the (time, shard, seq) order and every
-// key is unique — any correct heap pops them in exactly one order,
-// which is what keeps seeded traces byte-identical across queue
-// implementations and shard counts.
+// eventKey is the kernel's total order: timestamp, ties broken by
+// insertion sequence.  Every key is unique, so any correct heap pops
+// them in exactly one order — which is what keeps seeded traces
+// byte-identical across queue implementations.
 type eventKey struct {
-	time  time.Duration
-	order uint64
+	time time.Duration
+	seq  uint64
 }
 
 func (k eventKey) less(o eventKey) bool {
 	if k.time != o.time {
 		return k.time < o.time
 	}
-	return k.order < o.order
+	return k.seq < o.seq
 }
 
 // eventQueue is a hand-rolled 4-ary min-heap of event values.
@@ -458,8 +146,7 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return len(q.key) }
 
-func (q *eventQueue) push(e event) {
-	k := e.key
+func (q *eventQueue) push(k eventKey, f func()) {
 	q.key = append(q.key, k)
 	q.fn = append(q.fn, nil)
 	i := len(q.key) - 1
@@ -471,7 +158,7 @@ func (q *eventQueue) push(e event) {
 		q.key[i], q.fn[i] = q.key[p], q.fn[p]
 		i = p
 	}
-	q.key[i], q.fn[i] = k, e.fn
+	q.key[i], q.fn[i] = k, f
 }
 
 func (q *eventQueue) pop() (eventKey, func()) {

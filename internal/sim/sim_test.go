@@ -84,6 +84,71 @@ func TestEveryAndCancel(t *testing.T) {
 	}
 }
 
+// TestEveryCancelFromOutside: a ticker cancelled from a different event
+// stops without firing again, a ticker cancelled before its first tick
+// never fires, and the tombstone events both leave behind drain without
+// effect.
+func TestEveryCancelFromOutside(t *testing.T) {
+	k := NewKernel(1)
+	count := 0
+	cancel := k.Every(10*time.Millisecond, func() { count++ })
+	k.At(35*time.Millisecond, func() { cancel() })
+	never := 0
+	cancelNow := k.Every(50*time.Millisecond, func() { never++ })
+	cancelNow() // cancelled before the first tick
+	k.RunUntil(45 * time.Millisecond)
+	if count != 3 {
+		t.Fatalf("ticker fired %d times, want 3 (10,20,30ms then cancelled at 35ms)", count)
+	}
+	if k.Pending() != 1 {
+		t.Fatalf("pending = %d, want the pre-cancelled ticker's 50ms tombstone", k.Pending())
+	}
+	k.Run()
+	if count != 3 || never != 0 {
+		t.Fatalf("cancelled tickers revived: count=%d never=%d", count, never)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("tombstones did not drain: %d pending", k.Pending())
+	}
+}
+
+// TestRunUntilPastEmptyQueue: advancing the clock beyond the last event
+// — or on a queue that is already empty — lands exactly on the target,
+// so later After calls measure from the right base.
+func TestRunUntilPastEmptyQueue(t *testing.T) {
+	k := NewKernel(1)
+	fired := false
+	k.At(5*time.Millisecond, func() { fired = true })
+	k.RunUntil(time.Second) // far past the only event
+	if !fired {
+		t.Fatal("event did not fire")
+	}
+	if k.Now() != time.Second {
+		t.Fatalf("clock = %v, want 1s", k.Now())
+	}
+	k.RunUntil(2 * time.Second) // nothing queued: still advances
+	if k.Now() != 2*time.Second {
+		t.Fatalf("empty-queue RunUntil left clock at %v", k.Now())
+	}
+	var at time.Duration
+	k.After(10*time.Millisecond, func() { at = k.Now() })
+	k.Run()
+	if want := 2*time.Second + 10*time.Millisecond; at != want {
+		t.Fatalf("After following RunUntil fired at %v, want %v", at, want)
+	}
+}
+
+// TestRunOnEmptyKernelReturns: Run and RunWhile on a kernel with
+// nothing queued return at once and leave the clock alone.
+func TestRunOnEmptyKernelReturns(t *testing.T) {
+	k := NewKernel(1)
+	k.Run()
+	k.RunWhile(func() bool { return true })
+	if k.Now() != 0 || k.Pending() != 0 {
+		t.Fatalf("empty Run moved the kernel: now=%v pending=%d", k.Now(), k.Pending())
+	}
+}
+
 func TestHaltStopsRun(t *testing.T) {
 	k := NewKernel(1)
 	fired := 0

@@ -7,9 +7,11 @@ import (
 	"oceanstore/internal/sim"
 )
 
-// TestSendDeliverZeroAlloc pins the unbatched message path: after the
-// envelope pool and stats tables warm up, a send and its delivery must
-// not allocate.  One word here costs gigabytes at soak scale.
+// TestSendDeliverZeroAlloc pins the lone-message path — one message on
+// its tick, which is what distance-derived latencies make of almost
+// every soak message: after the batch pool and stats tables warm up, a
+// send and its delivery must not allocate.  One word here costs
+// gigabytes at soak scale.
 func TestSendDeliverZeroAlloc(t *testing.T) {
 	k := sim.NewKernel(1)
 	net := New(k, Config{BaseLatency: time.Millisecond})
@@ -26,19 +28,19 @@ func TestSendDeliverZeroAlloc(t *testing.T) {
 		k.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("unbatched send+deliver allocated %.1f per message, want 0", allocs)
+		t.Fatalf("send+deliver allocated %.1f per message, want 0", allocs)
 	}
 	if delivered == 0 {
 		t.Fatal("probe messages were never delivered")
 	}
 }
 
-// TestBatchTickZeroAlloc pins the batched path: a steady-state tick —
+// TestBatchTickZeroAlloc pins the coalescing path: a steady-state tick —
 // several messages coalescing onto one due time, one flush event —
 // must recycle the batch buffer and its flush closure.
 func TestBatchTickZeroAlloc(t *testing.T) {
 	k := sim.NewKernel(2)
-	net := New(k, Config{BaseLatency: time.Millisecond, BatchDelivery: true})
+	net := New(k, Config{BaseLatency: time.Millisecond})
 	a := net.AddNode(0, 0).ID
 	b := net.AddNode(0, 0).ID
 	delivered := 0

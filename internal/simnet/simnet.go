@@ -26,15 +26,13 @@
 // adjacent cache lines.  Node is a 16-byte value handle over that
 // storage.
 //
-// # Sharding
+// # Delivery
 //
-// With Config.Shards > 1 the network partitions the kernel's event
-// heap by region (administrative domain modulo shard count): message
-// deliveries are posted to the destination node's shard queue via
-// sim.Kernel.Post.  Under the kernel's merge execution this is pure
-// partitioning — event keys keep the single global (time, seq) order,
-// so a sharded run is byte-identical to an unsharded one at any shard
-// count and any GOMAXPROCS.
+// Messages due at the same virtual tick share one kernel event: the
+// heap sees one push per distinct delivery time, not one per message,
+// and the per-tick buffers are pooled, so steady-state messaging
+// allocates nothing.  Within a tick messages are delivered in send
+// order (see enqueue for the exact ordering contract).
 package simnet
 
 import (
@@ -165,21 +163,6 @@ type Config struct {
 	// Bandwidth, if non-zero, adds Size/Bandwidth serialization delay
 	// (bytes per second).
 	Bandwidth float64
-	// BatchDelivery coalesces messages due at the same virtual tick
-	// into one kernel event: the heap sees one push per distinct
-	// delivery time instead of one per message, and message buffers
-	// are pooled across batches.  Delivery order within a tick is send
-	// order — the same order the unbatched path's (time, seq) heap key
-	// produces — so for layers that only react to deliveries the two
-	// paths take identical trajectories (pinned by
-	// TestBatchDeliveryEquivalence).  Large worlds (10k nodes) run
-	// with this on.
-	BatchDelivery bool
-	// Shards partitions the kernel's event heap by region (domain mod
-	// Shards): unbatched deliveries post to the destination's shard
-	// queue.  0 or 1 leaves the kernel unsharded.  Requires the
-	// Network to own kernel shard configuration — set it at New time.
-	Shards int
 }
 
 // Stats aggregates traffic counters.  ByKind maps the message Kind tag
@@ -276,16 +259,11 @@ type Network struct {
 	liveness  []func(id NodeID, up bool)
 	topology  []func(added []Node)
 
-	// Batched delivery state (Config.BatchDelivery): messages due at
-	// the same tick share one queued batch and one kernel event.
-	// Drained batches park on a free list so steady-state batching
-	// allocates nothing per tick.
+	// In-flight messages: those due at the same tick share one queued
+	// batch and one kernel event.  Drained batches park on a free list
+	// so steady-state delivery allocates nothing per tick.
 	batches   map[time.Duration]*msgBatch
 	batchFree []*msgBatch
-
-	// envFree pools the envelopes the unbatched delivery path posts to
-	// the kernel, so steady-state sends allocate nothing (see envelope).
-	envFree []*envelope
 
 	// Observability (Instrument): om holds pre-resolved metric handles,
 	// otr the opt-in trace ring.  Both nil in uninstrumented runs, so
@@ -293,8 +271,6 @@ type Network struct {
 	om        *netMetrics
 	otr       *obs.Tracer
 	nextMsgID uint64
-
-	shards int // kernel shard count (≥ 1)
 }
 
 // netMetrics caches the network's obs handles so the per-message path
@@ -305,13 +281,11 @@ type netMetrics struct {
 	sent, delivered, bytes                                       *obs.Counter
 	dropCrash, dropPartition, dropFault, dropLoss, dropNoHandler *obs.Counter
 	crashes, recoveries, retries                                 *obs.Counter
-	// links shards the per-link counter table by the source node's
-	// region: one pre-sized map per shard, keyed by the packed
-	// (from, to) pair, instead of one lazy map per sender.  A sharded
-	// 100k-node world then keeps a handful of tables sized to their
-	// region's live link set, and growth never reallocates a spine of
-	// 100k map headers.
-	links       []map[uint64]*linkMetrics
+	// links is the per-link counter table: one map keyed by the packed
+	// (from, to) pair, pre-sized on first traffic to the world's
+	// expected live link set, instead of one lazy map per sender — no
+	// spine of 100k map headers, and no rehash storm while it fills.
+	links       map[uint64]*linkMetrics
 	kindRetries map[string]*obs.Counter
 	// linkNames interns the per-destination metric names ("link_n7_bytes"),
 	// which depend only on the destination: with per-link cardinality the
@@ -348,23 +322,19 @@ func linkKey(from, to NodeID) uint64 {
 // pair answers "bytes/drops per link" (§5's per-flow observation).
 func (n *Network) link(from, to NodeID) *linkMetrics {
 	m := n.om
-	shard := n.shardOf(from)
-	tbl := m.links[shard]
-	if tbl == nil {
-		// Pre-size to the expected working set: a few live links per
-		// node in this shard.
-		tbl = make(map[uint64]*linkMetrics, 4*(len(n.addrs)/len(m.links)+1))
-		m.links[shard] = tbl
+	if m.links == nil {
+		// Pre-size to the expected working set: a few live links per node.
+		m.links = make(map[uint64]*linkMetrics, 4*(len(n.addrs)+1))
 	}
 	key := linkKey(from, to)
-	lm, ok := tbl[key]
+	lm, ok := m.links[key]
 	if !ok {
 		names := m.linkName(to)
 		lm = &linkMetrics{
 			bytes: m.reg.Counter(int(from), "simnet", names.bytes),
 			drops: m.reg.Counter(int(from), "simnet", names.drops),
 		}
-		tbl[key] = lm
+		m.links[key] = lm
 	}
 	return lm
 }
@@ -392,51 +362,24 @@ func (n *Network) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		crashes:       reg.Counter(obs.NodeWide, "simnet", "crashes"),
 		recoveries:    reg.Counter(obs.NodeWide, "simnet", "recoveries"),
 		retries:       reg.Counter(obs.NodeWide, "simnet", "retries"),
-		links:         make([]map[uint64]*linkMetrics, n.shards),
 		kindRetries:   make(map[string]*obs.Counter),
 		linkNames:     make(map[NodeID]linkNamePair),
 	}
 }
 
-// New creates an empty network over kernel k.  With cfg.Shards > 1 the
-// kernel's event heap is partitioned by region at this point, so New
-// must run before any event is scheduled on k.
+// New creates an empty network over kernel k.
 func New(k *sim.Kernel, cfg Config) *Network {
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > 1 {
-		k.Shard(shards)
-	}
 	return &Network{
 		K:       k,
 		cfg:     cfg,
 		stats:   newStats(),
 		batches: make(map[time.Duration]*msgBatch),
-		shards:  shards,
 	}
 }
 
 func newStats() Stats {
 	return Stats{ByKind: make(map[string]int64), RetriesByKind: make(map[string]int)}
 }
-
-// Shards reports the configured shard count (≥ 1).
-func (n *Network) Shards() int { return n.shards }
-
-// shardOf maps a node to its kernel shard: region = domain mod shards,
-// so co-domain (latency-close) nodes share a queue.
-func (n *Network) shardOf(id NodeID) int {
-	if n.shards == 1 {
-		return 0
-	}
-	return int(uint32(n.domains[id])) % n.shards
-}
-
-// ShardOf exposes the node → shard mapping (epoch-mode worlds place
-// their per-region timers with it).
-func (n *Network) ShardOf(id NodeID) int { return n.shardOf(id) }
 
 // AddNode places a node at (x, y) and returns it.  The node's GUID is
 // drawn from the kernel's seeded randomness, mimicking the random
@@ -733,79 +676,7 @@ func (n *Network) Send(from, to NodeID, kind string, payload any, size int) {
 	if n.cfg.Bandwidth > 0 {
 		lat += time.Duration(float64(size) / n.cfg.Bandwidth * float64(time.Second))
 	}
-	if n.cfg.BatchDelivery {
-		n.enqueueBatched(msg, lat)
-		return
-	}
-	e := n.getEnv()
-	e.m = msg
-	e.postGen = e.gen
-	n.K.Post(n.shardOf(from), n.shardOf(to), n.K.Now()+lat, e.deliver)
-}
-
-// envelope carries one in-flight message on the unbatched delivery
-// path.  Posting a plain closure would heap-allocate the closure and
-// its captured Message on every send; instead each envelope owns a
-// single `deliver` closure built once, and drained envelopes park on
-// the network's free list.  Steady-state unbatched delivery therefore
-// allocates nothing per message.
-//
-// Ownership rule: the envelope — and any pooled buffer handed to the
-// network — belongs to the network again the moment delivery begins.
-// Handlers receive the Message BY VALUE and may retain Payload (the
-// protocol layers treat payload structs as immutable once sent), but
-// must never hold a reference to the envelope itself; nothing in the
-// public API exposes one, which is what makes the recycling safe.
-//
-// gen counts reuses.  postGen records the generation at post time, so
-// delivery can detect the one corruption this pooling could introduce
-// — an envelope whose kernel event fires after the envelope was
-// recycled (a double-post or a stray retained reference).  The check
-// is a single compare; PoolDebug additionally poisons recycled
-// envelopes so a stale read is loud rather than silently plausible.
-type envelope struct {
-	net     *Network
-	m       Message
-	gen     uint32
-	postGen uint32
-	deliver func()
-}
-
-// PoolDebug enables pooled-envelope poisoning: recycled envelopes get
-// an obviously-invalid Message, so use-after-recycle surfaces as a
-// panic at the point of misuse instead of a corrupted delivery.  Tests
-// flip it; production runs keep the cheap generation check only.
-var PoolDebug = false
-
-func (e *envelope) run() {
-	if e.postGen != e.gen {
-		panic(fmt.Sprintf("simnet: envelope delivered after recycle (gen %d, posted %d)", e.gen, e.postGen))
-	}
-	m := e.m
-	// Recycle before delivery: m is already copied out, and a handler
-	// that sends again may then reuse this envelope immediately.
-	e.net.putEnv(e)
-	e.net.Deliver(m)
-}
-
-func (n *Network) getEnv() *envelope {
-	if len(n.envFree) > 0 {
-		e := n.envFree[len(n.envFree)-1]
-		n.envFree = n.envFree[:len(n.envFree)-1]
-		return e
-	}
-	e := &envelope{net: n}
-	e.deliver = e.run
-	return e
-}
-
-func (n *Network) putEnv(e *envelope) {
-	e.gen++
-	e.m = Message{}
-	if PoolDebug {
-		e.m = Message{From: None, To: None, Kind: "poisoned-envelope"}
-	}
-	n.envFree = append(n.envFree, e)
+	n.enqueue(msg, n.K.Now()+lat)
 }
 
 // msgBatch collects the messages due at one virtual tick.  Each batch
@@ -818,16 +689,16 @@ type msgBatch struct {
 	flush func()
 }
 
-// enqueueBatched appends the message to the batch for its delivery
-// tick, creating the batch — and its single kernel event — on first
-// use.  Append order is send order, which matches the unbatched
-// heap's (time, seq) order for equal-time deliveries.  Batches stay
-// network-global even on a sharded kernel: one flush event serves a
-// tick regardless of how many regions its messages land in, which is
-// exactly what keeps a sharded run's event set — and therefore its
-// trajectory — identical to an unsharded one.
-func (n *Network) enqueueBatched(m Message, lat time.Duration) {
-	due := n.K.Now() + lat
+// enqueue appends the message to the batch for its delivery tick,
+// creating the batch — and its single kernel event — on first use.
+// The ordering contract: messages due at one tick are delivered in
+// send order, at the kernel position of the tick's FIRST send.  Among
+// deliveries alone that is exactly the (time, seq) order one kernel
+// event per message would give (pinned by TestDeliveryOrderPinned); a
+// timer due on the same tick and scheduled after the batch opened runs
+// after every message of the batch, including ones sent after the
+// timer was armed.
+func (n *Network) enqueue(m Message, due time.Duration) {
 	b, ok := n.batches[due]
 	if !ok {
 		b = n.getBatch()
@@ -841,8 +712,7 @@ func (n *Network) enqueueBatched(m Message, lat time.Duration) {
 // flushBatch delivers every message due at this tick.  The batch is
 // unhooked before delivery: a handler that sends a zero-latency
 // message back onto the same tick opens a fresh batch whose event
-// runs later in the tick — exactly where the unbatched path would
-// put it.
+// runs later in the tick, after everything already queued for it.
 func (n *Network) flushBatch(due time.Duration) {
 	b := n.batches[due]
 	if b == nil {

@@ -9,7 +9,7 @@ import (
 
 // The struct-of-arrays refactor turned Node into a value handle whose
 // accessors index the Network's parallel slices; these tests pin the
-// handle surface and the shard mapping it feeds.
+// handle surface.
 
 func TestNodeAccessorsAndSetters(t *testing.T) {
 	k := sim.NewKernel(3)
@@ -63,28 +63,6 @@ func TestNodesAndNodeByAddr(t *testing.T) {
 	got, ok := net.NodeByAddr(late.Addr())
 	if !ok || got != late.ID {
 		t.Fatal("NodeByAddr misses a node added after interning")
-	}
-}
-
-func TestShardMapping(t *testing.T) {
-	k := sim.NewKernel(5)
-	net := New(k, Config{Shards: 4})
-	if net.Shards() != 4 || k.ShardCount() != 4 {
-		t.Fatalf("Shards() = %d, kernel = %d", net.Shards(), k.ShardCount())
-	}
-	for d := 0; d < 8; d++ {
-		nd := net.AddNode(0, 0)
-		nd.SetDomain(d)
-		if got := net.ShardOf(nd.ID); got != d%4 {
-			t.Fatalf("domain %d maps to shard %d, want %d", d, got, d%4)
-		}
-	}
-	// Unsharded networks map everything to shard 0.
-	net1 := New(sim.NewKernel(5), Config{})
-	nd := net1.AddNode(0, 0)
-	nd.SetDomain(7)
-	if net1.ShardOf(nd.ID) != 0 {
-		t.Fatal("unsharded network maps to a non-zero shard")
 	}
 }
 

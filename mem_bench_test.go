@@ -1,74 +1,18 @@
 package oceanstore
 
-// Memory benchmarks for the message path and the per-commit object
-// machinery: run with -benchmem, their allocs/op are pinned in
-// bench/BASELINE_PR8.txt and gated by `make bench-mem` (benchjson
-// -gate-allocs).  The messaging benches must stay at 0 allocs/op —
-// the same property the AllocsPerRun tests assert — and the object
-// benches pin the small constants the zero-alloc pass drove them to.
+// Memory benchmarks for the per-commit object machinery: run with
+// -benchmem to see the small constants the zero-alloc pass drove them
+// to.  (The message path's zero allocs/op is asserted, not benchmarked:
+// TestSendDeliverZeroAlloc and TestBatchTickZeroAlloc in
+// internal/simnet.)
 
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/object"
-	"oceanstore/internal/sim"
-	"oceanstore/internal/simnet"
 )
-
-// BenchmarkMsgUnbatched measures one send+deliver on the pooled
-// envelope path: 0 allocs/op once the pools are warm.
-func BenchmarkMsgUnbatched(b *testing.B) {
-	k := sim.NewKernel(1)
-	net := simnet.New(k, simnet.Config{BaseLatency: time.Millisecond})
-	from := net.AddNode(0, 0).ID
-	to := net.AddNode(0, 0).ID
-	delivered := 0
-	net.Node(to).Handle(func(m simnet.Message) { delivered++ })
-	for i := 0; i < 8; i++ {
-		net.Send(from, to, "bench", nil, 16)
-	}
-	k.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Send(from, to, "bench", nil, 16)
-		k.Run()
-	}
-	if delivered == 0 {
-		b.Fatal("no deliveries")
-	}
-}
-
-// BenchmarkMsgBatched measures a 4-message batched tick (one flush
-// event, pooled batch buffer): 0 allocs/op steady-state.
-func BenchmarkMsgBatched(b *testing.B) {
-	k := sim.NewKernel(2)
-	net := simnet.New(k, simnet.Config{BaseLatency: time.Millisecond, BatchDelivery: true})
-	from := net.AddNode(0, 0).ID
-	to := net.AddNode(0, 0).ID
-	delivered := 0
-	net.Node(to).Handle(func(m simnet.Message) { delivered++ })
-	tick := func() {
-		for i := 0; i < 4; i++ {
-			net.Send(from, to, "bench", nil, 16)
-		}
-		k.Run()
-	}
-	for i := 0; i < 8; i++ {
-		tick()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tick()
-	}
-	if delivered == 0 {
-		b.Fatal("no deliveries")
-	}
-}
 
 // BenchmarkVersionGUID measures the streaming Merkle root over a
 // 16-block version — the per-commit identity computation.
