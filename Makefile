@@ -10,9 +10,17 @@ PAR_PKGS = ./internal/par/ ./internal/erasure/ ./internal/archive/ \
 	./internal/blobstore/ ./internal/merkle/ ./internal/bloom/ \
 	./internal/fault/ ./internal/obs/
 
-.PHONY: check vet vet-rand build test race race-par fuzz-corpora bench bench-smoke cover cover-write soak-smoke scenarios-smoke blobstore-smoke introspect-smoke
+.PHONY: check fmt vet vet-rand build test race race-par fuzz-corpora bench bench-smoke cover cover-write soak-smoke scenarios-smoke blobstore-smoke introspect-smoke
 
-check: vet vet-rand build race race-par fuzz-corpora bench-smoke cover soak-smoke scenarios-smoke blobstore-smoke introspect-smoke
+check: fmt vet vet-rand build race race-par fuzz-corpora bench-smoke cover soak-smoke scenarios-smoke blobstore-smoke introspect-smoke
+
+# Formatting gate: gofmt must have nothing to say about any file.
+fmt:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "fmt: not gofmt-clean (run gofmt -w):"; \
+		echo "$$bad"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -69,8 +77,9 @@ cover-write:
 
 # Determinism gate for the soak engine at scale: the same seeded
 # 100k-node soak must emit byte-identical metrics and summary at
-# GOMAXPROCS 1 and 4.  The run also asserts a peak-RSS budget (the mem
-# line osexp prints to stderr): the zero-alloc messaging work holds
+# GOMAXPROCS 1 and 4.  The run also checks the kernel occupancy rail is
+# on stderr, and asserts a peak-RSS budget (the mem line osexp prints
+# there too): the zero-alloc messaging work holds
 # 100k nodes + 10k ops under ~265 MB, and the budget fails the gate if
 # resident memory doubles.  The full-scale run is
 #   osexp -metrics soak.txt soak 1 -nodes 1000000 -ops 1000000
@@ -84,6 +93,8 @@ soak-smoke:
 	if ! cmp -s $$tmp/out1.txt $$tmp/out4.txt; then echo "soak-smoke: summaries differ across GOMAXPROCS"; exit 1; fi; \
 	rss=$$(sed -n 's/.*peak RSS \([0-9.]*\) MB.*/\1/p' $$tmp/mem1.txt); \
 	if [ -z "$$rss" ]; then echo "soak-smoke: no peak RSS line on stderr"; exit 1; fi; \
+	if ! grep -q '^kernel: .* events run, .* timers stopped; queue mean ' $$tmp/mem1.txt; then \
+		echo "soak-smoke: no kernel rail on stderr"; cat $$tmp/mem1.txt; exit 1; fi; \
 	if awk "BEGIN{exit !($$rss > $(SOAK_RSS_BUDGET_MB))}"; then \
 		echo "soak-smoke: peak RSS $$rss MB exceeds budget $(SOAK_RSS_BUDGET_MB) MB"; exit 1; fi; \
 	rm -rf $$tmp; \

@@ -263,6 +263,11 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 	// Memory facts go to stderr, not the report: the report rides the
 	// determinism comparisons and RSS/GC numbers are machine noise.
 	obs.SampleMem().Report(os.Stderr)
+	// And the kernel's occupancy: how many events the run was, and how
+	// much of the queue was timeouts waiting to find nothing to do.
+	ks := world.Pool.K.Stats()
+	fmt.Fprintf(os.Stderr, "kernel: %d events run, %d timers stopped; queue mean %d, peak %d\n",
+		ks.Run, ks.Stopped, ks.MeanQueue, ks.PeakQueue)
 	// So does the real-I/O rail: its numbers are deterministic too, but
 	// they only exist on the disk backend, and the mem-vs-disk ablation
 	// compares stdout byte for byte.

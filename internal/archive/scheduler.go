@@ -32,9 +32,10 @@ import (
 //     cannot monopolize the budget.
 //   - FLUSH: with FlushInterval set the scheduler owns durability:
 //     per-batch fsync is switched off and dirty stores are group-
-//     committed on the flush period.  Cheaper by orders of magnitude
-//     on disk, and it opens the real unsynced window that the
-//     PartialFsync fault attacks.
+//     committed as soon as the kernel runs — covering whatever was
+//     stored before Start — and on the flush period from then on.
+//     Cheaper by orders of magnitude on disk, and it opens the real
+//     unsynced window that the PartialFsync fault attacks.
 //
 // The scheduler draws no randomness and sends no messages; its reads
 // and repairs are ordered by sorted snapshots, so an instrumented,
@@ -189,6 +190,10 @@ func (sc *Scheduler) Start() (stop func()) {
 	if sc.cfg.FlushInterval > 0 {
 		sc.svc.SyncEachBatch = false
 		cancels = append(cancels, k.Every(sc.cfg.FlushInterval, sc.flushTick))
+		// Whatever was archived before Start (a world's initial versions)
+		// is dirty now; commit it at once rather than a period from now.
+		first := k.After(0, sc.flushTick)
+		cancels = append(cancels, func() { first.Stop() })
 	}
 	return func() {
 		for _, c := range cancels {

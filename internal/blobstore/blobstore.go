@@ -82,7 +82,8 @@ var ErrClosed = errors.New("blobstore: store closed")
 
 // Config tunes one volume.
 type Config struct {
-	// Path is the volume file, created on first open.
+	// Path is the volume file, created by the first write that reaches
+	// it: a volume that holds nothing has no file.
 	Path string
 	// CompactMinDead is the dead-byte floor below which automatic
 	// compaction never triggers (default 1 MiB).
@@ -134,10 +135,17 @@ type ref struct {
 
 // Store is one node's on-disk fragment store.
 type Store struct {
-	cfg    Config
-	f      *os.File
-	size   int64 // logical end of the log (next append offset)
-	synced int64 // prefix guaranteed durable by the last fsync
+	cfg Config
+	// f is nil until something has been written: Open of a path that
+	// does not exist touches nothing, and the first flush creates the
+	// file.  Every byte below tailOff() is in f, so f is non-nil
+	// whenever tailOff() > 0.
+	f *os.File
+	// newFile marks a file whose directory entry no fsync has covered
+	// yet; the next Sync covers it.
+	newFile bool
+	size    int64 // logical end of the log (next append offset)
+	synced  int64 // prefix guaranteed durable by the last fsync
 	// tail holds the framed records of [size-len(tail), size): appended
 	// but not yet written to the file.
 	tail  []byte
@@ -153,27 +161,44 @@ type Store struct {
 	ioErr   error // first write error; wedges appends and Sync until Recover
 }
 
-// Open opens (or creates) a volume and rebuilds its index by scanning
-// the log, truncating any torn tail — the crash-recovery path runs on
-// every open, so it is exercised constantly rather than only after
-// disasters.
+// Open opens a volume and rebuilds its index by scanning the log,
+// truncating any torn tail — the crash-recovery path runs on every
+// open, so it is exercised constantly rather than only after disasters.
+// A path that does not exist yet is an empty volume and stays off the
+// file system until its first flush: building a world of a thousand
+// stores costs no file creation, and a crash before that flush recovers
+// as the empty volume it was.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	if dir := filepath.Dir(cfg.Path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	f, err := os.OpenFile(cfg.Path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
+	f, err := os.OpenFile(cfg.Path, os.O_RDWR, 0)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	s := &Store{cfg: cfg, f: f, torn: -1}
+	s := &Store{cfg: cfg, f: f, torn: -1} // f stays nil when err is ErrNotExist
 	if err := s.recoverScan(); err != nil {
-		f.Close()
+		if f != nil {
+			f.Close()
+		}
 		return nil, err
 	}
 	return s, nil
+}
+
+// writeAt writes b to the volume file at off, creating the file (and
+// its directory) if this is the first write to reach it.
+func (s *Store) writeAt(b []byte, off int64) error {
+	if s.f == nil {
+		if err := os.MkdirAll(filepath.Dir(s.cfg.Path), 0o755); err != nil {
+			return err
+		}
+		f, err := os.OpenFile(s.cfg.Path, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			return err
+		}
+		s.f, s.newFile = f, true
+	}
+	_, err := s.f.WriteAt(b, off)
+	return err
 }
 
 // recoverScan rebuilds the index from the log: records are applied in
@@ -185,11 +210,14 @@ func Open(cfg Config) (*Store, error) {
 func (s *Store) recoverScan() error {
 	s.index = make(map[guid.GUID]map[int]ref)
 	s.live = 0
-	fi, err := s.f.Stat()
-	if err != nil {
-		return err
+	var end int64
+	if s.f != nil {
+		fi, err := s.f.Stat()
+		if err != nil {
+			return err
+		}
+		end = fi.Size()
 	}
-	end := fi.Size()
 	var off int64
 	hdr := make([]byte, headerLen)
 	for off+headerLen <= end {
@@ -323,7 +351,7 @@ func (s *Store) flush() error {
 	if len(s.tail) == 0 {
 		return nil
 	}
-	if _, err := s.f.WriteAt(s.tail, s.tailOff()); err != nil {
+	if err := s.writeAt(s.tail, s.tailOff()); err != nil {
 		s.ioErr = err
 		return err
 	}
@@ -341,7 +369,7 @@ func (s *Store) flush() error {
 func (s *Store) crashFlush(n int) {
 	off := s.tailOff()
 	if n > 0 {
-		if _, err := s.f.WriteAt(s.tail[:n], off); err != nil {
+		if err := s.writeAt(s.tail[:n], off); err != nil {
 			s.ioErr = err
 		}
 	}
@@ -510,8 +538,13 @@ func (s *Store) Sync() error {
 	if err := s.flush(); err != nil {
 		return err
 	}
+	// size > synced, so there are bytes below tailOff(): f exists.
 	if err := s.f.Sync(); err != nil {
 		return err
+	}
+	if s.newFile {
+		syncDir(filepath.Dir(s.cfg.Path))
+		s.newFile = false
 	}
 	s.synced = s.size
 	s.stats.Syncs++
@@ -527,8 +560,10 @@ func (s *Store) Close() error {
 	if !s.crashed {
 		first = s.Sync()
 	}
-	if err := s.f.Close(); err != nil && first == nil {
-		first = err
+	if s.f != nil {
+		if err := s.f.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
 	s.closed = true
 	return first
@@ -574,11 +609,13 @@ func (s *Store) Recover(dropUnsynced bool) error {
 	} else if s.size > s.synced {
 		s.tail = s.tail[:0]
 		s.stats.TruncatedBytes += s.size - s.synced
-		if err := s.f.Truncate(s.synced); err != nil {
-			return err
-		}
-		if err := s.f.Sync(); err != nil {
-			return err
+		if s.f != nil { // else the unsynced bytes never left the tail
+			if err := s.f.Truncate(s.synced); err != nil {
+				return err
+			}
+			if err := s.f.Sync(); err != nil {
+				return err
+			}
 		}
 	}
 	s.crashed = false
@@ -616,6 +653,9 @@ func (s *Store) Compact() error {
 	}
 	if err := s.flush(); err != nil { // the rewrite reads every live record from the file
 		return err
+	}
+	if s.f == nil {
+		return nil // never written: nothing to reclaim
 	}
 	tmpPath := s.cfg.Path + ".compact"
 	nf, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -657,7 +697,7 @@ func (s *Store) Compact() error {
 	}
 	syncDir(filepath.Dir(s.cfg.Path))
 	s.f.Close()
-	s.f = nf
+	s.f, s.newFile = nf, false
 	s.index = newIndex
 	s.size, s.synced = off, off
 	s.live = off

@@ -427,3 +427,76 @@ func TestTailIsBounded(t *testing.T) {
 		t.Fatal("oversized record unreadable")
 	}
 }
+
+// TestOpenCreatesNoFile: a volume that holds nothing has no file.  Open
+// of a fresh path — parent directory included — touches nothing; puts
+// sit in the tail; the first flush creates the file; and a store that
+// is never written closes without having existed on disk.
+func TestOpenCreatesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "vols", "vol.log")
+	root, frags := mkFrags(t, 61, 400)
+	empty := func(when string) {
+		t.Helper()
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Fatalf("%s: directory holds %d entries (%v), want none", when, len(ents), err)
+		}
+	}
+
+	idle := openStore(t, path, Config{})
+	idle.Drop(root, 0)
+	if err := idle.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.Recover(true); err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.Close(); err != nil {
+		t.Fatal(err)
+	}
+	empty("after an idle store's whole life")
+
+	s := openStore(t, path, Config{})
+	for _, f := range frags[:3] {
+		if err := s.Put(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	empty("after unsynced puts")
+	if g, ok := s.Get(root, 1); !ok || !reflect.DeepEqual(g, frags[1]) {
+		t.Fatal("tail-resident fragment unreadable before the file exists")
+	}
+	// A crash now loses the tail and leaves an empty volume, still with
+	// no file.
+	s.Crash()
+	if err := s.Recover(true); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Roots()) != 0 || s.Size() != 0 {
+		t.Fatalf("crash before the first flush recovered %d roots, size %d", len(s.Roots()), s.Size())
+	}
+	empty("after a crash before the first flush")
+
+	for _, f := range frags[:3] {
+		if err := s.Put(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != s.Size() {
+		t.Fatalf("after the first sync: stat %v, err %v, want a %d-byte file", fi, err, s.Size())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openStore(t, path, Config{})
+	defer s2.Close()
+	if got := s2.Indexes(root); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("reopen sees %v", got)
+	}
+}

@@ -13,16 +13,26 @@ import (
 // the write of a volume record at EVERY byte offset — mid-magic,
 // mid-length, mid-CRC, mid-payload, and exactly complete — and assert
 // that recovery yields exactly the prefix of fully-synced fragments,
-// never a corrupt or partial one.
+// never a corrupt or partial one.  Run twice: behind a synced prefix,
+// and as the very first write of a volume that has no file yet.
 func TestTornWriteEveryOffset(t *testing.T) {
+	t.Run("behind-synced-prefix", func(t *testing.T) { tornWriteEveryOffset(t, 3) })
+	t.Run("first-write", func(t *testing.T) { tornWriteEveryOffset(t, 0) })
+}
+
+func tornWriteEveryOffset(t *testing.T, nPrefix int) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 41, 400)
 	s := openStore(t, path, Config{DisableAutoCompact: true})
-	defer s.Close()
+	defer func() { s.Close() }()
 
-	// Durable prefix: three synced fragments.
-	prefix := frags[:3]
+	// Durable prefix: nPrefix synced fragments.
+	prefix := frags[:nPrefix]
 	victim := frags[3]
+	var prefixIdx []int
+	for _, f := range prefix {
+		prefixIdx = append(prefixIdx, f.Index)
+	}
 	for _, f := range prefix {
 		if err := s.Put(f); err != nil {
 			t.Fatal(err)
@@ -51,6 +61,14 @@ func TestTornWriteEveryOffset(t *testing.T) {
 	}
 
 	for j := 0; j <= recLen; j++ {
+		if nPrefix == 0 {
+			// Every lap tears the first write of a volume with no file.
+			s.Close()
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			s = openStore(t, path, Config{DisableAutoCompact: true})
+		}
 		s.TearNextAppend(j)
 		if err := s.Put(victim); err != ErrCrashed {
 			t.Fatalf("offset %d: torn put returned %v, want ErrCrashed", j, err)
@@ -69,8 +87,8 @@ func TestTornWriteEveryOffset(t *testing.T) {
 			if got := s.Size(); got != base {
 				t.Fatalf("offset %d: torn tail not truncated: size %d, want %d", j, got, base)
 			}
-			if got := []int{0, 1, 2}; !reflect.DeepEqual(s.Indexes(root), got) {
-				t.Fatalf("offset %d: index %v, want exactly the synced prefix %v", j, s.Indexes(root), got)
+			if !reflect.DeepEqual(s.Indexes(root), prefixIdx) {
+				t.Fatalf("offset %d: index %v, want exactly the synced prefix %v", j, s.Indexes(root), prefixIdx)
 			}
 		} else {
 			// The full record hit the file before the crash; recovery
@@ -155,11 +173,18 @@ func TestTornWriteThenMoreWrites(t *testing.T) {
 // offset.  A plain recovery must keep exactly the longest run of whole
 // records that reached the file; a drop-unsynced recovery exactly the
 // synced prefix.  Nothing short, corrupt or duplicated may ever be
-// readable, and a fresh open must agree with the recovered store.
+// readable, and a fresh open must agree with the recovered store.  Run
+// twice: behind a synced prefix, and with nothing synced — the torn
+// flush is then the first write the volume's file ever sees.
 func TestTornFlushEveryOffset(t *testing.T) {
+	t.Run("behind-synced-prefix", func(t *testing.T) { tornFlushEveryOffset(t, 2) })
+	t.Run("first-write", func(t *testing.T) { tornFlushEveryOffset(t, 0) })
+}
+
+func tornFlushEveryOffset(t *testing.T, nSynced int) {
 	dir := t.TempDir()
 	root, frags := mkFrags(t, 47, 400)
-	synced, tail := frags[:2], frags[2:5]
+	synced, tail := frags[:nSynced], frags[2:5]
 
 	// ends[k] is the tail offset at which record k is complete.
 	var ends []int

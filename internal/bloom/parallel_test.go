@@ -16,7 +16,7 @@ func torus(side int) [][]int {
 	at := func(x, y int) int { return ((y+side)%side)*side + (x+side)%side }
 	for y := 0; y < side; y++ {
 		for x := 0; x < side; x++ {
-			adj[at(x, y)] = []int{at(x + 1, y), at(x-1, y), at(x, y+1), at(x, y-1)}
+			adj[at(x, y)] = []int{at(x+1, y), at(x-1, y), at(x, y+1), at(x, y-1)}
 		}
 	}
 	return adj

@@ -33,6 +33,7 @@ import (
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/obs"
+	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 )
 
@@ -186,11 +187,11 @@ var replicaKinds = [...]string{kindRequest, kindPrePrepare, kindPrepare, kindCom
 
 // Demux keys (simnet O(1) dispatch): every protocol payload names its
 // tier by tag.
-func (r Request) Demux() simnet.DemuxKey        { return simnet.DemuxKey(r.Tag) }
-func (m prePrepareMsg) Demux() simnet.DemuxKey  { return simnet.DemuxKey(m.Tag) }
-func (m voteMsg) Demux() simnet.DemuxKey        { return simnet.DemuxKey(m.Tag) }
-func (m replyMsg) Demux() simnet.DemuxKey       { return simnet.DemuxKey(m.Tag) }
-func (m viewChangeMsg) Demux() simnet.DemuxKey  { return simnet.DemuxKey(m.Tag) }
+func (r Request) Demux() simnet.DemuxKey       { return simnet.DemuxKey(r.Tag) }
+func (m prePrepareMsg) Demux() simnet.DemuxKey { return simnet.DemuxKey(m.Tag) }
+func (m voteMsg) Demux() simnet.DemuxKey       { return simnet.DemuxKey(m.Tag) }
+func (m replyMsg) Demux() simnet.DemuxKey      { return simnet.DemuxKey(m.Tag) }
+func (m viewChangeMsg) Demux() simnet.DemuxKey { return simnet.DemuxKey(m.Tag) }
 
 type prePrepareMsg struct {
 	Tag       guid.GUID
@@ -384,6 +385,10 @@ type reqState struct {
 	seqs     []uint64
 	digests  []guid.GUID
 	sigs     []*sigPromise
+	// retx holds the queued retransmission of every Submit call made for
+	// this request (one, unless the caller re-submitted it while it was
+	// still outstanding).
+	retx []sim.Timer
 }
 
 // clientState tracks reply quorums per request for one client node.
@@ -422,6 +427,10 @@ func (g *Group) getReq() *reqState {
 func (g *Group) clearReq(cs *clientState, id guid.GUID) {
 	if rs, ok := cs.pending[id]; ok {
 		delete(cs.pending, id)
+		for _, t := range rs.retx {
+			t.Stop()
+		}
+		rs.retx = rs.retx[:0]
 		rs.callback = nil
 		clear(rs.have)
 		clear(rs.seqs)
@@ -496,11 +505,11 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 	// primary may have crashed before sharing the payload — resend the
 	// full request to every replica so the post-view-change primary can
 	// propose it.
+	// The loop lives exactly as long as rs is this request's record:
+	// clearReq stops it, so it never fires for a resolved request.
+	chain := len(rs.retx)
 	var retransmit func()
 	retransmit = func() {
-		if _, live := cs.pending[req.ID]; !live {
-			return
-		}
 		g.net.NoteRetry(kindRequest)
 		if g.om != nil {
 			g.om.clientRetransmits.Inc()
@@ -508,13 +517,13 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 		for i := range g.replicas {
 			g.net.Send(client, g.nodes[i], kindRequest, req, req.Size+CHeader)
 		}
-		g.net.K.After(2*g.RequestTimeout, retransmit)
+		rs.retx[chain] = g.net.K.After(2*g.RequestTimeout, retransmit)
 	}
-	g.net.K.After(2*g.RequestTimeout, retransmit)
+	rs.retx = append(rs.retx, g.net.K.After(2*g.RequestTimeout, retransmit))
 }
 
 // Cancel abandons a client's outstanding request: the retransmission
-// loop stops at its next firing and any late quorum is ignored.  Layers
+// loop stops and any late quorum is ignored.  Layers
 // that give up on an update (a session's update timeout) call this so a
 // timed-out request cannot hold virtual time hostage.
 func (g *Group) Cancel(client simnet.NodeID, id guid.GUID) {

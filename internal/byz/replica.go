@@ -1,12 +1,14 @@
 package byz
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/obs"
+	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 )
 
@@ -45,6 +47,33 @@ func (s *slot) quorum(voted []bool, digests []guid.GUID) int {
 	return n
 }
 
+// reqRec is everything a replica knows about one client request, from
+// the first copy it sees until doneWindow executions after it ran.  Its
+// four facts are independent — a view change can return an executed
+// request to pending, a retransmission can re-arm a pre-prepared one —
+// and the record lives while any of them holds.
+type reqRec struct {
+	// pending: seen (in full or as a digest-only notification) but not
+	// pre-prepared in the current view; req is the best copy so far.
+	// View-change timeouts and the new primary's re-proposal read it.
+	pending bool
+	req     Request
+	// assigned: pre-prepared at seq, so a second copy is not proposed
+	// again.
+	assigned bool
+	seq      uint64
+	// done: executed at doneSeq.  A client retransmission is answered
+	// with a fresh reply (PBFT: "if the replica has already executed the
+	// request it re-sends the reply") even after the slot is truncated.
+	done    bool
+	doneSeq uint64
+	// armed: a view-change timer was started and has neither fired nor
+	// been overtaken by a pre-prepare.  timers holds every one still
+	// queued, oldest first, so execution can take them all back.
+	armed  bool
+	timers []sim.Timer
+}
+
 // replica is one member of the primary tier.
 type replica struct {
 	g     *Group
@@ -54,53 +83,78 @@ type replica struct {
 
 	view    uint64
 	nextSeq uint64 // primary only: next sequence number to assign
-	slots   map[uint64]*slot
+	// Agreement state by sequence number: window[i] is the slot of
+	// sequence number floor+i (nil until a message names it), and floor
+	// trails the execution cursor by checkpointWindow.  A sequence number
+	// outside [floor, floor+windowSpan) — a stale vote for a truncated
+	// slot, or whatever a lying primary cares to forge — gets its slot
+	// in far instead, so no message can size the window.
+	floor  uint64
+	window []*slot
+	far    map[uint64]*slot
 	// execCursor is the next sequence number to execute, enforcing
 	// in-order execution.
 	execCursor uint64
 	executed   []guid.GUID
-	// pending tracks client requests seen (directly or as notification)
-	// but not yet pre-prepared, for view-change timeouts and re-proposal.
-	pending map[guid.GUID]Request
-	timers  map[guid.GUID]bool
+	// reqs holds one record per known request ID.
+	reqs map[guid.GUID]*reqRec
 	// viewVotes collects view-change votes per proposed view.
 	viewVotes map[uint64]map[int]bool
-	// seen maps request ID -> seq to avoid double assignment.
-	assigned map[guid.GUID]uint64
 	// installedClaims records which peers claim to have installed which
 	// views, for the f+1 catch-up jump.
 	installedClaims map[uint64]map[int]bool
-	// doneIDs maps executed request IDs to their sequence number, so a
-	// client retransmission can be answered with a fresh reply (PBFT:
-	// "if the replica has already executed the request it re-sends the
-	// reply") even after the slot is truncated.  Entries are evicted
-	// FIFO once doneWindow executions behind: client retransmissions
-	// stop within one retry period of execution, so answering them only
-	// needs a recent horizon — retaining every ID ever executed made
-	// the tier's memory grow with total traffic.
-	doneIDs map[guid.GUID]uint64
 	// doneRing holds the last doneWindow executed IDs in execution
-	// order, driving doneIDs/assigned eviction.
+	// order.  An ID pushed out of it stops being done (and assigned):
+	// client retransmissions stop within one retry period of execution,
+	// so answering them only needs a recent horizon — retaining every ID
+	// ever executed made the tier's memory grow with total traffic.
 	doneRing []guid.GUID
 	doneHead int
-	// slotFree recycles truncated slots (their vote arrays included),
-	// so steady-state agreement allocates no per-slot state.
+	// slotFree and recFree recycle truncated slots (their vote arrays
+	// included) and retired request records, so steady-state agreement
+	// allocates no per-slot or per-request state.
 	slotFree []*slot
+	recFree  []*reqRec
 }
 
 func newReplica(g *Group, id int) *replica {
 	return &replica{
 		g:         g,
 		id:        id,
-		slots:     make(map[uint64]*slot),
-		pending:   make(map[guid.GUID]Request),
-		timers:    make(map[guid.GUID]bool),
+		reqs:      make(map[guid.GUID]*reqRec),
 		viewVotes: make(map[uint64]map[int]bool),
-		assigned:  make(map[guid.GUID]uint64),
-		doneIDs:   make(map[guid.GUID]uint64),
 
 		installedClaims: make(map[uint64]map[int]bool),
 	}
+}
+
+// rec returns the record for a request ID, starting one if the replica
+// has never heard of it (or has forgotten it).
+func (r *replica) rec(id guid.GUID) *reqRec {
+	rec := r.reqs[id]
+	if rec == nil {
+		if k := len(r.recFree); k > 0 {
+			rec = r.recFree[k-1]
+			r.recFree = r.recFree[:k-1]
+		} else {
+			rec = &reqRec{}
+		}
+		r.reqs[id] = rec
+	}
+	return rec
+}
+
+// release forgets a request once nothing is known about it any more,
+// and parks its record for reuse.  Timers still queued are left alone:
+// they look the ID up when they fire and act on whatever they find.
+func (r *replica) release(id guid.GUID, rec *reqRec) {
+	if rec.pending || rec.assigned || rec.done || rec.armed {
+		return
+	}
+	delete(r.reqs, id)
+	rec.req = Request{}
+	rec.timers = rec.timers[:0]
+	r.recFree = append(r.recFree, rec)
 }
 
 func (r *replica) isPrimary() bool { return int(r.view)%len(r.g.replicas) == r.id }
@@ -146,37 +200,39 @@ func (r *replica) handle(m simnet.Message) {
 	}
 }
 
-func (r *replica) armTimer(id guid.GUID) {
-	if r.timers[id] {
+func (r *replica) armTimer(id guid.GUID, rec *reqRec) {
+	if rec.armed {
 		return
 	}
-	r.timers[id] = true
-	r.g.net.K.After(r.g.RequestTimeout, func() { r.requestTimeout(id) })
+	rec.armed = true
+	rec.timers = append(rec.timers,
+		r.g.net.K.After(r.g.RequestTimeout, func() { r.requestTimeout(id) }))
 }
 
 func (r *replica) onRequest(req Request) {
-	if seq, done := r.doneIDs[req.ID]; done {
+	rec := r.rec(req.ID)
+	if rec.done {
 		// Already executed: re-send the reply (the first one may have been
 		// dropped; replies are never otherwise retransmitted).
 		if om := r.g.om; om != nil {
 			om.reReplies.Inc()
 		}
-		r.reply(seq, req.ID, req.Client)
+		r.reply(rec.doneSeq, req.ID, req.Client)
 		return
 	}
 	// Any retransmission doubles as a heartbeat: re-push this replica's
 	// outstanding view-change votes, which are otherwise sent exactly
 	// once and wedge the view change when dropped.
 	r.refreshViewVotes()
-	if seq, ok := r.assigned[req.ID]; ok {
+	if rec.assigned {
 		// Pre-prepared but not yet executed: the slot may be stalled on
 		// dropped votes, which no one otherwise retransmits.  Re-announce
 		// our votes so the client's periodic retransmission heals vote
 		// loss, and re-arm the view-change timer so repeated failure
 		// escalates to a view change instead of wedging forever.
-		r.refreshVotes(seq)
+		r.refreshVotes(rec.seq)
 		if !r.isPrimary() {
-			r.armTimer(req.ID)
+			r.armTimer(req.ID, rec)
 		}
 		return
 	}
@@ -185,37 +241,43 @@ func (r *replica) onRequest(req Request) {
 			// Digest-only notification reached the primary (e.g. after a
 			// view change); it cannot propose without the payload, but it
 			// remembers interest.
-			if _, ok := r.pending[req.ID]; !ok {
-				r.pending[req.ID] = req
+			if !rec.pending {
+				rec.pending, rec.req = true, req
 			}
 			return
 		}
-		r.propose(req)
+		r.propose(req, rec)
 		return
 	}
 	// Backup: remember the request and arm the view-change timer
 	// (paper: clients send updates to the whole primary tier, Fig 5a).
 	// A full-payload copy (client retransmission) upgrades a digest-only
 	// notification, so this replica can propose if it becomes primary.
-	if old, ok := r.pending[req.ID]; !ok || (old.Payload == nil && req.Payload != nil) {
-		r.pending[req.ID] = req
+	if !rec.pending || (rec.req.Payload == nil && req.Payload != nil) {
+		rec.pending, rec.req = true, req
 	}
-	r.armTimer(req.ID)
+	r.armTimer(req.ID, rec)
+}
+
+// preprepared records that the request now holds seq in this view: it
+// is no longer waiting for a primary to pick it up.
+func (rec *reqRec) preprepared(seq uint64) {
+	rec.assigned, rec.seq = true, seq
+	rec.pending, rec.req = false, Request{}
 }
 
 // propose assigns the next sequence number and pre-prepares.
-func (r *replica) propose(req Request) {
+func (r *replica) propose(req Request, rec *reqRec) {
 	seq := r.nextSeq
 	r.nextSeq++
-	r.assigned[req.ID] = seq
-	delete(r.pending, req.ID)
+	rec.preprepared(seq)
 	pp := prePrepareMsg{Tag: r.g.tag, View: r.view, Seq: seq, Req: req}
 	r.broadcast(kindPrePrepare, pp, req.Size+CHeader)
 	// The primary acts as having pre-prepared and prepared its own slot.
 	s := r.slot(seq)
 	s.req, s.hasReq, s.digest = req, true, req.ID
 	s.setPrepare(r.id, req.ID)
-	r.maybePrepared(seq)
+	r.maybePrepared(s, seq)
 }
 
 func (s *slot) setPrepare(id int, d guid.GUID) {
@@ -228,20 +290,52 @@ func (s *slot) setCommit(id int, d guid.GUID) {
 	s.commits[id] = d
 }
 
-func (r *replica) slot(seq uint64) *slot {
-	s, ok := r.slots[seq]
-	if !ok {
-		if k := len(r.slotFree); k > 0 {
-			s = r.slotFree[k-1]
-			r.slotFree = r.slotFree[:k-1]
-		} else {
-			n := len(r.g.replicas)
-			s = &slot{
-				prepVoted: make([]bool, n), prepares: make([]guid.GUID, n),
-				commVoted: make([]bool, n), commits: make([]guid.GUID, n),
-			}
+// windowSpan bounds the sequence window: checkpointWindow slots behind
+// the execution cursor plus every request one object can have in flight
+// ahead of it (soak worlds cap unresolved writes at 1024 world-wide).
+const windowSpan = 2048
+
+// lookup finds the slot for seq, or nil.  The far map is consulted only
+// while it holds something, which an honest run's steady state never
+// does.
+func (r *replica) lookup(seq uint64) *slot {
+	if i := seq - r.floor; i < uint64(len(r.window)) { // seq < floor wraps past len
+		if s := r.window[i]; s != nil {
+			return s
 		}
-		r.slots[seq] = s
+	}
+	if len(r.far) == 0 {
+		return nil
+	}
+	return r.far[seq]
+}
+
+// slot finds or starts the slot for seq.
+func (r *replica) slot(seq uint64) *slot {
+	if s := r.lookup(seq); s != nil {
+		return s
+	}
+	var s *slot
+	if k := len(r.slotFree); k > 0 {
+		s = r.slotFree[k-1]
+		r.slotFree = r.slotFree[:k-1]
+	} else {
+		n := len(r.g.replicas)
+		s = &slot{
+			prepVoted: make([]bool, n), prepares: make([]guid.GUID, n),
+			commVoted: make([]bool, n), commits: make([]guid.GUID, n),
+		}
+	}
+	if i := seq - r.floor; i < windowSpan {
+		for uint64(len(r.window)) <= i {
+			r.window = append(r.window, nil)
+		}
+		r.window[i] = s
+	} else {
+		if r.far == nil {
+			r.far = make(map[uint64]*slot)
+		}
+		r.far[seq] = s
 	}
 	return s
 }
@@ -269,9 +363,9 @@ func (r *replica) onPrePrepare(pp prePrepareMsg) {
 	}
 	s.req, s.hasReq = pp.Req, true
 	s.digest = pp.Req.ID
-	r.assigned[pp.Req.ID] = pp.Seq
-	delete(r.pending, pp.Req.ID)
-	delete(r.timers, pp.Req.ID)
+	rec := r.rec(pp.Req.ID)
+	rec.preprepared(pp.Seq)
+	rec.armed = false // a retransmission may arm afresh; queued timers still fire
 
 	// The pre-prepare doubles as the primary's prepare vote (PBFT).
 	s.setPrepare(int(pp.View)%len(r.g.replicas), pp.Req.ID)
@@ -282,7 +376,7 @@ func (r *replica) onPrePrepare(pp prePrepareMsg) {
 	}
 	s.setPrepare(r.id, digest)
 	r.broadcast(kindPrepare, voteMsg{Tag: r.g.tag, View: r.view, Seq: pp.Seq, Digest: digest, Replica: r.id}, CSmall)
-	r.maybePrepared(pp.Seq)
+	r.maybePrepared(s, pp.Seq)
 }
 
 func (r *replica) onPrepare(v voteMsg) {
@@ -291,12 +385,11 @@ func (r *replica) onPrepare(v voteMsg) {
 	}
 	s := r.slot(v.Seq)
 	s.setPrepare(v.Replica, v.Digest)
-	r.maybePrepared(v.Seq)
+	r.maybePrepared(s, v.Seq)
 }
 
 // maybePrepared fires when 2f+1 replicas (including this one) prepared.
-func (r *replica) maybePrepared(seq uint64) {
-	s := r.slot(seq)
+func (r *replica) maybePrepared(s *slot, seq uint64) {
 	if s.prepared || !s.hasReq || s.quorum(s.prepVoted, s.prepares) < 2*r.g.f+1 {
 		return
 	}
@@ -307,7 +400,7 @@ func (r *replica) maybePrepared(seq uint64) {
 	}
 	s.setCommit(r.id, digest)
 	r.broadcast(kindCommit, voteMsg{Tag: r.g.tag, View: r.view, Seq: seq, Digest: digest, Replica: r.id}, CSmall)
-	r.maybeCommitted(seq)
+	r.maybeCommitted(s)
 }
 
 func (r *replica) onCommit(v voteMsg) {
@@ -316,12 +409,11 @@ func (r *replica) onCommit(v voteMsg) {
 	}
 	s := r.slot(v.Seq)
 	s.setCommit(v.Replica, v.Digest)
-	r.maybeCommitted(v.Seq)
+	r.maybeCommitted(s)
 }
 
 // maybeCommitted fires when 2f+1 commits arrived; executes in order.
-func (r *replica) maybeCommitted(seq uint64) {
-	s := r.slot(seq)
+func (r *replica) maybeCommitted(s *slot) {
 	if s.committed || !s.prepared || !s.hasReq || s.quorum(s.commVoted, s.commits) < 2*r.g.f+1 {
 		return
 	}
@@ -334,8 +426,8 @@ func (r *replica) maybeCommitted(seq uint64) {
 // collection, simplified — votes for long-executed slots are useless).
 const checkpointWindow = 64
 
-// doneWindow bounds the executed-request dedup horizon (doneIDs and
-// assigned entries).  Retransmissions arrive at most one client retry
+// doneWindow bounds the executed-request dedup horizon (a record's done
+// and assigned facts).  Retransmissions arrive at most one client retry
 // period after execution; 512 executions is orders of magnitude more
 // than any group commits in that span.
 const doneWindow = 512
@@ -344,27 +436,36 @@ const doneWindow = 512
 func (r *replica) executeReady() {
 	defer r.truncateLog()
 	for {
-		s, ok := r.slots[r.execCursor]
-		if !ok || !s.committed || s.executed {
+		s := r.lookup(r.execCursor)
+		if s == nil || !s.committed || s.executed {
 			return
 		}
 		s.executed = true
 		seq := r.execCursor
 		r.execCursor++
-		if _, dup := r.doneIDs[s.req.ID]; dup {
+		rec := r.rec(s.req.ID)
+		if rec.done {
 			// A view change recycled a request this replica had already
 			// executed under an earlier sequence number (the new primary
 			// had not committed it).  Agreeing on the slot is fine;
 			// executing it twice is not.
 			continue
 		}
-		r.doneIDs[s.req.ID] = seq
+		rec.done, rec.doneSeq = true, seq
+		// From here on a view-change timer for this request could only
+		// find it done and return: take them out of the kernel instead.
+		for _, t := range rec.timers {
+			t.Stop()
+		}
+		rec.timers, rec.armed = rec.timers[:0], false
 		if len(r.doneRing) < doneWindow {
 			r.doneRing = append(r.doneRing, s.req.ID)
 		} else {
 			old := r.doneRing[r.doneHead]
-			delete(r.doneIDs, old)
-			delete(r.assigned, old)
+			if orec := r.reqs[old]; orec != nil {
+				orec.done, orec.assigned = false, false
+				r.release(old, orec)
+			}
 			r.doneRing[r.doneHead] = s.req.ID
 			r.doneHead = (r.doneHead + 1) % doneWindow
 		}
@@ -385,7 +486,7 @@ func (r *replica) executeReady() {
 
 // reply sends (or re-sends) the signed execution reply for an executed
 // request.  Honest replicas' slot digest is always the request ID, so a
-// re-reply needs only the (seq, id) pair retained in doneIDs.
+// re-reply needs only the (seq, id) pair the request's record retains.
 func (r *replica) reply(seq uint64, id guid.GUID, client simnet.NodeID) {
 	digest := id
 	if r.fault == Lying {
@@ -403,8 +504,8 @@ func (r *replica) reply(seq uint64, id guid.GUID, client simnet.NodeID) {
 // flow; under message loss a slot can hold 2f matching votes forever.
 // Retransmission is driven by client retries, so it stops by itself.
 func (r *replica) refreshVotes(seq uint64) {
-	s, ok := r.slots[seq]
-	if !ok || !s.hasReq || s.executed {
+	s := r.lookup(seq)
+	if s == nil || !s.hasReq || s.executed {
 		return
 	}
 	if om := r.g.om; om != nil {
@@ -438,15 +539,24 @@ func (r *replica) refreshViewVotes() {
 	}
 }
 
-// truncateLog discards slots far behind the execution cursor.
+// truncateLog discards slots far behind the execution cursor: the
+// window's front, plus whatever stale messages parked in far since.
 func (r *replica) truncateLog() {
 	if r.execCursor < checkpointWindow {
 		return
 	}
 	floor := r.execCursor - checkpointWindow
-	for seq, s := range r.slots {
+	cut := int(min(floor-r.floor, uint64(len(r.window))))
+	for _, s := range r.window[:cut] {
+		if s != nil {
+			r.putSlot(s)
+		}
+	}
+	r.window = slices.Delete(r.window, 0, cut)
+	r.floor = floor
+	for seq, s := range r.far {
 		if seq < floor {
-			delete(r.slots, seq)
+			delete(r.far, seq)
 			r.putSlot(s)
 		}
 	}
@@ -459,19 +569,31 @@ func (r *replica) truncateLog() {
 // onRequest), so escalation stops by itself once the client gives up
 // or the request executes.
 func (r *replica) requestTimeout(id guid.GUID) {
-	delete(r.timers, id)
+	rec := r.reqs[id]
+	if rec == nil {
+		return // executed and since forgotten
+	}
+	rec.armed = false
+	// Every timer runs for RequestTimeout, so the one firing is the
+	// oldest still queued.  (The list only serves the Stop at execution:
+	// a handle dropped from it by mistake leaves a timer that runs to
+	// its deadline, finds the request done, and returns.)
+	if len(rec.timers) > 0 {
+		rec.timers = slices.Delete(rec.timers, 0, 1)
+	}
 	if r.fault == Crashed {
+		r.release(id, rec)
 		return
 	}
-	if _, done := r.doneIDs[id]; done {
+	if rec.done {
 		return
 	}
-	if _, still := r.pending[id]; !still {
-		seq, ok := r.assigned[id]
-		if !ok {
+	if !rec.pending {
+		if !rec.assigned {
+			r.release(id, rec)
 			return // a view change recycled the request; a retransmit restarts it
 		}
-		if s2, live := r.slots[seq]; !live || s2.executed {
+		if s := r.lookup(rec.seq); s == nil || s.executed {
 			return
 		}
 	}
@@ -575,14 +697,16 @@ func (r *replica) installView(nv uint64) {
 	// Abandon un-pre-prepared slots from the old view; keep committed
 	// state (sequence numbers already executed are final).
 	r.nextSeq = r.execCursor
-	for seq, s := range r.slots {
+	for i, s := range r.window {
+		if s != nil && !s.committed {
+			r.window[i] = nil
+			r.recycle(s)
+		}
+	}
+	for seq, s := range r.far {
 		if !s.committed {
-			delete(r.slots, seq)
-			if s.hasReq {
-				delete(r.assigned, s.req.ID)
-				r.pending[s.req.ID] = s.req
-			}
-			r.putSlot(s)
+			delete(r.far, seq)
+			r.recycle(s)
 		}
 	}
 	// Votes for views at or below the installed one are dead weight.
@@ -600,21 +724,34 @@ func (r *replica) installView(nv uint64) {
 	if r.isPrimary() {
 		// Defer a tick so every replica installs the view first.
 		r.g.net.K.After(time.Millisecond, func() {
-			// Deterministic proposal order (pending is a map).
-			ids := make([]guid.GUID, 0, len(r.pending))
-			for id := range r.pending {
-				ids = append(ids, id)
+			// Deterministic proposal order (reqs is a map).
+			var ids []guid.GUID
+			for id, rec := range r.reqs {
+				if rec.pending {
+					ids = append(ids, id)
+				}
 			}
 			sort.Slice(ids, func(i, j int) bool { return ids[i].Compare(ids[j]) < 0 })
 			for _, id := range ids {
-				req := r.pending[id]
-				if req.Payload == nil && req.Size == 0 {
+				rec := r.reqs[id]
+				if rec.req.Payload == nil && rec.req.Size == 0 {
 					continue // digest-only notification; client will retry
 				}
-				if _, done := r.assigned[id]; !done {
-					r.propose(req)
+				if !rec.assigned {
+					r.propose(rec.req, rec)
 				}
 			}
 		})
 	}
+}
+
+// recycle returns an un-committed slot's request to pending — the next
+// primary proposes it afresh — and the slot to the pool.
+func (r *replica) recycle(s *slot) {
+	if s.hasReq {
+		rec := r.rec(s.req.ID)
+		rec.assigned = false
+		rec.pending, rec.req = true, s.req
+	}
+	r.putSlot(s)
 }

@@ -11,6 +11,7 @@ import (
 	"oceanstore/internal/naming"
 	"oceanstore/internal/object"
 	"oceanstore/internal/replica"
+	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 	"oceanstore/internal/update"
 )
@@ -151,11 +152,12 @@ func (s *Session) pickReplica(obj guid.GUID) (*epidemic.Replica, error) {
 		return ring.PrimaryState(), nil
 	}
 	var best *replica.Secondary
+	floor := s.readFloor(obj)
 	for _, sec := range ring.Secondaries() {
 		if sec.Stale || s.c.pool.Net.Node(sec.Node).Down() {
 			continue
 		}
-		if !s.acceptable(obj, sec.Rep) {
+		if !floor.accepts(sec.Rep) {
 			continue
 		}
 		if best == nil || s.c.pool.Net.Latency(s.c.Node, sec.Node) < s.c.pool.Net.Latency(s.c.Node, best.Node) {
@@ -169,27 +171,40 @@ func (s *Session) pickReplica(obj guid.GUID) (*epidemic.Replica, error) {
 	return ring.PrimaryState(), nil
 }
 
-// acceptable checks a replica against RYW and MonotonicReads.
-func (s *Session) acceptable(obj guid.GUID, r *epidemic.Replica) bool {
+// readFloor is what a replica must hold to serve one object to this
+// session under RYW and MonotonicReads — looked up once per read, then
+// checked against each candidate.  A guarantee the session does not
+// carry leaves its fields zero, which every replica satisfies.
+type readFloor struct {
+	needCommitted int
+	pending       map[update.UpdateID]bool
+	vv            map[guid.GUID]uint64
+}
+
+func (s *Session) readFloor(obj guid.GUID) readFloor {
+	var f readFloor
 	if s.g&ReadYourWrites != 0 {
-		// Resolved writes: one committed-prefix length comparison.
-		if r.CommittedLen() < s.needCommitted[obj] {
-			return false
-		}
-		// In-flight writes: the replica must have at least a tentative
-		// copy of each (pure AND over the set — map order cannot leak).
-		for id := range s.pending[obj] {
-			if !r.Seen(id) {
-				return false
-			}
-		}
+		f.needCommitted, f.pending = s.needCommitted[obj], s.pending[obj]
 	}
 	if s.g&MonotonicReads != 0 {
-		if !r.Dominates(s.readVV[obj]) {
+		f.vv = s.readVV[obj]
+	}
+	return f
+}
+
+func (f readFloor) accepts(r *epidemic.Replica) bool {
+	// Resolved writes: one committed-prefix length comparison.
+	if r.CommittedLen() < f.needCommitted {
+		return false
+	}
+	// In-flight writes: the replica must have at least a tentative copy
+	// of each (pure AND over the set — map order cannot leak).
+	for id := range f.pending {
+		if !r.Seen(id) {
 			return false
 		}
 	}
-	return true
+	return r.Dominates(f.vv)
 }
 
 // Read returns the object's logical contents as seen through the
@@ -305,12 +320,17 @@ func (s *Session) send(u *update.Update) {
 	id := u.ID()
 	obj := u.Object
 	s.inflight[obj] = true
-	resolved := false
+	// One captured variable, so one allocation, for the pair.
+	var st struct {
+		resolved bool
+		timeout  sim.Timer
+	}
 	finish := func(committed bool) {
-		if resolved {
+		if st.resolved {
 			return
 		}
-		resolved = true
+		st.resolved = true
+		st.timeout.Stop()
 		delete(s.pending[obj], id)
 		if committed {
 			for _, cb := range s.onCommit {
@@ -345,11 +365,9 @@ func (s *Session) send(u *update.Update) {
 		// loop, and unblock the MonotonicWrites queue.  Without it a
 		// write stalled behind a partition retransmits until the heal —
 		// correct for eventual delivery, wrong for a client that needs an
-		// answer.
-		c.pool.K.After(s.UpdateTimeout, func() {
-			if resolved {
-				return
-			}
+		// answer.  finish stops the timer, so it only ever fires on an
+		// unresolved write.
+		st.timeout = c.pool.K.After(s.UpdateTimeout, func() {
 			ring.Cancel(c.Node, u)
 			finish(false)
 		})

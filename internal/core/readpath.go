@@ -136,11 +136,12 @@ func (s *Session) readCandidates(obj guid.GUID) ([]simnet.NodeID, error) {
 	}
 	var out []simnet.NodeID
 	if s.g&ReadCommitted == 0 {
+		floor := s.readFloor(obj)
 		for _, sec := range ring.Secondaries() {
 			if sec.Stale || s.c.pool.Net.Node(sec.Node).Down() {
 				continue
 			}
-			if !s.acceptable(obj, sec.Rep) {
+			if !floor.accepts(sec.Rep) {
 				continue
 			}
 			out = append(out, sec.Node)

@@ -244,6 +244,12 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 		return nil, fmt.Errorf("core: unknown store backend %q", cfg.Backend)
 	}
 	p := NewPool(seed, pc)
+	if cfg.ScrubInterval > 0 && cfg.FlushInterval > 0 {
+		// The operator asked for group commit, and construction honours
+		// it: the objects created below leave their volumes dirty, and
+		// the scheduler's first flush commits them all at once.
+		p.Arch.SyncEachBatch = false
+	}
 	w := &SoakWorld{
 		Pool:  p,
 		cfg:   cfg,
@@ -623,11 +629,12 @@ func (w *SoakWorld) modeledRead(s *Session, obj guid.GUID, done func(ok bool)) {
 		}
 	}
 	if s.g&ReadCommitted == 0 {
+		floor := s.readFloor(obj)
 		for _, sec := range ring.Secondaries() {
 			if sec.Stale || w.Pool.Net.Node(sec.Node).Down() {
 				continue
 			}
-			if !s.acceptable(obj, sec.Rep) {
+			if !floor.accepts(sec.Rep) {
 				continue
 			}
 			consider(sec.Node, sec.Rep, sec)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -113,5 +114,56 @@ func TestSoakDiskWorldSurvivesReopen(t *testing.T) {
 	}
 	if bad := w2.Pool.Arch.CountBadFragments(); bad != 0 {
 		t.Fatalf("%d fragments corrupt after reopen", bad)
+	}
+}
+
+// TestSoakDiskConstructionUnderGroupCommit: a disk world asked for group
+// commit builds without touching the file system — no volume file, no
+// fsync — and the scheduler's first flush, the first event the kernel
+// runs, commits every dirty volume at once.
+func TestSoakDiskConstructionUnderGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultSoakConfig(64)
+	cfg.Backend = "disk"
+	cfg.StoreDir = dir
+	cfg.ArchiveEvery = 1
+	cfg.ScrubInterval = 30 * time.Second
+	cfg.FlushInterval = 5 * time.Second
+	w, err := NewSoakWorld(11, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	dirty := w.Pool.Arch.DirtyStores()
+	bs, vols := w.BlobStats()
+	if dirty == 0 || vols != dirty || bs.Puts == 0 {
+		t.Fatalf("construction left %d dirty stores of %d volumes, %d puts", dirty, vols, bs.Puts)
+	}
+	if bs.Syncs != 0 || bs.Flushes != 0 {
+		t.Fatalf("construction issued %d fsyncs and %d flushes under group commit", bs.Syncs, bs.Flushes)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("construction left %d files in the volume directory (%v)", len(ents), err)
+	}
+
+	ran := 0
+	w.Pool.K.RunWhile(func() bool { ran++; return ran == 1 })
+	if w.Pool.K.Now() != 0 || w.Pool.K.Stats().Run != 1 {
+		t.Fatalf("ran %d events to %v, want one at time zero", w.Pool.K.Stats().Run, w.Pool.K.Now())
+	}
+	if n := w.Pool.Arch.DirtyStores(); n != 0 {
+		t.Fatalf("%d stores still dirty after the first kernel event", n)
+	}
+	bs, _ = w.BlobStats()
+	rounds, joined := w.Pool.Arch.GroupCommits()
+	if bs.Syncs != int64(vols) || rounds != 1 || joined != int64(vols) {
+		t.Fatalf("first flush: %d fsyncs in %d rounds over %d volumes, want one round over all %d",
+			bs.Syncs, rounds, joined, vols)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != vols {
+		t.Fatalf("%d volume files after the first flush, want %d", len(ents), vols)
+	}
+	if got := w.Scheduler().Stats().Flushes; got != 1 {
+		t.Fatalf("scheduler counted %d flushes, want 1", got)
 	}
 }

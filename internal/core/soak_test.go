@@ -149,3 +149,52 @@ func TestSoakWorldGrowth(t *testing.T) {
 		t.Fatalf("grown nodes joined no rings: %d -> %d secondaries", before, after)
 	}
 }
+
+// TestByzCommitsCatchUpAfterDrain puts the two "commit" counts side by
+// side.  The session acknowledges a write when the primary tier
+// EXECUTES it (replica.Ring.fireWaiters, which is what lets the engine
+// finish), while byz.commits is bumped when the CLIENT has gathered its
+// f+1 reply quorum (byz.Group.clientHandle) — one network hop later.  So
+// when the engine drains, the replies to the last few writes are still
+// on the wire and the counter reads low; nothing skips it.  One more
+// second of virtual time delivers them and the two agree.
+func TestByzCommitsCatchUpAfterDrain(t *testing.T) {
+	cfg := DefaultSoakConfig(48)
+	cfg.Objects = 8
+	cfg.Clients = 6
+	cfg.MaxInFlight = 16
+	w, err := NewSoakWorld(5, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	w.Pool.Instrument(reg, nil)
+	eng := workload.NewEngine(w.Pool.K, workload.EngineConfig{
+		Clients:       cfg.Clients,
+		Ops:           400,
+		Mix:           workload.Mix{WriteFrac: 0.5},
+		Objects:       cfg.Objects,
+		ZipfS:         1.1,
+		MeanWriteSize: 128,
+		ClosedLoop:    true,
+		MeanThink:     200 * time.Millisecond,
+		RetryBackoff:  time.Second,
+	}, w)
+	eng.Start()
+	w.Pool.K.RunWhile(func() bool { return !eng.Done() })
+
+	executed := int64(0) // writes the primary tiers serialised = writes acknowledged
+	for _, obj := range w.Objects() {
+		ring, _ := w.Pool.Ring(obj)
+		c, a := ring.PrimaryState().Log.Counts()
+		executed += int64(c + a)
+	}
+	atDrain := reg.CounterValue(obs.NodeWide, "byz", "commits")
+	if executed == 0 || atDrain >= executed {
+		t.Fatalf("at drain byz.commits = %d of %d executed writes; want it lagging (replies in flight)", atDrain, executed)
+	}
+	w.Pool.K.RunFor(time.Second)
+	if got := reg.CounterValue(obs.NodeWide, "byz", "commits"); got != executed {
+		t.Fatalf("a second past drain byz.commits = %d, want all %d executed writes", got, executed)
+	}
+}

@@ -78,8 +78,8 @@ func treeKey(id uint64) simnet.DemuxKey {
 
 // Demux keys for O(1) dispatch: each tree's traffic reaches only its
 // own members' handlers, however many trees share a node.
-func (d Delivery) Demux() simnet.DemuxKey  { return treeKey(d.Tree) }
-func (p pullReq) Demux() simnet.DemuxKey   { return treeKey(p.Tree) }
+func (d Delivery) Demux() simnet.DemuxKey { return treeKey(d.Tree) }
+func (p pullReq) Demux() simnet.DemuxKey  { return treeKey(p.Tree) }
 
 // treeCounter hands out process-unique tree IDs.  Incremented
 // atomically: concurrent simulations (the seed-sweep drivers) create

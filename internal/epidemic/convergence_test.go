@@ -52,7 +52,7 @@ func TestConvergenceProperty(t *testing.T) {
 
 			// The virtual primary serialises a random subset in a random
 			// final order; the rest stay tentative forever.
-			final := rng.Perm(nUpdates)[: nUpdates/2+rng.Intn(nUpdates/2)]
+			final := rng.Perm(nUpdates)[:nUpdates/2+rng.Intn(nUpdates/2)]
 
 			// pushCommits models a dissemination-tree push: bring one
 			// replica's committed log up to the primary's current prefix.

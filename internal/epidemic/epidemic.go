@@ -32,15 +32,14 @@ type Replica struct {
 	committed []*update.Update
 	// tentative holds updates not yet committed, kept in timestamp order.
 	tentative []*update.Update
-	seen      map[update.UpdateID]bool
-	// inCommitted guards against double-commit: the same update can
-	// arrive via the dissemination tree AND anti-entropy.
-	inCommitted map[update.UpdateID]bool
-	// outcomes remembers each serialised update's logged outcome, so a
-	// duplicate commit answers in O(1) instead of scanning the log —
-	// on a soak run the tree-push/anti-entropy overlap makes dup
-	// commits a steady-state path, not a corner case.
-	outcomes map[update.UpdateID]update.Outcome
+	// known is the one dedup table: an update the replica has never met
+	// is absent, one it holds tentatively is present, and one the primary
+	// tier has serialised here is present with committed set and its
+	// logged outcome.  The same update can arrive via the dissemination
+	// tree AND anti-entropy — on a soak run that overlap makes duplicate
+	// commits a steady-state path, not a corner case — and the second
+	// arrival is answered from here in one probe.
+	known map[update.UpdateID]dedup
 	// vv is a version vector: the highest contiguous Seq seen per client
 	// across both logs, used to summarise state for anti-entropy.
 	vv map[guid.GUID]uint64
@@ -60,6 +59,12 @@ type Replica struct {
 	Log *update.Log
 
 	om *epiMetrics
+}
+
+// dedup is what the replica remembers about one update ID.
+type dedup struct {
+	committed bool
+	out       update.Outcome // the logged outcome, once committed
 }
 
 // epiMetrics holds pre-resolved per-replica observability handles.
@@ -99,12 +104,10 @@ func (r *Replica) Instrument(reg *obs.Registry, node int) {
 // New creates a secondary replica starting from the initial version.
 func New(v0 *object.Version) *Replica {
 	return &Replica{
-		base:        v0,
-		seen:        make(map[update.UpdateID]bool),
-		inCommitted: make(map[update.UpdateID]bool),
-		outcomes:    make(map[update.UpdateID]update.Outcome),
-		vv:          make(map[guid.GUID]uint64),
-		Log:         update.NewLog(),
+		base:  v0,
+		known: make(map[update.UpdateID]dedup),
+		vv:    make(map[guid.GUID]uint64),
+		Log:   update.NewLog(),
 	}
 }
 
@@ -138,10 +141,11 @@ func tsLess(a, b *update.Update) bool {
 // anti-entropy).  Duplicates are ignored.  It returns true when the
 // update was new.
 func (r *Replica) AddTentative(u *update.Update) bool {
-	if r.seen[u.ID()] {
+	id := u.ID()
+	if _, seen := r.known[id]; seen {
 		return false
 	}
-	r.seen[u.ID()] = true
+	r.known[id] = dedup{}
 	i := sort.Search(len(r.tentative), func(i int) bool { return tsLess(u, r.tentative[i]) })
 	r.tentative = append(r.tentative, nil)
 	copy(r.tentative[i+1:], r.tentative[i:])
@@ -160,40 +164,38 @@ func (r *Replica) AddTentative(u *update.Update) bool {
 // serialisation order.  The update is removed from the tentative set if
 // present; tentative state is rolled back and replayed on demand.
 func (r *Replica) Commit(u *update.Update, now time.Duration) update.Outcome {
-	if r.inCommitted[u.ID()] {
+	id := u.ID()
+	d, seen := r.known[id]
+	if d.committed {
 		if r.om != nil {
 			r.om.dupCommits.Inc()
 		}
 		// Already serialised here (tree push and anti-entropy can both
 		// deliver the same commit); report the logged outcome.
-		return r.outcomes[u.ID()]
+		return d.out
 	}
-	r.inCommitted[u.ID()] = true
-	if !r.seen[u.ID()] {
-		r.seen[u.ID()] = true
-		if u.Seq > r.vv[u.ClientID] {
-			r.vv[u.ClientID] = u.Seq
-		}
+	if !seen && u.Seq > r.vv[u.ClientID] {
+		r.vv[u.ClientID] = u.Seq
 	}
 	// Drop from tentative if present.
 	for i, tu := range r.tentative {
-		if tu.ID() == u.ID() {
+		if tu.ID() == id {
 			r.tentative = append(r.tentative[:i], r.tentative[i+1:]...)
 			break
 		}
 	}
 	r.committed = append(r.committed, u)
-	if r.ret.CommitWindow > 0 {
-		r.dedupQ = append(r.dedupQ, u.ID())
-		r.pruneCommitted()
-	}
-	r.expire(now)
 	next, out, err := update.Apply(u, r.base, now)
 	if err == nil && out.Committed {
 		r.base = next
 	}
+	r.known[id] = dedup{committed: true, out: out}
+	if r.ret.CommitWindow > 0 {
+		r.dedupQ = append(r.dedupQ, id)
+		r.pruneCommitted()
+	}
+	r.expire(now)
 	// Aborts leave base untouched but are still logged (§4.4.1).
-	r.outcomes[u.ID()] = out
 	r.Log.Append(u, out, now)
 	if r.om != nil {
 		if out.Committed {
@@ -245,7 +247,10 @@ func (r *Replica) Tentative() []*update.Update {
 }
 
 // Seen reports whether the replica has the update in either log.
-func (r *Replica) Seen(id update.UpdateID) bool { return r.seen[id] }
+func (r *Replica) Seen(id update.UpdateID) bool {
+	_, seen := r.known[id]
+	return seen
+}
 
 // VersionVector returns a copy of the replica's version vector.
 func (r *Replica) VersionVector() map[guid.GUID]uint64 {

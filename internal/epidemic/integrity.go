@@ -28,20 +28,12 @@ func Clone(src *Replica) *Replica {
 		dedupQ:        append([]update.UpdateID(nil), src.dedupQ...),
 		ret:           src.ret,
 		tentative:     append([]*update.Update(nil), src.tentative...),
-		seen:          make(map[update.UpdateID]bool, len(src.seen)),
-		inCommitted:   make(map[update.UpdateID]bool, len(src.inCommitted)),
-		outcomes:      make(map[update.UpdateID]update.Outcome, len(src.outcomes)),
+		known:         make(map[update.UpdateID]dedup, len(src.known)),
 		vv:            make(map[guid.GUID]uint64, len(src.vv)),
 		Log:           src.Log.Clone(),
 	}
-	for k, v := range src.seen {
-		r.seen[k] = v
-	}
-	for k, v := range src.inCommitted {
-		r.inCommitted[k] = v
-	}
-	for k, v := range src.outcomes {
-		r.outcomes[k] = v
+	for k, v := range src.known {
+		r.known[k] = v
 	}
 	for k, v := range src.vv {
 		r.vv[k] = v

@@ -19,8 +19,14 @@ import (
 //   - a dedup horizon of roughly 2×CommitWindow recently committed
 //     update IDs, enough to absorb the tree-push/anti-entropy overlap;
 //   - live tentative updates no older than TentativeExpire.
+//
 // Everything else — update payloads, outcomes, ID bookkeeping — becomes
-// garbage as soon as it leaves these windows.
+// garbage as soon as it leaves these windows.  The ID bookkeeping is one
+// table (Replica.known) holding one entry per ID in either the dedup
+// horizon or the tentative set: expiry deletes the entries of the
+// tentative updates it drops, and pruneCommitted deletes those of the
+// committed IDs it retires from dedupQ, so the table never outgrows
+// dedupQ plus the live tentative updates.
 type Retention struct {
 	// TentativeExpire discards tentative updates whose optimistic
 	// timestamp is older than this.  A tentative update either commits
@@ -39,7 +45,7 @@ type Retention struct {
 }
 
 // dedupWindow is how many recently committed update IDs stay in the
-// dedup maps (inCommitted/outcomes/seen) once retention is on.  Twice
+// dedup table once retention is on.  Twice
 // the commit window plus a floor comfortably covers the tree-push /
 // anti-entropy overlap at any gossip cadence.
 func (ret Retention) dedupWindow() int {
@@ -56,7 +62,7 @@ func (r *Replica) SetRetention(ret Retention) { r.ret = ret }
 
 // expire drops tentative updates older than the retention bound.  The
 // tentative slice is timestamp-ordered, so expired entries form a
-// prefix.  Expired IDs leave the seen set too: every replica applies
+// prefix.  Expired IDs leave the dedup table too: every replica applies
 // the same virtual-time deadline, and anti-entropy expires both sides
 // before exchanging, so an expired update cannot bounce back through
 // gossip (a client spread copy arrives within network latency of its
@@ -67,7 +73,7 @@ func (r *Replica) expire(now time.Duration) {
 	}
 	cut := 0
 	for cut < len(r.tentative) && r.tentative[cut].Timestamp+r.ret.TentativeExpire < now {
-		delete(r.seen, r.tentative[cut].ID())
+		delete(r.known, r.tentative[cut].ID())
 		cut++
 	}
 	if cut == 0 {
@@ -103,9 +109,7 @@ func (r *Replica) pruneCommitted() {
 	if w := r.ret.dedupWindow(); len(r.dedupQ) >= 2*w {
 		drop := len(r.dedupQ) - w
 		for _, id := range r.dedupQ[:drop] {
-			delete(r.inCommitted, id)
-			delete(r.outcomes, id)
-			delete(r.seen, id)
+			delete(r.known, id)
 		}
 		n := copy(r.dedupQ, r.dedupQ[drop:])
 		r.dedupQ = r.dedupQ[:n]

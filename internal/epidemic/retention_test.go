@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"oceanstore/internal/guid"
-	"oceanstore/internal/obs"
 	"oceanstore/internal/object"
+	"oceanstore/internal/obs"
 )
 
 // commitChain commits n sequential appends to r and returns the key's
@@ -65,7 +65,7 @@ func TestCommitWindowPrunes(t *testing.T) {
 	v0 := object.NewObject([]byte("base."), 8, k)
 	r := New(v0)
 	r.SetRetention(Retention{CommitWindow: 8})
-	const total = 150 // past 2×dedupWindow (128) so the dedup maps prune too
+	const total = 150 // past 2×dedupWindow (128) so the dedup table prunes too
 	commitChain(t, r, total, 1, 1000)
 	if r.CommittedLen() != total {
 		t.Fatalf("CommittedLen %d, want %d", r.CommittedLen(), total)
@@ -76,9 +76,8 @@ func TestCommitWindowPrunes(t *testing.T) {
 	if len(r.dedupQ) >= 2*r.ret.dedupWindow() {
 		t.Fatalf("dedupQ %d not pruned", len(r.dedupQ))
 	}
-	if len(r.inCommitted) != len(r.dedupQ) || len(r.outcomes) != len(r.dedupQ) {
-		t.Fatalf("dedup maps %d/%d out of step with queue %d",
-			len(r.inCommitted), len(r.outcomes), len(r.dedupQ))
+	if len(r.known) != len(r.dedupQ) {
+		t.Fatalf("dedup table %d out of step with queue %d", len(r.known), len(r.dedupQ))
 	}
 	// The applied state still reflects every commit, retained or not.
 	if got := read(t, r.CommittedState(), k); got != "base."+repeat("x", total) {

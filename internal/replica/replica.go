@@ -17,6 +17,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -115,6 +116,11 @@ type Ring struct {
 	// in for all of them in the simulation.
 	primaryState *epidemic.Replica
 	secondaries  map[simnet.NodeID]*Secondary
+	// byNode is the same membership in node order — the stable order
+	// every replica pick and kernel RNG draw is made against.  Rebuilt
+	// into a fresh slice when membership changes, so one handed out by
+	// Secondaries stays a valid snapshot.
+	byNode []*Secondary
 
 	// ArchiveRoots lists the archival GUIDs produced by commits.
 	ArchiveRoots []guid.GUID
@@ -223,9 +229,8 @@ func (r *Ring) PrimaryNodes() []simnet.NodeID {
 // PrimaryNodes pays.
 func (r *Ring) PrimaryAnchor() simnet.NodeID { return r.primaryNodes[0] }
 
-// SecondaryCount reports the number of floating replicas without
-// materialising the sorted Secondaries slice.
-func (r *Ring) SecondaryCount() int { return len(r.secondaries) }
+// SecondaryCount reports the number of floating replicas.
+func (r *Ring) SecondaryCount() int { return len(r.byNode) }
 
 // Tree exposes the dissemination tree.
 func (r *Ring) Tree() *dtree.Tree { return r.tree }
@@ -287,6 +292,8 @@ func (r *Ring) AddSecondary(node simnet.NodeID) (*Secondary, error) {
 		}
 	}
 	r.secondaries[node] = sec
+	at := sort.Search(len(r.byNode), func(i int) bool { return r.byNode[i].Node > node })
+	r.byNode = slices.Insert(slices.Clone(r.byNode), at, sec)
 	// Accept tentative copies of this object's updates (Fig 5a) and
 	// anti-entropy exchange requests; demuxed by object, so a node
 	// serving many rings only runs this ring's handler for its traffic.
@@ -311,17 +318,10 @@ func (r *Ring) Secondary(node simnet.NodeID) (*Secondary, bool) {
 	return s, ok
 }
 
-// Secondaries returns all secondary replicas.
-func (r *Ring) Secondaries() []*Secondary {
-	out := make([]*Secondary, 0, len(r.secondaries))
-	for _, s := range r.secondaries {
-		out = append(out, s)
-	}
-	// Deterministic order: callers pick replicas and send messages based
-	// on this slice.
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
+// Secondaries returns all secondary replicas in node order.  The slice
+// is the ring's own and must not be modified; it is not touched by later
+// membership changes.
+func (r *Ring) Secondaries() []*Secondary { return r.byNode }
 
 // RemoveSecondary retires a floating replica (replica management).
 func (r *Ring) RemoveSecondary(node simnet.NodeID) error {
@@ -329,6 +329,8 @@ func (r *Ring) RemoveSecondary(node simnet.NodeID) error {
 		return errors.New("replica: not a secondary")
 	}
 	delete(r.secondaries, node)
+	r.byNode = slices.DeleteFunc(slices.Clone(r.byNode),
+		func(sec *Secondary) bool { return sec.Node == node })
 	return r.tree.Leave(node)
 }
 
@@ -345,20 +347,13 @@ func (r *Ring) Submit(client simnet.NodeID, u *update.Update, spread int, onResu
 	}
 	r.group.Submit(client, req, onResult)
 	// Random secondaries receive the update tentatively.
-	if spread > 0 && len(r.secondaries) > 0 {
-		nodes := make([]simnet.NodeID, 0, len(r.secondaries))
-		for n := range r.secondaries {
-			nodes = append(nodes, n)
-		}
-		// Map order is random per process; the kernel RNG draw below must
-		// see a stable ordering or same-seed runs diverge.
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		perm := r.net.K.Rand().Perm(len(nodes))
-		if spread > len(nodes) {
-			spread = len(nodes)
+	if spread > 0 && len(r.byNode) > 0 {
+		perm := r.net.K.Rand().Perm(len(r.byNode))
+		if spread > len(perm) {
+			spread = len(perm)
 		}
 		for _, i := range perm[:spread] {
-			r.net.Send(client, nodes[i], kindTentative, tentMsg{Obj: r.Object, U: u}, u.WireSize())
+			r.net.Send(client, r.byNode[i].Node, kindTentative, tentMsg{Obj: r.Object, U: u}, u.WireSize())
 		}
 	}
 }
@@ -534,19 +529,13 @@ type gossipReq struct {
 // it pays latency, can be dropped, and its bytes are accounted under
 // the "replica-gossip" kind.
 func (r *Ring) gossipRound() {
-	if len(r.secondaries) == 0 {
+	nodes := r.byNode
+	if len(nodes) == 0 {
 		return
 	}
 	if r.om != nil {
 		r.om.gossipRounds.Inc()
 	}
-	nodes := make([]*Secondary, 0, len(r.secondaries))
-	for _, s := range r.secondaries {
-		nodes = append(nodes, s)
-	}
-	// Stable order before drawing from the shared kernel RNG (map
-	// iteration order would otherwise leak into the simulation).
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Node < nodes[j].Node })
 	rng := r.net.K.Rand()
 	pairs := (len(nodes) + 1) / 2
 	for i := 0; i < pairs; i++ {

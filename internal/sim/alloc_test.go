@@ -15,7 +15,7 @@ func TestEventQueueZeroAlloc(t *testing.T) {
 	fn := func() {}
 	seed := func(n int) {
 		for i := 0; i < n; i++ {
-			q.push(eventKey{time: time.Duration((i * 37) % 64), seq: uint64(i)}, fn)
+			q.push(eventKey{time: time.Duration((i * 37) % 64), seq: uint64(i)}, fn, noTimer)
 		}
 	}
 	// Warm the slices to their steady-state capacity.
@@ -31,5 +31,28 @@ func TestEventQueueZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("event queue push/pop allocated %.1f per cycle, want 0", allocs)
+	}
+}
+
+// TestTimerZeroAlloc: arming and stopping timeouts — five per write on
+// the commit path — allocates nothing once the slot table and its free
+// list have grown to the working set.
+func TestTimerZeroAlloc(t *testing.T) {
+	k := NewKernel(1)
+	fn := func() {}
+	var ts [32]Timer
+	cycle := func() {
+		for i := range ts {
+			ts[i] = k.After(time.Duration((i*37)%64), fn)
+		}
+		for i := range ts {
+			if !ts[i].Stop() {
+				t.Fatal("Stop of a queued timer failed")
+			}
+		}
+	}
+	cycle() // warm the slices
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("After+Stop allocated %.1f per cycle, want 0", allocs)
 	}
 }

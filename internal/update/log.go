@@ -20,9 +20,12 @@ type LogEntry struct {
 // A capped log (SetCap) retains only a suffix window of entries plus
 // running commit/abort tallies; Start reports how many entries were
 // evicted from the front.
+//
+// The log keeps no index by update ID and does not deduplicate: its one
+// writer, epidemic.Replica.Commit, has already turned a redelivered
+// commit away by the time it appends.
 type Log struct {
 	entries []LogEntry
-	byID    map[UpdateID]int
 	start   int // entries evicted from the front (capped logs)
 	cap     int // 0 = unbounded
 	// running tallies survive eviction.
@@ -30,7 +33,7 @@ type Log struct {
 }
 
 // NewLog creates an empty log.
-func NewLog() *Log { return &Log{byID: make(map[UpdateID]int)} }
+func NewLog() *Log { return &Log{} }
 
 // SetCap bounds the retained entry window.  0 restores unbounded
 // retention (already-evicted entries stay gone).
@@ -48,36 +51,24 @@ func (l *Log) Rebase(start int) {
 		l.entries[i] = LogEntry{}
 	}
 	l.entries = l.entries[:0]
-	for id := range l.byID {
-		delete(l.byID, id)
-	}
 	l.start = start
 }
 
 // Clone returns an independent copy: retained window, position, cap,
 // and running tallies.
 func (l *Log) Clone() *Log {
-	c := &Log{
+	return &Log{
 		entries: append([]LogEntry(nil), l.entries...),
-		byID:    make(map[UpdateID]int, len(l.byID)),
 		start:   l.start,
 		cap:     l.cap,
 		commits: l.commits,
 		aborts:  l.aborts,
 	}
-	for k, v := range l.byID {
-		c.byID[k] = v
-	}
-	return c
 }
 
-// Append records an update outcome.  Duplicate update IDs are ignored
-// (epidemic propagation redelivers), keeping the log idempotent.
-func (l *Log) Append(u *Update, o Outcome, at time.Duration) bool {
-	if _, dup := l.byID[u.ID()]; dup {
-		return false
-	}
-	l.byID[u.ID()] = l.start + len(l.entries)
+// Append records an update outcome.  The caller appends each update
+// once (epidemic propagation redelivers; see Log).
+func (l *Log) Append(u *Update, o Outcome, at time.Duration) {
 	l.entries = append(l.entries, LogEntry{Update: u, Outcome: o, At: at})
 	if o.Committed {
 		l.commits++
@@ -86,9 +77,6 @@ func (l *Log) Append(u *Update, o Outcome, at time.Duration) bool {
 	}
 	if l.cap > 0 && len(l.entries) >= 2*l.cap {
 		drop := len(l.entries) - l.cap
-		for _, e := range l.entries[:drop] {
-			delete(l.byID, e.Update.ID())
-		}
 		n := copy(l.entries, l.entries[drop:])
 		for i := n; i < len(l.entries); i++ {
 			l.entries[i] = LogEntry{}
@@ -96,13 +84,6 @@ func (l *Log) Append(u *Update, o Outcome, at time.Duration) bool {
 		l.entries = l.entries[:n]
 		l.start += drop
 	}
-	return true
-}
-
-// Seen reports whether an update ID was already logged.
-func (l *Log) Seen(id UpdateID) bool {
-	_, ok := l.byID[id]
-	return ok
 }
 
 // Len returns the number of entries ever appended (including evicted).
