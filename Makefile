@@ -1,14 +1,17 @@
 # Tier-1 gate: every change must keep `make check` green.
 GO ?= go
 
-# Packages touched by the fork-join parallelism (PR 3, and the
-# fragment store's parallel group commit): the -race pass over these
-# runs with GOMAXPROCS=4 so the pool actually forks even on small CI
-# machines.  The kernel and the network are single-threaded by design
-# and fork nothing; plain `race` covers them.
+# Packages that fork: the fork-join parallelism (PR 3, and the fragment
+# store's parallel group commit) and the leaf offload, which computes
+# client signatures on par's helper goroutine and joins them on the
+# kernel's.  The -race pass over these runs with GOMAXPROCS=4 so the
+# pool forks and the helper exists even on small CI machines.  The
+# kernel and the network themselves stay single-threaded; plain `race`
+# covers the rest.
 PAR_PKGS = ./internal/par/ ./internal/erasure/ ./internal/archive/ \
 	./internal/blobstore/ ./internal/merkle/ ./internal/bloom/ \
-	./internal/fault/ ./internal/obs/
+	./internal/fault/ ./internal/obs/ ./internal/crypt/ \
+	./internal/update/ ./internal/acl/ ./internal/core/
 
 .PHONY: check fmt vet vet-rand build test race race-par fuzz-corpora bench bench-smoke cover cover-write soak-smoke scenarios-smoke blobstore-smoke introspect-smoke
 
@@ -77,9 +80,9 @@ cover-write:
 
 # Determinism gate for the soak engine at scale: the same seeded
 # 100k-node soak must emit byte-identical metrics and summary at
-# GOMAXPROCS 1 and 4.  The run also checks the kernel occupancy rail is
-# on stderr, and asserts a peak-RSS budget (the mem line osexp prints
-# there too): the zero-alloc messaging work holds
+# GOMAXPROCS 1 and 4.  The run also checks the kernel occupancy and
+# crypto rails are on stderr, and asserts a peak-RSS budget (the mem
+# line osexp prints there too): the zero-alloc messaging work holds
 # 100k nodes + 10k ops under ~265 MB, and the budget fails the gate if
 # resident memory doubles.  The full-scale run is
 #   osexp -metrics soak.txt soak 1 -nodes 1000000 -ops 1000000
@@ -95,6 +98,8 @@ soak-smoke:
 	if [ -z "$$rss" ]; then echo "soak-smoke: no peak RSS line on stderr"; exit 1; fi; \
 	if ! grep -q '^kernel: .* events run, .* timers stopped; queue mean ' $$tmp/mem1.txt; then \
 		echo "soak-smoke: no kernel rail on stderr"; cat $$tmp/mem1.txt; exit 1; fi; \
+	if ! grep -q '^crypto: .* signatures started .* joins .* ready .* taken .* waited, .* keys derived; certificates ' $$tmp/mem1.txt; then \
+		echo "soak-smoke: no crypto rail on stderr"; cat $$tmp/mem1.txt; exit 1; fi; \
 	if awk "BEGIN{exit !($$rss > $(SOAK_RSS_BUDGET_MB))}"; then \
 		echo "soak-smoke: peak RSS $$rss MB exceeds budget $(SOAK_RSS_BUDGET_MB) MB"; exit 1; fi; \
 	rm -rf $$tmp; \

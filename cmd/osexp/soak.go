@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"oceanstore/internal/core"
+	"oceanstore/internal/crypt"
 	"oceanstore/internal/obs"
+	"oceanstore/internal/par"
 	"oceanstore/internal/workload"
 )
 
@@ -268,6 +270,18 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 	ks := world.Pool.K.Stats()
 	fmt.Fprintf(os.Stderr, "kernel: %d events run, %d timers stopped; queue mean %d, peak %d\n",
 		ks.Run, ks.Stopped, ks.MeanQueue, ks.PeakQueue)
+	// And where the Ed25519 went.  Whether a join found its signature
+	// ready, ran it itself or had to wait, and how long the helper was
+	// busy, are facts about the host's scheduler, and the par and crypt
+	// counters are process-wide; none of them may reach the registry,
+	// -metrics, -trace or stdout.  Session.Submit's StartSign is
+	// par.Start's only caller, so its tasks are signatures.
+	ts := par.Stats()
+	created, derived := crypt.SignerStats()
+	memoHits, fullVerifies := world.Pool.ACLs.CertVerifies()
+	fmt.Fprintf(os.Stderr, "crypto: %d signatures started (%d inline), joins %d ready %d taken %d waited, helper busy %.2f s; signers %d created, %d keys derived; certificates %d memo hits, %d full verifies\n",
+		ts.Started, ts.Inline, ts.Ready, ts.Taken, ts.Waited, ts.Busy.Seconds(),
+		created, derived, memoHits, fullVerifies)
 	// So does the real-I/O rail: its numbers are deterministic too, but
 	// they only exist on the disk backend, and the mem-vs-disk ablation
 	// compares stdout byte for byte.

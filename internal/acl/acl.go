@@ -90,6 +90,10 @@ type Certificate struct {
 	Serial   uint64    // monotonically increasing; newest serial wins
 	OwnerPub []byte
 	Sig      []byte
+
+	// memo remembers the statement, key and signature last known to
+	// verify.  A certificate written as a struct literal has none.
+	memo crypt.SigMemo
 }
 
 func (c *Certificate) signedBytes() []byte {
@@ -101,10 +105,14 @@ func (c *Certificate) signedBytes() []byte {
 }
 
 // Certify issues a certificate binding obj (owned by the signer under
-// name) to the given ACL.
+// name) to the given ACL.  Like update.Sign it seeds the verification
+// memo: the signature it has just produced verifies by construction.
 func Certify(owner *crypt.Signer, obj guid.GUID, a *ACL, serial uint64) *Certificate {
 	c := &Certificate{Object: obj, ACLGuid: a.GUID(), Serial: serial, OwnerPub: owner.Public()}
-	c.Sig = owner.Sign(c.signedBytes())
+	msg := c.signedBytes()
+	c.memo.Begin(c.OwnerPub, msg)
+	c.Sig = owner.Sign(msg)
+	c.memo.End(c.Sig)
 	return c
 }
 
@@ -114,10 +122,18 @@ func Certify(owner *crypt.Signer, obj guid.GUID, a *ACL, serial uint64) *Certifi
 // human-readable name (§4.1) — any server can verify ownership with no
 // authority, given the name the object was created under.
 func VerifyCert(c *Certificate, name string) bool {
+	ok, _ := c.verify(name)
+	return ok
+}
+
+// verify is VerifyCert, also reporting whether the certificate's memo
+// stood in for ed25519.Verify.  Ownership is outside the memo and is
+// checked every time.
+func (c *Certificate) verify(name string) (ok, memoHit bool) {
 	if guid.FromOwnerAndName(c.OwnerPub, name) != c.Object {
-		return false
+		return false, false
 	}
-	return crypt.VerifySig(c.OwnerPub, c.signedBytes(), c.Sig)
+	return c.memo.Verify(c.OwnerPub, c.signedBytes(), c.Sig)
 }
 
 // Errors returned by Store.CheckWrite.
@@ -133,6 +149,10 @@ type Store struct {
 	acls  map[guid.GUID]*ACL         // by ACL GUID (content address)
 	certs map[guid.GUID]*Certificate // by object GUID; newest serial wins
 	names map[guid.GUID]string       // object GUID -> creation name
+
+	// AddCert calls the certificate's memo answered, and the rest,
+	// which took the full check.
+	certMemoHits, certFullVerifies int
 }
 
 // NewStore creates an empty ACL store.
@@ -151,7 +171,13 @@ func (s *Store) AddACL(a *ACL) { s.acls[a.GUID()] = a }
 // with a stale serial is ignored, so revoked writers cannot replay an
 // old, more permissive ACL binding.
 func (s *Store) AddCert(c *Certificate, name string) error {
-	if !VerifyCert(c, name) {
+	ok, memoHit := c.verify(name)
+	if memoHit {
+		s.certMemoHits++
+	} else {
+		s.certFullVerifies++
+	}
+	if !ok {
 		return errors.New("acl: certificate verification failed")
 	}
 	if old, ok := s.certs[c.Object]; ok && old.Serial >= c.Serial {
@@ -160,6 +186,12 @@ func (s *Store) AddCert(c *Certificate, name string) error {
 	s.certs[c.Object] = c
 	s.names[c.Object] = name
 	return nil
+}
+
+// CertVerifies reports how AddCert's checks were settled: by the
+// certificate's memo, or by the full check (rejections included).
+func (s *Store) CertVerifies() (memoHits, full int) {
+	return s.certMemoHits, s.certFullVerifies
 }
 
 // CurrentACL returns the certified ACL for an object.

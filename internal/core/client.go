@@ -295,12 +295,16 @@ func (s *Session) Submit(u *update.Update) update.UpdateID {
 	u.ClientID = c.Signer.GUID()
 	u.Seq = c.seq
 	u.Timestamp = c.pool.K.Now()
-	u.Sign(c.Signer)
+	// The signature is computed off this goroutine and joined by its
+	// first reader — the tier's CheckWrite, one agreement away.
+	u.StartSign(c.Signer)
 	id := u.ID()
-	if s.pending[u.Object] == nil {
-		s.pending[u.Object] = make(map[update.UpdateID]bool)
+	set := s.pending[u.Object]
+	if set == nil {
+		set = make(map[update.UpdateID]bool)
+		s.pending[u.Object] = set
 	}
-	s.pending[u.Object][id] = true
+	set[id] = true
 
 	if s.g&MonotonicWrites != 0 && s.inflight[u.Object] {
 		s.queued[u.Object] = append(s.queued[u.Object], u)
@@ -331,7 +335,13 @@ func (s *Session) send(u *update.Update) {
 		}
 		st.resolved = true
 		st.timeout.Stop()
-		delete(s.pending[obj], id)
+		// Drop the write set with its last entry: a session touches many
+		// objects over its life and has writes in flight on few.
+		set := s.pending[obj]
+		delete(set, id)
+		if len(set) == 0 {
+			delete(s.pending, obj)
+		}
 		if committed {
 			for _, cb := range s.onCommit {
 				cb(obj, id)

@@ -23,6 +23,8 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"oceanstore/internal/guid"
 )
@@ -119,30 +121,67 @@ func BlockDigest(ct []byte) guid.GUID {
 
 // Signer holds an Ed25519 key pair and signs client updates and owner
 // certificates.
+//
+// The pair is derived from the seed when Public, GUID or Sign first
+// needs it.  A primary tier makes 3f+1 signers per object whose only
+// use is a commit certificate somebody chooses to inspect, so most
+// signers a run creates never sign; what must happen at construction
+// is the draw from the entropy source, because every later draw from
+// the same source depends on it.  The derived pair is a pure function
+// of the seed (RFC 8032 §5.1.5), so when it is derived is not
+// observable.  A Signer is safe for concurrent use.
 type Signer struct {
+	seed [ed25519.SeedSize]byte
+	once sync.Once
 	pub  ed25519.PublicKey
 	priv ed25519.PrivateKey
 }
 
-// NewSigner creates a key pair from the seeded source r.
+// Signers made and key pairs derived, process-wide.  Diagnostics for
+// the stderr `crypto:` rail only: a process may hold several
+// simulations, so these belong in no per-run dump.
+var signersCreated, keysDerived atomic.Int64
+
+// SignerStats reports how many signers NewSigner has made and how many
+// of them have had to derive their key pair.
+func SignerStats() (created, derived int64) {
+	return signersCreated.Load(), keysDerived.Load()
+}
+
+// NewSigner creates a signer whose key pair is seeded from the source
+// r: exactly four Uint64 draws, here.
 func NewSigner(r guid.Entropy) *Signer {
-	seed := make([]byte, ed25519.SeedSize)
-	for i := 0; i < len(seed); i += 8 {
-		binary.BigEndian.PutUint64(seed[i:], r.Uint64())
+	s := new(Signer)
+	for i := 0; i < len(s.seed); i += 8 {
+		binary.BigEndian.PutUint64(s.seed[i:], r.Uint64())
 	}
-	priv := ed25519.NewKeyFromSeed(seed)
-	return &Signer{pub: priv.Public().(ed25519.PublicKey), priv: priv}
+	signersCreated.Add(1)
+	return s
+}
+
+func (s *Signer) derive() {
+	s.once.Do(func() {
+		s.priv = ed25519.NewKeyFromSeed(s.seed[:])
+		s.pub = s.priv.Public().(ed25519.PublicKey)
+		keysDerived.Add(1)
+	})
 }
 
 // Public returns the raw public key bytes.
-func (s *Signer) Public() []byte { return []byte(s.pub) }
+func (s *Signer) Public() []byte {
+	s.derive()
+	return []byte(s.pub)
+}
 
 // GUID returns the signer's identity GUID — the secure hash of its
 // public key (§4.1).
-func (s *Signer) GUID() guid.GUID { return guid.FromPublicKey(s.pub) }
+func (s *Signer) GUID() guid.GUID { return guid.FromPublicKey(s.Public()) }
 
 // Sign signs msg.
-func (s *Signer) Sign(msg []byte) []byte { return ed25519.Sign(s.priv, msg) }
+func (s *Signer) Sign(msg []byte) []byte {
+	s.derive()
+	return ed25519.Sign(s.priv, msg)
+}
 
 // VerifySig checks sig over msg under the raw public key pub.
 func VerifySig(pub, msg, sig []byte) bool {
@@ -154,6 +193,49 @@ func VerifySig(pub, msg, sig []byte) bool {
 
 // SignatureSize is the wire size of a signature, for byte accounting.
 const SignatureSize = ed25519.SignatureSize
+
+// SigMemo remembers one (statement, key, signature) triple known to
+// verify, by digest, so that re-checking the same triple — every member
+// of a 3f+1 tier verifies the same update, a pool re-checks the
+// certificate it has just issued — costs three hashes instead of an
+// Ed25519 scalar multiplication.
+//
+// It cannot change a verdict.  Verify digests the triple it is handed,
+// as it then stands, and skips the curve arithmetic only on an exact
+// match with a triple that was either produced by signing (Begin/End)
+// or has passed the full check; a tamper with the statement, the key or
+// the signature changes a digest and takes the full check.  Success is
+// remembered, failure never.  The zero value remembers nothing.
+type SigMemo struct {
+	msg, pub, sig guid.GUID
+	ok            bool
+}
+
+// Begin records the key and statement a signature is about to be made
+// over; until End the memo vouches for nothing.
+func (m *SigMemo) Begin(pub, msg []byte) {
+	m.msg, m.pub, m.ok = guid.FromData(msg), guid.FromData(pub), false
+}
+
+// End completes Begin with the signature produced over its statement,
+// which verifies by construction.
+func (m *SigMemo) End(sig []byte) {
+	m.sig, m.ok = guid.FromData(sig), true
+}
+
+// Verify is VerifySig through the memo; hit reports that the memo
+// answered and Ed25519 did not run.
+func (m *SigMemo) Verify(pub, msg, sig []byte) (ok, hit bool) {
+	now := SigMemo{guid.FromData(msg), guid.FromData(pub), guid.FromData(sig), true}
+	if *m == now {
+		return true, true
+	}
+	if !VerifySig(pub, msg, sig) {
+		return false, false
+	}
+	*m = now
+	return true, false
+}
 
 // ---- Reader restriction: key ring ----
 

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/ed25519"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"oceanstore/internal/par"
 )
 
 func TestBlockCipherRoundTrip(t *testing.T) {
@@ -120,6 +124,129 @@ func TestSignerSignVerify(t *testing.T) {
 	}
 	if VerifySig(s.Public(), msg, sig[:10]) {
 		t.Fatal("malformed signature accepted")
+	}
+}
+
+// countingEntropy yields 1, 2, 3, ... and so counts its draws.
+type countingEntropy struct{ n uint64 }
+
+func (c *countingEntropy) Uint64() uint64 { c.n++; return c.n }
+
+// TestSignerSeedDrawnAtConstruction: NewSigner takes its four words
+// from the entropy source at once — the kernel RNG's sequence cannot
+// depend on which signers ever sign — and derives nothing until asked.
+// The pair it then derives is Ed25519's for that seed.
+func TestSignerSeedDrawnAtConstruction(t *testing.T) {
+	src := &countingEntropy{}
+	created0, derived0 := SignerStats()
+	const n = 50
+	signers := make([]*Signer, n)
+	for i := range signers {
+		signers[i] = NewSigner(src)
+		if want := uint64(4 * (i + 1)); src.n != want {
+			t.Fatalf("after %d signers the source has been drawn %d times, want %d", i+1, src.n, want)
+		}
+	}
+	if created, derived := SignerStats(); created-created0 != n || derived != derived0 {
+		t.Fatalf("stats after construction: +%d created, +%d derived", created-created0, derived-derived0)
+	}
+	for i, s := range signers {
+		var seed [ed25519.SeedSize]byte
+		for w := 0; w < 4; w++ {
+			binary.BigEndian.PutUint64(seed[8*w:], uint64(4*i+w+1))
+		}
+		want := ed25519.NewKeyFromSeed(seed[:]).Public().(ed25519.PublicKey)
+		if !bytes.Equal(s.Public(), want) {
+			t.Fatalf("signer %d: public key is not NewKeyFromSeed(seed).Public()", i)
+		}
+	}
+	if src.n != 4*n {
+		t.Fatalf("deriving keys drew from the source: %d draws", src.n)
+	}
+	if _, derived := SignerStats(); derived-derived0 != n {
+		t.Fatalf("%d keys counted derived, want %d", derived-derived0, n)
+	}
+	// Golden bytes, taken from the eager implementation this replaced:
+	// the seed 00..01 00..02 00..03 00..04.
+	const goldenPub = "e4e2e4de674ba1c9043e8bf2afb5ad838b86bc223353c6b3cddb4728caaeae17"
+	const goldenSig = "5ee1e8e0d6f355337edb7cf4617b03bb3eba1a9dd40198393ac7da0760eb7d0d" +
+		"523e186f8042d80bc70db5847b8c5c2ef9de790ee2eb9b48c27b12d1713e8709"
+	if got := hex.EncodeToString(signers[0].Public()); got != goldenPub {
+		t.Fatalf("public key %s, want %s", got, goldenPub)
+	}
+	if got := hex.EncodeToString(signers[0].Sign([]byte("oceanstore"))); got != goldenSig {
+		t.Fatalf("signature %s, want %s", got, goldenSig)
+	}
+}
+
+// TestSignerFirstUseOnHelper: a signer nobody has used yet is handed
+// to par's helper, which derives the pair, while the caller asks for
+// the public key.  Run under -race (make race-par) this is the check
+// that first use is safe from either side.
+func TestSignerFirstUseOnHelper(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	msg := []byte("tentative update")
+	for i := 0; i < 100; i++ {
+		s := NewSigner(r)
+		task := par.Start(func() []byte { return s.Sign(msg) })
+		pub, id := s.Public(), s.GUID()
+		if !VerifySig(pub, msg, task.Wait()) {
+			t.Fatalf("signer %d: helper's signature does not verify under the caller's key", i)
+		}
+		if !bytes.Equal(s.Sign(msg), task.Wait()) || id != s.GUID() {
+			t.Fatalf("signer %d: caller and helper disagree", i)
+		}
+	}
+}
+
+// TestSigMemoNeverChangesAVerdict: the memo answers only for the exact
+// triple it was seeded with or has fully verified; every other input
+// gets VerifySig's own answer, and a rejection leaves it as it was.
+func TestSigMemoNeverChangesAVerdict(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	s, other := NewSigner(r), NewSigner(r)
+	msg := []byte("owner says use ACL x for object foo")
+	sig := s.Sign(msg)
+	flipped := func(b []byte) []byte { c := bytes.Clone(b); c[3] ^= 0x10; return c }
+
+	var cold SigMemo
+	if ok, hit := cold.Verify(s.Public(), msg, flipped(sig)); ok || hit || cold != (SigMemo{}) {
+		t.Fatal("empty memo accepted or remembered a bad signature")
+	}
+	if ok, hit := cold.Verify(s.Public(), msg, sig); !ok || hit {
+		t.Fatalf("empty memo, valid triple: ok=%v hit=%v, want a full successful check", ok, hit)
+	}
+	if ok, hit := cold.Verify(s.Public(), msg, sig); !ok || !hit {
+		t.Fatal("a verified triple was not remembered")
+	}
+
+	var seeded SigMemo
+	seeded.Begin(s.Public(), msg)
+	if ok, hit := seeded.Verify(s.Public(), msg, sig); !ok || hit {
+		t.Fatal("a memo begun but not ended answered for the triple")
+	}
+	seeded = SigMemo{}
+	seeded.Begin(s.Public(), msg)
+	seeded.End(sig)
+	if seeded != cold {
+		t.Fatal("seeding and verifying the same triple leave different memos")
+	}
+	for name, in := range map[string][3][]byte{
+		"statement": {s.Public(), flipped(msg), sig},
+		"key":       {flipped(s.Public()), msg, sig},
+		"other key": {other.Public(), msg, sig},
+		"signature": {s.Public(), msg, flipped(sig)},
+	} {
+		before := seeded
+		if ok, hit := seeded.Verify(in[0], in[1], in[2]); ok || hit {
+			t.Fatalf("tampered %s: ok=%v hit=%v", name, ok, hit)
+		}
+		if seeded != before {
+			t.Fatalf("tampered %s: the rejection changed the memo", name)
+		}
+	}
+	if ok, hit := seeded.Verify(s.Public(), msg, sig); !ok || !hit {
+		t.Fatal("the seeded triple no longer hits after rejections")
 	}
 }
 

@@ -13,6 +13,10 @@
 // The worker budget is GOMAXPROCS at call time, so `go test -cpu
 // 1,2,4` sweeps the pool width and procs=1 takes the serial fallback
 // (no goroutines, no channels — zero overhead over a plain loop).
+//
+// Start/Task.Wait (task.go) is the same contract stretched over time:
+// one leaf computation forked now and joined when its result is first
+// needed, with the caller working in between.
 package par
 
 import (

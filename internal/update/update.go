@@ -30,6 +30,7 @@ import (
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
+	"oceanstore/internal/par"
 )
 
 // PredicateKind enumerates the server-computable predicates of §4.4.3.
@@ -208,10 +209,12 @@ type Update struct {
 	PubKey []byte
 	Sig    []byte
 
-	// Verification memo (see VerifySig): digests of the last
-	// successfully verified statement, key, and signature.
-	memoMsg, memoPub, memoSig guid.GUID
-	memoOK                    bool
+	// memo remembers the last statement, key and signature known to
+	// verify (see VerifySig).
+	memo crypt.SigMemo
+	// signing is the signature StartSign set going and nothing has
+	// needed yet; resolve joins it into Sig and the memo.
+	signing *par.Task[[]byte]
 }
 
 // ID names the update globally.
@@ -262,16 +265,54 @@ func (u *Update) signedBytes() []byte {
 	return buf
 }
 
-// Sign signs the update with the client's key and records the key.
-// The verification memo is seeded here: a freshly produced signature
-// verifies by construction, so the first server-side VerifySig costs
-// three hashes.  Any post-signing tamper changes a digest and falls
-// back to the full ed25519 check.
+// Sign signs the update with the client's key and records the key; on
+// return Sig is set.  The verification memo is seeded here: a freshly
+// produced signature verifies by construction, so the first
+// server-side VerifySig costs three hashes.  Any post-signing tamper
+// changes a digest and falls back to the full ed25519 check.
 func (u *Update) Sign(s *crypt.Signer) {
-	u.PubKey = s.Public()
+	u.endSign(s.Sign(u.beginSign(s)))
+}
+
+// StartSign is Sign with the Ed25519 computed by par's helper instead
+// of the caller: the statement and key are snapshotted and digested
+// here, and whoever first needs the signature (VerifySig) joins.  Sig
+// stays nil until then; WireSize already counts it.
+//
+// Nothing observable depends on when the join happens: the signature
+// is a pure function of (key, statement) — Ed25519 is deterministic,
+// RFC 8032 §5.1.6 — and the statement signed is the one snapshotted
+// here.  A field changed between start and join therefore gets no
+// cover from the memo: VerifySig digests the statement as it then
+// stands, misses, and the full check fails against a signature over
+// the old one, exactly as it would had Sign run to completion first.
+func (u *Update) StartSign(s *crypt.Signer) {
+	msg := u.beginSign(s)
+	u.signing = par.Start(func() []byte { return s.Sign(msg) })
+}
+
+// beginSign records the key, forgets any earlier signature, and
+// returns the statement to sign, already begun in the memo.
+func (u *Update) beginSign(s *crypt.Signer) []byte {
+	u.PubKey = s.Public() // derives the pair here, never on the helper
 	msg := u.signedBytes()
-	u.Sig = s.Sign(msg)
-	u.memoMsg, u.memoPub, u.memoSig, u.memoOK = guid.FromData(msg), guid.FromData(u.PubKey), guid.FromData(u.Sig), true
+	u.Sig, u.signing = nil, nil
+	u.memo.Begin(u.PubKey, msg)
+	return msg
+}
+
+// endSign installs the signature over beginSign's statement.
+func (u *Update) endSign(sig []byte) {
+	u.Sig = sig
+	u.memo.End(sig)
+}
+
+// resolve joins a signature StartSign left running.
+func (u *Update) resolve() {
+	if t := u.signing; t != nil {
+		u.signing = nil
+		u.endSign(t.Wait())
+	}
 }
 
 // VerifySig checks the update's signature; writer authorisation against
@@ -284,24 +325,20 @@ func (u *Update) Sign(s *crypt.Signer) {
 // the update, key, or signature changes a digest and forces the full
 // check.  Failures are never cached.
 func (u *Update) VerifySig() bool {
-	msg := u.signedBytes()
-	mh := guid.FromData(msg)
-	ph := guid.FromData(u.PubKey)
-	sh := guid.FromData(u.Sig)
-	if u.memoOK && u.memoMsg == mh && u.memoPub == ph && u.memoSig == sh {
-		return true
-	}
-	if crypt.VerifySig(u.PubKey, msg, u.Sig) {
-		u.memoMsg, u.memoPub, u.memoSig, u.memoOK = mh, ph, sh, true
-		return true
-	}
-	return false
+	u.resolve()
+	ok, _ := u.memo.Verify(u.PubKey, u.signedBytes(), u.Sig)
+	return ok
 }
 
 // WireSize estimates the update's total bytes on the wire — the u term
-// of the paper's Figure 6 cost model.
+// of the paper's Figure 6 cost model.  It does not join a signature
+// still being computed: every Ed25519 signature is the same length.
 func (u *Update) WireSize() int {
-	n := guid.Size*2 + 8 + 8 + len(u.PubKey) + len(u.Sig)
+	sig := len(u.Sig)
+	if u.signing != nil {
+		sig = crypt.SignatureSize
+	}
+	n := guid.Size*2 + 8 + 8 + len(u.PubKey) + sig
 	for _, g := range u.Guards {
 		for _, p := range g.Preds {
 			n += p.wireSize()
