@@ -24,6 +24,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
@@ -34,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"oceanstore/internal/obs"
 	"oceanstore/internal/par"
@@ -139,9 +141,28 @@ func (o *obsink) merge(c *obsink) {
 }
 
 // obsOut is where collected observability goes at the end of a run.
+// Both outputs are buffered — a registry dump is hundreds of thousands
+// of lines — and flush drains the buffers after every section, so a
+// section lands after the report it belongs to when an output shares
+// stdout with it, and a full disk fails the section that hit it.
 type obsOut struct {
-	metricsW io.Writer
-	traceW   io.Writer
+	metricsW *bufio.Writer
+	traceW   *bufio.Writer
+}
+
+// sinkBuffer is the write size the outputs reach the OS in.
+const sinkBuffer = 1 << 20
+
+// newObsOut buffers the enabled outputs; a nil writer disables one.
+func newObsOut(metrics, trace io.Writer) *obsOut {
+	oo := &obsOut{}
+	if metrics != nil {
+		oo.metricsW = bufio.NewWriterSize(metrics, sinkBuffer)
+	}
+	if trace != nil {
+		oo.traceW = bufio.NewWriterSize(trace, sinkBuffer)
+	}
+	return oo
 }
 
 // mk creates a fresh per-seed sink matching the enabled outputs, or
@@ -160,18 +181,43 @@ func (o *obsOut) mk() *obsink {
 	return ob
 }
 
+// countingWriter measures a dump on its way into the sink buffer.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
 // flush writes one seed's collected metrics and trace.  Metrics become
 // Benchmark lines under obs/<experiment>/s<seed>/...; the trace is a
-// JSONL stream prefixed with one header object per seed section.
+// JSONL stream prefixed with one header object per seed section.  What
+// the dump cost goes to stderr as the obs: rail, beside the soak's mem:,
+// kernel: and crypto: — host facts, so never stdout or -metrics:
+// "snapshot" is putting the registry in dump order, "write" formatting
+// it through the sink buffer to the OS.
 func (o *obsOut) flush(exp string, seed int64, ob *obsink) error {
 	if o == nil || ob == nil {
 		return nil
 	}
 	if o.metricsW != nil && ob.reg != nil {
 		prefix := "obs/" + exp + "/s" + strconv.FormatInt(seed, 10)
-		if err := ob.reg.WriteBench(o.metricsW, prefix); err != nil {
+		t0 := time.Now()
+		series, families := ob.reg.Order()
+		t1 := time.Now()
+		cw := &countingWriter{w: o.metricsW}
+		if err := ob.reg.WriteBench(cw, prefix); err != nil {
 			return err
 		}
+		if err := o.metricsW.Flush(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "obs: %d series in %d families, snapshot %.1f ms, write %.1f ms, %.2f MB\n",
+			series, families, t1.Sub(t0).Seconds()*1e3, time.Since(t1).Seconds()*1e3, float64(cw.n)/(1<<20))
 	}
 	if o.traceW != nil && ob.tr != nil {
 		if _, err := fmt.Fprintf(o.traceW, "{\"exp\":%q,\"seed\":%d,\"events\":%d,\"dropped\":%d}\n",
@@ -179,6 +225,9 @@ func (o *obsOut) flush(exp string, seed int64, ob *obsink) error {
 			return err
 		}
 		if err := ob.tr.WriteJSONL(o.traceW); err != nil {
+			return err
+		}
+		if err := o.traceW.Flush(); err != nil {
 			return err
 		}
 	}
@@ -241,14 +290,16 @@ func runOne(e experiment, base int64, nSeeds int, oo *obsOut) {
 }
 
 // openSinks opens the -metrics/-trace outputs.  "-" selects stdout.
-func openSinks(metricsPath, tracePath string) (*obsOut, func(), error) {
-	if metricsPath == "" && tracePath == "" {
-		return nil, func() {}, nil
-	}
-	oo := &obsOut{}
-	var files []*os.File
+// The returned function closes the files it opened; flush has already
+// drained the buffers, so an error here is the file system refusing the
+// last of a dump the run reported as written.
+func openSinks(metricsPath, tracePath string) (*obsOut, func() error, error) {
+	var files []io.Closer
 	open := func(p string) (io.Writer, error) {
-		if p == "-" {
+		switch p {
+		case "":
+			return nil, nil
+		case "-":
 			return os.Stdout, nil
 		}
 		f, err := os.Create(p)
@@ -258,22 +309,31 @@ func openSinks(metricsPath, tracePath string) (*obsOut, func(), error) {
 		files = append(files, f)
 		return f, nil
 	}
-	var err error
-	if metricsPath != "" {
-		if oo.metricsW, err = open(metricsPath); err != nil {
-			return nil, nil, err
+	closeFiles := func() error { return closeAll(files) }
+	metrics, err := open(metricsPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	trace, err := open(tracePath)
+	if err != nil {
+		closeFiles()
+		return nil, nil, err
+	}
+	if metrics == nil && trace == nil {
+		return nil, closeFiles, nil
+	}
+	return newObsOut(metrics, trace), closeFiles, nil
+}
+
+// closeAll closes every sink and returns the first error.
+func closeAll(sinks []io.Closer) error {
+	var first error
+	for _, c := range sinks {
+		if err := c.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
-	if tracePath != "" {
-		if oo.traceW, err = open(tracePath); err != nil {
-			return nil, nil, err
-		}
-	}
-	return oo, func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}, nil
+	return first
 }
 
 // startProfiles begins CPU profiling and arranges a heap dump; the
@@ -380,7 +440,9 @@ func main() {
 		}
 	}
 	stopProfiles()
-	closeSinks()
+	if err := closeSinks(); err != nil {
+		fail("closing the -metrics/-trace outputs: %v", err)
+	}
 	if runFailed.Load() {
 		os.Exit(1)
 	}

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -60,7 +64,7 @@ func TestSingleSeedMatchesSweepMember(t *testing.T) {
 func obsDump(t *testing.T, e experiment, base int64, nSeeds int) (metrics, trace []byte) {
 	t.Helper()
 	var mbuf, tbuf bytes.Buffer
-	oo := &obsOut{metricsW: &mbuf, traceW: &tbuf}
+	oo := newObsOut(&mbuf, &tbuf)
 	outs, sinks := seedOutputs(e, base, nSeeds, oo.mk)
 	for i := range outs {
 		if err := oo.flush(e.name, base+int64(i), sinks[i]); err != nil {
@@ -117,9 +121,82 @@ func TestInstrumentationInert(t *testing.T) {
 		}
 	}
 	bare, _ := seedOutputs(e, 7, 1, nil)
-	oo := &obsOut{metricsW: &bytes.Buffer{}, traceW: &bytes.Buffer{}}
+	oo := newObsOut(&bytes.Buffer{}, &bytes.Buffer{})
 	instrumented, _ := seedOutputs(e, 7, 1, oo.mk)
 	if !bytes.Equal(bare[0], instrumented[0]) {
 		t.Fatal("instrumented run produced different experiment output")
+	}
+}
+
+// The seed-1 default soak (256 nodes, 4000 ops, a node bounce a minute)
+// as PR 21 wrote it: registry attached, per-link counters on.
+const (
+	goldenSoakMetrics = "3bf6df0b2e9b90e77ca2c43b6e6e899b45193bc5478ca4136f95654c76d688f5"
+	goldenSoakStdout  = "6043b1732c0cdd24861e7b8f63e7926cc262ba3e727e3fc7ffd4c181c3f518ca"
+)
+
+// TestSoakDumpPinned pins the bytes, not just their stability: the
+// -metrics dump and the report of one small seeded soak must hash to
+// what the map-keyed registry and the string-switching send path
+// produced.  Every host-only change to obs, simnet or the layers in
+// between is licensed by this staying true; a change that means to
+// alter a dump updates the constants and says why.
+func TestSoakDumpPinned(t *testing.T) {
+	e := findExperiment(t, "soak")
+	var mbuf bytes.Buffer
+	oo := newObsOut(&mbuf, nil)
+	outs, sinks := seedOutputs(e, 1, 1, oo.mk)
+	if err := oo.flush(e.name, 1, sinks[0]); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	for _, c := range []struct {
+		what string
+		got  []byte
+		want string
+	}{
+		{"-metrics dump", mbuf.Bytes(), goldenSoakMetrics},
+		{"stdout report", outs[0], goldenSoakStdout},
+	} {
+		sum := sha256.Sum256(c.got)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s changed (%d bytes):\n got  %s\n want %s", c.what, len(c.got), got, c.want)
+		}
+	}
+}
+
+// fullDisk accepts nothing, the way a write(2) onto a full volume does.
+type fullDisk struct{}
+
+func (fullDisk) Write([]byte) (int, error) { return 0, errors.New("injected: no space left on device") }
+
+type failCloser struct{}
+
+func (failCloser) Close() error { return errors.New("injected: close failed") }
+
+// TestMetricsSinkErrorFailsTheRun: the sinks are buffered, so a dump
+// smaller than the buffer meets the disk only when flush drains it, and
+// its last bytes only when the file closes.  Neither error may be
+// swallowed: flush returns the first (runOne exits non-zero on it), and
+// a failed close comes back from the closer.
+func TestMetricsSinkErrorFailsTheRun(t *testing.T) {
+	e := findExperiment(t, "latency")
+	for _, c := range []struct {
+		name           string
+		metrics, trace io.Writer
+	}{
+		{"metrics", fullDisk{}, nil},
+		{"trace", nil, fullDisk{}},
+	} {
+		oo := newObsOut(c.metrics, c.trace)
+		_, sinks := seedOutputs(e, 1, 1, oo.mk)
+		if err := oo.flush(e.name, 1, sinks[0]); err == nil {
+			t.Errorf("%s sink: flush swallowed the write error", c.name)
+		}
+	}
+
+	// main hands a close error to fail(), whose non-zero exit
+	// TestSoakCloseErrorFailsTheRun pins.
+	if err := closeAll([]io.Closer{io.NopCloser(nil), failCloser{}}); err == nil {
+		t.Fatal("closeAll swallowed the close error")
 	}
 }

@@ -27,7 +27,7 @@ func TestDuplicateCommitReturnsLoggedOutcome(t *testing.T) {
 
 	primary, sec := New(v0), New(v0)
 	reg := obs.NewRegistry()
-	sec.Instrument(reg, 4)
+	sec.Instrument(NewFamilies(reg), 4)
 	sec.AddTentative(good) // the client's Fig-5a copy got there first
 	want := make([]update.Outcome, len(serialised))
 	for i, u := range serialised {

@@ -78,23 +78,49 @@ type epiMetrics struct {
 	checkpoints *obs.Counter
 }
 
+// Families is the epidemic layer's counter families on one registry.
+// Every replica of every object reports into the same seven, one series
+// per hosting node, so whoever instruments replicas in bulk (a ring,
+// for its primary state and each secondary) resolves the names once
+// and pays an integer lookup per replica.
+type Families struct {
+	tentative, commits, aborts, dupCommits, replays, expired, checkpoints *obs.CounterFamily
+}
+
+// NewFamilies resolves the layer's families on reg; a nil registry
+// gives nil, which Instrument takes as "detach".
+func NewFamilies(reg *obs.Registry) *Families {
+	if reg == nil {
+		return nil
+	}
+	return &Families{
+		tentative:   reg.CounterFamily("epidemic", "tentative"),
+		commits:     reg.CounterFamily("epidemic", "commits"),
+		aborts:      reg.CounterFamily("epidemic", "aborts"),
+		dupCommits:  reg.CounterFamily("epidemic", "dup_commits"),
+		replays:     reg.CounterFamily("epidemic", "replays"),
+		expired:     reg.CounterFamily("epidemic", "expired"),
+		checkpoints: reg.CounterFamily("epidemic", "checkpoints"),
+	}
+}
+
 // Instrument attaches observability counters keyed to the hosting node.
 // Counts already accumulated in the log are back-filled so a replica
 // instrumented after creation still reports its full history.  Counting
 // never changes replica behaviour.
-func (r *Replica) Instrument(reg *obs.Registry, node int) {
-	if reg == nil {
+func (r *Replica) Instrument(f *Families, node int) {
+	if f == nil {
 		r.om = nil
 		return
 	}
 	r.om = &epiMetrics{
-		tentative:   reg.Counter(node, "epidemic", "tentative"),
-		commits:     reg.Counter(node, "epidemic", "commits"),
-		aborts:      reg.Counter(node, "epidemic", "aborts"),
-		dupCommits:  reg.Counter(node, "epidemic", "dup_commits"),
-		replays:     reg.Counter(node, "epidemic", "replays"),
-		expired:     reg.Counter(node, "epidemic", "expired"),
-		checkpoints: reg.Counter(node, "epidemic", "checkpoints"),
+		tentative:   f.tentative.At(node),
+		commits:     f.commits.At(node),
+		aborts:      f.aborts.At(node),
+		dupCommits:  f.dupCommits.At(node),
+		replays:     f.replays.At(node),
+		expired:     f.expired.At(node),
+		checkpoints: f.checkpoints.At(node),
 	}
 	c, a := r.Log.Counts()
 	r.om.commits.Add(int64(c))
@@ -188,6 +214,7 @@ func (r *Replica) Commit(u *update.Update, now time.Duration) update.Outcome {
 	next, out, err := update.Apply(u, r.base, now)
 	if err == nil && out.Committed {
 		r.base = next
+		out.Result = next.GUID()
 	}
 	r.known[id] = dedup{committed: true, out: out}
 	if r.ret.CommitWindow > 0 {

@@ -265,3 +265,34 @@ func TestRandomGossipConverges(t *testing.T) {
 		}
 	}
 }
+
+// TestTentativeReplayDefersTheMerkleRoot: a replay applies updates whose
+// outcome nobody records, so it must not pay for the successor's GUID —
+// a Merkle root over every block — until something asks; Commit, which
+// logs the outcome, still records it, and the two agree.
+func TestTentativeReplayDefersTheMerkleRoot(t *testing.T) {
+	k := testKey(9)
+	v0 := object.NewObject([]byte("base."), 8, k)
+	r := New(v0)
+	u := appendUpdate(t, v0, k, "x", guid.FromData([]byte("c1")), 1, 10)
+	if !r.AddTentative(u) {
+		t.Fatal("add failed")
+	}
+	v := r.TentativeState(0)
+	// Nothing exposes the memo, so ask the hash: flip a ciphertext bit
+	// in place.  A version that had already computed its GUID keeps
+	// reporting the root of the old bytes; one that had not hashes the
+	// flipped ones.
+	ct := v.Blocks[len(v.Blocks)-1].CT
+	ct[0] ^= 1
+	flipped := v.GUID()
+	ct[0] ^= 1
+	v.InvalidateGUID()
+	if flipped == v.GUID() {
+		t.Fatal("the replay hashed a version nobody had asked the GUID of")
+	}
+	out := New(v0).Commit(u, 0)
+	if !out.Committed || out.Result.IsZero() || out.Result != v.GUID() {
+		t.Fatalf("Commit recorded result %v, the replayed version's GUID is %v", out.Result, v.GUID())
+	}
+}

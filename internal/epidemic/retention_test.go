@@ -29,7 +29,7 @@ func TestTentativeExpiry(t *testing.T) {
 	v0 := object.NewObject([]byte("base."), 8, k)
 	r := New(v0)
 	reg := obs.NewRegistry()
-	r.Instrument(reg, 3)
+	r.Instrument(NewFamilies(reg), 3)
 	r.SetRetention(Retention{TentativeExpire: 100})
 	u := appendUpdate(t, v0, k, "x", guid.FromData([]byte("c1")), 1, 10)
 	if !r.AddTentative(u) {
@@ -100,7 +100,7 @@ func TestAntiEntropyCheckpointTransfer(t *testing.T) {
 	a.SetRetention(Retention{CommitWindow: 4})
 	b := New(v0)
 	reg := obs.NewRegistry()
-	b.Instrument(reg, 9)
+	b.Instrument(NewFamilies(reg), 9)
 	commitChain(t, a, 40, 1, 1000)
 	if len(a.committed) >= 40 {
 		t.Fatal("test premise: a must have pruned its window")

@@ -141,8 +141,7 @@ type Ring struct {
 	// (package acl); updates failing it are dropped before agreement.
 	CheckWrite func(*update.Update) error
 
-	obsReg *obs.Registry
-	obsTr  *obs.Tracer
+	obsEpi *epidemic.Families // for secondaries that join later
 	om     *ringMetrics
 }
 
@@ -158,11 +157,11 @@ type ringMetrics struct {
 // it: the Byzantine tier, the authoritative primary state, and every
 // current and future secondary.  Counting never alters behaviour.
 func (r *Ring) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	r.obsReg, r.obsTr = reg, tr
+	r.obsEpi = epidemic.NewFamilies(reg)
 	r.group.Instrument(reg, tr)
-	r.primaryState.Instrument(reg, int(r.primaryNodes[0]))
+	r.primaryState.Instrument(r.obsEpi, int(r.primaryNodes[0]))
 	for _, s := range r.Secondaries() {
-		s.Rep.Instrument(reg, int(s.Node))
+		s.Rep.Instrument(r.obsEpi, int(s.Node))
 	}
 	if reg == nil {
 		r.om = nil
@@ -282,9 +281,7 @@ func (r *Ring) AddSecondary(node simnet.NodeID) (*Secondary, error) {
 	rep.SetRetention(r.cfg.Retention)
 	rep.Log.SetCap(r.cfg.LogCap)
 	sec := &Secondary{Node: node, Rep: rep}
-	if r.obsReg != nil {
-		sec.Rep.Instrument(r.obsReg, int(node))
-	}
+	sec.Rep.Instrument(r.obsEpi, int(node))
 	if r.cfg.Retention == (epidemic.Retention{}) {
 		// Catch up with already-committed history.
 		for _, e := range r.primaryState.Log.Entries() {

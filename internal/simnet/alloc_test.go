@@ -1,9 +1,11 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"oceanstore/internal/obs"
 	"oceanstore/internal/sim"
 )
 
@@ -94,5 +96,78 @@ func TestHandleDemux(t *testing.T) {
 	}
 	if all != 5 {
 		t.Fatalf("Handle chain saw %d messages, want 5", all)
+	}
+}
+
+// TestHandleDemuxSharedWord: the table is keyed by the key's first word
+// alone, so keys that agree there — and kinds that share a key — land in
+// one slot list and must still be told apart; several handlers for one
+// (kind, key) run in registration order.
+func TestHandleDemuxSharedWord(t *testing.T) {
+	k := sim.NewKernel(3)
+	net := New(k, Config{})
+	a := net.AddNode(0, 0).ID
+	b := net.AddNode(0, 0).ID
+	var k1, k2 DemuxKey
+	k1[0], k2[0] = 7, 7
+	k2[19] = 1 // same first word, different key
+	var order []string
+	note := func(s string) Handler { return func(Message) { order = append(order, s) } }
+	net.Node(b).HandleDemux("x", k1, note("x/k1/first"))
+	net.Node(b).HandleDemux("y", k1, note("y/k1"))
+	net.Node(b).HandleDemux("x", k2, note("x/k2"))
+	net.Node(b).HandleDemux("x", k1, note("x/k1/second"))
+	net.Send(a, b, "x", demuxProbe{key: k1}, 8)
+	net.Send(a, b, "x", demuxProbe{key: k2}, 8)
+	net.Send(a, b, "y", demuxProbe{key: k1}, 8)
+	net.Send(a, b, "y", demuxProbe{key: k2}, 8) // registered by nobody
+	k.Run()
+	want := []string{"x/k1/first", "x/k1/second", "x/k2", "y/k1"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order = %v, want %v", order, want)
+	}
+}
+
+// TestLinkCountersAcrossTableGrowth: the link table doubles as links
+// appear; every link's counters must stay reachable through it, a link
+// must never get a second series, and re-attaching the same registry
+// must pick the existing series up rather than shadow them.
+func TestLinkCountersAcrossTableGrowth(t *testing.T) {
+	const nodes = 40 // 1560 directed links: two doublings past the first 1024 slots
+	k := sim.NewKernel(5)
+	net := New(k, Config{})
+	net.AddRandomNodes(nodes, 10, 1)
+	reg := obs.NewRegistry()
+	net.Instrument(reg, nil)
+	round := func() {
+		for from := 0; from < nodes; from++ {
+			for to := 0; to < nodes; to++ {
+				if from != to {
+					net.Send(NodeID(from), NodeID(to), "bulk", nil, 100*from+to)
+				}
+			}
+		}
+		k.Run()
+	}
+	round()
+	series, _ := reg.Order()
+	net.Instrument(reg, nil)
+	round()
+	if again, _ := reg.Order(); again != series {
+		t.Fatalf("re-instrumented run grew the registry from %d to %d series", series, again)
+	}
+	for from := 0; from < nodes; from++ {
+		for to := 0; to < nodes; to++ {
+			want := int64(2 * (100*from + to))
+			if from == to {
+				want = 0
+			}
+			if got := reg.CounterValue(from, "simnet", fmt.Sprintf("link_n%d_bytes", to)); got != want {
+				t.Fatalf("link %d->%d carried %d bytes by its counter, want %d", from, to, got, want)
+			}
+		}
+	}
+	if got := net.KindBytes("bulk"); got != net.Stats().BytesSent || net.KindBytes("none") != 0 {
+		t.Fatalf("KindBytes(bulk) = %d of %d sent; KindBytes(none) = %d", got, net.Stats().BytesSent, net.KindBytes("none"))
 	}
 }

@@ -36,8 +36,11 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"strconv"
 	"time"
 
 	"oceanstore/internal/guid"
@@ -79,11 +82,18 @@ type DemuxKey [20]byte
 // handler calls.
 type Demuxed interface{ Demux() DemuxKey }
 
-// demuxEntry keys a node's demux table.
-type demuxEntry struct {
+// demuxSlot is one (kind, key) registration in a node's demux table.
+// The table is keyed by the key's first word — every layer puts its
+// instance ID's entropy there — so a delivery hashes eight bytes, not a
+// string and twenty, and then compares (kind, key) against the few
+// slots that share the word: one instance's wire kinds.
+type demuxSlot struct {
 	kind string
 	key  DemuxKey
+	hs   []Handler
 }
+
+func (k DemuxKey) word() uint64 { return binary.LittleEndian.Uint64(k[:8]) }
 
 // GlobalHandler consumes messages delivered to any node.  Services
 // that attend every server (the archival store) register one of these
@@ -144,11 +154,23 @@ func (n Node) Handle(h Handler) {
 func (n Node) HandleDemux(kind string, key DemuxKey, h Handler) {
 	dm := n.net.demux[n.ID]
 	if dm == nil {
-		dm = make(map[demuxEntry][]Handler)
+		dm = make(map[uint64][]demuxSlot)
 		n.net.demux[n.ID] = dm
 	}
-	e := demuxEntry{kind: kind, key: key}
-	dm[e] = append(dm[e], h)
+	slots := dm[key.word()]
+	for i := range slots {
+		if slots[i].kind == kind && slots[i].key == key {
+			slots[i].hs = append(slots[i].hs, h)
+			return
+		}
+	}
+	// Grown to the exact size: a node serving thousands of instances
+	// keeps a list per instance, and append's doubling would leave most
+	// of them half empty.
+	grown := make([]demuxSlot, len(slots)+1)
+	copy(grown, slots)
+	grown[len(slots)] = demuxSlot{kind: kind, key: key, hs: []Handler{h}}
+	dm[key.word()] = grown
 }
 
 // Config sets the link model of a Network.
@@ -234,7 +256,7 @@ type Network struct {
 	// demux holds per-node (kind, instance-key) handler tables for the
 	// O(1) dispatch path (HandleDemux); nil for nodes that only use the
 	// plain handler chain.
-	demux []map[demuxEntry][]Handler
+	demux []map[uint64][]demuxSlot
 
 	// global handlers fire for every delivered message, before the
 	// per-node handlers.
@@ -246,6 +268,12 @@ type Network struct {
 	byAddr map[guid.GUID]NodeID
 
 	stats Stats
+	// kindBytes accumulates Stats.ByKind: a run has a couple of dozen
+	// wire kinds, all string constants, so Send scans this slice (a
+	// length compare, then a pointer compare) instead of hashing the
+	// kind per message; stats.ByKind itself stays nil and Stats()
+	// materialises the map.
+	kindBytes []kindCount
 	// snapByKind/snapRetries are the reusable map payloads handed out
 	// by Stats() — the snapshot path allocates nothing in steady state.
 	snapByKind  map[string]int64
@@ -273,70 +301,132 @@ type Network struct {
 	nextMsgID uint64
 }
 
+// event is a network-level event.  The trace sinks want its name; the
+// send path wants to count it without comparing strings.
+type event uint8
+
+const (
+	evSend event = iota
+	evDeliver
+	evDropCrash
+	evDropPartition
+	evDropFault
+	evDropLoss
+	evDropNoHandler
+	evCrash
+	evRecover
+	numEvents
+)
+
+// eventNames are the TraceEvent.Event / obs.Event.Event strings;
+// eventCounters the node-wide registry counter each event bumps.
+var (
+	eventNames = [numEvents]string{
+		"send", "deliver", "drop-crash", "drop-partition", "drop-fault",
+		"drop-loss", "drop-nohandler", "crash", "recover",
+	}
+	eventCounters = [numEvents]string{
+		"msgs_sent", "msgs_delivered", "drop_crash", "drop_partition", "drop_fault",
+		"drop_loss", "drop_nohandler", "crashes", "recoveries",
+	}
+)
+
+func (e event) isDrop() bool { return e >= evDropCrash && e <= evDropNoHandler }
+
 // netMetrics caches the network's obs handles so the per-message path
 // never does a map lookup for the aggregate counters.  Per-link
 // counters are created lazily on first traffic over the link.
 type netMetrics struct {
-	reg                                                          *obs.Registry
-	sent, delivered, bytes                                       *obs.Counter
-	dropCrash, dropPartition, dropFault, dropLoss, dropNoHandler *obs.Counter
-	crashes, recoveries, retries                                 *obs.Counter
-	// links is the per-link counter table: one map keyed by the packed
-	// (from, to) pair, pre-sized on first traffic to the world's
-	// expected live link set, instead of one lazy map per sender — no
-	// spine of 100k map headers, and no rehash storm while it fills.
-	links       map[uint64]*linkMetrics
-	kindRetries map[string]*obs.Counter
-	// linkNames interns the per-destination metric names ("link_n7_bytes"),
-	// which depend only on the destination: with per-link cardinality the
-	// same strings would otherwise be re-formatted for every (from, to)
-	// pair that shares a destination.
-	linkNames map[NodeID]linkNamePair
+	reg            *obs.Registry
+	events         [numEvents]*obs.Counter
+	bytes, retries *obs.Counter
+	links          linkTable
+	kindRetries    map[string]*obs.Counter
+	// linkFams holds, per destination, the two families its links'
+	// counters live in ("link_n7_bytes", "link_n7_drops"): the names
+	// depend only on the destination, so they are formatted and interned
+	// once, and a new link into it costs two appends to those families.
+	linkFams []linkFamilies
 }
 
-type linkNamePair struct{ bytes, drops string }
-
-// linkName returns the interned metric-name pair for a destination.
-func (m *netMetrics) linkName(to NodeID) linkNamePair {
-	if p, ok := m.linkNames[to]; ok {
-		return p
-	}
-	p := linkNamePair{
-		bytes: fmt.Sprintf("link_n%d_bytes", to),
-		drops: fmt.Sprintf("link_n%d_drops", to),
-	}
-	m.linkNames[to] = p
-	return p
-}
+type linkFamilies struct{ bytes, drops *obs.CounterFamily }
 
 type linkMetrics struct {
 	bytes, drops *obs.Counter
+}
+
+// linkTable finds a link's counters from the packed (from, to) pair: one
+// open-addressed array with the handles inline, probed once per send.
+// One table for the world rather than one per sender — no spine of 100k
+// headers — and a hit costs a multiply, one cache line of slots and the
+// counter itself, where a generic map walks a directory, a control
+// word and a slot to reach a pointer to the pair.
+type linkTable struct {
+	slots []linkSlot // length a power of two; a slot is free while bytes == nil
+	used  int
+	shift uint // 64 - log2(len(slots))
+}
+
+type linkSlot struct {
+	key uint64
+	linkMetrics
 }
 
 func linkKey(from, to NodeID) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
+// slot returns the slot holding key, or the free slot where it belongs.
+func (t *linkTable) slot(key uint64) *linkSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := key * 0x9E3779B97F4A7C15 >> t.shift; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.bytes == nil || s.key == key {
+			return s
+		}
+	}
+}
+
+// reserve makes room for one more link, keeping the table under half
+// full so probe sequences stay within a cache line or two.  It may move
+// every slot.
+func (t *linkTable) reserve() {
+	if 2*(t.used+1) <= len(t.slots) {
+		return
+	}
+	old := t.slots
+	t.slots = make([]linkSlot, max(2*len(old), 1024))
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(t.slots))))
+	for _, s := range old {
+		if s.bytes != nil {
+			*t.slot(s.key) = s
+		}
+	}
+}
+
 // link resolves (lazily creating) the per-link counters for from→to.
 // Names encode the destination, so Key.Node carries the source: the
 // pair answers "bytes/drops per link" (§5's per-flow observation).
-func (n *Network) link(from, to NodeID) *linkMetrics {
+func (n *Network) link(from, to NodeID) linkMetrics {
 	m := n.om
-	if m.links == nil {
-		// Pre-size to the expected working set: a few live links per node.
-		m.links = make(map[uint64]*linkMetrics, 4*(len(n.addrs)+1))
-	}
 	key := linkKey(from, to)
-	lm, ok := m.links[key]
-	if !ok {
-		names := m.linkName(to)
-		lm = &linkMetrics{
-			bytes: m.reg.Counter(int(from), "simnet", names.bytes),
-			drops: m.reg.Counter(int(from), "simnet", names.drops),
+	s := m.links.slot(key)
+	if s.bytes == nil {
+		if int(to) >= len(m.linkFams) {
+			m.linkFams = append(m.linkFams, make([]linkFamilies, len(n.addrs)-len(m.linkFams))...)
 		}
-		m.links[key] = lm
+		fams := &m.linkFams[to]
+		if fams.bytes == nil {
+			name := strconv.AppendInt([]byte("link_n"), int64(to), 10)
+			fams.bytes = m.reg.CounterFamily("simnet", string(append(name, "_bytes"...)))
+			fams.drops = m.reg.CounterFamily("simnet", string(append(name, "_drops"...)))
+		}
+		lm := linkMetrics{bytes: fams.bytes.At(int(from)), drops: fams.drops.At(int(from))}
+		m.links.reserve()
+		s = m.links.slot(key)
+		*s = linkSlot{key, lm}
+		m.links.used++
 	}
-	return lm
+	return s.linkMetrics
 }
 
 // Instrument attaches an obs registry and/or tracer to the network.
@@ -350,21 +440,15 @@ func (n *Network) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		return
 	}
 	n.om = &netMetrics{
-		reg:           reg,
-		sent:          reg.Counter(obs.NodeWide, "simnet", "msgs_sent"),
-		delivered:     reg.Counter(obs.NodeWide, "simnet", "msgs_delivered"),
-		bytes:         reg.Counter(obs.NodeWide, "simnet", "bytes_sent"),
-		dropCrash:     reg.Counter(obs.NodeWide, "simnet", "drop_crash"),
-		dropPartition: reg.Counter(obs.NodeWide, "simnet", "drop_partition"),
-		dropFault:     reg.Counter(obs.NodeWide, "simnet", "drop_fault"),
-		dropLoss:      reg.Counter(obs.NodeWide, "simnet", "drop_loss"),
-		dropNoHandler: reg.Counter(obs.NodeWide, "simnet", "drop_nohandler"),
-		crashes:       reg.Counter(obs.NodeWide, "simnet", "crashes"),
-		recoveries:    reg.Counter(obs.NodeWide, "simnet", "recoveries"),
-		retries:       reg.Counter(obs.NodeWide, "simnet", "retries"),
-		kindRetries:   make(map[string]*obs.Counter),
-		linkNames:     make(map[NodeID]linkNamePair),
+		reg:         reg,
+		bytes:       reg.Counter(obs.NodeWide, "simnet", "bytes_sent"),
+		retries:     reg.Counter(obs.NodeWide, "simnet", "retries"),
+		kindRetries: make(map[string]*obs.Counter),
 	}
+	for ev, name := range eventCounters {
+		n.om.events[ev] = reg.Counter(obs.NodeWide, "simnet", name)
+	}
+	n.om.links.reserve()
 }
 
 // New creates an empty network over kernel k.
@@ -378,7 +462,22 @@ func New(k *sim.Kernel, cfg Config) *Network {
 }
 
 func newStats() Stats {
-	return Stats{ByKind: make(map[string]int64), RetriesByKind: make(map[string]int)}
+	return Stats{RetriesByKind: make(map[string]int)}
+}
+
+type kindCount struct {
+	kind  string
+	bytes int64
+}
+
+func (n *Network) addKindBytes(kind string, size int64) {
+	for i := range n.kindBytes {
+		if n.kindBytes[i].kind == kind {
+			n.kindBytes[i].bytes += size
+			return
+		}
+	}
+	n.kindBytes = append(n.kindBytes, kindCount{kind, size})
 }
 
 // AddNode places a node at (x, y) and returns it.  The node's GUID is
@@ -498,43 +597,24 @@ func (n *Network) HandleAll(h GlobalHandler) {
 	n.global = append(n.global, h)
 }
 
-func (n *Network) emit(ev string, m Message) {
+func (n *Network) emit(ev event, m Message) {
 	if n.trace != nil {
-		n.trace(TraceEvent{Time: n.K.Now(), From: m.From, To: m.To, Kind: m.Kind, Size: m.Size, Event: ev})
+		n.trace(TraceEvent{Time: n.K.Now(), From: m.From, To: m.To, Kind: m.Kind, Size: m.Size, Event: eventNames[ev]})
 	}
 	if n.otr != nil {
 		n.otr.Emit(obs.Event{
 			T: int64(n.K.Now()), Node: int(m.From), Peer: int(m.To),
-			Layer: "simnet", Event: ev, ID: m.ID, Kind: m.Kind, Bytes: m.Size,
+			Layer: "simnet", Event: eventNames[ev], ID: m.ID, Kind: m.Kind, Bytes: m.Size,
 		})
 	}
 	if om := n.om; om != nil {
-		switch ev {
-		case "send":
-			om.sent.Inc()
+		om.events[ev].Inc()
+		switch {
+		case ev == evSend:
 			om.bytes.Add(int64(m.Size))
 			n.link(m.From, m.To).bytes.Add(int64(m.Size))
-		case "deliver":
-			om.delivered.Inc()
-		case "drop-crash":
-			om.dropCrash.Inc()
+		case ev.isDrop():
 			n.link(m.From, m.To).drops.Inc()
-		case "drop-partition":
-			om.dropPartition.Inc()
-			n.link(m.From, m.To).drops.Inc()
-		case "drop-fault":
-			om.dropFault.Inc()
-			n.link(m.From, m.To).drops.Inc()
-		case "drop-loss":
-			om.dropLoss.Inc()
-			n.link(m.From, m.To).drops.Inc()
-		case "drop-nohandler":
-			om.dropNoHandler.Inc()
-			n.link(m.From, m.To).drops.Inc()
-		case "crash":
-			om.crashes.Inc()
-		case "recover":
-			om.recoveries.Inc()
 		}
 	}
 }
@@ -550,7 +630,7 @@ func (n *Network) Crash(id NodeID) {
 	n.down[id] = true
 	n.partition[id] = 0
 	n.stats.Crashes++
-	n.emit("crash", Message{From: id, To: id})
+	n.emit(evCrash, Message{From: id, To: id})
 	for _, fn := range n.liveness {
 		fn(id, false)
 	}
@@ -565,7 +645,7 @@ func (n *Network) Recover(id NodeID) {
 	}
 	n.down[id] = false
 	n.stats.Recoveries++
-	n.emit("recover", Message{From: id, To: id})
+	n.emit(evRecover, Message{From: id, To: id})
 	for _, fn := range n.liveness {
 		fn(id, true)
 	}
@@ -641,18 +721,18 @@ func (n *Network) Send(from, to NodeID, kind string, payload any, size int) {
 		// visible in the crash-drop counter.
 		n.stats.MessagesDropped++
 		n.stats.DroppedByCrash++
-		n.emit("drop-crash", msg)
+		n.emit(evDropCrash, msg)
 		return
 	}
 	n.stats.MessagesSent++
 	n.stats.BytesSent += int64(size)
-	n.stats.ByKind[kind] += int64(size)
-	n.emit("send", msg)
+	n.addKindBytes(kind, int64(size))
+	n.emit(evSend, msg)
 
 	if n.partition[from] != n.partition[to] {
 		n.stats.MessagesDropped++
 		n.stats.DroppedByPartition++
-		n.emit("drop-partition", msg)
+		n.emit(evDropPartition, msg)
 		return
 	}
 	var extra time.Duration
@@ -661,7 +741,7 @@ func (n *Network) Send(from, to NodeID, kind string, payload any, size int) {
 		if drop {
 			n.stats.MessagesDropped++
 			n.stats.DroppedByFault++
-			n.emit("drop-fault", msg)
+			n.emit(evDropFault, msg)
 			return
 		}
 		extra = delay
@@ -669,7 +749,7 @@ func (n *Network) Send(from, to NodeID, kind string, payload any, size int) {
 	if n.cfg.DropProb > 0 && n.K.Rand().Float64() < n.cfg.DropProb {
 		n.stats.MessagesDropped++
 		n.stats.DroppedByLoss++
-		n.emit("drop-loss", msg)
+		n.emit(evDropLoss, msg)
 		return
 	}
 	lat := n.Latency(from, to) + extra
@@ -713,12 +793,8 @@ func (n *Network) enqueue(m Message, due time.Duration) {
 // unhooked before delivery: a handler that sends a zero-latency
 // message back onto the same tick opens a fresh batch whose event
 // runs later in the tick, after everything already queued for it.
-func (n *Network) flushBatch(due time.Duration) {
-	b := n.batches[due]
-	if b == nil {
-		return
-	}
-	delete(n.batches, due)
+func (n *Network) flushBatch(b *msgBatch) {
+	delete(n.batches, b.due)
 	for i := range b.msgs {
 		n.Deliver(b.msgs[i])
 	}
@@ -735,7 +811,7 @@ func (n *Network) getBatch() *msgBatch {
 		return b
 	}
 	b := &msgBatch{}
-	b.flush = func() { n.flushBatch(b.due) }
+	b.flush = func() { n.flushBatch(b) }
 	return b
 }
 
@@ -757,7 +833,7 @@ func (n *Network) Deliver(m Message) bool {
 	if n.down[m.To] {
 		n.stats.MessagesDropped++
 		n.stats.DroppedByCrash++
-		n.emit("drop-crash", m)
+		n.emit(evDropCrash, m)
 		return false
 	}
 	hs := n.handlers[m.To]
@@ -765,18 +841,25 @@ func (n *Network) Deliver(m Message) bool {
 	if len(hs) == 0 && len(n.global) == 0 && len(dm) == 0 {
 		n.stats.MessagesDropped++
 		n.stats.DroppedNoHandler++
-		n.emit("drop-nohandler", m)
+		n.emit(evDropNoHandler, m)
 		return false
 	}
 	n.stats.MessagesDelivered++
-	n.emit("deliver", m)
+	n.emit(evDeliver, m)
 	for _, g := range n.global {
 		g(m.To, m)
 	}
 	if len(dm) > 0 {
 		if d, ok := m.Payload.(Demuxed); ok {
-			for _, h := range dm[demuxEntry{kind: m.Kind, key: d.Demux()}] {
-				h(m)
+			key := d.Demux()
+			slots := dm[key.word()]
+			for i := range slots {
+				if slots[i].kind == m.Kind && slots[i].key == key {
+					for _, h := range slots[i].hs {
+						h(m)
+					}
+					break
+				}
 			}
 		}
 	}
@@ -793,12 +876,12 @@ func (n *Network) Deliver(m Message) bool {
 func (n *Network) Stats() Stats {
 	s := n.stats
 	if n.snapByKind == nil {
-		n.snapByKind = make(map[string]int64, len(n.stats.ByKind))
+		n.snapByKind = make(map[string]int64, len(n.kindBytes))
 		n.snapRetries = make(map[string]int, len(n.stats.RetriesByKind))
 	}
 	clear(n.snapByKind)
-	for k, v := range n.stats.ByKind {
-		n.snapByKind[k] = v
+	for _, kc := range n.kindBytes {
+		n.snapByKind[kc.kind] = kc.bytes
 	}
 	clear(n.snapRetries)
 	for k, v := range n.stats.RetriesByKind {
@@ -813,11 +896,17 @@ func (n *Network) Stats() Stats {
 // without copying the whole Stats maps — cheap enough for per-tick
 // rate-cap watchdogs (the audit layer polices its own traffic with it).
 func (n *Network) KindBytes(kind string) int64 {
-	return n.stats.ByKind[kind]
+	for _, kc := range n.kindBytes {
+		if kc.kind == kind {
+			return kc.bytes
+		}
+	}
+	return 0
 }
 
 // ResetStats zeroes the traffic counters, so an experiment can measure
 // one protocol run in isolation.
 func (n *Network) ResetStats() {
 	n.stats = newStats()
+	n.kindBytes = n.kindBytes[:0]
 }

@@ -355,7 +355,11 @@ type Outcome struct {
 	Committed bool
 	// Guard is the index of the guard that fired; -1 on abort.
 	Guard int
-	// Result is the GUID of the produced version; zero on abort.
+	// Result is the GUID of the produced version; zero on abort.  Apply
+	// leaves it zero: the GUID is a Merkle root over every block, and a
+	// tentative replay applies updates whose outcome nobody records.
+	// Whoever records an outcome (epidemic.Replica.Commit, for the log)
+	// fills it from the version Apply returned.
 	Result guid.GUID
 }
 
@@ -377,7 +381,7 @@ func Apply(u *Update, base *object.Version, now time.Duration) (*object.Version,
 				return nil, Outcome{Committed: false, Guard: -1}, err
 			}
 		}
-		return next, Outcome{Committed: true, Guard: i, Result: next.GUID()}, nil
+		return next, Outcome{Committed: true, Guard: i}, nil
 	}
 	return nil, Outcome{Committed: false, Guard: -1}, nil
 }

@@ -26,8 +26,10 @@ func TestUnconditionalCommit(t *testing.T) {
 	if !out.Committed || out.Guard != 0 {
 		t.Fatalf("outcome = %+v", out)
 	}
-	if out.Result != next.GUID() || out.Result.IsZero() {
-		t.Fatal("result GUID mismatch")
+	// The Merkle root is left to whoever records the outcome
+	// (epidemic's TestTentativeReplayDefersTheMerkleRoot).
+	if !out.Result.IsZero() || next.GUID().IsZero() {
+		t.Fatalf("Apply filled Result %v for a version whose GUID is %v", out.Result, next.GUID())
 	}
 	got, _ := object.NewView(next, k).Read()
 	if string(got) != "AABBCC" {
