@@ -11,6 +11,7 @@ import (
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/introspect"
+	"oceanstore/internal/replica"
 	"oceanstore/internal/simnet"
 )
 
@@ -49,9 +50,52 @@ func runPrefetch(w io.Writer, seed int64, _ *obsink) {
 
 func gg(b byte) guid.GUID { return guid.FromData([]byte{b}) }
 
-// runReplicaMgmt prints E10: a hot object gains floating replicas near
-// its clients, dropping read latency; when load fades, replicas retire.
-func runReplicaMgmt(w io.Writer, seed int64, _ *obsink) {
+// e10Host places one object's floating replicas on the E10 pool for the
+// introspective controller: promotion fills nodes e10FirstNode,
+// e10FirstNode+1, ... and demotion retires the most recently placed one.
+type e10Host struct {
+	p    *core.Pool
+	obj  guid.GUID
+	ring *replica.Ring
+}
+
+const (
+	e10FirstNode = 4  // nodes 0–3 are the primary tier
+	e10NodeLimit = 28 // placement budget: nodes 4–27
+)
+
+func (h e10Host) NumObjects() int  { return 1 }
+func (h e10Host) Replicas(int) int { return h.ring.SecondaryCount() }
+
+func (h e10Host) Promote(int) bool {
+	node := e10FirstNode + h.ring.SecondaryCount()
+	return node < e10NodeLimit && h.p.AddReplica(h.obj, simnet.NodeID(node)) == nil
+}
+
+func (h e10Host) Demote(int) bool {
+	node := e10FirstNode + h.ring.SecondaryCount() - 1
+	return node >= e10FirstNode && h.p.RemoveReplica(h.obj, simnet.NodeID(node)) == nil
+}
+
+// e10Row is one controller epoch of the E10 table.
+type e10Row struct {
+	round, load, replicas int
+	meanReadLatency       time.Duration
+}
+
+// e10Config is the policy E10 runs: promote above 50 reads per epoch per
+// replica, demote below 5, no smoothing (each round's load is the
+// signal), one epoch of cooldown after every change.
+var e10Config = introspect.ControllerConfig{
+	Alpha: 1, PromoteAbove: 50, DemoteBelow: 5,
+	MinReplicas: 1, MaxReplicas: 8, CooldownEpochs: 1,
+}
+
+// replicaMgmtRows runs E10: one object read 200 times per epoch for ten
+// epochs, then once per epoch for six, with introspect.Controller —
+// the policy every soak runs — deciding each epoch whether the object
+// gains or sheds a floating replica.
+func replicaMgmtRows(seed int64) []e10Row {
 	cfg := core.DefaultPoolConfig()
 	cfg.Nodes = 48
 	cfg.Ring.Archive = archive.Config{DataShards: 4, TotalFragments: 8}
@@ -85,33 +129,29 @@ func runReplicaMgmt(w io.Writer, seed int64, _ *obsink) {
 		return sum / time.Duration(len(readers))
 	}
 
-	mgr := introspect.ManagerConfig{SpawnAbove: 50, RetireBelow: 5, MinReplicas: 0, MaxReplicas: 8}
-	fmt.Fprintf(w, "%-8s %-10s %-10s %-16s\n", "round", "load", "replicas", "mean read lat")
-	nextNode := 4
-	for round := 0; round < 8; round++ {
-		load := 200.0 // hot phase
-		if round >= 5 {
-			load = 1.0 // load fades
+	ctrl := introspect.NewController(e10Config, e10Host{p, obj, ring})
+	var rows []e10Row
+	for round := 0; round < 16; round++ {
+		load := 200 // hot phase
+		if round >= 10 {
+			load = 1 // load fades
 		}
-		// Aggregate load splits across current replicas (primary counts
-		// as one serving replica).
-		serving := 1 + len(ring.Secondaries())
-		perReplica := load / float64(serving)
-		loads := []introspect.ReplicaLoad{{ReplicaID: -1, Rate: perReplica}}
-		for _, sec := range ring.Secondaries() {
-			loads = append(loads, introspect.ReplicaLoad{ReplicaID: int(sec.Node), Rate: perReplica})
+		for i := 0; i < load; i++ {
+			ctrl.ObserveRead(0)
 		}
-		for _, act := range introspect.Decide(loads, mgr) {
-			if act.Spawn && nextNode < 28 {
-				if err := p.AddReplica(obj, simnet.NodeID(nextNode)); err == nil {
-					nextNode++
-				}
-			} else if !act.Spawn && act.Retire >= 0 {
-				p.RemoveReplica(obj, simnet.NodeID(act.Retire))
-			}
-		}
+		ctrl.Tick()
 		p.Run(5 * time.Second)
-		fmt.Fprintf(w, "%-8d %-10.0f %-10d %-16v\n", round, load, len(ring.Secondaries()), meanReadLatency())
+		rows = append(rows, e10Row{round, load, ring.SecondaryCount(), meanReadLatency()})
+	}
+	return rows
+}
+
+// runReplicaMgmt prints E10: a hot object gains floating replicas near
+// its clients, dropping read latency; when load fades, replicas retire.
+func runReplicaMgmt(w io.Writer, seed int64, _ *obsink) {
+	fmt.Fprintf(w, "%-8s %-10s %-10s %-16s\n", "round", "load", "replicas", "mean read lat")
+	for _, r := range replicaMgmtRows(seed) {
+		fmt.Fprintf(w, "%-8d %-10d %-10d %-16v\n", r.round, r.load, r.replicas, r.meanReadLatency)
 	}
 	fmt.Fprintln(w, "\npaper (§4.7.2): overloaded replicas request assistance and parents create")
 	fmt.Fprintln(w, "additional floating replicas nearby; disused replicas are eliminated")

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -198,5 +199,46 @@ func TestMetricsSinkErrorFailsTheRun(t *testing.T) {
 	// TestSoakCloseErrorFailsTheRun pins.
 	if err := closeAll([]io.Closer{io.NopCloser(nil), failCloser{}}); err == nil {
 		t.Fatal("closeAll swallowed the close error")
+	}
+}
+
+// TestE10OnController: the E10 table comes from introspect.Controller —
+// the policy the soaks run.  Replicas rise while the object is hot,
+// fall once the load fades, never exceed MaxReplicas, read latency
+// moves the opposite way, and two runs of one seed agree row for row.
+func TestE10OnController(t *testing.T) {
+	rows := replicaMgmtRows(1)
+	if again := replicaMgmtRows(1); !reflect.DeepEqual(rows, again) {
+		t.Fatalf("E10 is not deterministic:\n%v\n%v", rows, again)
+	}
+	var hotEnd, last e10Row
+	for i, r := range rows {
+		if r.replicas > e10Config.MaxReplicas {
+			t.Fatalf("round %d: %d replicas exceed MaxReplicas %d", r.round, r.replicas, e10Config.MaxReplicas)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := rows[i-1]
+		switch {
+		case r.load > 1 && r.replicas < prev.replicas:
+			t.Fatalf("round %d: replicas fell %d -> %d under load", r.round, prev.replicas, r.replicas)
+		case r.load <= 1 && r.replicas > prev.replicas:
+			t.Fatalf("round %d: replicas rose %d -> %d after the load faded", r.round, prev.replicas, r.replicas)
+		}
+		if r.load > 1 {
+			hotEnd = r
+		}
+		last = r
+	}
+	if hotEnd.replicas <= rows[0].replicas || hotEnd.replicas < 3 {
+		t.Fatalf("hot rounds grew the tier only %d -> %d", rows[0].replicas, hotEnd.replicas)
+	}
+	if last.replicas >= hotEnd.replicas || last.replicas != e10Config.MinReplicas {
+		t.Fatalf("cold rounds left %d replicas (hot peak %d, floor %d)", last.replicas, hotEnd.replicas, e10Config.MinReplicas)
+	}
+	if hotEnd.meanReadLatency >= rows[0].meanReadLatency || last.meanReadLatency <= hotEnd.meanReadLatency {
+		t.Fatalf("read latency did not follow the tier: first %v, hot peak %v, end %v",
+			rows[0].meanReadLatency, hotEnd.meanReadLatency, last.meanReadLatency)
 	}
 }

@@ -2,16 +2,18 @@
 // (§3).  A collection of documents is ingested through the file-system
 // facade, erasure-coded into deep archival storage as a side effect of
 // commitment, and then survives a simulated regional disaster that
-// destroys a third of the servers — including every member of the
-// object's primary tier.
+// destroys a whole administrative domain of servers plus every member
+// of the object's primary tier.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"oceanstore"
+	"oceanstore/internal/archive"
 	"oceanstore/internal/object"
 	"oceanstore/internal/replica"
 	"oceanstore/internal/simnet"
@@ -29,13 +31,13 @@ func main() {
 	world.Run(30 * time.Second)
 
 	// Ingest a small collection.
-	docs := map[string]string{
-		"/physics/neutrino-run-0042.dat": "event data: 9481 candidate interactions ...",
-		"/physics/calibration.txt":       "detector gains per channel ...",
-		"/physics/README":                "dataset from the south pole array, July 2026",
+	docs := []struct{ path, content string }{
+		{"/physics/neutrino-run-0042.dat", "event data: 9481 candidate interactions ..."},
+		{"/physics/calibration.txt", "detector gains per channel ..."},
+		{"/physics/README", "dataset from the south pole array, July 2026"},
 	}
-	for path, content := range docs {
-		check(fs.WriteFile(path, []byte(content)))
+	for _, d := range docs {
+		check(fs.WriteFile(d.path, []byte(d.content)))
 		world.Run(30 * time.Second)
 	}
 	names, err := fs.ReadDir("/physics")
@@ -53,14 +55,25 @@ func main() {
 	fmt.Printf("deep archival snapshot %s: %d live fragments across domains\n",
 		root.Short(), world.Pool.Arch.LiveFragments(root))
 
-	// DISASTER: a third of all servers go down, among them the whole
-	// primary tier of the target object.
+	// DISASTER: a whole administrative domain — a quarter of all servers,
+	// the failure that dispersal across domains is designed for — goes
+	// down, and so does every member of the target object's primary tier.
+	region := world.Pool.Net.Node(ring.PrimaryAnchor()).Domain()
 	downed := 0
-	for i := 0; i < cfg.Nodes/3; i++ {
-		world.Pool.Net.Node(simnet.NodeID(i)).SetDown(true)
-		downed++
+	for i := 0; i < cfg.Nodes-1; i++ { // the curator sits on the last node
+		nd := world.Pool.Net.Node(simnet.NodeID(i))
+		if nd.Domain() == region {
+			nd.SetDown(true)
+			downed++
+		}
 	}
-	fmt.Printf("\ndisaster: %d servers destroyed (including the object's primary tier)\n", downed)
+	for _, nid := range ring.PrimaryNodes() {
+		if nd := world.Pool.Net.Node(nid); !nd.Down() {
+			nd.SetDown(true)
+			downed++
+		}
+	}
+	fmt.Printf("\ndisaster: %d servers destroyed (domain %d and the object's primary tier)\n", downed, region)
 	fmt.Printf("live fragments after disaster: %d (need %d)\n",
 		world.Pool.Arch.LiveFragments(root), 8)
 
@@ -85,15 +98,28 @@ func main() {
 	plain, err := object.NewView(v, key).Read()
 	check(err)
 	fmt.Printf("recovered content: %q\n", plain)
-	if string(plain) != docs["/physics/neutrino-run-0042.dat"] {
+	if string(plain) != docs[0].content {
 		log.Fatal("recovered content does not match the original")
 	}
 	fmt.Println("\nnothing short of a global disaster destroys archived data (§4.5)")
 
-	// Background repair restores the redundancy level.
-	repaired, _ := world.Pool.Arch.RepairSweep(12, nil)
-	fmt.Printf("repair sweep restored %d archives; live fragments now %d\n",
-		len(repaired), world.Pool.Arch.LiveFragments(root))
+	// Background repair restores the redundancy level: the archival
+	// scheduler's first repair tick rebuilds every archive the disaster
+	// left at or below 12 live fragments.
+	sched := archive.NewScheduler(world.Pool.Arch, archive.SchedulerConfig{
+		RepairInterval: time.Minute,
+		RepairsPerTick: 64,
+		Threshold:      12,
+	})
+	stop := sched.Start()
+	world.Run(time.Minute + time.Second)
+	stop()
+	st := sched.Stats()
+	fmt.Printf("background repair restored %d archives, %d unrecoverable; live fragments now %d\n",
+		st.Repairs, st.RepairFailed, world.Pool.Arch.LiveFragments(root))
+	if st.RepairFailed != 0 {
+		os.Exit(1)
+	}
 }
 
 func check(err error) {

@@ -2,8 +2,6 @@ package archive
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -186,96 +184,6 @@ func Decode(frags []StoredFragment, cfg Config) ([]byte, error) {
 
 // Placement maps fragment index → storage node.
 type Placement map[int]simnet.NodeID
-
-// Disperse chooses storage nodes for f fragments so that fragments
-// spread across administrative domains: domains are filled round-robin
-// in reliability order, so no domain holds more than its share and a
-// whole-domain failure costs as few fragments as possible (§4.5:
-// "we avoid dispersing all of our fragments to locations that have a
-// high correlated probability of failure").
-//
-// domainRank orders domains most-reliable-first; unknown domains rank
-// last.  Nodes that are down are skipped.  The seed rotates the
-// starting node within every domain, so successive archives spread over
-// different servers instead of piling onto each domain's first few.
-func Disperse(f int, nodes []simnet.Node, domainRank []int, seed uint64) (Placement, error) {
-	byDomain := map[int][]simnet.Node{}
-	for _, n := range nodes {
-		if n.Down() {
-			continue
-		}
-		byDomain[n.Domain()] = append(byDomain[n.Domain()], n)
-	}
-	if len(byDomain) == 0 {
-		return nil, errors.New("archive: no live nodes to disperse onto")
-	}
-	// Order domains: ranked ones first in rank order, the rest after.
-	ranked := append([]int(nil), domainRank...)
-	seen := map[int]bool{}
-	for _, d := range ranked {
-		seen[d] = true
-	}
-	var rest []int
-	for d := range byDomain {
-		if !seen[d] {
-			rest = append(rest, d)
-		}
-	}
-	sort.Ints(rest)
-	order := append(ranked, rest...)
-	var domains []int
-	for _, d := range order {
-		if len(byDomain[d]) > 0 {
-			domains = append(domains, d)
-		}
-	}
-	// Shuffle each domain's node list under the seed so fragments spread
-	// over the whole domain rather than clustering on its first nodes —
-	// a contiguous outage must not take out a whole archive.
-	for d, ns := range byDomain {
-		rng := rand.New(rand.NewSource(int64(seed) ^ int64(d)<<32 ^ 0x5ca1ab1e))
-		rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
-	}
-	placement := make(Placement, f)
-	cursor := map[int]int{}
-	di := int(seed) % len(domains)
-	if di < 0 {
-		di = 0
-	}
-	for i := 0; i < f; i++ {
-		// Round-robin over domains; within a domain, round-robin nodes.
-		placed := false
-		for try := 0; try < len(domains); try++ {
-			d := domains[(di+try)%len(domains)]
-			ns := byDomain[d]
-			node := ns[cursor[d]%len(ns)]
-			cursor[d]++
-			placement[i] = node.ID
-			di = (di + try + 1) % len(domains)
-			placed = true
-			break
-		}
-		if !placed {
-			return nil, fmt.Errorf("archive: could not place fragment %d", i)
-		}
-	}
-	return placement, nil
-}
-
-// DomainSpread reports how many distinct domains a placement uses and
-// the maximum number of fragments co-located in a single domain.
-func DomainSpread(p Placement, net *simnet.Network) (domains, maxPerDomain int) {
-	count := map[int]int{}
-	for _, nid := range p {
-		count[net.Node(nid).Domain()]++
-	}
-	for _, c := range count {
-		if c > maxPerDomain {
-			maxPerDomain = c
-		}
-	}
-	return len(count), maxPerDomain
-}
 
 // NodeStore is the per-server fragment store.
 type NodeStore struct {

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,15 +131,30 @@ func TestArchiveGUIDIsContentAddress(t *testing.T) {
 	}
 }
 
+// domainSpread reports how many distinct domains a placement uses and
+// the maximum number of fragments co-located in a single domain.
+func domainSpread(p Placement, net *simnet.Network) (domains, maxPerDomain int) {
+	count := map[int]int{}
+	for _, nid := range p {
+		count[net.Node(nid).Domain()]++
+	}
+	for _, c := range count {
+		if c > maxPerDomain {
+			maxPerDomain = c
+		}
+	}
+	return len(count), maxPerDomain
+}
+
 func TestDisperseSpreadsAcrossDomains(t *testing.T) {
 	k := sim.NewKernel(2)
 	net := simnet.New(k, simnet.Config{})
-	nodes := net.AddRandomNodes(40, 100, 8) // 8 domains
-	placement, err := Disperse(32, nodes, nil, 0)
+	svc := NewService(net, net.AddRandomNodes(40, 100, 8)) // 8 domains
+	placement, err := svc.disperse(32, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	domains, maxPer := DomainSpread(placement, net)
+	domains, maxPer := domainSpread(placement, net)
 	if domains < 8 {
 		t.Fatalf("placement used %d domains, want 8", domains)
 	}
@@ -151,12 +167,13 @@ func TestDisperseSkipsDownNodesAndRanksDomains(t *testing.T) {
 	k := sim.NewKernel(3)
 	net := simnet.New(k, simnet.Config{})
 	nodes := net.AddRandomNodes(20, 100, 4)
+	svc := NewService(net, nodes)
 	for _, n := range nodes {
 		if n.Domain() == 2 {
 			n.SetDown(true)
 		}
 	}
-	placement, err := Disperse(16, nodes, []int{3, 1, 0}, 7)
+	placement, err := svc.disperse(16, []int{3, 1, 0}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +185,23 @@ func TestDisperseSkipsDownNodesAndRanksDomains(t *testing.T) {
 			t.Fatalf("fragment %d placed in dead domain", idx)
 		}
 	}
+	// Ranked domains are visited in rank order ahead of the rest: with
+	// one fragment per live domain, seed 0 starts at the most reliable.
+	first, err := svc.disperse(3, []int{3, 1, 0}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{3, 1, 0} {
+		if got := net.Node(first[i]).Domain(); got != want {
+			t.Fatalf("fragment %d landed in domain %d, want ranked domain %d", i, got, want)
+		}
+	}
 	// All nodes down: error.
 	for _, n := range nodes {
 		n.SetDown(true)
 	}
-	if _, err := Disperse(4, nodes, nil, 0); err == nil {
-		t.Fatal("dispersal onto dead fleet accepted")
+	if _, err := svc.disperse(4, nil, 0, nil); !errors.Is(err, ErrInsufficientDomains) {
+		t.Fatalf("dispersal onto dead fleet: err %v, want ErrInsufficientDomains", err)
 	}
 }
 
@@ -305,12 +333,14 @@ func TestRetrieveSurvivesNodeFailures(t *testing.T) {
 	}
 }
 
-func TestRepairSweepRestoresRedundancy(t *testing.T) {
+// TestSchedulerRestoresRedundancy: an archive whose live redundancy has
+// decayed to the threshold is rebuilt to (nearly) full strength by the
+// first repair tick, and a healthy archive is left alone afterwards.
+func TestSchedulerRestoresRedundancy(t *testing.T) {
 	k, net, svc := newServiceNet(t, 30, 0, 9)
 	data := make([]byte, 2000)
 	rand.New(rand.NewSource(10)).Read(data)
 	root, _ := svc.Archive(data, Config{DataShards: 8, TotalFragments: 32}, nil)
-	_ = k
 	// Degrade: kill nodes holding fragments until only ~12 live.
 	placement, _ := svc.Placement(root)
 	killed := map[simnet.NodeID]bool{}
@@ -327,20 +357,24 @@ func TestRepairSweepRestoresRedundancy(t *testing.T) {
 	if before > 12 {
 		t.Fatalf("degradation failed: %d live", before)
 	}
-	repaired, failed := svc.RepairSweep(16, nil)
-	if len(failed) != 0 {
-		t.Fatalf("unexpected repair failures: %v", failed)
-	}
-	if len(repaired) != 1 || repaired[0] != root {
-		t.Fatalf("repaired = %v", repaired)
+	sc := NewScheduler(svc, SchedulerConfig{
+		ScrubInterval:  time.Hour, // scrub out of the way
+		RepairInterval: time.Minute,
+		Threshold:      16,
+	})
+	defer sc.Start()()
+	k.RunFor(time.Minute + time.Second)
+	if st := sc.Stats(); st.Repairs != 1 || st.RepairFailed != 0 {
+		t.Fatalf("first tick: %d repairs, %d failures, want 1 and 0", st.Repairs, st.RepairFailed)
 	}
 	after := svc.LiveFragments(root)
 	if after < 30 {
 		t.Fatalf("after repair only %d live fragments", after)
 	}
 	// A healthy archive is left alone.
-	if again, _ := svc.RepairSweep(16, nil); len(again) != 0 {
-		t.Fatalf("healthy archive repaired: %v", again)
+	k.RunFor(10 * time.Minute)
+	if st := sc.Stats(); st.Repairs != 1 || sc.PendingRepairs() != 0 {
+		t.Fatalf("healthy archive repaired again: %d repairs, %d pending", st.Repairs, sc.PendingRepairs())
 	}
 }
 

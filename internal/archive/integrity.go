@@ -75,7 +75,11 @@ func (s *Service) CorruptFragment(id simnet.NodeID, root guid.GUID, index int) b
 	if !ok {
 		return false
 	}
-	if !ns.Tamper(root, index, func(data []byte) {
+	t, ok := ns.(Tamperable)
+	if !ok {
+		return false
+	}
+	if !t.Tamper(root, index, func(data []byte) {
 		if len(data) > 0 {
 			data[len(data)/2] ^= 0x01
 		}

@@ -34,12 +34,12 @@ func repairWorld(t *testing.T, seed int64) (*sim.Kernel, *Service, *obs.Registry
 	return k, svc, reg, 0, cfg, data
 }
 
-// TestRepairSweepReportsUnrecoverable is the regression test for the
-// old silent-failure path: a repair that cannot gather enough verifying
-// fragments must surface a per-root error and count under
-// archive/repair_failed — not vanish into a skipped loop iteration.
-func TestRepairSweepReportsUnrecoverable(t *testing.T) {
-	_, svc, reg, _, _, _ := repairWorld(t, 7)
+// TestSchedulerReportsUnrecoverable is the regression test for the old
+// silent-failure path: a repair that cannot gather enough verifying
+// fragments must surface an error, count under archive/repair_failed
+// and stay queued — not vanish into a skipped loop iteration.
+func TestSchedulerReportsUnrecoverable(t *testing.T) {
+	k, svc, reg, _, _, _ := repairWorld(t, 7)
 	roots := svc.Roots()
 	if len(roots) != 1 {
 		t.Fatalf("want 1 root, got %d", len(roots))
@@ -59,24 +59,35 @@ func TestRepairSweepReportsUnrecoverable(t *testing.T) {
 		t.Fatalf("still %d live fragments after total corruption", got)
 	}
 
-	repaired, failed := svc.RepairSweep(16, nil)
-	if len(repaired) != 0 {
-		t.Fatalf("unrecoverable archive reported repaired: %v", repaired)
+	sc := NewScheduler(svc, SchedulerConfig{
+		ScrubInterval:  time.Hour, // the redundancy scan alone must notice
+		RepairInterval: time.Minute,
+		Threshold:      16,
+	})
+	defer sc.Start()()
+	k.RunFor(time.Minute + time.Second)
+	st := sc.Stats()
+	if st.Repairs != 0 {
+		t.Fatalf("unrecoverable archive reported repaired %d times", st.Repairs)
 	}
-	err, ok := failed[root]
-	if !ok {
-		t.Fatalf("no per-root error for unrecoverable archive; failed=%v", failed)
-	}
-	if !errors.Is(err, erasure.ErrNotEnoughFragments) {
-		t.Fatalf("error should wrap ErrNotEnoughFragments, got %v", err)
+	if st.RepairFailed != 1 || sc.PendingRepairs() != 1 {
+		t.Fatalf("unrecoverable archive: %d failures, %d pending, want 1 and 1", st.RepairFailed, sc.PendingRepairs())
 	}
 	if got := reg.Counter(obs.NodeWide, "archive", "repair_failed").Value(); got != 1 {
 		t.Fatalf("repair_failed = %d, want 1", got)
 	}
+	// The error the scheduler counted names the cause.
+	if err := svc.RepairRoot(root, nil, nil); !errors.Is(err, erasure.ErrNotEnoughFragments) {
+		t.Fatalf("error should wrap ErrNotEnoughFragments, got %v", err)
+	}
 	// The damage stays on the books: an unrecoverable archive is still
-	// damaged, and a later sweep fails again rather than forgetting.
+	// damaged, and a later tick fails again rather than forgetting.
 	if _, damaged := svc.DamagedSince(root); !damaged {
 		t.Fatal("damage record cleared by a failed repair")
+	}
+	k.RunFor(10 * time.Minute)
+	if st := sc.Stats(); st.RepairFailed < 2 || st.Repairs != 0 || sc.PendingRepairs() != 1 {
+		t.Fatalf("later ticks forgot the root: %+v, %d pending", st, sc.PendingRepairs())
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 	"oceanstore/internal/simnet"
 )
 
-// Scheduler is the archival layer's background maintenance loop,
-// replacing the one-shot synchronous RepairSweep with rate-limited
-// ticks the way production blob stores run repair (CubeFS's BlobStore
-// scheduler does disk repair, balance and inspection as budgeted
-// background jobs; §4.5's "slowly sweep through all existing archival
-// data" is the same idea said smaller).
+// Scheduler is the archival layer's repair engine — the only one: a
+// background maintenance loop of rate-limited ticks, the way production
+// blob stores run repair (CubeFS's BlobStore scheduler does disk
+// repair, balance and inspection as budgeted background jobs; §4.5's
+// "slowly sweep through all existing archival data" is the same idea
+// said smaller).
 //
 // Three independent periodic duties, all on the virtual clock:
 //
@@ -58,7 +58,7 @@ type Scheduler struct {
 	scanHasCursor bool
 
 	stats   SchedulerStats
-	metrics *schedMetrics
+	metrics schedMetrics
 }
 
 type scrubRef struct {
@@ -80,11 +80,9 @@ type SchedulerConfig struct {
 	ScrubInterval     time.Duration
 	ScrubFragsPerTick int
 	// RepairInterval is the repair tick period; RepairsPerTick bounds
-	// repairs attempted per tick and ScanRootsPerTick bounds how many
-	// roots the redundancy scan inspects per tick.
-	RepairInterval   time.Duration
-	RepairsPerTick   int
-	ScanRootsPerTick int
+	// repairs attempted per tick.
+	RepairInterval time.Duration
+	RepairsPerTick int
 	// Threshold is the live-fragment level at or below which a root is
 	// queued for repair (DataShards+1 leaves one fragment of slack).
 	Threshold int
@@ -94,9 +92,11 @@ type SchedulerConfig struct {
 	// BackoffBase and BackoffMax bound the retry gap for roots whose
 	// repair failed.
 	BackoffBase, BackoffMax time.Duration
-	// DomainRank is passed through to repair dispersal.
-	DomainRank []int
 }
+
+// scanRootsPerTick bounds how many roots the redundancy scan inspects
+// per repair tick.
+const scanRootsPerTick = 128
 
 func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.ScrubInterval <= 0 {
@@ -110,9 +110,6 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	}
 	if c.RepairsPerTick <= 0 {
 		c.RepairsPerTick = 4
-	}
-	if c.ScanRootsPerTick <= 0 {
-		c.ScanRootsPerTick = 128
 	}
 	if c.Threshold <= 0 {
 		c.Threshold = 4
@@ -129,14 +126,18 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 // SchedulerStats counts the maintenance loop's work.  Pure functions
 // of the operation sequence — safe to print in deterministic reports.
 type SchedulerStats struct {
-	ScrubbedFrags   int64 // fragments re-read and verified
-	ScrubBad        int64 // fragments that failed verification (dropped)
-	ScrubMissing    int64 // queued fragments gone by scrub time
-	ScrubBytes      int64 // payload bytes re-read by scrubbing
-	ScrubPasses     int64 // completed full passes over all fragments
-	Repairs         int64 // successful background repairs
-	RepairFailed    int64 // failed repair attempts
-	RepairsDeferred int64 // repairs withheld by budget or backoff
+	ScrubbedFrags int64 // fragments re-read and verified
+	ScrubBad      int64 // fragments that failed verification (dropped)
+	ScrubMissing  int64 // queued fragments gone by scrub time
+	ScrubBytes    int64 // payload bytes re-read by scrubbing
+	ScrubPasses   int64 // completed full passes over all fragments
+	Repairs       int64 // successful background repairs
+	RepairFailed  int64 // failed repair attempts
+	// RepairsDeferred adds, each repair tick, one per queued root still
+	// inside its backoff window and — when the budget runs out — the
+	// whole queue's length that tick, repaired roots included: a count of
+	// queued-root ticks withheld, not of distinct roots.
+	RepairsDeferred int64
 	Flushes         int64 // group-commit SyncDirty rounds that synced
 	FlushErrors     int64 // SyncDirty rounds that returned an error
 }
@@ -157,17 +158,14 @@ func NewScheduler(svc *Service, cfg SchedulerConfig) *Scheduler {
 	}
 }
 
-// Instrument attaches counters under the "scrub" layer.  Counting
-// never alters behaviour.
+// Instrument attaches counters under the "scrub" layer; a nil registry
+// resolves to nil handles, which count nothing.  Counting never alters
+// behaviour.
 func (sc *Scheduler) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		sc.metrics = nil
-		return
-	}
 	c := func(name string) *obs.Counter {
 		return reg.Counter(obs.NodeWide, "scrub", name)
 	}
-	sc.metrics = &schedMetrics{
+	sc.metrics = schedMetrics{
 		scrubFrags:      c("frags"),
 		scrubBad:        c("bad"),
 		scrubMissing:    c("missing"),
@@ -256,24 +254,18 @@ func (sc *Scheduler) scrubTick() {
 			// Dropped, wiped or crashed away since the snapshot; the
 			// redundancy scan notices if the root fell below threshold.
 			sc.stats.ScrubMissing++
-			if sc.metrics != nil {
-				sc.metrics.scrubMissing.Inc()
-			}
+			sc.metrics.scrubMissing.Inc()
 			continue
 		}
 		sc.stats.ScrubbedFrags++
 		sc.stats.ScrubBytes += int64(len(sf.Data))
-		if sc.metrics != nil {
-			sc.metrics.scrubFrags.Inc()
-			sc.metrics.scrubBytes.Add(int64(len(sf.Data)))
-		}
+		sc.metrics.scrubFrags.Inc()
+		sc.metrics.scrubBytes.Add(int64(len(sf.Data)))
 		if sf.Verify() {
 			continue
 		}
 		sc.stats.ScrubBad++
-		if sc.metrics != nil {
-			sc.metrics.scrubBad.Inc()
-		}
+		sc.metrics.scrubBad.Inc()
 		sc.svc.DropFragment(simnet.NodeID(ref.node), ref.root, ref.index)
 		sc.svc.noteDamage(ref.root)
 		sc.pending[ref.root] = true
@@ -295,10 +287,7 @@ func (sc *Scheduler) repairTick() {
 				return roots[i].Compare(sc.scanCursor) > 0
 			})
 		}
-		n := sc.cfg.ScanRootsPerTick
-		if n > len(roots) {
-			n = len(roots)
-		}
+		n := min(scanRootsPerTick, len(roots))
 		for i := 0; i < n; i++ {
 			root := roots[(start+i)%len(roots)]
 			sc.scanCursor, sc.scanHasCursor = root, true
@@ -327,11 +316,9 @@ func (sc *Scheduler) repairTick() {
 			continue
 		}
 		budget--
-		if err := sc.svc.RepairRoot(root, sc.cfg.DomainRank, nil); err != nil {
+		if err := sc.svc.RepairRoot(root, nil, nil); err != nil {
 			sc.stats.RepairFailed++
-			if sc.metrics != nil {
-				sc.metrics.repairFailed.Inc()
-			}
+			sc.metrics.repairFailed.Inc()
 			b := sc.backoff[root]
 			if b == nil {
 				b = &schedBackoff{gap: sc.cfg.BackoffBase}
@@ -347,20 +334,15 @@ func (sc *Scheduler) repairTick() {
 		delete(sc.pending, root)
 		delete(sc.backoff, root)
 		sc.stats.Repairs++
-		if sc.metrics != nil {
-			sc.metrics.repairs.Inc()
-		}
+		sc.metrics.repairs.Inc()
 	}
 }
 
-// defer1 accounts repairs withheld this tick.  When the budget runs
-// out, remaining is everything still queued (minus the one being
-// examined is immaterial for a counter).
+// defer1 accounts repairs withheld this tick (see
+// SchedulerStats.RepairsDeferred for what the sum means).
 func (sc *Scheduler) defer1(n int) {
 	sc.stats.RepairsDeferred += int64(n)
-	if sc.metrics != nil {
-		sc.metrics.repairsDeferred.Add(int64(n))
-	}
+	sc.metrics.repairsDeferred.Add(int64(n))
 }
 
 // flushTick group-commits dirty stores.
@@ -373,7 +355,5 @@ func (sc *Scheduler) flushTick() {
 		return
 	}
 	sc.stats.Flushes++
-	if sc.metrics != nil {
-		sc.metrics.flushes.Inc()
-	}
+	sc.metrics.flushes.Inc()
 }

@@ -33,8 +33,8 @@ type fragmentMsg struct {
 
 // Service runs archival storage over the simulated network: it owns the
 // per-node fragment stores, serves fragment requests, reconstructs
-// objects with configurable over-request, and sweeps for decayed
-// archives.
+// objects with configurable over-request, and repairs one archive at a
+// time for the Scheduler and the auditor.
 type Service struct {
 	net *simnet.Network
 	// member[id] marks storage members; stores materialize lazily on
@@ -89,11 +89,12 @@ type Service struct {
 	// detection latency and tests read it to find silent rot.
 	damagedAt map[guid.GUID]time.Duration
 
-	om  *archMetrics
+	om  archMetrics
 	otr *obs.Tracer
 }
 
-// archMetrics holds pre-resolved handles for the archival layer.  All
+// archMetrics holds pre-resolved handles for the archival layer; the
+// zero value is "not instrumented" (nil handles count nothing).  All
 // keys are node-wide: retrievals are driven by a single service and the
 // per-link traffic is already visible in the simnet layer.
 type archMetrics struct {
@@ -117,14 +118,10 @@ type archMetrics struct {
 // behaviour, so instrumented and bare runs take identical trajectories.
 func (s *Service) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.otr = tr
-	if reg == nil {
-		s.om = nil
-		return
-	}
 	c := func(name string) *obs.Counter {
 		return reg.Counter(obs.NodeWide, "archive", name)
 	}
-	s.om = &archMetrics{
+	s.om = archMetrics{
 		archives:      c("archives"),
 		fragsStored:   c("frags_stored"),
 		retrievals:    c("retrievals"),
@@ -327,18 +324,20 @@ func (s *Service) Archive(data []byte, cfg Config, domainRank []int) (guid.GUID,
 			return guid.Zero, err
 		}
 	}
-	if s.om != nil {
-		s.om.archives.Inc()
-		s.om.fragsStored.Add(int64(len(frags)))
-	}
+	s.om.archives.Inc()
+	s.om.fragsStored.Add(int64(len(frags)))
 	return root, nil
 }
 
 // disperse chooses storage nodes for f fragments from the member
-// rings: domains are visited round-robin in reliability order (same
-// policy as Disperse), and within a domain the ring is walked from a
-// seed-derived offset so successive archives land on different
-// servers.  Down and excluded nodes are skipped at selection time.
+// rings so that fragments spread across administrative domains (§4.5:
+// "we avoid dispersing all of our fragments to locations that have a
+// high correlated probability of failure"): domains are visited
+// round-robin in reliability order — domainRank most-reliable-first,
+// unranked domains after — so no domain holds more than its share, and
+// within a domain the ring is walked from a seed-derived offset so
+// successive archives land on different servers.  Down and excluded
+// nodes are skipped at selection time.
 // Cost is O(f + member domains) plus any skipped dead nodes — it never
 // touches the full membership, which is what lets a million-node world
 // archive thousands of objects during construction.
@@ -361,10 +360,9 @@ func (s *Service) disperse(f int, domainRank []int, seed uint64, exclude map[sim
 			order = append(order, d)
 		}
 	}
-	// Per-domain cursors start at a seed- and domain-derived offset, the
-	// indexed analogue of Disperse's per-archive shuffle: different
-	// archives spread over the whole ring instead of piling onto each
-	// domain's first nodes.
+	// Per-domain cursors start at a seed- and domain-derived offset:
+	// different archives spread over the whole ring instead of piling
+	// onto each domain's first nodes.
 	cursor := make(map[int]int, len(order))
 	for _, d := range order {
 		cursor[d] = int((seed ^ uint64(d)*0x9e3779b97f4a7c15) % uint64(len(s.rings[d])))
@@ -416,7 +414,7 @@ func (s *Service) Placement(root guid.GUID) (Placement, bool) {
 }
 
 // LiveFragments counts fragments of an archive that are on live nodes
-// and still verify — the redundancy level the repair sweep monitors.
+// and still verify — the redundancy level the repair scan monitors.
 func (s *Service) LiveFragments(root guid.GUID) int {
 	live := 0
 	for idx, nid := range s.where[root] {
@@ -443,19 +441,13 @@ func (s *Service) LiveFragments(root guid.GUID) int {
 func (s *Service) Retrieve(from simnet.NodeID, root guid.GUID, extra int, deadline time.Duration, cb func([]byte, error, time.Duration)) {
 	placement, ok := s.where[root]
 	cfg := s.cfgs[root]
-	if s.om != nil {
-		s.om.retrievals.Inc()
-	}
+	s.om.retrievals.Inc()
 	if !ok {
-		if s.om != nil {
-			s.om.retrievalsErr.Inc()
-		}
+		s.om.retrievalsErr.Inc()
 		cb(nil, ErrUnknownRoot, 0)
 		return
 	}
-	if s.om != nil {
-		s.om.fragsNeeded.Add(int64(cfg.DataShards))
-	}
+	s.om.fragsNeeded.Add(int64(cfg.DataShards))
 	// Any node may request a reconstruction: the service's global
 	// handler already attends every node, so fragment replies reach a
 	// requester that stores no fragments itself.
@@ -511,9 +503,7 @@ func (s *Service) Retrieve(from simnet.NodeID, root guid.GUID, extra int, deadli
 			want = len(cands)
 		}
 		for _, c := range cands[:want] {
-			if s.om != nil {
-				s.om.fragReqs.Inc()
-			}
+			s.om.fragReqs.Inc()
 			s.net.Send(from, c.nid, KindRequest,
 				requestMsg{Root: root, Index: c.idx, Reply: from, Rid: rid}, 64)
 		}
@@ -532,9 +522,7 @@ func (s *Service) Retrieve(from simnet.NodeID, root guid.GUID, extra int, deadli
 			}
 			round++
 			s.net.NoteRetry(KindRequest)
-			if s.om != nil {
-				s.om.retryRounds.Inc()
-			}
+			s.om.retryRounds.Inc()
 			sendRound()
 			next := gap * 2
 			if next > maxGap {
@@ -550,9 +538,7 @@ func (s *Service) Retrieve(from simnet.NodeID, root guid.GUID, extra int, deadli
 		}
 		st.done = true
 		delete(s.inflight, rid)
-		if s.om != nil {
-			s.om.retrievalsErr.Inc()
-		}
+		s.om.retrievalsErr.Inc()
 		if s.otr != nil {
 			s.otr.Emit(obs.Event{
 				T: int64(s.net.K.Now()), Node: int(from), Peer: -1,
@@ -577,9 +563,7 @@ func (s *Service) handle(id simnet.NodeID, m simnet.Message) {
 		if s.byz[id] {
 			sf = garble(sf)
 		}
-		if s.om != nil {
-			s.om.fragReplies.Inc()
-		}
+		s.om.fragReplies.Inc()
 		s.net.Send(id, p.Reply, KindFragment, fragmentMsg{Frag: sf, Rid: p.Rid}, sf.WireSize())
 	case fragmentMsg:
 		st, ok := s.inflight[p.Rid]
@@ -589,9 +573,7 @@ func (s *Service) handle(id simnet.NodeID, m simnet.Message) {
 		if !p.Frag.Verify() {
 			return // a misbehaving server's garbage is simply discarded
 		}
-		if s.om != nil {
-			s.om.fragsRecv.Inc()
-		}
+		s.om.fragsRecv.Inc()
 		st.got[p.Frag.Index] = p.Frag
 		if len(st.got) < st.cfg.DataShards {
 			return
@@ -611,10 +593,8 @@ func (s *Service) handle(id simnet.NodeID, m simnet.Message) {
 			}
 		}
 		elapsed := s.net.K.Now() - st.started
-		if s.om != nil {
-			s.om.retrievalsOK.Inc()
-			s.om.retrievalLat.ObserveDuration(elapsed)
-		}
+		s.om.retrievalsOK.Inc()
+		s.om.retrievalLat.ObserveDuration(elapsed)
 		if s.otr != nil {
 			s.otr.Emit(obs.Event{
 				T: int64(s.net.K.Now()), Node: int(id), Peer: -1,
@@ -698,9 +678,7 @@ func (s *Service) RepairRoot(root guid.GUID, domainRank []int, exclude map[simne
 		}
 	}
 	delete(s.damagedAt, root)
-	if s.om != nil {
-		s.om.repairs.Inc()
-	}
+	s.om.repairs.Inc()
 	if s.otr != nil {
 		s.otr.Emit(obs.Event{
 			T: int64(s.net.K.Now()), Node: -1, Peer: -1,
@@ -712,9 +690,7 @@ func (s *Service) RepairRoot(root guid.GUID, domainRank []int, exclude map[simne
 
 // repairFailed accounts one failed repair and returns its error.
 func (s *Service) repairFailed(root guid.GUID, err error) error {
-	if s.om != nil {
-		s.om.repairFailed.Inc()
-	}
+	s.om.repairFailed.Inc()
 	if s.otr != nil {
 		s.otr.Emit(obs.Event{
 			T: int64(s.net.K.Now()), Node: -1, Peer: -1,
@@ -722,37 +698,4 @@ func (s *Service) repairFailed(root guid.GUID, err error) error {
 		})
 	}
 	return err
-}
-
-// RepairSweep walks every archive; when live redundancy has fallen to
-// or below threshold fragments, it reconstructs the data locally and
-// re-disperses a fresh fragment set (§4.5: processes that "slowly sweep
-// through all existing archival data, repairing ... to further increase
-// durability").  It returns the roots repaired plus a per-root error
-// map for the archives whose repair was attempted and failed — an
-// unrecoverable archive is an operator-visible fact, not a silent skip
-// (failures also count under archive/repair_failed).
-func (s *Service) RepairSweep(threshold int, domainRank []int) ([]guid.GUID, map[guid.GUID]error) {
-	var repaired []guid.GUID
-	var failed map[guid.GUID]error
-	// Snapshot the root set (sorted) before repairing anything.
-	// RepairRoot mutates s.where placements as it re-disperses;
-	// interleaving that mutation with an iteration over the same map
-	// makes the sweep order — and with it every repair placement —
-	// random across runs.  The snapshot pins GUID order, which the
-	// regression test asserts against the repaired list.
-	for _, root := range s.Roots() {
-		if s.LiveFragments(root) > threshold {
-			continue
-		}
-		if err := s.RepairRoot(root, domainRank, nil); err != nil {
-			if failed == nil {
-				failed = make(map[guid.GUID]error)
-			}
-			failed[root] = err
-			continue
-		}
-		repaired = append(repaired, root)
-	}
-	return repaired, failed
 }

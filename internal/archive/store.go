@@ -19,9 +19,6 @@ import "oceanstore/internal/guid"
 //   - Indexes and Roots return sorted results, so every caller that
 //     feeds them into dispersal or repair decisions behaves identically
 //     across runs and backends.
-//   - Tamper mutates the stored payload without tripping Put's
-//     verification — the bit-rot injection point — and the rotted copy
-//     must persist across Sync/reopen exactly like a good one.
 //   - Sync makes every completed Put/Drop durable; what durability
 //     means is the backend's business (a no-op in memory, fsync on
 //     disk).
@@ -40,10 +37,6 @@ type Store interface {
 	// Drop removes a fragment (disk loss, or the audit/scrub layers
 	// discarding a copy they have proven rotten).
 	Drop(root guid.GUID, index int)
-	// Tamper mutates a stored fragment's payload in place, bypassing
-	// Put's verification — the bit-rot injection point.  Returns false
-	// when the fragment is not held.
-	Tamper(root guid.GUID, index int, mut func(data []byte)) bool
 	// Scan enumerates every held (root, index) pair in (root GUID,
 	// index) order until fn returns false — the scrub scheduler's
 	// enumeration hook.  Scan reports references only; the scrubber
@@ -73,6 +66,15 @@ type Crashable interface {
 	Recover(dropUnsynced bool) error
 }
 
+// Tamperable is the optional bit-rot injection surface, asserted by
+// CorruptFragment the way crash.go asserts Crashable: Tamper mutates a
+// stored fragment's payload in place without tripping Put's
+// verification and returns false when the fragment is not held.  The
+// rotted copy must persist across Sync/reopen exactly like a good one.
+type Tamperable interface {
+	Tamper(root guid.GUID, index int, mut func(data []byte)) bool
+}
+
 // Scan enumerates the in-memory store's fragments in sorted order.
 func (ns *NodeStore) Scan(fn func(root guid.GUID, index int) bool) {
 	for _, root := range ns.Roots() {
@@ -90,5 +92,8 @@ func (ns *NodeStore) Sync() error { return nil }
 // Close is a no-op for the in-memory store.
 func (ns *NodeStore) Close() error { return nil }
 
-// NodeStore must satisfy the Store interface.
-var _ Store = (*NodeStore)(nil)
+// NodeStore must satisfy the Store interface and take injected rot.
+var (
+	_ Store      = (*NodeStore)(nil)
+	_ Tamperable = (*NodeStore)(nil)
+)

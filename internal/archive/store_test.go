@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"oceanstore/internal/guid"
+	"oceanstore/internal/obs"
 	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 )
@@ -35,18 +37,13 @@ func storeWorld(t *testing.T, seed int64, n, d, archives int) (*Service, []guid.
 	return svc, roots
 }
 
-// TestRepairSweepSnapshotsRoots is the regression test for the
-// interleaved sweep: RepairSweep must collect (and sort) the root set
-// before repairing anything, because RepairRoot mutates s.where
-// placements mid-sweep.  The interleaved form — `for root := range
-// s.where { RepairRoot(...) }` — visits roots in random map order, so
-// with 12 degraded archives the repaired list comes back unsorted with
-// probability 1 - 1/12!.
-func TestRepairSweepSnapshotsRoots(t *testing.T) {
-	svc, roots := storeWorld(t, 21, 32, 4, 12)
-
-	// Degrade every archive below threshold: drop half of each root's
-	// fragments so LiveFragments <= 4 while staying recoverable.
+// degradedRepairRun drops half of every archive's fragments (so
+// LiveFragments <= 4 while staying recoverable), lets one repair tick
+// with budget for all of them run, and returns the roots in the order
+// the tick repaired them plus the service.
+func degradedRepairRun(t *testing.T) ([]uint64, *Service, []guid.GUID) {
+	t.Helper()
+	k, svc, roots := schedWorld(t, 21, 32, 4, 12)
 	for _, root := range roots {
 		dropped := 0
 		for _, nid := range svc.HoldersOf(root) {
@@ -58,37 +55,50 @@ func TestRepairSweepSnapshotsRoots(t *testing.T) {
 			}
 		}
 	}
-
-	repaired, failed := svc.RepairSweep(4, nil)
-	if len(failed) != 0 {
-		t.Fatalf("unexpected failures: %v", failed)
+	tr := obs.NewTracer(64)
+	svc.Instrument(nil, tr)
+	sc := NewScheduler(svc, SchedulerConfig{
+		ScrubInterval:  time.Hour,
+		RepairInterval: time.Minute,
+		RepairsPerTick: len(roots),
+		Threshold:      4,
+	})
+	defer sc.Start()()
+	k.RunFor(time.Minute + time.Second)
+	if st := sc.Stats(); st.RepairFailed != 0 || st.Repairs != int64(len(roots)) {
+		t.Fatalf("repaired %d of %d degraded archives, %d failures", st.Repairs, len(roots), st.RepairFailed)
 	}
-	if len(repaired) != len(roots) {
-		t.Fatalf("repaired %d of %d degraded archives", len(repaired), len(roots))
-	}
-	if !sort.SliceIsSorted(repaired, func(i, j int) bool {
-		return repaired[i].Compare(repaired[j]) < 0
-	}) {
-		t.Fatalf("sweep visited roots out of GUID order: %v", repaired)
-	}
-
-	// Same seed, same degradation => byte-identical repair order and
-	// placements across runs.
-	svc2, roots2 := storeWorld(t, 21, 32, 4, 12)
-	for _, root := range roots2 {
-		dropped := 0
-		for _, nid := range svc2.HoldersOf(root) {
-			for _, idx := range svc2.Store(nid).Indexes(root) {
-				if dropped < 4 {
-					svc2.Store(nid).Drop(root, idx)
-					dropped++
-				}
-			}
+	var order []uint64
+	for _, e := range tr.Events() {
+		if e.Event == "repair" {
+			order = append(order, e.ID)
 		}
 	}
-	repaired2, _ := svc2.RepairSweep(4, nil)
-	if !reflect.DeepEqual(repaired, repaired2) {
-		t.Fatalf("sweep order diverged across identical runs:\n%v\n%v", repaired, repaired2)
+	return order, svc, roots
+}
+
+// TestSchedulerRepairsInGUIDOrder is the regression test for the
+// interleaved sweep: a repair tick must collect (and sort) its root set
+// before repairing anything, because RepairRoot mutates s.where
+// placements mid-tick.  The interleaved form — `for root := range
+// s.where { RepairRoot(...) }` — visits roots in random map order, so
+// with 12 degraded archives the repair order comes back unsorted with
+// probability 1 - 1/12!.
+func TestSchedulerRepairsInGUIDOrder(t *testing.T) {
+	order, svc, roots := degradedRepairRun(t)
+	want := make([]uint64, 0, len(roots))
+	for _, root := range svc.Roots() {
+		want = append(want, root.Uint64())
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("tick repaired roots out of GUID order:\n%v\nwant %v", order, want)
+	}
+
+	// Same seed, same degradation => identical repair order and
+	// placements across runs.
+	order2, svc2, _ := degradedRepairRun(t)
+	if !reflect.DeepEqual(order, order2) {
+		t.Fatalf("repair order diverged across identical runs:\n%v\n%v", order, order2)
 	}
 	for _, root := range roots {
 		p1, _ := svc.Placement(root)
@@ -96,6 +106,46 @@ func TestRepairSweepSnapshotsRoots(t *testing.T) {
 		if !reflect.DeepEqual(p1, p2) {
 			t.Fatalf("repair placements diverged for %v: %v vs %v", root, p1, p2)
 		}
+	}
+}
+
+// eightMethodStore implements exactly the Store interface — no Tamper,
+// no crash hooks.  It compiling as a Store is the assertion that fault
+// injection is not part of the production interface.
+type eightMethodStore struct{}
+
+func (eightMethodStore) Put(StoredFragment) error                  { return nil }
+func (eightMethodStore) Get(guid.GUID, int) (StoredFragment, bool) { return StoredFragment{}, false }
+func (eightMethodStore) Indexes(guid.GUID) []int                   { return nil }
+func (eightMethodStore) Roots() []guid.GUID                        { return nil }
+func (eightMethodStore) Drop(guid.GUID, int)                       {}
+func (eightMethodStore) Scan(func(guid.GUID, int) bool)            {}
+func (eightMethodStore) Sync() error                               { return nil }
+func (eightMethodStore) Close() error                              { return nil }
+
+var _ Store = eightMethodStore{}
+
+// TestCorruptFragmentNeedsTamperable: rot can only be injected into a
+// store that opts into the fault-only interface; on one that does not,
+// CorruptFragment reports failure and books no damage.
+func TestCorruptFragmentNeedsTamperable(t *testing.T) {
+	if n := reflect.TypeOf((*Store)(nil)).Elem().NumMethod(); n != 8 {
+		t.Fatalf("archive.Store declares %d methods, want 8", n)
+	}
+	k := sim.NewKernel(23)
+	net := simnet.New(k, simnet.Config{})
+	svc := NewService(net, net.AddRandomNodes(4, 100, 2))
+	svc.SetStoreFactory(func(simnet.NodeID) Store { return eightMethodStore{} })
+	root, err := svc.Archive(make([]byte, 64), Config{DataShards: 2, TotalFragments: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := svc.HoldersOf(root)[0]
+	if svc.CorruptFragment(holder, root, 0) {
+		t.Fatal("rot injected into a store with no Tamper method")
+	}
+	if _, damaged := svc.DamagedSince(root); damaged {
+		t.Fatal("failed injection booked damage")
 	}
 }
 

@@ -73,21 +73,10 @@ type Config struct {
 	SampleRoots int
 	// PollPeers is how many co-holders are polled per sampled root.
 	PollPeers int
-	// MinQuorum is the reputation-weighted agreement mass a root needs
-	// for a clean bill of health; below it the poll is inconclusive.
-	MinQuorum float64
-	// MaxPollsPerInterval caps polls each node may SEND per tick.
-	MaxPollsPerInterval int
 	// MaxVotesPerInterval caps votes each node may SERVE per tick —
 	// the amplification defense: no matter how many polls arrive, a
 	// node's audit reply traffic is bounded.
 	MaxVotesPerInterval int
-	// MaxRepairsPerInterval caps repairs triggered per tick, keeping a
-	// mass-damage event from turning the auditor into a repair storm.
-	MaxRepairsPerInterval int
-	// ReputationCut is the reputation below which a peer is suspected:
-	// excluded from repair placement and from health quorums.
-	ReputationCut float64
 	// BackoffBase and BackoffMax bound the per-(node, root) retry gap
 	// after inconclusive polls.
 	BackoffBase, BackoffMax time.Duration
@@ -98,6 +87,20 @@ type Config struct {
 	DisableReputation bool // every peer stays trusted forever
 	DisableBackoff    bool // inconclusive polls retry at full rate
 }
+
+const (
+	// minQuorum is the reputation-weighted agreement mass a root needs
+	// for a clean bill of health; below it the poll is inconclusive.
+	minQuorum = 2.0
+	// maxPollsPerInterval caps polls each node may SEND per tick.
+	maxPollsPerInterval = 8
+	// maxRepairsPerInterval caps repairs triggered per tick, keeping a
+	// mass-damage event from turning the auditor into a repair storm.
+	maxRepairsPerInterval = 4
+	// reputationCut is the reputation below which a peer is suspected:
+	// excluded from repair placement and from health quorums.
+	reputationCut = 0.3
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -110,20 +113,8 @@ func (c Config) withDefaults() Config {
 	if c.PollPeers <= 0 {
 		c.PollPeers = 3
 	}
-	if c.MinQuorum <= 0 {
-		c.MinQuorum = 2
-	}
-	if c.MaxPollsPerInterval <= 0 {
-		c.MaxPollsPerInterval = 8
-	}
 	if c.MaxVotesPerInterval <= 0 {
 		c.MaxVotesPerInterval = 8
-	}
-	if c.MaxRepairsPerInterval <= 0 {
-		c.MaxRepairsPerInterval = 4
-	}
-	if c.ReputationCut <= 0 {
-		c.ReputationCut = 0.3
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 2 * time.Minute
@@ -184,7 +175,7 @@ type Auditor struct {
 	// DetectionLatency records virtual time from damage to detection.
 	DetectionLatency obs.Histogram
 
-	om  *auditMetrics
+	om  auditMetrics
 	otr *obs.Tracer
 }
 
@@ -240,14 +231,10 @@ func New(net *simnet.Network, svc *archive.Service, cfg Config) *Auditor {
 // only count, they never steer the protocol.
 func (a *Auditor) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	a.otr = tr
-	if reg == nil {
-		a.om = nil
-		return
-	}
 	c := func(name string) *obs.Counter {
 		return reg.Counter(obs.NodeWide, "audit", name)
 	}
-	a.om = &auditMetrics{
+	a.om = auditMetrics{
 		polls:        c("polls"),
 		votes:        c("votes"),
 		agrees:       c("agrees"),
@@ -307,7 +294,7 @@ func (a *Auditor) Suspected() []simnet.NodeID {
 	}
 	var out []simnet.NodeID
 	for id, r := range a.reputation {
-		if r < a.cfg.ReputationCut {
+		if r < reputationCut {
 			out = append(out, id)
 		}
 	}
@@ -331,7 +318,7 @@ func (a *Auditor) suspectedSet() map[simnet.NodeID]bool {
 // refill resets every node's per-interval budgets.
 func (a *Auditor) refill() {
 	for _, id := range a.svc.StoreNodes() {
-		a.pollBudget[id] = a.cfg.MaxPollsPerInterval
+		a.pollBudget[id] = maxPollsPerInterval
 		a.voteBudget[id] = a.cfg.MaxVotesPerInterval
 	}
 	a.repairs = 0
@@ -421,9 +408,7 @@ func (a *Auditor) poll(origin simnet.NodeID, root guid.GUID, rng *rand.Rand) {
 		}
 		st.sent++
 		a.stats.Polls++
-		if a.om != nil {
-			a.om.polls.Inc()
-		}
+		a.om.polls.Inc()
 		a.net.Send(origin, peers[i], KindPoll,
 			pollMsg{Root: root, Reply: origin, Rid: a.nextRid}, pollWireSize)
 	}
@@ -446,9 +431,7 @@ func (a *Auditor) handle(id simnet.NodeID, m simnet.Message) {
 		if !a.cfg.DisableRateLimit {
 			if a.voteBudget[id] <= 0 {
 				a.stats.VotesSuppressed++
-				if a.om != nil {
-					a.om.suppressed.Inc()
-				}
+				a.om.suppressed.Inc()
 				return
 			}
 			a.voteBudget[id]--
@@ -458,9 +441,7 @@ func (a *Auditor) handle(id simnet.NodeID, m simnet.Message) {
 			vote.Has, vote.Frag = true, sf
 		}
 		a.stats.VotesServed++
-		if a.om != nil {
-			a.om.votes.Inc()
-		}
+		a.om.votes.Inc()
 		size := voteWireSize
 		if vote.Has {
 			size = vote.Frag.WireSize()
@@ -478,16 +459,12 @@ func (a *Auditor) handle(id simnet.NodeID, m simnet.Message) {
 			// redundancy (wiped disk), not an accusation.
 			st.damning++
 			a.stats.Missing++
-			if a.om != nil {
-				a.om.missing.Inc()
-			}
+			a.om.missing.Inc()
 		case p.Frag.Root == st.root && p.Frag.Verify():
 			st.agrees++
 			st.agree += a.trustOf(m.From)
 			a.stats.Agrees++
-			if a.om != nil {
-				a.om.agrees.Inc()
-			}
+			a.om.agrees.Inc()
 			a.credit(m.From)
 		default:
 			// The fragment fails its own Merkle check: cryptographic
@@ -499,9 +476,7 @@ func (a *Auditor) handle(id simnet.NodeID, m simnet.Message) {
 			// answers (a liar) slides to the floor.
 			st.damning++
 			a.stats.Disagrees++
-			if a.om != nil {
-				a.om.disagrees.Inc()
-			}
+			a.om.disagrees.Inc()
 			a.discredit(m.From)
 			a.svc.DropFragment(m.From, st.root, p.Frag.Index)
 		}
@@ -521,21 +496,17 @@ func (a *Auditor) tally(rid uint64) {
 	case st.damning > 0:
 		delete(a.backoff, key)
 		a.evidence(st.origin, st.root, st.damning)
-	case st.agree >= a.cfg.MinQuorum:
+	case st.agree >= minQuorum:
 		// Clean bill of health: enough reputation-weighted agreement.
 		a.stats.Healthy++
-		if a.om != nil {
-			a.om.healthy.Inc()
-		}
+		a.om.healthy.Inc()
 		delete(a.backoff, key)
 	default:
 		// Not enough trustworthy answers — unreachable peers, drained
 		// vote budgets, or a root held mostly by suspects.  Back off
 		// before asking again; a partition must not become a storm.
 		a.stats.Inconclusive++
-		if a.om != nil {
-			a.om.inconclusive.Inc()
-		}
+		a.om.inconclusive.Inc()
 		if !a.cfg.DisableBackoff {
 			b := a.backoff[key]
 			if b == nil {
@@ -561,10 +532,8 @@ func (a *Auditor) evidence(origin simnet.NodeID, root guid.GUID, weight int) {
 		a.detected[root] = since
 		a.stats.Detections++
 		a.DetectionLatency.ObserveDuration(now - since)
-		if a.om != nil {
-			a.om.detections.Inc()
-			a.om.detectLat.ObserveDuration(now - since)
-		}
+		a.om.detections.Inc()
+		a.om.detectLat.ObserveDuration(now - since)
 		if a.otr != nil {
 			a.otr.Emit(obs.Event{
 				T: int64(now), Node: int(origin), Peer: -1,
@@ -583,23 +552,19 @@ func (a *Auditor) evidence(origin simnet.NodeID, root guid.GUID, weight int) {
 // copy may still hold another verifying fragment of the same root and
 // answer future polls healthy while redundancy stays degraded.
 func (a *Auditor) tryRepair(origin int, root guid.GUID) {
-	if !a.cfg.DisableRateLimit && a.repairs >= a.cfg.MaxRepairsPerInterval {
+	if !a.cfg.DisableRateLimit && a.repairs >= maxRepairsPerInterval {
 		a.stats.RepairsDeferred++
 		return
 	}
 	a.repairs++
 	if err := a.svc.RepairRoot(root, nil, a.suspectedSet()); err != nil {
 		a.stats.RepairFailures++
-		if a.om != nil {
-			a.om.repairFailed.Inc()
-		}
+		a.om.repairFailed.Inc()
 		return
 	}
 	delete(a.detected, root)
 	a.stats.Repairs++
-	if a.om != nil {
-		a.om.repairs.Inc()
-	}
+	a.om.repairs.Inc()
 	if a.otr != nil {
 		a.otr.Emit(obs.Event{
 			T: int64(a.net.K.Now()), Node: origin, Peer: -1,
@@ -637,7 +602,7 @@ func (a *Auditor) trustOf(id simnet.NodeID) float64 {
 		return 1
 	}
 	r := a.Reputation(id)
-	if r < a.cfg.ReputationCut {
+	if r < reputationCut {
 		return 0
 	}
 	if r > 1 {

@@ -1,8 +1,6 @@
 package audit
 
 import (
-	"time"
-
 	"oceanstore/internal/obs"
 	"oceanstore/internal/replica"
 	"oceanstore/internal/simnet"
@@ -33,7 +31,7 @@ type ReplicaAuditor struct {
 	cancel func()
 
 	stats ReplicaStats
-	om    *replicaAuditMetrics
+	om    replicaAuditMetrics
 }
 
 type replicaAuditMetrics struct {
@@ -51,11 +49,7 @@ func (ra *ReplicaAuditor) AddRing(r *replica.Ring) { ra.rings = append(ra.rings,
 
 // Instrument attaches registry counters (counting never steers).
 func (ra *ReplicaAuditor) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		ra.om = nil
-		return
-	}
-	ra.om = &replicaAuditMetrics{
+	ra.om = replicaAuditMetrics{
 		checks:     reg.Counter(obs.NodeWide, "audit", "replica_checks"),
 		detections: reg.Counter(obs.NodeWide, "audit", "replica_detections"),
 		repairs:    reg.Counter(obs.NodeWide, "audit", "replica_repairs"),
@@ -109,9 +103,7 @@ func (ra *ReplicaAuditor) tick() {
 				continue
 			}
 			ra.stats.Checks++
-			if ra.om != nil {
-				ra.om.checks.Inc()
-			}
+			ra.om.checks.Inc()
 			if sd.Height != pd.Height {
 				// Behind the primary: lag is the epidemic tier's normal
 				// state, not corruption.  Gossip will catch it up.
@@ -122,19 +114,11 @@ func (ra *ReplicaAuditor) tick() {
 				continue
 			}
 			ra.stats.Detections++
-			if ra.om != nil {
-				ra.om.detections.Inc()
-			}
+			ra.om.detections.Inc()
 			if err := ring.RepairSecondary(sec.Node); err == nil {
 				ra.stats.Repairs++
-				if ra.om != nil {
-					ra.om.repairs.Inc()
-				}
+				ra.om.repairs.Inc()
 			}
 		}
 	}
 }
-
-// interval is exported for callers aligning experiment horizons with
-// the audit cadence.
-func (ra *ReplicaAuditor) Interval() time.Duration { return ra.cfg.Interval }

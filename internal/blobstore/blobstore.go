@@ -789,6 +789,7 @@ func decodeDrop(payload []byte) (guid.GUID, int, error) {
 
 // Interface conformance.
 var (
-	_ archive.Store     = (*Store)(nil)
-	_ archive.Crashable = (*Store)(nil)
+	_ archive.Store      = (*Store)(nil)
+	_ archive.Crashable  = (*Store)(nil)
+	_ archive.Tamperable = (*Store)(nil)
 )

@@ -253,11 +253,12 @@ type Group struct {
 	// reqFree recycles client-side per-request records (reqState).
 	reqFree []*reqState
 
-	om  *byzMetrics
+	om  byzMetrics
 	otr *obs.Tracer
 }
 
-// byzMetrics holds the tier's pre-resolved obs handles.  All counters
+// byzMetrics holds the tier's pre-resolved obs handles; the zero value
+// is "not instrumented" (nil handles count nothing).  All counters
 // are tier-wide (NodeWide): groups of different objects sharing a
 // registry aggregate, which is what pool-level dumps want.
 type byzMetrics struct {
@@ -276,11 +277,7 @@ type byzMetrics struct {
 // submit/commit/view-install trace events.
 func (g *Group) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	g.otr = tr
-	if reg == nil {
-		g.om = nil
-		return
-	}
-	g.om = &byzMetrics{
+	g.om = byzMetrics{
 		submits:           reg.Counter(obs.NodeWide, "byz", "submits"),
 		commits:           reg.Counter(obs.NodeWide, "byz", "commits"),
 		clientRetransmits: reg.Counter(obs.NodeWide, "byz", "client_retransmits"),
@@ -481,9 +478,7 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 	}
 	rs.sent = g.net.K.Now()
 	rs.callback = onDone
-	if g.om != nil {
-		g.om.submits.Inc()
-	}
+	g.om.submits.Inc()
 	if g.otr != nil {
 		g.otr.Emit(obs.Event{
 			T: int64(g.net.K.Now()), Node: int(client), Peer: -1,
@@ -511,9 +506,7 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 	var retransmit func()
 	retransmit = func() {
 		g.net.NoteRetry(kindRequest)
-		if g.om != nil {
-			g.om.clientRetransmits.Inc()
-		}
+		g.om.clientRetransmits.Inc()
 		for i := range g.replicas {
 			g.net.Send(client, g.nodes[i], kindRequest, req, req.Size+CHeader)
 		}
@@ -593,10 +586,8 @@ func (g *Group) clientHandle(client simnet.NodeID, m simnet.Message) {
 		Certificate: cert,
 	}
 	g.clearReq(cs, rep.ID)
-	if g.om != nil {
-		g.om.commits.Inc()
-		g.om.commitLatency.ObserveDuration(res.Latency)
-	}
+	g.om.commits.Inc()
+	g.om.commitLatency.ObserveDuration(res.Latency)
 	if g.otr != nil {
 		g.otr.Emit(obs.Event{
 			T: int64(g.net.K.Now()), Node: int(client), Peer: rep.From,

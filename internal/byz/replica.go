@@ -214,9 +214,7 @@ func (r *replica) onRequest(req Request) {
 	if rec.done {
 		// Already executed: re-send the reply (the first one may have been
 		// dropped; replies are never otherwise retransmitted).
-		if om := r.g.om; om != nil {
-			om.reReplies.Inc()
-		}
+		r.g.om.reReplies.Inc()
 		r.reply(rec.doneSeq, req.ID, req.Client)
 		return
 	}
@@ -472,9 +470,7 @@ func (r *replica) executeReady() {
 		if r.g.retainExecuted {
 			r.executed = append(r.executed, s.digest)
 		}
-		if om := r.g.om; om != nil {
-			om.executes.Inc()
-		}
+		r.g.om.executes.Inc()
 		if r.exec != nil && r.fault == Honest {
 			r.exec(seq, s.req)
 		}
@@ -508,9 +504,7 @@ func (r *replica) refreshVotes(seq uint64) {
 	if s == nil || !s.hasReq || s.executed {
 		return
 	}
-	if om := r.g.om; om != nil {
-		om.voteRefreshes.Inc()
-	}
+	r.g.om.voteRefreshes.Inc()
 	if s.prepVoted[r.id] {
 		r.broadcast(kindPrepare, voteMsg{Tag: r.g.tag, View: r.view, Seq: seq, Digest: s.prepares[r.id], Replica: r.id}, CSmall)
 	}
@@ -597,9 +591,7 @@ func (r *replica) requestTimeout(id guid.GUID) {
 			return
 		}
 	}
-	if om := r.g.om; om != nil {
-		om.viewVoteTimeouts.Inc()
-	}
+	r.g.om.viewVoteTimeouts.Inc()
 	nv := r.view + 1
 	r.voteView(nv)
 	r.broadcast(kindViewChange, viewChangeMsg{Tag: r.g.tag, NewView: nv, Replica: r.id}, CSmall)
@@ -685,9 +677,7 @@ func (r *replica) installView(nv uint64) {
 		return
 	}
 	r.view = nv
-	if om := r.g.om; om != nil {
-		om.viewInstalls.Inc()
-	}
+	r.g.om.viewInstalls.Inc()
 	if tr := r.g.otr; tr != nil {
 		tr.Emit(obs.Event{
 			T: int64(r.g.net.K.Now()), Node: int(r.node()), Peer: -1,

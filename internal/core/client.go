@@ -140,6 +140,27 @@ func (s *Session) OnAbort(cb func(obj guid.GUID, id update.UpdateID)) {
 	s.onAbort = append(s.onAbort, cb)
 }
 
+// eligibleSecondaries calls yield, in node order, for each floating
+// replica of ring that may serve obj to this session: live, not stale,
+// and holding the session's read floor.  A ReadCommitted session is
+// served by the primary tier alone, so nothing is yielded.  Every read
+// path selects among exactly this set; which one it takes — nearest, a
+// latency-ordered list, earliest predicted completion — is the
+// caller's rule.
+func (s *Session) eligibleSecondaries(ring *replica.Ring, obj guid.GUID, yield func(*replica.Secondary)) {
+	if s.g&ReadCommitted != 0 {
+		return
+	}
+	floor := s.readFloor(obj)
+	net := s.c.pool.Net
+	for _, sec := range ring.Secondaries() {
+		if sec.Stale || net.Node(sec.Node).Down() || !floor.accepts(sec.Rep) {
+			continue
+		}
+		yield(sec)
+	}
+}
+
 // pickReplica chooses the replica a read is served from: the closest
 // one (by modeled latency) whose state satisfies the session's
 // guarantees, falling back to the primary tier, which always does.
@@ -148,22 +169,13 @@ func (s *Session) pickReplica(obj guid.GUID) (*epidemic.Replica, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown object %s", obj.Short())
 	}
-	if s.g&ReadCommitted != 0 {
-		return ring.PrimaryState(), nil
-	}
 	var best *replica.Secondary
-	floor := s.readFloor(obj)
-	for _, sec := range ring.Secondaries() {
-		if sec.Stale || s.c.pool.Net.Node(sec.Node).Down() {
-			continue
-		}
-		if !floor.accepts(sec.Rep) {
-			continue
-		}
-		if best == nil || s.c.pool.Net.Latency(s.c.Node, sec.Node) < s.c.pool.Net.Latency(s.c.Node, best.Node) {
+	net := s.c.pool.Net
+	s.eligibleSecondaries(ring, obj, func(sec *replica.Secondary) {
+		if best == nil || net.Latency(s.c.Node, sec.Node) < net.Latency(s.c.Node, best.Node) {
 			best = sec
 		}
-	}
+	})
 	if best != nil {
 		best.Reads++
 		return best.Rep, nil

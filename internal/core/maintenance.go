@@ -8,18 +8,15 @@ import (
 
 // MaintenanceConfig tunes the background self-repair processes that
 // make the infrastructure "automatically adapt to the presence or
-// absence of particular servers without human intervention" (§4.3.3)
-// and keep archival durability up (§4.5).
+// absence of particular servers without human intervention" (§4.3.3).
+// Archival repair (§4.5) is not here: archive.Scheduler over Pool.Arch
+// is the one repair engine.
 type MaintenanceConfig struct {
 	// Republish re-deposits location pointers from live replicas —
 	// "servers slowly repeat the publishing process to repair pointers".
 	Republish time.Duration
 	// MeshRepair rebuilds routing tables around failed nodes.
 	MeshRepair time.Duration
-	// ArchiveSweep runs the deep-archival repair pass; archives with at
-	// most ArchiveThreshold live fragments are re-encoded.
-	ArchiveSweep     time.Duration
-	ArchiveThreshold int
 	// TreeRepair re-attaches dissemination-tree members whose parents
 	// died.
 	TreeRepair time.Duration
@@ -28,11 +25,9 @@ type MaintenanceConfig struct {
 // DefaultMaintenanceConfig runs everything on minute-scale periods.
 func DefaultMaintenanceConfig() MaintenanceConfig {
 	return MaintenanceConfig{
-		Republish:        time.Minute,
-		MeshRepair:       5 * time.Minute,
-		ArchiveSweep:     5 * time.Minute,
-		ArchiveThreshold: 12,
-		TreeRepair:       time.Minute,
+		Republish:  time.Minute,
+		MeshRepair: 5 * time.Minute,
+		TreeRepair: time.Minute,
 	}
 }
 
@@ -48,13 +43,6 @@ func (p *Pool) StartMaintenance(cfg MaintenanceConfig) (stop func()) {
 			p.syncMeshLiveness()
 			p.Mesh.Repair()
 			p.Mesh.ExpireSoftState(p.K.Now())
-		}))
-	}
-	if cfg.ArchiveSweep > 0 {
-		cancels = append(cancels, p.K.Every(cfg.ArchiveSweep, func() {
-			// Failed repairs are already counted under archive/repair_failed;
-			// the periodic sweep has no caller to hand the errors to.
-			_, _ = p.Arch.RepairSweep(cfg.ArchiveThreshold, nil)
 		}))
 	}
 	if cfg.TreeRepair > 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"oceanstore/internal/archive"
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/simnet"
 )
@@ -12,11 +13,9 @@ func TestMaintenanceHealsLocationAfterCrashes(t *testing.T) {
 	p := smallPool(50)
 	p.Mesh.PointerTTL = 3 * time.Minute
 	stop := p.StartMaintenance(MaintenanceConfig{
-		Republish:        30 * time.Second,
-		MeshRepair:       time.Minute,
-		ArchiveSweep:     2 * time.Minute,
-		ArchiveThreshold: 4,
-		TreeRepair:       time.Minute,
+		Republish:  30 * time.Second,
+		MeshRepair: time.Minute,
+		TreeRepair: time.Minute,
 	})
 	defer stop()
 
@@ -64,13 +63,17 @@ func TestMaintenanceHealsLocationAfterCrashes(t *testing.T) {
 	}
 }
 
+// TestMaintenanceRepairsArchives: the archival scheduler over a
+// pool's service is the unattended repair duty — a commit-time archive
+// that loses fragments to disk failure is rebuilt with nobody calling
+// repair by hand.
 func TestMaintenanceRepairsArchives(t *testing.T) {
 	p := smallPool(51)
-	stop := p.StartMaintenance(MaintenanceConfig{
-		ArchiveSweep:     time.Minute,
-		ArchiveThreshold: 6,
+	sched := archive.NewScheduler(p.Arch, archive.SchedulerConfig{
+		RepairInterval: time.Minute,
+		Threshold:      6,
 	})
-	defer stop()
+	defer sched.Start()()
 	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
 	obj, err := alice.Create("arch", []byte("durable data"))
 	if err != nil {
@@ -93,7 +96,10 @@ func TestMaintenanceRepairsArchives(t *testing.T) {
 	}
 	p.Run(5 * time.Minute)
 	if live := p.Arch.LiveFragments(root); live < 8 {
-		t.Fatalf("maintenance left archive at %d live fragments", live)
+		t.Fatalf("scheduler left archive at %d live fragments", live)
+	}
+	if st := sched.Stats(); st.Repairs == 0 || st.RepairFailed != 0 {
+		t.Fatalf("scheduler stats after repair: %+v", st)
 	}
 }
 

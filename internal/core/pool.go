@@ -43,12 +43,12 @@ type PoolConfig struct {
 	DropProb       float64
 	// Salts sets the location mesh's salted-root redundancy.
 	Salts uint32
-	// NoMesh skips building the Plaxton location mesh.  Mesh
-	// construction is O(n²) in node count (every node's routing table
-	// scans every other node), which caps worlds at a few hundred
-	// nodes; soak deployments that address replicas directly set
-	// NoMesh so a 10k-node pool builds in O(n).  Locate and Router
-	// are unavailable on a meshless pool.
+	// NoMesh skips building the Plaxton location mesh.  plaxton.New
+	// fills every node's routing table by scanning every other node —
+	// O(n²) table fill, the measured reason soak worlds leave it out —
+	// so soak deployments, which address replicas directly, set NoMesh
+	// and build in O(n); a near-linear builder is ROADMAP item 3.
+	// Locate and Router are unavailable on a meshless pool.
 	NoMesh bool
 	// StoreFactory, when set, selects the fragment-store backend each
 	// storage node gets on first use (e.g. a blobstore volume per
@@ -161,9 +161,6 @@ func NewPool(seed int64, cfg PoolConfig) *Pool {
 	}
 	return p
 }
-
-// Config returns the pool configuration.
-func (p *Pool) Config() PoolConfig { return p.cfg }
 
 // Router returns the asynchronous mesh router: routes, publishes and
 // locates ride the simulated network with per-hop timeouts, backup-link

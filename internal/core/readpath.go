@@ -7,6 +7,7 @@ import (
 
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
+	"oceanstore/internal/replica"
 	"oceanstore/internal/simnet"
 )
 
@@ -135,28 +136,19 @@ func (s *Session) readCandidates(obj guid.GUID) ([]simnet.NodeID, error) {
 		return nil, fmt.Errorf("core: unknown object %s", obj.Short())
 	}
 	var out []simnet.NodeID
-	if s.g&ReadCommitted == 0 {
-		floor := s.readFloor(obj)
-		for _, sec := range ring.Secondaries() {
-			if sec.Stale || s.c.pool.Net.Node(sec.Node).Down() {
-				continue
-			}
-			if !floor.accepts(sec.Rep) {
-				continue
-			}
-			out = append(out, sec.Node)
-		}
-		net := s.c.pool.Net
-		for i := 0; i < len(out); i++ {
-			for j := i + 1; j < len(out); j++ {
-				if net.Latency(s.c.Node, out[j]) < net.Latency(s.c.Node, out[i]) {
-					out[i], out[j] = out[j], out[i]
-				}
+	s.eligibleSecondaries(ring, obj, func(sec *replica.Secondary) {
+		out = append(out, sec.Node)
+	})
+	net := s.c.pool.Net
+	for i := 0; i < len(out); i++ {
+		for j := i + 1; j < len(out); j++ {
+			if net.Latency(s.c.Node, out[j]) < net.Latency(s.c.Node, out[i]) {
+				out[i], out[j] = out[j], out[i]
 			}
 		}
 	}
 	for _, nid := range ring.PrimaryNodes() {
-		if !s.c.pool.Net.Node(nid).Down() {
+		if !net.Node(nid).Down() {
 			out = append(out, nid)
 		}
 	}

@@ -41,21 +41,11 @@ type SoakConfig struct {
 	// MaxInFlight is the backpressure threshold: accepted-but-
 	// unresolved writes beyond it shed new requests (ErrOverloaded).
 	MaxInFlight int
-	// WriteTimeout bounds how long a write may stay unresolved in
-	// virtual time before the session gives up (abort) — without it,
-	// a write stalled behind churn retransmits forever and a closed
-	// loop never finishes.
-	WriteTimeout time.Duration
 	// ArchiveEvery archives a ring every N commits (soak loosens the
 	// paper's every-commit coupling so archival cost stays sublinear).
 	ArchiveEvery int
 	// GossipInterval is the secondary anti-entropy period.
 	GossipInterval time.Duration
-	// RetainVersions caps each object's retained version history
-	// (object.KeepLast); deep-archival copies persist regardless.
-	RetainVersions int
-	// RetireEvery is the period of the history-retirement sweep.
-	RetireEvery time.Duration
 	// Guarantees are the session guarantees every client runs under.
 	Guarantees Guarantees
 	// Backend selects the fragment-store implementation: "" or "mem"
@@ -101,6 +91,19 @@ type SoakConfig struct {
 	LatencyPerUnit time.Duration
 }
 
+const (
+	// soakWriteTimeout bounds how long a write may stay unresolved in
+	// virtual time before the session gives up (abort) — without it, a
+	// write stalled behind churn retransmits forever and a closed loop
+	// never finishes.
+	soakWriteTimeout = 2 * time.Minute
+	// soakRetainVersions caps each object's retained version history
+	// (object.KeepLast); deep-archival copies persist regardless.
+	soakRetainVersions = 8
+	// soakRetirePeriod is the period of the history-retirement sweep.
+	soakRetirePeriod = 5 * time.Minute
+)
+
 // DefaultSoakConfig scales a soak world to the given node count:
 // objects ~ nodes/16, clients ~ nodes/32 (clamped), one fault per
 // tier, WAN-ish latency.
@@ -122,11 +125,8 @@ func DefaultSoakConfig(nodes int) SoakConfig {
 		Faults:          1,
 		BlockSize:       512,
 		MaxInFlight:     clamp(nodes/32, 8, 1024),
-		WriteTimeout:    2 * time.Minute,
 		ArchiveEvery:    256,
 		GossipInterval:  30 * time.Second,
-		RetainVersions:  8,
-		RetireEvery:     5 * time.Minute,
 		Guarantees:      ReadYourWrites,
 		IntrospectEpoch: 10 * time.Second,
 		NodeBudget:      8,
@@ -193,10 +193,7 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 	// checkpoint transfer.  Without these bounds a million-op run keeps
 	// every update alive forever and replays dead tentative entries on
 	// every read — the O(ops²) wall the soak hit.
-	var tentativeExpire time.Duration
-	if cfg.WriteTimeout > 0 {
-		tentativeExpire = cfg.WriteTimeout + 2*cfg.GossipInterval
-	}
+	tentativeExpire := soakWriteTimeout + 2*cfg.GossipInterval
 	pc := PoolConfig{
 		Nodes:     cfg.Nodes,
 		Domains:   cfg.Domains,
@@ -213,7 +210,7 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 				CommitWindow:    128,
 			},
 			LogCap:       256,
-			HistoryBound: cfg.RetainVersions,
+			HistoryBound: soakRetainVersions,
 			DropExecuted: true,
 		},
 		Extent:         cfg.Extent,
@@ -260,7 +257,7 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 		c := p.NewClient(simnet.NodeID(i%cfg.Nodes), crypt.NewSigner(p.K.Rand()))
 		c.Keys = w.owner.Keys
 		s := c.NewSession(cfg.Guarantees)
-		s.UpdateTimeout = cfg.WriteTimeout
+		s.UpdateTimeout = soakWriteTimeout
 		s.OnCommit(func(_ guid.GUID, id update.UpdateID) { w.resolve(id, true) })
 		s.OnAbort(func(_ guid.GUID, id update.UpdateID) { w.resolve(id, false) })
 		w.sessions = append(w.sessions, s)
@@ -287,16 +284,14 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 			w.addSecondary(obj, nd.ID)
 		}
 	})
-	if cfg.RetireEvery > 0 && cfg.RetainVersions > 0 {
-		p.K.Every(cfg.RetireEvery, func() {
-			policy := object.KeepLast{N: cfg.RetainVersions}
-			for _, obj := range w.objects {
-				if ring, ok := p.Ring(obj); ok {
-					ring.Retire(policy)
-				}
+	p.K.Every(soakRetirePeriod, func() {
+		policy := object.KeepLast{N: soakRetainVersions}
+		for _, obj := range w.objects {
+			if ring, ok := p.Ring(obj); ok {
+				ring.Retire(policy)
 			}
-		})
-	}
+		}
+	})
 	if cfg.ScrubInterval > 0 {
 		w.sched = archive.NewScheduler(p.Arch, archive.SchedulerConfig{
 			ScrubInterval: cfg.ScrubInterval,
@@ -628,18 +623,9 @@ func (w *SoakWorld) modeledRead(s *Session, obj guid.GUID, done func(ok bool)) {
 			bestNode, bestRep, bestSec, bestDone = node, rep, sec, finish
 		}
 	}
-	if s.g&ReadCommitted == 0 {
-		floor := s.readFloor(obj)
-		for _, sec := range ring.Secondaries() {
-			if sec.Stale || w.Pool.Net.Node(sec.Node).Down() {
-				continue
-			}
-			if !floor.accepts(sec.Rep) {
-				continue
-			}
-			consider(sec.Node, sec.Rep, sec)
-		}
-	}
+	s.eligibleSecondaries(ring, obj, func(sec *replica.Secondary) {
+		consider(sec.Node, sec.Rep, sec)
+	})
 	consider(ring.PrimaryAnchor(), ring.PrimaryState(), nil)
 	// Occupy the chosen server's FIFO slot and charge the wire.
 	start := now + w.Pool.Net.Latency(client, bestNode)

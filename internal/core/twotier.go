@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 
 	"oceanstore/internal/bloom"
@@ -153,9 +152,4 @@ func (tt *TwoTier) Locate(from simnet.NodeID, obj guid.GUID) (TierResult, error)
 // constant-per-server cost the paper emphasises.
 func (tt *TwoTier) ProbabilisticStateBytes(node simnet.NodeID) int {
 	return tt.loc.StateBytes(int(node))
-}
-
-// distance helper for overlay construction experiments.
-func (p *Pool) nodeDistance(a, b simnet.NodeID) float64 {
-	return math.Abs(p.Net.Distance(a, b))
 }

@@ -58,7 +58,7 @@ type Replica struct {
 	// Log records every applied update, commit or abort (§4.4.1).
 	Log *update.Log
 
-	om *epiMetrics
+	om epiMetrics
 }
 
 // dedup is what the replica remembers about one update ID.
@@ -67,7 +67,8 @@ type dedup struct {
 	out       update.Outcome // the logged outcome, once committed
 }
 
-// epiMetrics holds pre-resolved per-replica observability handles.
+// epiMetrics holds pre-resolved per-replica observability handles; the
+// zero value is "not instrumented" (nil handles count nothing).
 type epiMetrics struct {
 	tentative   *obs.Counter
 	commits     *obs.Counter
@@ -110,10 +111,10 @@ func NewFamilies(reg *obs.Registry) *Families {
 // never changes replica behaviour.
 func (r *Replica) Instrument(f *Families, node int) {
 	if f == nil {
-		r.om = nil
+		r.om = epiMetrics{}
 		return
 	}
-	r.om = &epiMetrics{
+	r.om = epiMetrics{
 		tentative:   f.tentative.At(node),
 		commits:     f.commits.At(node),
 		aborts:      f.aborts.At(node),
@@ -179,9 +180,7 @@ func (r *Replica) AddTentative(u *update.Update) bool {
 	if u.Seq > r.vv[u.ClientID] {
 		r.vv[u.ClientID] = u.Seq
 	}
-	if r.om != nil {
-		r.om.tentative.Inc()
-	}
+	r.om.tentative.Inc()
 	r.cacheValid = false
 	return true
 }
@@ -193,9 +192,7 @@ func (r *Replica) Commit(u *update.Update, now time.Duration) update.Outcome {
 	id := u.ID()
 	d, seen := r.known[id]
 	if d.committed {
-		if r.om != nil {
-			r.om.dupCommits.Inc()
-		}
+		r.om.dupCommits.Inc()
 		// Already serialised here (tree push and anti-entropy can both
 		// deliver the same commit); report the logged outcome.
 		return d.out
@@ -224,12 +221,10 @@ func (r *Replica) Commit(u *update.Update, now time.Duration) update.Outcome {
 	r.expire(now)
 	// Aborts leave base untouched but are still logged (§4.4.1).
 	r.Log.Append(u, out, now)
-	if r.om != nil {
-		if out.Committed {
-			r.om.commits.Inc()
-		} else {
-			r.om.aborts.Inc()
-		}
+	if out.Committed {
+		r.om.commits.Inc()
+	} else {
+		r.om.aborts.Inc()
 	}
 	r.cacheValid = false
 	return out
@@ -247,9 +242,7 @@ func (r *Replica) TentativeState(now time.Duration) *object.Version {
 	if r.cacheValid {
 		return r.cached
 	}
-	if r.om != nil {
-		r.om.replays.Inc()
-	}
+	r.om.replays.Inc()
 	v := r.base
 	for _, u := range r.tentative {
 		next, out, err := update.Apply(u, v, now)

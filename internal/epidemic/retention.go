@@ -79,9 +79,7 @@ func (r *Replica) expire(now time.Duration) {
 	if cut == 0 {
 		return
 	}
-	if r.om != nil {
-		r.om.expired.Add(int64(cut))
-	}
+	r.om.expired.Add(int64(cut))
 	n := copy(r.tentative, r.tentative[cut:])
 	for i := n; i < len(r.tentative); i++ {
 		r.tentative[i] = nil
@@ -148,8 +146,6 @@ func (r *Replica) AdoptCheckpoint(base *object.Version, committedLen int, vv map
 			r.vv[c] = s
 		}
 	}
-	if r.om != nil {
-		r.om.checkpoints.Inc()
-	}
+	r.om.checkpoints.Inc()
 	r.cacheValid = false
 }

@@ -137,11 +137,18 @@ func TestPartialFsyncLosesExactlyTheUnsyncedTail(t *testing.T) {
 	// The scheduler's repair path can rebuild the damaged archives from
 	// surviving fragments: each archive spread 12 fragments over 12
 	// nodes, and only unsynced copies vanished.
-	repaired, failed := svc.RepairSweep(11, nil)
-	if len(failed) != 0 {
-		t.Fatalf("post-crash repairs failed: %v", failed)
+	sched := archive.NewScheduler(svc, archive.SchedulerConfig{
+		RepairInterval: time.Minute,
+		RepairsPerTick: 8,
+		Threshold:      11,
+	})
+	defer sched.Start()()
+	k.RunFor(time.Minute + time.Second)
+	st := sched.Stats()
+	if st.RepairFailed != 0 {
+		t.Fatalf("%d post-crash repairs failed", st.RepairFailed)
 	}
-	if len(repaired) == 0 {
+	if st.Repairs == 0 {
 		t.Fatal("nothing repaired after the crash")
 	}
 	if len(svc.DamagedRoots()) != 0 {

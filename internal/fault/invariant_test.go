@@ -104,13 +104,15 @@ func chaosRun(seed int64, plan fault.Plan, trace func(simnet.TraceEvent)) (chaos
 	}
 
 	stop := p.StartMaintenance(core.MaintenanceConfig{
-		Republish:        30 * time.Second,
-		MeshRepair:       30 * time.Second,
-		ArchiveSweep:     60 * time.Second,
-		ArchiveThreshold: 4,
-		TreeRepair:       30 * time.Second,
+		Republish:  30 * time.Second,
+		MeshRepair: 30 * time.Second,
+		TreeRepair: 30 * time.Second,
 	})
 	defer stop()
+	defer archive.NewScheduler(p.Arch, archive.SchedulerConfig{
+		RepairInterval: 60 * time.Second,
+		Threshold:      4,
+	}).Start()()
 
 	eng := fault.Install(p.Net, plan)
 

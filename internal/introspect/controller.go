@@ -2,13 +2,12 @@
 //
 // The paper's introspection layer watches its own traffic and adapts:
 // objects under sustained read heat grow extra floating replicas close
-// to their readers; cold or write-churned objects shed them.  Decide
-// (replicamgmt.go) is the single-round policy kernel; Controller is
-// the closed loop around it — it accumulates per-object read/write
-// observations between virtual-time epochs, smooths them with an EWMA,
-// and each Tick asks its Host to promote the hottest and demote the
-// coldest objects, under hysteresis, cooldowns, and per-epoch rate
-// limits.
+// to their readers; cold or write-churned objects shed them.
+// Controller is the replica-management policy, and the only one: it
+// accumulates per-object read/write observations between virtual-time
+// epochs, smooths them with an EWMA, and each Tick asks its Host to
+// promote the hottest and demote the coldest objects, under
+// hysteresis, cooldowns, and per-epoch rate limits.
 //
 // Determinism is a hard constraint: the controller draws no
 // randomness, never reads the wall clock, and iterates objects in a

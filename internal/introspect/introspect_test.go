@@ -294,38 +294,3 @@ func TestPrefetcherFallback(t *testing.T) {
 		t.Fatal("n=0 returned predictions")
 	}
 }
-
-func TestReplicaManagementDecisions(t *testing.T) {
-	cfg := ManagerConfig{SpawnAbove: 100, RetireBelow: 1, MinReplicas: 2, MaxReplicas: 5}
-	// One hot replica: spawn near it.
-	acts := Decide([]ReplicaLoad{{0, 500}, {1, 50}, {2, 30}}, cfg)
-	if len(acts) != 1 || !acts[0].Spawn || acts[0].NearReplica != 0 {
-		t.Fatalf("acts = %+v", acts)
-	}
-	// One disused replica: retire it (only when above the floor).
-	acts = Decide([]ReplicaLoad{{0, 50}, {1, 40}, {2, 0.2}}, cfg)
-	if len(acts) != 1 || acts[0].Spawn || acts[0].Retire != 2 {
-		t.Fatalf("acts = %+v", acts)
-	}
-	// At the floor, nothing retires.
-	acts = Decide([]ReplicaLoad{{0, 50}, {1, 0.1}}, cfg)
-	if len(acts) != 0 {
-		t.Fatalf("retired below floor: %+v", acts)
-	}
-	// At the ceiling, nothing spawns.
-	acts = Decide([]ReplicaLoad{{0, 900}, {1, 900}, {2, 900}, {3, 900}, {4, 900}}, cfg)
-	if len(acts) != 0 {
-		t.Fatalf("spawned above ceiling: %+v", acts)
-	}
-	// Multiple hot replicas spawn up to the cap.
-	acts = Decide([]ReplicaLoad{{0, 900}, {1, 800}, {2, 700}}, cfg)
-	spawns := 0
-	for _, a := range acts {
-		if a.Spawn {
-			spawns++
-		}
-	}
-	if spawns != 2 {
-		t.Fatalf("spawns = %d, want 2 (cap 5)", spawns)
-	}
-}

@@ -33,19 +33,21 @@ const (
 // RouterConfig tunes the retry machinery.
 type RouterConfig struct {
 	// HopTimeout is the first attempt's ack window; each retry doubles
-	// it up to BackoffCap.
+	// it up to backoffCapFactor times this.
 	HopTimeout time.Duration
-	// BackoffCap bounds the exponential backoff.
-	BackoffCap time.Duration
 	// HopAttempts is the attempt budget per hop (across candidates)
 	// before the route fails over to an error.
 	HopAttempts int
 }
 
+// backoffCapFactor bounds the exponential backoff at this many
+// HopTimeouts (4 s at the default 500 ms).
+const backoffCapFactor = 8
+
 // DefaultRouterConfig matches WAN latencies: first retry after 500 ms,
 // backoff capped at 4 s, 8 attempts per hop.
 func DefaultRouterConfig() RouterConfig {
-	return RouterConfig{HopTimeout: 500 * time.Millisecond, BackoffCap: 4 * time.Second, HopAttempts: 8}
+	return RouterConfig{HopTimeout: 500 * time.Millisecond, HopAttempts: 8}
 }
 
 // ErrRouteTimeout is returned when a route exhausts its deadline or a
@@ -112,7 +114,7 @@ type Router struct {
 
 	hopFree []*hopMsg // reclaimed hop payloads; see hopMsg
 
-	om  *routerMetrics
+	om  routerMetrics
 	otr *obs.Tracer
 }
 
@@ -129,11 +131,7 @@ type routerMetrics struct {
 // and per-route trace events carrying the hop path.
 func (r *Router) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	r.otr = tr
-	if reg == nil {
-		r.om = nil
-		return
-	}
-	r.om = &routerMetrics{
+	r.om = routerMetrics{
 		routesOK:   reg.Counter(obs.NodeWide, "plaxton", "routes_ok"),
 		routesFail: reg.Counter(obs.NodeWide, "plaxton", "routes_fail"),
 		hopRetries: reg.Counter(obs.NodeWide, "plaxton", "hop_retries"),
@@ -146,9 +144,6 @@ func (r *Router) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 func NewRouter(m *Mesh, net *simnet.Network, cfg RouterConfig) *Router {
 	if cfg.HopTimeout <= 0 {
 		cfg.HopTimeout = DefaultRouterConfig().HopTimeout
-	}
-	if cfg.BackoffCap < cfg.HopTimeout {
-		cfg.BackoffCap = 8 * cfg.HopTimeout
 	}
 	if cfg.HopAttempts <= 0 {
 		cfg.HopAttempts = DefaultRouterConfig().HopAttempts
@@ -331,9 +326,7 @@ func (r *Router) attempt(rid uint64, st *routeState) {
 	}
 	if st.attempt > 0 {
 		r.net.NoteRetry(KindHop)
-		if r.om != nil {
-			r.om.hopRetries.Inc()
-		}
+		r.om.hopRetries.Inc()
 		if r.otr != nil {
 			r.otr.Emit(obs.Event{
 				T: int64(r.net.K.Now()), Node: st.cur, Peer: next,
@@ -348,8 +341,8 @@ func (r *Router) attempt(rid uint64, st *routeState) {
 
 	// Exponential backoff, capped: 1x, 2x, 4x ... of HopTimeout.
 	timeout := r.cfg.HopTimeout << uint(st.attempt)
-	if timeout > r.cfg.BackoffCap || timeout <= 0 {
-		timeout = r.cfg.BackoffCap
+	if limit := backoffCapFactor * r.cfg.HopTimeout; timeout > limit || timeout <= 0 {
+		timeout = limit
 	}
 	r.net.K.After(timeout, func() {
 		if st.done || st.gen != gen {
@@ -397,11 +390,9 @@ func (r *Router) complete(rid uint64, st *routeState, holder int) {
 		return
 	}
 	st.done = true
-	if r.om != nil {
-		r.om.routesOK.Inc()
-		r.om.hops.Observe(int64(len(st.path) - 1))
-		r.om.latency.ObserveDuration(r.net.K.Now() - st.started)
-	}
+	r.om.routesOK.Inc()
+	r.om.hops.Observe(int64(len(st.path) - 1))
+	r.om.latency.ObserveDuration(r.net.K.Now() - st.started)
 	if r.otr != nil {
 		r.otr.Emit(obs.Event{
 			T: int64(r.net.K.Now()), Node: st.cur, Peer: holder,
@@ -440,9 +431,7 @@ func (r *Router) finish(st *routeState, err error) {
 		return
 	}
 	st.done = true
-	if r.om != nil {
-		r.om.routesFail.Inc()
-	}
+	r.om.routesFail.Inc()
 	if r.otr != nil {
 		r.otr.Emit(obs.Event{
 			T: int64(r.net.K.Now()), Node: st.cur, Peer: -1,

@@ -142,7 +142,7 @@ type Ring struct {
 	CheckWrite func(*update.Update) error
 
 	obsEpi *epidemic.Families // for secondaries that join later
-	om     *ringMetrics
+	om     ringMetrics
 }
 
 // ringMetrics covers the ring-level update path: epidemic rounds and
@@ -163,11 +163,7 @@ func (r *Ring) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	for _, s := range r.Secondaries() {
 		s.Rep.Instrument(r.obsEpi, int(s.Node))
 	}
-	if reg == nil {
-		r.om = nil
-		return
-	}
-	r.om = &ringMetrics{
+	r.om = ringMetrics{
 		gossipRounds: reg.Counter(obs.NodeWide, "replica", "gossip_rounds"),
 		gossipMoved:  reg.Counter(obs.NodeWide, "replica", "gossip_moved"),
 	}
@@ -530,9 +526,7 @@ func (r *Ring) gossipRound() {
 	if len(nodes) == 0 {
 		return
 	}
-	if r.om != nil {
-		r.om.gossipRounds.Inc()
-	}
+	r.om.gossipRounds.Inc()
 	rng := r.net.K.Rand()
 	pairs := (len(nodes) + 1) / 2
 	for i := 0; i < pairs; i++ {
@@ -562,9 +556,7 @@ func (r *Ring) handleGossip(at simnet.NodeID, req gossipReq) {
 		peer = r.primaryState // a primary initiated the exchange
 	}
 	moved := epidemic.AntiEntropy(peer, target.Rep, r.net.K.Now())
-	if r.om != nil {
-		r.om.gossipMoved.Add(int64(moved))
-	}
+	r.om.gossipMoved.Add(int64(moved))
 	if moved > 0 {
 		// The reply carries the reconciled updates; estimate ~512 B each
 		// for accounting purposes.
