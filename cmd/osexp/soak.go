@@ -263,8 +263,12 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 		fmt.Fprintf(w, "WARNING: %d operations still in flight after drain\n", st.InFlight)
 	}
 	// Memory facts go to stderr, not the report: the report rides the
-	// determinism comparisons and RSS/GC numbers are machine noise.
-	obs.SampleMem().Report(os.Stderr)
+	// determinism comparisons and RSS/GC numbers are machine noise.  The
+	// live heap is read after the sample, so the sample's GC count and
+	// pauses are the run's own, and while the world is still reachable.
+	ms := obs.SampleMem()
+	ms.Live, ms.Writes = obs.LiveHeap(), committed
+	ms.Report(os.Stderr)
 	// And the kernel's occupancy: how many events the run was, and how
 	// much of the queue was timeouts waiting to find nothing to do.
 	ks := world.Pool.K.Stats()

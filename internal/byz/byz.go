@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"oceanstore/internal/crypt"
@@ -393,15 +394,15 @@ type reqState struct {
 // Cancel release every per-request record, so a long run's client
 // state is O(in-flight requests), not O(requests ever).  A request is
 // outstanding exactly while its `pending` entry exists — late replies
-// and the retransmission loop both gate on it.
+// and the retransmission loop both gate on it — and the map exists only
+// while an entry does: most clients write to most tiers rarely.
 type clientState struct {
 	pending map[guid.GUID]*reqState
-	// done remembers recently resolved/cancelled request IDs so a
-	// duplicate Submit is ignored; bounded FIFO (doneRing), same horizon
-	// argument as the replica-side doneWindow.
-	done     map[guid.GUID]bool
-	doneRing []guid.GUID
-	doneHead int
+	// done remembers the last doneWindow resolved/cancelled request IDs
+	// so a duplicate Submit is ignored (same horizon argument as the
+	// replica-side doneWindow).  It is searched linearly: a client's
+	// writes to one tier are few, and each ID is stored once.
+	done idRing
 }
 
 // getReq pulls a scrubbed reqState from the pool (or allocates one
@@ -422,30 +423,30 @@ func (g *Group) getReq() *reqState {
 // clearReq retires a resolved (or abandoned) request's bookkeeping,
 // records it in the client's bounded done-set, and recycles the record.
 func (g *Group) clearReq(cs *clientState, id guid.GUID) {
-	if rs, ok := cs.pending[id]; ok {
-		delete(cs.pending, id)
-		for _, t := range rs.retx {
-			t.Stop()
+	rs, ok := cs.pending[id]
+	if !ok {
+		if !slices.Contains(cs.done.ids, id) {
+			cs.done.push(id)
 		}
-		rs.retx = rs.retx[:0]
-		rs.callback = nil
-		clear(rs.have)
-		clear(rs.seqs)
-		clear(rs.digests)
-		clear(rs.sigs) // drop promise references for the GC
-		g.reqFree = append(g.reqFree, rs)
-	}
-	if cs.done[id] {
 		return
 	}
-	cs.done[id] = true
-	if len(cs.doneRing) < doneWindow {
-		cs.doneRing = append(cs.doneRing, id)
-	} else {
-		delete(cs.done, cs.doneRing[cs.doneHead])
-		cs.doneRing[cs.doneHead] = id
-		cs.doneHead = (cs.doneHead + 1) % doneWindow
+	delete(cs.pending, id)
+	if len(cs.pending) == 0 {
+		cs.pending = nil
 	}
+	for _, t := range rs.retx {
+		t.Stop()
+	}
+	rs.retx = rs.retx[:0]
+	rs.callback = nil
+	clear(rs.have)
+	clear(rs.seqs)
+	clear(rs.digests)
+	clear(rs.sigs) // drop promise references for the GC
+	g.reqFree = append(g.reqFree, rs)
+	// A pending ID is not in the done-set (Submit checks it first), so
+	// it needs no search.
+	cs.done.push(id)
 }
 
 // Submit sends a request from the given client node to the primary
@@ -456,17 +457,14 @@ func (g *Group) clearReq(cs *clientState, id guid.GUID) {
 func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 	cs := g.clients[client]
 	if cs == nil {
-		cs = &clientState{
-			pending: make(map[guid.GUID]*reqState),
-			done:    make(map[guid.GUID]bool),
-		}
+		cs = &clientState{}
 		g.clients[client] = cs
 		g.net.Node(client).HandleDemux(kindReply, simnet.DemuxKey(g.tag),
 			func(m simnet.Message) { g.clientHandle(client, m) })
 	}
 	req.Client = client
 	req.Tag = g.tag
-	if cs.done[req.ID] {
+	if slices.Contains(cs.done.ids, req.ID) {
 		// Duplicate submit of a resolved request: replicas will answer
 		// with re-replies, which drop at the client; no new callback.
 		return
@@ -474,6 +472,9 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 	rs, live := cs.pending[req.ID]
 	if !live {
 		rs = g.getReq()
+		if cs.pending == nil {
+			cs.pending = make(map[guid.GUID]*reqState)
+		}
 		cs.pending[req.ID] = rs
 	}
 	rs.sent = g.net.K.Now()

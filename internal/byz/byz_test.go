@@ -252,8 +252,25 @@ func TestByteAccountingByKind(t *testing.T) {
 	}
 }
 
+// sends counts, by kind, the messages the network sends while fn runs.
+func sends(net *simnet.Network, fn func()) map[string]int {
+	n := map[string]int{}
+	net.SetTrace(func(ev simnet.TraceEvent) {
+		if ev.Event == "send" {
+			n[ev.Kind]++
+		}
+	})
+	fn()
+	net.SetTrace(nil)
+	return n
+}
+
+// TestDuplicateSubmitIgnored: a client ignores a Submit of any of the
+// last doneWindow requests it resolved or cancelled — no callback,
+// nothing sent — and treats one resolved doneWindow resolutions ago as
+// new.
 func TestDuplicateSubmitIgnored(t *testing.T) {
-	k, _, g, client := tier(t, 4, 1, 12)
+	k, net, g, client := tier(t, 4, 1, 12)
 	count := 0
 	r := req("dup", 500)
 	g.Submit(client, r, func(Result) { count++ })
@@ -266,6 +283,36 @@ func TestDuplicateSubmitIgnored(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("callbacks fired %d times", count)
 	}
+	// Cancelling a resolved request leaves the done-set as it was: r is
+	// stored once.
+	g.Cancel(client, r.ID)
+	if n := len(g.clients[client].done.ids); n != 1 {
+		t.Fatalf("done-set holds %d IDs after one resolution and its cancel", n)
+	}
+	resolve := func(from, to int) {
+		for i := from; i < to; i++ {
+			g.Submit(client, req(fmt.Sprintf("more%d", i), 100), nil)
+		}
+		k.RunFor(2 * time.Second)
+	}
+	resolve(0, doneWindow-1) // r is the oldest of the last doneWindow
+	if got := sends(net, func() { g.Submit(client, r, func(Result) { count++ }) }); len(got) != 0 {
+		t.Fatalf("a duplicate within %d resolutions sent %v", doneWindow, got)
+	}
+	resolve(doneWindow-1, doneWindow)
+	if got := sends(net, func() { g.Submit(client, r, nil) }); len(got) != 1 || got[kindRequest] != g.N() {
+		t.Fatalf("a Submit %d resolutions later sent %v, want it sent afresh", doneWindow, got)
+	}
+	if count != 1 {
+		t.Fatalf("callbacks fired %d times", count)
+	}
+}
+
+// isDone reports whether id is among the replica's last doneWindow
+// executions.
+func (r *replica) isDone(id guid.GUID) bool {
+	_, ok := r.done[id]
+	return ok
 }
 
 // slotCount is how many sequence numbers the replica holds agreement

@@ -12,61 +12,80 @@ import (
 	"oceanstore/internal/simnet"
 )
 
-// slot tracks agreement state for one (view, seq).  Votes are recorded
-// with the digest they carried; only votes matching the pre-prepared
-// request's digest count toward quorums, which both tolerates
-// out-of-order arrival and defeats lying replicas.
+// slot tracks agreement state for one un-executed (view, seq).  Votes
+// are recorded with the digest they carried; only votes matching the
+// pre-prepared request's digest count toward quorums, which both
+// tolerates out-of-order arrival and defeats lying replicas.
 //
-// Vote state is flat per-replica arrays, not maps: the tier is small
-// (3f+1, typically 4–7), so a slot is two digest arrays and two voted
-// bitmaps that a pooled slot reuses across sequence numbers — the
-// per-slot map allocations used to be a top heap consumer in soak
-// profiles.
+// Vote state is one flat per-replica array, not maps: the tier is small
+// (3f+1, typically 4–7), and a pooled slot reuses it across sequence
+// numbers — the per-slot map allocations used to be a top heap consumer
+// in soak profiles.
 type slot struct {
 	req       Request
-	hasReq    bool
 	digest    guid.GUID
+	hasReq    bool
 	prepared  bool
 	committed bool
-	executed  bool
-	// Indexed by replica id.
-	prepVoted []bool
-	prepares  []guid.GUID
-	commVoted []bool
-	commits   []guid.GUID
+	votes     []vote // indexed by replica id
 }
 
-// quorum counts votes matching the slot's digest.
-func (s *slot) quorum(voted []bool, digests []guid.GUID) int {
+// vote is one replica's prepare and commit in a slot, each with the
+// digest it carried.
+type vote struct {
+	prepare, commit      guid.GUID
+	prepVoted, commVoted bool
+}
+
+// inlineVotes is the largest tier whose slots carry their votes inline:
+// four replicas, f = 1, every soak world's tier.
+const inlineVotes = 4
+
+// slotAndVotes lays a slot out with its votes, so the slot is one
+// allocation.
+type slotAndVotes struct {
+	slot
+	inline [inlineVotes]vote
+}
+
+func newSlot(n int) *slot {
+	if n > inlineVotes {
+		return &slot{votes: make([]vote, n)}
+	}
+	b := new(slotAndVotes)
+	b.votes = b.inline[:n]
+	return &b.slot
+}
+
+// quorum counts the prepare votes (commit: the commit votes) matching
+// the slot's digest.
+func (s *slot) quorum(commit bool) int {
 	n := 0
-	for i, ok := range voted {
-		if ok && digests[i] == s.digest {
+	for i := range s.votes {
+		v := &s.votes[i]
+		if commit && v.commVoted && v.commit == s.digest || !commit && v.prepVoted && v.prepare == s.digest {
 			n++
 		}
 	}
 	return n
 }
 
-// reqRec is everything a replica knows about one client request, from
-// the first copy it sees until doneWindow executions after it ran.  Its
-// four facts are independent — a view change can return an executed
-// request to pending, a retransmission can re-arm a pre-prepared one —
-// and the record lives while any of them holds.
+// reqRec is what a replica knows about one client request in flight,
+// from the first copy it sees until it executes.  Its three facts are
+// independent — a view change can return a pre-prepared request to
+// pending, a retransmission can re-arm a pre-prepared one — and the
+// record lives while any of them holds.  That a request executed, and
+// at which sequence number, is the replica's done index, not a record.
 type reqRec struct {
 	// pending: seen (in full or as a digest-only notification) but not
 	// pre-prepared in the current view; req is the best copy so far.
 	// View-change timeouts and the new primary's re-proposal read it.
 	pending bool
 	req     Request
-	// assigned: pre-prepared at seq, so a second copy is not proposed
-	// again.
+	// assigned: pre-prepared at seq and not executed there, so a second
+	// copy is not proposed again.
 	assigned bool
 	seq      uint64
-	// done: executed at doneSeq.  A client retransmission is answered
-	// with a fresh reply (PBFT: "if the replica has already executed the
-	// request it re-sends the reply") even after the slot is truncated.
-	done    bool
-	doneSeq uint64
 	// armed: a view-change timer was started and has neither fired nor
 	// been overtaken by a pre-prepare.  timers holds every one still
 	// queued, oldest first, so execution can take them all back.
@@ -83,36 +102,42 @@ type replica struct {
 
 	view    uint64
 	nextSeq uint64 // primary only: next sequence number to assign
-	// Agreement state by sequence number: window[i] is the slot of
-	// sequence number floor+i (nil until a message names it), and floor
-	// trails the execution cursor by checkpointWindow.  A sequence number
-	// outside [floor, floor+windowSpan) — a stale vote for a truncated
-	// slot, or whatever a lying primary cares to forge — gets its slot
-	// in far instead, so no message can size the window.
-	floor  uint64
-	window []*slot
-	far    map[uint64]*slot
 	// execCursor is the next sequence number to execute, enforcing
-	// in-order execution.
+	// in-order execution.  Every sequence number below it has executed
+	// and keeps no slot (see ran).
 	execCursor uint64
-	executed   []guid.GUID
-	// reqs holds one record per known request ID.
+	// Agreement state for un-executed sequence numbers: window[i] is the
+	// slot of execCursor+i (nil until a message names it), and floor
+	// trails the execution cursor by checkpointWindow.  A sequence number
+	// outside [floor, floor+windowSpan) — a stale vote from below the
+	// checkpoint, or whatever a lying primary cares to forge — gets its
+	// slot in far instead, so no message can size the window.
+	floor    uint64
+	window   []*slot
+	far      map[uint64]*slot
+	executed []guid.GUID
+	// reqs holds one record per request in flight.
 	reqs map[guid.GUID]*reqRec
+	// done maps each of the last doneWindow executed request IDs to the
+	// sequence number it executed at, so a client retransmission is
+	// answered with a fresh reply (PBFT: "if the replica has already
+	// executed the request it re-sends the reply").  doneRing holds the
+	// same IDs in execution order; an ID pushed out of it stops being
+	// done (and assigned): client retransmissions stop within one retry
+	// period of execution, so answering them only needs a recent horizon
+	// — retaining every ID ever executed made the tier's memory grow
+	// with total traffic.
+	done     map[guid.GUID]uint64
+	doneRing idRing
 	// viewVotes collects view-change votes per proposed view.
 	viewVotes map[uint64]map[int]bool
 	// installedClaims records which peers claim to have installed which
 	// views, for the f+1 catch-up jump.
 	installedClaims map[uint64]map[int]bool
-	// doneRing holds the last doneWindow executed IDs in execution
-	// order.  An ID pushed out of it stops being done (and assigned):
-	// client retransmissions stop within one retry period of execution,
-	// so answering them only needs a recent horizon — retaining every ID
-	// ever executed made the tier's memory grow with total traffic.
-	doneRing []guid.GUID
-	doneHead int
-	// slotFree and recFree recycle truncated slots (their vote arrays
-	// included) and retired request records, so steady-state agreement
-	// allocates no per-slot or per-request state.
+	// slotFree and recFree recycle executed and abandoned slots (their
+	// votes included) and retired request records, so steady-state
+	// agreement allocates no per-slot or per-request state and each pool
+	// holds the most this replica ever had in flight.
 	slotFree []*slot
 	recFree  []*reqRec
 }
@@ -122,6 +147,7 @@ func newReplica(g *Group, id int) *replica {
 		g:         g,
 		id:        id,
 		reqs:      make(map[guid.GUID]*reqRec),
+		done:      make(map[guid.GUID]uint64),
 		viewVotes: make(map[uint64]map[int]bool),
 
 		installedClaims: make(map[uint64]map[int]bool),
@@ -148,12 +174,11 @@ func (r *replica) rec(id guid.GUID) *reqRec {
 // and parks its record for reuse.  Timers still queued are left alone:
 // they look the ID up when they fire and act on whatever they find.
 func (r *replica) release(id guid.GUID, rec *reqRec) {
-	if rec.pending || rec.assigned || rec.done || rec.armed {
+	if rec.pending || rec.assigned || rec.armed {
 		return
 	}
 	delete(r.reqs, id)
-	rec.req = Request{}
-	rec.timers = rec.timers[:0]
+	*rec = reqRec{timers: rec.timers[:0]}
 	r.recFree = append(r.recFree, rec)
 }
 
@@ -210,14 +235,14 @@ func (r *replica) armTimer(id guid.GUID, rec *reqRec) {
 }
 
 func (r *replica) onRequest(req Request) {
-	rec := r.rec(req.ID)
-	if rec.done {
+	if seq, done := r.done[req.ID]; done {
 		// Already executed: re-send the reply (the first one may have been
 		// dropped; replies are never otherwise retransmitted).
 		r.g.om.reReplies.Inc()
-		r.reply(rec.doneSeq, req.ID, req.Client)
+		r.reply(seq, req.ID, req.Client)
 		return
 	}
+	rec := r.rec(req.ID)
 	// Any retransmission doubles as a heartbeat: re-push this replica's
 	// outstanding view-change votes, which are otherwise sent exactly
 	// once and wedge the view change when dropped.
@@ -272,32 +297,42 @@ func (r *replica) propose(req Request, rec *reqRec) {
 	pp := prePrepareMsg{Tag: r.g.tag, View: r.view, Seq: seq, Req: req}
 	r.broadcast(kindPrePrepare, pp, req.Size+CHeader)
 	// The primary acts as having pre-prepared and prepared its own slot.
-	s := r.slot(seq)
-	s.req, s.hasReq, s.digest = req, true, req.ID
-	s.setPrepare(r.id, req.ID)
-	r.maybePrepared(s, seq)
+	if s := r.slot(seq); s != nil {
+		s.req, s.hasReq, s.digest = req, true, req.ID
+		s.setPrepare(r.id, req.ID)
+		r.maybePrepared(s, seq)
+	}
 }
 
 func (s *slot) setPrepare(id int, d guid.GUID) {
-	s.prepVoted[id] = true
-	s.prepares[id] = d
+	s.votes[id].prepVoted, s.votes[id].prepare = true, d
 }
 
 func (s *slot) setCommit(id int, d guid.GUID) {
-	s.commVoted[id] = true
-	s.commits[id] = d
+	s.votes[id].commVoted, s.votes[id].commit = true, d
 }
 
-// windowSpan bounds the sequence window: checkpointWindow slots behind
-// the execution cursor plus every request one object can have in flight
-// ahead of it (soak worlds cap unresolved writes at 1024 world-wide).
+// windowSpan bounds the sequence window: checkpointWindow sequence
+// numbers behind the execution cursor plus every request one object can
+// have in flight ahead of it (soak worlds cap unresolved writes at 1024
+// world-wide).
 const windowSpan = 2048
 
-// lookup finds the slot for seq, or nil.  The far map is consulted only
-// while it holds something, which an honest run's steady state never
-// does.
+// ran reports whether seq executed inside the checkpoint window,
+// [floor, execCursor).  Such a sequence number keeps no slot, because
+// against an executed slot a late pre-prepare, prepare or commit, a
+// vote refresh or a view-change timer would do nothing; messages naming
+// it are dropped.  A seq below the floor is not reported: a stale
+// message still gets a far slot, which the next truncation discards.
+func (r *replica) ran(seq uint64) bool {
+	return seq-r.floor < r.execCursor-r.floor // seq < floor wraps past the span
+}
+
+// lookup finds the slot for seq, or nil — always nil once seq ran.  The
+// far map is consulted only while it holds something, which an honest
+// run's steady state never does.
 func (r *replica) lookup(seq uint64) *slot {
-	if i := seq - r.floor; i < uint64(len(r.window)) { // seq < floor wraps past len
+	if i := seq - r.execCursor; i < uint64(len(r.window)) { // seq < execCursor wraps past len
 		if s := r.window[i]; s != nil {
 			return s
 		}
@@ -308,9 +343,9 @@ func (r *replica) lookup(seq uint64) *slot {
 	return r.far[seq]
 }
 
-// slot finds or starts the slot for seq.
+// slot finds or starts the slot for seq; it is nil once seq ran.
 func (r *replica) slot(seq uint64) *slot {
-	if s := r.lookup(seq); s != nil {
+	if s := r.lookup(seq); s != nil || r.ran(seq) {
 		return s
 	}
 	var s *slot
@@ -318,13 +353,10 @@ func (r *replica) slot(seq uint64) *slot {
 		s = r.slotFree[k-1]
 		r.slotFree = r.slotFree[:k-1]
 	} else {
-		n := len(r.g.replicas)
-		s = &slot{
-			prepVoted: make([]bool, n), prepares: make([]guid.GUID, n),
-			commVoted: make([]bool, n), commits: make([]guid.GUID, n),
-		}
+		s = newSlot(len(r.g.replicas))
 	}
-	if i := seq - r.floor; i < windowSpan {
+	if seq-r.floor < windowSpan { // and not ran, so seq >= execCursor
+		i := seq - r.execCursor
 		for uint64(len(r.window)) <= i {
 			r.window = append(r.window, nil)
 		}
@@ -341,13 +373,9 @@ func (r *replica) slot(seq uint64) *slot {
 // putSlot scrubs a retired slot (dropping its payload reference) and
 // parks it for reuse.
 func (r *replica) putSlot(s *slot) {
-	s.req = Request{}
-	s.hasReq, s.prepared, s.committed, s.executed = false, false, false, false
-	s.digest = guid.Zero
-	clear(s.prepVoted)
-	clear(s.prepares)
-	clear(s.commVoted)
-	clear(s.commits)
+	votes := s.votes
+	clear(votes)
+	*s = slot{votes: votes}
 	r.slotFree = append(r.slotFree, s)
 }
 
@@ -356,7 +384,7 @@ func (r *replica) onPrePrepare(pp prePrepareMsg) {
 		return
 	}
 	s := r.slot(pp.Seq)
-	if s.hasReq {
+	if s == nil || s.hasReq {
 		return
 	}
 	s.req, s.hasReq = pp.Req, true
@@ -382,13 +410,16 @@ func (r *replica) onPrepare(v voteMsg) {
 		return
 	}
 	s := r.slot(v.Seq)
+	if s == nil {
+		return
+	}
 	s.setPrepare(v.Replica, v.Digest)
 	r.maybePrepared(s, v.Seq)
 }
 
 // maybePrepared fires when 2f+1 replicas (including this one) prepared.
 func (r *replica) maybePrepared(s *slot, seq uint64) {
-	if s.prepared || !s.hasReq || s.quorum(s.prepVoted, s.prepares) < 2*r.g.f+1 {
+	if s.prepared || !s.hasReq || s.quorum(false) < 2*r.g.f+1 {
 		return
 	}
 	s.prepared = true
@@ -406,83 +437,110 @@ func (r *replica) onCommit(v voteMsg) {
 		return
 	}
 	s := r.slot(v.Seq)
+	if s == nil {
+		return
+	}
 	s.setCommit(v.Replica, v.Digest)
 	r.maybeCommitted(s)
 }
 
 // maybeCommitted fires when 2f+1 commits arrived; executes in order.
 func (r *replica) maybeCommitted(s *slot) {
-	if s.committed || !s.prepared || !s.hasReq || s.quorum(s.commVoted, s.commits) < 2*r.g.f+1 {
+	if s.committed || !s.prepared || !s.hasReq || s.quorum(true) < 2*r.g.f+1 {
 		return
 	}
 	s.committed = true
 	r.executeReady()
 }
 
-// checkpointWindow bounds retained agreement state: slots this far
-// behind the execution cursor are discarded (PBFT's checkpoint/garbage
-// collection, simplified — votes for long-executed slots are useless).
+// checkpointWindow is how far the floor trails the execution cursor:
+// a message naming a sequence number below it is stale (PBFT's
+// checkpoint, simplified — votes for long-executed slots are useless),
+// and its slot is discarded at the next truncation.
 const checkpointWindow = 64
 
-// doneWindow bounds the executed-request dedup horizon (a record's done
-// and assigned facts).  Retransmissions arrive at most one client retry
-// period after execution; 512 executions is orders of magnitude more
-// than any group commits in that span.
+// doneWindow bounds the executed-request dedup horizon (the done index,
+// and the assigned fact of a record the index outlives).
+// Retransmissions arrive at most one client retry period after
+// execution; 512 executions is orders of magnitude more than any group
+// commits in that span.
 const doneWindow = 512
 
-// executeReady executes committed slots in sequence order.
+// idRing holds the last doneWindow request IDs in arrival order.
+type idRing struct {
+	ids  []guid.GUID
+	head int
+}
+
+// push records id, returning the ID it pushed out once the ring is full.
+func (q *idRing) push(id guid.GUID) (old guid.GUID, evicted bool) {
+	if len(q.ids) < doneWindow {
+		q.ids = append(q.ids, id)
+		return guid.Zero, false
+	}
+	old, q.ids[q.head] = q.ids[q.head], id
+	q.head = (q.head + 1) % doneWindow
+	return old, true
+}
+
+// executeReady executes committed slots in sequence order.  An executed
+// slot goes straight back to the pool and its request's record retires;
+// what outlives them is the cursor and the done index.
 func (r *replica) executeReady() {
 	defer r.truncateLog()
 	for {
-		s := r.lookup(r.execCursor)
-		if s == nil || !s.committed || s.executed {
+		seq := r.execCursor
+		s := r.lookup(seq)
+		if s == nil || !s.committed {
 			return
 		}
-		s.executed = true
-		seq := r.execCursor
+		req, digest := s.req, s.digest
 		r.execCursor++
-		rec := r.rec(s.req.ID)
-		if rec.done {
+		if len(r.window) > 0 {
+			r.window = slices.Delete(r.window, 0, 1)
+		}
+		delete(r.far, seq)
+		r.putSlot(s)
+		if rec := r.reqs[req.ID]; rec != nil {
+			// From here on a view-change timer for this request could only
+			// find it done and return: take them out of the kernel instead.
+			for _, t := range rec.timers {
+				t.Stop()
+			}
+			rec.timers, rec.armed, rec.assigned = rec.timers[:0], false, false
+			r.release(req.ID, rec)
+		}
+		if _, dup := r.done[req.ID]; dup {
 			// A view change recycled a request this replica had already
 			// executed under an earlier sequence number (the new primary
 			// had not committed it).  Agreeing on the slot is fine;
 			// executing it twice is not.
 			continue
 		}
-		rec.done, rec.doneSeq = true, seq
-		// From here on a view-change timer for this request could only
-		// find it done and return: take them out of the kernel instead.
-		for _, t := range rec.timers {
-			t.Stop()
-		}
-		rec.timers, rec.armed = rec.timers[:0], false
-		if len(r.doneRing) < doneWindow {
-			r.doneRing = append(r.doneRing, s.req.ID)
-		} else {
-			old := r.doneRing[r.doneHead]
+		r.done[req.ID] = seq
+		if old, evicted := r.doneRing.push(req.ID); evicted {
+			delete(r.done, old)
 			if orec := r.reqs[old]; orec != nil {
-				orec.done, orec.assigned = false, false
+				orec.assigned = false
 				r.release(old, orec)
 			}
-			r.doneRing[r.doneHead] = s.req.ID
-			r.doneHead = (r.doneHead + 1) % doneWindow
 		}
 		if r.g.retainExecuted {
-			r.executed = append(r.executed, s.digest)
+			r.executed = append(r.executed, digest)
 		}
 		r.g.om.executes.Inc()
 		if r.exec != nil && r.fault == Honest {
-			r.exec(seq, s.req)
+			r.exec(seq, req)
 		}
 		// Reply to the client (Fig 5c path back), signing the result so
 		// the client can assemble an offline commit certificate.
-		r.reply(seq, s.req.ID, s.req.Client)
+		r.reply(seq, req.ID, req.Client)
 	}
 }
 
 // reply sends (or re-sends) the signed execution reply for an executed
 // request.  Honest replicas' slot digest is always the request ID, so a
-// re-reply needs only the (seq, id) pair the request's record retains.
+// re-reply needs only the (seq, id) pair the done index retains.
 func (r *replica) reply(seq uint64, id guid.GUID, client simnet.NodeID) {
 	digest := id
 	if r.fault == Lying {
@@ -501,15 +559,16 @@ func (r *replica) reply(seq uint64, id guid.GUID, client simnet.NodeID) {
 // Retransmission is driven by client retries, so it stops by itself.
 func (r *replica) refreshVotes(seq uint64) {
 	s := r.lookup(seq)
-	if s == nil || !s.hasReq || s.executed {
+	if s == nil || !s.hasReq {
 		return
 	}
 	r.g.om.voteRefreshes.Inc()
-	if s.prepVoted[r.id] {
-		r.broadcast(kindPrepare, voteMsg{Tag: r.g.tag, View: r.view, Seq: seq, Digest: s.prepares[r.id], Replica: r.id}, CSmall)
+	v := s.votes[r.id]
+	if v.prepVoted {
+		r.broadcast(kindPrepare, voteMsg{Tag: r.g.tag, View: r.view, Seq: seq, Digest: v.prepare, Replica: r.id}, CSmall)
 	}
-	if s.commVoted[r.id] {
-		r.broadcast(kindCommit, voteMsg{Tag: r.g.tag, View: r.view, Seq: seq, Digest: s.commits[r.id], Replica: r.id}, CSmall)
+	if v.commVoted {
+		r.broadcast(kindCommit, voteMsg{Tag: r.g.tag, View: r.view, Seq: seq, Digest: v.commit, Replica: r.id}, CSmall)
 	}
 }
 
@@ -533,23 +592,15 @@ func (r *replica) refreshViewVotes() {
 	}
 }
 
-// truncateLog discards slots far behind the execution cursor: the
-// window's front, plus whatever stale messages parked in far since.
+// truncateLog moves the floor up behind the execution cursor and
+// discards whatever stale messages parked in far below it.
 func (r *replica) truncateLog() {
 	if r.execCursor < checkpointWindow {
 		return
 	}
-	floor := r.execCursor - checkpointWindow
-	cut := int(min(floor-r.floor, uint64(len(r.window))))
-	for _, s := range r.window[:cut] {
-		if s != nil {
-			r.putSlot(s)
-		}
-	}
-	r.window = slices.Delete(r.window, 0, cut)
-	r.floor = floor
+	r.floor = r.execCursor - checkpointWindow
 	for seq, s := range r.far {
-		if seq < floor {
+		if seq < r.floor {
 			delete(r.far, seq)
 			r.putSlot(s)
 		}
@@ -565,7 +616,7 @@ func (r *replica) truncateLog() {
 func (r *replica) requestTimeout(id guid.GUID) {
 	rec := r.reqs[id]
 	if rec == nil {
-		return // executed and since forgotten
+		return // not in flight: executed, or released since
 	}
 	rec.armed = false
 	// Every timer runs for RequestTimeout, so the one firing is the
@@ -579,7 +630,7 @@ func (r *replica) requestTimeout(id guid.GUID) {
 		r.release(id, rec)
 		return
 	}
-	if rec.done {
+	if _, done := r.done[id]; done {
 		return
 	}
 	if !rec.pending {
@@ -587,7 +638,7 @@ func (r *replica) requestTimeout(id guid.GUID) {
 			r.release(id, rec)
 			return // a view change recycled the request; a retransmit restarts it
 		}
-		if s := r.lookup(rec.seq); s == nil || s.executed {
+		if r.lookup(rec.seq) == nil {
 			return
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"oceanstore/internal/guid"
+	"oceanstore/internal/obs"
 	"oceanstore/internal/simnet"
 )
 
@@ -50,11 +51,12 @@ func TestStaleAndFarSeqStayOutOfTheWindow(t *testing.T) {
 	if len(r.far) != len(stale)+len(far) {
 		t.Fatalf("fallback holds %d slots, want %d", len(r.far), len(stale)+len(far))
 	}
-	// A sequence number at the window's far edge is in range: the window
-	// grows to its bound and no further.
+	// A sequence number at the window's far edge is in range: the window,
+	// which starts at the execution cursor, grows to its bound and no
+	// further.
 	r.onPrepare(voteMsg{View: r.view, Seq: r.floor + windowSpan - 1, Replica: 2})
-	if len(r.window) != windowSpan {
-		t.Fatalf("window is %d wide, want the %d bound", len(r.window), windowSpan)
+	if len(r.window) != windowSpan-checkpointWindow {
+		t.Fatalf("window is %d wide, want the %d bound", len(r.window), windowSpan-checkpointWindow)
 	}
 	// The tier still works, and the next execution truncates the stale
 	// slots away.
@@ -66,6 +68,46 @@ func TestStaleAndFarSeqStayOutOfTheWindow(t *testing.T) {
 	}
 	if len(r.far) != len(far) {
 		t.Fatalf("fallback holds %d slots after truncation, want the %d far-future ones", len(r.far), len(far))
+	}
+}
+
+// TestExecutedSeqIsInert: against a sequence number this replica has
+// executed and still holds inside its checkpoint window, a late
+// pre-prepare, prepare or commit, a vote refresh, and a retransmission
+// of the request it ran send nothing but the one re-reply, refresh no
+// vote and — however long the tier then waits — vote no view change.
+func TestExecutedSeqIsInert(t *testing.T) {
+	k, net, g, client := tier(t, 4, 1, 26)
+	reg := obs.NewRegistry()
+	g.Instrument(reg, nil)
+	commitN(t, g, client, "u", checkpointWindow+10)
+	r := g.replicas[1]
+	for _, seq := range []uint64{r.floor, r.execCursor - 1} {
+		ran := req(fmt.Sprintf("u%d", seq), 100)
+		ran.Tag, ran.Client = g.tag, client
+		late := req(fmt.Sprintf("late%d", seq), 100)
+		got := sends(net, func() {
+			r.onPrePrepare(prePrepareMsg{Tag: g.tag, View: r.view, Seq: seq, Req: late})
+			r.onPrepare(voteMsg{Tag: g.tag, View: r.view, Seq: seq, Digest: ran.ID, Replica: 2})
+			r.onCommit(voteMsg{Tag: g.tag, View: r.view, Seq: seq, Digest: late.ID, Replica: 3})
+			r.refreshVotes(seq)
+			r.onRequest(ran)
+		})
+		if len(got) != 1 || got[kindReply] != 1 {
+			t.Fatalf("seq %d: late traffic for an executed slot sent %v, want one re-reply", seq, got)
+		}
+		if r.reqs[late.ID] != nil {
+			t.Fatalf("seq %d: a late pre-prepare started a record", seq)
+		}
+	}
+	k.RunFor(3 * g.RequestTimeout)
+	for name, want := range map[string]int64{"re_replies": 2, "vote_refreshes": 0, "view_vote_timeouts": 0, "view_installs": 0} {
+		if got := reg.CounterValue(obs.NodeWide, "byz", name); got != want {
+			t.Errorf("byz.%s = %d, want %d", name, got, want)
+		}
+	}
+	if len(r.viewVotes) != 0 {
+		t.Fatalf("view-change votes cast: %v", r.viewVotes)
 	}
 }
 
@@ -104,22 +146,34 @@ func TestForgedSeqCannotPinMemory(t *testing.T) {
 
 // TestViewInstallRecyclesWindowAndFallback: installing a view returns
 // every un-committed slot's request to pending, wherever the slot
-// lived, and keeps committed slots.
+// lived, and keeps a committed slot still waiting on an earlier one.
+// Executed sequence numbers have no slot left to keep; their requests
+// stay done.
 func TestViewInstallRecyclesWindowAndFallback(t *testing.T) {
 	_, _, g, client := tier(t, 4, 1, 23)
 	commitN(t, g, client, "done", 3)
 	r := g.replicas[2]
-	committed := r.slotCount()
-	near, far := req("near", 100), req("far", 100)
+	if n := r.slotCount(); n != 0 {
+		t.Fatalf("%d slots kept for executed sequence numbers", n)
+	}
+	// gap commits one past the cursor, so it cannot execute yet.
+	gap, near, far := req("gap", 100), req("near", 100), req("far", 100)
+	seq := r.execCursor + 1
+	r.onPrePrepare(prePrepareMsg{View: 0, Seq: seq, Req: gap})
+	r.onPrepare(voteMsg{View: 0, Seq: seq, Digest: gap.ID, Replica: 1})
+	r.onCommit(voteMsg{View: 0, Seq: seq, Digest: gap.ID, Replica: 0})
+	r.onCommit(voteMsg{View: 0, Seq: seq, Digest: gap.ID, Replica: 1})
+	if s := r.lookup(seq); s == nil || !s.committed {
+		t.Fatal("setup: the gap slot did not commit")
+	}
 	r.onPrePrepare(prePrepareMsg{View: 0, Seq: r.execCursor + 2, Req: near})
 	r.onPrePrepare(prePrepareMsg{View: 0, Seq: r.execCursor + windowSpan + 5, Req: far})
-	if r.slotCount() != committed+2 || len(r.far) != 1 {
-		t.Fatalf("setup: %d slots (%d in fallback), want %d (1)", r.slotCount(), len(r.far), committed+2)
+	if r.slotCount() != 3 || len(r.far) != 1 {
+		t.Fatalf("setup: %d slots (%d in fallback), want 3 (1)", r.slotCount(), len(r.far))
 	}
 	r.installView(1)
-	if r.slotCount() != committed || len(r.far) != 0 {
-		t.Fatalf("%d slots (%d in fallback) after view install, want the %d committed ones",
-			r.slotCount(), len(r.far), committed)
+	if r.slotCount() != 1 || r.lookup(seq) == nil || len(r.far) != 0 {
+		t.Fatalf("%d slots (%d in fallback) after view install, want the committed one", r.slotCount(), len(r.far))
 	}
 	for _, rq := range []Request{near, far} {
 		rec := r.reqs[rq.ID]
@@ -127,19 +181,35 @@ func TestViewInstallRecyclesWindowAndFallback(t *testing.T) {
 			t.Fatalf("request %s not returned to pending: %+v", rq.Payload, rec)
 		}
 	}
-	if rec := r.reqs[guid.FromData([]byte("done0"))]; rec == nil || !rec.done {
-		t.Fatal("an executed request lost its record to the view change")
+	if rec := r.reqs[gap.ID]; rec == nil || rec.pending || !rec.assigned {
+		t.Fatalf("the committed request was recycled: %+v", rec)
+	}
+	if !r.isDone(guid.FromData([]byte("done0"))) {
+		t.Fatal("an executed request stopped being done at the view change")
 	}
 }
 
-// TestRecordsAndTimersRetire: a request's record returns to the pool
-// doneWindow executions after it ran, and its timers leave the kernel
-// the moment it executes — a second after the last commit the queue is
-// empty, where it used to hold five timeouts per recent request.
+// TestRecordsAndTimersRetire: what a replica keeps tracks requests in
+// flight, not requests served.  After ten thousand executions on one
+// tier, fifty at a time, no replica holds a request record or a slot,
+// neither pool holds more than were ever in flight at once, and the
+// done index holds exactly the last doneWindow IDs.  Timers leave the
+// kernel the moment their request executes — a second after the last
+// commit the queue is empty, where it used to hold five timeouts per
+// recent request — and the client keeps no pending map.
 func TestRecordsAndTimersRetire(t *testing.T) {
 	k, _, g, client := tier(t, 4, 1, 24)
-	const total = doneWindow + 100
-	commitN(t, g, client, "u", total)
+	const batch, total = 50, 10000
+	for i := 0; i < total; i += batch {
+		done := 0
+		for j := i; j < i+batch; j++ {
+			g.Submit(client, req(fmt.Sprintf("u%d", j), 100), func(Result) { done++ })
+		}
+		k.RunFor(time.Second)
+		if done != batch {
+			t.Fatalf("batch at %d: committed %d/%d", i, done, batch)
+		}
+	}
 	if n := k.Pending(); n != 0 {
 		t.Fatalf("%d events still queued after every request resolved", n)
 	}
@@ -147,19 +217,25 @@ func TestRecordsAndTimersRetire(t *testing.T) {
 		t.Fatalf("only %d timers stopped over %d requests (3 backup timers + 1 retransmission each)", st.Stopped, total)
 	}
 	for _, r := range g.replicas {
-		if len(r.reqs) != doneWindow {
-			t.Fatalf("replica %d keeps %d request records, want the last %d", r.id, len(r.reqs), doneWindow)
+		if r.execCursor != total {
+			t.Fatalf("replica %d executed %d, want %d", r.id, r.execCursor, total)
 		}
-		if len(r.recFree) == 0 {
-			t.Fatalf("replica %d pooled no retired records", r.id)
+		if len(r.reqs) != 0 || r.slotCount() != 0 {
+			t.Fatalf("replica %d keeps %d request records and %d slots with nothing in flight", r.id, len(r.reqs), r.slotCount())
 		}
-		if r.reqs[guid.FromData([]byte("u0"))] != nil {
-			t.Fatalf("replica %d still remembers the first request", r.id)
+		if len(r.recFree) == 0 || len(r.recFree) > batch || len(r.slotFree) == 0 || len(r.slotFree) > batch {
+			t.Fatalf("replica %d pools %d records and %d slots, want 1..%d of each", r.id, len(r.recFree), len(r.slotFree), batch)
+		}
+		if len(r.done) != doneWindow || r.isDone(guid.FromData([]byte("u0"))) || !r.isDone(guid.FromData([]byte(fmt.Sprintf("u%d", total-doneWindow)))) {
+			t.Fatalf("replica %d's done index holds %d IDs, not the last %d", r.id, len(r.done), doneWindow)
 		}
 	}
 	cs := g.clients[client]
-	if len(cs.pending) != 0 || len(g.reqFree) == 0 {
-		t.Fatalf("client keeps %d pending records, pool %d", len(cs.pending), len(g.reqFree))
+	if cs.pending != nil || len(g.reqFree) == 0 || len(g.reqFree) > batch {
+		t.Fatalf("client keeps pending map %v, pool %d", cs.pending, len(g.reqFree))
+	}
+	if len(cs.done.ids) != doneWindow {
+		t.Fatalf("client done-set holds %d IDs, want %d", len(cs.done.ids), doneWindow)
 	}
 }
 
@@ -170,22 +246,39 @@ func TestRecordsAndTimersRetire(t *testing.T) {
 // arrives, the backup treats X as new and arms a fresh timer — and only
 // that one can vote.  (The unstopped timer used to fire at the old
 // deadline, find X pending again, and vote a view change early.)
+//
+// Up to that eviction — X and doneWindow-1 later executions — a
+// retransmission of X is answered with exactly one re-reply and nothing
+// else.
 func TestLateRetransmissionAfterEviction(t *testing.T) {
-	k, _, g, client := tier(t, 4, 1, 25)
+	k, net, g, client := tier(t, 4, 1, 25)
 	x := req("x", 100)
 	g.Submit(client, x, nil)
 	k.RunFor(time.Second) // X executed; its backup timers were due at ~3.1 s
 	done := 0
-	for i := 0; i < doneWindow; i++ {
-		g.Submit(client, req(fmt.Sprintf("filler%d", i), 100), func(Result) { done++ })
+	fill := func(from, to int, d time.Duration) {
+		for i := from; i < to; i++ {
+			g.Submit(client, req(fmt.Sprintf("filler%d", i), 100), func(Result) { done++ })
+		}
+		k.RunFor(d)
 	}
-	k.RunFor(1500 * time.Millisecond)
+	fill(0, doneWindow-1, 800*time.Millisecond)
 	r := g.replicas[1]
-	if done != doneWindow || r.reqs[x.ID] != nil {
-		t.Fatalf("setup: %d/%d fillers committed, X's record %v", done, doneWindow, r.reqs[x.ID])
-	}
 	x.Tag, x.Client = g.tag, client
-	r.onRequest(x) // at 2.5 s: fresh timer due at 5.5 s
+	if r.execCursor != doneWindow || !r.isDone(x.ID) {
+		t.Fatalf("setup: %d executions, X done %v", r.execCursor, r.isDone(x.ID))
+	}
+	if got := sends(net, func() { r.onRequest(x) }); len(got) != 1 || got[kindReply] != 1 {
+		t.Fatalf("a retransmission within the horizon sent %v, want one re-reply", got)
+	}
+	fill(doneWindow-1, doneWindow, 700*time.Millisecond)
+	if done != doneWindow || r.isDone(x.ID) || r.reqs[x.ID] != nil {
+		t.Fatalf("setup: %d/%d fillers committed, X done %v, record %v", done, doneWindow, r.isDone(x.ID), r.reqs[x.ID])
+	}
+	// At 2.5 s: a fresh timer due at 5.5 s, and no reply.
+	if got := sends(net, func() { r.onRequest(x) }); len(got) != 0 {
+		t.Fatalf("a retransmission past the horizon sent %v", got)
+	}
 	k.RunUntil(4 * time.Second)
 	if r.viewVotes[1][r.id] {
 		t.Fatal("a timer stopped at execution still voted at its old deadline")

@@ -104,7 +104,8 @@ type Session struct {
 	onCommit []func(obj guid.GUID, id update.UpdateID)
 	onAbort  []func(obj guid.GUID, id update.UpdateID)
 	// inflight/queued implement MonotonicWrites: one outstanding write
-	// per object, the rest released in issue order.
+	// per object, the rest released in issue order.  An object has
+	// entries only while a write to it is in flight.
 	inflight map[guid.GUID]bool
 	queued   map[guid.GUID][]*update.Update
 	// UpdateTimeout, when non-zero, bounds how long a submitted write may
@@ -335,7 +336,9 @@ func (s *Session) send(u *update.Update) {
 	}
 	id := u.ID()
 	obj := u.Object
-	s.inflight[obj] = true
+	if s.g&MonotonicWrites != 0 {
+		s.inflight[obj] = true
+	}
 	// One captured variable, so one allocation, for the pair.
 	var st struct {
 		resolved bool
@@ -363,13 +366,21 @@ func (s *Session) send(u *update.Update) {
 				cb(obj, id)
 			}
 		}
-		// Release the next queued write for this object, if any.
-		s.inflight[obj] = false
-		if q := s.queued[obj]; len(q) > 0 {
-			next := q[0]
-			s.queued[obj] = q[1:]
-			s.send(next)
+		// Release the next queued write for this object, if any; an object
+		// with nothing in flight or queued leaves both maps.
+		q := s.queued[obj]
+		if len(q) == 0 {
+			delete(s.inflight, obj)
+			return
 		}
+		next := q[0]
+		q[0] = nil // the backing array outlives the pop
+		if len(q) == 1 {
+			delete(s.queued, obj)
+		} else {
+			s.queued[obj] = q[1:]
+		}
+		s.send(next)
 	}
 	ring.AwaitCommit(id, func(out update.Outcome) {
 		// The update is now serialised at the primary: any replica whose

@@ -80,6 +80,53 @@ func TestSessionPendingSetsAreDropped(t *testing.T) {
 	}
 }
 
+// TestSessionWriteStateIsDropped: a session's MonotonicWrites state for
+// an object lives only while a write to it is in flight or queued.
+// Under ReadYourWrites nothing queues and nothing is kept; under ACID
+// writes queue behind each other, and once all resolve the session
+// keeps no entry for the object, and the queue's backing array holds no
+// update it released.
+func TestSessionWriteStateIsDropped(t *testing.T) {
+	for _, g := range []Guarantees{ReadYourWrites, ACID} {
+		p := smallPool(62)
+		alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
+		obj, err := alice.Create("w", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.AddReplica(obj, 10)
+		sess := alice.NewSession(g)
+		committed := 0
+		sess.OnCommit(func(guid.GUID, update.UpdateID) { committed++ })
+		const writes = 4
+		for w := 0; w < writes; w++ {
+			if _, err := sess.Append(obj, []byte{byte(w)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var backing []*update.Update
+		if g&MonotonicWrites != 0 {
+			q := sess.queued[obj]
+			if len(q) != writes-1 || !sess.inflight[obj] {
+				t.Fatalf("guarantees %b: %d writes queued behind one in flight (%v), want %d", g, len(q), sess.inflight[obj], writes-1)
+			}
+			backing = q[:cap(q)]
+		}
+		p.Run(time.Minute)
+		if committed != writes {
+			t.Fatalf("guarantees %b: %d/%d writes committed", g, committed, writes)
+		}
+		if len(sess.inflight) != 0 || len(sess.queued) != 0 {
+			t.Fatalf("guarantees %b: %d in-flight and %d queue entries left after every write resolved", g, len(sess.inflight), len(sess.queued))
+		}
+		for i, u := range backing {
+			if u != nil {
+				t.Fatalf("guarantees %b: released write %d still referenced from the queue", g, i)
+			}
+		}
+	}
+}
+
 // TestSoakIdenticalWithAndWithoutHelper: one gate over both signing
 // paths.  A fault-free 1k-node soak dumps the same bytes with one
 // processor (signatures computed inline in Submit) and with four (on

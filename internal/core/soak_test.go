@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -147,6 +148,60 @@ func TestSoakWorldGrowth(t *testing.T) {
 	}
 	if after <= before {
 		t.Fatalf("grown nodes joined no rings: %d -> %d secondaries", before, after)
+	}
+}
+
+// TestSoakHeapPerWrite bounds what a committed write leaves behind.  One
+// 1000-node soak in the steady-10k shape runs for n and for 3n
+// operations at the same seed; at the end of each, with its world still
+// reachable, a forced GC leaves only live heap, and the slope between
+// the two readings is the heap retained per additional committed write.
+// It was 5488 B at the parent of PR 25, where every executed request
+// kept its agreement slot for 64 executions and its record for 512 and
+// every (client, tier) kept a pending map and a two-copy done-set, and
+// is 3653 B since; the bound is that plus 25 %.
+func TestSoakHeapPerWrite(t *testing.T) {
+	const n, bound = 5000, 3653 * 1.25
+	live := func(ops int) (heap int64, writes int) {
+		cfg := DefaultSoakConfig(1000)
+		w, err := NewSoakWorld(1, cfg)
+		if err != nil {
+			t.Fatalf("NewSoakWorld: %v", err)
+		}
+		eng := workload.NewEngine(w.Pool.K, workload.EngineConfig{
+			Clients:       cfg.Clients,
+			Ops:           ops,
+			Mix:           workload.Mix{WriteFrac: 0.3, CreateFrac: 0.01},
+			Objects:       cfg.Objects,
+			ZipfS:         1.1,
+			MeanWriteSize: 256,
+			ClosedLoop:    true,
+			MeanThink:     200 * time.Millisecond,
+			RetryBackoff:  time.Second,
+		}, w)
+		eng.Start()
+		w.Pool.K.RunWhile(func() bool { return !eng.Done() })
+		for _, obj := range w.Objects() {
+			ring, _ := w.Pool.Ring(obj)
+			c, _ := ring.PrimaryState().Log.Counts()
+			writes += c
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(w)
+		runtime.KeepAlive(eng)
+		return int64(ms.HeapAlloc), writes
+	}
+	h1, w1 := live(n)
+	h3, w3 := live(3 * n)
+	if w3 <= w1 {
+		t.Fatalf("%d writes committed in %d ops, %d in %d", w1, n, w3, 3*n)
+	}
+	perWrite := float64(h3-h1) / float64(w3-w1)
+	t.Logf("live heap %.1f -> %.1f MB over %d -> %d committed writes: %.0f B/write", float64(h1)/(1<<20), float64(h3)/(1<<20), w1, w3, perWrite)
+	if perWrite > bound {
+		t.Fatalf("%.0f B of live heap per committed write, bound %.0f", perWrite, bound)
 	}
 }
 

@@ -7,7 +7,7 @@
 // (byte-identical at any GOMAXPROCS and storage backend), and one
 // runtime gauge would break it.  MemSample therefore lives beside the
 // registry, not in it: drivers print it to stderr or a side channel,
-// and `make soak-smoke` asserts budgets against it.
+// and `make gates` requires the soak's line.
 package obs
 
 import (
@@ -38,6 +38,11 @@ type MemSample struct {
 	// PeakRSS is the process's high-water resident set in bytes
 	// (VmHWM), 0 where /proc is unavailable.
 	PeakRSS uint64
+	// Live is LiveHeap read after the run and Writes the run's committed
+	// writes; when Live is set, Report adds it and Live/Writes, the heap
+	// retained per write.
+	Live   uint64
+	Writes int
 }
 
 // SampleMem reads the runtime's memory statistics and the process
@@ -55,6 +60,17 @@ func SampleMem() MemSample {
 		PauseTotalNs: ms.PauseTotalNs,
 		PeakRSS:      PeakRSS(),
 	}
+}
+
+// LiveHeap forces a garbage collection and returns the heap still
+// reachable: what the process retains, where HeapAlloc adds garbage
+// not yet collected.  The collection perturbs whatever runs beside it,
+// so drivers call it once their measured run is over.
+func LiveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // PeakRSS returns the process's high-water resident set size in bytes
@@ -85,9 +101,14 @@ func PeakRSS() uint64 {
 
 // Report prints the sample as one human-readable line.
 func (s MemSample) Report(w io.Writer) {
-	fmt.Fprintf(w, "mem: heap %.1f MB (sys %.1f MB), allocated %.2f GB in %d objects, %d GCs (%.0f ms paused), peak RSS %.1f MB\n",
+	fmt.Fprintf(w, "mem: heap %.1f MB (sys %.1f MB), allocated %.2f GB in %d objects, %d GCs (%.0f ms paused), peak RSS %.1f MB",
 		float64(s.HeapAlloc)/(1<<20), float64(s.HeapSys)/(1<<20),
 		float64(s.TotalAlloc)/(1<<30), s.Mallocs,
 		s.NumGC, float64(s.PauseTotalNs)/1e6,
 		float64(s.PeakRSS)/(1<<20))
+	if s.Live > 0 {
+		fmt.Fprintf(w, "; live %.1f MB after GC, retained %.0f B/write over %d writes",
+			float64(s.Live)/(1<<20), float64(s.Live)/float64(max(s.Writes, 1)), s.Writes)
+	}
+	fmt.Fprintln(w)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,21 @@ func TestMemSampleReport(t *testing.T) {
 	if b.String() != want {
 		t.Fatalf("report %q\nwant   %q", b.String(), want)
 	}
+	b.Reset()
+	s.Live, s.Writes = 2<<20, 1024
+	s.Report(&b)
+	want = want[:len(want)-1] + "; live 2.0 MB after GC, retained 2048 B/write over 1024 writes\n"
+	if b.String() != want {
+		t.Fatalf("report %q\nwant   %q", b.String(), want)
+	}
+}
+
+func TestLiveHeap(t *testing.T) {
+	keep := make([]byte, 8<<20)
+	if live := LiveHeap(); live < uint64(len(keep)) {
+		t.Fatalf("live heap %d below the %d bytes still referenced", live, len(keep))
+	}
+	runtime.KeepAlive(keep)
 }
 
 func TestCounterValue(t *testing.T) {
