@@ -13,10 +13,10 @@ PAR_PKGS = ./internal/par/ ./internal/erasure/ ./internal/archive/ \
 	./internal/fault/ ./internal/obs/ ./internal/crypt/ \
 	./internal/update/ ./internal/acl/ ./internal/core/
 
-.PHONY: check fmt vet vet-rand build test race race-par bench bench-smoke cover cover-write gates reach
+.PHONY: check fmt vet vet-rand build test race race-par bench bench-smoke cover cover-write gates
 
 # Every prerequisite after vet compiles the tree and `gates` links
-# osexp, so `build` is not one of them; `race` replays the checked-in
+# every program, so `build` is not one of them; `race` replays the checked-in
 # fuzz seed corpora (testdata/fuzz) as part of `go test`.
 check: fmt vet vet-rand race race-par bench-smoke cover gates
 
@@ -75,28 +75,17 @@ cover:
 cover-write:
 	$(GO) test -cover ./... | $(GO) run ./cmd/coverfloor -floors cover/FLOORS.txt -write
 
-# Determinism gates: one table (cmd/gates) of osexp configurations —
+# Determinism and reachability gates (cmd/gates): coverage-instrumented
+# builds of osexp, the oceanstore demo and the examples run one table —
 # the 100k-node soak, the 1k-node disk and mem soaks at both fsync
-# disciplines, the 10k-node introspective flash soak and the scenario
-# catalogue, twelve runs — each row byte-identical (metrics dump and
-# stdout summary) across GOMAXPROCS 1/4 and storage backends, with its
-# rails present and, for the 100k-node row, peak RSS within budget.  A
-# failure names the row and leaves both differing files on disk.
-SOAK_RSS_BUDGET_MB ?= 285
-GATES_OSEXP = /tmp/osexp-gates
+# disciplines, the 10k-node introspective flash soak, the scenario
+# catalogue, every experiment with both dumps, a two-seed sweep, an
+# open-loop diurnal soak that grows mid-run, and each example program —
+# each row byte-identical (stdout and the dumps it names) across
+# GOMAXPROCS 1/4 and storage backends, with its rails present and, for
+# the 100k-node row, peak RSS within budget.  The same runs take the
+# census: the functions none of them enters must be exactly the ones
+# cover/REACH.txt lists.  A failure names the row (or the census line)
+# and leaves the outputs on disk.
 gates:
-	$(GO) build -o $(GATES_OSEXP) ./cmd/osexp
-	SOAK_RSS_BUDGET_MB=$(SOAK_RSS_BUDGET_MB) $(GO) run ./cmd/gates $(GATES_OSEXP)
-
-# Reachability census (not part of check): run the gate table and every
-# experiment on a coverage-instrumented osexp and list the non-test
-# functions no run reached.  DESIGN.md §15 says which of them stay and
-# why.  The RSS budget is lifted: the instrumented binary is not the
-# one the budget was measured on.
-REACH_DIR = /tmp/osexp-reach
-reach:
-	rm -rf $(REACH_DIR) && mkdir -p $(REACH_DIR)/cov
-	$(GO) build -cover -coverpkg=./... -o $(REACH_DIR)/osexp ./cmd/osexp
-	GOCOVERDIR=$(REACH_DIR)/cov SOAK_RSS_BUDGET_MB=100000 $(GO) run ./cmd/gates $(REACH_DIR)/osexp
-	GOCOVERDIR=$(REACH_DIR)/cov $(REACH_DIR)/osexp -metrics $(REACH_DIR)/m.txt -trace $(REACH_DIR)/t.jsonl all 1 > /dev/null
-	@$(GO) tool covdata func -i=$(REACH_DIR)/cov | awk '$$NF == "0.0%" { n++; print } END { printf "reach: %d functions linked into osexp were reached by no run\n", n }'
+	$(GO) run ./cmd/gates

@@ -1,18 +1,24 @@
-// Command gates is the determinism gate behind `make gates`: it drives
-// an osexp binary through one table of configurations and fails unless
-// every run of a row emits byte-identical metrics dumps and stdout
-// summaries, the rails the row names are present, and the row's first
-// run stays inside its peak-RSS budget.
+// Command gates is `make gates`: one run that answers two questions —
+// is every output deterministic, and what code does no run reach?
 //
-// Usage:
+// It builds osexp, the oceanstore demo and the examples with coverage
+// instrumentation (-cover -coverpkg=./...), drives them through one
+// table of runs under a GOCOVERDIR it owns, and fails unless
 //
-//	go build -o /tmp/osexp ./cmd/osexp && go run ./cmd/gates /tmp/osexp
+//   - every run of a row emits byte-identical stdout and byte-identical
+//     files for the outputs the row names ({metrics}, {trace});
+//   - the rails the row names are present, and the row's first run
+//     stays inside its peak-RSS budget;
+//   - the census holds: the functions no run entered are exactly the
+//     ones cover/REACH.txt lists (see census.go).
 //
-// Runs are sequential.  Outputs land in a fresh temp directory that is
-// removed on success; on failure the row is named and the directory —
-// with both differing files — is left on disk.  SOAK_RSS_BUDGET_MB
-// overrides the budgeted (100k-node) row's budget.  `make reach` points the same
-// table at a coverage-instrumented osexp.
+// Usage, from the repository root:
+//
+//	go run ./cmd/gates
+//
+// Runs are sequential.  Binaries and outputs land in a fresh temp
+// directory that is removed on success; on failure the row is named and
+// the directory — with both differing files — is left on disk.
 package main
 
 import (
@@ -28,18 +34,21 @@ import (
 )
 
 // variant is one run of a row: a GOMAXPROCS value plus arguments
-// appended to the row's.  "{dir}" in an argument becomes a fresh
-// directory private to the run (blobstore volumes).
+// appended to the row's.
 type variant struct {
 	procs int
 	extra []string
 }
 
-// row is one gate: every variant must produce the same metrics dump and
-// the same stdout as the first.  Rails are (?m) regexps the first
+// row is one gate: every variant must produce the same outputs as the
+// first.  In args and extras, "{metrics}" and "{trace}" become files
+// private to the run that are compared like stdout, and "{dir}" a fresh
+// directory (blobstore volumes).  Rails are (?m) regexps the first
 // variant's stdout / stderr must match.
 type row struct {
-	name     string
+	name string
+	// prog is the binary the row runs ("" runs osexp).
+	prog     string
 	args     []string
 	variants []variant
 	stdout   []string
@@ -68,7 +77,7 @@ var diskAndMem = []variant{
 func blobstoreRow(flush string) row {
 	return row{
 		name:     "blobstore-1k-flush-" + flush,
-		args:     []string{"soak", "1", "-nodes", "1000", "-ops", "100000", "-flush", flush},
+		args:     []string{"-metrics", "{metrics}", "soak", "1", "-nodes", "1000", "-ops", "100000", "-flush", flush},
 		variants: diskAndMem,
 		stdout:   []string{`^archival maintenance: scrubbed`},
 		stderr:   []string{`^blobstore: .* puts/flush\), .* group commits`},
@@ -76,13 +85,25 @@ func blobstoreRow(flush string) row {
 	}
 }
 
-// gates is the table.  Twelve runs in all.
+// programRow runs one example, or the demo command, at GOMAXPROCS 1 and
+// 4.  The programs take no arguments, so stdout is all there is to
+// compare; the rail is the line that says the program's story ended
+// the way it should.
+func programRow(prog, rail string) row {
+	return row{
+		name:     prog,
+		prog:     prog,
+		variants: procs1and4,
+		stdout:   []string{rail},
+		pass:     "stdout byte-identical at GOMAXPROCS 1 and 4",
+	}
+}
+
+// gates is the table.
 //
-// soak-100k: the soak engine at scale.  With the family-indexed
-// registry 100k nodes + 10k ops peak at 232–256 MB over seven runs
-// (185k series attached), 233–253 MB over seven again at PR 25; the
-// budget is the highest of them plus 10 %.
-// The full-scale run is
+// soak-100k: the soak engine at scale.  On the coverage-instrumented
+// osexp, 100k nodes + 10k ops peak at 233–254 MB over seven gate runs;
+// the budget is the highest of them plus 10 %.  The full-scale run is
 //
 //	osexp -metrics soak.txt soak 1 -nodes 1000000 -ops 1000000
 //
@@ -93,10 +114,18 @@ func blobstoreRow(flush string) row {
 //
 // scenarios: the whole adversarial catalogue — every defense armed
 // (invariants must hold) and switched off (invariants must break).
+//
+// experiments: every figure osexp regenerates, with both dumps on.
+// seeds: the same experiment over two seeds, fanned out on the
+// fork-join pool at GOMAXPROCS 4 and run serially at 1.  soak-grow:
+// an open-loop soak whose arrival rate follows a day/night cycle while
+// 200 nodes join mid-run.
+//
+// usage: -h prints the usage text and exits 0.
 var gates = []row{
 	{
 		name:     "soak-100k",
-		args:     []string{"soak", "1", "-nodes", "100000", "-ops", "10000"},
+		args:     []string{"-metrics", "{metrics}", "soak", "1", "-nodes", "100000", "-ops", "10000"},
 		variants: procs1and4,
 		stderr: []string{
 			`^mem: .* peak RSS .* MB; live .* MB after GC, retained .* B/write over .* writes$`,
@@ -104,54 +133,96 @@ var gates = []row{
 			`^crypto: .* signatures started .* joins .* ready .* taken .* waited, .* keys derived; certificates `,
 			`^obs: .* series in .* families, snapshot .* ms, write .* ms, .* MB`,
 		},
-		rssBudgetMB: 285,
+		rssBudgetMB: 280,
 		pass:        "100k nodes byte-identical at GOMAXPROCS 1 and 4",
 	},
 	blobstoreRow("0"),
 	blobstoreRow("5s"),
 	{
 		name:     "introspect-10k",
-		args:     []string{"soak", "1", "-nodes", "10000", "-ops", "20000", "-introspect", "-flash", "2m"},
+		args:     []string{"-metrics", "{metrics}", "soak", "1", "-nodes", "10000", "-ops", "20000", "-introspect", "-flash", "2m"},
 		variants: procs1and4,
 		stdout:   []string{`^introspect: `, `^read latency: `, `promotes`},
 		pass:     "10k-node flash soak byte-identical at GOMAXPROCS 1 and 4",
 	},
 	{
 		name:     "scenarios",
-		args:     []string{"scenarios", "1"},
+		args:     []string{"-metrics", "{metrics}", "scenarios", "1"},
 		variants: procs1and4,
 		stdout:   []string{`^invariant failures: 0$`},
 		pass:     "all invariants hold armed, all break disarmed; dumps byte-identical at GOMAXPROCS 1 and 4",
 	},
+	{
+		name:     "experiments",
+		args:     []string{"-metrics", "{metrics}", "-trace", "{trace}", "all", "1"},
+		variants: procs1and4,
+		stdout:   []string{`^==== scenarios: `, `^invariant failures: 0$`},
+		pass:     "every experiment's report, metrics dump and trace byte-identical at GOMAXPROCS 1 and 4",
+	},
+	{
+		name:     "seeds",
+		args:     []string{"-metrics", "{metrics}", "-seeds", "2", "latency", "1"},
+		variants: procs1and4,
+		stdout:   []string{`^-- aggregate: latency over 2 seeds \[1\.\.2\]`},
+		pass:     "a two-seed sweep byte-identical fanned out and serial",
+	},
+	{
+		name: "soak-grow",
+		args: []string{"-metrics", "{metrics}", "soak", "1", "-nodes", "1000", "-ops", "5000",
+			"-openloop", "-diurnal", "2m", "-grow", "200", "-growat", "30s"},
+		variants: procs1and4,
+		stdout:   []string{`^soak: 1200 nodes, .* open loop`},
+		pass:     "open-loop diurnal soak with mid-run growth byte-identical at GOMAXPROCS 1 and 4",
+	},
+	{
+		name:     "usage",
+		args:     []string{"-h"},
+		variants: []variant{{procs: 1}},
+		stderr:   []string{`^usage: osexp `, `^  all +run everything$`},
+		pass:     "usage lists the experiments",
+	},
+	programRow("oceanstore", `^virtual time elapsed: `),
+	programRow("quickstart", `^previous version GUID: `),
+	programRow("email", `^racing move: aborted, the inbox is unchanged$`),
+	programRow("library", `^background repair restored [1-9][0-9]* archives, 0 unrecoverable`),
+	programRow("nomadic", `^all reads satisfied through the floated replicas$`),
+	programRow("sensors", `^archival snapshots of the feed: [1-9]`),
 }
 
-// result is where one run's outputs landed.
+// result is where one run's outputs landed: stdout first, then each
+// named output file in argument order.
 type result struct {
-	label                string
-	metrics, out, errOut string
-	peakRSSMB            float64
+	label     string
+	outputs   []string
+	errOut    string
+	peakRSSMB float64
 }
 
-// run executes one variant of a row, writing its three outputs under
-// dir.
-func run(osexp, dir string, r row, i int) (result, error) {
+// run executes one variant of a row under covDir, writing its outputs
+// under dir.
+func run(bin, covDir, dir string, r row, i int) (result, error) {
 	v := r.variants[i]
 	base := filepath.Join(dir, fmt.Sprintf("%s.%d", r.name, i))
 	res := result{
 		label:   strings.TrimSpace(fmt.Sprintf("GOMAXPROCS=%d %s", v.procs, strings.Join(v.extra, " "))),
-		metrics: base + ".metrics", out: base + ".stdout", errOut: base + ".stderr",
+		outputs: []string{base + ".stdout"},
+		errOut:  base + ".stderr",
 	}
-	args := append([]string{"-metrics", res.metrics}, r.args...)
-	for _, a := range v.extra {
-		if a == "{dir}" {
+	var args []string
+	for _, a := range append(append([]string(nil), r.args...), v.extra...) {
+		switch a {
+		case "{dir}":
 			a = base + ".vols"
 			if err := os.Mkdir(a, 0o755); err != nil {
 				return res, err
 			}
+		case "{metrics}", "{trace}":
+			a = base + "." + strings.Trim(a, "{}")
+			res.outputs = append(res.outputs, a)
 		}
 		args = append(args, a)
 	}
-	stdout, err := os.Create(res.out)
+	stdout, err := os.Create(res.outputs[0])
 	if err != nil {
 		return res, err
 	}
@@ -161,11 +232,15 @@ func run(osexp, dir string, r row, i int) (result, error) {
 		return res, err
 	}
 	defer stderr.Close()
-	cmd := exec.Command(osexp, args...)
-	cmd.Env = append(os.Environ(), "GOMAXPROCS="+strconv.Itoa(v.procs))
+	prog := r.prog
+	if prog == "" {
+		prog = "osexp"
+	}
+	cmd := exec.Command(filepath.Join(bin, prog), args...)
+	cmd.Env = append(os.Environ(), "GOMAXPROCS="+strconv.Itoa(v.procs), "GOCOVERDIR="+covDir)
 	cmd.Stdout, cmd.Stderr = stdout, stderr
 	if err := cmd.Run(); err != nil {
-		return res, fmt.Errorf("%s %s: %w (stderr in %s)", osexp, strings.Join(args, " "), err, res.errOut)
+		return res, fmt.Errorf("%s %s: %w (stderr in %s)", prog, strings.Join(args, " "), err, res.errOut)
 	}
 	if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok {
 		res.peakRSSMB = float64(ru.Maxrss) / 1024 // Linux reports KB
@@ -204,10 +279,10 @@ func rails(file string, patterns []string) error {
 }
 
 // check runs every variant of a row and holds it to the row's contract.
-func check(osexp, dir string, r row) (string, error) {
+func check(bin, covDir, dir string, r row) (string, error) {
 	var first result
 	for i := range r.variants {
-		res, err := run(osexp, dir, r, i)
+		res, err := run(bin, covDir, dir, r, i)
 		if err != nil {
 			return "", err
 		}
@@ -215,21 +290,18 @@ func check(osexp, dir string, r row) (string, error) {
 			first = res
 			continue
 		}
-		for _, pair := range [][3]string{
-			{"metrics", first.metrics, res.metrics},
-			{"summaries", first.out, res.out},
-		} {
-			ok, err := same(pair[1], pair[2])
+		for j, out := range res.outputs {
+			ok, err := same(first.outputs[j], out)
 			if err != nil {
 				return "", err
 			}
 			if !ok {
 				return "", fmt.Errorf("%s differ between [%s] and [%s]: %s %s",
-					pair[0], first.label, res.label, pair[1], pair[2])
+					filepath.Ext(out)[1:], first.label, res.label, first.outputs[j], out)
 			}
 		}
 	}
-	if err := rails(first.out, r.stdout); err != nil {
+	if err := rails(first.outputs[0], r.stdout); err != nil {
 		return "", err
 	}
 	if err := rails(first.errOut, r.stderr); err != nil {
@@ -248,36 +320,58 @@ func check(osexp, dir string, r row) (string, error) {
 	return pass, nil
 }
 
-func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: gates OSEXP-BINARY")
-		os.Exit(2)
+// gate builds the instrumented programs into dir, runs the table and
+// takes the census.
+func gate(dir string) error {
+	bin, covDir := filepath.Join(dir, "bin"), filepath.Join(dir, "cover")
+	for _, d := range []string{bin, covDir} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			return err
+		}
 	}
-	osexp := os.Args[1]
-	if s := os.Getenv("SOAK_RSS_BUDGET_MB"); s != "" {
-		mb, err := strconv.ParseFloat(s, 64)
+	// Each program builds to a binary named after its directory.
+	build := exec.Command("go", "build", "-cover", "-coverpkg=./...", "-o", bin+"/",
+		"./cmd/osexp", "./cmd/oceanstore", "./examples/...")
+	build.Stdout, build.Stderr = os.Stdout, os.Stderr
+	if err := build.Run(); err != nil {
+		return fmt.Errorf("building the instrumented programs: %w", err)
+	}
+	for _, r := range gates {
+		pass, err := check(bin, covDir, dir, r)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gates: SOAK_RSS_BUDGET_MB=%q: %v\n", s, err)
-			os.Exit(2)
+			return fmt.Errorf("row %s: %w", r.name, err)
 		}
-		for i := range gates {
-			if gates[i].rssBudgetMB > 0 {
-				gates[i].rssBudgetMB = mb
-			}
-		}
+		fmt.Printf("gates: %s: %s\n", r.name, pass)
+	}
+	funcs, err := exec.Command("go", "tool", "covdata", "func", "-i="+covDir).Output()
+	if err != nil {
+		return fmt.Errorf("go tool covdata func: %w", err)
+	}
+	listed, err := os.ReadFile(reachFile)
+	if err != nil {
+		return err
+	}
+	summary, err := census(string(funcs), string(listed))
+	if err != nil {
+		return fmt.Errorf("census: %w", err)
+	}
+	fmt.Printf("gates: census: %s\n", summary)
+	return nil
+}
+
+func main() {
+	if len(os.Args) != 1 {
+		fmt.Fprintln(os.Stderr, "usage: gates (from the repository root)")
+		os.Exit(2)
 	}
 	dir, err := os.MkdirTemp("", "gates-")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gates:", err)
 		os.Exit(1)
 	}
-	for _, r := range gates {
-		pass, err := check(osexp, dir, r)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gates: row %s: %v\ngates: outputs kept in %s\n", r.name, err, dir)
-			os.Exit(1)
-		}
-		fmt.Printf("gates: %s: %s\n", r.name, pass)
+	if err := gate(dir); err != nil {
+		fmt.Fprintf(os.Stderr, "gates: %v\ngates: outputs kept in %s\n", err, dir)
+		os.Exit(1)
 	}
 	if err := os.RemoveAll(dir); err != nil {
 		fmt.Fprintln(os.Stderr, "gates:", err)

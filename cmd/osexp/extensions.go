@@ -24,9 +24,7 @@ func runTwoTier(w io.Writer, seed int64, _ *obsink) {
 		cfg.Nodes = 64
 		cfg.Ring.Archive = archive.Config{DataShards: 4, TotalFragments: 8}
 		p := core.NewPool(seed, cfg)
-		ttCfg := core.DefaultTwoTierConfig()
-		ttCfg.Depth = depth
-		tt := p.EnableTwoTier(ttCfg)
+		tt := p.EnableTwoTier(depth)
 
 		owner := p.NewClient(63, crypt.NewSigner(p.K.Rand()))
 		var objs []guid.GUID

@@ -88,7 +88,7 @@ type e10Row struct {
 // signal), one epoch of cooldown after every change.
 var e10Config = introspect.ControllerConfig{
 	Alpha: 1, PromoteAbove: 50, DemoteBelow: 5,
-	MinReplicas: 1, MaxReplicas: 8, CooldownEpochs: 1,
+	MaxReplicas: 8, CooldownEpochs: 1,
 }
 
 // replicaMgmtRows runs E10: one object read 200 times per epoch for ten

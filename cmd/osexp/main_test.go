@@ -234,8 +234,8 @@ func TestE10OnController(t *testing.T) {
 	if hotEnd.replicas <= rows[0].replicas || hotEnd.replicas < 3 {
 		t.Fatalf("hot rounds grew the tier only %d -> %d", rows[0].replicas, hotEnd.replicas)
 	}
-	if last.replicas >= hotEnd.replicas || last.replicas != e10Config.MinReplicas {
-		t.Fatalf("cold rounds left %d replicas (hot peak %d, floor %d)", last.replicas, hotEnd.replicas, e10Config.MinReplicas)
+	if last.replicas >= hotEnd.replicas || last.replicas != 1 {
+		t.Fatalf("cold rounds left %d replicas (hot peak %d, floor 1)", last.replicas, hotEnd.replicas)
 	}
 	if hotEnd.meanReadLatency >= rows[0].meanReadLatency || last.meanReadLatency <= hotEnd.meanReadLatency {
 		t.Fatalf("read latency did not follow the tier: first %v, hot peak %v, end %v",

@@ -3,8 +3,11 @@
 // and read by one owner.  The example shows:
 //
 //   - concurrent deliveries serialised by the primary tier;
-//   - an ATOMIC MOVE between folders guarded by a compare-block
-//     predicate, so a racing move cannot duplicate or lose a message;
+//   - search over the encrypted inbox, which servers answer without
+//     learning the word;
+//   - an ATOMIC MOVE between folders as a transaction guarded by the
+//     version it read, so a racing move aborts instead of deleting a
+//     second message;
 //   - disconnected operation: a partitioned reader keeps working
 //     against tentative local state and reconciles on reconnection.
 package main
@@ -15,7 +18,6 @@ import (
 	"time"
 
 	"oceanstore"
-	"oceanstore/internal/update"
 )
 
 func main() {
@@ -52,56 +54,66 @@ func main() {
 	// The owner's mail reader refreshes via the callback interface
 	// (§4.6) whenever anyone's delivery commits.
 	newMail := 0
-	os.Watch(inbox, func(update.UpdateID) { newMail++ })
+	os.Watch(inbox, func(oceanstore.UpdateID) { newMail++ })
 	fmt.Println("inbox after concurrent deliveries:")
 	printFolder(os, inbox)
 
-	// ATOMIC MOVE of message 1 to the archive (§3: "some operations,
-	// such as message move operations, must occur atomically").  The
-	// update's guard checks, on ciphertext, that block 1 still holds the
-	// expected message; the actions delete it from the inbox.  The
-	// append to the archive is a second update — if the guard aborts,
-	// the owner simply does not issue it.
-	ed, _, err := os.Editor(inbox)
+	// ENCRYPTED SEARCH (§4.4.2): the owner installs a word index built
+	// under the inbox's read key; a search hands the server a trapdoor
+	// for one word, and the server learns only whether it occurs.
+	_, err = os.SetSearchIndex(inbox, []string{"lunch", "report", "nevermind"})
 	check(err)
-	expected, pos, err := ed.ExpectedBlock(1, []byte("from dave: report attached"))
-	check(err)
-	delOp, err := ed.Delete(1)
-	check(err)
-	move := &update.Update{
-		Object: inbox,
-		Guards: []update.Guard{{
-			Preds: []update.Predicate{
-				{Kind: update.PredCompareBlock, Pos: pos, Digest: expected.Digest()},
-			},
-			Actions: update.BlockOps(delOp),
-		}},
-	}
-	moved := false
-	os.OnCommit(func(obj oceanstore.GUID, id update.UpdateID) {
-		if obj == inbox {
-			moved = true
-		}
-	})
-	os.Submit(move)
 	world.Run(time.Minute)
-	if moved {
-		_, err = os.Append(archive, []byte("from dave: report attached"))
+	for _, word := range []string{"report", "invoice"} {
+		found, err := os.Search(inbox, word)
+		check(err)
+		fmt.Printf("search the encrypted inbox for %q: %v\n", word, found)
+	}
+
+	// ATOMIC MOVE of dave's message to the archive (§3: "some operations,
+	// such as message move operations, must occur atomically").  A
+	// transaction (§4.6) reads the inbox, stages the delete, and commits
+	// one update guarded by the version it read; the append to the
+	// archive is a second transaction, issued only once the first has
+	// committed.  Meanwhile the owner's phone starts the same move from
+	// the same snapshot.
+	phone := owner.NewSession(oceanstore.ACID)
+	move, err := os.Begin(inbox)
+	check(err)
+	race, err := phone.Begin(inbox)
+	check(err)
+	snapshot, err := move.Read()
+	check(err)
+	fmt.Printf("\nmove transaction reads %q\n", snapshot)
+	// Block 0 is the folder's empty initial block; dave's message is 1.
+	check(move.Delete(1))
+	_, err = move.Commit()
+	check(err)
+	world.Run(time.Minute)
+	if move.Status() == oceanstore.TxCommitted {
+		file, err := os.Begin(archive)
+		check(err)
+		check(file.Append([]byte("from dave: report attached")))
+		_, err = file.Commit()
 		check(err)
 		world.Run(time.Minute)
 	}
-	fmt.Println("\nafter atomic move of dave's message to the archive:")
+	fmt.Println("after atomic move of dave's message to the archive:")
 	fmt.Println("inbox:")
 	printFolder(os, inbox)
 	fmt.Println("archive:")
 	printFolder(os, archive)
 
-	// A second, racing move of the SAME message must abort: the guard's
-	// compare-block now fails.
-	ed2, _, err := os.Editor(inbox)
+	// The phone's move of the SAME message commits second: its snapshot
+	// predates the first move, so the version guard fails at the primary
+	// tier and the transaction aborts instead of deleting another message.
+	check(race.Delete(1))
+	_, err = race.Commit()
 	check(err)
-	if _, _, err := ed2.ExpectedBlock(1, nil); err != nil {
-		fmt.Println("\nracing second move: message no longer at that position (guard would abort)")
+	world.Run(time.Minute)
+	if race.Status() == oceanstore.TxAborted {
+		fmt.Println("\nracing move: aborted, the inbox is unchanged")
+		printFolder(os, inbox)
 	}
 
 	// DISCONNECTED OPERATION: partition the owner's node, keep reading

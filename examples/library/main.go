@@ -1,19 +1,23 @@
 // Library: the paper's digital-library / scientific-data application
 // (§3).  A collection of documents is ingested through the file-system
 // facade, erasure-coded into deep archival storage as a side effect of
-// commitment, and then survives a simulated regional disaster that
-// destroys a whole administrative domain of servers plus every member
-// of the object's primary tier.
+// commitment, cited through version-qualified names and served to
+// browsers by the read-only web gateway, and then survives a simulated
+// regional disaster that destroys a whole administrative domain of
+// servers plus every member of the object's primary tier.
 package main
 
 import (
 	"fmt"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"time"
 
 	"oceanstore"
 	"oceanstore/internal/archive"
+	"oceanstore/internal/core"
 	"oceanstore/internal/object"
 	"oceanstore/internal/replica"
 	"oceanstore/internal/simnet"
@@ -43,6 +47,52 @@ func main() {
 	names, err := fs.ReadDir("/physics")
 	check(err)
 	fmt.Printf("ingested %d documents: %v\n", len(names), names)
+
+	// Catalogue upkeep through the facade: the calibration is corrected
+	// in place — a new version; the first stays retrievable — and the
+	// README gets a descriptive name.
+	cal, err := fs.Lookup("/physics/calibration.txt")
+	check(err)
+	calRing, _ := world.Pool.Ring(cal)
+	firstCal := calRing.CommittedVersion().GUID()
+	check(fs.WriteFile("/physics/calibration.txt", []byte("detector gains per channel, corrected ...")))
+	world.Run(30 * time.Second)
+	check(fs.Rename("/physics/README", "/physics/ABOUT"))
+	world.Run(30 * time.Second)
+	about, err := fs.ReadFile("/physics/ABOUT")
+	check(err)
+	fmt.Printf("README renamed to ABOUT: %q\n", about)
+
+	// Permanent hyperlinks (§4.1, §4.5): a reader who holds the
+	// library's root directory resolves paths through the directory
+	// objects, and a version suffix — a number or a version GUID — pins
+	// the citation to the bytes it cited.
+	sess := fs.Session()
+	resolver := sess.Resolver()
+	resolver.AddRoot("library", fs.Root())
+	for _, link := range []string{
+		"library:/physics/calibration.txt",
+		"library:/physics/calibration.txt@v0",
+		"library:/physics/calibration.txt@" + firstCal.String(),
+	} {
+		data, err := sess.ResolveAndRead(resolver, link)
+		check(err)
+		fmt.Printf("%s -> %q\n", link, data)
+	}
+
+	// The read-only web gateway (§4.6) serves the same namespace to
+	// legacy browsers: directories as listings, ?v=N for old versions,
+	// and nothing but GET and HEAD.
+	gateway := core.NewGateway(fs)
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodGet, "/physics/", nil),
+		httptest.NewRequest(http.MethodGet, "/physics/calibration.txt?v=0", nil),
+		httptest.NewRequest(http.MethodPut, "/physics/ABOUT", nil),
+	} {
+		rec := httptest.NewRecorder()
+		gateway.ServeHTTP(rec, req)
+		fmt.Printf("gateway %s %s -> %d %q\n", req.Method, req.URL, rec.Code, rec.Body.String())
+	}
 
 	// Each committed write produced archival fragments automatically.
 	target, err := fs.Lookup("/physics/neutrino-run-0042.dat")

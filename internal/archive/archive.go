@@ -50,24 +50,21 @@ func (sf *StoredFragment) WireSize() int {
 	return len(sf.Data) + guid.Size*(len(sf.Proof)+1) + 16
 }
 
-// Config fixes an archive's code geometry.  Rate-1/2 into 32 fragments
-// is the paper's running example; the number of fragments is chosen
+// Config fixes an archive's code geometry: a Reed-Solomon code of n
+// data shards into f fragments.  Rate-1/2 into 32 fragments is the
+// paper's running example; the number of fragments is chosen
 // per-object (§4.5).
 type Config struct {
 	DataShards     int // n
 	TotalFragments int // f
-	// UseTornado selects the fast XOR code instead of Reed-Solomon.
-	UseTornado bool
-	// TornadoSeed fixes the peeling graph.
-	TornadoSeed int64
 }
 
-// codecCache memoises codecs per Config.  Construction is pure — RS
-// depends only on (n, f), Tornado on (n, f, seed) — and built codecs
-// are immutable and safe for concurrent use, so every archive with the
-// same geometry shares one codec.  Sharing is what makes the RS
-// decode-matrix cache effective across a repair storm: thousands of
-// Encode/Decode calls per experiment, a handful of distinct Configs.
+// codecCache memoises codecs per Config.  Construction is pure — it
+// depends only on (n, f) — and built codecs are immutable and safe for
+// concurrent use, so every archive with the same geometry shares one
+// codec.  Sharing is what makes the decode-matrix cache effective
+// across a repair storm: thousands of Encode/Decode calls per
+// experiment, a handful of distinct Configs.
 var codecCache sync.Map // Config -> erasure.Codec
 
 // Codec returns the (cached) erasure codec for this configuration.
@@ -75,13 +72,7 @@ func (c Config) Codec() (erasure.Codec, error) {
 	if v, ok := codecCache.Load(c); ok {
 		return v.(erasure.Codec), nil
 	}
-	var codec erasure.Codec
-	var err error
-	if c.UseTornado {
-		codec, err = erasure.NewTornado(c.DataShards, c.TotalFragments, c.TornadoSeed)
-	} else {
-		codec, err = erasure.NewReedSolomon(c.DataShards, c.TotalFragments)
-	}
+	codec, err := erasure.NewReedSolomon(c.DataShards, c.TotalFragments)
 	if err != nil {
 		return nil, err
 	}

@@ -377,20 +377,3 @@ func TestSchedulerRestoresRedundancy(t *testing.T) {
 		t.Fatalf("healthy archive repaired again: %d repairs, %d pending", st.Repairs, sc.PendingRepairs())
 	}
 }
-
-func TestTornadoConfigRoundTrip(t *testing.T) {
-	cfg := Config{DataShards: 8, TotalFragments: 32, UseTornado: true, TornadoSeed: 42}
-	data := make([]byte, 4000)
-	rand.New(rand.NewSource(11)).Read(data)
-	root, frags, err := Encode(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.IsZero() {
-		t.Fatal("zero root")
-	}
-	got, err := Decode(frags, cfg)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("tornado decode: %v", err)
-	}
-}

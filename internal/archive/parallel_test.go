@@ -54,7 +54,7 @@ func TestConcurrentCodecCache(t *testing.T) {
 	cfgs := []Config{
 		{DataShards: 4, TotalFragments: 8},
 		{DataShards: 8, TotalFragments: 16},
-		{DataShards: 4, TotalFragments: 8, UseTornado: true, TornadoSeed: 3},
+		{DataShards: 8, TotalFragments: 32},
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 9; g++ {

@@ -18,7 +18,7 @@ import (
 //
 // Three independent periodic duties, all on the virtual clock:
 //
-//   - SCRUB: walk every stored fragment at ScrubFragsPerTick per tick,
+//   - SCRUB: walk every stored fragment at scrubFragsPerTick per tick,
 //     re-read it through the store (real disk I/O on a blobstore
 //     backend) and re-verify it against its Merkle proof.  Proven-rot
 //     copies are dropped and their roots queued for repair.  Scrub
@@ -75,10 +75,8 @@ type schedBackoff struct {
 // SchedulerConfig tunes the maintenance loop.  Zero values take
 // defaults.
 type SchedulerConfig struct {
-	// ScrubInterval is the scrub tick period; ScrubFragsPerTick bounds
-	// fragments re-read and re-verified per tick.
-	ScrubInterval     time.Duration
-	ScrubFragsPerTick int
+	// ScrubInterval is the scrub tick period.
+	ScrubInterval time.Duration
 	// RepairInterval is the repair tick period; RepairsPerTick bounds
 	// repairs attempted per tick.
 	RepairInterval time.Duration
@@ -89,21 +87,24 @@ type SchedulerConfig struct {
 	// FlushInterval, when positive, moves fsync from per-batch to a
 	// group commit on this period (Start clears svc.SyncEachBatch).
 	FlushInterval time.Duration
-	// BackoffBase and BackoffMax bound the retry gap for roots whose
-	// repair failed.
-	BackoffBase, BackoffMax time.Duration
 }
 
-// scanRootsPerTick bounds how many roots the redundancy scan inspects
-// per repair tick.
-const scanRootsPerTick = 128
+const (
+	// scanRootsPerTick bounds how many roots the redundancy scan
+	// inspects per repair tick.
+	scanRootsPerTick = 128
+	// scrubFragsPerTick bounds fragments re-read and re-verified per
+	// scrub tick.
+	scrubFragsPerTick = 64
+	// repairBackoffBase and repairBackoffMax bound the retry gap for
+	// roots whose repair failed.
+	repairBackoffBase = 2 * time.Minute
+	repairBackoffMax  = 32 * time.Minute
+)
 
 func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.ScrubInterval <= 0 {
 		c.ScrubInterval = 30 * time.Second
-	}
-	if c.ScrubFragsPerTick <= 0 {
-		c.ScrubFragsPerTick = 64
 	}
 	if c.RepairInterval <= 0 {
 		c.RepairInterval = time.Minute
@@ -113,12 +114,6 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	}
 	if c.Threshold <= 0 {
 		c.Threshold = 4
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 2 * time.Minute
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 32 * time.Minute
 	}
 	return c
 }
@@ -227,7 +222,7 @@ func (sc *Scheduler) refillQueue() {
 	}
 }
 
-// scrubTick re-reads and re-verifies up to ScrubFragsPerTick
+// scrubTick re-reads and re-verifies up to scrubFragsPerTick
 // fragments.  Rot is dropped on the spot — a copy proven bad is worse
 // than a missing one, because retrieval and repair both have to read
 // it before discarding it — and the root joins the repair queue.
@@ -238,7 +233,7 @@ func (sc *Scheduler) scrubTick() {
 			return
 		}
 	}
-	n := sc.cfg.ScrubFragsPerTick
+	n := scrubFragsPerTick
 	if n > len(sc.queue) {
 		n = len(sc.queue)
 	}
@@ -321,13 +316,13 @@ func (sc *Scheduler) repairTick() {
 			sc.metrics.repairFailed.Inc()
 			b := sc.backoff[root]
 			if b == nil {
-				b = &schedBackoff{gap: sc.cfg.BackoffBase}
+				b = &schedBackoff{gap: repairBackoffBase}
 				sc.backoff[root] = b
 			}
 			b.until = now + b.gap
 			b.gap *= 2
-			if b.gap > sc.cfg.BackoffMax {
-				b.gap = sc.cfg.BackoffMax
+			if b.gap > repairBackoffMax {
+				b.gap = repairBackoffMax
 			}
 			continue
 		}

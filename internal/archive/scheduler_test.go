@@ -54,11 +54,10 @@ func TestSchedulerScrubFindsAndRepairsRot(t *testing.T) {
 	}
 
 	sc := NewScheduler(svc, SchedulerConfig{
-		ScrubInterval:     10 * time.Second,
-		ScrubFragsPerTick: 16,
-		RepairInterval:    30 * time.Second,
-		RepairsPerTick:    8,
-		Threshold:         5, // DataShards+1
+		ScrubInterval:  10 * time.Second,
+		RepairInterval: 30 * time.Second,
+		RepairsPerTick: 8,
+		Threshold:      5, // DataShards+1
 	})
 	stop := sc.Start()
 	defer stop()
@@ -151,17 +150,14 @@ func TestSchedulerBackoffOnUnrecoverable(t *testing.T) {
 		RepairInterval: time.Minute,
 		RepairsPerTick: 4,
 		Threshold:      5,
-		BackoffBase:    4 * time.Minute,
-		BackoffMax:     16 * time.Minute,
 	})
 	stop := sc.Start()
 	defer stop()
 
 	k.RunFor(8*time.Minute + time.Second)
 	st := sc.Stats()
-	// 8 repair ticks; without backoff every one would fail.  With a 4m
-	// base doubling to 8m, at most 3 attempts fit (t=1m, 5m, and the 8m
-	// gap pushes the third past the window... allow a small band).
+	// 8 repair ticks; without backoff every one would fail.  With a 2m
+	// base doubling to 4m, three attempts fit (t=1m, 3m and 7m).
 	if st.RepairFailed == 0 {
 		t.Fatal("unrecoverable root never attempted")
 	}

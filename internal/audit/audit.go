@@ -77,9 +77,6 @@ type Config struct {
 	// the amplification defense: no matter how many polls arrive, a
 	// node's audit reply traffic is bounded.
 	MaxVotesPerInterval int
-	// BackoffBase and BackoffMax bound the per-(node, root) retry gap
-	// after inconclusive polls.
-	BackoffBase, BackoffMax time.Duration
 
 	// Disable knobs — each switches off exactly one defense so the
 	// scenario suite can demonstrate the invariant that defense holds.
@@ -100,6 +97,10 @@ const (
 	// reputationCut is the reputation below which a peer is suspected:
 	// excluded from repair placement and from health quorums.
 	reputationCut = 0.3
+	// backoffBase and backoffMax bound the per-(node, root) retry gap
+	// after inconclusive polls.
+	backoffBase = 2 * time.Minute
+	backoffMax  = 32 * time.Minute
 )
 
 // withDefaults fills zero fields.
@@ -115,12 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxVotesPerInterval <= 0 {
 		c.MaxVotesPerInterval = 8
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 2 * time.Minute
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 32 * time.Minute
 	}
 	return c
 }
@@ -153,7 +148,6 @@ type Auditor struct {
 	cfg Config
 
 	running bool
-	cancel  func()
 
 	nextRid  uint64
 	inflight map[uint64]*pollState
@@ -261,17 +255,7 @@ func (a *Auditor) Start() {
 		a.net.Node(node).Handle(func(m simnet.Message) { a.handle(node, m) })
 	}
 	a.refill()
-	a.cancel = a.net.K.Every(a.cfg.Interval, a.tick)
-}
-
-// Stop disarms the tick; handlers stay installed but the auditor sends
-// nothing further (in-flight tallies still resolve).
-func (a *Auditor) Stop() {
-	if a.cancel != nil {
-		a.cancel()
-		a.cancel = nil
-	}
-	a.running = false
+	a.net.K.Every(a.cfg.Interval, a.tick)
 }
 
 // Stats returns a copy of the auditor's counters.
@@ -510,12 +494,12 @@ func (a *Auditor) tally(rid uint64) {
 		if !a.cfg.DisableBackoff {
 			b := a.backoff[key]
 			if b == nil {
-				b = &backoffState{gap: a.cfg.BackoffBase}
+				b = &backoffState{gap: backoffBase}
 				a.backoff[key] = b
-			} else if b.gap < a.cfg.BackoffMax {
+			} else if b.gap < backoffMax {
 				b.gap *= 2
-				if b.gap > a.cfg.BackoffMax {
-					b.gap = a.cfg.BackoffMax
+				if b.gap > backoffMax {
+					b.gap = backoffMax
 				}
 			}
 			b.until = a.net.K.Now() + b.gap

@@ -27,8 +27,8 @@ type ReplicaAuditor struct {
 	net *simnet.Network
 	cfg Config
 
-	rings  []*replica.Ring
-	cancel func()
+	rings   []*replica.Ring
+	running bool
 
 	stats ReplicaStats
 	om    replicaAuditMetrics
@@ -58,18 +58,11 @@ func (ra *ReplicaAuditor) Instrument(reg *obs.Registry) {
 
 // Start arms the periodic digest sweep.
 func (ra *ReplicaAuditor) Start() {
-	if ra.cancel != nil {
+	if ra.running {
 		return
 	}
-	ra.cancel = ra.net.K.Every(ra.cfg.Interval, ra.tick)
-}
-
-// Stop disarms it.
-func (ra *ReplicaAuditor) Stop() {
-	if ra.cancel != nil {
-		ra.cancel()
-		ra.cancel = nil
-	}
+	ra.running = true
+	ra.net.K.Every(ra.cfg.Interval, ra.tick)
 }
 
 // Stats returns a copy of the counters.

@@ -89,13 +89,6 @@ func (f *Filter) Clear() {
 	}
 }
 
-// Clone returns a deep copy.
-func (f *Filter) Clone() *Filter {
-	c := &Filter{bits: make([]uint64, len(f.bits)), m: f.m, k: f.k}
-	copy(c.bits, f.bits)
-	return c
-}
-
 // CopyFrom overwrites f's bits with other's.
 func (f *Filter) CopyFrom(other *Filter) {
 	if f.m != other.m || f.k != other.k {

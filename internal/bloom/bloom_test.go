@@ -67,16 +67,17 @@ func TestFilterClearCloneEqual(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	g := guid.Random(r)
 	f.Add(g)
-	c := f.Clone()
+	c := NewFilter(256, 2)
+	c.CopyFrom(f)
 	if !c.Equal(f) || !c.Test(g) {
-		t.Fatal("clone must equal original")
+		t.Fatal("copy must equal original")
 	}
 	f.Clear()
 	if f.Test(g) {
 		t.Fatal("clear must remove everything")
 	}
 	if c.Equal(f) {
-		t.Fatal("clone must be independent of original")
+		t.Fatal("copy must be independent of original")
 	}
 	if f.FillRatio() != 0 {
 		t.Fatal("cleared filter must have fill 0")

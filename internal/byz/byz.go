@@ -599,6 +599,3 @@ func (g *Group) clientHandle(client simnet.NodeID, m simnet.Message) {
 		cb(res)
 	}
 }
-
-// View reports replica i's current view (diagnostics).
-func (g *Group) View(i int) uint64 { return g.replicas[i].view }

@@ -18,7 +18,7 @@ import (
 
 func TestTwoTierLocation(t *testing.T) {
 	p := smallPool(20)
-	tt := p.EnableTwoTier(DefaultTwoTierConfig())
+	tt := p.EnableTwoTier(3)
 	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
 	obj, err := alice.Create("near", []byte("x"))
 	if err != nil {

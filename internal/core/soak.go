@@ -33,8 +33,6 @@ type SoakConfig struct {
 	Secondaries int
 	// Clients is the virtual-client population.
 	Clients int
-	// Faults is f per primary tier (3f+1 members).
-	Faults int
 	// BlockSize is the object block granularity; soak writes replace
 	// block 0, so object state stays bounded over a million updates.
 	BlockSize int
@@ -44,10 +42,6 @@ type SoakConfig struct {
 	// ArchiveEvery archives a ring every N commits (soak loosens the
 	// paper's every-commit coupling so archival cost stays sublinear).
 	ArchiveEvery int
-	// GossipInterval is the secondary anti-entropy period.
-	GossipInterval time.Duration
-	// Guarantees are the session guarantees every client runs under.
-	Guarantees Guarantees
 	// Backend selects the fragment-store implementation: "" or "mem"
 	// for the in-memory NodeStore, "disk" for one blobstore volume per
 	// storage node under StoreDir.  The backends share one behavioural
@@ -84,11 +78,10 @@ type SoakConfig struct {
 	NodeBudget int
 	// IntrospectCfg tunes the controller; zero fields take defaults.
 	IntrospectCfg introspect.ControllerConfig
-	// Link model.
-	Extent         float64
-	Domains        int
-	BaseLatency    time.Duration
-	LatencyPerUnit time.Duration
+	// Link model: the coordinate extent and the administrative domains
+	// nodes are spread over.
+	Extent  float64
+	Domains int
 }
 
 const (
@@ -102,11 +95,20 @@ const (
 	soakRetainVersions = 8
 	// soakRetirePeriod is the period of the history-retirement sweep.
 	soakRetirePeriod = 5 * time.Minute
+	// soakFaults is f per primary tier (3f+1 members).
+	soakFaults = 1
+	// soakGossipInterval is the secondary anti-entropy period.
+	soakGossipInterval = 30 * time.Second
+	// soakGuarantees are the session guarantees every client runs under.
+	soakGuarantees = ReadYourWrites
+	// soakBaseLatency and soakLatencyPerUnit are the WAN-ish link model:
+	// a fixed cost plus one per unit of coordinate distance.
+	soakBaseLatency    = 15 * time.Millisecond
+	soakLatencyPerUnit = time.Millisecond
 )
 
 // DefaultSoakConfig scales a soak world to the given node count:
-// objects ~ nodes/16, clients ~ nodes/32 (clamped), one fault per
-// tier, WAN-ish latency.
+// objects ~ nodes/16, clients ~ nodes/32 (clamped).
 func DefaultSoakConfig(nodes int) SoakConfig {
 	clamp := func(v, lo, hi int) int {
 		if v < lo {
@@ -122,18 +124,13 @@ func DefaultSoakConfig(nodes int) SoakConfig {
 		Objects:         clamp(nodes/16, 4, 4096),
 		Secondaries:     4,
 		Clients:         clamp(nodes/32, 4, 1024),
-		Faults:          1,
 		BlockSize:       512,
 		MaxInFlight:     clamp(nodes/32, 8, 1024),
 		ArchiveEvery:    256,
-		GossipInterval:  30 * time.Second,
-		Guarantees:      ReadYourWrites,
 		IntrospectEpoch: 10 * time.Second,
 		NodeBudget:      8,
 		Extent:          100,
 		Domains:         8,
-		BaseLatency:     15 * time.Millisecond,
-		LatencyPerUnit:  time.Millisecond,
 	}
 }
 
@@ -193,17 +190,17 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 	// checkpoint transfer.  Without these bounds a million-op run keeps
 	// every update alive forever and replays dead tentative entries on
 	// every read — the O(ops²) wall the soak hit.
-	tentativeExpire := soakWriteTimeout + 2*cfg.GossipInterval
+	tentativeExpire := soakWriteTimeout + 2*soakGossipInterval
 	pc := PoolConfig{
 		Nodes:     cfg.Nodes,
 		Domains:   cfg.Domains,
-		Faults:    cfg.Faults,
+		Faults:    soakFaults,
 		BlockSize: cfg.BlockSize,
 		Ring: replica.Config{
-			Faults:         cfg.Faults,
+			Faults:         soakFaults,
 			ArchiveEvery:   cfg.ArchiveEvery,
 			Archive:        archive.Config{DataShards: 4, TotalFragments: 8},
-			GossipInterval: cfg.GossipInterval,
+			GossipInterval: soakGossipInterval,
 			TreeFanout:     4,
 			Retention: epidemic.Retention{
 				TentativeExpire: tentativeExpire,
@@ -214,8 +211,8 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 			DropExecuted: true,
 		},
 		Extent:         cfg.Extent,
-		BaseLatency:    cfg.BaseLatency,
-		LatencyPerUnit: cfg.LatencyPerUnit,
+		BaseLatency:    soakBaseLatency,
+		LatencyPerUnit: soakLatencyPerUnit,
 		NoMesh:         true,
 	}
 	switch cfg.Backend {
@@ -256,7 +253,7 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 	for i := 0; i < cfg.Clients; i++ {
 		c := p.NewClient(simnet.NodeID(i%cfg.Nodes), crypt.NewSigner(p.K.Rand()))
 		c.Keys = w.owner.Keys
-		s := c.NewSession(cfg.Guarantees)
+		s := c.NewSession(soakGuarantees)
 		s.UpdateTimeout = soakWriteTimeout
 		s.OnCommit(func(_ guid.GUID, id update.UpdateID) { w.resolve(id, true) })
 		s.OnAbort(func(_ guid.GUID, id update.UpdateID) { w.resolve(id, false) })

@@ -16,28 +16,20 @@ import (
 // neighbours; the deterministic tier is the Plaxton mesh (package
 // plaxton), which the pool always maintains.
 
-// TwoTierConfig tunes the probabilistic tier.
-type TwoTierConfig struct {
-	// Neighbors is the overlay degree (edges per node).
-	Neighbors int
-	// Depth is the attenuated filter depth (the probabilistic horizon).
-	Depth int
-	// FilterBits and Hashes size each Bloom filter.
-	FilterBits, Hashes int
-	// TTL bounds hill-climbing before falling back to the global tier.
-	TTL int
-}
-
-// DefaultTwoTierConfig matches the experiments: degree-4 overlay,
-// depth-3 filters.
-func DefaultTwoTierConfig() TwoTierConfig {
-	return TwoTierConfig{Neighbors: 4, Depth: 3, FilterBits: 16384, Hashes: 4, TTL: 12}
-}
+// The probabilistic tier's shape.
+const (
+	// twoTierNeighbors is the overlay degree (edges per node).
+	twoTierNeighbors = 4
+	// twoTierFilterBits and twoTierHashes size each Bloom filter.
+	twoTierFilterBits, twoTierHashes = 16384, 4
+	// twoTierTTL bounds hill-climbing before falling back to the global
+	// tier.
+	twoTierTTL = 12
+)
 
 // TwoTier is the combined locator.
 type TwoTier struct {
 	pool  *Pool
-	cfg   TwoTierConfig
 	loc   *bloom.Locator
 	dirty bool
 }
@@ -53,9 +45,10 @@ type TierResult struct {
 }
 
 // EnableTwoTier builds the probabilistic overlay over the pool's
-// nodes: each node links to its cfg.Neighbors nearest peers, the
-// topology the filters summarise.
-func (p *Pool) EnableTwoTier(cfg TwoTierConfig) *TwoTier {
+// nodes: each node links to its nearest peers, the topology the
+// filters summarise.  depth is the attenuated filter depth — the
+// probabilistic horizon.
+func (p *Pool) EnableTwoTier(depth int) *TwoTier {
 	n := p.cfg.Nodes
 	adj := make([][]int, n)
 	for i := 0; i < n; i++ {
@@ -70,7 +63,7 @@ func (p *Pool) EnableTwoTier(cfg TwoTierConfig) *TwoTier {
 			}
 		}
 		sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
-		k := cfg.Neighbors
+		k := twoTierNeighbors
 		if k > len(cands) {
 			k = len(cands)
 		}
@@ -88,8 +81,7 @@ func (p *Pool) EnableTwoTier(cfg TwoTierConfig) *TwoTier {
 	}
 	tt := &TwoTier{
 		pool: p,
-		cfg:  cfg,
-		loc:  bloom.NewLocator(adj, cfg.Depth, cfg.FilterBits, cfg.Hashes),
+		loc:  bloom.NewLocator(adj, depth, twoTierFilterBits, twoTierHashes),
 	}
 	// Seed with existing replica locations.
 	for obj, st := range p.objects {
@@ -137,7 +129,7 @@ func (tt *TwoTier) refresh() {
 // hill climb first, the Plaxton mesh on a miss.
 func (tt *TwoTier) Locate(from simnet.NodeID, obj guid.GUID) (TierResult, error) {
 	tt.refresh()
-	res := tt.loc.Query(int(from), obj, tt.cfg.TTL, tt.pool.K.Rand())
+	res := tt.loc.Query(int(from), obj, twoTierTTL, tt.pool.K.Rand())
 	if res.Found {
 		return TierResult{Holder: simnet.NodeID(res.Node), Probabilistic: true, Hops: res.Hops}, nil
 	}

@@ -86,14 +86,6 @@ func (p *Plan) BitRot(prob float64, every, start, end time.Duration) *Plan {
 	return p
 }
 
-// BitRotNodes is BitRot restricted to specific stores.
-func (p *Plan) BitRotNodes(nodes []simnet.NodeID, prob float64, every, start, end time.Duration) *Plan {
-	p.Data = append(p.Data, DataFault{
-		Kind: DataBitRot, Nodes: nodes, Prob: prob, Every: every, Start: start, End: end,
-	})
-	return p
-}
-
 // ByzantineStore turns the listed stores Byzantine from start until end
 // (zero end = forever): they keep acknowledging and serving, but every
 // fragment they put on the wire fails verification.

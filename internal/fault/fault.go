@@ -128,22 +128,6 @@ func (p *Plan) Drop(prob float64) *Plan {
 	return p
 }
 
-// DropKind adds a message-class loss rule.
-func (p *Plan) DropKind(kind string, prob float64) *Plan {
-	p.Links = append(p.Links, LinkRule{Name: "drop-" + kind, Kinds: []string{kind}, DropProb: prob})
-	return p
-}
-
-// DegradeLink adds loss and delay between two specific endpoints, in
-// both directions.
-func (p *Plan) DegradeLink(a, b simnet.NodeID, prob float64, delay time.Duration) *Plan {
-	p.Links = append(p.Links,
-		LinkRule{Name: "degrade", From: []simnet.NodeID{a}, To: []simnet.NodeID{b}, DropProb: prob, Delay: delay},
-		LinkRule{Name: "degrade", From: []simnet.NodeID{b}, To: []simnet.NodeID{a}, DropProb: prob, Delay: delay},
-	)
-	return p
-}
-
 // Jitter adds a global delay-plus-jitter rule.
 func (p *Plan) Jitter(delay, jitter time.Duration) *Plan {
 	p.Links = append(p.Links, LinkRule{Name: "jitter", Delay: delay, Jitter: jitter})

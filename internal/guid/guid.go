@@ -150,19 +150,6 @@ func (g GUID) MatchingDigits(o GUID) int {
 	return n
 }
 
-// XORDistance compares which of a and b is closer to g in XOR metric,
-// returning true when a is strictly closer.  Used to break ties when
-// choosing a surrogate root for a GUID.
-func (g GUID) XORDistance(a, b GUID) bool {
-	for i := 0; i < Size; i++ {
-		da, db := a[i]^g[i], b[i]^g[i]
-		if da != db {
-			return da < db
-		}
-	}
-	return false
-}
-
 // Uint64 folds the top 8 bytes into a uint64, handy for deterministic
 // seeding and hashing into Bloom filters.
 func (g GUID) Uint64() uint64 { return binary.BigEndian.Uint64(g[:8]) }

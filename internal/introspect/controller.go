@@ -37,25 +37,29 @@ type ControllerConfig struct {
 	// DemoteBelow is the pressure below which a replica is a demotion
 	// candidate (default 1).  Must sit below PromoteAbove.
 	DemoteBelow float64
-	// WriteWeight discounts read heat by write churn: pressure =
-	// (readEWMA - WriteWeight*writeEWMA) / replicas.  Write-heavy
-	// objects are expensive to replicate (every update fans out), so
-	// churn counts against promotion (default 2).
-	WriteWeight float64
-	// MinReplicas is the durability floor: demotion never takes an
-	// object below it (default 1).
-	MinReplicas int
 	// MaxReplicas caps promotion per object (default 64).
 	MaxReplicas int
-	// PromotesPerEpoch and DemotesPerEpoch rate-limit how many
-	// placement changes one Tick may make (defaults 4 and 4).
+	// PromotesPerEpoch rate-limits how many promotions one Tick may
+	// make (default 4).
 	PromotesPerEpoch int
-	DemotesPerEpoch  int
 	// CooldownEpochs is how many epochs an object must sit out after
 	// any promotion or demotion before being reconsidered — the
 	// anti-flapping guard (default 4).
 	CooldownEpochs int
 }
+
+const (
+	// writeWeight discounts read heat by write churn: pressure =
+	// (readEWMA - writeWeight*writeEWMA) / replicas.  Write-heavy
+	// objects are expensive to replicate (every update fans out), so
+	// churn counts against promotion.
+	writeWeight = 2
+	// minReplicas is the durability floor: demotion never takes an
+	// object below it.
+	minReplicas = 1
+	// demotesPerEpoch rate-limits how many demotions one Tick may make.
+	demotesPerEpoch = 4
+)
 
 // withDefaults fills zero fields.
 func (c ControllerConfig) withDefaults() ControllerConfig {
@@ -71,25 +75,11 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.DemoteBelow >= c.PromoteAbove {
 		c.DemoteBelow = c.PromoteAbove / 8
 	}
-	if c.WriteWeight < 0 {
-		c.WriteWeight = 0
-	} else if c.WriteWeight == 0 {
-		c.WriteWeight = 2
-	}
-	if c.MinReplicas <= 0 {
-		c.MinReplicas = 1
-	}
 	if c.MaxReplicas <= 0 {
 		c.MaxReplicas = 64
 	}
-	if c.MaxReplicas < c.MinReplicas {
-		c.MaxReplicas = c.MinReplicas
-	}
 	if c.PromotesPerEpoch <= 0 {
 		c.PromotesPerEpoch = 4
-	}
-	if c.DemotesPerEpoch <= 0 {
-		c.DemotesPerEpoch = 4
 	}
 	if c.CooldownEpochs <= 0 {
 		c.CooldownEpochs = 4
@@ -182,7 +172,7 @@ func (c *Controller) pressure(obj, replicas int) float64 {
 	if replicas < 1 {
 		replicas = 1
 	}
-	return (c.readEW[obj] - c.cfg.WriteWeight*c.writeEW[obj]) / float64(replicas)
+	return (c.readEW[obj] - writeWeight*c.writeEW[obj]) / float64(replicas)
 }
 
 // candidate pairs an object with its pressure for the sorted passes.
@@ -217,7 +207,7 @@ func (c *Controller) Tick() {
 		p := c.pressure(obj, reps)
 		if p > c.cfg.PromoteAbove && reps < c.cfg.MaxReplicas {
 			promo = append(promo, candidate{obj, p})
-		} else if p < c.cfg.DemoteBelow && reps > c.cfg.MinReplicas {
+		} else if p < c.cfg.DemoteBelow && reps > minReplicas {
 			demo = append(demo, candidate{obj, p})
 		}
 	}
@@ -255,7 +245,7 @@ func (c *Controller) Tick() {
 	}
 	demoted := 0
 	for _, cand := range demo {
-		if demoted >= c.cfg.DemotesPerEpoch {
+		if demoted >= demotesPerEpoch {
 			break
 		}
 		if c.host.Demote(cand.obj) {

@@ -96,10 +96,8 @@ func TestControllerProperties(t *testing.T) {
 		epochs  = 60
 	)
 	cfg := ControllerConfig{
-		MinReplicas:      1,
 		MaxReplicas:      8,
 		PromotesPerEpoch: 4,
-		DemotesPerEpoch:  4,
 		CooldownEpochs:   3,
 	}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -131,9 +129,9 @@ func TestControllerProperties(t *testing.T) {
 				}
 			}
 			for obj := range host.reps {
-				if n := len(host.reps[obj]); n < cfg.MinReplicas || n > cfg.MaxReplicas {
+				if n := len(host.reps[obj]); n < minReplicas || n > cfg.MaxReplicas {
 					t.Fatalf("seed %d epoch %d: object %d has %d replicas, want [%d,%d]",
-						seed, ep, obj, n, cfg.MinReplicas, cfg.MaxReplicas)
+						seed, ep, obj, n, minReplicas, cfg.MaxReplicas)
 				}
 			}
 		}
@@ -209,7 +207,7 @@ func TestControllerBudgetDenied(t *testing.T) {
 // gaining them.
 func TestControllerWriteChurnDemotes(t *testing.T) {
 	host := newFakeHost(2, 8, 8, 3)
-	c := NewController(ControllerConfig{WriteWeight: 2, CooldownEpochs: 1}, host)
+	c := NewController(ControllerConfig{CooldownEpochs: 1}, host)
 	for ep := 0; ep < 20; ep++ {
 		for i := 0; i < 60; i++ {
 			c.ObserveRead(0)  // pure read heat
@@ -320,10 +318,8 @@ func TestControllerConfigClamps(t *testing.T) {
 	cfg := ControllerConfig{
 		Alpha:        1.5, // >1: replaced by the default
 		PromoteAbove: 4,
-		DemoteBelow:  9, // above PromoteAbove: forced back under it
-		WriteWeight:  -3,
-		MinReplicas:  5,
-		MaxReplicas:  2, // below the floor: lifted to it
+		DemoteBelow:  9,  // above PromoteAbove: forced back under it
+		MaxReplicas:  -2, // unset: takes the default
 	}.withDefaults()
 	if cfg.Alpha != 0.5 {
 		t.Fatalf("Alpha = %v, want default 0.5", cfg.Alpha)
@@ -331,11 +327,8 @@ func TestControllerConfigClamps(t *testing.T) {
 	if cfg.DemoteBelow >= cfg.PromoteAbove {
 		t.Fatalf("clamp left no band: demote %v >= promote %v", cfg.DemoteBelow, cfg.PromoteAbove)
 	}
-	if cfg.WriteWeight != 0 {
-		t.Fatalf("negative WriteWeight should clamp to 0, got %v", cfg.WriteWeight)
-	}
-	if cfg.MaxReplicas != cfg.MinReplicas {
-		t.Fatalf("MaxReplicas %d should lift to MinReplicas %d", cfg.MaxReplicas, cfg.MinReplicas)
+	if cfg.MaxReplicas != 64 {
+		t.Fatalf("MaxReplicas %d should take the default 64", cfg.MaxReplicas)
 	}
 }
 
@@ -365,10 +358,10 @@ func TestControllerDefaults(t *testing.T) {
 	if cfg.DemoteBelow >= cfg.PromoteAbove {
 		t.Fatalf("no hysteresis band: demote %v >= promote %v", cfg.DemoteBelow, cfg.PromoteAbove)
 	}
-	if cfg.MinReplicas < 1 || cfg.MaxReplicas < cfg.MinReplicas {
-		t.Fatalf("bad replica bounds: [%d,%d]", cfg.MinReplicas, cfg.MaxReplicas)
+	if cfg.MaxReplicas < minReplicas {
+		t.Fatalf("bad replica bounds: [%d,%d]", minReplicas, cfg.MaxReplicas)
 	}
-	if cfg.CooldownEpochs < 1 || cfg.PromotesPerEpoch < 1 || cfg.DemotesPerEpoch < 1 {
+	if cfg.CooldownEpochs < 1 || cfg.PromotesPerEpoch < 1 {
 		t.Fatalf("rate limits unset: %+v", cfg)
 	}
 }

@@ -54,7 +54,6 @@ type node struct {
 type Program struct {
 	root      *node
 	stateSize int
-	src       string
 }
 
 // Instance is a running copy of a program with private state.
@@ -70,7 +69,7 @@ func Compile(src string) (*Program, error) {
 	if len(toks) == 0 {
 		return nil, errors.New("introspect: empty program")
 	}
-	p := &Program{src: src}
+	p := &Program{}
 	root, rest, err := p.parse(toks, 0)
 	if err != nil {
 		return nil, err
@@ -94,9 +93,6 @@ func MustCompile(src string) *Program {
 	}
 	return p
 }
-
-// Source returns the program text.
-func (p *Program) Source() string { return p.src }
 
 // NewInstance creates an isolated running copy.
 func (p *Program) NewInstance() *Instance {
@@ -211,11 +207,6 @@ func (in *Instance) eval(n *node, ev Event) float64 {
 	case "num":
 		return n.num
 	case "field":
-		if n.field == "name" {
-			// Fields named by the event name compare via (= name <id>):
-			// we hash names to stable small values.
-			return nameVal(ev.Name)
-		}
 		return ev.Fields[n.field]
 	case "+":
 		s := 0.0
@@ -246,7 +237,8 @@ func (in *Instance) eval(n *node, ev Event) float64 {
 	case "<=":
 		return b2f(in.eval(n.args[0], ev) <= in.eval(n.args[1], ev))
 	case "=":
-		// Special case: (= name foo) compares the event name.
+		// Special case: (= name foo) compares the event name; anywhere
+		// else, name is an ordinary field.
 		if n.args[0].op == "field" && n.args[0].field == "name" && n.args[1].op == "field" {
 			return b2f(ev.Name == n.args[1].field)
 		}
@@ -318,13 +310,4 @@ func (in *Instance) eval(n *node, ev Event) float64 {
 		return x - prev
 	}
 	return 0
-}
-
-// nameVal hashes an event name into a stable float (for field access).
-func nameVal(s string) float64 {
-	h := 0.0
-	for _, c := range s {
-		h = h*31 + float64(c)
-	}
-	return h
 }

@@ -1,7 +1,5 @@
 package introspect
 
-import "sort"
-
 // Summary is the aggregate a node's fast handlers distil from its event
 // stream — the contents of the local "database" of Figure 8.  At the
 // leaves this state is soft (memory only): durability is deliberately
@@ -102,22 +100,3 @@ func (h *Hierarchy) Aggregate(i int) Summary {
 
 // GlobalView is the root's approximate global view of the system.
 func (h *Hierarchy) GlobalView() Summary { return h.Aggregate(0) }
-
-// TopKeys lists the largest keys in a summary, a helper for
-// trend-analysis modules.
-func TopKeys(s Summary, k int) []string {
-	keys := make([]string, 0, len(s))
-	for key := range s {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if s[keys[a]] != s[keys[b]] {
-			return s[keys[a]] > s[keys[b]]
-		}
-		return keys[a] < keys[b]
-	})
-	if k > len(keys) {
-		k = len(keys)
-	}
-	return keys[:k]
-}

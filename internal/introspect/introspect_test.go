@@ -178,10 +178,6 @@ func TestObserverAndHierarchy(t *testing.T) {
 	if h.Aggregate(1)["bytes"] != 150 {
 		t.Fatal("subtree aggregate wrong")
 	}
-	top := TopKeys(g, 2)
-	if len(top) != 2 || top[0] != "bytes" {
-		t.Fatalf("top keys = %v", top)
-	}
 }
 
 func g(b byte) guid.GUID { return guid.FromData([]byte{b}) }

@@ -37,9 +37,6 @@ func NewPrefetcher(order int) *Prefetcher {
 	return p
 }
 
-// Order returns the maximum context length.
-func (p *Prefetcher) Order() int { return p.order }
-
 func ctxKey(hist []guid.GUID) string {
 	b := make([]byte, 0, len(hist)*guid.Size)
 	for _, g := range hist {

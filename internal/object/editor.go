@@ -125,9 +125,6 @@ func newTag(salt, counter uint64, plain []byte) uint64 {
 	return binary.BigEndian.Uint64(h.Sum(nil))
 }
 
-// LogicalLen returns the number of logical data blocks.
-func (e *Editor) LogicalLen() int { return len(e.logical) }
-
 // Append emits an op appending payload as a new top-level data block.
 func (e *Editor) Append(payload []byte) Op {
 	pos := e.physNext

@@ -293,42 +293,6 @@ func (vw *View) Read() ([]byte, error) {
 	return out, nil
 }
 
-// Payloads returns the logical sequence of data-block payloads.
-func (vw *View) Payloads() ([][]byte, error) {
-	var out [][]byte
-	var walk func(pos uint32, depth int) error
-	walk = func(pos uint32, depth int) error {
-		if depth > len(vw.v.Blocks) {
-			return errors.New("object: pointer cycle detected")
-		}
-		if int(pos) >= len(vw.v.Blocks) {
-			return fmt.Errorf("object: dangling pointer to block %d", pos)
-		}
-		blk := vw.v.Blocks[pos]
-		kind, payload, children, err := decodeBlock(vw.bc.DecryptBlock(blk.Tag, blk.CT))
-		if err != nil {
-			return err
-		}
-		switch kind {
-		case kindData:
-			out = append(out, payload)
-		case kindPointer:
-			for _, c := range children {
-				if err := walk(c, depth+1); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for _, top := range vw.v.Top {
-		if err := walk(top, 0); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 func (vw *View) expand(out []byte, pos uint32, depth int) ([]byte, error) {
 	if depth > len(vw.v.Blocks) {
 		return nil, errors.New("object: pointer cycle detected")

@@ -127,22 +127,3 @@ func Map[T any](n, grain int, fn func(i int) T) []T {
 	})
 	return out
 }
-
-// MapErr is Map for fallible fn.  All items run; the error reported is
-// the one at the lowest index — deterministic regardless of which
-// worker failed first.
-func MapErr[T any](n, grain int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	Do(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], errs[i] = fn(i)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

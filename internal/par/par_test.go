@@ -1,7 +1,6 @@
 package par
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -130,29 +129,6 @@ func TestMapOrdered(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
-	}
-}
-
-// TestMapErrFirstIndexWins: the reported error is the lowest-index
-// one, not whichever worker lost the race.
-func TestMapErrFirstIndexWins(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	e3, e7 := errors.New("e3"), errors.New("e7")
-	_, err := MapErr(10, 1, func(i int) (int, error) {
-		switch i {
-		case 3:
-			return 0, e3
-		case 7:
-			return 0, e7
-		}
-		return i, nil
-	})
-	if err != e3 {
-		t.Fatalf("got %v, want e3", err)
-	}
-	out, err := MapErr(10, 1, func(i int) (int, error) { return i, nil })
-	if err != nil || len(out) != 10 || out[9] != 9 {
-		t.Fatalf("clean MapErr: out=%v err=%v", out, err)
 	}
 }
 

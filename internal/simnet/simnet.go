@@ -136,9 +136,6 @@ func (n Node) SetDown(v bool) { n.net.down[n.ID] = v }
 // SetLowBandwidth marks or unmarks the node as a low-bandwidth leaf.
 func (n Node) SetLowBandwidth(v bool) { n.net.lowbw[n.ID] = v }
 
-// SetDomain reassigns the node's administrative domain.
-func (n Node) SetDomain(d int) { n.net.domains[n.ID] = int32(d) }
-
 // Handle adds a message handler to the node.  Several protocol layers
 // (agreement, dissemination, archival) coexist on one server, so every
 // handler sees every delivered message and filters by Kind or payload

@@ -25,10 +25,6 @@ func TestNodeAccessorsAndSetters(t *testing.T) {
 	if !a.LowBandwidth() || !net.Node(a.ID).LowBandwidth() {
 		t.Fatal("SetLowBandwidth not visible through a second handle")
 	}
-	a.SetDomain(5)
-	if a.Domain() != 5 {
-		t.Fatalf("domain = %d, want 5", a.Domain())
-	}
 	a.SetDown(true)
 	if !a.Down() {
 		t.Fatal("SetDown not visible")

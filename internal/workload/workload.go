@@ -2,18 +2,17 @@
 // experiments and benchmarks drive the system with.  The paper's
 // evaluation targets (groupware with high write sharing, digital
 // libraries with bulk reads, diurnal working sets that migrate between
-// office and home) all reduce to a few generator primitives: Zipf
-// object popularity, tunable read/write mixes, correlated access
-// sequences for the prefetcher, and diurnal site modulation for the
-// migration detector.  Everything is deterministic under a seed.
+// office and home) reduce to Zipf object popularity and a traffic
+// engine (Engine) that draws a read/write/create mix against it,
+// shaped by flash crowds, diurnal rates and hot-spot rotation — plus
+// the diurnal site trace the migration detector consumes.  Everything
+// is deterministic under a seed.
 package workload
 
 import (
 	"math"
 	"math/rand"
 	"time"
-
-	"oceanstore/internal/guid"
 )
 
 // Zipf samples object indexes with a Zipf(s) popularity distribution
@@ -56,66 +55,6 @@ func (z *Zipf) Next() int {
 	return lo
 }
 
-// Op is one generated client operation.
-type Op struct {
-	Object guid.GUID
-	// Write is true for an update, false for a read.
-	Write bool
-	// Size is the payload size for writes.
-	Size int
-	// At is the virtual time offset the operation should be issued at.
-	At time.Duration
-}
-
-// MixConfig tunes a generated operation stream.
-type MixConfig struct {
-	// Objects is the object universe (e.g. created ahead of time).
-	Objects []guid.GUID
-	// ZipfS sets popularity skew across the universe.
-	ZipfS float64
-	// WriteFraction is the probability an operation is a write.
-	WriteFraction float64
-	// MeanWriteSize sizes write payloads (exponentially distributed,
-	// minimum 1 byte).
-	MeanWriteSize int
-	// Interarrival is the mean gap between operations (exponential).
-	Interarrival time.Duration
-}
-
-// Stream generates count operations under the mix.
-func Stream(cfg MixConfig, count int, rng *rand.Rand) []Op {
-	z := NewZipf(len(cfg.Objects), cfg.ZipfS, rng)
-	ops := make([]Op, count)
-	at := time.Duration(0)
-	for i := range ops {
-		at += time.Duration(rng.ExpFloat64() * float64(cfg.Interarrival))
-		op := Op{Object: cfg.Objects[z.Next()], At: at}
-		if rng.Float64() < cfg.WriteFraction {
-			op.Write = true
-			op.Size = 1 + int(rng.ExpFloat64()*float64(cfg.MeanWriteSize))
-		}
-		ops[i] = op
-	}
-	return ops
-}
-
-// CorrelatedTrace builds an access sequence with embedded fixed
-// patterns (order-k correlations) mixed with uniform noise — the
-// prefetcher evaluation workload (§5).  Patterns are lists of objects
-// always accessed in order.
-func CorrelatedTrace(patterns [][]guid.GUID, noiseUniverse []guid.GUID, noise float64, length int, rng *rand.Rand) []guid.GUID {
-	var out []guid.GUID
-	for len(out) < length {
-		if len(noiseUniverse) > 0 && rng.Float64() < noise {
-			out = append(out, noiseUniverse[rng.Intn(len(noiseUniverse))])
-			continue
-		}
-		p := patterns[rng.Intn(len(patterns))]
-		out = append(out, p...)
-	}
-	return out[:length]
-}
-
 // TimedOp is one (site, time) access observation — the unit the
 // migration detector consumes.
 type TimedOp struct {
@@ -141,16 +80,6 @@ func Diurnal(days int, perDay int, daySite, nightSite int, workStart, workEnd in
 				time.Duration(rng.Intn(60))*time.Minute
 			out = append(out, TimedOp{Site: site, At: at})
 		}
-	}
-	return out
-}
-
-// HotSpot returns an object universe of n fresh GUIDs, handy for
-// generators that do not need real pool objects.
-func HotSpot(n int, rng *rand.Rand) []guid.GUID {
-	out := make([]guid.GUID, n)
-	for i := range out {
-		out[i] = guid.Random(rng)
 	}
 	return out
 }

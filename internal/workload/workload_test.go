@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"oceanstore/internal/guid"
 )
 
 func TestZipfSkew(t *testing.T) {
@@ -41,77 +39,6 @@ func TestZipfUniformAtSZero(t *testing.T) {
 		if c < 700 || c > 1300 {
 			t.Fatalf("s=0 not uniform: counts[%d]=%d", i, c)
 		}
-	}
-}
-
-func TestStreamMixAndOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	objs := HotSpot(20, rng)
-	ops := Stream(MixConfig{
-		Objects:       objs,
-		ZipfS:         0.8,
-		WriteFraction: 0.3,
-		MeanWriteSize: 500,
-		Interarrival:  100 * time.Millisecond,
-	}, 2000, rng)
-	if len(ops) != 2000 {
-		t.Fatalf("len = %d", len(ops))
-	}
-	writes := 0
-	var prev time.Duration
-	for _, op := range ops {
-		if op.At < prev {
-			t.Fatal("timestamps not monotone")
-		}
-		prev = op.At
-		if op.Write {
-			writes++
-			if op.Size < 1 {
-				t.Fatal("write with no payload")
-			}
-		} else if op.Size != 0 {
-			t.Fatal("read with payload size")
-		}
-	}
-	frac := float64(writes) / 2000
-	if frac < 0.25 || frac > 0.35 {
-		t.Fatalf("write fraction %.2f, want ~0.3", frac)
-	}
-	// Deterministic under the seed.
-	rng2 := rand.New(rand.NewSource(3))
-	objs2 := HotSpot(20, rng2)
-	ops2 := Stream(MixConfig{
-		Objects: objs2, ZipfS: 0.8, WriteFraction: 0.3,
-		MeanWriteSize: 500, Interarrival: 100 * time.Millisecond,
-	}, 2000, rng2)
-	for i := range ops {
-		if ops[i] != ops2[i] {
-			t.Fatal("stream not deterministic")
-		}
-	}
-}
-
-func TestCorrelatedTrace(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	objs := HotSpot(8, rng)
-	trace := CorrelatedTrace(
-		[][]guid.GUID{{objs[0], objs[1]}, {objs[2], objs[3]}},
-		objs[4:], 0.3, 500, rng)
-	if len(trace) != 500 {
-		t.Fatalf("len = %d", len(trace))
-	}
-	// Whenever objs[0] appears (and isn't truncated), objs[1] follows.
-	follows, total := 0, 0
-	for i := 0; i < len(trace)-1; i++ {
-		if trace[i] == objs[0] {
-			total++
-			if trace[i+1] == objs[1] {
-				follows++
-			}
-		}
-	}
-	if total == 0 || follows != total {
-		t.Fatalf("pattern broken: %d/%d", follows, total)
 	}
 }
 

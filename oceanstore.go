@@ -39,7 +39,6 @@ import (
 	"oceanstore/internal/core"
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
-	"oceanstore/internal/obs"
 	"oceanstore/internal/simnet"
 	"oceanstore/internal/update"
 )
@@ -113,28 +112,6 @@ func (w *World) NewClient(name string) *Client {
 	w.next--
 	return c
 }
-
-// Metrics is a deterministic registry of counters, gauges and
-// simulated-time histograms keyed by (node, layer, name); see
-// internal/obs for the determinism contract.
-type Metrics = obs.Registry
-
-// Tracer is a bounded per-message trace ring with JSONL export.
-type Tracer = obs.Tracer
-
-// NewMetrics creates an empty metrics registry.
-func NewMetrics() *Metrics { return obs.NewRegistry() }
-
-// NewTracer creates a trace ring holding up to capacity events
-// (capacity <= 0 selects the default).
-func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
-
-// Instrument attaches observability to the deployment: every layer —
-// network, location, agreement, dissemination, archival — counts into m
-// and traces into t.  Either may be nil.  Instrumentation never draws
-// randomness or alters behaviour, so an instrumented run follows the
-// same trajectory as a bare one with the same seed.
-func (w *World) Instrument(m *Metrics, t *Tracer) { w.Pool.Instrument(m, t) }
 
 // Run advances simulated time, letting updates commit, trees push,
 // gossip spread, and repairs run.
