@@ -102,8 +102,9 @@ func programRow(prog, rail string) row {
 // gates is the table.
 //
 // soak-100k: the soak engine at scale.  On the coverage-instrumented
-// osexp, 100k nodes + 10k ops peak at 233–254 MB over seven gate runs;
-// the budget is the highest of them plus 10 %.  The full-scale run is
+// osexp, 100k nodes + 10k ops peak at 150–169 MB over fourteen gate
+// runs; the budget is the highest of them plus 10 %.  The full-scale
+// run is
 //
 //	osexp -metrics soak.txt soak 1 -nodes 1000000 -ops 1000000
 //
@@ -133,7 +134,7 @@ var gates = []row{
 			`^crypto: .* signatures started .* joins .* ready .* taken .* waited, .* keys derived; certificates `,
 			`^obs: .* series in .* families, snapshot .* ms, write .* ms, .* MB`,
 		},
-		rssBudgetMB: 280,
+		rssBudgetMB: 186,
 		pass:        "100k nodes byte-identical at GOMAXPROCS 1 and 4",
 	},
 	blobstoreRow("0"),

@@ -34,6 +34,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -336,7 +337,7 @@ func closeAll(sinks []io.Closer) error {
 	return first
 }
 
-// startProfiles begins CPU profiling and arranges a heap dump; the
+// startProfiles begins CPU profiling and arms the heap profile; the
 // returned stop function finishes both.  Profiles cover the experiment
 // run itself (flag parsing and sink setup are negligible), so any
 // subcommand can hand pprof captures to future perf work without
@@ -355,25 +356,45 @@ func startProfiles(cpuPath, memPath string) func() {
 		}
 		cpuF = f
 	}
+	heapProfile.path = memPath
 	return func() {
 		if cpuF != nil {
 			pprof.StopCPUProfile()
 			cpuF.Close()
 		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "osexp: -memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			runtime.GC() // materialise live-heap numbers before the dump
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "osexp: -memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
+		writeHeapProfile()
 	}
+}
+
+// heapProfile is the -memprofile destination, written once.
+var heapProfile struct {
+	path string
+	once sync.Once
+}
+
+// writeHeapProfile writes the -memprofile allocs profile, whose
+// inuse_space is the heap live at its forced GC.  A soak calls it where
+// it reads the live heap, with its world still reachable, so the
+// profile is the world's census by site; the stop function calls it
+// for every other experiment, after the run.  Only the first call
+// writes.
+func writeHeapProfile() {
+	if heapProfile.path == "" {
+		return
+	}
+	heapProfile.once.Do(func() {
+		f, err := os.Create(heapProfile.path)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "osexp: -memprofile: %v\n", err)
+			os.Exit(1)
+		}
+		runtime.GC() // materialise live-heap numbers before the dump
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fmt.Fprintf(os.Stderr, "osexp: -memprofile: %v\n", err)
+			os.Exit(1)
+		}
+		f.Close()
+	})
 }
 
 func main() {

@@ -269,6 +269,7 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 	ms := obs.SampleMem()
 	ms.Live, ms.Writes = obs.LiveHeap(), committed
 	ms.Report(os.Stderr)
+	writeHeapProfile()
 	// And the kernel's occupancy: how many events the run was, and how
 	// much of the queue was timeouts waiting to find nothing to do.
 	ks := world.Pool.K.Stats()

@@ -1,8 +1,10 @@
 package archive
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -176,14 +178,28 @@ func Decode(frags []StoredFragment, cfg Config) ([]byte, error) {
 // Placement maps fragment index → storage node.
 type Placement map[int]simnet.NodeID
 
-// NodeStore is the per-server fragment store.
+// NodeStore is the per-server fragment store: one slice kept sorted by
+// (root, index).  A server holds a fragment or two of each of many
+// archives, so a map per root would cost a whole map group per
+// fragment; the slice costs the fragment.  Every read is a binary
+// search and Scan is a walk in exactly the order the Store contract
+// asks for.
 type NodeStore struct {
-	frags map[guid.GUID]map[int]StoredFragment
+	frags []StoredFragment
 }
 
 // NewNodeStore creates an empty store.
-func NewNodeStore() *NodeStore {
-	return &NodeStore{frags: make(map[guid.GUID]map[int]StoredFragment)}
+func NewNodeStore() *NodeStore { return &NodeStore{} }
+
+// search returns where (root, index) sits, or would be inserted, and
+// whether it is held.
+func (ns *NodeStore) search(root guid.GUID, index int) (int, bool) {
+	return slices.BinarySearchFunc(ns.frags, root, func(sf StoredFragment, _ guid.GUID) int {
+		if c := sf.Root.Compare(root); c != 0 {
+			return c
+		}
+		return cmp.Compare(sf.Index, index)
+	})
 }
 
 // Put stores a fragment after verifying it — a well-behaved server
@@ -192,46 +208,47 @@ func (ns *NodeStore) Put(sf StoredFragment) error {
 	if !sf.Verify() {
 		return errors.New("archive: fragment failed self-verification")
 	}
-	m := ns.frags[sf.Root]
-	if m == nil {
-		m = make(map[int]StoredFragment)
-		ns.frags[sf.Root] = m
+	if i, ok := ns.search(sf.Root, sf.Index); ok {
+		ns.frags[i] = sf
+	} else {
+		ns.frags = slices.Insert(ns.frags, i, sf)
 	}
-	m[sf.Index] = sf
 	return nil
 }
 
 // Get fetches a fragment by archive root and index.
 func (ns *NodeStore) Get(root guid.GUID, index int) (StoredFragment, bool) {
-	sf, ok := ns.frags[root][index]
-	return sf, ok
+	if i, ok := ns.search(root, index); ok {
+		return ns.frags[i], true
+	}
+	return StoredFragment{}, false
 }
 
 // Indexes lists the fragment indexes held for an archive.
 func (ns *NodeStore) Indexes(root guid.GUID) []int {
 	var out []int
-	for i := range ns.frags[root] {
-		out = append(out, i)
+	for i, _ := ns.search(root, math.MinInt); i < len(ns.frags) && ns.frags[i].Root == root; i++ {
+		out = append(out, ns.frags[i].Index)
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Drop removes a fragment (disk loss injection for tests).
 func (ns *NodeStore) Drop(root guid.GUID, index int) {
-	delete(ns.frags[root], index)
+	if i, ok := ns.search(root, index); ok {
+		ns.frags = slices.Delete(ns.frags, i, i+1)
+	}
 }
 
 // Roots lists the archive roots this store holds fragments of, in GUID
 // order.
 func (ns *NodeStore) Roots() []guid.GUID {
-	out := make([]guid.GUID, 0, len(ns.frags))
-	for root, m := range ns.frags {
-		if len(m) > 0 {
-			out = append(out, root)
+	var out []guid.GUID
+	for i := range ns.frags {
+		if i == 0 || ns.frags[i].Root != ns.frags[i-1].Root {
+			out = append(out, ns.frags[i].Root)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
@@ -241,13 +258,13 @@ func (ns *NodeStore) Roots() []guid.GUID {
 // rot on one disk must not teleport into another node's copy.  Unlike
 // Put, the result deliberately no longer verifies.
 func (ns *NodeStore) Tamper(root guid.GUID, index int, mut func(data []byte)) bool {
-	sf, ok := ns.frags[root][index]
+	i, ok := ns.search(root, index)
 	if !ok {
 		return false
 	}
+	sf := &ns.frags[i]
 	sf.Data = append([]byte(nil), sf.Data...)
 	mut(sf.Data)
-	ns.frags[root][index] = sf
 	return true
 }
 

@@ -41,7 +41,7 @@ type Store interface {
 	// index) order until fn returns false — the scrub scheduler's
 	// enumeration hook.  Scan reports references only; the scrubber
 	// re-reads payloads through Get so a disk backend pays real read
-	// I/O for every verification.
+	// I/O for every verification.  fn must not modify the store.
 	Scan(fn func(root guid.GUID, index int) bool)
 	// Sync makes completed writes durable (fsync on a disk backend).
 	Sync() error
@@ -58,8 +58,8 @@ type Store interface {
 // process would.  Recover replays the volume like a fresh open,
 // dropping any torn tail; with dropUnsynced set it also discards every
 // record written since the last Sync (a crash before the fsync made
-// them durable).  Memory stores implement none of this: a map has no
-// moment mid-write for a crash to land in.
+// them durable).  Memory stores implement none of this: a slice insert
+// has no moment mid-write for a crash to land in.
 type Crashable interface {
 	TearNextAppend(keep int)
 	Crash()
@@ -75,18 +75,17 @@ type Tamperable interface {
 	Tamper(root guid.GUID, index int, mut func(data []byte)) bool
 }
 
-// Scan enumerates the in-memory store's fragments in sorted order.
+// Scan enumerates the in-memory store's fragments in sorted order —
+// the order they are held in.
 func (ns *NodeStore) Scan(fn func(root guid.GUID, index int) bool) {
-	for _, root := range ns.Roots() {
-		for _, idx := range ns.Indexes(root) {
-			if !fn(root, idx) {
-				return
-			}
+	for i := range ns.frags {
+		if !fn(ns.frags[i].Root, ns.frags[i].Index) {
+			return
 		}
 	}
 }
 
-// Sync is a no-op: map writes are "durable" the moment they happen.
+// Sync is a no-op: memory writes are "durable" the moment they happen.
 func (ns *NodeStore) Sync() error { return nil }
 
 // Close is a no-op for the in-memory store.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -146,52 +145,6 @@ func TestCorruptFragmentNeedsTamperable(t *testing.T) {
 	}
 	if _, damaged := svc.DamagedSince(root); damaged {
 		t.Fatal("failed injection booked damage")
-	}
-}
-
-// TestIndexesSortedDeterministic pins the Store contract both backends
-// share: Indexes must come back sorted ascending no matter what order
-// fragments were stored in, so dispersal and repair decisions fed from
-// it cannot vary with map-iteration order.
-func TestIndexesSortedDeterministic(t *testing.T) {
-	data := make([]byte, 1000)
-	rand.New(rand.NewSource(5)).Read(data)
-	_, frags, err := Encode(data, Config{DataShards: 4, TotalFragments: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Store in a deliberately scrambled order.
-	order := rand.New(rand.NewSource(6)).Perm(len(frags))
-	ns := NewNodeStore()
-	for _, i := range order {
-		if err := ns.Put(frags[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	root := frags[0].Root
-	got := ns.Indexes(root)
-	if len(got) != len(frags) {
-		t.Fatalf("held %d of %d fragments", len(got), len(frags))
-	}
-	if !sort.IntsAreSorted(got) {
-		t.Fatalf("Indexes not sorted: %v", got)
-	}
-	if again := ns.Indexes(root); !reflect.DeepEqual(got, again) {
-		t.Fatalf("Indexes unstable across calls: %v vs %v", got, again)
-	}
-	// Scan enumerates the same references in the same (root, index)
-	// order — the scrub scheduler depends on this to resume its cursor
-	// deterministically.
-	var scanned []int
-	ns.Scan(func(r guid.GUID, idx int) bool {
-		if r != root {
-			t.Fatalf("scan visited foreign root %v", r)
-		}
-		scanned = append(scanned, idx)
-		return true
-	})
-	if !reflect.DeepEqual(got, scanned) {
-		t.Fatalf("Scan order %v != Indexes order %v", scanned, got)
 	}
 }
 

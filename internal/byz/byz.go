@@ -181,12 +181,16 @@ const (
 	kindViewChange = "byz-viewchange"
 )
 
-// replicaKinds are the wire kinds a tier replica receives; handler
-// registration demuxes on (kind, tag) so replicas of other objects
-// sharing a node are never invoked for this tier's traffic.
-var replicaKinds = [...]string{kindRequest, kindPrePrepare, kindPrepare, kindCommit, kindViewChange}
+// replicaKinds are the wire kinds a tier replica receives and
+// replyKinds the one its clients do; handler registration demuxes on
+// (tag, kind) so replicas of other objects sharing a node are never
+// invoked for this tier's traffic.
+var (
+	replicaKinds = []string{kindRequest, kindPrePrepare, kindPrepare, kindCommit, kindViewChange}
+	replyKinds   = []string{kindReply}
+)
 
-// Demux keys (simnet O(1) dispatch): every protocol payload names its
+// Demux keys (simnet demux dispatch): every protocol payload names its
 // tier by tag.
 func (r Request) Demux() simnet.DemuxKey       { return simnet.DemuxKey(r.Tag) }
 func (m prePrepareMsg) Demux() simnet.DemuxKey { return simnet.DemuxKey(m.Tag) }
@@ -322,10 +326,7 @@ func NewGroup(net *simnet.Network, nodes []simnet.NodeID, f int) (*Group, error)
 func (g *Group) hookReplicas() {
 	key := simnet.DemuxKey(g.tag)
 	for i, nd := range g.nodes {
-		n := g.net.Node(nd)
-		for _, k := range replicaKinds {
-			n.HandleDemux(k, key, g.replicas[i].handle)
-		}
+		g.net.Node(nd).HandleDemux(key, replicaKinds, g.replicas[i].handle)
 	}
 }
 
@@ -459,7 +460,7 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 	if cs == nil {
 		cs = &clientState{}
 		g.clients[client] = cs
-		g.net.Node(client).HandleDemux(kindReply, simnet.DemuxKey(g.tag),
+		g.net.Node(client).HandleDemux(simnet.DemuxKey(g.tag), replyKinds,
 			func(m simnet.Message) { g.clientHandle(client, m) })
 	}
 	req.Client = client

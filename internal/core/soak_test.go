@@ -205,6 +205,39 @@ func TestSoakHeapPerWrite(t *testing.T) {
 	}
 }
 
+// TestWorldHeapPerNode bounds what a world costs to hold before any
+// traffic.  Two soak worlds in the default shape are built at 4 000 and
+// 16 000 nodes; with each still reachable, a forced GC leaves only live
+// heap, and the slope between the two readings is the heap per
+// additional node.  Below 65 536 nodes the object count grows with the
+// node count (one per 16), so this is per object as much as per node:
+// every object puts its fragments, tier and tree handlers on many
+// servers.  It was 1 796 B while a server's fragments sat in a map per
+// archive and every (kind, instance) pair had its own demux slot in a
+// map per node, and is 907 B with one sorted slice for each; the bound
+// is that plus 25 %.
+func TestWorldHeapPerNode(t *testing.T) {
+	const small, large, bound = 4000, 16000, 907 * 1.25
+	live := func(nodes int) int64 {
+		w, err := NewSoakWorld(1, DefaultSoakConfig(nodes))
+		if err != nil {
+			t.Fatalf("NewSoakWorld: %v", err)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(w)
+		return int64(ms.HeapAlloc)
+	}
+	h1 := live(small)
+	h4 := live(large)
+	perNode := float64(h4-h1) / (large - small)
+	t.Logf("live heap %.1f -> %.1f MB over %d -> %d nodes: %.0f B/node", float64(h1)/(1<<20), float64(h4)/(1<<20), small, large, perNode)
+	if perNode > bound {
+		t.Fatalf("%.0f B of live heap per node, bound %.0f", perNode, bound)
+	}
+}
+
 // TestByzCommitsCatchUpAfterDrain puts the two "commit" counts side by
 // side.  The session acknowledges a write when the primary tier
 // EXECUTES it (replica.Ring.fireWaiters, which is what lets the engine

@@ -76,7 +76,7 @@ func treeKey(id uint64) simnet.DemuxKey {
 	return k
 }
 
-// Demux keys for O(1) dispatch: each tree's traffic reaches only its
+// Demux keys for simnet demux dispatch: each tree's traffic reaches only its
 // own members' handlers, however many trees share a node.
 func (d Delivery) Demux() simnet.DemuxKey { return treeKey(d.Tree) }
 func (p pullReq) Demux() simnet.DemuxKey  { return treeKey(p.Tree) }
@@ -190,15 +190,13 @@ func (t *Tree) attach(id, parent simnet.NodeID) {
 	t.m[id] = &member{id: id, parent: parent, depth: pm.depth + 1}
 }
 
-// hook installs the simnet message handlers for a member node — one
-// demux entry per wire kind, keyed by this tree.
+// memberKinds are the wire kinds a tree member receives.
+var memberKinds = []string{KindUpdate, KindInvalidate, KindPull, KindPullReply}
+
+// hook installs the simnet message handler for a member node — one
+// demux entry for all its wire kinds, keyed by this tree.
 func (t *Tree) hook(id simnet.NodeID) {
-	n := t.net.Node(id)
-	key := treeKey(t.id)
-	h := func(msg simnet.Message) { t.handle(id, msg) }
-	for _, k := range [...]string{KindUpdate, KindInvalidate, KindPull, KindPullReply} {
-		n.HandleDemux(k, key, h)
-	}
+	t.net.Node(id).HandleDemux(treeKey(t.id), memberKinds, func(msg simnet.Message) { t.handle(id, msg) })
 }
 
 func (t *Tree) handle(id simnet.NodeID, msg simnet.Message) {

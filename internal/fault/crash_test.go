@@ -156,7 +156,7 @@ func TestPartialFsyncLosesExactlyTheUnsyncedTail(t *testing.T) {
 	}
 }
 
-// TestPartialFsyncNoopOnMemoryBackend: map writes have no fsync to
+// TestPartialFsyncNoopOnMemoryBackend: memory writes have no fsync to
 // beat, so the fault reports zero losses there.
 func TestPartialFsyncNoopOnMemoryBackend(t *testing.T) {
 	k, net, svc := dataWorld(t, 67)

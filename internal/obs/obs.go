@@ -508,19 +508,23 @@ func (r *Registry) Order() (series, families int) {
 	return series, len(r.families)
 }
 
-// Metric is one snapshotted value.
+// Metric is one snapshotted value.  A snapshot of a large world is
+// hundreds of thousands of counters, so the histogram payload sits
+// behind a pointer only histograms allocate.
 type Metric struct {
 	Key  Key
 	Kind string // "counter", "gauge", "hist"
-	// Counter/histogram payloads.
+	// Counter/histogram payload.
 	Count int64
-	Sum   int64
-	Min   int64
-	Max   int64
-	P50   int64
-	P99   int64
 	// Gauge payload.
 	Value float64
+	// Hist is the rest of a histogram's payload; nil for other kinds.
+	Hist *HistSummary
+}
+
+// HistSummary is a snapshotted histogram beyond its count.
+type HistSummary struct {
+	Sum, Min, Max, P50, P99 int64
 }
 
 // Snapshot returns every metric sorted by (layer, name, node) —
@@ -531,6 +535,11 @@ func (r *Registry) Snapshot() []Metric {
 	}
 	n, _ := r.Order()
 	out := make([]Metric, 0, n)
+	nh := 0
+	for _, f := range r.families {
+		nh += len(f.hists.entries)
+	}
+	hists := make([]HistSummary, 0, nh) // one array behind every Hist
 	var key Key
 	visit := func(node int, c *Counter, g *Gauge, h *Histogram) {
 		key.Node = node
@@ -540,11 +549,11 @@ func (r *Registry) Snapshot() []Metric {
 		case g != nil:
 			out = append(out, Metric{Key: key, Kind: "gauge", Value: g.v})
 		default:
-			out = append(out, Metric{
-				Key: key, Kind: "hist",
-				Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
+			hists = append(hists, HistSummary{
+				Sum: h.sum, Min: h.min, Max: h.max,
 				P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 			})
+			out = append(out, Metric{Key: key, Kind: "hist", Count: h.count, Hist: &hists[len(hists)-1]})
 		}
 	}
 	for _, f := range r.families {

@@ -100,9 +100,11 @@ func (r *refRegistry) Snapshot() []Metric {
 	}
 	for k, h := range r.hists {
 		out = append(out, Metric{
-			Key: k, Kind: "hist",
-			Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
-			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
+			Key: k, Kind: "hist", Count: h.count,
+			Hist: &HistSummary{
+				Sum: h.sum, Min: h.min, Max: h.max,
+				P50: h.Quantile(0.50), P99: h.Quantile(0.99),
+			},
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -125,7 +127,7 @@ func (r *refRegistry) WriteBench(w io.Writer, prefix string) error {
 			_, err = fmt.Fprintf(w, "%s %s value\n", name, strconv.FormatFloat(m.Value, 'g', -1, 64))
 		case "hist":
 			_, err = fmt.Fprintf(w, "%s %d count %d sum %d mean %d p50 %d p99 %d max\n",
-				name, m.Count, m.Sum, safeDiv(m.Sum, m.Count), m.P50, m.P99, m.Max)
+				name, m.Count, m.Hist.Sum, safeDiv(m.Hist.Sum, m.Count), m.Hist.P50, m.Hist.P99, m.Hist.Max)
 		}
 		if err != nil {
 			return err

@@ -38,6 +38,9 @@ const (
 	kindGossip    = "replica-gossip"
 )
 
+// secondaryKinds are the wire kinds a secondary's demux entry takes.
+var secondaryKinds = []string{kindTentative, kindGossip}
+
 // tentMsg carries a Fig-5a tentative copy, naming its object so simnet
 // can demux it straight to the right ring's handler.
 type tentMsg struct {
@@ -290,16 +293,16 @@ func (r *Ring) AddSecondary(node simnet.NodeID) (*Secondary, error) {
 	// Accept tentative copies of this object's updates (Fig 5a) and
 	// anti-entropy exchange requests; demuxed by object, so a node
 	// serving many rings only runs this ring's handler for its traffic.
-	key := simnet.DemuxKey(r.Object)
-	n := r.net.Node(node)
-	n.HandleDemux(kindTentative, key, func(m simnet.Message) {
-		if t, ok := m.Payload.(tentMsg); ok && t.Obj == r.Object {
-			r.HandleTentative(node, t.U)
-		}
-	})
-	n.HandleDemux(kindGossip, key, func(m simnet.Message) {
-		if req, ok := m.Payload.(gossipReq); ok && req.Object == r.Object {
-			r.handleGossip(node, req)
+	r.net.Node(node).HandleDemux(simnet.DemuxKey(r.Object), secondaryKinds, func(m simnet.Message) {
+		switch m.Kind {
+		case kindTentative:
+			if t, ok := m.Payload.(tentMsg); ok && t.Obj == r.Object {
+				r.HandleTentative(node, t.U)
+			}
+		case kindGossip:
+			if req, ok := m.Payload.(gossipReq); ok && req.Object == r.Object {
+				r.handleGossip(node, req)
+			}
 		}
 	})
 	return sec, nil

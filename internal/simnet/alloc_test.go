@@ -72,8 +72,9 @@ type demuxProbe struct{ key DemuxKey }
 func (p demuxProbe) Demux() DemuxKey { return p.key }
 
 // TestHandleDemux pins the demux table semantics: only the handler
-// registered under the payload's (kind, key) fires, the node's Handle
-// chain still sees everything, and non-Demuxed payloads skip the table.
+// registered under the payload's key, for its kind, fires; the node's
+// Handle chain still sees everything, and non-Demuxed payloads skip the
+// table.
 func TestHandleDemux(t *testing.T) {
 	k := sim.NewKernel(3)
 	net := New(k, Config{})
@@ -82,8 +83,8 @@ func TestHandleDemux(t *testing.T) {
 	var k1, k2 DemuxKey
 	k1[0], k2[0] = 1, 2
 	hits1, hits2, all := 0, 0, 0
-	net.Node(b).HandleDemux("probe", k1, func(m Message) { hits1++ })
-	net.Node(b).HandleDemux("probe", k2, func(m Message) { hits2++ })
+	net.Node(b).HandleDemux(k1, []string{"probe"}, func(m Message) { hits1++ })
+	net.Node(b).HandleDemux(k2, []string{"probe"}, func(m Message) { hits2++ })
 	net.Node(b).Handle(func(m Message) { all++ })
 	net.Send(a, b, "probe", demuxProbe{key: k1}, 8)
 	net.Send(a, b, "probe", demuxProbe{key: k1}, 8)
@@ -99,32 +100,82 @@ func TestHandleDemux(t *testing.T) {
 	}
 }
 
-// TestHandleDemuxSharedWord: the table is keyed by the key's first word
-// alone, so keys that agree there — and kinds that share a key — land in
-// one slot list and must still be told apart; several handlers for one
-// (kind, key) run in registration order.
+// TestHandleDemuxSharedWord: the table is ordered by the key's first
+// word alone, so keys that agree there — and registrations that share a
+// key — sit side by side and must still be told apart by key and kind;
+// every registration a delivery matches runs, in registration order,
+// however the words of other instances were interleaved among them.
 func TestHandleDemuxSharedWord(t *testing.T) {
 	k := sim.NewKernel(3)
 	net := New(k, Config{})
 	a := net.AddNode(0, 0).ID
 	b := net.AddNode(0, 0).ID
-	var k1, k2 DemuxKey
-	k1[0], k2[0] = 7, 7
-	k2[19] = 1 // same first word, different key
+	var k0, k1, k2, k9 DemuxKey
+	k0[0], k1[0], k2[0], k9[0] = 3, 7, 7, 9
+	k2[19] = 1 // same first word as k1, different key
 	var order []string
 	note := func(s string) Handler { return func(Message) { order = append(order, s) } }
-	net.Node(b).HandleDemux("x", k1, note("x/k1/first"))
-	net.Node(b).HandleDemux("y", k1, note("y/k1"))
-	net.Node(b).HandleDemux("x", k2, note("x/k2"))
-	net.Node(b).HandleDemux("x", k1, note("x/k1/second"))
-	net.Send(a, b, "x", demuxProbe{key: k1}, 8)
-	net.Send(a, b, "x", demuxProbe{key: k2}, 8)
-	net.Send(a, b, "y", demuxProbe{key: k1}, 8)
-	net.Send(a, b, "y", demuxProbe{key: k2}, 8) // registered by nobody
-	k.Run()
-	want := []string{"x/k1/first", "x/k1/second", "x/k2", "y/k1"}
+	x, y, xy := []string{"x"}, []string{"y"}, []string{"x", "y"}
+	net.Node(b).HandleDemux(k9, x, note("x/k9"))
+	net.Node(b).HandleDemux(k1, x, note("x/k1/first"))
+	net.Node(b).HandleDemux(k1, y, note("y/k1"))
+	net.Node(b).HandleDemux(k0, x, note("x/k0"))
+	net.Node(b).HandleDemux(k2, x, note("x/k2"))
+	net.Node(b).HandleDemux(k1, xy, note("xy/k1"))
+	net.Node(b).HandleDemux(k1, x, note("x/k1/second"))
+	send := func(kind string, key DemuxKey) {
+		net.Send(a, b, kind, demuxProbe{key: key}, 8)
+		k.Run()
+	}
+	send("x", k1)
+	send("x", k2)
+	send("y", k1)
+	send("y", k2) // registered by nobody
+	send("x", k0)
+	send("x", k9)
+	want := []string{
+		"x/k1/first", "xy/k1", "x/k1/second",
+		"x/k2",
+		"y/k1", "xy/k1",
+		"x/k0", "x/k9",
+	}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("dispatch order = %v, want %v", order, want)
+	}
+}
+
+// TestHandleDemuxDuringDelivery: a handler that registers another
+// instance on the node it runs on — a client submitting to a new tier
+// from inside a reply — must neither rerun a handler of the delivery in
+// progress nor see the new one fire for it.
+func TestHandleDemuxDuringDelivery(t *testing.T) {
+	k := sim.NewKernel(3)
+	net := New(k, Config{})
+	a := net.AddNode(0, 0).ID
+	b := net.AddNode(0, 0).ID
+	var k1, k2, k9 DemuxKey
+	k1[0], k2[0], k9[0] = 5, 4, 9 // k2 sorts before k1: the insert shifts k1's slots
+	kinds := []string{"x"}
+	var order []string
+	// Three slots leave the table spare capacity, so an insert in place
+	// would move the slots under the walk.
+	net.Node(b).HandleDemux(k9, kinds, func(Message) { order = append(order, "k9") })
+	net.Node(b).HandleDemux(k1, kinds, func(Message) {
+		order = append(order, "k1/first")
+		net.Node(b).HandleDemux(k2, kinds, func(Message) { order = append(order, "k2") })
+		net.Node(b).HandleDemux(k1, kinds, func(Message) { order = append(order, "k1/late") })
+	})
+	net.Node(b).HandleDemux(k1, kinds, func(Message) { order = append(order, "k1/second") })
+	net.Send(a, b, "x", demuxProbe{key: k1}, 8)
+	k.Run()
+	if want := "[k1/first k1/second]"; fmt.Sprint(order) != want {
+		t.Fatalf("delivery ran %v, want %v", order, want)
+	}
+	order = nil
+	net.Send(a, b, "x", demuxProbe{key: k2}, 8)
+	k.Run()
+	if want := "[k2]"; fmt.Sprint(order) != want {
+		t.Fatalf("the instance registered mid-delivery ran %v, want %v", order, want)
 	}
 }
 

@@ -36,10 +36,12 @@
 package simnet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"time"
 
@@ -76,24 +78,32 @@ type DemuxKey [20]byte
 
 // Demuxed is implemented by payloads that can name their protocol
 // instance.  Deliver uses it to dispatch straight to the handlers
-// registered for (kind, key) instead of running the node's whole
-// handler chain: a node serving thousands of object rings then pays
-// one map probe per delivery, not thousands of type-assert-and-ignore
-// handler calls.
+// registered for the key instead of running the node's whole handler
+// chain: a node serving thousands of object rings then pays one binary
+// search over its instances per delivery, not thousands of
+// type-assert-and-ignore handler calls.
 type Demuxed interface{ Demux() DemuxKey }
 
-// demuxSlot is one (kind, key) registration in a node's demux table.
-// The table is keyed by the key's first word — every layer puts its
-// instance ID's entropy there — so a delivery hashes eight bytes, not a
-// string and twenty, and then compares (kind, key) against the few
-// slots that share the word: one instance's wire kinds.
+// demuxSlot is one HandleDemux registration: a protocol instance's key,
+// the wire kinds it takes, and its handler.  A node's slots sit in one
+// slice sorted by the key's first word — every layer puts its instance
+// ID's entropy there — and in registration order among equal words, so
+// a delivery binary-searches eight bytes, not a string and twenty, and
+// then compares (key, kind) against the few slots that share the word.
 type demuxSlot struct {
-	kind string
-	key  DemuxKey
-	hs   []Handler
+	key   DemuxKey
+	kinds []string
+	h     Handler
 }
 
 func (k DemuxKey) word() uint64 { return binary.LittleEndian.Uint64(k[:8]) }
+
+// demuxFrom returns the index of the first slot whose key word is at
+// least w.
+func demuxFrom(tab []demuxSlot, w uint64) int {
+	i, _ := slices.BinarySearchFunc(tab, w, func(s demuxSlot, w uint64) int { return cmp.Compare(s.key.word(), w) })
+	return i
+}
 
 // GlobalHandler consumes messages delivered to any node.  Services
 // that attend every server (the archival store) register one of these
@@ -144,30 +154,27 @@ func (n Node) Handle(h Handler) {
 	n.net.handlers[n.ID] = append(n.net.handlers[n.ID], h)
 }
 
-// HandleDemux registers h for messages of the given kind whose payload
-// implements Demuxed with this key.  Unlike Handle, dispatch is an
-// O(1) table probe; handlers for other instances on the same node are
-// never invoked.  Demux handlers run before the node's Handle chain.
-func (n Node) HandleDemux(kind string, key DemuxKey, h Handler) {
-	dm := n.net.demux[n.ID]
-	if dm == nil {
-		dm = make(map[uint64][]demuxSlot)
-		n.net.demux[n.ID] = dm
+// HandleDemux registers h for messages whose payload implements
+// Demuxed with this key and whose kind is one of kinds (the slice is
+// kept, not copied).  Unlike Handle, dispatch is a search of the node's
+// instances; handlers for other instances on the same node are never
+// invoked.  Every registration matching a delivery runs, in
+// registration order, before the node's Handle chain.
+func (n Node) HandleDemux(key DemuxKey, kinds []string, h Handler) {
+	tab := n.net.demux[n.ID]
+	w := key.word()
+	i := demuxFrom(tab, w)
+	for i < len(tab) && tab[i].key.word() == w {
+		i++
 	}
-	slots := dm[key.word()]
-	for i := range slots {
-		if slots[i].kind == kind && slots[i].key == key {
-			slots[i].hs = append(slots[i].hs, h)
-			return
-		}
+	slot := demuxSlot{key: key, kinds: kinds, h: h}
+	if n.net.dispatching > 0 {
+		// A delivery may be walking this table: give the node a fresh
+		// array, so the walk neither skips a slot nor meets this one.
+		n.net.demux[n.ID] = slices.Concat(tab[:i], []demuxSlot{slot}, tab[i:])
+		return
 	}
-	// Grown to the exact size: a node serving thousands of instances
-	// keeps a list per instance, and append's doubling would leave most
-	// of them half empty.
-	grown := make([]demuxSlot, len(slots)+1)
-	copy(grown, slots)
-	grown[len(slots)] = demuxSlot{kind: kind, key: key, hs: []Handler{h}}
-	dm[key.word()] = grown
+	n.net.demux[n.ID] = slices.Insert(tab, i, slot)
 }
 
 // Config sets the link model of a Network.
@@ -250,10 +257,12 @@ type Network struct {
 	down     []bool
 	lowbw    []bool
 	handlers [][]Handler
-	// demux holds per-node (kind, instance-key) handler tables for the
-	// O(1) dispatch path (HandleDemux); nil for nodes that only use the
-	// plain handler chain.
-	demux []map[uint64][]demuxSlot
+	// demux holds each node's HandleDemux registrations, sorted by key
+	// word; nil for nodes that only use the plain handler chain.
+	// dispatching counts the demux walks in progress (deliveries nest
+	// when a handler delivers locally).
+	demux       [][]demuxSlot
+	dispatching int
 
 	// global handlers fire for every delivered message, before the
 	// per-node handlers.
@@ -849,15 +858,14 @@ func (n *Network) Deliver(m Message) bool {
 	if len(dm) > 0 {
 		if d, ok := m.Payload.(Demuxed); ok {
 			key := d.Demux()
-			slots := dm[key.word()]
-			for i := range slots {
-				if slots[i].kind == m.Kind && slots[i].key == key {
-					for _, h := range slots[i].hs {
-						h(m)
-					}
-					break
+			w := key.word()
+			n.dispatching++
+			for i := demuxFrom(dm, w); i < len(dm) && dm[i].key.word() == w; i++ {
+				if dm[i].key == key && slices.Contains(dm[i].kinds, m.Kind) {
+					dm[i].h(m)
 				}
 			}
+			n.dispatching--
 		}
 	}
 	for _, h := range hs {
