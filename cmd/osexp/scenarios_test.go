@@ -170,6 +170,7 @@ func TestSoakReportShape(t *testing.T) {
 // blobstore volume's does when the disk fills or the fsync errors.
 type failCloseStore struct{ *archive.NodeStore }
 
+func (failCloseStore) Sync() error  { return nil }
 func (failCloseStore) Close() error { return errors.New("injected: final flush failed") }
 
 // TestSoakCloseErrorFailsTheRun: every volume holds acknowledged but

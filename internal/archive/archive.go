@@ -1,10 +1,7 @@
 package archive
 
 import (
-	"cmp"
 	"errors"
-	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -175,105 +172,18 @@ func Decode(frags []StoredFragment, cfg Config) ([]byte, error) {
 	return framed[8 : 8+n], nil
 }
 
-// Placement maps fragment index → storage node.
-type Placement map[int]simnet.NodeID
-
-// NodeStore is the per-server fragment store: one slice kept sorted by
-// (root, index).  A server holds a fragment or two of each of many
-// archives, so a map per root would cost a whole map group per
-// fragment; the slice costs the fragment.  Every read is a binary
-// search and Scan is a walk in exactly the order the Store contract
-// asks for.
-type NodeStore struct {
-	frags []StoredFragment
-}
-
-// NewNodeStore creates an empty store.
-func NewNodeStore() *NodeStore { return &NodeStore{} }
-
-// search returns where (root, index) sits, or would be inserted, and
-// whether it is held.
-func (ns *NodeStore) search(root guid.GUID, index int) (int, bool) {
-	return slices.BinarySearchFunc(ns.frags, root, func(sf StoredFragment, _ guid.GUID) int {
-		if c := sf.Root.Compare(root); c != 0 {
-			return c
-		}
-		return cmp.Compare(sf.Index, index)
-	})
-}
-
-// Put stores a fragment after verifying it — a well-behaved server
-// refuses garbage.
-func (ns *NodeStore) Put(sf StoredFragment) error {
-	if !sf.Verify() {
-		return errors.New("archive: fragment failed self-verification")
-	}
-	if i, ok := ns.search(sf.Root, sf.Index); ok {
-		ns.frags[i] = sf
-	} else {
-		ns.frags = slices.Insert(ns.frags, i, sf)
-	}
-	return nil
-}
-
-// Get fetches a fragment by archive root and index.
-func (ns *NodeStore) Get(root guid.GUID, index int) (StoredFragment, bool) {
-	if i, ok := ns.search(root, index); ok {
-		return ns.frags[i], true
-	}
-	return StoredFragment{}, false
-}
-
-// Indexes lists the fragment indexes held for an archive.
-func (ns *NodeStore) Indexes(root guid.GUID) []int {
-	var out []int
-	for i, _ := ns.search(root, math.MinInt); i < len(ns.frags) && ns.frags[i].Root == root; i++ {
-		out = append(out, ns.frags[i].Index)
-	}
-	return out
-}
-
-// Drop removes a fragment (disk loss injection for tests).
-func (ns *NodeStore) Drop(root guid.GUID, index int) {
-	if i, ok := ns.search(root, index); ok {
-		ns.frags = slices.Delete(ns.frags, i, i+1)
-	}
-}
-
-// Roots lists the archive roots this store holds fragments of, in GUID
-// order.
-func (ns *NodeStore) Roots() []guid.GUID {
-	var out []guid.GUID
-	for i := range ns.frags {
-		if i == 0 || ns.frags[i].Root != ns.frags[i-1].Root {
-			out = append(out, ns.frags[i].Root)
-		}
-	}
-	return out
-}
-
-// Tamper mutates a stored fragment's payload in place — the bit-rot
-// injection point.  The payload is cloned first: fragment Data slices
-// are shared with in-flight copies and the original encode output, and
-// rot on one disk must not teleport into another node's copy.  Unlike
-// Put, the result deliberately no longer verifies.
-func (ns *NodeStore) Tamper(root guid.GUID, index int, mut func(data []byte)) bool {
-	i, ok := ns.search(root, index)
-	if !ok {
-		return false
-	}
-	sf := &ns.frags[i]
-	sf.Data = append([]byte(nil), sf.Data...)
-	mut(sf.Data)
-	return true
-}
+// Placement maps fragment index → storage node: Placement[i] holds
+// fragment i.
+type Placement []simnet.NodeID
 
 // retrievalState tracks one in-flight reconstruction.
 type retrievalState struct {
-	cfg      Config
-	deadline time.Duration
-	got      map[int]StoredFragment
-	done     bool
-	cb       func(data []byte, err error, latency time.Duration)
-	started  time.Duration
+	cfg Config
+	// got[i] is fragment i once it has arrived (a zero Total until
+	// then); have counts the arrived ones.
+	got     []StoredFragment
+	have    int
+	done    bool
+	cb      func(data []byte, err error, latency time.Duration)
+	started time.Duration
 }

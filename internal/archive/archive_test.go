@@ -221,7 +221,7 @@ func TestNodeStoreVerifiesOnPut(t *testing.T) {
 	if got, ok := ns.Get(frags[0].Root, 0); !ok || got.Index != 0 {
 		t.Fatal("get failed")
 	}
-	if idx := ns.Indexes(frags[0].Root); len(idx) != 1 || idx[0] != 0 {
+	if idx := HeldIndexes(ns, frags[0].Root); len(idx) != 1 || idx[0] != 0 {
 		t.Fatalf("indexes = %v", idx)
 	}
 	ns.Drop(frags[0].Root, 0)

@@ -27,15 +27,12 @@ func (s *Service) TornWrite(id simnet.NodeID, rng *rand.Rand) bool {
 	if !ok {
 		return false
 	}
-	roots := ns.Roots()
+	roots := HeldRoots(ns)
 	if len(roots) == 0 {
 		return false
 	}
 	root := roots[rng.Intn(len(roots))]
-	idxs := ns.Indexes(root)
-	if len(idxs) == 0 {
-		return false
-	}
+	idxs := HeldIndexes(ns, root)
 	sf, ok := ns.Get(root, idxs[rng.Intn(len(idxs))])
 	if !ok {
 		return false

@@ -135,7 +135,7 @@ func TestSchedulerInstrumented(t *testing.T) {
 		defer svc.CloseStores()
 		nid := svc.StoreNodes()[0]
 		root := svc.RootsHeldBy(nid)[0]
-		svc.CorruptFragment(nid, root, svc.Store(nid).Indexes(root)[0])
+		svc.CorruptFragment(nid, root, archive.HeldIndexes(svc.Store(nid), root)[0])
 		sc := archive.NewScheduler(svc, archive.SchedulerConfig{
 			ScrubInterval:  10 * time.Second,
 			RepairInterval: 30 * time.Second,

@@ -46,24 +46,26 @@ func (s *Service) SetByzantine(id simnet.NodeID, on bool) {
 func (s *Service) Byzantine(id simnet.NodeID) bool { return s.byz[id] }
 
 // ServeFragment returns what node id would put on the wire for its
-// lowest-indexed fragment of root: the stored fragment for an honest
-// node, a garbled copy for a Byzantine one.  The audit layer polls
-// through this so lying stores lie to auditors exactly as they lie to
-// retrievers.
+// lowest-indexed fragment of root that reads back: the stored fragment
+// for an honest node, a garbled copy for a Byzantine one.  A node none
+// of whose copies reads back holds nothing it can serve, and says so —
+// an honest "lost it", not a zero fragment an auditor would take for a
+// lie.  The audit layer polls through this so lying stores lie to
+// auditors exactly as they lie to retrievers.
 func (s *Service) ServeFragment(id simnet.NodeID, root guid.GUID) (StoredFragment, bool) {
 	ns, ok := s.stores[id]
 	if !ok {
 		return StoredFragment{}, false
 	}
-	idxs := ns.Indexes(root)
-	if len(idxs) == 0 {
-		return StoredFragment{}, false
+	for _, idx := range HeldIndexes(ns, root) {
+		if sf, ok := ns.Get(root, idx); ok {
+			if s.byz[id] {
+				sf = garble(sf)
+			}
+			return sf, true
+		}
 	}
-	sf, _ := ns.Get(root, idxs[0])
-	if s.byz[id] {
-		sf = garble(sf)
-	}
-	return sf, true
+	return StoredFragment{}, false
 }
 
 // CorruptFragment silently flips one byte of a stored fragment —
@@ -98,15 +100,12 @@ func (s *Service) CorruptRandom(id simnet.NodeID, rng *rand.Rand) (guid.GUID, bo
 	if !ok {
 		return guid.Zero, false
 	}
-	roots := ns.Roots()
+	roots := HeldRoots(ns)
 	if len(roots) == 0 {
 		return guid.Zero, false
 	}
 	root := roots[rng.Intn(len(roots))]
-	idxs := ns.Indexes(root)
-	if len(idxs) == 0 {
-		return guid.Zero, false
-	}
+	idxs := HeldIndexes(ns, root)
 	if !s.CorruptFragment(id, root, idxs[rng.Intn(len(idxs))]) {
 		return guid.Zero, false
 	}
@@ -122,8 +121,8 @@ func (s *Service) WipeNode(id simnet.NodeID) int {
 		return 0
 	}
 	lost := 0
-	for _, root := range ns.Roots() {
-		for _, idx := range ns.Indexes(root) {
+	for _, root := range HeldRoots(ns) {
+		for _, idx := range HeldIndexes(ns, root) {
 			ns.Drop(root, idx)
 			lost++
 		}
@@ -159,8 +158,8 @@ func (s *Service) DamagedRoots() []guid.GUID {
 
 // Roots lists every archive root the service knows, in GUID order.
 func (s *Service) Roots() []guid.GUID {
-	out := make([]guid.GUID, 0, len(s.where))
-	for root := range s.where {
+	out := make([]guid.GUID, 0, len(s.archives))
+	for root := range s.archives {
 		out = append(out, root)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
@@ -185,7 +184,7 @@ func (s *Service) RootsHeldBy(id simnet.NodeID) []guid.GUID {
 	if !ok {
 		return nil
 	}
-	return ns.Roots()
+	return HeldRoots(ns)
 }
 
 // HoldersOf lists the nodes the placement says hold fragments of root,
@@ -195,7 +194,7 @@ func (s *Service) RootsHeldBy(id simnet.NodeID) []guid.GUID {
 func (s *Service) HoldersOf(root guid.GUID) []simnet.NodeID {
 	seen := make(map[simnet.NodeID]bool)
 	var out []simnet.NodeID
-	for _, nid := range s.where[root] {
+	for _, nid := range s.archives[root].where {
 		if !seen[nid] {
 			seen[nid] = true
 			out = append(out, nid)
@@ -212,7 +211,7 @@ func (s *Service) VerifyHeld(id simnet.NodeID, root guid.GUID) (bad []int) {
 	if !ok {
 		return nil
 	}
-	for _, idx := range ns.Indexes(root) {
+	for _, idx := range HeldIndexes(ns, root) {
 		if sf, ok := ns.Get(root, idx); ok && !sf.Verify() {
 			bad = append(bad, idx)
 		}
@@ -233,9 +232,13 @@ func (s *Service) DropFragment(id simnet.NodeID, root guid.GUID, index int) {
 func (s *Service) CountBadFragments() int {
 	bad := 0
 	for _, id := range s.StoreNodes() {
-		for _, root := range s.RootsHeldBy(id) {
-			bad += len(s.VerifyHeld(id, root))
-		}
+		ns := s.stores[id]
+		ns.Scan(func(root guid.GUID, idx int) bool {
+			if sf, ok := ns.Get(root, idx); ok && !sf.Verify() {
+				bad++
+			}
+			return true
+		})
 	}
 	return bad
 }

@@ -49,7 +49,7 @@ func TestSchedulerReportsUnrecoverable(t *testing.T) {
 	// Destroy redundancy beyond recovery: corrupt every stored fragment.
 	for _, id := range svc.StoreNodes() {
 		store := svc.Store(id)
-		for _, idx := range store.Indexes(root) {
+		for _, idx := range HeldIndexes(store, root) {
 			if !svc.CorruptFragment(id, root, idx) {
 				t.Fatalf("corrupt %v/%d on node %d failed", root, idx, id)
 			}
@@ -189,7 +189,7 @@ func TestWipeNodeRecordsDamage(t *testing.T) {
 	_, svc, _, _, _, _ := repairWorld(t, 19)
 	root := svc.Roots()[0]
 	victim := svc.HoldersOf(root)[0]
-	held := len(svc.Store(victim).Indexes(root))
+	held := len(HeldIndexes(svc.Store(victim), root))
 	if held == 0 {
 		t.Fatal("victim holds nothing")
 	}
@@ -197,7 +197,7 @@ func TestWipeNodeRecordsDamage(t *testing.T) {
 	if lost < held {
 		t.Fatalf("wipe lost %d < %d held", lost, held)
 	}
-	if len(svc.Store(victim).Indexes(root)) != 0 {
+	if len(HeldIndexes(svc.Store(victim), root)) != 0 {
 		t.Fatal("wiped store still holds fragments")
 	}
 	if _, damaged := svc.DamagedSince(root); !damaged {

@@ -44,7 +44,7 @@ func TestSchedulerScrubFindsAndRepairsRot(t *testing.T) {
 	// Rot one fragment of each of the first three archives.
 	for _, root := range roots[:3] {
 		nid := svc.HoldersOf(root)[0]
-		idx := svc.Store(nid).Indexes(root)[0]
+		idx := HeldIndexes(svc.Store(nid), root)[0]
 		if !svc.CorruptFragment(nid, root, idx) {
 			t.Fatal("corruption failed")
 		}
@@ -94,7 +94,7 @@ func TestSchedulerRepairBudget(t *testing.T) {
 	for _, root := range roots {
 		dropped := 0
 		for _, nid := range svc.HoldersOf(root) {
-			for _, idx := range svc.Store(nid).Indexes(root) {
+			for _, idx := range HeldIndexes(svc.Store(nid), root) {
 				if dropped < 4 {
 					svc.DropFragment(nid, root, idx)
 					dropped++
@@ -137,7 +137,7 @@ func TestSchedulerBackoffOnUnrecoverable(t *testing.T) {
 	victim := roots[0]
 	kept := 0
 	for _, nid := range svc.HoldersOf(victim) {
-		for _, idx := range svc.Store(nid).Indexes(victim) {
+		for _, idx := range HeldIndexes(svc.Store(nid), victim) {
 			if kept < 2 {
 				kept++
 				continue
@@ -213,7 +213,8 @@ type flakyStore struct {
 	fail error
 }
 
-func (f *flakyStore) Sync() error { return f.fail }
+func (f *flakyStore) Sync() error  { return f.fail }
+func (f *flakyStore) Close() error { return nil }
 
 // TestSyncDirtyKeepsFailedStoresDirty: every store whose Sync fails —
 // not just the first — stays in the dirty set, so its unsynced bytes

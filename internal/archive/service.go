@@ -67,12 +67,12 @@ type Service struct {
 	// is what made 4096-object million-node worlds unconstructible.
 	rings     map[int][]simnet.NodeID
 	domainIDs []int
-	// location: archive root -> fragment index -> holder.  In the full
-	// system this index lives in the Plaxton mesh (fragment GUIDs are
-	// published like any entity); the service keeps it directly so the
-	// archival experiments isolate archival behaviour.
-	where map[guid.GUID]Placement
-	cfgs  map[guid.GUID]Config
+	// archives maps each archive root to its placement and geometry.
+	// In the full system the location index lives in the Plaxton mesh
+	// (fragment GUIDs are published like any entity); the service keeps
+	// it directly so the archival experiments isolate archival
+	// behaviour.
+	archives map[guid.GUID]archived
 
 	nextRid  uint64
 	inflight map[uint64]*retrievalState
@@ -91,6 +91,13 @@ type Service struct {
 
 	om  archMetrics
 	otr *obs.Tracer
+}
+
+// archived is what the service knows of one archive: which node holds
+// each fragment, and the code geometry that produced them.
+type archived struct {
+	where Placement
+	cfg   Config
 }
 
 // archMetrics holds pre-resolved handles for the archival layer; the
@@ -150,8 +157,7 @@ func NewService(net *simnet.Network, nodes []simnet.Node) *Service {
 		dirty:         make(map[simnet.NodeID]bool),
 		SyncEachBatch: true,
 		rings:         make(map[int][]simnet.NodeID),
-		where:         make(map[guid.GUID]Placement),
-		cfgs:          make(map[guid.GUID]Config),
+		archives:      make(map[guid.GUID]archived),
 		inflight:      make(map[uint64]*retrievalState),
 		byz:           make(map[simnet.NodeID]bool),
 		damagedAt:     make(map[guid.GUID]time.Duration),
@@ -235,19 +241,19 @@ const ioWidth = 16
 // leave the dirty set, and the first error is returned.  Every store is
 // touched by exactly one worker, the caller is parked until all have
 // returned, and results land in per-index slots — so the fold is
-// independent of scheduling.  In-memory stores have no I/O to overlap
-// and are skipped: a memory-backed service never forks.
-func (s *Service) joinStores(ids []simnet.NodeID, op func(Store) error) error {
+// independent of scheduling.  Stores that are not Durable have nothing
+// to flush and are skipped: a memory-backed service never forks.
+func (s *Service) joinStores(ids []simnet.NodeID, op func(Durable) error) error {
 	errs := make([]error, len(ids))
-	disk := make([]int, 0, len(ids))
+	durable := make([]int, 0, len(ids))
 	for i, id := range ids {
-		if _, mem := s.stores[id].(*NodeStore); !mem {
-			disk = append(disk, i)
+		if _, ok := s.stores[id].(Durable); ok {
+			durable = append(durable, i)
 		}
 	}
-	par.DoWide(ioWidth, len(disk), 1, func(lo, hi int) {
-		for _, i := range disk[lo:hi] {
-			errs[i] = op(s.stores[ids[i]])
+	par.DoWide(ioWidth, len(durable), 1, func(lo, hi int) {
+		for _, i := range durable[lo:hi] {
+			errs[i] = op(s.stores[ids[i]].(Durable))
 		}
 	})
 	var first error
@@ -278,7 +284,7 @@ func (s *Service) SyncDirty() error {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	s.commits++
 	s.commitVolumes += int64(len(ids))
-	return s.joinStores(ids, Store.Sync)
+	return s.joinStores(ids, Durable.Sync)
 }
 
 // DirtyStores reports how many stores hold writes not yet covered by a
@@ -294,7 +300,7 @@ func (s *Service) GroupCommits() (rounds, volumes int64) { return s.commits, s.c
 // order.  The service is unusable for new data afterwards; call it
 // when a disk-backed world shuts down.
 func (s *Service) CloseStores() error {
-	return s.joinStores(s.StoreNodes(), Store.Close)
+	return s.joinStores(s.StoreNodes(), Durable.Close)
 }
 
 // Archive encodes data, disperses the fragments across domains, and
@@ -317,8 +323,7 @@ func (s *Service) Archive(data []byte, cfg Config, domainRank []int) (guid.GUID,
 		}
 		s.dirty[placement[i]] = true
 	}
-	s.where[root] = placement
-	s.cfgs[root] = cfg
+	s.archives[root] = archived{placement, cfg}
 	if s.SyncEachBatch {
 		if err := s.SyncDirty(); err != nil {
 			return guid.Zero, err
@@ -409,15 +414,15 @@ func (s *Service) disperse(f int, domainRank []int, seed uint64, exclude map[sim
 
 // Placement exposes where an archive's fragments live.
 func (s *Service) Placement(root guid.GUID) (Placement, bool) {
-	p, ok := s.where[root]
-	return p, ok
+	a, ok := s.archives[root]
+	return a.where, ok
 }
 
 // LiveFragments counts fragments of an archive that are on live nodes
 // and still verify — the redundancy level the repair scan monitors.
 func (s *Service) LiveFragments(root guid.GUID) int {
 	live := 0
-	for idx, nid := range s.where[root] {
+	for idx, nid := range s.archives[root].where {
 		if s.net.Node(nid).Down() {
 			continue
 		}
@@ -439,8 +444,8 @@ func (s *Service) LiveFragments(root guid.GUID) int {
 // drops, which experiment E6 reproduces.  cb fires exactly once: with
 // the data on success, or with an error at the deadline.
 func (s *Service) Retrieve(from simnet.NodeID, root guid.GUID, extra int, deadline time.Duration, cb func([]byte, error, time.Duration)) {
-	placement, ok := s.where[root]
-	cfg := s.cfgs[root]
+	a, ok := s.archives[root]
+	placement, cfg := a.where, a.cfg
 	s.om.retrievals.Inc()
 	if !ok {
 		s.om.retrievalsErr.Inc()
@@ -461,7 +466,7 @@ func (s *Service) Retrieve(from simnet.NodeID, root guid.GUID, extra int, deadli
 	}
 	st := &retrievalState{
 		cfg:     cfg,
-		got:     make(map[int]StoredFragment),
+		got:     make([]StoredFragment, len(placement)),
 		cb:      cb,
 		started: s.net.K.Now(),
 	}
@@ -483,7 +488,7 @@ func (s *Service) Retrieve(from simnet.NodeID, root guid.GUID, extra int, deadli
 	sendRound := func() {
 		var cands []cand
 		for idx, nid := range placement {
-			if _, have := st.got[idx]; have {
+			if st.got[idx].Total != 0 {
 				continue
 			}
 			if !s.net.Node(nid).Down() {
@@ -497,7 +502,7 @@ func (s *Service) Retrieve(from simnet.NodeID, root guid.GUID, extra int, deadli
 				}
 			}
 		}
-		need := cfg.DataShards - len(st.got)
+		need := cfg.DataShards - st.have
 		want := need + extra + round
 		if want > len(cands) {
 			want = len(cands)
@@ -574,24 +579,27 @@ func (s *Service) handle(id simnet.NodeID, m simnet.Message) {
 			return // a misbehaving server's garbage is simply discarded
 		}
 		s.om.fragsRecv.Inc()
-		st.got[p.Frag.Index] = p.Frag
-		if len(st.got) < st.cfg.DataShards {
+		if i := p.Frag.Index; i < len(st.got) {
+			if st.got[i].Total == 0 {
+				st.have++
+			}
+			st.got[i] = p.Frag
+		}
+		if st.have < st.cfg.DataShards {
 			return
 		}
-		frags := make([]StoredFragment, 0, len(st.got))
+		frags := make([]StoredFragment, 0, st.have)
 		for _, f := range st.got {
-			frags = append(frags, f)
+			if f.Total != 0 {
+				frags = append(frags, f)
+			}
 		}
 		data, err := Decode(frags, st.cfg)
 		if err != nil {
 			return // tornado peeling may stall; wait for more fragments
 		}
 		st.done = true
-		for rid, other := range s.inflight {
-			if other == st {
-				delete(s.inflight, rid)
-			}
-		}
+		delete(s.inflight, p.Rid)
 		elapsed := s.net.K.Now() - st.started
 		s.om.retrievalsOK.Inc()
 		s.om.retrievalLat.ObserveDuration(elapsed)
@@ -623,11 +631,11 @@ var ErrInsufficientDomains = errors.New("archive: insufficient live domains to d
 // for the root is cleared.  Errors are never silent: an unrecoverable
 // archive returns the decode error and bumps archive/repair_failed.
 func (s *Service) RepairRoot(root guid.GUID, domainRank []int, exclude map[simnet.NodeID]bool) error {
-	placement, ok := s.where[root]
+	a, ok := s.archives[root]
 	if !ok {
 		return s.repairFailed(root, ErrUnknownRoot)
 	}
-	cfg := s.cfgs[root]
+	placement, cfg := a.where, a.cfg
 	// Gather whatever is reachable; Decode filters non-verifying
 	// fragments itself, so rotted or garbled copies cannot poison the
 	// reconstruction.
@@ -668,7 +676,7 @@ func (s *Service) RepairRoot(root guid.GUID, domainRank []int, exclude map[simne
 	}
 	for i, f := range newFrags {
 		if err := s.store(newPlacement[i]).Put(f); err == nil {
-			s.where[root][i] = newPlacement[i]
+			placement[i] = newPlacement[i]
 			s.dirty[newPlacement[i]] = true
 		}
 	}

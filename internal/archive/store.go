@@ -1,6 +1,10 @@
 package archive
 
-import "oceanstore/internal/guid"
+import (
+	"errors"
+
+	"oceanstore/internal/guid"
+)
 
 // Store is the per-server fragment store surface.  The archival
 // service talks to its stores only through this interface, so a
@@ -16,37 +20,33 @@ import "oceanstore/internal/guid"
 //
 //   - Put verifies the fragment and refuses garbage; storing the same
 //     (root, index) twice replaces the earlier copy.
-//   - Indexes and Roots return sorted results, so every caller that
-//     feeds them into dispersal or repair decisions behaves identically
-//     across runs and backends.
-//   - Sync makes every completed Put/Drop durable; what durability
-//     means is the backend's business (a no-op in memory, fsync on
-//     disk).
+//   - Scan walks in (root GUID, index) order, so every caller that
+//     feeds what it lists into dispersal, scrub or repair decisions
+//     behaves identically across runs and backends.
 type Store interface {
 	// Put stores a fragment after verifying it — a well-behaved server
 	// refuses garbage.
 	Put(sf StoredFragment) error
 	// Get fetches a fragment by archive root and index.
 	Get(root guid.GUID, index int) (StoredFragment, bool)
-	// Indexes lists the fragment indexes held for an archive, sorted
-	// ascending.
-	Indexes(root guid.GUID) []int
-	// Roots lists the archive roots this store holds fragments of, in
-	// GUID order.
-	Roots() []guid.GUID
 	// Drop removes a fragment (disk loss, or the audit/scrub layers
 	// discarding a copy they have proven rotten).
 	Drop(root guid.GUID, index int)
 	// Scan enumerates every held (root, index) pair in (root GUID,
 	// index) order until fn returns false — the scrub scheduler's
-	// enumeration hook.  Scan reports references only; the scrubber
-	// re-reads payloads through Get so a disk backend pays real read
-	// I/O for every verification.  fn must not modify the store.
+	// enumeration hook.  Scan reports references only; readers re-read
+	// payloads through Get so a disk backend pays real read I/O for
+	// every verification.  fn may Get but must not Put or Drop.
 	Scan(fn func(root guid.GUID, index int) bool)
-	// Sync makes completed writes durable (fsync on a disk backend).
+}
+
+// Durable is the optional surface of stores with something to flush:
+// Sync makes every completed Put/Drop durable (fsync on disk) and Close
+// releases the store, which is unusable afterwards.  Group commits and
+// shutdown join only the stores that implement it; a memory store has
+// nothing to make durable and does not.
+type Durable interface {
 	Sync() error
-	// Close releases the store's resources; the store is unusable
-	// afterwards.
 	Close() error
 }
 
@@ -75,21 +75,91 @@ type Tamperable interface {
 	Tamper(root guid.GUID, index int, mut func(data []byte)) bool
 }
 
-// Scan enumerates the in-memory store's fragments in sorted order —
-// the order they are held in.
-func (ns *NodeStore) Scan(fn func(root guid.GUID, index int) bool) {
-	for i := range ns.frags {
-		if !fn(ns.frags[i].Root, ns.frags[i].Index) {
-			return
+// HeldRoots lists the archive roots st holds fragments of, in GUID
+// order.
+func HeldRoots(st Store) []guid.GUID {
+	var out []guid.GUID
+	st.Scan(func(root guid.GUID, _ int) bool {
+		if n := len(out); n == 0 || out[n-1] != root {
+			out = append(out, root)
 		}
-	}
+		return true
+	})
+	return out
 }
 
-// Sync is a no-op: memory writes are "durable" the moment they happen.
-func (ns *NodeStore) Sync() error { return nil }
+// HeldIndexes lists the fragment indexes st holds of root, ascending.
+// Scan's order puts them in one run, so the walk stops past it.
+func HeldIndexes(st Store, root guid.GUID) []int {
+	var out []int
+	st.Scan(func(r guid.GUID, index int) bool {
+		c := r.Compare(root)
+		if c == 0 {
+			out = append(out, index)
+		}
+		return c <= 0
+	})
+	return out
+}
 
-// Close is a no-op for the in-memory store.
-func (ns *NodeStore) Close() error { return nil }
+// NodeStore is the in-memory fragment store: the fragment table with
+// each fragment's body as the value.
+type NodeStore struct {
+	frags Table[fragBody]
+}
+
+// fragBody is a stored fragment less the (root, index) key its table
+// row already carries.
+type fragBody struct {
+	total int
+	data  []byte
+	proof []guid.GUID
+}
+
+// NewNodeStore creates an empty store.
+func NewNodeStore() *NodeStore { return &NodeStore{} }
+
+// Put stores a fragment after verifying it — a well-behaved server
+// refuses garbage.
+func (ns *NodeStore) Put(sf StoredFragment) error {
+	if !sf.Verify() {
+		return errors.New("archive: fragment failed self-verification")
+	}
+	ns.frags.Set(sf.Root, sf.Index, fragBody{sf.Total, sf.Data, sf.Proof})
+	return nil
+}
+
+// Get fetches a fragment by archive root and index.
+func (ns *NodeStore) Get(root guid.GUID, index int) (StoredFragment, bool) {
+	b := ns.frags.Get(root, index)
+	if b == nil {
+		return StoredFragment{}, false
+	}
+	return StoredFragment{Root: root, Index: index, Total: b.total, Data: b.data, Proof: b.proof}, true
+}
+
+// Drop removes a fragment (disk loss injection for tests).
+func (ns *NodeStore) Drop(root guid.GUID, index int) { ns.frags.Delete(root, index) }
+
+// Scan enumerates the store's fragments in the order they are held.
+func (ns *NodeStore) Scan(fn func(root guid.GUID, index int) bool) {
+	ns.frags.Walk(func(root guid.GUID, index int, _ *fragBody) bool { return fn(root, index) })
+}
+
+// Tamper mutates a stored fragment's payload in place — the bit-rot
+// injection point.  The payload is cloned first: fragment Data slices
+// are shared with in-flight copies and the original encode output, and
+// rot on one disk must not teleport into another node's copy.  Unlike
+// Put, the result deliberately no longer verifies.
+func (ns *NodeStore) Tamper(root guid.GUID, index int, mut func(data []byte)) bool {
+	b := ns.frags.Get(root, index)
+	if b == nil {
+		return false
+	}
+	b.data = append([]byte(nil), b.data...)
+	mut(b.data)
+	return true
+}
 
 // NodeStore must satisfy the Store interface and take injected rot.
 var (

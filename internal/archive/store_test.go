@@ -46,7 +46,7 @@ func degradedRepairRun(t *testing.T) ([]uint64, *Service, []guid.GUID) {
 	for _, root := range roots {
 		dropped := 0
 		for _, nid := range svc.HoldersOf(root) {
-			for _, idx := range svc.Store(nid).Indexes(root) {
+			for _, idx := range HeldIndexes(svc.Store(nid), root) {
 				if dropped < 4 {
 					svc.Store(nid).Drop(root, idx)
 					dropped++
@@ -78,9 +78,9 @@ func degradedRepairRun(t *testing.T) ([]uint64, *Service, []guid.GUID) {
 
 // TestSchedulerRepairsInGUIDOrder is the regression test for the
 // interleaved sweep: a repair tick must collect (and sort) its root set
-// before repairing anything, because RepairRoot mutates s.where
-// placements mid-tick.  The interleaved form — `for root := range
-// s.where { RepairRoot(...) }` — visits roots in random map order, so
+// before repairing anything, because RepairRoot mutates placements
+// mid-tick.  The interleaved form — `for root := range s.archives {
+// RepairRoot(...) }` — visits roots in random map order, so
 // with 12 degraded archives the repair order comes back unsorted with
 // probability 1 - 1/12!.
 func TestSchedulerRepairsInGUIDOrder(t *testing.T) {
@@ -108,33 +108,30 @@ func TestSchedulerRepairsInGUIDOrder(t *testing.T) {
 	}
 }
 
-// eightMethodStore implements exactly the Store interface — no Tamper,
-// no crash hooks.  It compiling as a Store is the assertion that fault
-// injection is not part of the production interface.
-type eightMethodStore struct{}
+// fourMethodStore implements exactly the Store interface — no Tamper,
+// no crash hooks, no durability.  It compiling as a Store is the
+// assertion that neither fault injection nor Sync/Close is part of the
+// interface every backend must carry.
+type fourMethodStore struct{}
 
-func (eightMethodStore) Put(StoredFragment) error                  { return nil }
-func (eightMethodStore) Get(guid.GUID, int) (StoredFragment, bool) { return StoredFragment{}, false }
-func (eightMethodStore) Indexes(guid.GUID) []int                   { return nil }
-func (eightMethodStore) Roots() []guid.GUID                        { return nil }
-func (eightMethodStore) Drop(guid.GUID, int)                       {}
-func (eightMethodStore) Scan(func(guid.GUID, int) bool)            {}
-func (eightMethodStore) Sync() error                               { return nil }
-func (eightMethodStore) Close() error                              { return nil }
+func (fourMethodStore) Put(StoredFragment) error                  { return nil }
+func (fourMethodStore) Get(guid.GUID, int) (StoredFragment, bool) { return StoredFragment{}, false }
+func (fourMethodStore) Drop(guid.GUID, int)                       {}
+func (fourMethodStore) Scan(func(guid.GUID, int) bool)            {}
 
-var _ Store = eightMethodStore{}
+var _ Store = fourMethodStore{}
 
 // TestCorruptFragmentNeedsTamperable: rot can only be injected into a
 // store that opts into the fault-only interface; on one that does not,
 // CorruptFragment reports failure and books no damage.
 func TestCorruptFragmentNeedsTamperable(t *testing.T) {
-	if n := reflect.TypeOf((*Store)(nil)).Elem().NumMethod(); n != 8 {
-		t.Fatalf("archive.Store declares %d methods, want 8", n)
+	if n := reflect.TypeOf((*Store)(nil)).Elem().NumMethod(); n != 4 {
+		t.Fatalf("archive.Store declares %d methods, want 4", n)
 	}
 	k := sim.NewKernel(23)
 	net := simnet.New(k, simnet.Config{})
 	svc := NewService(net, net.AddRandomNodes(4, 100, 2))
-	svc.SetStoreFactory(func(simnet.NodeID) Store { return eightMethodStore{} })
+	svc.SetStoreFactory(func(simnet.NodeID) Store { return fourMethodStore{} })
 	root, err := svc.Archive(make([]byte, 64), Config{DataShards: 2, TotalFragments: 4}, nil)
 	if err != nil {
 		t.Fatal(err)

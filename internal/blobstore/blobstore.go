@@ -5,10 +5,11 @@
 // The shape follows production blob stores (CubeFS's BlobStore keeps
 // append-log volumes on disk under an access front, with a background
 // scheduler doing repair and inspection): every write appends a framed
-// record — magic, kind, length, CRC, payload — and an in-memory index
-// maps (root, index) to record offsets.  Deletes append tombstones;
-// space comes back through compaction, which rewrites live records to
-// a fresh volume and atomically renames it into place.
+// record — magic, kind, length, CRC, payload — and an in-memory index,
+// the archive.Table every fragment store keeps, maps (root, index) to
+// record offsets.  Deletes append tombstones; space comes back through
+// compaction, which rewrites live records to a fresh volume and
+// atomically renames it into place.
 //
 // Crash safety is the point of the package.  Open rebuilds the index
 // by scanning the log and stops at the first record that is torn
@@ -39,7 +40,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"oceanstore/internal/archive"
 	"oceanstore/internal/guid"
@@ -69,6 +69,11 @@ const (
 	// only bites on bulk loads; a record larger than the cap is flushed
 	// as soon as it is framed and its oversized buffer is not kept.
 	tailCap = 64 << 10
+
+	// Automatic compaction runs once dead bytes pass both the absolute
+	// floor and the fraction of the volume.
+	compactMinDead = 1 << 20
+	compactMinFrac = 0.5
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -80,30 +85,11 @@ var ErrCrashed = errors.New("blobstore: store crashed; recover before use")
 // ErrClosed reports an operation on a closed store.
 var ErrClosed = errors.New("blobstore: store closed")
 
-// Config tunes one volume.
+// Config names one volume.
 type Config struct {
 	// Path is the volume file, created by the first write that reaches
 	// it: a volume that holds nothing has no file.
 	Path string
-	// CompactMinDead is the dead-byte floor below which automatic
-	// compaction never triggers (default 1 MiB).
-	CompactMinDead int64
-	// CompactMinFrac is the dead fraction of the volume that triggers
-	// automatic compaction once past the floor (default 0.5).
-	CompactMinFrac float64
-	// DisableAutoCompact leaves dead bytes in place until an explicit
-	// Compact call (tests pin offsets with this).
-	DisableAutoCompact bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.CompactMinDead <= 0 {
-		c.CompactMinDead = 1 << 20
-	}
-	if c.CompactMinFrac <= 0 {
-		c.CompactMinFrac = 0.5
-	}
-	return c
 }
 
 // Stats counts the volume's real I/O.  Everything here is a pure
@@ -149,7 +135,7 @@ type Store struct {
 	// tail holds the framed records of [size-len(tail), size): appended
 	// but not yet written to the file.
 	tail  []byte
-	index map[guid.GUID]map[int]ref
+	index archive.Table[ref]
 	live  int64 // bytes of records the index still references
 	stats Stats
 
@@ -169,7 +155,6 @@ type Store struct {
 // stores costs no file creation, and a crash before that flush recovers
 // as the empty volume it was.
 func Open(cfg Config) (*Store, error) {
-	cfg = cfg.withDefaults()
 	f, err := os.OpenFile(cfg.Path, os.O_RDWR, 0)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
@@ -208,7 +193,7 @@ func (s *Store) writeAt(b []byte, off int64) error {
 // after it, so recovery can never resurrect a fragment that might be
 // corrupt.
 func (s *Store) recoverScan() error {
-	s.index = make(map[guid.GUID]map[int]ref)
+	s.index = archive.Table[ref]{}
 	s.live = 0
 	var end int64
 	if s.f != nil {
@@ -258,10 +243,7 @@ func (s *Store) recoverScan() error {
 		}
 	}
 	s.size, s.synced = off, off
-	s.stats.RecoveredFrags = 0
-	for _, m := range s.index {
-		s.stats.RecoveredFrags += int64(len(m))
-	}
+	s.stats.RecoveredFrags = int64(s.index.Len())
 	return nil
 }
 
@@ -273,30 +255,14 @@ func (s *Store) apply(kind byte, payload []byte, r ref) error {
 		if err != nil {
 			return err
 		}
-		m := s.index[sf.Root]
-		if m == nil {
-			m = make(map[int]ref)
-			s.index[sf.Root] = m
-		}
-		if old, ok := m[sf.Index]; ok {
-			s.live -= old.size
-		}
-		m[sf.Index] = r
-		s.live += r.size
+		s.link(sf.Root, sf.Index, r)
 	case kindDrop:
 		root, idx, err := decodeDrop(payload)
 		if err != nil {
 			return err
 		}
-		if m := s.index[root]; m != nil {
-			if old, ok := m[idx]; ok {
-				s.live -= old.size
-				delete(m, idx)
-				if len(m) == 0 {
-					delete(s.index, root)
-				}
-			}
-		}
+		old, _ := s.index.Delete(root, idx)
+		s.live -= old.size
 	}
 	return nil
 }
@@ -399,18 +365,16 @@ func (s *Store) putRecord(sf archive.StoredFragment) error {
 	if err != nil {
 		return err
 	}
-	m := s.index[sf.Root]
-	if m == nil {
-		m = make(map[int]ref)
-		s.index[sf.Root] = m
-	}
-	if old, ok := m[sf.Index]; ok {
-		s.live -= old.size
-	}
-	m[sf.Index] = r
-	s.live += r.size
+	s.link(sf.Root, sf.Index, r)
 	s.stats.Puts++
 	return nil
+}
+
+// link points the index at r for (root, index); the record it
+// replaces, if any, is dead from now on.
+func (s *Store) link(root guid.GUID, index int, r ref) {
+	old, _ := s.index.Set(root, index, r)
+	s.live += r.size - old.size
 }
 
 // Get reads a fragment back — from disk, or from the tail when its
@@ -423,10 +387,11 @@ func (s *Store) Get(root guid.GUID, index int) (archive.StoredFragment, bool) {
 	if s.usable() != nil {
 		return archive.StoredFragment{}, false
 	}
-	r, ok := s.index[root][index]
-	if !ok {
+	p := s.index.Get(root, index)
+	if p == nil {
 		return archive.StoredFragment{}, false
 	}
+	r := *p
 	var rec []byte
 	if o := r.off - s.tailOff(); o >= 0 {
 		rec = s.tail[o : o+r.size] // decodePut copies out of it
@@ -448,37 +413,9 @@ func (s *Store) Get(root guid.GUID, index int) (archive.StoredFragment, bool) {
 	return sf, true
 }
 
-// Indexes lists the fragment indexes held for an archive, sorted.
-func (s *Store) Indexes(root guid.GUID) []int {
-	var out []int
-	for i := range s.index[root] {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Roots lists held archive roots in GUID order.
-func (s *Store) Roots() []guid.GUID {
-	out := make([]guid.GUID, 0, len(s.index))
-	for root, m := range s.index {
-		if len(m) > 0 {
-			out = append(out, root)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// Scan enumerates held (root, index) pairs in sorted order.
+// Scan enumerates held (root, index) pairs in the index's order.
 func (s *Store) Scan(fn func(root guid.GUID, index int) bool) {
-	for _, root := range s.Roots() {
-		for _, idx := range s.Indexes(root) {
-			if !fn(root, idx) {
-				return
-			}
-		}
-	}
+	s.index.Walk(func(root guid.GUID, index int, _ *ref) bool { return fn(root, index) })
 }
 
 // Drop appends a tombstone and forgets the fragment; the dead bytes
@@ -487,9 +424,7 @@ func (s *Store) Drop(root guid.GUID, index int) {
 	if s.usable() != nil {
 		return
 	}
-	m := s.index[root]
-	r, ok := m[index]
-	if !ok {
+	if s.index.Get(root, index) == nil {
 		return
 	}
 	start := len(s.tail)
@@ -497,11 +432,8 @@ func (s *Store) Drop(root guid.GUID, index int) {
 	if _, err := s.seal(start); err != nil {
 		return // crashed mid-tombstone: the index dies with the crash
 	}
-	s.live -= r.size
-	delete(m, index)
-	if len(m) == 0 {
-		delete(s.index, root)
-	}
+	old, _ := s.index.Delete(root, index)
+	s.live -= old.size
 	s.stats.Drops++
 	s.maybeCompact()
 }
@@ -633,11 +565,8 @@ func (s *Store) DeadBytes() int64 { return s.size - s.live }
 // maybeCompact triggers compaction once dead bytes pass both the
 // absolute floor and the dead fraction of the volume.
 func (s *Store) maybeCompact() {
-	if s.cfg.DisableAutoCompact {
-		return
-	}
 	dead := s.DeadBytes()
-	if dead >= s.cfg.CompactMinDead && float64(dead) >= s.cfg.CompactMinFrac*float64(s.size) {
+	if dead >= compactMinDead && float64(dead) >= compactMinFrac*float64(s.size) {
 		_ = s.Compact() // best effort; the old volume remains valid on failure
 	}
 }
@@ -662,35 +591,28 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return err
 	}
-	newIndex := make(map[guid.GUID]map[int]ref, len(s.index))
+	var newIndex archive.Table[ref]
 	var off int64
-	for _, root := range s.Roots() {
-		m := make(map[int]ref)
-		newIndex[root] = m
-		for _, idx := range s.Indexes(root) {
-			r := s.index[root][idx]
-			rec := make([]byte, r.size)
-			if _, err := s.f.ReadAt(rec, r.off); err != nil {
-				nf.Close()
-				os.Remove(tmpPath)
-				return err
-			}
-			s.stats.BytesRead += r.size
-			if _, err := nf.WriteAt(rec, off); err != nil {
-				nf.Close()
-				os.Remove(tmpPath)
-				return err
-			}
-			m[idx] = ref{off: off, size: r.size}
-			off += r.size
+	s.index.Walk(func(root guid.GUID, index int, r *ref) bool {
+		rec := make([]byte, r.size)
+		if _, err = s.f.ReadAt(rec, r.off); err != nil {
+			return false
 		}
+		s.stats.BytesRead += r.size
+		if _, err = nf.WriteAt(rec, off); err != nil {
+			return false
+		}
+		newIndex.Set(root, index, ref{off: off, size: r.size})
+		off += r.size
+		return true
+	})
+	if err == nil {
+		err = nf.Sync()
 	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(tmpPath)
-		return err
+	if err == nil {
+		err = os.Rename(tmpPath, s.cfg.Path)
 	}
-	if err := os.Rename(tmpPath, s.cfg.Path); err != nil {
+	if err != nil {
 		nf.Close()
 		os.Remove(tmpPath)
 		return err

@@ -1,10 +1,12 @@
 package blobstore
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -24,10 +26,9 @@ func mkFrags(t *testing.T, seed int64, size int) (guid.GUID, []archive.StoredFra
 	return root, frags
 }
 
-func openStore(t *testing.T, path string, cfg Config) *Store {
+func openStore(t *testing.T, path string) *Store {
 	t.Helper()
-	cfg.Path = path
-	s, err := Open(cfg)
+	s, err := Open(Config{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,22 +36,22 @@ func openStore(t *testing.T, path string, cfg Config) *Store {
 }
 
 // TestRoundTripAndReopen: fragments put and synced survive a close and
-// reopen byte-for-byte, and the store contract (sorted Indexes/Roots,
+// reopen byte-for-byte, and the store contract (sorted held indexes,
 // Put-verifies, Get-returns-equal) matches the in-memory NodeStore.
 func TestRoundTripAndReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 1, 3000)
-	s := openStore(t, path, Config{})
+	s := openStore(t, path)
 
-	// Store in scrambled order; Indexes must come back sorted (the
+	// Store in scrambled order; indexes must come back sorted (the
 	// same determinism contract NodeStore pins).
 	for _, i := range rand.New(rand.NewSource(2)).Perm(len(frags)) {
 		if err := s.Put(frags[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Indexes(root); !sort.IntsAreSorted(got) || len(got) != len(frags) {
-		t.Fatalf("Indexes wrong: %v", got)
+	if got := archive.HeldIndexes(s, root); !sort.IntsAreSorted(got) || len(got) != len(frags) {
+		t.Fatalf("held indexes wrong: %v", got)
 	}
 	// Garbage is refused at the door.
 	bad := frags[0]
@@ -63,7 +64,7 @@ func TestRoundTripAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := openStore(t, path, Config{})
+	s2 := openStore(t, path)
 	defer s2.Close()
 	if got := s2.Stats().RecoveredFrags; got != int64(len(frags)) {
 		t.Fatalf("recovered %d fragments, want %d", got, len(frags))
@@ -90,7 +91,7 @@ func TestRoundTripAndReopen(t *testing.T) {
 func TestDropTombstonesSurviveReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 3, 2000)
-	s := openStore(t, path, Config{DisableAutoCompact: true})
+	s := openStore(t, path)
 	for _, f := range frags {
 		if err := s.Put(f); err != nil {
 			t.Fatal(err)
@@ -105,10 +106,10 @@ func TestDropTombstonesSurviveReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := openStore(t, path, Config{DisableAutoCompact: true})
+	s2 := openStore(t, path)
 	defer s2.Close()
 	want := []int{0, 1, 3, 4, 6, 7}
-	if got := s2.Indexes(root); !reflect.DeepEqual(got, want) {
+	if got := archive.HeldIndexes(s2, root); !reflect.DeepEqual(got, want) {
 		t.Fatalf("indexes after reopen = %v, want %v", got, want)
 	}
 }
@@ -119,7 +120,7 @@ func TestDropTombstonesSurviveReopen(t *testing.T) {
 func TestCompactReclaimsDeadBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 7, 4000)
-	s := openStore(t, path, Config{DisableAutoCompact: true})
+	s := openStore(t, path)
 	for _, f := range frags {
 		if err := s.Put(f); err != nil {
 			t.Fatal(err)
@@ -147,19 +148,20 @@ func TestCompactReclaimsDeadBytes(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openStore(t, path, Config{})
+	s2 := openStore(t, path)
 	defer s2.Close()
-	if got := len(s2.Indexes(root)); got != 4 {
+	if got := len(archive.HeldIndexes(s2, root)); got != 4 {
 		t.Fatalf("compacted volume recovered %d fragments, want 4", got)
 	}
 }
 
 // TestAutoCompactTriggers: enough dropped weight trips the automatic
-// threshold without an explicit Compact call.
+// threshold without an explicit Compact call, and dead bytes past the
+// floor but under half the volume do not.
 func TestAutoCompactTriggers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
-	root, frags := mkFrags(t, 9, 8000)
-	s := openStore(t, path, Config{CompactMinDead: 1024, CompactMinFrac: 0.4})
+	root, frags := mkFrags(t, 9, 3*compactMinDead) // eight records of ¾ MiB
+	s := openStore(t, path)
 	defer s.Close()
 	for _, f := range frags {
 		if err := s.Put(f); err != nil {
@@ -167,6 +169,9 @@ func TestAutoCompactTriggers(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
+		if i == 3 && s.Stats().Compactions != 0 {
+			t.Fatalf("compacted with %d dead bytes of %d, under half the volume", s.DeadBytes(), s.Size())
+		}
 		s.Drop(root, frags[i].Index)
 	}
 	if s.Stats().Compactions == 0 {
@@ -185,7 +190,7 @@ func TestAutoCompactTriggers(t *testing.T) {
 func TestTamperPersistsRot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 11, 1500)
-	s := openStore(t, path, Config{})
+	s := openStore(t, path)
 	for _, f := range frags {
 		if err := s.Put(f); err != nil {
 			t.Fatal(err)
@@ -197,7 +202,7 @@ func TestTamperPersistsRot(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openStore(t, path, Config{})
+	s2 := openStore(t, path)
 	defer s2.Close()
 	g, ok := s2.Get(root, frags[3].Index)
 	if !ok {
@@ -224,7 +229,7 @@ func TestTamperPersistsRot(t *testing.T) {
 func TestPartialFsyncRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 13, 2500)
-	s := openStore(t, path, Config{})
+	s := openStore(t, path)
 	defer s.Close()
 	for _, f := range frags[:4] {
 		if err := s.Put(f); err != nil {
@@ -273,7 +278,7 @@ func TestPartialFsyncRecovery(t *testing.T) {
 	if err := s.Recover(false); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.Indexes(root)); got != len(frags) {
+	if got := len(archive.HeldIndexes(s, root)); got != len(frags) {
 		t.Fatalf("plain recovery kept %d fragments, want %d", got, len(frags))
 	}
 }
@@ -283,7 +288,7 @@ func TestPartialFsyncRecovery(t *testing.T) {
 func TestRecoveryIgnoresGarbageTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 17, 1000)
-	s := openStore(t, path, Config{})
+	s := openStore(t, path)
 	for _, f := range frags {
 		if err := s.Put(f); err != nil {
 			t.Fatal(err)
@@ -301,9 +306,9 @@ func TestRecoveryIgnoresGarbageTail(t *testing.T) {
 	f.Write(junk)
 	f.Close()
 
-	s2 := openStore(t, path, Config{})
+	s2 := openStore(t, path)
 	defer s2.Close()
-	if got := len(s2.Indexes(root)); got != len(frags) {
+	if got := len(archive.HeldIndexes(s2, root)); got != len(frags) {
 		t.Fatalf("garbage tail cost fragments: %d of %d", got, len(frags))
 	}
 	if s2.Stats().TruncatedBytes != int64(len(junk)) {
@@ -318,7 +323,7 @@ func TestRecoveryIgnoresGarbageTail(t *testing.T) {
 func TestReadYourUnsyncedWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 61, 1200)
-	s := openStore(t, path, Config{DisableAutoCompact: true})
+	s := openStore(t, path)
 	for _, f := range frags {
 		if err := s.Put(f); err != nil {
 			t.Fatal(err)
@@ -351,7 +356,7 @@ func TestReadYourUnsyncedWrites(t *testing.T) {
 		t.Fatalf("compaction left %d dead bytes", s.DeadBytes())
 	}
 	want := []int{0, 1, 3, 4, 5, 6, 7}
-	if got := s.Indexes(root); !reflect.DeepEqual(got, want) {
+	if got := archive.HeldIndexes(s, root); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after compacting a tail-resident log: %v, want %v", got, want)
 	}
 	if err := s.Put(frags[2]); err != nil {
@@ -368,7 +373,7 @@ func TestReadYourUnsyncedWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := openStore(t, path, Config{})
+	s2 := openStore(t, path)
 	defer s2.Close()
 	for _, f := range frags {
 		g, ok := s2.Get(root, f.Index)
@@ -386,7 +391,7 @@ func TestReadYourUnsyncedWrites(t *testing.T) {
 // record far larger than the cap does not leave its buffer pinned.
 func TestTailIsBounded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
-	s := openStore(t, path, Config{DisableAutoCompact: true})
+	s := openStore(t, path)
 	defer s.Close()
 	var roots []guid.GUID
 	var all [][]archive.StoredFragment
@@ -443,7 +448,7 @@ func TestOpenCreatesNoFile(t *testing.T) {
 		}
 	}
 
-	idle := openStore(t, path, Config{})
+	idle := openStore(t, path)
 	idle.Drop(root, 0)
 	if err := idle.Compact(); err != nil {
 		t.Fatal(err)
@@ -459,7 +464,7 @@ func TestOpenCreatesNoFile(t *testing.T) {
 	}
 	empty("after an idle store's whole life")
 
-	s := openStore(t, path, Config{})
+	s := openStore(t, path)
 	for _, f := range frags[:3] {
 		if err := s.Put(f); err != nil {
 			t.Fatal(err)
@@ -475,8 +480,8 @@ func TestOpenCreatesNoFile(t *testing.T) {
 	if err := s.Recover(true); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Roots()) != 0 || s.Size() != 0 {
-		t.Fatalf("crash before the first flush recovered %d roots, size %d", len(s.Roots()), s.Size())
+	if len(archive.HeldRoots(s)) != 0 || s.Size() != 0 {
+		t.Fatalf("crash before the first flush recovered %d roots, size %d", len(archive.HeldRoots(s)), s.Size())
 	}
 	empty("after a crash before the first flush")
 
@@ -494,9 +499,82 @@ func TestOpenCreatesNoFile(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openStore(t, path, Config{})
+	s2 := openStore(t, path)
 	defer s2.Close()
-	if got := s2.Indexes(root); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+	if got := archive.HeldIndexes(s2, root); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("reopen sees %v", got)
+	}
+}
+
+// oneFragRoots builds n archives and keeps one fragment of each — the
+// shape of a deep-archive server's volume, which holds a fragment of
+// each of many archives.
+func oneFragRoots(t *testing.T, n int) []archive.StoredFragment {
+	t.Helper()
+	out := make([]archive.StoredFragment, n)
+	data := make([]byte, 16)
+	for i := range out {
+		binary.BigEndian.PutUint64(data, uint64(i))
+		_, frags, err := archive.Encode(data, archive.Config{DataShards: 1, TotalFragments: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = frags[0]
+	}
+	return out
+}
+
+// TestScanAllocFree: Scan walks the index in place.  The scrub
+// scheduler enumerates every volume once per pass, and the archive's
+// held-fragment helpers go through Scan, so it must not build a sorted
+// copy of what it walks.
+func TestScanAllocFree(t *testing.T) {
+	s := openStore(t, filepath.Join(t.TempDir(), "vol.log"))
+	defer s.Close()
+	for _, f := range oneFragRoots(t, 500) {
+		if err := s.Put(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	visits := 0
+	count := func(guid.GUID, int) bool {
+		visits++
+		return true
+	}
+	if a := testing.AllocsPerRun(10, func() { s.Scan(count) }); a != 0 {
+		t.Fatalf("Scan allocated %.1f times per call, want 0", a)
+	}
+	if visits != 11*500 { // AllocsPerRun adds one warm-up call
+		t.Fatalf("Scan made %d visits, want %d", visits, 11*500)
+	}
+}
+
+// TestVolumeBytesPerFragment bounds the live heap a synced volume keeps
+// per fragment it holds: one index row (key and record ref) with its
+// share of slice growth, plus the volume's fixed costs spread thin.  A
+// map per root cost ≈340 B per fragment here.
+func TestVolumeBytesPerFragment(t *testing.T) {
+	const roots, bound = 5000, 64 * 1.25
+	frags := oneFragRoots(t, roots)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := openStore(t, filepath.Join(t.TempDir(), "vol.log"))
+	defer s.Close()
+	for _, f := range frags {
+		if err := s.Put(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(frags)
+	perFrag := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / roots
+	t.Logf("%.0f B of live heap per fragment over %d one-fragment roots", perFrag, roots)
+	if perFrag > bound {
+		t.Fatalf("%.0f B of live heap per fragment, bound %.0f", perFrag, bound)
 	}
 }

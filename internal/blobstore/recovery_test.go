@@ -23,7 +23,7 @@ func TestTornWriteEveryOffset(t *testing.T) {
 func tornWriteEveryOffset(t *testing.T, nPrefix int) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 41, 400)
-	s := openStore(t, path, Config{DisableAutoCompact: true})
+	s := openStore(t, path)
 	defer func() { s.Close() }()
 
 	// Durable prefix: nPrefix synced fragments.
@@ -55,7 +55,7 @@ func tornWriteEveryOffset(t *testing.T, nPrefix int) {
 				t.Fatalf("offset %d: synced fragment %d corrupt after recovery", j, f.Index)
 			}
 		}
-		if got := len(s.Indexes(root)); got > len(prefix)+1 {
+		if got := len(archive.HeldIndexes(s, root)); got > len(prefix)+1 {
 			t.Fatalf("offset %d: recovery invented fragments: %d held", j, got)
 		}
 	}
@@ -67,7 +67,7 @@ func tornWriteEveryOffset(t *testing.T, nPrefix int) {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 				t.Fatal(err)
 			}
-			s = openStore(t, path, Config{DisableAutoCompact: true})
+			s = openStore(t, path)
 		}
 		s.TearNextAppend(j)
 		if err := s.Put(victim); err != ErrCrashed {
@@ -87,8 +87,8 @@ func tornWriteEveryOffset(t *testing.T, nPrefix int) {
 			if got := s.Size(); got != base {
 				t.Fatalf("offset %d: torn tail not truncated: size %d, want %d", j, got, base)
 			}
-			if !reflect.DeepEqual(s.Indexes(root), prefixIdx) {
-				t.Fatalf("offset %d: index %v, want exactly the synced prefix %v", j, s.Indexes(root), prefixIdx)
+			if !reflect.DeepEqual(archive.HeldIndexes(s, root), prefixIdx) {
+				t.Fatalf("offset %d: index %v, want exactly the synced prefix %v", j, archive.HeldIndexes(s, root), prefixIdx)
 			}
 		} else {
 			// The full record hit the file before the crash; recovery
@@ -129,7 +129,7 @@ func tornWriteEveryOffset(t *testing.T, nPrefix int) {
 func TestTornWriteThenMoreWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 43, 600)
-	s := openStore(t, path, Config{DisableAutoCompact: true})
+	s := openStore(t, path)
 	for _, f := range frags[:2] {
 		if err := s.Put(f); err != nil {
 			t.Fatal(err)
@@ -154,10 +154,10 @@ func TestTornWriteThenMoreWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := openStore(t, path, Config{})
+	s2 := openStore(t, path)
 	defer s2.Close()
 	want := []int{0, 1, 2, 3, 4}
-	if got := s2.Indexes(root); !reflect.DeepEqual(got, want) {
+	if got := archive.HeldIndexes(s2, root); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fresh open sees %v, want %v", got, want)
 	}
 	for _, idx := range want {
@@ -197,7 +197,7 @@ func tornFlushEveryOffset(t *testing.T, nSynced int) {
 	check := func(j int, dropUnsynced bool) {
 		path := filepath.Join(dir, "vol.log")
 		os.Remove(path)
-		s := openStore(t, path, Config{DisableAutoCompact: true})
+		s := openStore(t, path)
 		for _, f := range synced {
 			if err := s.Put(f); err != nil {
 				t.Fatal(err)
@@ -247,7 +247,7 @@ func tornFlushEveryOffset(t *testing.T, nSynced int) {
 					t.Fatalf("offset %d drop=%v: %s lost or mangled fragment %d", j, dropUnsynced, who, f.Index)
 				}
 			}
-			if got := st.Indexes(root); !reflect.DeepEqual(got, wantIdx) {
+			if got := archive.HeldIndexes(st, root); !reflect.DeepEqual(got, wantIdx) {
 				t.Fatalf("offset %d drop=%v: %s holds %v, want %v", j, dropUnsynced, who, got, wantIdx)
 			}
 			if got := st.Size(); got != wantSize {
@@ -258,7 +258,7 @@ func tornFlushEveryOffset(t *testing.T, nSynced int) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2 := openStore(t, path, Config{DisableAutoCompact: true})
+		s2 := openStore(t, path)
 		verify(s2, "fresh open")
 		s2.Close()
 	}
@@ -274,7 +274,7 @@ func tornFlushEveryOffset(t *testing.T, nSynced int) {
 func TestTearFlushesTailAhead(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.log")
 	root, frags := mkFrags(t, 53, 400)
-	s := openStore(t, path, Config{DisableAutoCompact: true})
+	s := openStore(t, path)
 	defer s.Close()
 	for _, f := range frags[:3] {
 		if err := s.Put(f); err != nil {
@@ -291,7 +291,7 @@ func TestTearFlushesTailAhead(t *testing.T) {
 	if err := s.Recover(false); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Indexes(root), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
+	if got, want := archive.HeldIndexes(s, root), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("tear kept %v, want every completed append %v", got, want)
 	}
 	if s.Stats().TruncatedBytes != 7 {

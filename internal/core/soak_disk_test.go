@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"oceanstore/internal/guid"
 	"oceanstore/internal/workload"
 )
 
@@ -87,9 +88,10 @@ func TestSoakDiskWorldSurvivesReopen(t *testing.T) {
 	}
 	held := 0
 	for _, id := range w.Pool.Arch.StoreNodes() {
-		for _, root := range w.Pool.Arch.RootsHeldBy(id) {
-			held += len(w.Pool.Arch.Store(id).Indexes(root))
-		}
+		w.Pool.Arch.Store(id).Scan(func(guid.GUID, int) bool {
+			held++
+			return true
+		})
 	}
 	if held == 0 {
 		t.Fatal("no fragments stored at construction")

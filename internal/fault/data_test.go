@@ -109,7 +109,7 @@ func TestDiskWipeEmptiesStores(t *testing.T) {
 	}
 	for _, v := range victims {
 		for _, root := range svc.Roots() {
-			if len(svc.Store(v).Indexes(root)) != 0 {
+			if len(archive.HeldIndexes(svc.Store(v), root)) != 0 {
 				t.Fatalf("node %d still holds fragments of %v", v, root)
 			}
 		}
