@@ -56,6 +56,45 @@ func TestDuplicateCommitReturnsLoggedOutcome(t *testing.T) {
 	}
 }
 
+// TestCheckpointCoversItsWindow: a commit a checkpoint already covers
+// can still arrive after it — the tree push that was in flight while a
+// secondary joined, or a late push after an adoption.  It must be a
+// duplicate, answered with the logged outcome: the copied window is not
+// a commit, and neither is the late arrival.
+func TestCheckpointCoversItsWindow(t *testing.T) {
+	k := testKey(77) // commitChain's key
+	v0 := object.NewObject([]byte("base."), 8, k)
+	src := New(v0)
+	commitChain(t, src, 3, 1, 10)
+	covered := src.Log.Entries()[2]
+	want := read(t, src.CommittedState(), k)
+
+	joiner := NewAt(src.Checkpoint())
+	adopter := New(v0)
+	adopter.AddTentative(covered.Update) // its Fig-5a copy got there first
+	adopter.AdoptCheckpoint(src.Checkpoint())
+	for name, r := range map[string]*Replica{"joined": joiner, "adopted": adopter} {
+		reg := obs.NewRegistry()
+		r.Instrument(NewFamilies(reg), 1)
+		if got := r.Commit(covered.Update, 50); got != covered.Outcome {
+			t.Fatalf("%s: late push answered %+v, logged %+v", name, got, covered.Outcome)
+		}
+		if r.CommittedLen() != src.CommittedLen() || r.TentativeLen() != 0 {
+			t.Fatalf("%s: committed %d (source %d), tentative %d",
+				name, r.CommittedLen(), src.CommittedLen(), r.TentativeLen())
+		}
+		if got := read(t, r.CommittedState(), k); got != want {
+			t.Fatalf("%s: state %q, source %q", name, got, want)
+		}
+		if c, a := r.Log.Counts(); c != 0 || a != 0 {
+			t.Fatalf("%s: log tallies %d+%d, want the copy uncounted", name, c, a)
+		}
+		if got := reg.CounterValue(1, "epidemic", "dup_commits"); got != 1 {
+			t.Fatalf("%s: dup_commits = %d, want 1", name, got)
+		}
+	}
+}
+
 // TestDedupTableTracksItsWindows: with retention on, the one table
 // holds exactly the IDs in the dedup queue plus the live tentative
 // updates — through commits, pruning, and expiry.

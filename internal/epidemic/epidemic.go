@@ -138,17 +138,12 @@ func New(v0 *object.Version) *Replica {
 	}
 }
 
-// NewAt creates a replica whose base already incorporates the first
-// `committed` updates of the final order — a checkpoint join.  A
+// NewAt creates a replica from a checkpoint — a checkpoint join.  A
 // secondary added mid-run starts here instead of replaying the whole
-// history; vv0 (may be nil) seeds the version vector from the source.
-func NewAt(v0 *object.Version, committed int, vv0 map[guid.GUID]uint64) *Replica {
-	r := New(v0)
-	r.committedBase = committed
-	r.Log.Rebase(committed)
-	for c, s := range vv0 {
-		r.vv[c] = s
-	}
+// history.
+func NewAt(c Checkpoint) *Replica {
+	r := New(c.Base)
+	r.AdoptCheckpoint(c)
 	return r
 }
 
@@ -310,7 +305,7 @@ func AntiEntropy(a, b *Replica, now time.Duration) int {
 	}
 	if lag := a.CommittedLen() - b.CommittedLen(); lag > len(a.committed) {
 		// b is missing updates a no longer retains: state transfer.
-		b.adoptCheckpoint(a, now)
+		b.AdoptCheckpoint(a.Checkpoint())
 		moved++
 	} else if lag > 0 {
 		for _, u := range a.committed[len(a.committed)-lag:] {

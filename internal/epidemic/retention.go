@@ -1,10 +1,12 @@
 package epidemic
 
 import (
+	"slices"
 	"time"
 
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
+	"oceanstore/internal/update"
 )
 
 // Retention bounds a replica's resident state so a long soak run's
@@ -114,36 +116,60 @@ func (r *Replica) pruneCommitted() {
 	}
 }
 
-// adoptCheckpoint fast-forwards r from a peer that has pruned the
-// updates r is missing: r adopts the peer's base state wholesale (the
-// state-transfer arm of anti-entropy).
-func (r *Replica) adoptCheckpoint(from *Replica, now time.Duration) {
-	r.AdoptCheckpoint(from.base, from.CommittedLen(), from.vv)
-	_ = now
+// Checkpoint is a replica's committed state in transferable form: the
+// object after Len() serialised updates, the log window that ends
+// there, and the version vector.  The window is what lets the receiver
+// recognise a commit the checkpoint already covers when it arrives
+// late — a tree push that was in flight while the checkpoint moved.
+type Checkpoint struct {
+	Base *object.Version
+	// Start is the log position of Window[0].
+	Start  int
+	Window []update.LogEntry
+	VV     map[guid.GUID]uint64
 }
 
-// AdoptCheckpoint installs a transferred checkpoint: base state after
-// committedLen serialised updates, plus the checkpoint's version
-// vector.  Committed versions are immutable, so sharing the base
-// pointer is safe.  The version vector merges up; tentative updates
-// the adopted prefix already covers stay until they expire (their
-// replay is idempotent against newer state for at most one expiry
-// window).  A checkpoint older than the replica's own state is
-// ignored.
-func (r *Replica) AdoptCheckpoint(base *object.Version, committedLen int, vv map[guid.GUID]uint64) {
-	if committedLen <= r.CommittedLen() {
+// Len is how many serialised updates the checkpoint covers.
+func (c Checkpoint) Len() int { return c.Start + len(c.Window) }
+
+// Checkpoint captures r's committed state.  The window and vector are
+// copies; committed versions are immutable, so Base is shared.
+func (r *Replica) Checkpoint() Checkpoint {
+	return Checkpoint{Base: r.base, Start: r.Log.Start(), Window: r.Log.Entries(), VV: r.VersionVector()}
+}
+
+// AdoptCheckpoint installs a transferred checkpoint: r's base becomes
+// the checkpoint's, its log window the checkpoint's window (copied in,
+// not counted as commits), and its dedup table forgets its own
+// committed IDs and learns the window's.  Tentative updates the window
+// covers are committed now and leave the tentative set; the version
+// vector merges up.  A checkpoint no further along than r is ignored.
+func (r *Replica) AdoptCheckpoint(c Checkpoint) {
+	if c.Len() <= r.CommittedLen() {
 		return
 	}
-	r.base = base
-	r.committedBase = committedLen
-	for i := range r.committed {
-		r.committed[i] = nil
-	}
+	r.base = c.Base
+	r.committedBase = c.Len()
+	clear(r.committed)
 	r.committed = r.committed[:0]
-	r.Log.Rebase(committedLen)
-	for c, s := range vv {
-		if s > r.vv[c] {
-			r.vv[c] = s
+	for id, d := range r.known {
+		if d.committed {
+			delete(r.known, id)
+		}
+	}
+	r.dedupQ = r.dedupQ[:0]
+	r.Log.Rebase(c.Start, c.Window)
+	for _, e := range c.Window {
+		id := e.Update.ID()
+		r.known[id] = dedup{committed: true, out: e.Outcome}
+		if r.ret.CommitWindow > 0 {
+			r.dedupQ = append(r.dedupQ, id)
+		}
+	}
+	r.tentative = slices.DeleteFunc(r.tentative, func(u *update.Update) bool { return r.known[u.ID()].committed })
+	for cl, s := range c.VV {
+		if s > r.vv[cl] {
+			r.vv[cl] = s
 		}
 	}
 	r.om.checkpoints.Inc()

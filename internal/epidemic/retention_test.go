@@ -136,7 +136,7 @@ func TestAdoptCheckpointIgnoresStale(t *testing.T) {
 	commitChain(t, r, 5, 1, 1000)
 	before := read(t, r.CommittedState(), k)
 	// A checkpoint at or behind the replica's own progress is a no-op.
-	r.AdoptCheckpoint(object.NewObject([]byte("bogus"), 8, k), 5, nil)
+	r.AdoptCheckpoint(Checkpoint{Base: object.NewObject([]byte("bogus"), 8, k), Start: 5})
 	if r.CommittedLen() != 5 || read(t, r.CommittedState(), k) != before {
 		t.Fatal("stale checkpoint was adopted")
 	}
@@ -147,7 +147,7 @@ func TestNewAtJoinsAtCheckpoint(t *testing.T) {
 	v0 := object.NewObject([]byte("base."), 8, k)
 	a := New(v0)
 	commitChain(t, a, 6, 1, 1000)
-	joiner := NewAt(a.CommittedState(), a.CommittedLen(), a.VersionVector())
+	joiner := NewAt(a.Checkpoint())
 	if joiner.CommittedLen() != a.CommittedLen() {
 		t.Fatalf("joiner at %d, want %d", joiner.CommittedLen(), a.CommittedLen())
 	}

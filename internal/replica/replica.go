@@ -268,17 +268,14 @@ func (r *Ring) AddSecondary(node simnet.NodeID) (*Secondary, error) {
 	if err := r.tree.Join(node); err != nil {
 		return nil, err
 	}
-	var rep *epidemic.Replica
+	rep := epidemic.New(r.primaryState.CommittedState())
+	rep.SetRetention(r.cfg.Retention)
+	rep.Log.SetCap(r.cfg.LogCap)
 	if r.cfg.Retention != (epidemic.Retention{}) {
 		// Checkpoint join: start at the primary's committed state instead
 		// of replaying the whole history (which may be pruned anyway).
-		rep = epidemic.NewAt(r.primaryState.CommittedState(),
-			r.primaryState.CommittedLen(), r.primaryState.VersionVector())
-	} else {
-		rep = epidemic.New(r.primaryState.CommittedState())
+		rep.AdoptCheckpoint(r.primaryState.Checkpoint())
 	}
-	rep.SetRetention(r.cfg.Retention)
-	rep.Log.SetCap(r.cfg.LogCap)
 	sec := &Secondary{Node: node, Rep: rep}
 	sec.Rep.Instrument(r.obsEpi, int(node))
 	if r.cfg.Retention == (epidemic.Retention{}) {
@@ -497,7 +494,7 @@ func (r *Ring) Refresh(node simnet.NodeID, cb func()) error {
 			if have := sec.Rep.CommittedLen(); have < p.Start {
 				// The parent evicted entries this replica never saw:
 				// state transfer instead of replay.
-				sec.Rep.AdoptCheckpoint(p.Base, p.Len, p.VV)
+				sec.Rep.AdoptCheckpoint(epidemic.Checkpoint{Base: p.Base, Start: p.Start, Window: p.Entries, VV: p.VV})
 			} else if from := have - p.Start; from < len(p.Entries) {
 				for _, e := range p.Entries[from:] {
 					sec.Rep.Commit(e.Update, r.net.K.Now())

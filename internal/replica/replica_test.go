@@ -8,6 +8,7 @@ import (
 	"oceanstore/internal/archive"
 	"oceanstore/internal/byz"
 	"oceanstore/internal/crypt"
+	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 	"oceanstore/internal/sim"
@@ -215,6 +216,41 @@ func TestLowBandwidthInvalidationAndRefresh(t *testing.T) {
 	}
 	if got := w.read(t, sec.Rep.CommittedState()); got != "base.bulk" {
 		t.Fatalf("refreshed state %q", got)
+	}
+}
+
+// TestJoinDuringPushAppliesOnce: a secondary that joins after the
+// primary executed an update but before that update's tree push starts
+// from a checkpoint that already covers it.  The push must arrive as a
+// duplicate: a second application would run the secondary's log one
+// position ahead of the primary's.
+func TestJoinDuringPushAppliesOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Archive = archive.Config{DataShards: 4, TotalFragments: 8}
+	cfg.Retention = epidemic.Retention{CommitWindow: 128}
+	w := newWorld(t, 11, cfg)
+	if _, err := w.ring.AddSecondary(simnet.NodeID(4)); err != nil {
+		t.Fatal(err)
+	}
+	var joined *Secondary
+	w.ring.OnCommit(func(*update.Update, update.Outcome) {
+		if joined == nil {
+			var err error
+			if joined, err = w.ring.AddSecondary(simnet.NodeID(5)); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	w.ring.Submit(w.client, w.appendUpdate(t, "once"), 0, nil)
+	w.k.RunFor(30 * time.Second)
+	if joined == nil {
+		t.Fatal("the update never committed")
+	}
+	if got, want := joined.Rep.CommittedLen(), w.ring.PrimaryState().CommittedLen(); got != want {
+		t.Fatalf("joined secondary at log position %d, primary at %d", got, want)
+	}
+	if got := w.read(t, joined.Rep.CommittedState()); got != "base.once" {
+		t.Fatalf("joined secondary state %q", got)
 	}
 }
 

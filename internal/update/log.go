@@ -43,14 +43,13 @@ func (l *Log) SetCap(n int) { l.cap = n }
 // retained window covers log positions [Start, Start+len(Entries)).
 func (l *Log) Start() int { return l.start }
 
-// Rebase clears the retained window and restarts the log at position
-// start — a checkpoint transfer: entries before start exist only as
-// applied state elsewhere.  Running tallies are kept.
-func (l *Log) Rebase(start int) {
-	for i := range l.entries {
-		l.entries[i] = LogEntry{}
-	}
-	l.entries = l.entries[:0]
+// Rebase replaces the retained window with a copy of window, starting
+// at log position start — a checkpoint transfer: entries before start
+// exist only as applied state elsewhere.  The copied entries are not
+// appends, so running tallies are kept as they were.
+func (l *Log) Rebase(start int, window []LogEntry) {
+	clear(l.entries)
+	l.entries = append(l.entries[:0], window...)
 	l.start = start
 }
 

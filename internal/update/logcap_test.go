@@ -51,16 +51,18 @@ func TestLogRebase(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Append(logEntryUpdate(i), Outcome{Committed: true}, 0)
 	}
-	l.Rebase(9)
-	if l.Start() != 9 || len(l.Entries()) != 0 || l.Len() != 9 {
+	window := []LogEntry{{Update: logEntryUpdate(7)}, {Update: logEntryUpdate(8)}}
+	l.Rebase(7, window)
+	window[0] = LogEntry{} // the log holds its own copy
+	if l.Start() != 7 || len(l.Entries()) != 2 || l.Len() != 9 || l.Entries()[0].Update.Seq != 7 {
 		t.Fatalf("after rebase: start %d, retained %d, len %d", l.Start(), len(l.Entries()), l.Len())
 	}
-	if c, _ := l.Counts(); c != 5 {
-		t.Fatalf("commit tally %d lost by rebase", c)
+	if c, a := l.Counts(); c != 5 || a != 0 {
+		t.Fatalf("tallies %d+%d after rebase, want the 5 appends only", c, a)
 	}
 	l.Append(logEntryUpdate(100), Outcome{Committed: true}, 0)
-	if es := l.Entries(); len(es) != 1 || es[0].Update.Seq != 100 {
-		t.Fatalf("rebased log retains %d entries, want just the new one", len(es))
+	if es := l.Entries(); len(es) != 3 || es[2].Update.Seq != 100 {
+		t.Fatalf("rebased log retains %d entries, want the window and the new one", len(es))
 	}
 	if l.Len() != 10 {
 		t.Fatalf("Len %d after rebase+append, want 10", l.Len())
