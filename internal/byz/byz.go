@@ -250,11 +250,6 @@ type Group struct {
 	// pre-prepare a request it saw before voting a view change.
 	RequestTimeout time.Duration
 
-	// retainExecuted keeps the full per-replica execution order (the
-	// Executed diagnostic).  On by default; soak worlds switch it off so
-	// the order — useful only to tests — doesn't grow with traffic.
-	retainExecuted bool
-
 	// reqFree recycles client-side per-request records (reqState).
 	reqFree []*reqState
 
@@ -310,7 +305,6 @@ func NewGroup(net *simnet.Network, nodes []simnet.NodeID, f int) (*Group, error)
 		f:              f,
 		clients:        make(map[simnet.NodeID]*clientState),
 		RequestTimeout: 3 * time.Second,
-		retainExecuted: true,
 	}
 	for i := range nodes {
 		g.replicas = append(g.replicas, newReplica(g, i))
@@ -359,18 +353,8 @@ func (g *Group) F() int { return g.f }
 // SetFault injects a failure mode into replica i.
 func (g *Group) SetFault(i int, f Fault) { g.replicas[i].fault = f }
 
-// SetRetainExecuted toggles retention of the full execution order
-// (Executed); disable on long runs where nothing reads it.
-func (g *Group) SetRetainExecuted(on bool) { g.retainExecuted = on }
-
 // SetExecutor installs the committed-update callback on replica i.
 func (g *Group) SetExecutor(i int, e Executor) { g.replicas[i].exec = e }
-
-// Executed returns the IDs executed by replica i, in order — the
-// serialisation the tier chose, for checking agreement in tests.
-func (g *Group) Executed(i int) []guid.GUID {
-	return append([]guid.GUID(nil), g.replicas[i].executed...)
-}
 
 // reqState is one outstanding request's reply bookkeeping: per-replica
 // (seq, digest, signature) votes in flat arrays indexed by replica id.

@@ -28,6 +28,17 @@ func tier(t *testing.T, n, f int, seed int64) (*sim.Kernel, *simnet.Network, *Gr
 	return k, net, g, client
 }
 
+// record installs an executor on every replica that appends the IDs it
+// executes to order[i], in execution order — the serialisation the tier
+// chose.  Only honest replicas run their executors.
+func record(g *Group) (order [][]guid.GUID) {
+	order = make([][]guid.GUID, g.N())
+	for i := range order {
+		g.SetExecutor(i, func(_ uint64, r Request) { order[i] = append(order[i], r.ID) })
+	}
+	return order
+}
+
 func req(name string, size int) Request {
 	return Request{ID: guid.FromData([]byte(name)), Payload: name, Size: size}
 }
@@ -52,6 +63,7 @@ func TestGeometryValidation(t *testing.T) {
 
 func TestCommitHappyPath(t *testing.T) {
 	k, _, g, client := tier(t, 4, 1, 2)
+	order := record(g)
 	var res *Result
 	g.Submit(client, req("u1", 1000), func(r Result) { res = &r })
 	k.RunFor(5 * time.Second)
@@ -60,7 +72,7 @@ func TestCommitHappyPath(t *testing.T) {
 	}
 	// All honest replicas executed the same single request.
 	for i := 0; i < 4; i++ {
-		ex := g.Executed(i)
+		ex := order[i]
 		if len(ex) != 1 || ex[0] != guid.FromData([]byte("u1")) {
 			t.Fatalf("replica %d executed %v", i, ex)
 		}
@@ -91,6 +103,7 @@ func TestSixPhaseLatencyUnderOneSecond(t *testing.T) {
 
 func TestSerializationAgreesAcrossReplicas(t *testing.T) {
 	k, _, g, client := tier(t, 7, 2, 4)
+	order := record(g)
 	done := 0
 	for i := 0; i < 10; i++ {
 		g.Submit(client, req(string(rune('a'+i)), 500), func(Result) { done++ })
@@ -99,12 +112,12 @@ func TestSerializationAgreesAcrossReplicas(t *testing.T) {
 	if done != 10 {
 		t.Fatalf("committed %d/10", done)
 	}
-	base := g.Executed(0)
+	base := order[0]
 	if len(base) != 10 {
 		t.Fatalf("replica 0 executed %d", len(base))
 	}
 	for i := 1; i < 7; i++ {
-		ex := g.Executed(i)
+		ex := order[i]
 		if len(ex) != len(base) {
 			t.Fatalf("replica %d executed %d, want %d", i, len(ex), len(base))
 		}
@@ -148,6 +161,7 @@ func TestToleratesFCrashedBackups(t *testing.T) {
 
 func TestToleratesFLyingReplicas(t *testing.T) {
 	k, _, g, client := tier(t, 7, 2, 7)
+	order := record(g)
 	g.SetFault(2, Lying)
 	g.SetFault(6, Lying)
 	var res *Result
@@ -161,7 +175,7 @@ func TestToleratesFLyingReplicas(t *testing.T) {
 	}
 	// Honest replicas executed the true request.
 	for _, i := range []int{0, 1, 3, 4, 5} {
-		ex := g.Executed(i)
+		ex := order[i]
 		if len(ex) != 1 || ex[0] != guid.FromData([]byte("u")) {
 			t.Fatalf("replica %d executed %v", i, ex)
 		}
@@ -183,6 +197,7 @@ func TestMoreThanFCrashedStalls(t *testing.T) {
 
 func TestViewChangeOnCrashedPrimary(t *testing.T) {
 	k, _, g, client := tier(t, 7, 2, 9)
+	order := record(g)
 	g.SetFault(0, Crashed) // view 0's primary
 	var res *Result
 	g.Submit(client, req("u", 1000), func(r Result) { res = &r })
@@ -193,7 +208,7 @@ func TestViewChangeOnCrashedPrimary(t *testing.T) {
 	// Surviving replicas agree on execution.
 	var base []guid.GUID
 	for i := 1; i < 7; i++ {
-		ex := g.Executed(i)
+		ex := order[i]
 		if len(ex) == 0 {
 			t.Fatalf("replica %d executed nothing", i)
 		}
@@ -271,14 +286,15 @@ func sends(net *simnet.Network, fn func()) map[string]int {
 // new.
 func TestDuplicateSubmitIgnored(t *testing.T) {
 	k, net, g, client := tier(t, 4, 1, 12)
+	order := record(g)
 	count := 0
 	r := req("dup", 500)
 	g.Submit(client, r, func(Result) { count++ })
 	k.RunFor(5 * time.Second)
 	g.Submit(client, r, func(Result) { count++ })
 	k.RunFor(5 * time.Second)
-	if len(g.Executed(1)) != 1 {
-		t.Fatalf("duplicate executed: %v", g.Executed(1))
+	if len(order[1]) != 1 {
+		t.Fatalf("duplicate executed: %v", order[1])
 	}
 	if count != 1 {
 		t.Fatalf("callbacks fired %d times", count)
@@ -329,6 +345,7 @@ func (r *replica) slotCount() int {
 
 func TestCheckpointTruncatesLog(t *testing.T) {
 	k, _, g, client := tier(t, 4, 1, 13)
+	order := record(g)
 	const total = checkpointWindow + 40
 	done := 0
 	for i := 0; i < total; i++ {
@@ -346,7 +363,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 		}
 	}
 	// Execution history remains complete and ordered.
-	ex := g.Executed(0)
+	ex := order[0]
 	if len(ex) != total {
 		t.Fatalf("executed %d", len(ex))
 	}

@@ -112,10 +112,9 @@ type replica struct {
 	// outside [floor, floor+windowSpan) — a stale vote from below the
 	// checkpoint, or whatever a lying primary cares to forge — gets its
 	// slot in far instead, so no message can size the window.
-	floor    uint64
-	window   []*slot
-	far      map[uint64]*slot
-	executed []guid.GUID
+	floor  uint64
+	window []*slot
+	far    map[uint64]*slot
 	// reqs holds one record per request in flight.
 	reqs map[guid.GUID]*reqRec
 	// done maps each of the last doneWindow executed request IDs to the
@@ -494,7 +493,7 @@ func (r *replica) executeReady() {
 		if s == nil || !s.committed {
 			return
 		}
-		req, digest := s.req, s.digest
+		req := s.req
 		r.execCursor++
 		if len(r.window) > 0 {
 			r.window = slices.Delete(r.window, 0, 1)
@@ -524,9 +523,6 @@ func (r *replica) executeReady() {
 				orec.assigned = false
 				r.release(old, orec)
 			}
-		}
-		if r.g.retainExecuted {
-			r.executed = append(r.executed, digest)
 		}
 		r.g.om.executes.Inc()
 		if r.exec != nil && r.fault == Honest {

@@ -11,6 +11,7 @@ func TestCascadedViewChanges(t *testing.T) {
 	// Primaries of view 0 AND view 1 are dead: liveness requires two
 	// successive view changes before view 2's primary commits.
 	k, _, g, client := tier(t, 7, 2, 40)
+	order := record(g)
 	g.SetFault(0, Crashed) // view 0 primary
 	g.SetFault(1, Crashed) // view 1 primary
 	var res *Result
@@ -21,7 +22,7 @@ func TestCascadedViewChanges(t *testing.T) {
 	}
 	// All survivors executed the same update.
 	for i := 2; i < 7; i++ {
-		ex := g.Executed(i)
+		ex := order[i]
 		if len(ex) != 1 || ex[0] != guid.FromData([]byte("double-crash")) {
 			t.Fatalf("replica %d executed %v", i, ex)
 		}
@@ -30,6 +31,7 @@ func TestCascadedViewChanges(t *testing.T) {
 
 func TestUpdatesAfterViewChangeKeepSerializing(t *testing.T) {
 	k, _, g, client := tier(t, 7, 2, 41)
+	order := record(g)
 	g.SetFault(0, Crashed)
 	done := 0
 	for i := 0; i < 3; i++ {
@@ -40,9 +42,9 @@ func TestUpdatesAfterViewChangeKeepSerializing(t *testing.T) {
 		t.Fatalf("committed %d/3 after view change", done)
 	}
 	// Order agreement among survivors.
-	base := g.Executed(1)
+	base := order[1]
 	for i := 2; i < 7; i++ {
-		ex := g.Executed(i)
+		ex := order[i]
 		if len(ex) != len(base) {
 			t.Fatalf("replica %d executed %d, want %d", i, len(ex), len(base))
 		}
@@ -58,6 +60,7 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 	// Primary crashes AFTER some commits; later updates need the view
 	// change, and the already-executed prefix stays intact.
 	k, _, g, client := tier(t, 7, 2, 42)
+	order := record(g)
 	first := false
 	g.Submit(client, req("early", 500), func(Result) { first = true })
 	k.RunFor(10 * time.Second)
@@ -72,7 +75,7 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 		t.Fatal("post-crash update did not commit")
 	}
 	for i := 1; i < 7; i++ {
-		ex := g.Executed(i)
+		ex := order[i]
 		if len(ex) != 2 || ex[0] != guid.FromData([]byte("early")) || ex[1] != guid.FromData([]byte("late")) {
 			t.Fatalf("replica %d executed %v", i, ex)
 		}

@@ -201,10 +201,8 @@ func (p *Pool) CreateObject(owner *crypt.Signer, name string, initial []byte, ke
 		return guid.Zero, fmt.Errorf("core: object %q already exists", name)
 	}
 	v0 := object.NewObject(initial, p.cfg.BlockSize, key)
-	cfg := p.cfg.Ring
-	cfg.Faults = p.cfg.Faults
 	primaries := p.pickPrimaries()
-	ring, err := replica.NewRing(p.Net, primaries, v0, obj, p.Arch, cfg)
+	ring, err := replica.NewRing(p.Net, primaries, v0, obj, p.Arch, p.cfg.Ring)
 	if err != nil {
 		return guid.Zero, err
 	}

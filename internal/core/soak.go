@@ -182,33 +182,16 @@ type SoakWorld struct {
 // virtual client.  All clients share the owner's key ring, so any
 // client can read and write any object.
 func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
-	// Retention bounds (DESIGN.md §12): a tentative update either
-	// resolves within the session write timeout or was abandoned; one
-	// timeout plus two gossip periods covers any copy still in flight,
-	// so expiry only ever drops dead weight.  Committed state beyond a
-	// small window survives as applied state; laggards catch up by
-	// checkpoint transfer.  Without these bounds a million-op run keeps
-	// every update alive forever and replays dead tentative entries on
-	// every read — the O(ops²) wall the soak hit.
-	tentativeExpire := soakWriteTimeout + 2*soakGossipInterval
 	pc := PoolConfig{
 		Nodes:     cfg.Nodes,
 		Domains:   cfg.Domains,
 		Faults:    soakFaults,
 		BlockSize: cfg.BlockSize,
 		Ring: replica.Config{
-			Faults:         soakFaults,
 			ArchiveEvery:   cfg.ArchiveEvery,
 			Archive:        archive.Config{DataShards: 4, TotalFragments: 8},
 			GossipInterval: soakGossipInterval,
-			TreeFanout:     4,
-			Retention: epidemic.Retention{
-				TentativeExpire: tentativeExpire,
-				CommitWindow:    128,
-			},
-			LogCap:       256,
-			HistoryBound: soakRetainVersions,
-			DropExecuted: true,
+			HistoryBound:   soakRetainVersions,
 		},
 		Extent:         cfg.Extent,
 		BaseLatency:    soakBaseLatency,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"oceanstore/internal/epidemic"
 	"oceanstore/internal/obs"
 	"oceanstore/internal/workload"
 )
@@ -151,6 +152,16 @@ func TestSoakWorldGrowth(t *testing.T) {
 	}
 }
 
+// TestTentativeExpiryCoversAbandonedWrites pins the relation the epidemic
+// layer's expiry bound rests on: a tentative update outlives the session
+// write timeout by two gossip periods, so every copy of a write still in
+// flight has either committed or been abandoned when expiry drops it.
+func TestTentativeExpiryCoversAbandonedWrites(t *testing.T) {
+	if got := soakWriteTimeout + 2*soakGossipInterval; got != epidemic.TentativeExpire {
+		t.Fatalf("write timeout + 2 gossip periods = %v, tentative expiry %v", got, epidemic.TentativeExpire)
+	}
+}
+
 // TestSoakHeapPerWrite bounds what a committed write leaves behind.  One
 // 1000-node soak in the steady-10k shape runs for n and for 3n
 // operations at the same seed; at the end of each, with its world still
@@ -159,9 +170,11 @@ func TestSoakWorldGrowth(t *testing.T) {
 // It was 5488 B at the parent of PR 25, where every executed request
 // kept its agreement slot for 64 executions and its record for 512 and
 // every (client, tier) kept a pending map and a two-copy done-set, and
-// is 3653 B since; the bound is that plus 25 %.
+// 3213 B at the parent of PR 29, where every replica kept its committed
+// stream in three windows plus an outcome per dedup entry; it is
+// 2635 B since, and the bound is that plus 25 %.
 func TestSoakHeapPerWrite(t *testing.T) {
-	const n, bound = 5000, 3653 * 1.25
+	const n, bound = 5000, 2635 * 1.25
 	live := func(ops int) (heap int64, writes int) {
 		cfg := DefaultSoakConfig(1000)
 		w, err := NewSoakWorld(1, cfg)

@@ -1,7 +1,11 @@
 package epidemic
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
@@ -95,50 +99,96 @@ func TestCheckpointCoversItsWindow(t *testing.T) {
 	}
 }
 
-// TestDedupTableTracksItsWindows: with retention on, the one table
-// holds exactly the IDs in the dedup queue plus the live tentative
-// updates — through commits, pruning, and expiry.
-func TestDedupTableTracksItsWindows(t *testing.T) {
+// TestDedupTableIsWindowPlusTentative runs a seeded schedule of
+// client proposals, primary commits, in-order tree pushes, late
+// duplicate pushes, anti-entropy, expiry, checkpoint joins and
+// adoptions over one primary and three secondaries — long enough that
+// every log trims.  After every step, each replica's one table must map
+// exactly its log window's IDs to their positions and its tentative
+// set's IDs to the tentative mark.
+func TestDedupTableIsWindowPlusTentative(t *testing.T) {
 	k := testKey(77)
 	v0 := object.NewObject([]byte("base."), 8, k)
-	r := New(v0)
-	r.SetRetention(Retention{CommitWindow: 8, TentativeExpire: 1000})
-	other := guid.FromData([]byte("other"))
-	inStep := func(when string) {
-		t.Helper()
-		if len(r.known) != len(r.dedupQ)+len(r.tentative) {
-			t.Fatalf("%s: table holds %d IDs, dedupQ %d + tentative %d",
-				when, len(r.known), len(r.dedupQ), len(r.tentative))
-		}
-		for _, id := range r.dedupQ {
-			if !r.known[id].committed {
-				t.Fatalf("%s: queued ID %v not marked committed", when, id)
+	rng := rand.New(rand.NewSource(29))
+	reg := obs.NewRegistry()
+	fam := NewFamilies(reg)
+	primary := New(v0)
+	reps := make([]*Replica, 3)
+	for i := range reps {
+		reps[i] = New(v0)
+		reps[i].Instrument(fam, i)
+	}
+	client := guid.FromData([]byte("schedule"))
+	var proposed, order []*update.Update // proposed but unserialised; the serial order
+	seq, now := uint64(0), time.Duration(0)
+	for step := 0; step < 4000; step++ {
+		now += time.Duration(rng.Intn(1000)) * time.Millisecond
+		r := reps[rng.Intn(len(reps))]
+		switch op := rng.Intn(20); {
+		case op < 6: // a client proposes; a secondary takes its copy
+			seq++
+			u := appendUpdate(t, v0, k, "x", client, seq, now)
+			proposed = append(proposed, u)
+			r.AddTentative(u)
+		case op < 10: // the primary serialises a proposal
+			if len(proposed) > 0 {
+				i := rng.Intn(len(proposed))
+				primary.Commit(proposed[i], now)
+				order = append(order, proposed[i])
+				proposed = slices.Delete(proposed, i, i+1)
+			}
+		case op < 15: // the tree pushes the next commits, in order
+			for n := rng.Intn(8); n > 0 && r.CommittedLen() < len(order); n-- {
+				r.Commit(order[r.CommittedLen()], now)
+			}
+		case op < 16: // a late push of a commit still in the window
+			if w := r.CommittedLen() - r.Log.Start(); w > 0 {
+				pos := r.Log.Start() + rng.Intn(w)
+				if got := r.Commit(order[pos], now); got != r.Log.At(pos).Outcome || r.CommittedLen() != r.Log.Len() {
+					t.Fatalf("step %d: duplicate of position %d answered %+v", step, pos, got)
+				}
+			}
+		case op < 18:
+			AntiEntropy(r, reps[rng.Intn(len(reps))], now)
+		case op < 19: // a stall long enough to expire every tentative update
+			now += TentativeExpire
+			r.TentativeState(now)
+		default: // the replica's node is replaced by a fresh join, or adopts
+			i := slices.Index(reps, r)
+			if rng.Intn(2) == 0 {
+				reps[i] = NewAt(primary.Checkpoint())
+				reps[i].Instrument(fam, i)
+			} else {
+				r.AdoptCheckpoint(primary.Checkpoint())
 			}
 		}
-		for _, u := range r.tentative {
-			if d, ok := r.known[u.ID()]; !ok || d.committed {
-				t.Fatalf("%s: tentative ID %v is %+v (present %v)", when, u.ID(), d, ok)
+		for i, r := range append([]*Replica{primary}, reps...) {
+			want := map[update.UpdateID]int{}
+			for pos := r.Log.Start(); pos < r.Log.Len(); pos++ {
+				want[r.Log.At(pos).Update.ID()] = pos
+			}
+			for _, u := range r.tentative {
+				want[u.ID()] = isTentative
+			}
+			if !maps.Equal(r.known, want) {
+				t.Fatalf("step %d: replica %d's table holds %d IDs, window [%d,%d) + %d tentative",
+					step, i, len(r.known), r.Log.Start(), r.Log.Len(), len(r.tentative))
 			}
 		}
 	}
-	for round := 0; round < 6; round++ {
-		base := uint64(round * 50)
-		// Three tentative updates per round that nobody ever commits.
-		for j := uint64(0); j < 3; j++ {
-			r.AddTentative(appendUpdate(t, r.CommittedState(), k, "t", other, base+j+1, 0))
+	// The schedule must have reached every path it claims to.
+	if primary.Log.Start() == 0 {
+		t.Fatal("the primary's log never trimmed")
+	}
+	for _, c := range []string{"commits", "dup_commits", "expired", "checkpoints"} {
+		n := int64(0)
+		for i := range reps {
+			n += reg.CounterValue(i, "epidemic", c)
 		}
-		inStep("after tentative adds")
-		commitChain(t, r, 50, base+1, 10) // crosses the 2×dedupWindow prune trigger
-		inStep("after commits")
+		if n == 0 {
+			t.Fatalf("no secondary counted epidemic/%s", c)
+		}
 	}
-	if len(r.dedupQ) >= 2*r.ret.dedupWindow() {
-		t.Fatalf("dedupQ %d never pruned", len(r.dedupQ))
-	}
-	r.TentativeState(5000) // every tentative update is past its expiry
-	if r.TentativeLen() != 0 {
-		t.Fatalf("%d tentative updates survived expiry", r.TentativeLen())
-	}
-	inStep("after expiry")
 }
 
 // TestCloneAndAdoptCopyDedupTable: a cloned or repaired replica answers
@@ -157,7 +207,7 @@ func TestCloneAndAdoptCopyDedupTable(t *testing.T) {
 	repaired := New(v0)
 	repaired.AdoptFrom(src)
 	for name, r := range map[string]*Replica{"clone": cl, "repaired": repaired} {
-		if len(r.known) != 2 || !r.known[uA.ID()].committed || r.known[uB.ID()].committed {
+		if len(r.known) != 2 || r.known[uA.ID()] != 0 || r.known[uB.ID()] != isTentative {
 			t.Fatalf("%s: dedup table %+v", name, r.known)
 		}
 		if got := r.Commit(uA, 50); got != want {
@@ -171,7 +221,7 @@ func TestCloneAndAdoptCopyDedupTable(t *testing.T) {
 		}
 	}
 	cl.Commit(uB, 60)
-	if src.known[uB.ID()].committed || repaired.known[uB.ID()].committed {
+	if src.known[uB.ID()] != isTentative || repaired.known[uB.ID()] != isTentative {
 		t.Fatal("tables are shared between a replica and its clone")
 	}
 }

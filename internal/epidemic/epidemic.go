@@ -28,44 +28,34 @@ import (
 type Replica struct {
 	// base is the object state at the tail of the committed log.
 	base *object.Version
-	// committed is the final-order log from the primary tier.
-	committed []*update.Update
 	// tentative holds updates not yet committed, kept in timestamp order.
 	tentative []*update.Update
 	// known is the one dedup table: an update the replica has never met
-	// is absent, one it holds tentatively is present, and one the primary
-	// tier has serialised here is present with committed set and its
-	// logged outcome.  The same update can arrive via the dissemination
-	// tree AND anti-entropy — on a soak run that overlap makes duplicate
+	// is absent, one it holds tentatively maps to isTentative, and one in
+	// the committed log window maps to its log position, where its
+	// outcome is.  The same update can arrive via the dissemination tree
+	// AND anti-entropy — on a soak run that overlap makes duplicate
 	// commits a steady-state path, not a corner case — and the second
 	// arrival is answered from here in one probe.
-	known map[update.UpdateID]dedup
+	known map[update.UpdateID]int
 	// vv is a version vector: the highest contiguous Seq seen per client
 	// across both logs, used to summarise state for anti-entropy.
 	vv map[guid.GUID]uint64
 
-	// committedBase counts committed updates pruned from the front of
-	// the retained window (see Retention); CommittedLen stays the total.
-	committedBase int
-	// dedupQ remembers committed IDs in arrival order so the dedup maps
-	// can be pruned on the same horizon as the committed window.
-	dedupQ []update.UpdateID
-	ret    Retention
-
 	// cached tentative state; invalidated by any log change.
 	cached     *object.Version
 	cacheValid bool
-	// Log records every applied update, commit or abort (§4.4.1).
-	Log *update.Log
+	// Log is the committed stream in the primary tier's order, commits
+	// and aborts alike (§4.4.1); it retains the last Window..2×Window
+	// entries (see trim).  Held by value: CommittedLen is read for every
+	// candidate replica of every read.
+	Log update.Log
 
 	om epiMetrics
 }
 
-// dedup is what the replica remembers about one update ID.
-type dedup struct {
-	committed bool
-	out       update.Outcome // the logged outcome, once committed
-}
+// isTentative is known's mark for an update held only tentatively.
+const isTentative = -1
 
 // epiMetrics holds pre-resolved per-replica observability handles; the
 // zero value is "not instrumented" (nil handles count nothing).
@@ -132,9 +122,8 @@ func (r *Replica) Instrument(f *Families, node int) {
 func New(v0 *object.Version) *Replica {
 	return &Replica{
 		base:  v0,
-		known: make(map[update.UpdateID]dedup),
+		known: make(map[update.UpdateID]int),
 		vv:    make(map[guid.GUID]uint64),
-		Log:   update.NewLog(),
 	}
 }
 
@@ -167,7 +156,7 @@ func (r *Replica) AddTentative(u *update.Update) bool {
 	if _, seen := r.known[id]; seen {
 		return false
 	}
-	r.known[id] = dedup{}
+	r.known[id] = isTentative
 	i := sort.Search(len(r.tentative), func(i int) bool { return tsLess(u, r.tentative[i]) })
 	r.tentative = append(r.tentative, nil)
 	copy(r.tentative[i+1:], r.tentative[i:])
@@ -185,12 +174,12 @@ func (r *Replica) AddTentative(u *update.Update) bool {
 // present; tentative state is rolled back and replayed on demand.
 func (r *Replica) Commit(u *update.Update, now time.Duration) update.Outcome {
 	id := u.ID()
-	d, seen := r.known[id]
-	if d.committed {
+	pos, seen := r.known[id]
+	if seen && pos != isTentative {
 		r.om.dupCommits.Inc()
 		// Already serialised here (tree push and anti-entropy can both
 		// deliver the same commit); report the logged outcome.
-		return d.out
+		return r.Log.At(pos).Outcome
 	}
 	if !seen && u.Seq > r.vv[u.ClientID] {
 		r.vv[u.ClientID] = u.Seq
@@ -202,20 +191,16 @@ func (r *Replica) Commit(u *update.Update, now time.Duration) update.Outcome {
 			break
 		}
 	}
-	r.committed = append(r.committed, u)
 	next, out, err := update.Apply(u, r.base, now)
 	if err == nil && out.Committed {
 		r.base = next
 		out.Result = next.GUID()
 	}
-	r.known[id] = dedup{committed: true, out: out}
-	if r.ret.CommitWindow > 0 {
-		r.dedupQ = append(r.dedupQ, id)
-		r.pruneCommitted()
-	}
-	r.expire(now)
 	// Aborts leave base untouched but are still logged (§4.4.1).
+	r.known[id] = r.Log.Len()
 	r.Log.Append(u, out, now)
+	r.trim()
+	r.expire(now)
 	if out.Committed {
 		r.om.commits.Inc()
 	} else {
@@ -250,8 +235,8 @@ func (r *Replica) TentativeState(now time.Duration) *object.Version {
 }
 
 // CommittedLen returns the committed log length (the commit sequence
-// number the replica has reached), including any pruned prefix.
-func (r *Replica) CommittedLen() int { return r.committedBase + len(r.committed) }
+// number the replica has reached), including the trimmed prefix.
+func (r *Replica) CommittedLen() int { return r.Log.Len() }
 
 // TentativeLen returns the number of pending tentative updates.
 func (r *Replica) TentativeLen() int { return len(r.tentative) }
@@ -291,9 +276,9 @@ func (r *Replica) Dominates(other map[guid.GUID]uint64) bool {
 // AntiEntropy performs one bidirectional epidemic exchange between two
 // replicas of the same object: each ships the tentative updates the
 // other lacks, and the shorter committed log is fast-forwarded from the
-// longer one — by replay while the gap fits the sender's retained
-// window, by checkpoint transfer once it doesn't.  It returns how many
-// updates moved in total (a checkpoint counts as one move).
+// longer one — by replay while the gap fits the sender's log window, by
+// checkpoint transfer once it doesn't.  It returns how many updates
+// moved in total (a checkpoint counts as one move).
 func AntiEntropy(a, b *Replica, now time.Duration) int {
 	a.expire(now)
 	b.expire(now)
@@ -303,13 +288,13 @@ func AntiEntropy(a, b *Replica, now time.Duration) int {
 	if a.CommittedLen() < b.CommittedLen() {
 		a, b = b, a
 	}
-	if lag := a.CommittedLen() - b.CommittedLen(); lag > len(a.committed) {
+	if from, to := b.CommittedLen(), a.CommittedLen(); from < a.Log.Start() {
 		// b is missing updates a no longer retains: state transfer.
 		b.AdoptCheckpoint(a.Checkpoint())
 		moved++
-	} else if lag > 0 {
-		for _, u := range a.committed[len(a.committed)-lag:] {
-			b.Commit(u, now)
+	} else {
+		for pos := from; pos < to; pos++ {
+			b.Commit(a.Log.At(pos).Update, now)
 			moved++
 		}
 	}

@@ -1,7 +1,9 @@
 package epidemic
 
 import (
-	"oceanstore/internal/guid"
+	"maps"
+	"slices"
+
 	"oceanstore/internal/object"
 	"oceanstore/internal/update"
 )
@@ -14,7 +16,8 @@ import (
 // is not to be trusted") and let the auditor restore it.
 
 // Clone returns an independent replica with the same state as src:
-// same base version, same logs, same version vector.  The audit layer
+// same base version, same log, same tentative set, same version vector
+// (the dedup table is rebuilt from the first two).  The audit layer
 // repairs a corrupted secondary by cloning a known-good peer — an
 // exact state transfer, unlike replaying the log into a fresh replica,
 // which would re-run guard checks against the corrupted-then-reset
@@ -22,22 +25,13 @@ import (
 // code never mutates committed versions (TamperBase clones first).
 func Clone(src *Replica) *Replica {
 	r := &Replica{
-		base:          src.base,
-		committed:     append([]*update.Update(nil), src.committed...),
-		committedBase: src.committedBase,
-		dedupQ:        append([]update.UpdateID(nil), src.dedupQ...),
-		ret:           src.ret,
-		tentative:     append([]*update.Update(nil), src.tentative...),
-		known:         make(map[update.UpdateID]dedup, len(src.known)),
-		vv:            make(map[guid.GUID]uint64, len(src.vv)),
-		Log:           src.Log.Clone(),
+		base:      src.base,
+		Log:       src.Log.Clone(),
+		tentative: slices.Clone(src.tentative),
+		vv:        maps.Clone(src.vv),
+		known:     make(map[update.UpdateID]int, len(src.known)),
 	}
-	for k, v := range src.known {
-		r.known[k] = v
-	}
-	for k, v := range src.vv {
-		r.vv[k] = v
-	}
+	r.reindex()
 	return r
 }
 

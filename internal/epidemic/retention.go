@@ -9,72 +9,47 @@ import (
 	"oceanstore/internal/update"
 )
 
-// Retention bounds a replica's resident state so a long soak run's
-// heap stays proportional to in-flight work instead of total history.
-// The zero value disables every bound and preserves the unbounded
-// semantics exactly — correctness tests and small experiments run with
-// retention off; the soak configuration turns it on.
-//
-// Memory model (DESIGN.md §12): with retention on, a replica retains
-//   - the committed window: the last CommitWindow committed updates
+// Memory model (DESIGN.md §12): a replica's resident state is
+// proportional to in-flight work, not to total history.  It retains
+//   - one committed window: the log's last Window..2×Window entries
 //     (older updates survive only as applied state in base);
-//   - a dedup horizon of roughly 2×CommitWindow recently committed
-//     update IDs, enough to absorb the tree-push/anti-entropy overlap;
-//   - live tentative updates no older than TentativeExpire.
+//   - live tentative updates no older than TentativeExpire;
+//   - the dedup table, which holds exactly the window's IDs (each
+//     mapped to its log position) plus the tentative set's.
 //
 // Everything else — update payloads, outcomes, ID bookkeeping — becomes
-// garbage as soon as it leaves these windows.  The ID bookkeeping is one
-// table (Replica.known) holding one entry per ID in either the dedup
-// horizon or the tentative set: expiry deletes the entries of the
-// tentative updates it drops, and pruneCommitted deletes those of the
-// committed IDs it retires from dedupQ, so the table never outgrows
-// dedupQ plus the live tentative updates.
-type Retention struct {
+// garbage as soon as it leaves these bounds: trim deletes the evicted
+// IDs from the table as it evicts them from the log, and expire deletes
+// those of the tentative updates it drops.
+const (
+	// Window is the committed window: a replica's log keeps at least this
+	// many recent entries and trims back to it on reaching twice as many.
+	// It is also the dedup horizon, which must cover the overlap between
+	// a commit's tree push and the anti-entropy that races it; a peer
+	// that lags past the window catches up by checkpoint transfer instead
+	// of replay.
+	Window = 256
 	// TentativeExpire discards tentative updates whose optimistic
 	// timestamp is older than this.  A tentative update either commits
-	// (and is removed by the commit) or was abandoned by its client; the
-	// session write timeout bounds how long "abandoned" can take, so an
-	// expiry a little beyond it only drops dead weight.  Without it a
-	// timed-out write's tentative copies sit in every replica forever
-	// and each Bayou rollback/replay walks them all — the O(ops²)
-	// behaviour the million-node soak exposed.  0 = never expire.
-	TentativeExpire time.Duration
-	// CommitWindow caps the retained committed-log suffix.  Peers that
-	// lag more than the window catch up by checkpoint transfer (adopting
-	// the peer's base state) instead of replaying the missing updates.
-	// 0 = unbounded.
-	CommitWindow int
-}
+	// (and is removed by the commit) or was abandoned by its client; one
+	// session write timeout (2 min) plus two gossip periods (30 s each)
+	// covers any copy still in flight, so expiry only drops dead weight.
+	// Without it a timed-out write's tentative copies sit in every
+	// replica forever and each Bayou rollback/replay walks them all — the
+	// O(ops²) behaviour the million-node soak exposed.
+	TentativeExpire = 3 * time.Minute
+)
 
-// dedupWindow is how many recently committed update IDs stay in the
-// dedup table once retention is on.  Twice
-// the commit window plus a floor comfortably covers the tree-push /
-// anti-entropy overlap at any gossip cadence.
-func (ret Retention) dedupWindow() int {
-	w := 2 * ret.CommitWindow
-	if w < 64 {
-		w = 64
-	}
-	return w
-}
-
-// SetRetention installs retention bounds.  Call before traffic; the
-// bounds apply from the next commit or expiry sweep on.
-func (r *Replica) SetRetention(ret Retention) { r.ret = ret }
-
-// expire drops tentative updates older than the retention bound.  The
+// expire drops tentative updates older than TentativeExpire.  The
 // tentative slice is timestamp-ordered, so expired entries form a
 // prefix.  Expired IDs leave the dedup table too: every replica applies
 // the same virtual-time deadline, and anti-entropy expires both sides
 // before exchanging, so an expired update cannot bounce back through
 // gossip (a client spread copy arrives within network latency of its
-// timestamp, far inside any sane bound).
+// timestamp, far inside the bound).
 func (r *Replica) expire(now time.Duration) {
-	if r.ret.TentativeExpire <= 0 || len(r.tentative) == 0 {
-		return
-	}
 	cut := 0
-	for cut < len(r.tentative) && r.tentative[cut].Timestamp+r.ret.TentativeExpire < now {
+	for cut < len(r.tentative) && r.tentative[cut].Timestamp+TentativeExpire < now {
 		delete(r.known, r.tentative[cut].ID())
 		cut++
 	}
@@ -83,36 +58,39 @@ func (r *Replica) expire(now time.Duration) {
 	}
 	r.om.expired.Add(int64(cut))
 	n := copy(r.tentative, r.tentative[cut:])
-	for i := n; i < len(r.tentative); i++ {
-		r.tentative[i] = nil
-	}
+	clear(r.tentative[n:])
 	r.tentative = r.tentative[:n]
 	r.cacheValid = false
 }
 
-// pruneCommitted slides the committed window and retires dedup entries
-// that fell out of the horizon.  Chunked (trigger at 2× the bound,
-// trim back to the bound) so the cost is amortised O(1) per commit.
-func (r *Replica) pruneCommitted() {
-	if r.ret.CommitWindow <= 0 {
+// trim slides the committed window: once the log retains 2×Window
+// entries, all but the last Window leave the log and the dedup table
+// together.  Chunked so the cost is amortised O(1) per commit.
+func (r *Replica) trim() {
+	end := r.Log.Len() - Window
+	if end-r.Log.Start() < Window {
 		return
 	}
-	if w := r.ret.CommitWindow; len(r.committed) >= 2*w {
-		drop := len(r.committed) - w
-		n := copy(r.committed, r.committed[drop:])
-		for i := n; i < len(r.committed); i++ {
-			r.committed[i] = nil
-		}
-		r.committed = r.committed[:n]
-		r.committedBase += drop
+	for pos := r.Log.Start(); pos < end; pos++ {
+		delete(r.known, r.Log.At(pos).Update.ID())
 	}
-	if w := r.ret.dedupWindow(); len(r.dedupQ) >= 2*w {
-		drop := len(r.dedupQ) - w
-		for _, id := range r.dedupQ[:drop] {
-			delete(r.known, id)
-		}
-		n := copy(r.dedupQ, r.dedupQ[drop:])
-		r.dedupQ = r.dedupQ[:n]
+	r.Log.Trim(end)
+}
+
+// reindex rebuilds the dedup table from the log window and the
+// tentative set, dropping the tentative updates the window covers:
+// they are committed.
+func (r *Replica) reindex() {
+	clear(r.known)
+	for pos := r.Log.Start(); pos < r.Log.Len(); pos++ {
+		r.known[r.Log.At(pos).Update.ID()] = pos
+	}
+	r.tentative = slices.DeleteFunc(r.tentative, func(u *update.Update) bool {
+		_, committed := r.known[u.ID()]
+		return committed
+	})
+	for _, u := range r.tentative {
+		r.known[u.ID()] = isTentative
 	}
 }
 
@@ -140,33 +118,17 @@ func (r *Replica) Checkpoint() Checkpoint {
 
 // AdoptCheckpoint installs a transferred checkpoint: r's base becomes
 // the checkpoint's, its log window the checkpoint's window (copied in,
-// not counted as commits), and its dedup table forgets its own
-// committed IDs and learns the window's.  Tentative updates the window
-// covers are committed now and leave the tentative set; the version
+// not counted as commits), and its dedup table the window's IDs plus
+// the tentative updates the window does not cover.  (A tentative update
+// committed before the window stays until it expires.)  The version
 // vector merges up.  A checkpoint no further along than r is ignored.
 func (r *Replica) AdoptCheckpoint(c Checkpoint) {
 	if c.Len() <= r.CommittedLen() {
 		return
 	}
 	r.base = c.Base
-	r.committedBase = c.Len()
-	clear(r.committed)
-	r.committed = r.committed[:0]
-	for id, d := range r.known {
-		if d.committed {
-			delete(r.known, id)
-		}
-	}
-	r.dedupQ = r.dedupQ[:0]
 	r.Log.Rebase(c.Start, c.Window)
-	for _, e := range c.Window {
-		id := e.Update.ID()
-		r.known[id] = dedup{committed: true, out: e.Outcome}
-		if r.ret.CommitWindow > 0 {
-			r.dedupQ = append(r.dedupQ, id)
-		}
-	}
-	r.tentative = slices.DeleteFunc(r.tentative, func(u *update.Update) bool { return r.known[u.ID()].committed })
+	r.reindex()
 	for cl, s := range c.VV {
 		if s > r.vv[cl] {
 			r.vv[cl] = s

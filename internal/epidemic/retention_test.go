@@ -30,20 +30,19 @@ func TestTentativeExpiry(t *testing.T) {
 	r := New(v0)
 	reg := obs.NewRegistry()
 	r.Instrument(NewFamilies(reg), 3)
-	r.SetRetention(Retention{TentativeExpire: 100})
 	u := appendUpdate(t, v0, k, "x", guid.FromData([]byte("c1")), 1, 10)
 	if !r.AddTentative(u) {
 		t.Fatal("add failed")
 	}
-	if got := read(t, r.TentativeState(50), k); got != "base.x" {
-		t.Fatalf("before expiry: %q", got)
+	if got := read(t, r.TentativeState(10+TentativeExpire), k); got != "base.x" {
+		t.Fatalf("at the bound: %q", got)
 	}
 	if r.TentativeLen() != 1 {
 		t.Fatalf("tentative len %d", r.TentativeLen())
 	}
 	// Past the bound the update is dropped and forgotten: the same ID
 	// is accepted again (seen was cleared with it).
-	if got := read(t, r.TentativeState(200), k); got != "base." {
+	if got := read(t, r.TentativeState(11+TentativeExpire), k); got != "base." {
 		t.Fatalf("after expiry: %q", got)
 	}
 	if r.TentativeLen() != 0 {
@@ -64,20 +63,16 @@ func TestCommitWindowPrunes(t *testing.T) {
 	k := testKey(77)
 	v0 := object.NewObject([]byte("base."), 8, k)
 	r := New(v0)
-	r.SetRetention(Retention{CommitWindow: 8})
-	const total = 150 // past 2×dedupWindow (128) so the dedup table prunes too
+	const total = 2*Window + 88 // trimmed once, at 2×Window, back to Window
 	commitChain(t, r, total, 1, 1000)
 	if r.CommittedLen() != total {
 		t.Fatalf("CommittedLen %d, want %d", r.CommittedLen(), total)
 	}
-	if len(r.committed) >= 2*8 {
-		t.Fatalf("retained committed window %d not pruned", len(r.committed))
+	if r.Log.Start() != Window || len(r.Log.Entries()) != Window+88 {
+		t.Fatalf("log window [%d,%d), want [%d,%d)", r.Log.Start(), r.Log.Len(), Window, total)
 	}
-	if len(r.dedupQ) >= 2*r.ret.dedupWindow() {
-		t.Fatalf("dedupQ %d not pruned", len(r.dedupQ))
-	}
-	if len(r.known) != len(r.dedupQ) {
-		t.Fatalf("dedup table %d out of step with queue %d", len(r.known), len(r.dedupQ))
+	if len(r.known) != Window+88 {
+		t.Fatalf("dedup table %d out of step with the log window %d", len(r.known), Window+88)
 	}
 	// The applied state still reflects every commit, retained or not.
 	if got := read(t, r.CommittedState(), k); got != "base."+repeat("x", total) {
@@ -97,13 +92,12 @@ func TestAntiEntropyCheckpointTransfer(t *testing.T) {
 	k := testKey(77)
 	v0 := object.NewObject([]byte("base."), 8, k)
 	a := New(v0)
-	a.SetRetention(Retention{CommitWindow: 4})
 	b := New(v0)
 	reg := obs.NewRegistry()
 	b.Instrument(NewFamilies(reg), 9)
-	commitChain(t, a, 40, 1, 1000)
-	if len(a.committed) >= 40 {
-		t.Fatal("test premise: a must have pruned its window")
+	commitChain(t, a, 2*Window, 1, 1000)
+	if a.Log.Start() == 0 {
+		t.Fatal("test premise: a must have trimmed its window")
 	}
 	// b lags by more than a retains: one checkpoint move fast-forwards.
 	moved := AntiEntropy(a, b, 2000)

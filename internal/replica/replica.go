@@ -51,10 +51,10 @@ type tentMsg struct {
 func (m tentMsg) Demux() simnet.DemuxKey   { return simnet.DemuxKey(m.Obj) }
 func (q gossipReq) Demux() simnet.DemuxKey { return simnet.DemuxKey(q.Object) }
 
-// Config tunes a ring.
+// Config tunes a ring.  The primary tier's f follows from its size
+// (3f+1 members); every replica's resident epidemic state is bounded by
+// epidemic.Window and epidemic.TentativeExpire.
 type Config struct {
-	// Faults is f; the primary tier has 3f+1 members.
-	Faults int
 	// ArchiveEvery archives the object state every N commits (0 = every
 	// commit, the paper's tight coupling).
 	ArchiveEvery int
@@ -62,34 +62,21 @@ type Config struct {
 	Archive archive.Config
 	// GossipInterval is the secondary anti-entropy period.
 	GossipInterval time.Duration
-	// TreeFanout bounds the dissemination tree.
-	TreeFanout int
-
-	// Retention bounds every replica's resident epidemic state (zero
-	// value = unbounded, the exact historical semantics).  Soak worlds
-	// turn it on so heap stays proportional to in-flight work; peers
-	// that lag past the committed window catch up by checkpoint
-	// transfer instead of log replay.
-	Retention epidemic.Retention
-	// LogCap caps each replica's retained update-log window (0 =
-	// unbounded).  Running commit/abort tallies survive eviction.
-	LogCap int
 	// HistoryBound inline-caps the retained version history between
 	// retirement sweeps (0 = unbounded).
 	HistoryBound int
-	// DropExecuted stops the Byzantine tier from accumulating its full
-	// executed-digest history (a debugging aid, unbounded by nature).
-	DropExecuted bool
 }
 
-// DefaultConfig matches the paper's running examples: f=1 (n=4
-// primaries), rate-1/2 coding into 32 fragments, 10 s gossip.
+// treeFanout bounds the dissemination tree: each member forwards a push
+// to at most this many children.
+const treeFanout = 4
+
+// DefaultConfig matches the paper's running examples: rate-1/2 coding
+// into 32 fragments, 10 s gossip.
 func DefaultConfig() Config {
 	return Config{
-		Faults:         1,
 		Archive:        archive.Config{DataShards: 16, TotalFragments: 32},
 		GossipInterval: 10 * time.Second,
-		TreeFanout:     4,
 	}
 }
 
@@ -172,13 +159,11 @@ func (r *Ring) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// NewRing builds the primary tier on primaryNodes and wires archival to
-// the given service.  v0 is the object's initial version.
+// NewRing builds the primary tier on primaryNodes — 3f+1 of them
+// tolerate f faults — and wires archival to the given service.  v0 is
+// the object's initial version.
 func NewRing(net *simnet.Network, primaryNodes []simnet.NodeID, v0 *object.Version, obj guid.GUID, arch *archive.Service, cfg Config) (*Ring, error) {
-	if cfg.TreeFanout == 0 {
-		cfg.TreeFanout = 4
-	}
-	g, err := byz.NewGroup(net, primaryNodes, cfg.Faults)
+	g, err := byz.NewGroup(net, primaryNodes, (len(primaryNodes)-1)/3)
 	if err != nil {
 		return nil, err
 	}
@@ -195,14 +180,9 @@ func NewRing(net *simnet.Network, primaryNodes []simnet.NodeID, v0 *object.Versi
 		history:      object.NewHistory(v0),
 		waiters:      make(map[update.UpdateID][]func(update.Outcome)),
 	}
-	r.primaryState.SetRetention(cfg.Retention)
-	r.primaryState.Log.SetCap(cfg.LogCap)
 	r.history.SetBound(cfg.HistoryBound)
-	if cfg.DropExecuted {
-		g.SetRetainExecuted(false)
-	}
 	// The dissemination tree is rooted at the first primary.
-	r.tree = dtree.New(net, primaryNodes[0], cfg.TreeFanout)
+	r.tree = dtree.New(net, primaryNodes[0], treeFanout)
 	r.tree.OnDeliver(r.onTreeDeliver)
 	r.tree.OnPull(r.onTreePull)
 	// Every honest primary executes committed updates; replica 0 drives
@@ -260,7 +240,8 @@ func (r *Ring) fireWaiters(u *update.Update, out update.Outcome) {
 }
 
 // AddSecondary joins a node as a secondary replica: it enters the
-// dissemination tree and starts from a copy of the committed state.
+// dissemination tree and starts from a checkpoint of the primary's
+// committed state, log window included, instead of replaying history.
 func (r *Ring) AddSecondary(node simnet.NodeID) (*Secondary, error) {
 	if _, dup := r.secondaries[node]; dup {
 		return nil, fmt.Errorf("replica: node %d already a secondary", node)
@@ -268,22 +249,8 @@ func (r *Ring) AddSecondary(node simnet.NodeID) (*Secondary, error) {
 	if err := r.tree.Join(node); err != nil {
 		return nil, err
 	}
-	rep := epidemic.New(r.primaryState.CommittedState())
-	rep.SetRetention(r.cfg.Retention)
-	rep.Log.SetCap(r.cfg.LogCap)
-	if r.cfg.Retention != (epidemic.Retention{}) {
-		// Checkpoint join: start at the primary's committed state instead
-		// of replaying the whole history (which may be pruned anyway).
-		rep.AdoptCheckpoint(r.primaryState.Checkpoint())
-	}
-	sec := &Secondary{Node: node, Rep: rep}
+	sec := &Secondary{Node: node, Rep: epidemic.NewAt(r.primaryState.Checkpoint())}
 	sec.Rep.Instrument(r.obsEpi, int(node))
-	if r.cfg.Retention == (epidemic.Retention{}) {
-		// Catch up with already-committed history.
-		for _, e := range r.primaryState.Log.Entries() {
-			sec.Rep.Commit(e.Update, r.net.K.Now())
-		}
-	}
 	r.secondaries[node] = sec
 	at := sort.Search(len(r.byNode), func(i int) bool { return r.byNode[i].Node > node })
 	r.byNode = slices.Insert(slices.Clone(r.byNode), at, sec)
@@ -447,40 +414,27 @@ func (r *Ring) onTreeDeliver(node simnet.NodeID, d dtree.Delivery) {
 	}
 }
 
-// pullPayload is what a parent ships to a pulling child: the retained
-// committed-log window starting at global position Start, plus — when
-// the window no longer reaches back to position 0 — a checkpoint the
-// child can adopt if it lags past the window.
-type pullPayload struct {
-	Start   int
-	Entries []update.LogEntry
-	// Checkpoint (set when Start > 0): committed state after Len
-	// serialised updates, with its version vector.
-	Base *object.Version
-	Len  int
-	VV   map[guid.GUID]uint64
-}
-
-// onTreePull serves a child's pull: ship the parent's committed log so
-// the child can fast-forward (the paper's "pull missing information
-// from parents").
+// onTreePull serves a child's pull: ship the parent's checkpoint — its
+// committed log window, plus the base state and version vector the
+// child adopts if it lags past the window — so the child can
+// fast-forward (the paper's "pull missing information from parents").
+// While the window still reaches back to position 0 the child can
+// always replay, so the base state and vector are not charged to the
+// wire.
 func (r *Ring) onTreePull(parent simnet.NodeID) (any, int) {
 	src := r.primaryState
 	if sec, ok := r.secondaries[parent]; ok {
 		src = sec.Rep
 	}
-	p := pullPayload{Start: src.Log.Start(), Entries: src.Log.Entries()}
+	c := src.Checkpoint()
 	size := 64
-	for _, e := range p.Entries {
+	for _, e := range c.Window {
 		size += e.Update.WireSize()
 	}
-	if p.Start > 0 {
-		p.Base = src.CommittedState()
-		p.Len = src.CommittedLen()
-		p.VV = src.VersionVector()
-		size += 64 + len(p.VV)*28
+	if c.Start > 0 {
+		size += 64 + len(c.VV)*28
 	}
-	return p, size
+	return c, size
 }
 
 // Refresh pulls a stale secondary up to date; cb fires when done.
@@ -490,13 +444,13 @@ func (r *Ring) Refresh(node simnet.NodeID, cb func()) error {
 		return errors.New("replica: not a secondary")
 	}
 	return r.tree.Pull(node, func(d dtree.Delivery) {
-		if p, ok := d.Payload.(pullPayload); ok {
-			if have := sec.Rep.CommittedLen(); have < p.Start {
+		if c, ok := d.Payload.(epidemic.Checkpoint); ok {
+			if have := sec.Rep.CommittedLen(); have < c.Start {
 				// The parent evicted entries this replica never saw:
 				// state transfer instead of replay.
-				sec.Rep.AdoptCheckpoint(epidemic.Checkpoint{Base: p.Base, Start: p.Start, Window: p.Entries, VV: p.VV})
-			} else if from := have - p.Start; from < len(p.Entries) {
-				for _, e := range p.Entries[from:] {
+				sec.Rep.AdoptCheckpoint(c)
+			} else if from := have - c.Start; from < len(c.Window) {
+				for _, e := range c.Window[from:] {
 					sec.Rep.Commit(e.Update, r.net.K.Now())
 				}
 			}

@@ -8,7 +8,6 @@ import (
 	"oceanstore/internal/archive"
 	"oceanstore/internal/byz"
 	"oceanstore/internal/crypt"
-	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 	"oceanstore/internal/sim"
@@ -227,7 +226,6 @@ func TestLowBandwidthInvalidationAndRefresh(t *testing.T) {
 func TestJoinDuringPushAppliesOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Archive = archive.Config{DataShards: 4, TotalFragments: 8}
-	cfg.Retention = epidemic.Retention{CommitWindow: 128}
 	w := newWorld(t, 11, cfg)
 	if _, err := w.ring.AddSecondary(simnet.NodeID(4)); err != nil {
 		t.Fatal(err)

@@ -17,31 +17,37 @@ type LogEntry struct {
 
 // Log is an append-only per-object update log.  Powerful clients can
 // replay it to regenerate and re-encrypt an object in whole (§4.4.2).
-// A capped log (SetCap) retains only a suffix window of entries plus
-// running commit/abort tallies; Start reports how many entries were
-// evicted from the front.
+// It retains a suffix window of entries plus running commit/abort
+// tallies: its owner evicts from the front (Trim), and Start reports
+// how many entries have gone.
 //
 // The log keeps no index by update ID and does not deduplicate: its one
 // writer, epidemic.Replica.Commit, has already turned a redelivered
-// commit away by the time it appends.
+// commit away by the time it appends.  The zero Log is empty and ready
+// to use.
 type Log struct {
 	entries []LogEntry
-	start   int // entries evicted from the front (capped logs)
-	cap     int // 0 = unbounded
+	start   int // entries evicted from the front
 	// running tallies survive eviction.
 	commits, aborts int
 }
 
-// NewLog creates an empty log.
-func NewLog() *Log { return &Log{} }
-
-// SetCap bounds the retained entry window.  0 restores unbounded
-// retention (already-evicted entries stay gone).
-func (l *Log) SetCap(n int) { l.cap = n }
-
 // Start reports how many entries have been evicted from the front: the
-// retained window covers log positions [Start, Start+len(Entries)).
+// retained window covers log positions [Start, Len).
 func (l *Log) Start() int { return l.start }
+
+// At returns the entry at log position pos, which must lie in the
+// retained window.
+func (l *Log) At(pos int) LogEntry { return l.entries[pos-l.start] }
+
+// Trim evicts the retained entries before log position pos.
+func (l *Log) Trim(pos int) {
+	drop := pos - l.start
+	n := copy(l.entries, l.entries[drop:])
+	clear(l.entries[n:])
+	l.entries = l.entries[:n]
+	l.start = pos
+}
 
 // Rebase replaces the retained window with a copy of window, starting
 // at log position start — a checkpoint transfer: entries before start
@@ -53,13 +59,12 @@ func (l *Log) Rebase(start int, window []LogEntry) {
 	l.start = start
 }
 
-// Clone returns an independent copy: retained window, position, cap,
-// and running tallies.
-func (l *Log) Clone() *Log {
-	return &Log{
+// Clone returns an independent copy: retained window, position and
+// running tallies.
+func (l *Log) Clone() Log {
+	return Log{
 		entries: append([]LogEntry(nil), l.entries...),
 		start:   l.start,
-		cap:     l.cap,
 		commits: l.commits,
 		aborts:  l.aborts,
 	}
@@ -74,22 +79,12 @@ func (l *Log) Append(u *Update, o Outcome, at time.Duration) {
 	} else {
 		l.aborts++
 	}
-	if l.cap > 0 && len(l.entries) >= 2*l.cap {
-		drop := len(l.entries) - l.cap
-		n := copy(l.entries, l.entries[drop:])
-		for i := n; i < len(l.entries); i++ {
-			l.entries[i] = LogEntry{}
-		}
-		l.entries = l.entries[:n]
-		l.start += drop
-	}
 }
 
 // Len returns the number of entries ever appended (including evicted).
 func (l *Log) Len() int { return l.start + len(l.entries) }
 
-// Entries returns a copy of the retained window in order (the full log
-// when uncapped).
+// Entries returns a copy of the retained window in order.
 func (l *Log) Entries() []LogEntry {
 	return append([]LogEntry(nil), l.entries...)
 }

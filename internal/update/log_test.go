@@ -13,22 +13,24 @@ func logEntryUpdate(i int) *Update {
 	return u
 }
 
-func TestLogCapEvictsWindow(t *testing.T) {
-	l := NewLog()
-	l.SetCap(4)
+func TestLogTrimEvictsFront(t *testing.T) {
+	l := &Log{}
 	const total = 20
 	for i := 0; i < total; i++ {
 		committed := i%3 != 0
 		l.Append(logEntryUpdate(i), Outcome{Committed: committed}, 0)
+		if i == 9 || i == 15 {
+			l.Trim(i - 3) // keep the last four
+		}
 	}
 	if l.Len() != total {
 		t.Fatalf("Len %d, want %d", l.Len(), total)
 	}
-	if got := len(l.Entries()); got >= 2*4 {
-		t.Fatalf("retained %d entries, cap 4 never evicted", got)
+	if l.Start() != 12 || len(l.Entries()) != 8 {
+		t.Fatalf("window [%d,%d), want [12,20)", l.Start(), l.Start()+len(l.Entries()))
 	}
-	if l.Start()+len(l.Entries()) != total {
-		t.Fatalf("window [%d,%d) does not end at %d", l.Start(), l.Start()+len(l.Entries()), total)
+	if e := l.At(15); e.Update.Seq != 15 || e.Outcome.Committed {
+		t.Fatalf("At(15) = update %d committed %v, want update 15, aborted", e.Update.Seq, e.Outcome.Committed)
 	}
 	// Tallies survive eviction; the retained window does not double-count.
 	c, a := l.Counts()
@@ -47,7 +49,7 @@ func TestLogCapEvictsWindow(t *testing.T) {
 }
 
 func TestLogRebase(t *testing.T) {
-	l := NewLog()
+	l := &Log{}
 	for i := 0; i < 5; i++ {
 		l.Append(logEntryUpdate(i), Outcome{Committed: true}, 0)
 	}
@@ -70,8 +72,7 @@ func TestLogRebase(t *testing.T) {
 }
 
 func TestLogClone(t *testing.T) {
-	l := NewLog()
-	l.SetCap(8)
+	l := &Log{}
 	for i := 0; i < 6; i++ {
 		l.Append(logEntryUpdate(i), Outcome{Committed: i%2 == 0}, 0)
 	}

@@ -295,7 +295,7 @@ func TestWireSizeScalesWithPayload(t *testing.T) {
 }
 
 func TestUpdateIDAndLog(t *testing.T) {
-	l := NewLog()
+	l := &Log{}
 	u := &Update{ClientID: guid.FromData([]byte("c")), Seq: 1}
 	l.Append(u, Outcome{Committed: true}, 5)
 	u2 := &Update{ClientID: u.ClientID, Seq: 2}
