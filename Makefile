@@ -1,15 +1,18 @@
 # Tier-1 gate: every change must keep `make check` green.
 GO ?= go
 
-# Packages that fork: the fork-join parallelism (PR 3, and the fragment
-# store's parallel group commit) and the leaf offload, which computes
+# Packages that fork, or hold state a forking caller shares.  par holds
+# the three shapes.  archive forks the group commit over its volumes
+# (DoWide), runs Monte Carlo blocks on Map, and shares one codec and
+# buffer pool across a seed sweep's simulators; blobstore is the volume
+# each group-commit worker owns.  fault and obs fan seeds out on Map.
+# crypt, update, acl and core meet the leaf offload, which computes
 # client signatures on par's helper goroutine and joins them on the
 # kernel's.  The -race pass over these runs with GOMAXPROCS=4 so the
 # pool forks and the helper exists even on small CI machines.  The
-# kernel and the network themselves stay single-threaded; plain `race`
-# covers the rest.
-PAR_PKGS = ./internal/par/ ./internal/erasure/ ./internal/archive/ \
-	./internal/blobstore/ ./internal/merkle/ ./internal/bloom/ \
+# kernels themselves (erasure, merkle, bloom), the simulator and the
+# network never fork; plain `race` covers them and the rest.
+PAR_PKGS = ./internal/par/ ./internal/archive/ ./internal/blobstore/ \
 	./internal/fault/ ./internal/obs/ ./internal/crypt/ \
 	./internal/update/ ./internal/acl/ ./internal/core/
 
@@ -53,8 +56,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race-check the parallel kernels and sweep drivers with enough procs
-# that par.Do really runs concurrent workers.
+# Race-check the forking packages with enough procs that Map really
+# runs concurrent workers and Start hands signatures to the helper.
 race-par:
 	GOMAXPROCS=4 $(GO) test -count=1 -race $(PAR_PKGS)
 

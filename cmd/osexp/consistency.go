@@ -68,7 +68,7 @@ func runFig6(w io.Writer, seed int64, _ *obsink) {
 	// Every (size, tier) cell is an independent simulation with its own
 	// kernel; measure the whole grid on the fork-join pool and print in
 	// grid order afterwards, so the table is identical at any core count.
-	measured := par.Map(len(sizes)*len(tiers), 1, func(i int) int64 {
+	measured := par.Map(len(sizes)*len(tiers), func(i int) int64 {
 		u, t := sizes[i/len(tiers)], tiers[i%len(tiers)]
 		return measureCost(t[0], t[1], u, seed)
 	})
@@ -89,7 +89,7 @@ func runFig6(w io.Writer, seed int64, _ *obsink) {
 	}
 	fmt.Fprintln(w, "\npaper check (m=4, n=13): normalized cost ~2 near 4kB, approaching 1 by ~100kB+")
 	checks := []int{4 << 10, 100 << 10}
-	checked := par.Map(len(checks), 1, func(i int) int64 {
+	checked := par.Map(len(checks), func(i int) int64 {
 		return measureCost(4, 13, checks[i], seed)
 	})
 	for i, u := range checks {

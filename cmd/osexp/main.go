@@ -244,7 +244,7 @@ func seedOutputs(e experiment, base int64, nSeeds int, mk func() *obsink) ([][]b
 		out []byte
 		ob  *obsink
 	}
-	rs := par.Map(nSeeds, 1, func(i int) res {
+	rs := par.Map(nSeeds, func(i int) res {
 		var buf bytes.Buffer
 		var ob *obsink
 		if mk != nil {

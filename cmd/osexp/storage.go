@@ -54,7 +54,7 @@ func runFragments(w io.Writer, seed int64, ob *obsink) {
 		lat time.Duration
 		ob  *obsink
 	}
-	cells := par.Map(len(drops)*len(extras)*trials, 2, func(i int) cell {
+	cells := par.Map(len(drops)*len(extras)*trials, func(i int) cell {
 		drop := drops[i/(len(extras)*trials)]
 		extra := extras[(i/trials)%len(extras)]
 		trial := i % trials

@@ -8,7 +8,6 @@ import (
 	"oceanstore/internal/erasure"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/merkle"
-	"oceanstore/internal/par"
 	"oceanstore/internal/simnet"
 )
 
@@ -111,19 +110,15 @@ func Encode(data []byte, cfg Config) (guid.GUID, []StoredFragment, error) {
 	tree := merkle.Build(leaves)
 	root := tree.Root()
 	out := make([]StoredFragment, len(frags))
-	// Proof extraction reads the immutable tree and writes out[i] only
-	// — safe to fan out alongside the parallel kernels upstream.
-	par.Do(len(frags), 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = StoredFragment{
-				Root:  root,
-				Index: frags[i].Index,
-				Total: len(frags),
-				Data:  frags[i].Data,
-				Proof: tree.Proof(i),
-			}
+	for i, f := range frags {
+		out[i] = StoredFragment{
+			Root:  root,
+			Index: f.Index,
+			Total: len(frags),
+			Data:  f.Data,
+			Proof: tree.Proof(i),
 		}
-	})
+	}
 	return root, out, nil
 }
 
@@ -133,14 +128,10 @@ func Decode(frags []StoredFragment, cfg Config) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Self-verification is per-fragment SHA-1 work — fan it out, then
-	// collect survivors in input order so the decode sees the same
-	// fragment sequence a serial verify would produce.
-	oks := par.Map(len(frags), 2, func(i int) bool { return frags[i].Verify() })
 	var es []erasure.Fragment
 	var sample *StoredFragment
 	for i := range frags {
-		if !oks[i] {
+		if !frags[i].Verify() {
 			continue // self-verification rejects corrupt fragments
 		}
 		es = append(es, erasure.Fragment{Index: frags[i].Index, Data: frags[i].Data})
@@ -178,7 +169,8 @@ type Placement []simnet.NodeID
 
 // retrievalState tracks one in-flight reconstruction.
 type retrievalState struct {
-	cfg Config
+	root guid.GUID
+	cfg  Config
 	// got[i] is fragment i once it has arrived (a zero Total until
 	// then); have counts the arrived ones.
 	got     []StoredFragment

@@ -264,6 +264,58 @@ func TestServiceArchiveAndRetrieve(t *testing.T) {
 	}
 }
 
+// foreignStore is a holder that answers every request with the
+// same-index fragment of another archive: self-consistent, so it
+// passes Verify, but not the data the requester asked for.
+type foreignStore struct {
+	Store
+	other []StoredFragment
+}
+
+func (fs foreignStore) Get(root guid.GUID, index int) (StoredFragment, bool) {
+	if _, ok := fs.Store.Get(root, index); !ok {
+		return StoredFragment{}, false
+	}
+	return fs.other[index], true
+}
+
+// TestRetrieveRejectsForeignFragment: the nearest data-shard holder
+// answers with a valid fragment of a second archive of the same size.
+// Retrieval must not count it, and must still return the bytes it was
+// asked for.
+func TestRetrieveRejectsForeignFragment(t *testing.T) {
+	k, net, svc := newServiceNet(t, 40, 0, 11)
+	cfg := Config{DataShards: 8, TotalFragments: 16}
+	data, other := make([]byte, 5000), make([]byte, 5000)
+	rand.New(rand.NewSource(12)).Read(data)
+	rand.New(rand.NewSource(13)).Read(other)
+	_, otherFrags, err := Encode(other, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := svc.Archive(data, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placement, _ := svc.Placement(root)
+	liar := placement[0]
+	for _, nid := range placement[:cfg.DataShards] {
+		if net.Latency(0, nid) < net.Latency(0, liar) {
+			liar = nid
+		}
+	}
+	svc.stores[liar] = foreignStore{svc.stores[liar], otherFrags}
+	var got []byte
+	var gotErr error
+	svc.Retrieve(0, root, cfg.TotalFragments-cfg.DataShards, 10*time.Second, func(d []byte, err error, _ time.Duration) {
+		got, gotErr = d, err
+	})
+	k.RunFor(20 * time.Second)
+	if gotErr != nil || !bytes.Equal(got, data) {
+		t.Fatalf("retrieve with a foreign fragment in reply: err %v, right bytes %v", gotErr, bytes.Equal(got, data))
+	}
+}
+
 func TestRetrieveUnknownRoot(t *testing.T) {
 	_, _, svc := newServiceNet(t, 10, 0, 6)
 	called := false

@@ -6,44 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"oceanstore/internal/guid"
 )
-
-// TestParallelEncodeMatchesSerial: the archival GUID and every stored
-// fragment (data + proof path) must be byte-identical whether the
-// erasure/Merkle kernels run serially or on the pool.
-func TestParallelEncodeMatchesSerial(t *testing.T) {
-	data := make([]byte, 200<<10)
-	rand.New(rand.NewSource(11)).Read(data)
-	cfg := Config{DataShards: 16, TotalFragments: 32}
-	run := func(procs int) (guid.GUID, []StoredFragment) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		root, frags, err := Encode(data, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return root, frags
-	}
-	sroot, sfrags := run(1)
-	proot, pfrags := run(4)
-	if sroot != proot {
-		t.Fatalf("archival GUID differs: %s vs %s", sroot.Short(), proot.Short())
-	}
-	for i := range sfrags {
-		if !bytes.Equal(sfrags[i].Data, pfrags[i].Data) {
-			t.Fatalf("fragment %d data differs", i)
-		}
-		if len(sfrags[i].Proof) != len(pfrags[i].Proof) {
-			t.Fatalf("fragment %d proof length differs", i)
-		}
-		for j := range sfrags[i].Proof {
-			if sfrags[i].Proof[j] != pfrags[i].Proof[j] {
-				t.Fatalf("fragment %d proof element %d differs", i, j)
-			}
-		}
-	}
-}
 
 // TestConcurrentCodecCache races Config.Codec and full Encode/Decode
 // round-trips across goroutines and distinct configs — the sync.Map

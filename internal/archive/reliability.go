@@ -88,7 +88,7 @@ func AvailabilityMonteCarlo(f, rf int, pDown float64, trials int, rng *rand.Rand
 	for i := range seeds {
 		seeds[i] = rng.Int63()
 	}
-	counts := par.Map(blocks, 1, func(b int) int {
+	counts := par.Map(blocks, func(b int) int {
 		n := block
 		if b == blocks-1 {
 			n = trials - b*block

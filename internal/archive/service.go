@@ -251,10 +251,9 @@ func (s *Service) joinStores(ids []simnet.NodeID, op func(Durable) error) error 
 			durable = append(durable, i)
 		}
 	}
-	par.DoWide(ioWidth, len(durable), 1, func(lo, hi int) {
-		for _, i := range durable[lo:hi] {
-			errs[i] = op(s.stores[ids[i]].(Durable))
-		}
+	par.DoWide(ioWidth, len(durable), func(j int) {
+		i := durable[j]
+		errs[i] = op(s.stores[ids[i]].(Durable))
 	})
 	var first error
 	for i, err := range errs {
@@ -465,6 +464,7 @@ func (s *Service) Retrieve(from simnet.NodeID, root guid.GUID, extra int, deadli
 		})
 	}
 	st := &retrievalState{
+		root:    root,
 		cfg:     cfg,
 		got:     make([]StoredFragment, len(placement)),
 		cb:      cb,
@@ -575,16 +575,18 @@ func (s *Service) handle(id simnet.NodeID, m simnet.Message) {
 		if !ok || st.done {
 			return
 		}
-		if !p.Frag.Verify() {
+		// Verify checks a fragment only against its own root, so a
+		// self-consistent fragment of another archive would pass it; the
+		// root and geometry must be the ones this retrieval asked for.
+		if p.Frag.Root != st.root || p.Frag.Total != len(st.got) || !p.Frag.Verify() {
 			return // a misbehaving server's garbage is simply discarded
 		}
 		s.om.fragsRecv.Inc()
-		if i := p.Frag.Index; i < len(st.got) {
-			if st.got[i].Total == 0 {
-				st.have++
-			}
-			st.got[i] = p.Frag
+		i := p.Frag.Index
+		if st.got[i].Total == 0 {
+			st.have++
 		}
+		st.got[i] = p.Frag
 		if st.have < st.cfg.DataShards {
 			return
 		}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"oceanstore/internal/guid"
-	"oceanstore/internal/par"
 )
 
 // Locator runs the probabilistic location algorithm over an arbitrary
@@ -31,11 +30,6 @@ type Locator struct {
 	rebuildMu sync.Mutex
 	scratch   []*Filter
 }
-
-// parRebuildNodes gates the fork-join rebuild: graphs smaller than
-// this rebuild serially — per-round goroutine dispatch would dominate
-// the word-level filter work.
-const parRebuildNodes = 32
 
 // NewLocator builds a locator over the adjacency list adj (node u's
 // neighbours are adj[u]; edges should be symmetric for the algorithm to
@@ -96,27 +90,12 @@ func (l *Locator) Has(u int, g guid.GUID) bool { return l.local[u][g] }
 func (l *Locator) Rebuild() {
 	l.rebuildMu.Lock()
 	defer l.rebuildMu.Unlock()
-	n := len(l.adj)
-	// Each round is two data-parallel passes over nodes.  Pass one
-	// writes only scratch[v] for v in the worker's range (reading the
-	// previous layer, which this round never writes); pass two writes
-	// only node u's outgoing edges.  Writes are partitioned by node, so
-	// the parallel rebuild is bit-identical to the serial one.
-	parDo := func(fn func(lo, hi int)) {
-		if n >= parRebuildNodes {
-			par.Do(n, 8, fn)
-		} else {
-			fn(0, n)
+	// Layer 0 everywhere first, then each deeper layer from the previous.
+	for u, nbrs := range l.adj {
+		for _, v := range nbrs {
+			l.edge[u][v].Layer(0).CopyFrom(l.localFilter[v])
 		}
 	}
-	// Layer 0 everywhere first, then each deeper layer from the previous.
-	parDo(func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			for _, v := range l.adj[u] {
-				l.edge[u][v].Layer(0).CopyFrom(l.localFilter[v])
-			}
-		}
-	})
 	for i := 1; i < l.depth; i++ {
 		// Layer i of edge u->v is the union over w in adj(v) of
 		// A[v->w].Layer(i-1) — a function of v alone.  Compute each
@@ -125,22 +104,17 @@ func (l *Locator) Rebuild() {
 		// update simultaneous rather than order-dependent, and the
 		// whole round is word-level Clear/Union/CopyFrom with zero
 		// allocations.
-		parDo(func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				f := l.scratch[v]
-				f.Clear()
-				for _, w := range l.adj[v] {
-					f.Union(l.edge[v][w].Layer(i - 1))
-				}
+		for v, f := range l.scratch {
+			f.Clear()
+			for _, w := range l.adj[v] {
+				f.Union(l.edge[v][w].Layer(i - 1))
 			}
-		})
-		parDo(func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				for _, v := range l.adj[u] {
-					l.edge[u][v].Layer(i).CopyFrom(l.scratch[v])
-				}
+		}
+		for u, nbrs := range l.adj {
+			for _, v := range nbrs {
+				l.edge[u][v].Layer(i).CopyFrom(l.scratch[v])
 			}
-		})
+		}
 	}
 }
 

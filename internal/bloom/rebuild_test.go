@@ -31,31 +31,6 @@ func placedLocator(adj [][]int, seed int64) *Locator {
 	return loc
 }
 
-// TestParallelRebuildMatchesSerial: the fork-join rebuild must produce
-// bit-identical attenuated filters to the serial rebuild — partitioned
-// writes plus the barrier between the scratch and fan-out passes.
-func TestParallelRebuildMatchesSerial(t *testing.T) {
-	adj := torus(8) // 64 nodes, past the parallel threshold
-	build := func(procs int) *Locator {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		loc := placedLocator(adj, 42)
-		loc.Rebuild()
-		return loc
-	}
-	serial := build(1)
-	parallel := build(4)
-	for u := range adj {
-		for _, v := range adj[u] {
-			a, b := serial.EdgeFilter(u, v), parallel.EdgeFilter(u, v)
-			for d := 0; d < 3; d++ {
-				if !a.Layer(d).Equal(b.Layer(d)) {
-					t.Fatalf("edge %d->%d layer %d differs between procs=1 and procs=4", u, v, d)
-				}
-			}
-		}
-	}
-}
-
 // TestConcurrentRebuildRace: the scratch bank is shared; overlapping
 // Rebuild calls must serialise on the mutex rather than interleave.
 // Run under -race; afterwards the filters must equal a clean rebuild.

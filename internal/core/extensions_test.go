@@ -135,7 +135,7 @@ func TestVersionQualifiedReads(t *testing.T) {
 		t.Fatal("nonexistent version read")
 	}
 	// Retirement drops old versions (latest survives).
-	dropped := ring.Retire(object.KeepLast{N: 1})
+	dropped := ring.History().Retire(object.KeepLast{N: 1})
 	if dropped == 0 {
 		t.Fatal("nothing retired")
 	}

@@ -12,7 +12,6 @@ import (
 	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/introspect"
-	"oceanstore/internal/object"
 	"oceanstore/internal/obs"
 	"oceanstore/internal/replica"
 	"oceanstore/internal/simnet"
@@ -62,8 +61,9 @@ type SoakConfig struct {
 	// plus the primary anchor), occupies that node for ReadService in a
 	// per-node FIFO, and completes one round trip later through the
 	// kernel — so read latency is a real queueing quantity that degrades
-	// when few replicas absorb a flash crowd.  0 keeps the legacy
-	// synchronous (zero-latency) read.
+	// when few replicas absorb a flash crowd.  0 serves each read
+	// synchronously from the session's replica, at zero latency: the
+	// path of every soak that does not study read queueing.
 	ReadService time.Duration
 	// Introspect arms the introspective replica controller (§4.7.2): it
 	// watches per-object read/write traffic and promotes/demotes
@@ -93,8 +93,6 @@ const (
 	// soakRetainVersions caps each object's retained version history
 	// (object.KeepLast); deep-archival copies persist regardless.
 	soakRetainVersions = 8
-	// soakRetirePeriod is the period of the history-retirement sweep.
-	soakRetirePeriod = 5 * time.Minute
 	// soakFaults is f per primary tier (3f+1 members).
 	soakFaults = 1
 	// soakGossipInterval is the secondary anti-entropy period.
@@ -264,14 +262,6 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 			w.addSecondary(obj, nd.ID)
 		}
 	})
-	p.K.Every(soakRetirePeriod, func() {
-		policy := object.KeepLast{N: soakRetainVersions}
-		for _, obj := range w.objects {
-			if ring, ok := p.Ring(obj); ok {
-				ring.Retire(policy)
-			}
-		}
-	})
 	if cfg.ScrubInterval > 0 {
 		w.sched = archive.NewScheduler(p.Arch, archive.SchedulerConfig{
 			ScrubInterval: cfg.ScrubInterval,
@@ -377,7 +367,8 @@ func (w *SoakWorld) createObject() (guid.GUID, error) {
 		return guid.Zero, err
 	}
 	for j := 0; j < w.cfg.Secondaries; j++ {
-		w.addSecondary(obj, w.nextSecondaryNode())
+		node, _ := w.rotateNode(func(simnet.NodeID) bool { return true })
+		w.addSecondary(obj, node)
 	}
 	w.objects = append(w.objects, obj)
 	return obj, nil
@@ -417,17 +408,20 @@ func (w *SoakWorld) HostedAt(node simnet.NodeID) int {
 	return w.hosted[node]
 }
 
-// nextSecondaryNode rotates replica placement over live nodes.
-func (w *SoakWorld) nextSecondaryNode() simnet.NodeID {
+// rotateNode is replica placement's one rotation: it advances the
+// placement cursor over the nodes for at most one lap and returns the
+// first live node accept takes.  When none does — every node down, in
+// the worst case — it returns node 0 and false.
+func (w *SoakWorld) rotateNode(accept func(simnet.NodeID) bool) (simnet.NodeID, bool) {
 	n := w.Pool.Net.Len()
 	for tries := 0; tries < n; tries++ {
 		id := simnet.NodeID(w.nextSecondary % n)
 		w.nextSecondary++
-		if !w.Pool.Net.Node(id).Down() {
-			return id
+		if !w.Pool.Net.Node(id).Down() && accept(id) {
+			return id, true
 		}
 	}
-	return 0
+	return 0, false
 }
 
 // soakHost adapts the world to the controller's Host interface: the
@@ -462,25 +456,20 @@ func (h soakHost) Promote(obj int) bool {
 	if !ok {
 		return false
 	}
-	n := w.Pool.Net.Len()
-	for tries := 0; tries < n; tries++ {
-		id := simnet.NodeID(w.nextSecondary % n)
-		w.nextSecondary++
-		if w.Pool.Net.Node(id).Down() {
-			continue
-		}
+	_, placed := w.rotateNode(func(id simnet.NodeID) bool {
 		if _, dup := ring.Secondary(id); dup {
-			continue
+			return false
 		}
 		if w.cfg.NodeBudget > 0 && w.HostedAt(id) >= w.cfg.NodeBudget {
-			continue
+			return false
 		}
-		if w.Pool.AddReplica(oid, id) == nil {
-			w.hostedAdd(id, 1)
-			return true
+		if w.Pool.AddReplica(oid, id) != nil {
+			return false
 		}
-	}
-	return false
+		w.hostedAdd(id, 1)
+		return true
+	})
+	return placed
 }
 
 // Demote retires the coldest floating replica (fewest serves, ties to

@@ -3,9 +3,18 @@ package erasure
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
+
+// withProcs runs f under the given GOMAXPROCS, restoring the old value
+// — on a single-core host this still timeslices real goroutines, so
+// the shared codec state meets real concurrency under -race.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
 
 // decodeSet builds a fragment subset that is missing data shard 0, so
 // Decode must take the matrix path (and thus the inverse cache).  The
@@ -206,5 +215,47 @@ func TestConcurrentSameSetDecode(t *testing.T) {
 		if h2 != hits+1 || m2 != misses {
 			t.Fatalf("post-race decode: stats %d/%d -> %d/%d, want one more hit", hits, misses, h2, m2)
 		}
+	})
+}
+
+// TestConcurrentEncodeDecodeRace hammers one shared codec from many
+// goroutines — the scratch pool and the decode-matrix cache under
+// -race.  Every goroutine must round-trip its own payload.
+func TestConcurrentEncodeDecodeRace(t *testing.T) {
+	withProcs(4, func() {
+		rs, err := NewReedSolomon(8, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(g)))
+				data := make([]byte, 40<<10)
+				r.Read(data)
+				for iter := 0; iter < 10; iter++ {
+					frags, err := rs.Encode(data)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					// Rotate which half survives so different goroutines
+					// exercise different cache keys concurrently.
+					sub := append([]Fragment(nil), frags[(g+iter)%8:]...)
+					got, err := rs.Decode(sub[:8], len(data))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(got, data) {
+						t.Errorf("goroutine %d iter %d: round-trip mismatch", g, iter)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	})
 }

@@ -5,17 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"oceanstore/internal/par"
 )
-
-// parByteMin gates the fork-join paths: below this much input the
-// kernels run serially — goroutine dispatch would cost more than the
-// GF math it spreads.  Above it, encode parallelises by output-shard
-// row range and decode by missing-shard range; every row writes only
-// its own buffer, so parallel output is byte-identical to serial (the
-// golden fragment hashes pin this).
-const parByteMin = 32 << 10
 
 // Fragment is one erasure-coded shard of an object.  Index identifies
 // the fragment's row in the code, which the decoder needs to know which
@@ -162,22 +152,13 @@ func (rs *ReedSolomon) Encode(data []byte) ([]Fragment, error) {
 		copy(buf, shards[r])
 		out[r] = Fragment{Index: r, Data: buf}
 	}
-	encodeRows := func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			buf := make([]byte, l)
-			row := rs.enc.row(r)
-			for c := 0; c < rs.n; c++ {
-				mulSlice(buf, shards[c], row[c])
-			}
-			out[r] = Fragment{Index: r, Data: buf}
+	for r := rs.n; r < rs.f; r++ {
+		buf := make([]byte, l)
+		row := rs.enc.row(r)
+		for c := 0; c < rs.n; c++ {
+			mulSlice(buf, shards[c], row[c])
 		}
-	}
-	// Parity rows are independent: row r reads the (now frozen) shard
-	// set and writes only out[r].  Fan out above the byte threshold.
-	if rs.n*l >= parByteMin {
-		par.Do(rs.f-rs.n, 1, func(lo, hi int) { encodeRows(rs.n+lo, rs.n+hi) })
-	} else {
-		encodeRows(rs.n, rs.f)
+		out[r] = Fragment{Index: r, Data: buf}
 	}
 	rs.putScratch(backing)
 	return out, nil
@@ -224,28 +205,18 @@ func (rs *ReedSolomon) Decode(frags []Fragment, dataLen int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	decodeShards := func(lo, hi int) {
-		for shard := lo; shard < hi; shard++ {
-			buf := data[shard*l : (shard+1)*l]
-			if seen[shard] {
-				// This data shard survived; exact arithmetic makes its
-				// inverse row a unit vector, so skip the kernel and copy.
-				i := sort.Search(len(rows), func(i int) bool { return rows[i].Index >= shard })
-				copy(buf, rows[i].Data)
-				continue
-			}
-			for i := 0; i < rs.n; i++ {
-				mulSlice(buf, rows[i].Data, inv.at(shard, i))
-			}
+	for shard := 0; shard < rs.n; shard++ {
+		buf := data[shard*l : (shard+1)*l]
+		if seen[shard] {
+			// This data shard survived; exact arithmetic makes its
+			// inverse row a unit vector, so skip the kernel and copy.
+			i := sort.Search(len(rows), func(i int) bool { return rows[i].Index >= shard })
+			copy(buf, rows[i].Data)
+			continue
 		}
-	}
-	// Each output shard writes its own slice of data and reads the
-	// shared fragment rows and inverse matrix — disjoint writes, so the
-	// reconstruction is byte-identical at any worker count.
-	if rs.n*l >= parByteMin {
-		par.Do(rs.n, 1, decodeShards)
-	} else {
-		decodeShards(0, rs.n)
+		for i := 0; i < rs.n; i++ {
+			mulSlice(buf, rows[i].Data, inv.at(shard, i))
+		}
 	}
 	return data[:dataLen], nil
 }

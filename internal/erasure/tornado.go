@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-
-	"oceanstore/internal/par"
 )
 
 // Tornado is a Tornado-style XOR erasure code: fragments 0..n-1 are the
@@ -118,22 +116,12 @@ func (t *Tornado) Encode(data []byte) ([]Fragment, error) {
 		shards[i] = buf
 		out[i] = Fragment{Index: i, Data: buf}
 	}
-	encodeChecks := func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			buf := make([]byte, l)
-			for _, s := range t.neighbours[j] {
-				xorSlice(buf, shards[s])
-			}
-			out[t.n+j] = Fragment{Index: t.n + j, Data: buf}
+	for j, nb := range t.neighbours {
+		buf := make([]byte, l)
+		for _, s := range nb {
+			xorSlice(buf, shards[s])
 		}
-	}
-	// Check j XORs a fixed subset of the (frozen) data shards into its
-	// own buffer — independent rows, same parallel-by-range treatment
-	// as the RS parity block above the byte threshold.
-	if t.n*l >= parByteMin {
-		par.Do(len(t.neighbours), 2, encodeChecks)
-	} else {
-		encodeChecks(0, len(t.neighbours))
+		out[t.n+j] = Fragment{Index: t.n + j, Data: buf}
 	}
 	return out, nil
 }

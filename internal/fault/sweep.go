@@ -29,5 +29,5 @@ func Combos(plans []Plan, seeds []int64) []Combo {
 // with cores instead of minutes.
 func Sweep[T any](plans []Plan, seeds []int64, fn func(Plan, int64) T) []T {
 	combos := Combos(plans, seeds)
-	return par.Map(len(combos), 1, func(i int) T { return fn(combos[i].Plan, combos[i].Seed) })
+	return par.Map(len(combos), func(i int) T { return fn(combos[i].Plan, combos[i].Seed) })
 }

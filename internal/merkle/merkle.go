@@ -16,17 +16,6 @@ import (
 	"hash"
 
 	"oceanstore/internal/guid"
-	"oceanstore/internal/par"
-)
-
-// Parallel gates: leaf hashing forks when the fragment set carries at
-// least parLeafBytes of data; inner levels fork at parLevelNodes
-// pairs.  Every chunk hashes with its own sha1 instance and writes
-// only its own slots, so the tree — and therefore every archival GUID
-// — is byte-identical to a serial build.
-const (
-	parLeafBytes  = 32 << 10
-	parLevelNodes = 2048
 )
 
 // Domain-separation prefixes: an inner node can never be confused with
@@ -74,41 +63,20 @@ func Build(fragments [][]byte) *Tree {
 	if len(fragments) == 0 {
 		panic("merkle: no fragments")
 	}
+	h := sha1.New()
 	level := make([]guid.GUID, len(fragments))
-	total := 0
-	for _, f := range fragments {
-		total += len(f)
-	}
-	if total >= parLeafBytes && len(fragments) > 1 {
-		par.Do(len(fragments), 4, func(lo, hi int) {
-			h := sha1.New()
-			for i := lo; i < hi; i++ {
-				level[i] = hashLeaf(h, fragments[i])
-			}
-		})
-	} else {
-		h := sha1.New()
-		for i, f := range fragments {
-			level[i] = hashLeaf(h, f)
-		}
+	for i, f := range fragments {
+		level[i] = hashLeaf(h, f)
 	}
 	t := &Tree{levels: [][]guid.GUID{level}}
-	h := sha1.New()
 	for len(level) > 1 {
 		next := make([]guid.GUID, (len(level)+1)/2)
-		hashSpan := func(d hash.Hash, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				if 2*j+1 < len(level) {
-					next[j] = hashPair(d, level[2*j], level[2*j+1])
-				} else {
-					next[j] = level[2*j] // odd carry, unchanged
-				}
+		for j := range next {
+			if 2*j+1 < len(level) {
+				next[j] = hashPair(h, level[2*j], level[2*j+1])
+			} else {
+				next[j] = level[2*j] // odd carry, unchanged
 			}
-		}
-		if len(next) >= parLevelNodes {
-			par.Do(len(next), 256, func(lo, hi int) { hashSpan(sha1.New(), lo, hi) })
-		} else {
-			hashSpan(h, 0, len(next))
 		}
 		t.levels = append(t.levels, next)
 		level = next

@@ -18,15 +18,15 @@ type History struct {
 	// branches holds conflict branches keyed by the parent version they
 	// diverged from (Lotus Notes-style, §4.4.1).
 	branches map[guid.GUID][]*Version
-	// bound, when >0, prunes the oldest versions inline as new ones
-	// arrive (KeepLast applied continuously) so a hot object's history
-	// cannot balloon between retirement sweeps.  0 = unbounded.
+	// bound, when >0, caps the chain: Add retires it to KeepLast{bound}
+	// as each new version arrives, so a hot object never holds more than
+	// bound versions.  0 = unbounded.
 	bound int
 }
 
-// SetBound installs an inline KeepLast{N: n} bound: Add prunes the
-// oldest versions once the chain exceeds it.  0 restores unbounded
-// growth (already-pruned versions stay gone).
+// SetBound installs a KeepLast{N: n} bound that Add enforces on every
+// new version.  0 restores unbounded growth (already-retired versions
+// stay gone).
 func (h *History) SetBound(n int) { h.bound = n }
 
 // NewHistory starts a history at the initial version.
@@ -44,18 +44,8 @@ func (h *History) Add(v *Version) {
 	}
 	h.versions = append(h.versions, v)
 	h.byGUID[v.GUID()] = v
-	// Chunked inline pruning: trigger at 2× the bound, trim back to the
-	// bound, so the copy cost is amortised O(1) per Add.
-	if h.bound > 0 && len(h.versions) >= 2*h.bound {
-		drop := len(h.versions) - h.bound
-		for _, old := range h.versions[:drop] {
-			delete(h.byGUID, old.GUID())
-		}
-		n := copy(h.versions, h.versions[drop:])
-		for i := n; i < len(h.versions); i++ {
-			h.versions[i] = nil
-		}
-		h.versions = h.versions[:n]
+	if h.bound > 0 && len(h.versions) > h.bound {
+		h.Retire(KeepLast{N: h.bound})
 	}
 }
 
@@ -148,18 +138,20 @@ func (h *History) Branches(parent guid.GUID) []*Version {
 
 // Retire drops versions the policy rejects.  The latest version is
 // always retained regardless of policy.  It returns how many versions
-// were dropped.
+// were dropped.  The survivors are compacted to the front of the chain
+// and the slots behind them cleared, so a dropped version is
+// unreachable from the history whichever versions the policy kept.
 func (h *History) Retire(p RetirementPolicy) int {
 	kept := h.versions[:0]
-	dropped := 0
 	for i, v := range h.versions {
 		if i == len(h.versions)-1 || p.Retain(h.versions, i) {
 			kept = append(kept, v)
 		} else {
 			delete(h.byGUID, v.GUID())
-			dropped++
 		}
 	}
+	dropped := len(h.versions) - len(kept)
+	clear(h.versions[len(kept):])
 	h.versions = kept
 	return dropped
 }

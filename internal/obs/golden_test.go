@@ -57,7 +57,7 @@ func dump(t *testing.T, seeds int) ([]byte, []byte) {
 		reg *obs.Registry
 		tr  *obs.Tracer
 	}
-	per := par.Map(seeds, 1, func(i int) sinks {
+	per := par.Map(seeds, func(i int) sinks {
 		reg, tr := traffic(100 + int64(i))
 		return sinks{reg, tr}
 	})

@@ -1,22 +1,18 @@
-// Package par is a small deterministic fork-join utility: a bounded
-// worker pool over contiguous index ranges, with ordered result
-// collection and panic propagation.
+// Package par holds the repository's three concurrency shapes, each a
+// deterministic join:
 //
-// Determinism contract.  Do partitions [0, n) into fixed contiguous
-// chunks whose boundaries depend only on (n, grain) — never on the
-// number of workers or on scheduling.  Callers write only to the slots
-// of their own chunk, and any reduction happens in index order after
-// Do returns.  Partitioned writes + ordered merge means a parallel run
-// produces byte-identical results to the serial one, which is what
-// lets the golden-hash determinism tests pass with parallelism on.
+//   - Map runs independent whole computations (one simulator per seed or
+//     grid cell) on GOMAXPROCS workers and returns results in index order.
+//   - DoWide fans blocking I/O (one fsync per volume) out to a fixed
+//     number of workers, whatever GOMAXPROCS says.
+//   - Start/Task.Wait (task.go) offloads one leaf computation to a helper
+//     goroutine and joins it when its result is first needed.
 //
-// The worker budget is GOMAXPROCS at call time, so `go test -cpu
-// 1,2,4` sweeps the pool width and procs=1 takes the serial fallback
-// (no goroutines, no channels — zero overhead over a plain loop).
-//
-// Start/Task.Wait (task.go) is the same contract stretched over time:
-// one leaf computation forked now and joined when its result is first
-// needed, with the caller working in between.
+// Determinism contract.  Every index runs exactly once and writes only
+// its own result slot; any reduction happens in index order after the
+// join.  Which worker ran which index never shows in the result, so a
+// run is byte-identical at any GOMAXPROCS.  With one worker, fn runs
+// inline on the caller in index order: no goroutines, no channels.
 package par
 
 import (
@@ -47,38 +43,35 @@ func (p *WorkerPanic) Error() string {
 	return fmt.Sprintf("par: worker panic: %v\n%s", p.Value, p.Stack)
 }
 
-// Do runs fn over [0, n) split into contiguous chunks of about grain
-// indices, on up to Procs() workers.  fn(lo, hi) must touch only state
-// owned by indices [lo, hi).  Chunk boundaries depend only on (n,
-// grain); with one proc (or one chunk) fn runs inline as fn(0, n).
-// A panic in any worker is re-thrown here wrapped in *WorkerPanic;
-// remaining chunks still complete first, so partial state is never
-// observed mid-write by the caller.
-func Do(n, grain int, fn func(lo, hi int)) {
-	doProcs(Procs(), n, grain, fn)
+// Map computes out[i] = fn(i) for i in [0, n) on up to Procs() workers,
+// collecting results in index order.
+func Map[T any](n int, fn func(i int) T) []T {
+	out := make([]T, n)
+	do(Procs(), n, func(i int) { out[i] = fn(i) })
+	return out
 }
 
-// DoWide is Do on exactly width workers whatever GOMAXPROCS says — for
-// fan-outs whose workers block in the kernel (an fsync per chunk)
-// rather than burn CPU, where the useful width is the devices' queue
-// depth, not the core count.  Same chunking, same ordering contract.
-func DoWide(width, n, grain int, fn func(lo, hi int)) {
-	doProcs(width, n, grain, fn)
+// DoWide runs fn(i) for i in [0, n) on exactly width workers whatever
+// GOMAXPROCS says — for fan-outs whose workers block in the kernel (an
+// fsync per index) rather than burn CPU, where the useful width is the
+// devices' queue depth, not the core count.  fn(i) must touch only
+// state owned by index i.
+func DoWide(width, n int, fn func(i int)) {
+	do(width, n, fn)
 }
 
-func doProcs(procs, n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
-	if procs > chunks {
-		procs = chunks
+// do hands the indices [0, n) out one at a time to min(procs, n)
+// workers and returns once all have run.  A panic in any worker is
+// re-thrown here wrapped in *WorkerPanic; the remaining indices still
+// run first, so the caller never observes state mid-write.
+func do(procs, n int, fn func(i int)) {
+	if procs > n {
+		procs = n
 	}
 	if procs <= 1 {
-		fn(0, n)
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
 		return
 	}
 	var (
@@ -95,35 +88,19 @@ func doProcs(procs, n, grain int, fn func(lo, hi int)) {
 			}
 		}()
 		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
+			i := int(next.Add(1)) - 1
+			if i >= n {
 				return
 			}
-			lo := c * grain
-			hi := min(lo+grain, n)
-			fn(lo, hi)
+			fn(i)
 		}
 	}
 	wg.Add(procs)
-	for i := 0; i < procs; i++ {
+	for w := 0; w < procs; w++ {
 		go work()
 	}
 	wg.Wait()
 	if pnc != nil {
 		panic(pnc)
 	}
-}
-
-// Map computes out[i] = fn(i) for i in [0, n) on the pool, collecting
-// results in index order.  grain batches adjacent indices onto one
-// worker dispatch; use 1 when each item is heavy (a whole simulator
-// run), larger when items are cheap.
-func Map[T any](n, grain int, fn func(i int) T) []T {
-	out := make([]T, n)
-	Do(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i)
-		}
-	})
-	return out
 }

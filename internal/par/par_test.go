@@ -1,84 +1,47 @@
 package par
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestDoCoversEveryIndexOnce checks the partition: every index in
-// [0, n) is visited exactly once for a grid of (procs, n, grain).
+// TestDoCoversEveryIndexOnce checks the hand-out: every index in
+// [0, n) runs exactly once for a grid of (procs, n).
 func TestDoCoversEveryIndexOnce(t *testing.T) {
-	for _, procs := range []int{1, 2, 3, 4, 8} {
+	for _, procs := range []int{0, 1, 2, 3, 4, 8} {
 		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-			for _, grain := range []int{0, 1, 3, 64, 2000} {
-				hits := make([]atomic.Int32, n)
-				doProcs(procs, n, grain, func(lo, hi int) {
-					if lo < 0 || hi > n || lo >= hi {
-						t.Errorf("procs=%d n=%d grain=%d: bad span [%d,%d)", procs, n, grain, lo, hi)
-						return
-					}
-					for i := lo; i < hi; i++ {
-						hits[i].Add(1)
-					}
-				})
-				for i := range hits {
-					if got := hits[i].Load(); got != 1 {
-						t.Fatalf("procs=%d n=%d grain=%d: index %d visited %d times", procs, n, grain, i, got)
-					}
+			hits := make([]atomic.Int32, n)
+			do(procs, n, func(i int) {
+				if i < 0 || i >= n {
+					t.Errorf("procs=%d n=%d: index %d out of range", procs, n, i)
+					return
+				}
+				hits[i].Add(1)
+			})
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("procs=%d n=%d: index %d visited %d times", procs, n, i, got)
 				}
 			}
 		}
 	}
 }
 
-// TestChunkBoundariesIgnoreProcs pins the determinism contract: the
-// set of (lo, hi) spans depends only on (n, grain), not on the worker
-// count.
-func TestChunkBoundariesIgnoreProcs(t *testing.T) {
-	spans := func(procs, n, grain int) map[string]bool {
-		out := make(chan string, n+1)
-		doProcs(procs, n, grain, func(lo, hi int) { out <- fmt.Sprintf("%d:%d", lo, hi) })
-		close(out)
-		set := make(map[string]bool)
-		for s := range out {
-			set[s] = true
-		}
-		return set
-	}
-	for _, tc := range []struct{ n, grain int }{{100, 7}, {64, 64}, {65, 64}, {1000, 1}} {
-		// procs=1 runs fn(0,n) inline — the serial fallback is the one
-		// permitted difference, so compare parallel widths to each other.
-		s2 := spans(2, tc.n, tc.grain)
-		for _, procs := range []int{3, 4, 8} {
-			sp := spans(procs, tc.n, tc.grain)
-			if len(sp) != len(s2) {
-				t.Fatalf("n=%d grain=%d: %d spans at procs=2, %d at procs=%d", tc.n, tc.grain, len(s2), len(sp), procs)
-			}
-			for s := range sp {
-				if !s2[s] {
-					t.Fatalf("n=%d grain=%d: span %s at procs=%d not present at procs=2", tc.n, tc.grain, s, procs)
-				}
-			}
-		}
-	}
-}
-
-// TestSerialFallback: with one proc (or one chunk) fn must be called
-// exactly once as fn(0, n) on the calling goroutine.
+// TestSerialFallback: with one worker (or one index) fn runs on the
+// calling goroutine, in index order.
 func TestSerialFallback(t *testing.T) {
-	for _, tc := range []struct{ procs, n, grain int }{{1, 100, 3}, {4, 5, 10}} {
-		calls := 0
-		doProcs(tc.procs, tc.n, tc.grain, func(lo, hi int) {
-			calls++
-			if lo != 0 || hi != tc.n {
-				t.Fatalf("procs=%d n=%d grain=%d: serial fallback got [%d,%d)", tc.procs, tc.n, tc.grain, lo, hi)
+	for _, tc := range []struct{ procs, n int }{{1, 100}, {4, 1}} {
+		var order []int
+		do(tc.procs, tc.n, func(i int) { order = append(order, i) })
+		if len(order) != tc.n {
+			t.Fatalf("procs=%d n=%d: %d calls", tc.procs, tc.n, len(order))
+		}
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("procs=%d n=%d: call %d got index %d", tc.procs, tc.n, i, got)
 			}
-		})
-		if calls != 1 {
-			t.Fatalf("procs=%d n=%d grain=%d: %d calls, want 1", tc.procs, tc.n, tc.grain, calls)
 		}
 	}
 }
@@ -111,8 +74,8 @@ func TestPanicPropagation(t *testing.T) {
 					t.Fatalf("procs=%d: worker stack not captured", procs)
 				}
 			}()
-			doProcs(procs, 100, 1, func(lo, hi int) {
-				if lo <= 50 && 50 < hi {
+			do(procs, 100, func(i int) {
+				if i == 50 {
 					panic("boom")
 				}
 			})
@@ -121,14 +84,18 @@ func TestPanicPropagation(t *testing.T) {
 }
 
 // TestMapOrdered: results land at their own index whatever the
-// interleaving.
+// interleaving, so the slice is the same at every GOMAXPROCS.
 func TestMapOrdered(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	got := Map(1000, 3, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
+	for _, procs := range []int{1, 2, 4, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			got := Map(1000, func(i int) int { return i * i })
+			for i, v := range got {
+				if v != i*i {
+					t.Fatalf("procs=%d: out[%d] = %d", procs, i, v)
+				}
+			}
+		}()
 	}
 }
 
@@ -140,7 +107,7 @@ func TestProcsFloor(t *testing.T) {
 }
 
 // TestDoWideIgnoresGOMAXPROCS: DoWide's width is the caller's, not the
-// scheduler's — with one proc, four chunks that each wait for the other
+// scheduler's — with one proc, four indices that each wait for the other
 // three only finish if four workers really exist.  (A serial fallback
 // here would hang, and the test timeout would say so.)
 func TestDoWideIgnoresGOMAXPROCS(t *testing.T) {
@@ -148,10 +115,8 @@ func TestDoWideIgnoresGOMAXPROCS(t *testing.T) {
 	var barrier sync.WaitGroup
 	barrier.Add(4)
 	hits := make([]int, 4)
-	DoWide(4, 4, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hits[i]++
-		}
+	DoWide(4, 4, func(i int) {
+		hits[i]++
 		barrier.Done()
 		barrier.Wait()
 	})

@@ -8,7 +8,7 @@ import (
 )
 
 // Task is one leaf computation started off the caller's goroutine and
-// joined with Wait.  It is the fork-join of Do stretched over time: the
+// joined with Wait.  It is Map's fork-join stretched over time: the
 // caller keeps working between the fork and the join, so fn must be a
 // pure function of inputs snapshotted before Start — it may read
 // nothing the caller will write and write nothing the caller can see

@@ -62,8 +62,9 @@ type Config struct {
 	Archive archive.Config
 	// GossipInterval is the secondary anti-entropy period.
 	GossipInterval time.Duration
-	// HistoryBound inline-caps the retained version history between
-	// retirement sweeps (0 = unbounded).
+	// HistoryBound caps the retained version history: each commit
+	// retires the chain to its newest HistoryBound versions
+	// (object.KeepLast).  0 = unbounded.
 	HistoryBound int
 }
 
@@ -546,13 +547,6 @@ func (r *Ring) ArchiveNow() (guid.GUID, error) {
 // History exposes the retained committed versions: the resolution
 // target for version-qualified permanent hyperlinks.
 func (r *Ring) History() *object.History { return r.history }
-
-// Retire applies an Elephant-style retirement policy to the version
-// history (§2 footnote 2); the latest version always survives, and the
-// deep archival copies of retired versions persist regardless.
-func (r *Ring) Retire(policy object.RetirementPolicy) int {
-	return r.history.Retire(policy)
-}
 
 // PrimaryState exposes the authoritative committed replica.
 func (r *Ring) PrimaryState() *epidemic.Replica { return r.primaryState }
