@@ -29,6 +29,36 @@ func TestDoCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestChunkBoundariesIgnoreProcs: the unit of hand-out is one index at
+// every width, so the set of fn calls a run makes — and so any work
+// split it implies — is the same at procs 1, 2, 3, 4 and 8.
+func TestChunkBoundariesIgnoreProcs(t *testing.T) {
+	calls := func(procs, n int) map[int]int {
+		out := make(chan int, n)
+		do(procs, n, func(i int) { out <- i })
+		close(out)
+		set := make(map[int]int)
+		for i := range out {
+			set[i]++
+		}
+		return set
+	}
+	for _, n := range []int{1, 7, 64, 65, 1000} {
+		s1 := calls(1, n)
+		for _, procs := range []int{2, 3, 4, 8} {
+			sp := calls(procs, n)
+			if len(sp) != len(s1) {
+				t.Fatalf("n=%d: %d calls at procs=1, %d at procs=%d", n, len(s1), len(sp), procs)
+			}
+			for i, c := range sp {
+				if s1[i] != c {
+					t.Fatalf("n=%d: index %d called %d times at procs=%d, %d at procs=1", n, i, c, procs, s1[i])
+				}
+			}
+		}
+	}
+}
+
 // TestSerialFallback: with one worker (or one index) fn runs on the
 // calling goroutine, in index order.
 func TestSerialFallback(t *testing.T) {
