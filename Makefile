@@ -11,17 +11,18 @@ GO ?= go
 # kernel's.  The -race pass over these runs with GOMAXPROCS=4 so the
 # pool forks and the helper exists even on small CI machines.  The
 # kernels themselves (erasure, merkle, bloom), the simulator and the
-# network never fork; plain `race` covers them and the rest.
+# network never fork; `cover`'s -race suite pass covers them and the
+# rest.
 PAR_PKGS = ./internal/par/ ./internal/archive/ ./internal/blobstore/ \
 	./internal/fault/ ./internal/obs/ ./internal/crypt/ \
 	./internal/update/ ./internal/acl/ ./internal/core/
 
-.PHONY: check fmt vet vet-rand build test race race-par bench bench-smoke cover cover-write gates
+.PHONY: check fmt vet vet-rand build test race-par bench bench-smoke cover cover-write gates
 
 # Every prerequisite after vet compiles the tree and `gates` links
-# every program, so `build` is not one of them; `race` replays the checked-in
-# fuzz seed corpora (testdata/fuzz) as part of `go test`.
-check: fmt vet vet-rand race race-par bench-smoke cover gates
+# every program, so `build` is not one of them; `cover` replays the
+# checked-in fuzz seed corpora (testdata/fuzz) as part of `go test`.
+check: fmt vet vet-rand race-par bench-smoke cover gates
 
 # Formatting gate: gofmt must have nothing to say about any file.
 fmt:
@@ -53,9 +54,6 @@ build:
 test:
 	$(GO) test ./...
 
-race:
-	$(GO) test -race ./...
-
 # Race-check the forking packages with enough procs that Map really
 # runs concurrent workers and Start hands signatures to the helper.
 race-par:
@@ -69,14 +67,16 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Coverage ratchet: per-package floors live in cover/FLOORS.txt; the
-# gate fails if any package regresses below its floor.  After raising
+# One suite pass, race detector on, that is also the coverage ratchet:
+# per-package floors live in cover/FLOORS.txt, and the gate fails if
+# any test fails or races, or any package regresses below its floor
+# (coverfloor passes the suite's output through).  After raising
 # coverage, move the floors up with `make cover-write`.
 cover:
-	$(GO) test -cover ./... | $(GO) run ./cmd/coverfloor -floors cover/FLOORS.txt
+	$(GO) test -race -cover ./... | $(GO) run ./cmd/coverfloor -floors cover/FLOORS.txt
 
 cover-write:
-	$(GO) test -cover ./... | $(GO) run ./cmd/coverfloor -floors cover/FLOORS.txt -write
+	$(GO) test -race -cover ./... | $(GO) run ./cmd/coverfloor -floors cover/FLOORS.txt -write
 
 # Determinism and reachability gates (cmd/gates): coverage-instrumented
 # builds of osexp, the oceanstore demo and the examples run one table —

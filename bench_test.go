@@ -17,7 +17,6 @@ import (
 	"oceanstore/internal/bloom"
 	"oceanstore/internal/byz"
 	"oceanstore/internal/crypt"
-	"oceanstore/internal/erasure"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/introspect"
 	"oceanstore/internal/merkle"
@@ -260,54 +259,6 @@ func BenchmarkE8CiphertextOps(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// BenchmarkCodecAblation compares the archival codecs (DESIGN.md §4):
-// Reed-Solomon (MDS, GF(2^8) math) vs the Tornado-style code (XOR +
-// peeling, slight overhead).
-func BenchmarkCodecAblation(b *testing.B) {
-	data := make([]byte, 256<<10)
-	rand.New(rand.NewSource(6)).Read(data)
-	codecs := []struct {
-		name string
-		mk   func() erasure.Codec
-	}{
-		{"reed-solomon_16_32", func() erasure.Codec {
-			c, _ := erasure.NewReedSolomon(16, 32)
-			return c
-		}},
-		{"cauchy-rs_16_32", func() erasure.Codec {
-			c, _ := erasure.NewCauchyReedSolomon(16, 32)
-			return c
-		}},
-		{"tornado_16_32", func() erasure.Codec {
-			c, _ := erasure.NewTornado(16, 32, 7)
-			return c
-		}},
-	}
-	for _, tc := range codecs {
-		b.Run("encode_"+tc.name, func(b *testing.B) {
-			c := tc.mk()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Encode(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("decode_"+tc.name, func(b *testing.B) {
-			c := tc.mk()
-			frags, _ := c.Encode(data)
-			// Drop a quarter of the fragments to force real decoding.
-			sub := append([]erasure.Fragment(nil), frags[8:]...)
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Decode(sub, len(data)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -3,8 +3,12 @@
 //
 // Usage:
 //
-//	go test -cover ./... | coverfloor -floors cover/FLOORS.txt
-//	go test -cover ./... | coverfloor -floors cover/FLOORS.txt -write [-slack 2.0]
+//	go test -race -cover ./... | coverfloor -floors cover/FLOORS.txt
+//	go test -race -cover ./... | coverfloor -floors cover/FLOORS.txt -write [-slack 2.0]
+//
+// The suite's output passes through to stdout, and a suite that
+// reports a FAIL line (a failing test, a race, a build error) fails
+// both modes, so one pipeline is the test run and the coverage gate.
 //
 // Check mode (default) parses `go test -cover` output from stdin and
 // fails if any package listed in the floors file is below its floor or
@@ -30,20 +34,25 @@ import (
 
 var coverLine = regexp.MustCompile(`^ok\s+(\S+)\s+.*coverage:\s+([0-9.]+)% of statements`)
 
-func parseMeasured(r *bufio.Scanner) (map[string]float64, error) {
-	measured := make(map[string]float64)
+// parseMeasured echoes the suite's output and collects each package's
+// coverage; suiteFailed reports a FAIL line anywhere in it.
+func parseMeasured(r *bufio.Scanner) (measured map[string]float64, suiteFailed bool, err error) {
+	measured = make(map[string]float64)
 	for r.Scan() {
-		m := coverLine.FindStringSubmatch(r.Text())
+		line := r.Text()
+		fmt.Println(line)
+		suiteFailed = suiteFailed || strings.HasPrefix(line, "FAIL")
+		m := coverLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		pct, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad coverage %q: %v", m[2], err)
+			return nil, false, fmt.Errorf("bad coverage %q: %v", m[2], err)
 		}
 		measured[m[1]] = pct
 	}
-	return measured, r.Err()
+	return measured, suiteFailed, r.Err()
 }
 
 func readFloors(path string) (map[string]float64, error) {
@@ -97,9 +106,13 @@ func main() {
 	slack := flag.Float64("slack", 2.0, "noise margin subtracted when writing floors, in points")
 	flag.Parse()
 
-	measured, err := parseMeasured(bufio.NewScanner(os.Stdin))
+	measured, suiteFailed, err := parseMeasured(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "coverfloor: %v\n", err)
+		os.Exit(1)
+	}
+	if suiteFailed {
+		fmt.Fprintln(os.Stderr, "coverfloor: the test suite failed")
 		os.Exit(1)
 	}
 	if len(measured) == 0 {

@@ -186,7 +186,7 @@ var gates = []row{
 	programRow("quickstart", `^previous version GUID: `),
 	programRow("email", `^racing move: aborted, the inbox is unchanged$`),
 	programRow("library", `^background repair restored [1-9][0-9]* archives, 0 unrecoverable`),
-	programRow("nomadic", `^all reads satisfied through the floated replicas$`),
+	programRow("nomadic", `^refreshed from its tree parent, the edge copy serves: `),
 	programRow("sensors", `^archival snapshots of the feed: [1-9]`),
 }
 

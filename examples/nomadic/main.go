@@ -4,7 +4,10 @@
 // cluster recognizer discovers that the documents belong together, and
 // the optimizer floats replicas of the WHOLE cluster onto a server
 // next to the client — including documents the client has not touched
-// recently (cluster-mate prefetching).  Read latency collapses.
+// recently (cluster-mate prefetching).  Read latency collapses.  Then
+// the edge server's link turns thin (§4.4.4): a write reaches its copy
+// as an invalidation, the primary tier serves reads until the copy
+// refreshes from its tree parent, and the edge serves them again.
 package main
 
 import (
@@ -97,4 +100,43 @@ func main() {
 		}
 	}
 	fmt.Println("all reads satisfied through the floated replicas")
+
+	// Bandwidth-aware dissemination (§4.4.4): the edge server sits on a
+	// thin link, so the dissemination tree sends it invalidations
+	// instead of updates.  A write to a project document leaves the edge
+	// copy stale; reads go to the primary tier until the edge copy pulls
+	// what it missed from its tree parent.
+	pool.Net.Node(edgeServer).SetLowBandwidth(true)
+	fmt.Printf("edge server %d marked low-bandwidth\n", edgeServer)
+	doc := project[0]
+	ring, _ := pool.Ring(doc)
+	edge, _ := ring.Secondary(edgeServer)
+	if _, err := sess.Append(doc, []byte(", revised on the road")); err != nil {
+		log.Fatal(err)
+	}
+	world.Run(time.Minute)
+	if !edge.Stale {
+		log.Fatal("the low-bandwidth edge copy was sent the update, not an invalidation")
+	}
+	fmt.Println("write to project/spec.md committed; the edge copy took an invalidation")
+	served := edge.Reads
+	data, err := sess.Read(doc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if edge.Reads != served {
+		log.Fatal("the stale edge copy served a read")
+	}
+	fmt.Printf("meanwhile the primary tier serves reads: %q\n", data)
+	if err := ring.Refresh(edgeServer, nil); err != nil {
+		log.Fatal(err)
+	}
+	world.Run(10 * time.Second)
+	if data, err = sess.Read(doc); err != nil {
+		log.Fatal(err)
+	}
+	if edge.Stale || edge.Reads != served+1 {
+		log.Fatal("the refreshed edge copy did not serve the read")
+	}
+	fmt.Printf("refreshed from its tree parent, the edge copy serves: %q\n", data)
 }

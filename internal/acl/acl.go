@@ -116,19 +116,13 @@ func Certify(owner *crypt.Signer, obj guid.GUID, a *ACL, serial uint64) *Certifi
 	return c
 }
 
-// VerifyCert checks that the certificate is (1) correctly signed and
-// (2) issued by the true owner of the object: because object GUIDs are
+// verify checks that the certificate is (1) correctly signed and (2)
+// issued by the true owner of the object: because object GUIDs are
 // self-certifying — the secure hash of the owner's key and the object's
 // human-readable name (§4.1) — any server can verify ownership with no
-// authority, given the name the object was created under.
-func VerifyCert(c *Certificate, name string) bool {
-	ok, _ := c.verify(name)
-	return ok
-}
-
-// verify is VerifyCert, also reporting whether the certificate's memo
-// stood in for ed25519.Verify.  Ownership is outside the memo and is
-// checked every time.
+// authority, given the name the object was created under.  memoHit
+// reports whether the certificate's memo stood in for ed25519.Verify.
+// Ownership is outside the memo and is checked every time.
 func (c *Certificate) verify(name string) (ok, memoHit bool) {
 	if guid.FromOwnerAndName(c.OwnerPub, name) != c.Object {
 		return false, false
@@ -192,16 +186,6 @@ func (s *Store) AddCert(c *Certificate, name string) error {
 // certificate's memo, or by the full check (rejections included).
 func (s *Store) CertVerifies() (memoHits, full int) {
 	return s.certMemoHits, s.certFullVerifies
-}
-
-// CurrentACL returns the certified ACL for an object.
-func (s *Store) CurrentACL(obj guid.GUID) (*ACL, bool) {
-	c, ok := s.certs[obj]
-	if !ok {
-		return nil, false
-	}
-	a, ok := s.acls[c.ACLGuid]
-	return a, ok
 }
 
 // CheckWrite is the well-behaved server's gate (§4.2): verify the

@@ -50,22 +50,22 @@ func TestCertificateSelfCertifying(t *testing.T) {
 	obj := guid.FromOwnerAndName(owner.Public(), "inbox")
 	acl := &ACL{}
 	cert := Certify(owner, obj, acl, 1)
-	if !VerifyCert(cert, "inbox") {
+	if ok, _ := cert.verify("inbox"); !ok {
 		t.Fatal("valid certificate rejected")
 	}
 	// Wrong name: the key does not hash to the object GUID under it.
-	if VerifyCert(cert, "outbox") {
+	if ok, _ := cert.verify("outbox"); ok {
 		t.Fatal("certificate verified under wrong name")
 	}
 	// A non-owner cannot hijack the name: their key hashes elsewhere.
 	thief := crypt.NewSigner(r)
 	stolen := Certify(thief, obj, acl, 99)
-	if VerifyCert(stolen, "inbox") {
+	if ok, _ := stolen.verify("inbox"); ok {
 		t.Fatal("non-owner certified someone else's object")
 	}
 	// Tampered signature.
 	cert.Sig[0] ^= 1
-	if VerifyCert(cert, "inbox") {
+	if ok, _ := cert.verify("inbox"); ok {
 		t.Fatal("tampered certificate verified")
 	}
 }
@@ -144,9 +144,8 @@ func TestRevocationViaRecertify(t *testing.T) {
 	if err := s.AddCert(Certify(owner, obj, permissive, 1), "doc"); err == nil {
 		t.Fatal("stale certificate replay accepted")
 	}
-	// Current ACL reflects the newest binding.
-	cur, ok := s.CurrentACL(obj)
-	if !ok || cur.GUID() != empty.GUID() {
+	// The installed binding is the newest one.
+	if cur, ok := s.certs[obj]; !ok || cur.ACLGuid != empty.GUID() {
 		t.Fatal("current ACL not the newest binding")
 	}
 }

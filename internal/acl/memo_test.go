@@ -54,7 +54,7 @@ func TestCertTamperAfterCertifyDefeatsMemo(t *testing.T) {
 		if hits, _ := s.CertVerifies(); hits != 0 {
 			t.Fatalf("%s: the memo answered for a tampered certificate", field)
 		}
-		if _, ok := s.CurrentACL(cert.Object); ok {
+		if _, ok := s.certs[cert.Object]; ok {
 			t.Fatalf("%s: rejected certificate left a binding behind", field)
 		}
 	}

@@ -63,19 +63,19 @@ type Config struct {
 // codec.  Sharing is what makes the decode-matrix cache effective
 // across a repair storm: thousands of Encode/Decode calls per
 // experiment, a handful of distinct Configs.
-var codecCache sync.Map // Config -> erasure.Codec
+var codecCache sync.Map // Config -> *erasure.ReedSolomon
 
 // Codec returns the (cached) erasure codec for this configuration.
-func (c Config) Codec() (erasure.Codec, error) {
+func (c Config) Codec() (*erasure.ReedSolomon, error) {
 	if v, ok := codecCache.Load(c); ok {
-		return v.(erasure.Codec), nil
+		return v.(*erasure.ReedSolomon), nil
 	}
 	codec, err := erasure.NewReedSolomon(c.DataShards, c.TotalFragments)
 	if err != nil {
 		return nil, err
 	}
 	v, _ := codecCache.LoadOrStore(c, codec)
-	return v.(erasure.Codec), nil
+	return v.(*erasure.ReedSolomon), nil
 }
 
 // Encode erasure-codes data and wraps every fragment with its

@@ -297,7 +297,7 @@ func TestRetrieveRejectsForeignFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placement, _ := svc.Placement(root)
+	placement := svc.archives[root].where
 	liar := placement[0]
 	for _, nid := range placement[:cfg.DataShards] {
 		if net.Latency(0, nid) < net.Latency(0, liar) {
@@ -394,7 +394,7 @@ func TestSchedulerRestoresRedundancy(t *testing.T) {
 	rand.New(rand.NewSource(10)).Read(data)
 	root, _ := svc.Archive(data, Config{DataShards: 8, TotalFragments: 32}, nil)
 	// Degrade: kill nodes holding fragments until only ~12 live.
-	placement, _ := svc.Placement(root)
+	placement := svc.archives[root].where
 	killed := map[simnet.NodeID]bool{}
 	for _, nid := range placement {
 		if svc.LiveFragments(root) <= 12 {
@@ -425,7 +425,7 @@ func TestSchedulerRestoresRedundancy(t *testing.T) {
 	}
 	// A healthy archive is left alone.
 	k.RunFor(10 * time.Minute)
-	if st := sc.Stats(); st.Repairs != 1 || sc.PendingRepairs() != 0 {
-		t.Fatalf("healthy archive repaired again: %d repairs, %d pending", st.Repairs, sc.PendingRepairs())
+	if st := sc.Stats(); st.Repairs != 1 || len(sc.pending) != 0 {
+		t.Fatalf("healthy archive repaired again: %d repairs, %d pending", st.Repairs, len(sc.pending))
 	}
 }

@@ -102,7 +102,7 @@ func TestGroupCommitParallelEqualsSerial(t *testing.T) {
 			if got, want := stores[id].Stats(), refStores[id].Stats(); got != want {
 				t.Fatalf("seed %d volume %d: stats %+v, serial %+v", seed, id, got, want)
 			}
-			if got, want := stores[id].Unsynced() > 0, wantDirty[id]; got != want {
+			if got, want := stores[id].Stats().Syncs == 0, wantDirty[id]; got != want {
 				t.Fatalf("seed %d volume %d: unsynced=%v, serial loop says %v", seed, id, got, want)
 			}
 		}

@@ -70,10 +70,10 @@ func TestSchedulerReportsUnrecoverable(t *testing.T) {
 	if st.Repairs != 0 {
 		t.Fatalf("unrecoverable archive reported repaired %d times", st.Repairs)
 	}
-	if st.RepairFailed != 1 || sc.PendingRepairs() != 1 {
-		t.Fatalf("unrecoverable archive: %d failures, %d pending, want 1 and 1", st.RepairFailed, sc.PendingRepairs())
+	if st.RepairFailed != 1 || len(sc.pending) != 1 {
+		t.Fatalf("unrecoverable archive: %d failures, %d pending, want 1 and 1", st.RepairFailed, len(sc.pending))
 	}
-	if got := reg.Counter(obs.NodeWide, "archive", "repair_failed").Value(); got != 1 {
+	if got := reg.CounterValue(obs.NodeWide, "archive", "repair_failed"); got != 1 {
 		t.Fatalf("repair_failed = %d, want 1", got)
 	}
 	// The error the scheduler counted names the cause.
@@ -86,8 +86,8 @@ func TestSchedulerReportsUnrecoverable(t *testing.T) {
 		t.Fatal("damage record cleared by a failed repair")
 	}
 	k.RunFor(10 * time.Minute)
-	if st := sc.Stats(); st.RepairFailed < 2 || st.Repairs != 0 || sc.PendingRepairs() != 1 {
-		t.Fatalf("later ticks forgot the root: %+v, %d pending", st, sc.PendingRepairs())
+	if st := sc.Stats(); st.RepairFailed < 2 || st.Repairs != 0 || len(sc.pending) != 1 {
+		t.Fatalf("later ticks forgot the root: %+v, %d pending", st, len(sc.pending))
 	}
 }
 
@@ -118,7 +118,7 @@ func TestRepairRootClearsDamage(t *testing.T) {
 	if _, damaged := svc.DamagedSince(root); damaged {
 		t.Fatal("successful repair left the damage record in place")
 	}
-	if got := reg.Counter(obs.NodeWide, "archive", "repairs").Value(); got != 1 {
+	if got := reg.CounterValue(obs.NodeWide, "archive", "repairs"); got != 1 {
 		t.Fatalf("repairs = %d, want 1", got)
 	}
 

@@ -206,9 +206,6 @@ func (sc *Scheduler) Start() (stop func()) {
 // Stats returns a copy of the scheduler's counters.
 func (sc *Scheduler) Stats() SchedulerStats { return sc.stats }
 
-// PendingRepairs reports roots currently queued for repair.
-func (sc *Scheduler) PendingRepairs() int { return len(sc.pending) }
-
 // refillQueue snapshots every held (node, root, index) in sorted
 // order: nodes ascending, then each store's Scan order (root GUID,
 // index).  A fragment stored after the snapshot waits for the next

@@ -123,8 +123,8 @@ func TestSchedulerRepairBudget(t *testing.T) {
 	if st := sc.Stats(); st.Repairs != int64(len(roots)) {
 		t.Fatalf("repaired %d of %d roots", st.Repairs, len(roots))
 	}
-	if sc.PendingRepairs() != 0 {
-		t.Fatalf("%d roots still pending", sc.PendingRepairs())
+	if len(sc.pending) != 0 {
+		t.Fatalf("%d roots still pending", len(sc.pending))
 	}
 }
 
@@ -169,8 +169,8 @@ func TestSchedulerBackoffOnUnrecoverable(t *testing.T) {
 	}
 	// The unrecoverable root stays queued — operator-visible, not
 	// silently forgotten.
-	if sc.PendingRepairs() != 1 {
-		t.Fatalf("pending = %d, want the 1 unrecoverable root", sc.PendingRepairs())
+	if len(sc.pending) != 1 {
+		t.Fatalf("pending = %d, want the 1 unrecoverable root", len(sc.pending))
 	}
 }
 

@@ -411,12 +411,6 @@ func (s *Service) disperse(f int, domainRank []int, seed uint64, exclude map[sim
 	return placement, nil
 }
 
-// Placement exposes where an archive's fragments live.
-func (s *Service) Placement(root guid.GUID) (Placement, bool) {
-	a, ok := s.archives[root]
-	return a.where, ok
-}
-
 // LiveFragments counts fragments of an archive that are on live nodes
 // and still verify — the redundancy level the repair scan monitors.
 func (s *Service) LiveFragments(root guid.GUID) int {

@@ -100,8 +100,7 @@ func TestSchedulerRepairsInGUIDOrder(t *testing.T) {
 		t.Fatalf("repair order diverged across identical runs:\n%v\n%v", order, order2)
 	}
 	for _, root := range roots {
-		p1, _ := svc.Placement(root)
-		p2, _ := svc2.Placement(root)
+		p1, p2 := svc.archives[root].where, svc2.archives[root].where
 		if !reflect.DeepEqual(p1, p2) {
 			t.Fatalf("repair placements diverged for %v: %v vs %v", root, p1, p2)
 		}

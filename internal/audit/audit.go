@@ -69,10 +69,6 @@ type voteMsg struct {
 type Config struct {
 	// Interval is the audit tick period per storage node.
 	Interval time.Duration
-	// SampleRoots is how many held roots a node samples per tick.
-	SampleRoots int
-	// PollPeers is how many co-holders are polled per sampled root.
-	PollPeers int
 	// MaxVotesPerInterval caps votes each node may SERVE per tick —
 	// the amplification defense: no matter how many polls arrive, a
 	// node's audit reply traffic is bounded.
@@ -86,6 +82,11 @@ type Config struct {
 }
 
 const (
+	// sampleRoots is how many held roots a node samples per tick.
+	sampleRoots = 2
+	// pollPeers is how many co-holders are polled per sampled root, and
+	// how many secondaries per ring the replica auditor checks per tick.
+	pollPeers = 3
 	// minQuorum is the reputation-weighted agreement mass a root needs
 	// for a clean bill of health; below it the poll is inconclusive.
 	minQuorum = 2.0
@@ -107,12 +108,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Minute
-	}
-	if c.SampleRoots <= 0 {
-		c.SampleRoots = 2
-	}
-	if c.PollPeers <= 0 {
-		c.PollPeers = 3
 	}
 	if c.MaxVotesPerInterval <= 0 {
 		c.MaxVotesPerInterval = 8
@@ -333,10 +328,7 @@ func (a *Auditor) auditNode(id simnet.NodeID, rng *rand.Rand) {
 	if len(held) == 0 {
 		return
 	}
-	samples := a.cfg.SampleRoots
-	if samples > len(held) {
-		samples = len(held)
-	}
+	samples := min(sampleRoots, len(held))
 	for _, i := range rng.Perm(len(held))[:samples] {
 		root := held[i]
 		// Self-check: an honest node can convict its own disk — the
@@ -373,10 +365,7 @@ func (a *Auditor) poll(origin simnet.NodeID, root guid.GUID, rng *rand.Rand) {
 	if len(peers) == 0 {
 		return
 	}
-	want := a.cfg.PollPeers
-	if want > len(peers) {
-		want = len(peers)
-	}
+	want := min(pollPeers, len(peers))
 	st := &pollState{origin: origin, root: root}
 	for _, i := range rng.Perm(len(peers))[:want] {
 		if !a.cfg.DisableRateLimit {

@@ -31,11 +31,7 @@ func auditWorld(t *testing.T, seed int64) (*sim.Kernel, *simnet.Network, *archiv
 }
 
 func fastCfg() audit.Config {
-	return audit.Config{
-		Interval:    time.Minute,
-		SampleRoots: 3,
-		PollPeers:   4,
-	}
+	return audit.Config{Interval: time.Minute}
 }
 
 func TestHealthyWorldStaysQuiet(t *testing.T) {

@@ -68,7 +68,7 @@ func (ra *ReplicaAuditor) Start() {
 // Stats returns a copy of the counters.
 func (ra *ReplicaAuditor) Stats() ReplicaStats { return ra.stats }
 
-// tick samples up to PollPeers secondaries per ring and compares their
+// tick samples up to pollPeers secondaries per ring and compares their
 // committed-state digests against the primary's.
 func (ra *ReplicaAuditor) tick() {
 	rng := ra.net.K.Rand()
@@ -78,10 +78,7 @@ func (ra *ReplicaAuditor) tick() {
 			continue
 		}
 		pd := ring.PrimaryDigest()
-		want := ra.cfg.PollPeers
-		if want > len(secs) {
-			want = len(secs)
-		}
+		want := min(pollPeers, len(secs))
 		for _, i := range rng.Perm(len(secs))[:want] {
 			sec := secs[i]
 			if ra.net.Node(sec.Node).Down() {

@@ -58,7 +58,7 @@ func ringWorld(t *testing.T, seed int64) (*sim.Kernel, *simnet.Network, *replica
 
 func TestReplicaAuditorRepairsTamperedSecondary(t *testing.T) {
 	k, net, ring, secs := ringWorld(t, 3)
-	ra := audit.NewReplicaAuditor(net, audit.Config{Interval: time.Minute, PollPeers: 3}, ring)
+	ra := audit.NewReplicaAuditor(net, audit.Config{Interval: time.Minute}, ring)
 	ra.Start()
 
 	victim := secs[1]
@@ -85,7 +85,7 @@ func TestReplicaAuditorRepairsTamperedSecondary(t *testing.T) {
 
 func TestReplicaAuditorQuietWhenHealthy(t *testing.T) {
 	k, net, ring, _ := ringWorld(t, 5)
-	ra := audit.NewReplicaAuditor(net, audit.Config{Interval: time.Minute, PollPeers: 3}, ring)
+	ra := audit.NewReplicaAuditor(net, audit.Config{Interval: time.Minute}, ring)
 	ra.Start()
 	k.RunFor(10 * time.Minute)
 	st := ra.Stats()

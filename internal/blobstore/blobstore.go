@@ -558,14 +558,12 @@ func (s *Store) Recover(dropUnsynced bool) error {
 
 // ---- Compaction ----
 
-// DeadBytes reports log bytes no longer referenced by the index
-// (overwritten records, dropped records, tombstones).
-func (s *Store) DeadBytes() int64 { return s.size - s.live }
-
-// maybeCompact triggers compaction once dead bytes pass both the
-// absolute floor and the dead fraction of the volume.
+// maybeCompact triggers compaction once dead bytes — log bytes no
+// longer referenced by the index (overwritten records, dropped records,
+// tombstones) — pass both the absolute floor and the dead fraction of
+// the volume.
 func (s *Store) maybeCompact() {
-	dead := s.DeadBytes()
+	dead := s.size - s.live
 	if dead >= compactMinDead && float64(dead) >= compactMinFrac*float64(s.size) {
 		_ = s.Compact() // best effort; the old volume remains valid on failure
 	}
@@ -638,13 +636,6 @@ func syncDir(dir string) {
 
 // Stats returns a copy of the volume's I/O counters.
 func (s *Store) Stats() Stats { return s.stats }
-
-// Size reports the volume's logical byte length.
-func (s *Store) Size() int64 { return s.size }
-
-// Unsynced reports bytes appended since the last fsync — the window a
-// pre-fsync crash erases.
-func (s *Store) Unsynced() int64 { return s.size - s.synced }
 
 // ---- Payload encoding ----
 

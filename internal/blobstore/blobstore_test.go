@@ -2,6 +2,7 @@ package blobstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -99,7 +100,7 @@ func TestDropTombstonesSurviveReopen(t *testing.T) {
 	}
 	s.Drop(root, frags[2].Index)
 	s.Drop(root, frags[5].Index)
-	if s.DeadBytes() == 0 {
+	if s.size == s.live {
 		t.Fatal("drops left no dead bytes")
 	}
 	if err := s.Close(); err != nil {
@@ -129,15 +130,15 @@ func TestCompactReclaimsDeadBytes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Drop(root, frags[i].Index)
 	}
-	before := s.Size()
+	before := s.size
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Size() >= before {
-		t.Fatalf("compaction did not shrink the volume: %d -> %d", before, s.Size())
+	if s.size >= before {
+		t.Fatalf("compaction did not shrink the volume: %d -> %d", before, s.size)
 	}
-	if s.DeadBytes() != 0 {
-		t.Fatalf("dead bytes after compaction: %d", s.DeadBytes())
+	if s.size != s.live {
+		t.Fatalf("dead bytes after compaction: %d", s.size-s.live)
 	}
 	for _, f := range frags[4:] {
 		g, ok := s.Get(root, f.Index)
@@ -170,7 +171,7 @@ func TestAutoCompactTriggers(t *testing.T) {
 	}
 	for i := 0; i < 6; i++ {
 		if i == 3 && s.Stats().Compactions != 0 {
-			t.Fatalf("compacted with %d dead bytes of %d, under half the volume", s.DeadBytes(), s.Size())
+			t.Fatalf("compacted with %d dead bytes of %d, under half the volume", s.size-s.live, s.size)
 		}
 		s.Drop(root, frags[i].Index)
 	}
@@ -244,7 +245,7 @@ func TestPartialFsyncRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Unsynced() == 0 {
+	if s.size == s.synced {
 		t.Fatal("no unsynced window to attack")
 	}
 
@@ -352,8 +353,8 @@ func TestReadYourUnsyncedWrites(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if s.DeadBytes() != 0 {
-		t.Fatalf("compaction left %d dead bytes", s.DeadBytes())
+	if s.size != s.live {
+		t.Fatalf("compaction left %d dead bytes", s.size-s.live)
 	}
 	want := []int{0, 1, 3, 4, 5, 6, 7}
 	if got := archive.HeldIndexes(s, root); !reflect.DeepEqual(got, want) {
@@ -480,8 +481,8 @@ func TestOpenCreatesNoFile(t *testing.T) {
 	if err := s.Recover(true); err != nil {
 		t.Fatal(err)
 	}
-	if len(archive.HeldRoots(s)) != 0 || s.Size() != 0 {
-		t.Fatalf("crash before the first flush recovered %d roots, size %d", len(archive.HeldRoots(s)), s.Size())
+	if len(archive.HeldRoots(s)) != 0 || s.size != 0 {
+		t.Fatalf("crash before the first flush recovered %d roots, size %d", len(archive.HeldRoots(s)), s.size)
 	}
 	empty("after a crash before the first flush")
 
@@ -493,8 +494,8 @@ func TestOpenCreatesNoFile(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != s.Size() {
-		t.Fatalf("after the first sync: stat %v, err %v, want a %d-byte file", fi, err, s.Size())
+	if fi, err := os.Stat(path); err != nil || fi.Size() != s.size {
+		t.Fatalf("after the first sync: stat %v, err %v, want a %d-byte file", fi, err, s.size)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -503,6 +504,53 @@ func TestOpenCreatesNoFile(t *testing.T) {
 	defer s2.Close()
 	if got := archive.HeldIndexes(s2, root); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("reopen sees %v", got)
+	}
+}
+
+// TestCrashedAndClosedStoresRefuse: a crashed store serves and takes
+// nothing until it recovers, and a closed one nothing at all — the
+// errors name which, and a refused Drop or Tamper leaves the fragment.
+func TestCrashedAndClosedStoresRefuse(t *testing.T) {
+	root, frags := mkFrags(t, 71, 400)
+	s := openStore(t, filepath.Join(t.TempDir(), "vol.log"))
+	if err := s.Put(frags[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	refuses := func(want error) {
+		t.Helper()
+		if _, ok := s.Get(root, 0); ok {
+			t.Fatalf("%v store served a fragment", want)
+		}
+		if s.Tamper(root, 0, func(d []byte) { d[0] ^= 1 }) {
+			t.Fatalf("%v store took a tamper", want)
+		}
+		s.Drop(root, 0)
+		for name, err := range map[string]error{"Put": s.Put(frags[1]), "Sync": s.Sync(), "Compact": s.Compact()} {
+			if !errors.Is(err, want) {
+				t.Fatalf("%s on a %v store: %v", name, want, err)
+			}
+		}
+	}
+	s.Crash()
+	refuses(ErrCrashed)
+	if err := s.Recover(true); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(root, 0); !ok || !reflect.DeepEqual(got, frags[0]) {
+		t.Fatal("recovery lost the synced fragment the crashed store refused to drop")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refuses(ErrClosed)
+	if err := s.Close(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := s.Recover(false); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recover on a closed store: %v", err)
 	}
 }
 

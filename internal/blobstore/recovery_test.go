@@ -41,7 +41,7 @@ func tornWriteEveryOffset(t *testing.T, nPrefix int) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	base := s.Size()
+	base := s.size
 	recLen := headerLen + len(appendPut(nil, victim))
 
 	checkPrefix := func(j int) {
@@ -84,7 +84,7 @@ func tornWriteEveryOffset(t *testing.T, nPrefix int) {
 			if survived {
 				t.Fatalf("offset %d: torn record survived recovery (%d of %d bytes written)", j, j, recLen)
 			}
-			if got := s.Size(); got != base {
+			if got := s.size; got != base {
 				t.Fatalf("offset %d: torn tail not truncated: size %d, want %d", j, got, base)
 			}
 			if !reflect.DeepEqual(archive.HeldIndexes(s, root), prefixIdx) {
@@ -206,7 +206,7 @@ func tornFlushEveryOffset(t *testing.T, nSynced int) {
 		if err := s.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		base := s.Size()
+		base := s.size
 		for _, f := range tail {
 			if err := s.Put(f); err != nil {
 				t.Fatal(err)
@@ -250,7 +250,7 @@ func tornFlushEveryOffset(t *testing.T, nSynced int) {
 			if got := archive.HeldIndexes(st, root); !reflect.DeepEqual(got, wantIdx) {
 				t.Fatalf("offset %d drop=%v: %s holds %v, want %v", j, dropUnsynced, who, got, wantIdx)
 			}
-			if got := st.Size(); got != wantSize {
+			if got := st.size; got != wantSize {
 				t.Fatalf("offset %d drop=%v: %s size %d, want %d", j, dropUnsynced, who, got, wantSize)
 			}
 		}

@@ -15,8 +15,6 @@ package bloom
 
 import (
 	"encoding/binary"
-	"math"
-	"math/bits"
 
 	"oceanstore/internal/guid"
 )
@@ -97,36 +95,8 @@ func (f *Filter) CopyFrom(other *Filter) {
 	copy(f.bits, other.bits)
 }
 
-// Equal reports bitwise equality.
-func (f *Filter) Equal(other *Filter) bool {
-	if f.m != other.m || f.k != other.k {
-		return false
-	}
-	for i := range f.bits {
-		if f.bits[i] != other.bits[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// FillRatio returns the fraction of set bits, a saturation diagnostic.
-func (f *Filter) FillRatio() float64 {
-	ones := 0
-	for _, w := range f.bits {
-		ones += bits.OnesCount64(w)
-	}
-	return float64(ones) / float64(f.m)
-}
-
 // SizeBytes is the wire size of the filter, for byte accounting.
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
-
-// FalsePositiveRate estimates the theoretical FP rate after n inserts:
-// (1 - e^{-kn/m})^k.
-func (f *Filter) FalsePositiveRate(n int) float64 {
-	return math.Pow(1-math.Exp(-float64(f.k)*float64(n)/float64(f.m)), float64(f.k))
-}
 
 // Attenuated is an attenuated Bloom filter of depth D: Layer(0)
 // summarises objects one hop away through an edge, Layer(i) objects
@@ -144,9 +114,6 @@ func NewAttenuated(depth, mBits, k int) *Attenuated {
 	}
 	return a
 }
-
-// Depth returns the number of layers.
-func (a *Attenuated) Depth() int { return len(a.layers) }
 
 // Layer returns the i-th layer.
 func (a *Attenuated) Layer(i int) *Filter { return a.layers[i] }

@@ -127,8 +127,8 @@ func TestAttenuatedFirstMatch(t *testing.T) {
 	if got := a.FirstMatch(g); got != 0 {
 		t.Fatalf("match at layer %d, want 0 (smallest wins)", got)
 	}
-	if a.Depth() != 3 {
-		t.Fatalf("depth = %d", a.Depth())
+	if len(a.layers) != 3 {
+		t.Fatalf("depth = %d", len(a.layers))
 	}
 	if a.SizeBytes() != 3*a.Layer(0).SizeBytes() {
 		t.Fatal("size must sum layers")
@@ -157,14 +157,14 @@ func TestLocatorLinePropagation(t *testing.T) {
 	g := guid.Random(r)
 	l.Place(3, g)
 	l.Rebuild()
-	if m := l.EdgeFilter(0, 1).FirstMatch(g); m != 2 {
+	if m := l.edge[0][1].FirstMatch(g); m != 2 {
 		t.Fatalf("edge 0->1 first match layer %d, want 2", m)
 	}
-	if m := l.EdgeFilter(2, 3).FirstMatch(g); m != 0 {
+	if m := l.edge[2][3].FirstMatch(g); m != 0 {
 		t.Fatalf("edge 2->3 first match layer %d, want 0", m)
 	}
 	// Wrong direction: node 4 looking backwards sees it at layer 0 via 3.
-	if m := l.EdgeFilter(4, 3).FirstMatch(g); m != 0 {
+	if m := l.edge[4][3].FirstMatch(g); m != 0 {
 		t.Fatalf("edge 4->3 first match layer %d, want 0", m)
 	}
 }
@@ -235,12 +235,12 @@ func TestLocatorRemove(t *testing.T) {
 	g := guid.Random(r)
 	l.Place(2, g)
 	l.Rebuild()
-	if !l.Has(2, g) {
+	if !l.local[2][g] {
 		t.Fatal("placed object missing")
 	}
 	l.Remove(2, g)
 	l.Rebuild()
-	if l.Has(2, g) {
+	if l.local[2][g] {
 		t.Fatal("removed object still present")
 	}
 	if res := l.Query(0, g, 10, r); res.Found {

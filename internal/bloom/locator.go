@@ -74,9 +74,6 @@ func (l *Locator) Remove(u int, g guid.GUID) {
 	}
 }
 
-// Has reports whether node u holds g locally.
-func (l *Locator) Has(u int, g guid.GUID) bool { return l.local[u][g] }
-
 // Rebuild recomputes every per-edge attenuated filter by the iterative
 // neighbour-exchange rule:
 //
@@ -117,10 +114,6 @@ func (l *Locator) Rebuild() {
 		}
 	}
 }
-
-// EdgeFilter exposes the attenuated filter for edge u->v (nil if the
-// edge does not exist), mainly for tests and state-size accounting.
-func (l *Locator) EdgeFilter(u, v int) *Attenuated { return l.edge[u][v] }
 
 // StateBytes returns the total filter state held at node u — the paper
 // emphasises the algorithm uses a constant amount of storage per server.

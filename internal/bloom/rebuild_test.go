@@ -52,7 +52,7 @@ func TestConcurrentRebuildRace(t *testing.T) {
 	for u := range adj {
 		for _, v := range adj[u] {
 			for d := 0; d < 3; d++ {
-				if !loc.EdgeFilter(u, v).Layer(d).Equal(want.EdgeFilter(u, v).Layer(d)) {
+				if !loc.edge[u][v].Layer(d).Equal(want.edge[u][v].Layer(d)) {
 					t.Fatalf("edge %d->%d layer %d corrupted by concurrent rebuilds", u, v, d)
 				}
 			}

@@ -344,12 +344,6 @@ func (g *Group) SetTag(tag guid.GUID) {
 	g.hookReplicas()
 }
 
-// N returns the tier size.
-func (g *Group) N() int { return len(g.nodes) }
-
-// F returns the fault tolerance.
-func (g *Group) F() int { return g.f }
-
 // SetFault injects a failure mode into replica i.
 func (g *Group) SetFault(i int, f Fault) { g.replicas[i].fault = f }
 

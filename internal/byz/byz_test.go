@@ -32,7 +32,7 @@ func tier(t *testing.T, n, f int, seed int64) (*sim.Kernel, *simnet.Network, *Gr
 // executes to order[i], in execution order — the serialisation the tier
 // chose.  Only honest replicas run their executors.
 func record(g *Group) (order [][]guid.GUID) {
-	order = make([][]guid.GUID, g.N())
+	order = make([][]guid.GUID, len(g.nodes))
 	for i := range order {
 		g.SetExecutor(i, func(_ uint64, r Request) { order[i] = append(order[i], r.ID) })
 	}
@@ -56,7 +56,7 @@ func TestGeometryValidation(t *testing.T) {
 	if _, err := NewGroup(net, nodes, -1); err == nil {
 		t.Fatal("negative f accepted")
 	}
-	if g, err := NewGroup(net, nodes, 1); err != nil || g.N() != 4 || g.F() != 1 {
+	if g, err := NewGroup(net, nodes, 1); err != nil || len(g.nodes) != 4 || g.f != 1 {
 		t.Fatalf("valid group rejected: %v", err)
 	}
 }
@@ -75,6 +75,33 @@ func TestCommitHappyPath(t *testing.T) {
 		ex := order[i]
 		if len(ex) != 1 || ex[0] != guid.FromData([]byte("u1")) {
 			t.Fatalf("replica %d executed %v", i, ex)
+		}
+	}
+}
+
+// TestTaggedGroupsShareNodes: two tiers on the same four nodes, scoped
+// to different objects by SetTag, each order and execute only their
+// own requests.
+func TestTaggedGroupsShareNodes(t *testing.T) {
+	k, net, a, client := tier(t, 4, 1, 4)
+	b, err := NewGroup(net, a.nodes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetTag(guid.FromData([]byte("object a")))
+	b.SetTag(guid.FromData([]byte("object b")))
+	orderA, orderB := record(a), record(b)
+	var resA, resB *Result
+	a.Submit(client, req("ua", 100), func(r Result) { resA = &r })
+	b.Submit(client, req("ub", 100), func(r Result) { resB = &r })
+	k.RunFor(5 * time.Second)
+	if resA == nil || !resA.Committed || resB == nil || !resB.Committed {
+		t.Fatalf("tagged groups did not both commit: %v %v", resA, resB)
+	}
+	for i := 0; i < 4; i++ {
+		if len(orderA[i]) != 1 || orderA[i][0] != guid.FromData([]byte("ua")) ||
+			len(orderB[i]) != 1 || orderB[i][0] != guid.FromData([]byte("ub")) {
+			t.Fatalf("replica %d executed %v and %v", i, orderA[i], orderB[i])
 		}
 	}
 }
@@ -316,7 +343,7 @@ func TestDuplicateSubmitIgnored(t *testing.T) {
 		t.Fatalf("a duplicate within %d resolutions sent %v", doneWindow, got)
 	}
 	resolve(doneWindow-1, doneWindow)
-	if got := sends(net, func() { g.Submit(client, r, nil) }); len(got) != 1 || got[kindRequest] != g.N() {
+	if got := sends(net, func() { g.Submit(client, r, nil) }); len(got) != 1 || got[kindRequest] != len(g.nodes) {
 		t.Fatalf("a Submit %d resolutions later sent %v, want it sent afresh", doneWindow, got)
 	}
 	if count != 1 {

@@ -404,7 +404,7 @@ func TestLookupAndVersionHistory(t *testing.T) {
 		t.Fatalf("expected an advanced committed version, got %+v", v)
 	}
 	// Version GUIDs chain: Prev must reference some earlier version.
-	if v.Prev.IsZero() {
+	if v.Prev == guid.Zero {
 		t.Fatal("version chain broken: zero Prev")
 	}
 }

@@ -79,7 +79,7 @@ func TestMonotonicWritesChainInOrder(t *testing.T) {
 		t.Fatalf("MonotonicWrites order: %q, want abc", got)
 	}
 	// All three committed; nothing left queued.
-	if n := len(ring.PrimaryState().Log.Commits()); n != 3 {
+	if n, _ := ring.PrimaryState().Log.Counts(); n != 3 {
 		t.Fatalf("commits = %d", n)
 	}
 }

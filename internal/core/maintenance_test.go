@@ -82,14 +82,16 @@ func TestMaintenanceRepairsArchives(t *testing.T) {
 	ring, _ := p.Ring(obj)
 	root := ring.ArchiveRoots[0]
 	// Destroy fragments directly (disk loss) until below threshold.
-	placement, _ := p.Arch.Placement(root)
 	removed := 0
-	for idx, nid := range placement {
-		if p.Arch.LiveFragments(root) <= 5 {
-			break
+	for _, nid := range p.Arch.HoldersOf(root) {
+		st := p.Arch.Store(nid)
+		for _, idx := range archive.HeldIndexes(st, root) {
+			if p.Arch.LiveFragments(root) <= 5 {
+				break
+			}
+			st.Drop(root, idx)
+			removed++
 		}
-		p.Arch.Store(nid).Drop(root, idx)
-		removed++
 	}
 	if p.Arch.LiveFragments(root) > 5 {
 		t.Fatalf("could not degrade archive (removed %d)", removed)

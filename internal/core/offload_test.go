@@ -169,10 +169,12 @@ func TestSoakIdenticalWithAndWithoutHelper(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := par.Stats()
+		started := after.Started - before.Started
+		joins := (after.Ready + after.Taken + after.Waited) - (before.Ready + before.Taken + before.Waited)
 		return buf.Bytes(), offloaded{
-			started:  after.Started - before.Started,
+			started:  started,
 			inline:   after.Inline - before.Inline,
-			unjoined: after.Unjoined() - before.Unjoined(),
+			unjoined: started - joins,
 		}
 	}
 	inline, st1 := run(1)

@@ -41,8 +41,6 @@ type PoolConfig struct {
 	BaseLatency    time.Duration
 	LatencyPerUnit time.Duration
 	DropProb       float64
-	// Salts sets the location mesh's salted-root redundancy.
-	Salts uint32
 	// NoMesh skips building the Plaxton location mesh.  plaxton.New
 	// fills every node's routing table by scanning every other node —
 	// O(n²) table fill, the measured reason soak worlds leave it out —
@@ -69,9 +67,12 @@ func DefaultPoolConfig() PoolConfig {
 		Extent:         50,
 		BaseLatency:    15 * time.Millisecond,
 		LatencyPerUnit: time.Millisecond,
-		Salts:          2,
 	}
 }
+
+// meshSalts is the location mesh's salted-root redundancy: each object
+// is published toward this many independent roots.
+const meshSalts = 2
 
 // objState is the server-side state for one object.
 type objState struct {
@@ -143,9 +144,7 @@ func NewPool(seed int64, cfg PoolConfig) *Pool {
 		mesh = plaxton.New(ids, func(a, b int) float64 {
 			return net.Distance(simnet.NodeID(a), simnet.NodeID(b))
 		})
-		if cfg.Salts > 0 {
-			mesh.Salts = cfg.Salts
-		}
+		mesh.Salts = meshSalts
 	}
 	p := &Pool{
 		K:       k,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"oceanstore/internal/archive"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/workload"
 )
@@ -44,12 +45,15 @@ func soakRun(t *testing.T, backend, dir string) (workload.EngineStats, string) {
 	eng.Start()
 	w.Pool.K.RunWhile(func() bool { return !eng.Done() })
 
-	// Fingerprint the archival state: every root with its placement,
-	// plus network totals and scheduler counters.
+	// Fingerprint the archival state: every root with the indexes each
+	// holder keeps, plus network totals and scheduler counters.
 	fp := ""
 	for _, root := range w.Pool.Arch.Roots() {
-		p, _ := w.Pool.Arch.Placement(root)
-		fp += fmt.Sprintf("%v:%v\n", root, p)
+		fp += fmt.Sprintf("%v:", root)
+		for _, nid := range w.Pool.Arch.HoldersOf(root) {
+			fp += fmt.Sprintf(" %d%v", nid, archive.HeldIndexes(w.Pool.Arch.Store(nid), root))
+		}
+		fp += "\n"
 	}
 	ns := w.Pool.Net.Stats()
 	fp += fmt.Sprintf("net: %d msgs %d bytes %d dropped\n",

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"oceanstore/internal/guid"
 	"oceanstore/internal/par"
 )
 
@@ -256,7 +257,7 @@ func TestSignerGUIDSelfCertifying(t *testing.T) {
 	if a.GUID() == b.GUID() {
 		t.Fatal("distinct signers share a GUID")
 	}
-	if a.GUID().IsZero() {
+	if a.GUID() == guid.Zero {
 		t.Fatal("zero GUID")
 	}
 }

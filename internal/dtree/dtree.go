@@ -126,9 +126,6 @@ func (t *Tree) OnPull(h PullHandler) { t.onPull = h }
 // Root returns the tree root.
 func (t *Tree) Root() simnet.NodeID { return t.root }
 
-// Len returns the number of members.
-func (t *Tree) Len() int { return len(t.m) }
-
 // Members lists every member node in NodeID order (callers send
 // messages and draw randomness based on this slice, so the order must
 // not depend on map iteration).

@@ -24,8 +24,8 @@ func build(t *testing.T, n, fanout int, seed int64) (*sim.Kernel, *simnet.Networ
 
 func TestJoinBuildsBoundedFanoutTree(t *testing.T) {
 	_, _, tr := build(t, 50, 3, 1)
-	if tr.Len() != 50 {
-		t.Fatalf("members = %d", tr.Len())
+	if len(tr.Members()) != 50 {
+		t.Fatalf("members = %d", len(tr.Members()))
 	}
 	// Every non-root has a parent; fanout bound holds.
 	childCount := map[simnet.NodeID]int{}
@@ -51,7 +51,7 @@ func TestJoinBuildsBoundedFanoutTree(t *testing.T) {
 	if err := tr.Join(simnet.NodeID(5)); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 50 {
+	if len(tr.Members()) != 50 {
 		t.Fatal("rejoin changed membership")
 	}
 }
@@ -167,8 +167,8 @@ func TestLeaveReattachesChildren(t *testing.T) {
 	if err := tr.Leave(inner); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 29 {
-		t.Fatalf("len = %d", tr.Len())
+	if len(tr.Members()) != 29 {
+		t.Fatalf("len = %d", len(tr.Members()))
 	}
 	// Everyone still reachable by a push.
 	got := map[simnet.NodeID]bool{}

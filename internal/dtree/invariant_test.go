@@ -50,7 +50,7 @@ func checkTreeInvariants(t *testing.T, tr *Tree, fanout int, when time.Duration)
 		hops := 0
 		for cur := id; cur != tr.root; cur, _ = tr.Parent(cur) {
 			hops++
-			if hops > tr.Len() {
+			if hops > len(tr.Members()) {
 				t.Fatalf("t=%v: parent chain from %d does not reach the root (cycle)", when, id)
 			}
 		}
@@ -94,8 +94,8 @@ func TestInvariantsUnderTimedChurn(t *testing.T) {
 			if repairs == 0 {
 				t.Fatal("repair loop never ran")
 			}
-			if tr.Len() != n {
-				t.Fatalf("membership changed under churn: %d", tr.Len())
+			if len(tr.Members()) != n {
+				t.Fatalf("membership changed under churn: %d", len(tr.Members()))
 			}
 			// After the last recovery, one more repair must leave every
 			// member attached through live parents only.

@@ -126,14 +126,14 @@ func TestConvergenceProperty(t *testing.T) {
 				if !r.Dominates(ref.VersionVector()) || !ref.Dominates(r.VersionVector()) {
 					t.Fatalf("replica %d version vector diverged", i+1)
 				}
-				if r.TentativeLen() != ref.TentativeLen() {
-					t.Fatalf("replica %d tentative count %d != %d", i+1, r.TentativeLen(), ref.TentativeLen())
+				if len(r.tentative) != len(ref.tentative) {
+					t.Fatalf("replica %d tentative count %d != %d", i+1, len(r.tentative), len(ref.tentative))
 				}
 			}
 			// The committed prefix must reflect exactly the primary's
 			// final order, independent of delivery interleaving.
-			if want := nUpdates - len(final); ref.TentativeLen() != want {
-				t.Fatalf("tentative residue %d, want %d", ref.TentativeLen(), want)
+			if want := nUpdates - len(final); len(ref.tentative) != want {
+				t.Fatalf("tentative residue %d, want %d", len(ref.tentative), want)
 			}
 		})
 	}

@@ -48,9 +48,9 @@ func TestDuplicateCommitReturnsLoggedOutcome(t *testing.T) {
 			t.Fatalf("duplicate commit %d answered %+v, primary logged %+v", i, got, want[i])
 		}
 	}
-	if sec.Log.Len() != 2 || sec.CommittedLen() != 2 || sec.TentativeLen() != 0 {
+	if sec.Log.Len() != 2 || sec.CommittedLen() != 2 || len(sec.tentative) != 0 {
 		t.Fatalf("duplicates changed state: log %d, committed %d, tentative %d",
-			sec.Log.Len(), sec.CommittedLen(), sec.TentativeLen())
+			sec.Log.Len(), sec.CommittedLen(), len(sec.tentative))
 	}
 	if got := reg.CounterValue(4, "epidemic", "dup_commits"); got != 2 {
 		t.Fatalf("dup_commits = %d, want 2", got)
@@ -83,9 +83,9 @@ func TestCheckpointCoversItsWindow(t *testing.T) {
 		if got := r.Commit(covered.Update, 50); got != covered.Outcome {
 			t.Fatalf("%s: late push answered %+v, logged %+v", name, got, covered.Outcome)
 		}
-		if r.CommittedLen() != src.CommittedLen() || r.TentativeLen() != 0 {
+		if r.CommittedLen() != src.CommittedLen() || len(r.tentative) != 0 {
 			t.Fatalf("%s: committed %d (source %d), tentative %d",
-				name, r.CommittedLen(), src.CommittedLen(), r.TentativeLen())
+				name, r.CommittedLen(), src.CommittedLen(), len(r.tentative))
 		}
 		if got := read(t, r.CommittedState(), k); got != want {
 			t.Fatalf("%s: state %q, source %q", name, got, want)

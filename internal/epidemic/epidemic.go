@@ -238,14 +238,6 @@ func (r *Replica) TentativeState(now time.Duration) *object.Version {
 // number the replica has reached), including the trimmed prefix.
 func (r *Replica) CommittedLen() int { return r.Log.Len() }
 
-// TentativeLen returns the number of pending tentative updates.
-func (r *Replica) TentativeLen() int { return len(r.tentative) }
-
-// Tentative returns the tentative updates in the agreed tentative order.
-func (r *Replica) Tentative() []*update.Update {
-	return append([]*update.Update(nil), r.tentative...)
-}
-
 // Seen reports whether the replica has the update in either log.
 func (r *Replica) Seen(id update.UpdateID) bool {
 	_, seen := r.known[id]

@@ -28,7 +28,7 @@ func TestCloneIsDeepAndEqual(t *testing.T) {
 	if got := read(t, cl.TentativeState(30), k); got != "base.AB" {
 		t.Fatalf("clone tentative state %q", got)
 	}
-	if cl.CommittedLen() != src.CommittedLen() || cl.TentativeLen() != src.TentativeLen() {
+	if cl.CommittedLen() != src.CommittedLen() || len(cl.tentative) != len(src.tentative) {
 		t.Fatal("clone log lengths differ from source")
 	}
 	if !cl.Seen(uA.ID()) || !cl.Seen(uB.ID()) {

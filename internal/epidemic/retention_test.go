@@ -37,16 +37,16 @@ func TestTentativeExpiry(t *testing.T) {
 	if got := read(t, r.TentativeState(10+TentativeExpire), k); got != "base.x" {
 		t.Fatalf("at the bound: %q", got)
 	}
-	if r.TentativeLen() != 1 {
-		t.Fatalf("tentative len %d", r.TentativeLen())
+	if len(r.tentative) != 1 {
+		t.Fatalf("tentative len %d", len(r.tentative))
 	}
 	// Past the bound the update is dropped and forgotten: the same ID
 	// is accepted again (seen was cleared with it).
 	if got := read(t, r.TentativeState(11+TentativeExpire), k); got != "base." {
 		t.Fatalf("after expiry: %q", got)
 	}
-	if r.TentativeLen() != 0 {
-		t.Fatalf("tentative len %d after expiry", r.TentativeLen())
+	if len(r.tentative) != 0 {
+		t.Fatalf("tentative len %d after expiry", len(r.tentative))
 	}
 	if got := reg.CounterValue(3, "epidemic", "expired"); got != 1 {
 		t.Fatalf("expired counter %d, want 1", got)
@@ -54,8 +54,8 @@ func TestTentativeExpiry(t *testing.T) {
 	if !r.AddTentative(u) {
 		t.Fatal("expired ID should be re-addable")
 	}
-	if len(r.Tentative()) != 1 {
-		t.Fatal("Tentative() should list the re-added update")
+	if len(r.tentative) != 1 {
+		t.Fatal("the tentative set should hold the re-added update")
 	}
 }
 

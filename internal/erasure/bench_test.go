@@ -120,3 +120,50 @@ func BenchmarkRSDecodeRepairCold(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCodecAblation compares the archival codecs (DESIGN.md §4):
+// Reed-Solomon in its Vandermonde and Cauchy forms (MDS, GF(2^8) math)
+// vs the Tornado-style code (XOR + peeling, slight overhead).
+func BenchmarkCodecAblation(b *testing.B) {
+	data := benchData(256 << 10)
+	codecs := []struct {
+		name string
+		mk   func() Codec
+	}{
+		{"reed-solomon_16_32", func() Codec {
+			c, _ := NewReedSolomon(16, 32)
+			return c
+		}},
+		{"cauchy-rs_16_32", func() Codec {
+			c, _ := NewCauchyReedSolomon(16, 32)
+			return c
+		}},
+		{"tornado_16_32", func() Codec {
+			c, _ := NewTornado(16, 32, 7)
+			return c
+		}},
+	}
+	for _, tc := range codecs {
+		b.Run("encode_"+tc.name, func(b *testing.B) {
+			c := tc.mk()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Encode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("decode_"+tc.name, func(b *testing.B) {
+			c := tc.mk()
+			frags, _ := c.Encode(data)
+			// Drop a quarter of the fragments to force real decoding.
+			sub := append([]Fragment(nil), frags[8:]...)
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Decode(sub, len(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

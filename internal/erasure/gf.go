@@ -1,13 +1,15 @@
-// Package erasure implements the erasure codes behind OceanStore's deep
+// Package erasure implements the erasure code behind OceanStore's deep
 // archival storage (paper §4.5): a systematic Reed-Solomon code over
-// GF(2^8) in the style of Plank's tutorial [39], and a Tornado-style
-// XOR peeling code in the spirit of Luby et al. [32].
+// GF(2^8) in the style of Plank's tutorial [39].  It turns n input
+// fragments into f > n coded fragments, and it is MDS: *any* n of the
+// f fragments reconstruct the data.
 //
-// Both codes turn n input fragments into f > n coded fragments.  Reed-
-// Solomon is MDS: *any* n of the f fragments reconstruct the data.
-// The Tornado-style code trades that guarantee for XOR-only encoding
-// and decoding: it needs slightly more than n fragments, exactly as the
-// paper notes in §4.5 footnote 12.
+// The paper pairs it with a Tornado-style XOR peeling code in the
+// spirit of Luby et al. [32], which trades that guarantee for XOR-only
+// encoding and decoding and needs slightly more than n fragments (§4.5
+// footnote 12).  The archive always codes with Reed-Solomon, so that
+// code and a Cauchy form of Reed-Solomon live in this package's tests,
+// where BenchmarkCodecAblation compares the three.
 package erasure
 
 // GF(2^8) arithmetic with the AES-friendly primitive polynomial
@@ -67,28 +69,6 @@ func gfPow(a byte, k int) byte {
 		return 0
 	}
 	return gfExp[(int(gfLog[a])*k)%255]
-}
-
-// mulSliceRef is the original log/exp formulation of
-// dst[i] ^= c * src[i], kept as the reference the table-driven kernel
-// in gf_tables.go is cross-checked against (it must agree for all
-// 256×256 coefficient/byte pairs).
-func mulSliceRef(dst, src []byte, c byte) {
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		for i := range dst {
-			dst[i] ^= src[i]
-		}
-		return
-	}
-	logC := int(gfLog[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= gfExp[logC+int(gfLog[s])]
-		}
-	}
 }
 
 // matrix is a dense GF(2^8) matrix in row-major order.

@@ -15,24 +15,8 @@ type Fragment struct {
 	Data  []byte
 }
 
-// Codec is the interface both archival codes implement.  Encode splits
-// data into Total fragments; Decode reconstructs it from any
-// sufficiently large subset (exactly Required for Reed-Solomon,
-// slightly more on unlucky subsets for Tornado).
-type Codec interface {
-	// Encode produces Total() fragments from data.
-	Encode(data []byte) ([]Fragment, error)
-	// Decode reconstructs the original data of length dataLen from the
-	// given fragments.
-	Decode(frags []Fragment, dataLen int) ([]byte, error)
-	// Total is the number of fragments produced.
-	Total() int
-	// Required is the minimum number of fragments that can reconstruct.
-	Required() int
-}
-
-// ErrNotEnoughFragments is returned when Decode is given too few (or,
-// for the peeling code, an insufficiently informative set of) fragments.
+// ErrNotEnoughFragments is returned when Decode is given too few
+// distinct, well-formed fragments.
 var ErrNotEnoughFragments = errors.New("erasure: not enough fragments to reconstruct")
 
 // ReedSolomon is a systematic RS code: fragments 0..n-1 are the data
@@ -99,12 +83,6 @@ func NewReedSolomon(n, f int) (*ReedSolomon, error) {
 	}
 	return rs, nil
 }
-
-// Total returns f.
-func (rs *ReedSolomon) Total() int { return rs.f }
-
-// Required returns n.
-func (rs *ReedSolomon) Required() int { return rs.n }
 
 // shardLen returns the per-shard length for a payload of dataLen bytes.
 func (rs *ReedSolomon) shardLen(dataLen int) int {
@@ -201,10 +179,7 @@ func (rs *ReedSolomon) Decode(frags []Fragment, dataLen int) ([]byte, error) {
 		}
 		return data[:dataLen], nil
 	}
-	inv, err := rs.invertedFor(rows)
-	if err != nil {
-		return nil, err
-	}
+	inv := rs.invertedFor(rows)
 	for shard := 0; shard < rs.n; shard++ {
 		buf := data[shard*l : (shard+1)*l]
 		if seen[shard] {
@@ -228,11 +203,14 @@ func (rs *ReedSolomon) Decode(frags []Fragment, dataLen int) ([]byte, error) {
 // inserts a pending entry (one miss) and inverts outside the lock;
 // concurrent askers for the same key count a hit and wait on the
 // pending entry instead of inverting again.  That keeps Gauss-Jordan
-// off the lock AND makes CacheStats deterministic — N concurrent
-// decodes of the same fragment set are exactly 1 miss + N-1 hits at
-// any GOMAXPROCS, where the old compute-then-put race made the split
-// depend on scheduling.
-func (rs *ReedSolomon) invertedFor(rows []Fragment) (matrix, error) {
+// off the lock AND makes the hit and miss counts deterministic — N
+// concurrent decodes of the same fragment set are exactly 1 miss + N-1
+// hits at any GOMAXPROCS, where the old compute-then-put race made the
+// split depend on scheduling.
+//
+// Any n rows of an MDS code's encoding matrix are invertible, so a
+// singular pick is a bug in the matrix code, not bad input.
+func (rs *ReedSolomon) invertedFor(rows []Fragment) matrix {
 	var kbuf [256]byte
 	for i, fr := range rows {
 		kbuf[i] = byte(fr.Index)
@@ -243,12 +221,9 @@ func (rs *ReedSolomon) invertedFor(rows []Fragment) (matrix, error) {
 	rs.invMu.Unlock()
 	if !owner {
 		// Hit (possibly on a pending entry): wait for the owner.  The
-		// channel close publishes e.inv/e.err safely.
+		// channel close publishes e.inv safely.
 		<-e.ready
-		if e.err != nil {
-			return matrix{}, e.err
-		}
-		return e.inv, nil
+		return e.inv
 	}
 	// We own the pending entry: invert outside the lock, then publish.
 	sub := newMatrix(rs.n, rs.n)
@@ -256,27 +231,14 @@ func (rs *ReedSolomon) invertedFor(rows []Fragment) (matrix, error) {
 		copy(sub.row(i), rs.enc.row(fr.Index))
 	}
 	inv, ok := sub.invert()
-	rs.invMu.Lock()
-	if ok {
-		e.inv, e.done = inv, true
-	} else {
-		e.err = errors.New("erasure: fragment sub-matrix singular")
-		rs.inv.remove(e)
+	if !ok {
+		panic("erasure: fragment sub-matrix singular")
 	}
+	rs.invMu.Lock()
+	e.inv, e.done = inv, true
 	close(e.ready)
 	rs.invMu.Unlock()
-	if !ok {
-		return matrix{}, e.err
-	}
-	return inv, nil
-}
-
-// CacheStats reports decode-matrix cache hits and misses, for tests and
-// repair telemetry.
-func (rs *ReedSolomon) CacheStats() (hits, misses uint64) {
-	rs.invMu.Lock()
-	defer rs.invMu.Unlock()
-	return rs.inv.hits, rs.inv.misses
+	return inv
 }
 
 // invCacheCap bounds the decode-matrix cache.  A repair storm after a
@@ -287,7 +249,7 @@ const invCacheCap = 32
 // invCache is a tiny intrusive-list LRU from fragment-index set to
 // inverted sub-matrix, with singleflight pending entries.  Callers
 // hold rs.invMu for every method; waiters synchronise on an entry's
-// ready channel, which its owner closes after publishing inv or err.
+// ready channel, which its owner closes after publishing inv.
 type invCache struct {
 	cap          int
 	m            map[string]*invEntry
@@ -298,8 +260,7 @@ type invCache struct {
 type invEntry struct {
 	key        string
 	inv        matrix
-	err        error
-	ready      chan struct{} // closed once inv or err is published
+	ready      chan struct{} // closed once inv is published
 	done       bool          // inv is valid; pending entries are not evictable
 	prev, next *invEntry
 }
@@ -311,7 +272,7 @@ func (c *invCache) init(capacity int) {
 
 // acquire looks the key up, counting a hit (existing entry, pending or
 // done) or a miss (new pending entry inserted, owner=true).  The owner
-// must publish inv or err, close ready, and on error call remove.
+// must publish inv and close ready.
 func (c *invCache) acquire(key []byte) (e *invEntry, owner bool) {
 	if e, ok := c.m[string(key)]; ok { // no allocation: map lookup special case
 		c.hits++
@@ -339,15 +300,6 @@ func (c *invCache) evictOne() {
 			delete(c.m, e.key)
 			return
 		}
-	}
-}
-
-// remove takes a failed pending entry out of the cache so the error is
-// not sticky (waiters already queued still see it via the entry).
-func (c *invCache) remove(e *invEntry) {
-	if c.m[e.key] == e {
-		c.unlink(e)
-		delete(c.m, e.key)
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // The code is not MDS — on unlucky fragment subsets it needs slightly
 // more than n fragments, matching the paper's §4.5 footnote 12 — but
 // encode and decode are XOR-only and run in near-linear time, which is
-// why the paper pairs it with Reed-Solomon.
+// why the paper pairs it with Reed-Solomon.  The archive always codes
+// with Reed-Solomon, so this code lives beside the tests that check it
+// and BenchmarkCodecAblation, which compares it.
 type Tornado struct {
 	n, f int
 	// neighbours[j] lists the data shards XORed into check j (0-based

@@ -188,9 +188,9 @@ func chaosRun(seed int64, plan fault.Plan, trace func(simnet.TraceEvent)) (chaos
 	// Heal: lift the schedule, recover everything, clear partitions.
 	eng.Uninstall()
 	p.Net.ClearPartitions()
-	for _, n := range p.Net.Nodes() {
-		if n.Down() {
-			p.Net.Recover(n.ID)
+	for i := 0; i < p.Net.Len(); i++ {
+		if id := simnet.NodeID(i); p.Net.Node(id).Down() {
+			p.Net.Recover(id)
 		}
 	}
 	p.K.RunFor(90 * time.Second)

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 )
 
 // Size is the byte length of a GUID (SHA-1 output).
@@ -59,16 +58,6 @@ func FromData(data []byte) GUID {
 	h.Write([]byte("oceanstore:data:"))
 	h.Write(data)
 	return sum(h.Sum(nil))
-}
-
-// FromBytes converts a raw 20-byte slice into a GUID.
-func FromBytes(b []byte) (GUID, error) {
-	var g GUID
-	if len(b) != Size {
-		return g, fmt.Errorf("guid: need %d bytes, got %d", Size, len(b))
-	}
-	copy(g[:], b)
-	return g, nil
 }
 
 // Parse decodes a GUID from its 40-character hex form.
@@ -124,9 +113,6 @@ func (g GUID) String() string { return hex.EncodeToString(g[:]) }
 
 // Short renders the first 8 hex digits, for logs and diagrams.
 func (g GUID) Short() string { return hex.EncodeToString(g[:4]) }
-
-// IsZero reports whether g is the zero GUID.
-func (g GUID) IsZero() bool { return g == Zero }
 
 // Digit returns the i-th hex digit (nibble).  Digit 0 is the LEAST
 // significant nibble: the paper's Plaxton variant matches node-IDs to

@@ -53,21 +53,6 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromBytes(t *testing.T) {
-	if _, err := FromBytes(make([]byte, 3)); err == nil {
-		t.Fatal("wrong length must fail")
-	}
-	raw := make([]byte, Size)
-	raw[0] = 0xab
-	g, err := FromBytes(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g[0] != 0xab {
-		t.Fatal("bytes not copied")
-	}
-}
-
 func TestDigitExtraction(t *testing.T) {
 	var g GUID
 	// Least significant byte 0xAB: digit 0 = 0xB, digit 1 = 0xA.
@@ -157,11 +142,11 @@ func TestQuickDigitReconstruction(t *testing.T) {
 }
 
 func TestShortAndIsZero(t *testing.T) {
-	if !Zero.IsZero() {
+	if Zero != (GUID{}) {
 		t.Fatal("Zero must be zero")
 	}
 	g := FromData([]byte("x"))
-	if g.IsZero() {
+	if g == Zero {
 		t.Fatal("hash must not be zero")
 	}
 	if len(g.Short()) != 8 {

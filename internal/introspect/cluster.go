@@ -58,15 +58,6 @@ func (c *ClusterRecognizer) Access(obj guid.GUID) {
 	}
 }
 
-// EdgeWeight reports the accumulated co-access weight between two
-// objects.
-func (c *ClusterRecognizer) EdgeWeight(a, b guid.GUID) float64 {
-	if b.Compare(a) < 0 {
-		a, b = b, a
-	}
-	return c.weight[a][b]
-}
-
 // Clusters runs the periodic clustering pass: connected components of
 // the graph restricted to edges with weight >= threshold.  Components
 // are returned largest first; singletons are omitted.

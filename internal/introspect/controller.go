@@ -141,9 +141,6 @@ func NewController(cfg ControllerConfig, host Host) *Controller {
 	return &Controller{cfg: cfg.withDefaults(), host: host, traj: new(obs.Histogram)}
 }
 
-// Config reports the effective (defaulted) configuration.
-func (c *Controller) Config() ControllerConfig { return c.cfg }
-
 // grow extends the per-object state to cover n objects.
 func (c *Controller) grow(n int) {
 	for len(c.reads) < n {

@@ -306,9 +306,9 @@ func TestControllerInstrument(t *testing.T) {
 		t.Fatalf("TierSize %d != trajectory max %d", c.TierSize(), traj.Max())
 	}
 	h := reg.Histogram(obs.NodeWide, "introspect", "tier_replicas_per_epoch")
-	if h.Count() != traj.Count() || h.Sum() != traj.Sum() {
-		t.Fatalf("registry trajectory (%d/%d) disagrees with private (%d/%d)",
-			h.Count(), h.Sum(), traj.Count(), traj.Sum())
+	if *h != *traj {
+		t.Fatalf("registry trajectory (count %d, mean %d) disagrees with private (count %d, mean %d)",
+			h.Count(), h.Mean(), traj.Count(), traj.Mean())
 	}
 }
 
@@ -354,7 +354,7 @@ func TestControllerZeroReplicaPressure(t *testing.T) {
 // TestControllerDefaults: the zero config resolves to a sane band.
 func TestControllerDefaults(t *testing.T) {
 	c := NewController(ControllerConfig{}, newFakeHost(1, 1, 1, 1))
-	cfg := c.Config()
+	cfg := c.cfg
 	if cfg.DemoteBelow >= cfg.PromoteAbove {
 		t.Fatalf("no hysteresis band: demote %v >= promote %v", cfg.DemoteBelow, cfg.PromoteAbove)
 	}

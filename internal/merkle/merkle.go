@@ -117,9 +117,6 @@ func (s *Hasher) Reset() {
 	s.leaves = 0
 }
 
-// Leaves returns how many leaves have been fed since the last Reset.
-func (s *Hasher) Leaves() int { return s.leaves }
-
 // Leaf feeds the next fragment.  The data is consumed before Leaf
 // returns; the caller may reuse the buffer.
 func (s *Hasher) Leaf(data []byte) {

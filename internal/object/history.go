@@ -49,12 +49,6 @@ func (h *History) Add(v *Version) {
 	}
 }
 
-// Latest returns the newest version.
-func (h *History) Latest() *Version { return h.versions[len(h.versions)-1] }
-
-// Len returns the number of retained versions.
-func (h *History) Len() int { return len(h.versions) }
-
 // ByNum finds a retained version by number.
 func (h *History) ByNum(num uint64) (*Version, bool) {
 	for _, v := range h.versions {
@@ -70,11 +64,6 @@ func (h *History) ByNum(num uint64) (*Version, bool) {
 func (h *History) ByGUID(g guid.GUID) (*Version, bool) {
 	v, ok := h.byGUID[g]
 	return v, ok
-}
-
-// Versions returns the retained versions in ascending order.
-func (h *History) Versions() []*Version {
-	return append([]*Version(nil), h.versions...)
 }
 
 // RetirementPolicy selects which versions to keep, Elephant-style [44].

@@ -16,14 +16,14 @@ func TestHistoryBoundPrunes(t *testing.T) {
 	for i := 1; i <= total; i++ {
 		v = v.Clone(0)
 		h.Add(v)
-		if h.Len() > bound {
-			t.Fatalf("after %d adds: retained %d versions, bound %d", i, h.Len(), bound)
+		if len(h.versions) > bound {
+			t.Fatalf("after %d adds: retained %d versions, bound %d", i, len(h.versions), bound)
 		}
 	}
 	if h.Latest().Num != v0.Num+total {
 		t.Fatalf("latest %d, want %d", h.Latest().Num, v0.Num+total)
 	}
-	vs := h.Versions()
+	vs := h.versions
 	if len(vs) != bound || vs[len(vs)-1] != h.Latest() {
 		t.Fatalf("Versions() holds %d, want the newest %d", len(vs), bound)
 	}
@@ -68,7 +68,7 @@ func TestInvalidateGUIDRecomputes(t *testing.T) {
 	k := key(32)
 	v := NewObject([]byte("stable contents"), 8, k)
 	g1 := v.GUID()
-	v.InvalidateGUID()
+	v.guidSet = false
 	if g2 := v.GUID(); g2 != g1 {
 		t.Fatalf("recomputed GUID %v differs from %v", g2, g1)
 	}

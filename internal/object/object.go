@@ -193,11 +193,6 @@ func (v *Version) GUID() guid.GUID {
 	return v.guidMemo
 }
 
-// InvalidateGUID drops the memoised root so the next GUID call
-// recomputes it.  For harnesses that mutate a version in place (tamper
-// scenarios, benchmarks); production mutators drop the memo themselves.
-func (v *Version) InvalidateGUID() { v.guidSet = false }
-
 // Clone makes a copy-on-write successor: block contents are shared,
 // the slices are fresh, and the version number advances.
 func (v *Version) Clone(now time.Duration) *Version {

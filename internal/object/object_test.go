@@ -369,8 +369,8 @@ func TestHistoryAndRetirement(t *testing.T) {
 		}
 		h.Add(nv)
 	}
-	if h.Len() != 10 {
-		t.Fatalf("len = %d", h.Len())
+	if len(h.versions) != 10 {
+		t.Fatalf("len = %d", len(h.versions))
 	}
 	if h.Latest().Num != 9 {
 		t.Fatalf("latest num = %d", h.Latest().Num)
@@ -390,8 +390,8 @@ func TestHistoryAndRetirement(t *testing.T) {
 	if d := h.Retire(KeepLandmarks{Every: 4, N: 2}); d != 6 {
 		t.Fatalf("landmarks dropped %d, want 6", d)
 	}
-	if h.Len() != 4 {
-		t.Fatalf("after landmarks len = %d", h.Len())
+	if len(h.versions) != 4 {
+		t.Fatalf("after landmarks len = %d", len(h.versions))
 	}
 	// KeepLast(1) retains only the newest.
 	if d := h.Retire(KeepLast{N: 1}); d != 3 {
@@ -429,5 +429,21 @@ func TestMalformedBlocksRejected(t *testing.T) {
 	}
 	if _, _, _, err := decodeBlock([]byte{kindPointer, 0, 0, 0, 9}); err == nil {
 		t.Fatal("pointer with missing children parsed")
+	}
+}
+
+// BenchmarkVersionGUID measures the streaming Merkle root over a
+// 16-block version — the per-commit identity computation.
+func BenchmarkVersionGUID(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	k := crypt.NewBlockKey(r)
+	payload := make([]byte, 16*256)
+	r.Read(payload)
+	v := NewObject(payload, 256, k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.guidSet = false // force the root to be recomputed
+		_ = v.GUID()
 	}
 }

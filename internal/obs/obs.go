@@ -65,14 +65,6 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge is a settable float value (queue depths, ratios).
 type Gauge struct{ v float64 }
 
@@ -81,21 +73,6 @@ func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.v = v
 	}
-}
-
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // histBuckets covers non-negative int64 values in power-of-two buckets:
@@ -143,14 +120,6 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	return h.count
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // Min returns the exact smallest observation (0 when empty).
@@ -440,7 +409,10 @@ func (r *Registry) CounterValue(node int, layer, name string) int64 {
 	if f == nil {
 		return 0
 	}
-	return f.counters.get(node).Value()
+	if c := f.counters.get(node); c != nil {
+		return c.v
+	}
+	return 0
 }
 
 // Gauge returns the gauge for (node, layer, name), creating it on
@@ -471,7 +443,7 @@ func (r *Registry) Merge(o *Registry) {
 			f.counters.at(e.node).Add(e.v.v)
 		}
 		for _, e := range of.gauges.entries {
-			f.gauges.at(e.node).Add(e.v.v)
+			f.gauges.at(e.node).v += e.v.v
 		}
 		for _, e := range of.hists.entries {
 			f.hists.at(e.node).Merge(e.v)

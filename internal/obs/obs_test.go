@@ -11,19 +11,12 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	var c *Counter
 	c.Inc()
 	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter value")
-	}
 	var g *Gauge
 	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge value")
-	}
 	var h *Histogram
 	h.Observe(7)
 	h.ObserveDuration(time.Second)
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram state")
 	}
 	h.Merge(&Histogram{})
@@ -49,14 +42,14 @@ func TestCounterAndGauge(t *testing.T) {
 	c := r.Counter(NodeWide, "simnet", "sent")
 	c.Inc()
 	c.Add(4)
-	if got := r.Counter(NodeWide, "simnet", "sent").Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5 (handles for one key must be shared)", got)
+	if again := r.Counter(NodeWide, "simnet", "sent"); again != c || again.v != 5 {
+		t.Fatalf("counter = %d, want 5 (handles for one key must be shared)", again.v)
 	}
 	g := r.Gauge(2, "replica", "depth")
 	g.Set(1.5)
-	g.Add(0.5)
-	if g.Value() != 2.0 {
-		t.Fatalf("gauge = %v, want 2", g.Value())
+	g.Set(2)
+	if again := r.Gauge(2, "replica", "depth"); again != g || again.v != 2.0 {
+		t.Fatalf("gauge = %v, want 2", again.v)
 	}
 }
 
@@ -65,8 +58,8 @@ func TestHistogramBasics(t *testing.T) {
 	for _, v := range []int64{1, 2, 3, 4, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 110 || h.Mean() != 22 {
-		t.Fatalf("count/sum/mean = %d/%d/%d", h.Count(), h.Sum(), h.Mean())
+	if h.Count() != 5 || h.sum != 110 || h.Mean() != 22 {
+		t.Fatalf("count/sum/mean = %d/%d/%d", h.Count(), h.sum, h.Mean())
 	}
 	// p50 lands in the bucket holding 3 (values 2..3); the reported
 	// upper bound is 3.
@@ -79,8 +72,8 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	// Negative observations clamp to zero rather than corrupting state.
 	h.Observe(-5)
-	if h.Quantile(0.0) != 0 || h.Sum() != 110 {
-		t.Fatalf("negative clamp: min=%d sum=%d", h.Quantile(0.0), h.Sum())
+	if h.Quantile(0.0) != 0 || h.sum != 110 {
+		t.Fatalf("negative clamp: min=%d sum=%d", h.Quantile(0.0), h.sum)
 	}
 }
 
@@ -116,8 +109,8 @@ func TestHistogramMergeEqualsCombinedObservations(t *testing.T) {
 		all.Observe(v)
 	}
 	a.Merge(&b)
-	if a.Count() != all.Count() || a.Sum() != all.Sum() {
-		t.Fatalf("merge count/sum mismatch: %d/%d vs %d/%d", a.Count(), a.Sum(), all.Count(), all.Sum())
+	if a.Count() != all.Count() || a.sum != all.sum {
+		t.Fatalf("merge count/sum mismatch: %d/%d vs %d/%d", a.Count(), a.sum, all.Count(), all.sum)
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
 		if a.Quantile(q) != all.Quantile(q) {
@@ -146,7 +139,7 @@ func TestRegistryMergeAndSnapshotOrder(t *testing.T) {
 		parts[2].Counter(NodeWide, "byz", "commits").Add(2)
 		parts[0].Histogram(NodeWide, "plaxton", "route_hops").Observe(4)
 		parts[1].Histogram(NodeWide, "plaxton", "route_hops").Observe(6)
-		parts[2].Gauge(0, "replica", "load").Add(1.25)
+		parts[2].Gauge(0, "replica", "load").Set(1.25)
 		m := NewRegistry()
 		for _, i := range order {
 			m.Merge(parts[i])

@@ -83,7 +83,7 @@ func (r *refRegistry) Merge(o *refRegistry) {
 		r.Counter(k.Node, k.Layer, k.Name).Add(c.v)
 	}
 	for k, g := range o.gauges {
-		r.Gauge(k.Node, k.Layer, k.Name).Add(g.v)
+		r.Gauge(k.Node, k.Layer, k.Name).v += g.v
 	}
 	for k, h := range o.hists {
 		r.Histogram(k.Node, k.Layer, k.Name).Merge(h)
@@ -202,11 +202,11 @@ func (b both) fill(rng *rand.Rand, n int) {
 		case 2:
 			v := rng.NormFloat64() * 1e3
 			if viaFamily {
-				b.got.GaugeFamily(layer, name).At(nd).Add(v)
+				b.got.GaugeFamily(layer, name).At(nd).Set(v)
 			} else {
-				b.got.Gauge(nd, layer, name).Add(v)
+				b.got.Gauge(nd, layer, name).Set(v)
 			}
-			b.ref.Gauge(nd, layer, name).Add(v)
+			b.ref.Gauge(nd, layer, name).Set(v)
 		case 3:
 			v := rng.Int63n(1 << uint(rng.Intn(40)))
 			if viaFamily {

@@ -60,9 +60,6 @@ type TaskStats struct {
 	Busy    time.Duration // wall time the helper spent inside tasks
 }
 
-// Unjoined is how many started tasks nobody has waited for yet.
-func (s TaskStats) Unjoined() int64 { return s.Started - s.Ready - s.Taken - s.Waited }
-
 // Stats reads the counters.
 func Stats() TaskStats {
 	return TaskStats{

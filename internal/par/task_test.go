@@ -44,8 +44,8 @@ func TestStartMatchesInline(t *testing.T) {
 		if joins := (after.Ready + after.Taken + after.Waited) - (before.Ready + before.Taken + before.Waited); joins != 500 {
 			t.Fatalf("procs=%d: %d joins counted for 500 tasks waited twice", procs, joins)
 		}
-		if after.Unjoined() != before.Unjoined() {
-			t.Fatalf("procs=%d: unjoined moved %d -> %d", procs, before.Unjoined(), after.Unjoined())
+		if unjoined(after) != unjoined(before) {
+			t.Fatalf("procs=%d: unjoined moved %d -> %d", procs, unjoined(before), unjoined(after))
 		}
 		if procs == 1 && after.Inline-before.Inline != 500 {
 			t.Fatalf("one processor ran %d of 500 tasks inline", after.Inline-before.Inline)
@@ -150,9 +150,19 @@ func TestHelperBehind(t *testing.T) {
 		t.Fatalf("with the helper stuck: +%d inline, +%d taken, +%d waited; want 1, %d, 0",
 			mid.Inline-before.Inline, mid.Taken-before.Taken, mid.Waited-before.Waited, early)
 	}
-	close(release)
+	// Join stuck while the helper is still inside it: the join must
+	// wait, and only then is stuck let go.
+	go func() {
+		for statWaited.Load() == mid.Waited {
+			runtime.Gosched()
+		}
+		close(release)
+	}()
 	if stuck.Wait() != -1 {
 		t.Fatal("stuck task lost its result")
+	}
+	if got := Stats().Waited - mid.Waited; got != 1 {
+		t.Fatalf("joining the task the helper is inside counted %d waits, want 1", got)
 	}
 	for i, task := range queued {
 		if got := task.Wait(); got != i {
@@ -160,10 +170,13 @@ func TestHelperBehind(t *testing.T) {
 		}
 	}
 	after := Stats()
-	if after.Unjoined() != before.Unjoined()-helperQueue-1 {
-		t.Fatalf("unjoined %d -> %d over %d joins", before.Unjoined(), after.Unjoined(), helperQueue+1)
+	if unjoined(after) != unjoined(before)-helperQueue-1 {
+		t.Fatalf("unjoined %d -> %d over %d joins", unjoined(before), unjoined(after), helperQueue+1)
 	}
 	if after.Busy <= 0 {
 		t.Fatalf("helper busy time %v after running tasks", after.Busy)
 	}
 }
+
+// unjoined is how many started tasks nobody has waited for yet.
+func unjoined(s TaskStats) int64 { return s.Started - s.Ready - s.Taken - s.Waited }

@@ -14,7 +14,7 @@ import (
 // reclaims it, and drops the hop — which exercises exactly the
 // messaging machinery without the per-route bookkeeping.
 func TestHopMessageZeroAlloc(t *testing.T) {
-	rig := newRouterRig(t, 16, 3, RouterConfig{})
+	rig := newRouterRig(t, 16, 3, RouterConfig{}, 0)
 	rig.r.hook(1)
 	send := func() {
 		rig.net.Send(simnet.NodeID(0), simnet.NodeID(1), KindHop, rig.r.getHop(999, 1), hopWire)

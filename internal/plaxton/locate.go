@@ -230,13 +230,3 @@ func (m *Mesh) ExpireSoftState(now time.Duration) int {
 	}
 	return removed
 }
-
-// PointerCount returns the total pointers stored at node idx, a state
-// diagnostic for tests and experiments.
-func (m *Mesh) PointerCount(idx int) int {
-	c := 0
-	for _, ps := range m.nodes[idx].pointers {
-		c += len(ps)
-	}
-	return c
-}

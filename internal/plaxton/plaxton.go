@@ -127,9 +127,6 @@ func (m *Mesh) newNode(id guid.GUID, idx int) *Node {
 	return n
 }
 
-// Len returns the number of nodes ever added (including down ones).
-func (m *Mesh) Len() int { return len(m.nodes) }
-
 // Node returns node i.
 func (m *Mesh) Node(i int) *Node { return m.nodes[i] }
 
@@ -283,24 +280,4 @@ func (m *Mesh) RouteToRoot(start int, g guid.GUID) (RouteResult, error) {
 		res.Path = append(res.Path, cur)
 	}
 	return res, nil
-}
-
-// Root returns the surrogate root node index for g as seen from any
-// live node (deterministic), or -1 when the mesh has no live nodes.
-func (m *Mesh) Root(g guid.GUID) int {
-	start := -1
-	for i, n := range m.nodes {
-		if !n.Down {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		return -1
-	}
-	res, err := m.RouteToRoot(start, g)
-	if err != nil {
-		return -1
-	}
-	return res.Path[len(res.Path)-1]
 }

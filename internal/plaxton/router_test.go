@@ -21,10 +21,12 @@ type routerRig struct {
 	r   *Router
 }
 
-func newRouterRig(t *testing.T, n int, seed int64, cfg RouterConfig) *routerRig {
+// drop is the network's per-message loss probability; building the rig
+// sends nothing, so routes see it from their first hop.
+func newRouterRig(t *testing.T, n int, seed int64, cfg RouterConfig, drop float64) *routerRig {
 	t.Helper()
 	k := sim.NewKernel(seed)
-	net := simnet.New(k, simnet.Config{BaseLatency: 5 * time.Millisecond})
+	net := simnet.New(k, simnet.Config{BaseLatency: 5 * time.Millisecond, DropProb: drop})
 	net.AddRandomNodes(n, 100, 4)
 	rng := rand.New(rand.NewSource(seed))
 	ids := make([]guid.GUID, n)
@@ -38,7 +40,7 @@ func newRouterRig(t *testing.T, n int, seed int64, cfg RouterConfig) *routerRig 
 }
 
 func TestRouterMatchesSyncRoute(t *testing.T) {
-	rig := newRouterRig(t, 64, 1, RouterConfig{})
+	rig := newRouterRig(t, 64, 1, RouterConfig{}, 0)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		g := guid.Random(rng)
@@ -66,8 +68,7 @@ func TestRouterMatchesSyncRoute(t *testing.T) {
 }
 
 func TestRouterRetriesThroughLoss(t *testing.T) {
-	rig := newRouterRig(t, 64, 3, RouterConfig{HopTimeout: 100 * time.Millisecond})
-	rig.net.SetDropProb(0.3)
+	rig := newRouterRig(t, 64, 3, RouterConfig{HopTimeout: 100 * time.Millisecond}, 0.3)
 	rng := rand.New(rand.NewSource(4))
 	done := 0
 	for trial := 0; trial < 10; trial++ {
@@ -94,7 +95,7 @@ func TestRouterRetriesThroughLoss(t *testing.T) {
 // network only (the mesh has not noticed), so the router must time out
 // and fall over to a backup link.
 func TestRouterFailsOverToBackups(t *testing.T) {
-	rig := newRouterRig(t, 64, 5, RouterConfig{HopTimeout: 50 * time.Millisecond})
+	rig := newRouterRig(t, 64, 5, RouterConfig{HopTimeout: 50 * time.Millisecond}, 0)
 	rng := rand.New(rand.NewSource(6))
 	routed := 0
 	for trial := 0; trial < 20; trial++ {
@@ -132,8 +133,7 @@ func TestRouterFailsOverToBackups(t *testing.T) {
 // every message dropped, every route must still error out by its
 // deadline rather than hang virtual time.
 func TestRouterTerminatesWhenUnreachable(t *testing.T) {
-	rig := newRouterRig(t, 32, 7, RouterConfig{HopTimeout: 100 * time.Millisecond, HopAttempts: 3})
-	rig.net.SetDropProb(1.0)
+	rig := newRouterRig(t, 32, 7, RouterConfig{HopTimeout: 100 * time.Millisecond, HopAttempts: 3}, 1.0)
 	rng := rand.New(rand.NewSource(8))
 	var errs int
 	for trial := 0; trial < 5; trial++ {
@@ -165,7 +165,7 @@ func TestRouterTerminatesWhenUnreachable(t *testing.T) {
 }
 
 func TestRouterPublishLocate(t *testing.T) {
-	rig := newRouterRig(t, 64, 9, RouterConfig{})
+	rig := newRouterRig(t, 64, 9, RouterConfig{}, 0)
 	rig.m.Salts = 3
 	rig.m.PointerTTL = time.Hour
 	rng := rand.New(rand.NewSource(10))
@@ -214,13 +214,12 @@ func TestRouterPublishLocate(t *testing.T) {
 }
 
 func TestRouterLocateSurvivesLoss(t *testing.T) {
-	rig := newRouterRig(t, 64, 11, RouterConfig{HopTimeout: 100 * time.Millisecond})
+	rig := newRouterRig(t, 64, 11, RouterConfig{HopTimeout: 100 * time.Millisecond}, 0.3)
 	rig.m.Salts = 3
 	rig.m.PointerTTL = time.Hour
 	rng := rand.New(rand.NewSource(12))
 	g := guid.Random(rng)
 	rig.m.Publish(7, g, 0) // seed pointers synchronously
-	rig.net.SetDropProb(0.3)
 	found := false
 	rig.r.Locate(50, g, 5*time.Minute, func(res LocateResult, err error) {
 		if err != nil {

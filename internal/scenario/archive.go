@@ -57,7 +57,7 @@ func auditCfg(o Options) audit.Config {
 	if iv <= 0 {
 		iv = time.Minute
 	}
-	return audit.Config{Interval: iv, SampleRoots: 2, PollPeers: 3}
+	return audit.Config{Interval: iv}
 }
 
 // auditStatMetrics appends the auditor counters every report shares.

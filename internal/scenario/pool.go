@@ -56,7 +56,7 @@ func runChurnDuringAudit(o Options) Result {
 	pool := w.pool
 	var a *audit.Auditor
 	if o.Defense {
-		a = pool.StartAudit(audit.Config{Interval: time.Minute, SampleRoots: 2, PollPeers: 3})
+		a = pool.StartAudit(audit.Config{Interval: time.Minute})
 	}
 	var churned []simnet.NodeID
 	for i := 8; i < 20; i++ {
@@ -123,7 +123,7 @@ func runReplicaTamper(o Options) Result {
 	pool := w.pool
 	var ra *audit.ReplicaAuditor
 	if o.Defense {
-		ra = pool.StartReplicaAudit(audit.Config{Interval: time.Minute, PollPeers: 3})
+		ra = pool.StartReplicaAudit(audit.Config{Interval: time.Minute})
 	}
 	// At t=30m one secondary of each object goes bad.
 	pool.K.At(30*time.Minute, func() {

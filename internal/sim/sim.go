@@ -25,11 +25,10 @@ const forever = time.Duration(math.MaxInt64)
 
 // Kernel is the event loop.
 type Kernel struct {
-	now    time.Duration
-	seq    uint64 // insertion order, the tie-break among equal times
-	rng    *rand.Rand
-	queue  eventQueue
-	halted bool
+	now   time.Duration
+	seq   uint64 // insertion order, the tie-break among equal times
+	rng   *rand.Rand
+	queue eventQueue
 
 	// Occupancy counters behind Stats.
 	ran, stopped uint64
@@ -117,14 +116,14 @@ func (k *Kernel) Every(d time.Duration, fn func()) (cancel func()) {
 	return func() { stopped = true }
 }
 
-// Run executes events until the queue is empty or Halt is called.
+// Run executes events until the queue is empty.
 func (k *Kernel) Run() { k.run(forever, nil) }
 
 // RunUntil executes events with timestamps <= t, then advances the
 // clock to t.  Events scheduled beyond t remain queued.
 func (k *Kernel) RunUntil(t time.Duration) {
 	k.run(t, nil)
-	if !k.halted && k.now < t {
+	if k.now < t {
 		k.now = t
 	}
 }
@@ -137,10 +136,6 @@ func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now + d) }
 // "run until the workload drains" costs one closure call per event
 // instead of repeated RunFor probing.
 func (k *Kernel) RunWhile(cond func() bool) { k.run(forever, cond) }
-
-// Halt stops the current Run/RunUntil after the executing event
-// returns.  Pending events stay queued.
-func (k *Kernel) Halt() { k.halted = true }
 
 // Pending reports how many events are queued.
 func (k *Kernel) Pending() int { return k.queue.len() }
@@ -164,9 +159,8 @@ func (k *Kernel) Stats() Stats {
 }
 
 func (k *Kernel) run(limit time.Duration, cond func() bool) {
-	k.halted = false
 	q := &k.queue
-	for q.len() > 0 && !k.halted && q.key[0].time <= limit &&
+	for q.len() > 0 && q.key[0].time <= limit &&
 		(cond == nil || cond()) {
 		k.ran++
 		k.queueSum += uint64(q.len())

@@ -149,21 +149,6 @@ func TestRunOnEmptyKernelReturns(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	k := NewKernel(1)
-	fired := 0
-	k.At(1*time.Millisecond, func() { fired++; k.Halt() })
-	k.At(2*time.Millisecond, func() { fired++ })
-	k.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	k.Run() // resumes
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 after resume", fired)
-	}
-}
-
 func TestSchedulingInPastClampsToNow(t *testing.T) {
 	k := NewKernel(1)
 	var at time.Duration

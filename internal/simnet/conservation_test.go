@@ -221,7 +221,7 @@ func TestGrowAtDeterminism(t *testing.T) {
 	}
 	for i := 0; i < a.Len(); i++ {
 		na, nb := a.Node(NodeID(i)), b.Node(NodeID(i))
-		if na.Addr() != nb.Addr() || na.X() != nb.X() || na.Y() != nb.Y() || na.Domain() != nb.Domain() {
+		if na.Addr() != nb.Addr() || a.xs[i] != b.xs[i] || a.ys[i] != b.ys[i] || na.Domain() != nb.Domain() {
 			t.Fatalf("node %d diverged across identical runs", i)
 		}
 	}

@@ -10,7 +10,7 @@
 // injectable faults (node crashes, message drops, partitions).
 //
 // Faults come in two layers.  Config carries the static link model
-// (DropProb, bandwidth); a pluggable FaultPlan (package fault) adds a
+// (latency and DropProb); a pluggable FaultPlan (package fault) adds a
 // deterministic schedule of per-link drop/delay rules on top.  Crash
 // and recovery are first-class kernel events — Crash/Recover and their
 // scheduled variants — so that a down node sheds its partition state,
@@ -120,12 +120,6 @@ type Node struct {
 // Addr returns the node's server GUID (hash-sized random identity).
 func (n Node) Addr() guid.GUID { return n.net.addrs[n.ID] }
 
-// X returns the node's position on the latency plane.
-func (n Node) X() float64 { return n.net.xs[n.ID] }
-
-// Y returns the node's position on the latency plane.
-func (n Node) Y() float64 { return n.net.ys[n.ID] }
-
 // Domain is the administrative domain the node belongs to; the
 // archival layer avoids placing correlated fragments in one domain.
 func (n Node) Domain() int { return int(n.net.domains[n.ID]) }
@@ -186,9 +180,6 @@ type Config struct {
 	LatencyPerUnit time.Duration
 	// DropProb drops each message independently with this probability.
 	DropProb float64
-	// Bandwidth, if non-zero, adds Size/Bandwidth serialization delay
-	// (bytes per second).
-	Bandwidth float64
 }
 
 // Stats aggregates traffic counters.  ByKind maps the message Kind tag
@@ -267,11 +258,6 @@ type Network struct {
 	// global handlers fire for every delivered message, before the
 	// per-node handlers.
 	global []GlobalHandler
-
-	// byAddr interns GUID → NodeID lookups; built lazily on the first
-	// NodeByAddr call and maintained incrementally afterwards, so
-	// worlds that never resolve addresses pay nothing.
-	byAddr map[guid.GUID]NodeID
 
 	stats Stats
 	// kindBytes accumulates Stats.ByKind: a run has a couple of dozen
@@ -501,9 +487,6 @@ func (n *Network) AddNode(x, y float64) Node {
 	n.handlers = append(n.handlers, nil)
 	n.demux = append(n.demux, nil)
 	n.partition = append(n.partition, 0)
-	if n.byAddr != nil {
-		n.byAddr[addr] = id
-	}
 	return Node{ID: id, net: n}
 }
 
@@ -552,31 +535,8 @@ func (n *Network) Bounce(id NodeID, at, downFor time.Duration) {
 // Node returns a handle on the node with the given ID.
 func (n *Network) Node(id NodeID) Node { return Node{ID: id, net: n} }
 
-// NodeByAddr resolves a server GUID to its node, interning the
-// GUID → NodeID table on first use so address resolution is one map
-// probe instead of a linear scan.
-func (n *Network) NodeByAddr(addr guid.GUID) (NodeID, bool) {
-	if n.byAddr == nil {
-		n.byAddr = make(map[guid.GUID]NodeID, len(n.addrs))
-		for i, a := range n.addrs {
-			n.byAddr[a] = NodeID(i)
-		}
-	}
-	id, ok := n.byAddr[addr]
-	return id, ok
-}
-
 // Len returns the number of nodes.
 func (n *Network) Len() int { return len(n.addrs) }
-
-// Nodes returns handles on every node.
-func (n *Network) Nodes() []Node {
-	out := make([]Node, len(n.addrs))
-	for i := range out {
-		out[i] = Node{ID: NodeID(i), net: n}
-	}
-	return out
-}
 
 // SetFaultPlan installs (or, with nil, removes) the fault-schedule
 // hook.  At most one plan is active at a time.
@@ -584,9 +544,6 @@ func (n *Network) SetFaultPlan(p FaultPlan) { n.plan = p }
 
 // SetTrace installs (or, with nil, removes) the event trace callback.
 func (n *Network) SetTrace(fn func(TraceEvent)) { n.trace = fn }
-
-// SetDropProb changes the ambient per-message loss probability.
-func (n *Network) SetDropProb(p float64) { n.cfg.DropProb = p }
 
 // OnLiveness registers a callback fired on every Crash/Recover
 // transition, so protocol layers can react to churn (mesh liveness
@@ -758,11 +715,7 @@ func (n *Network) Send(from, to NodeID, kind string, payload any, size int) {
 		n.emit(evDropLoss, msg)
 		return
 	}
-	lat := n.Latency(from, to) + extra
-	if n.cfg.Bandwidth > 0 {
-		lat += time.Duration(float64(size) / n.cfg.Bandwidth * float64(time.Second))
-	}
-	n.enqueue(msg, n.K.Now()+lat)
+	n.enqueue(msg, n.K.Now()+n.Latency(from, to)+extra)
 }
 
 // msgBatch collects the messages due at one virtual tick.  Each batch

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"oceanstore/internal/guid"
 	"oceanstore/internal/sim"
 )
 
@@ -39,20 +40,6 @@ func TestDistanceLatency(t *testing.T) {
 	net.AddNode(3, 4) // distance 5
 	if lat := net.Latency(0, 1); lat != 15*time.Millisecond {
 		t.Fatalf("latency = %v, want 15ms", lat)
-	}
-}
-
-func TestBandwidthSerializationDelay(t *testing.T) {
-	k := sim.NewKernel(1)
-	net := New(k, Config{BaseLatency: 10 * time.Millisecond, Bandwidth: 1000}) // 1 kB/s
-	net.AddNode(0, 0)
-	net.AddNode(0, 0)
-	var at time.Duration
-	net.Node(1).Handle(func(Message) { at = k.Now() })
-	net.Send(0, 1, "bulk", nil, 500) // 0.5s serialization
-	k.Run()
-	if at != 510*time.Millisecond {
-		t.Fatalf("delivered at %v, want 510ms", at)
 	}
 }
 
@@ -158,14 +145,14 @@ func TestAddRandomNodesDomains(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, nd := range nodes {
-		if nd.X() < 0 || nd.X() > 10 || nd.Y() < 0 || nd.Y() > 10 {
+		if x, y := net.xs[nd.ID], net.ys[nd.ID]; x < 0 || x > 10 || y < 0 || y > 10 {
 			t.Fatalf("node outside extent: %+v", nd)
 		}
 		if nd.Domain() < 0 || nd.Domain() >= 5 {
 			t.Fatalf("bad domain %d", nd.Domain())
 		}
 		seen[nd.Domain()] = true
-		if nd.Addr().IsZero() {
+		if nd.Addr() == guid.Zero {
 			t.Fatal("node has zero GUID")
 		}
 	}

@@ -15,8 +15,8 @@ func TestNodeAccessorsAndSetters(t *testing.T) {
 	k := sim.NewKernel(3)
 	net := New(k, Config{})
 	a := net.AddNode(3, 4)
-	if a.X() != 3 || a.Y() != 4 {
-		t.Fatalf("position = (%v,%v)", a.X(), a.Y())
+	if net.xs[a.ID] != 3 || net.ys[a.ID] != 4 {
+		t.Fatalf("position = (%v,%v)", net.xs[a.ID], net.ys[a.ID])
 	}
 	if a.LowBandwidth() {
 		t.Fatal("fresh node marked low-bandwidth")
@@ -32,33 +32,6 @@ func TestNodeAccessorsAndSetters(t *testing.T) {
 	a.SetDown(false)
 	if net.Distance(a.ID, net.AddNode(0, 0).ID) != 5 {
 		t.Fatal("distance through SoA coordinates wrong")
-	}
-}
-
-func TestNodesAndNodeByAddr(t *testing.T) {
-	k := sim.NewKernel(4)
-	net := New(k, Config{})
-	for i := 0; i < 5; i++ {
-		net.AddNode(float64(i), 0)
-	}
-	all := net.Nodes()
-	if len(all) != 5 {
-		t.Fatalf("Nodes() = %d handles", len(all))
-	}
-	for i, nd := range all {
-		if int(nd.ID) != i {
-			t.Fatalf("handle %d has ID %d", i, nd.ID)
-		}
-		got, ok := net.NodeByAddr(nd.Addr())
-		if !ok || got != nd.ID {
-			t.Fatalf("NodeByAddr(%v) = %d,%v", nd.Addr(), got, ok)
-		}
-	}
-	// The interned table must track nodes added after it was built.
-	late := net.AddNode(9, 9)
-	got, ok := net.NodeByAddr(late.Addr())
-	if !ok || got != late.ID {
-		t.Fatal("NodeByAddr misses a node added after interning")
 	}
 }
 
@@ -122,23 +95,19 @@ func TestBounceAndKindBytes(t *testing.T) {
 }
 
 func TestSetDropProb(t *testing.T) {
-	k := sim.NewKernel(9)
-	net := New(k, Config{})
-	a := net.AddNode(0, 0)
-	b := net.AddNode(1, 0)
-	b.Handle(func(m Message) {})
-	net.SetDropProb(1)
-	for i := 0; i < 10; i++ {
-		net.Send(a.ID, b.ID, "x", nil, 1)
-	}
-	k.Run()
-	if st := net.Stats(); st.DroppedByLoss != 10 || st.MessagesDelivered != 0 {
-		t.Fatalf("p=1 loss: %+v", st)
-	}
-	net.SetDropProb(0)
-	net.Send(a.ID, b.ID, "x", nil, 1)
-	k.Run()
-	if st := net.Stats(); st.MessagesDelivered != 1 {
-		t.Fatalf("p=0 still losing: %+v", st)
+	for _, p := range []float64{1, 0} {
+		k := sim.NewKernel(9)
+		net := New(k, Config{DropProb: p})
+		a := net.AddNode(0, 0)
+		b := net.AddNode(1, 0)
+		b.Handle(func(m Message) {})
+		for i := 0; i < 10; i++ {
+			net.Send(a.ID, b.ID, "x", nil, 1)
+		}
+		k.Run()
+		want := 10 * int(1-p)
+		if st := net.Stats(); st.DroppedByLoss != 10-want || st.MessagesDelivered != want {
+			t.Fatalf("p=%v loss: %+v", p, st)
+		}
 	}
 }

@@ -89,19 +89,6 @@ func (l *Log) Entries() []LogEntry {
 	return append([]LogEntry(nil), l.entries...)
 }
 
-// Commits returns only the committed entries, the object's modification
-// history (§4.5 "interfaces will exist to examine modification
-// history").
-func (l *Log) Commits() []LogEntry {
-	var out []LogEntry
-	for _, e := range l.entries {
-		if e.Outcome.Committed {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Counts tallies committed and aborted entries — the split the
 // observability layer reports per replica.  Running tallies, so
 // evicted entries stay counted.

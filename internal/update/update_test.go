@@ -28,7 +28,7 @@ func TestUnconditionalCommit(t *testing.T) {
 	}
 	// The Merkle root is left to whoever records the outcome
 	// (epidemic's TestTentativeReplayDefersTheMerkleRoot).
-	if !out.Result.IsZero() || next.GUID().IsZero() {
+	if out.Result != guid.Zero || next.GUID() == guid.Zero {
 		t.Fatalf("Apply filled Result %v for a version whose GUID is %v", out.Result, next.GUID())
 	}
 	got, _ := object.NewView(next, k).Read()
@@ -211,6 +211,27 @@ func TestSetIndexAction(t *testing.T) {
 	}
 }
 
+// TestSetIndexSignedAndSized: an index-replacing action is charged its
+// cells on the wire, and its cells are under the signature.
+func TestSetIndexSignedAndSized(t *testing.T) {
+	signer := crypt.NewSigner(rand.New(rand.NewSource(13)))
+	idx := crypt.NewSearchKey(testKey(13)).BuildIndex([]string{"fresh", "words"})
+	bare := NewUnconditional(guid.Zero, []Action{{Kind: ActSetIndex}})
+	u := NewUnconditional(guid.Zero, []Action{{Kind: ActSetIndex, Index: idx}})
+	if got, want := u.WireSize()-bare.WireSize(), idx.SizeBytes(); got != want {
+		t.Fatalf("index adds %d wire bytes, want its %d", got, want)
+	}
+	u.ClientID = signer.GUID()
+	u.Sign(signer)
+	if !u.VerifySig() {
+		t.Fatal("valid signature rejected")
+	}
+	idx.Cells[0][0] ^= 1
+	if u.VerifySig() {
+		t.Fatal("tampered index cell verified")
+	}
+}
+
 func TestTruncateAction(t *testing.T) {
 	k := testKey(9)
 	base := object.NewObject([]byte("AABBCC"), 2, k)
@@ -306,7 +327,7 @@ func TestUpdateIDAndLog(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("len = %d", l.Len())
 	}
-	if got := len(l.Commits()); got != 1 {
+	if got, _ := l.Counts(); got != 1 {
 		t.Fatalf("commits = %d", got)
 	}
 	es := l.Entries()

@@ -11,24 +11,7 @@ import (
 	"testing"
 
 	"oceanstore/internal/crypt"
-	"oceanstore/internal/object"
 )
-
-// BenchmarkVersionGUID measures the streaming Merkle root over a
-// 16-block version — the per-commit identity computation.
-func BenchmarkVersionGUID(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	key := crypt.NewBlockKey(r)
-	payload := make([]byte, 16*256)
-	r.Read(payload)
-	v := object.NewObject(payload, 256, key)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.InvalidateGUID() // force the root to be recomputed
-		_ = v.GUID()
-	}
-}
 
 // BenchmarkBlockEncrypt measures one 4 KB position-bound block
 // encryption with a cached cipher: the output buffer is the only
