@@ -157,7 +157,6 @@ func main() {
 	// scheduler's first repair tick rebuilds every archive the disaster
 	// left at or below 12 live fragments.
 	sched := archive.NewScheduler(world.Pool.Arch, archive.SchedulerConfig{
-		RepairInterval: time.Minute,
 		RepairsPerTick: 64,
 		Threshold:      12,
 	})

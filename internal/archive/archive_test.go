@@ -410,9 +410,8 @@ func TestSchedulerRestoresRedundancy(t *testing.T) {
 		t.Fatalf("degradation failed: %d live", before)
 	}
 	sc := NewScheduler(svc, SchedulerConfig{
-		ScrubInterval:  time.Hour, // scrub out of the way
-		RepairInterval: time.Minute,
-		Threshold:      16,
+		ScrubInterval: time.Hour, // scrub out of the way
+		Threshold:     16,
 	})
 	defer sc.Start()()
 	k.RunFor(time.Minute + time.Second)
@@ -425,7 +424,7 @@ func TestSchedulerRestoresRedundancy(t *testing.T) {
 	}
 	// A healthy archive is left alone.
 	k.RunFor(10 * time.Minute)
-	if st := sc.Stats(); st.Repairs != 1 || len(sc.pending) != 0 {
-		t.Fatalf("healthy archive repaired again: %d repairs, %d pending", st.Repairs, len(sc.pending))
+	if st := sc.Stats(); st.Repairs != 1 || len(svc.pending) != 0 {
+		t.Fatalf("healthy archive repaired again: %d repairs, %d pending", st.Repairs, len(svc.pending))
 	}
 }

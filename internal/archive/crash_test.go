@@ -137,10 +137,9 @@ func TestSchedulerInstrumented(t *testing.T) {
 		root := svc.RootsHeldBy(nid)[0]
 		svc.CorruptFragment(nid, root, archive.HeldIndexes(svc.Store(nid), root)[0])
 		sc := archive.NewScheduler(svc, archive.SchedulerConfig{
-			ScrubInterval:  10 * time.Second,
-			RepairInterval: 30 * time.Second,
-			Threshold:      5,
-			FlushInterval:  20 * time.Second,
+			ScrubInterval: 10 * time.Second,
+			Threshold:     5,
+			FlushInterval: 20 * time.Second,
 		})
 		sc.Instrument(reg)
 		stop := sc.Start()

@@ -60,9 +60,8 @@ func TestSchedulerReportsUnrecoverable(t *testing.T) {
 	}
 
 	sc := NewScheduler(svc, SchedulerConfig{
-		ScrubInterval:  time.Hour, // the redundancy scan alone must notice
-		RepairInterval: time.Minute,
-		Threshold:      16,
+		ScrubInterval: time.Hour, // the redundancy scan alone must notice
+		Threshold:     16,
 	})
 	defer sc.Start()()
 	k.RunFor(time.Minute + time.Second)
@@ -70,14 +69,14 @@ func TestSchedulerReportsUnrecoverable(t *testing.T) {
 	if st.Repairs != 0 {
 		t.Fatalf("unrecoverable archive reported repaired %d times", st.Repairs)
 	}
-	if st.RepairFailed != 1 || len(sc.pending) != 1 {
-		t.Fatalf("unrecoverable archive: %d failures, %d pending, want 1 and 1", st.RepairFailed, len(sc.pending))
+	if st.RepairFailed != 1 || len(svc.pending) != 1 {
+		t.Fatalf("unrecoverable archive: %d failures, %d pending, want 1 and 1", st.RepairFailed, len(svc.pending))
 	}
 	if got := reg.CounterValue(obs.NodeWide, "archive", "repair_failed"); got != 1 {
 		t.Fatalf("repair_failed = %d, want 1", got)
 	}
 	// The error the scheduler counted names the cause.
-	if err := svc.RepairRoot(root, nil, nil); !errors.Is(err, erasure.ErrNotEnoughFragments) {
+	if err := svc.RepairRoot(root); !errors.Is(err, erasure.ErrNotEnoughFragments) {
 		t.Fatalf("error should wrap ErrNotEnoughFragments, got %v", err)
 	}
 	// The damage stays on the books: an unrecoverable archive is still
@@ -86,8 +85,8 @@ func TestSchedulerReportsUnrecoverable(t *testing.T) {
 		t.Fatal("damage record cleared by a failed repair")
 	}
 	k.RunFor(10 * time.Minute)
-	if st := sc.Stats(); st.RepairFailed < 2 || st.Repairs != 0 || len(sc.pending) != 1 {
-		t.Fatalf("later ticks forgot the root: %+v, %d pending", st, len(sc.pending))
+	if st := sc.Stats(); st.RepairFailed < 2 || st.Repairs != 0 || len(svc.pending) != 1 {
+		t.Fatalf("later ticks forgot the root: %+v, %d pending", st, len(svc.pending))
 	}
 }
 
@@ -112,7 +111,7 @@ func TestRepairRootClearsDamage(t *testing.T) {
 		t.Fatal("no bad fragments on disk after corruption")
 	}
 
-	if err := svc.RepairRoot(root, nil, nil); err != nil {
+	if err := svc.RepairRoot(root); err != nil {
 		t.Fatalf("repair failed: %v", err)
 	}
 	if _, damaged := svc.DamagedSince(root); damaged {
@@ -136,14 +135,22 @@ func TestRepairRootClearsDamage(t *testing.T) {
 	}
 }
 
-// TestRepairRootExcludesSuspects checks the auditor-facing exclude set:
-// repair must move fragments off excluded nodes when alternatives
-// exist.
+// TestRepairRootExcludesSuspects checks the auditor-facing suspect
+// marks: repair must move fragments off suspected nodes when
+// alternatives exist, and a cleared mark makes a node eligible again.
 func TestRepairRootExcludesSuspects(t *testing.T) {
 	_, svc, _, _, _, _ := repairWorld(t, 13)
 	root := svc.Roots()[0]
 	exclude := map[simnet.NodeID]bool{1: true, 2: true}
-	if err := svc.RepairRoot(root, nil, exclude); err != nil {
+	for id := range exclude {
+		svc.SetSuspect(id, true)
+	}
+	svc.SetSuspect(3, true)
+	svc.SetSuspect(3, false)
+	if len(svc.suspect) != len(exclude) {
+		t.Fatalf("suspects %v, want exactly %v", svc.suspect, exclude)
+	}
+	if err := svc.RepairRoot(root); err != nil {
 		t.Fatalf("repair failed: %v", err)
 	}
 	for _, nid := range svc.HoldersOf(root) {

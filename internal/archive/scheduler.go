@@ -9,12 +9,14 @@ import (
 	"oceanstore/internal/simnet"
 )
 
-// Scheduler is the archival layer's repair engine — the only one: a
-// background maintenance loop of rate-limited ticks, the way production
-// blob stores run repair (CubeFS's BlobStore scheduler does disk
-// repair, balance and inspection as budgeted background jobs; §4.5's
-// "slowly sweep through all existing archival data" is the same idea
-// said smaller).
+// Scheduler is the archival layer's background maintenance loop of
+// rate-limited ticks, the way production blob stores run repair
+// (CubeFS's BlobStore scheduler does disk repair, balance and
+// inspection as budgeted background jobs; §4.5's "slowly sweep through
+// all existing archival data" is the same idea said smaller).  Its
+// scrub and scan feed the service's one repair queue, which the audit
+// layer's damning verdicts feed too; each drains it once per tick under
+// its own budget.
 //
 // Three independent periodic duties, all on the virtual clock:
 //
@@ -24,12 +26,11 @@ import (
 //     copies are dropped and their roots queued for repair.  Scrub
 //     catches silent on-disk rot; Byzantine nodes keep honest disks
 //     and lie on the wire, so they remain the audit layer's problem.
-//   - REPAIR: drain the scrub-found queue plus a slow cursor scan of
-//     all roots whose live redundancy fell to or below Threshold,
-//     repairing at most RepairsPerTick per tick.  Roots whose repair
-//     fails retry under capped exponential backoff (the same shape as
-//     the audit layer's poll backoff) so an unrecoverable archive
-//     cannot monopolize the budget.
+//   - REPAIR: every minute, queue the roots a slow cursor scan finds at
+//     or below Threshold live fragments, then drain the queue with
+//     Service.RepairQueued, at most RepairsPerTick repairs per tick.
+//     Roots whose repair fails retry under capped exponential backoff
+//     so an unrecoverable archive cannot monopolize the budget.
 //   - FLUSH: with FlushInterval set the scheduler owns durability:
 //     per-batch fsync is switched off and dirty stores are group-
 //     committed as soon as the kernel runs — covering whatever was
@@ -48,10 +49,6 @@ type Scheduler struct {
 	// (node, root, index), consumed front to back and rebuilt when
 	// empty — one full pass over the data per rebuild.
 	queue []scrubRef
-	// pending holds roots needing repair (scrub hits + scan hits).
-	pending map[guid.GUID]bool
-	// backoff delays retry of roots whose repair failed.
-	backoff map[guid.GUID]*schedBackoff
 	// scanCursor is the last root the redundancy scan visited; the next
 	// tick resumes strictly after it and wraps at the end.
 	scanCursor    guid.GUID
@@ -67,19 +64,12 @@ type scrubRef struct {
 	index int
 }
 
-type schedBackoff struct {
-	until time.Duration
-	gap   time.Duration
-}
-
 // SchedulerConfig tunes the maintenance loop.  Zero values take
 // defaults.
 type SchedulerConfig struct {
 	// ScrubInterval is the scrub tick period.
 	ScrubInterval time.Duration
-	// RepairInterval is the repair tick period; RepairsPerTick bounds
-	// repairs attempted per tick.
-	RepairInterval time.Duration
+	// RepairsPerTick bounds repairs attempted per repair tick.
 	RepairsPerTick int
 	// Threshold is the live-fragment level at or below which a root is
 	// queued for repair (DataShards+1 leaves one fragment of slack).
@@ -90,24 +80,19 @@ type SchedulerConfig struct {
 }
 
 const (
+	// repairInterval is the repair tick period.
+	repairInterval = time.Minute
 	// scanRootsPerTick bounds how many roots the redundancy scan
 	// inspects per repair tick.
 	scanRootsPerTick = 128
 	// scrubFragsPerTick bounds fragments re-read and re-verified per
 	// scrub tick.
 	scrubFragsPerTick = 64
-	// repairBackoffBase and repairBackoffMax bound the retry gap for
-	// roots whose repair failed.
-	repairBackoffBase = 2 * time.Minute
-	repairBackoffMax  = 32 * time.Minute
 )
 
 func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.ScrubInterval <= 0 {
 		c.ScrubInterval = 30 * time.Second
-	}
-	if c.RepairInterval <= 0 {
-		c.RepairInterval = time.Minute
 	}
 	if c.RepairsPerTick <= 0 {
 		c.RepairsPerTick = 4
@@ -128,10 +113,8 @@ type SchedulerStats struct {
 	ScrubPasses   int64 // completed full passes over all fragments
 	Repairs       int64 // successful background repairs
 	RepairFailed  int64 // failed repair attempts
-	// RepairsDeferred adds, each repair tick, one per queued root still
-	// inside its backoff window and — when the budget runs out — the
-	// whole queue's length that tick, repaired roots included: a count of
-	// queued-root ticks withheld, not of distinct roots.
+	// RepairsDeferred sums Service.RepairQueued's deferred count over
+	// repair ticks: queued-root ticks withheld, not distinct roots.
 	RepairsDeferred int64
 	Flushes         int64 // group-commit SyncDirty rounds that synced
 	FlushErrors     int64 // SyncDirty rounds that returned an error
@@ -145,12 +128,7 @@ type schedMetrics struct {
 
 // NewScheduler builds a maintenance scheduler over a service.
 func NewScheduler(svc *Service, cfg SchedulerConfig) *Scheduler {
-	return &Scheduler{
-		svc:     svc,
-		cfg:     cfg.withDefaults(),
-		pending: make(map[guid.GUID]bool),
-		backoff: make(map[guid.GUID]*schedBackoff),
-	}
+	return &Scheduler{svc: svc, cfg: cfg.withDefaults()}
 }
 
 // Instrument attaches counters under the "scrub" layer; a nil registry
@@ -179,7 +157,7 @@ func (sc *Scheduler) Start() (stop func()) {
 	k := sc.svc.net.K
 	var cancels []func()
 	cancels = append(cancels, k.Every(sc.cfg.ScrubInterval, sc.scrubTick))
-	cancels = append(cancels, k.Every(sc.cfg.RepairInterval, sc.repairTick))
+	cancels = append(cancels, k.Every(repairInterval, sc.repairTick))
 	if sc.cfg.FlushInterval > 0 {
 		sc.svc.SyncEachBatch = false
 		cancels = append(cancels, k.Every(sc.cfg.FlushInterval, sc.flushTick))
@@ -260,15 +238,15 @@ func (sc *Scheduler) scrubTick() {
 		sc.metrics.scrubBad.Inc()
 		sc.svc.DropFragment(simnet.NodeID(ref.node), ref.root, ref.index)
 		sc.svc.noteDamage(ref.root)
-		sc.pending[ref.root] = true
+		sc.svc.QueueRepair(ref.root)
 	}
 	if len(sc.queue) == 0 {
 		sc.stats.ScrubPasses++
 	}
 }
 
-// repairTick advances the redundancy scan cursor, then repairs up to
-// RepairsPerTick queued roots in GUID order, honouring backoff.
+// repairTick advances the redundancy scan cursor, then drains the
+// repair queue under the RepairsPerTick budget.
 func (sc *Scheduler) repairTick() {
 	roots := sc.svc.Roots()
 	if len(roots) > 0 {
@@ -284,57 +262,17 @@ func (sc *Scheduler) repairTick() {
 			root := roots[(start+i)%len(roots)]
 			sc.scanCursor, sc.scanHasCursor = root, true
 			if sc.svc.LiveFragments(root) <= sc.cfg.Threshold {
-				sc.pending[root] = true
+				sc.svc.QueueRepair(root)
 			}
 		}
 	}
-	if len(sc.pending) == 0 {
-		return
-	}
-	queued := make([]guid.GUID, 0, len(sc.pending))
-	for root := range sc.pending {
-		queued = append(queued, root)
-	}
-	sort.Slice(queued, func(i, j int) bool { return queued[i].Compare(queued[j]) < 0 })
-	now := sc.svc.net.K.Now()
-	budget := sc.cfg.RepairsPerTick
-	for _, root := range queued {
-		if budget == 0 {
-			sc.defer1(len(queued))
-			break
-		}
-		if b, ok := sc.backoff[root]; ok && now < b.until {
-			sc.defer1(1)
-			continue
-		}
-		budget--
-		if err := sc.svc.RepairRoot(root, nil, nil); err != nil {
-			sc.stats.RepairFailed++
-			sc.metrics.repairFailed.Inc()
-			b := sc.backoff[root]
-			if b == nil {
-				b = &schedBackoff{gap: repairBackoffBase}
-				sc.backoff[root] = b
-			}
-			b.until = now + b.gap
-			b.gap *= 2
-			if b.gap > repairBackoffMax {
-				b.gap = repairBackoffMax
-			}
-			continue
-		}
-		delete(sc.pending, root)
-		delete(sc.backoff, root)
-		sc.stats.Repairs++
-		sc.metrics.repairs.Inc()
-	}
-}
-
-// defer1 accounts repairs withheld this tick (see
-// SchedulerStats.RepairsDeferred for what the sum means).
-func (sc *Scheduler) defer1(n int) {
-	sc.stats.RepairsDeferred += int64(n)
-	sc.metrics.repairsDeferred.Add(int64(n))
+	repaired, failed, deferred := sc.svc.RepairQueued(sc.cfg.RepairsPerTick)
+	sc.stats.Repairs += int64(repaired)
+	sc.stats.RepairFailed += int64(failed)
+	sc.stats.RepairsDeferred += int64(deferred)
+	sc.metrics.repairs.Add(int64(repaired))
+	sc.metrics.repairFailed.Add(int64(failed))
+	sc.metrics.repairsDeferred.Add(int64(deferred))
 }
 
 // flushTick group-commits dirty stores.

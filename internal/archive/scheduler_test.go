@@ -55,7 +55,6 @@ func TestSchedulerScrubFindsAndRepairsRot(t *testing.T) {
 
 	sc := NewScheduler(svc, SchedulerConfig{
 		ScrubInterval:  10 * time.Second,
-		RepairInterval: 30 * time.Second,
 		RepairsPerTick: 8,
 		Threshold:      5, // DataShards+1
 	})
@@ -104,7 +103,6 @@ func TestSchedulerRepairBudget(t *testing.T) {
 	}
 	sc := NewScheduler(svc, SchedulerConfig{
 		ScrubInterval:  time.Hour, // scrub out of the way
-		RepairInterval: time.Minute,
 		RepairsPerTick: 1,
 		Threshold:      5,
 	})
@@ -123,8 +121,8 @@ func TestSchedulerRepairBudget(t *testing.T) {
 	if st := sc.Stats(); st.Repairs != int64(len(roots)) {
 		t.Fatalf("repaired %d of %d roots", st.Repairs, len(roots))
 	}
-	if len(sc.pending) != 0 {
-		t.Fatalf("%d roots still pending", len(sc.pending))
+	if len(svc.pending) != 0 {
+		t.Fatalf("%d roots still pending", len(svc.pending))
 	}
 }
 
@@ -147,7 +145,6 @@ func TestSchedulerBackoffOnUnrecoverable(t *testing.T) {
 	}
 	sc := NewScheduler(svc, SchedulerConfig{
 		ScrubInterval:  time.Hour,
-		RepairInterval: time.Minute,
 		RepairsPerTick: 4,
 		Threshold:      5,
 	})
@@ -169,8 +166,8 @@ func TestSchedulerBackoffOnUnrecoverable(t *testing.T) {
 	}
 	// The unrecoverable root stays queued — operator-visible, not
 	// silently forgotten.
-	if len(sc.pending) != 1 {
-		t.Fatalf("pending = %d, want the 1 unrecoverable root", len(sc.pending))
+	if len(svc.pending) != 1 {
+		t.Fatalf("pending = %d, want the 1 unrecoverable root", len(svc.pending))
 	}
 }
 
@@ -180,9 +177,8 @@ func TestSchedulerBackoffOnUnrecoverable(t *testing.T) {
 func TestSchedulerGroupCommit(t *testing.T) {
 	k, svc, _ := schedWorld(t, 59, 16, 2, 1)
 	sc := NewScheduler(svc, SchedulerConfig{
-		ScrubInterval:  time.Hour,
-		RepairInterval: time.Hour,
-		FlushInterval:  time.Minute,
+		ScrubInterval: time.Hour,
+		FlushInterval: time.Minute,
 	})
 	stop := sc.Start()
 	if svc.SyncEachBatch {
@@ -230,9 +226,8 @@ func TestSyncDirtyKeepsFailedStoresDirty(t *testing.T) {
 		return stores[id]
 	})
 	sc := NewScheduler(svc, SchedulerConfig{
-		ScrubInterval:  time.Hour,
-		RepairInterval: time.Hour,
-		FlushInterval:  time.Minute,
+		ScrubInterval: time.Hour,
+		FlushInterval: time.Minute,
 	})
 	stop := sc.Start()
 	if _, err := svc.Archive(make([]byte, 256), Config{DataShards: 4, TotalFragments: 8}, nil); err != nil {

@@ -33,8 +33,8 @@ type fragmentMsg struct {
 
 // Service runs archival storage over the simulated network: it owns the
 // per-node fragment stores, serves fragment requests, reconstructs
-// objects with configurable over-request, and repairs one archive at a
-// time for the Scheduler and the auditor.
+// objects with configurable over-request, and keeps the one repair
+// queue that the Scheduler and the auditor feed and drain.
 type Service struct {
 	net *simnet.Network
 	// member[id] marks storage members; stores materialize lazily on
@@ -88,6 +88,14 @@ type Service struct {
 	// successful repair clears the entry; the auditor reads it to report
 	// detection latency and tests read it to find silent rot.
 	damagedAt map[guid.GUID]time.Duration
+	// pending is the repair queue: roots that the Scheduler's scrub and
+	// redundancy scan, or the auditor's damning verdicts, want repaired,
+	// each with its retry state after failed repairs.  RepairQueued
+	// drains it.
+	pending map[guid.GUID]repairRetry
+	// suspect marks nodes the auditor no longer trusts; repair placement
+	// avoids them while any other live node remains.
+	suspect map[simnet.NodeID]bool
 
 	om  archMetrics
 	otr *obs.Tracer
@@ -161,6 +169,8 @@ func NewService(net *simnet.Network, nodes []simnet.Node) *Service {
 		inflight:      make(map[uint64]*retrievalState),
 		byz:           make(map[simnet.NodeID]bool),
 		damagedAt:     make(map[guid.GUID]time.Duration),
+		pending:       make(map[guid.GUID]repairRetry),
+		suspect:       make(map[simnet.NodeID]bool),
 	}
 	s.AddMembers(nodes)
 	net.HandleAll(func(to simnet.NodeID, m simnet.Message) { s.handle(to, m) })
@@ -615,18 +625,17 @@ var ErrUnknownRoot = errors.New("archive: unknown archive root")
 
 // ErrInsufficientDomains reports that fragment placement ran every
 // member domain dry: each domain's ring held only down or excluded
-// nodes.  Callers that passed an exclude set can retry without it
-// (data on a suspect beats no data at all); callers that did not are
-// looking at a world with no live storage.
+// nodes.  Repair retries without its suspects (data on a suspect beats
+// no data at all); Archive is looking at a world with no live storage.
 var ErrInsufficientDomains = errors.New("archive: insufficient live domains to disperse onto")
 
 // RepairRoot reconstructs one archive from whatever reachable fragments
-// still verify and re-disperses a fresh fragment set, skipping nodes in
-// exclude (the auditor passes its disreputable set, so repair moves
-// data off suspected liars).  On success any outstanding damage record
-// for the root is cleared.  Errors are never silent: an unrecoverable
-// archive returns the decode error and bumps archive/repair_failed.
-func (s *Service) RepairRoot(root guid.GUID, domainRank []int, exclude map[simnet.NodeID]bool) error {
+// still verify and re-disperses a fresh fragment set, skipping suspects
+// (SetSuspect), so repair moves data off the liars the auditor found.
+// On success any outstanding damage record for the root is cleared.
+// Errors are never silent: an unrecoverable archive returns the decode
+// error and bumps archive/repair_failed.
+func (s *Service) RepairRoot(root guid.GUID) error {
 	a, ok := s.archives[root]
 	if !ok {
 		return s.repairFailed(root, ErrUnknownRoot)
@@ -661,11 +670,11 @@ func (s *Service) RepairRoot(root guid.GUID, domainRank []int, exclude map[simne
 		// root, so this cannot diverge; guard anyway.
 		return s.repairFailed(root, errors.New("archive: repair re-encode diverged from root"))
 	}
-	newPlacement, err := s.disperse(len(newFrags), domainRank, root.Uint64()+1, exclude)
-	if errors.Is(err, ErrInsufficientDomains) && len(exclude) > 0 {
+	newPlacement, err := s.disperse(len(newFrags), nil, root.Uint64()+1, s.suspect)
+	if errors.Is(err, ErrInsufficientDomains) && len(s.suspect) > 0 {
 		// Excluding every live node would make repair impossible; data
 		// on a suspect beats no data at all.
-		newPlacement, err = s.disperse(len(newFrags), domainRank, root.Uint64()+1, nil)
+		newPlacement, err = s.disperse(len(newFrags), nil, root.Uint64()+1, nil)
 	}
 	if err != nil {
 		return s.repairFailed(root, err)
@@ -702,4 +711,75 @@ func (s *Service) repairFailed(root guid.GUID, err error) error {
 		})
 	}
 	return err
+}
+
+// repairRetry delays the next attempt on a queued root whose repair
+// failed; the zero value is a root that has not failed yet.
+type repairRetry struct {
+	until, gap time.Duration
+}
+
+const (
+	// repairBackoffBase and repairBackoffMax bound the retry gap for
+	// queued roots whose repair failed.
+	repairBackoffBase = 2 * time.Minute
+	repairBackoffMax  = 32 * time.Minute
+)
+
+// QueueRepair adds root to the repair queue.  A root already queued
+// stays as it is, so verdicts on one root before a drain coalesce into
+// one repair and a backed-off root keeps its retry gap.
+func (s *Service) QueueRepair(root guid.GUID) {
+	if _, ok := s.pending[root]; !ok {
+		s.pending[root] = repairRetry{}
+	}
+}
+
+// RepairQueued repairs queued roots in GUID order, at most budget of
+// them.  A root whose repair fails stays queued and is skipped for a gap
+// that starts at 2 min and doubles to at most 32 min, so an
+// unrecoverable archive cannot monopolize the budget.  deferred counts
+// one per root skipped inside its gap and, when the budget runs out,
+// the queue's whole length at the start of the drain, repaired roots
+// included: queued-root drains withheld, not distinct roots.
+func (s *Service) RepairQueued(budget int) (repaired, failed, deferred int) {
+	queued := make([]guid.GUID, 0, len(s.pending))
+	for root := range s.pending {
+		queued = append(queued, root)
+	}
+	sort.Slice(queued, func(i, j int) bool { return queued[i].Compare(queued[j]) < 0 })
+	now := s.net.K.Now()
+	for _, root := range queued {
+		if budget == 0 {
+			deferred += len(queued)
+			break
+		}
+		r := s.pending[root]
+		if now < r.until {
+			deferred++
+			continue
+		}
+		budget--
+		if err := s.RepairRoot(root); err != nil {
+			failed++
+			r.gap = max(r.gap, repairBackoffBase)
+			r.until = now + r.gap
+			r.gap = min(2*r.gap, repairBackoffMax)
+			s.pending[root] = r
+			continue
+		}
+		delete(s.pending, root)
+		repaired++
+	}
+	return repaired, failed, deferred
+}
+
+// SetSuspect marks (or clears) a node as suspected; repair places no
+// fragment on a suspect while another live node remains.
+func (s *Service) SetSuspect(id simnet.NodeID, on bool) {
+	if on {
+		s.suspect[id] = true
+	} else {
+		delete(s.suspect, id)
+	}
 }

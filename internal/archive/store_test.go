@@ -58,7 +58,6 @@ func degradedRepairRun(t *testing.T) ([]uint64, *Service, []guid.GUID) {
 	svc.Instrument(nil, tr)
 	sc := NewScheduler(svc, SchedulerConfig{
 		ScrubInterval:  time.Hour,
-		RepairInterval: time.Minute,
 		RepairsPerTick: len(roots),
 		Threshold:      4,
 	})
@@ -161,10 +160,13 @@ func TestDisperseInsufficientDomains(t *testing.T) {
 		t.Fatalf("fully-excluded world: got %v, want ErrInsufficientDomains", err)
 	}
 
-	// RepairRoot with a total exclude set falls back to ignoring the
-	// excludes (data on a suspect beats no data at all).
-	if err := svc.RepairRoot(roots[0], nil, exclude); err != nil {
-		t.Fatalf("repair should fall back past a total exclude set: %v", err)
+	// RepairRoot with every node suspected falls back to ignoring the
+	// suspects (data on a suspect beats no data at all).
+	for id := range exclude {
+		svc.SetSuspect(id, true)
+	}
+	if err := svc.RepairRoot(roots[0]); err != nil {
+		t.Fatalf("repair should fall back past an all-suspect world: %v", err)
 	}
 
 	// Every node down: Archive surfaces the typed error too.

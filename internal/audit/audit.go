@@ -22,9 +22,13 @@
 //     back off exponentially so a partition does not turn into a poll
 //     storm;
 //   - repeated bad answers cost a peer REPUTATION; disreputable peers
-//     cannot contribute to a root's clean bill of health, and damning
-//     verdicts trigger targeted repair through archive.Service with
-//     suspects excluded from the new placement.
+//     cannot contribute to a root's clean bill of health, and the
+//     auditor marks them suspect in archive.Service so repair places no
+//     fragment on them;
+//   - damning verdicts only queue the root in the archive's one repair
+//     queue, which the archival Scheduler feeds too; each audit tick
+//     drains it once under the per-interval repair budget, so verdicts
+//     on one root coalesce into one repair.
 //
 // Everything runs on the virtual clock with kernel randomness, so an
 // audited run is a pure function of (seed, plan) like the rest of the
@@ -32,6 +36,7 @@
 package audit
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -92,11 +97,13 @@ const (
 	minQuorum = 2.0
 	// maxPollsPerInterval caps polls each node may SEND per tick.
 	maxPollsPerInterval = 8
-	// maxRepairsPerInterval caps repairs triggered per tick, keeping a
-	// mass-damage event from turning the auditor into a repair storm.
+	// maxRepairsPerInterval caps the repairs each tick's drain of the
+	// repair queue attempts, keeping a mass-damage event from turning
+	// the auditor into a repair storm.
 	maxRepairsPerInterval = 4
 	// reputationCut is the reputation below which a peer is suspected:
-	// excluded from repair placement and from health quorums.
+	// excluded from repair placement (archive.Service.SetSuspect) and
+	// from health quorums.
 	reputationCut = 0.3
 	// backoffBase and backoffMax bound the per-(node, root) retry gap
 	// after inconclusive polls.
@@ -131,9 +138,9 @@ type Stats struct {
 	Healthy         int64 // polls concluding with a clean bill of health
 	Inconclusive    int64 // polls without quorum (backoff grows)
 	Detections      int64 // distinct damage events first noticed
-	Repairs         int64 // successful targeted repairs
-	RepairFailures  int64 // repairs attempted and failed
-	RepairsDeferred int64 // damning verdicts deferred by the repair budget
+	Repairs         int64 // roots this auditor's drains repaired
+	RepairFailures  int64 // repairs its drains attempted and failed
+	RepairsDeferred int64 // roots its drains deferred (Service.RepairQueued)
 }
 
 // Auditor runs the audit protocol over one archive.Service.
@@ -149,7 +156,6 @@ type Auditor struct {
 
 	pollBudget map[simnet.NodeID]int
 	voteBudget map[simnet.NodeID]int
-	repairs    int // repairs spent this tick
 
 	reputation map[simnet.NodeID]float64
 	// backoff holds the no-poll-before deadline and current gap per
@@ -157,7 +163,8 @@ type Auditor struct {
 	backoff map[backKey]*backoffState
 	// detected remembers which damage event (root, damage time) has
 	// already been counted, so repeated verdicts before the repair
-	// lands do not inflate Detections.
+	// lands do not inflate Detections.  A repair clears the service's
+	// damage record, so later damage carries a later time.
 	detected map[guid.GUID]time.Duration
 
 	stats Stats
@@ -281,34 +288,30 @@ func (a *Auditor) Suspected() []simnet.NodeID {
 	return out
 }
 
-// suspectedSet is Suspected as a set, for repair exclusion.
-func (a *Auditor) suspectedSet() map[simnet.NodeID]bool {
-	s := a.Suspected()
-	if len(s) == 0 {
-		return nil
-	}
-	set := make(map[simnet.NodeID]bool, len(s))
-	for _, id := range s {
-		set[id] = true
-	}
-	return set
-}
-
 // refill resets every node's per-interval budgets.
 func (a *Auditor) refill() {
 	for _, id := range a.svc.StoreNodes() {
 		a.pollBudget[id] = maxPollsPerInterval
 		a.voteBudget[id] = a.cfg.MaxVotesPerInterval
 	}
-	a.repairs = 0
 }
 
-// tick runs one audit round: refill budgets, then every live honest
-// node samples and polls.  Node order is sorted and all randomness
-// comes from the kernel, so the round is deterministic.
+// tick runs one audit round: refill budgets, drain the repair queue the
+// last interval's verdicts fed, then every live honest node samples and
+// polls.  Node order is sorted and all randomness comes from the
+// kernel, so the round is deterministic.
 func (a *Auditor) tick() {
 	a.refill()
-	a.retryPending()
+	budget := maxRepairsPerInterval
+	if a.cfg.DisableRateLimit {
+		budget = math.MaxInt
+	}
+	repaired, failed, deferred := a.svc.RepairQueued(budget)
+	a.stats.Repairs += int64(repaired)
+	a.stats.RepairFailures += int64(failed)
+	a.stats.RepairsDeferred += int64(deferred)
+	a.om.repairs.Add(int64(repaired))
+	a.om.repairFailed.Add(int64(failed))
 	rng := a.net.K.Rand()
 	for _, id := range a.svc.StoreNodes() {
 		if a.net.Node(id).Down() {
@@ -498,7 +501,7 @@ func (a *Auditor) tally(rid uint64) {
 
 // evidence registers objective proof of damage to a root observed by
 // origin, records detection latency for the underlying damage event,
-// and triggers budget-capped targeted repair.
+// and queues the root for repair at the next tick's drain.
 func (a *Auditor) evidence(origin simnet.NodeID, root guid.GUID, weight int) {
 	now := a.net.K.Now()
 	if since, ok := a.svc.DamagedSince(root); ok && a.detected[root] != since {
@@ -515,56 +518,7 @@ func (a *Auditor) evidence(origin simnet.NodeID, root guid.GUID, weight int) {
 			})
 		}
 	}
-	a.tryRepair(int(origin), root)
-}
-
-// tryRepair attempts a budget-capped targeted repair of root.  On
-// deferral (budget drained) or failure the root stays in the detected
-// set, and retryPending picks it up next tick — re-detection through
-// polling is NOT guaranteed, because a node that dropped its proven-bad
-// copy may still hold another verifying fragment of the same root and
-// answer future polls healthy while redundancy stays degraded.
-func (a *Auditor) tryRepair(origin int, root guid.GUID) {
-	if !a.cfg.DisableRateLimit && a.repairs >= maxRepairsPerInterval {
-		a.stats.RepairsDeferred++
-		return
-	}
-	a.repairs++
-	if err := a.svc.RepairRoot(root, nil, a.suspectedSet()); err != nil {
-		a.stats.RepairFailures++
-		a.om.repairFailed.Inc()
-		return
-	}
-	delete(a.detected, root)
-	a.stats.Repairs++
-	a.om.repairs.Inc()
-	if a.otr != nil {
-		a.otr.Emit(obs.Event{
-			T: int64(a.net.K.Now()), Node: origin, Peer: -1,
-			Layer: "audit", Event: "repair", ID: root.Uint64(),
-		})
-	}
-}
-
-// retryPending drains detected-but-unrepaired damage under the fresh
-// repair budget.  The detected map is exactly the set of roots whose
-// damage was proven but whose repair was deferred or failed.
-func (a *Auditor) retryPending() {
-	if len(a.detected) == 0 {
-		return
-	}
-	pending := make([]guid.GUID, 0, len(a.detected))
-	for root := range a.detected {
-		pending = append(pending, root)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].Compare(pending[j]) < 0 })
-	for _, root := range pending {
-		if _, still := a.svc.DamagedSince(root); !still {
-			delete(a.detected, root) // repaired through some other path
-			continue
-		}
-		a.tryRepair(-1, root)
-	}
+	a.svc.QueueRepair(root)
 }
 
 // trustOf weighs a peer's vote: its reputation clamped to [0, 1], or a
@@ -593,7 +547,7 @@ func (a *Auditor) credit(id simnet.NodeID) {
 	if r > 2 {
 		r = 2
 	}
-	a.reputation[id] = r
+	a.setReputation(id, r)
 }
 
 // discredit halves reputation on proven-bad answers: a few lies are
@@ -607,7 +561,14 @@ func (a *Auditor) discredit(id simnet.NodeID) {
 	if r < 0.05 {
 		r = 0.05
 	}
+	a.setReputation(id, r)
+}
+
+// setReputation records a peer's reputation and keeps the archive's
+// suspect mark in step with it, so repair placement sees the verdict.
+func (a *Auditor) setReputation(id simnet.NodeID, r float64) {
 	a.reputation[id] = r
+	a.svc.SetSuspect(id, r < reputationCut)
 }
 
 // ForgePoll builds a raw poll payload — the attacker's tool in the

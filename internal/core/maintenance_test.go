@@ -70,8 +70,7 @@ func TestMaintenanceHealsLocationAfterCrashes(t *testing.T) {
 func TestMaintenanceRepairsArchives(t *testing.T) {
 	p := smallPool(51)
 	sched := archive.NewScheduler(p.Arch, archive.SchedulerConfig{
-		RepairInterval: time.Minute,
-		Threshold:      6,
+		Threshold: 6,
 	})
 	defer sched.Start()()
 	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))

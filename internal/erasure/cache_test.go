@@ -112,11 +112,12 @@ func TestCacheStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheStatsProcsConsistent pins the singleflight guarantee: N
-// concurrent decodes spread over M distinct fragment sets are exactly
-// M misses and N-M hits, with no drift between worker counts.  The
-// pre-singleflight cache raced compute-then-put, so the split depended
-// on scheduling and differed between GOMAXPROCS=1 and 4.
+// TestCacheStatsProcsConsistent pins exact accounting under
+// concurrency: N concurrent decodes spread over M distinct fragment
+// sets are exactly M misses and N-M hits, with no drift between worker
+// counts.  A cache that inverts outside its lock races compute-then-put,
+// so the split depends on scheduling and differs between GOMAXPROCS=1
+// and 4.
 func TestCacheStatsProcsConsistent(t *testing.T) {
 	const goroutines, sets, rounds = 12, 3, 4
 	run := func(procs int) (hits, misses uint64) {

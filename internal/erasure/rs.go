@@ -197,16 +197,12 @@ func (rs *ReedSolomon) Decode(frags []Fragment, dataLen int) ([]byte, error) {
 }
 
 // invertedFor returns the inverse of the sub-matrix selecting the given
-// (index-sorted) rows, consulting the LRU cache first.
-//
-// The cache is singleflight: the first goroutine to ask for a key
-// inserts a pending entry (one miss) and inverts outside the lock;
-// concurrent askers for the same key count a hit and wait on the
-// pending entry instead of inverting again.  That keeps Gauss-Jordan
-// off the lock AND makes the hit and miss counts deterministic — N
-// concurrent decodes of the same fragment set are exactly 1 miss + N-1
-// hits at any GOMAXPROCS, where the old compute-then-put race made the
-// split depend on scheduling.
+// (index-sorted) rows, consulting the LRU cache first.  The lookup, the
+// inversion on a miss and the insert all run under invMu, so N
+// concurrent decodes of one fragment set are exactly 1 miss and N-1
+// hits at any GOMAXPROCS.  Inverting an n×n matrix is small next to
+// the decode it serves, so holding the lock through it costs little
+// even when a seed sweep's simulators share one codec.
 //
 // Any n rows of an MDS code's encoding matrix are invertible, so a
 // singular pick is a bug in the matrix code, not bad input.
@@ -217,15 +213,10 @@ func (rs *ReedSolomon) invertedFor(rows []Fragment) matrix {
 	}
 	key := kbuf[:len(rows)]
 	rs.invMu.Lock()
-	e, owner := rs.inv.acquire(key)
-	rs.invMu.Unlock()
-	if !owner {
-		// Hit (possibly on a pending entry): wait for the owner.  The
-		// channel close publishes e.inv safely.
-		<-e.ready
-		return e.inv
+	defer rs.invMu.Unlock()
+	if inv, ok := rs.inv.get(key); ok {
+		return inv
 	}
-	// We own the pending entry: invert outside the lock, then publish.
 	sub := newMatrix(rs.n, rs.n)
 	for i, fr := range rows {
 		copy(sub.row(i), rs.enc.row(fr.Index))
@@ -234,10 +225,7 @@ func (rs *ReedSolomon) invertedFor(rows []Fragment) matrix {
 	if !ok {
 		panic("erasure: fragment sub-matrix singular")
 	}
-	rs.invMu.Lock()
-	e.inv, e.done = inv, true
-	close(e.ready)
-	rs.invMu.Unlock()
+	rs.inv.put(key, inv)
 	return inv
 }
 
@@ -247,9 +235,7 @@ func (rs *ReedSolomon) invertedFor(rows []Fragment) matrix {
 const invCacheCap = 32
 
 // invCache is a tiny intrusive-list LRU from fragment-index set to
-// inverted sub-matrix, with singleflight pending entries.  Callers
-// hold rs.invMu for every method; waiters synchronise on an entry's
-// ready channel, which its owner closes after publishing inv.
+// inverted sub-matrix.  Callers hold rs.invMu for every method.
 type invCache struct {
 	cap          int
 	m            map[string]*invEntry
@@ -260,8 +246,6 @@ type invCache struct {
 type invEntry struct {
 	key        string
 	inv        matrix
-	ready      chan struct{} // closed once inv is published
-	done       bool          // inv is valid; pending entries are not evictable
 	prev, next *invEntry
 }
 
@@ -270,37 +254,29 @@ func (c *invCache) init(capacity int) {
 	c.m = make(map[string]*invEntry, capacity)
 }
 
-// acquire looks the key up, counting a hit (existing entry, pending or
-// done) or a miss (new pending entry inserted, owner=true).  The owner
-// must publish inv and close ready.
-func (c *invCache) acquire(key []byte) (e *invEntry, owner bool) {
+// get looks the key up, counting a hit (and refreshing the entry) or a
+// miss.
+func (c *invCache) get(key []byte) (matrix, bool) {
 	if e, ok := c.m[string(key)]; ok { // no allocation: map lookup special case
 		c.hits++
 		c.moveToFront(e)
-		return e, false
+		return e.inv, true
 	}
 	c.misses++
-	if len(c.m) >= c.cap {
-		c.evictOne()
-	}
-	e = &invEntry{key: string(key), ready: make(chan struct{})}
-	c.m[e.key] = e
-	c.pushFront(e)
-	return e, true
+	return matrix{}, false
 }
 
-// evictOne discards the least-recently-used completed entry.  Pending
-// entries are skipped: their owner and waiters hold references, and
-// evicting one would let a second owner start the same inversion.  If
-// every entry is pending the cache briefly exceeds its cap instead.
-func (c *invCache) evictOne() {
-	for e := c.tail; e != nil; e = e.prev {
-		if e.done {
-			c.unlink(e)
-			delete(c.m, e.key)
-			return
-		}
+// put inserts a freshly inverted matrix, evicting the least recently
+// used entry when the cache is full.
+func (c *invCache) put(key []byte, inv matrix) {
+	if len(c.m) >= c.cap {
+		lru := c.tail
+		c.unlink(lru)
+		delete(c.m, lru.key)
 	}
+	e := &invEntry{key: string(key), inv: inv}
+	c.m[e.key] = e
+	c.pushFront(e)
 }
 
 func (c *invCache) moveToFront(e *invEntry) {

@@ -138,7 +138,6 @@ func TestPartialFsyncLosesExactlyTheUnsyncedTail(t *testing.T) {
 	// surviving fragments: each archive spread 12 fragments over 12
 	// nodes, and only unsynced copies vanished.
 	sched := archive.NewScheduler(svc, archive.SchedulerConfig{
-		RepairInterval: time.Minute,
 		RepairsPerTick: 8,
 		Threshold:      11,
 	})

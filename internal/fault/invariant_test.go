@@ -110,8 +110,7 @@ func chaosRun(seed int64, plan fault.Plan, trace func(simnet.TraceEvent)) (chaos
 	})
 	defer stop()
 	defer archive.NewScheduler(p.Arch, archive.SchedulerConfig{
-		RepairInterval: 60 * time.Second,
-		Threshold:      4,
+		Threshold: 4,
 	}).Start()()
 
 	eng := fault.Install(p.Net, plan)
