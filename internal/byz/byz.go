@@ -16,6 +16,12 @@
 // prepare/commit messages for small updates and by the n pre-prepare
 // payload copies for large ones.
 //
+// Every reply is charged a signature's bytes on the wire.  A client
+// that passes Submit a callback receives a CommitCertificate built from
+// its f+1 matching replies; the signatures in it are made only when the
+// certificate is inspected, and a certificate nobody asked for is never
+// built.
+//
 // A simplified view change provides liveness when the primary crashes:
 // backups time out on client requests the primary never pre-prepared
 // and vote the next view in.  (The full PBFT prepared-certificate
@@ -45,6 +51,11 @@ const (
 	CHeader = 100 // c2: pre-prepare header atop the update payload
 	CReply  = 100 // c3: reply size
 )
+
+// requestTimeout is how long a backup waits for the primary to
+// pre-prepare a request it saw before voting a view change; a client
+// retransmits every two of them.
+const requestTimeout = 3 * time.Second
 
 // Fault is a replica's failure mode for experiments.
 type Fault byte
@@ -84,7 +95,9 @@ type Result struct {
 	Certificate *CommitCertificate
 }
 
-// CommitCertificate is the offline-verifiable commit proof.
+// CommitCertificate is the offline-verifiable commit proof.  The client
+// builds one only for a Submit that asked for its Result, from the f+1
+// replies that agreed on (seq, digest).
 type CommitCertificate struct {
 	Tag    guid.GUID
 	Seq    uint64
@@ -97,14 +110,15 @@ type CommitCertificate struct {
 	lazy map[int]*sigPromise
 }
 
-// sigPromise defers an ed25519 reply signature until somebody actually
-// inspects a commit certificate.  Replies cryptographically bind the
-// replica to its (tag, seq, digest) statement, but in the simulation
-// the overwhelming majority of certificates are never re-verified —
-// signing eagerly made ed25519 scalar multiplication the hottest
-// function in a soak run.  The promise pins the exact statement at
-// reply time (a lying replica's fake digest included), so deferred
-// evaluation is observationally identical to eager signing.
+// sigPromise defers a replica's ed25519 signature until somebody
+// inspects a commit certificate.  A reply binds its replica to a
+// (tag, seq, digest) statement, but in the simulation almost no
+// certificate is ever re-verified — signing eagerly made ed25519
+// scalar multiplication the hottest function in a soak run.  The
+// promise pins the statement when the certificate is built, and a
+// certificate admits only replies whose (seq, digest) match, so the
+// pinned statement is the one each admitted replica's reply carried:
+// deferred evaluation is observationally identical to eager signing.
 type sigPromise struct {
 	signer *crypt.Signer
 	msg    []byte
@@ -217,9 +231,6 @@ type replyMsg struct {
 	ID     guid.GUID
 	Digest guid.GUID
 	From   int
-	// Sig promises a signature over (tag, seq, digest) for the offline
-	// commit certificate, evaluated on first inspection.
-	Sig *sigPromise
 }
 
 type viewChangeMsg struct {
@@ -245,10 +256,6 @@ type Group struct {
 	tag guid.GUID
 	// signers hold each replica's certificate-signing key.
 	signers []*crypt.Signer
-
-	// RequestTimeout is how long a backup waits for the primary to
-	// pre-prepare a request it saw before voting a view change.
-	RequestTimeout time.Duration
 
 	// reqFree recycles client-side per-request records (reqState).
 	reqFree []*reqState
@@ -300,11 +307,10 @@ func NewGroup(net *simnet.Network, nodes []simnet.NodeID, f int) (*Group, error)
 		return nil, errors.New("byz: negative f")
 	}
 	g := &Group{
-		net:            net,
-		nodes:          append([]simnet.NodeID(nil), nodes...),
-		f:              f,
-		clients:        make(map[simnet.NodeID]*clientState),
-		RequestTimeout: 3 * time.Second,
+		net:     net,
+		nodes:   append([]simnet.NodeID(nil), nodes...),
+		f:       f,
+		clients: make(map[simnet.NodeID]*clientState),
 	}
 	for i := range nodes {
 		g.replicas = append(g.replicas, newReplica(g, i))
@@ -351,7 +357,7 @@ func (g *Group) SetFault(i int, f Fault) { g.replicas[i].fault = f }
 func (g *Group) SetExecutor(i int, e Executor) { g.replicas[i].exec = e }
 
 // reqState is one outstanding request's reply bookkeeping: per-replica
-// (seq, digest, signature) votes in flat arrays indexed by replica id.
+// (seq, digest) votes in flat arrays indexed by replica id.
 // The tier is tiny (3f+1), so arrays replace the nested
 // req→seq→replica maps the client side used to allocate per request —
 // and retired reqStates recycle through the group's pool.
@@ -361,7 +367,6 @@ type reqState struct {
 	have     []bool
 	seqs     []uint64
 	digests  []guid.GUID
-	sigs     []*sigPromise
 	// retx holds the queued retransmission of every Submit call made for
 	// this request (one, unless the caller re-submitted it while it was
 	// still outstanding).
@@ -394,8 +399,7 @@ func (g *Group) getReq() *reqState {
 	}
 	n := len(g.replicas)
 	return &reqState{
-		have: make([]bool, n), seqs: make([]uint64, n),
-		digests: make([]guid.GUID, n), sigs: make([]*sigPromise, n),
+		have: make([]bool, n), seqs: make([]uint64, n), digests: make([]guid.GUID, n),
 	}
 }
 
@@ -421,7 +425,6 @@ func (g *Group) clearReq(cs *clientState, id guid.GUID) {
 	clear(rs.have)
 	clear(rs.seqs)
 	clear(rs.digests)
-	clear(rs.sigs) // drop promise references for the GC
 	g.reqFree = append(g.reqFree, rs)
 	// A pending ID is not in the done-set (Submit checks it first), so
 	// it needs no search.
@@ -490,9 +493,9 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 		for i := range g.replicas {
 			g.net.Send(client, g.nodes[i], kindRequest, req, req.Size+CHeader)
 		}
-		rs.retx[chain] = g.net.K.After(2*g.RequestTimeout, retransmit)
+		rs.retx[chain] = g.net.K.After(2*requestTimeout, retransmit)
 	}
-	rs.retx = append(rs.retx, g.net.K.After(2*g.RequestTimeout, retransmit))
+	rs.retx = append(rs.retx, g.net.K.After(2*requestTimeout, retransmit))
 }
 
 // Cancel abandons a client's outstanding request: the retransmission
@@ -537,7 +540,6 @@ func (g *Group) clientHandle(client simnet.NodeID, m simnet.Message) {
 	rs.have[rep.From] = true
 	rs.seqs[rep.From] = rep.Seq
 	rs.digests[rep.From] = rep.Digest
-	rs.sigs[rep.From] = rep.Sig
 	// Accept when f+1 replicas agree on the same (seq, digest): at least
 	// one is honest, so the result is correct (§4.4.3).  Only the
 	// arriving reply's seq can newly reach quorum, so that is the only
@@ -552,22 +554,22 @@ func (g *Group) clientHandle(client simnet.NodeID, m simnet.Message) {
 		return
 	}
 	cb := rs.callback
-	cert := &CommitCertificate{Tag: g.tag, Seq: rep.Seq, Digest: rep.ID, lazy: make(map[int]*sigPromise)}
-	for i, ok := range rs.have {
-		if ok && rs.seqs[i] == rep.Seq && rs.digests[i] == rep.ID {
-			cert.lazy[i] = rs.sigs[i]
+	latency := g.net.K.Now() - rs.sent
+	var res Result
+	if cb != nil {
+		// Replica i's reply carried the statement (tag, seqs[i],
+		// digests[i]); only replies matching the quorum's are admitted.
+		cert := &CommitCertificate{Tag: g.tag, Seq: rep.Seq, Digest: rep.ID, lazy: make(map[int]*sigPromise)}
+		for i, ok := range rs.have {
+			if ok && rs.seqs[i] == rep.Seq && rs.digests[i] == rep.ID {
+				cert.lazy[i] = &sigPromise{signer: g.signers[i], msg: certBytes(g.tag, rs.seqs[i], rs.digests[i])}
+			}
 		}
-	}
-	res := Result{
-		Seq:         rep.Seq,
-		ID:          rep.ID,
-		Latency:     g.net.K.Now() - rs.sent,
-		Committed:   true,
-		Certificate: cert,
+		res = Result{Seq: rep.Seq, ID: rep.ID, Latency: latency, Committed: true, Certificate: cert}
 	}
 	g.clearReq(cs, rep.ID)
 	g.om.commits.Inc()
-	g.om.commitLatency.ObserveDuration(res.Latency)
+	g.om.commitLatency.ObserveDuration(latency)
 	if g.otr != nil {
 		g.otr.Emit(obs.Event{
 			T: int64(g.net.K.Now()), Node: int(client), Peer: rep.From,

@@ -230,7 +230,7 @@ func (r *replica) armTimer(id guid.GUID, rec *reqRec) {
 	}
 	rec.armed = true
 	rec.timers = append(rec.timers,
-		r.g.net.K.After(r.g.RequestTimeout, func() { r.requestTimeout(id) }))
+		r.g.net.K.After(requestTimeout, func() { r.requestTimeout(id) }))
 }
 
 func (r *replica) onRequest(req Request) {
@@ -528,25 +528,23 @@ func (r *replica) executeReady() {
 		if r.exec != nil && r.fault == Honest {
 			r.exec(seq, req)
 		}
-		// Reply to the client (Fig 5c path back), signing the result so
-		// the client can assemble an offline commit certificate.
+		// Reply to the client (Fig 5c path back).
 		r.reply(seq, req.ID, req.Client)
 	}
 }
 
 // reply sends (or re-sends) the signed execution reply for an executed
 // request.  Honest replicas' slot digest is always the request ID, so a
-// re-reply needs only the (seq, id) pair the done index retains.
+// re-reply needs only the (seq, id) pair the done index retains.  The
+// reply is charged a signature's bytes; the signature over (tag, seq,
+// digest) is made only if a client's commit certificate is inspected.
 func (r *replica) reply(seq uint64, id guid.GUID, client simnet.NodeID) {
 	digest := id
 	if r.fault == Lying {
 		digest = guid.FromData([]byte("lie"))
 	}
-	// The signature is a promise over the exact statement being sent;
-	// ed25519 work happens only if the certificate is later inspected.
-	sig := &sigPromise{signer: r.g.signers[r.id], msg: certBytes(r.g.tag, seq, digest)}
 	r.g.net.Send(r.node(), client, kindReply,
-		replyMsg{Tag: r.g.tag, Seq: seq, ID: id, Digest: digest, From: r.id, Sig: sig}, CReply+crypt.SignatureSize)
+		replyMsg{Tag: r.g.tag, Seq: seq, ID: id, Digest: digest, From: r.id}, CReply+crypt.SignatureSize)
 }
 
 // refreshVotes re-broadcasts this replica's own prepare/commit votes
@@ -615,7 +613,7 @@ func (r *replica) requestTimeout(id guid.GUID) {
 		return // not in flight: executed, or released since
 	}
 	rec.armed = false
-	// Every timer runs for RequestTimeout, so the one firing is the
+	// Every timer runs for requestTimeout, so the one firing is the
 	// oldest still queued.  (The list only serves the Stop at execution:
 	// a handle dropped from it by mistake leaves a timer that runs to
 	// its deadline, finds the request done, and returns.)

@@ -100,7 +100,7 @@ func TestExecutedSeqIsInert(t *testing.T) {
 			t.Fatalf("seq %d: a late pre-prepare started a record", seq)
 		}
 	}
-	k.RunFor(3 * g.RequestTimeout)
+	k.RunFor(3 * requestTimeout)
 	for name, want := range map[string]int64{"re_replies": 2, "vote_refreshes": 0, "view_vote_timeouts": 0, "view_installs": 0} {
 		if got := reg.CounterValue(obs.NodeWide, "byz", name); got != want {
 			t.Errorf("byz.%s = %d, want %d", name, got, want)

@@ -87,27 +87,14 @@ const ACID = ReadYourWrites | MonotonicReads | WritesFollowReads | MonotonicWrit
 // Session is a sequence of reads and writes related through its
 // guarantees (§4.6).
 type Session struct {
-	c      *Client
-	g      Guarantees
-	readVV map[guid.GUID]map[guid.GUID]uint64 // per object: observed version vector
-	// pending tracks this session's unresolved writes per object for
-	// RYW; resolved writes collapse into needCommitted so a long
-	// session's read check stays O(in-flight), not O(all writes ever).
-	pending map[guid.GUID]map[update.UpdateID]bool
-	// needCommitted is the committed-log length a replica must have
-	// reached to contain every one of this session's resolved writes.
-	// Sound because committed logs are prefixes of one final order: any
-	// replica at length ≥ n holds the same prefix the primary had when
-	// the session's write resolved at position ≤ n.
-	needCommitted map[guid.GUID]int
+	c *Client
+	g Guarantees
+	// objs is what the session tracks per object.  An object has an
+	// entry only while it holds an unresolved write or a read floor.
+	objs map[guid.GUID]sessObj
 	// onCommit/onAbort are the callback registry of §4.6.
 	onCommit []func(obj guid.GUID, id update.UpdateID)
 	onAbort  []func(obj guid.GUID, id update.UpdateID)
-	// inflight/queued implement MonotonicWrites: one outstanding write
-	// per object, the rest released in issue order.  An object has
-	// entries only while a write to it is in flight.
-	inflight map[guid.GUID]bool
-	queued   map[guid.GUID][]*update.Update
 	// UpdateTimeout, when non-zero, bounds how long a submitted write may
 	// stay unresolved in virtual time.  At the deadline the session gives
 	// up: abort callbacks fire, the byz client stops retransmitting, and
@@ -116,17 +103,39 @@ type Session struct {
 	UpdateTimeout time.Duration
 }
 
+// sessObj is one object as a session sees it.  committed and vv are
+// its read floor, each set only under its own guarantee; the zero value
+// is an object the session has neither read nor written.  It is held by
+// value, so changing one is a read, an edit and a store back.
+type sessObj struct {
+	// committed is the committed-log length a replica must have reached
+	// to contain every one of this session's resolved writes (RYW).
+	// Sound because committed logs are prefixes of one final order: any
+	// replica at length ≥ n holds the same prefix the primary had when
+	// the session's write resolved at position ≤ n.
+	committed int
+	// vv is the version vector the session last read (MonotonicReads).
+	vv map[guid.GUID]uint64
+	// first heads the session's unresolved writes to the object, linked
+	// in issue order; a session has few in flight on one object.  Under
+	// MonotonicWrites only first has been released to the primary tier.
+	first *write
+}
+
+// write is one client write from Submit to its outcome, which the
+// session decides in resolve and nowhere else.
+type write struct {
+	u        *update.Update
+	next     *write // the object's next unresolved write
+	timeout  sim.Timer
+	resolved bool
+	// done, when set, learns the outcome after the session's callbacks.
+	done func(committed bool)
+}
+
 // NewSession opens a session with the given guarantees.
 func (c *Client) NewSession(g Guarantees) *Session {
-	return &Session{
-		c:             c,
-		g:             g,
-		readVV:        make(map[guid.GUID]map[guid.GUID]uint64),
-		pending:       make(map[guid.GUID]map[update.UpdateID]bool),
-		needCommitted: make(map[guid.GUID]int),
-		inflight:      make(map[guid.GUID]bool),
-		queued:        make(map[guid.GUID][]*update.Update),
-	}
+	return &Session{c: c, g: g, objs: make(map[guid.GUID]sessObj)}
 }
 
 // OnCommit registers a callback fired when one of this session's
@@ -152,10 +161,10 @@ func (s *Session) eligibleSecondaries(ring *replica.Ring, obj guid.GUID, yield f
 	if s.g&ReadCommitted != 0 {
 		return
 	}
-	floor := s.readFloor(obj)
+	st := s.objs[obj]
 	net := s.c.pool.Net
 	for _, sec := range ring.Secondaries() {
-		if sec.Stale || net.Node(sec.Node).Down() || !floor.accepts(sec.Rep) {
+		if sec.Stale || net.Node(sec.Node).Down() || !s.accepts(st, sec.Rep) {
 			continue
 		}
 		yield(sec)
@@ -184,40 +193,25 @@ func (s *Session) pickReplica(obj guid.GUID) (*epidemic.Replica, error) {
 	return ring.PrimaryState(), nil
 }
 
-// readFloor is what a replica must hold to serve one object to this
-// session under RYW and MonotonicReads — looked up once per read, then
-// checked against each candidate.  A guarantee the session does not
-// carry leaves its fields zero, which every replica satisfies.
-type readFloor struct {
-	needCommitted int
-	pending       map[update.UpdateID]bool
-	vv            map[guid.GUID]uint64
-}
-
-func (s *Session) readFloor(obj guid.GUID) readFloor {
-	var f readFloor
-	if s.g&ReadYourWrites != 0 {
-		f.needCommitted, f.pending = s.needCommitted[obj], s.pending[obj]
-	}
-	if s.g&MonotonicReads != 0 {
-		f.vv = s.readVV[obj]
-	}
-	return f
-}
-
-func (f readFloor) accepts(r *epidemic.Replica) bool {
+// accepts reports whether replica r may serve an object to this session
+// under RYW and MonotonicReads.  st is the object's entry, looked up
+// once per read; a floor field the session's guarantees never set
+// accepts every replica.
+func (s *Session) accepts(st sessObj, r *epidemic.Replica) bool {
 	// Resolved writes: one committed-prefix length comparison.
-	if r.CommittedLen() < f.needCommitted {
+	if r.CommittedLen() < st.committed {
 		return false
 	}
-	// In-flight writes: the replica must have at least a tentative copy
-	// of each (pure AND over the set — map order cannot leak).
-	for id := range f.pending {
-		if !r.Seen(id) {
-			return false
+	// Unresolved writes: the replica must have at least a tentative copy
+	// of each.  A write whose callbacks are running is resolved.
+	if s.g&ReadYourWrites != 0 {
+		for w := st.first; w != nil; w = w.next {
+			if !w.resolved && !r.Seen(w.u.ID()) {
+				return false
+			}
 		}
 	}
-	return r.Dominates(f.vv)
+	return r.Dominates(st.vv)
 }
 
 // Read returns the object's logical contents as seen through the
@@ -257,7 +251,9 @@ func (s *Session) ReadReplica(obj guid.GUID, rep *epidemic.Replica) ([]byte, err
 	// The vector copy is paid only when the guarantee consumes it — at
 	// soak rates an unconditional copy per read dominated the path.
 	if s.g&MonotonicReads != 0 {
-		s.readVV[obj] = rep.VersionVector()
+		st := s.objs[obj]
+		st.vv = rep.VersionVector()
+		s.objs[obj] = st
 	}
 	return data, nil
 }
@@ -303,6 +299,12 @@ func (s *Session) Editor(obj guid.GUID) (*object.Editor, *object.Version, error)
 // resolves, so writes apply in issue order even across retransmissions
 // and view changes.
 func (s *Session) Submit(u *update.Update) update.UpdateID {
+	return s.submit(u, nil)
+}
+
+// submit is Submit for a caller that also wants the write's outcome:
+// done, when set, runs after the session's callbacks.
+func (s *Session) submit(u *update.Update, done func(committed bool)) update.UpdateID {
 	c := s.c
 	c.seq++
 	u.ClientID = c.Signer.GUID()
@@ -311,101 +313,89 @@ func (s *Session) Submit(u *update.Update) update.UpdateID {
 	// The signature is computed off this goroutine and joined by its
 	// first reader — the tier's CheckWrite, one agreement away.
 	u.StartSign(c.Signer)
-	id := u.ID()
-	set := s.pending[u.Object]
-	if set == nil {
-		set = make(map[update.UpdateID]bool)
-		s.pending[u.Object] = set
+	w := &write{u: u, done: done}
+	st := s.objs[u.Object]
+	p := &st.first
+	for *p != nil {
+		p = &(*p).next
 	}
-	set[id] = true
-
-	if s.g&MonotonicWrites != 0 && s.inflight[u.Object] {
-		s.queued[u.Object] = append(s.queued[u.Object], u)
-		return id
+	*p = w
+	s.objs[u.Object] = st
+	if s.g&MonotonicWrites == 0 || st.first == w {
+		s.send(w)
 	}
-	s.send(u)
-	return id
+	return u.ID()
 }
 
-// send releases an update to the ring and arms the completion chain.
-func (s *Session) send(u *update.Update) {
+// send releases a write to the ring.  It resolves on the primary tier's
+// decision or, with UpdateTimeout set, at the deadline.
+func (s *Session) send(w *write) {
 	c := s.c
+	u := w.u
 	ring, ok := c.pool.Ring(u.Object)
 	if !ok {
 		return
 	}
-	id := u.ID()
-	obj := u.Object
-	if s.g&MonotonicWrites != 0 {
-		s.inflight[obj] = true
-	}
-	// One captured variable, so one allocation, for the pair.
-	var st struct {
-		resolved bool
-		timeout  sim.Timer
-	}
-	finish := func(committed bool) {
-		if st.resolved {
-			return
-		}
-		st.resolved = true
-		st.timeout.Stop()
-		// Drop the write set with its last entry: a session touches many
-		// objects over its life and has writes in flight on few.
-		set := s.pending[obj]
-		delete(set, id)
-		if len(set) == 0 {
-			delete(s.pending, obj)
-		}
-		if committed {
-			for _, cb := range s.onCommit {
-				cb(obj, id)
-			}
-		} else {
-			for _, cb := range s.onAbort {
-				cb(obj, id)
-			}
-		}
-		// Release the next queued write for this object, if any; an object
-		// with nothing in flight or queued leaves both maps.
-		q := s.queued[obj]
-		if len(q) == 0 {
-			delete(s.inflight, obj)
-			return
-		}
-		next := q[0]
-		q[0] = nil // the backing array outlives the pop
-		if len(q) == 1 {
-			delete(s.queued, obj)
-		} else {
-			s.queued[obj] = q[1:]
-		}
-		s.send(next)
-	}
-	ring.AwaitCommit(id, func(out update.Outcome) {
+	ring.AwaitCommit(u.ID(), func(out update.Outcome) {
 		// The update is now serialised at the primary: any replica whose
 		// committed log reaches the primary's current length holds it,
 		// so the session's RYW check collapses to a prefix comparison.
 		if s.g&ReadYourWrites != 0 {
-			if n := ring.PrimaryState().CommittedLen(); n > s.needCommitted[obj] {
-				s.needCommitted[obj] = n
-			}
+			st := s.objs[u.Object]
+			st.committed = max(st.committed, ring.PrimaryState().CommittedLen())
+			s.objs[u.Object] = st
 		}
-		finish(out.Committed)
+		s.resolve(w, out.Committed)
 	})
 	if s.UpdateTimeout > 0 {
 		// Virtual-time write timeout: give up, stop the retransmission
 		// loop, and unblock the MonotonicWrites queue.  Without it a
 		// write stalled behind a partition retransmits until the heal —
 		// correct for eventual delivery, wrong for a client that needs an
-		// answer.  finish stops the timer, so it only ever fires on an
+		// answer.  resolve stops the timer, so it only ever fires on an
 		// unresolved write.
-		st.timeout = c.pool.K.After(s.UpdateTimeout, func() {
+		w.timeout = c.pool.K.After(s.UpdateTimeout, func() {
 			ring.Cancel(c.Node, u)
-			finish(false)
+			s.resolve(w, false)
 		})
 	}
 	ring.Submit(c.Node, u, c.Spread, nil)
+}
+
+// resolve decides a write's outcome: the session's callbacks run, then
+// the write's done; then the write leaves its object's list and, under
+// MonotonicWrites, the next write to the object is released.  A write
+// submitted from a callback therefore queues behind this one.  An object
+// left with no write and no read floor leaves the session.  It runs
+// once per write: the waiter and the timeout each cancel the other.
+func (s *Session) resolve(w *write, committed bool) {
+	w.resolved = true
+	w.timeout.Stop()
+	obj, id := w.u.Object, w.u.ID()
+	cbs := s.onAbort
+	if committed {
+		cbs = s.onCommit
+	}
+	for _, cb := range cbs {
+		cb(obj, id)
+	}
+	if w.done != nil {
+		w.done(committed)
+	}
+	st := s.objs[obj]
+	p := &st.first
+	for *p != w {
+		p = &(*p).next
+	}
+	*p, w.next = w.next, nil
+	if st.first == nil && st.committed == 0 && st.vv == nil {
+		delete(s.objs, obj)
+		return
+	}
+	s.objs[obj] = st
+	if st.first != nil && s.g&MonotonicWrites != 0 {
+		s.send(st.first)
+	}
 }
 
 // Append is the common write: append payload to the object,
@@ -421,6 +411,11 @@ func (s *Session) Append(obj guid.GUID, payload []byte) (update.UpdateID, error)
 
 // Replace overwrites the logical block at index idx.
 func (s *Session) Replace(obj guid.GUID, idx int, payload []byte) (update.UpdateID, error) {
+	return s.replace(obj, idx, payload, nil)
+}
+
+// replace is Replace with submit's done.
+func (s *Session) replace(obj guid.GUID, idx int, payload []byte, done func(committed bool)) (update.UpdateID, error) {
 	ed, _, err := s.Editor(obj)
 	if err != nil {
 		return update.UpdateID{}, err
@@ -430,7 +425,7 @@ func (s *Session) Replace(obj guid.GUID, idx int, payload []byte) (update.Update
 		return update.UpdateID{}, err
 	}
 	u := update.NewUnconditional(obj, update.BlockOps(op))
-	return s.Submit(u), nil
+	return s.submit(u, done), nil
 }
 
 // Watch registers a callback fired whenever ANY client's update to obj

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -38,6 +39,14 @@ func TestCreateReadWrite(t *testing.T) {
 	got, err = sess.Read(obj)
 	if err != nil || string(got) != "hello world" {
 		t.Fatalf("after append %q err %v", got, err)
+	}
+	if _, err := sess.Replace(obj, 0, []byte("howdy ")); err != nil {
+		t.Fatal(err)
+	}
+	p.Run(30 * time.Second)
+	got, err = sess.Read(obj)
+	if err != nil || string(got) != "howdy world" {
+		t.Fatalf("after replace %q err %v", got, err)
 	}
 }
 
@@ -304,6 +313,56 @@ func TestTransactionCommitAndConflict(t *testing.T) {
 	}
 	if err := tx3.Append([]byte("x")); err == nil {
 		t.Fatal("staging after commit accepted")
+	}
+}
+
+// TestTxLeavesNoSessionCallbacks: a transaction learns its outcome from
+// its own write and adds nothing to its session.  Fifty transactions on
+// one session, raced in pairs from one snapshot, each end in the right
+// state, and the session's callback lists hold what the caller left
+// there and nothing more.
+func TestTxLeavesNoSessionCallbacks(t *testing.T) {
+	p := smallPool(12)
+	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
+	obj, err := alice.Create("ledger", []byte("n=00"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := alice.NewSession(ACID)
+	commits := 0
+	sess.OnCommit(func(guid.GUID, update.UpdateID) { commits++ })
+	const pairs = 25
+	for i := 1; i <= pairs; i++ {
+		win, err := sess.Begin(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lose, err := sess.Begin(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := win.Replace(0, []byte(fmt.Sprintf("n=%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := lose.Replace(0, []byte("lost")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := win.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lose.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		p.Run(time.Minute)
+		if win.Status() != TxCommitted || lose.Status() != TxAborted {
+			t.Fatalf("pair %d: statuses %v and %v, want committed and aborted", i, win.Status(), lose.Status())
+		}
+	}
+	if got, _ := sess.Read(obj); string(got) != fmt.Sprintf("n=%02d", pairs) || commits != pairs {
+		t.Fatalf("final %q after %d commits, want n=%02d after %d", got, commits, pairs, pairs)
+	}
+	if len(sess.onCommit) != 1 || len(sess.onAbort) != 0 {
+		t.Fatalf("session holds %d commit and %d abort callbacks, want the caller's 1 and 0", len(sess.onCommit), len(sess.onAbort))
 	}
 }
 

@@ -82,12 +82,12 @@ func TestEligibleSecondaries(t *testing.T) {
 		// carried before they shared one.
 		var ref []simnet.NodeID
 		if s.g&ReadCommitted == 0 {
-			floor := s.readFloor(obj)
+			st := s.objs[obj]
 			for _, sec := range ring.Secondaries() {
 				if sec.Stale || p.Net.Node(sec.Node).Down() {
 					continue
 				}
-				if !floor.accepts(sec.Rep) {
+				if !s.accepts(st, sec.Rep) {
 					continue
 				}
 				ref = append(ref, sec.Node)

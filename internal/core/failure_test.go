@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -51,6 +52,47 @@ func TestPartitionBlocksCommitHealResumes(t *testing.T) {
 	got, _ = sess.Read(obj)
 	if string(got) != "x" {
 		t.Fatalf("after heal: %q", got)
+	}
+}
+
+// TestTimedOutWriteLeavesNothing: a write stalled behind a partition
+// aborts once at its deadline, and nothing keeps waiting for it.  After
+// the heal no commit follows, and the session, the ring's waiters and
+// the byz client (which Cancel released) hold nothing for the write.
+func TestTimedOutWriteLeavesNothing(t *testing.T) {
+	p := smallPool(36)
+	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
+	obj, err := alice.Create("deadline", []byte(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := alice.NewSession(ACID)
+	sess.UpdateTimeout = 30 * time.Second
+	commits, aborts := 0, 0
+	sess.OnCommit(func(guid.GUID, update.UpdateID) { commits++ })
+	sess.OnAbort(func(guid.GUID, update.UpdateID) { aborts++ })
+	for _, n := range []simnet.NodeID{1, 2, 3} {
+		p.Net.SetPartition(n, 1)
+	}
+	if _, err := sess.Append(obj, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	p.Run(time.Minute)
+	if aborts != 1 || commits != 0 {
+		t.Fatalf("at the deadline: %d aborts and %d commits, want 1 and 0", aborts, commits)
+	}
+	p.Net.ClearPartitions()
+	p.Run(3 * time.Minute)
+	if aborts != 1 || commits != 0 {
+		t.Fatalf("after the heal: %d aborts and %d commits, want 1 and 0", aborts, commits)
+	}
+	ring, _ := p.Ring(obj)
+	// The byz client's per-request records are a field too.
+	cs := reflect.ValueOf(ring.Group()).Elem().FieldByName("clients").MapIndex(reflect.ValueOf(alice.Node))
+	requests := cs.Elem().FieldByName("pending").Len()
+	if len(sess.objs) != 0 || waiting(ring) != 0 || requests != 0 {
+		t.Fatalf("after the timeout the session tracks %d objects, the ring holds %d waiters, the byz client %d requests",
+			len(sess.objs), waiting(ring), requests)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -10,14 +11,42 @@ import (
 	"oceanstore/internal/guid"
 	"oceanstore/internal/obs"
 	"oceanstore/internal/par"
+	"oceanstore/internal/replica"
 	"oceanstore/internal/update"
 	"oceanstore/internal/workload"
 )
 
-// TestSessionPendingSetsAreDropped: a session's write set for an object
-// lives only while it has writes in flight there.  While one is
-// unresolved, read-your-writes still refuses a secondary that has not
-// seen it; once all resolve, nothing is left behind.
+// listed returns the session's writes to obj, in list order.
+func listed(s *Session, obj guid.GUID) []*write {
+	var ws []*write
+	for w := s.objs[obj].first; w != nil; w = w.next {
+		ws = append(ws, w)
+	}
+	return ws
+}
+
+// unresolved counts the session's writes to obj still awaiting their
+// outcome.
+func unresolved(s *Session, obj guid.GUID) int {
+	n := 0
+	for _, w := range listed(s, obj) {
+		if !w.resolved {
+			n++
+		}
+	}
+	return n
+}
+
+// waiting reads how many completion callbacks a ring holds.  The ring
+// exports nothing that answers this, so the leak tests read its field.
+func waiting(ring *replica.Ring) int {
+	return reflect.ValueOf(ring).Elem().FieldByName("waiters").Len()
+}
+
+// TestSessionPendingSetsAreDropped: a session keeps an object's writes
+// only while they are unresolved.  While one is unresolved,
+// read-your-writes still refuses a secondary that has not seen it; once
+// all resolve, the object keeps its read floor and no write.
 func TestSessionPendingSetsAreDropped(t *testing.T) {
 	p := smallPool(61)
 	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
@@ -33,16 +62,13 @@ func TestSessionPendingSetsAreDropped(t *testing.T) {
 		objs[i] = obj
 	}
 	sess := alice.NewSession(ReadYourWrites)
-	// After each commit the object's set holds exactly the writes still
-	// unresolved, and is gone with the last of them.
+	// After each commit the object holds exactly the writes still
+	// unresolved.
 	left := make(map[guid.GUID]int)
 	sess.OnCommit(func(obj guid.GUID, _ update.UpdateID) {
 		left[obj]--
-		if got := len(sess.pending[obj]); got != left[obj] {
+		if got := unresolved(sess, obj); got != left[obj] {
 			t.Errorf("after a commit %d writes are pending on the object, want %d", got, left[obj])
-		}
-		if _, kept := sess.pending[obj]; kept && left[obj] == 0 {
-			t.Error("emptied write set left in the session")
 		}
 	})
 	for _, obj := range objs {
@@ -53,26 +79,26 @@ func TestSessionPendingSetsAreDropped(t *testing.T) {
 			left[obj]++
 		}
 	}
-	if len(sess.pending) != objects {
-		t.Fatalf("%d write sets for %d objects with writes in flight", len(sess.pending), objects)
+	if len(sess.objs) != objects {
+		t.Fatalf("%d entries for %d objects with writes in flight", len(sess.objs), objects)
 	}
 	// Nothing has been delivered yet: no secondary holds the writes.
 	for _, obj := range objs {
 		ring, _ := p.Ring(obj)
-		floor := sess.readFloor(obj)
+		st := sess.objs[obj]
 		for _, sec := range ring.Secondaries() {
-			if floor.accepts(sec.Rep) {
+			if sess.accepts(st, sec.Rep) {
 				t.Fatal("read-your-writes accepted a secondary missing an unresolved write")
 			}
 		}
 	}
 	p.Run(time.Minute)
-	if len(sess.pending) != 0 {
-		t.Fatalf("%d write sets left after every write resolved", len(sess.pending))
-	}
 	for _, obj := range objs {
 		if left[obj] != 0 {
 			t.Fatalf("%d writes never committed", left[obj])
+		}
+		if st, ok := sess.objs[obj]; !ok || st.first != nil || st.committed == 0 {
+			t.Fatalf("after every write resolved the object's entry is %+v, want a floor and no write", st)
 		}
 		if got, err := sess.Read(obj); err != nil || len(got) != writes {
 			t.Fatalf("read after the writes resolved: %d bytes, err %v", len(got), err)
@@ -80,14 +106,50 @@ func TestSessionPendingSetsAreDropped(t *testing.T) {
 	}
 }
 
-// TestSessionWriteStateIsDropped: a session's MonotonicWrites state for
-// an object lives only while a write to it is in flight or queued.
-// Under ReadYourWrites nothing queues and nothing is kept; under ACID
-// writes queue behind each other, and once all resolve the session
-// keeps no entry for the object, and the queue's backing array holds no
-// update it released.
+// TestOutOfOrderResolution: without MonotonicWrites a later write can
+// resolve first.  It leaves its object's list from the middle, and the
+// earlier write stays listed until it commits in turn.
+func TestOutOfOrderResolution(t *testing.T) {
+	p := smallPool(63)
+	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
+	obj, err := alice.Create("ooo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := alice.NewSession(ReadYourWrites)
+	var order []update.UpdateID
+	sess.OnCommit(func(_ guid.GUID, id update.UpdateID) { order = append(order, id) })
+	// The client is cut off: its first write waits for the byz client's
+	// retransmission, which comes after the second write has committed.
+	p.Net.SetPartition(alice.Node, 1)
+	early, err := sess.Append(obj, []byte("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(10 * time.Second)
+	p.Net.ClearPartitions()
+	late, err := sess.Append(obj, []byte("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(1500 * time.Millisecond)
+	if ws := listed(sess, obj); len(order) != 1 || order[0] != late || len(ws) != 1 || ws[0].u.ID() != early {
+		t.Fatalf("after the later write committed: commits %v, %d listed, want [%v] and the earlier write", order, len(ws), late)
+	}
+	p.Run(time.Minute)
+	if len(order) != 2 || order[1] != early || sess.objs[obj].first != nil {
+		t.Fatalf("commits %v, want the earlier write second and nothing listed", order)
+	}
+}
+
+// TestSessionWriteStateIsDropped: a session's write state for an object
+// lives only while a write to it is in flight or queued.  Under
+// ReadYourWrites every write is released at once; under MonotonicWrites
+// and ACID writes queue behind one in flight.  Once all resolve the
+// object keeps no write — and no entry at all without a read floor —
+// and the list's backing array holds no write it released.
 func TestSessionWriteStateIsDropped(t *testing.T) {
-	for _, g := range []Guarantees{ReadYourWrites, ACID} {
+	for _, g := range []Guarantees{ReadYourWrites, MonotonicWrites, ACID} {
 		p := smallPool(62)
 		alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
 		obj, err := alice.Create("w", nil)
@@ -104,24 +166,29 @@ func TestSessionWriteStateIsDropped(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var backing []*update.Update
+		ring, _ := p.Ring(obj)
+		released := writes
 		if g&MonotonicWrites != 0 {
-			q := sess.queued[obj]
-			if len(q) != writes-1 || !sess.inflight[obj] {
-				t.Fatalf("guarantees %b: %d writes queued behind one in flight (%v), want %d", g, len(q), sess.inflight[obj], writes-1)
-			}
-			backing = q[:cap(q)]
+			released = 1
+		}
+		ws := listed(sess, obj)
+		if len(ws) != writes || waiting(ring) != released {
+			t.Fatalf("guarantees %b: %d writes listed, %d released, want %d and %d", g, len(ws), waiting(ring), writes, released)
 		}
 		p.Run(time.Minute)
 		if committed != writes {
 			t.Fatalf("guarantees %b: %d/%d writes committed", g, committed, writes)
 		}
-		if len(sess.inflight) != 0 || len(sess.queued) != 0 {
-			t.Fatalf("guarantees %b: %d in-flight and %d queue entries left after every write resolved", g, len(sess.inflight), len(sess.queued))
+		st, ok := sess.objs[obj]
+		if g&ReadYourWrites == 0 && ok {
+			t.Fatalf("guarantees %b: the object's entry outlived its writes: %+v", g, st)
 		}
-		for i, u := range backing {
-			if u != nil {
-				t.Fatalf("guarantees %b: released write %d still referenced from the queue", g, i)
+		if st.first != nil {
+			t.Fatalf("guarantees %b: writes left listed after every write resolved", g)
+		}
+		for i, w := range ws {
+			if !w.resolved || w.next != nil {
+				t.Fatalf("guarantees %b: released write %d still links to another", g, i)
 			}
 		}
 	}

@@ -183,7 +183,11 @@ func (s *Session) RemoteRead(obj guid.GUID, deadline time.Duration, cb func([]by
 		}
 		// Advance the session's observed vector (MonotonicReads floor),
 		// as a local read would.
-		s.readVV[obj] = rep.VV
+		if s.g&MonotonicReads != 0 {
+			st := s.objs[obj]
+			st.vv = rep.VV
+			s.objs[obj] = st
+		}
 		cb(data, nil)
 	}
 

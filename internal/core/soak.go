@@ -15,7 +15,6 @@ import (
 	"oceanstore/internal/obs"
 	"oceanstore/internal/replica"
 	"oceanstore/internal/simnet"
-	"oceanstore/internal/update"
 	"oceanstore/internal/workload"
 )
 
@@ -148,8 +147,7 @@ type SoakWorld struct {
 	// object at creation (the default cert is owner-only).
 	writers *acl.ACL
 
-	// await maps an in-flight write to its engine completion callback.
-	await    map[update.UpdateID]func(ok bool)
+	// inflight counts accepted writes not yet resolved (backpressure).
 	inflight int
 
 	// Rotation cursors: replica placement and growth attachment.
@@ -225,19 +223,13 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 		// the scheduler's first flush commits them all at once.
 		p.Arch.SyncEachBatch = false
 	}
-	w := &SoakWorld{
-		Pool:  p,
-		cfg:   cfg,
-		await: make(map[update.UpdateID]func(bool)),
-	}
+	w := &SoakWorld{Pool: p, cfg: cfg}
 	w.owner = p.NewClient(0, crypt.NewSigner(p.K.Rand()))
 	for i := 0; i < cfg.Clients; i++ {
 		c := p.NewClient(simnet.NodeID(i%cfg.Nodes), crypt.NewSigner(p.K.Rand()))
 		c.Keys = w.owner.Keys
 		s := c.NewSession(soakGuarantees)
 		s.UpdateTimeout = soakWriteTimeout
-		s.OnCommit(func(_ guid.GUID, id update.UpdateID) { w.resolve(id, true) })
-		s.OnAbort(func(_ guid.GUID, id update.UpdateID) { w.resolve(id, false) })
 		w.sessions = append(w.sessions, s)
 	}
 	w.writers = &acl.ACL{}
@@ -531,12 +523,13 @@ func (w *SoakWorld) Do(req workload.Request, done func(ok bool)) error {
 		if size < 1 {
 			size = 1
 		}
-		id, err := s.Replace(obj, 0, make([]byte, size))
-		if err != nil {
+		if _, err := s.replace(obj, 0, make([]byte, size), func(ok bool) {
+			w.inflight--
+			done(ok)
+		}); err != nil {
 			done(false)
 			return nil
 		}
-		w.await[id] = done
 		w.inflight++
 	default: // OpRead
 		idx := req.Object % len(w.objects)
@@ -630,17 +623,6 @@ func (w *SoakWorld) setBusy(node simnet.NodeID, t time.Duration) {
 		w.busy = append(w.busy, 0)
 	}
 	w.busy[node] = t
-}
-
-// resolve completes an awaited write (commit, abort, or timeout).
-func (w *SoakWorld) resolve(id update.UpdateID, ok bool) {
-	done, found := w.await[id]
-	if !found {
-		return
-	}
-	delete(w.await, id)
-	w.inflight--
-	done(ok)
 }
 
 // StartChurn bounces one node per period (down for downFor), cycling

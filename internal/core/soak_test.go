@@ -253,9 +253,10 @@ func TestWorldHeapPerNode(t *testing.T) {
 
 // TestByzCommitsCatchUpAfterDrain puts the two "commit" counts side by
 // side.  The session acknowledges a write when the primary tier
-// EXECUTES it (replica.Ring.fireWaiters, which is what lets the engine
-// finish), while byz.commits is bumped when the CLIENT has gathered its
-// f+1 reply quorum (byz.Group.clientHandle) — one network hop later.  So
+// EXECUTES it (replica.Ring.fireWaiter → Session.resolve, which runs
+// the engine's done), while byz.commits is bumped when the CLIENT has
+// gathered its f+1 reply quorum (byz.Group.clientHandle) — one network
+// hop later.  So
 // when the engine drains, the replies to the last few writes are still
 // on the wire and the counter reads low; nothing skips it.  One more
 // second of virtual time delivers them and the two agree.

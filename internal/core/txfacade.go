@@ -26,9 +26,8 @@ type Tx struct {
 	committed bool
 	submitted bool
 
-	// Status is updated by the commit/abort callbacks.
+	// status is set by the submitted write's outcome.
 	status TxStatus
-	id     update.UpdateID
 }
 
 // TxStatus is the transaction's lifecycle state.
@@ -118,18 +117,13 @@ func (t *Tx) Commit() (update.UpdateID, error) {
 	t.submitted = true
 	t.status = TxSubmitted
 	u := update.NewVersionGuarded(t.obj, t.base.Num, update.BlockOps(t.staged...))
-	t.sess.OnCommit(func(obj guid.GUID, id update.UpdateID) {
-		if obj == t.obj && id == t.id {
+	return t.sess.submit(u, func(committed bool) {
+		if committed {
 			t.status = TxCommitted
-		}
-	})
-	t.sess.OnAbort(func(obj guid.GUID, id update.UpdateID) {
-		if obj == t.obj && id == t.id {
+		} else {
 			t.status = TxAborted
 		}
-	})
-	t.id = t.sess.Submit(u)
-	return t.id, nil
+	}), nil
 }
 
 // Status reports the transaction's current state.

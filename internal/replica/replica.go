@@ -122,11 +122,12 @@ type Ring struct {
 	// OnCommit callbacks fire after a committed update is applied at the
 	// primary (the API's callback feature, §4.6).
 	onCommit []func(u *update.Update, out update.Outcome)
-	// waiters holds single-update completion callbacks (AwaitCommit),
-	// fired once and discarded.  Sessions use these for their own
-	// writes so a long run does not accumulate one broadcast callback
-	// per write — the onCommit slice is for durable watchers only.
-	waiters map[update.UpdateID][]func(update.Outcome)
+	// waiters holds each awaited update's one completion callback
+	// (AwaitCommit), fired once and discarded.  Sessions use these for
+	// their own writes so a long run does not accumulate one broadcast
+	// callback per write — the onCommit slice is for durable watchers
+	// only.
+	waiters map[update.UpdateID]func(update.Outcome)
 
 	// CheckWrite, when set, is the server-side writer-restriction gate
 	// (package acl); updates failing it are dropped before agreement.
@@ -179,7 +180,7 @@ func NewRing(net *simnet.Network, primaryNodes []simnet.NodeID, v0 *object.Versi
 		primaryState: epidemic.New(v0),
 		secondaries:  make(map[simnet.NodeID]*Secondary),
 		history:      object.NewHistory(v0),
-		waiters:      make(map[update.UpdateID][]func(update.Outcome)),
+		waiters:      make(map[update.UpdateID]func(update.Outcome)),
 	}
 	r.history.SetBound(cfg.HistoryBound)
 	// The dissemination tree is rooted at the first primary.
@@ -222,21 +223,19 @@ func (r *Ring) OnCommit(cb func(*update.Update, update.Outcome)) {
 	r.onCommit = append(r.onCommit, cb)
 }
 
-// AwaitCommit registers a one-shot callback for a single update's
-// primary-tier resolution.  The callback is discarded after firing;
-// Cancel drops it early.
+// AwaitCommit registers the one-shot callback for a single update's
+// primary-tier resolution, replacing any earlier one.  The callback is
+// discarded after firing; Cancel drops it early.
 func (r *Ring) AwaitCommit(id update.UpdateID, cb func(update.Outcome)) {
-	r.waiters[id] = append(r.waiters[id], cb)
+	r.waiters[id] = cb
 }
 
-// fireWaiters resolves the one-shot completion callbacks for u.
-func (r *Ring) fireWaiters(u *update.Update, out update.Outcome) {
+// fireWaiter resolves u's one-shot completion callback, if any.
+func (r *Ring) fireWaiter(u *update.Update, out update.Outcome) {
 	id := u.ID()
-	if ws := r.waiters[id]; len(ws) > 0 {
+	if w, ok := r.waiters[id]; ok {
 		delete(r.waiters, id)
-		for _, w := range ws {
-			w(out)
-		}
+		w(out)
 	}
 }
 
@@ -321,7 +320,7 @@ func (r *Ring) Submit(client simnet.NodeID, u *update.Update, spread int, onResu
 
 // Cancel abandons a client's outstanding submission of u: the byz
 // client stops retransmitting, any late quorum is dropped, and the
-// update's one-shot waiters are discarded (the caller already gave up
+// update's one-shot waiter is discarded (the caller already gave up
 // on the answer).  Used by session-level update timeouts so a write
 // the client abandoned cannot keep generating traffic or pin memory.
 func (r *Ring) Cancel(client simnet.NodeID, u *update.Update) {
@@ -358,7 +357,7 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 			for _, cb := range r.onCommit {
 				cb(u, rejected)
 			}
-			r.fireWaiters(u, rejected)
+			r.fireWaiter(u, rejected)
 			return
 		}
 	}
@@ -366,7 +365,7 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 	for _, cb := range r.onCommit {
 		cb(u, out)
 	}
-	r.fireWaiters(u, out)
+	r.fireWaiter(u, out)
 	if out.Committed {
 		r.history.Add(r.primaryState.CommittedState())
 		r.commitCount++
