@@ -131,9 +131,15 @@ func TestInstrumentationInert(t *testing.T) {
 
 // The seed-1 default soak (256 nodes, 4000 ops, a node bounce a minute)
 // as PR 21 wrote it: registry attached, per-link counters on.
+// Re-pinned once when tree pushes began to carry their log position:
+// a push that reached a bounced secondary past the commit it missed
+// had been applied on top of the gap, leaving 3 of the run's 264
+// secondaries with logs that were not prefixes of their primaries'.
+// It now waits for anti-entropy, which moves the epidemic and gossip
+// counts and the report's traffic line.
 const (
-	goldenSoakMetrics = "3bf6df0b2e9b90e77ca2c43b6e6e899b45193bc5478ca4136f95654c76d688f5"
-	goldenSoakStdout  = "6043b1732c0cdd24861e7b8f63e7926cc262ba3e727e3fc7ffd4c181c3f518ca"
+	goldenSoakMetrics = "0491107dd2319b3bb1ebabe455ffa7585caaeb660bef33e2a297809057319249"
+	goldenSoakStdout  = "df7586c95d3ad3a4a7d90d6b97b85b404b3c9f8ec8eb7004e23e67ad78a9eb5f"
 )
 
 // TestSoakDumpPinned pins the bytes, not just their stability: the

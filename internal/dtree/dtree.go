@@ -41,7 +41,9 @@ type Delivery struct {
 	// physical nodes, and each ignores the others' traffic.
 	Tree    uint64
 	Payload any
-	Size    int
+	// Pos is a pushed update's position in the root's log.
+	Pos  int
+	Size int
 	// Invalidated is true when this member received only an
 	// invalidation notice (bandwidth-limited path); Payload is nil and
 	// the member should Pull when it next needs fresh data.
@@ -212,7 +214,7 @@ func (t *Tree) handle(id simnet.NodeID, msg simnet.Message) {
 		if t.onDeliver != nil {
 			t.onDeliver(id, d)
 		}
-		t.forward(id, d.Payload, d.Size)
+		t.forward(id, d)
 	case KindInvalidate:
 		d, ok := msg.Payload.(Delivery)
 		if !ok || d.Tree != t.id {
@@ -251,26 +253,28 @@ func (t *Tree) depthOf(id simnet.NodeID) int {
 	return -1
 }
 
-// Push injects a committed update at the root and streams it down the
-// tree (Fig 5c).  The root's own handler fires synchronously.
-func (t *Tree) Push(payload any, size int) {
+// Push injects the committed update at position pos of the root's log
+// and streams it down the tree (Fig 5c).  The root's own handler fires
+// synchronously.
+func (t *Tree) Push(payload any, pos, size int) {
+	d := Delivery{Tree: t.id, Payload: payload, Pos: pos, Size: size}
 	if t.onDeliver != nil {
-		t.onDeliver(t.root, Delivery{Tree: t.id, Payload: payload, Size: size, Depth: 0})
+		t.onDeliver(t.root, d)
 	}
-	t.forward(t.root, payload, size)
+	t.forward(t.root, d)
 }
 
 // forward relays an update from a member to its children, transforming
 // it into an invalidation on low-bandwidth edges (§4.4.3).
-func (t *Tree) forward(from simnet.NodeID, payload any, size int) {
+func (t *Tree) forward(from simnet.NodeID, d Delivery) {
 	mb := t.m[from]
 	for _, c := range mb.children {
-		d := Delivery{Tree: t.id, Payload: payload, Size: size, Depth: t.m[c].depth}
+		d.Depth = t.m[c].depth
 		if t.net.Node(c).LowBandwidth() {
 			t.net.Send(from, c, KindInvalidate,
-				Delivery{Tree: t.id, Invalidated: true, Depth: t.m[c].depth}, InvalidationSize)
+				Delivery{Tree: t.id, Invalidated: true, Depth: d.Depth}, InvalidationSize)
 		} else {
-			t.net.Send(from, c, KindUpdate, d, size)
+			t.net.Send(from, c, KindUpdate, d, d.Size)
 		}
 	}
 }

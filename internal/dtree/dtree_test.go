@@ -58,16 +58,17 @@ func TestJoinBuildsBoundedFanoutTree(t *testing.T) {
 
 func TestPushReachesAllMembers(t *testing.T) {
 	k, _, tr := build(t, 40, 4, 2)
-	got := map[simnet.NodeID]string{}
-	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = d.Payload.(string) })
-	tr.Push("update-7", 4096)
+	got := map[simnet.NodeID]Delivery{}
+	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = d })
+	tr.Push("update-7", 7, 4096)
 	k.RunFor(10 * time.Second)
 	if len(got) != 40 {
 		t.Fatalf("delivered to %d/40", len(got))
 	}
-	for n, v := range got {
-		if v != "update-7" {
-			t.Fatalf("node %d got %q", n, v)
+	for n, d := range got {
+		// Every hop relays the root's log position, whatever its depth.
+		if d.Payload != "update-7" || d.Pos != 7 || d.Size != 4096 || d.Depth != tr.Depth(n) {
+			t.Fatalf("node %d got %+v", n, d)
 		}
 	}
 }
@@ -97,7 +98,7 @@ func TestLowBandwidthLeafGetsInvalidation(t *testing.T) {
 	deliveries := map[simnet.NodeID]Delivery{}
 	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { deliveries[n] = d })
 	net.ResetStats()
-	tr.Push("big-update", 1<<20)
+	tr.Push("big-update", 0, 1<<20)
 	k.RunFor(10 * time.Second)
 
 	d, ok := deliveries[leaf]
@@ -173,7 +174,7 @@ func TestLeaveReattachesChildren(t *testing.T) {
 	// Everyone still reachable by a push.
 	got := map[simnet.NodeID]bool{}
 	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = true })
-	tr.Push("after-leave", 100)
+	tr.Push("after-leave", 0, 100)
 	k.RunFor(10 * time.Second)
 	if len(got) != 29 {
 		t.Fatalf("push reached %d/29 after leave", len(got))
@@ -213,7 +214,7 @@ func TestLeaveWithUpdateInFlight(t *testing.T) {
 	if inner < 0 {
 		t.Fatal("no root child with children")
 	}
-	tr.Push("mid-flight", 1024)
+	tr.Push("mid-flight", 0, 1024)
 	// The push's messages are queued but undelivered; retire the inner
 	// node now, exactly what introspective demotion does under load.
 	if err := tr.Leave(inner); err != nil {
@@ -225,7 +226,7 @@ func TestLeaveWithUpdateInFlight(t *testing.T) {
 	}
 	// Its reattached children still hear subsequent pushes.
 	got = map[simnet.NodeID]bool{}
-	tr.Push("after", 1024)
+	tr.Push("after", 1, 1024)
 	k.RunFor(time.Minute)
 	if len(got) != 29 {
 		t.Fatalf("second push reached %d/29", len(got))
@@ -247,7 +248,7 @@ func TestRepairAfterParentCrash(t *testing.T) {
 	// Survivors must all be reachable.
 	got := map[simnet.NodeID]bool{}
 	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = true })
-	tr.Push("after-repair", 100)
+	tr.Push("after-repair", 0, 100)
 	k.RunFor(10 * time.Second)
 	want := 0
 	for i := 0; i < 30; i++ {
@@ -329,7 +330,7 @@ func TestRehomeAfterRootDeath(t *testing.T) {
 	// A push now reaches all live members.
 	got := map[simnet.NodeID]bool{}
 	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = true })
-	tr.Push("after-rehome", 64)
+	tr.Push("after-rehome", 0, 64)
 	k.RunFor(10 * time.Second)
 	want := 0
 	for i := 1; i < 12; i++ {

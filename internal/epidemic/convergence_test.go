@@ -58,8 +58,8 @@ func TestConvergenceProperty(t *testing.T) {
 			// replica's committed log up to the primary's current prefix.
 			committedSoFar := 0
 			pushCommits := func(r *Replica) {
-				for _, idx := range final[r.CommittedLen():committedSoFar] {
-					r.Commit(updates[idx], 0)
+				for pos := r.CommittedLen(); pos < committedSoFar; pos++ {
+					r.Commit(updates[final[pos]], pos, 0)
 				}
 			}
 

@@ -35,7 +35,7 @@ func TestDuplicateCommitReturnsLoggedOutcome(t *testing.T) {
 	sec.AddTentative(good) // the client's Fig-5a copy got there first
 	want := make([]update.Outcome, len(serialised))
 	for i, u := range serialised {
-		want[i] = primary.Commit(u, 30)
+		want[i] = primary.Commit(u, i, 30)
 	}
 	if !want[0].Committed || want[1].Committed {
 		t.Fatalf("setup: outcomes %+v, want one commit and one abort", want)
@@ -44,7 +44,7 @@ func TestDuplicateCommitReturnsLoggedOutcome(t *testing.T) {
 		t.Fatalf("anti-entropy moved %d updates, want %d", moved, len(serialised))
 	}
 	for i, u := range serialised { // the tree push, late
-		if got := sec.Commit(u, 50); got != want[i] {
+		if got := sec.Commit(u, i, 50); got != want[i] {
 			t.Fatalf("duplicate commit %d answered %+v, primary logged %+v", i, got, want[i])
 		}
 	}
@@ -76,11 +76,11 @@ func TestCheckpointCoversItsWindow(t *testing.T) {
 	joiner := NewAt(src.Checkpoint())
 	adopter := New(v0)
 	adopter.AddTentative(covered.Update) // its Fig-5a copy got there first
-	adopter.AdoptCheckpoint(src.Checkpoint())
+	adopter.Adopt(src.Checkpoint())
 	for name, r := range map[string]*Replica{"joined": joiner, "adopted": adopter} {
 		reg := obs.NewRegistry()
 		r.Instrument(NewFamilies(reg), 1)
-		if got := r.Commit(covered.Update, 50); got != covered.Outcome {
+		if got := r.Commit(covered.Update, 2, 50); got != covered.Outcome {
 			t.Fatalf("%s: late push answered %+v, logged %+v", name, got, covered.Outcome)
 		}
 		if r.CommittedLen() != src.CommittedLen() || len(r.tentative) != 0 {
@@ -101,8 +101,8 @@ func TestCheckpointCoversItsWindow(t *testing.T) {
 
 // TestDedupTableIsWindowPlusTentative runs a seeded schedule of
 // client proposals, primary commits, in-order tree pushes, late
-// duplicate pushes, anti-entropy, expiry, checkpoint joins and
-// adoptions over one primary and three secondaries — long enough that
+// duplicate pushes, anti-entropy, expiry, checkpoint joins, empty
+// restarts and pulls over one primary and three secondaries — long enough that
 // every log trims.  After every step, each replica's one table must map
 // exactly its log window's IDs to their positions and its tentative
 // set's IDs to the tentative mark.
@@ -133,18 +133,18 @@ func TestDedupTableIsWindowPlusTentative(t *testing.T) {
 		case op < 10: // the primary serialises a proposal
 			if len(proposed) > 0 {
 				i := rng.Intn(len(proposed))
-				primary.Commit(proposed[i], now)
+				primary.Commit(proposed[i], primary.CommittedLen(), now)
 				order = append(order, proposed[i])
 				proposed = slices.Delete(proposed, i, i+1)
 			}
 		case op < 15: // the tree pushes the next commits, in order
 			for n := rng.Intn(8); n > 0 && r.CommittedLen() < len(order); n-- {
-				r.Commit(order[r.CommittedLen()], now)
+				r.Commit(order[r.CommittedLen()], r.CommittedLen(), now)
 			}
 		case op < 16: // a late push of a commit still in the window
 			if w := r.CommittedLen() - r.Log.Start(); w > 0 {
 				pos := r.Log.Start() + rng.Intn(w)
-				if got := r.Commit(order[pos], now); got != r.Log.At(pos).Outcome || r.CommittedLen() != r.Log.Len() {
+				if got := r.Commit(order[pos], pos, now); got != r.Log.At(pos).Outcome || r.CommittedLen() != r.Log.Len() {
 					t.Fatalf("step %d: duplicate of position %d answered %+v", step, pos, got)
 				}
 			}
@@ -153,13 +153,17 @@ func TestDedupTableIsWindowPlusTentative(t *testing.T) {
 		case op < 19: // a stall long enough to expire every tentative update
 			now += TentativeExpire
 			r.TentativeState(now)
-		default: // the replica's node is replaced by a fresh join, or adopts
-			i := slices.Index(reps, r)
-			if rng.Intn(2) == 0 {
+		default: // the replica's node is replaced — by a fresh join, or by
+			// an empty replica that the next exchange catches up — or pulls
+			switch i := slices.Index(reps, r); rng.Intn(3) {
+			case 0:
 				reps[i] = NewAt(primary.Checkpoint())
 				reps[i].Instrument(fam, i)
-			} else {
-				r.AdoptCheckpoint(primary.Checkpoint())
+			case 1:
+				reps[i] = New(v0)
+				reps[i].Instrument(fam, i)
+			default:
+				r.CatchUp(primary.Checkpoint(), now)
 			}
 		}
 		for i, r := range append([]*Replica{primary}, reps...) {
@@ -191,37 +195,79 @@ func TestDedupTableIsWindowPlusTentative(t *testing.T) {
 	}
 }
 
-// TestCloneAndAdoptCopyDedupTable: a cloned or repaired replica answers
-// duplicates exactly as its source does, and owns its own table.
+// TestCloneAndAdoptCopyDedupTable: a replica that adopted a checkpoint
+// — by joining, or by repair over a replica holding its own tentative
+// copy — answers duplicates exactly as its source does, and owns its
+// own table.
 func TestCloneAndAdoptCopyDedupTable(t *testing.T) {
 	k := testKey(51)
 	v0 := object.NewObject([]byte("base."), 8, k)
 	c := guid.FromData([]byte("c"))
 	src := New(v0)
 	uA := appendUpdate(t, v0, k, "A", c, 1, 10)
-	want := src.Commit(uA, 1)
+	want := src.Commit(uA, 0, 1)
 	uB := appendUpdate(t, src.CommittedState(), k, "B", c, 2, 20)
 	src.AddTentative(uB)
 
-	cl := Clone(src)
+	joined := NewAt(src.Checkpoint())
 	repaired := New(v0)
-	repaired.AdoptFrom(src)
-	for name, r := range map[string]*Replica{"clone": cl, "repaired": repaired} {
-		if len(r.known) != 2 || r.known[uA.ID()] != 0 || r.known[uB.ID()] != isTentative {
+	repaired.AddTentative(uB)
+	repaired.Adopt(src.Checkpoint())
+	for name, r := range map[string]*Replica{"joined": joined, "repaired": repaired} {
+		if pos, ok := r.known[uA.ID()]; !ok || pos != 0 {
 			t.Fatalf("%s: dedup table %+v", name, r.known)
 		}
-		if got := r.Commit(uA, 50); got != want {
+		if got := r.Commit(uA, 0, 50); got != want {
 			t.Fatalf("%s: duplicate commit answered %+v, want %+v", name, got, want)
-		}
-		if r.AddTentative(uB) {
-			t.Fatalf("%s: forgot a tentative update it holds", name)
 		}
 		if r.CommittedLen() != 1 {
 			t.Fatalf("%s: duplicate commit applied again", name)
 		}
 	}
-	cl.Commit(uB, 60)
-	if src.known[uB.ID()] != isTentative || repaired.known[uB.ID()] != isTentative {
-		t.Fatal("tables are shared between a replica and its clone")
+	// The checkpoint carries committed state only: the join holds no
+	// tentative copy, the repaired replica keeps its own.
+	if joined.Seen(uB.ID()) || repaired.known[uB.ID()] != isTentative || repaired.AddTentative(uB) {
+		t.Fatal("adoption changed the tentative set it does not cover")
+	}
+	repaired.Commit(uB, 1, 60)
+	if src.known[uB.ID()] != isTentative || src.CommittedLen() != 1 {
+		t.Fatal("tables are shared between a replica and its checkpoint's source")
+	}
+}
+
+// TestCommitPastLogEndWaits: a commit whose position lies past the log
+// end arrived ahead of a predecessor the replica missed.  It is not
+// applied — applied at the end it would put the log off the primary's
+// order for good, because anti-entropy replays from the log end and
+// would then meet it as a duplicate — and is no duplicate either.
+// Anti-entropy fills the gap in order.
+func TestCommitPastLogEndWaits(t *testing.T) {
+	k := testKey(52)
+	v0 := object.NewObject([]byte("base."), 8, k)
+	c := guid.FromData([]byte("c"))
+	primary, sec := New(v0), New(v0)
+	reg := obs.NewRegistry()
+	sec.Instrument(NewFamilies(reg), 2)
+	var order []*update.Update
+	for i, s := range []string{"a", "b", "c"} {
+		u := appendUpdate(t, primary.CommittedState(), k, s, c, uint64(i+1), time.Duration(i))
+		primary.Commit(u, i, time.Duration(i))
+		order = append(order, u)
+	}
+	sec.Commit(order[0], 0, 10)
+	if got := sec.Commit(order[2], 2, 11); got.Committed {
+		t.Fatalf("a commit past the log end answered %+v", got)
+	}
+	if sec.CommittedLen() != 1 || sec.Seen(order[2].ID()) || read(t, sec.CommittedState(), k) != "base.a" {
+		t.Fatalf("a commit past the log end was applied: length %d", sec.CommittedLen())
+	}
+	if got := reg.CounterValue(2, "epidemic", "dup_commits"); got != 0 {
+		t.Fatalf("dup_commits = %d for a commit the replica never had", got)
+	}
+	if moved := AntiEntropy(primary, sec, 12); moved != 2 {
+		t.Fatalf("anti-entropy moved %d, want the 2 missing commits", moved)
+	}
+	if sec.CommittedLen() != 3 || read(t, sec.CommittedState(), k) != "base.abc" {
+		t.Fatalf("after anti-entropy: length %d, state %q", sec.CommittedLen(), read(t, sec.CommittedState(), k))
 	}
 }

@@ -128,11 +128,13 @@ func New(v0 *object.Version) *Replica {
 }
 
 // NewAt creates a replica from a checkpoint — a checkpoint join.  A
-// secondary added mid-run starts here instead of replaying the whole
-// history.
+// secondary added mid-run adopts it instead of replaying the whole
+// history; before the first commit there is nothing to adopt.
 func NewAt(c Checkpoint) *Replica {
 	r := New(c.Base)
-	r.AdoptCheckpoint(c)
+	if c.Len() > 0 {
+		r.Adopt(c)
+	}
 	return r
 }
 
@@ -169,17 +171,31 @@ func (r *Replica) AddTentative(u *update.Update) bool {
 	return true
 }
 
-// Commit applies the primary tier's next committed update, in the final
-// serialisation order.  The update is removed from the tentative set if
-// present; tentative state is rolled back and replayed on demand.
-func (r *Replica) Commit(u *update.Update, now time.Duration) update.Outcome {
+// Commit applies the primary tier's committed update u at pos, its
+// position in the tier's final order, so the log stays a prefix of the
+// primary's.  Below the log end u is a duplicate (tree push and
+// anti-entropy both deliver commits), answered with its logged outcome
+// while the window holds it; an ID the table holds counts as logged
+// there, which is how the primary's own state, committing at its log
+// end, turns away an update executed twice.  At the end u is applied
+// and leaves the tentative set (tentative state is rolled back and
+// replayed on demand).  Past the end a commit before it is missing, so
+// u waits for anti-entropy to fill the gap in order.
+func (r *Replica) Commit(u *update.Update, pos int, now time.Duration) update.Outcome {
 	id := u.ID()
-	pos, seen := r.known[id]
-	if seen && pos != isTentative {
+	at, seen := r.known[id]
+	if seen && at != isTentative {
+		pos = at
+	}
+	switch end := r.Log.Len(); {
+	case pos < end:
 		r.om.dupCommits.Inc()
-		// Already serialised here (tree push and anti-entropy can both
-		// deliver the same commit); report the logged outcome.
+		if pos < r.Log.Start() {
+			return update.Outcome{}
+		}
 		return r.Log.At(pos).Outcome
+	case pos > end:
+		return update.Outcome{}
 	}
 	if !seen && u.Seq > r.vv[u.ClientID] {
 		r.vv[u.ClientID] = u.Seq
@@ -197,7 +213,7 @@ func (r *Replica) Commit(u *update.Update, now time.Duration) update.Outcome {
 		out.Result = next.GUID()
 	}
 	// Aborts leave base untouched but are still logged (§4.4.1).
-	r.known[id] = r.Log.Len()
+	r.known[id] = pos
 	r.Log.Append(u, out, now)
 	r.trim()
 	r.expire(now)
@@ -267,29 +283,18 @@ func (r *Replica) Dominates(other map[guid.GUID]uint64) bool {
 
 // AntiEntropy performs one bidirectional epidemic exchange between two
 // replicas of the same object: each ships the tentative updates the
-// other lacks, and the shorter committed log is fast-forwarded from the
-// longer one — by replay while the gap fits the sender's log window, by
-// checkpoint transfer once it doesn't.  It returns how many updates
-// moved in total (a checkpoint counts as one move).
+// other lacks, and the shorter committed log catches up (CatchUp) from
+// a view of the longer one, which copies nothing.  It returns how many
+// updates moved in total (a checkpoint counts as one move).
 func AntiEntropy(a, b *Replica, now time.Duration) int {
 	a.expire(now)
 	b.expire(now)
-	moved := 0
-	// Committed prefix sync: committed logs are prefixes of one final
-	// order, so the longer one extends the shorter.
+	// Committed logs are prefixes of one final order, so the longer one
+	// extends the shorter.
 	if a.CommittedLen() < b.CommittedLen() {
 		a, b = b, a
 	}
-	if from, to := b.CommittedLen(), a.CommittedLen(); from < a.Log.Start() {
-		// b is missing updates a no longer retains: state transfer.
-		b.AdoptCheckpoint(a.Checkpoint())
-		moved++
-	} else {
-		for pos := from; pos < to; pos++ {
-			b.Commit(a.Log.At(pos).Update, now)
-			moved++
-		}
-	}
+	moved := b.CatchUp(a.view(), now)
 	// Tentative exchange, both directions (iterate in place: AddTentative
 	// on the receiver cannot disturb the sender's slice).
 	for _, u := range a.tentative {

@@ -8,6 +8,7 @@ import (
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
+	"oceanstore/internal/obs"
 	"oceanstore/internal/update"
 )
 
@@ -114,7 +115,7 @@ func TestCommitReordersTentative(t *testing.T) {
 		t.Fatalf("tentative %q", got)
 	}
 	// Primary commits B first.
-	r.Commit(uB, 1)
+	r.Commit(uB, 0, 1)
 	if got := read(t, r.CommittedState(), k); got != "B" {
 		t.Fatalf("committed %q", got)
 	}
@@ -122,7 +123,7 @@ func TestCommitReordersTentative(t *testing.T) {
 	if got := read(t, r.TentativeState(1), k); got != "BA" {
 		t.Fatalf("tentative after partial commit %q", got)
 	}
-	r.Commit(uA, 2)
+	r.Commit(uA, 1, 2)
 	if got := read(t, r.CommittedState(), k); got != "BA" {
 		t.Fatalf("final committed %q", got)
 	}
@@ -142,7 +143,7 @@ func TestAbortedCommitLoggedButNotApplied(t *testing.T) {
 	u := update.NewVersionGuarded(guid.Zero, 99 /* stale */, update.BlockOps(ed.Append([]byte("x"))))
 	u.ClientID, u.Seq, u.Timestamp = c, 1, 5
 	r := New(v0)
-	out := r.Commit(u, 1)
+	out := r.Commit(u, 0, 1)
 	if out.Committed {
 		t.Fatal("stale update committed")
 	}
@@ -195,8 +196,8 @@ func TestAntiEntropySyncsCommittedPrefix(t *testing.T) {
 	uA := appendUpdate(t, v0, k, "A", c, 1, 10)
 	uB := appendUpdate(t, v0, k, "B", c, 2, 20)
 	ahead, behind := New(v0), New(v0)
-	ahead.Commit(uA, 1)
-	ahead.Commit(uB, 2)
+	ahead.Commit(uA, 0, 1)
+	ahead.Commit(uB, 1, 2)
 	behind.AddTentative(uB) // behind knows B only tentatively
 	AntiEntropy(ahead, behind, 3)
 	if behind.CommittedLen() != 2 {
@@ -294,8 +295,23 @@ func TestTentativeReplayDefersTheMerkleRoot(t *testing.T) {
 	if flipped == want {
 		t.Fatal("the replay hashed a version nobody had asked the GUID of")
 	}
-	out := New(v0).Commit(u, 0)
+	out := New(v0).Commit(u, 0, 0)
 	if !out.Committed || out.Result == guid.Zero || out.Result != want {
 		t.Fatalf("Commit recorded result %v, the replayed version's GUID is %v", out.Result, want)
+	}
+}
+
+// TestInstrumentNilDetaches: instrumenting with a nil registry's
+// families detaches the replica, so later commits count nowhere.
+func TestInstrumentNilDetaches(t *testing.T) {
+	k := testKey(8)
+	v0 := object.NewObject([]byte(""), 8, k)
+	r := New(v0)
+	reg := obs.NewRegistry()
+	r.Instrument(NewFamilies(reg), 1)
+	r.Instrument(NewFamilies(nil), 1)
+	r.Commit(appendUpdate(t, v0, k, "A", guid.FromData([]byte("c")), 1, 0), 0, 1)
+	if got := reg.CounterValue(1, "epidemic", "commits"); got != 0 {
+		t.Fatalf("a detached replica counted %d commits", got)
 	}
 }

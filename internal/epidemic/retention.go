@@ -1,6 +1,7 @@
 package epidemic
 
 import (
+	"maps"
 	"slices"
 	"time"
 
@@ -113,19 +114,46 @@ func (c Checkpoint) Len() int { return c.Start + len(c.Window) }
 // Checkpoint captures r's committed state.  The window and vector are
 // copies; committed versions are immutable, so Base is shared.
 func (r *Replica) Checkpoint() Checkpoint {
-	return Checkpoint{Base: r.base, Start: r.Log.Start(), Window: r.Log.Entries(), VV: r.VersionVector()}
+	c := r.view()
+	c.Window, c.VV = slices.Clone(c.Window), maps.Clone(c.VV)
+	return c
 }
 
-// AdoptCheckpoint installs a transferred checkpoint: r's base becomes
-// the checkpoint's, its log window the checkpoint's window (copied in,
-// not counted as commits), and its dedup table the window's IDs plus
-// the tentative updates the window does not cover.  (A tentative update
-// committed before the window stays until it expires.)  The version
-// vector merges up.  A checkpoint no further along than r is ignored.
-func (r *Replica) AdoptCheckpoint(c Checkpoint) {
-	if c.Len() <= r.CommittedLen() {
-		return
+// view is Checkpoint without the copies, for a catch-up that reads it
+// at once (anti-entropy).
+func (r *Replica) view() Checkpoint {
+	return Checkpoint{Base: r.base, Start: r.Log.Start(), Window: r.Log.Entries(), VV: r.vv}
+}
+
+// CatchUp brings r's committed log up to c's, for anti-entropy and tree
+// pulls alike: nothing when c is no further along, replay of the window
+// suffix r lacks while c's window reaches r's log end, adoption of c (a
+// checkpoint transfer) once r lags past it.  It returns how many
+// updates moved, an adoption counting as one.
+func (r *Replica) CatchUp(c Checkpoint, now time.Duration) int {
+	have := r.CommittedLen()
+	switch {
+	case c.Len() <= have:
+		return 0
+	case have < c.Start:
+		r.Adopt(c)
+		r.om.checkpoints.Inc()
+		return 1
 	}
+	for i, e := range c.Window[have-c.Start:] {
+		r.Commit(e.Update, have+i, now)
+	}
+	return c.Len() - have
+}
+
+// Adopt is CatchUp's adopt step, which compares no heights (the audit
+// repairs a replica corrupted at the primary's own height with it): r's
+// base becomes the checkpoint's, its log window the checkpoint's window
+// (copied in, not counted as commits), and its dedup table the window's
+// IDs plus the tentative updates the window does not cover.  (A
+// tentative update committed before the window stays until it
+// expires.)  The version vector merges up.
+func (r *Replica) Adopt(c Checkpoint) {
 	r.base = c.Base
 	r.Log.Rebase(c.Start, c.Window)
 	r.reindex()
@@ -134,6 +162,5 @@ func (r *Replica) AdoptCheckpoint(c Checkpoint) {
 			r.vv[cl] = s
 		}
 	}
-	r.om.checkpoints.Inc()
 	r.cacheValid = false
 }

@@ -7,6 +7,7 @@ import (
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 	"oceanstore/internal/obs"
+	"oceanstore/internal/update"
 )
 
 // commitChain commits n sequential appends to r and returns the key's
@@ -18,7 +19,7 @@ func commitChain(t *testing.T, r *Replica, n int, startSeq uint64, now time.Dura
 	client := guid.FromData([]byte("chain-client"))
 	for i := 0; i < n; i++ {
 		u := appendUpdate(t, r.CommittedState(), key, "x", client, startSeq+uint64(i), now+time.Duration(i))
-		if out := r.Commit(u, now+time.Duration(i)); !out.Committed {
+		if out := r.Commit(u, r.CommittedLen(), now+time.Duration(i)); !out.Committed {
 			t.Fatalf("commit %d aborted", i)
 		}
 	}
@@ -123,16 +124,22 @@ func TestAntiEntropyCheckpointTransfer(t *testing.T) {
 	}
 }
 
-func TestAdoptCheckpointIgnoresStale(t *testing.T) {
+// TestCatchUpIgnoresStale: a checkpoint at or behind the replica's own
+// progress moves nothing, whatever its base says.
+func TestCatchUpIgnoresStale(t *testing.T) {
 	k := testKey(77)
 	v0 := object.NewObject([]byte("base."), 8, k)
 	r := New(v0)
 	commitChain(t, r, 5, 1, 1000)
 	before := read(t, r.CommittedState(), k)
-	// A checkpoint at or behind the replica's own progress is a no-op.
-	r.AdoptCheckpoint(Checkpoint{Base: object.NewObject([]byte("bogus"), 8, k), Start: 5})
-	if r.CommittedLen() != 5 || read(t, r.CommittedState(), k) != before {
-		t.Fatal("stale checkpoint was adopted")
+	bogus := object.NewObject([]byte("bogus"), 8, k)
+	for _, start := range []int{5, 3} {
+		if moved := r.CatchUp(Checkpoint{Base: bogus, Start: start}, 2000); moved != 0 {
+			t.Fatalf("stale checkpoint at %d moved %d", start, moved)
+		}
+		if r.CommittedLen() != 5 || read(t, r.CommittedState(), k) != before {
+			t.Fatalf("stale checkpoint at %d was adopted", start)
+		}
 	}
 }
 
@@ -151,5 +158,36 @@ func TestNewAtJoinsAtCheckpoint(t *testing.T) {
 	// Nothing to move between them now.
 	if moved := AntiEntropy(a, joiner, 2000); moved != 0 {
 		t.Fatalf("moved %d between converged replicas", moved)
+	}
+}
+
+// TestLatePushBelowTheWindow: a push that was in flight while a
+// replica adopted a checkpoint can name a position the adopted window
+// no longer covers.  Its ID has left the dedup table with the window,
+// but its position is below the log end: a duplicate, answered with no
+// outcome because the window no longer holds one, and never applied a
+// second time.
+func TestLatePushBelowTheWindow(t *testing.T) {
+	k := testKey(77)
+	v0 := object.NewObject([]byte("base."), 8, k)
+	src := New(v0)
+	first := appendUpdate(t, v0, k, "x", guid.FromData([]byte("early")), 1, 999)
+	src.Commit(first, 0, 999)
+	commitChain(t, src, 2*Window-1, 1, 1000)
+	joiner := NewAt(src.Checkpoint())
+	reg := obs.NewRegistry()
+	joiner.Instrument(NewFamilies(reg), 5)
+	if joiner.Log.Start() == 0 || joiner.Seen(first.ID()) {
+		t.Fatal("setup: the joined window still covers the first commit")
+	}
+	before := read(t, joiner.CommittedState(), k)
+	if got := joiner.Commit(first, 0, 3000); got != (update.Outcome{}) {
+		t.Fatalf("a duplicate below the window answered %+v", got)
+	}
+	if joiner.CommittedLen() != src.CommittedLen() || read(t, joiner.CommittedState(), k) != before {
+		t.Fatal("a duplicate below the window was applied")
+	}
+	if got := reg.CounterValue(5, "epidemic", "dup_commits"); got != 1 {
+		t.Fatalf("dup_commits = %d, want 1", got)
 	}
 }

@@ -44,17 +44,19 @@ func (r *Ring) SecondaryDigest(node simnet.NodeID) (StateDigest, bool) {
 	return digestOf(sec.Rep), true
 }
 
-// RepairSecondary overwrites a secondary's state with a clone of the
-// authoritative primary state — the targeted repair a damning audit
-// verdict triggers.  Exact state transfer, not log replay: replaying
-// into a fresh replica would re-evaluate guards against a reset base
-// and could diverge from the history the primary actually committed.
+// RepairSecondary overwrites a secondary's committed state with the
+// authoritative primary's checkpoint — the targeted repair a damning
+// audit verdict triggers.  Exact state transfer through the adopt step
+// of epidemic's CatchUp, not log replay: replaying into a fresh replica
+// would re-evaluate guards against a reset base and could diverge from
+// the history the primary actually committed.  The replica is repaired
+// in place, so every handler holding it keeps working.
 func (r *Ring) RepairSecondary(node simnet.NodeID) error {
 	sec, ok := r.secondaries[node]
 	if !ok {
 		return errors.New("replica: not a secondary")
 	}
-	sec.Rep.AdoptFrom(r.primaryState)
+	sec.Rep.Adopt(r.primaryState.Checkpoint())
 	sec.Stale = false
 	return nil
 }

@@ -97,17 +97,20 @@ func TestTamperChangesDigestAndRepairRestoresIt(t *testing.T) {
 	}
 }
 
+// TestCloneIsIndependent: a replica joined from a secondary's
+// checkpoint shares only immutable committed versions with it, so
+// tampering the source leaves the joined replica untouched.
 func TestCloneIsIndependent(t *testing.T) {
 	w, secs := auditWorld(t, 7)
 	sec, _ := w.ring.Secondary(secs[0])
-	c := epidemic.Clone(sec.Rep)
+	c := epidemic.NewAt(sec.Rep.Checkpoint())
 	if c.CommittedLen() != sec.Rep.CommittedLen() {
-		t.Fatal("clone lost committed history")
+		t.Fatal("checkpoint join lost committed history")
 	}
 	before := digestOf(c)
 	sec.Rep.TamperBase(tamperVersion)
 	if digestOf(c) != before {
-		t.Fatal("tampering the source mutated the clone")
+		t.Fatal("tampering the source mutated the joined replica")
 	}
 	if digestOf(sec.Rep) == before {
 		t.Fatal("tamper was a no-op")

@@ -6,8 +6,9 @@
 //	(b) the primary tier runs Byzantine agreement to serialise it while
 //	    the secondaries spread it epidemically as tentative data;
 //	(c) the commit result is multicast down the dissemination tree to
-//	    every secondary, and archival fragments are generated and
-//	    dispersed as a side effect of commitment (§4.4.4).
+//	    every secondary, with its position in the primary's log, and
+//	    archival fragments are generated and dispersed as a side effect
+//	    of commitment (§4.4.4).
 //
 // A Ring manages one object: its primary tier (package byz), its
 // secondary replicas (package epidemic), the dissemination tree
@@ -361,7 +362,9 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 			return
 		}
 	}
-	out := r.primaryState.Commit(u, r.net.K.Now())
+	// Commit at the log end; an update executed twice is not pushed again.
+	pos := r.primaryState.CommittedLen()
+	out := r.primaryState.Commit(u, pos, r.net.K.Now())
 	for _, cb := range r.onCommit {
 		cb(u, out)
 	}
@@ -381,7 +384,9 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 		}
 	}
 	r.EnsureLiveRoot()
-	r.tree.Push(u, u.WireSize())
+	if r.primaryState.CommittedLen() > pos {
+		r.tree.Push(u, pos, u.WireSize())
+	}
 }
 
 // EnsureLiveRoot re-homes the dissemination tree onto a live primary
@@ -410,17 +415,16 @@ func (r *Ring) onTreeDeliver(node simnet.NodeID, d dtree.Delivery) {
 		return
 	}
 	if u, ok := d.Payload.(*update.Update); ok {
-		sec.Rep.Commit(u, r.net.K.Now())
+		sec.Rep.Commit(u, d.Pos, r.net.K.Now())
 	}
 }
 
 // onTreePull serves a child's pull: ship the parent's checkpoint — its
 // committed log window, plus the base state and version vector the
-// child adopts if it lags past the window — so the child can
-// fast-forward (the paper's "pull missing information from parents").
-// While the window still reaches back to position 0 the child can
-// always replay, so the base state and vector are not charged to the
-// wire.
+// child adopts if it lags past the window — so the child can catch up
+// (the paper's "pull missing information from parents").  While the
+// window still reaches back to position 0 the child can always replay,
+// so the base state and vector are not charged to the wire.
 func (r *Ring) onTreePull(parent simnet.NodeID) (any, int) {
 	src := r.primaryState
 	if sec, ok := r.secondaries[parent]; ok {
@@ -432,7 +436,7 @@ func (r *Ring) onTreePull(parent simnet.NodeID) (any, int) {
 		size += e.Update.WireSize()
 	}
 	if c.Start > 0 {
-		size += 64 + len(c.VV)*28
+		size += c.Base.BytesStored() + len(c.VV)*28
 	}
 	return c, size
 }
@@ -445,15 +449,7 @@ func (r *Ring) Refresh(node simnet.NodeID, cb func()) error {
 	}
 	return r.tree.Pull(node, func(d dtree.Delivery) {
 		if c, ok := d.Payload.(epidemic.Checkpoint); ok {
-			if have := sec.Rep.CommittedLen(); have < c.Start {
-				// The parent evicted entries this replica never saw:
-				// state transfer instead of replay.
-				sec.Rep.AdoptCheckpoint(c)
-			} else if from := have - c.Start; from < len(c.Window) {
-				for _, e := range c.Window[from:] {
-					sec.Rep.Commit(e.Update, r.net.K.Now())
-				}
-			}
+			sec.Rep.CatchUp(c, r.net.K.Now())
 			sec.Stale = false
 		}
 		if cb != nil {

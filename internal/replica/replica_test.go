@@ -8,6 +8,8 @@ import (
 	"oceanstore/internal/archive"
 	"oceanstore/internal/byz"
 	"oceanstore/internal/crypt"
+	"oceanstore/internal/dtree"
+	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 	"oceanstore/internal/sim"
@@ -215,6 +217,60 @@ func TestLowBandwidthInvalidationAndRefresh(t *testing.T) {
 	}
 	if got := w.read(t, sec.Rep.CommittedState()); got != "base.bulk" {
 		t.Fatalf("refreshed state %q", got)
+	}
+}
+
+// TestRefreshPastTheWindowChargesTheBase: a stale secondary whose
+// parent's log window no longer reaches position 0 catches up from the
+// pulled checkpoint by adopting its base state, so the pull reply is
+// charged the base version's stored bytes and the version vector on
+// top of the window — not a placeholder for the base.
+func TestRefreshPastTheWindowChargesTheBase(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ArchiveEvery = 1 << 20
+	cfg.GossipInterval = 0
+	w := newWorld(t, 13, cfg)
+	if _, err := w.ring.AddSecondary(simnet.NodeID(4)); err != nil {
+		t.Fatal(err)
+	}
+	w.net.Node(5).SetLowBandwidth(true)
+	sec, err := w.ring.AddSecondary(simnet.NodeID(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*epidemic.Window; i++ {
+		w.ring.Submit(w.client, w.appendUpdate(t, "x"), 0, nil)
+		w.k.RunFor(time.Second)
+	}
+	parent, err := w.ring.Tree().Parent(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.ring.PrimaryState()
+	if p, ok := w.ring.Secondary(parent); ok {
+		src = p.Rep
+	}
+	c := src.Checkpoint()
+	if c.Start == 0 || sec.Rep.CommittedLen() != 0 {
+		t.Fatalf("setup: parent's window starts at %d, stale secondary at %d", c.Start, sec.Rep.CommittedLen())
+	}
+	want := int64(64 + c.Base.BytesStored() + len(c.VV)*28)
+	for _, e := range c.Window {
+		want += int64(e.Update.WireSize())
+	}
+	before := w.net.Stats().ByKind[dtree.KindPullReply]
+	if err := w.ring.Refresh(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.k.RunFor(10 * time.Second)
+	if got := w.net.Stats().ByKind[dtree.KindPullReply] - before; got != want {
+		t.Fatalf("pull reply charged %d bytes, want %d (base %d bytes)", got, want, c.Base.BytesStored())
+	}
+	if sec.Stale || sec.Rep.CommittedLen() != c.Len() || !isPrefix(sec.Rep, w.ring.PrimaryState()) {
+		t.Fatalf("refreshed secondary at length %d, want %d", sec.Rep.CommittedLen(), c.Len())
+	}
+	if got, want := w.read(t, sec.Rep.CommittedState()), w.read(t, c.Base); got != want {
+		t.Fatalf("refreshed state %q, parent's %q", got, want)
 	}
 }
 
@@ -426,5 +482,67 @@ func TestRingCommitCertificate(t *testing.T) {
 	forged.Seq++
 	if forged.Verify(keys, f) {
 		t.Fatal("forged certificate verified")
+	}
+}
+
+// isPrefix reports whether rep's committed log is a prefix of the
+// primary's: no longer, and the same update at every position both
+// retain.
+func isPrefix(rep, primary *epidemic.Replica) bool {
+	if rep.CommittedLen() > primary.CommittedLen() {
+		return false
+	}
+	for pos := max(rep.Log.Start(), primary.Log.Start()); pos < rep.CommittedLen(); pos++ {
+		if rep.Log.At(pos).Update.ID() != primary.Log.At(pos).Update.ID() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMissedPushLeavesAPrefix: a secondary is down for one commit's
+// push and back before the next one.  The next push names a position
+// past its log end, so it is not applied on top of the gap: the log
+// stays a prefix of the primary's at every step, and anti-entropy then
+// brings it to the primary's length and committed state.  Applied at
+// the end of the log, the push ran it to "base.ac" where the primary
+// held "base.abc", and anti-entropy, replaying from the shorter log's
+// length, met a duplicate there and never repaired it.
+func TestMissedPushLeavesAPrefix(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ArchiveEvery = 100
+	cfg.Archive = archive.Config{DataShards: 4, TotalFragments: 8}
+	w := newWorld(t, 12, cfg)
+	const victim = 7
+	for _, n := range []simnet.NodeID{4, victim} {
+		if _, err := w.ring.AddSecondary(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sec, _ := w.ring.Secondary(victim)
+	primary := w.ring.PrimaryState()
+	step := func(d time.Duration) {
+		t.Helper()
+		for end := w.k.Now() + d; w.k.Now() < end; {
+			w.k.RunFor(100 * time.Millisecond)
+			if !isPrefix(sec.Rep, primary) {
+				t.Fatalf("at %v the secondary's log (length %d, %q) is not a prefix of the primary's (length %d)",
+					w.k.Now(), sec.Rep.CommittedLen(), w.read(t, sec.Rep.CommittedState()), primary.CommittedLen())
+			}
+		}
+	}
+	w.ring.Submit(w.client, w.appendUpdate(t, "a"), 0, nil)
+	step(10 * time.Second)
+	w.net.Node(victim).SetDown(true)
+	w.ring.Submit(w.client, w.appendUpdate(t, "b"), 0, nil)
+	step(5 * time.Second)
+	w.net.Node(victim).SetDown(false)
+	w.ring.Submit(w.client, w.appendUpdate(t, "c"), 0, nil)
+	step(3 * time.Hour)
+	if got, want := sec.Rep.CommittedLen(), primary.CommittedLen(); got != want || want != 3 {
+		t.Fatalf("secondary at length %d, primary at %d (want 3)", got, want)
+	}
+	if got := w.read(t, sec.Rep.CommittedState()); got != "base.abc" {
+		t.Fatalf("secondary state %q", got)
 	}
 }

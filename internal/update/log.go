@@ -22,9 +22,11 @@ type LogEntry struct {
 // how many entries have gone.
 //
 // The log keeps no index by update ID and does not deduplicate: its one
-// writer, epidemic.Replica.Commit, has already turned a redelivered
-// commit away by the time it appends.  The zero Log is empty and ready
-// to use.
+// writer, epidemic.Replica.Commit, appends a commit only at the log
+// position the primary tier logged it at, which is the log end, so a
+// redelivered commit (below the end) and one that arrived ahead of a
+// missed predecessor (past it) never reach Append.  The zero Log is
+// empty and ready to use.
 type Log struct {
 	entries []LogEntry
 	start   int // entries evicted from the front
@@ -59,17 +61,6 @@ func (l *Log) Rebase(start int, window []LogEntry) {
 	l.start = start
 }
 
-// Clone returns an independent copy: retained window, position and
-// running tallies.
-func (l *Log) Clone() Log {
-	return Log{
-		entries: append([]LogEntry(nil), l.entries...),
-		start:   l.start,
-		commits: l.commits,
-		aborts:  l.aborts,
-	}
-}
-
 // Append records an update outcome.  The caller appends each update
 // once (epidemic propagation redelivers; see Log).
 func (l *Log) Append(u *Update, o Outcome, at time.Duration) {
@@ -84,10 +75,10 @@ func (l *Log) Append(u *Update, o Outcome, at time.Duration) {
 // Len returns the number of entries ever appended (including evicted).
 func (l *Log) Len() int { return l.start + len(l.entries) }
 
-// Entries returns a copy of the retained window in order.
-func (l *Log) Entries() []LogEntry {
-	return append([]LogEntry(nil), l.entries...)
-}
+// Entries returns the retained window in order.  The slice is the
+// log's own: read it before the log next changes, and copy what must
+// outlive that.
+func (l *Log) Entries() []LogEntry { return l.entries }
 
 // Counts tallies committed and aborted entries — the split the
 // observability layer reports per replica.  Running tallies, so

@@ -70,27 +70,3 @@ func TestLogRebase(t *testing.T) {
 		t.Fatalf("Len %d after rebase+append, want 10", l.Len())
 	}
 }
-
-func TestLogClone(t *testing.T) {
-	l := &Log{}
-	for i := 0; i < 6; i++ {
-		l.Append(logEntryUpdate(i), Outcome{Committed: i%2 == 0}, 0)
-	}
-	c := l.Clone()
-	if c.Len() != l.Len() || c.Start() != l.Start() {
-		t.Fatal("clone shape differs")
-	}
-	cc, ca := c.Counts()
-	lc, la := l.Counts()
-	if cc != lc || ca != la {
-		t.Fatal("clone tallies differ")
-	}
-	// Independence: appending to the clone leaves the original alone.
-	c.Append(logEntryUpdate(50), Outcome{Committed: true}, 0)
-	if l.Len() != 6 || len(l.Entries()) != 6 {
-		t.Fatal("original saw the clone's append")
-	}
-	if c.Len() != 7 {
-		t.Fatal("clone length should have diverged")
-	}
-}
