@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -11,7 +12,11 @@ import (
 // families): a bytes and a drops counter per live link, named for the
 // destination and keyed by the source, with the fan-in skew of a run
 // whose clients hear from many primaries; seven per-replica counters on
-// a fifth of the nodes; and the node-wide rest.
+// a fifth of the nodes; and the node-wide rest.  The link counts are
+// kept outside the registry and served the way simnet serves them:
+// the families registered by an OnRead hook that sorts the links'
+// packed (to, from) keys once, each read through a Source over the
+// destination's run of keys.
 func scale100k() *Registry {
 	const nodes, links, dests, replicas = 100_000, 237_000, 15_760, 20_456
 	r := NewRegistry()
@@ -22,22 +27,39 @@ func scale100k() *Registry {
 		x ^= x << 17
 		return int(x % uint64(n))
 	}
-	type pair struct{ bytes, drops *CounterFamily }
-	fams := make([]pair, dests)
-	for d := range fams {
-		to := strconv.Itoa(next(nodes))
-		fams[d] = pair{r.CounterFamily("simnet", "link_n"+to+"_bytes"), r.CounterFamily("simnet", "link_n"+to+"_drops")}
+	to := make([]int, dests)
+	for d := range to {
+		to[d] = next(nodes)
 	}
+	bytes := make(map[uint64]int64)
 	for i := 0; i < links; i++ {
 		// Two thirds of the links go into the busiest 1024 destinations.
 		d := next(dests)
 		if i%3 != 0 {
 			d = next(1024)
 		}
-		from := next(nodes)
-		fams[d].bytes.At(from).Add(int64(i))
-		fams[d].drops.At(from)
+		bytes[uint64(to[d])<<32|uint64(next(nodes))] += int64(i)
 	}
+	var store linkStore
+	r.OnRead(func() {
+		if store.keys != nil {
+			return
+		}
+		for k := range bytes {
+			store.keys = append(store.keys, k)
+		}
+		slices.Sort(store.keys)
+		store.bytes = make([]int64, len(store.keys))
+		store.drops = make([]int64, len(store.keys))
+		for i, k := range store.keys {
+			store.bytes[i] = bytes[k]
+			if i == 0 || store.keys[i-1]>>32 != k>>32 {
+				name := "link_n" + strconv.Itoa(int(k>>32))
+				r.CounterSource("simnet", name+"_bytes", linksInto{&store, k >> 32, false})
+				r.CounterSource("simnet", name+"_drops", linksInto{&store, k >> 32, true})
+			}
+		}
+	})
 	for _, name := range []string{"tentative", "commits", "aborts", "dup_commits", "replays", "expired", "checkpoints"} {
 		f := r.CounterFamily("epidemic", name)
 		for i := 0; i < replicas; i++ {
@@ -52,6 +74,42 @@ func scale100k() *Registry {
 	}
 	r.Gauge(NodeWide, "introspect", "tier").Set(0.5)
 	return r
+}
+
+// linkStore is scale100k's stand-in for simnet's link table: every
+// link's (to, from) key, sorted, beside its counts.
+type linkStore struct {
+	keys         []uint64
+	bytes, drops []int64
+}
+
+// linksInto serves one destination's links from a linkStore.
+type linksInto struct {
+	s     *linkStore
+	dest  uint64
+	drops bool
+}
+
+func (l linksInto) span() (int, int) {
+	i, _ := slices.BinarySearch(l.s.keys, l.dest<<32)
+	j, _ := slices.BinarySearch(l.s.keys, (l.dest+1)<<32)
+	return i, j
+}
+
+func (l linksInto) Len() int {
+	i, j := l.span()
+	return j - i
+}
+
+func (l linksInto) Each(visit func(node int, v int64)) {
+	vals := l.s.bytes
+	if l.drops {
+		vals = l.s.drops
+	}
+	i, j := l.span()
+	for ; i < j; i++ {
+		visit(int(uint32(l.s.keys[i])), vals[i])
+	}
 }
 
 // BenchmarkSnapshotWrite600k is the dump as scale-100k pays for it: one

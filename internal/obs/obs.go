@@ -20,10 +20,13 @@
 // once at instrumentation time and bump them with plain integer
 // arithmetic; a nil handle (uninstrumented run) makes every method a
 // no-op, so the layers carry no conditional wiring of their own.  A
-// layer whose series multiply with the world — one per link, one per
-// replica — resolves a family handle (CounterFamily) once per name and
-// creates each series with At(node): an integer lookup and an append,
-// no string hashed.
+// layer whose series multiply with the world — one per replica —
+// resolves a family handle (CounterFamily) once per name and creates
+// each series with At(node): an integer lookup and an append, no
+// string hashed.  A layer that already keeps a count in storage of
+// its own — simnet's per-link bytes — does not copy it into Counters:
+// it serves the family through CounterSource, registered from an
+// OnRead hook, and the registry reads the storage only when it is read.
 package obs
 
 import (
@@ -202,9 +205,8 @@ func (h *Histogram) Merge(o *Histogram) {
 }
 
 // scanMax is the largest series a family looks up by scanning its
-// entries; above it the family keeps a node index.  Per-link families
-// (a handful of sources per destination) stay below it and cost two
-// appends a link; per-replica families (tens of thousands of nodes)
+// entries; above it the family keeps a node index.  Small families
+// stay below it; per-replica families (tens of thousands of nodes)
 // cross it once and probe an int-keyed map thereafter.
 const scanMax = 32
 
@@ -274,33 +276,72 @@ type family struct {
 	counters    series[Counter]
 	gauges      series[Gauge]
 	hists       series[Histogram]
+	// sources serve more of the family's counters (CounterSource).
+	sources []Source
 }
 
 // each visits the family's series in dump order: ascending node, and
 // counter before gauge before histogram where one node has several
-// kinds.  Exactly one of c, g, h is non-nil per visit.  The series
-// must be sorted (Registry.Order).
-func (f *family) each(visit func(node int, c *Counter, g *Gauge, h *Histogram)) {
+// kinds.  A visit is a gauge when g is non-nil, a histogram when h is,
+// and otherwise a counter whose value is v.  The series must be sorted
+// (Registry.Order).
+func (f *family) each(visit func(node int, v int64, g *Gauge, h *Histogram)) {
 	cs, gs, hs := f.counters.entries, f.gauges.entries, f.hists.entries
+	if len(f.sources) > 0 {
+		if len(f.sources) == 1 && len(cs)+len(gs)+len(hs) == 0 {
+			f.sources[0].Each(func(node int, v int64) { visit(node, v, nil, nil) })
+			return
+		}
+		cs = f.combined()
+	}
 	for len(cs)+len(gs)+len(hs) > 0 {
 		switch {
 		case len(cs) > 0 && (len(gs) == 0 || cs[0].node <= gs[0].node) && (len(hs) == 0 || cs[0].node <= hs[0].node):
-			visit(cs[0].node, cs[0].v, nil, nil)
+			visit(cs[0].node, cs[0].v.v, nil, nil)
 			cs = cs[1:]
 		case len(gs) > 0 && (len(hs) == 0 || gs[0].node <= hs[0].node):
-			visit(gs[0].node, nil, gs[0].v, nil)
+			visit(gs[0].node, 0, gs[0].v, nil)
 			gs = gs[1:]
 		default:
-			visit(hs[0].node, nil, nil, hs[0].v)
+			visit(hs[0].node, 0, nil, hs[0].v)
 			hs = hs[1:]
 		}
 	}
 }
 
+// combined is the family's counters when sources feed it beside other
+// sources or plain counters (several networks on one registry, a Merge
+// into a sourced family): every value summed per node, in node order.
+func (f *family) combined() []entry[Counter] {
+	var s series[Counter]
+	for _, e := range f.counters.entries {
+		s.at(e.node).Add(e.v.v)
+	}
+	for _, src := range f.sources {
+		src.Each(func(node int, v int64) { s.at(node).Add(v) })
+	}
+	s.sort()
+	return s.entries
+}
+
+// len is how many series a dump of the family lists.
+func (f *family) len() int {
+	n := len(f.gauges.entries) + len(f.hists.entries)
+	switch {
+	case len(f.sources) == 0:
+		n += len(f.counters.entries)
+	case len(f.sources) == 1 && len(f.counters.entries) == 0:
+		n += f.sources[0].Len()
+	default:
+		n += len(f.combined())
+	}
+	return n
+}
+
 // CounterFamily is a handle on every counter named (layer, name).  A
-// layer that creates series per node or per link resolves the family
-// once and calls At per node: no string is hashed after that.  Methods
-// on a nil family return nil handles.
+// layer that creates series per node resolves the family once and
+// calls At per node: no string is hashed after that.  Methods on a nil
+// family return nil handles.
 type CounterFamily family
 
 // At returns the node's counter, creating it on first use.
@@ -342,14 +383,16 @@ type familyKey struct{ layer, name string }
 //
 // Series live in families, one per (layer, name); a series can only be
 // created through its family (Counter, Gauge and Histogram go through
-// it too), so the dump walks families and never meets a series it
-// would have to place by hashing or comparing strings.
+// it too) or served by one of its Sources, so the dump walks families
+// and never meets a series it would have to place by hashing or
+// comparing strings.
 type Registry struct {
 	byName map[familyKey]*family
 	// families is every family, in creation order until a dump sorts
 	// it in place by (layer, name); ordered says it still is.
 	families []*family
 	ordered  bool
+	onRead   []func()
 }
 
 // NewRegistry creates an empty registry.
@@ -390,6 +433,46 @@ func (r *Registry) HistogramFamily(layer, name string) *HistogramFamily {
 	return (*HistogramFamily)(r.family(layer, name))
 }
 
+// Source serves one family's counters from storage a layer keeps,
+// instead of from Counter values.  The registry only reads it, and
+// only while it is being read itself (Order, Snapshot, WriteBench,
+// CounterValue, and Merge from it), after its OnRead hooks have run.
+type Source interface {
+	// Len is how many series Each visits.
+	Len() int
+	// Each visits (node, value) once per series, in ascending node order.
+	Each(visit func(node int, v int64))
+}
+
+// CounterSource adds src to the counters named (layer, name).  It is
+// the one way a series enters the dump other than through its family's
+// At, and it is read-only: nothing writes through it.  Several sources,
+// or a source and plain counters, under one name add per node.  A nil
+// registry ignores the call.
+func (r *Registry) CounterSource(layer, name string, src Source) {
+	if f := r.family(layer, name); f != nil {
+		f.sources = append(f.sources, src)
+	}
+}
+
+// OnRead registers fn to run at the start of every read of the
+// registry, before anything is counted or visited.  A layer registers
+// its sources from it, so families it would otherwise create on its
+// hot path are built once, when a dump wants them.  A nil registry
+// ignores the call.
+func (r *Registry) OnRead(fn func()) {
+	if r != nil {
+		r.onRead = append(r.onRead, fn)
+	}
+}
+
+// read runs the OnRead hooks; every read of the registry starts here.
+func (r *Registry) read() {
+	for _, fn := range r.onRead {
+		fn()
+	}
+}
+
 // Counter returns the counter for (node, layer, name), creating it on
 // first use.  A nil registry returns a nil (no-op) handle, so layers
 // can resolve handles unconditionally.
@@ -398,21 +481,31 @@ func (r *Registry) Counter(node int, layer, name string) *Counter {
 }
 
 // CounterValue reads a counter without creating it: a missing key
-// reads as zero and leaves the registry untouched.  Invariant checks
-// and tests use this so that *reading* a dump-visible metric can never
-// add keys to the dump (Counter's get-or-create would).
+// reads as zero and creates no series.  Invariant checks and tests use
+// this so that *reading* a dump-visible metric can never add keys to
+// the dump (Counter's get-or-create would).  Like every read it runs
+// the OnRead hooks first, which register only what a dump would.
 func (r *Registry) CounterValue(node int, layer, name string) int64 {
 	if r == nil {
 		return 0
 	}
+	r.read()
 	f := r.byName[familyKey{layer, name}]
 	if f == nil {
 		return 0
 	}
+	var v int64
 	if c := f.counters.get(node); c != nil {
-		return c.v
+		v = c.v
 	}
-	return 0
+	for _, src := range f.sources {
+		src.Each(func(n int, x int64) {
+			if n == node {
+				v += x
+			}
+		})
+	}
+	return v
 }
 
 // Gauge returns the gauge for (node, layer, name), creating it on
@@ -437,10 +530,14 @@ func (r *Registry) Merge(o *Registry) {
 	if r == nil || o == nil {
 		return
 	}
+	o.read()
 	for _, of := range o.families {
 		f := r.family(of.layer, of.name)
 		for _, e := range of.counters.entries {
 			f.counters.at(e.node).Add(e.v.v)
+		}
+		for _, src := range of.sources {
+			src.Each(func(node int, v int64) { f.counters.at(node).Add(v) })
 		}
 		for _, e := range of.gauges.entries {
 			f.gauges.at(e.node).v += e.v.v
@@ -462,6 +559,7 @@ func (r *Registry) Order() (series, families int) {
 	if r == nil {
 		return 0, 0
 	}
+	r.read()
 	if !r.ordered {
 		slices.SortFunc(r.families, func(a, b *family) int {
 			if c := cmp.Compare(a.layer, b.layer); c != 0 {
@@ -475,7 +573,7 @@ func (r *Registry) Order() (series, families int) {
 		f.counters.sort()
 		f.gauges.sort()
 		f.hists.sort()
-		series += len(f.counters.entries) + len(f.gauges.entries) + len(f.hists.entries)
+		series += f.len()
 	}
 	return series, len(r.families)
 }
@@ -513,19 +611,19 @@ func (r *Registry) Snapshot() []Metric {
 	}
 	hists := make([]HistSummary, 0, nh) // one array behind every Hist
 	var key Key
-	visit := func(node int, c *Counter, g *Gauge, h *Histogram) {
+	visit := func(node int, v int64, g *Gauge, h *Histogram) {
 		key.Node = node
 		switch {
-		case c != nil:
-			out = append(out, Metric{Key: key, Kind: "counter", Count: c.v})
 		case g != nil:
 			out = append(out, Metric{Key: key, Kind: "gauge", Value: g.v})
-		default:
+		case h != nil:
 			hists = append(hists, HistSummary{
 				Sum: h.sum, Min: h.min, Max: h.max,
 				P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 			})
 			out = append(out, Metric{Key: key, Kind: "hist", Count: h.count, Hist: &hists[len(hists)-1]})
+		default:
+			out = append(out, Metric{Key: key, Kind: "counter", Count: v})
 		}
 	}
 	for _, f := range r.families {
@@ -557,7 +655,7 @@ func (r *Registry) WriteBench(w io.Writer, prefix string) error {
 	var err error
 	buf := make([]byte, 0, writeChunk+512)
 	var head []byte // "Benchmark<prefix>/<layer>/<name>/", once per family
-	visit := func(node int, c *Counter, g *Gauge, h *Histogram) {
+	visit := func(node int, v int64, g *Gauge, h *Histogram) {
 		if err != nil {
 			return
 		}
@@ -573,13 +671,10 @@ func (r *Registry) WriteBench(w io.Writer, prefix string) error {
 			buf = append(buf, " 1 "...)
 		}
 		switch {
-		case c != nil:
-			buf = strconv.AppendInt(buf, c.v, 10)
-			buf = append(buf, " count\n"...)
 		case g != nil:
 			buf = strconv.AppendFloat(buf, g.v, 'g', -1, 64)
 			buf = append(buf, " value\n"...)
-		default:
+		case h != nil:
 			for _, p := range [...]struct {
 				v    int64
 				unit string
@@ -590,6 +685,9 @@ func (r *Registry) WriteBench(w io.Writer, prefix string) error {
 				buf = strconv.AppendInt(buf, p.v, 10)
 				buf = append(buf, p.unit...)
 			}
+		default:
+			buf = strconv.AppendInt(buf, v, 10)
+			buf = append(buf, " count\n"...)
 		}
 		if len(buf) >= writeChunk {
 			_, err = w.Write(buf)

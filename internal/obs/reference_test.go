@@ -136,16 +136,76 @@ func (r *refRegistry) WriteBench(w io.Writer, prefix string) error {
 	return nil
 }
 
+// kept stands in for a layer that keeps counts in storage of its own
+// and serves them through CounterSource: values by family and node,
+// each family's source registered from the registry's OnRead hook on
+// the first read after its first value, as simnet does.
+type kept struct {
+	reg       *Registry
+	vals      map[familyKey]map[int]int64
+	published map[familyKey]bool
+}
+
+func newKept(reg *Registry) *kept {
+	k := &kept{reg: reg, vals: make(map[familyKey]map[int]int64), published: make(map[familyKey]bool)}
+	reg.OnRead(k.publish)
+	return k
+}
+
+func (k *kept) add(node int, layer, name string, v int64) {
+	fk := familyKey{layer, name}
+	if k.vals[fk] == nil {
+		k.vals[fk] = make(map[int]int64)
+	}
+	k.vals[fk][node] += v
+}
+
+func (k *kept) publish() {
+	for fk, vals := range k.vals {
+		if !k.published[fk] {
+			k.published[fk] = true
+			k.reg.CounterSource(fk.layer, fk.name, keptSource(vals))
+		}
+	}
+}
+
+// keptSource serves one family of a kept store.
+type keptSource map[int]int64
+
+func (s keptSource) Len() int { return len(s) }
+
+func (s keptSource) Each(visit func(node int, v int64)) {
+	nodes := make([]int, 0, len(s))
+	for node := range s {
+		nodes = append(nodes, node)
+	}
+	sort.Ints(nodes)
+	for _, node := range nodes {
+		visit(node, s[node])
+	}
+}
+
 // both drives a Registry and the reference through the same calls.
+// Counts kept in src reach the Registry through its sources, and the
+// reference holds them as plain counters.
 type both struct {
 	got *Registry
 	ref *refRegistry
+	src []*kept
 }
 
-func newBoth() both { return both{NewRegistry(), newRefRegistry()} }
+func newBoth() both { return both{got: NewRegistry(), ref: newRefRegistry()} }
 
-// check requires the two to agree on the snapshot and, byte for byte,
-// on the dump.
+// newSourced is newBoth with some counts kept outside the registry, in
+// two stores that may both serve one family.
+func newSourced() both {
+	b := newBoth()
+	b.src = []*kept{newKept(b.got), newKept(b.got)}
+	return b
+}
+
+// check requires the two to agree on the snapshot, byte for byte on
+// the dump, and on CounterValue.
 func (b both) check(t *testing.T, what string) {
 	t.Helper()
 	gs, rs := b.got.Snapshot(), b.ref.Snapshot()
@@ -167,16 +227,31 @@ func (b both) check(t *testing.T, what string) {
 	if !bytes.Equal(gb.Bytes(), rb.Bytes()) {
 		t.Fatalf("%s: dump differs (%d vs %d bytes)", what, gb.Len(), rb.Len())
 	}
+	for k := range b.ref.counters {
+		for _, node := range []int{k.Node, k.Node + 1} { // the key, and most likely no key
+			want := int64(0)
+			if c := b.ref.counters[Key{node, k.Layer, k.Name}]; c != nil {
+				want = c.v
+			}
+			if got := b.got.CounterValue(node, k.Layer, k.Name); got != want {
+				t.Fatalf("%s: CounterValue(%d, %s, %s) = %d, want %d", what, node, k.Layer, k.Name, got, want)
+			}
+		}
+	}
 }
 
 // fill applies n random operations: all three kinds, keys that collide
 // across kinds (one name pool for all), node-wide series, a dense node
 // range wide enough to push a family past scanMax and a sparse one that
 // never gets there, names whose string order is not their numeric order,
-// handles taken through the registry and through a family.
+// handles taken through the registry and through a family.  With
+// sources, a fifth of the counts go through them instead — under names
+// of their own, where a family may be one source alone, and under names
+// that also hold plain series of every kind.
 func (b both) fill(rng *rand.Rand, n int) {
 	layers := []string{"simnet", "byz", "b"}
 	names := []string{"link_n1_bytes", "link_n10_bytes", "link_n2_bytes", "x", "commits", "commit"}
+	kept := []string{"link_n3_drops", "link_n30_drops", "link_n1_bytes", "x"}
 	node := func() int {
 		switch rng.Intn(10) {
 		case 0:
@@ -190,6 +265,12 @@ func (b both) fill(rng *rand.Rand, n int) {
 	for i := 0; i < n; i++ {
 		layer, name, nd := layers[rng.Intn(len(layers))], names[rng.Intn(len(names))], node()
 		viaFamily := rng.Intn(2) == 0
+		if b.src != nil && rng.Intn(5) == 0 {
+			name, v := kept[rng.Intn(len(kept))], rng.Int63n(1000)
+			b.src[rng.Intn(len(b.src))].add(nd, layer, name, v)
+			b.ref.Counter(nd, layer, name).Add(v)
+			continue
+		}
 		switch rng.Intn(4) {
 		case 0, 1:
 			v := rng.Int63n(1000) - 10
@@ -220,28 +301,35 @@ func (b both) fill(rng *rand.Rand, n int) {
 }
 
 // TestRegistryMatchesReference is the byte-identity gate for the
-// family-indexed registry: seeded random registries must snapshot and
-// dump exactly as the map-keyed reference does — freshly built, after
-// more series arrive behind a dump that already ordered the rest, and
-// merged in a shuffled order.
+// family-indexed registry: seeded random registries must snapshot, dump
+// and answer CounterValue exactly as the map-keyed reference does —
+// freshly built, after more series arrive and kept values change
+// behind a dump that already ordered the rest, and merged in a shuffled
+// order into a plain registry and into one with sources of its own.
+// Half the parts keep some counts outside the registry (CounterSource);
+// the reference holds those as plain counters.
 func TestRegistryMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		parts := make([]both, 1+rng.Intn(4))
 		for i := range parts {
 			parts[i] = newBoth()
+			if rng.Intn(2) == 0 {
+				parts[i] = newSourced()
+			}
 			parts[i].fill(rng, rng.Intn(600))
 			parts[i].check(t, fmt.Sprintf("seed %d part %d", seed, i))
 			parts[i].fill(rng, rng.Intn(300))
 			parts[i].check(t, fmt.Sprintf("seed %d part %d, refilled", seed, i))
 		}
-		merged := newBoth()
-		merged.fill(rng, rng.Intn(100))
-		for _, i := range rng.Perm(len(parts)) {
-			merged.got.Merge(parts[i].got)
-			merged.ref.Merge(parts[i].ref)
+		for _, merged := range []both{newBoth(), newSourced()} {
+			merged.fill(rng, rng.Intn(100))
+			for _, i := range rng.Perm(len(parts)) {
+				merged.got.Merge(parts[i].got)
+				merged.ref.Merge(parts[i].ref)
+			}
+			merged.check(t, fmt.Sprintf("seed %d merged (sourced %v)", seed, merged.src != nil))
 		}
-		merged.check(t, fmt.Sprintf("seed %d merged", seed))
 	}
 
 	empty := newBoth()

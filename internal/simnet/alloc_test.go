@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,5 +222,148 @@ func TestLinkCountersAcrossTableGrowth(t *testing.T) {
 	}
 	if got := net.KindBytes("bulk"); got != net.Stats().BytesSent || net.KindBytes("none") != 0 {
 		t.Fatalf("KindBytes(bulk) = %d of %d sent; KindBytes(none) = %d", got, net.Stats().BytesSent, net.KindBytes("none"))
+	}
+}
+
+// TestSendDeliverZeroAllocInstrumented is TestSendDeliverZeroAlloc with
+// a registry attached: a send on a link that already exists is one
+// probe of the link table and an add, and the aggregate counters are
+// field increments.
+func TestSendDeliverZeroAllocInstrumented(t *testing.T) {
+	k := sim.NewKernel(1)
+	net := New(k, Config{BaseLatency: time.Millisecond})
+	a := net.AddNode(0, 0).ID
+	b := net.AddNode(0, 0).ID
+	delivered := 0
+	net.Node(b).Handle(func(m Message) { delivered++ })
+	reg := obs.NewRegistry()
+	net.Instrument(reg, nil)
+	for i := 0; i < 8; i++ {
+		net.Send(a, b, "alloc-probe", nil, 16)
+	}
+	k.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		net.Send(a, b, "alloc-probe", nil, 16)
+		k.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("instrumented send+deliver allocated %.1f per message, want 0", allocs)
+	}
+	if got := reg.CounterValue(int(a), "simnet", fmt.Sprintf("link_n%d_bytes", b)); got != 16*int64(delivered) {
+		t.Fatalf("link %d->%d counted %d bytes for %d deliveries of 16", a, b, got, delivered)
+	}
+}
+
+// TestLinkCountersStayWithTheirRegistry: re-pointing the network at
+// another registry leaves the first one its own counts — read after
+// the switch, not before — and Instrument(nil) detaches, so later
+// traffic reaches neither.
+func TestLinkCountersStayWithTheirRegistry(t *testing.T) {
+	k := sim.NewKernel(6)
+	net := New(k, Config{})
+	net.AddRandomNodes(3, 10, 1)
+	net.HandleAll(func(NodeID, Message) {})
+	first, second := obs.NewRegistry(), obs.NewRegistry()
+	net.Instrument(first, nil)
+	net.Send(0, 1, "x", nil, 10)
+	k.Run()
+	net.Instrument(second, nil)
+	net.Send(0, 1, "x", nil, 20)
+	net.Send(2, 1, "x", nil, 30)
+	k.Run()
+	net.Node(1).SetDown(true)
+	net.Send(0, 1, "x", nil, 5) // dropped at delivery
+	k.Run()
+	net.Node(1).SetDown(false)
+	net.Instrument(nil, nil)
+	net.Send(0, 1, "x", nil, 40)
+	net.Send(0, 2, "x", nil, 50)
+	k.Run()
+	for _, c := range []struct {
+		reg        *obs.Registry
+		from       int
+		name       string
+		want       int64
+		wantSeries int
+	}{
+		{first, 0, "link_n1_bytes", 10, 2},
+		{first, 2, "link_n1_bytes", 0, 2},
+		{first, 0, "link_n1_drops", 0, 2},
+		{second, 0, "link_n1_bytes", 25, 4},
+		{second, 2, "link_n1_bytes", 30, 4},
+		{second, 0, "link_n1_drops", 1, 4},
+		{second, 0, "link_n2_bytes", 0, 4},
+	} {
+		if got := c.reg.CounterValue(c.from, "simnet", c.name); got != c.want {
+			t.Fatalf("registry %p: %s from n%d = %d, want %d", c.reg, c.name, c.from, got, c.want)
+		}
+		links := 0
+		for _, m := range c.reg.Snapshot() {
+			if strings.HasPrefix(m.Key.Name, "link_") {
+				links++
+			}
+		}
+		if links != c.wantSeries {
+			t.Fatalf("registry %p dumps %d link series, want %d", c.reg, links, c.wantSeries)
+		}
+	}
+	if a, b := first.CounterValue(obs.NodeWide, "simnet", "bytes_sent"), second.CounterValue(obs.NodeWide, "simnet", "bytes_sent"); a != 10 || b != 55 {
+		t.Fatalf("bytes_sent = %d and %d, want 10 and 55", a, b)
+	}
+}
+
+// TestHeapPerLink bounds what a link costs to count with a registry
+// attached: the live heap per link between two link counts, in a
+// 100 000-node network with scale-100k's fan-in skew — two thirds of
+// the links into the busiest 1 024 of 15 760 destinations — read once,
+// as a dump reads it, so the destinations' families count too.  The
+// bound is the 59 B measured when link counts moved into the link
+// table, plus 25 %; a Counter and two series per link cost 168 B.
+func TestHeapPerLink(t *testing.T) {
+	const nodes, dests, small, large, bound = 100_000, 15_760, 60_000, 240_000, 59 * 1.25
+	live := func(sends int) (heap int64, links int) {
+		k := sim.NewKernel(1)
+		net := New(k, Config{})
+		for i := 0; i < nodes; i++ {
+			net.AddNode(0, 0)
+		}
+		net.HandleAll(func(NodeID, Message) {})
+		reg := obs.NewRegistry()
+		net.Instrument(reg, nil)
+		x := uint64(1)
+		next := func(n int) NodeID { // xorshift: any fixed scatter will do
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return NodeID(x % uint64(n))
+		}
+		to := make([]NodeID, dests)
+		for d := range to {
+			to[d] = next(nodes)
+		}
+		for i := 0; i < sends; i++ {
+			d := next(dests)
+			if i%3 != 0 {
+				d = next(1024)
+			}
+			net.Send(next(nodes), to[d], "probe", nil, 64)
+			if i%1024 == 0 {
+				k.Run()
+			}
+		}
+		k.Run()
+		reg.Order()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(reg)
+		return int64(ms.HeapAlloc), net.om.links.used
+	}
+	h1, l1 := live(small)
+	h2, l2 := live(large)
+	perLink := float64(h2-h1) / float64(l2-l1)
+	t.Logf("live heap %.1f -> %.1f MB over %d -> %d links: %.0f B/link", float64(h1)/(1<<20), float64(h2)/(1<<20), l1, l2, perLink)
+	if perLink > bound {
+		t.Fatalf("%.0f B of live heap per link, bound %.0f", perLink, bound)
 	}
 }

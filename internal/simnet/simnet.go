@@ -326,56 +326,69 @@ var (
 func (e event) isDrop() bool { return e >= evDropCrash && e <= evDropNoHandler }
 
 // netMetrics caches the network's obs handles so the per-message path
-// never does a map lookup for the aggregate counters.  Per-link
-// counters are created lazily on first traffic over the link.
+// never does a map lookup for the aggregate counters.  Per-link counts
+// stay here, in links and drops; the registry reads them through one
+// pair of sources per destination, which publish registers when the
+// registry is first read after the destination's first link appears.
 type netMetrics struct {
 	reg            *obs.Registry
 	events         [numEvents]*obs.Counter
 	bytes, retries *obs.Counter
-	links          linkTable
 	kindRetries    map[string]*obs.Counter
-	// linkFams holds, per destination, the two families its links'
-	// counters live in ("link_n7_bytes", "link_n7_drops"): the names
-	// depend only on the destination, so they are formatted and interned
-	// once, and a new link into it costs two appends to those families.
-	linkFams []linkFamilies
+	links          linkTable
+	// drops counts each link's lost messages by link key: a run drops
+	// few, so they take a small map rather than a column in every slot.
+	drops map[uint64]int64
+	// order is every link key in the table, ascending — by destination,
+	// then source, the order a dump lists them — as of the last read;
+	// published marks the destinations whose sources are registered.
+	order     []uint64
+	published []bool
 }
 
-type linkFamilies struct{ bytes, drops *obs.CounterFamily }
-
-type linkMetrics struct {
-	bytes, drops *obs.Counter
-}
-
-// linkTable finds a link's counters from the packed (from, to) pair: one
-// open-addressed array with the handles inline, probed once per send.
-// One table for the world rather than one per sender — no spine of 100k
-// headers — and a hit costs a multiply, one cache line of slots and the
-// counter itself, where a generic map walks a directory, a control
-// word and a slot to reach a pointer to the pair.
+// linkTable holds every link's byte count, found from the packed key:
+// one open-addressed array of 16-byte, pointer-free slots, probed once
+// per send.  One table for the world rather than one per sender — no
+// spine of 100k headers — and a hit costs a multiply and one cache
+// line of slots, where a generic map walks a directory, a control word
+// and a slot.
 type linkTable struct {
-	slots []linkSlot // length a power of two; a slot is free while bytes == nil
+	slots []linkSlot // length a power of two; a slot is free while key == 0
 	used  int
 	shift uint // 64 - log2(len(slots))
 }
 
 type linkSlot struct {
-	key uint64
-	linkMetrics
+	key   uint64
+	bytes int64
 }
 
+// linkKey packs a link as (to+1, from), so no key is 0 and keys sort by
+// destination, then source.
 func linkKey(from, to NodeID) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
+	return uint64(uint32(to)+1)<<32 | uint64(uint32(from))
 }
 
 // slot returns the slot holding key, or the free slot where it belongs.
 func (t *linkTable) slot(key uint64) *linkSlot {
 	mask := uint64(len(t.slots) - 1)
 	for i := key * 0x9E3779B97F4A7C15 >> t.shift; ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.bytes == nil || s.key == key {
+		if s := &t.slots[i]; s.key == 0 || s.key == key {
 			return s
 		}
 	}
+}
+
+// at returns key's slot, claiming one for a link not seen before.
+func (t *linkTable) at(key uint64) *linkSlot {
+	s := t.slot(key)
+	if s.key == 0 {
+		t.reserve()
+		s = t.slot(key)
+		s.key = key
+		t.used++
+	}
+	return s
 }
 
 // reserve makes room for one more link, keeping the table under half
@@ -389,58 +402,100 @@ func (t *linkTable) reserve() {
 	t.slots = make([]linkSlot, max(2*len(old), 1024))
 	t.shift = uint(64 - bits.TrailingZeros(uint(len(t.slots))))
 	for _, s := range old {
-		if s.bytes != nil {
+		if s.key != 0 {
 			*t.slot(s.key) = s
 		}
 	}
 }
 
-// link resolves (lazily creating) the per-link counters for from→to.
-// Names encode the destination, so Key.Node carries the source: the
-// pair answers "bytes/drops per link" (§5's per-flow observation).
-func (n *Network) link(from, to NodeID) linkMetrics {
-	m := n.om
-	key := linkKey(from, to)
-	s := m.links.slot(key)
-	if s.bytes == nil {
-		if int(to) >= len(m.linkFams) {
-			m.linkFams = append(m.linkFams, make([]linkFamilies, len(n.addrs)-len(m.linkFams))...)
-		}
-		fams := &m.linkFams[to]
-		if fams.bytes == nil {
-			name := strconv.AppendInt([]byte("link_n"), int64(to), 10)
-			fams.bytes = m.reg.CounterFamily("simnet", string(append(name, "_bytes"...)))
-			fams.drops = m.reg.CounterFamily("simnet", string(append(name, "_drops"...)))
-		}
-		lm := linkMetrics{bytes: fams.bytes.At(int(from)), drops: fams.drops.At(int(from))}
-		m.links.reserve()
-		s = m.links.slot(key)
-		*s = linkSlot{key, lm}
-		m.links.used++
+// publish is the registry's OnRead hook.  It sorts the link keys when
+// links have been added since the last read, and registers the two
+// families of each destination it has not seen — "link_n7_bytes" and
+// "link_n7_drops", named for the destination and keyed by the source,
+// so the pair answers "bytes/drops per link" (§5's per-flow
+// observation).
+func (m *netMetrics) publish() {
+	if len(m.order) == m.links.used {
+		return
 	}
-	return s.linkMetrics
+	m.order = slices.Grow(m.order[:0], m.links.used)
+	for _, s := range m.links.slots {
+		if s.key != 0 {
+			m.order = append(m.order, s.key)
+		}
+	}
+	slices.Sort(m.order)
+	for i, k := range m.order {
+		to := NodeID(k>>32) - 1
+		if i > 0 && m.order[i-1]>>32 == k>>32 {
+			continue
+		}
+		if int(to) >= len(m.published) {
+			m.published = append(m.published, make([]bool, int(to)+1-len(m.published))...)
+		}
+		if m.published[to] {
+			continue
+		}
+		m.published[to] = true
+		name := strconv.AppendInt([]byte("link_n"), int64(to), 10)
+		m.reg.CounterSource("simnet", string(append(name, "_bytes"...)), linkSource{m, to, false})
+		m.reg.CounterSource("simnet", string(append(name, "_drops"...)), linkSource{m, to, true})
+	}
+}
+
+// into returns the keys of the links into to, by source.
+func (m *netMetrics) into(to NodeID) []uint64 {
+	i, _ := slices.BinarySearch(m.order, linkKey(0, to))
+	j, _ := slices.BinarySearch(m.order, linkKey(0, to+1))
+	return m.order[i:j]
+}
+
+// linkSource serves one destination's family to the registry: its
+// links' bytes, or their drops, keyed by source.
+type linkSource struct {
+	m     *netMetrics
+	to    NodeID
+	drops bool
+}
+
+func (s linkSource) Len() int { return len(s.m.into(s.to)) }
+
+func (s linkSource) Each(visit func(node int, v int64)) {
+	for _, k := range s.m.into(s.to) {
+		if s.drops {
+			visit(int(uint32(k)), s.m.drops[k])
+		} else {
+			visit(int(uint32(k)), s.m.links.slot(k).bytes)
+		}
+	}
 }
 
 // Instrument attaches an obs registry and/or tracer to the network.
 // Pass nil for either to disable that half; call again to re-point.
-// Instrumentation never alters behaviour — no RNG draws, no events —
-// so instrumented and bare runs take identical trajectories.
+// A registry keeps reading the link counts it was attached for, so
+// one re-pointed away keeps its own, and one attached again adds the
+// new counts to them.  Instrumentation never alters behaviour — no RNG
+// draws, no events — so instrumented and bare runs take identical
+// trajectories.
 func (n *Network) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	n.otr = tr
 	if reg == nil {
 		n.om = nil
 		return
 	}
-	n.om = &netMetrics{
+	m := &netMetrics{
 		reg:         reg,
 		bytes:       reg.Counter(obs.NodeWide, "simnet", "bytes_sent"),
 		retries:     reg.Counter(obs.NodeWide, "simnet", "retries"),
 		kindRetries: make(map[string]*obs.Counter),
+		drops:       make(map[uint64]int64),
 	}
 	for ev, name := range eventCounters {
-		n.om.events[ev] = reg.Counter(obs.NodeWide, "simnet", name)
+		m.events[ev] = reg.Counter(obs.NodeWide, "simnet", name)
 	}
-	n.om.links.reserve()
+	m.links.reserve()
+	reg.OnRead(m.publish)
+	n.om = m
 }
 
 // New creates an empty network over kernel k.
@@ -575,9 +630,11 @@ func (n *Network) emit(ev event, m Message) {
 		switch {
 		case ev == evSend:
 			om.bytes.Add(int64(m.Size))
-			n.link(m.From, m.To).bytes.Add(int64(m.Size))
+			om.links.at(linkKey(m.From, m.To)).bytes += int64(m.Size)
 		case ev.isDrop():
-			n.link(m.From, m.To).drops.Inc()
+			key := linkKey(m.From, m.To)
+			om.links.at(key) // a link that only ever dropped is still dumped
+			om.drops[key]++
 		}
 	}
 }
