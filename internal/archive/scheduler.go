@@ -136,7 +136,7 @@ func NewScheduler(svc *Service, cfg SchedulerConfig) *Scheduler {
 // behaviour.
 func (sc *Scheduler) Instrument(reg *obs.Registry) {
 	c := func(name string) *obs.Counter {
-		return reg.Counter(obs.NodeWide, "scrub", name)
+		return reg.Counter("scrub", name)
 	}
 	sc.metrics = schedMetrics{
 		scrubFrags:      c("frags"),

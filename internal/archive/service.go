@@ -134,7 +134,7 @@ type archMetrics struct {
 func (s *Service) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.otr = tr
 	c := func(name string) *obs.Counter {
-		return reg.Counter(obs.NodeWide, "archive", name)
+		return reg.Counter("archive", name)
 	}
 	s.om = archMetrics{
 		archives:      c("archives"),
@@ -149,7 +149,7 @@ func (s *Service) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		retryRounds:   c("retry_rounds"),
 		repairs:       c("repairs"),
 		repairFailed:  c("repair_failed"),
-		retrievalLat:  reg.Histogram(obs.NodeWide, "archive", "retrieval_latency_ns"),
+		retrievalLat:  reg.Histogram("archive", "retrieval_latency_ns"),
 	}
 }
 

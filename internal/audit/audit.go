@@ -228,7 +228,7 @@ func New(net *simnet.Network, svc *archive.Service, cfg Config) *Auditor {
 func (a *Auditor) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	a.otr = tr
 	c := func(name string) *obs.Counter {
-		return reg.Counter(obs.NodeWide, "audit", name)
+		return reg.Counter("audit", name)
 	}
 	a.om = auditMetrics{
 		polls:        c("polls"),
@@ -242,7 +242,7 @@ func (a *Auditor) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		repairs:      c("repairs"),
 		repairFailed: c("repair_failed"),
 		suppressed:   c("suppressed"),
-		detectLat:    reg.Histogram(obs.NodeWide, "audit", "detection_latency_ns"),
+		detectLat:    reg.Histogram("audit", "detection_latency_ns"),
 	}
 }
 

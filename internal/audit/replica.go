@@ -50,9 +50,9 @@ func (ra *ReplicaAuditor) AddRing(r *replica.Ring) { ra.rings = append(ra.rings,
 // Instrument attaches registry counters (counting never steers).
 func (ra *ReplicaAuditor) Instrument(reg *obs.Registry) {
 	ra.om = replicaAuditMetrics{
-		checks:     reg.Counter(obs.NodeWide, "audit", "replica_checks"),
-		detections: reg.Counter(obs.NodeWide, "audit", "replica_detections"),
-		repairs:    reg.Counter(obs.NodeWide, "audit", "replica_repairs"),
+		checks:     reg.Counter("audit", "replica_checks"),
+		detections: reg.Counter("audit", "replica_detections"),
+		repairs:    reg.Counter("audit", "replica_repairs"),
 	}
 }
 

@@ -285,15 +285,15 @@ type byzMetrics struct {
 func (g *Group) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	g.otr = tr
 	g.om = byzMetrics{
-		submits:           reg.Counter(obs.NodeWide, "byz", "submits"),
-		commits:           reg.Counter(obs.NodeWide, "byz", "commits"),
-		clientRetransmits: reg.Counter(obs.NodeWide, "byz", "client_retransmits"),
-		voteRefreshes:     reg.Counter(obs.NodeWide, "byz", "vote_refreshes"),
-		viewVoteTimeouts:  reg.Counter(obs.NodeWide, "byz", "view_vote_timeouts"),
-		viewInstalls:      reg.Counter(obs.NodeWide, "byz", "view_installs"),
-		reReplies:         reg.Counter(obs.NodeWide, "byz", "re_replies"),
-		executes:          reg.Counter(obs.NodeWide, "byz", "executes"),
-		commitLatency:     reg.Histogram(obs.NodeWide, "byz", "commit_latency_ns"),
+		submits:           reg.Counter("byz", "submits"),
+		commits:           reg.Counter("byz", "commits"),
+		clientRetransmits: reg.Counter("byz", "client_retransmits"),
+		voteRefreshes:     reg.Counter("byz", "vote_refreshes"),
+		viewVoteTimeouts:  reg.Counter("byz", "view_vote_timeouts"),
+		viewInstalls:      reg.Counter("byz", "view_installs"),
+		reReplies:         reg.Counter("byz", "re_replies"),
+		executes:          reg.Counter("byz", "executes"),
+		commitLatency:     reg.Histogram("byz", "commit_latency_ns"),
 	}
 }
 

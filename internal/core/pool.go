@@ -14,6 +14,7 @@ import (
 	"oceanstore/internal/acl"
 	"oceanstore/internal/archive"
 	"oceanstore/internal/crypt"
+	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 	"oceanstore/internal/obs"
@@ -45,7 +46,7 @@ type PoolConfig struct {
 	// fills every node's routing table by scanning every other node —
 	// O(n²) table fill, the measured reason soak worlds leave it out —
 	// so soak deployments, which address replicas directly, set NoMesh
-	// and build in O(n); a near-linear builder is ROADMAP item 3.
+	// and build in O(n); a near-linear builder is ROADMAP item 5.
 	// Locate and Router are unavailable on a meshless pool.
 	NoMesh bool
 	// StoreFactory, when set, selects the fragment-store backend each
@@ -102,6 +103,9 @@ type Pool struct {
 
 	obsReg *obs.Registry
 	obsTr  *obs.Tracer
+	// tally holds obsReg's epidemic counts, one slot per hosting node,
+	// for every ring.
+	tally *epidemic.Tally
 }
 
 // Instrument attaches an observability registry and/or tracer to the
@@ -110,7 +114,7 @@ type Pool struct {
 // for either disables that sink.  Instrumentation is counting only —
 // it draws no randomness and never alters a run's trajectory.
 func (p *Pool) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	p.obsReg, p.obsTr = reg, tr
+	p.obsReg, p.obsTr, p.tally = reg, tr, epidemic.NewTally(reg)
 	p.Net.Instrument(reg, tr)
 	p.Arch.Instrument(reg, tr)
 	if p.router != nil {
@@ -119,7 +123,7 @@ func (p *Pool) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	// Registry handle creation is order-insensitive and Snapshot sorts,
 	// so map iteration order here cannot leak into the output.
 	for _, st := range p.objects {
-		st.ring.Instrument(reg, tr)
+		st.ring.Instrument(reg, tr, p.tally)
 	}
 }
 
@@ -207,7 +211,7 @@ func (p *Pool) CreateObject(owner *crypt.Signer, name string, initial []byte, ke
 	}
 	ring.CheckWrite = p.ACLs.CheckWrite
 	if p.obsReg != nil || p.obsTr != nil {
-		ring.Instrument(p.obsReg, p.obsTr)
+		ring.Instrument(p.obsReg, p.obsTr, p.tally)
 	}
 	st := &objState{ring: ring, name: name}
 	p.objects[obj] = st

@@ -293,7 +293,7 @@ func (w *SoakWorld) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	if w.sched != nil {
 		w.sched.Instrument(reg)
 	}
-	w.cReadWire = reg.Counter(obs.NodeWide, "introspect", "read_wire_bytes")
+	w.cReadWire = reg.Counter("introspect", "read_wire_bytes")
 	w.cReadWire.Add(w.readWire)
 	if w.ctrl != nil {
 		w.ctrl.Instrument(reg)

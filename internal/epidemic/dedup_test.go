@@ -9,7 +9,6 @@ import (
 
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
-	"oceanstore/internal/obs"
 	"oceanstore/internal/update"
 )
 
@@ -30,8 +29,8 @@ func TestDuplicateCommitReturnsLoggedOutcome(t *testing.T) {
 	serialised := []*update.Update{good, stale}
 
 	primary, sec := New(v0), New(v0)
-	reg := obs.NewRegistry()
-	sec.Instrument(NewFamilies(reg), 4)
+	var counts Counts
+	sec.Instrument(&counts)
 	sec.AddTentative(good) // the client's Fig-5a copy got there first
 	want := make([]update.Outcome, len(serialised))
 	for i, u := range serialised {
@@ -52,7 +51,7 @@ func TestDuplicateCommitReturnsLoggedOutcome(t *testing.T) {
 		t.Fatalf("duplicates changed state: log %d, committed %d, tentative %d",
 			sec.Log.Len(), sec.CommittedLen(), len(sec.tentative))
 	}
-	if got := reg.CounterValue(4, "epidemic", "dup_commits"); got != 2 {
+	if got := counts[DupCommits]; got != 2 {
 		t.Fatalf("dup_commits = %d, want 2", got)
 	}
 	if got := read(t, sec.CommittedState(), k); got != "base.A" {
@@ -78,8 +77,8 @@ func TestCheckpointCoversItsWindow(t *testing.T) {
 	adopter.AddTentative(covered.Update) // its Fig-5a copy got there first
 	adopter.Adopt(src.Checkpoint())
 	for name, r := range map[string]*Replica{"joined": joiner, "adopted": adopter} {
-		reg := obs.NewRegistry()
-		r.Instrument(NewFamilies(reg), 1)
+		var counts Counts
+		r.Instrument(&counts)
 		if got := r.Commit(covered.Update, 2, 50); got != covered.Outcome {
 			t.Fatalf("%s: late push answered %+v, logged %+v", name, got, covered.Outcome)
 		}
@@ -93,7 +92,7 @@ func TestCheckpointCoversItsWindow(t *testing.T) {
 		if c, a := r.Log.Counts(); c != 0 || a != 0 {
 			t.Fatalf("%s: log tallies %d+%d, want the copy uncounted", name, c, a)
 		}
-		if got := reg.CounterValue(1, "epidemic", "dup_commits"); got != 1 {
+		if got := counts[DupCommits]; got != 1 {
 			t.Fatalf("%s: dup_commits = %d, want 1", name, got)
 		}
 	}
@@ -110,13 +109,12 @@ func TestDedupTableIsWindowPlusTentative(t *testing.T) {
 	k := testKey(77)
 	v0 := object.NewObject([]byte("base."), 8, k)
 	rng := rand.New(rand.NewSource(29))
-	reg := obs.NewRegistry()
-	fam := NewFamilies(reg)
+	var counts Counts // every secondary's, together
 	primary := New(v0)
 	reps := make([]*Replica, 3)
 	for i := range reps {
 		reps[i] = New(v0)
-		reps[i].Instrument(fam, i)
+		reps[i].Instrument(&counts)
 	}
 	client := guid.FromData([]byte("schedule"))
 	var proposed, order []*update.Update // proposed but unserialised; the serial order
@@ -158,10 +156,10 @@ func TestDedupTableIsWindowPlusTentative(t *testing.T) {
 			switch i := slices.Index(reps, r); rng.Intn(3) {
 			case 0:
 				reps[i] = NewAt(primary.Checkpoint())
-				reps[i].Instrument(fam, i)
+				reps[i].Instrument(&counts)
 			case 1:
 				reps[i] = New(v0)
-				reps[i].Instrument(fam, i)
+				reps[i].Instrument(&counts)
 			default:
 				r.CatchUp(primary.Checkpoint(), now)
 			}
@@ -184,13 +182,9 @@ func TestDedupTableIsWindowPlusTentative(t *testing.T) {
 	if primary.Log.Start() == 0 {
 		t.Fatal("the primary's log never trimmed")
 	}
-	for _, c := range []string{"commits", "dup_commits", "expired", "checkpoints"} {
-		n := int64(0)
-		for i := range reps {
-			n += reg.CounterValue(i, "epidemic", c)
-		}
-		if n == 0 {
-			t.Fatalf("no secondary counted epidemic/%s", c)
+	for _, c := range []int{Commits, DupCommits, Expired, Checkpoints} {
+		if counts[c] == 0 {
+			t.Fatalf("no secondary counted epidemic/%s", countNames[c])
 		}
 	}
 }
@@ -246,8 +240,8 @@ func TestCommitPastLogEndWaits(t *testing.T) {
 	v0 := object.NewObject([]byte("base."), 8, k)
 	c := guid.FromData([]byte("c"))
 	primary, sec := New(v0), New(v0)
-	reg := obs.NewRegistry()
-	sec.Instrument(NewFamilies(reg), 2)
+	var counts Counts
+	sec.Instrument(&counts)
 	var order []*update.Update
 	for i, s := range []string{"a", "b", "c"} {
 		u := appendUpdate(t, primary.CommittedState(), k, s, c, uint64(i+1), time.Duration(i))
@@ -261,7 +255,7 @@ func TestCommitPastLogEndWaits(t *testing.T) {
 	if sec.CommittedLen() != 1 || sec.Seen(order[2].ID()) || read(t, sec.CommittedState(), k) != "base.a" {
 		t.Fatalf("a commit past the log end was applied: length %d", sec.CommittedLen())
 	}
-	if got := reg.CounterValue(2, "epidemic", "dup_commits"); got != 0 {
+	if got := counts[DupCommits]; got != 0 {
 		t.Fatalf("dup_commits = %d for a commit the replica never had", got)
 	}
 	if moved := AntiEntropy(primary, sec, 12); moved != 2 {

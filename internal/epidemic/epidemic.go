@@ -51,71 +51,107 @@ type Replica struct {
 	// candidate replica of every read.
 	Log update.Log
 
-	om epiMetrics
+	// counts is the hosting node's slot in a Tally; nil counts nothing.
+	counts *Counts
 }
 
 // isTentative is known's mark for an update held only tentatively.
 const isTentative = -1
 
-// epiMetrics holds pre-resolved per-replica observability handles; the
-// zero value is "not instrumented" (nil handles count nothing).
-type epiMetrics struct {
-	tentative   *obs.Counter
-	commits     *obs.Counter
-	aborts      *obs.Counter
-	dupCommits  *obs.Counter
-	replays     *obs.Counter
-	expired     *obs.Counter
-	checkpoints *obs.Counter
+// The counts a hosting node keeps, indexes into Counts, in the order
+// countNames lists their series.
+const (
+	Tentative   = iota // updates first met tentatively
+	Commits            // committed updates applied at the log end
+	Aborts             // aborted updates logged at the log end
+	DupCommits         // commits that arrived again
+	Replays            // tentative states rebuilt
+	Expired            // tentative updates dropped for age
+	Checkpoints        // checkpoint transfers adopted
+	numCounts
+)
+
+var countNames = [numCounts]string{"tentative", "commits", "aborts", "dup_commits", "replays", "expired", "checkpoints"}
+
+// Counts is what the replicas on one hosting node have counted, every
+// object's together.  Methods on a nil *Counts count nothing, so an
+// uninstrumented replica pays one nil check.
+type Counts [numCounts]int64
+
+func (c *Counts) add(i int, n int64) {
+	if c != nil {
+		c[i] += n
+	}
 }
 
-// Families is the epidemic layer's counter families on one registry.
-// Every replica of every object reports into the same seven, one series
-// per hosting node, so whoever instruments replicas in bulk (a ring,
-// for its primary state and each secondary) resolves the names once
-// and pays an integer lookup per replica.
-type Families struct {
-	tentative, commits, aborts, dupCommits, replays, expired, checkpoints *obs.CounterFamily
+// Tally is the epidemic layer's counts on one registry: one Counts per
+// hosting node, in a slice indexed by node, served to the registry as
+// one CounterSource per count that walks the slice in node order.  A
+// slot outlives the replicas that count into it: a retired replica's
+// counts stay in the dump, and a replica that returns to the node adds
+// to them.
+type Tally struct {
+	reg   *obs.Registry
+	nodes []*Counts
+	hosts int // non-nil slots
 }
 
-// NewFamilies resolves the layer's families on reg; a nil registry
-// gives nil, which Instrument takes as "detach".
-func NewFamilies(reg *obs.Registry) *Families {
+// NewTally creates the tally for reg; a nil registry gives a nil tally,
+// whose At gives nil Counts.
+func NewTally(reg *obs.Registry) *Tally {
 	if reg == nil {
 		return nil
 	}
-	return &Families{
-		tentative:   reg.CounterFamily("epidemic", "tentative"),
-		commits:     reg.CounterFamily("epidemic", "commits"),
-		aborts:      reg.CounterFamily("epidemic", "aborts"),
-		dupCommits:  reg.CounterFamily("epidemic", "dup_commits"),
-		replays:     reg.CounterFamily("epidemic", "replays"),
-		expired:     reg.CounterFamily("epidemic", "expired"),
-		checkpoints: reg.CounterFamily("epidemic", "checkpoints"),
+	return &Tally{reg: reg}
+}
+
+// At returns the node's slot, making it on first use.  The first slot
+// registers the tally's sources, so a registry no replica reports into
+// holds no epidemic families.
+func (t *Tally) At(node int) *Counts {
+	if t == nil {
+		return nil
+	}
+	for len(t.nodes) <= node {
+		t.nodes = append(t.nodes, nil)
+	}
+	if t.nodes[node] == nil {
+		if t.hosts == 0 {
+			for c, name := range countNames {
+				t.reg.CounterSource("epidemic", name, tallySource{t, c})
+			}
+		}
+		t.nodes[node] = new(Counts)
+		t.hosts++
+	}
+	return t.nodes[node]
+}
+
+// tallySource serves one count of a Tally, a series per hosting node.
+type tallySource struct {
+	t *Tally
+	c int
+}
+
+func (s tallySource) Len() int { return s.t.hosts }
+
+func (s tallySource) Each(visit func(node int, v int64)) {
+	for node, c := range s.t.nodes {
+		if c != nil {
+			visit(node, c[s.c])
+		}
 	}
 }
 
-// Instrument attaches observability counters keyed to the hosting node.
-// Counts already accumulated in the log are back-filled so a replica
-// instrumented after creation still reports its full history.  Counting
-// never changes replica behaviour.
-func (r *Replica) Instrument(f *Families, node int) {
-	if f == nil {
-		r.om = epiMetrics{}
-		return
-	}
-	r.om = epiMetrics{
-		tentative:   f.tentative.At(node),
-		commits:     f.commits.At(node),
-		aborts:      f.aborts.At(node),
-		dupCommits:  f.dupCommits.At(node),
-		replays:     f.replays.At(node),
-		expired:     f.expired.At(node),
-		checkpoints: f.checkpoints.At(node),
-	}
-	c, a := r.Log.Counts()
-	r.om.commits.Add(int64(c))
-	r.om.aborts.Add(int64(a))
+// Instrument points the replica's counting at c, its hosting node's
+// slot in a Tally; nil detaches it.  Commits and aborts already in the
+// log are back-filled, so a replica instrumented after creation still
+// reports its full history.  Counting never changes replica behaviour.
+func (r *Replica) Instrument(c *Counts) {
+	r.counts = c
+	commits, aborts := r.Log.Counts()
+	c.add(Commits, int64(commits))
+	c.add(Aborts, int64(aborts))
 }
 
 // New creates a secondary replica starting from the initial version.
@@ -166,7 +202,7 @@ func (r *Replica) AddTentative(u *update.Update) bool {
 	if u.Seq > r.vv[u.ClientID] {
 		r.vv[u.ClientID] = u.Seq
 	}
-	r.om.tentative.Inc()
+	r.counts.add(Tentative, 1)
 	r.cacheValid = false
 	return true
 }
@@ -189,7 +225,7 @@ func (r *Replica) Commit(u *update.Update, pos int, now time.Duration) update.Ou
 	}
 	switch end := r.Log.Len(); {
 	case pos < end:
-		r.om.dupCommits.Inc()
+		r.counts.add(DupCommits, 1)
 		if pos < r.Log.Start() {
 			return update.Outcome{}
 		}
@@ -218,9 +254,9 @@ func (r *Replica) Commit(u *update.Update, pos int, now time.Duration) update.Ou
 	r.trim()
 	r.expire(now)
 	if out.Committed {
-		r.om.commits.Inc()
+		r.counts.add(Commits, 1)
 	} else {
-		r.om.aborts.Inc()
+		r.counts.add(Aborts, 1)
 	}
 	r.cacheValid = false
 	return out
@@ -238,7 +274,7 @@ func (r *Replica) TentativeState(now time.Duration) *object.Version {
 	if r.cacheValid {
 		return r.cached
 	}
-	r.om.replays.Inc()
+	r.counts.add(Replays, 1)
 	v := r.base
 	for _, u := range r.tentative {
 		next, out, err := update.Apply(u, v, now)

@@ -8,7 +8,6 @@ import (
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
-	"oceanstore/internal/obs"
 	"oceanstore/internal/update"
 )
 
@@ -302,16 +301,16 @@ func TestTentativeReplayDefersTheMerkleRoot(t *testing.T) {
 }
 
 // TestInstrumentNilDetaches: instrumenting with a nil registry's
-// families detaches the replica, so later commits count nowhere.
+// tally detaches the replica, so later commits count nowhere.
 func TestInstrumentNilDetaches(t *testing.T) {
 	k := testKey(8)
 	v0 := object.NewObject([]byte(""), 8, k)
 	r := New(v0)
-	reg := obs.NewRegistry()
-	r.Instrument(NewFamilies(reg), 1)
-	r.Instrument(NewFamilies(nil), 1)
+	var counts Counts
+	r.Instrument(&counts)
+	r.Instrument(NewTally(nil).At(1))
 	r.Commit(appendUpdate(t, v0, k, "A", guid.FromData([]byte("c")), 1, 0), 0, 1)
-	if got := reg.CounterValue(1, "epidemic", "commits"); got != 0 {
+	if got := counts[Commits]; got != 0 {
 		t.Fatalf("a detached replica counted %d commits", got)
 	}
 }

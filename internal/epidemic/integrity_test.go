@@ -5,7 +5,6 @@ import (
 
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
-	"oceanstore/internal/obs"
 )
 
 func TestTamperBaseIsLocalAndVisible(t *testing.T) {
@@ -37,8 +36,8 @@ func TestAdoptFromRepairsInPlace(t *testing.T) {
 	k := testKey(42)
 	v0 := object.NewObject([]byte("state."), 8, k)
 	goodRep, badRep := New(v0), New(v0)
-	reg := obs.NewRegistry()
-	badRep.Instrument(NewFamilies(reg), 6)
+	var counts Counts
+	badRep.Instrument(&counts)
 	c1 := guid.FromData([]byte("c1"))
 	u := appendUpdate(t, v0, k, "X", c1, 1, 10)
 	goodRep.Commit(u, 0, 1)
@@ -65,7 +64,7 @@ func TestAdoptFromRepairsInPlace(t *testing.T) {
 	if got := read(t, held.CommittedState(), k); got != "state.XY" {
 		t.Fatalf("post-repair state %q", got)
 	}
-	if got := reg.CounterValue(6, "epidemic", "commits"); got != 2 {
+	if got := counts[Commits]; got != 2 {
 		t.Fatalf("commits counted %d, want 2 (one each side of the repair)", got)
 	}
 }

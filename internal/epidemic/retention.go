@@ -57,7 +57,7 @@ func (r *Replica) expire(now time.Duration) {
 	if cut == 0 {
 		return
 	}
-	r.om.expired.Add(int64(cut))
+	r.counts.add(Expired, int64(cut))
 	n := copy(r.tentative, r.tentative[cut:])
 	clear(r.tentative[n:])
 	r.tentative = r.tentative[:n]
@@ -137,7 +137,7 @@ func (r *Replica) CatchUp(c Checkpoint, now time.Duration) int {
 		return 0
 	case have < c.Start:
 		r.Adopt(c)
-		r.om.checkpoints.Inc()
+		r.counts.add(Checkpoints, 1)
 		return 1
 	}
 	for i, e := range c.Window[have-c.Start:] {

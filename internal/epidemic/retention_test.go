@@ -6,7 +6,6 @@ import (
 
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
-	"oceanstore/internal/obs"
 	"oceanstore/internal/update"
 )
 
@@ -29,8 +28,8 @@ func TestTentativeExpiry(t *testing.T) {
 	k := testKey(77)
 	v0 := object.NewObject([]byte("base."), 8, k)
 	r := New(v0)
-	reg := obs.NewRegistry()
-	r.Instrument(NewFamilies(reg), 3)
+	var counts Counts
+	r.Instrument(&counts)
 	u := appendUpdate(t, v0, k, "x", guid.FromData([]byte("c1")), 1, 10)
 	if !r.AddTentative(u) {
 		t.Fatal("add failed")
@@ -49,7 +48,7 @@ func TestTentativeExpiry(t *testing.T) {
 	if len(r.tentative) != 0 {
 		t.Fatalf("tentative len %d after expiry", len(r.tentative))
 	}
-	if got := reg.CounterValue(3, "epidemic", "expired"); got != 1 {
+	if got := counts[Expired]; got != 1 {
 		t.Fatalf("expired counter %d, want 1", got)
 	}
 	if !r.AddTentative(u) {
@@ -94,8 +93,8 @@ func TestAntiEntropyCheckpointTransfer(t *testing.T) {
 	v0 := object.NewObject([]byte("base."), 8, k)
 	a := New(v0)
 	b := New(v0)
-	reg := obs.NewRegistry()
-	b.Instrument(NewFamilies(reg), 9)
+	var counts Counts
+	b.Instrument(&counts)
 	commitChain(t, a, 2*Window, 1, 1000)
 	if a.Log.Start() == 0 {
 		t.Fatal("test premise: a must have trimmed its window")
@@ -111,7 +110,7 @@ func TestAntiEntropyCheckpointTransfer(t *testing.T) {
 	if read(t, b.CommittedState(), k) != read(t, a.CommittedState(), k) {
 		t.Fatal("checkpoint state differs")
 	}
-	if got := reg.CounterValue(9, "epidemic", "checkpoints"); got != 1 {
+	if got := counts[Checkpoints]; got != 1 {
 		t.Fatalf("checkpoints counter %d, want 1", got)
 	}
 	if !b.Dominates(map[guid.GUID]uint64{}) {
@@ -175,8 +174,8 @@ func TestLatePushBelowTheWindow(t *testing.T) {
 	src.Commit(first, 0, 999)
 	commitChain(t, src, 2*Window-1, 1, 1000)
 	joiner := NewAt(src.Checkpoint())
-	reg := obs.NewRegistry()
-	joiner.Instrument(NewFamilies(reg), 5)
+	var counts Counts
+	joiner.Instrument(&counts)
 	if joiner.Log.Start() == 0 || joiner.Seen(first.ID()) {
 		t.Fatal("setup: the joined window still covers the first commit")
 	}
@@ -187,7 +186,7 @@ func TestLatePushBelowTheWindow(t *testing.T) {
 	if joiner.CommittedLen() != src.CommittedLen() || read(t, joiner.CommittedState(), k) != before {
 		t.Fatal("a duplicate below the window was applied")
 	}
-	if got := reg.CounterValue(5, "epidemic", "dup_commits"); got != 1 {
+	if got := counts[DupCommits]; got != 1 {
 		t.Fatalf("dup_commits = %d, want 1", got)
 	}
 }

@@ -278,14 +278,14 @@ func (c *Controller) Trajectory() *obs.Histogram { return c.traj }
 // back-filled.
 func (c *Controller) Instrument(reg *obs.Registry) {
 	const layer = "introspect"
-	c.cPromote = reg.Counter(obs.NodeWide, layer, "promote")
+	c.cPromote = reg.Counter(layer, "promote")
 	c.cPromote.Add(int64(c.stats.Promotes))
-	c.cDemote = reg.Counter(obs.NodeWide, layer, "demote")
+	c.cDemote = reg.Counter(layer, "demote")
 	c.cDemote.Add(int64(c.stats.Demotes))
-	c.cDenied = reg.Counter(obs.NodeWide, layer, "promote_denied")
+	c.cDenied = reg.Counter(layer, "promote_denied")
 	c.cDenied.Add(int64(c.stats.Denied))
-	c.gReplicas = reg.Gauge(obs.NodeWide, layer, "tier_replicas")
+	c.gReplicas = reg.Gauge(layer, "tier_replicas")
 	c.gReplicas.Set(float64(c.lastTierSizeTotal))
-	c.hTraj = reg.Histogram(obs.NodeWide, layer, "tier_replicas_per_epoch")
+	c.hTraj = reg.Histogram(layer, "tier_replicas_per_epoch")
 	c.hTraj.Merge(c.traj)
 }

@@ -305,7 +305,7 @@ func TestControllerInstrument(t *testing.T) {
 		// Monotone growth under pure heat: the last tick is the peak.
 		t.Fatalf("TierSize %d != trajectory max %d", c.TierSize(), traj.Max())
 	}
-	h := reg.Histogram(obs.NodeWide, "introspect", "tier_replicas_per_epoch")
+	h := reg.Histogram("introspect", "tier_replicas_per_epoch")
 	if *h != *traj {
 		t.Fatalf("registry trajectory (count %d, mean %d) disagrees with private (count %d, mean %d)",
 			h.Count(), h.Mean(), traj.Count(), traj.Mean())

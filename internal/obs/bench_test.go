@@ -11,12 +11,13 @@ import (
 // scale-100k workload dumps (seed 1: 616 753 series in 31 572
 // families): a bytes and a drops counter per live link, named for the
 // destination and keyed by the source, with the fan-in skew of a run
-// whose clients hear from many primaries; seven per-replica counters on
-// a fifth of the nodes; and the node-wide rest.  The link counts are
+// whose clients hear from many primaries; seven counts per hosting node
+// on a fifth of the nodes; and the node-wide rest.  The link counts are
 // kept outside the registry and served the way simnet serves them:
 // the families registered by an OnRead hook that sorts the links'
 // packed (to, from) keys once, each read through a Source over the
-// destination's run of keys.
+// destination's run of keys.  The per-host counts are served the way
+// epidemic's tally serves them.
 func scale100k() *Registry {
 	const nodes, links, dests, replicas = 100_000, 237_000, 15_760, 20_456
 	r := NewRegistry()
@@ -60,20 +61,45 @@ func scale100k() *Registry {
 			}
 		}
 	})
-	for _, name := range []string{"tentative", "commits", "aborts", "dup_commits", "replays", "expired", "checkpoints"} {
-		f := r.CounterFamily("epidemic", name)
-		for i := 0; i < replicas; i++ {
-			f.At(next(nodes)).Inc()
+	hosts := hostCounts{slots: make([]*[7]int64, nodes)}
+	for i := 0; i < replicas; i++ {
+		slot := &hosts.slots[next(nodes)]
+		if *slot == nil {
+			*slot = new([7]int64)
+			hosts.n++
 		}
+		(*slot)[i%7]++
+	}
+	for c, name := range []string{"tentative", "commits", "aborts", "dup_commits", "replays", "expired", "checkpoints"} {
+		hosts.c = c
+		r.CounterSource("epidemic", name, hosts)
 	}
 	for i := 0; i < 40; i++ {
-		r.Counter(NodeWide, "byz", "c"+strconv.Itoa(i)).Add(int64(i))
+		r.Counter("byz", "c"+strconv.Itoa(i)).Add(int64(i))
 	}
 	for i := 0; i < 5; i++ {
-		r.Histogram(NodeWide, "workload", "h"+strconv.Itoa(i)).Observe(int64(1) << (4 * i))
+		r.Histogram("workload", "h"+strconv.Itoa(i)).Observe(int64(1) << (4 * i))
 	}
-	r.Gauge(NodeWide, "introspect", "tier").Set(0.5)
+	r.Gauge("introspect", "tier").Set(0.5)
 	return r
+}
+
+// hostCounts is scale100k's stand-in for epidemic's tally: seven counts
+// per hosting node in a node-indexed slice, nil where no replica is
+// hosted, served one count per source.
+type hostCounts struct {
+	slots []*[7]int64
+	n, c  int // hosting nodes; which count this source serves
+}
+
+func (h hostCounts) Len() int { return h.n }
+
+func (h hostCounts) Each(visit func(node int, v int64)) {
+	for node, slot := range h.slots {
+		if slot != nil {
+			visit(node, slot[h.c])
+		}
+	}
 }
 
 // linkStore is scale100k's stand-in for simnet's link table: every

@@ -51,11 +51,11 @@ func TestLiveHeap(t *testing.T) {
 
 func TestCounterValue(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter(4, "layer", "hits").Add(3)
-	if got := reg.CounterValue(4, "layer", "hits"); got != 3 {
+	reg.Counter("layer", "hits").Add(3)
+	if got := reg.CounterValue(NodeWide, "layer", "hits"); got != 3 {
 		t.Fatalf("CounterValue %d, want 3", got)
 	}
-	if got := reg.CounterValue(4, "layer", "absent"); got != 0 {
+	if got := reg.CounterValue(NodeWide, "layer", "absent"); got != 0 {
 		t.Fatalf("absent counter %d, want 0", got)
 	}
 }

@@ -16,17 +16,15 @@
 // that discipline the merged snapshot, the Benchmark-line dump and the JSONL
 // trace are byte-identical at any GOMAXPROCS.
 //
-// Hot-path cost.  Layers resolve handles (Counter, Gauge, Histogram)
-// once at instrumentation time and bump them with plain integer
-// arithmetic; a nil handle (uninstrumented run) makes every method a
-// no-op, so the layers carry no conditional wiring of their own.  A
-// layer whose series multiply with the world — one per replica —
-// resolves a family handle (CounterFamily) once per name and creates
-// each series with At(node): an integer lookup and an append, no
-// string hashed.  A layer that already keeps a count in storage of
-// its own — simnet's per-link bytes — does not copy it into Counters:
-// it serves the family through CounterSource, registered from an
-// OnRead hook, and the registry reads the storage only when it is read.
+// Hot-path cost.  Layers resolve node-wide handles (Counter, Gauge,
+// Histogram) once at instrumentation time and bump them with plain
+// integer arithmetic; a nil handle (uninstrumented run) makes every
+// method a no-op, so the layers carry no conditional wiring of their
+// own.  The registry holds no per-node values: a layer whose counts
+// multiply with the world — simnet's per-link bytes, epidemic's counts
+// per hosting node — keeps them in storage of its own and serves each
+// family through CounterSource, so the registry reads that storage
+// only when it is itself read.
 package obs
 
 import (
@@ -204,174 +202,103 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// scanMax is the largest series a family looks up by scanning its
-// entries; above it the family keeps a node index.  Small families
-// stay below it; per-replica families (tens of thousands of nodes)
-// cross it once and probe an int-keyed map thereafter.
-const scanMax = 32
-
-// entry is one series of a family: the node it is attributed to and
-// the value its handles point at.
-type entry[T any] struct {
-	node int
-	v    *T
-}
-
-// series holds one family's values of one kind.  Entries are appended
-// in creation order and sorted in place, by node, when a dump asks for
-// them: position carries no meaning, handles point at the values.
-type series[T any] struct {
-	entries []entry[T]
-	index   map[int]*T // nil while len(entries) <= scanMax
-	sorted  bool       // entries ascend by node
-}
-
-// get returns the node's value, or nil when the series has none.
-func (s *series[T]) get(node int) *T {
-	if s.index != nil {
-		return s.index[node]
-	}
-	for i := range s.entries {
-		if s.entries[i].node == node {
-			return s.entries[i].v
-		}
-	}
-	return nil
-}
-
-// at is get-or-create.
-func (s *series[T]) at(node int) *T {
-	if v := s.get(node); v != nil {
-		return v
-	}
-	n := len(s.entries)
-	v := new(T)
-	s.sorted = n == 0 || (s.sorted && s.entries[n-1].node < node)
-	s.entries = append(s.entries, entry[T]{node, v})
-	switch {
-	case s.index != nil:
-		s.index[node] = v
-	case n == scanMax:
-		s.index = make(map[int]*T, 2*scanMax)
-		for _, e := range s.entries {
-			s.index[e.node] = e.v
-		}
-	}
-	return v
-}
-
-func (s *series[T]) sort() {
-	if !s.sorted {
-		slices.SortFunc(s.entries, func(a, b entry[T]) int { return cmp.Compare(a.node, b.node) })
-		s.sorted = true
-	}
-}
-
-// family is every series that shares one (layer, name), of all three
-// kinds: dump order interleaves the kinds by node, so they sort
-// together.  Layer and name are stored — and compared — once per
-// family, not once per series.
+// family is every series that shares one (layer, name): at most one
+// node-wide series of each kind, and the per-node counters its Sources
+// serve.  Layer and name are stored — and compared — once per family,
+// not once per series.
 type family struct {
 	layer, name string
-	counters    series[Counter]
-	gauges      series[Gauge]
-	hists       series[Histogram]
-	// sources serve more of the family's counters (CounterSource).
-	sources []Source
+	counter     *Counter
+	gauge       *Gauge
+	hist        *Histogram
+	sources     []Source
 }
 
-// each visits the family's series in dump order: ascending node, and
-// counter before gauge before histogram where one node has several
-// kinds.  A visit is a gauge when g is non-nil, a histogram when h is,
-// and otherwise a counter whose value is v.  The series must be sorted
-// (Registry.Order).
+// each visits the family's series in dump order: the node-wide counter,
+// gauge and histogram, then the sources' counters by ascending node.  A
+// visit is a gauge when g is non-nil, a histogram when h is, and
+// otherwise a counter whose value is v.
 func (f *family) each(visit func(node int, v int64, g *Gauge, h *Histogram)) {
-	cs, gs, hs := f.counters.entries, f.gauges.entries, f.hists.entries
-	if len(f.sources) > 0 {
-		if len(f.sources) == 1 && len(cs)+len(gs)+len(hs) == 0 {
-			f.sources[0].Each(func(node int, v int64) { visit(node, v, nil, nil) })
-			return
-		}
-		cs = f.combined()
+	if f.counter != nil {
+		visit(NodeWide, f.counter.v, nil, nil)
 	}
-	for len(cs)+len(gs)+len(hs) > 0 {
-		switch {
-		case len(cs) > 0 && (len(gs) == 0 || cs[0].node <= gs[0].node) && (len(hs) == 0 || cs[0].node <= hs[0].node):
-			visit(cs[0].node, cs[0].v.v, nil, nil)
-			cs = cs[1:]
-		case len(gs) > 0 && (len(hs) == 0 || gs[0].node <= hs[0].node):
-			visit(gs[0].node, 0, gs[0].v, nil)
-			gs = gs[1:]
-		default:
-			visit(hs[0].node, 0, nil, hs[0].v)
-			hs = hs[1:]
-		}
+	if f.gauge != nil {
+		visit(NodeWide, 0, f.gauge, nil)
+	}
+	if f.hist != nil {
+		visit(NodeWide, 0, nil, f.hist)
+	}
+	f.perNode().Each(func(node int, v int64) { visit(node, v, nil, nil) })
+}
+
+// perNode is the family's per-node counters as one source: none, its
+// one source streamed as it is, or several summed by combined.
+func (f *family) perNode() Source {
+	switch len(f.sources) {
+	case 0:
+		return frozen(nil)
+	case 1:
+		return f.sources[0]
+	}
+	return f.combined()
+}
+
+// point is one per-node counter value.
+type point struct {
+	node int
+	v    int64
+}
+
+// frozen is a Source over values fixed in node order: what combined
+// returns, and what Merge leaves on a family from another registry.
+type frozen []point
+
+func (s frozen) Len() int { return len(s) }
+
+func (s frozen) Each(visit func(node int, v int64)) {
+	for _, p := range s {
+		visit(p.node, p.v)
 	}
 }
 
-// combined is the family's counters when sources feed it beside other
-// sources or plain counters (several networks on one registry, a Merge
-// into a sourced family): every value summed per node, in node order.
-func (f *family) combined() []entry[Counter] {
-	var s series[Counter]
-	for _, e := range f.counters.entries {
-		s.at(e.node).Add(e.v.v)
-	}
+// combined is the family's sources summed per node, in node order:
+// each source's stream is merged into the running sum, so several
+// networks on one registry, or a Merge beside a layer's own source,
+// read as one series per node.
+func (f *family) combined() frozen {
+	var sum frozen
 	for _, src := range f.sources {
-		src.Each(func(node int, v int64) { s.at(node).Add(v) })
+		prev := sum
+		sum = make(frozen, 0, len(prev)+src.Len())
+		i := 0
+		src.Each(func(node int, v int64) {
+			for ; i < len(prev) && prev[i].node < node; i++ {
+				sum = append(sum, prev[i])
+			}
+			if i < len(prev) && prev[i].node == node {
+				v += prev[i].v
+				i++
+			}
+			sum = append(sum, point{node, v})
+		})
+		sum = append(sum, prev[i:]...)
 	}
-	s.sort()
-	return s.entries
+	return sum
 }
 
 // len is how many series a dump of the family lists.
 func (f *family) len() int {
-	n := len(f.gauges.entries) + len(f.hists.entries)
-	switch {
-	case len(f.sources) == 0:
-		n += len(f.counters.entries)
-	case len(f.sources) == 1 && len(f.counters.entries) == 0:
-		n += f.sources[0].Len()
-	default:
-		n += len(f.combined())
+	n := f.perNode().Len()
+	if f.counter != nil {
+		n++
+	}
+	if f.gauge != nil {
+		n++
+	}
+	if f.hist != nil {
+		n++
 	}
 	return n
-}
-
-// CounterFamily is a handle on every counter named (layer, name).  A
-// layer that creates series per node resolves the family once and
-// calls At per node: no string is hashed after that.  Methods on a nil
-// family return nil handles.
-type CounterFamily family
-
-// At returns the node's counter, creating it on first use.
-func (f *CounterFamily) At(node int) *Counter {
-	if f == nil {
-		return nil
-	}
-	return f.counters.at(node)
-}
-
-// GaugeFamily is the gauge counterpart of CounterFamily.
-type GaugeFamily family
-
-// At returns the node's gauge, creating it on first use.
-func (f *GaugeFamily) At(node int) *Gauge {
-	if f == nil {
-		return nil
-	}
-	return f.gauges.at(node)
-}
-
-// HistogramFamily is the histogram counterpart of CounterFamily.
-type HistogramFamily family
-
-// At returns the node's histogram, creating it on first use.
-func (f *HistogramFamily) At(node int) *Histogram {
-	if f == nil {
-		return nil
-	}
-	return f.hists.at(node)
 }
 
 // familyKey interns a family.
@@ -381,11 +308,11 @@ type familyKey struct{ layer, name string }
 // two layers asking for the same key share the value, which is how
 // per-object rings aggregate into pool-wide counters.
 //
-// Series live in families, one per (layer, name); a series can only be
-// created through its family (Counter, Gauge and Histogram go through
-// it too) or served by one of its Sources, so the dump walks families
-// and never meets a series it would have to place by hashing or
-// comparing strings.
+// Series live in families, one per (layer, name): a node-wide series
+// is created through Counter, Gauge or Histogram, and a per-node one is
+// served by one of the family's Sources, so the dump walks families and
+// never meets a series it would have to place by hashing or comparing
+// strings.
 type Registry struct {
 	byName map[familyKey]*family
 	// families is every family, in creation order until a dump sorts
@@ -416,39 +343,22 @@ func (r *Registry) family(layer, name string) *family {
 	return f
 }
 
-// CounterFamily returns the handle for every counter named (layer,
-// name); a nil registry gives a nil handle.
-func (r *Registry) CounterFamily(layer, name string) *CounterFamily {
-	return (*CounterFamily)(r.family(layer, name))
-}
-
-// GaugeFamily returns the handle for every gauge named (layer, name).
-func (r *Registry) GaugeFamily(layer, name string) *GaugeFamily {
-	return (*GaugeFamily)(r.family(layer, name))
-}
-
-// HistogramFamily returns the handle for every histogram named (layer,
-// name).
-func (r *Registry) HistogramFamily(layer, name string) *HistogramFamily {
-	return (*HistogramFamily)(r.family(layer, name))
-}
-
-// Source serves one family's counters from storage a layer keeps,
-// instead of from Counter values.  The registry only reads it, and
-// only while it is being read itself (Order, Snapshot, WriteBench,
-// CounterValue, and Merge from it), after its OnRead hooks have run.
+// Source serves one family's per-node counters from storage a layer
+// keeps.  The registry only reads it, and only while it is being read
+// itself (Order, Snapshot, WriteBench, CounterValue, and Merge from
+// it), after its OnRead hooks have run.
 type Source interface {
 	// Len is how many series Each visits.
 	Len() int
-	// Each visits (node, value) once per series, in ascending node order.
+	// Each visits (node, value) once per series, in ascending node
+	// order; node is never NodeWide.
 	Each(visit func(node int, v int64))
 }
 
 // CounterSource adds src to the counters named (layer, name).  It is
-// the one way a series enters the dump other than through its family's
-// At, and it is read-only: nothing writes through it.  Several sources,
-// or a source and plain counters, under one name add per node.  A nil
-// registry ignores the call.
+// the one way a per-node series enters the dump, and it is read-only:
+// nothing writes through it.  Several sources under one name add per
+// node.  A nil registry ignores the call.
 func (r *Registry) CounterSource(layer, name string, src Source) {
 	if f := r.family(layer, name); f != nil {
 		f.sources = append(f.sources, src)
@@ -473,11 +383,40 @@ func (r *Registry) read() {
 	}
 }
 
-// Counter returns the counter for (node, layer, name), creating it on
-// first use.  A nil registry returns a nil (no-op) handle, so layers
-// can resolve handles unconditionally.
-func (r *Registry) Counter(node int, layer, name string) *Counter {
-	return r.CounterFamily(layer, name).At(node)
+// Counter returns the node-wide counter named (layer, name), creating
+// it on first use.  A nil registry returns a nil (no-op) handle, so
+// layers can resolve handles unconditionally.
+func (r *Registry) Counter(layer, name string) *Counter {
+	if f := r.family(layer, name); f != nil {
+		return orNew(&f.counter)
+	}
+	return nil
+}
+
+// Gauge returns the node-wide gauge named (layer, name), creating it
+// on first use; nil registry gives a nil handle.
+func (r *Registry) Gauge(layer, name string) *Gauge {
+	if f := r.family(layer, name); f != nil {
+		return orNew(&f.gauge)
+	}
+	return nil
+}
+
+// Histogram returns the node-wide histogram named (layer, name),
+// creating it on first use; nil registry gives a nil handle.
+func (r *Registry) Histogram(layer, name string) *Histogram {
+	if f := r.family(layer, name); f != nil {
+		return orNew(&f.hist)
+	}
+	return nil
+}
+
+// orNew returns *p, making it first if it is nil.
+func orNew[T any](p **T) *T {
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
 }
 
 // CounterValue reads a counter without creating it: a missing key
@@ -495,8 +434,8 @@ func (r *Registry) CounterValue(node int, layer, name string) int64 {
 		return 0
 	}
 	var v int64
-	if c := f.counters.get(node); c != nil {
-		v = c.v
+	if node == NodeWide && f.counter != nil {
+		v = f.counter.v
 	}
 	for _, src := range f.sources {
 		src.Each(func(n int, x int64) {
@@ -508,22 +447,12 @@ func (r *Registry) CounterValue(node int, layer, name string) int64 {
 	return v
 }
 
-// Gauge returns the gauge for (node, layer, name), creating it on
-// first use; nil registry gives a nil handle.
-func (r *Registry) Gauge(node int, layer, name string) *Gauge {
-	return r.GaugeFamily(layer, name).At(node)
-}
-
-// Histogram returns the histogram for (node, layer, name), creating it
-// on first use; nil registry gives a nil handle.
-func (r *Registry) Histogram(node int, layer, name string) *Histogram {
-	return r.HistogramFamily(layer, name).At(node)
-}
-
 // Merge folds another registry into this one: counters and gauges add,
-// histograms merge.  Merging per-simulator registries in seed order
-// yields the same totals at any worker count, because integer addition
-// is associative and commutative — the float caveat does not arise for
+// histograms merge, and the other's per-node counters, summed as they
+// stand now, join the family as one frozen source.  Merging
+// per-simulator registries in seed order yields the same totals at any
+// worker count, because integer addition is associative and
+// commutative — the float caveat does not arise for
 // counters/histograms, and gauge addition across simulators is only
 // meaningful for additive gauges (document per metric).
 func (r *Registry) Merge(o *Registry) {
@@ -533,28 +462,27 @@ func (r *Registry) Merge(o *Registry) {
 	o.read()
 	for _, of := range o.families {
 		f := r.family(of.layer, of.name)
-		for _, e := range of.counters.entries {
-			f.counters.at(e.node).Add(e.v.v)
+		if of.counter != nil {
+			orNew(&f.counter).Add(of.counter.v)
 		}
-		for _, src := range of.sources {
-			src.Each(func(node int, v int64) { f.counters.at(node).Add(v) })
+		if of.gauge != nil {
+			orNew(&f.gauge).v += of.gauge.v
 		}
-		for _, e := range of.gauges.entries {
-			f.gauges.at(e.node).v += e.v.v
+		if of.hist != nil {
+			orNew(&f.hist).Merge(of.hist)
 		}
-		for _, e := range of.hists.entries {
-			f.hists.at(e.node).Merge(e.v)
+		if len(of.sources) > 0 {
+			f.sources = append(f.sources, of.combined())
 		}
 	}
 }
 
-// Order puts the registry in dump order — families by (layer, name),
-// each family's series by node — and returns how many series and
-// families it holds.  Snapshot and WriteBench order implicitly; a
-// caller that reports the registry's size, or times ordering apart
-// from formatting, calls Order first.  Order is integer sorts plus one
-// string sort over the families, whatever the series count, and
-// depends on no map's iteration order.
+// Order puts the registry in dump order — families by (layer, name) —
+// and returns how many series and families it holds.  Snapshot and
+// WriteBench order implicitly; a caller that reports the registry's
+// size, or times ordering apart from formatting, calls Order first.
+// Order is one string sort over the families, whatever the series
+// count, and depends on no map's iteration order.
 func (r *Registry) Order() (series, families int) {
 	if r == nil {
 		return 0, 0
@@ -570,9 +498,6 @@ func (r *Registry) Order() (series, families int) {
 		r.ordered = true
 	}
 	for _, f := range r.families {
-		f.counters.sort()
-		f.gauges.sort()
-		f.hists.sort()
 		series += f.len()
 	}
 	return series, len(r.families)
@@ -607,7 +532,9 @@ func (r *Registry) Snapshot() []Metric {
 	out := make([]Metric, 0, n)
 	nh := 0
 	for _, f := range r.families {
-		nh += len(f.hists.entries)
+		if f.hist != nil {
+			nh++
+		}
 	}
 	hists := make([]HistSummary, 0, nh) // one array behind every Hist
 	var key Key

@@ -22,11 +22,16 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	h.Merge(&Histogram{})
 
 	var r *Registry
-	if r.Counter(1, "l", "n") != nil || r.Gauge(1, "l", "n") != nil || r.Histogram(1, "l", "n") != nil {
+	if r.Counter("l", "n") != nil || r.Gauge("l", "n") != nil || r.Histogram("l", "n") != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot")
+	}
+	r.CounterSource("l", "n", frozen{{1, 1}})
+	r.OnRead(func() { t.Fatal("nil registry ran a read hook") })
+	if series, families := r.Order(); series != 0 || families != 0 || r.CounterValue(1, "l", "n") != 0 {
+		t.Fatal("nil registry holds series")
 	}
 	r.Merge(NewRegistry())
 
@@ -39,16 +44,16 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 
 func TestCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter(NodeWide, "simnet", "sent")
+	c := r.Counter("simnet", "sent")
 	c.Inc()
 	c.Add(4)
-	if again := r.Counter(NodeWide, "simnet", "sent"); again != c || again.v != 5 {
+	if again := r.Counter("simnet", "sent"); again != c || again.v != 5 {
 		t.Fatalf("counter = %d, want 5 (handles for one key must be shared)", again.v)
 	}
-	g := r.Gauge(2, "replica", "depth")
+	g := r.Gauge("replica", "depth")
 	g.Set(1.5)
 	g.Set(2)
-	if again := r.Gauge(2, "replica", "depth"); again != g || again.v != 2.0 {
+	if again := r.Gauge("replica", "depth"); again != g || again.v != 2.0 {
 		t.Fatalf("gauge = %v, want 2", again.v)
 	}
 }
@@ -134,12 +139,12 @@ func TestRegistryMergeAndSnapshotOrder(t *testing.T) {
 		for i := range parts {
 			parts[i] = NewRegistry()
 		}
-		parts[0].Counter(1, "simnet", "sent").Add(3)
-		parts[1].Counter(1, "simnet", "sent").Add(4)
-		parts[2].Counter(NodeWide, "byz", "commits").Add(2)
-		parts[0].Histogram(NodeWide, "plaxton", "route_hops").Observe(4)
-		parts[1].Histogram(NodeWide, "plaxton", "route_hops").Observe(6)
-		parts[2].Gauge(0, "replica", "load").Set(1.25)
+		parts[0].CounterSource("simnet", "sent", frozen{{1, 3}})
+		parts[1].CounterSource("simnet", "sent", frozen{{1, 4}})
+		parts[2].Counter("byz", "commits").Add(2)
+		parts[0].Histogram("plaxton", "route_hops").Observe(4)
+		parts[1].Histogram("plaxton", "route_hops").Observe(6)
+		parts[2].Gauge("replica", "load").Set(1.25)
 		m := NewRegistry()
 		for _, i := range order {
 			m.Merge(parts[i])
@@ -166,7 +171,7 @@ func TestRegistryMergeAndSnapshotOrder(t *testing.T) {
 
 func TestWriteBenchHistogramLine(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram(3, "archive", "retrieval_latency_ns")
+	h := r.Histogram("archive", "retrieval_latency_ns")
 	h.ObserveDuration(100 * time.Millisecond)
 	h.ObserveDuration(300 * time.Millisecond)
 	var buf bytes.Buffer
@@ -174,7 +179,7 @@ func TestWriteBenchHistogramLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	line := buf.String()
-	if !strings.HasPrefix(line, "Benchmarkobs/e/s9/archive/retrieval_latency_ns/n3 1 2 count 400000000 sum 200000000 mean ") {
+	if !strings.HasPrefix(line, "Benchmarkobs/e/s9/archive/retrieval_latency_ns/all 1 2 count 400000000 sum 200000000 mean ") {
 		t.Fatalf("unexpected histogram line: %q", line)
 	}
 }
@@ -221,7 +226,7 @@ func TestTracerAppendAndJSONL(t *testing.T) {
 
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()
-	c := r.Counter(NodeWide, "simnet", "sent")
+	c := r.Counter("simnet", "sent")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -231,7 +236,7 @@ func BenchmarkCounterInc(b *testing.B) {
 
 func BenchmarkHistogramObserve(b *testing.B) {
 	r := NewRegistry()
-	h := r.Histogram(NodeWide, "plaxton", "route_hops")
+	h := r.Histogram("plaxton", "route_hops")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -241,32 +241,23 @@ func (b both) check(t *testing.T, what string) {
 }
 
 // fill applies n random operations: all three kinds, keys that collide
-// across kinds (one name pool for all), node-wide series, a dense node
-// range wide enough to push a family past scanMax and a sparse one that
-// never gets there, names whose string order is not their numeric order,
-// handles taken through the registry and through a family.  With
-// sources, a fifth of the counts go through them instead — under names
-// of their own, where a family may be one source alone, and under names
-// that also hold plain series of every kind.
+// across kinds (one name pool for all), names whose string order is not
+// their numeric order.  Node-wide series go through the registry, and
+// with sources half the operations are per-node counts kept in them, on
+// a dense node range and a sparse one — under names of their own, where
+// a family may be one source alone or two, and under names that also
+// hold node-wide series of every kind.
 func (b both) fill(rng *rand.Rand, n int) {
 	layers := []string{"simnet", "byz", "b"}
 	names := []string{"link_n1_bytes", "link_n10_bytes", "link_n2_bytes", "x", "commits", "commit"}
 	kept := []string{"link_n3_drops", "link_n30_drops", "link_n1_bytes", "x"}
-	node := func() int {
-		switch rng.Intn(10) {
-		case 0:
-			return NodeWide
-		case 1, 2:
-			return rng.Intn(1 << 40) // sparse
-		default:
-			return rng.Intn(3 * scanMax) // dense
-		}
-	}
 	for i := 0; i < n; i++ {
-		layer, name, nd := layers[rng.Intn(len(layers))], names[rng.Intn(len(names))], node()
-		viaFamily := rng.Intn(2) == 0
-		if b.src != nil && rng.Intn(5) == 0 {
-			name, v := kept[rng.Intn(len(kept))], rng.Int63n(1000)
+		layer, name := layers[rng.Intn(len(layers))], names[rng.Intn(len(names))]
+		if b.src != nil && rng.Intn(2) == 0 {
+			name, v, nd := kept[rng.Intn(len(kept))], rng.Int63n(1000), rng.Intn(100) // dense
+			if rng.Intn(4) == 0 {
+				nd = rng.Intn(1 << 40) // sparse
+			}
 			b.src[rng.Intn(len(b.src))].add(nd, layer, name, v)
 			b.ref.Counter(nd, layer, name).Add(v)
 			continue
@@ -274,28 +265,16 @@ func (b both) fill(rng *rand.Rand, n int) {
 		switch rng.Intn(4) {
 		case 0, 1:
 			v := rng.Int63n(1000) - 10
-			if viaFamily {
-				b.got.CounterFamily(layer, name).At(nd).Add(v)
-			} else {
-				b.got.Counter(nd, layer, name).Add(v)
-			}
-			b.ref.Counter(nd, layer, name).Add(v)
+			b.got.Counter(layer, name).Add(v)
+			b.ref.Counter(NodeWide, layer, name).Add(v)
 		case 2:
 			v := rng.NormFloat64() * 1e3
-			if viaFamily {
-				b.got.GaugeFamily(layer, name).At(nd).Set(v)
-			} else {
-				b.got.Gauge(nd, layer, name).Set(v)
-			}
-			b.ref.Gauge(nd, layer, name).Set(v)
+			b.got.Gauge(layer, name).Set(v)
+			b.ref.Gauge(NodeWide, layer, name).Set(v)
 		case 3:
 			v := rng.Int63n(1 << uint(rng.Intn(40)))
-			if viaFamily {
-				b.got.HistogramFamily(layer, name).At(nd).Observe(v)
-			} else {
-				b.got.Histogram(nd, layer, name).Observe(v)
-			}
-			b.ref.Histogram(nd, layer, name).Observe(v)
+			b.got.Histogram(layer, name).Observe(v)
+			b.ref.Histogram(NodeWide, layer, name).Observe(v)
 		}
 	}
 }
@@ -306,8 +285,9 @@ func (b both) fill(rng *rand.Rand, n int) {
 // freshly built, after more series arrive and kept values change
 // behind a dump that already ordered the rest, and merged in a shuffled
 // order into a plain registry and into one with sources of its own.
-// Half the parts keep some counts outside the registry (CounterSource);
-// the reference holds those as plain counters.
+// Per-node counts reach the registry only through sources
+// (CounterSource) and Merge; the reference holds them as plain
+// counters.
 func TestRegistryMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -345,25 +325,27 @@ func TestRegistryMatchesReference(t *testing.T) {
 // not a series, and not an empty family either.
 func TestCounterValueCreatesNothing(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(3, "byz", "commits").Add(7)
-	r.Gauge(4, "byz", "depth").Set(1)
+	r.Counter("byz", "commits").Add(7)
+	r.CounterSource("byz", "commits", frozen{{3, 5}})
+	r.Gauge("byz", "depth").Set(1)
 	for _, probe := range []struct {
 		node        int
 		layer, name string
 		want        int64
 	}{
-		{3, "byz", "commits", 7},
-		{4, "byz", "commits", 0}, // family exists, node does not
-		{4, "byz", "depth", 0},   // a gauge lives there, no counter
-		{3, "byz", "nothing", 0}, // no such family
+		{NodeWide, "byz", "commits", 7},
+		{3, "byz", "commits", 5},
+		{4, "byz", "commits", 0},        // family exists, node does not
+		{NodeWide, "byz", "depth", 0},   // a gauge lives there, no counter
+		{NodeWide, "byz", "nothing", 0}, // no such family
 		{3, "nolayer", "commits", 0},
 	} {
 		if got := r.CounterValue(probe.node, probe.layer, probe.name); got != probe.want {
 			t.Fatalf("CounterValue(%d, %s, %s) = %d, want %d", probe.node, probe.layer, probe.name, got, probe.want)
 		}
 	}
-	if series, families := r.Order(); series != 2 || families != 2 {
-		t.Fatalf("after reads: %d series in %d families, want 2 in 2", series, families)
+	if series, families := r.Order(); series != 3 || families != 2 {
+		t.Fatalf("after reads: %d series in %d families, want 3 in 2", series, families)
 	}
 }
 
@@ -382,10 +364,11 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // chunk; either way WriteBench returns it and writes nothing more.
 func TestWriteBenchStopsAtWriteError(t *testing.T) {
 	r := NewRegistry()
-	f := r.CounterFamily("layer", "a_name_long_enough_to_fill_chunks_quickly")
+	var lines frozen
 	for node := 0; node < 4000; node++ { // ~70 bytes a line: several chunks
-		f.At(node).Add(int64(node))
+		lines = append(lines, point{node, int64(node)})
 	}
+	r.CounterSource("layer", "a_name_long_enough_to_fill_chunks_quickly", lines)
 	all := &failAfter{n: 1 << 30}
 	if err := r.WriteBench(all, "p"); err != nil {
 		t.Fatal(err)

@@ -132,11 +132,11 @@ type routerMetrics struct {
 func (r *Router) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	r.otr = tr
 	r.om = routerMetrics{
-		routesOK:   reg.Counter(obs.NodeWide, "plaxton", "routes_ok"),
-		routesFail: reg.Counter(obs.NodeWide, "plaxton", "routes_fail"),
-		hopRetries: reg.Counter(obs.NodeWide, "plaxton", "hop_retries"),
-		hops:       reg.Histogram(obs.NodeWide, "plaxton", "route_hops"),
-		latency:    reg.Histogram(obs.NodeWide, "plaxton", "route_latency_ns"),
+		routesOK:   reg.Counter("plaxton", "routes_ok"),
+		routesFail: reg.Counter("plaxton", "routes_fail"),
+		hopRetries: reg.Counter("plaxton", "hop_retries"),
+		hops:       reg.Histogram("plaxton", "route_hops"),
+		latency:    reg.Histogram("plaxton", "route_latency_ns"),
 	}
 }
 

@@ -134,8 +134,8 @@ type Ring struct {
 	// (package acl); updates failing it are dropped before agreement.
 	CheckWrite func(*update.Update) error
 
-	obsEpi *epidemic.Families // for secondaries that join later
-	om     ringMetrics
+	tally *epidemic.Tally // for secondaries that join later
+	om    ringMetrics
 }
 
 // ringMetrics covers the ring-level update path: epidemic rounds and
@@ -148,17 +148,19 @@ type ringMetrics struct {
 
 // Instrument attaches observability to the ring and everything under
 // it: the Byzantine tier, the authoritative primary state, and every
-// current and future secondary.  Counting never alters behaviour.
-func (r *Ring) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	r.obsEpi = epidemic.NewFamilies(reg)
+// current and future secondary, each of which counts into its hosting
+// node's slot in t, the tally every ring on reg shares.  Counting never
+// alters behaviour.
+func (r *Ring) Instrument(reg *obs.Registry, tr *obs.Tracer, t *epidemic.Tally) {
+	r.tally = t
 	r.group.Instrument(reg, tr)
-	r.primaryState.Instrument(r.obsEpi, int(r.primaryNodes[0]))
+	r.primaryState.Instrument(t.At(int(r.primaryNodes[0])))
 	for _, s := range r.Secondaries() {
-		s.Rep.Instrument(r.obsEpi, int(s.Node))
+		s.Rep.Instrument(t.At(int(s.Node)))
 	}
 	r.om = ringMetrics{
-		gossipRounds: reg.Counter(obs.NodeWide, "replica", "gossip_rounds"),
-		gossipMoved:  reg.Counter(obs.NodeWide, "replica", "gossip_moved"),
+		gossipRounds: reg.Counter("replica", "gossip_rounds"),
+		gossipMoved:  reg.Counter("replica", "gossip_moved"),
 	}
 }
 
@@ -251,7 +253,7 @@ func (r *Ring) AddSecondary(node simnet.NodeID) (*Secondary, error) {
 		return nil, err
 	}
 	sec := &Secondary{Node: node, Rep: epidemic.NewAt(r.primaryState.Checkpoint())}
-	sec.Rep.Instrument(r.obsEpi, int(node))
+	sec.Rep.Instrument(r.tally.At(int(node)))
 	r.secondaries[node] = sec
 	at := sort.Search(len(r.byNode), func(i int) bool { return r.byNode[i].Node > node })
 	r.byNode = slices.Insert(slices.Clone(r.byNode), at, sec)

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
+	"oceanstore/internal/obs"
 	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 	"oceanstore/internal/update"
@@ -390,6 +392,57 @@ func TestRemoveSecondary(t *testing.T) {
 	}
 	if _, err := w.ring.AddSecondary(simnet.NodeID(5)); err == nil {
 		t.Fatal("duplicate add accepted")
+	}
+}
+
+// TestRemovedSecondaryKeepsItsCounts: a secondary counts into its
+// hosting node's slot in the tally, not on the replica, so retiring it
+// leaves the node's epidemic series in the dump with their values, and
+// a secondary that rejoins on that node adds to them.
+func TestRemovedSecondaryKeepsItsCounts(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Archive = archive.Config{DataShards: 4, TotalFragments: 8}
+	w := newWorld(t, 8, cfg)
+	reg := obs.NewRegistry()
+	w.ring.Instrument(reg, nil, epidemic.NewTally(reg))
+	commit := func(payload string) {
+		t.Helper()
+		committed := false
+		w.ring.Submit(w.client, w.appendUpdate(t, payload), 0, func(r byz.Result) { committed = r.Committed })
+		w.k.RunFor(30 * time.Second)
+		if !committed {
+			t.Fatalf("%q did not commit", payload)
+		}
+	}
+	node4 := func() map[string]int64 {
+		counts := map[string]int64{}
+		for _, m := range reg.Snapshot() {
+			if m.Key.Layer == "epidemic" && m.Key.Node == 4 {
+				counts[m.Key.Name] = m.Count
+			}
+		}
+		return counts
+	}
+	if _, err := w.ring.AddSecondary(4); err != nil {
+		t.Fatal(err)
+	}
+	commit("a")
+	before := node4()
+	if len(before) != 7 || before["commits"] != 1 {
+		t.Fatalf("node 4 dumps %v, want seven series with one commit", before)
+	}
+	if err := w.ring.RemoveSecondary(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := node4(); !maps.Equal(got, before) {
+		t.Fatalf("after removal node 4 dumps %v, want %v", got, before)
+	}
+	if _, err := w.ring.AddSecondary(4); err != nil {
+		t.Fatal(err)
+	}
+	commit("b")
+	if got := node4()["commits"]; got != before["commits"]+1 {
+		t.Fatalf("the rejoined secondary left node 4 at %d commits, want %d", got, before["commits"]+1)
 	}
 }
 

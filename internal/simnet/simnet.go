@@ -485,13 +485,13 @@ func (n *Network) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 	m := &netMetrics{
 		reg:         reg,
-		bytes:       reg.Counter(obs.NodeWide, "simnet", "bytes_sent"),
-		retries:     reg.Counter(obs.NodeWide, "simnet", "retries"),
+		bytes:       reg.Counter("simnet", "bytes_sent"),
+		retries:     reg.Counter("simnet", "retries"),
 		kindRetries: make(map[string]*obs.Counter),
 		drops:       make(map[uint64]int64),
 	}
 	for ev, name := range eventCounters {
-		m.events[ev] = reg.Counter(obs.NodeWide, "simnet", name)
+		m.events[ev] = reg.Counter("simnet", name)
 	}
 	m.links.reserve()
 	reg.OnRead(m.publish)
@@ -719,7 +719,7 @@ func (n *Network) NoteRetry(kind string) {
 		om.retries.Inc()
 		c, ok := om.kindRetries[kind]
 		if !ok {
-			c = om.reg.Counter(obs.NodeWide, "simnet", "retries_"+kind)
+			c = om.reg.Counter("simnet", "retries_"+kind)
 			om.kindRetries[kind] = c
 		}
 		c.Inc()

@@ -231,23 +231,23 @@ func (e *Engine) Tap(fn func(req Request, lat time.Duration, ok bool)) { e.tap =
 // same final snapshot.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	const layer = "workload"
-	e.cIssued = reg.Counter(obs.NodeWide, layer, "issued")
+	e.cIssued = reg.Counter(layer, "issued")
 	e.cIssued.Add(int64(e.stats.Issued))
-	e.cOK = reg.Counter(obs.NodeWide, layer, "ok")
+	e.cOK = reg.Counter(layer, "ok")
 	e.cOK.Add(int64(e.stats.OK))
-	e.cFailed = reg.Counter(obs.NodeWide, layer, "failed")
+	e.cFailed = reg.Counter(layer, "failed")
 	e.cFailed.Add(int64(e.stats.Failed))
-	e.cShed = reg.Counter(obs.NodeWide, layer, "shed")
+	e.cShed = reg.Counter(layer, "shed")
 	e.cShed.Add(int64(e.stats.Shed))
-	e.cRetries = reg.Counter(obs.NodeWide, layer, "retries")
+	e.cRetries = reg.Counter(layer, "retries")
 	e.cRetries.Add(int64(e.stats.Retries))
-	e.cCreates = reg.Counter(obs.NodeWide, layer, "creates")
+	e.cCreates = reg.Counter(layer, "creates")
 	e.cCreates.Add(int64(e.stats.Creates))
-	e.gObjects = reg.Gauge(obs.NodeWide, layer, "objects")
+	e.gObjects = reg.Gauge(layer, "objects")
 	e.gObjects.Set(float64(e.stats.Confirmed))
-	e.hLat = reg.Histogram(obs.NodeWide, layer, "op_latency_ns")
+	e.hLat = reg.Histogram(layer, "op_latency_ns")
 	e.hLat.Merge(e.latency)
-	e.hReadLat = reg.Histogram(obs.NodeWide, layer, "read_latency_ns")
+	e.hReadLat = reg.Histogram(layer, "read_latency_ns")
 	e.hReadLat.Merge(e.readLat)
 }
 

@@ -288,12 +288,12 @@ func TestEngineTapInert(t *testing.T) {
 	if got := reg.CounterValue(obs.NodeWide, "workload", "issued"); got != int64(e2.Stats().Issued) {
 		t.Fatalf("instrumented issued %d, want %d", got, e2.Stats().Issued)
 	}
-	hl := reg.Histogram(obs.NodeWide, "workload", "op_latency_ns")
+	hl := reg.Histogram("workload", "op_latency_ns")
 	if *hl != *l2 {
 		t.Fatalf("registry op-latency merge diverged: count %d mean %d vs count %d mean %d",
 			hl.Count(), hl.Mean(), l2.Count(), l2.Mean())
 	}
-	if hr := reg.Histogram(obs.NodeWide, "workload", "read_latency_ns"); *hr != *e2.ReadLatency() {
+	if hr := reg.Histogram("workload", "read_latency_ns"); *hr != *e2.ReadLatency() {
 		t.Fatal("registry read-latency merge diverged")
 	}
 }
