@@ -54,8 +54,7 @@ type Scheduler struct {
 	scanCursor    guid.GUID
 	scanHasCursor bool
 
-	stats   SchedulerStats
-	metrics schedMetrics
+	stats SchedulerStats
 }
 
 type scrubRef struct {
@@ -120,34 +119,26 @@ type SchedulerStats struct {
 	FlushErrors     int64 // SyncDirty rounds that returned an error
 }
 
-type schedMetrics struct {
-	scrubFrags, scrubBad, scrubMissing, scrubBytes *obs.Counter
-	repairs, repairFailed, repairsDeferred         *obs.Counter
-	flushes                                        *obs.Counter
-}
-
 // NewScheduler builds a maintenance scheduler over a service.
 func NewScheduler(svc *Service, cfg SchedulerConfig) *Scheduler {
 	return &Scheduler{svc: svc, cfg: cfg.withDefaults()}
 }
 
-// Instrument attaches counters under the "scrub" layer; a nil registry
-// resolves to nil handles, which count nothing.  Counting never alters
-// behaviour.
+// Instrument registers the scheduler's Stats under the "scrub" layer,
+// so reg reads their lifetime totals; a nil registry ignores the call.
+// Counting never alters behaviour.
 func (sc *Scheduler) Instrument(reg *obs.Registry) {
-	c := func(name string) *obs.Counter {
-		return reg.Counter("scrub", name)
+	count := func(name string, p *int64) {
+		reg.CounterSource("scrub", name, obs.Value(func() int64 { return *p }))
 	}
-	sc.metrics = schedMetrics{
-		scrubFrags:      c("frags"),
-		scrubBad:        c("bad"),
-		scrubMissing:    c("missing"),
-		scrubBytes:      c("bytes"),
-		repairs:         c("bg_repairs"),
-		repairFailed:    c("bg_repair_failed"),
-		repairsDeferred: c("bg_repairs_deferred"),
-		flushes:         c("store_flushes"),
-	}
+	count("frags", &sc.stats.ScrubbedFrags)
+	count("bad", &sc.stats.ScrubBad)
+	count("missing", &sc.stats.ScrubMissing)
+	count("bytes", &sc.stats.ScrubBytes)
+	count("bg_repairs", &sc.stats.Repairs)
+	count("bg_repair_failed", &sc.stats.RepairFailed)
+	count("bg_repairs_deferred", &sc.stats.RepairsDeferred)
+	count("store_flushes", &sc.stats.Flushes)
 }
 
 // Start arms the periodic duties on the service's kernel and returns a
@@ -224,18 +215,14 @@ func (sc *Scheduler) scrubTick() {
 			// Dropped, wiped or crashed away since the snapshot; the
 			// redundancy scan notices if the root fell below threshold.
 			sc.stats.ScrubMissing++
-			sc.metrics.scrubMissing.Inc()
 			continue
 		}
 		sc.stats.ScrubbedFrags++
 		sc.stats.ScrubBytes += int64(len(sf.Data))
-		sc.metrics.scrubFrags.Inc()
-		sc.metrics.scrubBytes.Add(int64(len(sf.Data)))
 		if sf.Verify() {
 			continue
 		}
 		sc.stats.ScrubBad++
-		sc.metrics.scrubBad.Inc()
 		sc.svc.DropFragment(simnet.NodeID(ref.node), ref.root, ref.index)
 		sc.svc.noteDamage(ref.root)
 		sc.svc.QueueRepair(ref.root)
@@ -270,9 +257,6 @@ func (sc *Scheduler) repairTick() {
 	sc.stats.Repairs += int64(repaired)
 	sc.stats.RepairFailed += int64(failed)
 	sc.stats.RepairsDeferred += int64(deferred)
-	sc.metrics.repairs.Add(int64(repaired))
-	sc.metrics.repairFailed.Add(int64(failed))
-	sc.metrics.repairsDeferred.Add(int64(deferred))
 }
 
 // flushTick group-commits dirty stores.
@@ -285,5 +269,4 @@ func (sc *Scheduler) flushTick() {
 		return
 	}
 	sc.stats.Flushes++
-	sc.metrics.flushes.Inc()
 }

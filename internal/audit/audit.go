@@ -122,10 +122,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats are the auditor's always-on counters: plain integers, readable
-// by invariant checks without touching an obs registry (reading a
-// registry counter would create its key and pollute deterministic
-// dumps).
+// Stats are the auditor's always-on counters and the one copy of each
+// count: they exist with no registry attached, and the scenario checks
+// read them; an attached registry reads them too (Instrument).
 type Stats struct {
 	Polls           int64 // poll messages sent
 	PollsSuppressed int64 // polls withheld by budget or backoff
@@ -171,8 +170,8 @@ type Auditor struct {
 	// DetectionLatency records virtual time from damage to detection.
 	DetectionLatency obs.Histogram
 
-	om  auditMetrics
-	otr *obs.Tracer
+	detectLat *obs.Histogram
+	otr       *obs.Tracer
 }
 
 type backKey struct {
@@ -198,15 +197,6 @@ type pollState struct {
 	done    bool
 }
 
-// auditMetrics mirrors Stats into an obs registry for dumps.
-type auditMetrics struct {
-	polls, votes, agrees, disagrees, missing *obs.Counter
-	healthy, inconclusive                    *obs.Counter
-	detections, repairs, repairFailed        *obs.Counter
-	suppressed                               *obs.Counter
-	detectLat                                *obs.Histogram
-}
-
 // New creates an auditor for the archival service.  Call Start to arm
 // it.
 func New(net *simnet.Network, svc *archive.Service, cfg Config) *Auditor {
@@ -224,26 +214,26 @@ func New(net *simnet.Network, svc *archive.Service, cfg Config) *Auditor {
 }
 
 // Instrument attaches an observability registry and/or tracer; metrics
-// only count, they never steer the protocol.
+// only count, they never steer the protocol.  The registry reads the
+// lifetime totals in Stats, and its detection-latency histogram counts
+// what is detected while attached.
 func (a *Auditor) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	a.otr = tr
-	c := func(name string) *obs.Counter {
-		return reg.Counter("audit", name)
+	count := func(name string, p *int64) {
+		reg.CounterSource("audit", name, obs.Value(func() int64 { return *p }))
 	}
-	a.om = auditMetrics{
-		polls:        c("polls"),
-		votes:        c("votes"),
-		agrees:       c("agrees"),
-		disagrees:    c("disagrees"),
-		missing:      c("missing"),
-		healthy:      c("healthy"),
-		inconclusive: c("inconclusive"),
-		detections:   c("detections"),
-		repairs:      c("repairs"),
-		repairFailed: c("repair_failed"),
-		suppressed:   c("suppressed"),
-		detectLat:    reg.Histogram("audit", "detection_latency_ns"),
-	}
+	count("polls", &a.stats.Polls)
+	count("votes", &a.stats.VotesServed)
+	count("agrees", &a.stats.Agrees)
+	count("disagrees", &a.stats.Disagrees)
+	count("missing", &a.stats.Missing)
+	count("healthy", &a.stats.Healthy)
+	count("inconclusive", &a.stats.Inconclusive)
+	count("detections", &a.stats.Detections)
+	count("repairs", &a.stats.Repairs)
+	count("repair_failed", &a.stats.RepairFailures)
+	count("suppressed", &a.stats.VotesSuppressed)
+	a.detectLat = reg.Histogram("audit", "detection_latency_ns")
 }
 
 // Start installs the vote handlers and arms the periodic audit tick.
@@ -310,8 +300,6 @@ func (a *Auditor) tick() {
 	a.stats.Repairs += int64(repaired)
 	a.stats.RepairFailures += int64(failed)
 	a.stats.RepairsDeferred += int64(deferred)
-	a.om.repairs.Add(int64(repaired))
-	a.om.repairFailed.Add(int64(failed))
 	rng := a.net.K.Rand()
 	for _, id := range a.svc.StoreNodes() {
 		if a.net.Node(id).Down() {
@@ -384,7 +372,6 @@ func (a *Auditor) poll(origin simnet.NodeID, root guid.GUID, rng *rand.Rand) {
 		}
 		st.sent++
 		a.stats.Polls++
-		a.om.polls.Inc()
 		a.net.Send(origin, peers[i], KindPoll,
 			pollMsg{Root: root, Reply: origin, Rid: a.nextRid}, pollWireSize)
 	}
@@ -407,7 +394,6 @@ func (a *Auditor) handle(id simnet.NodeID, m simnet.Message) {
 		if !a.cfg.DisableRateLimit {
 			if a.voteBudget[id] <= 0 {
 				a.stats.VotesSuppressed++
-				a.om.suppressed.Inc()
 				return
 			}
 			a.voteBudget[id]--
@@ -417,7 +403,6 @@ func (a *Auditor) handle(id simnet.NodeID, m simnet.Message) {
 			vote.Has, vote.Frag = true, sf
 		}
 		a.stats.VotesServed++
-		a.om.votes.Inc()
 		size := voteWireSize
 		if vote.Has {
 			size = vote.Frag.WireSize()
@@ -435,12 +420,10 @@ func (a *Auditor) handle(id simnet.NodeID, m simnet.Message) {
 			// redundancy (wiped disk), not an accusation.
 			st.damning++
 			a.stats.Missing++
-			a.om.missing.Inc()
 		case p.Frag.Root == st.root && p.Frag.Verify():
 			st.agrees++
 			st.agree += a.trustOf(m.From)
 			a.stats.Agrees++
-			a.om.agrees.Inc()
 			a.credit(m.From)
 		default:
 			// The fragment fails its own Merkle check: cryptographic
@@ -452,7 +435,6 @@ func (a *Auditor) handle(id simnet.NodeID, m simnet.Message) {
 			// answers (a liar) slides to the floor.
 			st.damning++
 			a.stats.Disagrees++
-			a.om.disagrees.Inc()
 			a.discredit(m.From)
 			a.svc.DropFragment(m.From, st.root, p.Frag.Index)
 		}
@@ -475,14 +457,12 @@ func (a *Auditor) tally(rid uint64) {
 	case st.agree >= minQuorum:
 		// Clean bill of health: enough reputation-weighted agreement.
 		a.stats.Healthy++
-		a.om.healthy.Inc()
 		delete(a.backoff, key)
 	default:
 		// Not enough trustworthy answers — unreachable peers, drained
 		// vote budgets, or a root held mostly by suspects.  Back off
 		// before asking again; a partition must not become a storm.
 		a.stats.Inconclusive++
-		a.om.inconclusive.Inc()
 		if !a.cfg.DisableBackoff {
 			b := a.backoff[key]
 			if b == nil {
@@ -508,8 +488,7 @@ func (a *Auditor) evidence(origin simnet.NodeID, root guid.GUID, weight int) {
 		a.detected[root] = since
 		a.stats.Detections++
 		a.DetectionLatency.ObserveDuration(now - since)
-		a.om.detections.Inc()
-		a.om.detectLat.ObserveDuration(now - since)
+		a.detectLat.ObserveDuration(now - since)
 		if a.otr != nil {
 			a.otr.Emit(obs.Event{
 				T: int64(now), Node: int(origin), Peer: -1,

@@ -7,6 +7,7 @@ import (
 
 	"oceanstore/internal/archive"
 	"oceanstore/internal/audit"
+	"oceanstore/internal/obs"
 	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 )
@@ -54,6 +55,8 @@ func TestHealthyWorldStaysQuiet(t *testing.T) {
 func TestAuditDetectsAndRepairsBitRot(t *testing.T) {
 	k, net, svc := auditWorld(t, 3)
 	a := audit.New(net, svc, fastCfg())
+	reg := obs.NewRegistry()
+	a.Instrument(reg, nil)
 	a.Start()
 
 	// Rot several fragments at t=5m.
@@ -84,6 +87,17 @@ func TestAuditDetectsAndRepairsBitRot(t *testing.T) {
 	}
 	if a.DetectionLatency.Count() == 0 {
 		t.Fatal("no detection latency observed")
+	}
+	// The registry reads the Stats fields; it keeps no copy of its own.
+	for name, want := range map[string]int64{
+		"polls": st.Polls, "votes": st.VotesServed, "agrees": st.Agrees,
+		"disagrees": st.Disagrees, "missing": st.Missing, "healthy": st.Healthy,
+		"inconclusive": st.Inconclusive, "detections": st.Detections, "repairs": st.Repairs,
+		"repair_failed": st.RepairFailures, "suppressed": st.VotesSuppressed,
+	} {
+		if got := reg.CounterValue(obs.NodeWide, "audit", name); got != want {
+			t.Fatalf("audit/%s = %d, Stats say %d", name, got, want)
+		}
 	}
 }
 

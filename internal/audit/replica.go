@@ -31,11 +31,6 @@ type ReplicaAuditor struct {
 	running bool
 
 	stats ReplicaStats
-	om    replicaAuditMetrics
-}
-
-type replicaAuditMetrics struct {
-	checks, detections, repairs *obs.Counter
 }
 
 // NewReplicaAuditor creates an auditor over the given rings (more may
@@ -47,13 +42,15 @@ func NewReplicaAuditor(net *simnet.Network, cfg Config, rings ...*replica.Ring) 
 // AddRing registers another object's ring for auditing.
 func (ra *ReplicaAuditor) AddRing(r *replica.Ring) { ra.rings = append(ra.rings, r) }
 
-// Instrument attaches registry counters (counting never steers).
+// Instrument registers the auditor's Stats, so reg reads their lifetime
+// totals (counting never steers).
 func (ra *ReplicaAuditor) Instrument(reg *obs.Registry) {
-	ra.om = replicaAuditMetrics{
-		checks:     reg.Counter("audit", "replica_checks"),
-		detections: reg.Counter("audit", "replica_detections"),
-		repairs:    reg.Counter("audit", "replica_repairs"),
+	count := func(name string, p *int64) {
+		reg.CounterSource("audit", name, obs.Value(func() int64 { return *p }))
 	}
+	count("replica_checks", &ra.stats.Checks)
+	count("replica_detections", &ra.stats.Detections)
+	count("replica_repairs", &ra.stats.Repairs)
 }
 
 // Start arms the periodic digest sweep.
@@ -93,7 +90,6 @@ func (ra *ReplicaAuditor) tick() {
 				continue
 			}
 			ra.stats.Checks++
-			ra.om.checks.Inc()
 			if sd.Height != pd.Height {
 				// Behind the primary: lag is the epidemic tier's normal
 				// state, not corruption.  Gossip will catch it up.
@@ -104,10 +100,8 @@ func (ra *ReplicaAuditor) tick() {
 				continue
 			}
 			ra.stats.Detections++
-			ra.om.detections.Inc()
 			if err := ring.RepairSecondary(sec.Node); err == nil {
 				ra.stats.Repairs++
-				ra.om.repairs.Inc()
 			}
 		}
 	}

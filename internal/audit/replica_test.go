@@ -10,6 +10,7 @@ import (
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
+	"oceanstore/internal/obs"
 	"oceanstore/internal/replica"
 	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
@@ -59,6 +60,8 @@ func ringWorld(t *testing.T, seed int64) (*sim.Kernel, *simnet.Network, *replica
 func TestReplicaAuditorRepairsTamperedSecondary(t *testing.T) {
 	k, net, ring, secs := ringWorld(t, 3)
 	ra := audit.NewReplicaAuditor(net, audit.Config{Interval: time.Minute}, ring)
+	reg := obs.NewRegistry()
+	ra.Instrument(reg)
 	ra.Start()
 
 	victim := secs[1]
@@ -80,6 +83,11 @@ func TestReplicaAuditorRepairsTamperedSecondary(t *testing.T) {
 	}
 	if sd, _ := ring.SecondaryDigest(victim); sd.Sum != pd.Sum {
 		t.Fatal("secondary still corrupt after audit repair")
+	}
+	for name, want := range map[string]int64{"replica_checks": st.Checks, "replica_detections": st.Detections, "replica_repairs": st.Repairs} {
+		if got := reg.CounterValue(obs.NodeWide, "audit", name); got != want {
+			t.Fatalf("audit/%s = %d, Stats say %d", name, got, want)
+		}
 	}
 }
 

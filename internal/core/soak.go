@@ -165,8 +165,7 @@ type SoakWorld struct {
 	ctrl *introspect.Controller
 	// readWire accounts bytes-on-wire for modeled reads (request +
 	// response), collected even without a registry.
-	readWire  int64
-	cReadWire *obs.Counter
+	readWire int64
 
 	// sched is the archival maintenance scheduler (nil when off).
 	sched     *archive.Scheduler
@@ -287,14 +286,14 @@ func (w *SoakWorld) ReadWireBytes() int64 { return w.readWire }
 func (w *SoakWorld) Scheduler() *archive.Scheduler { return w.sched }
 
 // Instrument attaches observability to the pool, the maintenance
-// scheduler, and the introspection layer.
+// scheduler, and the introspection layer; the registry reads the read
+// path's wire bytes as a lifetime total.
 func (w *SoakWorld) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	w.Pool.Instrument(reg, tr)
 	if w.sched != nil {
 		w.sched.Instrument(reg)
 	}
-	w.cReadWire = reg.Counter("introspect", "read_wire_bytes")
-	w.cReadWire.Add(w.readWire)
+	reg.CounterSource("introspect", "read_wire_bytes", obs.Value(w.ReadWireBytes))
 	if w.ctrl != nil {
 		w.ctrl.Instrument(reg)
 	}
@@ -600,7 +599,6 @@ func (w *SoakWorld) modeledRead(s *Session, obj guid.GUID, done func(ok bool)) {
 	}
 	wire := int64(2*readWireOverhead + w.cfg.BlockSize)
 	w.readWire += wire
-	w.cReadWire.Add(wire)
 	rep := bestRep
 	w.Pool.K.After(bestDone-now, func() {
 		_, err := s.ReadReplica(obj, rep)

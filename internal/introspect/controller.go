@@ -130,9 +130,8 @@ type Controller struct {
 	traj *obs.Histogram
 
 	// Registry handles, nil (no-op) until Instrument.
-	cPromote, cDemote, cDenied *obs.Counter
-	gReplicas                  *obs.Gauge
-	hTraj                      *obs.Histogram
+	gReplicas *obs.Gauge
+	hTraj     *obs.Histogram
 }
 
 // NewController builds the loop around a host.  Call ObserveRead and
@@ -231,13 +230,11 @@ func (c *Controller) Tick() {
 			promoted++
 			total++
 			c.stats.Promotes++
-			c.cPromote.Inc()
 			c.cooldown[cand.obj] = c.stats.Epochs + c.cfg.CooldownEpochs
 		} else {
 			// Budget denial: count it, but leave the object eligible —
 			// capacity may free up next epoch.
 			c.stats.Denied++
-			c.cDenied.Inc()
 		}
 	}
 	demoted := 0
@@ -249,7 +246,6 @@ func (c *Controller) Tick() {
 			demoted++
 			total--
 			c.stats.Demotes++
-			c.cDemote.Inc()
 			c.cooldown[cand.obj] = c.stats.Epochs + c.cfg.CooldownEpochs
 		}
 	}
@@ -274,16 +270,13 @@ func (c *Controller) Trajectory() *obs.Histogram { return c.traj }
 
 // Instrument registers the controller's counters, the current tier
 // size gauge, and the per-epoch replica trajectory histogram under
-// layer "introspect" on reg.  Values accumulated before the call are
-// back-filled.
+// layer "introspect" on reg.  The registry reads the counters' lifetime
+// totals from Stats, and the gauge and histogram are back-filled.
 func (c *Controller) Instrument(reg *obs.Registry) {
 	const layer = "introspect"
-	c.cPromote = reg.Counter(layer, "promote")
-	c.cPromote.Add(int64(c.stats.Promotes))
-	c.cDemote = reg.Counter(layer, "demote")
-	c.cDemote.Add(int64(c.stats.Demotes))
-	c.cDenied = reg.Counter(layer, "promote_denied")
-	c.cDenied.Add(int64(c.stats.Denied))
+	reg.CounterSource(layer, "promote", obs.Value(func() int64 { return int64(c.stats.Promotes) }))
+	reg.CounterSource(layer, "demote", obs.Value(func() int64 { return int64(c.stats.Demotes) }))
+	reg.CounterSource(layer, "promote_denied", obs.Value(func() int64 { return int64(c.stats.Denied) }))
 	c.gReplicas = reg.Gauge(layer, "tier_replicas")
 	c.gReplicas.Set(float64(c.lastTierSizeTotal))
 	c.hTraj = reg.Histogram(layer, "tier_replicas_per_epoch")

@@ -16,15 +16,14 @@
 // that discipline the merged snapshot, the Benchmark-line dump and the JSONL
 // trace are byte-identical at any GOMAXPROCS.
 //
-// Hot-path cost.  Layers resolve node-wide handles (Counter, Gauge,
-// Histogram) once at instrumentation time and bump them with plain
-// integer arithmetic; a nil handle (uninstrumented run) makes every
-// method a no-op, so the layers carry no conditional wiring of their
-// own.  The registry holds no per-node values: a layer whose counts
-// multiply with the world — simnet's per-link bytes, epidemic's counts
-// per hosting node — keeps them in storage of its own and serves each
-// family through CounterSource, so the registry reads that storage
-// only when it is itself read.
+// Hot-path cost.  Every counter series is read through a Source, so a
+// count has one copy: a layer that keeps counts of its own — its Stats,
+// simnet's per-link bytes, epidemic's counts per hosting node —
+// registers them, and the registry reads them only when it is itself
+// read.  Counts only the registry keeps, which many instances share,
+// are node-wide handles (Counter, Gauge, Histogram) resolved once at
+// instrumentation time and bumped with plain integer arithmetic; a nil
+// handle (uninstrumented run) makes every method a no-op.
 package obs
 
 import (
@@ -203,24 +202,32 @@ func (h *Histogram) Merge(o *Histogram) {
 }
 
 // family is every series that shares one (layer, name): at most one
-// node-wide series of each kind, and the per-node counters its Sources
-// serve.  Layer and name are stored — and compared — once per family,
-// not once per series.
+// node-wide gauge and histogram, and the counters its sources serve,
+// the registry's own counter among them.  Layer and name are stored —
+// and compared — once per family, not once per series.
 type family struct {
 	layer, name string
-	counter     *Counter
+	counter     *Counter // also in sources
 	gauge       *Gauge
 	hist        *Histogram
 	sources     []Source
 }
 
-// each visits the family's series in dump order: the node-wide counter,
-// gauge and histogram, then the sources' counters by ascending node.  A
-// visit is a gauge when g is non-nil, a histogram when h is, and
-// otherwise a counter whose value is v.
+// each visits the family's series in dump order — by node, and at one
+// node counter, gauge, histogram.  A visit is a gauge when g is
+// non-nil, a histogram when h is, and otherwise a counter whose value
+// is v.
 func (f *family) each(visit func(node int, v int64, g *Gauge, h *Histogram)) {
-	if f.counter != nil {
-		visit(NodeWide, f.counter.v, nil, nil)
+	if f.gauge == nil && f.hist == nil {
+		f.counters().Each(func(node int, v int64) { visit(node, v, nil, nil) })
+		return
+	}
+	// Few families hold a gauge or histogram, and none in a real dump
+	// a counter too: sum their counters to put the node-wide one first.
+	pts := f.combined()
+	if len(pts) > 0 && pts[0].node == NodeWide {
+		visit(NodeWide, pts[0].v, nil, nil)
+		pts = pts[1:]
 	}
 	if f.gauge != nil {
 		visit(NodeWide, 0, f.gauge, nil)
@@ -228,12 +235,14 @@ func (f *family) each(visit func(node int, v int64, g *Gauge, h *Histogram)) {
 	if f.hist != nil {
 		visit(NodeWide, 0, nil, f.hist)
 	}
-	f.perNode().Each(func(node int, v int64) { visit(node, v, nil, nil) })
+	for _, p := range pts {
+		visit(p.node, p.v, nil, nil)
+	}
 }
 
-// perNode is the family's per-node counters as one source: none, its
-// one source streamed as it is, or several summed by combined.
-func (f *family) perNode() Source {
+// counters is the family's counters as one source: none, its one
+// source streamed as it is, or several summed by combined.
+func (f *family) counters() Source {
 	switch len(f.sources) {
 	case 0:
 		return frozen(nil)
@@ -243,7 +252,7 @@ func (f *family) perNode() Source {
 	return f.combined()
 }
 
-// point is one per-node counter value.
+// point is one counter value.
 type point struct {
 	node int
 	v    int64
@@ -288,10 +297,7 @@ func (f *family) combined() frozen {
 
 // len is how many series a dump of the family lists.
 func (f *family) len() int {
-	n := f.perNode().Len()
-	if f.counter != nil {
-		n++
-	}
+	n := f.counters().Len()
 	if f.gauge != nil {
 		n++
 	}
@@ -308,11 +314,11 @@ type familyKey struct{ layer, name string }
 // two layers asking for the same key share the value, which is how
 // per-object rings aggregate into pool-wide counters.
 //
-// Series live in families, one per (layer, name): a node-wide series
-// is created through Counter, Gauge or Histogram, and a per-node one is
-// served by one of the family's Sources, so the dump walks families and
-// never meets a series it would have to place by hashing or comparing
-// strings.
+// Series live in families, one per (layer, name): a gauge or histogram
+// is created through Gauge or Histogram, and every counter series is
+// served by one of the family's Sources — the registry's own Counter
+// among them — so the dump walks families and never meets a series it
+// would have to place by hashing or comparing strings.
 type Registry struct {
 	byName map[familyKey]*family
 	// families is every family, in creation order until a dump sorts
@@ -343,20 +349,33 @@ func (r *Registry) family(layer, name string) *family {
 	return f
 }
 
-// Source serves one family's per-node counters from storage a layer
-// keeps.  The registry only reads it, and only while it is being read
-// itself (Order, Snapshot, WriteBench, CounterValue, and Merge from
-// it), after its OnRead hooks have run.
+// Source serves one family's counters from storage a layer keeps.  The
+// registry only reads it, and only while it is being read itself
+// (Order, Snapshot, WriteBench, CounterValue, and Merge from it), after
+// its OnRead hooks have run.
 type Source interface {
 	// Len is how many series Each visits.
 	Len() int
 	// Each visits (node, value) once per series, in ascending node
-	// order; node is never NodeWide.
+	// order, so a NodeWide series comes first.
 	Each(visit func(node int, v int64))
 }
 
+// Len and Each make a Counter the Source of its one node-wide series.
+func (c *Counter) Len() int { return 1 }
+
+func (c *Counter) Each(visit func(node int, v int64)) { visit(NodeWide, c.v) }
+
+// Value is a Source over one node-wide count a layer keeps, read when
+// the registry is.
+type Value func() int64
+
+func (v Value) Len() int { return 1 }
+
+func (v Value) Each(visit func(node int, v int64)) { visit(NodeWide, v()) }
+
 // CounterSource adds src to the counters named (layer, name).  It is
-// the one way a per-node series enters the dump, and it is read-only:
+// how a count a layer keeps enters the dump, and it is read-only:
 // nothing writes through it.  Several sources under one name add per
 // node.  A nil registry ignores the call.
 func (r *Registry) CounterSource(layer, name string, src Source) {
@@ -384,13 +403,19 @@ func (r *Registry) read() {
 }
 
 // Counter returns the node-wide counter named (layer, name), creating
-// it on first use.  A nil registry returns a nil (no-op) handle, so
-// layers can resolve handles unconditionally.
+// it on first use as one of the family's sources.  A nil registry
+// returns a nil (no-op) handle, so layers can resolve handles
+// unconditionally.
 func (r *Registry) Counter(layer, name string) *Counter {
-	if f := r.family(layer, name); f != nil {
-		return orNew(&f.counter)
+	f := r.family(layer, name)
+	if f == nil {
+		return nil
 	}
-	return nil
+	if f.counter == nil {
+		f.counter = new(Counter)
+		f.sources = append(f.sources, f.counter)
+	}
+	return f.counter
 }
 
 // Gauge returns the node-wide gauge named (layer, name), creating it
@@ -434,9 +459,6 @@ func (r *Registry) CounterValue(node int, layer, name string) int64 {
 		return 0
 	}
 	var v int64
-	if node == NodeWide && f.counter != nil {
-		v = f.counter.v
-	}
 	for _, src := range f.sources {
 		src.Each(func(n int, x int64) {
 			if n == node {
@@ -448,8 +470,9 @@ func (r *Registry) CounterValue(node int, layer, name string) int64 {
 }
 
 // Merge folds another registry into this one: counters and gauges add,
-// histograms merge, and the other's per-node counters, summed as they
-// stand now, join the family as one frozen source.  Merging
+// histograms merge.  The other's counters, read as they stand now, add
+// node-wide into this registry's own Counter and join per node as one
+// frozen source.  Merging
 // per-simulator registries in seed order yields the same totals at any
 // worker count, because integer addition is associative and
 // commutative — the float caveat does not arise for
@@ -462,17 +485,22 @@ func (r *Registry) Merge(o *Registry) {
 	o.read()
 	for _, of := range o.families {
 		f := r.family(of.layer, of.name)
-		if of.counter != nil {
-			orNew(&f.counter).Add(of.counter.v)
-		}
 		if of.gauge != nil {
 			orNew(&f.gauge).v += of.gauge.v
 		}
 		if of.hist != nil {
 			orNew(&f.hist).Merge(of.hist)
 		}
-		if len(of.sources) > 0 {
-			f.sources = append(f.sources, of.combined())
+		var pts frozen
+		of.counters().Each(func(node int, v int64) {
+			if node == NodeWide {
+				r.Counter(of.layer, of.name).Add(v)
+			} else {
+				pts = append(pts, point{node, v})
+			}
+		})
+		if pts != nil {
+			f.sources = append(f.sources, pts)
 		}
 	}
 }

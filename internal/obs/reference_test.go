@@ -137,23 +137,39 @@ func (r *refRegistry) WriteBench(w io.Writer, prefix string) error {
 }
 
 // kept stands in for a layer that keeps counts in storage of its own
-// and serves them through CounterSource: values by family and node,
-// each family's source registered from the registry's OnRead hook on
+// and serves them through CounterSource: per-node values by family and
+// node, and node-wide ones by family, each served through a Value.  A
+// family's sources are registered from the registry's OnRead hook on
 // the first read after its first value, as simnet does.
 type kept struct {
 	reg       *Registry
 	vals      map[familyKey]map[int]int64
+	scalars   map[familyKey]*int64
 	published map[familyKey]bool
+	valued    map[familyKey]bool
 }
 
 func newKept(reg *Registry) *kept {
-	k := &kept{reg: reg, vals: make(map[familyKey]map[int]int64), published: make(map[familyKey]bool)}
+	k := &kept{
+		reg:       reg,
+		vals:      make(map[familyKey]map[int]int64),
+		scalars:   make(map[familyKey]*int64),
+		published: make(map[familyKey]bool),
+		valued:    make(map[familyKey]bool),
+	}
 	reg.OnRead(k.publish)
 	return k
 }
 
 func (k *kept) add(node int, layer, name string, v int64) {
 	fk := familyKey{layer, name}
+	if node == NodeWide {
+		if k.scalars[fk] == nil {
+			k.scalars[fk] = new(int64)
+		}
+		*k.scalars[fk] += v
+		return
+	}
 	if k.vals[fk] == nil {
 		k.vals[fk] = make(map[int]int64)
 	}
@@ -165,6 +181,12 @@ func (k *kept) publish() {
 		if !k.published[fk] {
 			k.published[fk] = true
 			k.reg.CounterSource(fk.layer, fk.name, keptSource(vals))
+		}
+	}
+	for fk, v := range k.scalars {
+		if !k.valued[fk] {
+			k.valued[fk] = true
+			k.reg.CounterSource(fk.layer, fk.name, Value(func() int64 { return *v }))
 		}
 	}
 }
@@ -242,20 +264,25 @@ func (b both) check(t *testing.T, what string) {
 
 // fill applies n random operations: all three kinds, keys that collide
 // across kinds (one name pool for all), names whose string order is not
-// their numeric order.  Node-wide series go through the registry, and
-// with sources half the operations are per-node counts kept in them, on
-// a dense node range and a sparse one — under names of their own, where
-// a family may be one source alone or two, and under names that also
-// hold node-wide series of every kind.
+// their numeric order.  The registry's own handles serve node-wide
+// series, and with sources half the operations are counts kept in
+// them: per-node ones on a dense node range and a sparse one, and
+// node-wide ones served through a Value — under names of their own,
+// where a family may be one source alone or two, node-wide only under
+// "scalar", and under names that also hold the registry's node-wide
+// series of every kind.
 func (b both) fill(rng *rand.Rand, n int) {
 	layers := []string{"simnet", "byz", "b"}
 	names := []string{"link_n1_bytes", "link_n10_bytes", "link_n2_bytes", "x", "commits", "commit"}
-	kept := []string{"link_n3_drops", "link_n30_drops", "link_n1_bytes", "x"}
+	kept := []string{"link_n3_drops", "link_n30_drops", "link_n1_bytes", "x", "scalar"}
 	for i := 0; i < n; i++ {
 		layer, name := layers[rng.Intn(len(layers))], names[rng.Intn(len(names))]
 		if b.src != nil && rng.Intn(2) == 0 {
 			name, v, nd := kept[rng.Intn(len(kept))], rng.Int63n(1000), rng.Intn(100) // dense
-			if rng.Intn(4) == 0 {
+			switch {
+			case name == "scalar" || rng.Intn(4) == 0:
+				nd = NodeWide
+			case rng.Intn(4) == 0:
 				nd = rng.Intn(1 << 40) // sparse
 			}
 			b.src[rng.Intn(len(b.src))].add(nd, layer, name, v)
@@ -286,7 +313,9 @@ func (b both) fill(rng *rand.Rand, n int) {
 // behind a dump that already ordered the rest, and merged in a shuffled
 // order into a plain registry and into one with sources of its own.
 // Per-node counts reach the registry only through sources
-// (CounterSource) and Merge; the reference holds them as plain
+// (CounterSource) and Merge, and node-wide ones through the registry's
+// Counter handles and through Value sources, alone, beside a handle,
+// or several under one name; the reference holds them all as plain
 // counters.
 func TestRegistryMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {

@@ -8,7 +8,9 @@
 //
 // Every scenario is a pure function of (seed, defense flag): worlds
 // are built on fresh kernels, all randomness flows from the seed, and
-// results carry plain counters so checks never touch an obs registry.
+// checks read the layers' plain Stats, never an obs registry: Stats
+// exist with no registry attached (Options.Reg is optional), and a
+// registry only reads them.
 package scenario
 
 import (

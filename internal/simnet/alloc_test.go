@@ -257,7 +257,9 @@ func TestSendDeliverZeroAllocInstrumented(t *testing.T) {
 // TestLinkCountersStayWithTheirRegistry: re-pointing the network at
 // another registry leaves the first one its own counts — read after
 // the switch, not before — and Instrument(nil) detaches, so later
-// traffic reaches neither.
+// traffic reaches neither.  That holds for the node-wide series too,
+// retries by kind among them, and ResetStats zeroes the network's
+// Stats but not what an attached registry has counted.
 func TestLinkCountersStayWithTheirRegistry(t *testing.T) {
 	k := sim.NewKernel(6)
 	net := New(k, Config{})
@@ -265,9 +267,13 @@ func TestLinkCountersStayWithTheirRegistry(t *testing.T) {
 	net.HandleAll(func(NodeID, Message) {})
 	first, second := obs.NewRegistry(), obs.NewRegistry()
 	net.Instrument(first, nil)
+	net.NoteRetry("a")
 	net.Send(0, 1, "x", nil, 10)
 	k.Run()
 	net.Instrument(second, nil)
+	net.NoteRetry("b")
+	net.ResetStats()
+	net.NoteRetry("b")
 	net.Send(0, 1, "x", nil, 20)
 	net.Send(2, 1, "x", nil, 30)
 	k.Run()
@@ -276,6 +282,7 @@ func TestLinkCountersStayWithTheirRegistry(t *testing.T) {
 	k.Run()
 	net.Node(1).SetDown(false)
 	net.Instrument(nil, nil)
+	net.NoteRetry("a")
 	net.Send(0, 1, "x", nil, 40)
 	net.Send(0, 2, "x", nil, 50)
 	k.Run()
@@ -293,6 +300,16 @@ func TestLinkCountersStayWithTheirRegistry(t *testing.T) {
 		{second, 2, "link_n1_bytes", 30, 4},
 		{second, 0, "link_n1_drops", 1, 4},
 		{second, 0, "link_n2_bytes", 0, 4},
+		{first, obs.NodeWide, "msgs_sent", 1, 2},
+		{first, obs.NodeWide, "drop_crash", 0, 2},
+		{first, obs.NodeWide, "retries", 1, 2},
+		{first, obs.NodeWide, "retries_a", 1, 2},
+		{first, obs.NodeWide, "retries_b", 0, 2},
+		{second, obs.NodeWide, "msgs_sent", 3, 4},
+		{second, obs.NodeWide, "drop_crash", 1, 4},
+		{second, obs.NodeWide, "retries", 2, 4},
+		{second, obs.NodeWide, "retries_a", 0, 4},
+		{second, obs.NodeWide, "retries_b", 2, 4},
 	} {
 		if got := c.reg.CounterValue(c.from, "simnet", c.name); got != c.want {
 			t.Fatalf("registry %p: %s from n%d = %d, want %d", c.reg, c.name, c.from, got, c.want)

@@ -259,13 +259,9 @@ type Network struct {
 	// per-node handlers.
 	global []GlobalHandler
 
-	stats Stats
-	// kindBytes accumulates Stats.ByKind: a run has a couple of dozen
-	// wire kinds, all string constants, so Send scans this slice (a
-	// length compare, then a pointer compare) instead of hashing the
-	// kind per message; stats.ByKind itself stays nil and Stats()
-	// materialises the map.
-	kindBytes []kindCount
+	// counts is every count the network keeps; Stats and an attached
+	// registry both read it.
+	counts counts
 	// snapByKind/snapRetries are the reusable map payloads handed out
 	// by Stats() — the snapshot path allocates nothing in steady state.
 	snapByKind  map[string]int64
@@ -285,9 +281,9 @@ type Network struct {
 	batches   map[time.Duration]*msgBatch
 	batchFree []*msgBatch
 
-	// Observability (Instrument): om holds pre-resolved metric handles,
-	// otr the opt-in trace ring.  Both nil in uninstrumented runs, so
-	// the send path pays two nil checks.
+	// Observability (Instrument): om holds the attached registry's link
+	// counts, otr the opt-in trace ring.  Both nil in uninstrumented
+	// runs, so the send path pays two nil checks.
 	om        *netMetrics
 	otr       *obs.Tracer
 	nextMsgID uint64
@@ -311,7 +307,7 @@ const (
 )
 
 // eventNames are the TraceEvent.Event / obs.Event.Event strings;
-// eventCounters the node-wide registry counter each event bumps.
+// eventCounters the node-wide registry series that counts each event.
 var (
 	eventNames = [numEvents]string{
 		"send", "deliver", "drop-crash", "drop-partition", "drop-fault",
@@ -325,17 +321,47 @@ var (
 
 func (e event) isDrop() bool { return e >= evDropCrash && e <= evDropNoHandler }
 
-// netMetrics caches the network's obs handles so the per-message path
-// never does a map lookup for the aggregate counters.  Per-link counts
-// stay here, in links and drops; the registry reads them through one
-// pair of sources per destination, which publish registers when the
-// registry is first read after the destination's first link appears.
+// counts is what the network counts: events, and by message kind the
+// bytes sends carried (Stats.ByKind) and NoteRetry's retransmissions.
+// A run has a couple of dozen wire kinds, all string constants, so a
+// send scans a short slice (a length compare, then a pointer compare)
+// instead of hashing the kind per message.
+type counts struct {
+	events         [numEvents]int64
+	bytes, retries []kindCount
+}
+
+// add adds sign times o into c.
+func (c *counts) add(o *counts, sign int64) {
+	for ev, v := range o.events {
+		c.events[ev] += sign * v
+	}
+	for _, kc := range o.bytes {
+		c.bytes = addKind(c.bytes, kc.kind, sign*kc.n)
+	}
+	for _, kc := range o.retries {
+		c.retries = addKind(c.retries, kc.kind, sign*kc.n)
+	}
+}
+
+// netMetrics is one registry's view of the network.  The registry
+// counts what happens while it is attached: each node-wide series reads
+// cur less base, and the per-link counts live here, in links and drops,
+// read through one pair of sources per destination, which publish
+// registers when the registry is first read after the destination's
+// first link appears.
 type netMetrics struct {
-	reg            *obs.Registry
-	events         [numEvents]*obs.Counter
-	bytes, retries *obs.Counter
-	kindRetries    map[string]*obs.Counter
-	links          linkTable
+	reg *obs.Registry
+	// cur is the network's counts while reg is attached, and zero
+	// counts of its own once reg is re-pointed away.  base is the
+	// network's counts when reg was attached, less every count since
+	// zeroed under it, by ResetStats or by re-pointing.
+	cur  *counts
+	base counts
+	// kinds are the message kinds that retried while reg was attached,
+	// each with its retries_<kind> series.
+	kinds []string
+	links linkTable
 	// drops counts each link's lost messages by link key: a run drops
 	// few, so they take a small map rather than a column in every slot.
 	drops map[uint64]int64
@@ -472,27 +498,28 @@ func (s linkSource) Each(visit func(node int, v int64)) {
 
 // Instrument attaches an obs registry and/or tracer to the network.
 // Pass nil for either to disable that half; call again to re-point.
-// A registry keeps reading the link counts it was attached for, so
-// one re-pointed away keeps its own, and one attached again adds the
-// new counts to them.  Instrumentation never alters behaviour — no RNG
-// draws, no events — so instrumented and bare runs take identical
-// trajectories.
+// The registry reads the network's own counts and counts only what
+// happens while it is attached: one re-pointed away keeps the counts
+// it was attached for, and one attached again adds the new counts to
+// them.  Instrumentation never alters behaviour — no RNG draws, no
+// events — so instrumented and bare runs take identical trajectories.
 func (n *Network) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	n.otr = tr
+	if old := n.om; old != nil {
+		old.base.add(&n.counts, -1)
+		old.cur = &counts{}
+	}
 	if reg == nil {
 		n.om = nil
 		return
 	}
-	m := &netMetrics{
-		reg:         reg,
-		bytes:       reg.Counter("simnet", "bytes_sent"),
-		retries:     reg.Counter("simnet", "retries"),
-		kindRetries: make(map[string]*obs.Counter),
-		drops:       make(map[uint64]int64),
-	}
+	m := &netMetrics{reg: reg, cur: &n.counts, drops: make(map[uint64]int64)}
+	m.base.add(&n.counts, 1)
 	for ev, name := range eventCounters {
-		m.events[ev] = reg.Counter("simnet", name)
+		reg.CounterSource("simnet", name, obs.Value(func() int64 { return m.cur.events[ev] - m.base.events[ev] }))
 	}
+	reg.CounterSource("simnet", "bytes_sent", obs.Value(func() int64 { return total(m.cur.bytes) - total(m.base.bytes) }))
+	reg.CounterSource("simnet", "retries", obs.Value(func() int64 { return total(m.cur.retries) - total(m.base.retries) }))
 	m.links.reserve()
 	reg.OnRead(m.publish)
 	n.om = m
@@ -503,28 +530,44 @@ func New(k *sim.Kernel, cfg Config) *Network {
 	return &Network{
 		K:       k,
 		cfg:     cfg,
-		stats:   newStats(),
 		batches: make(map[time.Duration]*msgBatch),
 	}
 }
 
-func newStats() Stats {
-	return Stats{RetriesByKind: make(map[string]int)}
-}
-
+// kindCount is one message kind's count, in a slice scanned by kind.
 type kindCount struct {
-	kind  string
-	bytes int64
+	kind string
+	n    int64
 }
 
-func (n *Network) addKindBytes(kind string, size int64) {
-	for i := range n.kindBytes {
-		if n.kindBytes[i].kind == kind {
-			n.kindBytes[i].bytes += size
-			return
+// addKind adds v to kind's count in cs.
+func addKind(cs []kindCount, kind string, v int64) []kindCount {
+	for i := range cs {
+		if cs[i].kind == kind {
+			cs[i].n += v
+			return cs
 		}
 	}
-	n.kindBytes = append(n.kindBytes, kindCount{kind, size})
+	return append(cs, kindCount{kind, v})
+}
+
+// kindValue is kind's count in cs, 0 if it has none.
+func kindValue(cs []kindCount, kind string) int64 {
+	for _, kc := range cs {
+		if kc.kind == kind {
+			return kc.n
+		}
+	}
+	return 0
+}
+
+// total is the count of every kind in cs.
+func total(cs []kindCount) int64 {
+	var n int64
+	for _, kc := range cs {
+		n += kc.n
+	}
+	return n
 }
 
 // AddNode places a node at (x, y) and returns it.  The node's GUID is
@@ -615,7 +658,12 @@ func (n *Network) HandleAll(h GlobalHandler) {
 	n.global = append(n.global, h)
 }
 
+// emit is the one place an event is counted, and traced.
 func (n *Network) emit(ev event, m Message) {
+	n.counts.events[ev]++
+	if ev == evSend {
+		n.counts.bytes = addKind(n.counts.bytes, m.Kind, int64(m.Size))
+	}
 	if n.trace != nil {
 		n.trace(TraceEvent{Time: n.K.Now(), From: m.From, To: m.To, Kind: m.Kind, Size: m.Size, Event: eventNames[ev]})
 	}
@@ -626,10 +674,8 @@ func (n *Network) emit(ev event, m Message) {
 		})
 	}
 	if om := n.om; om != nil {
-		om.events[ev].Inc()
 		switch {
 		case ev == evSend:
-			om.bytes.Add(int64(m.Size))
 			om.links.at(linkKey(m.From, m.To)).bytes += int64(m.Size)
 		case ev.isDrop():
 			key := linkKey(m.From, m.To)
@@ -649,7 +695,6 @@ func (n *Network) Crash(id NodeID) {
 	}
 	n.down[id] = true
 	n.partition[id] = 0
-	n.stats.Crashes++
 	n.emit(evCrash, Message{From: id, To: id})
 	for _, fn := range n.liveness {
 		fn(id, false)
@@ -664,7 +709,6 @@ func (n *Network) Recover(id NodeID) {
 		return
 	}
 	n.down[id] = false
-	n.stats.Recoveries++
 	n.emit(evRecover, Message{From: id, To: id})
 	for _, fn := range n.liveness {
 		fn(id, true)
@@ -712,17 +756,15 @@ func (n *Network) ClearPartitions() {
 // message kind.  Retry layers (routing failover, fragment re-request,
 // agreement retransmit) call it so experiments can see how hard the
 // protocols worked to mask faults.
+// An attached registry gains a retries_<kind> series at a kind's first
+// retry while attached.
 func (n *Network) NoteRetry(kind string) {
-	n.stats.Retries++
-	n.stats.RetriesByKind[kind]++
-	if om := n.om; om != nil {
-		om.retries.Inc()
-		c, ok := om.kindRetries[kind]
-		if !ok {
-			c = om.reg.Counter("simnet", "retries_"+kind)
-			om.kindRetries[kind] = c
-		}
-		c.Inc()
+	n.counts.retries = addKind(n.counts.retries, kind, 1)
+	if m := n.om; m != nil && !slices.Contains(m.kinds, kind) {
+		m.kinds = append(m.kinds, kind)
+		m.reg.CounterSource("simnet", "retries_"+kind, obs.Value(func() int64 {
+			return kindValue(m.cur.retries, kind) - kindValue(m.base.retries, kind)
+		}))
 	}
 }
 
@@ -739,19 +781,12 @@ func (n *Network) Send(from, to NodeID, kind string, payload any, size int) {
 	if n.down[from] {
 		// A crashed node sends nothing and pays nothing, but the loss is
 		// visible in the crash-drop counter.
-		n.stats.MessagesDropped++
-		n.stats.DroppedByCrash++
 		n.emit(evDropCrash, msg)
 		return
 	}
-	n.stats.MessagesSent++
-	n.stats.BytesSent += int64(size)
-	n.addKindBytes(kind, int64(size))
 	n.emit(evSend, msg)
 
 	if n.partition[from] != n.partition[to] {
-		n.stats.MessagesDropped++
-		n.stats.DroppedByPartition++
 		n.emit(evDropPartition, msg)
 		return
 	}
@@ -759,16 +794,12 @@ func (n *Network) Send(from, to NodeID, kind string, payload any, size int) {
 	if n.plan != nil {
 		drop, delay := n.plan.FilterSend(msg, n.K.Now())
 		if drop {
-			n.stats.MessagesDropped++
-			n.stats.DroppedByFault++
 			n.emit(evDropFault, msg)
 			return
 		}
 		extra = delay
 	}
 	if n.cfg.DropProb > 0 && n.K.Rand().Float64() < n.cfg.DropProb {
-		n.stats.MessagesDropped++
-		n.stats.DroppedByLoss++
 		n.emit(evDropLoss, msg)
 		return
 	}
@@ -847,20 +878,15 @@ func (n *Network) putBatch(b *msgBatch) {
 // than invoking handlers themselves.
 func (n *Network) Deliver(m Message) bool {
 	if n.down[m.To] {
-		n.stats.MessagesDropped++
-		n.stats.DroppedByCrash++
 		n.emit(evDropCrash, m)
 		return false
 	}
 	hs := n.handlers[m.To]
 	dm := n.demux[m.To]
 	if len(hs) == 0 && len(n.global) == 0 && len(dm) == 0 {
-		n.stats.MessagesDropped++
-		n.stats.DroppedNoHandler++
 		n.emit(evDropNoHandler, m)
 		return false
 	}
-	n.stats.MessagesDelivered++
 	n.emit(evDeliver, m)
 	for _, g := range n.global {
 		g(m.To, m)
@@ -889,18 +915,25 @@ func (n *Network) Deliver(m Message) bool {
 // Stats call — copy them if they must outlive it.  Steady-state
 // snapshots allocate nothing.
 func (n *Network) Stats() Stats {
-	s := n.stats
+	s := Stats{Retries: int(total(n.counts.retries)), BytesSent: total(n.counts.bytes)}
+	for ev, f := range [numEvents]*int{&s.MessagesSent, &s.MessagesDelivered, &s.DroppedByCrash,
+		&s.DroppedByPartition, &s.DroppedByFault, &s.DroppedByLoss, &s.DroppedNoHandler, &s.Crashes, &s.Recoveries} {
+		*f = int(n.counts.events[ev])
+		if event(ev).isDrop() {
+			s.MessagesDropped += *f
+		}
+	}
 	if n.snapByKind == nil {
-		n.snapByKind = make(map[string]int64, len(n.kindBytes))
-		n.snapRetries = make(map[string]int, len(n.stats.RetriesByKind))
+		n.snapByKind = make(map[string]int64, len(n.counts.bytes))
+		n.snapRetries = make(map[string]int, len(n.counts.retries))
 	}
 	clear(n.snapByKind)
-	for _, kc := range n.kindBytes {
-		n.snapByKind[kc.kind] = kc.bytes
+	for _, kc := range n.counts.bytes {
+		n.snapByKind[kc.kind] = kc.n
 	}
 	clear(n.snapRetries)
-	for k, v := range n.stats.RetriesByKind {
-		n.snapRetries[k] = v
+	for _, kc := range n.counts.retries {
+		n.snapRetries[kc.kind] = int(kc.n)
 	}
 	s.ByKind = n.snapByKind
 	s.RetriesByKind = n.snapRetries
@@ -911,17 +944,14 @@ func (n *Network) Stats() Stats {
 // without copying the whole Stats maps — cheap enough for per-tick
 // rate-cap watchdogs (the audit layer polices its own traffic with it).
 func (n *Network) KindBytes(kind string) int64 {
-	for _, kc := range n.kindBytes {
-		if kc.kind == kind {
-			return kc.bytes
-		}
-	}
-	return 0
+	return kindValue(n.counts.bytes, kind)
 }
 
 // ResetStats zeroes the traffic counters, so an experiment can measure
 // one protocol run in isolation.
 func (n *Network) ResetStats() {
-	n.stats = newStats()
-	n.kindBytes = n.kindBytes[:0]
+	if m := n.om; m != nil {
+		m.base.add(&n.counts, -1)
+	}
+	n.counts = counts{bytes: n.counts.bytes[:0], retries: n.counts.retries[:0]}
 }

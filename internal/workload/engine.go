@@ -158,9 +158,8 @@ type Engine struct {
 	tap func(req Request, lat time.Duration, ok bool)
 
 	// Registry handles, nil (no-op) until Instrument.
-	cIssued, cOK, cFailed, cShed, cRetries, cCreates *obs.Counter
-	gObjects                                         *obs.Gauge
-	hLat, hReadLat                                   *obs.Histogram
+	gObjects       *obs.Gauge
+	hLat, hReadLat *obs.Histogram
 }
 
 // NewEngine builds an engine.  The kernel's RNG drives every draw.
@@ -225,24 +224,22 @@ func (e *Engine) ReadLatency() *obs.Histogram { return e.readLat }
 // stream, accounting, or latency histograms.
 func (e *Engine) Tap(fn func(req Request, lat time.Duration, ok bool)) { e.tap = fn }
 
-// Instrument registers the engine's counters and latency histogram
-// under layer "workload" on reg.  Values accumulated before the call
-// are back-filled, so instrumenting before or after a run yields the
-// same final snapshot.
+// Instrument registers the engine's counters and latency histograms
+// under layer "workload" on reg.  The registry reads the counters'
+// lifetime totals from Stats, and the gauge and histograms are
+// back-filled, so instrumenting before or after a run yields the same
+// final snapshot.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	const layer = "workload"
-	e.cIssued = reg.Counter(layer, "issued")
-	e.cIssued.Add(int64(e.stats.Issued))
-	e.cOK = reg.Counter(layer, "ok")
-	e.cOK.Add(int64(e.stats.OK))
-	e.cFailed = reg.Counter(layer, "failed")
-	e.cFailed.Add(int64(e.stats.Failed))
-	e.cShed = reg.Counter(layer, "shed")
-	e.cShed.Add(int64(e.stats.Shed))
-	e.cRetries = reg.Counter(layer, "retries")
-	e.cRetries.Add(int64(e.stats.Retries))
-	e.cCreates = reg.Counter(layer, "creates")
-	e.cCreates.Add(int64(e.stats.Creates))
+	count := func(name string, p *int) {
+		reg.CounterSource(layer, name, obs.Value(func() int64 { return int64(*p) }))
+	}
+	count("issued", &e.stats.Issued)
+	count("ok", &e.stats.OK)
+	count("failed", &e.stats.Failed)
+	count("shed", &e.stats.Shed)
+	count("retries", &e.stats.Retries)
+	count("creates", &e.stats.Creates)
 	e.gObjects = reg.Gauge(layer, "objects")
 	e.gObjects.Set(float64(e.stats.Confirmed))
 	e.hLat = reg.Histogram(layer, "op_latency_ns")
@@ -353,32 +350,23 @@ func (e *Engine) issue(c int) {
 			e.pending--
 		}
 		e.stats.Shed++
-		e.cShed.Inc()
 		if e.cfg.RetryBackoff > 0 {
 			// Retry with a fresh draw — the user refreshes rather than
 			// replaying the identical request.
 			e.k.After(e.expDur(e.cfg.RetryBackoff), func() {
 				e.stats.Retries++
-				e.cRetries.Inc()
 				e.issue(c)
 			})
 		} else {
 			// Dropped: charge the budget and count a failure so the
 			// run terminates under sustained overload.
 			e.stats.Issued++
-			e.cIssued.Inc()
 			e.stats.Failed++
-			e.cFailed.Inc()
 			if e.cfg.ClosedLoop {
 				e.k.After(e.pacedDur(e.cfg.MeanThink), func() { e.issue(c) })
 			}
 			e.finishIfDrained()
 		}
-		return
-	}
-	e.cIssued.Inc()
-	if req.Kind == OpCreate {
-		e.cCreates.Inc()
 	}
 }
 
@@ -393,10 +381,8 @@ func (e *Engine) complete(c int, req Request, start time.Duration, ok bool) {
 	}
 	if ok {
 		e.stats.OK++
-		e.cOK.Inc()
 	} else {
 		e.stats.Failed++
-		e.cFailed.Inc()
 	}
 	lat := int64(e.k.Now() - start)
 	e.latency.Observe(lat)
