@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"oceanstore/internal/acl"
 	"oceanstore/internal/core"
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/obs"
@@ -279,14 +280,17 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 	// ready, ran it itself or had to wait, and how long the helper was
 	// busy, are facts about the host's scheduler, and the par and crypt
 	// counters are process-wide; none of them may reach the registry,
-	// -metrics, -trace or stdout.  Session.Submit's StartSign is
-	// par.Start's only caller, so its tasks are signatures.
-	ts := par.Stats()
+	// -metrics, -trace or stdout.  par.Start's callers are
+	// Session.Submit's StartSign and the soak world's certificate
+	// lookahead (acl.StartCertify), so its tasks are signatures; the
+	// certificates' own share is reported after them.  The lookahead's
+	// last few are joined only at Close, after this line.
+	ts, cs := par.Stats(), acl.StartStats()
 	created, derived := crypt.SignerStats()
 	memoHits, fullVerifies := world.Pool.ACLs.CertVerifies()
-	fmt.Fprintf(os.Stderr, "crypto: %d signatures started (%d inline), joins %d ready %d taken %d waited, helper busy %.2f s; signers %d created, %d keys derived; certificates %d memo hits, %d full verifies\n",
+	fmt.Fprintf(os.Stderr, "crypto: %d signatures started (%d inline), joins %d ready %d taken %d waited, helper busy %.2f s; signers %d created, %d keys derived; certificates %d signed ahead (%d inline), joins %d ready %d taken %d waited, %d memo hits, %d full verifies\n",
 		ts.Started, ts.Inline, ts.Ready, ts.Taken, ts.Waited, ts.Busy.Seconds(),
-		created, derived, memoHits, fullVerifies)
+		created, derived, cs.Started, cs.Inline, cs.Ready, cs.Taken, cs.Waited, memoHits, fullVerifies)
 	// So does the real-I/O rail: its numbers are deterministic too, but
 	// they only exist on the disk backend, and the mem-vs-disk ablation
 	// compares stdout byte for byte.

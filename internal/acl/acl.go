@@ -17,6 +17,7 @@ import (
 
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
+	"oceanstore/internal/par"
 	"oceanstore/internal/update"
 )
 
@@ -89,11 +90,16 @@ type Certificate struct {
 	ACLGuid  guid.GUID // content address of the ACL
 	Serial   uint64    // monotonically increasing; newest serial wins
 	OwnerPub []byte
-	Sig      []byte
+	// Sig is nil while a signature StartCertify set going is unjoined;
+	// Signature joins it.
+	Sig []byte
 
 	// memo remembers the statement, key and signature last known to
 	// verify.  A certificate written as a struct literal has none.
 	memo crypt.SigMemo
+	// signing is the signature StartCertify set going and nothing has
+	// needed yet.
+	signing *par.Task[[]byte]
 }
 
 func (c *Certificate) signedBytes() []byte {
@@ -108,12 +114,55 @@ func (c *Certificate) signedBytes() []byte {
 // name) to the given ACL.  Like update.Sign it seeds the verification
 // memo: the signature it has just produced verifies by construction.
 func Certify(owner *crypt.Signer, obj guid.GUID, a *ACL, serial uint64) *Certificate {
-	c := &Certificate{Object: obj, ACLGuid: a.GUID(), Serial: serial, OwnerPub: owner.Public()}
-	msg := c.signedBytes()
-	c.memo.Begin(c.OwnerPub, msg)
+	c, msg := beginCertify(owner, obj, a, serial)
 	c.Sig = owner.Sign(msg)
 	c.memo.End(c.Sig)
 	return c
+}
+
+// started counts the certificates StartCertify has set going and how
+// their joins went, for the stderr `crypto:` rail only.
+var started par.Tally
+
+// StartStats reports StartCertify's tasks: host-timing facts, like
+// par.Stats, that belong in no per-run dump.
+func StartStats() par.TaskStats { return started.Stats() }
+
+// StartCertify is Certify with the Ed25519 computed by par's helper
+// (inline at one processor): the statement is snapshotted and begun in
+// the memo here, and Signature — which verify calls — joins.  It pays
+// only when the join comes well after the start: a certificate started
+// and installed in the same call finds the helper still waking.
+//
+// As with update.StartSign, the signature is a pure function of the
+// key and the statement snapshotted here, so when the join happens is
+// not observable, and a field changed before the join gets no cover
+// from the memo.
+func StartCertify(owner *crypt.Signer, obj guid.GUID, a *ACL, serial uint64) *Certificate {
+	c, msg := beginCertify(owner, obj, a, serial)
+	c.signing = par.StartIn(&started, func() []byte { return owner.Sign(msg) })
+	return c
+}
+
+// beginCertify builds the unsigned certificate and returns the
+// statement to sign, already begun in the memo.  The owner's key pair
+// is derived here, never on the helper.
+func beginCertify(owner *crypt.Signer, obj guid.GUID, a *ACL, serial uint64) (*Certificate, []byte) {
+	c := &Certificate{Object: obj, ACLGuid: a.GUID(), Serial: serial, OwnerPub: owner.Public()}
+	msg := c.signedBytes()
+	c.memo.Begin(c.OwnerPub, msg)
+	return c, msg
+}
+
+// Signature returns Sig, first joining a signature StartCertify left
+// running.
+func (c *Certificate) Signature() []byte {
+	if t := c.signing; t != nil {
+		c.signing = nil
+		c.Sig = t.Wait()
+		c.memo.End(c.Sig)
+	}
+	return c.Sig
 }
 
 // verify checks that the certificate is (1) correctly signed and (2)
@@ -124,10 +173,11 @@ func Certify(owner *crypt.Signer, obj guid.GUID, a *ACL, serial uint64) *Certifi
 // reports whether the certificate's memo stood in for ed25519.Verify.
 // Ownership is outside the memo and is checked every time.
 func (c *Certificate) verify(name string) (ok, memoHit bool) {
+	sig := c.Signature() // joined even when ownership fails
 	if guid.FromOwnerAndName(c.OwnerPub, name) != c.Object {
 		return false, false
 	}
-	return c.memo.Verify(c.OwnerPub, c.signedBytes(), c.Sig)
+	return c.memo.Verify(c.OwnerPub, c.signedBytes(), sig)
 }
 
 // Errors returned by Store.CheckWrite.

@@ -158,3 +158,51 @@ func TestGroupCompilesToACL(t *testing.T) {
 		t.Fatalf("remaining member rejected: %v", err)
 	}
 }
+
+// TestCertTamperBetweenStartAndJoin: StartCertify snapshots the
+// statement, so a field changed while the signature is still being
+// computed is rejected by AddCert exactly as a change after Certify
+// would be; untouched, the started certificate is installed on its
+// memo, and every signature started is joined.
+func TestCertTamperBetweenStartAndJoin(t *testing.T) {
+	owner := crypt.NewSigner(rand.New(rand.NewSource(36)))
+	obj := guid.FromOwnerAndName(owner.Public(), "doc")
+	tampers := map[string]func(c *Certificate){
+		"Object":   func(c *Certificate) { c.Object[5] ^= 0x02 },
+		"ACLGuid":  func(c *Certificate) { c.ACLGuid[3] ^= 0x01 },
+		"Serial":   func(c *Certificate) { c.Serial ^= 1 << 9 },
+		"OwnerPub": func(c *Certificate) { c.OwnerPub = bytes.Clone(c.OwnerPub); c.OwnerPub[31] ^= 0x80 },
+	}
+	before := StartStats()
+	for field, tamper := range tampers {
+		cert := StartCertify(owner, obj, &ACL{}, 1)
+		tamper(cert)
+		s := NewStore()
+		if err := s.AddCert(cert, "doc"); err == nil {
+			t.Fatalf("%s changed between start and join: certificate installed", field)
+		}
+		if hits, _ := s.CertVerifies(); hits != 0 {
+			t.Fatalf("%s: the memo answered for a tampered certificate", field)
+		}
+		if len(s.certs) != 0 {
+			t.Fatalf("%s: rejected certificate left a binding behind", field)
+		}
+	}
+	cert := StartCertify(owner, obj, &ACL{}, 1)
+	s := NewStore()
+	if err := s.AddCert(cert, "doc"); err != nil {
+		t.Fatalf("untampered started certificate rejected: %v", err)
+	}
+	if hits, full := s.CertVerifies(); hits != 1 || full != 0 {
+		t.Fatalf("started certificate: %d memo hits, %d full verifies", hits, full)
+	}
+	if !bytes.Equal(cert.Sig, Certify(owner, obj, &ACL{}, 1).Sig) {
+		t.Fatal("started and synchronous certificates carry different signatures")
+	}
+	after := StartStats()
+	started := after.Started - before.Started
+	joins := (after.Ready + after.Taken + after.Waited) - (before.Ready + before.Taken + before.Waited)
+	if started != int64(len(tampers)+1) || joins != started {
+		t.Fatalf("%d certificates started, %d joined; want %d of each", started, joins, len(tampers)+1)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"oceanstore/internal/acl"
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
@@ -37,10 +38,16 @@ func (p *Pool) NewClient(node simnet.NodeID, signer *crypt.Signer) *Client {
 }
 
 // Create provisions an object owned by this client, generating and
-// retaining its read key.
+// retaining its read key.  Only the owner may write it until the owner
+// re-certifies its ACL (Pool.SetACL).
 func (c *Client) Create(name string, initial []byte) (guid.GUID, error) {
+	return c.create(name, initial, nil)
+}
+
+// create is Create binding the ACL certificate cert (nil: owner only).
+func (c *Client) create(name string, initial []byte, cert *acl.Certificate) (guid.GUID, error) {
 	key := crypt.NewBlockKey(c.pool.K.Rand())
-	obj, err := c.pool.CreateObject(c.Signer, name, initial, key)
+	obj, err := c.pool.CreateObject(c.Signer, name, initial, key, cert)
 	if err != nil {
 		return guid.Zero, err
 	}

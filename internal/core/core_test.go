@@ -467,3 +467,39 @@ func TestLookupAndVersionHistory(t *testing.T) {
 		t.Fatal("version chain broken: zero Prev")
 	}
 }
+
+// TestFailedCreateLeavesNothingBehind: a certificate issued for
+// another name, or tampered after Certify, fails the create before a
+// ring is registered or archived, and a correct create of the same
+// name then succeeds.
+func TestFailedCreateLeavesNothingBehind(t *testing.T) {
+	p := smallPool(3)
+	owner := crypt.NewSigner(p.K.Rand())
+	key := crypt.NewBlockKey(p.K.Rand())
+	obj := guid.FromOwnerAndName(owner.Public(), "doc")
+	writers := &acl.ACL{}
+	p.ACLs.AddACL(writers)
+	tampered := acl.Certify(owner, obj, writers, 1)
+	tampered.Serial++
+	bad := map[string]*acl.Certificate{
+		"another name": acl.Certify(owner, guid.FromOwnerAndName(owner.Public(), "other"), writers, 1),
+		"tampered":     tampered,
+	}
+	roots, next := len(p.Arch.Roots()), p.nextPrimary
+	for why, cert := range bad {
+		if _, err := p.CreateObject(owner, "doc", []byte("v0"), key, cert); err == nil {
+			t.Fatalf("%s: create accepted the certificate", why)
+		}
+		if _, ok := p.Ring(obj); ok {
+			t.Fatalf("%s: failed create left a ring behind", why)
+		}
+	}
+	if got := len(p.Arch.Roots()); got != roots || p.nextPrimary != next {
+		t.Fatalf("failed creates archived %d versions and moved the primary rotation %d -> %d",
+			got-roots, next, p.nextPrimary)
+	}
+	got, err := p.CreateObject(owner, "doc", []byte("v0"), key, acl.Certify(owner, obj, writers, 1))
+	if err != nil || got != obj {
+		t.Fatalf("retried create: %v, %v", got, err)
+	}
+}

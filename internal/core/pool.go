@@ -195,13 +195,33 @@ func (p *Pool) pickPrimaries() []simnet.NodeID {
 
 // CreateObject provisions a new persistent object owned by owner under
 // a human-readable name: a self-certifying GUID, a primary tier, an
-// owner-only ACL certificate, and a location-mesh publication.  The
-// initial content is encrypted under key, which never leaves the
-// client.
-func (p *Pool) CreateObject(owner *crypt.Signer, name string, initial []byte, key crypt.BlockKey) (guid.GUID, error) {
+// archived initial version, the ACL certificate cert, and a
+// location-mesh publication.  The initial content is encrypted under
+// key, which never leaves the client.
+//
+// cert is the owner's "use ACL x for this object" (§4.2), issued for
+// this owner and name with the ACL's contents already registered
+// (p.ACLs.AddACL); nil certifies the owner-only default.  It is
+// verified in full before anything is built, so a create that fails
+// on its certificate leaves no object behind and the name may be
+// retried.
+func (p *Pool) CreateObject(owner *crypt.Signer, name string, initial []byte, key crypt.BlockKey, cert *acl.Certificate) (guid.GUID, error) {
 	obj := guid.FromOwnerAndName(owner.Public(), name)
 	if _, dup := p.objects[obj]; dup {
 		return guid.Zero, fmt.Errorf("core: object %q already exists", name)
+	}
+	if cert == nil {
+		// Default writer restriction: owner only (an empty ACL; the
+		// owner key is implicitly authorised).
+		empty := &acl.ACL{}
+		p.ACLs.AddACL(empty)
+		cert = acl.Certify(owner, obj, empty, 1)
+	}
+	if cert.Object != obj {
+		return guid.Zero, fmt.Errorf("core: certificate for object %q names another object", name)
+	}
+	if err := p.ACLs.AddCert(cert, name); err != nil {
+		return guid.Zero, err
 	}
 	v0 := object.NewObject(initial, p.cfg.BlockSize, key)
 	primaries := p.pickPrimaries()
@@ -221,13 +241,6 @@ func (p *Pool) CreateObject(owner *crypt.Signer, name string, initial []byte, ke
 		return guid.Zero, err
 	}
 
-	// Default writer restriction: owner only (an empty ACL; the owner
-	// key is implicitly authorised).
-	empty := &acl.ACL{}
-	p.ACLs.AddACL(empty)
-	if err := p.ACLs.AddCert(acl.Certify(owner, obj, empty, 1), name); err != nil {
-		return guid.Zero, err
-	}
 	// Publish the object's location (its primary-tier members hold it).
 	for _, nid := range primaries {
 		if p.Mesh != nil {

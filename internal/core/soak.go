@@ -102,6 +102,12 @@ const (
 	// a fixed cost plus one per unit of coordinate distance.
 	soakBaseLatency    = 15 * time.Millisecond
 	soakLatencyPerUnit = time.Millisecond
+	// certLookahead is how many creates ahead an object's certificate
+	// starts signing.  A certificate started in its own create is
+	// joined ~80 µs later, before the helper has woken; sixteen creates
+	// later most are ready, and the rest are signed in the join, as
+	// they were before the offload (DESIGN §"Leaf offload").
+	certLookahead = 16
 )
 
 // DefaultSoakConfig scales a soak world to the given node count:
@@ -143,9 +149,13 @@ type SoakWorld struct {
 	owner    *Client
 	sessions []*Session
 	objects  []guid.GUID
-	// writers grants every soak client write privilege; bound to each
-	// object at creation (the default cert is owner-only).
+	// writers grants every soak client write privilege; each object's
+	// one certificate binds it at creation.
 	writers *acl.ACL
+	// ahead holds the writers certificates for the next certLookahead
+	// names, soak-<i> in slot i % certLookahead, signing on par's
+	// helper until their create joins them.
+	ahead [certLookahead]*acl.Certificate
 
 	// inflight counts accepted writes not yet resolved (backpressure).
 	inflight int
@@ -236,6 +246,10 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 		w.writers.Entries = append(w.writers.Entries,
 			acl.Entry{PubKey: s.c.Signer.Public(), Priv: acl.PrivWrite})
 	}
+	p.ACLs.AddACL(w.writers)
+	for i := range w.ahead {
+		w.ahead[i] = w.startCert(i)
+	}
 	for i := 0; i < cfg.Objects; i++ {
 		if _, err := w.createObject(); err != nil {
 			return nil, err
@@ -306,6 +320,11 @@ func (w *SoakWorld) Close() error {
 		w.schedStop()
 		w.schedStop = nil
 	}
+	// The certificates started for names never created are joined, so
+	// no signature outlives the world.
+	for _, c := range w.ahead {
+		c.Signature()
+	}
 	return w.Pool.Arch.CloseStores()
 }
 
@@ -346,15 +365,18 @@ func (w *SoakWorld) Objects() []guid.GUID {
 // InFlight reports unresolved accepted writes (backpressure level).
 func (w *SoakWorld) InFlight() int { return w.inflight }
 
-// createObject provisions one object with its floating replicas.
+// createObject provisions one object with its floating replicas,
+// bound to the writers ACL by the certificate started certLookahead
+// creates earlier, and refills that slot for the name certLookahead
+// creates on.
 func (w *SoakWorld) createObject() (guid.GUID, error) {
-	name := fmt.Sprintf("soak-%d", w.created)
+	i := w.created
 	w.created++
-	obj, err := w.owner.Create(name, make([]byte, w.cfg.BlockSize))
+	slot := &w.ahead[i%certLookahead]
+	cert := *slot
+	*slot = w.startCert(i + certLookahead)
+	obj, err := w.owner.create(soakName(i), make([]byte, w.cfg.BlockSize), cert)
 	if err != nil {
-		return guid.Zero, err
-	}
-	if err := w.Pool.SetACL(w.owner.Signer, obj, w.writers, 2); err != nil {
 		return guid.Zero, err
 	}
 	for j := 0; j < w.cfg.Secondaries; j++ {
@@ -364,6 +386,15 @@ func (w *SoakWorld) createObject() (guid.GUID, error) {
 	w.objects = append(w.objects, obj)
 	return obj, nil
 }
+
+// startCert starts signing the writers certificate for soak-<i>.
+func (w *SoakWorld) startCert(i int) *acl.Certificate {
+	owner := w.owner.Signer
+	obj := guid.FromOwnerAndName(owner.Public(), soakName(i))
+	return acl.StartCertify(owner, obj, w.writers, 1)
+}
+
+func soakName(i int) string { return fmt.Sprintf("soak-%d", i) }
 
 // addSecondary attaches node as a floating replica of obj, skipping
 // duplicates (the rotation can lap a small world).

@@ -300,3 +300,41 @@ func TestByzCommitsCatchUpAfterDrain(t *testing.T) {
 		t.Fatalf("a second past drain byz.commits = %d, want all %d executed writes", got, executed)
 	}
 }
+
+// TestSoakCertifiesEachObjectOnce: every soak object, pre-created or
+// created mid-run, is bound by one certificate, installed on its memo;
+// no certificate takes the full check.
+func TestSoakCertifiesEachObjectOnce(t *testing.T) {
+	cfg := DefaultSoakConfig(1000)
+	w, err := NewSoakWorld(9, cfg)
+	if err != nil {
+		t.Fatalf("NewSoakWorld: %v", err)
+	}
+	if hits, full := w.Pool.ACLs.CertVerifies(); hits != cfg.Objects || full != 0 {
+		t.Fatalf("after construction: %d memo hits, %d full verifies for %d objects", hits, full, cfg.Objects)
+	}
+	eng := workload.NewEngine(w.Pool.K, workload.EngineConfig{
+		Clients:       cfg.Clients,
+		Ops:           600,
+		Mix:           workload.Mix{WriteFrac: 0.3, CreateFrac: 0.05},
+		Objects:       cfg.Objects,
+		ZipfS:         1.1,
+		MeanWriteSize: 128,
+		ClosedLoop:    true,
+		MeanThink:     200 * time.Millisecond,
+		RetryBackoff:  time.Second,
+	}, w)
+	eng.Start()
+	w.Pool.K.RunWhile(func() bool { return !eng.Done() })
+	st := eng.Stats()
+	if !eng.Done() || st.Failed != 0 || st.Creates == 0 {
+		t.Fatalf("run did not drain cleanly with creates: %+v", st)
+	}
+	objects := len(w.Objects())
+	if hits, full := w.Pool.ACLs.CertVerifies(); hits != objects || full != 0 {
+		t.Fatalf("after %d creates: %d memo hits, %d full verifies for %d objects", st.Creates, hits, full, objects)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -38,8 +38,11 @@ type Replica struct {
 	// commits a steady-state path, not a corner case — and the second
 	// arrival is answered from here in one probe.
 	known map[update.UpdateID]int
-	// vv is a version vector: the highest contiguous Seq seen per client
-	// across both logs, used to summarise state for anti-entropy.
+	// vv is a version vector: the highest Seq seen per client across
+	// both logs, used to summarise state for anti-entropy.  It is not a
+	// contiguous prefix: a client's Seq counts its updates to every
+	// object, so one object's replica sees gaps, and a replica holding
+	// only a client's later update dominates one holding both.
 	vv map[guid.GUID]uint64
 
 	// cached tentative state; invalidated by any log change.
@@ -305,9 +308,11 @@ func (r *Replica) VersionVector() map[guid.GUID]uint64 {
 	return out
 }
 
-// Dominates reports whether this replica has seen everything summarised
-// by the other vector — the session-guarantee test for "is this replica
-// fresh enough".
+// Dominates reports whether this replica's vector is at least the
+// other's for every client — the session-guarantee test for "is this
+// replica fresh enough".  Because vv keeps only the highest Seq, a
+// replica missing a client's earlier update to this object can still
+// pass it.
 func (r *Replica) Dominates(other map[guid.GUID]uint64) bool {
 	for c, s := range other {
 		if r.vv[c] < s {

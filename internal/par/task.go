@@ -25,6 +25,7 @@ type Task[T any] struct {
 	claimed atomic.Bool   // set by whichever goroutine runs fn
 	done    chan struct{} // closed by the helper after fn; nil when fn ran in Start
 	joined  bool
+	tally   *Tally // StartIn's family, or nil
 }
 
 // helperQueue bounds how far the one helper may fall behind before
@@ -40,36 +41,58 @@ var helper struct {
 	q    chan interface{ run() }
 }
 
-// Counters behind Stats.  Which joins found their result ready, and
+// The Start/Wait counters.  Which joins found their result ready, and
 // how long the helper was busy, depend on how the host scheduled two
 // goroutines — so these never enter the obs registry, a -metrics or
 // -trace dump, or stdout.  They exist for the stderr `crypto:` rail.
-var (
-	statStarted, statInline, statReady, statTaken, statWaited atomic.Int64
-	statBusyNs                                                atomic.Int64
+type event int
+
+const (
+	evStarted event = iota
+	evInline
+	evReady
+	evTaken
+	evWaited
+	nEvents
 )
 
-// TaskStats is a process-wide snapshot of the Start/Wait counters.
-// Host-timing facts; see the note on the counters.
+// Tally counts one family of tasks — those started by StartIn on it —
+// beside the process-wide counters every task bumps, so the rail can
+// tell one family's joins from the rest.
+type Tally struct{ n [nEvents]atomic.Int64 }
+
+var (
+	all        Tally // every task
+	statBusyNs atomic.Int64
+)
+
+// TaskStats is a snapshot of the Start/Wait counters.  Host-timing
+// facts; see the note on the counters.
 type TaskStats struct {
 	Started int64         // tasks started, on the helper or inline
 	Inline  int64         // of those, run on the caller: one processor, or the helper a full queue behind
 	Ready   int64         // first joins that found the result waiting
 	Taken   int64         // first joins that ran fn themselves: the helper had not reached it
 	Waited  int64         // first joins that blocked while the helper finished fn
-	Busy    time.Duration // wall time the helper spent inside tasks
+	Busy    time.Duration // wall time the helper spent inside tasks; process-wide only
 }
 
-// Stats reads the counters.
-func Stats() TaskStats {
+// Stats reads the tally's counters.
+func (tl *Tally) Stats() TaskStats {
 	return TaskStats{
-		Started: statStarted.Load(),
-		Inline:  statInline.Load(),
-		Ready:   statReady.Load(),
-		Taken:   statTaken.Load(),
-		Waited:  statWaited.Load(),
-		Busy:    time.Duration(statBusyNs.Load()),
+		Started: tl.n[evStarted].Load(),
+		Inline:  tl.n[evInline].Load(),
+		Ready:   tl.n[evReady].Load(),
+		Taken:   tl.n[evTaken].Load(),
+		Waited:  tl.n[evWaited].Load(),
 	}
+}
+
+// Stats reads the process-wide counters.
+func Stats() TaskStats {
+	s := all.Stats()
+	s.Busy = time.Duration(statBusyNs.Load())
+	return s
 }
 
 // Start begins fn and returns its handle.  With one processor fn runs
@@ -78,9 +101,12 @@ func Stats() TaskStats {
 // tasks in start order for the life of the process.  One helper is the
 // width: the callers are serial simulators offloading a fraction of
 // their own time, not a fan-out.
-func Start[T any](fn func() T) *Task[T] {
-	t := &Task[T]{fn: fn}
-	statStarted.Add(1)
+func Start[T any](fn func() T) *Task[T] { return StartIn(nil, fn) }
+
+// StartIn is Start with the task also counted in tl (nil for none).
+func StartIn[T any](tl *Tally, fn func() T) *Task[T] {
+	t := &Task[T]{fn: fn, tally: tl}
+	t.count(evStarted)
 	if Procs() > 1 {
 		helper.once.Do(startHelper)
 		t.done = make(chan struct{})
@@ -91,9 +117,17 @@ func Start[T any](fn func() T) *Task[T] {
 			t.done = nil
 		}
 	}
-	statInline.Add(1)
+	t.count(evInline)
 	t.exec()
 	return t
+}
+
+// count bumps one counter, process-wide and in the task's tally.
+func (t *Task[T]) count(e event) {
+	all.n[e].Add(1)
+	if t.tally != nil {
+		t.tally.n[e].Add(1)
+	}
 }
 
 func startHelper() {
@@ -139,16 +173,16 @@ func (t *Task[T]) Wait() T {
 		t.joined = true
 		switch {
 		case t.done == nil:
-			statReady.Add(1)
+			t.count(evReady)
 		case t.claimed.CompareAndSwap(false, true):
-			statTaken.Add(1)
+			t.count(evTaken)
 			t.exec()
 		default:
 			select {
 			case <-t.done:
-				statReady.Add(1)
+				t.count(evReady)
 			default:
-				statWaited.Add(1)
+				t.count(evWaited)
 				<-t.done
 			}
 		}

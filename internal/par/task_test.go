@@ -153,7 +153,7 @@ func TestHelperBehind(t *testing.T) {
 	// Join stuck while the helper is still inside it: the join must
 	// wait, and only then is stuck let go.
 	go func() {
-		for statWaited.Load() == mid.Waited {
+		for Stats().Waited == mid.Waited {
 			runtime.Gosched()
 		}
 		close(release)
@@ -180,3 +180,31 @@ func TestHelperBehind(t *testing.T) {
 
 // unjoined is how many started tasks nobody has waited for yet.
 func unjoined(s TaskStats) int64 { return s.Started - s.Ready - s.Taken - s.Waited }
+
+// TestStartInTalliesItsFamily: a tally counts the tasks started on it
+// and their joins, and nothing else; the process-wide counters count
+// every task.
+func TestStartInTalliesItsFamily(t *testing.T) {
+	atProcs(t, func(t *testing.T, procs int) {
+		var tl Tally
+		before := Stats()
+		mine := []*Task[int]{StartIn(&tl, func() int { return 1 }), StartIn(&tl, func() int { return 2 })}
+		other := Start(func() int { return 3 })
+		for i, task := range mine {
+			if got := task.Wait(); got != i+1 {
+				t.Fatalf("procs=%d: tallied task %d = %d", procs, i, got)
+			}
+		}
+		other.Wait()
+		got, all := tl.Stats(), Stats()
+		if got.Started != 2 || got.Ready+got.Taken+got.Waited != 2 {
+			t.Fatalf("procs=%d: tally %+v, want 2 started and 2 joins", procs, got)
+		}
+		if procs == 1 && got.Inline != 2 {
+			t.Fatalf("one processor: tally counted %d inline of 2", got.Inline)
+		}
+		if all.Started-before.Started != 3 {
+			t.Fatalf("procs=%d: %d tasks counted process-wide, want 3", procs, all.Started-before.Started)
+		}
+	})
+}

@@ -32,7 +32,7 @@ func newPoolWorld(o Options, nodes, objects, replicasPer int) *poolWorld {
 	w := &poolWorld{pool: pool}
 	for i := 0; i < objects; i++ {
 		name := string(rune('a'+i)) + "-object"
-		obj, err := pool.CreateObject(owner, name, []byte("initial content of "+name), key)
+		obj, err := pool.CreateObject(owner, name, []byte("initial content of "+name), key, nil)
 		if err != nil {
 			panic(err)
 		}
