@@ -170,8 +170,7 @@ type Auditor struct {
 	// DetectionLatency records virtual time from damage to detection.
 	DetectionLatency obs.Histogram
 
-	detectLat *obs.Histogram
-	otr       *obs.Tracer
+	otr *obs.Tracer
 }
 
 type backKey struct {
@@ -215,8 +214,8 @@ func New(net *simnet.Network, svc *archive.Service, cfg Config) *Auditor {
 
 // Instrument attaches an observability registry and/or tracer; metrics
 // only count, they never steer the protocol.  The registry reads the
-// lifetime totals in Stats, and its detection-latency histogram counts
-// what is detected while attached.
+// lifetime totals in Stats and DetectionLatency, so a registry attached
+// mid-run agrees with them from its first read.
 func (a *Auditor) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	a.otr = tr
 	count := func(name string, p *int64) {
@@ -233,7 +232,7 @@ func (a *Auditor) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	count("repairs", &a.stats.Repairs)
 	count("repair_failed", &a.stats.RepairFailures)
 	count("suppressed", &a.stats.VotesSuppressed)
-	a.detectLat = reg.Histogram("audit", "detection_latency_ns")
+	reg.HistogramSource("audit", "detection_latency_ns", &a.DetectionLatency)
 }
 
 // Start installs the vote handlers and arms the periodic audit tick.
@@ -488,7 +487,6 @@ func (a *Auditor) evidence(origin simnet.NodeID, root guid.GUID, weight int) {
 		a.detected[root] = since
 		a.stats.Detections++
 		a.DetectionLatency.ObserveDuration(now - since)
-		a.detectLat.ObserveDuration(now - since)
 		if a.otr != nil {
 			a.otr.Emit(obs.Event{
 				T: int64(now), Node: int(origin), Peer: -1,

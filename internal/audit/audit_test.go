@@ -2,6 +2,7 @@ package audit_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -98,6 +99,66 @@ func TestAuditDetectsAndRepairsBitRot(t *testing.T) {
 		if got := reg.CounterValue(obs.NodeWide, "audit", name); got != want {
 			t.Fatalf("audit/%s = %d, Stats say %d", name, got, want)
 		}
+	}
+}
+
+// TestInstrumentMidRunReadsLifetime: a registry attached after the
+// auditor's first detections dumps the detection-latency histogram the
+// auditor keeps, so its count is the lifetime detections counter,
+// before the attach and after it.  A tracer attached with it sees only
+// the detections after.  The zero config is the default one.
+func TestInstrumentMidRunReadsLifetime(t *testing.T) {
+	k, net, svc := auditWorld(t, 3)
+	a := audit.New(net, svc, audit.Config{})
+	a.Start()
+	rng := rand.New(rand.NewSource(7))
+	rot := func(nodes ...simnet.NodeID) {
+		for _, n := range nodes {
+			if _, ok := svc.CorruptRandom(n, rng); !ok {
+				t.Fatalf("node %d held nothing", n)
+			}
+		}
+	}
+	k.RunUntil(5 * time.Minute)
+	rot(0, 1)
+	k.RunUntil(30 * time.Minute)
+	before := a.Stats().Detections
+	if before == 0 {
+		t.Fatalf("no detection before the attach: %+v", a.Stats())
+	}
+	reg, tr := obs.NewRegistry(), obs.NewTracer(0)
+	a.Instrument(reg, tr)
+	rot(2, 3)
+	k.RunUntil(60 * time.Minute)
+	st := a.Stats()
+	if st.Detections == before {
+		t.Fatalf("no detection after the attach: %+v", st)
+	}
+	traced := int64(0)
+	for _, e := range tr.Events() {
+		if e.Layer == "audit" && e.Event == "detect" {
+			traced++
+		}
+	}
+	if traced != st.Detections-before {
+		t.Fatalf("tracer saw %d detections, want the %d after the attach", traced, st.Detections-before)
+	}
+
+	key := obs.Key{Node: obs.NodeWide, Layer: "audit", Name: "detection_latency_ns"}
+	alone := obs.NewRegistry()
+	alone.HistogramSource(key.Layer, key.Name, &a.DetectionLatency)
+	want := alone.Snapshot()
+	var got []obs.Metric
+	for _, m := range reg.Snapshot() {
+		if m.Key == key {
+			got = append(got, m)
+		}
+	}
+	if len(got) != 1 || got[0].Count != st.Detections {
+		t.Fatalf("dumped %s = %+v, want one histogram of %d detections", key.Name, got, st.Detections)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dumped %s (%+v) is not DetectionLatency (%+v)", key.Name, *got[0].Hist, *want[0].Hist)
 	}
 }
 

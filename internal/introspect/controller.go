@@ -127,17 +127,13 @@ type Controller struct {
 
 	// traj collects the per-epoch tier size even without a registry,
 	// so reports can trace the swell-and-settle curve regardless.
-	traj *obs.Histogram
-
-	// Registry handles, nil (no-op) until Instrument.
-	gReplicas *obs.Gauge
-	hTraj     *obs.Histogram
+	traj obs.Histogram
 }
 
 // NewController builds the loop around a host.  Call ObserveRead and
 // ObserveWrite as traffic resolves and Tick once per epoch.
 func NewController(cfg ControllerConfig, host Host) *Controller {
-	return &Controller{cfg: cfg.withDefaults(), host: host, traj: new(obs.Histogram)}
+	return &Controller{cfg: cfg.withDefaults(), host: host}
 }
 
 // grow extends the per-object state to cover n objects.
@@ -251,9 +247,7 @@ func (c *Controller) Tick() {
 	}
 
 	c.lastTierSizeTotal = total
-	c.gReplicas.Set(float64(total))
 	c.traj.Observe(int64(total))
-	c.hTraj.Observe(int64(total))
 }
 
 // Stats returns a copy of the loop's counters.
@@ -266,19 +260,17 @@ func (c *Controller) TierSize() int { return c.lastTierSizeTotal }
 // Trajectory exposes the replica-count-per-epoch histogram: one sample
 // per Tick, so its min/max/mean trace how far the tier swelled and
 // settled.
-func (c *Controller) Trajectory() *obs.Histogram { return c.traj }
+func (c *Controller) Trajectory() *obs.Histogram { return &c.traj }
 
 // Instrument registers the controller's counters, the current tier
 // size gauge, and the per-epoch replica trajectory histogram under
-// layer "introspect" on reg.  The registry reads the counters' lifetime
-// totals from Stats, and the gauge and histogram are back-filled.
+// layer "introspect" on reg.  The registry reads them from Stats,
+// TierSize and Trajectory when it is read, so they are lifetime values.
 func (c *Controller) Instrument(reg *obs.Registry) {
 	const layer = "introspect"
 	reg.CounterSource(layer, "promote", obs.Value(func() int64 { return int64(c.stats.Promotes) }))
 	reg.CounterSource(layer, "demote", obs.Value(func() int64 { return int64(c.stats.Demotes) }))
 	reg.CounterSource(layer, "promote_denied", obs.Value(func() int64 { return int64(c.stats.Denied) }))
-	c.gReplicas = reg.Gauge(layer, "tier_replicas")
-	c.gReplicas.Set(float64(c.lastTierSizeTotal))
-	c.hTraj = reg.Histogram(layer, "tier_replicas_per_epoch")
-	c.hTraj.Merge(c.traj)
+	reg.GaugeSource(layer, "tier_replicas", obs.Value(func() int64 { return int64(c.lastTierSizeTotal) }))
+	reg.HistogramSource(layer, "tier_replicas_per_epoch", &c.traj)
 }

@@ -2,6 +2,7 @@ package introspect
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"oceanstore/internal/obs"
@@ -260,9 +261,9 @@ func TestControllerDeterminism(t *testing.T) {
 	}
 }
 
-// TestControllerInstrument: counters accumulated before Instrument are
-// back-filled into the registry, live updates land afterwards, and the
-// trajectory histogram traces the tier's swell.
+// TestControllerInstrument: the registry reads counters accumulated
+// before Instrument, live updates land afterwards, and the trajectory
+// histogram traces the tier's swell.
 func TestControllerInstrument(t *testing.T) {
 	host := newFakeHost(8, 8, 8, 2)
 	c := NewController(ControllerConfig{CooldownEpochs: 1}, host)
@@ -276,7 +277,7 @@ func TestControllerInstrument(t *testing.T) {
 			c.Tick()
 		}
 	}
-	heat(6) // pre-Instrument history to back-fill
+	heat(6) // pre-Instrument history the registry must read
 	pre := c.Stats()
 	if pre.Promotes == 0 {
 		t.Fatalf("no pre-Instrument promotions: %+v", pre)
@@ -284,7 +285,7 @@ func TestControllerInstrument(t *testing.T) {
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	if got := reg.CounterValue(obs.NodeWide, "introspect", "promote"); got != int64(pre.Promotes) {
-		t.Fatalf("back-fill: registry promote = %d, stats %d", got, pre.Promotes)
+		t.Fatalf("late Instrument: registry promote = %d, stats %d", got, pre.Promotes)
 	}
 	heat(6)
 	post := c.Stats()
@@ -305,11 +306,32 @@ func TestControllerInstrument(t *testing.T) {
 		// Monotone growth under pure heat: the last tick is the peak.
 		t.Fatalf("TierSize %d != trajectory max %d", c.TierSize(), traj.Max())
 	}
-	h := reg.Histogram("introspect", "tier_replicas_per_epoch")
-	if *h != *traj {
-		t.Fatalf("registry trajectory (count %d, mean %d) disagrees with private (count %d, mean %d)",
-			h.Count(), h.Mean(), traj.Count(), traj.Mean())
+	const name = "tier_replicas_per_epoch"
+	if got, want := histSeries(t, reg, "introspect", name), dumpedAs(t, "introspect", name, traj); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dumped trajectory (count %d, %+v) disagrees with private (count %d, %+v)",
+			got.Count, *got.Hist, want.Count, *want.Hist)
 	}
+}
+
+// histSeries is the node-wide histogram (layer, name) as reg dumps it,
+// read through Snapshot, which creates no series.
+func histSeries(t *testing.T, reg *obs.Registry, layer, name string) obs.Metric {
+	t.Helper()
+	for _, m := range reg.Snapshot() {
+		if m.Kind == "hist" && m.Key == (obs.Key{Node: obs.NodeWide, Layer: layer, Name: name}) {
+			return m
+		}
+	}
+	t.Fatalf("the dump has no %s/%s histogram", layer, name)
+	return obs.Metric{}
+}
+
+// dumpedAs is h as a registry holding nothing else dumps it.
+func dumpedAs(t *testing.T, layer, name string, h *obs.Histogram) obs.Metric {
+	t.Helper()
+	reg := obs.NewRegistry()
+	reg.HistogramSource(layer, name, h)
+	return histSeries(t, reg, layer, name)
 }
 
 // TestControllerConfigClamps: out-of-range fields resolve to a usable

@@ -80,7 +80,7 @@ func scale100k() *Registry {
 	for i := 0; i < 5; i++ {
 		r.Histogram("workload", "h"+strconv.Itoa(i)).Observe(int64(1) << (4 * i))
 	}
-	r.Gauge("introspect", "tier").Set(0.5)
+	r.GaugeSource("introspect", "tier", Value(func() int64 { return 3 }))
 	return r
 }
 

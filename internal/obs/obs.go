@@ -16,14 +16,14 @@
 // that discipline the merged snapshot, the Benchmark-line dump and the JSONL
 // trace are byte-identical at any GOMAXPROCS.
 //
-// Hot-path cost.  Every counter series is read through a Source, so a
-// count has one copy: a layer that keeps counts of its own — its Stats,
-// simnet's per-link bytes, epidemic's counts per hosting node —
-// registers them, and the registry reads them only when it is itself
-// read.  Counts only the registry keeps, which many instances share,
-// are node-wide handles (Counter, Gauge, Histogram) resolved once at
-// instrumentation time and bumped with plain integer arithmetic; a nil
-// handle (uninstrumented run) makes every method a no-op.
+// Hot-path cost.  Every series a layer keeps — its Stats, simnet's
+// per-link bytes, epidemic's counts per hosting node, the workload
+// engine's latency histograms — is read through a source, so a value
+// has one copy, read only when the registry is.  Values only the
+// registry keeps, which many instances share, are node-wide handles
+// (Counter, Histogram) resolved once at instrumentation time and bumped
+// with plain integer arithmetic; a nil handle (uninstrumented run)
+// makes every method a no-op.
 package obs
 
 import (
@@ -62,16 +62,6 @@ func (c *Counter) Inc() {
 func (c *Counter) Add(n int64) {
 	if c != nil {
 		c.v += n
-	}
-}
-
-// Gauge is a settable float value (queue depths, ratios).
-type Gauge struct{ v float64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
 	}
 }
 
@@ -201,43 +191,62 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// family is every series that shares one (layer, name): at most one
-// node-wide gauge and histogram, and the counters its sources serve,
-// the registry's own counter among them.  Layer and name are stored —
-// and compared — once per family, not once per series.
+// family is every series that shares one (layer, name): the counters
+// its sources serve, the gauges that sum into its node-wide gauge and
+// the histograms that merge into its node-wide histogram, the
+// registry's own counter and histogram among them.  Layer and name are
+// stored — and compared — once per family, not once per series.
 type family struct {
 	layer, name string
-	counter     *Counter // also in sources
-	gauge       *Gauge
-	hist        *Histogram
+	counter     *Counter   // also in sources
+	hist        *Histogram // also in hists
 	sources     []Source
+	gauges      []Source // each one node-wide series
+	hists       []*Histogram
 }
 
 // each visits the family's series in dump order — by node, and at one
-// node counter, gauge, histogram.  A visit is a gauge when g is
-// non-nil, a histogram when h is, and otherwise a counter whose value
-// is v.
-func (f *family) each(visit func(node int, v int64, g *Gauge, h *Histogram)) {
-	if f.gauge == nil && f.hist == nil {
-		f.counters().Each(func(node int, v int64) { visit(node, v, nil, nil) })
+// node counter, gauge, histogram.  kind is the series' Metric.Kind, v a
+// counter's or a gauge's value, and h a histogram.
+func (f *family) each(visit func(node int, kind string, v int64, h *Histogram)) {
+	if f.gauges == nil && f.hists == nil {
+		f.counters().Each(func(node int, v int64) { visit(node, "counter", v, nil) })
 		return
 	}
 	// Few families hold a gauge or histogram, and none in a real dump
 	// a counter too: sum their counters to put the node-wide one first.
 	pts := f.combined()
 	if len(pts) > 0 && pts[0].node == NodeWide {
-		visit(NodeWide, pts[0].v, nil, nil)
+		visit(NodeWide, "counter", pts[0].v, nil)
 		pts = pts[1:]
 	}
-	if f.gauge != nil {
-		visit(NodeWide, 0, f.gauge, nil)
+	if f.gauges != nil {
+		visit(NodeWide, "gauge", f.gauge(), nil)
 	}
-	if f.hist != nil {
-		visit(NodeWide, 0, nil, f.hist)
+	if f.hists != nil {
+		visit(NodeWide, "hist", 0, f.histogram())
 	}
 	for _, p := range pts {
-		visit(p.node, p.v, nil, nil)
+		visit(p.node, "counter", p.v, nil)
 	}
+}
+
+// gauge is the family's gauges summed.
+func (f *family) gauge() (sum int64) {
+	for _, g := range f.gauges {
+		g.Each(func(_ int, v int64) { sum += v })
+	}
+	return sum
+}
+
+// histogram is the family's histograms — the registry's own, a layer's,
+// several auditors' on one registry — merged into a new one.
+func (f *family) histogram() *Histogram {
+	sum := new(Histogram)
+	for _, h := range f.hists {
+		sum.Merge(h)
+	}
+	return sum
 }
 
 // counters is the family's counters as one source: none, its one
@@ -298,10 +307,10 @@ func (f *family) combined() frozen {
 // len is how many series a dump of the family lists.
 func (f *family) len() int {
 	n := f.counters().Len()
-	if f.gauge != nil {
+	if f.gauges != nil {
 		n++
 	}
-	if f.hist != nil {
+	if f.hists != nil {
 		n++
 	}
 	return n
@@ -314,11 +323,11 @@ type familyKey struct{ layer, name string }
 // two layers asking for the same key share the value, which is how
 // per-object rings aggregate into pool-wide counters.
 //
-// Series live in families, one per (layer, name): a gauge or histogram
-// is created through Gauge or Histogram, and every counter series is
-// served by one of the family's Sources — the registry's own Counter
-// among them — so the dump walks families and never meets a series it
-// would have to place by hashing or comparing strings.
+// Series live in families, one per (layer, name), and every series is
+// read from what a layer or the registry keeps — counters from Sources,
+// gauges summed, histograms merged — so the dump walks families and
+// never meets a series it would have to place by hashing or comparing
+// strings.
 type Registry struct {
 	byName map[familyKey]*family
 	// families is every family, in creation order until a dump sorts
@@ -349,10 +358,10 @@ func (r *Registry) family(layer, name string) *family {
 	return f
 }
 
-// Source serves one family's counters from storage a layer keeps.  The
-// registry only reads it, and only while it is being read itself
-// (Order, Snapshot, WriteBench, CounterValue, and Merge from it), after
-// its OnRead hooks have run.
+// Source serves one family's counters, or one of its gauges, from
+// storage a layer keeps.  The registry only reads it, and only while it
+// is being read itself (Order, Snapshot, WriteBench, CounterValue, and
+// Merge from it), after its OnRead hooks have run.
 type Source interface {
 	// Len is how many series Each visits.
 	Len() int
@@ -366,8 +375,8 @@ func (c *Counter) Len() int { return 1 }
 
 func (c *Counter) Each(visit func(node int, v int64)) { visit(NodeWide, c.v) }
 
-// Value is a Source over one node-wide count a layer keeps, read when
-// the registry is.
+// Value is a Source over one node-wide count or gauge a layer keeps,
+// read when the registry is.
 type Value func() int64
 
 func (v Value) Len() int { return 1 }
@@ -381,6 +390,24 @@ func (v Value) Each(visit func(node int, v int64)) { visit(NodeWide, v()) }
 func (r *Registry) CounterSource(layer, name string, src Source) {
 	if f := r.family(layer, name); f != nil {
 		f.sources = append(f.sources, src)
+	}
+}
+
+// GaugeSource adds v to the gauges named (layer, name), which dump as
+// one node-wide series: their sum, formatted as a float.  A nil
+// registry ignores the call.
+func (r *Registry) GaugeSource(layer, name string, v Value) {
+	if f := r.family(layer, name); f != nil {
+		f.gauges = append(f.gauges, v)
+	}
+}
+
+// HistogramSource adds h, a histogram a layer keeps, to the histograms
+// named (layer, name), which dump as one node-wide series: their merge.
+// The registry never writes into h.  A nil registry ignores the call.
+func (r *Registry) HistogramSource(layer, name string, h *Histogram) {
+	if f := r.family(layer, name); f != nil {
+		f.hists = append(f.hists, h)
 	}
 }
 
@@ -418,30 +445,19 @@ func (r *Registry) Counter(layer, name string) *Counter {
 	return f.counter
 }
 
-// Gauge returns the node-wide gauge named (layer, name), creating it
-// on first use; nil registry gives a nil handle.
-func (r *Registry) Gauge(layer, name string) *Gauge {
-	if f := r.family(layer, name); f != nil {
-		return orNew(&f.gauge)
-	}
-	return nil
-}
-
-// Histogram returns the node-wide histogram named (layer, name),
-// creating it on first use; nil registry gives a nil handle.
+// Histogram returns the registry's own node-wide histogram named
+// (layer, name), creating it on first use as one of the family's
+// histograms.  A nil registry returns a nil (no-op) handle.
 func (r *Registry) Histogram(layer, name string) *Histogram {
-	if f := r.family(layer, name); f != nil {
-		return orNew(&f.hist)
+	f := r.family(layer, name)
+	if f == nil {
+		return nil
 	}
-	return nil
-}
-
-// orNew returns *p, making it first if it is nil.
-func orNew[T any](p **T) *T {
-	if *p == nil {
-		*p = new(T)
+	if f.hist == nil {
+		f.hist = new(Histogram)
+		f.hists = append(f.hists, f.hist)
 	}
-	return *p
+	return f.hist
 }
 
 // CounterValue reads a counter without creating it: a missing key
@@ -469,15 +485,14 @@ func (r *Registry) CounterValue(node int, layer, name string) int64 {
 	return v
 }
 
-// Merge folds another registry into this one: counters and gauges add,
-// histograms merge.  The other's counters, read as they stand now, add
-// node-wide into this registry's own Counter and join per node as one
-// frozen source.  Merging
-// per-simulator registries in seed order yields the same totals at any
-// worker count, because integer addition is associative and
-// commutative — the float caveat does not arise for
-// counters/histograms, and gauge addition across simulators is only
-// meaningful for additive gauges (document per metric).
+// Merge folds another registry into this one, read as it stands now:
+// its node-wide counters add into this registry's own Counter, its
+// per-node ones join as one frozen source, its histograms fold into
+// this registry's own Histogram and its gauge sum joins as a frozen
+// gauge source.  Every value is an integer, so merging in seed order
+// yields the same totals at any worker count.  Gauge sources sum, here
+// as within one registry, so a gauge must be additive: the two there
+// are, workload/objects and introspect/tier_replicas, are counts.
 func (r *Registry) Merge(o *Registry) {
 	if r == nil || o == nil {
 		return
@@ -485,11 +500,11 @@ func (r *Registry) Merge(o *Registry) {
 	o.read()
 	for _, of := range o.families {
 		f := r.family(of.layer, of.name)
-		if of.gauge != nil {
-			orNew(&f.gauge).v += of.gauge.v
+		if of.gauges != nil {
+			f.gauges = append(f.gauges, frozen{{NodeWide, of.gauge()}})
 		}
-		if of.hist != nil {
-			orNew(&f.hist).Merge(of.hist)
+		for _, h := range of.hists {
+			r.Histogram(of.layer, of.name).Merge(h)
 		}
 		var pts frozen
 		of.counters().Each(func(node int, v int64) {
@@ -539,7 +554,7 @@ type Metric struct {
 	Kind string // "counter", "gauge", "hist"
 	// Counter/histogram payload.
 	Count int64
-	// Gauge payload.
+	// Gauge payload: the gauge sources' sum, as a float.
 	Value float64
 	// Hist is the rest of a histogram's payload; nil for other kinds.
 	Hist *HistSummary
@@ -560,25 +575,25 @@ func (r *Registry) Snapshot() []Metric {
 	out := make([]Metric, 0, n)
 	nh := 0
 	for _, f := range r.families {
-		if f.hist != nil {
+		if f.hists != nil {
 			nh++
 		}
 	}
 	hists := make([]HistSummary, 0, nh) // one array behind every Hist
 	var key Key
-	visit := func(node int, v int64, g *Gauge, h *Histogram) {
+	visit := func(node int, kind string, v int64, h *Histogram) {
 		key.Node = node
-		switch {
-		case g != nil:
-			out = append(out, Metric{Key: key, Kind: "gauge", Value: g.v})
-		case h != nil:
+		switch kind {
+		case "gauge":
+			out = append(out, Metric{Key: key, Kind: kind, Value: float64(v)})
+		case "hist":
 			hists = append(hists, HistSummary{
 				Sum: h.sum, Min: h.min, Max: h.max,
 				P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 			})
-			out = append(out, Metric{Key: key, Kind: "hist", Count: h.count, Hist: &hists[len(hists)-1]})
+			out = append(out, Metric{Key: key, Kind: kind, Count: h.count, Hist: &hists[len(hists)-1]})
 		default:
-			out = append(out, Metric{Key: key, Kind: "counter", Count: v})
+			out = append(out, Metric{Key: key, Kind: kind, Count: v})
 		}
 	}
 	for _, f := range r.families {
@@ -599,9 +614,10 @@ const writeChunk = 32 << 10
 //
 // Counters emit one (value, "count") pair; gauges one (value, "value")
 // pair; histograms a pair list (count, sum, mean, p50, p99, max).
-// Output is sorted and all-integer except gauges, so it is
-// byte-identical for equal registries.  Lines are formatted into one
-// reused buffer and reach w in chunks of about writeChunk bytes.
+// Output is sorted and all-integer — a gauge is an integer sum, though
+// formatted as a float — so it is byte-identical for equal registries.
+// Lines are formatted into one reused buffer and reach w in chunks of
+// about writeChunk bytes.
 func (r *Registry) WriteBench(w io.Writer, prefix string) error {
 	if r == nil {
 		return nil
@@ -610,7 +626,7 @@ func (r *Registry) WriteBench(w io.Writer, prefix string) error {
 	var err error
 	buf := make([]byte, 0, writeChunk+512)
 	var head []byte // "Benchmark<prefix>/<layer>/<name>/", once per family
-	visit := func(node int, v int64, g *Gauge, h *Histogram) {
+	visit := func(node int, kind string, v int64, h *Histogram) {
 		if err != nil {
 			return
 		}
@@ -625,11 +641,11 @@ func (r *Registry) WriteBench(w io.Writer, prefix string) error {
 			buf = strconv.AppendInt(buf, int64(node), 10)
 			buf = append(buf, " 1 "...)
 		}
-		switch {
-		case g != nil:
-			buf = strconv.AppendFloat(buf, g.v, 'g', -1, 64)
+		switch kind {
+		case "gauge":
+			buf = strconv.AppendFloat(buf, float64(v), 'g', -1, 64)
 			buf = append(buf, " value\n"...)
-		case h != nil:
+		case "hist":
 			for _, p := range [...]struct {
 				v    int64
 				unit string

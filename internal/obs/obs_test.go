@@ -11,8 +11,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	var c *Counter
 	c.Inc()
 	c.Add(5)
-	var g *Gauge
-	g.Set(3)
 	var h *Histogram
 	h.Observe(7)
 	h.ObserveDuration(time.Second)
@@ -22,13 +20,15 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	h.Merge(&Histogram{})
 
 	var r *Registry
-	if r.Counter("l", "n") != nil || r.Gauge("l", "n") != nil || r.Histogram("l", "n") != nil {
+	if r.Counter("l", "n") != nil || r.Histogram("l", "n") != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot")
 	}
 	r.CounterSource("l", "n", frozen{{1, 1}})
+	r.GaugeSource("l", "g", Value(func() int64 { return 1 }))
+	r.HistogramSource("l", "h", &Histogram{})
 	r.OnRead(func() { t.Fatal("nil registry ran a read hook") })
 	if series, families := r.Order(); series != 0 || families != 0 || r.CounterValue(1, "l", "n") != 0 {
 		t.Fatal("nil registry holds series")
@@ -50,11 +50,14 @@ func TestCounterAndGauge(t *testing.T) {
 	if again := r.Counter("simnet", "sent"); again != c || again.v != 5 {
 		t.Fatalf("counter = %d, want 5 (handles for one key must be shared)", again.v)
 	}
-	g := r.Gauge("replica", "depth")
-	g.Set(1.5)
-	g.Set(2)
-	if again := r.Gauge("replica", "depth"); again != g || again.v != 2.0 {
-		t.Fatalf("gauge = %v, want 2", again.v)
+	// Gauge sources under one name read as their sum, when read.
+	depth := int64(2)
+	r.GaugeSource("replica", "depth", Value(func() int64 { return depth }))
+	r.GaugeSource("replica", "depth", Value(func() int64 { return 3 }))
+	depth = 4
+	snap := r.Snapshot()
+	if len(snap) != 2 || snap[0].Kind != "gauge" || snap[0].Value != 7 {
+		t.Fatalf("gauge = %+v, want one gauge of 4+3", snap)
 	}
 }
 
@@ -144,7 +147,7 @@ func TestRegistryMergeAndSnapshotOrder(t *testing.T) {
 		parts[2].Counter("byz", "commits").Add(2)
 		parts[0].Histogram("plaxton", "route_hops").Observe(4)
 		parts[1].Histogram("plaxton", "route_hops").Observe(6)
-		parts[2].Gauge("replica", "load").Set(1.25)
+		parts[2].GaugeSource("replica", "load", Value(func() int64 { return 5 }))
 		m := NewRegistry()
 		for _, i := range order {
 			m.Merge(parts[i])

@@ -16,17 +16,18 @@ import (
 // order and sort.Slices by string compare, and a dump that formats each
 // line through fmt.  It is kept here, verbatim in everything that
 // decides a byte, as the definition of the dump format and order that
-// Registry must reproduce.
+// Registry must reproduce.  Its gauges are plain values, set by whoever
+// drives it.
 type refRegistry struct {
 	counters map[Key]*Counter
-	gauges   map[Key]*Gauge
+	gauges   map[Key]float64
 	hists    map[Key]*Histogram
 }
 
 func newRefRegistry() *refRegistry {
 	return &refRegistry{
 		counters: make(map[Key]*Counter),
-		gauges:   make(map[Key]*Gauge),
+		gauges:   make(map[Key]float64),
 		hists:    make(map[Key]*Histogram),
 	}
 }
@@ -58,16 +59,6 @@ func (r *refRegistry) Counter(node int, layer, name string) *Counter {
 	return c
 }
 
-func (r *refRegistry) Gauge(node int, layer, name string) *Gauge {
-	k := Key{Node: node, Layer: layer, Name: name}
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
-}
-
 func (r *refRegistry) Histogram(node int, layer, name string) *Histogram {
 	k := Key{Node: node, Layer: layer, Name: name}
 	h, ok := r.hists[k]
@@ -83,7 +74,7 @@ func (r *refRegistry) Merge(o *refRegistry) {
 		r.Counter(k.Node, k.Layer, k.Name).Add(c.v)
 	}
 	for k, g := range o.gauges {
-		r.Gauge(k.Node, k.Layer, k.Name).v += g.v
+		r.gauges[k] += g
 	}
 	for k, h := range o.hists {
 		r.Histogram(k.Node, k.Layer, k.Name).Merge(h)
@@ -96,7 +87,7 @@ func (r *refRegistry) Snapshot() []Metric {
 		out = append(out, Metric{Key: k, Kind: "counter", Count: c.v})
 	}
 	for k, g := range r.gauges {
-		out = append(out, Metric{Key: k, Kind: "gauge", Value: g.v})
+		out = append(out, Metric{Key: k, Kind: "gauge", Value: g})
 	}
 	for k, h := range r.hists {
 		out = append(out, Metric{
@@ -136,15 +127,19 @@ func (r *refRegistry) WriteBench(w io.Writer, prefix string) error {
 	return nil
 }
 
-// kept stands in for a layer that keeps counts in storage of its own
-// and serves them through CounterSource: per-node values by family and
-// node, and node-wide ones by family, each served through a Value.  A
-// family's sources are registered from the registry's OnRead hook on
-// the first read after its first value, as simnet does.
+// kept stands in for a layer that keeps values in storage of its own
+// and serves them through sources: per-node counts by family and node,
+// node-wide counts and gauges by family, each served through a Value,
+// and node-wide histograms by family.  A family's count sources are
+// registered from the registry's OnRead hook on the first read after
+// its first value, as simnet does; a gauge or histogram is registered
+// when it is made, as the layers that keep one do at Instrument.
 type kept struct {
 	reg       *Registry
 	vals      map[familyKey]map[int]int64
 	scalars   map[familyKey]*int64
+	gauges    map[familyKey]*int64
+	hists     map[familyKey]*Histogram
 	published map[familyKey]bool
 	valued    map[familyKey]bool
 }
@@ -154,11 +149,35 @@ func newKept(reg *Registry) *kept {
 		reg:       reg,
 		vals:      make(map[familyKey]map[int]int64),
 		scalars:   make(map[familyKey]*int64),
+		gauges:    make(map[familyKey]*int64),
+		hists:     make(map[familyKey]*Histogram),
 		published: make(map[familyKey]bool),
 		valued:    make(map[familyKey]bool),
 	}
 	reg.OnRead(k.publish)
 	return k
+}
+
+// set sets a gauge and returns by how much it moved.
+func (k *kept) set(layer, name string, v int64) int64 {
+	fk := familyKey{layer, name}
+	if k.gauges[fk] == nil {
+		g := new(int64)
+		k.gauges[fk] = g
+		k.reg.GaugeSource(layer, name, Value(func() int64 { return *g }))
+	}
+	delta := v - *k.gauges[fk]
+	*k.gauges[fk] = v
+	return delta
+}
+
+func (k *kept) observe(layer, name string, v int64) {
+	fk := familyKey{layer, name}
+	if k.hists[fk] == nil {
+		k.hists[fk] = new(Histogram)
+		k.reg.HistogramSource(layer, name, k.hists[fk])
+	}
+	k.hists[fk].Observe(v)
 }
 
 func (k *kept) add(node int, layer, name string, v int64) {
@@ -208,8 +227,8 @@ func (s keptSource) Each(visit func(node int, v int64)) {
 }
 
 // both drives a Registry and the reference through the same calls.
-// Counts kept in src reach the Registry through its sources, and the
-// reference holds them as plain counters.
+// Values kept in src reach the Registry through its sources, and the
+// reference holds them as plain counters, gauges and histograms.
 type both struct {
 	got *Registry
 	ref *refRegistry
@@ -218,7 +237,7 @@ type both struct {
 
 func newBoth() both { return both{got: NewRegistry(), ref: newRefRegistry()} }
 
-// newSourced is newBoth with some counts kept outside the registry, in
+// newSourced is newBoth with some values kept outside the registry, in
 // two stores that may both serve one family.
 func newSourced() both {
 	b := newBoth()
@@ -265,12 +284,12 @@ func (b both) check(t *testing.T, what string) {
 // fill applies n random operations: all three kinds, keys that collide
 // across kinds (one name pool for all), names whose string order is not
 // their numeric order.  The registry's own handles serve node-wide
-// series, and with sources half the operations are counts kept in
-// them: per-node ones on a dense node range and a sparse one, and
-// node-wide ones served through a Value — under names of their own,
-// where a family may be one source alone or two, node-wide only under
-// "scalar", and under names that also hold the registry's node-wide
-// series of every kind.
+// counters and histograms, and with sources half the operations are
+// values kept in them: per-node counts on a dense node range and a
+// sparse one, node-wide counts and gauges served through a Value, and
+// node-wide histograms — under names of their own, where a family may
+// be one source alone or two, node-wide only under "scalar", and under
+// names that also hold the registry's own counter and histogram.
 func (b both) fill(rng *rand.Rand, n int) {
 	layers := []string{"simnet", "byz", "b"}
 	names := []string{"link_n1_bytes", "link_n10_bytes", "link_n2_bytes", "x", "commits", "commit"}
@@ -278,27 +297,34 @@ func (b both) fill(rng *rand.Rand, n int) {
 	for i := 0; i < n; i++ {
 		layer, name := layers[rng.Intn(len(layers))], names[rng.Intn(len(names))]
 		if b.src != nil && rng.Intn(2) == 0 {
-			name, v, nd := kept[rng.Intn(len(kept))], rng.Int63n(1000), rng.Intn(100) // dense
-			switch {
-			case name == "scalar" || rng.Intn(4) == 0:
-				nd = NodeWide
-			case rng.Intn(4) == 0:
-				nd = rng.Intn(1 << 40) // sparse
+			src, name := b.src[rng.Intn(len(b.src))], kept[rng.Intn(len(kept))]
+			switch rng.Intn(4) {
+			case 0:
+				v := rng.Int63n(2000) - 1000
+				b.ref.gauges[Key{NodeWide, layer, name}] += float64(src.set(layer, name, v))
+			case 1:
+				v := rng.Int63n(1 << uint(rng.Intn(40)))
+				src.observe(layer, name, v)
+				b.ref.Histogram(NodeWide, layer, name).Observe(v)
+			default:
+				v, nd := rng.Int63n(1000), rng.Intn(100) // dense
+				switch {
+				case name == "scalar" || rng.Intn(4) == 0:
+					nd = NodeWide
+				case rng.Intn(4) == 0:
+					nd = rng.Intn(1 << 40) // sparse
+				}
+				src.add(nd, layer, name, v)
+				b.ref.Counter(nd, layer, name).Add(v)
 			}
-			b.src[rng.Intn(len(b.src))].add(nd, layer, name, v)
-			b.ref.Counter(nd, layer, name).Add(v)
 			continue
 		}
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0, 1:
 			v := rng.Int63n(1000) - 10
 			b.got.Counter(layer, name).Add(v)
 			b.ref.Counter(NodeWide, layer, name).Add(v)
 		case 2:
-			v := rng.NormFloat64() * 1e3
-			b.got.Gauge(layer, name).Set(v)
-			b.ref.Gauge(NodeWide, layer, name).Set(v)
-		case 3:
 			v := rng.Int63n(1 << uint(rng.Intn(40)))
 			b.got.Histogram(layer, name).Observe(v)
 			b.ref.Histogram(NodeWide, layer, name).Observe(v)
@@ -315,8 +341,11 @@ func (b both) fill(rng *rand.Rand, n int) {
 // Per-node counts reach the registry only through sources
 // (CounterSource) and Merge, and node-wide ones through the registry's
 // Counter handles and through Value sources, alone, beside a handle,
-// or several under one name; the reference holds them all as plain
-// counters.
+// or several under one name.  Gauges reach it only through
+// GaugeSource, alone or several under one name, and histograms through
+// the registry's Histogram handles and HistogramSource, alone, beside
+// a handle, or several under one name.  The reference holds them all
+// as plain values.
 func TestRegistryMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -356,7 +385,7 @@ func TestCounterValueCreatesNothing(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("byz", "commits").Add(7)
 	r.CounterSource("byz", "commits", frozen{{3, 5}})
-	r.Gauge("byz", "depth").Set(1)
+	r.GaugeSource("byz", "depth", Value(func() int64 { return 1 }))
 	for _, probe := range []struct {
 		node        int
 		layer, name string

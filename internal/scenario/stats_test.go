@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,10 +14,41 @@ import (
 	"oceanstore/internal/workload"
 )
 
-// statRow is one counter series and the Stats field it reads.
+// statRow is one node-wide series and what it reads: a counter's or a
+// gauge's Stats field, or the histogram the layer keeps.
 type statRow struct {
 	layer, name string
 	want        int64
+	gauge       bool           // want is a gauge's value, not a counter's
+	hist        *obs.Histogram // a histogram row: the dump shows this
+}
+
+// gaugeRow is a statRow for a gauge.
+func gaugeRow(layer, name string, want int64) statRow {
+	return statRow{layer: layer, name: name, want: want, gauge: true}
+}
+
+// histRow is a statRow for a histogram.
+func histRow(layer, name string, h *obs.Histogram) statRow {
+	return statRow{layer: layer, name: name, hist: h}
+}
+
+// kind is the Metric.Kind of the row's series.
+func (r statRow) kind() string {
+	switch {
+	case r.hist != nil:
+		return "hist"
+	case r.gauge:
+		return "gauge"
+	}
+	return "counter"
+}
+
+// dumpedAs is h as a registry holding nothing else dumps it.
+func dumpedAs(layer, name string, h *obs.Histogram) obs.Metric {
+	reg := obs.NewRegistry()
+	reg.HistogramSource(layer, name, h)
+	return reg.Snapshot()[0]
 }
 
 // netRows lists simnet's node-wide series against the network's Stats:
@@ -25,40 +57,61 @@ type statRow struct {
 func netRows(before, after simnet.Stats) []statRow {
 	d := func(f func(simnet.Stats) int) int64 { return int64(f(after) - f(before)) }
 	rows := []statRow{
-		{"simnet", "msgs_sent", d(func(s simnet.Stats) int { return s.MessagesSent })},
-		{"simnet", "msgs_delivered", d(func(s simnet.Stats) int { return s.MessagesDelivered })},
-		{"simnet", "drop_crash", d(func(s simnet.Stats) int { return s.DroppedByCrash })},
-		{"simnet", "drop_partition", d(func(s simnet.Stats) int { return s.DroppedByPartition })},
-		{"simnet", "drop_fault", d(func(s simnet.Stats) int { return s.DroppedByFault })},
-		{"simnet", "drop_loss", d(func(s simnet.Stats) int { return s.DroppedByLoss })},
-		{"simnet", "drop_nohandler", d(func(s simnet.Stats) int { return s.DroppedNoHandler })},
-		{"simnet", "crashes", d(func(s simnet.Stats) int { return s.Crashes })},
-		{"simnet", "recoveries", d(func(s simnet.Stats) int { return s.Recoveries })},
-		{"simnet", "retries", d(func(s simnet.Stats) int { return s.Retries })},
-		{"simnet", "bytes_sent", after.BytesSent - before.BytesSent},
+		{layer: "simnet", name: "msgs_sent", want: d(func(s simnet.Stats) int { return s.MessagesSent })},
+		{layer: "simnet", name: "msgs_delivered", want: d(func(s simnet.Stats) int { return s.MessagesDelivered })},
+		{layer: "simnet", name: "drop_crash", want: d(func(s simnet.Stats) int { return s.DroppedByCrash })},
+		{layer: "simnet", name: "drop_partition", want: d(func(s simnet.Stats) int { return s.DroppedByPartition })},
+		{layer: "simnet", name: "drop_fault", want: d(func(s simnet.Stats) int { return s.DroppedByFault })},
+		{layer: "simnet", name: "drop_loss", want: d(func(s simnet.Stats) int { return s.DroppedByLoss })},
+		{layer: "simnet", name: "drop_nohandler", want: d(func(s simnet.Stats) int { return s.DroppedNoHandler })},
+		{layer: "simnet", name: "crashes", want: d(func(s simnet.Stats) int { return s.Crashes })},
+		{layer: "simnet", name: "recoveries", want: d(func(s simnet.Stats) int { return s.Recoveries })},
+		{layer: "simnet", name: "retries", want: d(func(s simnet.Stats) int { return s.Retries })},
+		{layer: "simnet", name: "bytes_sent", want: after.BytesSent - before.BytesSent},
 	}
 	for kind, n := range after.RetriesByKind {
-		rows = append(rows, statRow{"simnet", "retries_" + kind, int64(n - before.RetriesByKind[kind])})
+		rows = append(rows, statRow{layer: "simnet", name: "retries_" + kind, want: int64(n - before.RetriesByKind[kind])})
 	}
 	return rows
 }
 
-// checkRows requires every row's series to read its Stats field, and
-// every node-wide counter of the rows' layers to have a row.
+// checkRows requires every row's series to read what the layer keeps,
+// and every node-wide series of the rows' layers, of any kind, to have
+// a row.
 func checkRows(t *testing.T, what string, reg *obs.Registry, rows []statRow) {
 	t.Helper()
-	listed := make(map[[2]string]bool)
+	type series struct{ layer, name, kind string }
+	listed := make(map[series]bool)
 	layers := make(map[string]bool)
 	for _, r := range rows {
-		listed[[2]string{r.layer, r.name}] = true
+		listed[series{r.layer, r.name, r.kind()}] = true
 		layers[r.layer] = true
-		if got := reg.CounterValue(obs.NodeWide, r.layer, r.name); got != r.want {
-			t.Errorf("%s: %s/%s = %d, its Stats field says %d", what, r.layer, r.name, got, r.want)
+	}
+	dumped := make(map[series]obs.Metric)
+	for _, m := range reg.Snapshot() {
+		s := series{m.Key.Layer, m.Key.Name, m.Kind}
+		if m.Key.Node != obs.NodeWide || !layers[s.layer] {
+			continue
+		}
+		dumped[s] = m
+		if !listed[s] {
+			t.Errorf("%s: %s %s/%s has no row", what, s.kind, s.layer, s.name)
 		}
 	}
-	for _, m := range reg.Snapshot() {
-		if m.Kind == "counter" && m.Key.Node == obs.NodeWide && layers[m.Key.Layer] && !listed[[2]string{m.Key.Layer, m.Key.Name}] {
-			t.Errorf("%s: %s/%s has no row", what, m.Key.Layer, m.Key.Name)
+	for _, r := range rows {
+		m, ok := dumped[series{r.layer, r.name, r.kind()}]
+		switch {
+		case r.kind() == "counter":
+			if got := reg.CounterValue(obs.NodeWide, r.layer, r.name); got != r.want {
+				t.Errorf("%s: %s/%s = %d, its Stats field says %d", what, r.layer, r.name, got, r.want)
+			}
+		case !ok:
+			t.Errorf("%s: the dump has no %s %s/%s", what, r.kind(), r.layer, r.name)
+		case r.gauge && m.Value != float64(r.want):
+			t.Errorf("%s: gauge %s/%s = %v, the layer keeps %d", what, r.layer, r.name, m.Value, r.want)
+		case r.hist != nil && !reflect.DeepEqual(m, dumpedAs(r.layer, r.name, r.hist)):
+			t.Errorf("%s: histogram %s/%s (count %d, %+v) is not the layer's (count %d)",
+				what, r.layer, r.name, m.Count, *m.Hist, r.hist.Count())
 		}
 	}
 }
@@ -73,13 +126,16 @@ func copyStats(s simnet.Stats) simnet.Stats {
 	return s
 }
 
-// TestRegistrySeriesReadStats: each counter series a layer registers
-// reads the Stats field it is named for — the network's, the scrub
-// scheduler's, the introspective controller's, the soak world's read
-// wire bytes and the workload engine's on a soak world with churn,
-// faults, scrubbing, introspection and sheds; and the auditors' on an
-// audited pool world.  The registry keeps no second copy, so a series
-// that read the wrong field, or a field no series reads, shows here.
+// TestRegistrySeriesReadStats: each series a layer registers reads the
+// value it is named for — counters the Stats fields of the network, the
+// scrub scheduler, the introspective controller, the soak world's read
+// wire bytes and the workload engine, gauges the engine's confirmed
+// objects and the controller's tier size, histograms the engine's
+// latencies and the controller's trajectory, on a soak world with
+// churn, faults, scrubbing, introspection and sheds; and the auditors'
+// Stats and detection latency on an audited pool world.  The registry
+// keeps no second copy, so a series that read the wrong value, or a
+// value no series reads, shows here.
 func TestRegistrySeriesReadStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := core.DefaultSoakConfig(64)
@@ -122,29 +178,35 @@ func TestRegistrySeriesReadStats(t *testing.T) {
 	eng.Start()
 	world.Pool.K.RunWhile(func() bool { return !eng.Done() })
 
-	ss, cs, es := world.Scheduler().Stats(), world.Controller().Stats(), eng.Stats()
+	ctrl := world.Controller()
+	ss, cs, es := world.Scheduler().Stats(), ctrl.Stats(), eng.Stats()
 	if es.Shed == 0 || es.Retries == 0 || cs.Promotes == 0 || ss.ScrubbedFrags == 0 {
 		t.Fatalf("the soak exercised too little: %+v %+v %+v", es, cs, ss)
 	}
 	rows := append(netRows(before, net.Stats()),
-		statRow{"scrub", "frags", ss.ScrubbedFrags},
-		statRow{"scrub", "bad", ss.ScrubBad},
-		statRow{"scrub", "missing", ss.ScrubMissing},
-		statRow{"scrub", "bytes", ss.ScrubBytes},
-		statRow{"scrub", "bg_repairs", ss.Repairs},
-		statRow{"scrub", "bg_repair_failed", ss.RepairFailed},
-		statRow{"scrub", "bg_repairs_deferred", ss.RepairsDeferred},
-		statRow{"scrub", "store_flushes", ss.Flushes},
-		statRow{"introspect", "promote", int64(cs.Promotes)},
-		statRow{"introspect", "demote", int64(cs.Demotes)},
-		statRow{"introspect", "promote_denied", int64(cs.Denied)},
-		statRow{"introspect", "read_wire_bytes", world.ReadWireBytes()},
-		statRow{"workload", "issued", int64(es.Issued)},
-		statRow{"workload", "ok", int64(es.OK)},
-		statRow{"workload", "failed", int64(es.Failed)},
-		statRow{"workload", "shed", int64(es.Shed)},
-		statRow{"workload", "retries", int64(es.Retries)},
-		statRow{"workload", "creates", int64(es.Creates)},
+		statRow{layer: "scrub", name: "frags", want: ss.ScrubbedFrags},
+		statRow{layer: "scrub", name: "bad", want: ss.ScrubBad},
+		statRow{layer: "scrub", name: "missing", want: ss.ScrubMissing},
+		statRow{layer: "scrub", name: "bytes", want: ss.ScrubBytes},
+		statRow{layer: "scrub", name: "bg_repairs", want: ss.Repairs},
+		statRow{layer: "scrub", name: "bg_repair_failed", want: ss.RepairFailed},
+		statRow{layer: "scrub", name: "bg_repairs_deferred", want: ss.RepairsDeferred},
+		statRow{layer: "scrub", name: "store_flushes", want: ss.Flushes},
+		statRow{layer: "introspect", name: "promote", want: int64(cs.Promotes)},
+		statRow{layer: "introspect", name: "demote", want: int64(cs.Demotes)},
+		statRow{layer: "introspect", name: "promote_denied", want: int64(cs.Denied)},
+		statRow{layer: "introspect", name: "read_wire_bytes", want: world.ReadWireBytes()},
+		gaugeRow("introspect", "tier_replicas", int64(ctrl.TierSize())),
+		histRow("introspect", "tier_replicas_per_epoch", ctrl.Trajectory()),
+		statRow{layer: "workload", name: "issued", want: int64(es.Issued)},
+		statRow{layer: "workload", name: "ok", want: int64(es.OK)},
+		statRow{layer: "workload", name: "failed", want: int64(es.Failed)},
+		statRow{layer: "workload", name: "shed", want: int64(es.Shed)},
+		statRow{layer: "workload", name: "retries", want: int64(es.Retries)},
+		statRow{layer: "workload", name: "creates", want: int64(es.Creates)},
+		gaugeRow("workload", "objects", int64(es.Confirmed)),
+		histRow("workload", "op_latency_ns", eng.Latency()),
+		histRow("workload", "read_latency_ns", eng.ReadLatency()),
 	)
 	checkRows(t, "soak", reg, rows)
 
@@ -171,19 +233,20 @@ func TestRegistrySeriesReadStats(t *testing.T) {
 		t.Fatalf("the audit exercised too little: %+v %+v", as, rs)
 	}
 	checkRows(t, "audited", areg, []statRow{
-		{"audit", "polls", as.Polls},
-		{"audit", "votes", as.VotesServed},
-		{"audit", "agrees", as.Agrees},
-		{"audit", "disagrees", as.Disagrees},
-		{"audit", "missing", as.Missing},
-		{"audit", "healthy", as.Healthy},
-		{"audit", "inconclusive", as.Inconclusive},
-		{"audit", "detections", as.Detections},
-		{"audit", "repairs", as.Repairs},
-		{"audit", "repair_failed", as.RepairFailures},
-		{"audit", "suppressed", as.VotesSuppressed},
-		{"audit", "replica_checks", rs.Checks},
-		{"audit", "replica_detections", rs.Detections},
-		{"audit", "replica_repairs", rs.Repairs},
+		{layer: "audit", name: "polls", want: as.Polls},
+		{layer: "audit", name: "votes", want: as.VotesServed},
+		{layer: "audit", name: "agrees", want: as.Agrees},
+		{layer: "audit", name: "disagrees", want: as.Disagrees},
+		{layer: "audit", name: "missing", want: as.Missing},
+		{layer: "audit", name: "healthy", want: as.Healthy},
+		{layer: "audit", name: "inconclusive", want: as.Inconclusive},
+		{layer: "audit", name: "detections", want: as.Detections},
+		{layer: "audit", name: "repairs", want: as.Repairs},
+		{layer: "audit", name: "repair_failed", want: as.RepairFailures},
+		{layer: "audit", name: "suppressed", want: as.VotesSuppressed},
+		{layer: "audit", name: "replica_checks", want: rs.Checks},
+		{layer: "audit", name: "replica_detections", want: rs.Detections},
+		{layer: "audit", name: "replica_repairs", want: rs.Repairs},
+		histRow("audit", "detection_latency_ns", &a.DetectionLatency),
 	})
 }

@@ -147,19 +147,15 @@ type Engine struct {
 
 	// Virtual-time latency per resolved op; always collected so the
 	// summary can report quantiles without a registry attached.
-	latency *obs.Histogram
+	latency obs.Histogram
 	// readLat isolates read completions — the tail the replica
 	// controller is judged on.
-	readLat *obs.Histogram
+	readLat obs.Histogram
 
 	// tap, when attached, observes every resolved operation (the
 	// introspection layer's direct feed).  Observation only: a tap
 	// must not draw randomness or touch the engine.
 	tap func(req Request, lat time.Duration, ok bool)
-
-	// Registry handles, nil (no-op) until Instrument.
-	gObjects       *obs.Gauge
-	hLat, hReadLat *obs.Histogram
 }
 
 // NewEngine builds an engine.  The kernel's RNG drives every draw.
@@ -176,13 +172,11 @@ func NewEngine(k *sim.Kernel, cfg EngineConfig, t Target) *Engine {
 	// samples into the currently confirmed prefix — O(n) once instead
 	// of a rebuild per create.
 	e := &Engine{
-		k:       k,
-		cfg:     cfg,
-		t:       t,
-		z:       NewZipf(cfg.Objects+cfg.Ops+1, cfg.ZipfS, k.Rand()),
-		seqs:    make([]uint64, cfg.Clients),
-		latency: new(obs.Histogram),
-		readLat: new(obs.Histogram),
+		k:    k,
+		cfg:  cfg,
+		t:    t,
+		z:    NewZipf(cfg.Objects+cfg.Ops+1, cfg.ZipfS, k.Rand()),
+		seqs: make([]uint64, cfg.Clients),
 	}
 	e.stats.Confirmed = cfg.Objects
 	return e
@@ -211,11 +205,11 @@ func (e *Engine) Done() bool { return e.done }
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Latency exposes the engine's virtual-time op-latency histogram.
-func (e *Engine) Latency() *obs.Histogram { return e.latency }
+func (e *Engine) Latency() *obs.Histogram { return &e.latency }
 
 // ReadLatency exposes the read-only slice of the latency stream — the
 // p50/p99/p999 figures introspective replica management is judged on.
-func (e *Engine) ReadLatency() *obs.Histogram { return e.readLat }
+func (e *Engine) ReadLatency() *obs.Histogram { return &e.readLat }
 
 // Tap attaches an observer called once per resolved operation with the
 // request, its virtual-time latency, and its outcome — the direct feed
@@ -224,11 +218,11 @@ func (e *Engine) ReadLatency() *obs.Histogram { return e.readLat }
 // stream, accounting, or latency histograms.
 func (e *Engine) Tap(fn func(req Request, lat time.Duration, ok bool)) { e.tap = fn }
 
-// Instrument registers the engine's counters and latency histograms
-// under layer "workload" on reg.  The registry reads the counters'
-// lifetime totals from Stats, and the gauge and histograms are
-// back-filled, so instrumenting before or after a run yields the same
-// final snapshot.
+// Instrument registers the engine's counters, its confirmed-objects
+// gauge and its latency histograms under layer "workload" on reg.  The
+// registry reads them from Stats and the engine's own histograms when
+// it is read, so they are lifetime values and instrumenting before or
+// after a run yields the same final snapshot.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	const layer = "workload"
 	count := func(name string, p *int) {
@@ -240,12 +234,9 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	count("shed", &e.stats.Shed)
 	count("retries", &e.stats.Retries)
 	count("creates", &e.stats.Creates)
-	e.gObjects = reg.Gauge(layer, "objects")
-	e.gObjects.Set(float64(e.stats.Confirmed))
-	e.hLat = reg.Histogram(layer, "op_latency_ns")
-	e.hLat.Merge(e.latency)
-	e.hReadLat = reg.Histogram(layer, "read_latency_ns")
-	e.hReadLat.Merge(e.readLat)
+	reg.GaugeSource(layer, "objects", obs.Value(func() int64 { return int64(e.stats.Confirmed) }))
+	reg.HistogramSource(layer, "op_latency_ns", &e.latency)
+	reg.HistogramSource(layer, "read_latency_ns", &e.readLat)
 }
 
 // expDur draws an exponential duration with the given mean (zero mean
@@ -376,7 +367,6 @@ func (e *Engine) complete(c int, req Request, start time.Duration, ok bool) {
 		e.pending--
 		if ok {
 			e.stats.Confirmed++
-			e.gObjects.Set(float64(e.stats.Confirmed))
 		}
 	}
 	if ok {
@@ -386,10 +376,8 @@ func (e *Engine) complete(c int, req Request, start time.Duration, ok bool) {
 	}
 	lat := int64(e.k.Now() - start)
 	e.latency.Observe(lat)
-	e.hLat.Observe(lat)
 	if req.Kind == OpRead {
 		e.readLat.Observe(lat)
-		e.hReadLat.Observe(lat)
 	}
 	if e.tap != nil {
 		e.tap(req, time.Duration(lat), ok)

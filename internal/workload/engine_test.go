@@ -232,6 +232,24 @@ func TestEngineSynchronousTarget(t *testing.T) {
 	}
 }
 
+// TestEngineZeroConfig: a config that names no clients, objects or
+// think time runs one client over one object, back to back.
+func TestEngineZeroConfig(t *testing.T) {
+	ft := &fakeTarget{delay: 10 * time.Millisecond}
+	_, st := runEngine(t, 3, EngineConfig{Ops: 50, ClosedLoop: true}, ft)
+	if st.Issued != 50 || st.OK != 50 || st.Confirmed != 1 {
+		t.Fatalf("zero config accounting: %+v", st)
+	}
+	for _, r := range ft.accepted {
+		if r.Client != 0 || r.Object != 0 || r.Kind != OpRead {
+			t.Fatalf("zero config issued %+v, want client 0 reading object 0", r)
+		}
+	}
+	if now := ft.k.Now(); now != 50*ft.delay {
+		t.Fatalf("50 ops took %v of virtual time, want %v: no think time between them", now, 50*ft.delay)
+	}
+}
+
 // TestEngineOpenLoop: arrivals keep coming regardless of completions,
 // so in-flight grows past the client count on a slow target.
 func TestEngineOpenLoop(t *testing.T) {

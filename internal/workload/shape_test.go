@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -281,19 +282,38 @@ func TestEngineTapInert(t *testing.T) {
 	if rc := e2.ReadLatency().Count(); rc == 0 || rc >= l2.Count() {
 		t.Fatalf("read latency count %d should be a strict nonempty subset of %d", rc, l2.Count())
 	}
-	// Instrumenting after the fact back-fills the same totals: the
-	// registry's histogram is the engine's, merged.
+	// Instrumenting after the fact reads the same totals: the dumped
+	// histograms are the engine's.
 	reg := obs.NewRegistry()
 	e2.Instrument(reg)
 	if got := reg.CounterValue(obs.NodeWide, "workload", "issued"); got != int64(e2.Stats().Issued) {
 		t.Fatalf("instrumented issued %d, want %d", got, e2.Stats().Issued)
 	}
-	hl := reg.Histogram("workload", "op_latency_ns")
-	if *hl != *l2 {
-		t.Fatalf("registry op-latency merge diverged: count %d mean %d vs count %d mean %d",
-			hl.Count(), hl.Mean(), l2.Count(), l2.Mean())
+	for name, h := range map[string]*obs.Histogram{"op_latency_ns": l2, "read_latency_ns": e2.ReadLatency()} {
+		if got, want := histSeries(t, reg, "workload", name), dumpedAs(t, "workload", name, h); !reflect.DeepEqual(got, want) {
+			t.Fatalf("dumped %s (count %d, %+v) is not the engine's (count %d, %+v)",
+				name, got.Count, *got.Hist, want.Count, *want.Hist)
+		}
 	}
-	if hr := reg.Histogram("workload", "read_latency_ns"); *hr != *e2.ReadLatency() {
-		t.Fatal("registry read-latency merge diverged")
+}
+
+// histSeries is the node-wide histogram (layer, name) as reg dumps it,
+// read through Snapshot, which creates no series.
+func histSeries(t *testing.T, reg *obs.Registry, layer, name string) obs.Metric {
+	t.Helper()
+	for _, m := range reg.Snapshot() {
+		if m.Kind == "hist" && m.Key == (obs.Key{Node: obs.NodeWide, Layer: layer, Name: name}) {
+			return m
+		}
 	}
+	t.Fatalf("the dump has no %s/%s histogram", layer, name)
+	return obs.Metric{}
+}
+
+// dumpedAs is h as a registry holding nothing else dumps it.
+func dumpedAs(t *testing.T, layer, name string, h *obs.Histogram) obs.Metric {
+	t.Helper()
+	reg := obs.NewRegistry()
+	reg.HistogramSource(layer, name, h)
+	return histSeries(t, reg, layer, name)
 }
