@@ -7,7 +7,7 @@
 //
 // where <experiment> is one of: fig6, latency, reliability, bloom,
 // plaxton, fragments, prefetch, ciphertext, byzfaults, replicamgmt,
-// updatepath, or "all".
+// updatepath, twotier, fanout, soak, scenarios, migration, or "all".
 //
 // With -seeds N the experiment runs over seeds seed..seed+N-1, one
 // simulator per seed fanned out on the fork-join pool, and the
@@ -64,6 +64,7 @@ var experiments = []experiment{
 	{"fanout", "ablation — dissemination tree fanout vs depth and load", runFanout},
 	{"soak", "steady state — Zipf mix over a maintained pool with churn", runSoak},
 	{"scenarios", "adversarial suite — each audit defense armed vs switched off", runScenarios},
+	{"migration", "§4.7.2 — periodic cluster migration: office by day, home by night", runMigration},
 }
 
 // runFailed is set by fail; main exits 1 on it once the dumps are out.

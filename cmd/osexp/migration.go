@@ -13,14 +13,6 @@ import (
 // newRand builds a seeded source for experiments in this file.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func init() {
-	experiments = append(experiments, experiment{
-		"migration",
-		"§4.7.2 — periodic cluster migration: office by day, home by night",
-		runMigration,
-	})
-}
-
 // runMigration reproduces §4.7.2's promise: "users will find their
 // project files and email folder on a local machine during the work
 // day, and waiting for them on their home machines at night."  Two

@@ -235,16 +235,16 @@ func (a *Auditor) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	reg.HistogramSource("audit", "detection_latency_ns", &a.DetectionLatency)
 }
 
-// Start installs the vote handlers and arms the periodic audit tick.
+// Start registers the auditor's one network-wide handler, which
+// answers polls and collects votes at every store — including stores
+// that first hold a fragment after Start — and arms the periodic audit
+// tick.
 func (a *Auditor) Start() {
 	if a.running {
 		return
 	}
 	a.running = true
-	for _, id := range a.svc.StoreNodes() {
-		node := id
-		a.net.Node(node).Handle(func(m simnet.Message) { a.handle(node, m) })
-	}
+	a.net.HandleAll(a.handle)
 	a.refill()
 	a.net.K.Every(a.cfg.Interval, a.tick)
 }
@@ -383,7 +383,7 @@ func (a *Auditor) poll(origin simnet.NodeID, root guid.GUID, rng *rand.Rand) {
 	a.net.K.After(a.cfg.Interval/2, func() { a.tally(rid) })
 }
 
-// handle processes audit traffic arriving at node id.
+// handle processes audit traffic arriving at node id, and no other.
 func (a *Auditor) handle(id simnet.NodeID, m simnet.Message) {
 	switch p := m.Payload.(type) {
 	case pollMsg:

@@ -162,6 +162,73 @@ func TestInstrumentMidRunReadsLifetime(t *testing.T) {
 	}
 }
 
+// TestStoresAfterStartAnswerPolls: a store that first holds a fragment
+// after Start must answer polls and collect votes like one that existed
+// before.  Stores appear two ways: the roots are archived a minute in,
+// or a repair re-places a root's fragments onto nodes that held none.
+// In a healthy world with no loss and a vote budget no tick exhausts,
+// every poll reaches a live, honest holder, so every poll is answered,
+// every answer agrees, and no tally is inconclusive.
+func TestStoresAfterStartAnswerPolls(t *testing.T) {
+	archiveRoots := func(t *testing.T, svc *archive.Service, fragments int) {
+		for i := 0; i < 3; i++ {
+			data := make([]byte, 1200)
+			rand.New(rand.NewSource(int64(i))).Read(data)
+			if _, err := svc.Archive(data, archive.Config{DataShards: 4, TotalFragments: fragments}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		// before runs ahead of Start, after a minute past it; after
+		// must materialise at least one store.
+		before, after func(t *testing.T, svc *archive.Service)
+	}{
+		{"archived", func(*testing.T, *archive.Service) {}, func(t *testing.T, svc *archive.Service) {
+			archiveRoots(t, svc, 16)
+		}},
+		{"repaired", func(t *testing.T, svc *archive.Service) {
+			archiveRoots(t, svc, 8)
+		}, func(t *testing.T, svc *archive.Service) {
+			for _, root := range svc.Roots() {
+				if err := svc.RepairRoot(root); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := sim.NewKernel(17)
+			net := simnet.New(k, simnet.Config{BaseLatency: 10 * time.Millisecond})
+			svc := archive.NewService(net, net.AddRandomNodes(16, 100, 4))
+			c.before(t, svc)
+			cfg := fastCfg()
+			cfg.MaxVotesPerInterval = 64
+			a := audit.New(net, svc, cfg)
+			a.Start()
+			a.Start() // no second handler: it would answer every poll twice
+			stores := len(svc.StoreNodes())
+			k.RunUntil(time.Minute + time.Second)
+			c.after(t, svc)
+			if len(svc.StoreNodes()) == stores {
+				t.Fatalf("no store appeared after Start (%d stores)", stores)
+			}
+			k.RunUntil(time.Hour + 10*time.Second) // the last tick's votes are in
+			st := a.Stats()
+			if st.Polls == 0 {
+				t.Fatalf("no polls: %+v", st)
+			}
+			if st.VotesServed != st.Polls || st.Agrees != st.Polls {
+				t.Fatalf("%d polls, %d answered, %d agreed: %+v", st.Polls, st.VotesServed, st.Agrees, st)
+			}
+			if st.Inconclusive != 0 || st.Healthy == 0 {
+				t.Fatalf("%d inconclusive and %d healthy tallies: %+v", st.Inconclusive, st.Healthy, st)
+			}
+		})
+	}
+}
+
 func TestWithoutAuditorRotPersists(t *testing.T) {
 	k, _, svc := auditWorld(t, 3)
 	// Same world, no auditor: damage stays forever.

@@ -55,22 +55,16 @@ type readService struct {
 	p        *Pool
 	nextRid  uint64
 	inflight map[uint64]*readState
-	hooked   map[simnet.NodeID]bool
 }
 
+// reads starts the service on first use: one network-wide handler
+// serves every node's requests and replies.
 func (p *Pool) reads() *readService {
 	if p.readSvc == nil {
-		p.readSvc = &readService{p: p, inflight: make(map[uint64]*readState), hooked: make(map[simnet.NodeID]bool)}
+		p.readSvc = &readService{p: p, inflight: make(map[uint64]*readState)}
+		p.Net.HandleAll(p.readSvc.handle)
 	}
 	return p.readSvc
-}
-
-func (rs *readService) hook(id simnet.NodeID) {
-	if rs.hooked[id] {
-		return
-	}
-	rs.hooked[id] = true
-	rs.p.Net.Node(id).Handle(func(m simnet.Message) { rs.handle(id, m) })
 }
 
 func (rs *readService) handle(id simnet.NodeID, m simnet.Message) {
@@ -166,7 +160,6 @@ func (s *Session) RemoteRead(obj guid.GUID, deadline time.Duration, cb func([]by
 		return
 	}
 	rs := s.c.pool.reads()
-	rs.hook(s.c.Node)
 	rid := rs.nextRid
 	rs.nextRid++
 	st := &readState{}
@@ -216,7 +209,6 @@ func (s *Session) RemoteRead(obj guid.GUID, deadline time.Duration, cb func([]by
 				net.NoteRetry(KindReadReq)
 			}
 			target := cands[attempt%len(cands)]
-			rs.hook(target)
 			net.Send(s.c.Node, target, KindReadReq,
 				readReq{Object: obj, Committed: committed, Reply: s.c.Node, Rid: rid}, 64)
 		}

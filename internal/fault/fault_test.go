@@ -20,7 +20,7 @@ func testNet(seed int64, n int) (*sim.Kernel, *simnet.Network) {
 
 func TestLinkRuleDropRate(t *testing.T) {
 	k, net := testNet(1, 2)
-	net.Node(1).Handle(func(simnet.Message) {})
+	net.HandleAll(func(simnet.NodeID, simnet.Message) {})
 	e := Install(net, *NewPlan("p").Drop(0.5))
 	const total = 2000
 	for i := 0; i < total; i++ {
@@ -38,9 +38,7 @@ func TestLinkRuleDropRate(t *testing.T) {
 
 func TestKindAndEndpointFilters(t *testing.T) {
 	k, net := testNet(2, 3)
-	for i := 1; i <= 2; i++ {
-		net.Node(simnet.NodeID(i)).Handle(func(simnet.Message) {})
-	}
+	net.HandleAll(func(simnet.NodeID, simnet.Message) {})
 	plan := Plan{Name: "filters", Links: []LinkRule{
 		{Kinds: []string{"cut"}, DropProb: 1},
 		{From: []simnet.NodeID{0}, To: []simnet.NodeID{2}, DropProb: 1},
@@ -58,7 +56,7 @@ func TestKindAndEndpointFilters(t *testing.T) {
 
 func TestRuleWindow(t *testing.T) {
 	k, net := testNet(3, 2)
-	net.Node(1).Handle(func(simnet.Message) {})
+	net.HandleAll(func(simnet.NodeID, simnet.Message) {})
 	plan := Plan{Links: []LinkRule{{DropProb: 1, Start: 10 * time.Second, End: 20 * time.Second}}}
 	Install(net, plan)
 	send := func(at time.Duration) { k.At(at, func() { net.Send(0, 1, "x", nil, 1) }) }
@@ -75,7 +73,7 @@ func TestRuleWindow(t *testing.T) {
 func TestDelayAndJitterBounds(t *testing.T) {
 	k, net := testNet(4, 2)
 	var times []time.Duration
-	net.Node(1).Handle(func(simnet.Message) { times = append(times, k.Now()) })
+	net.HandleAll(func(simnet.NodeID, simnet.Message) { times = append(times, k.Now()) })
 	Install(net, *NewPlan("j").Jitter(40*time.Millisecond, 20*time.Millisecond))
 	for i := 0; i < 50; i++ {
 		net.Send(0, 1, "x", nil, 1)
@@ -95,7 +93,7 @@ func TestDelayAndJitterBounds(t *testing.T) {
 func TestChurnSchedule(t *testing.T) {
 	k, net := testNet(5, 4)
 	delivered := 0
-	net.Node(2).Handle(func(simnet.Message) { delivered++ })
+	net.HandleAll(func(simnet.NodeID, simnet.Message) { delivered++ })
 	Install(net, *NewPlan("c").CrashWindow(2, 10*time.Second, 30*time.Second))
 	k.At(20*time.Second, func() { net.Send(0, 2, "x", nil, 1) }) // down window
 	k.At(40*time.Second, func() { net.Send(0, 2, "x", nil, 1) }) // recovered
@@ -112,7 +110,7 @@ func TestChurnSchedule(t *testing.T) {
 func TestPartitionScheduleAndHeal(t *testing.T) {
 	k, net := testNet(6, 4)
 	delivered := 0
-	net.Node(3).Handle(func(simnet.Message) { delivered++ })
+	net.HandleAll(func(simnet.NodeID, simnet.Message) { delivered++ })
 	p := NewPlan("p").PartitionWindow([]simnet.NodeID{2, 3}, 1, 10*time.Second, 30*time.Second)
 	Install(net, *p)
 	k.At(20*time.Second, func() { net.Send(0, 3, "x", nil, 1) }) // across the cut
@@ -130,7 +128,7 @@ func TestPartitionScheduleAndHeal(t *testing.T) {
 func TestUninstallDisarms(t *testing.T) {
 	k, net := testNet(7, 2)
 	delivered := 0
-	net.Node(1).Handle(func(simnet.Message) { delivered++ })
+	net.HandleAll(func(simnet.NodeID, simnet.Message) { delivered++ })
 	e := Install(net, *NewPlan("p").Drop(1))
 	net.Send(0, 1, "x", nil, 1)
 	e.Uninstall()
@@ -147,9 +145,7 @@ func TestUninstallDisarms(t *testing.T) {
 func TestEngineDeterminism(t *testing.T) {
 	run := func(seed int64) (simnet.Stats, []simnet.TraceEvent) {
 		k, net := testNet(seed, 8)
-		for i := 1; i < 8; i++ {
-			net.Node(simnet.NodeID(i)).Handle(func(simnet.Message) {})
-		}
+		net.HandleAll(func(simnet.NodeID, simnet.Message) {})
 		var trace []simnet.TraceEvent
 		net.SetTrace(func(ev simnet.TraceEvent) { trace = append(trace, ev) })
 		Install(net, DemoChaosPlan(8))

@@ -24,18 +24,15 @@ func traffic(seed int64) (*obs.Registry, *obs.Tracer) {
 		LatencyPerUnit: time.Millisecond,
 		DropProb:       0.15,
 	})
-	nodes := net.AddRandomNodes(8, 40, 2)
+	net.AddRandomNodes(8, 40, 2)
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(0)
 	net.Instrument(reg, tr)
-	for _, nd := range nodes {
-		id := nd.ID
-		nd.Handle(func(m simnet.Message) {
-			if m.Kind == "ping" {
-				net.Send(id, m.From, "pong", nil, 32)
-			}
-		})
-	}
+	net.HandleAll(func(id simnet.NodeID, m simnet.Message) {
+		if m.Kind == "ping" {
+			net.Send(id, m.From, "pong", nil, 32)
+		}
+	})
 	for i := 0; i < 8; i++ {
 		from, to := simnet.NodeID(i), simnet.NodeID((i+3)%8)
 		i := i
@@ -116,15 +113,12 @@ func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	bare := func(seed int64) simnet.Stats {
 		k := sim.NewKernel(seed)
 		net := simnet.New(k, simnet.Config{BaseLatency: 10 * time.Millisecond, DropProb: 0.15})
-		nodes := net.AddRandomNodes(8, 40, 2)
-		for _, nd := range nodes {
-			id := nd.ID
-			nd.Handle(func(m simnet.Message) {
-				if m.Kind == "ping" {
-					net.Send(id, m.From, "pong", nil, 32)
-				}
-			})
-		}
+		net.AddRandomNodes(8, 40, 2)
+		net.HandleAll(func(id simnet.NodeID, m simnet.Message) {
+			if m.Kind == "ping" {
+				net.Send(id, m.From, "pong", nil, 32)
+			}
+		})
 		for i := 0; i < 8; i++ {
 			from, to := simnet.NodeID(i), simnet.NodeID((i+3)%8)
 			i := i
@@ -138,16 +132,13 @@ func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	instrumented := func(seed int64) simnet.Stats {
 		k := sim.NewKernel(seed)
 		net := simnet.New(k, simnet.Config{BaseLatency: 10 * time.Millisecond, DropProb: 0.15})
-		nodes := net.AddRandomNodes(8, 40, 2)
+		net.AddRandomNodes(8, 40, 2)
 		net.Instrument(obs.NewRegistry(), obs.NewTracer(0))
-		for _, nd := range nodes {
-			id := nd.ID
-			nd.Handle(func(m simnet.Message) {
-				if m.Kind == "ping" {
-					net.Send(id, m.From, "pong", nil, 32)
-				}
-			})
-		}
+		net.HandleAll(func(id simnet.NodeID, m simnet.Message) {
+			if m.Kind == "ping" {
+				net.Send(id, m.From, "pong", nil, 32)
+			}
+		})
 		for i := 0; i < 8; i++ {
 			from, to := simnet.NodeID(i), simnet.NodeID((i+3)%8)
 			i := i

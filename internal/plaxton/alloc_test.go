@@ -8,14 +8,14 @@ import (
 
 // TestHopMessageZeroAlloc pins the hop-forwarding fabric: sending a
 // hop (pooled *hopMsg payload, pooled simnet envelope) and delivering
-// it to a hooked node must not allocate once the pools are warm.  Hops
-// dominate message volume, so this is the router's hottest path.  The
+// it through the router's network-wide handler must not allocate once
+// the pools are warm.  Hops dominate message volume, so this is the
+// router's hottest path.  The
 // probe uses a stale route id — the handler reads the payload,
 // reclaims it, and drops the hop — which exercises exactly the
 // messaging machinery without the per-route bookkeeping.
 func TestHopMessageZeroAlloc(t *testing.T) {
 	rig := newRouterRig(t, 16, 3, RouterConfig{}, 0)
-	rig.r.hook(1)
 	send := func() {
 		rig.net.Send(simnet.NodeID(0), simnet.NodeID(1), KindHop, rig.r.getHop(999, 1), hopWire)
 		rig.k.Run()

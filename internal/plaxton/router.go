@@ -110,7 +110,6 @@ type Router struct {
 	cfg    RouterConfig
 	nextID uint64
 	routes map[uint64]*routeState
-	hooked map[int]bool
 
 	hopFree []*hopMsg // reclaimed hop payloads; see hopMsg
 
@@ -140,7 +139,8 @@ func (r *Router) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// NewRouter builds a router over the mesh and network.
+// NewRouter builds a router over the mesh and network, and registers
+// its one hop handler for every node.
 func NewRouter(m *Mesh, net *simnet.Network, cfg RouterConfig) *Router {
 	if cfg.HopTimeout <= 0 {
 		cfg.HopTimeout = DefaultRouterConfig().HopTimeout
@@ -148,26 +148,18 @@ func NewRouter(m *Mesh, net *simnet.Network, cfg RouterConfig) *Router {
 	if cfg.HopAttempts <= 0 {
 		cfg.HopAttempts = DefaultRouterConfig().HopAttempts
 	}
-	return &Router{m: m, net: net, cfg: cfg, routes: make(map[uint64]*routeState), hooked: make(map[int]bool)}
-}
-
-// hook lazily installs the hop handler on a node the first time a
-// route can land there.
-func (r *Router) hook(idx int) {
-	if r.hooked[idx] {
-		return
-	}
-	r.hooked[idx] = true
-	r.net.Node(simnet.NodeID(idx)).Handle(func(m simnet.Message) {
+	r := &Router{m: m, net: net, cfg: cfg, routes: make(map[uint64]*routeState)}
+	net.HandleAll(func(to simnet.NodeID, m simnet.Message) {
 		if m.Kind != KindHop {
 			return
 		}
 		if h, ok := m.Payload.(*hopMsg); ok {
 			rid, gen := h.RID, h.Gen
 			r.putHop(h)
-			r.onHop(idx, rid, gen)
+			r.onHop(int(to), rid, gen)
 		}
 	})
+	return r
 }
 
 // RouteToRoot routes from start toward g's surrogate root over the
@@ -336,7 +328,6 @@ func (r *Router) attempt(rid uint64, st *routeState) {
 	}
 	st.gen++
 	gen := st.gen
-	r.hook(next)
 	r.net.Send(simnet.NodeID(st.cur), simnet.NodeID(next), KindHop, r.getHop(rid, gen), hopWire)
 
 	// Exponential backoff, capped: 1x, 2x, 4x ... of HopTimeout.

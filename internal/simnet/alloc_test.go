@@ -22,7 +22,7 @@ func TestSendDeliverZeroAlloc(t *testing.T) {
 	a := net.AddNode(0, 0).ID
 	b := net.AddNode(0, 0).ID
 	delivered := 0
-	net.Node(b).Handle(func(m Message) { delivered++ })
+	net.HandleAll(func(NodeID, Message) { delivered++ })
 	for i := 0; i < 8; i++ {
 		net.Send(a, b, "alloc-probe", nil, 16)
 	}
@@ -48,7 +48,7 @@ func TestBatchTickZeroAlloc(t *testing.T) {
 	a := net.AddNode(0, 0).ID
 	b := net.AddNode(0, 0).ID
 	delivered := 0
-	net.Node(b).Handle(func(m Message) { delivered++ })
+	net.HandleAll(func(NodeID, Message) { delivered++ })
 	tick := func() {
 		for i := 0; i < 4; i++ {
 			net.Send(a, b, "alloc-probe", nil, 16)
@@ -74,9 +74,9 @@ type demuxProbe struct{ key DemuxKey }
 func (p demuxProbe) Demux() DemuxKey { return p.key }
 
 // TestHandleDemux pins the demux table semantics: only the handler
-// registered under the payload's key, for its kind, fires; the node's
-// Handle chain still sees everything, and non-Demuxed payloads skip the
-// table.
+// registered under the payload's key, for its kind, fires; a
+// network-wide handler still sees everything, and non-Demuxed payloads
+// skip the table.
 func TestHandleDemux(t *testing.T) {
 	k := sim.NewKernel(3)
 	net := New(k, Config{})
@@ -87,7 +87,7 @@ func TestHandleDemux(t *testing.T) {
 	hits1, hits2, all := 0, 0, 0
 	net.Node(b).HandleDemux(k1, []string{"probe"}, func(m Message) { hits1++ })
 	net.Node(b).HandleDemux(k2, []string{"probe"}, func(m Message) { hits2++ })
-	net.Node(b).Handle(func(m Message) { all++ })
+	net.HandleAll(func(NodeID, Message) { all++ })
 	net.Send(a, b, "probe", demuxProbe{key: k1}, 8)
 	net.Send(a, b, "probe", demuxProbe{key: k1}, 8)
 	net.Send(a, b, "probe", demuxProbe{key: k2}, 8)
@@ -98,7 +98,7 @@ func TestHandleDemux(t *testing.T) {
 		t.Fatalf("demux hits %d/%d, want 2/1", hits1, hits2)
 	}
 	if all != 5 {
-		t.Fatalf("Handle chain saw %d messages, want 5", all)
+		t.Fatalf("network-wide handler saw %d messages, want 5", all)
 	}
 }
 
@@ -235,7 +235,7 @@ func TestSendDeliverZeroAllocInstrumented(t *testing.T) {
 	a := net.AddNode(0, 0).ID
 	b := net.AddNode(0, 0).ID
 	delivered := 0
-	net.Node(b).Handle(func(m Message) { delivered++ })
+	net.HandleAll(func(NodeID, Message) { delivered++ })
 	reg := obs.NewRegistry()
 	net.Instrument(reg, nil)
 	for i := 0; i < 8; i++ {

@@ -29,12 +29,9 @@ func TestPartitionConservation(t *testing.T) {
 		net.SetPartition(NodeID(i), group(NodeID(i)))
 	}
 	delivered := make(map[NodeID][]NodeID) // to -> froms
-	for i := 0; i < 20; i++ {
-		id := NodeID(i)
-		net.Node(id).Handle(func(m Message) {
-			delivered[m.To] = append(delivered[m.To], m.From)
-		})
-	}
+	net.HandleAll(func(to NodeID, m Message) {
+		delivered[to] = append(delivered[to], m.From)
+	})
 	cross := 0
 	rng := k.Rand()
 	for s := 0; s < 500; s++ {
@@ -78,9 +75,7 @@ func TestPerLinkByteConservation(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	net.Instrument(reg, nil)
-	for i := 0; i < 16; i++ {
-		net.Node(NodeID(i)).Handle(func(Message) {})
-	}
+	net.HandleAll(func(NodeID, Message) {})
 	net.Crash(3) // crashed sender pays no bytes
 	net.SetPartition(5, 1)
 
@@ -132,17 +127,14 @@ func relayWorld(seed int64) []TraceEvent {
 	net.AddRandomNodes(12, 0, 1) // extent 0: all latencies equal -> same-tick batches
 	var events []TraceEvent
 	net.SetTrace(func(ev TraceEvent) { events = append(events, ev) })
-	for i := 0; i < 12; i++ {
-		id := NodeID(i)
-		net.Node(id).Handle(func(m Message) {
-			hops := m.Payload.(int)
-			if hops > 0 {
-				// Fan the relay out to two neighbours on the same tick.
-				net.Send(id, (m.From+1)%12, m.Kind, hops-1, m.Size/2+1)
-				net.Send(id, (m.From+5)%12, m.Kind, hops-1, m.Size/2+1)
-			}
-		})
-	}
+	net.HandleAll(func(id NodeID, m Message) {
+		hops := m.Payload.(int)
+		if hops > 0 {
+			// Fan the relay out to two neighbours on the same tick.
+			net.Send(id, (m.From+1)%12, m.Kind, hops-1, m.Size/2+1)
+			net.Send(id, (m.From+5)%12, m.Kind, hops-1, m.Size/2+1)
+		}
+	})
 	net.CrashAt(35*time.Millisecond, 7)
 	net.RecoverAt(60*time.Millisecond, 7)
 	for i := 0; i < 12; i++ {
@@ -183,7 +175,7 @@ func TestTimerBetweenSameTickSends(t *testing.T) {
 	a := net.AddNode(0, 0).ID
 	b := net.AddNode(0, 0).ID
 	var order []string
-	net.Node(b).Handle(func(m Message) { order = append(order, m.Kind) })
+	net.HandleAll(func(_ NodeID, m Message) { order = append(order, m.Kind) })
 	due := net.Latency(a, b)
 	k.At(due, func() { order = append(order, "timer-before") })
 	net.Send(a, b, "first", nil, 8)

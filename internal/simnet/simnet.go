@@ -33,6 +33,11 @@
 // and the per-tick buffers are pooled, so steady-state messaging
 // allocates nothing.  Within a tick messages are delivered in send
 // order (see enqueue for the exact ordering contract).
+//
+// A delivered message reaches code two ways, in this order: the
+// network-wide handlers (HandleAll), which services attending many
+// nodes register once, and then the destination's handlers keyed by
+// the payload's protocol instance (HandleDemux).
 package simnet
 
 import (
@@ -59,8 +64,7 @@ const None NodeID = -1
 // Message is a unit of simulated communication.  Size is the estimated
 // wire size in bytes; Kind tags the protocol for per-class accounting.
 // ID is assigned by Send (1, 2, 3, ... in send order) so traces can
-// correlate a send with its delivery or drop; messages handed straight
-// to Deliver keep ID 0.
+// correlate a send with its delivery or drop.
 type Message struct {
 	From, To NodeID
 	Kind     string
@@ -77,11 +81,10 @@ type Handler func(Message)
 type DemuxKey [20]byte
 
 // Demuxed is implemented by payloads that can name their protocol
-// instance.  Deliver uses it to dispatch straight to the handlers
-// registered for the key instead of running the node's whole handler
-// chain: a node serving thousands of object rings then pays one binary
-// search over its instances per delivery, not thousands of
-// type-assert-and-ignore handler calls.
+// instance.  Delivery uses it to dispatch straight to the handlers
+// registered for the key: a node serving thousands of object rings
+// pays one binary search over its instances per delivery, not
+// thousands of type-assert-and-ignore handler calls.
 type Demuxed interface{ Demux() DemuxKey }
 
 // demuxSlot is one HandleDemux registration: a protocol instance's key,
@@ -106,8 +109,9 @@ func demuxFrom(tab []demuxSlot, w uint64) int {
 }
 
 // GlobalHandler consumes messages delivered to any node.  Services
-// that attend every server (the archival store) register one of these
-// instead of closing a per-node handler over each of a million IDs.
+// that attend many servers (the archival store and its auditor, the
+// mesh router, the remote-read service) register one of these instead
+// of closing a handler over each of a million IDs.
 type GlobalHandler func(to NodeID, m Message)
 
 // Node is a 16-byte value handle onto one simulated machine's state,
@@ -140,20 +144,12 @@ func (n Node) SetDown(v bool) { n.net.down[n.ID] = v }
 // SetLowBandwidth marks or unmarks the node as a low-bandwidth leaf.
 func (n Node) SetLowBandwidth(v bool) { n.net.lowbw[n.ID] = v }
 
-// Handle adds a message handler to the node.  Several protocol layers
-// (agreement, dissemination, archival) coexist on one server, so every
-// handler sees every delivered message and filters by Kind or payload
-// type.
-func (n Node) Handle(h Handler) {
-	n.net.handlers[n.ID] = append(n.net.handlers[n.ID], h)
-}
-
 // HandleDemux registers h for messages whose payload implements
 // Demuxed with this key and whose kind is one of kinds (the slice is
-// kept, not copied).  Unlike Handle, dispatch is a search of the node's
-// instances; handlers for other instances on the same node are never
-// invoked.  Every registration matching a delivery runs, in
-// registration order, before the node's Handle chain.
+// kept, not copied).  Dispatch is a search of the node's instances;
+// handlers for other instances on the same node are never invoked.
+// Every registration matching a delivery runs, in registration order,
+// after the network-wide HandleAll handlers.
 func (n Node) HandleDemux(key DemuxKey, kinds []string, h Handler) {
 	tab := n.net.demux[n.ID]
 	w := key.word()
@@ -162,7 +158,7 @@ func (n Node) HandleDemux(key DemuxKey, kinds []string, h Handler) {
 		i++
 	}
 	slot := demuxSlot{key: key, kinds: kinds, h: h}
-	if n.net.dispatching > 0 {
+	if n.net.dispatching {
 		// A delivery may be walking this table: give the node a fresh
 		// array, so the walk neither skips a slot nor meets this one.
 		n.net.demux[n.ID] = slices.Concat(tab[:i], []demuxSlot{slot}, tab[i:])
@@ -242,21 +238,19 @@ type Network struct {
 	cfg Config
 
 	// Struct-of-arrays node state, indexed by NodeID.
-	addrs    []guid.GUID
-	xs, ys   []float64
-	domains  []int32
-	down     []bool
-	lowbw    []bool
-	handlers [][]Handler
+	addrs   []guid.GUID
+	xs, ys  []float64
+	domains []int32
+	down    []bool
+	lowbw   []bool
 	// demux holds each node's HandleDemux registrations, sorted by key
-	// word; nil for nodes that only use the plain handler chain.
-	// dispatching counts the demux walks in progress (deliveries nest
-	// when a handler delivers locally).
+	// word; nil for nodes that have none.
+	// dispatching is set while a delivery walks a demux table.
 	demux       [][]demuxSlot
-	dispatching int
+	dispatching bool
 
 	// global handlers fire for every delivered message, before the
-	// per-node handlers.
+	// keyed ones in demux.
 	global []GlobalHandler
 
 	// counts is every count the network keeps; Stats and an attached
@@ -582,7 +576,6 @@ func (n *Network) AddNode(x, y float64) Node {
 	n.domains = append(n.domains, 0)
 	n.down = append(n.down, false)
 	n.lowbw = append(n.lowbw, false)
-	n.handlers = append(n.handlers, nil)
 	n.demux = append(n.demux, nil)
 	n.partition = append(n.partition, 0)
 	return Node{ID: id, net: n}
@@ -651,9 +644,9 @@ func (n *Network) OnLiveness(fn func(id NodeID, up bool)) {
 }
 
 // HandleAll registers a handler that sees every delivered message,
-// whatever its destination, before the destination's own handlers.
-// Network-wide services use it to attend a million nodes without a
-// million closures.
+// whatever its destination, before the destination's HandleDemux
+// handlers.  Services that attend many nodes use it to attend a
+// million of them without a million closures.
 func (n *Network) HandleAll(h GlobalHandler) {
 	n.global = append(n.global, h)
 }
@@ -843,7 +836,7 @@ func (n *Network) enqueue(m Message, due time.Duration) {
 func (n *Network) flushBatch(b *msgBatch) {
 	delete(n.batches, b.due)
 	for i := range b.msgs {
-		n.Deliver(b.msgs[i])
+		n.deliver(b.msgs[i])
 	}
 	n.putBatch(b)
 }
@@ -870,20 +863,17 @@ func (n *Network) putBatch(b *msgBatch) {
 	n.batchFree = append(n.batchFree, b)
 }
 
-// Deliver hands a message to the destination's handlers right now,
-// applying the crash check every delivery path must respect: a down
-// node receives nothing, even via direct delivery.  Returns whether the
-// handlers ran.  Send uses it internally; protocol layers that shortcut
-// the wire (local applies, test harnesses) should go through it rather
-// than invoking handlers themselves.
-func (n *Network) Deliver(m Message) bool {
+// deliver hands a message to the handlers right now — the network-wide
+// ones, then the destination's keyed ones — applying the crash check
+// every delivery must respect: a down node receives nothing.  Returns
+// whether the handlers ran.
+func (n *Network) deliver(m Message) bool {
 	if n.down[m.To] {
 		n.emit(evDropCrash, m)
 		return false
 	}
-	hs := n.handlers[m.To]
 	dm := n.demux[m.To]
-	if len(hs) == 0 && len(n.global) == 0 && len(dm) == 0 {
+	if len(n.global) == 0 && len(dm) == 0 {
 		n.emit(evDropNoHandler, m)
 		return false
 	}
@@ -895,17 +885,14 @@ func (n *Network) Deliver(m Message) bool {
 		if d, ok := m.Payload.(Demuxed); ok {
 			key := d.Demux()
 			w := key.word()
-			n.dispatching++
+			n.dispatching = true
 			for i := demuxFrom(dm, w); i < len(dm) && dm[i].key.word() == w; i++ {
 				if dm[i].key == key && slices.Contains(dm[i].kinds, m.Kind) {
 					dm[i].h(m)
 				}
 			}
-			n.dispatching--
+			n.dispatching = false
 		}
-	}
-	for _, h := range hs {
-		h(m)
 	}
 	return true
 }

@@ -22,7 +22,7 @@ func TestDeliveryAndLatency(t *testing.T) {
 	k, net := uniformNet(t, 2, 100*time.Millisecond)
 	var gotAt time.Duration
 	var got Message
-	net.Node(1).Handle(func(m Message) { gotAt = k.Now(); got = m })
+	net.HandleAll(func(_ NodeID, m Message) { gotAt = k.Now(); got = m })
 	net.Send(0, 1, "test", "hello", 42)
 	k.Run()
 	if gotAt != 100*time.Millisecond {
@@ -45,9 +45,7 @@ func TestDistanceLatency(t *testing.T) {
 
 func TestByteAccounting(t *testing.T) {
 	k, net := uniformNet(t, 3, time.Millisecond)
-	for i := 1; i <= 2; i++ {
-		net.Node(NodeID(i)).Handle(func(Message) {})
-	}
+	net.HandleAll(func(NodeID, Message) {})
 	net.Send(0, 1, "a", nil, 100)
 	net.Send(0, 2, "a", nil, 50)
 	net.Send(0, 1, "b", nil, 7)
@@ -71,7 +69,7 @@ func TestByteAccounting(t *testing.T) {
 func TestCrashedNodes(t *testing.T) {
 	k, net := uniformNet(t, 2, time.Millisecond)
 	delivered := 0
-	net.Node(1).Handle(func(Message) { delivered++ })
+	net.HandleAll(func(NodeID, Message) { delivered++ })
 
 	net.Node(1).SetDown(true)
 	net.Send(0, 1, "x", nil, 1)
@@ -100,7 +98,7 @@ func TestCrashedNodes(t *testing.T) {
 func TestPartitions(t *testing.T) {
 	k, net := uniformNet(t, 2, time.Millisecond)
 	delivered := 0
-	net.Node(1).Handle(func(Message) { delivered++ })
+	net.HandleAll(func(NodeID, Message) { delivered++ })
 	net.SetPartition(0, 1) // node 0 in group 1, node 1 in group 0
 	net.Send(0, 1, "x", nil, 1)
 	k.Run()
@@ -121,7 +119,7 @@ func TestDropProbability(t *testing.T) {
 	net.AddNode(0, 0)
 	net.AddNode(0, 0)
 	delivered := 0
-	net.Node(1).Handle(func(Message) { delivered++ })
+	net.HandleAll(func(NodeID, Message) { delivered++ })
 	const total = 2000
 	for i := 0; i < total; i++ {
 		net.Send(0, 1, "x", nil, 1)
@@ -173,7 +171,7 @@ func TestUnhandledDeliveryCountsAsDrop(t *testing.T) {
 func TestCrashIsFirstClass(t *testing.T) {
 	k, net := uniformNet(t, 3, time.Millisecond)
 	delivered := 0
-	net.Node(1).Handle(func(Message) { delivered++ })
+	net.HandleAll(func(NodeID, Message) { delivered++ })
 
 	var transitions []bool
 	net.OnLiveness(func(id NodeID, up bool) {
@@ -186,6 +184,7 @@ func TestCrashIsFirstClass(t *testing.T) {
 	// while down.
 	net.SetPartition(1, 5)
 	net.Crash(1)
+	net.Crash(1)           // idempotent: no second crash, no second callback
 	net.SetPartition(1, 7) // ignored: the machine is off
 	net.Send(0, 1, "x", nil, 1)
 	k.Run()
@@ -200,6 +199,7 @@ func TestCrashIsFirstClass(t *testing.T) {
 	// Recovery rejoins group 0: node 0 is also in group 0, so traffic
 	// flows despite the pre-crash group-5 assignment.
 	net.Recover(1)
+	net.Recover(1) // idempotent
 	net.Send(0, 1, "x", nil, 1)
 	k.Run()
 	if delivered != 1 {
@@ -216,7 +216,7 @@ func TestCrashIsFirstClass(t *testing.T) {
 func TestScheduledChurn(t *testing.T) {
 	k, net := uniformNet(t, 2, time.Millisecond)
 	delivered := 0
-	net.Node(1).Handle(func(Message) { delivered++ })
+	net.HandleAll(func(NodeID, Message) { delivered++ })
 	net.CrashAt(10*time.Millisecond, 1)
 	net.RecoverAt(30*time.Millisecond, 1)
 	// One message lands in the down window, one after recovery.
@@ -235,13 +235,13 @@ func TestScheduledChurn(t *testing.T) {
 func TestDirectDeliverRespectsCrash(t *testing.T) {
 	k, net := uniformNet(t, 2, time.Millisecond)
 	delivered := 0
-	net.Node(1).Handle(func(Message) { delivered++ })
+	net.HandleAll(func(NodeID, Message) { delivered++ })
 	net.Crash(1)
-	if net.Deliver(Message{From: 0, To: 1, Kind: "x", Size: 1}) {
+	if net.deliver(Message{From: 0, To: 1, Kind: "x", Size: 1}) {
 		t.Fatal("direct delivery reached a crashed node")
 	}
 	net.Recover(1)
-	if !net.Deliver(Message{From: 0, To: 1, Kind: "x", Size: 1}) || delivered != 1 {
+	if !net.deliver(Message{From: 0, To: 1, Kind: "x", Size: 1}) || delivered != 1 {
 		t.Fatal("direct delivery to a live node failed")
 	}
 	_ = k
@@ -249,7 +249,7 @@ func TestDirectDeliverRespectsCrash(t *testing.T) {
 
 func TestSenderCrashDropAccounting(t *testing.T) {
 	k, net := uniformNet(t, 2, time.Millisecond)
-	net.Node(1).Handle(func(Message) {})
+	net.HandleAll(func(NodeID, Message) {})
 	net.Crash(0)
 	net.Send(0, 1, "x", nil, 1)
 	k.Run()
@@ -274,7 +274,7 @@ func (p testPlan) FilterSend(m Message, _ time.Duration) (bool, time.Duration) {
 func TestFaultPlanHook(t *testing.T) {
 	k, net := uniformNet(t, 2, 10*time.Millisecond)
 	var at time.Duration
-	net.Node(1).Handle(func(Message) { at = k.Now() })
+	net.HandleAll(func(NodeID, Message) { at = k.Now() })
 	net.SetFaultPlan(testPlan{drop: func(m Message) bool { return m.Kind == "cut" }, delay: 5 * time.Millisecond})
 	net.Send(0, 1, "cut", nil, 1)
 	net.Send(0, 1, "ok", nil, 1)

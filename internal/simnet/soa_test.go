@@ -35,24 +35,28 @@ func TestNodeAccessorsAndSetters(t *testing.T) {
 	}
 }
 
-// TestGlobalHandlerOrderAndAccounting: HandleAll handlers fire before
-// the destination's own, and a global handler alone counts as "has
-// handlers" for the no-handler drop accounting.
+// TestGlobalHandlerOrderAndAccounting pins delivery's two stages: the
+// HandleAll handlers fire first, then the destination's HandleDemux
+// handlers — whatever order they were registered in — and a global
+// handler alone counts as "has handlers" for the no-handler drop
+// accounting.
 func TestGlobalHandlerOrderAndAccounting(t *testing.T) {
 	k := sim.NewKernel(6)
 	net := New(k, Config{})
 	src := net.AddNode(0, 0)
 	dst := net.AddNode(1, 0)
-	bare := net.AddNode(2, 0) // no per-node handler
+	bare := net.AddNode(2, 0) // no keyed handler
 	var order []string
+	var key DemuxKey
+	key[0] = 1
+	dst.HandleDemux(key, []string{"a"}, func(m Message) { order = append(order, "keyed") })
 	net.HandleAll(func(to NodeID, m Message) {
 		order = append(order, "global->"+string(rune('0'+int(to))))
 	})
-	dst.Handle(func(m Message) { order = append(order, "local") })
-	net.Send(src.ID, dst.ID, "a", nil, 8)
+	net.Send(src.ID, dst.ID, "a", demuxProbe{key: key}, 8)
 	net.Send(src.ID, bare.ID, "b", nil, 8)
 	k.Run()
-	want := []string{"global->1", "local", "global->2"}
+	want := []string{"global->1", "keyed", "global->2"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v", order)
 	}
@@ -71,7 +75,7 @@ func TestBounceAndKindBytes(t *testing.T) {
 	net := New(k, Config{BaseLatency: time.Millisecond})
 	a := net.AddNode(0, 0)
 	b := net.AddNode(1, 0)
-	b.Handle(func(m Message) {})
+	net.HandleAll(func(NodeID, Message) {})
 	net.Bounce(b.ID, 10*time.Millisecond, 20*time.Millisecond)
 	k.At(15*time.Millisecond, func() { net.Send(a.ID, b.ID, "ping", nil, 100) }) // lost: b is down
 	k.At(40*time.Millisecond, func() { net.Send(a.ID, b.ID, "ping", nil, 100) }) // b recovered
@@ -100,7 +104,7 @@ func TestSetDropProb(t *testing.T) {
 		net := New(k, Config{DropProb: p})
 		a := net.AddNode(0, 0)
 		b := net.AddNode(1, 0)
-		b.Handle(func(m Message) {})
+		net.HandleAll(func(NodeID, Message) {})
 		for i := 0; i < 10; i++ {
 			net.Send(a.ID, b.ID, "x", nil, 1)
 		}

@@ -185,7 +185,7 @@ func TestStatsSnapshotAllocFree(t *testing.T) {
 	net := simnet.New(k, simnet.Config{BaseLatency: time.Millisecond})
 	a := net.AddNode(0, 0)
 	bn := net.AddNode(1, 0)
-	bn.Handle(func(m simnet.Message) {})
+	net.HandleAll(func(simnet.NodeID, simnet.Message) {})
 	for i := 0; i < 8; i++ {
 		net.Send(a.ID, bn.ID, "ping", nil, 64)
 		net.NoteRetry("ping")
