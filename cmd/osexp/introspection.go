@@ -60,7 +60,7 @@ type e10Host struct {
 }
 
 const (
-	e10FirstNode = 4  // nodes 0–3 are the primary tier
+	e10FirstNode = 4  // promotion's first node
 	e10NodeLimit = 28 // placement budget: nodes 4–27
 )
 
@@ -118,7 +118,7 @@ func replicaMgmtRows(seed int64) []e10Row {
 		var sum time.Duration
 		for _, c := range readers {
 			// Latency to the closest replica that could serve the read.
-			best := p.Net.Latency(c.Node, 0)
+			best := p.Net.Latency(c.Node, ring.PrimaryAnchor())
 			for _, sec := range ring.Secondaries() {
 				if l := p.Net.Latency(c.Node, sec.Node); l < best {
 					best = l

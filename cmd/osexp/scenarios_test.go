@@ -13,6 +13,7 @@ import (
 	"oceanstore/internal/archive"
 	"oceanstore/internal/core"
 	"oceanstore/internal/simnet"
+	"oceanstore/internal/update"
 	"oceanstore/internal/workload"
 )
 
@@ -226,6 +227,34 @@ func TestSoakCloseErrorFailsTheRun(t *testing.T) {
 	fail("soak: closing the fragment stores: %v", err)
 	if !runFailed.Load() {
 		t.Fatal("fail() did not flag the process for a non-zero exit")
+	}
+}
+
+// TestSoakProblemFailsTheRun: a secondary whose committed log leaves
+// its primary's is reported after the drain, as a PROBLEM line under
+// the full report, and the run returns an error.
+func TestSoakProblemFailsTheRun(t *testing.T) {
+	o := soakOpts
+	o.nodes, o.ops, o.churn = 32, 60, 0
+	cfg := core.DefaultSoakConfig(o.nodes)
+	world, err := core.NewSoakWorld(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := world.Objects()[0]
+	ring, _ := world.Pool.Ring(obj)
+	sec := ring.Secondaries()[0]
+	u := update.NewUnconditional(obj, nil)
+	u.Seq = 1
+	sec.Rep.Commit(u, sec.Rep.CommittedLen(), 0)
+	var buf bytes.Buffer
+	err = soakWorld(&buf, world, cfg, o, nil)
+	if err == nil || !strings.Contains(err.Error(), "end-state problems") {
+		t.Fatalf("soak returned %v", err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "committed updates across objects: ") || !strings.Contains(out, "PROBLEM: object "+obj.Short()) {
+		t.Fatalf("report or problem line missing:\n%s", out)
 	}
 }
 

@@ -163,13 +163,14 @@ func runSoak(w io.Writer, seed int64, ob *obsink) {
 		panic(err)
 	}
 	if err := soakWorld(w, world, cfg, o, ob); err != nil {
-		fail("soak: closing the fragment stores: %v", err)
+		fail("soak: %v", err)
 	}
 }
 
-// soakWorld runs the engine over a built world, prints the report and
-// closes the world.  The close error is the run's outcome, not noise:
-// every volume holds acknowledged-but-unwritten records in its
+// soakWorld runs the engine over a built world, prints the report,
+// checks the drained world's end state (SoakWorld.Problems) and closes
+// the world.  A problem, or the close error, is the run's outcome, not
+// noise: every volume holds acknowledged-but-unwritten records in its
 // write-behind tail until Close, so a failed final flush or fsync means
 // the report above it describes data that never reached the disk.
 func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOptions, ob *obsink) error {
@@ -263,6 +264,10 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 	if st.InFlight != 0 {
 		fmt.Fprintf(w, "WARNING: %d operations still in flight after drain\n", st.InFlight)
 	}
+	problems := world.Problems()
+	for _, p := range problems {
+		fmt.Fprintf(w, "PROBLEM: %s\n", p)
+	}
 	// Memory facts go to stderr, not the report: the report rides the
 	// determinism comparisons and RSS/GC numbers are machine noise.  The
 	// live heap is read after the sample, so the sample's GC count and
@@ -302,5 +307,11 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 			bs.Flushes, float64(bs.Puts)/float64(max(bs.Flushes, 1)),
 			rounds, float64(joined)/float64(max(rounds, 1)))
 	}
-	return world.Close()
+	if err := world.Close(); err != nil {
+		return fmt.Errorf("closing the fragment stores: %w", err)
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("%d end-state problems after the drain", len(problems))
+	}
+	return nil
 }

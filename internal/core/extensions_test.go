@@ -24,8 +24,10 @@ func TestTwoTierLocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The object's primary tier (nodes 0..3) is in the overlay; a query
-	// from an overlay neighbour should hit the probabilistic tier.
+	// The object's primary tier is in the overlay; a query from an
+	// overlay neighbour should hit the probabilistic tier.
+	ring, _ := p.Ring(obj)
+	tier := ring.PrimaryNodes()
 	probHits, globalHits := 0, 0
 	for from := simnet.NodeID(0); from < 24; from++ {
 		res, err := tt.Locate(from, obj)
@@ -50,7 +52,7 @@ func TestTwoTierLocation(t *testing.T) {
 	}
 	// Deterministic fallback check: hide the object from the filters (as
 	// if they were stale) — the global mesh must still find it.
-	for _, nid := range []simnet.NodeID{0, 1, 2, 3} {
+	for _, nid := range tier {
 		tt.noteRemoval(nid, obj)
 	}
 	res0, err := tt.Locate(20, obj)
@@ -64,7 +66,7 @@ func TestTwoTierLocation(t *testing.T) {
 		t.Fatal("fallback found no holder")
 	}
 	// Restore filter state for the rest of the test.
-	for _, nid := range []simnet.NodeID{0, 1, 2, 3} {
+	for _, nid := range tier {
 		tt.notePlacement(nid, obj)
 	}
 	// Replica placement extends the probabilistic horizon.

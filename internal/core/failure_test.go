@@ -25,7 +25,8 @@ func TestPartitionBlocksCommitHealResumes(t *testing.T) {
 
 	// Partition 3 of the 4 primaries away from everyone: no 2f+1 quorum
 	// can form on the client's side of the cut.
-	for _, n := range []simnet.NodeID{1, 2, 3} {
+	ring, _ := p.Ring(obj)
+	for _, n := range ring.PrimaryNodes()[1:] {
 		p.Net.SetPartition(n, 1)
 	}
 	committed := false
@@ -71,7 +72,8 @@ func TestTimedOutWriteLeavesNothing(t *testing.T) {
 	commits, aborts := 0, 0
 	sess.OnCommit(func(guid.GUID, update.UpdateID) { commits++ })
 	sess.OnAbort(func(guid.GUID, update.UpdateID) { aborts++ })
-	for _, n := range []simnet.NodeID{1, 2, 3} {
+	ring, _ := p.Ring(obj)
+	for _, n := range ring.PrimaryNodes()[1:] {
 		p.Net.SetPartition(n, 1)
 	}
 	if _, err := sess.Append(obj, []byte("late")); err != nil {
@@ -86,7 +88,6 @@ func TestTimedOutWriteLeavesNothing(t *testing.T) {
 	if aborts != 1 || commits != 0 {
 		t.Fatalf("after the heal: %d aborts and %d commits, want 1 and 0", aborts, commits)
 	}
-	ring, _ := p.Ring(obj)
 	// The byz client's per-request records are a field too.
 	cs := reflect.ValueOf(ring.Group()).Elem().FieldByName("clients").MapIndex(reflect.ValueOf(alice.Node))
 	requests := cs.Elem().FieldByName("pending").Len()

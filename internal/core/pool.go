@@ -91,7 +91,13 @@ type Pool struct {
 	cfg  PoolConfig
 
 	objects map[guid.GUID]*objState
-	// nextPrimary rotates which servers host new objects' primary tiers.
+	// order is the nodes the pool was built with, in the network's
+	// locality order (simnet.LocalityOrder): each new object's primary
+	// tier is its next run of 3f+1 entries, so a tier sits in one
+	// well-connected part of the network (§4.4.3).
+	order []simnet.NodeID
+	// nextPrimary is the position in order of the next tier's first
+	// member.
 	nextPrimary int
 	// twoTier, when enabled, layers the probabilistic locator over the
 	// global mesh (§4.3).
@@ -158,6 +164,7 @@ func NewPool(seed int64, cfg PoolConfig) *Pool {
 		ACLs:    acl.NewStore(),
 		cfg:     cfg,
 		objects: make(map[guid.GUID]*objState),
+		order:   net.LocalityOrder(),
 	}
 	if cfg.StoreFactory != nil {
 		p.Arch.SetStoreFactory(cfg.StoreFactory)
@@ -182,15 +189,26 @@ func (p *Pool) Router() *plaxton.Router {
 	return p.router
 }
 
-// pickPrimaries rotates 3f+1 primary-tier nodes for a new object.
+// pickPrimaries hands a new object the next 3f+1 nodes of the
+// locality order, wrapping at its end.
 func (p *Pool) pickPrimaries() []simnet.NodeID {
 	n := 3*p.cfg.Faults + 1
 	out := make([]simnet.NodeID, n)
-	for i := 0; i < n; i++ {
-		out[i] = simnet.NodeID((p.nextPrimary + i) % p.cfg.Nodes)
+	for i := range out {
+		out[i] = p.order[(p.nextPrimary+i)%len(p.order)]
 	}
-	p.nextPrimary = (p.nextPrimary + n) % p.cfg.Nodes
+	p.nextPrimary = (p.nextPrimary + n) % len(p.order)
 	return out
+}
+
+// placed returns the node at position i of the placement order: the
+// locality order of the nodes the pool was built with, then the nodes
+// that joined since, in ID order.
+func (p *Pool) placed(i int) simnet.NodeID {
+	if i < len(p.order) {
+		return p.order[i]
+	}
+	return simnet.NodeID(i)
 }
 
 // CreateObject provisions a new persistent object owned by owner under

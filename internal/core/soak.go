@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"oceanstore/internal/acl"
@@ -365,6 +366,24 @@ func (w *SoakWorld) Objects() []guid.GUID {
 // InFlight reports unresolved accepted writes (backpressure level).
 func (w *SoakWorld) InFlight() int { return w.inflight }
 
+// Problems checks the world's end state, at quiescence, and describes
+// each violation it finds; none means every check passed.  Checked:
+// every secondary's committed log is a prefix of its primary's.
+func (w *SoakWorld) Problems() []string {
+	var out []string
+	for _, obj := range w.objects {
+		ring, _ := w.Pool.Ring(obj)
+		primary := ring.PrimaryState()
+		for _, sec := range ring.Secondaries() {
+			if !sec.Rep.PrefixOf(primary) {
+				out = append(out, fmt.Sprintf("object %s: the secondary on node %d holds %d commits that are not a prefix of the primary's %d",
+					obj.Short(), sec.Node, sec.Rep.CommittedLen(), primary.CommittedLen()))
+			}
+		}
+	}
+	return out
+}
+
 // createObject provisions one object with its floating replicas,
 // bound to the writers ACL by the certificate started certLookahead
 // creates earlier, and refills that slot for the name certLookahead
@@ -379,12 +398,33 @@ func (w *SoakWorld) createObject() (guid.GUID, error) {
 	if err != nil {
 		return guid.Zero, err
 	}
-	for j := 0; j < w.cfg.Secondaries; j++ {
-		node, _ := w.rotateNode(func(simnet.NodeID) bool { return true })
-		w.addSecondary(obj, node)
-	}
+	w.placeSecondaries(obj)
 	w.objects = append(w.objects, obj)
 	return obj, nil
+}
+
+// placeSecondaries gives a new object its Secondaries floating
+// replicas.  The first is on the primary anchor, the dissemination
+// tree's root, which applies every commit without a push.  The rest
+// rotate over the node IDs, skipping nodes that already hold the
+// object, so they spread outside the tier that the locality order
+// packed into one part of the network.
+func (w *SoakWorld) placeSecondaries(obj guid.GUID) {
+	if w.cfg.Secondaries <= 0 {
+		return
+	}
+	ring, _ := w.Pool.Ring(obj)
+	tier := ring.PrimaryNodes()
+	w.addSecondary(obj, tier[0])
+	for j := 1; j < w.cfg.Secondaries; j++ {
+		node, ok := w.rotateNode(func(id simnet.NodeID) bool {
+			_, dup := ring.Secondary(id)
+			return !dup && !slices.Contains(tier, id)
+		})
+		if ok {
+			w.addSecondary(obj, node)
+		}
+	}
 }
 
 // startCert starts signing the writers certificate for soak-<i>.
@@ -655,8 +695,9 @@ func (w *SoakWorld) setBusy(node simnet.NodeID, t time.Duration) {
 }
 
 // StartChurn bounces one node per period (down for downFor), cycling
-// through the world but sparing node 0 so the owner's anchor stays
-// up.  Returns a cancel function.
+// through the world in placement order — the primary tiers' members in
+// the order objects took them — but sparing the order's first node so
+// object 0's anchor stays up.  Returns a cancel function.
 func (w *SoakWorld) StartChurn(every, downFor time.Duration) (stop func()) {
 	next := 1
 	return w.Pool.K.Every(every, func() {
@@ -664,13 +705,11 @@ func (w *SoakWorld) StartChurn(every, downFor time.Duration) (stop func()) {
 		if n < 2 {
 			return
 		}
-		id := simnet.NodeID(next % n)
-		if id == 0 {
+		if next%n == 0 {
 			next++
-			id = simnet.NodeID(next % n)
 		}
+		w.Pool.Net.Bounce(w.Pool.placed(next%n), w.Pool.K.Now(), downFor)
 		next++
-		w.Pool.Net.Bounce(id, w.Pool.K.Now(), downFor)
 	})
 }
 

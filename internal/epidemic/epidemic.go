@@ -293,6 +293,20 @@ func (r *Replica) TentativeState(now time.Duration) *object.Version {
 // number the replica has reached), including the trimmed prefix.
 func (r *Replica) CommittedLen() int { return r.Log.Len() }
 
+// PrefixOf reports whether r's committed log is a prefix of primary's:
+// no longer, and the same update at every position both retain.
+func (r *Replica) PrefixOf(primary *Replica) bool {
+	if r.CommittedLen() > primary.CommittedLen() {
+		return false
+	}
+	for pos := max(r.Log.Start(), primary.Log.Start()); pos < r.CommittedLen(); pos++ {
+		if r.Log.At(pos).Update.ID() != primary.Log.At(pos).Update.ID() {
+			return false
+		}
+	}
+	return true
+}
+
 // Seen reports whether the replica has the update in either log.
 func (r *Replica) Seen(id update.UpdateID) bool {
 	_, seen := r.known[id]

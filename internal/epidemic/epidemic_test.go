@@ -210,6 +210,33 @@ func TestAntiEntropySyncsCommittedPrefix(t *testing.T) {
 	}
 }
 
+// TestPrefixOf: a log is a prefix of another when it is no longer and
+// holds the same update at every position; a longer log, or one that
+// holds another update at a shared position, is not.
+func TestPrefixOf(t *testing.T) {
+	k := testKey(9)
+	v0 := object.NewObject([]byte(""), 8, k)
+	c := guid.FromData([]byte("c"))
+	uA := appendUpdate(t, v0, k, "A", c, 1, 10)
+	uB := appendUpdate(t, v0, k, "B", c, 2, 20)
+	uC := appendUpdate(t, v0, k, "C", c, 3, 30)
+	primary, short, other := New(v0), New(v0), New(v0)
+	primary.Commit(uA, 0, 1)
+	primary.Commit(uB, 1, 2)
+	short.Commit(uA, 0, 1)
+	other.Commit(uA, 0, 1)
+	other.Commit(uC, 1, 2)
+	if !short.PrefixOf(primary) || !primary.PrefixOf(primary) || !New(v0).PrefixOf(primary) {
+		t.Fatal("a shorter matching log is a prefix")
+	}
+	if primary.PrefixOf(short) {
+		t.Fatal("a longer log is not a prefix")
+	}
+	if other.PrefixOf(primary) {
+		t.Fatal("a log holding another update at position 1 is not a prefix")
+	}
+}
+
 func TestVersionVectorAndDominates(t *testing.T) {
 	k := testKey(8)
 	v0 := object.NewObject([]byte(""), 8, k)

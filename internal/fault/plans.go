@@ -12,13 +12,14 @@ import (
 // root).  They are exported so experiments and examples can reuse the
 // same vocabulary of failure.
 //
-// The plans assume the harness layout used throughout the core tests:
-// a pool of n nodes where nodes 0..3f hold the first object's primary
-// tier (core rotates new objects' tiers from node 0) and the client
-// sits on the last node.  Churn therefore targets the middle of the
-// node range: secondary replicas, archival holders, and routing
-// infrastructure — the untrusted bulk of the system the paper says
-// must be survivable — while at most one primary is disturbed.
+// The plans are functions of the node count alone.  Churn and cuts
+// target the middle of the node range: secondary replicas, archival
+// holders, and routing infrastructure — the untrusted bulk of the
+// system the paper says must be survivable.  Primary tiers are runs of
+// core's locality order, so which IDs they hold depends on the seed,
+// and a plan may disturb any number of one object's primaries; the
+// harness invariants hold either way, with writes stalling while a
+// tier has no quorum.
 
 // midRange returns k node IDs spread through [lo, hi).
 func midRange(lo, hi, k int) []simnet.NodeID {

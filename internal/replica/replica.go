@@ -286,15 +286,22 @@ func (r *Ring) Secondary(node simnet.NodeID) (*Secondary, bool) {
 // membership changes.
 func (r *Ring) Secondaries() []*Secondary { return r.byNode }
 
-// RemoveSecondary retires a floating replica (replica management).
+// RemoveSecondary retires a floating replica (replica management).  A
+// replica on the dissemination tree's root retires too; the root, a
+// primary, stays in the tree.
 func (r *Ring) RemoveSecondary(node simnet.NodeID) error {
 	if _, ok := r.secondaries[node]; !ok {
 		return errors.New("replica: not a secondary")
 	}
+	if node != r.tree.Root() {
+		if err := r.tree.Leave(node); err != nil {
+			return err
+		}
+	}
 	delete(r.secondaries, node)
 	r.byNode = slices.DeleteFunc(slices.Clone(r.byNode),
 		func(sec *Secondary) bool { return sec.Node == node })
-	return r.tree.Leave(node)
+	return nil
 }
 
 // Submit sends a client update into the ring (Fig 5a): the full update

@@ -268,7 +268,7 @@ func TestRefreshPastTheWindowChargesTheBase(t *testing.T) {
 	if got := w.net.Stats().ByKind[dtree.KindPullReply] - before; got != want {
 		t.Fatalf("pull reply charged %d bytes, want %d (base %d bytes)", got, want, c.Base.BytesStored())
 	}
-	if sec.Stale || sec.Rep.CommittedLen() != c.Len() || !isPrefix(sec.Rep, w.ring.PrimaryState()) {
+	if sec.Stale || sec.Rep.CommittedLen() != c.Len() || !sec.Rep.PrefixOf(w.ring.PrimaryState()) {
 		t.Fatalf("refreshed secondary at length %d, want %d", sec.Rep.CommittedLen(), c.Len())
 	}
 	if got, want := w.read(t, sec.Rep.CommittedState()), w.read(t, c.Base); got != want {
@@ -368,6 +368,39 @@ func TestOnCommitCallback(t *testing.T) {
 	w.k.RunFor(30 * time.Second)
 	if len(got) != 1 || !got[0].Committed {
 		t.Fatalf("callbacks = %+v", got)
+	}
+}
+
+// TestRemoveSecondaryOnTheRoot: a floating replica on the
+// dissemination tree's root — the primary anchor — retires like any
+// other, and the root stays in the tree, still pushing commits to the
+// members below it.  The ring used to drop the replica and then report
+// the tree's refusal to let its root leave, so callers counted a
+// replica the ring no longer had.
+func TestRemoveSecondaryOnTheRoot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Archive = archive.Config{DataShards: 4, TotalFragments: 8}
+	w := newWorld(t, 8, cfg)
+	root := w.ring.Tree().Root()
+	for _, n := range []simnet.NodeID{root, 4} {
+		if _, err := w.ring.AddSecondary(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.ring.RemoveSecondary(root); err != nil {
+		t.Fatalf("retiring the root's replica: %v", err)
+	}
+	if _, ok := w.ring.Secondary(root); ok || w.ring.SecondaryCount() != 1 {
+		t.Fatalf("root replica still present, or count %d (want 1)", w.ring.SecondaryCount())
+	}
+	if got := w.ring.Tree().Root(); got != root {
+		t.Fatalf("tree root moved to %d", got)
+	}
+	w.ring.Submit(w.client, w.appendUpdate(t, "x"), 0, nil)
+	w.k.RunFor(10 * time.Second)
+	sec, _ := w.ring.Secondary(4)
+	if got, want := sec.Rep.CommittedLen(), w.ring.PrimaryState().CommittedLen(); got != want || want != 1 {
+		t.Fatalf("member below the root at length %d, primary at %d (want 1)", got, want)
 	}
 }
 
@@ -538,21 +571,6 @@ func TestRingCommitCertificate(t *testing.T) {
 	}
 }
 
-// isPrefix reports whether rep's committed log is a prefix of the
-// primary's: no longer, and the same update at every position both
-// retain.
-func isPrefix(rep, primary *epidemic.Replica) bool {
-	if rep.CommittedLen() > primary.CommittedLen() {
-		return false
-	}
-	for pos := max(rep.Log.Start(), primary.Log.Start()); pos < rep.CommittedLen(); pos++ {
-		if rep.Log.At(pos).Update.ID() != primary.Log.At(pos).Update.ID() {
-			return false
-		}
-	}
-	return true
-}
-
 // TestMissedPushLeavesAPrefix: a secondary is down for one commit's
 // push and back before the next one.  The next push names a position
 // past its log end, so it is not applied on top of the gap: the log
@@ -578,7 +596,7 @@ func TestMissedPushLeavesAPrefix(t *testing.T) {
 		t.Helper()
 		for end := w.k.Now() + d; w.k.Now() < end; {
 			w.k.RunFor(100 * time.Millisecond)
-			if !isPrefix(sec.Rep, primary) {
+			if !sec.Rep.PrefixOf(primary) {
 				t.Fatalf("at %v the secondary's log (length %d, %q) is not a prefix of the primary's (length %d)",
 					w.k.Now(), sec.Rep.CommittedLen(), w.read(t, sec.Rep.CommittedState()), primary.CommittedLen())
 			}
