@@ -77,7 +77,10 @@ const (
 	// MonotonicReads: successive reads never move backwards.
 	MonotonicReads
 	// WritesFollowReads: writes are ordered after the writes whose
-	// effects this session has read.
+	// effects this session has read.  No code enforces it: a
+	// ReadCommitted session gets it from the primary tier's total
+	// order, since every write it read is committed before its own
+	// write reaches the tier.
 	WritesFollowReads
 	// MonotonicWrites: this session's writes apply in issue order; the
 	// session releases a write to the primary tier only after its
@@ -110,19 +113,21 @@ type Session struct {
 	UpdateTimeout time.Duration
 }
 
-// sessObj is one object as a session sees it.  committed and vv are
-// its read floor, each set only under its own guarantee; the zero value
-// is an object the session has neither read nor written.  It is held by
-// value, so changing one is a read, an edit and a store back.
+// sessObj is one object as a session sees it.  committed and read are
+// its read floor; the zero value is an object the session has neither
+// read nor written.  It is held by value, so changing one is a read, an
+// edit and a store back.
 type sessObj struct {
 	// committed is the committed-log length a replica must have reached
-	// to contain every one of this session's resolved writes (RYW).
-	// Sound because committed logs are prefixes of one final order: any
-	// replica at length ≥ n holds the same prefix the primary had when
-	// the session's write resolved at position ≤ n.
+	// to contain every one of this session's resolved writes (RYW) and
+	// the committed part of its last read (MonotonicReads).  Sound
+	// because committed logs are prefixes of one final order: any
+	// replica at length ≥ n holds the same prefix as the replica that
+	// was at length n.
 	committed int
-	// vv is the version vector the session last read (MonotonicReads).
-	vv map[guid.GUID]uint64
+	// read holds the IDs of the tentative updates the session's last
+	// read saw (MonotonicReads); a replica must have seen each of them.
+	read []update.UpdateID
 	// first heads the session's unresolved writes to the object, linked
 	// in issue order; a session has few in flight on one object.  Under
 	// MonotonicWrites only first has been released to the primary tier.
@@ -205,7 +210,8 @@ func (s *Session) pickReplica(obj guid.GUID) (*epidemic.Replica, error) {
 // once per read; a floor field the session's guarantees never set
 // accepts every replica.
 func (s *Session) accepts(st sessObj, r *epidemic.Replica) bool {
-	// Resolved writes: one committed-prefix length comparison.
+	// Resolved writes and committed reads: one committed-prefix length
+	// comparison.
 	if r.CommittedLen() < st.committed {
 		return false
 	}
@@ -218,7 +224,29 @@ func (s *Session) accepts(st sessObj, r *epidemic.Replica) bool {
 			}
 		}
 	}
-	return r.Dominates(st.vv)
+	// Tentative reads: the replica must have seen each update read.
+	for _, id := range st.read {
+		if !r.Seen(id) {
+			return false
+		}
+	}
+	return true
+}
+
+// observe raises obj's MonotonicReads floor after a read that saw a
+// committed log of length n and the tentative updates ids.  The ID list
+// is replaced, not merged: the replica that served the read met the old
+// floor, so each old ID is committed below n or among ids.  When no
+// secondary meets the floor the primary tier serves; its committed
+// state is at or past the floor, but it holds only the tentative
+// updates gossip brought it, so a tentative update read that never
+// commits — one expired after TentativeExpire on every replica, say —
+// can leave the floor there.
+func (s *Session) observe(obj guid.GUID, n int, ids []update.UpdateID) {
+	st := s.objs[obj]
+	st.committed = max(st.committed, n)
+	st.read = ids
+	s.objs[obj] = st
 }
 
 // Read returns the object's logical contents as seen through the
@@ -254,13 +282,12 @@ func (s *Session) ReadReplica(obj guid.GUID, rep *epidemic.Replica) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	// Advance the session's observed vector (MonotonicReads floor).
-	// The vector copy is paid only when the guarantee consumes it — at
-	// soak rates an unconditional copy per read dominated the path.
 	if s.g&MonotonicReads != 0 {
-		st := s.objs[obj]
-		st.vv = rep.VersionVector()
-		s.objs[obj] = st
+		var ids []update.UpdateID
+		if s.g&ReadCommitted == 0 {
+			ids = rep.TentativeIDs(nil)
+		}
+		s.observe(obj, rep.CommittedLen(), ids)
 	}
 	return data, nil
 }
@@ -395,7 +422,7 @@ func (s *Session) resolve(w *write, committed bool) {
 		p = &(*p).next
 	}
 	*p, w.next = w.next, nil
-	if st.first == nil && st.committed == 0 && st.vv == nil {
+	if st.first == nil && st.committed == 0 && st.read == nil {
 		delete(s.objs, obj)
 		return
 	}

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"time"
 
+	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 	"oceanstore/internal/replica"
 	"oceanstore/internal/simnet"
+	"oceanstore/internal/update"
 )
 
 // This file is the networked read path.  Session.Read serves from local
@@ -39,9 +41,11 @@ type readReq struct {
 type readRep struct {
 	Rid     uint64
 	Version *object.Version
-	// VV is the serving replica's version vector, for the session's
-	// MonotonicReads floor.
-	VV map[guid.GUID]uint64
+	// Committed and Tentative are what the serving replica's read saw —
+	// its committed length and the IDs of the tentative updates applied —
+	// for the session's MonotonicReads floor.
+	Committed int
+	Tentative []update.UpdateID
 }
 
 type readState struct {
@@ -78,28 +82,21 @@ func (rs *readService) handle(id simnet.NodeID, m simnet.Message) {
 		// replica if it is one, the shared primary state if it is a
 		// primary-tier member; silence otherwise (the client will retry
 		// elsewhere).
-		var v *object.Version
-		var vv map[guid.GUID]uint64
+		var src *epidemic.Replica
 		if sec, ok := ring.Secondary(id); ok && !sec.Stale {
-			if q.Committed {
-				v = sec.Rep.CommittedState()
-			} else {
-				v = sec.Rep.TentativeState(rs.p.K.Now())
-			}
-			vv = sec.Rep.VersionVector()
+			src = sec.Rep
 			sec.Reads++
 		} else if isPrimary(ring.PrimaryNodes(), id) {
-			if q.Committed {
-				v = ring.PrimaryState().CommittedState()
-			} else {
-				v = ring.PrimaryState().TentativeState(rs.p.K.Now())
-			}
-			vv = ring.PrimaryState().VersionVector()
-		}
-		if v == nil {
+			src = ring.PrimaryState()
+		} else {
 			return
 		}
-		rs.p.Net.Send(id, q.Reply, KindReadRep, readRep{Rid: q.Rid, Version: v, VV: vv}, v.BytesStored()+64)
+		rep := readRep{Rid: q.Rid, Version: src.CommittedState(), Committed: src.CommittedLen()}
+		if !q.Committed {
+			rep.Version = src.TentativeState(rs.p.K.Now())
+			rep.Tentative = src.TentativeIDs(nil)
+		}
+		rs.p.Net.Send(id, q.Reply, KindReadRep, rep, rep.Version.BytesStored()+64)
 	case readRep:
 		st, ok := rs.inflight[q.Rid]
 		if !ok || st.done {
@@ -174,12 +171,8 @@ func (s *Session) RemoteRead(obj guid.GUID, deadline time.Duration, cb func([]by
 			cb(nil, derr)
 			return
 		}
-		// Advance the session's observed vector (MonotonicReads floor),
-		// as a local read would.
 		if s.g&MonotonicReads != 0 {
-			st := s.objs[obj]
-			st.vv = rep.VV
-			s.objs[obj] = st
+			s.observe(obj, rep.Committed, rep.Tentative)
 		}
 		cb(data, nil)
 	}

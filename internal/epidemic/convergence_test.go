@@ -3,6 +3,7 @@ package epidemic
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,8 +19,9 @@ import (
 // replicas, random pairwise anti-entropy mixed in — then let
 // anti-entropy quiesce and require every replica to agree exactly:
 // same committed log, same committed bytes, same tentative bytes, same
-// version vector.  It fails if commit ordering, the deterministic
-// tentative order, or the anti-entropy prefix fast-forward is broken.
+// tentative updates in the same order.  It fails if commit ordering,
+// the deterministic tentative order, or the anti-entropy prefix
+// fast-forward is broken.
 func TestConvergenceProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
@@ -109,7 +111,7 @@ func TestConvergenceProperty(t *testing.T) {
 				}
 			}
 
-			// Agreement: committed logs, states, and vectors all match.
+			// Agreement: committed logs, states, and tentative sets all match.
 			ref := reps[0]
 			refCommitted := read(t, ref.CommittedState(), k)
 			refTentative := read(t, ref.TentativeState(0), k)
@@ -123,11 +125,11 @@ func TestConvergenceProperty(t *testing.T) {
 				if got := read(t, r.TentativeState(0), k); got != refTentative {
 					t.Fatalf("replica %d tentative state diverged:\n%q\n%q", i+1, got, refTentative)
 				}
-				if !r.Dominates(ref.VersionVector()) || !ref.Dominates(r.VersionVector()) {
-					t.Fatalf("replica %d version vector diverged", i+1)
+				if !r.PrefixOf(ref) || !ref.PrefixOf(r) {
+					t.Fatalf("replica %d committed log diverged", i+1)
 				}
-				if len(r.tentative) != len(ref.tentative) {
-					t.Fatalf("replica %d tentative count %d != %d", i+1, len(r.tentative), len(ref.tentative))
+				if got, want := r.TentativeIDs(nil), ref.TentativeIDs(nil); !slices.Equal(got, want) {
+					t.Fatalf("replica %d tentative IDs %v != %v", i+1, got, want)
 				}
 			}
 			// The committed prefix must reflect exactly the primary's

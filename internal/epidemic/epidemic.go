@@ -18,7 +18,6 @@ import (
 	"sort"
 	"time"
 
-	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 	"oceanstore/internal/obs"
 	"oceanstore/internal/update"
@@ -38,12 +37,6 @@ type Replica struct {
 	// commits a steady-state path, not a corner case — and the second
 	// arrival is answered from here in one probe.
 	known map[update.UpdateID]int
-	// vv is a version vector: the highest Seq seen per client across
-	// both logs, used to summarise state for anti-entropy.  It is not a
-	// contiguous prefix: a client's Seq counts its updates to every
-	// object, so one object's replica sees gaps, and a replica holding
-	// only a client's later update dominates one holding both.
-	vv map[guid.GUID]uint64
 
 	// cached tentative state; invalidated by any log change.
 	cached     *object.Version
@@ -162,7 +155,6 @@ func New(v0 *object.Version) *Replica {
 	return &Replica{
 		base:  v0,
 		known: make(map[update.UpdateID]int),
-		vv:    make(map[guid.GUID]uint64),
 	}
 }
 
@@ -202,9 +194,6 @@ func (r *Replica) AddTentative(u *update.Update) bool {
 	r.tentative = append(r.tentative, nil)
 	copy(r.tentative[i+1:], r.tentative[i:])
 	r.tentative[i] = u
-	if u.Seq > r.vv[u.ClientID] {
-		r.vv[u.ClientID] = u.Seq
-	}
 	r.counts.add(Tentative, 1)
 	r.cacheValid = false
 	return true
@@ -235,9 +224,6 @@ func (r *Replica) Commit(u *update.Update, pos int, now time.Duration) update.Ou
 		return r.Log.At(pos).Outcome
 	case pos > end:
 		return update.Outcome{}
-	}
-	if !seen && u.Seq > r.vv[u.ClientID] {
-		r.vv[u.ClientID] = u.Seq
 	}
 	// Drop from tentative if present.
 	for i, tu := range r.tentative {
@@ -313,27 +299,13 @@ func (r *Replica) Seen(id update.UpdateID) bool {
 	return seen
 }
 
-// VersionVector returns a copy of the replica's version vector.
-func (r *Replica) VersionVector() map[guid.GUID]uint64 {
-	out := make(map[guid.GUID]uint64, len(r.vv))
-	for k, v := range r.vv {
-		out[k] = v
+// TentativeIDs appends to dst the IDs of the tentative updates the
+// replica holds, in the timestamp order TentativeState applies them.
+func (r *Replica) TentativeIDs(dst []update.UpdateID) []update.UpdateID {
+	for _, u := range r.tentative {
+		dst = append(dst, u.ID())
 	}
-	return out
-}
-
-// Dominates reports whether this replica's vector is at least the
-// other's for every client — the session-guarantee test for "is this
-// replica fresh enough".  Because vv keeps only the highest Seq, a
-// replica missing a client's earlier update to this object can still
-// pass it.
-func (r *Replica) Dominates(other map[guid.GUID]uint64) bool {
-	for c, s := range other {
-		if r.vv[c] < s {
-			return false
-		}
-	}
-	return true
+	return dst
 }
 
 // AntiEntropy performs one bidirectional epidemic exchange between two

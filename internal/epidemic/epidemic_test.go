@@ -2,6 +2,7 @@ package epidemic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -237,26 +238,34 @@ func TestPrefixOf(t *testing.T) {
 	}
 }
 
-func TestVersionVectorAndDominates(t *testing.T) {
+// TestTentativeIDs: the IDs come back in the timestamp order
+// TentativeState applies the updates, whatever order they arrived in,
+// appended to dst; a committed update leaves them.
+func TestTentativeIDs(t *testing.T) {
 	k := testKey(8)
 	v0 := object.NewObject([]byte(""), 8, k)
 	c1, c2 := guid.FromData([]byte("c1")), guid.FromData([]byte("c2"))
+	uA := appendUpdate(t, v0, k, "A", c1, 1, 30)
+	uB := appendUpdate(t, v0, k, "B", c1, 2, 10)
+	uC := appendUpdate(t, v0, k, "C", c2, 7, 20)
 	r := New(v0)
-	r.AddTentative(appendUpdate(t, v0, k, "A", c1, 1, 10))
-	r.AddTentative(appendUpdate(t, v0, k, "B", c1, 2, 20))
-	r.AddTentative(appendUpdate(t, v0, k, "C", c2, 7, 30))
-	vv := r.VersionVector()
-	if vv[c1] != 2 || vv[c2] != 7 {
-		t.Fatalf("vv = %v", vv)
+	if ids := r.TentativeIDs(nil); ids != nil {
+		t.Fatalf("empty replica lists %v", ids)
 	}
-	if !r.Dominates(map[guid.GUID]uint64{c1: 2}) {
-		t.Fatal("should dominate subset")
+	for _, u := range []*update.Update{uA, uB, uC} {
+		r.AddTentative(u)
 	}
-	if r.Dominates(map[guid.GUID]uint64{c1: 3}) {
-		t.Fatal("should not dominate unseen seq")
+	head := uC.ID()
+	got := r.TentativeIDs([]update.UpdateID{head})
+	if want := []update.UpdateID{head, uB.ID(), uC.ID(), uA.ID()}; !slices.Equal(got, want) {
+		t.Fatalf("TentativeIDs = %v, want %v", got, want)
 	}
-	if !r.Dominates(nil) {
-		t.Fatal("everything dominates the empty vector")
+	if got := read(t, r.TentativeState(0), k); got != "BCA" {
+		t.Fatalf("tentative state %q, want the IDs' order", got)
+	}
+	r.Commit(uC, 0, 40)
+	if got, want := r.TentativeIDs(nil), []update.UpdateID{uB.ID(), uA.ID()}; !slices.Equal(got, want) {
+		t.Fatalf("after commit TentativeIDs = %v, want %v", got, want)
 	}
 }
 

@@ -1,11 +1,9 @@
 package epidemic
 
 import (
-	"maps"
 	"slices"
 	"time"
 
-	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 	"oceanstore/internal/update"
 )
@@ -96,33 +94,32 @@ func (r *Replica) reindex() {
 }
 
 // Checkpoint is a replica's committed state in transferable form: the
-// object after Len() serialised updates, the log window that ends
-// there, and the version vector.  The window is what lets the receiver
-// recognise a commit the checkpoint already covers when it arrives
-// late — a tree push that was in flight while the checkpoint moved.
+// object after Len() serialised updates and the log window that ends
+// there.  The window is what lets the receiver recognise a commit the
+// checkpoint already covers when it arrives late — a tree push that was
+// in flight while the checkpoint moved.
 type Checkpoint struct {
 	Base *object.Version
 	// Start is the log position of Window[0].
 	Start  int
 	Window []update.LogEntry
-	VV     map[guid.GUID]uint64
 }
 
 // Len is how many serialised updates the checkpoint covers.
 func (c Checkpoint) Len() int { return c.Start + len(c.Window) }
 
-// Checkpoint captures r's committed state.  The window and vector are
-// copies; committed versions are immutable, so Base is shared.
+// Checkpoint captures r's committed state.  The window is a copy;
+// committed versions are immutable, so Base is shared.
 func (r *Replica) Checkpoint() Checkpoint {
 	c := r.view()
-	c.Window, c.VV = slices.Clone(c.Window), maps.Clone(c.VV)
+	c.Window = slices.Clone(c.Window)
 	return c
 }
 
-// view is Checkpoint without the copies, for a catch-up that reads it
+// view is Checkpoint without the copy, for a catch-up that reads it
 // at once (anti-entropy).
 func (r *Replica) view() Checkpoint {
-	return Checkpoint{Base: r.base, Start: r.Log.Start(), Window: r.Log.Entries(), VV: r.vv}
+	return Checkpoint{Base: r.base, Start: r.Log.Start(), Window: r.Log.Entries()}
 }
 
 // CatchUp brings r's committed log up to c's, for anti-entropy and tree
@@ -152,15 +149,10 @@ func (r *Replica) CatchUp(c Checkpoint, now time.Duration) int {
 // (copied in, not counted as commits), and its dedup table the window's
 // IDs plus the tentative updates the window does not cover.  (A
 // tentative update committed before the window stays until it
-// expires.)  The version vector merges up.
+// expires.)
 func (r *Replica) Adopt(c Checkpoint) {
 	r.base = c.Base
 	r.Log.Rebase(c.Start, c.Window)
 	r.reindex()
-	for cl, s := range c.VV {
-		if s > r.vv[cl] {
-			r.vv[cl] = s
-		}
-	}
 	r.cacheValid = false
 }

@@ -429,11 +429,11 @@ func (r *Ring) onTreeDeliver(node simnet.NodeID, d dtree.Delivery) {
 }
 
 // onTreePull serves a child's pull: ship the parent's checkpoint — its
-// committed log window, plus the base state and version vector the
-// child adopts if it lags past the window — so the child can catch up
-// (the paper's "pull missing information from parents").  While the
-// window still reaches back to position 0 the child can always replay,
-// so the base state and vector are not charged to the wire.
+// committed log window, plus the base state the child adopts if it lags
+// past the window — so the child can catch up (the paper's "pull
+// missing information from parents").  While the window still reaches
+// back to position 0 the child can always replay, so the base state is
+// not charged to the wire.
 func (r *Ring) onTreePull(parent simnet.NodeID) (any, int) {
 	src := r.primaryState
 	if sec, ok := r.secondaries[parent]; ok {
@@ -445,7 +445,7 @@ func (r *Ring) onTreePull(parent simnet.NodeID) (any, int) {
 		size += e.Update.WireSize()
 	}
 	if c.Start > 0 {
-		size += c.Base.BytesStored() + len(c.VV)*28
+		size += c.Base.BytesStored()
 	}
 	return c, size
 }

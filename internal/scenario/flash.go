@@ -87,5 +87,8 @@ func runFlashCrowd(o Options) Result {
 	if p99 > flashP99Bound {
 		r.violate("flash crowd p99 read latency %v exceeds %v", p99, flashP99Bound)
 	}
+	for _, p := range world.Problems() {
+		r.violate("%s", p)
+	}
 	return r
 }
