@@ -40,6 +40,40 @@ func TestPrimaryTiersArePacked(t *testing.T) {
 	}
 }
 
+// TestEarlyTiersAreCentral: the first tiers the pool hands out — the
+// pre-created, Zipf-hot objects' — sit nearer the whole network than
+// the last ones and than the typical tier: the mean latency from every
+// node to the anchors of the first 16 tiers is below the mean to the
+// anchors of the last 16, and below the mean to every 16th anchor.
+func TestEarlyTiersAreCentral(t *testing.T) {
+	cfg := DefaultPoolConfig()
+	cfg.Nodes = 10000
+	cfg.Extent = 100
+	cfg.NoMesh = true
+	p := NewPool(1, cfg)
+	anchors := make([]simnet.NodeID, cfg.Nodes/4)
+	for i := range anchors {
+		anchors[i] = p.pickPrimaries()[0]
+	}
+	mean := func(tiers []simnet.NodeID) time.Duration {
+		var sum time.Duration
+		for _, a := range tiers {
+			for n := range cfg.Nodes {
+				sum += p.Net.Latency(simnet.NodeID(n), a)
+			}
+		}
+		return sum / time.Duration(len(tiers)*cfg.Nodes)
+	}
+	var spread []simnet.NodeID
+	for i := 0; i < len(anchors); i += 16 {
+		spread = append(spread, anchors[i])
+	}
+	first, last, all := mean(anchors[:16]), mean(anchors[len(anchors)-16:]), mean(spread)
+	if first >= last || first >= all {
+		t.Fatalf("mean latency to the first 16 anchors %v, to the last 16 %v, to every 16th %v", first, last, all)
+	}
+}
+
 // soakWorld256 builds the world `osexp soak 1` runs on.
 func soakWorld256(t *testing.T) *SoakWorld {
 	t.Helper()

@@ -92,9 +92,11 @@ type Pool struct {
 
 	objects map[guid.GUID]*objState
 	// order is the nodes the pool was built with, in the network's
-	// locality order (simnet.LocalityOrder): each new object's primary
-	// tier is its next run of 3f+1 entries, so a tier sits in one
-	// well-connected part of the network (§4.4.3).
+	// locality order (simnet.LocalityOrder), a spiral out from the
+	// centre of the plane: each new object's primary tier is its next
+	// run of 3f+1 entries, so a tier sits in one well-connected part of
+	// the network (§4.4.3), and the first objects' tiers sit nearest
+	// the centre, where every client reaches them soonest.
 	order []simnet.NodeID
 	// nextPrimary is the position in order of the next tier's first
 	// member.
@@ -190,7 +192,8 @@ func (p *Pool) Router() *plaxton.Router {
 }
 
 // pickPrimaries hands a new object the next 3f+1 nodes of the
-// locality order, wrapping at its end.
+// locality order, wrapping at its end: the first tiers are cut at the
+// centre of the plane and later ones walk outward ring by ring.
 func (p *Pool) pickPrimaries() []simnet.NodeID {
 	n := 3*p.cfg.Faults + 1
 	out := make([]simnet.NodeID, n)

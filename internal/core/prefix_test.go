@@ -98,3 +98,50 @@ func TestSoakSecondariesArePrefixes(t *testing.T) {
 		t.Fatalf("%d secondaries; %d problems: %q", secs, len(probs), probs)
 	}
 }
+
+// TestProblemsCountsEveryWriteOnce: a 32-node soak run to quiescence
+// reports nothing; with the busiest object's acknowledged count one
+// above what its primary committed (a lost write) or one below (a
+// write applied twice) it is reported, and only it.
+func TestProblemsCountsEveryWriteOnce(t *testing.T) {
+	cfg := DefaultSoakConfig(32)
+	w, err := NewSoakWorld(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := workload.NewEngine(w.Pool.K, workload.EngineConfig{
+		Clients:       cfg.Clients,
+		Ops:           2000,
+		Mix:           workload.Mix{WriteFrac: 0.3, CreateFrac: 0.01},
+		Objects:       cfg.Objects,
+		ZipfS:         1.1,
+		MeanWriteSize: 256,
+		ClosedLoop:    true,
+		MeanThink:     200 * time.Millisecond,
+		RetryBackoff:  time.Second,
+	}, w)
+	eng.Start()
+	w.Pool.K.RunWhile(func() bool { return !eng.Done() })
+	if probs := w.Problems(); len(probs) != 0 {
+		t.Fatalf("quiescent world: %q", probs)
+	}
+	busiest := 0
+	for i, tally := range w.writes {
+		if tally.abandoned != 0 {
+			t.Fatalf("object %d: %d writes abandoned in a run without faults", i, tally.abandoned)
+		}
+		if tally.acked > w.writes[busiest].acked {
+			busiest = i
+		}
+	}
+	if w.writes[busiest].acked == 0 {
+		t.Fatal("no write was acknowledged")
+	}
+	for _, off := range []int{1, -1} {
+		w.writes[busiest].acked += off
+		if probs := w.Problems(); len(probs) != 1 {
+			t.Fatalf("ack count off by %+d: want one problem, got %q", off, probs)
+		}
+		w.writes[busiest].acked -= off
+	}
+}

@@ -150,6 +150,9 @@ type SoakWorld struct {
 	owner    *Client
 	sessions []*Session
 	objects  []guid.GUID
+	// writes holds, beside each of objects, its writes' tally for the
+	// exactly-once check in Problems.
+	writes []writeTally
 	// writers grants every soak client write privilege; each object's
 	// one certificate binds it at creation.
 	writers *acl.ACL
@@ -368,12 +371,25 @@ func (w *SoakWorld) InFlight() int { return w.inflight }
 
 // Problems checks the world's end state, at quiescence, and describes
 // each violation it finds; none means every check passed.  Checked:
-// every secondary's committed log is a prefix of its primary's.
+//   - every secondary's committed log is a prefix of its primary's;
+//   - every write committed exactly once: the commits an object's
+//     primary gained since its creation number at least the writes
+//     acknowledged (none lost) and at most those plus the writes
+//     abandoned, which may still have committed (none applied twice).
+//
+// The second check is a count by design, not a scan for update IDs:
+// the primary keeps only a window of its log, and CommittedLen counts
+// the whole of it.
 func (w *SoakWorld) Problems() []string {
 	var out []string
-	for _, obj := range w.objects {
+	for i, obj := range w.objects {
 		ring, _ := w.Pool.Ring(obj)
 		primary := ring.PrimaryState()
+		t := w.writes[i]
+		if n := primary.CommittedLen() - t.base; n < t.acked || n > t.acked+t.abandoned {
+			out = append(out, fmt.Sprintf("object %s: the primary committed %d writes, but %d were acknowledged and %d abandoned",
+				obj.Short(), n, t.acked, t.abandoned))
+		}
 		for _, sec := range ring.Secondaries() {
 			if !sec.Rep.PrefixOf(primary) {
 				out = append(out, fmt.Sprintf("object %s: the secondary on node %d holds %d commits that are not a prefix of the primary's %d",
@@ -383,6 +399,11 @@ func (w *SoakWorld) Problems() []string {
 	}
 	return out
 }
+
+// writeTally counts one object's soak writes by how they resolved —
+// acknowledged as committed, or abandoned (failed or timed out) — and
+// holds base, its primary's committed length at creation.
+type writeTally struct{ base, acked, abandoned int }
 
 // createObject provisions one object with its floating replicas,
 // bound to the writers ACL by the certificate started certLookahead
@@ -399,7 +420,9 @@ func (w *SoakWorld) createObject() (guid.GUID, error) {
 		return guid.Zero, err
 	}
 	w.placeSecondaries(obj)
+	ring, _ := w.Pool.Ring(obj)
 	w.objects = append(w.objects, obj)
+	w.writes = append(w.writes, writeTally{base: ring.PrimaryState().CommittedLen()})
 	return obj, nil
 }
 
@@ -594,6 +617,11 @@ func (w *SoakWorld) Do(req workload.Request, done func(ok bool)) error {
 			size = 1
 		}
 		if _, err := s.replace(obj, 0, make([]byte, size), func(ok bool) {
+			if ok {
+				w.writes[idx].acked++
+			} else {
+				w.writes[idx].abandoned++
+			}
 			w.inflight--
 			done(ok)
 		}); err != nil {

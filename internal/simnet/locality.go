@@ -6,14 +6,19 @@ import "math"
 // about as many nodes as one 3f+1 = 4 primary tier.
 const nodesPerCell = 4
 
-// LocalityOrder returns every node in one locality order: a serpentine
-// walk over a uniform grid laid across the nodes' bounding box, about
-// nodesPerCell nodes to a cell — even rows left to right, odd rows
-// right to left, each cell's nodes in ID order.  Nodes close in the
-// order are close on the plane, so a run of consecutive entries is a
-// well-connected group (paper §4.4.3's primary tier).  The order is a
-// pure function of the coordinates, built by one counting sort in O(n)
-// with no draw from the kernel RNG.
+// LocalityOrder returns every node in one locality order: a centre-out
+// square spiral over a uniform grid laid across the nodes' bounding
+// box, about nodesPerCell nodes to a cell, each cell's nodes in ID
+// order.  Cells are ranked by ring — Chebyshev distance from the box
+// centre — and each ring's perimeter is walked the same way round from
+// its bottom-left corner (spiralRanks).  Nodes close in the order are
+// close on the plane, so a run of consecutive entries is a
+// well-connected group (paper §4.4.3's primary tier); and the order
+// starts at the box centre, which under a uniform node cloud is the
+// point of least mean latency to every node, so the first runs sit
+// where clients reach them fastest.  The order is a pure function of
+// the coordinates, built by one counting sort in O(n) with no draw from
+// the kernel RNG.
 func (n *Network) LocalityOrder() []NodeID {
 	count := len(n.xs)
 	if count == 0 {
@@ -33,14 +38,12 @@ func (n *Network) LocalityOrder() []NodeID {
 		}
 		return min(side-1, int((v-lo)/(hi-lo)*float64(side)))
 	}
+	rank := spiralRanks(side)
 	cell := make([]int32, count)
 	starts := make([]int, side*side+1)
 	for i := range cell {
 		row, col := bin(n.ys[i], minY, maxY), bin(n.xs[i], minX, maxX)
-		if row%2 == 1 {
-			col = side - 1 - col
-		}
-		cell[i] = int32(row*side + col)
+		cell[i] = rank[row*side+col]
 		starts[cell[i]+1]++
 	}
 	for c := 1; c < len(starts); c++ {
@@ -52,4 +55,42 @@ func (n *Network) LocalityOrder() []NodeID {
 		starts[c]++
 	}
 	return order
+}
+
+// spiralRanks returns each cell's position, indexed row*side+col, in a
+// centre-out walk of a side×side grid.  In doubled cell coordinates,
+// 2·col − (side−1) and 2·row − (side−1), the grid's centre is exact for
+// odd and even side alike, and ring h holds the cells whose larger
+// coordinate magnitude is h.  The rings are walked in order of h, each
+// from its bottom-left corner: right along its bottom row, up its right
+// column, left along its top row, down its left column.  The grid is
+// square and centred on its own centre, so every ring lies whole inside
+// it.  O(side²).
+func spiralRanks(side int) []int32 {
+	rank := make([]int32, side*side)
+	next := int32(0)
+	put := func(row, col int) {
+		rank[row*side+col] = next
+		next++
+	}
+	for h := (side - 1) % 2; h < side; h += 2 {
+		lo, hi := (side-1-h)/2, (side-1+h)/2
+		if lo == hi {
+			put(lo, lo)
+			continue
+		}
+		for col := lo; col < hi; col++ {
+			put(lo, col)
+		}
+		for row := lo; row < hi; row++ {
+			put(row, hi)
+		}
+		for col := hi; col > lo; col-- {
+			put(hi, col)
+		}
+		for row := hi; row > lo; row-- {
+			put(row, lo)
+		}
+	}
+	return rank
 }
