@@ -17,7 +17,7 @@ PAR_PKGS = ./internal/par/ ./internal/archive/ ./internal/blobstore/ \
 	./internal/fault/ ./internal/obs/ ./internal/crypt/ \
 	./internal/update/ ./internal/acl/ ./internal/core/
 
-.PHONY: check fmt vet vet-rand build test race-par bench bench-smoke cover cover-write gates
+.PHONY: check fmt vet vet-rand build test race-par bench bench-smoke cover cover-write gates trajectory
 
 # Every prerequisite after vet compiles the tree and `gates` links
 # every program, so `build` is not one of them; `cover` replays the
@@ -92,3 +92,27 @@ cover-write:
 # and leaves the outputs on disk.
 gates:
 	$(GO) run ./cmd/gates
+
+# Benchmark trajectory: `make trajectory SEED=1` runs each workload
+# BENCHMARK.json names once, untraced, through the benchmark's own entry
+# point, and appends one record per workload to BENCH_TRAJECTORY.json —
+# commit, seed, workload, failed ops and the end-to-end metrics.  The
+# file is a JSON array, one record a line, that only ever grows.  A
+# commit ending in "+" was measured with uncommitted changes on top of
+# it.  Needs jq.
+SEED ?= 1
+TRAJECTORY = BENCH_TRAJECTORY.json
+trajectory:
+	@set -e; \
+	commit=$$(git rev-parse --short HEAD); \
+	git diff --quiet HEAD -- . ':(exclude)$(TRAJECTORY)' || commit=$$commit+; \
+	names=$$(jq -c '[.end_to_end[].name]' BENCHMARK.json); \
+	mkdir -p .bench_build; new=.bench_build/trajectory.new; : > $$new; \
+	for w in $$(jq -r '.workloads[].name' BENCHMARK.json); do \
+		bash benchmark/run.sh --workload $$w --seed $(SEED) --trace 0 | tail -n 1 | \
+		jq -c --arg commit $$commit --arg workload $$w --argjson seed $(SEED) --argjson names "$$names" \
+			'{commit: $$commit, seed: $$seed, workload: $$workload, failed: .failed, metrics: (.metrics as $$m | reduce $$names[] as $$n ({}; .[$$n] = $$m[$$n].value))}' >> $$new; \
+	done; \
+	{ echo '['; { [ ! -s $(TRAJECTORY) ] || jq -c '.[]' $(TRAJECTORY); cat $$new; } | sed '$$!s/$$/,/'; echo ']'; } > $$new.all; \
+	mv $$new.all $(TRAJECTORY); rm $$new; \
+	echo "trajectory: $$(jq length $(TRAJECTORY)) records in $(TRAJECTORY), the last $$(jq -r '.workloads | length' BENCHMARK.json) from $$commit at seed $(SEED)"

@@ -143,8 +143,8 @@ func (o *obsink) merge(c *obsink) {
 }
 
 // obsOut is where collected observability goes at the end of a run.
-// Both outputs are buffered — a registry dump is hundreds of thousands
-// of lines — and flush drains the buffers after every section, so a
+// Both outputs are buffered — a trace holds up to obs.DefaultTraceCap
+// events a seed — and flush drains the buffers after every section, so a
 // section lands after the report it belongs to when an output shares
 // stdout with it, and a full disk fails the section that hit it.
 type obsOut struct {
@@ -200,8 +200,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // JSONL stream prefixed with one header object per seed section.  What
 // the dump cost goes to stderr as the obs: rail, beside the soak's mem:,
 // kernel: and crypto: — host facts, so never stdout or -metrics:
-// "snapshot" is putting the registry in dump order, "write" formatting
-// it through the sink buffer to the OS.
+// "snapshot" is putting the registry in dump order and reading it to
+// count the lines the dump will hold, "write" reading and formatting it
+// through the sink buffer to the OS.
 func (o *obsOut) flush(exp string, seed int64, ob *obsink) error {
 	if o == nil || ob == nil {
 		return nil

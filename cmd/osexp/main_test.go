@@ -6,8 +6,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
+	"os"
+	"path"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -130,7 +136,7 @@ func TestInstrumentationInert(t *testing.T) {
 }
 
 // The seed-1 default soak (256 nodes, 4000 ops, a node bounce a minute)
-// as PR 21 wrote it: registry attached, per-link counters on.
+// with the registry attached.
 // Re-pinned once when tree pushes began to carry their log position:
 // a push that reached a bounced secondary past the commit it missed
 // had been applied on top of the gap, leaving 3 of the run's 264
@@ -143,8 +149,12 @@ func TestInstrumentationInert(t *testing.T) {
 // Re-pinned when the locality order began at the centre of the plane
 // instead of its bottom edge: every tier sits elsewhere, so every
 // client's request leg and every link count moves.
+// Re-pinned when the dump began to summarise: zero series are left
+// out, and each per-link and per-node family is listed as its exact
+// total and the summary of its non-zero per-entity counts.  The report
+// did not move, and the new dump is the old one rolled up.
 const (
-	goldenSoakMetrics = "cbb8b4ccba93f8866082dfbb2a02c89e9724ccaad69745bb4de91b7808ad06f0"
+	goldenSoakMetrics = "e9aaf888d0946741c9d43c094f1a9e6c98f20bdd2ec1c130a4f6ea9cd1c9b957"
 	goldenSoakStdout  = "49b3a5a93c7187574fba47d5a64ac8146d194d6be448d74dc8676214ee62fff3"
 )
 
@@ -173,6 +183,76 @@ func TestSoakDumpPinned(t *testing.T) {
 		sum := sha256.Sum256(c.got)
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s changed (%d bytes):\n got  %s\n want %s", c.what, len(c.got), got, c.want)
+		}
+	}
+}
+
+// TestSoakMetricsSummarise: `osexp -metrics FILE soak 1` writes a dump
+// that lists no series whose value is zero and each per-entity family —
+// links, hosting nodes — as exactly one total line and one summary
+// line, and its obs: rail counts exactly the lines the dump holds.
+func TestSoakMetricsSummarise(t *testing.T) {
+	dir := t.TempDir()
+	oo, closeSinks, err := openSinks(filepath.Join(dir, "metrics"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := os.Stdout, os.Stderr
+	report, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer report.Close()
+	rails, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rails.Close()
+	os.Stdout, os.Stderr = report, rails
+	runOne(findExperiment(t, "soak"), 1, 1, oo)
+	os.Stdout, os.Stderr = stdout, stderr
+	if err := closeSinks(); err != nil {
+		t.Fatal(err)
+	}
+	dump, err := os.ReadFile(filepath.Join(dir, "metrics"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rail, err := os.ReadFile(rails.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^obs: ([0-9]+) series in `).FindSubmatch(rail)
+	if m == nil {
+		t.Fatalf("no obs: rail in %q", rail)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(dump), "\n"), "\n")
+	if series, _ := strconv.Atoi(string(m[1])); series != len(lines) {
+		t.Fatalf("the obs: rail counts %d series, the dump holds %d lines", series, len(lines))
+	}
+	totals, summaries := map[string]int{}, map[string]int{}
+	for _, line := range lines {
+		name, values, _ := strings.Cut(line, " 1 ")
+		fields := strings.Fields(values)
+		if v, err := strconv.ParseFloat(fields[0], 64); err != nil || v == 0 {
+			t.Errorf("zero or unreadable series: %q", line)
+		}
+		family, label := path.Split(name)
+		switch {
+		case label == "each":
+			summaries[family]++
+		case fields[1] == "count" && len(fields) == 2:
+			totals[family]++
+		}
+	}
+	for _, family := range []string{"Benchmarkobs/soak/s1/simnet/link_bytes/", "Benchmarkobs/soak/s1/epidemic/commits/"} {
+		if summaries[family] == 0 {
+			t.Errorf("%s has no summary line", family)
+		}
+	}
+	for family, n := range summaries {
+		if n != 1 || totals[family] != 1 {
+			t.Errorf("%s: %d total and %d summary lines, want one each", family, totals[family], n)
 		}
 	}
 }

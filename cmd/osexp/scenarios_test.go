@@ -162,7 +162,7 @@ func TestSoakReportShape(t *testing.T) {
 			t.Errorf("soak report missing %q; got:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "WARNING") {
+	if strings.Contains(out, "PROBLEM") {
 		t.Errorf("small soak run should drain cleanly; got:\n%s", out)
 	}
 }

@@ -261,9 +261,6 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 			ss.ScrubbedFrags, ss.ScrubBad, ss.ScrubMissing, float64(ss.ScrubBytes)/1e6,
 			ss.ScrubPasses, ss.Repairs, ss.RepairFailed, ss.RepairsDeferred)
 	}
-	if st.InFlight != 0 {
-		fmt.Fprintf(w, "WARNING: %d operations still in flight after drain\n", st.InFlight)
-	}
 	problems := world.Problems()
 	for _, p := range problems {
 		fmt.Fprintf(w, "PROBLEM: %s\n", p)

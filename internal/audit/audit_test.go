@@ -144,7 +144,7 @@ func TestInstrumentMidRunReadsLifetime(t *testing.T) {
 		t.Fatalf("tracer saw %d detections, want the %d after the attach", traced, st.Detections-before)
 	}
 
-	key := obs.Key{Node: obs.NodeWide, Layer: "audit", Name: "detection_latency_ns"}
+	key := obs.Key{Layer: "audit", Name: "detection_latency_ns"}
 	alone := obs.NewRegistry()
 	alone.HistogramSource(key.Layer, key.Name, &a.DetectionLatency)
 	want := alone.Snapshot()

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"oceanstore/internal/crypt"
+	"oceanstore/internal/simnet"
 	"oceanstore/internal/workload"
 )
 
@@ -139,9 +141,61 @@ func TestProblemsCountsEveryWriteOnce(t *testing.T) {
 	}
 	for _, off := range []int{1, -1} {
 		w.writes[busiest].acked += off
+		w.writes[busiest].sent += off
 		if probs := w.Problems(); len(probs) != 1 {
 			t.Fatalf("ack count off by %+d: want one problem, got %q", off, probs)
 		}
 		w.writes[busiest].acked -= off
+		w.writes[busiest].sent -= off
+	}
+}
+
+// TestProblemsReportWorkInFlight: a world stopped before its drain,
+// with one object's primary tier cut off from the rest of the network,
+// reports that object's writes as still in flight, and a modeled read
+// as pending until it is served; healed and drained, it reports
+// nothing.
+func TestProblemsReportWorkInFlight(t *testing.T) {
+	cfg := DefaultSoakConfig(32)
+	cfg.ReadService = 2 * time.Millisecond
+	w, err := NewSoakWorld(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := w.Objects()[0]
+	ring, _ := w.Pool.Ring(obj)
+	tier := map[simnet.NodeID]bool{}
+	for _, id := range ring.PrimaryNodes() {
+		tier[id] = true
+		w.Pool.Net.SetPartition(id, 1)
+	}
+	resolved, writes := 0, 0
+	for c := range w.sessions {
+		if tier[w.sessions[c].c.Node] || writes == 3 {
+			continue
+		}
+		if err := w.Do(workload.Request{Client: c, Kind: workload.OpWrite, Object: 0, Size: 16}, func(bool) { resolved++ }); err != nil {
+			t.Fatal(err)
+		}
+		writes++
+	}
+	if err := w.Do(workload.Request{Client: 0, Kind: workload.OpRead, Object: 1}, func(bool) { resolved++ }); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"1 modeled reads still pending", "object " + obj.Short() + ": 3 writes accepted, but 0 were acknowledged and 0 abandoned: 3 still in flight"}
+	if probs := w.Problems(); !reflect.DeepEqual(probs, want) {
+		t.Fatalf("before the read is served: %q, want %q", probs, want)
+	}
+	w.Pool.Run(10 * time.Second)
+	if probs := w.Problems(); !reflect.DeepEqual(probs, want[1:]) {
+		t.Fatalf("with the tier cut off: %q, want %q", probs, want[1:])
+	}
+	w.Pool.Net.ClearPartitions()
+	w.Pool.Run(5 * time.Minute)
+	if resolved != writes+1 {
+		t.Fatalf("%d of %d operations resolved after the heal", resolved, writes+1)
+	}
+	if probs := w.Problems(); len(probs) != 0 {
+		t.Fatalf("healed and drained: %q", probs)
 	}
 }

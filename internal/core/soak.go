@@ -163,6 +163,8 @@ type SoakWorld struct {
 
 	// inflight counts accepted writes not yet resolved (backpressure).
 	inflight int
+	// reads counts modeled reads scheduled and not yet completed.
+	reads int
 
 	// Rotation cursors: replica placement and growth attachment.
 	nextSecondary int
@@ -371,22 +373,32 @@ func (w *SoakWorld) InFlight() int { return w.inflight }
 
 // Problems checks the world's end state, at quiescence, and describes
 // each violation it finds; none means every check passed.  Checked:
-//   - every secondary's committed log is a prefix of its primary's;
+//   - nothing is in flight: every write the world accepted was
+//     acknowledged or abandoned, and every modeled read completed;
 //   - every write committed exactly once: the commits an object's
 //     primary gained since its creation number at least the writes
 //     acknowledged (none lost) and at most those plus the writes
-//     abandoned, which may still have committed (none applied twice).
+//     abandoned, which may still have committed (none applied twice);
+//   - every secondary's committed log is a prefix of its primary's.
 //
-// The second check is a count by design, not a scan for update IDs:
-// the primary keeps only a window of its log, and CommittedLen counts
-// the whole of it.
+// The exactly-once check is a count by design, not a scan for update
+// IDs: the primary keeps only a window of its log, and CommittedLen
+// counts the whole of it.  It means nothing for an object with writes
+// in flight, which is reported instead.
 func (w *SoakWorld) Problems() []string {
 	var out []string
+	if w.reads != 0 {
+		out = append(out, fmt.Sprintf("%d modeled reads still pending", w.reads))
+	}
 	for i, obj := range w.objects {
 		ring, _ := w.Pool.Ring(obj)
 		primary := ring.PrimaryState()
 		t := w.writes[i]
-		if n := primary.CommittedLen() - t.base; n < t.acked || n > t.acked+t.abandoned {
+		switch n := primary.CommittedLen() - t.base; {
+		case t.sent != t.acked+t.abandoned:
+			out = append(out, fmt.Sprintf("object %s: %d writes accepted, but %d were acknowledged and %d abandoned: %d still in flight",
+				obj.Short(), t.sent, t.acked, t.abandoned, t.sent-t.acked-t.abandoned))
+		case n < t.acked || n > t.acked+t.abandoned:
 			out = append(out, fmt.Sprintf("object %s: the primary committed %d writes, but %d were acknowledged and %d abandoned",
 				obj.Short(), n, t.acked, t.abandoned))
 		}
@@ -400,10 +412,11 @@ func (w *SoakWorld) Problems() []string {
 	return out
 }
 
-// writeTally counts one object's soak writes by how they resolved —
-// acknowledged as committed, or abandoned (failed or timed out) — and
-// holds base, its primary's committed length at creation.
-type writeTally struct{ base, acked, abandoned int }
+// writeTally counts one object's soak writes: accepted (sent), and by
+// how they resolved — acknowledged as committed, or abandoned (failed
+// or timed out) — and holds base, its primary's committed length at
+// creation.
+type writeTally struct{ base, sent, acked, abandoned int }
 
 // createObject provisions one object with its floating replicas,
 // bound to the writers ACL by the certificate started certLookahead
@@ -628,6 +641,7 @@ func (w *SoakWorld) Do(req workload.Request, done func(ok bool)) error {
 			done(false)
 			return nil
 		}
+		w.writes[idx].sent++
 		w.inflight++
 	default: // OpRead
 		idx := req.Object % len(w.objects)
@@ -699,7 +713,9 @@ func (w *SoakWorld) modeledRead(s *Session, obj guid.GUID, done func(ok bool)) {
 	wire := int64(2*readWireOverhead + w.cfg.BlockSize)
 	w.readWire += wire
 	rep := bestRep
+	w.reads++
 	w.Pool.K.After(bestDone-now, func() {
+		w.reads--
 		_, err := s.ReadReplica(obj, rep)
 		done(err == nil)
 	})

@@ -129,8 +129,6 @@ type tallySource struct {
 	c int
 }
 
-func (s tallySource) Len() int { return s.t.hosts }
-
 func (s tallySource) Each(visit func(node int, v int64)) {
 	for node, c := range s.t.nodes {
 		if c != nil {

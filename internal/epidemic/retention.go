@@ -8,8 +8,8 @@ import (
 	"oceanstore/internal/update"
 )
 
-// Memory model (DESIGN.md §12): a replica's resident state is
-// proportional to in-flight work, not to total history.  It retains
+// Memory model (DESIGN.md §12): a replica's resident state is bounded
+// by its windows, not by total history.  It retains
 //   - one committed window: the log's last Window..2×Window entries
 //     (older updates survive only as applied state in base);
 //   - live tentative updates no older than TentativeExpire;
@@ -19,7 +19,10 @@ import (
 // Everything else — update payloads, outcomes, ID bookkeeping — becomes
 // garbage as soon as it leaves these bounds: trim deletes the evicted
 // IDs from the table as it evicts them from the log, and expire deletes
-// those of the tentative updates it drops.
+// those of the tentative updates it drops.  The bound is not in-flight
+// work: an object with fewer than 2×Window commits keeps every one of
+// them on every replica, so where most objects are cold, as in the
+// soaks, resident state grows with committed writes.
 const (
 	// Window is the committed window: a replica's log keeps at least this
 	// many recent entries and trims back to it on reaching twice as many.

@@ -1,6 +1,7 @@
 package epidemic
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -10,9 +11,10 @@ import (
 )
 
 // TestTallyServesOneSeriesPerHost: a tally adds nothing to its registry
-// until a replica reports into it, then dumps each of its seven counts
-// once per hosting node, in node order, summing the replicas one node
-// hosts.
+// until a replica reports into it, then serves each of its seven counts
+// once per hosting node, summing the replicas one node hosts, and a
+// dump rolls each count that is not zero everywhere into its total and
+// its per-node summary.
 func TestTallyServesOneSeriesPerHost(t *testing.T) {
 	k := testKey(5)
 	v0 := object.NewObject([]byte(""), 8, k)
@@ -34,28 +36,31 @@ func TestTallyServesOneSeriesPerHost(t *testing.T) {
 	}
 	b.AddTentative(appendUpdate(t, v0, k, "y", client, 2, 0))
 
-	want := map[string][2]int64{"commits": {0, 2}, "tentative": {1, 0}}
-	seen := map[string]int{}
-	var last obs.Key
-	for _, m := range reg.Snapshot() {
-		if m.Key.Layer != "epidemic" || m.Kind != "counter" {
-			t.Fatalf("tally dumped %+v", m)
-		}
-		if m.Key.Name == last.Name && m.Key.Node <= last.Node {
-			t.Fatalf("%s: node %d after node %d", m.Key.Name, m.Key.Node, last.Node)
-		}
-		last = m.Key
-		i := seen[m.Key.Name]
-		seen[m.Key.Name]++
-		if node := [2]int{2, 7}[i]; m.Key.Node != node {
-			t.Fatalf("%s series %d is node %d, want %d", m.Key.Name, i, m.Key.Node, node)
-		}
-		if m.Count != want[m.Key.Name][i] {
-			t.Fatalf("%s at node %d = %d, want %d", m.Key.Name, m.Key.Node, m.Count, want[m.Key.Name][i])
+	for name, want := range map[string][2]int64{"commits": {0, 2}, "tentative": {1, 0}, "aborts": {0, 0}} {
+		for i, node := range []int{2, 7} {
+			if got := reg.CounterValue(node, "epidemic", name); got != want[i] {
+				t.Fatalf("%s at node %d = %d, want %d", name, node, got, want[i])
+			}
 		}
 	}
-	if len(seen) != len(countNames) {
-		t.Fatalf("tally dumped %d counts, want %d", len(seen), len(countNames))
+	var got []obs.Metric
+	for _, m := range reg.Snapshot() {
+		if m.Key.Layer != "epidemic" {
+			t.Fatalf("tally dumped %+v", m)
+		}
+		got = append(got, m)
+	}
+	want := []obs.Metric{
+		{Key: obs.Key{Layer: "epidemic", Name: "commits"}, Kind: "counter", Count: 2},
+		{Key: obs.Key{Layer: "epidemic", Name: "commits"}, Kind: "summary", Count: 1, Hist: &obs.HistSummary{Sum: 2, Min: 2, Max: 2, P50: 2, P99: 2}},
+		{Key: obs.Key{Layer: "epidemic", Name: "tentative"}, Kind: "counter", Count: 1},
+		{Key: obs.Key{Layer: "epidemic", Name: "tentative"}, Kind: "summary", Count: 1, Hist: &obs.HistSummary{Sum: 1, Min: 1, Max: 1, P50: 1, P99: 1}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tally dumped %v, want %v", got, want)
+	}
+	if _, families := reg.Order(); families != len(countNames) {
+		t.Fatalf("tally registered %d counts, want %d", families, len(countNames))
 	}
 }
 

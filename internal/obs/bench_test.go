@@ -7,17 +7,16 @@ import (
 	"testing"
 )
 
-// scale100k fills a registry with the family shape the benchmark's
-// scale-100k workload dumps (seed 1: 616 753 series in 31 572
-// families): a bytes and a drops counter per live link, named for the
-// destination and keyed by the source, with the fan-in skew of a run
-// whose clients hear from many primaries; seven counts per hosting node
-// on a fifth of the nodes; and the node-wide rest.  The link counts are
-// kept outside the registry and served the way simnet serves them:
-// the families registered by an OnRead hook that sorts the links'
-// packed (to, from) keys once, each read through a Source over the
-// destination's run of keys.  The per-host counts are served the way
-// epidemic's tally serves them.
+// scale100k fills a registry with the entities the benchmark's
+// scale-100k workload counts: a bytes and a drops count per live link,
+// with the fan-in skew of a run whose clients hear from many primaries;
+// seven counts per hosting node on a fifth of the nodes; and the
+// node-wide rest.  The link counts are kept outside the registry and
+// served the way simnet serves them: two families, link_bytes and
+// link_drops, each read through one Source over every link, keyed by
+// its packed (to, from) key.  The per-host counts are served the way
+// epidemic's tally serves them.  A dump rolls
+// each per-entity family into a total and a summary.
 func scale100k() *Registry {
 	const nodes, links, dests, replicas = 100_000, 237_000, 15_760, 20_456
 	r := NewRegistry()
@@ -42,31 +41,22 @@ func scale100k() *Registry {
 		bytes[uint64(to[d])<<32|uint64(next(nodes))] += int64(i)
 	}
 	var store linkStore
-	r.OnRead(func() {
-		if store.keys != nil {
-			return
-		}
-		for k := range bytes {
-			store.keys = append(store.keys, k)
-		}
-		slices.Sort(store.keys)
-		store.bytes = make([]int64, len(store.keys))
-		store.drops = make([]int64, len(store.keys))
-		for i, k := range store.keys {
-			store.bytes[i] = bytes[k]
-			if i == 0 || store.keys[i-1]>>32 != k>>32 {
-				name := "link_n" + strconv.Itoa(int(k>>32))
-				r.CounterSource("simnet", name+"_bytes", linksInto{&store, k >> 32, false})
-				r.CounterSource("simnet", name+"_drops", linksInto{&store, k >> 32, true})
-			}
-		}
-	})
+	for k := range bytes {
+		store.keys = append(store.keys, k)
+	}
+	slices.Sort(store.keys)
+	store.bytes = make([]int64, len(store.keys))
+	store.drops = make([]int64, len(store.keys))
+	for i, k := range store.keys {
+		store.bytes[i] = bytes[k]
+	}
+	r.CounterSource("simnet", "link_bytes", allLinks{&store, false})
+	r.CounterSource("simnet", "link_drops", allLinks{&store, true})
 	hosts := hostCounts{slots: make([]*[7]int64, nodes)}
 	for i := 0; i < replicas; i++ {
 		slot := &hosts.slots[next(nodes)]
 		if *slot == nil {
 			*slot = new([7]int64)
-			hosts.n++
 		}
 		(*slot)[i%7]++
 	}
@@ -89,10 +79,8 @@ func scale100k() *Registry {
 // hosted, served one count per source.
 type hostCounts struct {
 	slots []*[7]int64
-	n, c  int // hosting nodes; which count this source serves
+	c     int // which count this source serves
 }
-
-func (h hostCounts) Len() int { return h.n }
 
 func (h hostCounts) Each(visit func(node int, v int64)) {
 	for node, slot := range h.slots {
@@ -109,37 +97,25 @@ type linkStore struct {
 	bytes, drops []int64
 }
 
-// linksInto serves one destination's links from a linkStore.
-type linksInto struct {
+// allLinks serves every link of a linkStore, keyed by its packed key.
+type allLinks struct {
 	s     *linkStore
-	dest  uint64
 	drops bool
 }
 
-func (l linksInto) span() (int, int) {
-	i, _ := slices.BinarySearch(l.s.keys, l.dest<<32)
-	j, _ := slices.BinarySearch(l.s.keys, (l.dest+1)<<32)
-	return i, j
-}
-
-func (l linksInto) Len() int {
-	i, j := l.span()
-	return j - i
-}
-
-func (l linksInto) Each(visit func(node int, v int64)) {
+func (l allLinks) Each(visit func(link int, v int64)) {
 	vals := l.s.bytes
 	if l.drops {
 		vals = l.s.drops
 	}
-	i, j := l.span()
-	for ; i < j; i++ {
-		visit(int(uint32(l.s.keys[i])), vals[i])
+	for i, k := range l.s.keys {
+		visit(int(k), vals[i])
 	}
 }
 
 // BenchmarkSnapshotWrite600k is the dump as scale-100k pays for it: one
-// Snapshot for the counts, one WriteBench for the file.  The registry
+// Snapshot for the counts, one WriteBench for the file, over ≈ 600 000
+// per-entity counts that roll into a few dozen series.  The registry
 // is rebuilt per iteration, off the clock, so each dump orders series
 // that arrive in creation order, as a run's do.
 func BenchmarkSnapshotWrite600k(b *testing.B) {

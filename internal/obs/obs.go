@@ -1,6 +1,6 @@
 // Package obs is the deterministic observability layer: counters,
-// gauges and histograms keyed by (node, layer, name), plus a
-// per-message trace ring (trace.go), all collected over simulated time.
+// gauges and histograms keyed by (layer, name), plus a per-message
+// trace ring (trace.go), all collected over simulated time.
 //
 // The paper's introspection tier (§5) assumes every node can observe
 // message flows, hop counts and fragment health; obs is the substrate
@@ -24,6 +24,14 @@
 // (Counter, Histogram) resolved once at instrumentation time and bumped
 // with plain integer arithmetic; a nil handle (uninstrumented run)
 // makes every method a no-op.
+//
+// Dumps summarise.  A dump lists families, not entities: a family that
+// counts one series per node or per link is listed as its exact total
+// and one integer summary of its non-zero per-entity counts (how many,
+// min, p50, p99, max), and no series that reads zero is listed, so a
+// 100 000-node world dumps a few dozen series.  The paper's
+// introspection (§4.7) likewise summarises local events before they
+// leave the node.
 package obs
 
 import (
@@ -35,14 +43,13 @@ import (
 	"time"
 )
 
-// NodeWide keys a metric aggregated over all nodes rather than
-// attributed to one.
+// NodeWide is the entity a Source gives a series aggregated over all
+// nodes rather than attributed to one node or link.
 const NodeWide = -1
 
-// Key identifies one metric: which node it is attributed to (NodeWide
-// for aggregates), which protocol layer reported it, and its name.
+// Key identifies one family of metrics: which protocol layer reported
+// it, and its name.
 type Key struct {
-	Node  int
 	Layer string
 	Name  string
 }
@@ -142,17 +149,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil || h.count == 0 {
 		return 0
 	}
-	rank := int64(q*float64(h.count) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.count {
-		rank = h.count
-	}
+	want := rank(q, h.count)
 	cum := int64(0)
 	for i, n := range h.buckets {
 		cum += n
-		if cum >= rank {
+		if cum >= want {
 			// Bucket i holds values in [2^(i-1), 2^i - 1]; report the
 			// upper bound, clamped into the observed range.
 			var hi int64
@@ -171,6 +172,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
+}
+
+// rank is the 1-based rank of the q-quantile among n sorted values.
+func rank(q float64, n int64) int64 {
+	return min(max(int64(q*float64(n)+0.5), 1), n)
 }
 
 // Merge folds another histogram into this one.
@@ -205,30 +211,40 @@ type family struct {
 	hists       []*Histogram
 }
 
-// each visits the family's series in dump order — by node, and at one
-// node counter, gauge, histogram.  kind is the series' Metric.Kind, v a
-// counter's or a gauge's value, and h a histogram.
-func (f *family) each(visit func(node int, kind string, v int64, h *Histogram)) {
-	if f.gauges == nil && f.hists == nil {
-		f.counters().Each(func(node int, v int64) { visit(node, "counter", v, nil) })
-		return
-	}
-	// Few families hold a gauge or histogram, and none in a real dump
-	// a counter too: sum their counters to put the node-wide one first.
-	pts := f.combined()
-	if len(pts) > 0 && pts[0].node == NodeWide {
-		visit(NodeWide, "counter", pts[0].v, nil)
-		pts = pts[1:]
-	}
-	if f.gauges != nil {
-		visit(NodeWide, "gauge", f.gauge(), nil)
-	}
+// view is a family as a dump reads it: its counters' total over every
+// series, node-wide and per entity; its gauges' sum; its histograms
+// merged (nil when it has none); and its non-zero per-entity counts.
+type view struct {
+	total, gauge int64
+	hist         *Histogram
+	vals         []int64
+}
+
+// read reads f into v from its sources, reusing v.vals, so one scratch
+// slice serves every family of every dump.
+func (f *family) read(v *view) {
+	v.total, v.gauge, v.hist, v.vals = 0, f.gauge(), nil, v.vals[:0]
 	if f.hists != nil {
-		visit(NodeWide, "hist", 0, f.histogram())
+		v.hist = new(Histogram)
+		for _, h := range f.hists {
+			v.hist.Merge(h)
+		}
 	}
-	for _, p := range pts {
-		visit(p.node, "counter", p.v, nil)
-	}
+	// Count first, so the scratch grows once, to the size it needs: a
+	// 100 000-node world's links are ≈ 300 000 values.
+	src, n := f.counters(), 0
+	src.Each(func(node int, x int64) {
+		if node != NodeWide && x != 0 {
+			n++
+		}
+	})
+	v.vals = slices.Grow(v.vals, n)
+	src.Each(func(node int, x int64) {
+		v.total += x
+		if node != NodeWide && x != 0 {
+			v.vals = append(v.vals, x)
+		}
+	})
 }
 
 // gauge is the family's gauges summed.
@@ -239,14 +255,31 @@ func (f *family) gauge() (sum int64) {
 	return sum
 }
 
-// histogram is the family's histograms — the registry's own, a layer's,
-// several auditors' on one registry — merged into a new one.
-func (f *family) histogram() *Histogram {
-	sum := new(Histogram)
-	for _, h := range f.hists {
-		sum.Merge(h)
+// each visits the series a dump lists of the view, in dump order —
+// counter, gauge, histogram, summary — leaving out every one that is
+// zero.  The summary is exact: it sorts v.vals, and its quantiles take
+// the rank Histogram.Quantile takes.
+func (v *view) each(key Key, visit func(Metric)) {
+	if v.total != 0 {
+		visit(Metric{Key: key, Kind: "counter", Count: v.total})
 	}
-	return sum
+	if v.gauge != 0 {
+		visit(Metric{Key: key, Kind: "gauge", Value: float64(v.gauge)})
+	}
+	if h := v.hist; h.Count() != 0 {
+		visit(Metric{Key: key, Kind: "hist", Count: h.count, Hist: &HistSummary{
+			Sum: h.sum, Min: h.min, Max: h.max,
+			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
+		}})
+	}
+	if n := int64(len(v.vals)); n > 0 {
+		slices.Sort(v.vals)
+		s := &HistSummary{Min: v.vals[0], Max: v.vals[n-1], P50: v.vals[rank(0.50, n)-1], P99: v.vals[rank(0.99, n)-1]}
+		for _, x := range v.vals {
+			s.Sum += x
+		}
+		visit(Metric{Key: key, Kind: "summary", Count: n, Hist: s})
+	}
 }
 
 // counters is the family's counters as one source: none, its one
@@ -267,11 +300,10 @@ type point struct {
 	v    int64
 }
 
-// frozen is a Source over values fixed in node order: what combined
-// returns, and what Merge leaves on a family from another registry.
+// frozen is a Source over fixed values: what combined returns, in
+// entity order, and what Merge leaves on a family from another
+// registry.
 type frozen []point
-
-func (s frozen) Len() int { return len(s) }
 
 func (s frozen) Each(visit func(node int, v int64)) {
 	for _, p := range s {
@@ -279,41 +311,24 @@ func (s frozen) Each(visit func(node int, v int64)) {
 	}
 }
 
-// combined is the family's sources summed per node, in node order:
-// each source's stream is merged into the running sum, so several
-// networks on one registry, or a Merge beside a layer's own source,
-// read as one series per node.
+// combined is the family's sources summed per entity, in entity order,
+// so several networks on one registry, or a Merge beside a layer's own
+// source, read as one series per entity.
 func (f *family) combined() frozen {
-	var sum frozen
+	var all frozen
 	for _, src := range f.sources {
-		prev := sum
-		sum = make(frozen, 0, len(prev)+src.Len())
-		i := 0
-		src.Each(func(node int, v int64) {
-			for ; i < len(prev) && prev[i].node < node; i++ {
-				sum = append(sum, prev[i])
-			}
-			if i < len(prev) && prev[i].node == node {
-				v += prev[i].v
-				i++
-			}
-			sum = append(sum, point{node, v})
-		})
-		sum = append(sum, prev[i:]...)
+		src.Each(func(node int, v int64) { all = append(all, point{node, v}) })
+	}
+	slices.SortFunc(all, func(a, b point) int { return cmp.Compare(a.node, b.node) })
+	sum := all[:0]
+	for _, p := range all {
+		if n := len(sum); n > 0 && sum[n-1].node == p.node {
+			sum[n-1].v += p.v
+		} else {
+			sum = append(sum, p)
+		}
 	}
 	return sum
-}
-
-// len is how many series a dump of the family lists.
-func (f *family) len() int {
-	n := f.counters().Len()
-	if f.gauges != nil {
-		n++
-	}
-	if f.hists != nil {
-		n++
-	}
-	return n
 }
 
 // familyKey interns a family.
@@ -334,7 +349,10 @@ type Registry struct {
 	// it in place by (layer, name); ordered says it still is.
 	families []*family
 	ordered  bool
-	onRead   []func()
+	// view is the scratch every read of a family reuses, so a dump
+	// holds one slice of per-entity values however many families and
+	// reads it makes.
+	view view
 }
 
 // NewRegistry creates an empty registry.
@@ -361,32 +379,29 @@ func (r *Registry) family(layer, name string) *family {
 // Source serves one family's counters, or one of its gauges, from
 // storage a layer keeps.  The registry only reads it, and only while it
 // is being read itself (Order, Snapshot, WriteBench, CounterValue, and
-// Merge from it), after its OnRead hooks have run.
+// Merge from it).
 type Source interface {
-	// Len is how many series Each visits.
-	Len() int
-	// Each visits (node, value) once per series, in ascending node
-	// order, so a NodeWide series comes first.
-	Each(visit func(node int, v int64))
+	// Each visits (entity, value) once per series, in whatever order
+	// the layer keeps them, as long as it follows from the run alone
+	// (no map iteration).  An entity is a node, or whatever else the
+	// family counts one series for (simnet's links), or NodeWide; a
+	// source may leave out an entity whose value is zero.
+	Each(visit func(entity int, v int64))
 }
 
-// Len and Each make a Counter the Source of its one node-wide series.
-func (c *Counter) Len() int { return 1 }
-
+// Each makes a Counter the Source of its one node-wide series.
 func (c *Counter) Each(visit func(node int, v int64)) { visit(NodeWide, c.v) }
 
 // Value is a Source over one node-wide count or gauge a layer keeps,
 // read when the registry is.
 type Value func() int64
 
-func (v Value) Len() int { return 1 }
-
 func (v Value) Each(visit func(node int, v int64)) { visit(NodeWide, v()) }
 
 // CounterSource adds src to the counters named (layer, name).  It is
 // how a count a layer keeps enters the dump, and it is read-only:
 // nothing writes through it.  Several sources under one name add per
-// node.  A nil registry ignores the call.
+// entity.  A nil registry ignores the call.
 func (r *Registry) CounterSource(layer, name string, src Source) {
 	if f := r.family(layer, name); f != nil {
 		f.sources = append(f.sources, src)
@@ -408,24 +423,6 @@ func (r *Registry) GaugeSource(layer, name string, v Value) {
 func (r *Registry) HistogramSource(layer, name string, h *Histogram) {
 	if f := r.family(layer, name); f != nil {
 		f.hists = append(f.hists, h)
-	}
-}
-
-// OnRead registers fn to run at the start of every read of the
-// registry, before anything is counted or visited.  A layer registers
-// its sources from it, so families it would otherwise create on its
-// hot path are built once, when a dump wants them.  A nil registry
-// ignores the call.
-func (r *Registry) OnRead(fn func()) {
-	if r != nil {
-		r.onRead = append(r.onRead, fn)
-	}
-}
-
-// read runs the OnRead hooks; every read of the registry starts here.
-func (r *Registry) read() {
-	for _, fn := range r.onRead {
-		fn()
 	}
 }
 
@@ -460,16 +457,15 @@ func (r *Registry) Histogram(layer, name string) *Histogram {
 	return f.hist
 }
 
-// CounterValue reads a counter without creating it: a missing key
-// reads as zero and creates no series.  Invariant checks and tests use
+// CounterValue reads one entity's counter — a node's or a link's, or
+// NodeWide — without creating it: a missing key reads as zero and
+// creates no series.  Invariant checks and tests use
 // this so that *reading* a dump-visible metric can never add keys to
-// the dump (Counter's get-or-create would).  Like every read it runs
-// the OnRead hooks first, which register only what a dump would.
-func (r *Registry) CounterValue(node int, layer, name string) int64 {
+// the dump (Counter's get-or-create would).
+func (r *Registry) CounterValue(entity int, layer, name string) int64 {
 	if r == nil {
 		return 0
 	}
-	r.read()
 	f := r.byName[familyKey{layer, name}]
 	if f == nil {
 		return 0
@@ -477,7 +473,7 @@ func (r *Registry) CounterValue(node int, layer, name string) int64 {
 	var v int64
 	for _, src := range f.sources {
 		src.Each(func(n int, x int64) {
-			if n == node {
+			if n == entity {
 				v += x
 			}
 		})
@@ -487,7 +483,7 @@ func (r *Registry) CounterValue(node int, layer, name string) int64 {
 
 // Merge folds another registry into this one, read as it stands now:
 // its node-wide counters add into this registry's own Counter, its
-// per-node ones join as one frozen source, its histograms fold into
+// per-entity ones join as one frozen source, its histograms fold into
 // this registry's own Histogram and its gauge sum joins as a frozen
 // gauge source.  Every value is an integer, so merging in seed order
 // yields the same totals at any worker count.  Gauge sources sum, here
@@ -497,7 +493,6 @@ func (r *Registry) Merge(o *Registry) {
 	if r == nil || o == nil {
 		return
 	}
-	o.read()
 	for _, of := range o.families {
 		f := r.family(of.layer, of.name)
 		if of.gauges != nil {
@@ -521,16 +516,22 @@ func (r *Registry) Merge(o *Registry) {
 }
 
 // Order puts the registry in dump order — families by (layer, name) —
-// and returns how many series and families it holds.  Snapshot and
-// WriteBench order implicitly; a caller that reports the registry's
-// size, or times ordering apart from formatting, calls Order first.
-// Order is one string sort over the families, whatever the series
-// count, and depends on no map's iteration order.
+// and returns how many series a dump lists and how many families the
+// registry holds.  Snapshot and WriteBench order implicitly; a caller
+// that reports the dump's size, or times reading apart from formatting,
+// calls Order first.  Ordering is one string sort over the families,
+// whatever the series count, and depends on no map's iteration order;
+// counting reads every family once, as a dump does.
 func (r *Registry) Order() (series, families int) {
 	if r == nil {
 		return 0, 0
 	}
-	r.read()
+	r.each(func(Metric) { series++ })
+	return series, len(r.families)
+}
+
+// sort sorts the families by (layer, name).
+func (r *Registry) sort() {
 	if !r.ordered {
 		slices.SortFunc(r.families, func(a, b *family) int {
 			if c := cmp.Compare(a.layer, b.layer); c != 0 {
@@ -540,66 +541,51 @@ func (r *Registry) Order() (series, families int) {
 		})
 		r.ordered = true
 	}
-	for _, f := range r.families {
-		series += f.len()
-	}
-	return series, len(r.families)
 }
 
-// Metric is one snapshotted value.  A snapshot of a large world is
-// hundreds of thousands of counters, so the histogram payload sits
-// behind a pointer only histograms allocate.
+// each visits every series a dump lists, in dump order: families by
+// (layer, name), and within a family as view.each does.
+func (r *Registry) each(visit func(Metric)) {
+	r.sort()
+	for _, f := range r.families {
+		f.read(&r.view)
+		r.view.each(Key{f.layer, f.name}, visit)
+	}
+}
+
+// Metric is one series of a dump.  Every series is one family's, over
+// all its entities: its counters' total ("counter"), its gauges' sum
+// ("gauge"), its histograms merged ("hist"), or the exact distribution
+// of its non-zero per-entity counts ("summary": how many entities in
+// Count, their sum, min, p50, p99 and max in Hist).
 type Metric struct {
 	Key  Key
-	Kind string // "counter", "gauge", "hist"
-	// Counter/histogram payload.
+	Kind string // "counter", "gauge", "hist", "summary"
+	// Counter total, histogram count, or summary entity count.
 	Count int64
 	// Gauge payload: the gauge sources' sum, as a float.
 	Value float64
-	// Hist is the rest of a histogram's payload; nil for other kinds.
+	// Hist is the rest of a histogram's or a summary's payload; nil
+	// for other kinds.
 	Hist *HistSummary
 }
 
-// HistSummary is a snapshotted histogram beyond its count.
+// HistSummary is a snapshotted histogram beyond its count, or a
+// summary's values.
 type HistSummary struct {
 	Sum, Min, Max, P50, P99 int64
 }
 
-// Snapshot returns every metric sorted by (layer, name, node) —
-// deterministic regardless of creation order.
+// Snapshot returns every series a dump lists, in dump order.  No series
+// is zero: a counter or gauge that reads zero, a histogram with no
+// observations, and a family with no non-zero per-entity count list
+// nothing, so absent means zero.
 func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
-	n, _ := r.Order()
-	out := make([]Metric, 0, n)
-	nh := 0
-	for _, f := range r.families {
-		if f.hists != nil {
-			nh++
-		}
-	}
-	hists := make([]HistSummary, 0, nh) // one array behind every Hist
-	var key Key
-	visit := func(node int, kind string, v int64, h *Histogram) {
-		key.Node = node
-		switch kind {
-		case "gauge":
-			out = append(out, Metric{Key: key, Kind: kind, Value: float64(v)})
-		case "hist":
-			hists = append(hists, HistSummary{
-				Sum: h.sum, Min: h.min, Max: h.max,
-				P50: h.Quantile(0.50), P99: h.Quantile(0.99),
-			})
-			out = append(out, Metric{Key: key, Kind: kind, Count: h.count, Hist: &hists[len(hists)-1]})
-		default:
-			out = append(out, Metric{Key: key, Kind: kind, Count: v})
-		}
-	}
-	for _, f := range r.families {
-		key.Layer, key.Name = f.layer, f.name
-		f.each(visit)
-	}
+	var out []Metric
+	r.each(func(m Metric) { out = append(out, m) })
 	return out
 }
 
@@ -607,86 +593,79 @@ func (r *Registry) Snapshot() []Metric {
 // it to the writer.
 const writeChunk = 32 << 10
 
-// WriteBench dumps the registry in `go test -bench` line format, so
-// metrics can ride the same tooling as performance numbers:
+// WriteBench dumps the registry — the series Snapshot returns — in `go
+// test -bench` line format, so metrics can ride the same tooling as
+// performance numbers:
 //
-//	Benchmark<prefix>/<layer>/<name>/<node> 1 <value> <unit>...
+//	Benchmark<prefix>/<layer>/<name>/all 1 <value> <unit>...
+//	Benchmark<prefix>/<layer>/<name>/each 1 <entities> entities <min> min <p50> p50 <p99> p99 <max> max
 //
 // Counters emit one (value, "count") pair; gauges one (value, "value")
-// pair; histograms a pair list (count, sum, mean, p50, p99, max).
-// Output is sorted and all-integer — a gauge is an integer sum, though
-// formatted as a float — so it is byte-identical for equal registries.
-// Lines are formatted into one reused buffer and reach w in chunks of
-// about writeChunk bytes.
+// pair; histograms a pair list (count, sum, mean, p50, p99, max); a
+// family's per-entity summary the second line's list.  Output is sorted
+// and all-integer — a gauge is an integer sum, though formatted as a
+// float — so it is byte-identical for equal registries.  Lines are
+// formatted into one reused buffer and reach w in chunks of about
+// writeChunk bytes.
 func (r *Registry) WriteBench(w io.Writer, prefix string) error {
 	if r == nil {
 		return nil
 	}
-	r.Order()
 	var err error
 	buf := make([]byte, 0, writeChunk+512)
-	var head []byte // "Benchmark<prefix>/<layer>/<name>/", once per family
-	visit := func(node int, kind string, v int64, h *Histogram) {
+	r.each(func(m Metric) {
 		if err != nil {
 			return
 		}
-		buf = append(buf, head...)
-		// Node labels avoid '-': benchmark-format tooling (benchstat and
-		// kin) strips a trailing -<digits>, go test's GOMAXPROCS suffix,
-		// from benchmark names.
-		if node == NodeWide {
-			buf = append(buf, "all 1 "...)
+		buf = append(buf, "Benchmark"...)
+		buf = append(buf, prefix...)
+		buf = append(buf, '/')
+		buf = append(buf, m.Key.Layer...)
+		buf = append(buf, '/')
+		buf = append(buf, m.Key.Name...)
+		// Labels avoid '-': benchmark-format tooling (benchstat and kin)
+		// strips a trailing -<digits>, go test's GOMAXPROCS suffix, from
+		// benchmark names.
+		if m.Kind == "summary" {
+			buf = append(buf, "/each 1 "...)
 		} else {
-			buf = append(buf, 'n')
-			buf = strconv.AppendInt(buf, int64(node), 10)
-			buf = append(buf, " 1 "...)
+			buf = append(buf, "/all 1 "...)
 		}
-		switch kind {
+		switch m.Kind {
 		case "gauge":
-			buf = strconv.AppendFloat(buf, float64(v), 'g', -1, 64)
+			buf = strconv.AppendFloat(buf, m.Value, 'g', -1, 64)
 			buf = append(buf, " value\n"...)
 		case "hist":
-			for _, p := range [...]struct {
-				v    int64
-				unit string
-			}{
-				{h.count, " count "}, {h.sum, " sum "}, {safeDiv(h.sum, h.count), " mean "},
-				{h.Quantile(0.50), " p50 "}, {h.Quantile(0.99), " p99 "}, {h.max, " max\n"},
-			} {
-				buf = strconv.AppendInt(buf, p.v, 10)
-				buf = append(buf, p.unit...)
-			}
+			buf = appendPairs(buf, pair{m.Count, " count "}, pair{m.Hist.Sum, " sum "}, pair{m.Hist.Sum / m.Count, " mean "},
+				pair{m.Hist.P50, " p50 "}, pair{m.Hist.P99, " p99 "}, pair{m.Hist.Max, " max\n"})
+		case "summary":
+			buf = appendPairs(buf, pair{m.Count, " entities "}, pair{m.Hist.Min, " min "},
+				pair{m.Hist.P50, " p50 "}, pair{m.Hist.P99, " p99 "}, pair{m.Hist.Max, " max\n"})
 		default:
-			buf = strconv.AppendInt(buf, v, 10)
+			buf = strconv.AppendInt(buf, m.Count, 10)
 			buf = append(buf, " count\n"...)
 		}
 		if len(buf) >= writeChunk {
 			_, err = w.Write(buf)
 			buf = buf[:0]
 		}
-	}
-	for _, f := range r.families {
-		head = append(head[:0], "Benchmark"...)
-		head = append(head, prefix...)
-		head = append(head, '/')
-		head = append(head, f.layer...)
-		head = append(head, '/')
-		head = append(head, f.name...)
-		head = append(head, '/')
-		f.each(visit)
-		if err != nil {
-			return err
-		}
-	}
-	if len(buf) > 0 {
+	})
+	if err == nil && len(buf) > 0 {
 		_, err = w.Write(buf)
 	}
 	return err
 }
 
-func safeDiv(a, b int64) int64 {
-	if b == 0 {
-		return 0
+// pair is one value of a dump line and the unit after it.
+type pair struct {
+	v    int64
+	unit string
+}
+
+func appendPairs(buf []byte, pairs ...pair) []byte {
+	for _, p := range pairs {
+		buf = strconv.AppendInt(buf, p.v, 10)
+		buf = append(buf, p.unit...)
 	}
-	return a / b
+	return buf
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -12,45 +13,34 @@ import (
 )
 
 // refRegistry is the registry as it stood before families: three maps
-// keyed by (node, layer, name), a snapshot that collects them in map
-// order and sort.Slices by string compare, and a dump that formats each
-// line through fmt.  It is kept here, verbatim in everything that
-// decides a byte, as the definition of the dump format and order that
-// Registry must reproduce.  Its gauges are plain values, set by whoever
-// drives it.
+// keyed by (node, layer, name), and a snapshot that collects them in
+// map order and sort.Slices by string compare, then rolls each family
+// into its dump series, and a dump that formats each line through fmt.
+// It is kept here as the definition of the dump format, order and
+// summaries that Registry must reproduce.  Its gauges are plain values,
+// set by whoever drives it.
 type refRegistry struct {
-	counters map[Key]*Counter
-	gauges   map[Key]float64
-	hists    map[Key]*Histogram
+	counters map[refKey]*Counter
+	gauges   map[refKey]float64
+	hists    map[refKey]*Histogram
+}
+
+// refKey is one series before a dump rolls it into its family's.
+type refKey struct {
+	Node        int
+	Layer, Name string
 }
 
 func newRefRegistry() *refRegistry {
 	return &refRegistry{
-		counters: make(map[Key]*Counter),
-		gauges:   make(map[Key]float64),
-		hists:    make(map[Key]*Histogram),
+		counters: make(map[refKey]*Counter),
+		gauges:   make(map[refKey]float64),
+		hists:    make(map[refKey]*Histogram),
 	}
-}
-
-func refLess(k, o Key) bool {
-	if k.Layer != o.Layer {
-		return k.Layer < o.Layer
-	}
-	if k.Name != o.Name {
-		return k.Name < o.Name
-	}
-	return k.Node < o.Node
-}
-
-func refNodeLabel(k Key) string {
-	if k.Node == NodeWide {
-		return "all"
-	}
-	return "n" + strconv.Itoa(k.Node)
 }
 
 func (r *refRegistry) Counter(node int, layer, name string) *Counter {
-	k := Key{Node: node, Layer: layer, Name: name}
+	k := refKey{Node: node, Layer: layer, Name: name}
 	c, ok := r.counters[k]
 	if !ok {
 		c = &Counter{}
@@ -60,7 +50,7 @@ func (r *refRegistry) Counter(node int, layer, name string) *Counter {
 }
 
 func (r *refRegistry) Histogram(node int, layer, name string) *Histogram {
-	k := Key{Node: node, Layer: layer, Name: name}
+	k := refKey{Node: node, Layer: layer, Name: name}
 	h, ok := r.hists[k]
 	if !ok {
 		h = &Histogram{}
@@ -81,26 +71,62 @@ func (r *refRegistry) Merge(o *refRegistry) {
 	}
 }
 
+// refQuantile is the q-quantile of sorted values by nearest rank,
+// rounded half up: the rank Histogram.Quantile takes.
+func refQuantile(sorted []int64, q float64) int64 {
+	rank := int(math.Floor(q*float64(len(sorted)) + 0.5))
+	return sorted[min(max(rank, 1), len(sorted))-1]
+}
+
+// Snapshot lists each family's counter total over every node, its
+// gauge, its histogram and the summary of its non-zero per-node
+// counters, leaving out each that is zero.
 func (r *refRegistry) Snapshot() []Metric {
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	total := make(map[Key]int64)
+	perNode := make(map[Key][]int64)
 	for k, c := range r.counters {
-		out = append(out, Metric{Key: k, Kind: "counter", Count: c.v})
+		fk := Key{k.Layer, k.Name}
+		total[fk] += c.v
+		if k.Node != NodeWide && c.v != 0 {
+			perNode[fk] = append(perNode[fk], c.v)
+		}
+	}
+	var out []Metric
+	for k, v := range total {
+		if v != 0 {
+			out = append(out, Metric{Key: k, Kind: "counter", Count: v})
+		}
 	}
 	for k, g := range r.gauges {
-		out = append(out, Metric{Key: k, Kind: "gauge", Value: g})
+		if g != 0 {
+			out = append(out, Metric{Key: Key{k.Layer, k.Name}, Kind: "gauge", Value: g})
+		}
 	}
 	for k, h := range r.hists {
-		out = append(out, Metric{
-			Key: k, Kind: "hist", Count: h.count,
-			Hist: &HistSummary{
-				Sum: h.sum, Min: h.min, Max: h.max,
-				P50: h.Quantile(0.50), P99: h.Quantile(0.99),
-			},
-		})
+		if h.count != 0 {
+			out = append(out, Metric{
+				Key: Key{k.Layer, k.Name}, Kind: "hist", Count: h.count,
+				Hist: &HistSummary{
+					Sum: h.sum, Min: h.min, Max: h.max,
+					P50: h.Quantile(0.50), P99: h.Quantile(0.99),
+				},
+			})
+		}
+	}
+	for k, vals := range perNode {
+		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		s := &HistSummary{Min: vals[0], Max: vals[len(vals)-1], P50: refQuantile(vals, 0.50), P99: refQuantile(vals, 0.99)}
+		for _, v := range vals {
+			s.Sum += v
+		}
+		out = append(out, Metric{Key: k, Kind: "summary", Count: int64(len(vals)), Hist: s})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Key != out[j].Key {
-			return refLess(out[i].Key, out[j].Key)
+			if out[i].Key.Layer != out[j].Key.Layer {
+				return out[i].Key.Layer < out[j].Key.Layer
+			}
+			return out[i].Key.Name < out[j].Key.Name
 		}
 		return out[i].Kind < out[j].Kind
 	})
@@ -110,7 +136,7 @@ func (r *refRegistry) Snapshot() []Metric {
 func (r *refRegistry) WriteBench(w io.Writer, prefix string) error {
 	for _, m := range r.Snapshot() {
 		var err error
-		name := fmt.Sprintf("Benchmark%s/%s/%s/%s 1", prefix, m.Key.Layer, m.Key.Name, refNodeLabel(m.Key))
+		name := fmt.Sprintf("Benchmark%s/%s/%s/all 1", prefix, m.Key.Layer, m.Key.Name)
 		switch m.Kind {
 		case "counter":
 			_, err = fmt.Fprintf(w, "%s %d count\n", name, m.Count)
@@ -118,7 +144,10 @@ func (r *refRegistry) WriteBench(w io.Writer, prefix string) error {
 			_, err = fmt.Fprintf(w, "%s %s value\n", name, strconv.FormatFloat(m.Value, 'g', -1, 64))
 		case "hist":
 			_, err = fmt.Fprintf(w, "%s %d count %d sum %d mean %d p50 %d p99 %d max\n",
-				name, m.Count, m.Hist.Sum, safeDiv(m.Hist.Sum, m.Count), m.Hist.P50, m.Hist.P99, m.Hist.Max)
+				name, m.Count, m.Hist.Sum, m.Hist.Sum/m.Count, m.Hist.P50, m.Hist.P99, m.Hist.Max)
+		case "summary":
+			_, err = fmt.Fprintf(w, "Benchmark%s/%s/%s/each 1 %d entities %d min %d p50 %d p99 %d max\n",
+				prefix, m.Key.Layer, m.Key.Name, m.Count, m.Hist.Min, m.Hist.P50, m.Hist.P99, m.Hist.Max)
 		}
 		if err != nil {
 			return err
@@ -130,32 +159,25 @@ func (r *refRegistry) WriteBench(w io.Writer, prefix string) error {
 // kept stands in for a layer that keeps values in storage of its own
 // and serves them through sources: per-node counts by family and node,
 // node-wide counts and gauges by family, each served through a Value,
-// and node-wide histograms by family.  A family's count sources are
-// registered from the registry's OnRead hook on the first read after
-// its first value, as simnet does; a gauge or histogram is registered
-// when it is made, as the layers that keep one do at Instrument.
+// and node-wide histograms by family.  Each source is registered when
+// its first value is kept, as epidemic's tally registers its counts at
+// the first hosting node.
 type kept struct {
-	reg       *Registry
-	vals      map[familyKey]map[int]int64
-	scalars   map[familyKey]*int64
-	gauges    map[familyKey]*int64
-	hists     map[familyKey]*Histogram
-	published map[familyKey]bool
-	valued    map[familyKey]bool
+	reg     *Registry
+	vals    map[familyKey]map[int]int64
+	scalars map[familyKey]*int64
+	gauges  map[familyKey]*int64
+	hists   map[familyKey]*Histogram
 }
 
 func newKept(reg *Registry) *kept {
-	k := &kept{
-		reg:       reg,
-		vals:      make(map[familyKey]map[int]int64),
-		scalars:   make(map[familyKey]*int64),
-		gauges:    make(map[familyKey]*int64),
-		hists:     make(map[familyKey]*Histogram),
-		published: make(map[familyKey]bool),
-		valued:    make(map[familyKey]bool),
+	return &kept{
+		reg:     reg,
+		vals:    make(map[familyKey]map[int]int64),
+		scalars: make(map[familyKey]*int64),
+		gauges:  make(map[familyKey]*int64),
+		hists:   make(map[familyKey]*Histogram),
 	}
-	reg.OnRead(k.publish)
-	return k
 }
 
 // set sets a gauge and returns by how much it moved.
@@ -184,36 +206,22 @@ func (k *kept) add(node int, layer, name string, v int64) {
 	fk := familyKey{layer, name}
 	if node == NodeWide {
 		if k.scalars[fk] == nil {
-			k.scalars[fk] = new(int64)
+			p := new(int64)
+			k.scalars[fk] = p
+			k.reg.CounterSource(layer, name, Value(func() int64 { return *p }))
 		}
 		*k.scalars[fk] += v
 		return
 	}
 	if k.vals[fk] == nil {
 		k.vals[fk] = make(map[int]int64)
+		k.reg.CounterSource(layer, name, keptSource(k.vals[fk]))
 	}
 	k.vals[fk][node] += v
 }
 
-func (k *kept) publish() {
-	for fk, vals := range k.vals {
-		if !k.published[fk] {
-			k.published[fk] = true
-			k.reg.CounterSource(fk.layer, fk.name, keptSource(vals))
-		}
-	}
-	for fk, v := range k.scalars {
-		if !k.valued[fk] {
-			k.valued[fk] = true
-			k.reg.CounterSource(fk.layer, fk.name, Value(func() int64 { return *v }))
-		}
-	}
-}
-
 // keptSource serves one family of a kept store.
 type keptSource map[int]int64
-
-func (s keptSource) Len() int { return len(s) }
 
 func (s keptSource) Each(visit func(node int, v int64)) {
 	nodes := make([]int, 0, len(s))
@@ -246,10 +254,15 @@ func newSourced() both {
 }
 
 // check requires the two to agree on the snapshot, byte for byte on
-// the dump, and on CounterValue.
+// the dump, and on CounterValue, and the snapshot to list no zero.
 func (b both) check(t *testing.T, what string) {
 	t.Helper()
 	gs, rs := b.got.Snapshot(), b.ref.Snapshot()
+	for _, m := range gs {
+		if m.Count == 0 && m.Value == 0 {
+			t.Fatalf("%s: zero series listed: %+v", what, m)
+		}
+	}
 	if !reflect.DeepEqual(gs, rs) {
 		for i := range rs {
 			if i >= len(gs) || !reflect.DeepEqual(gs[i], rs[i]) {
@@ -271,7 +284,7 @@ func (b both) check(t *testing.T, what string) {
 	for k := range b.ref.counters {
 		for _, node := range []int{k.Node, k.Node + 1} { // the key, and most likely no key
 			want := int64(0)
-			if c := b.ref.counters[Key{node, k.Layer, k.Name}]; c != nil {
+			if c := b.ref.counters[refKey{node, k.Layer, k.Name}]; c != nil {
 				want = c.v
 			}
 			if got := b.got.CounterValue(node, k.Layer, k.Name); got != want {
@@ -301,7 +314,7 @@ func (b both) fill(rng *rand.Rand, n int) {
 			switch rng.Intn(4) {
 			case 0:
 				v := rng.Int63n(2000) - 1000
-				b.ref.gauges[Key{NodeWide, layer, name}] += float64(src.set(layer, name, v))
+				b.ref.gauges[refKey{NodeWide, layer, name}] += float64(src.set(layer, name, v))
 			case 1:
 				v := rng.Int63n(1 << uint(rng.Intn(40)))
 				src.observe(layer, name, v)
@@ -379,6 +392,69 @@ func TestRegistryMatchesReference(t *testing.T) {
 	}
 }
 
+// TestRolledFamiliesMatchTheirEntities: a per-node family and a
+// per-link family (entities keyed as simnet packs a link), each served
+// by three sources that overlap on entities and hold zeros — three
+// networks or tallies on one registry — dump as their exact total and
+// the summary of their non-zero per-entity sums, both computed here
+// from the values the sources were given.  No listed series is zero,
+// and a family whose counts are all zero lists nothing.
+func TestRolledFamiliesMatchTheirEntities(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	r := NewRegistry()
+	var want []Metric
+	for _, f := range []struct {
+		name   string
+		entity func(i int) int
+	}{
+		{"link_bytes", func(i int) int { return (i/37+1)<<32 | i%37 }},
+		{"tally", func(i int) int { return i }},
+	} {
+		sums := map[int]int64{}
+		for s := 0; s < 3; s++ {
+			vals := keptSource{}
+			for j := 0; j < 500; j++ {
+				e, v := f.entity(rng.Intn(2000)), rng.Int63n(3)*rng.Int63n(1000)
+				vals[e] += v
+				sums[e] += v
+			}
+			r.CounterSource("l", f.name, vals)
+		}
+		var total int64
+		var nonZero []int64
+		for _, v := range sums {
+			total += v
+			if v != 0 {
+				nonZero = append(nonZero, v)
+			}
+		}
+		if len(nonZero) == len(sums) {
+			t.Fatalf("%s: no entity sums to zero; the test needs some", f.name)
+		}
+		sort.Slice(nonZero, func(i, j int) bool { return nonZero[i] < nonZero[j] })
+		key := Key{"l", f.name}
+		want = append(want, Metric{Key: key, Kind: "counter", Count: total}, Metric{
+			Key: key, Kind: "summary", Count: int64(len(nonZero)),
+			Hist: &HistSummary{
+				Sum: total, Min: nonZero[0], Max: nonZero[len(nonZero)-1],
+				P50: refQuantile(nonZero, 0.50), P99: refQuantile(nonZero, 0.99),
+			},
+		})
+	}
+	r.CounterSource("l", "zeros", keptSource{1: 0, 5: 0})
+	r.CounterSource("l", "zeros", frozen{{NodeWide, 0}, {3, 0}})
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot %v, want %v", got, want)
+	}
+	var dump bytes.Buffer
+	if err := r.WriteBench(&dump, "p"); err != nil {
+		t.Fatal(err)
+	}
+	if series, _ := r.Order(); series != len(want) || bytes.Count(dump.Bytes(), []byte("\n")) != len(want) {
+		t.Fatalf("Order counts %d series, the dump holds %d lines, want %d:\n%s", series, bytes.Count(dump.Bytes(), []byte("\n")), len(want), dump.String())
+	}
+}
+
 // TestCounterValueCreatesNothing: reading must never add to the dump —
 // not a series, and not an empty family either.
 func TestCounterValueCreatesNothing(t *testing.T) {
@@ -422,11 +498,9 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // chunk; either way WriteBench returns it and writes nothing more.
 func TestWriteBenchStopsAtWriteError(t *testing.T) {
 	r := NewRegistry()
-	var lines frozen
-	for node := 0; node < 4000; node++ { // ~70 bytes a line: several chunks
-		lines = append(lines, point{node, int64(node)})
+	for i := 1; i <= 4000; i++ { // ~70 bytes a line: several chunks
+		r.Counter("layer", fmt.Sprintf("a_name_long_enough_to_fill_chunks_%d", i)).Add(int64(i))
 	}
-	r.CounterSource("layer", "a_name_long_enough_to_fill_chunks_quickly", lines)
 	all := &failAfter{n: 1 << 30}
 	if err := r.WriteBench(all, "p"); err != nil {
 		t.Fatal(err)

@@ -430,7 +430,7 @@ func TestRemoveSecondary(t *testing.T) {
 
 // TestRemovedSecondaryKeepsItsCounts: a secondary counts into its
 // hosting node's slot in the tally, not on the replica, so retiring it
-// leaves the node's epidemic series in the dump with their values, and
+// leaves the node's epidemic counts in the registry with their values, and
 // a secondary that rejoins on that node adds to them.
 func TestRemovedSecondaryKeepsItsCounts(t *testing.T) {
 	cfg := DefaultConfig()
@@ -449,10 +449,8 @@ func TestRemovedSecondaryKeepsItsCounts(t *testing.T) {
 	}
 	node4 := func() map[string]int64 {
 		counts := map[string]int64{}
-		for _, m := range reg.Snapshot() {
-			if m.Key.Layer == "epidemic" && m.Key.Node == 4 {
-				counts[m.Key.Name] = m.Count
-			}
+		for _, name := range []string{"tentative", "commits", "aborts", "dup_commits", "replays", "expired", "checkpoints"} {
+			counts[name] = reg.CounterValue(4, "epidemic", name)
 		}
 		return counts
 	}

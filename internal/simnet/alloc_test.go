@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -182,9 +183,9 @@ func TestHandleDemuxDuringDelivery(t *testing.T) {
 }
 
 // TestLinkCountersAcrossTableGrowth: the link table doubles as links
-// appear; every link's counters must stay reachable through it, a link
-// must never get a second series, and re-attaching the same registry
-// must pick the existing series up rather than shadow them.
+// appear; every link's count must stay reachable through it, and
+// re-attaching the same registry must add the new table's counts to the
+// old one's per link, not list a link twice.
 func TestLinkCountersAcrossTableGrowth(t *testing.T) {
 	const nodes = 40 // 1560 directed links: two doublings past the first 1024 slots
 	k := sim.NewKernel(5)
@@ -209,16 +210,38 @@ func TestLinkCountersAcrossTableGrowth(t *testing.T) {
 	if again, _ := reg.Order(); again != series {
 		t.Fatalf("re-instrumented run grew the registry from %d to %d series", series, again)
 	}
+	var total int64
 	for from := 0; from < nodes; from++ {
 		for to := 0; to < nodes; to++ {
-			want := int64(2 * (100*from + to))
+			want := int64(100*from + to)
 			if from == to {
 				want = 0
 			}
-			if got := reg.CounterValue(from, "simnet", fmt.Sprintf("link_n%d_bytes", to)); got != want {
-				t.Fatalf("link %d->%d carried %d bytes by its counter, want %d", from, to, got, want)
+			total += 2 * want
+			if got := net.LinkBytes(NodeID(from), NodeID(to)); got != want {
+				t.Fatalf("link %d->%d carried %d bytes by the table, want %d", from, to, got, want)
+			}
+			if got := reg.CounterValue(LinkEntity(NodeID(from), NodeID(to)), "simnet", "link_bytes"); got != 2*want {
+				t.Fatalf("link %d->%d carried %d bytes by the registry, want %d", from, to, got, 2*want)
 			}
 		}
+	}
+	// 39 links from each source, in ascending order of source: the
+	// p50 (rank 780 of 1 560) is source 19's last link, the p99 (rank
+	// 1 544) source 39's 23rd.
+	want := []obs.Metric{
+		{Key: obs.Key{Layer: "simnet", Name: "link_bytes"}, Kind: "counter", Count: total},
+		{Key: obs.Key{Layer: "simnet", Name: "link_bytes"}, Kind: "summary", Count: nodes * (nodes - 1),
+			Hist: &obs.HistSummary{Sum: total, Min: 2 * 1, Max: 2 * (100*(nodes-1) + nodes - 2), P50: 2 * 1939, P99: 2 * 3922}},
+	}
+	var got []obs.Metric
+	for _, m := range reg.Snapshot() {
+		if m.Key.Name == "link_bytes" {
+			got = append(got, m)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("link_bytes dumped as %v, want %v", got, want)
 	}
 	if got := net.KindBytes("bulk"); got != net.Stats().BytesSent || net.KindBytes("none") != 0 {
 		t.Fatalf("KindBytes(bulk) = %d of %d sent; KindBytes(none) = %d", got, net.Stats().BytesSent, net.KindBytes("none"))
@@ -249,7 +272,7 @@ func TestSendDeliverZeroAllocInstrumented(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("instrumented send+deliver allocated %.1f per message, want 0", allocs)
 	}
-	if got := reg.CounterValue(int(a), "simnet", fmt.Sprintf("link_n%d_bytes", b)); got != 16*int64(delivered) {
+	if got := net.LinkBytes(a, b); got != 16*int64(delivered) {
 		t.Fatalf("link %d->%d counted %d bytes for %d deliveries of 16", a, b, got, delivered)
 	}
 }
@@ -293,13 +316,13 @@ func TestLinkCountersStayWithTheirRegistry(t *testing.T) {
 		want       int64
 		wantSeries int
 	}{
-		{first, 0, "link_n1_bytes", 10, 2},
-		{first, 2, "link_n1_bytes", 0, 2},
-		{first, 0, "link_n1_drops", 0, 2},
-		{second, 0, "link_n1_bytes", 25, 4},
-		{second, 2, "link_n1_bytes", 30, 4},
-		{second, 0, "link_n1_drops", 1, 4},
-		{second, 0, "link_n2_bytes", 0, 4},
+		{first, LinkEntity(0, 1), "link_bytes", 10, 2},
+		{first, LinkEntity(2, 1), "link_bytes", 0, 2},
+		{first, LinkEntity(0, 1), "link_drops", 0, 2},
+		{second, LinkEntity(0, 1), "link_bytes", 25, 4},
+		{second, LinkEntity(2, 1), "link_bytes", 30, 4},
+		{second, LinkEntity(0, 1), "link_drops", 1, 4},
+		{second, LinkEntity(0, 2), "link_bytes", 0, 4},
 		{first, obs.NodeWide, "msgs_sent", 1, 2},
 		{first, obs.NodeWide, "drop_crash", 0, 2},
 		{first, obs.NodeWide, "retries", 1, 2},
@@ -312,7 +335,7 @@ func TestLinkCountersStayWithTheirRegistry(t *testing.T) {
 		{second, obs.NodeWide, "retries_b", 2, 4},
 	} {
 		if got := c.reg.CounterValue(c.from, "simnet", c.name); got != c.want {
-			t.Fatalf("registry %p: %s from n%d = %d, want %d", c.reg, c.name, c.from, got, c.want)
+			t.Fatalf("registry %p: %s of entity %d = %d, want %d", c.reg, c.name, c.from, got, c.want)
 		}
 		links := 0
 		for _, m := range c.reg.Snapshot() {
@@ -333,11 +356,12 @@ func TestLinkCountersStayWithTheirRegistry(t *testing.T) {
 // attached: the live heap per link between two link counts, in a
 // 100 000-node network with scale-100k's fan-in skew — two thirds of
 // the links into the busiest 1 024 of 15 760 destinations — read once,
-// as a dump reads it, so the destinations' families count too.  The
-// bound is the 59 B measured when link counts moved into the link
-// table, plus 25 %; a Counter and two series per link cost 168 B.
+// as a dump reads it, which keeps nothing.  The bound is the 43 B
+// measured since a read stopped adding a sorted key array and two
+// families per destination (59 B), plus 25 %; a Counter and two series
+// per link cost 168 B.
 func TestHeapPerLink(t *testing.T) {
-	const nodes, dests, small, large, bound = 100_000, 15_760, 60_000, 240_000, 59 * 1.25
+	const nodes, dests, small, large, bound = 100_000, 15_760, 60_000, 240_000, 43 * 1.25
 	live := func(sends int) (heap int64, links int) {
 		k := sim.NewKernel(1)
 		net := New(k, Config{})

@@ -47,7 +47,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strconv"
 	"time"
 
 	"oceanstore/internal/guid"
@@ -341,9 +340,10 @@ func (c *counts) add(o *counts, sign int64) {
 // netMetrics is one registry's view of the network.  The registry
 // counts what happens while it is attached: each node-wide series reads
 // cur less base, and the per-link counts live here, in links and drops,
-// read through one pair of sources per destination, which publish
-// registers when the registry is first read after the destination's
-// first link appears.
+// read as two families over every link — simnet/link_bytes and
+// simnet/link_drops, one series per link keyed by its packed key (§5's
+// per-flow observation) — which a dump rolls into a total and a summary
+// each, so reading them allocates nothing.
 type netMetrics struct {
 	reg *obs.Registry
 	// cur is the network's counts while reg is attached, and zero
@@ -359,11 +359,6 @@ type netMetrics struct {
 	// drops counts each link's lost messages by link key: a run drops
 	// few, so they take a small map rather than a column in every slot.
 	drops map[uint64]int64
-	// order is every link key in the table, ascending — by destination,
-	// then source, the order a dump lists them — as of the last read;
-	// published marks the destinations whose sources are registered.
-	order     []uint64
-	published []bool
 }
 
 // linkTable holds every link's byte count, found from the packed key:
@@ -428,64 +423,30 @@ func (t *linkTable) reserve() {
 	}
 }
 
-// publish is the registry's OnRead hook.  It sorts the link keys when
-// links have been added since the last read, and registers the two
-// families of each destination it has not seen — "link_n7_bytes" and
-// "link_n7_drops", named for the destination and keyed by the source,
-// so the pair answers "bytes/drops per link" (§5's per-flow
-// observation).
-func (m *netMetrics) publish() {
-	if len(m.order) == m.links.used {
+// linkBytes serves the registry every link's bytes, keyed by link key,
+// in the table's slot order.
+type linkBytes struct{ m *netMetrics }
+
+func (s linkBytes) Each(visit func(link int, v int64)) {
+	for _, sl := range s.m.links.slots {
+		if sl.key != 0 {
+			visit(int(sl.key), sl.bytes)
+		}
+	}
+}
+
+// linkDrops serves the registry the drops of every link that lost a
+// message, keyed by link key, in the table's slot order; the rest have
+// none to list.
+type linkDrops struct{ m *netMetrics }
+
+func (s linkDrops) Each(visit func(link int, v int64)) {
+	if len(s.m.drops) == 0 {
 		return
 	}
-	m.order = slices.Grow(m.order[:0], m.links.used)
-	for _, s := range m.links.slots {
-		if s.key != 0 {
-			m.order = append(m.order, s.key)
-		}
-	}
-	slices.Sort(m.order)
-	for i, k := range m.order {
-		to := NodeID(k>>32) - 1
-		if i > 0 && m.order[i-1]>>32 == k>>32 {
-			continue
-		}
-		if int(to) >= len(m.published) {
-			m.published = append(m.published, make([]bool, int(to)+1-len(m.published))...)
-		}
-		if m.published[to] {
-			continue
-		}
-		m.published[to] = true
-		name := strconv.AppendInt([]byte("link_n"), int64(to), 10)
-		m.reg.CounterSource("simnet", string(append(name, "_bytes"...)), linkSource{m, to, false})
-		m.reg.CounterSource("simnet", string(append(name, "_drops"...)), linkSource{m, to, true})
-	}
-}
-
-// into returns the keys of the links into to, by source.
-func (m *netMetrics) into(to NodeID) []uint64 {
-	i, _ := slices.BinarySearch(m.order, linkKey(0, to))
-	j, _ := slices.BinarySearch(m.order, linkKey(0, to+1))
-	return m.order[i:j]
-}
-
-// linkSource serves one destination's family to the registry: its
-// links' bytes, or their drops, keyed by source.
-type linkSource struct {
-	m     *netMetrics
-	to    NodeID
-	drops bool
-}
-
-func (s linkSource) Len() int { return len(s.m.into(s.to)) }
-
-func (s linkSource) Each(visit func(node int, v int64)) {
-	for _, k := range s.m.into(s.to) {
-		if s.drops {
-			visit(int(uint32(k)), s.m.drops[k])
-		} else {
-			visit(int(uint32(k)), s.m.links.slot(k).bytes)
+	for _, sl := range s.m.links.slots {
+		if n := s.m.drops[sl.key]; sl.key != 0 && n != 0 {
+			visit(int(sl.key), n)
 		}
 	}
 }
@@ -514,8 +475,9 @@ func (n *Network) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 	reg.CounterSource("simnet", "bytes_sent", obs.Value(func() int64 { return total(m.cur.bytes) - total(m.base.bytes) }))
 	reg.CounterSource("simnet", "retries", obs.Value(func() int64 { return total(m.cur.retries) - total(m.base.retries) }))
+	reg.CounterSource("simnet", "link_bytes", linkBytes{m})
+	reg.CounterSource("simnet", "link_drops", linkDrops{m})
 	m.links.reserve()
-	reg.OnRead(m.publish)
 	n.om = m
 }
 

@@ -302,7 +302,7 @@ func TestEngineTapInert(t *testing.T) {
 func histSeries(t *testing.T, reg *obs.Registry, layer, name string) obs.Metric {
 	t.Helper()
 	for _, m := range reg.Snapshot() {
-		if m.Kind == "hist" && m.Key == (obs.Key{Node: obs.NodeWide, Layer: layer, Name: name}) {
+		if m.Kind == "hist" && m.Key == (obs.Key{Layer: layer, Name: name}) {
 			return m
 		}
 	}
