@@ -34,7 +34,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"oceanstore/internal/crypt"
@@ -384,9 +383,8 @@ type clientState struct {
 	pending map[guid.GUID]*reqState
 	// done remembers the last doneWindow resolved/cancelled request IDs
 	// so a duplicate Submit is ignored (same horizon argument as the
-	// replica-side doneWindow).  It is searched linearly: a client's
-	// writes to one tier are few, and each ID is stored once.
-	done idRing
+	// replica-side doneWindow).
+	done doneIndex[struct{}]
 }
 
 // getReq pulls a scrubbed reqState from the pool (or allocates one
@@ -408,8 +406,8 @@ func (g *Group) getReq() *reqState {
 func (g *Group) clearReq(cs *clientState, id guid.GUID) {
 	rs, ok := cs.pending[id]
 	if !ok {
-		if !slices.Contains(cs.done.ids, id) {
-			cs.done.push(id)
+		if !cs.done.has(id) {
+			cs.done.add(id, struct{}{})
 		}
 		return
 	}
@@ -426,9 +424,8 @@ func (g *Group) clearReq(cs *clientState, id guid.GUID) {
 	clear(rs.seqs)
 	clear(rs.digests)
 	g.reqFree = append(g.reqFree, rs)
-	// A pending ID is not in the done-set (Submit checks it first), so
-	// it needs no search.
-	cs.done.push(id)
+	// A pending ID is not in the done-set: Submit checks it first.
+	cs.done.add(id, struct{}{})
 }
 
 // Submit sends a request from the given client node to the primary
@@ -446,7 +443,7 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 	}
 	req.Client = client
 	req.Tag = g.tag
-	if slices.Contains(cs.done.ids, req.ID) {
+	if cs.done.has(req.ID) {
 		// Duplicate submit of a resolved request: replicas will answer
 		// with re-replies, which drop at the client; no new callback.
 		return

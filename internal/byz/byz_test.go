@@ -353,10 +353,7 @@ func TestDuplicateSubmitIgnored(t *testing.T) {
 
 // isDone reports whether id is among the replica's last doneWindow
 // executions.
-func (r *replica) isDone(id guid.GUID) bool {
-	_, ok := r.done[id]
-	return ok
-}
+func (r *replica) isDone(id guid.GUID) bool { return r.done.has(id) }
 
 // slotCount is how many sequence numbers the replica holds agreement
 // state for, in the window and outside it.

@@ -1,0 +1,168 @@
+package byz
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"oceanstore/internal/guid"
+	"oceanstore/internal/sim"
+	"oceanstore/internal/simnet"
+)
+
+// TestDoneIndexModel drives a doneIndex with random adds and lookups
+// well past doneWindow, across every table growth, and checks each step
+// against a Go map plus a FIFO of the IDs in add order (every seventh
+// step, the table's invariants too).  Three ID
+// shapes: SHA-1 digests; IDs whose leading bytes all name the table's
+// last slot, so every probe run wraps its end and every eviction
+// shifts entries across it; and IDs spread over the last four home
+// slots, so backward-shift deletion must leave an entry whose home lies
+// between the hole and it.
+func TestDoneIndexModel(t *testing.T) {
+	digest := func(i int) guid.GUID { return guid.FromData([]byte(fmt.Sprint(i))) }
+	shapes := map[string]func(i int) guid.GUID{
+		"digests":    digest,
+		"one home":   func(i int) guid.GUID { return collidingID(^uint64(0), i) },
+		"four homes": func(i int) guid.GUID { return collidingID(^uint64(0)-uint64(digest(i)[0]%4), i) },
+	}
+	for name, id := range shapes {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			var d doneIndex[uint64]
+			want := map[guid.GUID]uint64{}
+			var fifo []guid.GUID
+			next := 0
+			for step := 0; step < 6*doneWindow; step++ {
+				if rng.Intn(3) > 0 { // add a fresh ID
+					x := id(next)
+					next++
+					old, evicted := d.add(x, uint64(step))
+					want[x] = uint64(step)
+					fifo = append(fifo, x)
+					if len(fifo) > doneWindow {
+						if !evicted || old != fifo[0] {
+							t.Fatalf("step %d: add evicted %v (%v), want the oldest %v", step, old.Short(), evicted, fifo[0].Short())
+						}
+						delete(want, fifo[0])
+						fifo = fifo[1:]
+					} else if evicted {
+						t.Fatalf("step %d: add evicted %v with %d held", step, old.Short(), len(fifo)-1)
+					}
+				}
+				// Look up one ID ever added, held or evicted, and one never added.
+				for _, x := range []guid.GUID{id(rng.Intn(next + 1)), id(next + 1)} {
+					v, ok := d.get(x)
+					if wv, wok := want[x]; ok != wok || v != wv {
+						t.Fatalf("step %d: get(%v) = %d, %v; want %d, %v", step, x.Short(), v, ok, wv, wok)
+					}
+				}
+				if step%7 == 0 {
+					checkDoneIndex(t, &d, want)
+				}
+			}
+			checkDoneIndex(t, &d, want)
+		})
+	}
+}
+
+// collidingID is an ID whose leading eight bytes are lead, and so whose
+// home slot is lead masked to the table, with i in its tail.
+func collidingID(lead uint64, i int) guid.GUID {
+	var id guid.GUID
+	binary.BigEndian.PutUint64(id[:8], lead)
+	binary.BigEndian.PutUint64(id[8:16], uint64(i))
+	return id
+}
+
+// checkDoneIndex checks d's invariants against the model: it holds
+// exactly want's IDs, each in one slot, reachable from its home slot
+// without crossing an empty one, in a table a power of two at least
+// twice the ring's length.
+func checkDoneIndex[V comparable](t *testing.T, d *doneIndex[V], want map[guid.GUID]V) {
+	t.Helper()
+	if len(d.ids) != len(want) {
+		t.Fatalf("holds %d IDs, want %d", len(d.ids), len(want))
+	}
+	n := len(d.slots)
+	if n&(n-1) != 0 || n < 2*len(d.ids) {
+		t.Fatalf("table of %d slots for %d IDs", n, len(d.ids))
+	}
+	used := 0
+	for i, p := range d.slots {
+		if p == 0 {
+			continue
+		}
+		used++
+		x := d.ids[p-1]
+		if v, ok := want[x]; !ok || d.vals[p-1] != v {
+			t.Fatalf("slot %d holds %v, which the model does not", i, x.Short())
+		}
+		for j := doneHome(x, n-1); j != i; j = (j + 1) & (n - 1) {
+			if d.slots[j] == 0 {
+				t.Fatalf("slot %d's ID is cut off from its home %d by the empty slot %d", i, doneHome(x, n-1), j)
+			}
+		}
+	}
+	if used != len(want) {
+		t.Fatalf("%d slots in use for %d IDs", used, len(want))
+	}
+}
+
+// TestHeapPerTierMember pins what a tier member retains per executed
+// request: its done index's ID, sequence number and table slots, plus
+// a quarter of the client's done-set entry for the same ID (the tier
+// has four members).  Records, slots and timers retire at execution,
+// so nothing else grows.  The difference between tiers that executed
+// doneWindow/2 and doneWindow requests is ≈ 41 B an ID.
+func TestHeapPerTierMember(t *testing.T) {
+	const tiers, batch, bound = 40, 32, 51
+	live := func(executed int) int64 {
+		k := sim.NewKernel(7)
+		net := simnet.New(k, simnet.Config{BaseLatency: 100 * time.Millisecond})
+		groups := make([]*Group, tiers)
+		clients := make([]simnet.NodeID, tiers)
+		for i := range groups {
+			var nodes []simnet.NodeID
+			for j := 0; j < 4; j++ {
+				nodes = append(nodes, net.AddNode(0, 0).ID)
+			}
+			clients[i] = net.AddNode(0, 0).ID
+			g, err := NewGroup(net, nodes, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups[i] = g
+		}
+		for n := 0; n < executed; n += batch {
+			for i, g := range groups {
+				for j := n; j < n+batch; j++ {
+					g.Submit(clients[i], req(fmt.Sprintf("t%d-u%d", i, j), 100), nil)
+				}
+			}
+			k.RunFor(time.Second)
+		}
+		for _, g := range groups {
+			for _, r := range g.replicas {
+				if len(r.done.ids) != executed {
+					t.Fatalf("a member executed %d, want %d", len(r.done.ids), executed)
+				}
+			}
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(groups)
+		return int64(ms.HeapAlloc)
+	}
+	half, full := live(doneWindow/2), live(doneWindow)
+	perID := float64(full-half) / (tiers * 4 * doneWindow / 2)
+	t.Logf("live heap %.2f MB at %d executions a tier, %.2f MB at %d: %+.1f B per executed ID per member",
+		float64(half)/(1<<20), doneWindow/2, float64(full)/(1<<20), doneWindow, perID)
+	if perID > bound {
+		t.Fatalf("%+.1f B of live heap per executed ID per member, bound %d", perID, bound)
+	}
+}

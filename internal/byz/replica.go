@@ -117,17 +117,17 @@ type replica struct {
 	far    map[uint64]*slot
 	// reqs holds one record per request in flight.
 	reqs map[guid.GUID]*reqRec
-	// done maps each of the last doneWindow executed request IDs to the
-	// sequence number it executed at, so a client retransmission is
-	// answered with a fresh reply (PBFT: "if the replica has already
-	// executed the request it re-sends the reply").  doneRing holds the
-	// same IDs in execution order; an ID pushed out of it stops being
-	// done (and assigned): client retransmissions stop within one retry
-	// period of execution, so answering them only needs a recent horizon
-	// — retaining every ID ever executed made the tier's memory grow
-	// with total traffic.
-	done     map[guid.GUID]uint64
-	doneRing idRing
+	// done holds the last doneWindow executed request IDs, in execution
+	// order, each with the sequence number it executed at, so a client
+	// retransmission is answered with a fresh reply (PBFT: "if the
+	// replica has already executed the request it re-sends the reply").
+	// It is the one copy of those IDs: 28 bytes an ID in its ring plus
+	// 2–4 in its table.  An ID pushed out of it stops being done (and
+	// assigned): client retransmissions stop within one retry period of
+	// execution, so answering them only needs a recent horizon —
+	// retaining every ID ever executed made the tier's memory grow with
+	// total traffic.
+	done doneIndex[uint64]
 	// viewVotes collects view-change votes per proposed view.
 	viewVotes map[uint64]map[int]bool
 	// installedClaims records which peers claim to have installed which
@@ -146,7 +146,6 @@ func newReplica(g *Group, id int) *replica {
 		g:         g,
 		id:        id,
 		reqs:      make(map[guid.GUID]*reqRec),
-		done:      make(map[guid.GUID]uint64),
 		viewVotes: make(map[uint64]map[int]bool),
 
 		installedClaims: make(map[uint64]map[int]bool),
@@ -234,7 +233,7 @@ func (r *replica) armTimer(id guid.GUID, rec *reqRec) {
 }
 
 func (r *replica) onRequest(req Request) {
-	if seq, done := r.done[req.ID]; done {
+	if seq, done := r.done.get(req.ID); done {
 		// Already executed: re-send the reply (the first one may have been
 		// dropped; replies are never otherwise retransmitted).
 		r.g.om.reReplies.Inc()
@@ -458,29 +457,13 @@ func (r *replica) maybeCommitted(s *slot) {
 // and its slot is discarded at the next truncation.
 const checkpointWindow = 64
 
-// doneWindow bounds the executed-request dedup horizon (the done index,
-// and the assigned fact of a record the index outlives).
-// Retransmissions arrive at most one client retry period after
-// execution; 512 executions is orders of magnitude more than any group
-// commits in that span.
+// doneWindow bounds the executed-request dedup horizon (a replica's
+// done index, the assigned fact of a record the index outlives, and a
+// client's done-set): the last doneWindow IDs, each held once in a
+// doneIndex.  Retransmissions arrive at most one client retry period
+// after execution; 512 executions is orders of magnitude more than any
+// group commits in that span.
 const doneWindow = 512
-
-// idRing holds the last doneWindow request IDs in arrival order.
-type idRing struct {
-	ids  []guid.GUID
-	head int
-}
-
-// push records id, returning the ID it pushed out once the ring is full.
-func (q *idRing) push(id guid.GUID) (old guid.GUID, evicted bool) {
-	if len(q.ids) < doneWindow {
-		q.ids = append(q.ids, id)
-		return guid.Zero, false
-	}
-	old, q.ids[q.head] = q.ids[q.head], id
-	q.head = (q.head + 1) % doneWindow
-	return old, true
-}
 
 // executeReady executes committed slots in sequence order.  An executed
 // slot goes straight back to the pool and its request's record retires;
@@ -509,16 +492,14 @@ func (r *replica) executeReady() {
 			rec.timers, rec.armed, rec.assigned = rec.timers[:0], false, false
 			r.release(req.ID, rec)
 		}
-		if _, dup := r.done[req.ID]; dup {
+		if r.done.has(req.ID) {
 			// A view change recycled a request this replica had already
 			// executed under an earlier sequence number (the new primary
 			// had not committed it).  Agreeing on the slot is fine;
 			// executing it twice is not.
 			continue
 		}
-		r.done[req.ID] = seq
-		if old, evicted := r.doneRing.push(req.ID); evicted {
-			delete(r.done, old)
+		if old, evicted := r.done.add(req.ID, seq); evicted {
 			if orec := r.reqs[old]; orec != nil {
 				orec.assigned = false
 				r.release(old, orec)
@@ -624,7 +605,7 @@ func (r *replica) requestTimeout(id guid.GUID) {
 		r.release(id, rec)
 		return
 	}
-	if _, done := r.done[id]; done {
+	if r.done.has(id) {
 		return
 	}
 	if !rec.pending {

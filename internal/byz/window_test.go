@@ -226,8 +226,8 @@ func TestRecordsAndTimersRetire(t *testing.T) {
 		if len(r.recFree) == 0 || len(r.recFree) > batch || len(r.slotFree) == 0 || len(r.slotFree) > batch {
 			t.Fatalf("replica %d pools %d records and %d slots, want 1..%d of each", r.id, len(r.recFree), len(r.slotFree), batch)
 		}
-		if len(r.done) != doneWindow || r.isDone(guid.FromData([]byte("u0"))) || !r.isDone(guid.FromData([]byte(fmt.Sprintf("u%d", total-doneWindow)))) {
-			t.Fatalf("replica %d's done index holds %d IDs, not the last %d", r.id, len(r.done), doneWindow)
+		if len(r.done.ids) != doneWindow || r.isDone(guid.FromData([]byte("u0"))) || !r.isDone(guid.FromData([]byte(fmt.Sprintf("u%d", total-doneWindow)))) {
+			t.Fatalf("replica %d's done index holds %d IDs, not the last %d", r.id, len(r.done.ids), doneWindow)
 		}
 	}
 	cs := g.clients[client]

@@ -402,12 +402,7 @@ func (w *SoakWorld) Problems() []string {
 			out = append(out, fmt.Sprintf("object %s: the primary committed %d writes, but %d were acknowledged and %d abandoned",
 				obj.Short(), n, t.acked, t.abandoned))
 		}
-		for _, sec := range ring.Secondaries() {
-			if !sec.Rep.PrefixOf(primary) {
-				out = append(out, fmt.Sprintf("object %s: the secondary on node %d holds %d commits that are not a prefix of the primary's %d",
-					obj.Short(), sec.Node, sec.Rep.CommittedLen(), primary.CommittedLen()))
-			}
-		}
+		out = append(out, ring.PrefixProblems()...)
 	}
 	return out
 }

@@ -171,10 +171,12 @@ func TestTentativeExpiryCoversAbandonedWrites(t *testing.T) {
 // kept its agreement slot for 64 executions and its record for 512 and
 // every (client, tier) kept a pending map and a two-copy done-set, and
 // 3213 B at the parent of PR 29, where every replica kept its committed
-// stream in three windows plus an outcome per dedup entry; it is
-// 2635 B since, and the bound is that plus 25 %.
+// stream in three windows plus an outcome per dedup entry, and 2391 B
+// where each tier member and each replica kept a map beside its window
+// repeating the window's IDs, and each log entry a timestamp and a
+// result GUID; it is 1642 B since, and the bound is that plus 25 %.
 func TestSoakHeapPerWrite(t *testing.T) {
-	const n, bound = 5000, 2635 * 1.25
+	const n, bound = 5000, 1642 * 1.25
 	live := func(ops int) (heap int64, writes int) {
 		cfg := DefaultSoakConfig(1000)
 		w, err := NewSoakWorld(1, cfg)

@@ -102,9 +102,9 @@ func TestCheckpointCoversItsWindow(t *testing.T) {
 // client proposals, primary commits, in-order tree pushes, late
 // duplicate pushes, anti-entropy, expiry, checkpoint joins, empty
 // restarts and pulls over one primary and three secondaries — long enough that
-// every log trims.  After every step, each replica's one table must map
-// exactly its log window's IDs to their positions and its tentative
-// set's IDs to the tentative mark.
+// every log trims.  After every step, what each replica's dedup answers
+// rest on must be exactly its log window's IDs, each at its position,
+// and its tentative set's IDs.
 func TestDedupTableIsWindowPlusTentative(t *testing.T) {
 	k := testKey(77)
 	v0 := object.NewObject([]byte("base."), 8, k)
@@ -170,11 +170,11 @@ func TestDedupTableIsWindowPlusTentative(t *testing.T) {
 				want[r.Log.At(pos).Update.ID()] = pos
 			}
 			for _, u := range r.tentative {
-				want[u.ID()] = isTentative
+				want[u.ID()] = tentativeMark
 			}
-			if !maps.Equal(r.known, want) {
-				t.Fatalf("step %d: replica %d's table holds %d IDs, window [%d,%d) + %d tentative",
-					step, i, len(r.known), r.Log.Start(), r.Log.Len(), len(r.tentative))
+			if got := known(t, r); !maps.Equal(got, want) {
+				t.Fatalf("step %d: replica %d knows %d IDs, window [%d,%d) + %d tentative",
+					step, i, len(got), r.Log.Start(), r.Log.Len(), len(r.tentative))
 			}
 		}
 	}
@@ -208,8 +208,8 @@ func TestCloneAndAdoptCopyDedupTable(t *testing.T) {
 	repaired.AddTentative(uB)
 	repaired.Adopt(src.Checkpoint())
 	for name, r := range map[string]*Replica{"joined": joined, "repaired": repaired} {
-		if pos, ok := r.known[uA.ID()]; !ok || pos != 0 {
-			t.Fatalf("%s: dedup table %+v", name, r.known)
+		if pos, ok := known(t, r)[uA.ID()]; !ok || pos != 0 {
+			t.Fatalf("%s: dedup table %+v", name, known(t, r))
 		}
 		if got := r.Commit(uA, 0, 50); got != want {
 			t.Fatalf("%s: duplicate commit answered %+v, want %+v", name, got, want)
@@ -220,11 +220,11 @@ func TestCloneAndAdoptCopyDedupTable(t *testing.T) {
 	}
 	// The checkpoint carries committed state only: the join holds no
 	// tentative copy, the repaired replica keeps its own.
-	if joined.Seen(uB.ID()) || repaired.known[uB.ID()] != isTentative || repaired.AddTentative(uB) {
+	if joined.Seen(uB.ID()) || known(t, repaired)[uB.ID()] != tentativeMark || repaired.AddTentative(uB) {
 		t.Fatal("adoption changed the tentative set it does not cover")
 	}
 	repaired.Commit(uB, 1, 60)
-	if src.known[uB.ID()] != isTentative || src.CommittedLen() != 1 {
+	if known(t, src)[uB.ID()] != tentativeMark || src.CommittedLen() != 1 {
 		t.Fatal("tables are shared between a replica and its checkpoint's source")
 	}
 }
@@ -264,4 +264,37 @@ func TestCommitPastLogEndWaits(t *testing.T) {
 	if sec.CommittedLen() != 3 || read(t, sec.CommittedState(), k) != "base.abc" {
 		t.Fatalf("after anti-entropy: length %d, state %q", sec.CommittedLen(), read(t, sec.CommittedState(), k))
 	}
+}
+
+// tentativeMark is known's mark for an update held only tentatively.
+const tentativeMark = -1
+
+// known is what the replica's dedup answers rest on, as one map: each
+// update the log index points at, mapped to its log position, and each
+// tentative update, mapped to tentativeMark.  Every indexed update must
+// be found by a lookup from its home slot, and no update may be indexed
+// twice or be both logged and tentative.
+func known(t *testing.T, r *Replica) map[update.UpdateID]int {
+	t.Helper()
+	m := map[update.UpdateID]int{}
+	for _, p := range r.index {
+		if p == 0 {
+			continue
+		}
+		id, pos := r.Log.Entries()[p-1].Update.ID(), r.Log.Start()+int(p)-1
+		if at, ok := r.logged(id); !ok || at != pos {
+			t.Fatalf("the index points at %v's position %d, a lookup finds %d, %v", id, pos, at, ok)
+		}
+		if _, dup := m[id]; dup {
+			t.Fatalf("the index points at %v twice", id)
+		}
+		m[id] = pos
+	}
+	for _, u := range r.tentative {
+		if _, dup := m[u.ID()]; dup {
+			t.Fatalf("%v is both logged and tentative, or tentative twice", u.ID())
+		}
+		m[u.ID()] = tentativeMark
+	}
+	return m
 }

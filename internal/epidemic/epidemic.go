@@ -29,14 +29,12 @@ type Replica struct {
 	base *object.Version
 	// tentative holds updates not yet committed, kept in timestamp order.
 	tentative []*update.Update
-	// known is the one dedup table: an update the replica has never met
-	// is absent, one it holds tentatively maps to isTentative, and one in
-	// the committed log window maps to its log position, where its
-	// outcome is.  The same update can arrive via the dissemination tree
-	// AND anti-entropy — on a soak run that overlap makes duplicate
-	// commits a steady-state path, not a corner case — and the second
-	// arrival is answered from here in one probe.
-	known map[update.UpdateID]int
+	// index finds an update in the committed log window by ID, where its
+	// outcome is (index.go).  The same update can arrive via the
+	// dissemination tree AND anti-entropy — on a soak run that overlap
+	// makes duplicate commits a steady-state path, not a corner case —
+	// and the second arrival is answered from the window in one probe.
+	index []uint16
 
 	// cached tentative state; invalidated by any log change.
 	cached     *object.Version
@@ -50,9 +48,6 @@ type Replica struct {
 	// counts is the hosting node's slot in a Tally; nil counts nothing.
 	counts *Counts
 }
-
-// isTentative is known's mark for an update held only tentatively.
-const isTentative = -1
 
 // The counts a hosting node keeps, indexes into Counts, in the order
 // countNames lists their series.
@@ -150,10 +145,7 @@ func (r *Replica) Instrument(c *Counts) {
 
 // New creates a secondary replica starting from the initial version.
 func New(v0 *object.Version) *Replica {
-	return &Replica{
-		base:  v0,
-		known: make(map[update.UpdateID]int),
-	}
+	return &Replica{base: v0}
 }
 
 // NewAt creates a replica from a checkpoint — a checkpoint join.  A
@@ -183,11 +175,9 @@ func tsLess(a, b *update.Update) bool {
 // anti-entropy).  Duplicates are ignored.  It returns true when the
 // update was new.
 func (r *Replica) AddTentative(u *update.Update) bool {
-	id := u.ID()
-	if _, seen := r.known[id]; seen {
+	if r.Seen(u.ID()) {
 		return false
 	}
-	r.known[id] = isTentative
 	i := sort.Search(len(r.tentative), func(i int) bool { return tsLess(u, r.tentative[i]) })
 	r.tentative = append(r.tentative, nil)
 	copy(r.tentative[i+1:], r.tentative[i:])
@@ -201,7 +191,7 @@ func (r *Replica) AddTentative(u *update.Update) bool {
 // position in the tier's final order, so the log stays a prefix of the
 // primary's.  Below the log end u is a duplicate (tree push and
 // anti-entropy both deliver commits), answered with its logged outcome
-// while the window holds it; an ID the table holds counts as logged
+// while the window holds it; an ID the window holds counts as logged
 // there, which is how the primary's own state, committing at its log
 // end, turns away an update executed twice.  At the end u is applied
 // and leaves the tentative set (tentative state is rolled back and
@@ -209,8 +199,7 @@ func (r *Replica) AddTentative(u *update.Update) bool {
 // u waits for anti-entropy to fill the gap in order.
 func (r *Replica) Commit(u *update.Update, pos int, now time.Duration) update.Outcome {
 	id := u.ID()
-	at, seen := r.known[id]
-	if seen && at != isTentative {
+	if at, logged := r.logged(id); logged {
 		pos = at
 	}
 	switch end := r.Log.Len(); {
@@ -233,11 +222,10 @@ func (r *Replica) Commit(u *update.Update, pos int, now time.Duration) update.Ou
 	next, out, err := update.Apply(u, r.base, now)
 	if err == nil && out.Committed {
 		r.base = next
-		out.Result = next.GUID()
 	}
 	// Aborts leave base untouched but are still logged (§4.4.1).
-	r.known[id] = pos
-	r.Log.Append(u, out, now)
+	r.Log.Append(u, out)
+	r.indexLast()
 	r.trim()
 	r.expire(now)
 	if out.Committed {
@@ -291,10 +279,11 @@ func (r *Replica) PrefixOf(primary *Replica) bool {
 	return true
 }
 
-// Seen reports whether the replica has the update in either log.
+// Seen reports whether the replica holds the update: in its committed
+// log window, or tentatively.
 func (r *Replica) Seen(id update.UpdateID) bool {
-	_, seen := r.known[id]
-	return seen
+	_, logged := r.find(id)
+	return logged || r.tentativeHas(id)
 }
 
 // TentativeIDs appends to dst the IDs of the tentative updates the

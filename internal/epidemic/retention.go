@@ -10,19 +10,20 @@ import (
 
 // Memory model (DESIGN.md §12): a replica's resident state is bounded
 // by its windows, not by total history.  It retains
-//   - one committed window: the log's last Window..2×Window entries
-//     (older updates survive only as applied state in base);
-//   - live tentative updates no older than TentativeExpire;
-//   - the dedup table, which holds exactly the window's IDs (each
-//     mapped to its log position) plus the tentative set's.
+//   - one committed window: the log's last Window..2×Window entries,
+//     16 bytes each, an update pointer and its outcome (older updates
+//     survive only as applied state in base);
+//   - the log index, 2–4 bytes an entry: window offsets, no IDs;
+//   - live tentative updates no older than TentativeExpire.
 //
 // Everything else — update payloads, outcomes, ID bookkeeping — becomes
-// garbage as soon as it leaves these bounds: trim deletes the evicted
-// IDs from the table as it evicts them from the log, and expire deletes
-// those of the tentative updates it drops.  The bound is not in-flight
-// work: an object with fewer than 2×Window commits keeps every one of
-// them on every replica, so where most objects are cold, as in the
-// soaks, resident state grows with committed writes.
+// garbage as soon as it leaves these bounds: trim re-indexes what the
+// log keeps, and expire drops tentative updates, which nothing else
+// holds.  The bound is not in-flight work: an object with fewer than
+// 2×Window commits keeps every one of them on every replica, so where
+// most objects are cold, as in the soaks, resident state grows with
+// committed writes — by ≈ 20 bytes a commit a replica, plus the update
+// the replicas share.
 const (
 	// Window is the committed window: a replica's log keeps at least this
 	// many recent entries and trims back to it on reaching twice as many.
@@ -52,7 +53,6 @@ const (
 func (r *Replica) expire(now time.Duration) {
 	cut := 0
 	for cut < len(r.tentative) && r.tentative[cut].Timestamp+TentativeExpire < now {
-		delete(r.known, r.tentative[cut].ID())
 		cut++
 	}
 	if cut == 0 {
@@ -66,34 +66,26 @@ func (r *Replica) expire(now time.Duration) {
 }
 
 // trim slides the committed window: once the log retains 2×Window
-// entries, all but the last Window leave the log and the dedup table
-// together.  Chunked so the cost is amortised O(1) per commit.
+// entries, all but the last Window leave the log, and the index is
+// rebuilt over the rest.  Chunked so the cost is amortised O(1) per
+// commit.
 func (r *Replica) trim() {
 	end := r.Log.Len() - Window
 	if end-r.Log.Start() < Window {
 		return
 	}
-	for pos := r.Log.Start(); pos < end; pos++ {
-		delete(r.known, r.Log.At(pos).Update.ID())
-	}
 	r.Log.Trim(end)
+	r.reindexLog(len(r.index))
 }
 
-// reindex rebuilds the dedup table from the log window and the
-// tentative set, dropping the tentative updates the window covers:
-// they are committed.
+// reindex rebuilds the index over a new log window and drops the
+// tentative updates the window covers: they are committed.
 func (r *Replica) reindex() {
-	clear(r.known)
-	for pos := r.Log.Start(); pos < r.Log.Len(); pos++ {
-		r.known[r.Log.At(pos).Update.ID()] = pos
-	}
+	r.reindexLog(indexSlots)
 	r.tentative = slices.DeleteFunc(r.tentative, func(u *update.Update) bool {
-		_, committed := r.known[u.ID()]
+		_, committed := r.find(u.ID())
 		return committed
 	})
-	for _, u := range r.tentative {
-		r.known[u.ID()] = isTentative
-	}
 }
 
 // Checkpoint is a replica's committed state in transferable form: the

@@ -72,8 +72,8 @@ func TestCommitWindowPrunes(t *testing.T) {
 	if r.Log.Start() != Window || len(r.Log.Entries()) != Window+88 {
 		t.Fatalf("log window [%d,%d), want [%d,%d)", r.Log.Start(), r.Log.Len(), Window, total)
 	}
-	if len(r.known) != Window+88 {
-		t.Fatalf("dedup table %d out of step with the log window %d", len(r.known), Window+88)
+	if n := len(known(t, r)); n != Window+88 {
+		t.Fatalf("dedup index %d out of step with the log window %d", n, Window+88)
 	}
 	// The applied state still reflects every commit, retained or not.
 	if got := read(t, r.CommittedState(), k); got != "base."+repeat("x", total) {

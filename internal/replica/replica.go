@@ -555,6 +555,20 @@ func (r *Ring) History() *object.History { return r.history }
 // PrimaryState exposes the authoritative committed replica.
 func (r *Ring) PrimaryState() *epidemic.Replica { return r.primaryState }
 
+// PrefixProblems checks that every secondary is on the primary tier's
+// order (§4.4.3): its committed log must be a prefix of the primary's.
+// It returns one line for each secondary that is not, in node order.
+func (r *Ring) PrefixProblems() []string {
+	var out []string
+	for _, sec := range r.byNode {
+		if !sec.Rep.PrefixOf(r.primaryState) {
+			out = append(out, fmt.Sprintf("object %s: the secondary on node %d holds %d commits that are not a prefix of the primary's %d",
+				r.Object.Short(), sec.Node, sec.Rep.CommittedLen(), r.primaryState.CommittedLen()))
+		}
+	}
+	return out
+}
+
 // CommittedVersion returns the authoritative committed version.
 func (r *Ring) CommittedVersion() *object.Version { return r.primaryState.CommittedState() }
 

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"testing"
@@ -614,4 +615,57 @@ func TestMissedPushLeavesAPrefix(t *testing.T) {
 	if got := w.read(t, sec.Rep.CommittedState()); got != "base.abc" {
 		t.Fatalf("secondary state %q", got)
 	}
+}
+
+// TestPrefixProblemsNamesTheDivergedSecondary: one secondary of a small
+// ring commits a foreign update at its next position.  PrefixProblems
+// names that secondary alone — first while its log runs past the
+// primary's, then once the primary commits a different update at the
+// same position.  (Gossip is held off, or the diverged log, being the
+// longer, would be copied to its peers.)
+func TestPrefixProblemsNamesTheDivergedSecondary(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ArchiveEvery = 100
+	cfg.Archive = archive.Config{DataShards: 4, TotalFragments: 8}
+	cfg.GossipInterval = 24 * time.Hour
+	w := newWorld(t, 13, cfg)
+	const victim = 9
+	for _, n := range []simnet.NodeID{5, victim, 11} {
+		if _, err := w.ring.AddSecondary(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit := func(payload string) {
+		t.Helper()
+		w.ring.Submit(w.client, w.appendUpdate(t, payload), 0, nil)
+		w.k.RunFor(10 * time.Second)
+		for _, sec := range w.ring.Secondaries() {
+			if sec.Node != victim && sec.Rep.CommittedLen() != w.ring.PrimaryState().CommittedLen() {
+				t.Fatalf("setup: secondary %d at length %d", sec.Node, sec.Rep.CommittedLen())
+			}
+		}
+	}
+	commit("a")
+	if p := w.ring.PrefixProblems(); len(p) != 0 {
+		t.Fatalf("a ring in step reports %q", p)
+	}
+	sec, _ := w.ring.Secondary(victim)
+	rogue := w.appendUpdate(t, "z")
+	rogue.ClientID = guid.FromData([]byte("rogue"))
+	if out := sec.Rep.Commit(rogue, sec.Rep.CommittedLen(), w.k.Now()); !out.Committed {
+		t.Fatal("setup: the foreign update aborted")
+	}
+	check := func(primaryLen int) {
+		t.Helper()
+		want := fmt.Sprintf("object %s: the secondary on node %d holds 2 commits that are not a prefix of the primary's %d", w.obj.Short(), victim, primaryLen)
+		if p := w.ring.PrefixProblems(); len(p) != 1 || p[0] != want {
+			t.Fatalf("PrefixProblems = %q, want [%q]", p, want)
+		}
+	}
+	check(1)
+	commit("b")
+	if sec.Rep.CommittedLen() != w.ring.PrimaryState().CommittedLen() {
+		t.Fatalf("setup: the diverged secondary at length %d, the primary at %d", sec.Rep.CommittedLen(), w.ring.PrimaryState().CommittedLen())
+	}
+	check(2)
 }

@@ -47,6 +47,17 @@ func newPoolWorld(o Options, nodes, objects, replicasPer int) *poolWorld {
 	return w
 }
 
+// checkPrefixes records, as violations, every secondary whose committed
+// log is not a prefix of its primary's.
+func (w *poolWorld) checkPrefixes(r *Result) {
+	for _, obj := range w.objs {
+		ring, _ := w.pool.Ring(obj)
+		for _, p := range ring.PrefixProblems() {
+			r.violate("%s", p)
+		}
+	}
+}
+
 // runChurnDuringAudit: staggered churn takes a third of the servers
 // down and back while bit rot drizzles on — the auditor must keep
 // repairing through the flux without mistaking downtime for damage.
@@ -110,6 +121,7 @@ func runChurnDuringAudit(o Options) Result {
 			}
 		}
 	}
+	w.checkPrefixes(&r)
 	return r
 }
 
@@ -170,5 +182,6 @@ func runReplicaTamper(o Options) Result {
 	if st.Repairs < int64(len(w.objs)) {
 		r.violate("only %d of %d tampered replicas repaired", st.Repairs, len(w.objs))
 	}
+	w.checkPrefixes(&r)
 	return r
 }

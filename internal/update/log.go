@@ -1,18 +1,18 @@
 package update
 
 import (
-	"time"
-
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 )
 
 // LogEntry records one applied (or aborted) update: "the update itself
-// is logged regardless of whether it commits or aborts" (§4.4.1).
+// is logged regardless of whether it commits or aborts" (§4.4.1).  It
+// holds what the log's readers read — the update, for replay and
+// dedup, and the outcome a duplicate commit is answered with — and
+// nothing else: 16 bytes, one per retained entry on every replica.
 type LogEntry struct {
 	Update  *Update
 	Outcome Outcome
-	At      time.Duration
 }
 
 // Log is an append-only per-object update log.  Powerful clients can
@@ -63,8 +63,8 @@ func (l *Log) Rebase(start int, window []LogEntry) {
 
 // Append records an update outcome.  The caller appends each update
 // once (epidemic propagation redelivers; see Log).
-func (l *Log) Append(u *Update, o Outcome, at time.Duration) {
-	l.entries = append(l.entries, LogEntry{Update: u, Outcome: o, At: at})
+func (l *Log) Append(u *Update, o Outcome) {
+	l.entries = append(l.entries, LogEntry{Update: u, Outcome: o})
 	if o.Committed {
 		l.commits++
 	} else {

@@ -18,7 +18,7 @@ func TestLogTrimEvictsFront(t *testing.T) {
 	const total = 20
 	for i := 0; i < total; i++ {
 		committed := i%3 != 0
-		l.Append(logEntryUpdate(i), Outcome{Committed: committed}, 0)
+		l.Append(logEntryUpdate(i), Outcome{Committed: committed})
 		if i == 9 || i == 15 {
 			l.Trim(i - 3) // keep the last four
 		}
@@ -51,7 +51,7 @@ func TestLogTrimEvictsFront(t *testing.T) {
 func TestLogRebase(t *testing.T) {
 	l := &Log{}
 	for i := 0; i < 5; i++ {
-		l.Append(logEntryUpdate(i), Outcome{Committed: true}, 0)
+		l.Append(logEntryUpdate(i), Outcome{Committed: true})
 	}
 	window := []LogEntry{{Update: logEntryUpdate(7)}, {Update: logEntryUpdate(8)}}
 	l.Rebase(7, window)
@@ -62,7 +62,7 @@ func TestLogRebase(t *testing.T) {
 	if c, a := l.Counts(); c != 5 || a != 0 {
 		t.Fatalf("tallies %d+%d after rebase, want the 5 appends only", c, a)
 	}
-	l.Append(logEntryUpdate(100), Outcome{Committed: true}, 0)
+	l.Append(logEntryUpdate(100), Outcome{Committed: true})
 	if es := l.Entries(); len(es) != 3 || es[2].Update.Seq != 100 {
 		t.Fatalf("rebased log retains %d entries, want the window and the new one", len(es))
 	}

@@ -350,17 +350,15 @@ func (u *Update) WireSize() int {
 	return n
 }
 
-// Outcome reports what applying an update did.
+// Outcome reports what applying an update did: whether a guard fired,
+// and which.  It names no version: the GUID is a Merkle root over every
+// block, and the primary tier's History already names each committed
+// version by it, so an outcome logged on every replica carries none.
+// Eight bytes, held by value in every log entry.
 type Outcome struct {
 	Committed bool
 	// Guard is the index of the guard that fired; -1 on abort.
-	Guard int
-	// Result is the GUID of the produced version; zero on abort.  Apply
-	// leaves it zero: the GUID is a Merkle root over every block, and a
-	// tentative replay applies updates whose outcome nobody records.
-	// Whoever records an outcome (epidemic.Replica.Commit, for the log)
-	// fills it from the version Apply returned.
-	Result guid.GUID
+	Guard int32
 }
 
 // Apply evaluates u against base and, when a guard fires, returns the
@@ -381,7 +379,7 @@ func Apply(u *Update, base *object.Version, now time.Duration) (*object.Version,
 				return nil, Outcome{Committed: false, Guard: -1}, err
 			}
 		}
-		return next, Outcome{Committed: true, Guard: i}, nil
+		return next, Outcome{Committed: true, Guard: int32(i)}, nil
 	}
 	return nil, Outcome{Committed: false, Guard: -1}, nil
 }

@@ -26,11 +26,6 @@ func TestUnconditionalCommit(t *testing.T) {
 	if !out.Committed || out.Guard != 0 {
 		t.Fatalf("outcome = %+v", out)
 	}
-	// The Merkle root is left to whoever records the outcome
-	// (epidemic's TestTentativeReplayDefersTheMerkleRoot).
-	if out.Result != guid.Zero || next.GUID() == guid.Zero {
-		t.Fatalf("Apply filled Result %v for a version whose GUID is %v", out.Result, next.GUID())
-	}
 	got, _ := object.NewView(next, k).Read()
 	if string(got) != "AABBCC" {
 		t.Fatalf("content %q", got)
@@ -318,12 +313,12 @@ func TestWireSizeScalesWithPayload(t *testing.T) {
 func TestUpdateIDAndLog(t *testing.T) {
 	l := &Log{}
 	u := &Update{ClientID: guid.FromData([]byte("c")), Seq: 1}
-	l.Append(u, Outcome{Committed: true}, 5)
+	l.Append(u, Outcome{Committed: true})
 	u2 := &Update{ClientID: u.ClientID, Seq: 2}
 	if u.ID() == u2.ID() {
 		t.Fatal("distinct updates share an ID")
 	}
-	l.Append(u2, Outcome{Committed: false, Guard: -1}, 7)
+	l.Append(u2, Outcome{Committed: false, Guard: -1})
 	if l.Len() != 2 {
 		t.Fatalf("len = %d", l.Len())
 	}
@@ -333,9 +328,6 @@ func TestUpdateIDAndLog(t *testing.T) {
 	es := l.Entries()
 	if es[0].Update != u || es[1].Update != u2 {
 		t.Fatal("entries out of order")
-	}
-	if es[1].At != 7 {
-		t.Fatal("timestamp lost")
 	}
 }
 
