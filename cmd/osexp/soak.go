@@ -92,7 +92,7 @@ func soakFlagSet() *flag.FlagSet {
 	fs.DurationVar(&o.think, "think", o.think, "mean per-client think time (closed loop)")
 	fs.BoolVar(&o.open, "openloop", o.open, "open-loop arrivals instead of closed-loop")
 	fs.DurationVar(&o.arrival, "arrival", o.arrival, "mean interarrival (open loop)")
-	fs.IntVar(&o.maxInfl, "maxinflight", o.maxInfl, "backpressure cap on unresolved writes (0 = scale with nodes)")
+	fs.IntVar(&o.maxInfl, "maxinflight", o.maxInfl, "backpressure cap on unresolved writes per object (0 = scale with nodes)")
 	fs.DurationVar(&o.churn, "churn", o.churn, "node bounce period (0 disables churn)")
 	fs.DurationVar(&o.downFor, "downfor", o.downFor, "how long a bounced node stays down")
 	fs.IntVar(&o.grow, "grow", o.grow, "nodes to add mid-run (0 disables growth)")

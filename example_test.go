@@ -58,13 +58,13 @@ func ExampleWorld_SetACL() {
 func ExampleSession_Begin() {
 	world := oceanstore.NewWorld(9, exampleConfig())
 	alice := world.NewClient("alice")
-	acct, _ := alice.Create("acct", []byte("balance=100"))
+	acct, _ := alice.Create("acct", []byte("deposits:"))
 	sess := alice.NewSession(oceanstore.ACID)
 
 	tx1, _ := sess.Begin(acct)
 	tx2, _ := sess.Begin(acct)
-	tx1.Replace(0, []byte("balance=150"))
-	tx2.Replace(0, []byte("balance=050"))
+	tx1.Append([]byte(" +50"))
+	tx2.Append([]byte(" +70"))
 	tx1.Commit()
 	tx2.Commit()
 	world.Run(2 * time.Minute)
@@ -76,5 +76,5 @@ func ExampleSession_Begin() {
 	// Output:
 	// tx1 committed: true
 	// tx2 aborted:   true
-	// balance=150
+	// deposits: +50
 }

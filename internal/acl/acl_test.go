@@ -114,6 +114,16 @@ func TestCheckWrite(t *testing.T) {
 	if err := s.CheckWrite(signedUpdate(t, writer, other)); err != ErrNoACL {
 		t.Fatalf("no-acl: %v, want ErrNoACL", err)
 	}
+
+	// A certificate whose ACL the store never received grants no one
+	// but the owner.
+	unseen := guid.FromOwnerAndName(owner.Public(), "unseen-acl")
+	if err := s.AddCert(Certify(owner, unseen, &ACL{Entries: []Entry{{PubKey: stranger.Public(), Priv: PrivWrite}}}, 1), "unseen-acl"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckWrite(signedUpdate(t, stranger, unseen)); err != ErrNoACL {
+		t.Fatalf("certified ACL never added: %v, want ErrNoACL", err)
+	}
 }
 
 func TestRevocationViaRecertify(t *testing.T) {

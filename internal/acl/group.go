@@ -28,15 +28,6 @@ func (g *Group) Add(pub []byte) {
 // Remove drops a member.
 func (g *Group) Remove(pub []byte) { delete(g.members, string(pub)) }
 
-// Contains reports membership.
-func (g *Group) Contains(pub []byte) bool {
-	_, ok := g.members[string(pub)]
-	return ok
-}
-
-// Len returns the member count.
-func (g *Group) Len() int { return len(g.members) }
-
 // Members returns the member keys in deterministic order.
 func (g *Group) Members() [][]byte {
 	keys := make([]string, 0, len(g.members))
@@ -59,15 +50,4 @@ func (g *Group) ToACL(priv Privilege) *ACL {
 		a.Entries = append(a.Entries, Entry{PubKey: pub, Priv: priv})
 	}
 	return a
-}
-
-// Merge compiles several groups (and extra individual keys) into one
-// ACL — e.g. an editors group with admin plus a contributors group
-// with write.
-func Merge(parts ...*ACL) *ACL {
-	out := &ACL{}
-	for _, p := range parts {
-		out.Entries = append(out.Entries, p.Entries...)
-	}
-	return out
 }

@@ -312,8 +312,8 @@ func (s *slot) setCommit(id int, d guid.GUID) {
 
 // windowSpan bounds the sequence window: checkpointWindow sequence
 // numbers behind the execution cursor plus every request one object can
-// have in flight ahead of it (soak worlds cap unresolved writes at 1024
-// world-wide).
+// have in flight ahead of it (soak worlds cap an object's unresolved
+// writes at 1024).
 const windowSpan = 2048
 
 // ran reports whether seq executed inside the checkpoint window,

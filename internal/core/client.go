@@ -102,12 +102,11 @@ type Session struct {
 	// objs is what the session tracks per object.  An object has an
 	// entry only while it holds an unresolved write or a read floor.
 	objs map[guid.GUID]sessObj
-	// onCommit/onAbort are the callback registry of §4.6.
+	// onCommit is the callback registry of §4.6.
 	onCommit []func(obj guid.GUID, id update.UpdateID)
-	onAbort  []func(obj guid.GUID, id update.UpdateID)
 	// UpdateTimeout, when non-zero, bounds how long a submitted write may
 	// stay unresolved in virtual time.  At the deadline the session gives
-	// up: abort callbacks fire, the byz client stops retransmitting, and
+	// up: the write aborts, the byz client stops retransmitting, and
 	// the next queued write (MonotonicWrites) is released.  Zero keeps
 	// the protocol default of retransmitting until partitions heal.
 	UpdateTimeout time.Duration
@@ -154,12 +153,6 @@ func (c *Client) NewSession(g Guarantees) *Session {
 // updates commits.
 func (s *Session) OnCommit(cb func(obj guid.GUID, id update.UpdateID)) {
 	s.onCommit = append(s.onCommit, cb)
-}
-
-// OnAbort registers a callback fired when one of this session's updates
-// aborts (its guards all failed at commit time).
-func (s *Session) OnAbort(cb func(obj guid.GUID, id update.UpdateID)) {
-	s.onAbort = append(s.onAbort, cb)
 }
 
 // eligibleSecondaries calls yield, in node order, for each floating
@@ -326,12 +319,12 @@ func (s *Session) Editor(obj guid.GUID) (*object.Editor, *object.Version, error)
 	return ed.WithSalt(s.c.Signer.GUID().Uint64()), v, nil
 }
 
-// Submit signs and submits a fully formed update; callbacks fire on the
-// primary tier's decision.  Guards are the caller's (see Append for the
-// common case, or the tx facade for ACID).  Under MonotonicWrites a
-// write waits until the session's previous write to the same object
-// resolves, so writes apply in issue order even across retransmissions
-// and view changes.
+// Submit signs and submits a fully formed update; commit callbacks fire
+// on the primary tier's decision.  Guards are the caller's (see Append
+// for the common case, or the tx facade for ACID).  Under
+// MonotonicWrites a write waits until the session's previous write to
+// the same object resolves, so writes apply in issue order even across
+// retransmissions and view changes.
 func (s *Session) Submit(u *update.Update) update.UpdateID {
 	return s.submit(u, nil)
 }
@@ -396,22 +389,21 @@ func (s *Session) send(w *write) {
 	ring.Submit(c.Node, u, c.Spread, nil)
 }
 
-// resolve decides a write's outcome: the session's callbacks run, then
-// the write's done; then the write leaves its object's list and, under
-// MonotonicWrites, the next write to the object is released.  A write
-// submitted from a callback therefore queues behind this one.  An object
-// left with no write and no read floor leaves the session.  It runs
-// once per write: the waiter and the timeout each cancel the other.
+// resolve decides a write's outcome: on a commit the session's
+// callbacks run; then the write's done; then the write leaves its
+// object's list and, under MonotonicWrites, the next write to the
+// object is released.  A write submitted from a callback therefore
+// queues behind this one.  An object left with no write and no read
+// floor leaves the session.  It runs once per write: the waiter and the
+// timeout each cancel the other.
 func (s *Session) resolve(w *write, committed bool) {
 	w.resolved = true
 	w.timeout.Stop()
-	obj, id := w.u.Object, w.u.ID()
-	cbs := s.onAbort
+	obj := w.u.Object
 	if committed {
-		cbs = s.onCommit
-	}
-	for _, cb := range cbs {
-		cb(obj, id)
+		for _, cb := range s.onCommit {
+			cb(obj, w.u.ID())
+		}
 	}
 	if w.done != nil {
 		w.done(committed)
@@ -443,12 +435,8 @@ func (s *Session) Append(obj guid.GUID, payload []byte) (update.UpdateID, error)
 	return s.Submit(u), nil
 }
 
-// Replace overwrites the logical block at index idx.
-func (s *Session) Replace(obj guid.GUID, idx int, payload []byte) (update.UpdateID, error) {
-	return s.replace(obj, idx, payload, nil)
-}
-
-// replace is Replace with submit's done.
+// replace overwrites the logical block at index idx, unconditionally;
+// done is submit's.
 func (s *Session) replace(obj guid.GUID, idx int, payload []byte, done func(committed bool)) (update.UpdateID, error) {
 	ed, _, err := s.Editor(obj)
 	if err != nil {

@@ -137,7 +137,7 @@ func TestVersionQualifiedReads(t *testing.T) {
 		t.Fatal("nonexistent version read")
 	}
 	// Retirement drops old versions (latest survives).
-	dropped := ring.History().Retire(object.KeepLast{N: 1})
+	dropped := ring.History().Retire(object.KeepLandmarks{N: 1})
 	if dropped == 0 {
 		t.Fatal("nothing retired")
 	}
@@ -270,9 +270,6 @@ func TestWorkingGroups(t *testing.T) {
 	editors := acl.NewGroup("editors")
 	editors.Add(member1.Signer.Public())
 	editors.Add(member2.Signer.Public())
-	if editors.Len() != 2 || !editors.Contains(member1.Signer.Public()) {
-		t.Fatal("group membership broken")
-	}
 	if err := p.SetACL(owner.Signer, obj, editors.ToACL(acl.PrivWrite), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -295,49 +292,6 @@ func TestWorkingGroups(t *testing.T) {
 	got, _ := owner.NewSession(ACID).Read(obj)
 	if string(got) != "doc;m1;" {
 		t.Fatalf("after revocation: %q", got)
-	}
-	// Merge builds composite ACLs.
-	admins := acl.NewGroup("admins")
-	admins.Add(owner.Signer.Public())
-	merged := acl.Merge(editors.ToACL(acl.PrivWrite), admins.ToACL(acl.PrivAdmin))
-	if len(merged.Entries) != 2 {
-		t.Fatalf("merged entries = %d", len(merged.Entries))
-	}
-}
-
-func TestConflictBranches(t *testing.T) {
-	p := smallPool(25)
-	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
-	obj, err := alice.Create("branchy", []byte("base"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, _ := p.Ring(obj)
-	key, _ := alice.Keys.Key(obj)
-
-	// A client whose guarded update lost the race records its intended
-	// result as a branch off the version it assumed.
-	parent := ring.CommittedVersion()
-	ed, _ := object.NewEditor(parent, key)
-	branch := parent.Clone(p.K.Now())
-	if err := branch.ApplyOp(ed.Append([]byte("-mine"))); err != nil {
-		t.Fatal(err)
-	}
-	if !ring.History().AddBranch(parent.GUID(), branch) {
-		t.Fatal("branch on retained parent rejected")
-	}
-	bs := ring.History().Branches(parent.GUID())
-	if len(bs) != 1 {
-		t.Fatalf("branches = %d", len(bs))
-	}
-	// The branch is readable by GUID like any version.
-	got, err := alice.NewSession(ACID).ReadAt(obj, naming.Ref{HasVersion: true, ByGUID: true, VersionGUID: branch.GUID()})
-	if err != nil || string(got) != "base-mine" {
-		t.Fatalf("branch read %q err %v", got, err)
-	}
-	// Unknown parent is rejected.
-	if ring.History().AddBranch(guid.FromData([]byte("nonexistent-parent")), branch) {
-		t.Fatal("branch on unknown parent accepted")
 	}
 }
 

@@ -70,15 +70,21 @@ func TestTimedOutWriteLeavesNothing(t *testing.T) {
 	sess := alice.NewSession(ACID)
 	sess.UpdateTimeout = 30 * time.Second
 	commits, aborts := 0, 0
-	sess.OnCommit(func(guid.GUID, update.UpdateID) { commits++ })
-	sess.OnAbort(func(guid.GUID, update.UpdateID) { aborts++ })
 	ring, _ := p.Ring(obj)
 	for _, n := range ring.PrimaryNodes()[1:] {
 		p.Net.SetPartition(n, 1)
 	}
-	if _, err := sess.Append(obj, []byte("late")); err != nil {
+	ed, _, err := sess.Editor(obj)
+	if err != nil {
 		t.Fatal(err)
 	}
+	sess.submit(update.NewUnconditional(obj, update.BlockOps(ed.Append([]byte("late")))), func(ok bool) {
+		if ok {
+			commits++
+		} else {
+			aborts++
+		}
+	})
 	p.Run(time.Minute)
 	if aborts != 1 || commits != 0 {
 		t.Fatalf("at the deadline: %d aborts and %d commits, want 1 and 0", aborts, commits)

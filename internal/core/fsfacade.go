@@ -232,35 +232,6 @@ func (f *FS) ReadDir(path string) ([]string, error) {
 	return names, nil
 }
 
-// Remove unbinds a file or (empty) directory.  The object itself
-// remains in the infrastructure — versions are permanent; only the name
-// binding goes away.
-func (f *FS) Remove(path string) error {
-	parent, name, err := f.walk(path)
-	if err != nil {
-		return err
-	}
-	d, err := f.readDir(parent)
-	if err != nil {
-		return err
-	}
-	e, ok := d.Lookup(name)
-	if !ok {
-		return fmt.Errorf("fs: %q: no such entry", path)
-	}
-	if e.Dir {
-		sub, err := f.readDir(e.GUID)
-		if err != nil {
-			return err
-		}
-		if len(sub.Entries) != 0 {
-			return fmt.Errorf("fs: %q: directory not empty", path)
-		}
-	}
-	d.Unbind(name)
-	return f.writeDir(parent, d)
-}
-
 // Rename moves a binding to a new path.  Within one directory this is
 // a single directory update (atomic); across directories the new
 // binding appears before the old one disappears, so a crash in between

@@ -35,8 +35,10 @@ type SoakConfig struct {
 	// BlockSize is the object block granularity; soak writes replace
 	// block 0, so object state stays bounded over a million updates.
 	BlockSize int
-	// MaxInFlight is the backpressure threshold: accepted-but-
-	// unresolved writes beyond it shed new requests (ErrOverloaded).
+	// MaxInFlight is the backpressure threshold, per object: a write to
+	// an object with this many accepted-but-unresolved writes is shed
+	// (ErrOverloaded), so a wedged tier sheds only its own object's
+	// writes.
 	MaxInFlight int
 	// ArchiveEvery archives a ring every N commits (soak loosens the
 	// paper's every-commit coupling so archival cost stays sublinear).
@@ -90,8 +92,8 @@ const (
 	// write stalled behind churn retransmits forever and a closed loop
 	// never finishes.
 	soakWriteTimeout = 2 * time.Minute
-	// soakRetainVersions caps each object's retained version history
-	// (object.KeepLast); deep-archival copies persist regardless.
+	// soakRetainVersions caps each object's retained version history;
+	// deep-archival copies persist regardless.
 	soakRetainVersions = 8
 	// soakFaults is f per primary tier (3f+1 members).
 	soakFaults = 1
@@ -141,8 +143,8 @@ func DefaultSoakConfig(nodes int) SoakConfig {
 // SoakWorld is a pool wired up as a workload.Target: reads are served
 // through sessions, writes resolve through the full Fig-5 update path
 // (agreement, dissemination, archival), creates provision fresh
-// objects with secondaries, and backpressure sheds load once too many
-// writes are unresolved.
+// objects with secondaries, and backpressure sheds an object's writes
+// once too many of them are unresolved.
 type SoakWorld struct {
 	Pool *Pool
 	cfg  SoakConfig
@@ -150,8 +152,9 @@ type SoakWorld struct {
 	owner    *Client
 	sessions []*Session
 	objects  []guid.GUID
-	// writes holds, beside each of objects, its writes' tally for the
-	// exactly-once check in Problems.
+	// writes holds, beside each of objects, its writes' tally: what
+	// backpressure admits against, and the exactly-once check in
+	// Problems.
 	writes []writeTally
 	// writers grants every soak client write privilege; each object's
 	// one certificate binds it at creation.
@@ -161,8 +164,6 @@ type SoakWorld struct {
 	// helper until their create joins them.
 	ahead [certLookahead]*acl.Certificate
 
-	// inflight counts accepted writes not yet resolved (backpressure).
-	inflight int
 	// reads counts modeled reads scheduled and not yet completed.
 	reads int
 
@@ -368,8 +369,15 @@ func (w *SoakWorld) Objects() []guid.GUID {
 	return append([]guid.GUID(nil), w.objects...)
 }
 
-// InFlight reports unresolved accepted writes (backpressure level).
-func (w *SoakWorld) InFlight() int { return w.inflight }
+// InFlight reports the accepted writes not yet resolved, over every
+// object.
+func (w *SoakWorld) InFlight() int {
+	n := 0
+	for _, t := range w.writes {
+		n += t.unresolved()
+	}
+	return n
+}
 
 // Problems checks the world's end state, at quiescence, and describes
 // each violation it finds; none means every check passed.  Checked:
@@ -395,9 +403,9 @@ func (w *SoakWorld) Problems() []string {
 		primary := ring.PrimaryState()
 		t := w.writes[i]
 		switch n := primary.CommittedLen() - t.base; {
-		case t.sent != t.acked+t.abandoned:
+		case t.unresolved() != 0:
 			out = append(out, fmt.Sprintf("object %s: %d writes accepted, but %d were acknowledged and %d abandoned: %d still in flight",
-				obj.Short(), t.sent, t.acked, t.abandoned, t.sent-t.acked-t.abandoned))
+				obj.Short(), t.sent, t.acked, t.abandoned, t.unresolved()))
 		case n < t.acked || n > t.acked+t.abandoned:
 			out = append(out, fmt.Sprintf("object %s: the primary committed %d writes, but %d were acknowledged and %d abandoned",
 				obj.Short(), n, t.acked, t.abandoned))
@@ -412,6 +420,10 @@ func (w *SoakWorld) Problems() []string {
 // or timed out) — and holds base, its primary's committed length at
 // creation.
 type writeTally struct{ base, sent, acked, abandoned int }
+
+// unresolved is how many of the object's accepted writes have not yet
+// been acknowledged or abandoned.
+func (t writeTally) unresolved() int { return t.sent - t.acked - t.abandoned }
 
 // createObject provisions one object with its floating replicas,
 // bound to the writers ACL by the certificate started certLookahead
@@ -598,21 +610,19 @@ func (h soakHost) Demote(obj int) bool {
 // Do implements workload.Target.  Reads and creates complete
 // synchronously (a read is a local replica inspection in this
 // simulation); writes resolve when the primary tier's decision — or
-// the session's timeout — arrives.
+// the session's timeout — arrives.  Only writes are shed, each against
+// its own object's unresolved writes.
 func (w *SoakWorld) Do(req workload.Request, done func(ok bool)) error {
 	s := w.sessions[req.Client%len(w.sessions)]
 	switch req.Kind {
 	case workload.OpCreate:
-		if w.cfg.MaxInFlight > 0 && w.inflight >= w.cfg.MaxInFlight {
-			return workload.ErrOverloaded
-		}
 		_, err := w.createObject()
 		done(err == nil)
 	case workload.OpWrite:
-		if w.cfg.MaxInFlight > 0 && w.inflight >= w.cfg.MaxInFlight {
+		idx := req.Object % len(w.objects)
+		if w.cfg.MaxInFlight > 0 && w.writes[idx].unresolved() >= w.cfg.MaxInFlight {
 			return workload.ErrOverloaded
 		}
-		idx := req.Object % len(w.objects)
 		obj := w.objects[idx]
 		if w.ctrl != nil {
 			w.ctrl.ObserveWrite(idx)
@@ -630,14 +640,12 @@ func (w *SoakWorld) Do(req workload.Request, done func(ok bool)) error {
 			} else {
 				w.writes[idx].abandoned++
 			}
-			w.inflight--
 			done(ok)
 		}); err != nil {
 			done(false)
 			return nil
 		}
 		w.writes[idx].sent++
-		w.inflight++
 	default: // OpRead
 		idx := req.Object % len(w.objects)
 		obj := w.objects[idx]

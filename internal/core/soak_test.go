@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -120,6 +121,68 @@ func TestSoakWorldBackpressure(t *testing.T) {
 	}
 	if st.OK < 150 {
 		t.Fatalf("too few successes under backpressure: %+v", st)
+	}
+}
+
+// TestSoakWorldShedsPerObject: backpressure is per object.  One
+// object's tier is partitioned away from every client, so its writes
+// wedge; once it holds MaxInFlight of them it sheds its own next write,
+// but every write to the other object is admitted and commits, and a
+// create is not shed.  Under one world-wide count the wedged writes
+// held every slot and the other object's writes were shed too.
+func TestSoakWorldShedsPerObject(t *testing.T) {
+	const limit = 4
+	cfg := DefaultSoakConfig(64)
+	cfg.Objects = 2
+	cfg.MaxInFlight = limit
+	w, err := NewSoakWorld(3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedged, _ := w.Pool.Ring(w.objects[0])
+	healthy, _ := w.Pool.Ring(w.objects[1])
+	for _, n := range wedged.PrimaryNodes() {
+		if slices.Contains(healthy.PrimaryNodes(), n) {
+			t.Fatalf("the two tiers share node %d", n)
+		}
+		w.Pool.Net.SetPartition(n, 1)
+	}
+	client := slices.IndexFunc(w.sessions, func(s *Session) bool {
+		return !slices.Contains(wedged.PrimaryNodes(), s.c.Node)
+	})
+	write := func(obj int, done func(bool)) error {
+		return w.Do(workload.Request{Client: client, Kind: workload.OpWrite, Object: obj, Size: 16}, done)
+	}
+	for i := 0; i < limit; i++ {
+		if err := write(0, func(bool) {}); err != nil {
+			t.Fatalf("write %d to the wedged object: %v", i, err)
+		}
+	}
+	if err := write(0, func(bool) {}); err != workload.ErrOverloaded {
+		t.Fatalf("write past the wedged object's cap: %v, want ErrOverloaded", err)
+	}
+	committed := 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < limit; i++ {
+			if err := write(1, func(ok bool) {
+				if ok {
+					committed++
+				}
+			}); err != nil {
+				t.Fatalf("round %d, write %d to the healthy object: %v", round, i, err)
+			}
+		}
+		w.Pool.K.RunFor(20 * time.Second)
+	}
+	if committed != 3*limit {
+		t.Fatalf("%d of the healthy object's %d writes committed", committed, 3*limit)
+	}
+	created := false
+	if err := w.Do(workload.Request{Client: client, Kind: workload.OpCreate}, func(ok bool) { created = ok }); err != nil || !created {
+		t.Fatalf("create beside the wedged object: err %v, created %v", err, created)
+	}
+	if got := w.InFlight(); got != limit {
+		t.Fatalf("InFlight = %d, want the wedged object's %d", got, limit)
 	}
 }
 

@@ -76,19 +76,6 @@ func (t *Tx) Append(payload []byte) error {
 	return nil
 }
 
-// Replace stages an overwrite of logical block idx.
-func (t *Tx) Replace(idx int, payload []byte) error {
-	if t.submitted {
-		return errors.New("core: transaction already submitted")
-	}
-	op, err := t.ed.Replace(idx, payload)
-	if err != nil {
-		return err
-	}
-	t.staged = append(t.staged, op)
-	return nil
-}
-
 // Delete stages a delete of logical block idx.
 func (t *Tx) Delete(idx int) error {
 	if t.submitted {

@@ -52,7 +52,6 @@ func harnessPool(seed int64) *core.Pool {
 type chaosOutcome struct {
 	stats       simnet.Stats
 	committed   []string // markers whose commit callback fired
-	aborted     []string // markers that timed out / aborted
 	finalData   string   // committed object contents after settle
 	readsOK     int      // remote reads that returned data
 	readsErr    int      // remote reads that errored by deadline
@@ -122,9 +121,6 @@ func chaosRun(seed int64, plan fault.Plan, trace func(simnet.TraceEvent)) (chaos
 	markers := make(map[update.UpdateID]string)
 	writer.OnCommit(func(_ guid.GUID, id update.UpdateID) {
 		out.committed = append(out.committed, markers[id])
-	})
-	writer.OnAbort(func(_ guid.GUID, id update.UpdateID) {
-		out.aborted = append(out.aborted, markers[id])
 	})
 	for i := 0; i < 12; i++ {
 		i := i

@@ -108,21 +108,3 @@ func (c *ClusterRecognizer) Clusters(threshold float64) [][]guid.GUID {
 	})
 	return out
 }
-
-// Decay ages all edges by factor (0..1), so stale relationships fade
-// and the recognizer adapts to shifting working sets.
-func (c *ClusterRecognizer) Decay(factor float64) {
-	for a, m := range c.weight {
-		for b, w := range m {
-			w *= factor
-			if w < 0.05 {
-				delete(m, b)
-			} else {
-				m[b] = w
-			}
-		}
-		if len(m) == 0 {
-			delete(c.weight, a)
-		}
-	}
-}

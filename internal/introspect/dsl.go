@@ -105,9 +105,6 @@ func (in *Instance) Feed(ev Event) float64 {
 	return in.eval(in.p.root, ev)
 }
 
-// Fired is a convenience wrapper treating the value as a boolean.
-func (in *Instance) Fired(ev Event) bool { return in.Feed(ev) != 0 }
-
 func tokenize(src string) []string {
 	src = strings.ReplaceAll(src, "(", " ( ")
 	src = strings.ReplaceAll(src, ")", " ) ")

@@ -16,7 +16,7 @@ func ExampleCompile() {
 	}
 	h := prog.NewInstance()
 	for _, load := range []float64{40, 80, 180, 220} {
-		fired := h.Fired(introspect.Event{Name: "access", Fields: map[string]float64{"load": load}})
+		fired := h.Feed(introspect.Event{Name: "access", Fields: map[string]float64{"load": load}}) != 0
 		fmt.Printf("load=%3.0f fired=%v\n", load, fired)
 	}
 	// Loops are rejected at compile time.

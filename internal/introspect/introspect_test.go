@@ -1,7 +1,6 @@
 package introspect
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -89,10 +88,10 @@ func TestDSLCountFilterWhen(t *testing.T) {
 	}
 	// Threshold trigger.
 	trig := MustCompile("(when (> (ewma load 1) 5))").NewInstance()
-	if trig.Fired(ev("a", "load", 3.0)) {
+	if trig.Feed(ev("a", "load", 3.0)) != 0 {
 		t.Fatal("fired below threshold")
 	}
-	if !trig.Fired(ev("a", "load", 9.0)) {
+	if trig.Feed(ev("a", "load", 9.0)) == 0 {
 		t.Fatal("did not fire above threshold")
 	}
 	// filter returns the value when the predicate holds.
@@ -219,17 +218,18 @@ func TestClusterRecognition(t *testing.T) {
 	if c.EdgeWeight(g(1), g(2)) != c.EdgeWeight(g(2), g(1)) {
 		t.Fatal("edge weight not symmetric")
 	}
-	// Decay fades relationships.
-	w := c.EdgeWeight(g(1), g(2))
-	c.Decay(0.5)
-	if got := c.EdgeWeight(g(1), g(2)); math.Abs(got-w/2) > 1e-9 {
-		t.Fatalf("decay: %v -> %v", w, got)
+}
+
+// TestClusterRecognizerDefaultWindow: a window below one falls back to
+// eight accesses, so an access pairs with the eight before it and no
+// earlier one.
+func TestClusterRecognizerDefaultWindow(t *testing.T) {
+	c := NewClusterRecognizer(0)
+	for b := byte(1); b <= 10; b++ {
+		c.Access(g(b))
 	}
-	for i := 0; i < 20; i++ {
-		c.Decay(0.1)
-	}
-	if len(c.Clusters(1)) != 0 {
-		t.Fatal("fully decayed graph still clusters")
+	if w9, w10 := c.EdgeWeight(g(1), g(9)), c.EdgeWeight(g(1), g(10)); w9 != 1 || w10 != 0 {
+		t.Fatalf("edges from the first access: %v to the ninth, %v to the tenth; want 1 and 0", w9, w10)
 	}
 }
 

@@ -40,8 +40,7 @@ func (c *ClusterRecognizer) PrefetchCandidates(obj guid.GUID, threshold float64)
 type MigrationDetector struct {
 	period time.Duration
 	slots  int
-	// counts[slot][site] accumulates accesses with exponential decay so
-	// the detector adapts when habits change.
+	// counts[slot][site] counts the accesses from site in slot.
 	counts []map[int]float64
 }
 
@@ -73,20 +72,6 @@ func (m *MigrationDetector) slot(t time.Duration) int {
 // Observe records an access from a site at virtual time t.
 func (m *MigrationDetector) Observe(site int, t time.Duration) {
 	m.counts[m.slot(t)][site]++
-}
-
-// Decay ages all counts by factor, so old patterns fade.
-func (m *MigrationDetector) Decay(factor float64) {
-	for _, slot := range m.counts {
-		for site, c := range slot {
-			c *= factor
-			if c < 0.05 {
-				delete(slot, site)
-			} else {
-				slot[site] = c
-			}
-		}
-	}
 }
 
 // PredictSite returns the site that historically dominates the slot

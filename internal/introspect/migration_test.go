@@ -72,30 +72,6 @@ func TestMigrationDetectorDayNightCycle(t *testing.T) {
 	}
 }
 
-func TestMigrationDetectorAdaptsViaDecay(t *testing.T) {
-	const day = 24 * time.Hour
-	m := NewMigrationDetector(day, 24)
-	// Old habit: site 1 at noon.
-	for d := 0; d < 10; d++ {
-		m.Observe(1, time.Duration(d)*day+12*time.Hour)
-	}
-	// Habit changes to site 2; decay ages the old signal.
-	for d := 10; d < 16; d++ {
-		m.Decay(0.5)
-		m.Observe(2, time.Duration(d)*day+12*time.Hour)
-	}
-	if site, ok := m.PredictSite(100*day + 12*time.Hour); !ok || site != 2 {
-		t.Fatalf("after habit change predicted %d, want 2", site)
-	}
-	// Full decay removes all signal.
-	for i := 0; i < 30; i++ {
-		m.Decay(0.1)
-	}
-	if _, ok := m.PredictSite(100*day + 12*time.Hour); ok {
-		t.Fatal("fully decayed detector still predicts")
-	}
-}
-
 func TestMigrationDetectorDegenerateConfig(t *testing.T) {
 	m := NewMigrationDetector(time.Hour, 0) // slots defaulted
 	m.Observe(3, 30*time.Minute)

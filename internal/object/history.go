@@ -15,16 +15,13 @@ import (
 type History struct {
 	versions []*Version // ascending by Num; always retains the latest
 	byGUID   map[guid.GUID]*Version
-	// branches holds conflict branches keyed by the parent version they
-	// diverged from (Lotus Notes-style, §4.4.1).
-	branches map[guid.GUID][]*Version
-	// bound, when >0, caps the chain: Add retires it to KeepLast{bound}
-	// as each new version arrives, so a hot object never holds more than
-	// bound versions.  0 = unbounded.
+	// bound, when >0, caps the chain: Add retires it to its newest bound
+	// versions as each new version arrives, so a hot object never holds
+	// more than bound versions.  0 = unbounded.
 	bound int
 }
 
-// SetBound installs a KeepLast{N: n} bound that Add enforces on every
+// SetBound installs a bound of n versions that Add enforces on every
 // new version.  0 restores unbounded growth (already-retired versions
 // stay gone).
 func (h *History) SetBound(n int) { h.bound = n }
@@ -45,7 +42,7 @@ func (h *History) Add(v *Version) {
 	h.versions = append(h.versions, v)
 	h.byGUID[v.GUID()] = v
 	if h.bound > 0 && len(h.versions) > h.bound {
-		h.Retire(KeepLast{N: h.bound})
+		h.Retire(KeepLandmarks{N: h.bound})
 	}
 }
 
@@ -66,74 +63,24 @@ func (h *History) ByGUID(g guid.GUID) (*Version, bool) {
 	return v, ok
 }
 
-// RetirementPolicy selects which versions to keep, Elephant-style [44].
-type RetirementPolicy interface {
-	// Retain reports whether the version at index i of versions (sorted
-	// ascending, latest last) should be kept.
-	Retain(versions []*Version, i int) bool
-}
-
-// KeepAll retains every version ("in principle every version of every
-// object is archived").
-type KeepAll struct{}
-
-// Retain always reports true.
-func (KeepAll) Retain([]*Version, int) bool { return true }
-
-// KeepLast retains only the N most recent versions.
-type KeepLast struct{ N int }
-
-// Retain keeps the trailing N entries.
-func (p KeepLast) Retain(versions []*Version, i int) bool {
-	return i >= len(versions)-p.N
-}
-
-// KeepLandmarks retains every Every-th version plus the last N — the
-// "landmark" pattern for long-lived objects.
+// KeepLandmarks is the retirement policy, Elephant-style [44]: it
+// keeps every Every-th version (the landmarks of a long-lived object;
+// 0 keeps none) plus the N most recent.
 type KeepLandmarks struct {
 	Every uint64
 	N     int
 }
 
-// Retain keeps landmarks and the recent tail.
-func (p KeepLandmarks) Retain(versions []*Version, i int) bool {
-	if i >= len(versions)-p.N {
-		return true
-	}
-	return p.Every > 0 && versions[i].Num%p.Every == 0
-}
-
-// AddBranch records a version that diverges from a retained parent —
-// the Lotus Notes-style conflict handling the paper sketches (§4.4.1:
-// "unresolvable conflicts result in a branch in the object's version
-// stream").  Branch versions live outside the main chain; applications
-// surface them to users for manual resolution.
-func (h *History) AddBranch(parent guid.GUID, v *Version) bool {
-	if _, ok := h.byGUID[parent]; !ok {
-		return false
-	}
-	if h.branches == nil {
-		h.branches = make(map[guid.GUID][]*Version)
-	}
-	h.branches[parent] = append(h.branches[parent], v)
-	h.byGUID[v.GUID()] = v
-	return true
-}
-
-// Branches lists the conflict branches recorded at a parent version.
-func (h *History) Branches(parent guid.GUID) []*Version {
-	return append([]*Version(nil), h.branches[parent]...)
-}
-
-// Retire drops versions the policy rejects.  The latest version is
-// always retained regardless of policy.  It returns how many versions
-// were dropped.  The survivors are compacted to the front of the chain
-// and the slots behind them cleared, so a dropped version is
+// Retire drops versions the policy does not keep.  The latest version
+// is always retained regardless of policy.  It returns how many
+// versions were dropped.  The survivors are compacted to the front of
+// the chain and the slots behind them cleared, so a dropped version is
 // unreachable from the history whichever versions the policy kept.
-func (h *History) Retire(p RetirementPolicy) int {
+func (h *History) Retire(p KeepLandmarks) int {
 	kept := h.versions[:0]
+	recent := len(h.versions) - max(p.N, 1)
 	for i, v := range h.versions {
-		if i == len(h.versions)-1 || p.Retain(h.versions, i) {
+		if i >= recent || p.Every > 0 && v.Num%p.Every == 0 {
 			kept = append(kept, v)
 		} else {
 			delete(h.byGUID, v.GUID())

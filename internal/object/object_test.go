@@ -382,10 +382,6 @@ func TestHistoryAndRetirement(t *testing.T) {
 	if got, ok := h.ByGUID(v5.GUID()); !ok || got != v5 {
 		t.Fatal("lookup by GUID failed")
 	}
-	// KeepAll retires nothing.
-	if d := h.Retire(KeepAll{}); d != 0 {
-		t.Fatalf("KeepAll dropped %d", d)
-	}
 	// KeepLandmarks: every 4th plus last 2 => keep 0,4,8,9.
 	if d := h.Retire(KeepLandmarks{Every: 4, N: 2}); d != 6 {
 		t.Fatalf("landmarks dropped %d, want 6", d)
@@ -393,8 +389,8 @@ func TestHistoryAndRetirement(t *testing.T) {
 	if len(h.versions) != 4 {
 		t.Fatalf("after landmarks len = %d", len(h.versions))
 	}
-	// KeepLast(1) retains only the newest.
-	if d := h.Retire(KeepLast{N: 1}); d != 3 {
+	// No landmarks and the last one retains only the newest.
+	if d := h.Retire(KeepLandmarks{N: 1}); d != 3 {
 		t.Fatalf("keeplast dropped %d, want 3", d)
 	}
 	if h.Latest().Num != 9 {

@@ -64,8 +64,8 @@ type Config struct {
 	// GossipInterval is the secondary anti-entropy period.
 	GossipInterval time.Duration
 	// HistoryBound caps the retained version history: each commit
-	// retires the chain to its newest HistoryBound versions
-	// (object.KeepLast).  0 = unbounded.
+	// retires the chain to its newest HistoryBound versions.
+	// 0 = unbounded.
 	HistoryBound int
 }
 

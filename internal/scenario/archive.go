@@ -1,24 +1,28 @@
 package scenario
 
 import (
+	"bytes"
 	"math/rand"
 	"time"
 
 	"oceanstore/internal/archive"
 	"oceanstore/internal/audit"
 	"oceanstore/internal/fault"
+	"oceanstore/internal/guid"
 	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 )
 
 // archWorld is the bare archival battleground most scenarios share: a
-// kernel, a network of stores, and a few archives to defend.
+// kernel, a network of stores, and a few archives to defend, each
+// archive's root beside the bytes archived under it.
 type archWorld struct {
-	k    *sim.Kernel
-	net  *simnet.Network
-	svc  *archive.Service
-	cfg  archive.Config
-	data [][]byte
+	k     *sim.Kernel
+	net   *simnet.Network
+	svc   *archive.Service
+	cfg   archive.Config
+	roots []guid.GUID
+	data  [][]byte
 }
 
 // newArchWorld builds nodes stores across domains holding `archives`
@@ -34,12 +38,38 @@ func newArchWorld(o Options, nodes, domains, archives int) *archWorld {
 	for i := 0; i < archives; i++ {
 		data := make([]byte, 1200)
 		rand.New(rand.NewSource(o.Seed + int64(i)*7919)).Read(data)
-		if _, err := svc.Archive(data, w.cfg, nil); err != nil {
+		root, err := svc.Archive(data, w.cfg, nil)
+		if err != nil {
 			panic(err)
 		}
+		w.roots = append(w.roots, root)
 		w.data = append(w.data, data)
 	}
 	return w
+}
+
+// checkAnswers records a violation for each archive that no longer
+// decodes to the bytes archived under its root.  It reads the stores of
+// the root's holders directly, so the check sends no message, and
+// decodes the fragments they hold that pass Verify, one per index.
+func (w *archWorld) checkAnswers(r *Result) {
+	for i, root := range w.roots {
+		var frags []archive.StoredFragment
+		have := make(map[int]bool)
+		for _, h := range w.svc.HoldersOf(root) {
+			st := w.svc.Store(h)
+			for _, idx := range archive.HeldIndexes(st, root) {
+				if sf, ok := st.Get(root, idx); ok && sf.Verify() && !have[idx] {
+					have[idx] = true
+					frags = append(frags, sf)
+				}
+			}
+		}
+		if got, err := archive.Decode(frags, w.cfg); err != nil || !bytes.Equal(got, w.data[i]) {
+			r.violate("archive %s does not decode to the bytes archived (%d verified fragments held: %v)",
+				root.Short(), len(frags), err)
+		}
+	}
 }
 
 // auditor arms the fragment auditor with the scenario's config.
@@ -122,6 +152,7 @@ func runBitRotDrizzle(o Options) Result {
 			r.violate("worst detection latency %v exceeds %v (30 audit rounds)", lat, bound)
 		}
 	}
+	w.checkAnswers(&r)
 	return r
 }
 
@@ -180,6 +211,7 @@ func runByzMinority(o Options) Result {
 	if liarSlots != 0 {
 		r.violate("liars still hold %d placement slots after repair", liarSlots)
 	}
+	w.checkAnswers(&r)
 	return r
 }
 
@@ -230,6 +262,7 @@ func runPartitionHealStorm(o Options) Result {
 	if st.Healthy == 0 {
 		r.violate("no poll ever concluded healthy after the heal")
 	}
+	w.checkAnswers(&r)
 	return r
 }
 
@@ -289,6 +322,7 @@ func runAZLoss(o Options) Result {
 	if st.Repairs == 0 {
 		r.violate("no repair re-dispersed the wiped fragments")
 	}
+	w.checkAnswers(&r)
 	return r
 }
 
@@ -354,5 +388,6 @@ func runAuditAmplification(o Options) Result {
 	if o.Defense && st.VotesSuppressed == 0 {
 		r.violate("the budget never suppressed a forged poll")
 	}
+	w.checkAnswers(&r)
 	return r
 }

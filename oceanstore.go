@@ -126,11 +126,6 @@ func (w *World) AddReplica(obj GUID, node int) error {
 	return w.Pool.AddReplica(obj, simnet.NodeID(node))
 }
 
-// RemoveReplica retires a floating replica.
-func (w *World) RemoveReplica(obj GUID, node int) error {
-	return w.Pool.RemoveReplica(obj, simnet.NodeID(node))
-}
-
 // Locate finds the closest replica of obj from a node via the global
 // location mesh.
 func (w *World) Locate(from int, obj GUID) (int, error) {

@@ -92,7 +92,7 @@ func TestReplicaPlacementAndLocation(t *testing.T) {
 	if err != nil || holder < 0 {
 		t.Fatalf("locate: %d %v", holder, err)
 	}
-	if err := world.RemoveReplica(doc, 5); err != nil {
+	if err := world.Pool.RemoveReplica(doc, 5); err != nil {
 		t.Fatal(err)
 	}
 }
