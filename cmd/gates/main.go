@@ -112,7 +112,7 @@ func programRow(prog, rail string) row {
 //	osexp -metrics soak.txt soak 1 -nodes 1000000 -ops 1000000
 //
 // introspect-10k: the control loop's EWMA folds, sorted candidate
-// passes and modeled read queues draw nothing from the wall clock or
+// passes and read service queues draw nothing from the wall clock or
 // scheduler interleaving, and the report carries the rails the flash
 // ablation greps for.
 //

@@ -103,7 +103,7 @@ func soakFlagSet() *flag.FlagSet {
 	fs.DurationVar(&o.flush, "flush", o.flush, "store fsync group-commit period (0 = fsync per batch)")
 	fs.BoolVar(&o.introspect, "introspect", o.introspect, "arm introspective replica management (promote/demote floating replicas on read heat)")
 	fs.DurationVar(&o.iepoch, "iepoch", o.iepoch, "introspection controller epoch (0 = default 10s); shorter reacts faster")
-	fs.DurationVar(&o.readSvc, "readsvc", o.readSvc, "modeled read service time per request (0 = auto: 2ms when -introspect or -flash, else synchronous reads; negative forces synchronous)")
+	fs.DurationVar(&o.readSvc, "readsvc", o.readSvc, "read service time per request: each read is a request and a reply through the network, queued FIFO behind the server's earlier reads (0 = auto: 2ms when -introspect or -flash, else synchronous local reads; negative forces synchronous)")
 	fs.DurationVar(&o.flash, "flash", o.flash, "virtual time a flash crowd starts (0 disables)")
 	fs.DurationVar(&o.flashFor, "flashfor", o.flashFor, "flash crowd duration")
 	fs.Float64Var(&o.flashMass, "flashmass", o.flashMass, "fraction of draws the flash redirects onto the hot set")
@@ -247,10 +247,11 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 		// determinism comparisons.
 		cs := ctrl.Stats()
 		traj := ctrl.Trajectory()
-		fmt.Fprintf(w, "introspect: %d epochs, %d promotes, %d demotes, %d denied; replicas now %d (epoch min %d max %d); read wire %.1f MB\n",
+		net := world.Pool.Net
+		fmt.Fprintf(w, "introspect: %d epochs, %d promotes, %d demotes, %d denied; replicas now %d (epoch min %d max %d); read wire %.1f MB requests, %.1f MB replies\n",
 			cs.Epochs, cs.Promotes, cs.Demotes, cs.Denied,
 			ctrl.TierSize(), traj.Min(), traj.Max(),
-			float64(world.ReadWireBytes())/1e6)
+			float64(net.KindBytes(core.KindReadReq))/1e6, float64(net.KindBytes(core.KindReadRep))/1e6)
 	}
 	if sc := world.Scheduler(); sc != nil {
 		// Scheduler counters are pure functions of the trajectory, so

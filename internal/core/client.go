@@ -245,25 +245,13 @@ func (s *Session) observe(obj guid.GUID, n int, ids []update.UpdateID) {
 // Read returns the object's logical contents as seen through the
 // session's guarantees.  The client must hold the read key.
 func (s *Session) Read(obj guid.GUID) ([]byte, error) {
-	if _, ok := s.c.Keys.Cipher(obj); !ok {
+	bc, ok := s.c.Keys.Cipher(obj)
+	if !ok {
 		return nil, errors.New("core: read permission denied (no key)")
 	}
 	rep, err := s.pickReplica(obj)
 	if err != nil {
 		return nil, err
-	}
-	return s.ReadReplica(obj, rep)
-}
-
-// ReadReplica reads obj from a replica the caller has already chosen —
-// the soak world's modeled read path picks servers queue-aware instead
-// of purely by distance, then completes the read here.  The caller is
-// responsible for having checked the replica against the session's
-// guarantees at selection time (Read does so via pickReplica).
-func (s *Session) ReadReplica(obj guid.GUID, rep *epidemic.Replica) ([]byte, error) {
-	bc, ok := s.c.Keys.Cipher(obj)
-	if !ok {
-		return nil, errors.New("core: read permission denied (no key)")
 	}
 	var v *object.Version
 	if s.g&ReadCommitted != 0 {

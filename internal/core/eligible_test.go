@@ -78,8 +78,8 @@ func TestEligibleSecondaries(t *testing.T) {
 
 	for i, tc := range cases {
 		s := sessions[i]
-		// The loop pickReplica, readCandidates and modeledRead each
-		// carried before they shared one.
+		// The loop pickReplica, readCandidates and the soak's modelled
+		// read each carried before they shared one.
 		var ref []simnet.NodeID
 		if s.g&ReadCommitted == 0 {
 			st := s.objs[obj]
@@ -113,8 +113,8 @@ func TestEligibleSecondaries(t *testing.T) {
 			t.Errorf("%s: pickReplica did not take the nearest eligible replica (err %v)", tc.name, err)
 		}
 		wantCands := append(byLatency, ring.PrimaryNodes()...)
-		if cands, err := s.readCandidates(obj); err != nil || !reflect.DeepEqual(cands, wantCands) {
-			t.Errorf("%s: readCandidates = %v (err %v), want %v", tc.name, cands, err, wantCands)
+		if cands, secs := s.readCandidates(ring, obj); secs != len(byLatency) || !reflect.DeepEqual(cands, wantCands) {
+			t.Errorf("%s: readCandidates = %v (%d secondaries), want %v", tc.name, cands, secs, wantCands)
 		}
 	}
 }

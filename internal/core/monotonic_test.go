@@ -46,7 +46,7 @@ func newMonotonicWorld(t *testing.T) *monotonicWorld {
 	ring, _ := p.Ring(obj)
 	var free []simnet.NodeID
 	for n := simnet.NodeID(0); n < simnet.NodeID(cfg.Nodes); n++ {
-		if n != reader.Node && !isPrimary(ring.PrimaryNodes(), n) {
+		if n != reader.Node && !ring.IsPrimary(n) {
 			free = append(free, n)
 		}
 	}
@@ -155,7 +155,7 @@ func TestMonotonicReadsFallBackToThePrimaryTier(t *testing.T) {
 	if rep != w.ring.PrimaryState() {
 		t.Fatal("a secondary without the update read served the session")
 	}
-	data, err := s.ReadReplica(w.obj, rep)
+	data, err := s.Read(w.obj)
 	if err != nil || string(data) != "" {
 		t.Fatalf("primary-tier read %q (err %v), want the committed \"\"", data, err)
 	}

@@ -152,8 +152,8 @@ func TestProblemsCountsEveryWriteOnce(t *testing.T) {
 
 // TestProblemsReportWorkInFlight: a world stopped before its drain,
 // with one object's primary tier cut off from the rest of the network,
-// reports that object's writes as still in flight, and a modeled read
-// as pending until it is served; healed and drained, it reports
+// reports that object's writes as still in flight, and a networked
+// read as in flight until its reply arrives; healed and drained, it reports
 // nothing.
 func TestProblemsReportWorkInFlight(t *testing.T) {
 	cfg := DefaultSoakConfig(32)
@@ -182,7 +182,7 @@ func TestProblemsReportWorkInFlight(t *testing.T) {
 	if err := w.Do(workload.Request{Client: 0, Kind: workload.OpRead, Object: 1}, func(bool) { resolved++ }); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"1 modeled reads still pending", "object " + obj.Short() + ": 3 writes accepted, but 0 were acknowledged and 0 abandoned: 3 still in flight"}
+	want := []string{"1 reads still in flight", "object " + obj.Short() + ": 3 writes accepted, but 0 were acknowledged and 0 abandoned: 3 still in flight"}
 	if probs := w.Problems(); !reflect.DeepEqual(probs, want) {
 		t.Fatalf("before the read is served: %q, want %q", probs, want)
 	}

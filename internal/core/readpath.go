@@ -1,14 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
+	"oceanstore/internal/crypt"
 	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 	"oceanstore/internal/replica"
+	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 	"oceanstore/internal/update"
 )
@@ -21,6 +25,11 @@ import (
 // capped exponential backoff under a virtual-time deadline, so a read
 // under churn either completes (usually via a retry, visible in
 // simnet.Stats) or fails by its deadline — it can never hang the clock.
+//
+// With a positive service time every server is a FIFO queue: a read
+// occupies its server for that long, so read latency is a queueing
+// quantity that degrades when few replicas absorb a flash crowd — the
+// signal the introspective controller reacts to by promoting (§4.7.2).
 
 // Wire kinds (simnet accounting tags).
 const (
@@ -34,8 +43,14 @@ var ErrReadTimeout = errors.New("core: read deadline exceeded")
 type readReq struct {
 	Object    guid.GUID
 	Committed bool
-	Reply     simnet.NodeID
-	Rid       uint64
+	// Floor asks for the IDs of the tentative updates read, which only a
+	// MonotonicReads session keeps.
+	Floor bool
+	Reply simnet.NodeID
+	Rid   uint64
+	// Tier asks a primary-tier member for the tier's state even when it
+	// also hosts a floating replica of the object.
+	Tier bool
 }
 
 type readRep struct {
@@ -48,15 +63,30 @@ type readRep struct {
 	Tentative []update.UpdateID
 }
 
+// readState is one read in flight.
 type readState struct {
-	done bool
-	cb   func(readRep, error)
+	s       *Session
+	ring    *replica.Ring
+	bc      *crypt.BlockCipher
+	cb      func([]byte, error)
+	req     readReq
+	attempt int
+	// expires is the read's deadline; timer is its one pending event,
+	// the next retry or the deadline, whichever comes first.
+	expires time.Duration
+	timer   sim.Timer
 }
 
-// readService is the pool-wide server side of remote reads plus the
-// client-side retry state.
+// readService is the pool-wide server side of remote reads, the
+// servers' queues, and the client-side retry state.
 type readService struct {
-	p        *Pool
+	p *Pool
+	// service is how long a server takes over one read; 0 serves each
+	// request on arrival, with no queue.
+	service time.Duration
+	// busy is each node's service-queue tail, the end of its last booked
+	// slot, grown on demand as the world grows.
+	busy     []time.Duration
 	nextRid  uint64
 	inflight map[uint64]*readState
 }
@@ -74,151 +104,211 @@ func (p *Pool) reads() *readService {
 func (rs *readService) handle(id simnet.NodeID, m simnet.Message) {
 	switch q := m.Payload.(type) {
 	case readReq:
-		ring, ok := rs.p.Ring(q.Object)
-		if !ok {
-			return
-		}
-		// Serve from the state this server actually holds: its secondary
-		// replica if it is one, the shared primary state if it is a
-		// primary-tier member; silence otherwise (the client will retry
-		// elsewhere).
-		var src *epidemic.Replica
-		if sec, ok := ring.Secondary(id); ok && !sec.Stale {
-			src = sec.Rep
-			sec.Reads++
-		} else if isPrimary(ring.PrimaryNodes(), id) {
-			src = ring.PrimaryState()
-		} else {
-			return
-		}
-		rep := readRep{Rid: q.Rid, Version: src.CommittedState(), Committed: src.CommittedLen()}
-		if !q.Committed {
-			rep.Version = src.TentativeState(rs.p.K.Now())
-			rep.Tentative = src.TentativeIDs(nil)
-		}
-		rs.p.Net.Send(id, q.Reply, KindReadRep, rep, rep.Version.BytesStored()+64)
+		rs.serve(id, q)
 	case readRep:
-		st, ok := rs.inflight[q.Rid]
-		if !ok || st.done {
-			return
-		}
-		st.done = true
-		delete(rs.inflight, q.Rid)
-		st.cb(q, nil)
+		rs.finish(q.Rid, q, nil)
 	}
 }
 
-func isPrimary(primaries []simnet.NodeID, id simnet.NodeID) bool {
-	for _, p := range primaries {
-		if p == id {
-			return true
+// serve answers q from the state server id holds: its floating replica
+// if it has a fresh one and q does not ask for the tier's, else the
+// primary tier's if it is a member; silence otherwise (the client will
+// retry elsewhere).  A queued request reaches serve at the end of its
+// booked slot, so the reply leaves then.
+func (rs *readService) serve(id simnet.NodeID, q readReq) {
+	ring, ok := rs.p.Ring(q.Object)
+	if !ok {
+		return
+	}
+	var src *epidemic.Replica
+	if sec, ok := ring.Secondary(id); ok && !sec.Stale && !q.Tier {
+		src = sec.Rep
+	} else if ring.IsPrimary(id) {
+		src = ring.PrimaryState()
+	} else {
+		return
+	}
+	rep := readRep{Rid: q.Rid, Committed: src.CommittedLen()}
+	if q.Committed {
+		rep.Version = src.CommittedState()
+	} else {
+		rep.Version = src.TentativeState(rs.p.K.Now())
+		if q.Floor {
+			rep.Tentative = src.TentativeIDs(nil)
 		}
 	}
-	return false
+	rs.p.Net.Send(id, q.Reply, KindReadRep, rep, rep.Version.BytesStored()+64)
+}
+
+// finish resolves read rid once: it stops the read's timer, forgets
+// it, and hands its callback the decrypted data or the error.
+func (rs *readService) finish(rid uint64, rep readRep, err error) {
+	st, ok := rs.inflight[rid]
+	if !ok {
+		return
+	}
+	delete(rs.inflight, rid)
+	st.timer.Stop()
+	var data []byte
+	if err == nil {
+		data, err = object.ViewWith(rep.Version, st.bc).Read()
+	}
+	if err != nil {
+		st.cb(nil, err)
+		return
+	}
+	if st.req.Floor {
+		st.s.observe(st.req.Object, rep.Committed, rep.Tentative)
+	}
+	st.cb(data, nil)
+}
+
+// slotEnd is when a read that reaches node lat from now would finish
+// service there, after node's queue.
+func (rs *readService) slotEnd(node simnet.NodeID, lat time.Duration) time.Duration {
+	start := rs.p.K.Now() + lat
+	if int(node) < len(rs.busy) {
+		start = max(start, rs.busy[node])
+	}
+	return start + rs.service
+}
+
+// book occupies node's next slot for a read that reaches it lat from
+// now and returns the slot's end.
+func (rs *readService) book(node simnet.NodeID, lat time.Duration) time.Duration {
+	end := rs.slotEnd(node, lat)
+	for int(node) >= len(rs.busy) {
+		rs.busy = append(rs.busy, 0)
+	}
+	rs.busy[node] = end
+	return end
+}
+
+// firstServer picks a queued read's first server in one pass: among the
+// secondaries the session may read and the live primary anchor, the one
+// whose reply would arrive first — request latency, queue wait,
+// service, reply latency — ties to the lower node.  tier reports the
+// anchor picked as a tier member; ok is false when there is no one to
+// ask.
+func (rs *readService) firstServer(s *Session, ring *replica.Ring, obj guid.GUID) (node simnet.NodeID, tier, ok bool) {
+	client, net := s.c.Node, rs.p.Net
+	best := time.Duration(-1)
+	consider := func(n simnet.NodeID, t bool) {
+		lat := net.Latency(client, n)
+		done := rs.slotEnd(n, lat) + lat
+		if best < 0 || done < best || (done == best && n < node) {
+			node, tier, best = n, t, done
+		}
+	}
+	s.eligibleSecondaries(ring, obj, func(sec *replica.Secondary) { consider(sec.Node, false) })
+	if a := ring.PrimaryAnchor(); !net.Node(a).Down() {
+		consider(a, true)
+	}
+	return node, tier, best >= 0
 }
 
 // readCandidates orders the servers a session's remote read should try:
-// acceptable live secondaries by ascending latency (floating replicas
-// are the latency story of §4.6), then the primary tier, which always
-// satisfies every guarantee.
-func (s *Session) readCandidates(obj guid.GUID) ([]simnet.NodeID, error) {
-	ring, ok := s.c.pool.Ring(obj)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown object %s", obj.Short())
-	}
-	var out []simnet.NodeID
+// the first secs are the acceptable live secondaries by ascending
+// latency (floating replicas are the latency story of §4.6), then the
+// live primary tier, which always satisfies every guarantee.
+func (s *Session) readCandidates(ring *replica.Ring, obj guid.GUID) (cands []simnet.NodeID, secs int) {
 	s.eligibleSecondaries(ring, obj, func(sec *replica.Secondary) {
-		out = append(out, sec.Node)
+		cands = append(cands, sec.Node)
 	})
 	net := s.c.pool.Net
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if net.Latency(s.c.Node, out[j]) < net.Latency(s.c.Node, out[i]) {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
+	slices.SortStableFunc(cands, func(a, b simnet.NodeID) int {
+		return cmp.Compare(net.Latency(s.c.Node, a), net.Latency(s.c.Node, b))
+	})
+	secs = len(cands)
 	for _, nid := range ring.PrimaryNodes() {
 		if !net.Node(nid).Down() {
-			out = append(out, nid)
+			cands = append(cands, nid)
 		}
 	}
-	return out, nil
+	return cands, secs
 }
 
 // RemoteRead reads obj over the network: the request goes to the best
 // replica server, falls over to alternates with capped exponential
 // backoff when replies do not arrive, and gives up at the deadline.
-// cb fires exactly once with the decrypted data or an error.
+// With a service time, the first server is the one whose reply would
+// arrive first (firstServer), each request books its server's queue,
+// and an attempt's retry waits for its booked reply first.  Each
+// request to a floating replica counts one of its Reads, the heat the
+// introspective controller demotes by.  cb fires exactly once with the
+// decrypted data or an error.
 func (s *Session) RemoteRead(obj guid.GUID, deadline time.Duration, cb func([]byte, error)) {
 	bc, ok := s.c.Keys.Cipher(obj)
 	if !ok {
 		cb(nil, errors.New("core: read permission denied (no key)"))
 		return
 	}
-	rs := s.c.pool.reads()
-	rid := rs.nextRid
-	rs.nextRid++
-	st := &readState{}
-	rs.inflight[rid] = st
-	st.cb = func(rep readRep, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		data, derr := object.ViewWith(rep.Version, bc).Read()
-		if derr != nil {
-			cb(nil, derr)
-			return
-		}
-		if s.g&MonotonicReads != 0 {
-			s.observe(obj, rep.Committed, rep.Tentative)
-		}
-		cb(data, nil)
+	ring, ok := s.c.pool.Ring(obj)
+	if !ok {
+		cb(nil, fmt.Errorf("core: unknown object %s", obj.Short()))
+		return
 	}
+	rs := s.c.pool.reads()
+	st := &readState{s: s, ring: ring, bc: bc, cb: cb, expires: s.c.pool.K.Now() + deadline, req: readReq{
+		Object: obj, Committed: s.g&ReadCommitted != 0, Floor: s.g&MonotonicReads != 0,
+		Reply: s.c.Node, Rid: rs.nextRid,
+	}}
+	rs.nextRid++
+	rs.inflight[st.req.Rid] = st
+	rs.attempt(st)
+}
 
-	net := s.c.pool.Net
-	k := s.c.pool.K
-	committed := s.g&ReadCommitted != 0
+// attempt sends st's next request and arms its timer: the retry, once
+// the booked reply is overdue by the backoff, or the deadline, if that
+// comes first.
+func (rs *readService) attempt(st *readState) {
+	net, k, client := rs.p.Net, rs.p.K, st.req.Reply
+	var (
+		node     simnet.NodeID
+		tier, ok bool
+	)
+	if st.attempt == 0 && rs.service > 0 {
+		node, tier, ok = rs.firstServer(st.s, st.ring, st.req.Object)
+	}
+	// Otherwise recompute the candidates each attempt: churn changes who
+	// is up and which secondaries are acceptable.
+	if !ok {
+		if cands, secs := st.s.readCandidates(st.ring, st.req.Object); len(cands) > 0 {
+			i := st.attempt % len(cands)
+			node, tier, ok = cands[i], i >= secs, true
+		}
+	}
+	var wait time.Duration
+	if ok {
+		if st.attempt > 0 {
+			net.NoteRetry(KindReadReq)
+		}
+		if sec, isSec := st.ring.Secondary(node); isSec && !tier {
+			sec.Reads++
+		}
+		st.req.Tier = tier
+		// A queued request is held at its server until its booked slot
+		// ends; without a service time it is served on arrival.
+		var until time.Duration
+		if rs.service > 0 {
+			lat := net.Latency(client, node)
+			until = rs.book(node, lat)
+			wait = until + lat - k.Now()
+		}
+		net.SendHeld(client, node, KindReadReq, st.req, 64, until)
+	}
 	const firstTimeout = 250 * time.Millisecond
 	const timeoutCap = 4 * time.Second
-	attempt := 0
-	var try func()
-	try = func() {
-		if st.done {
-			return
-		}
-		// Recompute candidates each attempt: churn changes who is up and
-		// which secondaries are acceptable.
-		cands, err := s.readCandidates(obj)
-		if err != nil {
-			st.done = true
-			delete(rs.inflight, rid)
-			cb(nil, err)
-			return
-		}
-		if len(cands) > 0 {
-			if attempt > 0 {
-				net.NoteRetry(KindReadReq)
-			}
-			target := cands[attempt%len(cands)]
-			net.Send(s.c.Node, target, KindReadReq,
-				readReq{Object: obj, Committed: committed, Reply: s.c.Node, Rid: rid}, 64)
-		}
-		timeout := firstTimeout << uint(attempt)
-		if timeout > timeoutCap || timeout <= 0 {
-			timeout = timeoutCap
-		}
-		attempt++
-		k.After(timeout, try)
+	timeout := firstTimeout << uint(st.attempt)
+	if timeout > timeoutCap || timeout <= 0 {
+		timeout = timeoutCap
 	}
-	try()
-	k.After(deadline, func() {
-		if st.done {
+	st.attempt++
+	st.timer = k.After(min(wait+timeout, st.expires-k.Now()), func() {
+		if k.Now() >= st.expires {
+			rs.finish(st.req.Rid, readRep{}, ErrReadTimeout)
 			return
 		}
-		st.done = true
-		delete(rs.inflight, rid)
-		cb(nil, ErrReadTimeout)
+		rs.attempt(st)
 	})
 }

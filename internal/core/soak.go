@@ -10,7 +10,6 @@ import (
 	"oceanstore/internal/archive"
 	"oceanstore/internal/blobstore"
 	"oceanstore/internal/crypt"
-	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/introspect"
 	"oceanstore/internal/obs"
@@ -58,14 +57,14 @@ type SoakConfig struct {
 	// FlushInterval moves store fsync from per-batch to a scheduler
 	// group commit on this period (needs ScrubInterval > 0).
 	FlushInterval time.Duration
-	// ReadService arms the modeled read path when positive: each read
-	// picks its server queue-aware (among qualifying floating replicas
-	// plus the primary anchor), occupies that node for ReadService in a
-	// per-node FIFO, and completes one round trip later through the
-	// kernel — so read latency is a real queueing quantity that degrades
-	// when few replicas absorb a flash crowd.  0 serves each read
-	// synchronously from the session's replica, at zero latency: the
-	// path of every soak that does not study read queueing.
+	// ReadService, when positive, sends each read over the network
+	// (Session.RemoteRead) to a replica server that takes this long over
+	// it in a per-node FIFO: the first server is the one, among the
+	// qualifying floating replicas and the primary anchor, whose reply
+	// would arrive first, so read latency is a real queueing quantity
+	// that degrades when few replicas absorb a flash crowd.  0 serves
+	// each read synchronously from the session's replica, at zero
+	// latency: the path of every soak that does not study read queueing.
 	ReadService time.Duration
 	// Introspect arms the introspective replica controller (§4.7.2): it
 	// watches per-object read/write traffic and promotes/demotes
@@ -90,7 +89,7 @@ const (
 	// soakWriteTimeout bounds how long a write may stay unresolved in
 	// virtual time before the session gives up (abort) — without it, a
 	// write stalled behind churn retransmits forever and a closed loop
-	// never finishes.
+	// never finishes.  A networked read has the same deadline.
 	soakWriteTimeout = 2 * time.Minute
 	// soakRetainVersions caps each object's retained version history;
 	// deep-archival copies persist regardless.
@@ -164,25 +163,16 @@ type SoakWorld struct {
 	// helper until their create joins them.
 	ahead [certLookahead]*acl.Certificate
 
-	// reads counts modeled reads scheduled and not yet completed.
-	reads int
-
 	// Rotation cursors: replica placement and growth attachment.
 	nextSecondary int
 	growIdx       int
 	created       int
 
-	// Modeled read path (ReadService > 0): per-node service-queue
-	// tails, grown on demand as the world grows.
-	busy []time.Duration
 	// hosted counts floating replicas per node — the budget the
 	// introspective promoter must respect.
 	hosted []int
 	// ctrl is the introspective replica controller (nil when off).
 	ctrl *introspect.Controller
-	// readWire accounts bytes-on-wire for modeled reads (request +
-	// response), collected even without a registry.
-	readWire int64
 
 	// sched is the archival maintenance scheduler (nil when off).
 	sched     *archive.Scheduler
@@ -240,6 +230,9 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 		p.Arch.SyncEachBatch = false
 	}
 	w := &SoakWorld{Pool: p, cfg: cfg}
+	if cfg.ReadService > 0 {
+		p.reads().service = cfg.ReadService
+	}
 	w.owner = p.NewClient(0, crypt.NewSigner(p.K.Rand()))
 	for i := 0; i < cfg.Clients; i++ {
 		c := p.NewClient(simnet.NodeID(i%cfg.Nodes), crypt.NewSigner(p.K.Rand()))
@@ -298,23 +291,22 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 // the world runs without one).
 func (w *SoakWorld) Controller() *introspect.Controller { return w.ctrl }
 
-// ReadWireBytes reports the bytes-on-wire the modeled read path has
-// accounted (0 with ReadService off).
-func (w *SoakWorld) ReadWireBytes() int64 { return w.readWire }
+// ReadWireBytes reports the read bytes sent outside simnet: none, now
+// that every timed read is a message simnet counts.  It stays while
+// the benchmark adds it to simnet's bytes (ROADMAP 2(e)).
+func (w *SoakWorld) ReadWireBytes() int64 { return 0 }
 
 // Scheduler exposes the archival maintenance scheduler (nil when the
 // world runs without one).
 func (w *SoakWorld) Scheduler() *archive.Scheduler { return w.sched }
 
 // Instrument attaches observability to the pool, the maintenance
-// scheduler, and the introspection layer; the registry reads the read
-// path's wire bytes as a lifetime total.
+// scheduler, and the introspection layer.
 func (w *SoakWorld) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	w.Pool.Instrument(reg, tr)
 	if w.sched != nil {
 		w.sched.Instrument(reg)
 	}
-	reg.CounterSource("introspect", "read_wire_bytes", obs.Value(w.ReadWireBytes))
 	if w.ctrl != nil {
 		w.ctrl.Instrument(reg)
 	}
@@ -382,7 +374,7 @@ func (w *SoakWorld) InFlight() int {
 // Problems checks the world's end state, at quiescence, and describes
 // each violation it finds; none means every check passed.  Checked:
 //   - nothing is in flight: every write the world accepted was
-//     acknowledged or abandoned, and every modeled read completed;
+//     acknowledged or abandoned, and every networked read resolved;
 //   - every write committed exactly once: the commits an object's
 //     primary gained since its creation number at least the writes
 //     acknowledged (none lost) and at most those plus the writes
@@ -395,8 +387,8 @@ func (w *SoakWorld) InFlight() int {
 // in flight, which is reported instead.
 func (w *SoakWorld) Problems() []string {
 	var out []string
-	if w.reads != 0 {
-		out = append(out, fmt.Sprintf("%d modeled reads still pending", w.reads))
+	if rs := w.Pool.readSvc; rs != nil && len(rs.inflight) != 0 {
+		out = append(out, fmt.Sprintf("%d reads still in flight", len(rs.inflight)))
 	}
 	for i, obj := range w.objects {
 		ring, _ := w.Pool.Ring(obj)
@@ -607,11 +599,13 @@ func (h soakHost) Demote(obj int) bool {
 	return true
 }
 
-// Do implements workload.Target.  Reads and creates complete
-// synchronously (a read is a local replica inspection in this
-// simulation); writes resolve when the primary tier's decision — or
-// the session's timeout — arrives.  Only writes are shed, each against
-// its own object's unresolved writes.
+// Do implements workload.Target.  Creates complete synchronously, and
+// so do reads with ReadService 0 (a local replica inspection); with a
+// service time a read is a request and a reply through the network,
+// and resolves when the reply — or its deadline — arrives.  Writes
+// resolve when the primary tier's decision — or the session's timeout
+// — arrives.  Only writes are shed, each against its own object's
+// unresolved writes.
 func (w *SoakWorld) Do(req workload.Request, done func(ok bool)) error {
 	s := w.sessions[req.Client%len(w.sessions)]
 	switch req.Kind {
@@ -657,88 +651,9 @@ func (w *SoakWorld) Do(req workload.Request, done func(ok bool)) error {
 			done(err == nil)
 			return nil
 		}
-		w.modeledRead(s, obj, done)
+		s.RemoteRead(obj, soakWriteTimeout, func(_ []byte, err error) { done(err == nil) })
 	}
 	return nil
-}
-
-// readWireOverhead is the per-direction framing cost the modeled read
-// charges on top of the payload.
-const readWireOverhead = 64
-
-// modeledRead serves a read with explicit service-time and queueing
-// semantics: among the qualifying floating replicas (plus the primary
-// anchor, which always qualifies) it picks the server whose predicted
-// completion — request latency, FIFO queue wait, ReadService, response
-// latency — is earliest, ties to the lower node ID; occupies that
-// server; and completes the read through the kernel one round trip
-// later.  With a handful of replicas absorbing a flash crowd the queue
-// wait dominates and the read tail explodes — exactly the signal the
-// introspective controller reacts to by promoting.
-func (w *SoakWorld) modeledRead(s *Session, obj guid.GUID, done func(ok bool)) {
-	ring, ok := w.Pool.Ring(obj)
-	if !ok {
-		done(false)
-		return
-	}
-	now := w.Pool.K.Now()
-	client := s.c.Node
-	var (
-		bestNode simnet.NodeID
-		bestRep  *epidemic.Replica
-		bestSec  *replica.Secondary
-		bestDone time.Duration = -1
-	)
-	consider := func(node simnet.NodeID, rep *epidemic.Replica, sec *replica.Secondary) {
-		lat := w.Pool.Net.Latency(client, node)
-		start := now + lat
-		if b := w.busyAt(node); b > start {
-			start = b
-		}
-		finish := start + w.cfg.ReadService + lat
-		if bestDone < 0 || finish < bestDone || (finish == bestDone && node < bestNode) {
-			bestNode, bestRep, bestSec, bestDone = node, rep, sec, finish
-		}
-	}
-	s.eligibleSecondaries(ring, obj, func(sec *replica.Secondary) {
-		consider(sec.Node, sec.Rep, sec)
-	})
-	consider(ring.PrimaryAnchor(), ring.PrimaryState(), nil)
-	// Occupy the chosen server's FIFO slot and charge the wire.
-	start := now + w.Pool.Net.Latency(client, bestNode)
-	if b := w.busyAt(bestNode); b > start {
-		start = b
-	}
-	w.setBusy(bestNode, start+w.cfg.ReadService)
-	if bestSec != nil {
-		bestSec.Reads++
-	}
-	wire := int64(2*readWireOverhead + w.cfg.BlockSize)
-	w.readWire += wire
-	rep := bestRep
-	w.reads++
-	w.Pool.K.After(bestDone-now, func() {
-		w.reads--
-		_, err := s.ReadReplica(obj, rep)
-		done(err == nil)
-	})
-}
-
-// busyAt reports the node's service-queue tail.
-func (w *SoakWorld) busyAt(node simnet.NodeID) time.Duration {
-	if int(node) >= len(w.busy) {
-		return 0
-	}
-	return w.busy[node]
-}
-
-// setBusy extends the node's service-queue tail, growing the slice on
-// demand.
-func (w *SoakWorld) setBusy(node simnet.NodeID, t time.Duration) {
-	for int(node) >= len(w.busy) {
-		w.busy = append(w.busy, 0)
-	}
-	w.busy[node] = t
 }
 
 // StartChurn bounces one node per period (down for downFor), cycling

@@ -10,7 +10,7 @@ import (
 	"oceanstore/internal/workload"
 )
 
-// runIntrospectSoak drives a flash-crowd soak over the modeled read
+// runIntrospectSoak drives a flash-crowd soak over the networked read
 // path, with the introspection loop armed or not, and returns the
 // world (post-run), the engine, and the metrics dump.
 func runIntrospectSoak(t *testing.T, seed int64, armed bool) (*SoakWorld, *workload.Engine, []byte) {
@@ -62,7 +62,7 @@ func runIntrospectSoak(t *testing.T, seed int64, armed bool) (*SoakWorld, *workl
 	return w, eng, buf.Bytes()
 }
 
-// TestSoakIntrospectFlashBendsTail: under a flash crowd on the modeled
+// TestSoakIntrospectFlashBendsTail: under a flash crowd on the queued
 // read path, arming introspection grows the hot object's tier and
 // materially lowers read latency versus the static control.
 func TestSoakIntrospectFlashBendsTail(t *testing.T) {
@@ -92,9 +92,10 @@ func TestSoakIntrospectFlashBendsTail(t *testing.T) {
 		t.Fatalf("introspection did not bend latency: armed mean %dns >= static mean %dns",
 			la.Mean(), lo.Mean())
 	}
-	if wArmed.ReadWireBytes() == 0 || wOff.ReadWireBytes() == 0 {
-		t.Fatalf("modeled reads moved no wire bytes: armed %d, off %d",
-			wArmed.ReadWireBytes(), wOff.ReadWireBytes())
+	for _, kind := range []string{KindReadReq, KindReadRep} {
+		if a, o := wArmed.Pool.Net.KindBytes(kind), wOff.Pool.Net.KindBytes(kind); a == 0 || o == 0 {
+			t.Fatalf("reads sent no %s bytes through the network: armed %d, off %d", kind, a, o)
+		}
 	}
 }
 

@@ -212,6 +212,9 @@ func (r *Ring) PrimaryNodes() []simnet.NodeID {
 // PrimaryNodes pays.
 func (r *Ring) PrimaryAnchor() simnet.NodeID { return r.primaryNodes[0] }
 
+// IsPrimary reports whether node is a primary-tier member.
+func (r *Ring) IsPrimary(node simnet.NodeID) bool { return slices.Contains(r.primaryNodes, node) }
+
 // SecondaryCount reports the number of floating replicas.
 func (r *Ring) SecondaryCount() int { return len(r.byNode) }
 

@@ -397,6 +397,10 @@ func TestRemoveSecondaryOnTheRoot(t *testing.T) {
 	if got := w.ring.Tree().Root(); got != root {
 		t.Fatalf("tree root moved to %d", got)
 	}
+	if !w.ring.IsPrimary(root) || w.ring.IsPrimary(4) {
+		t.Fatalf("IsPrimary: root %d %v, secondary 4 %v; want the root a tier member and 4 not",
+			root, w.ring.IsPrimary(root), w.ring.IsPrimary(4))
+	}
 	w.ring.Submit(w.client, w.appendUpdate(t, "x"), 0, nil)
 	w.k.RunFor(10 * time.Second)
 	sec, _ := w.ring.Secondary(4)

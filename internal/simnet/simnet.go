@@ -728,6 +728,14 @@ func (n *Network) NoteRetry(kind string) {
 // schedules delivery after the modeled latency unless the message is
 // dropped by a crash, partition, fault plan, or random loss.
 func (n *Network) Send(from, to NodeID, kind string, payload any, size int) {
+	n.SendHeld(from, to, kind, payload, size, 0)
+}
+
+// SendHeld is Send for a message its receiver takes up no earlier than
+// virtual time hold: a request that waits its turn in the receiver's
+// queue reaches the handler when the turn comes, and the receiver must
+// be up then.
+func (n *Network) SendHeld(from, to NodeID, kind string, payload any, size int, hold time.Duration) {
 	if from < 0 || int(from) >= len(n.addrs) || to < 0 || int(to) >= len(n.addrs) {
 		panic(fmt.Sprintf("simnet: send %d->%d out of range", from, to))
 	}
@@ -758,7 +766,7 @@ func (n *Network) Send(from, to NodeID, kind string, payload any, size int) {
 		n.emit(evDropLoss, msg)
 		return
 	}
-	n.enqueue(msg, n.K.Now()+n.Latency(from, to)+extra)
+	n.enqueue(msg, max(n.K.Now()+n.Latency(from, to)+extra, hold))
 }
 
 // msgBatch collects the messages due at one virtual tick.  Each batch
