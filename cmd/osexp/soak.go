@@ -251,7 +251,7 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 		fmt.Fprintf(w, "introspect: %d epochs, %d promotes, %d demotes, %d denied; replicas now %d (epoch min %d max %d); read wire %.1f MB requests, %.1f MB replies\n",
 			cs.Epochs, cs.Promotes, cs.Demotes, cs.Denied,
 			ctrl.TierSize(), traj.Min(), traj.Max(),
-			float64(net.KindBytes(core.KindReadReq))/1e6, float64(net.KindBytes(core.KindReadRep))/1e6)
+			float64(net.KindBytes(core.KindReadReq))/1e6, float64(net.KindBytes(core.KindReadRep)+world.ReadWireBytes())/1e6)
 	}
 	if sc := world.Scheduler(); sc != nil {
 		// Scheduler counters are pure functions of the trajectory, so

@@ -291,22 +291,28 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 // the world runs without one).
 func (w *SoakWorld) Controller() *introspect.Controller { return w.ctrl }
 
-// ReadWireBytes reports the read bytes sent outside simnet: none, now
-// that every timed read is a message simnet counts.  It stays while
-// the benchmark adds it to simnet's bytes (ROADMAP 2(e)).
-func (w *SoakWorld) ReadWireBytes() int64 { return 0 }
+// ReadWireBytes reports the read bytes simnet does not count: the
+// versions read replies carried, whose 64 B headers simnet charges.
+func (w *SoakWorld) ReadWireBytes() int64 {
+	if rs := w.Pool.readSvc; rs != nil {
+		return rs.data
+	}
+	return 0
+}
 
 // Scheduler exposes the archival maintenance scheduler (nil when the
 // world runs without one).
 func (w *SoakWorld) Scheduler() *archive.Scheduler { return w.sched }
 
 // Instrument attaches observability to the pool, the maintenance
-// scheduler, and the introspection layer.
+// scheduler, and the introspection layer; the registry reads the read
+// bytes simnet does not count as a lifetime total.
 func (w *SoakWorld) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	w.Pool.Instrument(reg, tr)
 	if w.sched != nil {
 		w.sched.Instrument(reg)
 	}
+	reg.CounterSource("introspect", "read_wire_bytes", obs.Value(w.ReadWireBytes))
 	if w.ctrl != nil {
 		w.ctrl.Instrument(reg)
 	}

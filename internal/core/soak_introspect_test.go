@@ -97,6 +97,9 @@ func TestSoakIntrospectFlashBendsTail(t *testing.T) {
 			t.Fatalf("reads sent no %s bytes through the network: armed %d, off %d", kind, a, o)
 		}
 	}
+	if a, o := wArmed.ReadWireBytes(), wOff.ReadWireBytes(); a == 0 || o == 0 {
+		t.Fatalf("read replies carried no versions: armed %d B, off %d B", a, o)
+	}
 }
 
 // TestSoakIntrospectBudgetAndCensus: after an armed run, no node hosts

@@ -139,14 +139,14 @@ func copyStats(s simnet.Stats) simnet.Stats {
 
 // TestRegistrySeriesReadStats: each series a layer registers reads the
 // value it is named for — counters the Stats fields of the network, the
-// scrub scheduler, the introspective controller and the workload
-// engine, gauges the engine's confirmed objects and the controller's
-// tier size, histograms the engine's latencies and the controller's
-// trajectory, on a soak world with churn, faults, scrubbing,
-// introspection and sheds; and the auditors' Stats and detection
-// latency on an audited pool world.  The registry keeps no second copy,
-// so a series that read the wrong value, or a value no series reads,
-// shows here.
+// scrub scheduler, the introspective controller, the soak world's read
+// wire bytes and the workload engine, gauges the engine's confirmed
+// objects and the controller's tier size, histograms the engine's
+// latencies and the controller's trajectory, on a soak world with
+// churn, faults, scrubbing, introspection and sheds; and the auditors'
+// Stats and detection latency on an audited pool world.  The registry
+// keeps no second copy, so a series that read the wrong value, or a
+// value no series reads, shows here.
 func TestRegistrySeriesReadStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := core.DefaultSoakConfig(64)
@@ -206,6 +206,7 @@ func TestRegistrySeriesReadStats(t *testing.T) {
 		statRow{layer: "introspect", name: "promote", want: int64(cs.Promotes)},
 		statRow{layer: "introspect", name: "demote", want: int64(cs.Demotes)},
 		statRow{layer: "introspect", name: "promote_denied", want: int64(cs.Denied)},
+		statRow{layer: "introspect", name: "read_wire_bytes", want: world.ReadWireBytes()},
 		gaugeRow("introspect", "tier_replicas", int64(ctrl.TierSize())),
 		histRow("introspect", "tier_replicas_per_epoch", ctrl.Trajectory()),
 		statRow{layer: "workload", name: "issued", want: int64(es.Issued)},
