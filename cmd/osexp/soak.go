@@ -241,6 +241,9 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 		}
 	}
 	fmt.Fprintf(w, "committed updates across objects: %d\n", committed)
+	for _, f := range world.Failures() {
+		fmt.Fprintf(w, "failures: %s\n", f)
+	}
 	if ctrl := world.Controller(); ctrl != nil {
 		// Controller counters and the replica trajectory are pure
 		// functions of the trajectory, so this line rides the

@@ -249,7 +249,13 @@ type Group struct {
 	nodes    []simnet.NodeID
 	f        int
 	replicas []*replica
-	clients  map[simnet.NodeID]*clientState
+	// clients holds the nodes with a request outstanding at the tier.
+	clients map[simnet.NodeID]*clientState
+	// done remembers the last doneWindow requests the tier's clients
+	// resolved or cancelled, each beside its client, so a duplicate
+	// Submit is ignored while another client's Submit of the same ID is
+	// served (same horizon argument as the replica-side doneWindow).
+	done doneIndex[clientReq, struct{}]
 	// tag scopes this group's messages; replicas of other groups sharing
 	// the same physical nodes ignore them.
 	tag guid.GUID
@@ -373,19 +379,25 @@ type reqState struct {
 }
 
 // clientState tracks reply quorums per request for one client node.
-// Entries live only while the request is outstanding: completion and
-// Cancel release every per-request record, so a long run's client
-// state is O(in-flight requests), not O(requests ever).  A request is
-// outstanding exactly while its `pending` entry exists — late replies
-// and the retransmission loop both gate on it — and the map exists only
-// while an entry does: most clients write to most tiers rarely.
+// It exists only while the client has a request outstanding at the
+// tier: Submit makes it, and the node's reply route, for the first one,
+// and clearReq drops both with the last, so a long run's client state
+// is O(in-flight requests), not O(clients that ever wrote).  A request
+// is outstanding exactly while its `pending` entry exists — late
+// replies and the retransmission loop both gate on it.  The tier's
+// done index, not the client, remembers what resolved.
 type clientState struct {
 	pending map[guid.GUID]*reqState
-	// done remembers the last doneWindow resolved/cancelled request IDs
-	// so a duplicate Submit is ignored (same horizon argument as the
-	// replica-side doneWindow).
-	done doneIndex[struct{}]
 }
+
+// clientReq names one client's request in the tier's done index.
+type clientReq struct {
+	id     guid.GUID
+	client simnet.NodeID
+}
+
+// Uint64 is the request ID's: its leading bytes pick the home slot.
+func (c clientReq) Uint64() uint64 { return c.id.Uint64() }
 
 // getReq pulls a scrubbed reqState from the pool (or allocates one
 // sized to the tier).
@@ -402,18 +414,26 @@ func (g *Group) getReq() *reqState {
 }
 
 // clearReq retires a resolved (or abandoned) request's bookkeeping,
-// records it in the client's bounded done-set, and recycles the record.
-func (g *Group) clearReq(cs *clientState, id guid.GUID) {
-	rs, ok := cs.pending[id]
-	if !ok {
-		if !cs.done.has(id) {
-			cs.done.add(id, struct{}{})
+// records it in the tier's bounded done index, and recycles the record.
+// With the client's last outstanding request its state and reply route
+// go too; a late reply then meets no route and drops.
+func (g *Group) clearReq(client simnet.NodeID, id guid.GUID) {
+	key := clientReq{id, client}
+	cs := g.clients[client]
+	var rs *reqState
+	if cs != nil {
+		rs = cs.pending[id]
+	}
+	if rs == nil {
+		if !g.done.has(key) {
+			g.done.add(key, struct{}{})
 		}
 		return
 	}
 	delete(cs.pending, id)
 	if len(cs.pending) == 0 {
-		cs.pending = nil
+		delete(g.clients, client)
+		g.net.Node(client).Unhandle(simnet.DemuxKey(g.tag), replyKinds)
 	}
 	for _, t := range rs.retx {
 		t.Stop()
@@ -424,8 +444,8 @@ func (g *Group) clearReq(cs *clientState, id guid.GUID) {
 	clear(rs.seqs)
 	clear(rs.digests)
 	g.reqFree = append(g.reqFree, rs)
-	// A pending ID is not in the done-set: Submit checks it first.
-	cs.done.add(id, struct{}{})
+	// A pending request is not in the done index: Submit checks it first.
+	g.done.add(key, struct{}{})
 }
 
 // Submit sends a request from the given client node to the primary
@@ -434,26 +454,23 @@ func (g *Group) clearReq(cs *clientState, id guid.GUID) {
 // their view-change timers).  onDone fires when f+1 matching replies
 // arrive.
 func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
+	req.Client = client
+	req.Tag = g.tag
+	if g.done.has(clientReq{req.ID, client}) {
+		// Duplicate submit of a resolved request: nothing is sent and no
+		// callback will fire.
+		return
+	}
 	cs := g.clients[client]
 	if cs == nil {
-		cs = &clientState{}
+		cs = &clientState{pending: make(map[guid.GUID]*reqState, 1)}
 		g.clients[client] = cs
 		g.net.Node(client).HandleDemux(simnet.DemuxKey(g.tag), replyKinds,
 			func(m simnet.Message) { g.clientHandle(client, m) })
 	}
-	req.Client = client
-	req.Tag = g.tag
-	if cs.done.has(req.ID) {
-		// Duplicate submit of a resolved request: replicas will answer
-		// with re-replies, which drop at the client; no new callback.
-		return
-	}
 	rs, live := cs.pending[req.ID]
 	if !live {
 		rs = g.getReq()
-		if cs.pending == nil {
-			cs.pending = make(map[guid.GUID]*reqState)
-		}
 		cs.pending[req.ID] = rs
 	}
 	rs.sent = g.net.K.Now()
@@ -468,12 +485,13 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 
 	view := g.currentView()
 	primary := int(view) % len(g.replicas)
+	// Backup notification: digest only, boxed once for every backup.
+	var note any = Request{Tag: g.tag, ID: req.ID, Timestamp: req.Timestamp, Client: client}
 	for i := range g.replicas {
 		if i == primary {
 			g.net.Send(client, g.nodes[i], kindRequest, req, req.Size+CHeader)
 		} else {
-			// Backup notification: digest only.
-			g.net.Send(client, g.nodes[i], kindRequest, Request{Tag: g.tag, ID: req.ID, Timestamp: req.Timestamp, Client: client}, CSmall)
+			g.net.Send(client, g.nodes[i], kindRequest, note, CSmall)
 		}
 	}
 	// PBFT client retransmission: if no quorum of replies arrives, the
@@ -498,13 +516,11 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 // Cancel abandons a client's outstanding request: the retransmission
 // loop stops and any late quorum is ignored.  Layers
 // that give up on an update (a session's update timeout) call this so a
-// timed-out request cannot hold virtual time hostage.
+// timed-out request cannot hold virtual time hostage.  A request that is
+// not outstanding is recorded as done all the same, so a later Submit
+// of it is ignored.
 func (g *Group) Cancel(client simnet.NodeID, id guid.GUID) {
-	cs := g.clients[client]
-	if cs == nil {
-		return
-	}
-	g.clearReq(cs, id)
+	g.clearReq(client, id)
 }
 
 // currentView reports the highest view any live replica is in — the
@@ -564,7 +580,7 @@ func (g *Group) clientHandle(client simnet.NodeID, m simnet.Message) {
 		}
 		res = Result{Seq: rep.Seq, ID: rep.ID, Latency: latency, Committed: true, Certificate: cert}
 	}
-	g.clearReq(cs, rep.ID)
+	g.clearReq(client, rep.ID)
 	g.om.commits.Inc()
 	g.om.commitLatency.ObserveDuration(latency)
 	if g.otr != nil {

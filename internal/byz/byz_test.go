@@ -329,7 +329,7 @@ func TestDuplicateSubmitIgnored(t *testing.T) {
 	// Cancelling a resolved request leaves the done-set as it was: r is
 	// stored once.
 	g.Cancel(client, r.ID)
-	if n := len(g.clients[client].done.ids); n != 1 {
+	if n := len(g.done.ids); n != 1 {
 		t.Fatalf("done-set holds %d IDs after one resolution and its cancel", n)
 	}
 	resolve := func(from, to int) {

@@ -1,11 +1,9 @@
 package byz
 
-import "oceanstore/internal/guid"
-
-// doneIndex is a bounded done-set: the last doneWindow IDs added, each
+// doneIndex is a bounded done-set: the last doneWindow keys added, each
 // held once, in a ring in the order they were added, with a value
-// beside each (a replica keeps the sequence number the request
-// executed at; a client keeps nothing).  An open-addressed table of
+// beside each (a replica keeps a request ID and the sequence number it
+// executed at; the tier keeps a client's request and nothing else).  An open-addressed table of
 // ring positions answers lookups, so the IDs are not repeated in a map
 // beside the ring.  The table is a power of two at least twice the
 // ring's length and grows with it, so a tier that executed a handful
@@ -15,8 +13,8 @@ import "oceanstore/internal/guid"
 // slot.  A crafted ID can only collide: probing stops at an empty slot
 // and the table is at most half full, so one lookup costs at most one
 // scan of the window.
-type doneIndex[V any] struct {
-	ids  []guid.GUID
+type doneIndex[K doneKey, V any] struct {
+	ids  []K
 	vals []V
 	// head is the oldest position once the ring is full, and the next
 	// one added overwrites it.
@@ -26,14 +24,21 @@ type doneIndex[V any] struct {
 	slots []uint16
 }
 
+// doneKey is what a doneIndex holds: a request ID, or one naming the
+// request's client too.  Uint64 reads the ID's leading bytes.
+type doneKey interface {
+	comparable
+	Uint64() uint64
+}
+
 // doneSlots is the table's smallest size.
 const doneSlots = 4
 
 // doneHome is id's home slot in a table of mask+1 slots.
-func doneHome(id guid.GUID, mask int) int { return int(id.Uint64()) & mask }
+func doneHome[K doneKey](id K, mask int) int { return int(id.Uint64()) & mask }
 
 // get returns the value held with id, and whether id is held.
-func (d *doneIndex[V]) get(id guid.GUID) (V, bool) {
+func (d *doneIndex[K, V]) get(id K) (V, bool) {
 	if i, ok := d.find(id); ok {
 		return d.vals[d.slots[i]-1], true
 	}
@@ -42,14 +47,14 @@ func (d *doneIndex[V]) get(id guid.GUID) (V, bool) {
 }
 
 // has reports whether id is held.
-func (d *doneIndex[V]) has(id guid.GUID) bool {
+func (d *doneIndex[K, V]) has(id K) bool {
 	_, ok := d.find(id)
 	return ok
 }
 
 // find returns id's slot if it is held, and otherwise the empty slot
 // its probe ended at.
-func (d *doneIndex[V]) find(id guid.GUID) (int, bool) {
+func (d *doneIndex[K, V]) find(id K) (int, bool) {
 	mask := len(d.slots) - 1
 	if mask < 0 {
 		return 0, false
@@ -67,7 +72,7 @@ func (d *doneIndex[V]) find(id guid.GUID) (int, bool) {
 
 // add records id, which must not be held, with v.  Once the ring holds
 // doneWindow IDs the oldest leaves to make room; add returns it.
-func (d *doneIndex[V]) add(id guid.GUID, v V) (old guid.GUID, evicted bool) {
+func (d *doneIndex[K, V]) add(id K, v V) (old K, evicted bool) {
 	if len(d.ids) < doneWindow {
 		d.ids, d.vals = append(d.ids, id), append(d.vals, v)
 		if 2*len(d.ids) > len(d.slots) {
@@ -76,7 +81,7 @@ func (d *doneIndex[V]) add(id guid.GUID, v V) (old guid.GUID, evicted bool) {
 			i, _ := d.find(id)
 			d.slots[i] = uint16(len(d.ids))
 		}
-		return guid.Zero, false
+		return old, false
 	}
 	old = d.ids[d.head]
 	i, _ := d.find(old)
@@ -90,7 +95,7 @@ func (d *doneIndex[V]) add(id guid.GUID, v V) (old guid.GUID, evicted bool) {
 
 // grow doubles the table (or makes the first) and re-enters every ring
 // position.
-func (d *doneIndex[V]) grow() {
+func (d *doneIndex[K, V]) grow() {
 	d.slots = make([]uint16, max(doneSlots, 2*len(d.slots)))
 	for p, id := range d.ids {
 		i, _ := d.find(id)
@@ -101,7 +106,7 @@ func (d *doneIndex[V]) grow() {
 // remove empties slot i by backward-shift deletion: each later entry
 // of the probe run that may sit at the hole moves into it, so no
 // tombstone is left and every probe still ends at the first empty slot.
-func (d *doneIndex[V]) remove(i int) {
+func (d *doneIndex[K, V]) remove(i int) {
 	mask := len(d.slots) - 1
 	for j := (i + 1) & mask; d.slots[j] != 0; j = (j + 1) & mask {
 		// The entry at j may move to the hole at i unless its home lies

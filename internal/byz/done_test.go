@@ -32,7 +32,7 @@ func TestDoneIndexModel(t *testing.T) {
 	for name, id := range shapes {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
-			var d doneIndex[uint64]
+			var d doneIndex[guid.GUID, uint64]
 			want := map[guid.GUID]uint64{}
 			var fifo []guid.GUID
 			next := 0
@@ -82,7 +82,7 @@ func collidingID(lead uint64, i int) guid.GUID {
 // exactly want's IDs, each in one slot, reachable from its home slot
 // without crossing an empty one, in a table a power of two at least
 // twice the ring's length.
-func checkDoneIndex[V comparable](t *testing.T, d *doneIndex[V], want map[guid.GUID]V) {
+func checkDoneIndex[V comparable](t *testing.T, d *doneIndex[guid.GUID, V], want map[guid.GUID]V) {
 	t.Helper()
 	if len(d.ids) != len(want) {
 		t.Fatalf("holds %d IDs, want %d", len(d.ids), len(want))
@@ -114,8 +114,8 @@ func checkDoneIndex[V comparable](t *testing.T, d *doneIndex[V], want map[guid.G
 
 // TestHeapPerTierMember pins what a tier member retains per executed
 // request: its done index's ID, sequence number and table slots, plus
-// a quarter of the client's done-set entry for the same ID (the tier
-// has four members).  Records, slots and timers retire at execution,
+// a quarter of the tier's done index entry for the client's request
+// (the tier has four members).  Records, slots and timers retire at execution,
 // so nothing else grows.  The difference between tiers that executed
 // doneWindow/2 and doneWindow requests is ≈ 41 B an ID.
 func TestHeapPerTierMember(t *testing.T) {

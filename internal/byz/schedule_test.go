@@ -3,11 +3,13 @@ package byz
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"oceanstore/internal/fault"
 	"oceanstore/internal/guid"
+	"oceanstore/internal/par"
 	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 )
@@ -18,11 +20,11 @@ var schedules = flag.Int("schedules", 0, "seeds per plan for TestScheduleSearch'
 
 // Schedule search (ROADMAP 15(a)): a 4-member tier (f = 1) with three
 // concurrent clients, an executor on every member, and a fault plan
-// that reorders and drops messages.  The plan and the kernel seed fix
-// one interleaving; sweeping seeds samples many.  At the end the
-// correct members' executions are judged for safety alone: a member
-// that missed messages may have executed less, but never something
-// else.
+// that reorders and drops messages, or crashes the view-0 primary
+// partway through.  The plan and the kernel seed fix one interleaving;
+// sweeping seeds samples many.  At the end the correct members'
+// executions are judged for safety alone: a member that missed
+// messages may have executed less, but never something else.
 const (
 	searchMembers = 4
 	// searchSpacing separates one client's submissions; the clients
@@ -45,13 +47,30 @@ type searchShape struct{ clients, requests int }
 // fullShape is the sweep's: three clients, four requests each.
 var fullShape = searchShape{clients: 3, requests: 4}
 
+// schedule is a fault plan and, for a primary-crash plan, how many
+// messages member 0 — the view-0 primary — sends before it crashes
+// (0: it never does).  The crash is crash-stop, right after that send:
+// the member sends, receives and executes nothing more.
+type schedule struct {
+	plan       fault.Plan
+	crashAfter int
+}
+
+// name is the plan's, with the crash in front of it.
+func (s schedule) name() string {
+	if s.crashAfter == 0 {
+		return s.plan.Name
+	}
+	return fmt.Sprintf("crash-primary-after-%d/%s", s.crashAfter, s.plan.Name)
+}
+
 // reorderPlans reorder messages with uniform jitter up to a few link
 // latencies, which leaves the requests' timers quiet.  The in-suite
 // slice sweeps them: the protocol passes every schedule.
-func reorderPlans() []fault.Plan {
-	return []fault.Plan{
-		*fault.NewPlan("jitter-50ms").Jitter(0, 50*time.Millisecond),
-		*fault.NewPlan("jitter-400ms").Jitter(0, 400*time.Millisecond),
+func reorderPlans() []schedule {
+	return []schedule{
+		{plan: *fault.NewPlan("jitter-50ms").Jitter(0, 50*time.Millisecond)},
+		{plan: *fault.NewPlan("jitter-400ms").Jitter(0, 400*time.Millisecond)},
 	}
 }
 
@@ -59,13 +78,33 @@ func reorderPlans() []fault.Plan {
 // They break the protocol (EXPERIMENTS.md, "Agreement safety,
 // searched"), so they run only in the long sweep until a new view
 // carries prepared certificates (ROADMAP 3(a)).
-func viewChangePlans() []fault.Plan {
-	return []fault.Plan{
-		*fault.NewPlan("jitter-2s").Jitter(0, 2*time.Second),
-		*fault.NewPlan("drop-10%").Drop(0.1),
-		*fault.NewPlan("drop-30%").Drop(0.3),
-		*fault.NewPlan("drop-20%-jitter-200ms").Drop(0.2).Jitter(0, 200*time.Millisecond),
+func viewChangePlans() []schedule {
+	return []schedule{
+		{plan: *fault.NewPlan("jitter-2s").Jitter(0, 2*time.Second)},
+		{plan: *fault.NewPlan("drop-10%").Drop(0.1)},
+		{plan: *fault.NewPlan("drop-30%").Drop(0.3)},
+		{plan: *fault.NewPlan("drop-20%-jitter-200ms").Drop(0.2).Jitter(0, 200*time.Millisecond)},
 	}
+}
+
+// crashAfters are the primary-crash plans' crash points: member 0 stops
+// right after its k-th sent message, early in agreement (its first
+// pre-prepares) and later (amid its prepares, commits and replies).
+var crashAfters = []int{1, 2, 4, 8, 16}
+
+// crashPlans crash the view-0 primary after each of crashAfters sends,
+// on a fault-free network and under 50 ms of jitter.  The crash fires a
+// view change, which no other passing plan does; the protocol passes
+// every schedule of them in the long sweep (EXPERIMENTS.md), so the
+// in-suite slice sweeps them too.
+func crashPlans() []schedule {
+	var out []schedule
+	for _, net := range []fault.Plan{*fault.NewPlan("fault-free"), *fault.NewPlan("jitter-50ms").Jitter(0, 50*time.Millisecond)} {
+		for _, k := range crashAfters {
+			out = append(out, schedule{plan: net, crashAfter: k})
+		}
+	}
+	return out
 }
 
 // shrunk is the smallest violating schedule the long sweep found: one
@@ -73,14 +112,14 @@ func viewChangePlans() []fault.Plan {
 // request at sequence 0, where the other three executed the second,
 // which the client accepted there.
 var shrunk = struct {
-	plan  fault.Plan
+	sched schedule
 	seed  int64
 	shape searchShape
-}{*fault.NewPlan("drop-10%").Drop(0.1), 56, searchShape{clients: 1, requests: 2}}
+}{schedule{plan: *fault.NewPlan("drop-10%").Drop(0.1)}, 56, searchShape{clients: 1, requests: 2}}
 
 // runSchedule runs one schedule and returns its safety violations and
 // how many requests clients accepted.
-func runSchedule(plan fault.Plan, seed int64, shape searchShape) (violations []string, accepted int) {
+func runSchedule(sched schedule, seed int64, shape searchShape) (violations []string, accepted int) {
 	k := sim.NewKernel(seed)
 	net := simnet.New(k, simnet.Config{BaseLatency: 50 * time.Millisecond, LatencyPerUnit: time.Millisecond})
 	var members []simnet.NodeID
@@ -99,7 +138,22 @@ func runSchedule(plan fault.Plan, seed int64, shape searchShape) (violations []s
 	for i := range logs {
 		g.SetExecutor(i, func(seq uint64, r Request) { logs[i] = append(logs[i], executed{seq, r.ID}) })
 	}
-	fault.Install(net, plan)
+	fault.Install(net, sched.plan)
+	sent := 0
+	if sched.crashAfter > 0 {
+		net.SetTrace(func(ev simnet.TraceEvent) {
+			if ev.Event != "send" || ev.From != members[0] {
+				return
+			}
+			if sent++; sent == sched.crashAfter {
+				// Crash-stop: the rest of the handler running this send
+				// neither sends nor executes (executors run only on
+				// honest members).
+				g.SetFault(0, Crashed)
+				net.Node(members[0]).SetDown(true)
+			}
+		})
+	}
 	var results []Result
 	for c, client := range clients {
 		for j := 0; j < shape.requests; j++ {
@@ -112,8 +166,15 @@ func runSchedule(plan fault.Plan, seed int64, shape searchShape) (violations []s
 		}
 	}
 	k.RunUntil(searchRun)
+	if sent < sched.crashAfter {
+		// Not a safety violation, but a crash plan whose crash never
+		// fired searched nothing it claims to.
+		violations = append(violations, fmt.Sprintf("member 0 sent %d messages and never crashed", sent))
+	}
 
-	// Every member is correct in these plans: none crashes or lies.
+	// Every member is correct in these plans: none lies, and a member
+	// that crashes stops, so what it executed before the crash is
+	// judged with the rest.
 	at := make([]map[uint64]guid.GUID, searchMembers)
 	for i, log := range logs {
 		at[i] = make(map[uint64]guid.GUID, len(log))
@@ -153,48 +214,45 @@ func runSchedule(plan fault.Plan, seed int64, shape searchShape) (violations []s
 	return violations, len(results)
 }
 
-// TestScheduleSearch sweeps the in-suite slice — the reorder plans over
-// a fixed seed range, all of which the protocol passes — or, with
-// -schedules N, N seeds of every plan, reporting each violating
-// schedule.
+// TestScheduleSearch sweeps the in-suite slice — the reorder plans and
+// the passing primary-crash plans over a fixed seed range, all of which
+// the protocol passes — or, with -schedules N, N seeds of every plan,
+// reporting each violating schedule.
 func TestScheduleSearch(t *testing.T) {
-	n, plans := 500, reorderPlans()
+	n, plans := 500, append(reorderPlans(), crashPlans()...)
 	if *schedules > 0 {
-		n, plans = *schedules, append(plans, viewChangePlans()...)
-	}
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
+		n, plans = *schedules, slices.Concat(reorderPlans(), viewChangePlans(), crashPlans())
 	}
 	type outcome struct {
 		violations []string
 		accepted   int
 	}
-	out := fault.Sweep(plans, seeds, func(p fault.Plan, seed int64) outcome {
-		v, a := runSchedule(p, seed, fullShape)
+	out := par.Map(len(plans)*n, func(i int) outcome {
+		v, a := runSchedule(plans[i/n], int64(i%n+1), fullShape)
 		return outcome{v, a}
 	})
 	bad := map[string]int{}
 	accepted := 0
-	for i, c := range fault.Combos(plans, seeds) {
-		accepted += out[i].accepted
-		if len(out[i].violations) == 0 {
+	for i, o := range out {
+		accepted += o.accepted
+		if len(o.violations) == 0 {
 			continue
 		}
-		bad[c.Plan.Name]++
-		t.Errorf("plan %s seed %d: %d violations, first: %s", c.Plan.Name, c.Seed, len(out[i].violations), out[i].violations[0])
+		name, seed := plans[i/n].name(), i%n+1
+		bad[name]++
+		t.Errorf("plan %s seed %d: %d violations, first: %s", name, seed, len(o.violations), o.violations[0])
 	}
 	for _, p := range plans {
-		t.Logf("plan %s: %d of %d schedules violating", p.Name, bad[p.Name], n)
+		t.Logf("plan %s: %d of %d schedules violating", p.name(), bad[p.name()], n)
 	}
 	t.Logf("%d of %d requests accepted", accepted, len(out)*fullShape.clients*fullShape.requests)
 	if accepted == 0 {
 		t.Fatal("no client accepted a result: the search exercised nothing")
 	}
 	if *schedules > 0 {
-		if v, _ := runSchedule(shrunk.plan, shrunk.seed, shrunk.shape); len(v) > 0 {
+		if v, _ := runSchedule(shrunk.sched, shrunk.seed, shrunk.shape); len(v) > 0 {
 			t.Errorf("shrunk schedule (plan %s seed %d, %d client, %d requests): %q",
-				shrunk.plan.Name, shrunk.seed, shrunk.shape.clients, shrunk.shape.requests, v)
+				shrunk.sched.name(), shrunk.seed, shrunk.shape.clients, shrunk.shape.requests, v)
 		}
 	}
 }

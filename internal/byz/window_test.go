@@ -3,11 +3,13 @@ package byz
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"oceanstore/internal/guid"
 	"oceanstore/internal/obs"
+	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 )
 
@@ -196,7 +198,8 @@ func TestViewInstallRecyclesWindowAndFallback(t *testing.T) {
 // done index holds exactly the last doneWindow IDs.  Timers leave the
 // kernel the moment their request executes — a second after the last
 // commit the queue is empty, where it used to hold five timeouts per
-// recent request — and the client keeps no pending map.
+// recent request — and the client keeps no state at the tier and its
+// node no reply route.
 func TestRecordsAndTimersRetire(t *testing.T) {
 	k, _, g, client := tier(t, 4, 1, 24)
 	const batch, total = 50, 10000
@@ -230,12 +233,14 @@ func TestRecordsAndTimersRetire(t *testing.T) {
 			t.Fatalf("replica %d's done index holds %d IDs, not the last %d", r.id, len(r.done.ids), doneWindow)
 		}
 	}
-	cs := g.clients[client]
-	if cs.pending != nil || len(g.reqFree) == 0 || len(g.reqFree) > batch {
-		t.Fatalf("client keeps pending map %v, pool %d", cs.pending, len(g.reqFree))
+	if cs := g.clients[client]; cs != nil || len(g.reqFree) == 0 || len(g.reqFree) > batch {
+		t.Fatalf("client keeps state %v, pool %d", cs, len(g.reqFree))
 	}
-	if len(cs.done.ids) != doneWindow {
-		t.Fatalf("client done-set holds %d IDs, want %d", len(cs.done.ids), doneWindow)
+	if n := replyRoutes(g, client); n != 0 {
+		t.Fatalf("client node keeps %d reply routes with nothing outstanding", n)
+	}
+	if len(g.done.ids) != doneWindow {
+		t.Fatalf("tier done index holds %d IDs, want %d", len(g.done.ids), doneWindow)
 	}
 }
 
@@ -286,5 +291,143 @@ func TestLateRetransmissionAfterEviction(t *testing.T) {
 	k.RunUntil(6 * time.Second)
 	if !r.viewVotes[1][r.id] {
 		t.Fatal("the fresh timer never voted")
+	}
+}
+
+// replyRoutes is how many registrations the client's node holds for the
+// tier's tag — its reply route, when the node is not a tier member.
+func replyRoutes(g *Group, client simnet.NodeID) int {
+	return g.net.Node(client).Handlers(simnet.DemuxKey(g.tag))
+}
+
+// TestClientStateFollowsOutstandingRequests: one client node writes to
+// two tiers.  While the second tier is cut off, the first one's request
+// resolves and the client's state and route at that tier go with it;
+// the second tier's stay for as long as its request is outstanding.  A
+// late reply to the first tier drops, and another client's Submit of
+// the ID this client resolved is still served.
+func TestClientStateFollowsOutstandingRequests(t *testing.T) {
+	k := sim.NewKernel(26)
+	net := simnet.New(k, simnet.Config{BaseLatency: 100 * time.Millisecond})
+	tiers := make([]*Group, 2)
+	for i := range tiers {
+		var nodes []simnet.NodeID
+		for j := 0; j < 4; j++ {
+			nodes = append(nodes, net.AddNode(0, 0).ID)
+		}
+		g, err := NewGroup(net, nodes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.SetTag(guid.FromData([]byte{byte(i)}))
+		tiers[i] = g
+	}
+	a, b := tiers[0], tiers[1]
+	client, other := net.AddNode(0, 0).ID, net.AddNode(0, 0).ID
+	for _, n := range b.nodes {
+		net.SetPartition(n, 1)
+	}
+	done := map[string]int{}
+	submit := func(g *Group, from simnet.NodeID, r Request, name string) {
+		g.Submit(from, r, func(Result) { done[name]++ })
+	}
+	x := req("x", 100)
+	submit(a, client, x, "a")
+	submit(b, client, req("y", 100), "b")
+	if a.clients[client] == nil || b.clients[client] == nil || replyRoutes(a, client) != 1 || replyRoutes(b, client) != 1 {
+		t.Fatal("setup: the client has no state or route at a tier it has a request outstanding at")
+	}
+	k.RunFor(time.Second)
+	if done["a"] != 1 || done["b"] != 0 {
+		t.Fatalf("setup: callbacks %v, want a's only", done)
+	}
+	if a.clients[client] != nil || replyRoutes(a, client) != 0 {
+		t.Fatalf("the resolved tier keeps state %v and %d routes", a.clients[client], replyRoutes(a, client))
+	}
+	if b.clients[client] == nil || len(b.clients[client].pending) != 1 || replyRoutes(b, client) != 1 {
+		t.Fatal("the outstanding tier lost the client's state or route")
+	}
+	// A fourth reply to x, after the quorum: nothing takes it.
+	net.Send(a.nodes[3], client, kindReply, replyMsg{Tag: a.tag, Seq: 0, ID: x.ID, Digest: x.ID, From: 3}, CReply)
+	k.RunFor(time.Second)
+	if done["a"] != 1 || a.clients[client] != nil || replyRoutes(a, client) != 0 {
+		t.Fatalf("a late reply fired a callback (%v) or brought back state or a route", done)
+	}
+	submit(a, other, x, "other")
+	k.RunFor(time.Second)
+	if done["other"] != 1 || a.clients[other] != nil {
+		t.Fatalf("another client's Submit of a resolved ID: %d callbacks, state %v", done["other"], a.clients[other])
+	}
+	net.ClearPartitions()
+	k.RunFor(10 * time.Second) // the client's retransmission reaches b
+	if done["b"] != 1 || b.clients[client] != nil || replyRoutes(b, client) != 0 {
+		t.Fatalf("after the heal: callbacks %v, state %v, %d routes", done, b.clients[client], replyRoutes(b, client))
+	}
+	if len(a.clients)+len(b.clients) != 0 {
+		t.Fatalf("clients left at the tiers: %d and %d", len(a.clients), len(b.clients))
+	}
+}
+
+// TestHeapPerResolvedClient pins what a (client, tier) pair retains
+// once its one request resolved: the tier's done index entry for it (a
+// 32-byte key and table slots) and each of the four members' done index
+// entry for the executed request, and nothing else — the client's
+// state and reply route went with its last outstanding request.  The
+// difference between tiers that served one request from each of
+// clients/2 and of clients nodes is ≈ 173 B a pair (427 B while every
+// pair kept its state, route and a done-set for the run); the bound is
+// that plus 25 %.
+func TestHeapPerResolvedClient(t *testing.T) {
+	const tiers, clients, batch, bound = 20, 256, 16, 173 * 1.25
+	live := func(writers int) int64 {
+		k := sim.NewKernel(8)
+		net := simnet.New(k, simnet.Config{BaseLatency: 100 * time.Millisecond})
+		groups := make([]*Group, tiers)
+		for i := range groups {
+			var nodes []simnet.NodeID
+			for j := 0; j < 4; j++ {
+				nodes = append(nodes, net.AddNode(0, 0).ID)
+			}
+			g, err := NewGroup(net, nodes, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.SetTag(guid.FromData([]byte(fmt.Sprint("tier", i))))
+			groups[i] = g
+		}
+		var cs []simnet.NodeID
+		for c := 0; c < clients; c++ {
+			cs = append(cs, net.AddNode(0, 0).ID)
+		}
+		resolved := 0
+		for c := 0; c < writers; c += batch {
+			for i, g := range groups {
+				for j := c; j < c+batch; j++ {
+					g.Submit(cs[j], req(fmt.Sprintf("t%d-c%d", i, j), 100), func(Result) { resolved++ })
+				}
+			}
+			k.RunFor(time.Second)
+		}
+		for _, g := range groups {
+			if len(g.clients) != 0 {
+				t.Fatalf("a tier keeps %d clients with nothing outstanding", len(g.clients))
+			}
+		}
+		if resolved != tiers*writers {
+			t.Fatalf("resolved %d of %d", resolved, tiers*writers)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(groups)
+		runtime.KeepAlive(net)
+		return int64(ms.HeapAlloc)
+	}
+	half, full := live(clients/2), live(clients)
+	perPair := float64(full-half) / (tiers * clients / 2)
+	t.Logf("live heap %.2f MB with %d clients resolved a tier, %.2f MB with %d: %+.1f B per resolved (client, tier) pair",
+		float64(half)/(1<<20), clients/2, float64(full)/(1<<20), clients, perPair)
+	if perPair > bound {
+		t.Fatalf("%+.1f B of live heap per resolved (client, tier) pair, bound %.0f", perPair, bound)
 	}
 }

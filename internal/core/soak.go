@@ -416,8 +416,38 @@ func (w *SoakWorld) Problems() []string {
 // writeTally counts one object's soak writes: accepted (sent), and by
 // how they resolved — acknowledged as committed, or abandoned (failed
 // or timed out) — and holds base, its primary's committed length at
-// creation.
-type writeTally struct{ base, sent, acked, abandoned int }
+// creation.  failed counts every write the workload saw fail, abandoned
+// or refused before it was sent, between the virtual times of the
+// first and the last.
+type writeTally struct {
+	base, sent, acked, abandoned int
+	failed                       int
+	firstFail, lastFail          time.Duration
+}
+
+// fail notes a failed write at now.
+func (t *writeTally) fail(now time.Duration) {
+	if t.failed == 0 {
+		t.firstFail = now
+	}
+	t.failed++
+	t.lastFail = now
+}
+
+// Failures describes, one line per object in creation order, each
+// object that failed a write: how many failed, and the virtual times
+// of the first and the last failure.  A run in which no write failed
+// has none.
+func (w *SoakWorld) Failures() []string {
+	var out []string
+	for i, t := range w.writes {
+		if t.failed > 0 {
+			out = append(out, fmt.Sprintf("object %s: %d writes failed, first at %v, last at %v",
+				w.objects[i].Short(), t.failed, t.firstFail, t.lastFail))
+		}
+	}
+	return out
+}
 
 // unresolved is how many of the object's accepted writes have not yet
 // been acknowledged or abandoned.
@@ -639,9 +669,11 @@ func (w *SoakWorld) Do(req workload.Request, done func(ok bool)) error {
 				w.writes[idx].acked++
 			} else {
 				w.writes[idx].abandoned++
+				w.writes[idx].fail(w.Pool.K.Now())
 			}
 			done(ok)
 		}); err != nil {
+			w.writes[idx].fail(w.Pool.K.Now())
 			done(false)
 			return nil
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -186,6 +187,59 @@ func TestSoakWorldShedsPerObject(t *testing.T) {
 	}
 }
 
+// TestSoakWorldReportsFailuresPerObject: with one of two objects'
+// tiers cut off, only that object's writes fail, and Failures has one
+// line, for it, with its count and the virtual times of its first and
+// last failure — each write's timeout after it was sent.
+func TestSoakWorldReportsFailuresPerObject(t *testing.T) {
+	cfg := DefaultSoakConfig(64)
+	cfg.Objects = 2
+	w, err := NewSoakWorld(5, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Failures(); len(got) != 0 {
+		t.Fatalf("before any write: %q", got)
+	}
+	wedged, _ := w.Pool.Ring(w.objects[0])
+	healthy, _ := w.Pool.Ring(w.objects[1])
+	for _, n := range wedged.PrimaryNodes() {
+		if slices.Contains(healthy.PrimaryNodes(), n) {
+			t.Fatalf("the two tiers share node %d", n)
+		}
+		w.Pool.Net.SetPartition(n, 1)
+	}
+	client := slices.IndexFunc(w.sessions, func(s *Session) bool {
+		return !slices.Contains(wedged.PrimaryNodes(), s.c.Node)
+	})
+	failed, committed := 0, 0
+	sentAt := []time.Duration{}
+	for i := 0; i < 3; i++ {
+		sentAt = append(sentAt, w.Pool.K.Now())
+		for obj := 0; obj < 2; obj++ {
+			if err := w.Do(workload.Request{Client: client, Kind: workload.OpWrite, Object: obj, Size: 16}, func(ok bool) {
+				if ok {
+					committed++
+				} else {
+					failed++
+				}
+			}); err != nil {
+				t.Fatalf("write %d to object %d: %v", i, obj, err)
+			}
+		}
+		w.Pool.K.RunFor(10 * time.Second)
+	}
+	w.Pool.K.RunFor(soakWriteTimeout)
+	if failed != 3 || committed != 3 {
+		t.Fatalf("%d writes failed and %d committed, want 3 and 3", failed, committed)
+	}
+	want := fmt.Sprintf("object %s: 3 writes failed, first at %v, last at %v",
+		w.objects[0].Short(), sentAt[0]+soakWriteTimeout, sentAt[2]+soakWriteTimeout)
+	if got := w.Failures(); len(got) != 1 || got[0] != want {
+		t.Fatalf("failures %q, want [%q]", got, want)
+	}
+}
+
 // TestSoakWorldGrowth: nodes added mid-run join as secondaries.
 func TestSoakWorldGrowth(t *testing.T) {
 	cfg := DefaultSoakConfig(16)
@@ -237,9 +291,12 @@ func TestTentativeExpiryCoversAbandonedWrites(t *testing.T) {
 // stream in three windows plus an outcome per dedup entry, and 2391 B
 // where each tier member and each replica kept a map beside its window
 // repeating the window's IDs, and each log entry a timestamp and a
-// result GUID; it is 1642 B since, and the bound is that plus 25 %.
+// result GUID, and 1642 B where every (client node, tier) pair a write
+// used kept its agreement client state, reply route and done-set for
+// the run and every replica kept each commit's whole update; it is
+// 1158 B since, and the bound is that plus 25 %.
 func TestSoakHeapPerWrite(t *testing.T) {
-	const n, bound = 5000, 1642 * 1.25
+	const n, bound = 5000, 1158 * 1.25
 	live := func(ops int) (heap int64, writes int) {
 		cfg := DefaultSoakConfig(1000)
 		w, err := NewSoakWorld(1, cfg)

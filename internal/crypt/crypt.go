@@ -107,13 +107,19 @@ func (c *BlockCipher) DecryptBlock(pos uint64, ct []byte) []byte {
 	return c.EncryptBlock(pos, ct) // CTR is an involution
 }
 
-// BlockDigest hashes a ciphertext block.  Both the client (over the
-// expected ciphertext) and the server (over the stored ciphertext) can
-// compute it, enabling the compare-block predicate on ciphertext.
-func BlockDigest(ct []byte) guid.GUID {
-	h := sha1.Sum(ct)
+// BlockDigest hashes a stored block: its big-endian tag, then its
+// ciphertext.  Both the client (over the expected ciphertext) and the
+// server (over the stored ciphertext) can compute it, enabling the
+// compare-block predicate on ciphertext.  The two stream into the hash,
+// so the ciphertext is not copied.
+func BlockDigest(tag uint64, ct []byte) guid.GUID {
+	var t [8]byte
+	binary.BigEndian.PutUint64(t[:], tag)
+	h := sha1.New()
+	h.Write(t[:])
+	h.Write(ct)
 	var g guid.GUID
-	copy(g[:], h[:])
+	h.Sum(g[:0])
 	return g
 }
 

@@ -55,13 +55,13 @@ func TestBlockDigestEnablesCompareBlock(t *testing.T) {
 	// Client computes the digest of the expected ciphertext; server
 	// computes the digest of what it stores; they must agree without the
 	// server ever holding the key.
-	clientSide := BlockDigest(bc.EncryptBlock(3, plain))
+	clientSide := BlockDigest(7, bc.EncryptBlock(3, plain))
 	serverStored := bc.EncryptBlock(3, plain)
-	if BlockDigest(serverStored) != clientSide {
+	if BlockDigest(7, serverStored) != clientSide {
 		t.Fatal("compare-block digests disagree")
 	}
 	serverStored[0] ^= 1
-	if BlockDigest(serverStored) == clientSide {
+	if BlockDigest(7, serverStored) == clientSide {
 		t.Fatal("digest failed to detect modification")
 	}
 }

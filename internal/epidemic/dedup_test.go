@@ -69,17 +69,17 @@ func TestCheckpointCoversItsWindow(t *testing.T) {
 	v0 := object.NewObject([]byte("base."), 8, k)
 	src := New(v0)
 	commitChain(t, src, 3, 1, 10)
-	covered := src.Log.Entries()[2]
+	covered, coveredUpdate := src.Log.Entries()[2], src.view().Update(2)
 	want := read(t, src.CommittedState(), k)
 
 	joiner := NewAt(src.Checkpoint())
 	adopter := New(v0)
-	adopter.AddTentative(covered.Update) // its Fig-5a copy got there first
+	adopter.AddTentative(coveredUpdate) // its Fig-5a copy got there first
 	adopter.Adopt(src.Checkpoint())
 	for name, r := range map[string]*Replica{"joined": joiner, "adopted": adopter} {
 		var counts Counts
 		r.Instrument(&counts)
-		if got := r.Commit(covered.Update, 2, 50); got != covered.Outcome {
+		if got := r.Commit(coveredUpdate, 2, 50); got != covered.Outcome {
 			t.Fatalf("%s: late push answered %+v, logged %+v", name, got, covered.Outcome)
 		}
 		if r.CommittedLen() != src.CommittedLen() || len(r.tentative) != 0 {
@@ -167,7 +167,7 @@ func TestDedupTableIsWindowPlusTentative(t *testing.T) {
 		for i, r := range append([]*Replica{primary}, reps...) {
 			want := map[update.UpdateID]int{}
 			for pos := r.Log.Start(); pos < r.Log.Len(); pos++ {
-				want[r.Log.At(pos).Update.ID()] = pos
+				want[r.Log.At(pos).ID()] = pos
 			}
 			for _, u := range r.tentative {
 				want[u.ID()] = tentativeMark
@@ -281,7 +281,7 @@ func known(t *testing.T, r *Replica) map[update.UpdateID]int {
 		if p == 0 {
 			continue
 		}
-		id, pos := r.Log.Entries()[p-1].Update.ID(), r.Log.Start()+int(p)-1
+		id, pos := r.Log.Entries()[p-1].ID(), r.Log.Start()+int(p)-1
 		if at, ok := r.logged(id); !ok || at != pos {
 			t.Fatalf("the index points at %v's position %d, a lookup finds %d, %v", id, pos, at, ok)
 		}

@@ -36,14 +36,19 @@ type Replica struct {
 	// and the second arrival is answered from the window in one probe.
 	index []uint16
 
-	// cached tentative state; invalidated by any log change.
-	cached     *object.Version
-	cacheValid bool
+	// cached is the tentative state, nil once any change invalidates it.
+	cached *object.Version
 	// Log is the committed stream in the primary tier's order, commits
 	// and aborts alike (§4.4.1); it retains the last Window..2×Window
 	// entries (see trim).  Held by value: CommittedLen is read for every
 	// candidate replica of every read.
 	Log update.Log
+	// recent holds the updates of the log's last Reach positions, the
+	// one at position p in recent[p%Reach], nil where the replica never
+	// held it (an adopted checkpoint may bring fewer); it grows to Reach
+	// slots as positions fill.  Entries before them keep only ID and
+	// outcome (retention.go).
+	recent []*update.Update
 
 	// counts is the hosting node's slot in a Tally; nil counts nothing.
 	counts *Counts
@@ -183,7 +188,7 @@ func (r *Replica) AddTentative(u *update.Update) bool {
 	copy(r.tentative[i+1:], r.tentative[i:])
 	r.tentative[i] = u
 	r.counts.add(Tentative, 1)
-	r.cacheValid = false
+	r.cached = nil
 	return true
 }
 
@@ -225,6 +230,7 @@ func (r *Replica) Commit(u *update.Update, pos int, now time.Duration) update.Ou
 	}
 	// Aborts leave base untouched but are still logged (§4.4.1).
 	r.Log.Append(u, out)
+	r.hold(pos, u)
 	r.indexLast()
 	r.trim()
 	r.expire(now)
@@ -233,7 +239,7 @@ func (r *Replica) Commit(u *update.Update, pos int, now time.Duration) update.Ou
 	} else {
 		r.counts.add(Aborts, 1)
 	}
-	r.cacheValid = false
+	r.cached = nil
 	return out
 }
 
@@ -246,7 +252,7 @@ func (r *Replica) CommittedState() *object.Version { return r.base }
 // recomputed after any log change (Bayou rollback/replay).
 func (r *Replica) TentativeState(now time.Duration) *object.Version {
 	r.expire(now)
-	if r.cacheValid {
+	if r.cached != nil {
 		return r.cached
 	}
 	r.counts.add(Replays, 1)
@@ -257,7 +263,7 @@ func (r *Replica) TentativeState(now time.Duration) *object.Version {
 			v = next
 		}
 	}
-	r.cached, r.cacheValid = v, true
+	r.cached = v
 	return v
 }
 
@@ -266,13 +272,13 @@ func (r *Replica) TentativeState(now time.Duration) *object.Version {
 func (r *Replica) CommittedLen() int { return r.Log.Len() }
 
 // PrefixOf reports whether r's committed log is a prefix of primary's:
-// no longer, and the same update at every position both retain.
+// no longer, and the same update ID at every position both retain.
 func (r *Replica) PrefixOf(primary *Replica) bool {
 	if r.CommittedLen() > primary.CommittedLen() {
 		return false
 	}
 	for pos := max(r.Log.Start(), primary.Log.Start()); pos < r.CommittedLen(); pos++ {
-		if r.Log.At(pos).Update.ID() != primary.Log.At(pos).Update.ID() {
+		if r.Log.At(pos).ID() != primary.Log.At(pos).ID() {
 			return false
 		}
 	}

@@ -34,7 +34,7 @@ func (r *Replica) find(id update.UpdateID) (int, bool) {
 		if p == 0 {
 			return i, false
 		}
-		if u := es[p-1].Update; u.Seq == id.Seq && u.ClientID == id.Client {
+		if es[p-1].ID() == id {
 			return i, true
 		}
 	}
@@ -56,7 +56,7 @@ func (r *Replica) indexLast() {
 		r.reindexLog(max(indexSlots, 2*len(r.index)))
 		return
 	}
-	i, _ := r.find(es[len(es)-1].Update.ID())
+	i, _ := r.find(es[len(es)-1].ID())
 	r.index[i] = uint16(len(es))
 }
 
@@ -73,7 +73,7 @@ func (r *Replica) reindexLog(size int) {
 		r.index = make([]uint16, size)
 	}
 	for p, e := range es {
-		i, _ := r.find(e.Update.ID())
+		i, _ := r.find(e.ID())
 		r.index[i] = uint16(p + 1)
 	}
 }

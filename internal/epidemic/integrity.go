@@ -28,5 +28,5 @@ func (r *Replica) TamperBase(mut func(v *object.Version)) {
 	}
 	mut(&v)
 	r.base = &v
-	r.cacheValid = false
+	r.cached = nil
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash"
 )
 
 // Size is the byte length of a GUID (SHA-1 output).
@@ -40,7 +41,7 @@ func FromOwnerAndName(ownerPub []byte, name string) GUID {
 	h.Write(ownerPub)
 	h.Write([]byte{0})
 	h.Write([]byte(name))
-	return sum(h.Sum(nil))
+	return sum(h)
 }
 
 // FromPublicKey derives a server or user GUID from a public key.
@@ -48,7 +49,7 @@ func FromPublicKey(pub []byte) GUID {
 	h := sha1.New()
 	h.Write([]byte("oceanstore:key:"))
 	h.Write(pub)
-	return sum(h.Sum(nil))
+	return sum(h)
 }
 
 // FromData derives a content GUID — the secure hash over the data a
@@ -57,7 +58,7 @@ func FromData(data []byte) GUID {
 	h := sha1.New()
 	h.Write([]byte("oceanstore:data:"))
 	h.Write(data)
-	return sum(h.Sum(nil))
+	return sum(h)
 }
 
 // Parse decodes a GUID from its 40-character hex form.
@@ -105,7 +106,7 @@ func (g GUID) Salted(salt uint32) GUID {
 	h.Write([]byte("oceanstore:salt:"))
 	h.Write(g[:])
 	h.Write(sb[:])
-	return sum(h.Sum(nil))
+	return sum(h)
 }
 
 // String renders the GUID in hex.
@@ -153,8 +154,10 @@ func (g GUID) Compare(o GUID) int {
 	return 0
 }
 
-func sum(b []byte) GUID {
+// sum reads h's digest into a GUID; summing into the array, not a
+// fresh slice, keeps a hash off the heap.
+func sum(h hash.Hash) GUID {
 	var g GUID
-	copy(g[:], b)
+	h.Sum(g[:0])
 	return g
 }

@@ -153,3 +153,19 @@ func TestShortAndIsZero(t *testing.T) {
 		t.Fatalf("short form length %d", len(g.Short()))
 	}
 }
+
+// TestHashesDoNotAllocate: every derivation sums into the GUID it
+// returns, so hashing puts nothing on the heap.
+func TestHashesDoNotAllocate(t *testing.T) {
+	data, g := []byte("some fragment contents"), FromData([]byte("x"))
+	for name, f := range map[string]func(){
+		"FromData":         func() { FromData(data) },
+		"FromPublicKey":    func() { FromPublicKey(data) },
+		"FromOwnerAndName": func() { FromOwnerAndName(data, "name") },
+		"Salted":           func() { g.Salted(7) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %.0f times a call", name, n)
+		}
+	}
+}

@@ -122,7 +122,8 @@ func newTag(salt, counter uint64, plain []byte) uint64 {
 	binary.BigEndian.PutUint64(b[8:], counter)
 	h.Write(b[:])
 	h.Write(plain)
-	return binary.BigEndian.Uint64(h.Sum(nil))
+	var d [sha1.Size]byte
+	return binary.BigEndian.Uint64(h.Sum(d[:0]))
 }
 
 // Append emits an op appending payload as a new top-level data block.

@@ -59,11 +59,7 @@ type Block struct {
 
 // Digest hashes the block (tag and ciphertext), the quantity the
 // compare-block predicate tests.  Computable with no key.
-func (b Block) Digest() guid.GUID {
-	var tag [8]byte
-	binary.BigEndian.PutUint64(tag[:], b.Tag)
-	return crypt.BlockDigest(append(tag[:], b.CT...))
-}
+func (b Block) Digest() guid.GUID { return crypt.BlockDigest(b.Tag, b.CT) }
 
 // EncodeDataBlock wraps payload as a data block plaintext.
 func EncodeDataBlock(payload []byte) []byte {

@@ -2,11 +2,13 @@ package object
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"oceanstore/internal/crypt"
+	"oceanstore/internal/guid"
 )
 
 func key(seed int64) crypt.BlockKey {
@@ -441,5 +443,21 @@ func BenchmarkVersionGUID(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v.guidSet = false // force the root to be recomputed
 		_ = v.GUID()
+	}
+}
+
+// TestBlockDigestStreams: Digest is SHA-1 over the big-endian tag and
+// then the ciphertext, as it was when the two were concatenated first,
+// and hashes them without copying the ciphertext.
+func TestBlockDigestStreams(t *testing.T) {
+	b := Block{Tag: 0x0102030405060708, CT: bytes.Repeat([]byte("ciphertext"), 100)}
+	if got, want := b.Digest(), guid.GUID(sha1.Sum(append([]byte{1, 2, 3, 4, 5, 6, 7, 8}, b.CT...))); got != want {
+		t.Fatalf("digest %s, want %s", got.Short(), want.Short())
+	}
+	if n := testing.AllocsPerRun(100, func() { b.Digest() }); n != 0 {
+		t.Fatalf("Digest allocates %.0f times a call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { newTag(1, 2, b.CT) }); n != 0 {
+		t.Fatalf("newTag allocates %.0f times a call", n)
 	}
 }

@@ -432,11 +432,13 @@ func (r *Ring) onTreeDeliver(node simnet.NodeID, d dtree.Delivery) {
 }
 
 // onTreePull serves a child's pull: ship the parent's checkpoint — its
-// committed log window, plus the base state the child adopts if it lags
-// past the window — so the child can catch up (the paper's "pull
-// missing information from parents").  While the window still reaches
-// back to position 0 the child can always replay, so the base state is
-// not charged to the wire.
+// committed log window, the updates the parent still holds for the
+// window's last positions, and the base state the child adopts if it
+// lags past them — so the child can catch up (the paper's "pull missing
+// information from parents").  The wire carries what travels: a whole
+// update where the parent holds one, an ID and outcome where it does
+// not, and the base state unless the updates reach back to position 0,
+// from where the child can always replay.
 func (r *Ring) onTreePull(parent simnet.NodeID) (any, int) {
 	src := r.primaryState
 	if sec, ok := r.secondaries[parent]; ok {
@@ -444,10 +446,14 @@ func (r *Ring) onTreePull(parent simnet.NodeID) (any, int) {
 	}
 	c := src.Checkpoint()
 	size := 64
-	for _, e := range c.Window {
-		size += e.Update.WireSize()
+	for pos := c.Start; pos < c.Len(); pos++ {
+		if u := c.Update(pos); u != nil {
+			size += u.WireSize()
+		} else {
+			size += update.EntryWireSize
+		}
 	}
-	if c.Start > 0 {
+	if c.ReplayFrom() > 0 {
 		size += c.Base.BytesStored()
 	}
 	return c, size

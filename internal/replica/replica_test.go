@@ -227,7 +227,9 @@ func TestLowBandwidthInvalidationAndRefresh(t *testing.T) {
 // parent's log window no longer reaches position 0 catches up from the
 // pulled checkpoint by adopting its base state, so the pull reply is
 // charged the base version's stored bytes on top of the window — not a
-// placeholder for the base.
+// placeholder for the base — and the window at what travels: whole
+// updates for the parent's last epidemic.Reach positions, an ID and
+// outcome for each older entry.
 func TestRefreshPastTheWindowChargesTheBase(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ArchiveEvery = 1 << 20
@@ -257,9 +259,11 @@ func TestRefreshPastTheWindowChargesTheBase(t *testing.T) {
 	if c.Start == 0 || sec.Rep.CommittedLen() != 0 {
 		t.Fatalf("setup: parent's window starts at %d, stale secondary at %d", c.Start, sec.Rep.CommittedLen())
 	}
-	want := int64(64 + c.Base.BytesStored())
-	for _, e := range c.Window {
-		want += int64(e.Update.WireSize())
+	// The parent holds the updates of its last epidemic.Reach positions;
+	// the window's older entries travel as ID and outcome.
+	want := int64(64 + c.Base.BytesStored() + (len(c.Window)-epidemic.Reach)*update.EntryWireSize)
+	for pos := c.Len() - epidemic.Reach; pos < c.Len(); pos++ {
+		want += int64(c.Update(pos).WireSize())
 	}
 	before := w.net.Stats().ByKind[dtree.KindPullReply]
 	if err := w.ring.Refresh(5, nil); err != nil {

@@ -182,6 +182,59 @@ func TestHandleDemuxDuringDelivery(t *testing.T) {
 	}
 }
 
+// TestUnhandleDuringDelivery: a handler that removes its own
+// registration — a client's reply route going with its last
+// outstanding request — must not make the delivery in progress skip the
+// slot after it, which an in-place delete would shift under the walk,
+// nor run any slot twice.  Later deliveries miss the removed slot, a
+// removal outside a delivery works in place, an equal but distinct
+// kinds slice removes nothing, and a node left with no registration
+// still takes deliveries (no slot runs), as a node whose slots are for
+// other instances does: only a node that never registered drops them
+// as unhandled.
+func TestUnhandleDuringDelivery(t *testing.T) {
+	k := sim.NewKernel(3)
+	net := New(k, Config{})
+	a := net.AddNode(0, 0).ID
+	b := net.AddNode(0, 0).ID
+	var k1, k9 DemuxKey
+	k1[0], k9[0] = 5, 9
+	first, second, third := []string{"x"}, []string{"x"}, []string{"x"}
+	var order []string
+	net.Node(b).HandleDemux(k9, first, func(Message) { order = append(order, "k9") })
+	net.Node(b).HandleDemux(k1, first, func(Message) {
+		order = append(order, "k1/first")
+		net.Node(b).Unhandle(k1, first)
+	})
+	net.Node(b).HandleDemux(k1, second, func(Message) { order = append(order, "k1/second") })
+	net.Node(b).HandleDemux(k1, third, func(Message) { order = append(order, "k1/third") })
+	deliver := func(key DemuxKey) string {
+		order = nil
+		net.Send(a, b, "x", demuxProbe{key: key}, 8)
+		k.Run()
+		return fmt.Sprint(order)
+	}
+	if got, want := deliver(k1), "[k1/first k1/second k1/third]"; got != want {
+		t.Fatalf("the delivery that removed a slot ran %v, want %v", got, want)
+	}
+	if got, want := deliver(k1), "[k1/second k1/third]"; got != want || net.Node(b).Handlers(k1) != 2 {
+		t.Fatalf("after the removal a delivery ran %v, want %v (%d slots for the key)", got, want, net.Node(b).Handlers(k1))
+	}
+	net.Node(b).Unhandle(k1, []string{"x"}) // equal to second's kinds, but not second's slice
+	net.Node(b).Unhandle(k1, second)
+	if got, want := deliver(k1), "[k1/third]"; got != want {
+		t.Fatalf("after removing the second slot a delivery ran %v, want %v", got, want)
+	}
+	net.Node(b).Unhandle(k1, third)
+	net.Node(b).Unhandle(k9, first)
+	before := net.Stats().MessagesDelivered
+	if got := deliver(k1); got != "[]" || net.Node(b).Handlers(k1)+net.Node(b).Handlers(k9) != 0 ||
+		net.Stats().DroppedNoHandler != 0 || net.Stats().MessagesDelivered != before+1 {
+		t.Fatalf("a node whose registrations all went ran %v, delivered %d, dropped %d as unhandled",
+			got, net.Stats().MessagesDelivered-before, net.Stats().DroppedNoHandler)
+	}
+}
+
 // TestLinkCountersAcrossTableGrowth: the link table doubles as links
 // appear; every link's count must stay reachable through it, and
 // re-attaching the same registry must add the new table's counts to the

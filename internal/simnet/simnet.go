@@ -48,6 +48,7 @@ import (
 	"math/bits"
 	"slices"
 	"time"
+	"unsafe"
 
 	"oceanstore/internal/guid"
 	"oceanstore/internal/obs"
@@ -99,6 +100,10 @@ type demuxSlot struct {
 }
 
 func (k DemuxKey) word() uint64 { return binary.LittleEndian.Uint64(k[:8]) }
+
+// noSlots is the table of a node whose registrations were all removed:
+// empty, but not nil like a node's that never had one.
+var noSlots = []demuxSlot{}
 
 // demuxFrom returns the index of the first slot whose key word is at
 // least w.
@@ -166,6 +171,46 @@ func (n Node) HandleDemux(key DemuxKey, kinds []string, h Handler) {
 	n.net.demux[n.ID] = slices.Insert(tab, i, slot)
 }
 
+// Unhandle removes the registration HandleDemux made with this key and
+// this kinds slice (the same slice, not an equal one); it does nothing
+// if there is none.  Called during a delivery, it gives the node a
+// fresh array, as HandleDemux does, so the delivery in progress walks
+// the slots it began with: it neither skips a slot nor revisits one.
+// A node whose last registration goes still takes deliveries, which no
+// slot matches: only a node that never registered one drops them as
+// unhandled.
+func (n Node) Unhandle(key DemuxKey, kinds []string) {
+	tab := n.net.demux[n.ID]
+	w := key.word()
+	for i := demuxFrom(tab, w); i < len(tab) && tab[i].key.word() == w; i++ {
+		if s := tab[i]; s.key != key || len(s.kinds) != len(kinds) || unsafe.SliceData(s.kinds) != unsafe.SliceData(kinds) {
+			continue
+		}
+		if n.net.dispatching {
+			tab = slices.Concat(tab[:i], tab[i+1:])
+		} else {
+			tab = slices.Delete(tab, i, i+1)
+		}
+		if len(tab) == 0 {
+			tab = noSlots
+		}
+		n.net.demux[n.ID] = tab
+		return
+	}
+}
+
+// Handlers reports how many HandleDemux registrations the node holds
+// for key.
+func (n Node) Handlers(key DemuxKey) int {
+	tab, w, c := n.net.demux[n.ID], key.word(), 0
+	for i := demuxFrom(tab, w); i < len(tab) && tab[i].key.word() == w; i++ {
+		if tab[i].key == key {
+			c++
+		}
+	}
+	return c
+}
+
 // Config sets the link model of a Network.
 type Config struct {
 	// BaseLatency is added to every message (propagation floor).
@@ -195,7 +240,7 @@ type Stats struct {
 	DroppedByPartition int
 	DroppedByFault     int // a FaultPlan verdict
 	DroppedByLoss      int // Config.DropProb random loss
-	DroppedNoHandler   int // delivered to a node with no handlers
+	DroppedNoHandler   int // delivered to a node that never registered a handler
 	// Crashes and Recoveries count liveness transitions.
 	Crashes    int
 	Recoveries int
@@ -243,7 +288,7 @@ type Network struct {
 	down    []bool
 	lowbw   []bool
 	// demux holds each node's HandleDemux registrations, sorted by key
-	// word; nil for nodes that have none.
+	// word; nil for nodes that never had one.
 	// dispatching is set while a delivery walks a demux table.
 	demux       [][]demuxSlot
 	dispatching bool
@@ -843,7 +888,7 @@ func (n *Network) deliver(m Message) bool {
 		return false
 	}
 	dm := n.demux[m.To]
-	if len(n.global) == 0 && len(dm) == 0 {
+	if len(n.global) == 0 && dm == nil {
 		n.emit(evDropNoHandler, m)
 		return false
 	}

@@ -7,19 +7,30 @@ import (
 
 // LogEntry records one applied (or aborted) update: "the update itself
 // is logged regardless of whether it commits or aborts" (§4.4.1).  It
-// holds what the log's readers read — the update, for replay and
-// dedup, and the outcome a duplicate commit is answered with — and
-// nothing else: 16 bytes, one per retained entry on every replica.
+// holds what the log's readers read past a replica's last few
+// positions — the update's ID, for dedup and the prefix check, and the
+// outcome a duplicate commit is answered with — and nothing else: 16
+// bytes, one per retained entry on every replica.  The ID is a pointer
+// to one record per update, made when the update is first logged and
+// shared by every replica that logs it.  The update itself is kept
+// beside the log, for the positions a catch-up can still replay
+// (epidemic.Reach).
 type LogEntry struct {
-	Update  *Update
+	id      *UpdateID
 	Outcome Outcome
 }
 
-// Log is an append-only per-object update log.  Powerful clients can
-// replay it to regenerate and re-encrypt an object in whole (§4.4.2).
-// It retains a suffix window of entries plus running commit/abort
-// tallies: its owner evicts from the front (Trim), and Start reports
-// how many entries have gone.
+// ID returns the logged update's ID.
+func (e LogEntry) ID() UpdateID { return *e.id }
+
+// EntryWireSize is a log entry's bytes on the wire without its update:
+// the update's ID and its outcome.
+const EntryWireSize = guid.Size + 8 + 1 + 4
+
+// Log is an append-only per-object update log: the serialisation of
+// an object's updates, by ID and outcome.  It retains a suffix window
+// of entries plus running commit/abort tallies: its owner evicts from
+// the front (Trim), and Start reports how many entries have gone.
 //
 // The log keeps no index by update ID and does not deduplicate: its one
 // writer, epidemic.Replica.Commit, appends a commit only at the log
@@ -64,7 +75,7 @@ func (l *Log) Rebase(start int, window []LogEntry) {
 // Append records an update outcome.  The caller appends each update
 // once (epidemic propagation redelivers; see Log).
 func (l *Log) Append(u *Update, o Outcome) {
-	l.entries = append(l.entries, LogEntry{Update: u, Outcome: o})
+	l.entries = append(l.entries, LogEntry{id: u.logID(), Outcome: o})
 	if o.Committed {
 		l.commits++
 	} else {

@@ -2,6 +2,7 @@ package update
 
 import (
 	"testing"
+	"unsafe"
 
 	"oceanstore/internal/guid"
 )
@@ -29,8 +30,8 @@ func TestLogTrimEvictsFront(t *testing.T) {
 	if l.Start() != 12 || len(l.Entries()) != 8 {
 		t.Fatalf("window [%d,%d), want [12,20)", l.Start(), l.Start()+len(l.Entries()))
 	}
-	if e := l.At(15); e.Update.Seq != 15 || e.Outcome.Committed {
-		t.Fatalf("At(15) = update %d committed %v, want update 15, aborted", e.Update.Seq, e.Outcome.Committed)
+	if e := l.At(15); e.ID().Seq != 15 || e.Outcome.Committed {
+		t.Fatalf("At(15) = update %d committed %v, want update 15, aborted", e.ID().Seq, e.Outcome.Committed)
 	}
 	// Tallies survive eviction; the retained window does not double-count.
 	c, a := l.Counts()
@@ -42,8 +43,8 @@ func TestLogTrimEvictsFront(t *testing.T) {
 	}
 	// The retained window is the log's tail, in order.
 	for i, e := range l.Entries() {
-		if want := uint64(l.Start() + i); e.Update.Seq != want {
-			t.Fatalf("retained entry %d is update %d, want %d", i, e.Update.Seq, want)
+		if want := uint64(l.Start() + i); e.ID().Seq != want {
+			t.Fatalf("retained entry %d is update %d, want %d", i, e.ID().Seq, want)
 		}
 	}
 }
@@ -53,20 +54,40 @@ func TestLogRebase(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Append(logEntryUpdate(i), Outcome{Committed: true})
 	}
-	window := []LogEntry{{Update: logEntryUpdate(7)}, {Update: logEntryUpdate(8)}}
+	window := []LogEntry{{id: logEntryUpdate(7).logID()}, {id: logEntryUpdate(8).logID()}}
 	l.Rebase(7, window)
 	window[0] = LogEntry{} // the log holds its own copy
-	if l.Start() != 7 || len(l.Entries()) != 2 || l.Len() != 9 || l.Entries()[0].Update.Seq != 7 {
+	if l.Start() != 7 || len(l.Entries()) != 2 || l.Len() != 9 || l.Entries()[0].ID().Seq != 7 {
 		t.Fatalf("after rebase: start %d, retained %d, len %d", l.Start(), len(l.Entries()), l.Len())
 	}
 	if c, a := l.Counts(); c != 5 || a != 0 {
 		t.Fatalf("tallies %d+%d after rebase, want the 5 appends only", c, a)
 	}
 	l.Append(logEntryUpdate(100), Outcome{Committed: true})
-	if es := l.Entries(); len(es) != 3 || es[2].Update.Seq != 100 {
+	if es := l.Entries(); len(es) != 3 || es[2].ID().Seq != 100 {
 		t.Fatalf("rebased log retains %d entries, want the window and the new one", len(es))
 	}
 	if l.Len() != 10 {
 		t.Fatalf("Len %d after rebase+append, want 10", l.Len())
+	}
+}
+
+// TestLogEntrySize: an entry is an ID record pointer and an outcome,
+// 16 bytes on every replica for every retained position, and every log
+// that appends an update points at the same record.  Holding it keeps
+// an update within its 208-byte size class.
+func TestLogEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(LogEntry{}); n != 16 {
+		t.Fatalf("LogEntry is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(Update{}); n != 208 {
+		t.Fatalf("Update is %d bytes, want 208", n)
+	}
+	u := logEntryUpdate(3)
+	var a, b Log
+	a.Append(u, Outcome{Committed: true})
+	b.Append(u, Outcome{Committed: true})
+	if a.At(0).id != b.At(0).id || a.At(0).ID() != u.ID() {
+		t.Fatal("two logs of one update hold different ID records")
 	}
 }

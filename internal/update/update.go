@@ -190,14 +190,17 @@ func (g Guard) holds(v *object.Version) bool {
 }
 
 // Update is a signed, client-generated change request (§4.4.1).
+//
+// The two GUIDs sit together, so neither is padded out to a word and an
+// update fits the allocator's 208-byte size class.
 type Update struct {
 	Object guid.GUID
-	Guards []Guard
-
 	// ClientID identifies the author; Seq is a per-client sequence
 	// number, so (ClientID, Seq) names the update globally.
 	ClientID guid.GUID
 	Seq      uint64
+
+	Guards []Guard
 	// Timestamp is the client's optimistic timestamp, used by secondary
 	// replicas to pick a tentative order and by the primary tier to
 	// guide the final order (§4.4.3).
@@ -215,10 +218,23 @@ type Update struct {
 	// signing is the signature StartSign set going and nothing has
 	// needed yet; resolve joins it into Sig and the memo.
 	signing *par.Task[[]byte]
+	// logged is the ID record the log entries of this update share.
+	logged *UpdateID
 }
 
 // ID names the update globally.
 func (u *Update) ID() UpdateID { return UpdateID{Client: u.ClientID, Seq: u.Seq} }
+
+// logID returns the update's ID record, made when it is first logged:
+// one record per update, whatever number of replicas log it, so an
+// entry holds a pointer and the record outlives the update's payload.
+func (u *Update) logID() *UpdateID {
+	if u.logged == nil {
+		id := u.ID()
+		u.logged = &id
+	}
+	return u.logged
+}
 
 // UpdateID is the global name of an update.
 type UpdateID struct {

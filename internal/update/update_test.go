@@ -326,7 +326,7 @@ func TestUpdateIDAndLog(t *testing.T) {
 		t.Fatalf("commits = %d", got)
 	}
 	es := l.Entries()
-	if es[0].Update != u || es[1].Update != u2 {
+	if es[0].ID() != u.ID() || es[1].ID() != u2.ID() {
 		t.Fatal("entries out of order")
 	}
 }
