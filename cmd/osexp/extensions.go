@@ -77,7 +77,7 @@ func runFanout(w io.Writer, seed int64, _ *obsink) {
 			last = k.Now() - start
 		})
 		net.ResetStats()
-		tr.Push("u", 0, 4096)
+		tr.Push(dtree.Delivery{Payload: "u", Size: 4096})
 		k.RunFor(time.Minute)
 		maxDepth := 0
 		for i := 0; i < 200; i++ {

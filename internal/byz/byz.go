@@ -523,6 +523,12 @@ func (g *Group) Cancel(client simnet.NodeID, id guid.GUID) {
 	g.clearReq(client, id)
 }
 
+// Primary returns the node a fresh request's payload goes to: the
+// primary of the current view.
+func (g *Group) Primary() simnet.NodeID {
+	return g.nodes[int(g.currentView())%len(g.replicas)]
+}
+
 // currentView reports the highest view any live replica is in — the
 // view a fresh client should address.
 func (g *Group) currentView() uint64 {

@@ -20,8 +20,8 @@ var schedules = flag.Int("schedules", 0, "seeds per plan for TestScheduleSearch'
 
 // Schedule search (ROADMAP 15(a)): a 4-member tier (f = 1) with three
 // concurrent clients, an executor on every member, and a fault plan
-// that reorders and drops messages, or crashes the view-0 primary
-// partway through.  The plan and the kernel seed fix one interleaving;
+// that reorders and drops messages, or crashes the view-0 primary or
+// makes it equivocate partway through.  The plan and the kernel seed fix one interleaving;
 // sweeping seeds samples many.  At the end the correct members'
 // executions are judged for safety alone: a member that missed
 // messages may have executed less, but never something else.
@@ -50,18 +50,26 @@ var fullShape = searchShape{clients: 3, requests: 4}
 // schedule is a fault plan and, for a primary-crash plan, how many
 // messages member 0 — the view-0 primary — sends before it crashes
 // (0: it never does).  The crash is crash-stop, right after that send:
-// the member sends, receives and executes nothing more.
+// the member sends, receives and executes nothing more.  For an
+// equivocation plan, member 0 turns Byzantine after its
+// equivocateAfter-th message instead: from then on each pre-prepare it
+// sends to members 2 and 3 carries another request than the one it
+// sends to member 1 at the same view and sequence number.
 type schedule struct {
-	plan       fault.Plan
-	crashAfter int
+	plan            fault.Plan
+	crashAfter      int
+	equivocateAfter int
 }
 
-// name is the plan's, with the crash in front of it.
+// name is the plan's, with the crash or the equivocation in front of it.
 func (s schedule) name() string {
-	if s.crashAfter == 0 {
-		return s.plan.Name
+	switch {
+	case s.crashAfter > 0:
+		return fmt.Sprintf("crash-primary-after-%d/%s", s.crashAfter, s.plan.Name)
+	case s.equivocateAfter > 0:
+		return fmt.Sprintf("equivocate-after-%d/%s", s.equivocateAfter, s.plan.Name)
 	}
-	return fmt.Sprintf("crash-primary-after-%d/%s", s.crashAfter, s.plan.Name)
+	return s.plan.Name
 }
 
 // reorderPlans reorder messages with uniform jitter up to a few link
@@ -107,6 +115,55 @@ func crashPlans() []schedule {
 	return out
 }
 
+// equivocationPlans make the view-0 primary equivocate after each of
+// crashAfters sends on the network net (ROADMAP 22(d)).  Neither
+// pre-prepare gathers a commit quorum, so the backups change views.  On
+// a fault-free network the protocol passes every schedule of them in
+// the long sweep, so the in-suite slice sweeps those; under 50 ms of
+// jitter some schedules break safety, as the unsafe view change
+// (ROADMAP 22) lets them, so those run only in the long sweep
+// (EXPERIMENTS.md, "Agreement safety, searched").
+func equivocationPlans(net fault.Plan) []schedule {
+	var out []schedule
+	for _, k := range crashAfters {
+		out = append(out, schedule{plan: net, equivocateAfter: k})
+	}
+	return out
+}
+
+// equivocator is the fault plan of an equivocation schedule: it counts
+// member 0's sends, and once the count passes after it drops member
+// 0's pre-prepares to members 2 and 3 and sends each of them one that
+// carries a forged request at the same view and sequence number.  Every
+// message, forged ones included, then passes the network's own plan.
+type equivocator struct {
+	net     *simnet.Network
+	inner   simnet.FaultPlan
+	members []simnet.NodeID
+	after   int
+	sent    int
+	forged  int
+	forging bool
+}
+
+func (e *equivocator) FilterSend(m simnet.Message, now time.Duration) (bool, time.Duration) {
+	pp, ok := m.Payload.(prePrepareMsg)
+	if m.From == e.members[0] && !e.forging {
+		e.sent++
+		if ok && e.sent > e.after && (m.To == e.members[2] || m.To == e.members[3]) {
+			forged := req(fmt.Sprintf("forged at view %d seq %d", pp.View, pp.Seq), pp.Req.Size)
+			forged.Tag, forged.Client = pp.Req.Tag, pp.Req.Client
+			pp.Req = forged
+			e.forging = true
+			e.net.Send(m.From, m.To, m.Kind, pp, m.Size)
+			e.forging = false
+			e.forged++
+			return true, 0
+		}
+	}
+	return e.inner.FilterSend(m, now)
+}
+
 // shrunk is the smallest violating schedule the long sweep found: one
 // client's two requests under 10 % loss.  Member 2 executes the first
 // request at sequence 0, where the other three executed the second,
@@ -138,7 +195,11 @@ func runSchedule(sched schedule, seed int64, shape searchShape) (violations []st
 	for i := range logs {
 		g.SetExecutor(i, func(seq uint64, r Request) { logs[i] = append(logs[i], executed{seq, r.ID}) })
 	}
-	fault.Install(net, sched.plan)
+	eng := fault.Install(net, sched.plan)
+	eq := &equivocator{net: net, inner: eng, members: members, after: sched.equivocateAfter}
+	if sched.equivocateAfter > 0 {
+		net.SetFaultPlan(eq)
+	}
 	sent := 0
 	if sched.crashAfter > 0 {
 		net.SetTrace(func(ev simnet.TraceEvent) {
@@ -171,10 +232,16 @@ func runSchedule(sched schedule, seed int64, shape searchShape) (violations []st
 		// fired searched nothing it claims to.
 		violations = append(violations, fmt.Sprintf("member 0 sent %d messages and never crashed", sent))
 	}
+	if sched.equivocateAfter > 0 && eq.forged == 0 {
+		violations = append(violations, fmt.Sprintf("member 0 sent %d messages and never equivocated", eq.sent))
+	}
 
-	// Every member is correct in these plans: none lies, and a member
-	// that crashes stops, so what it executed before the crash is
-	// judged with the rest.
+	// Every member but an equivocating primary is correct: a member that
+	// crashes stops, so what it executed before the crash is judged with
+	// the rest.  What an equivocator executed is not judged.
+	if sched.equivocateAfter > 0 {
+		logs[0] = nil
+	}
 	at := make([]map[uint64]guid.GUID, searchMembers)
 	for i, log := range logs {
 		at[i] = make(map[uint64]guid.GUID, len(log))
@@ -214,14 +281,17 @@ func runSchedule(sched schedule, seed int64, shape searchShape) (violations []st
 	return violations, len(results)
 }
 
-// TestScheduleSearch sweeps the in-suite slice — the reorder plans and
-// the passing primary-crash plans over a fixed seed range, all of which
-// the protocol passes — or, with -schedules N, N seeds of every plan,
-// reporting each violating schedule.
+// TestScheduleSearch sweeps the in-suite slice — the reorder plans, the
+// primary-crash plans and the fault-free equivocation plans over a
+// fixed seed range, all of which the protocol passes — or, with
+// -schedules N, N seeds of every plan, reporting each violating
+// schedule.
 func TestScheduleSearch(t *testing.T) {
-	n, plans := 500, append(reorderPlans(), crashPlans()...)
+	faultFree := equivocationPlans(*fault.NewPlan("fault-free"))
+	n, plans := 500, slices.Concat(reorderPlans(), crashPlans(), faultFree)
 	if *schedules > 0 {
-		n, plans = *schedules, slices.Concat(reorderPlans(), viewChangePlans(), crashPlans())
+		jittered := equivocationPlans(*fault.NewPlan("jitter-50ms").Jitter(0, 50*time.Millisecond))
+		n, plans = *schedules, slices.Concat(reorderPlans(), viewChangePlans(), crashPlans(), faultFree, jittered)
 	}
 	type outcome struct {
 		violations []string

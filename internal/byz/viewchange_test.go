@@ -14,11 +14,17 @@ func TestCascadedViewChanges(t *testing.T) {
 	order := record(g)
 	g.SetFault(0, Crashed) // view 0 primary
 	g.SetFault(1, Crashed) // view 1 primary
+	if p := g.Primary(); p != g.nodes[0] {
+		t.Fatalf("a fresh request goes to node %d, want view 0's primary %d", p, g.nodes[0])
+	}
 	var res *Result
 	g.Submit(client, req("double-crash", 1000), func(r Result) { res = &r })
 	k.RunFor(3 * time.Minute)
 	if res == nil {
 		t.Fatal("two cascaded view changes did not recover liveness")
+	}
+	if p := g.Primary(); p != g.nodes[2] {
+		t.Fatalf("a fresh request goes to node %d, want view 2's primary %d", p, g.nodes[2])
 	}
 	// All survivors executed the same update.
 	for i := 2; i < 7; i++ {

@@ -229,6 +229,10 @@ func (m *SigMemo) End(sig []byte) {
 	m.sig, m.ok = guid.FromData(sig), true
 }
 
+// Statement returns the digest of the statement the memo was begun or
+// verified with, or the zero GUID if it holds none.
+func (m *SigMemo) Statement() guid.GUID { return m.msg }
+
 // Verify is VerifySig through the memo; hit reports that the memo
 // answered and Ed25519 did not run.
 func (m *SigMemo) Verify(pub, msg, sig []byte) (ok, hit bool) {

@@ -9,6 +9,15 @@
 // leaf marked low-bandwidth receives a ~100-byte invalidation instead
 // of the full update and fetches the data only when it needs it.
 //
+// A push carries each update's payload to a member once.  Members a
+// push names as holders already hold the payload (a client sent them a
+// tentative copy, Fig. 5a), so the tree sends each of them only a
+// notice of the commit (OnNotice), which the member resolves against
+// its copy; a holder without a matching copy fetches the payload from
+// its parent before it delivers or forwards.  A message also names the
+// holders below its receiver, which are the ones the receiver must
+// tell apart when it forwards, at guid.Size bytes each.
+//
 // Parent selection is latency-greedy with a fanout cap, so the tree
 // roughly follows network locality; nodes whose parent fails re-attach
 // (self-repair).
@@ -18,9 +27,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
+	"oceanstore/internal/guid"
 	"oceanstore/internal/simnet"
 )
 
@@ -30,6 +41,8 @@ const (
 	KindInvalidate = "dtree-inval"
 	KindPull       = "dtree-pull"
 	KindPullReply  = "dtree-pull-reply"
+	KindFetch      = "dtree-fetch"
+	KindFetchReply = "dtree-fetch-reply"
 )
 
 // InvalidationSize is the wire size of an invalidation notice.
@@ -41,9 +54,14 @@ type Delivery struct {
 	// physical nodes, and each ignores the others' traffic.
 	Tree    uint64
 	Payload any
+	// Digest names Payload's content.  A push to a holder carries it in
+	// place of Payload, which it leaves nil.
+	Digest guid.GUID
 	// Pos is a pushed update's position in the root's log.
 	Pos  int
 	Size int
+	// Holders are the members that already hold Payload.
+	Holders []simnet.NodeID
 	// Invalidated is true when this member received only an
 	// invalidation notice (bandwidth-limited path); Payload is nil and
 	// the member should Pull when it next needs fresh data.
@@ -54,6 +72,18 @@ type Delivery struct {
 
 // Handler consumes deliveries at a member node.
 type Handler func(node simnet.NodeID, d Delivery)
+
+// Notices tells a tree how a member that already holds a payload
+// receives it.
+type Notices struct {
+	// Size is a notice's wire size.
+	Size int
+	// Resolve returns the payload a notice names (by Digest and Pos)
+	// from what node holds, or false on a miss.
+	Resolve func(node simnet.NodeID, d Delivery) (any, bool)
+	// Serve is Resolve at the parent of a child that missed.
+	Serve func(parent simnet.NodeID, d Delivery) (any, bool)
+}
 
 // PullHandler serves a child's pull request at a parent, returning the
 // payload and size to ship back.
@@ -99,6 +129,7 @@ type Tree struct {
 
 	onDeliver Handler
 	onPull    PullHandler
+	notices   Notices
 	pullWait  map[simnet.NodeID]func(Delivery)
 }
 
@@ -124,6 +155,10 @@ func (t *Tree) OnDeliver(h Handler) { t.onDeliver = h }
 
 // OnPull installs the parent-side pull handler.
 func (t *Tree) OnPull(h PullHandler) { t.onPull = h }
+
+// OnNotice installs how holders resolve notices and parents serve the
+// members that missed.
+func (t *Tree) OnNotice(n Notices) { t.notices = n }
 
 // Root returns the tree root.
 func (t *Tree) Root() simnet.NodeID { return t.root }
@@ -190,7 +225,7 @@ func (t *Tree) attach(id, parent simnet.NodeID) {
 }
 
 // memberKinds are the wire kinds a tree member receives.
-var memberKinds = []string{KindUpdate, KindInvalidate, KindPull, KindPullReply}
+var memberKinds = []string{KindUpdate, KindInvalidate, KindPull, KindPullReply, KindFetch, KindFetchReply}
 
 // hook installs the simnet message handler for a member node — one
 // demux entry for all its wire kinds, keyed by this tree.
@@ -211,10 +246,32 @@ func (t *Tree) handle(id simnet.NodeID, msg simnet.Message) {
 		if !ok || d.Tree != t.id {
 			return
 		}
-		if t.onDeliver != nil {
-			t.onDeliver(id, d)
+		if d.Payload == nil {
+			p, held := t.notices.Resolve(id, d)
+			if !held {
+				// A miss: the payload comes from the parent, and this
+				// member delivers and forwards when it arrives.
+				t.net.Send(id, t.m[id].parent, KindFetch, d, t.notices.Size)
+				return
+			}
+			d.Payload = p
 		}
-		t.forward(id, d)
+		t.deliver(id, d)
+	case KindFetch:
+		d, ok := msg.Payload.(Delivery)
+		if !ok || d.Tree != t.id {
+			return
+		}
+		if p, ok := t.notices.Serve(id, d); ok {
+			d.Payload, d.Depth = p, t.depthOf(msg.From)
+			t.net.Send(id, msg.From, KindFetchReply, d, d.Size)
+		}
+	case KindFetchReply:
+		d, ok := msg.Payload.(Delivery)
+		if !ok || d.Tree != t.id {
+			return
+		}
+		t.deliver(id, d)
 	case KindInvalidate:
 		d, ok := msg.Payload.(Delivery)
 		if !ok || d.Tree != t.id {
@@ -253,19 +310,26 @@ func (t *Tree) depthOf(id simnet.NodeID) int {
 	return -1
 }
 
-// Push injects the committed update at position pos of the root's log
-// and streams it down the tree (Fig 5c).  The root's own handler fires
-// synchronously.
-func (t *Tree) Push(payload any, pos, size int) {
-	d := Delivery{Tree: t.id, Payload: payload, Pos: pos, Size: size}
-	if t.onDeliver != nil {
-		t.onDeliver(t.root, d)
-	}
-	t.forward(t.root, d)
+// Push injects a committed update and streams it down the tree (Fig
+// 5c): d.Payload, d.Size bytes, at position d.Pos of the root's log.
+// A member in d.Holders gets only a notice, Notices.Size bytes, which
+// needs OnNotice installed.  The root's own handler fires synchronously.
+func (t *Tree) Push(d Delivery) {
+	d.Tree = t.id
+	t.deliver(t.root, d)
 }
 
-// forward relays an update from a member to its children, transforming
-// it into an invalidation on low-bandwidth edges (§4.4.3).
+// deliver hands an update to a member's handler and relays it on.
+func (t *Tree) deliver(id simnet.NodeID, d Delivery) {
+	if t.onDeliver != nil {
+		t.onDeliver(id, d)
+	}
+	t.forward(id, d)
+}
+
+// forward relays an update from a member to its children: a notice to
+// a holder, the payload to any other child, and an invalidation on a
+// low-bandwidth edge (§4.4.3).
 func (t *Tree) forward(from simnet.NodeID, d Delivery) {
 	mb := t.m[from]
 	for _, c := range mb.children {
@@ -273,10 +337,28 @@ func (t *Tree) forward(from simnet.NodeID, d Delivery) {
 		if t.net.Node(c).LowBandwidth() {
 			t.net.Send(from, c, KindInvalidate,
 				Delivery{Tree: t.id, Invalidated: true, Depth: d.Depth}, InvalidationSize)
-		} else {
-			t.net.Send(from, c, KindUpdate, d, d.Size)
+			continue
+		}
+		out, size := d, d.Size
+		if slices.Contains(d.Holders, c) {
+			out.Payload, size = nil, t.notices.Size
+		}
+		t.net.Send(from, c, KindUpdate, out, size+guid.Size*t.holdersBelow(c, d.Holders))
+	}
+}
+
+// holdersBelow counts the holders in c's subtree other than c.
+func (t *Tree) holdersBelow(c simnet.NodeID, holders []simnet.NodeID) int {
+	n := 0
+	for _, h := range holders {
+		for mb := t.m[h]; mb != nil && mb.parent != simnet.None; mb = t.m[mb.parent] {
+			if mb.parent == c {
+				n++
+				break
+			}
 		}
 	}
+	return n
 }
 
 func (t *Tree) forwardInvalidate(from simnet.NodeID) {

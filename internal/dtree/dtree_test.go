@@ -1,9 +1,11 @@
 package dtree
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"oceanstore/internal/guid"
 	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 )
@@ -60,7 +62,7 @@ func TestPushReachesAllMembers(t *testing.T) {
 	k, _, tr := build(t, 40, 4, 2)
 	got := map[simnet.NodeID]Delivery{}
 	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = d })
-	tr.Push("update-7", 7, 4096)
+	tr.Push(Delivery{Payload: "update-7", Pos: 7, Size: 4096})
 	k.RunFor(10 * time.Second)
 	if len(got) != 40 {
 		t.Fatalf("delivered to %d/40", len(got))
@@ -98,7 +100,7 @@ func TestLowBandwidthLeafGetsInvalidation(t *testing.T) {
 	deliveries := map[simnet.NodeID]Delivery{}
 	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { deliveries[n] = d })
 	net.ResetStats()
-	tr.Push("big-update", 0, 1<<20)
+	tr.Push(Delivery{Payload: "big-update", Size: 1 << 20})
 	k.RunFor(10 * time.Second)
 
 	d, ok := deliveries[leaf]
@@ -174,7 +176,7 @@ func TestLeaveReattachesChildren(t *testing.T) {
 	// Everyone still reachable by a push.
 	got := map[simnet.NodeID]bool{}
 	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = true })
-	tr.Push("after-leave", 0, 100)
+	tr.Push(Delivery{Payload: "after-leave", Size: 100})
 	k.RunFor(10 * time.Second)
 	if len(got) != 29 {
 		t.Fatalf("push reached %d/29 after leave", len(got))
@@ -214,7 +216,7 @@ func TestLeaveWithUpdateInFlight(t *testing.T) {
 	if inner < 0 {
 		t.Fatal("no root child with children")
 	}
-	tr.Push("mid-flight", 0, 1024)
+	tr.Push(Delivery{Payload: "mid-flight", Size: 1024})
 	// The push's messages are queued but undelivered; retire the inner
 	// node now, exactly what introspective demotion does under load.
 	if err := tr.Leave(inner); err != nil {
@@ -226,7 +228,7 @@ func TestLeaveWithUpdateInFlight(t *testing.T) {
 	}
 	// Its reattached children still hear subsequent pushes.
 	got = map[simnet.NodeID]bool{}
-	tr.Push("after", 1, 1024)
+	tr.Push(Delivery{Payload: "after", Pos: 1, Size: 1024})
 	k.RunFor(time.Minute)
 	if len(got) != 29 {
 		t.Fatalf("second push reached %d/29", len(got))
@@ -248,7 +250,7 @@ func TestRepairAfterParentCrash(t *testing.T) {
 	// Survivors must all be reachable.
 	got := map[simnet.NodeID]bool{}
 	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = true })
-	tr.Push("after-repair", 0, 100)
+	tr.Push(Delivery{Payload: "after-repair", Size: 100})
 	k.RunFor(10 * time.Second)
 	want := 0
 	for i := 0; i < 30; i++ {
@@ -330,7 +332,7 @@ func TestRehomeAfterRootDeath(t *testing.T) {
 	// A push now reaches all live members.
 	got := map[simnet.NodeID]bool{}
 	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = true })
-	tr.Push("after-rehome", 0, 64)
+	tr.Push(Delivery{Payload: "after-rehome", Size: 64})
 	k.RunFor(10 * time.Second)
 	want := 0
 	for i := 1; i < 12; i++ {
@@ -361,5 +363,93 @@ func TestRehomeAfterRootDeath(t *testing.T) {
 	tr.Rehome(outsider)
 	if tr.Root() != outsider || tr.Depth(outsider) != 0 {
 		t.Fatal("outsider rehome failed")
+	}
+}
+
+// TestNoticesToHolders: a push sends each holder only a notice, charges
+// each message guid.Size for every holder below its receiver, and a
+// holder that misses fetches the payload from its parent, then delivers
+// and forwards it as if it had arrived whole.
+func TestNoticesToHolders(t *testing.T) {
+	k, net, tr := build(t, 30, 2, 9)
+	var missed, holder simnet.NodeID = simnet.None, simnet.None
+	var holders []simnet.NodeID
+	for i := 1; i < 30; i++ {
+		id := simnet.NodeID(i)
+		if i%2 == 0 {
+			holders = append(holders, id)
+		}
+		if tr.Depth(id) == 1 && missed == simnet.None {
+			missed = id // an interior member, so its subtree waits on its fetch
+			holders = append(holders, id)
+		}
+	}
+	for _, h := range holders {
+		if h != missed && tr.Depth(h) > 1 {
+			holder = h
+			break
+		}
+	}
+	const noteSize, size = 61, 4096
+	tr.OnNotice(Notices{
+		Size: noteSize,
+		Resolve: func(n simnet.NodeID, d Delivery) (any, bool) {
+			return "copy", n != missed
+		},
+		Serve: func(parent simnet.NodeID, d Delivery) (any, bool) { return "served", true },
+	})
+	got := map[simnet.NodeID]any{}
+	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = d.Payload })
+	var want int64
+	for i := 1; i < 30; i++ {
+		id := simnet.NodeID(i)
+		sz := int64(size)
+		if slices.Contains(holders, id) {
+			sz = noteSize
+		}
+		for _, h := range holders {
+			for p, _ := tr.Parent(h); p != simnet.None; p, _ = tr.Parent(p) {
+				if p == id {
+					sz += guid.Size
+					break
+				}
+			}
+		}
+		want += sz
+	}
+	tr.Push(Delivery{Payload: "update", Size: size, Holders: holders})
+	k.RunFor(10 * time.Second)
+
+	if len(got) != 30 {
+		t.Fatalf("delivered to %d/30", len(got))
+	}
+	if got[missed] != "served" || got[holder] != "copy" || got[0] != "update" {
+		t.Fatalf("the missed holder got %v, a holder %v, the root %v", got[missed], got[holder], got[0])
+	}
+	if b := net.KindBytes(KindUpdate); b != want {
+		t.Fatalf("tree pushes cost %d B, want %d", b, want)
+	}
+	if f, r := net.KindBytes(KindFetch), net.KindBytes(KindFetchReply); f != noteSize || r != size {
+		t.Fatalf("the fetch cost %d B and its reply %d B, want %d and %d", f, r, noteSize, size)
+	}
+}
+
+// TestWrongShapeIgnored: a message of a member kind whose payload is not
+// what that kind carries is dropped, for every kind.
+func TestWrongShapeIgnored(t *testing.T) {
+	k, net, tr := build(t, 6, 2, 10)
+	delivered := 0
+	tr.OnDeliver(func(simnet.NodeID, Delivery) { delivered++ })
+	tr.OnPull(func(simnet.NodeID) (any, int) { t.Fatal("a wrong-shape pull was served"); return nil, 0 })
+	for _, kind := range memberKinds {
+		var wrong any = pullReq{Tree: tr.id}
+		if kind == KindPull {
+			wrong = Delivery{Tree: tr.id}
+		}
+		net.Send(0, 1, kind, wrong, 1)
+	}
+	k.RunFor(10 * time.Second)
+	if delivered != 0 {
+		t.Fatalf("%d deliveries from wrong-shape messages", delivered)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"time"
 
+	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
 	"oceanstore/internal/obs"
 	"oceanstore/internal/update"
@@ -290,6 +291,21 @@ func (r *Replica) PrefixOf(primary *Replica) bool {
 func (r *Replica) Seen(id update.UpdateID) bool {
 	_, logged := r.find(id)
 	return logged || r.tentativeHas(id)
+}
+
+// Held returns the replica's copy of the update whose content digest
+// is d: a tentative copy, or the update its log holds at pos.  It
+// returns nil if the replica holds neither.
+func (r *Replica) Held(d guid.GUID, pos int) *update.Update {
+	for _, u := range r.tentative {
+		if u.Digest() == d {
+			return u
+		}
+	}
+	if u := heldAt(r.recent, r.Log.Len(), pos); u != nil && u.Digest() == d {
+		return u
+	}
+	return nil
 }
 
 // TentativeIDs appends to dst the IDs of the tentative updates the

@@ -269,6 +269,35 @@ func TestTentativeIDs(t *testing.T) {
 	}
 }
 
+// TestHeld: a replica finds its copy of an update by content digest —
+// tentatively, then at its log position while that is among the last
+// Reach — and not a different content under the same ID.
+func TestHeld(t *testing.T) {
+	k := testKey(9)
+	v0 := object.NewObject([]byte(""), 8, k)
+	c := guid.FromData([]byte("c"))
+	u := appendUpdate(t, v0, k, "u", c, 1, 10)
+	forged := appendUpdate(t, v0, k, "forged", c, 1, 10)
+	r := New(v0)
+	if r.Held(u.Digest(), 0) != nil {
+		t.Fatal("an empty replica holds an update")
+	}
+	r.AddTentative(u)
+	if r.Held(u.Digest(), 0) != u || r.Held(forged.Digest(), 0) != nil {
+		t.Fatal("the tentative copy is not found by its own digest alone")
+	}
+	r.Commit(u, 0, 20)
+	if r.Held(u.Digest(), 0) != u || r.Held(u.Digest(), 1) != nil {
+		t.Fatal("the committed update is not found at its position alone")
+	}
+	for seq := uint64(2); seq < 2+Reach; seq++ {
+		r.Commit(appendUpdate(t, r.CommittedState(), k, "x", c, seq, 30), int(seq-1), 40)
+	}
+	if r.Held(u.Digest(), 0) != nil {
+		t.Fatalf("an update %d positions back is still held", Reach)
+	}
+}
+
 func TestRandomGossipConverges(t *testing.T) {
 	// Property-style: 8 replicas, 30 random updates injected at random
 	// replicas, then enough random pairwise exchanges; all replicas

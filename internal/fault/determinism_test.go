@@ -47,10 +47,15 @@ func traceHash(events []simnet.TraceEvent) string {
 // 11 pushes reach a secondary past a commit it missed, and those now
 // wait for anti-entropy instead of being applied on top of the gap.
 // Re-recorded when primary tiers became runs of the network's locality
-// order (§4.4.3): the object's tier moved to other nodes.  Verified
-// identical across repeated runs at GOMAXPROCS 1, 2 and 4 before
-// pinning.
-const goldenChaosTrace = "751611acff34dc46f7950940dab613bcad5cb6daa5d68248561e9d894412d628"
+// order (§4.4.3): the object's tier moved to other nodes.
+// Re-recorded when tree pushes to secondaries that hold a tentative copy
+// became commit notices and a copy to the request's own node began to
+// ride it: those messages' sizes moved, the copies' targets are drawn
+// before the request is sent (it names them), which moves the chaos
+// plan's later random draws, and a copy the plan drops makes its
+// holder fetch the update from its tree parent.  Verified identical
+// across repeated runs at GOMAXPROCS 1, 2 and 4 before pinning.
+const goldenChaosTrace = "b43fb78e7161a6c431af177d99cfbe06df3d1bad9cdf3b908eac17b88ca579b1"
 
 func TestGoldenTraceHash(t *testing.T) {
 	var trace []simnet.TraceEvent

@@ -461,3 +461,41 @@ func TestBlockDigestStreams(t *testing.T) {
 		t.Fatalf("newTag allocates %.0f times a call", n)
 	}
 }
+
+// TestWireAndStorageSizes: a version stores each block's ciphertext
+// plus its 8-byte tag, an op's wire size is its 14-byte header plus 12
+// bytes and the ciphertext per block, and two editors salted apart
+// append the same content as different ciphertext of the same size.
+func TestWireAndStorageSizes(t *testing.T) {
+	k := key(7)
+	v := NewObject([]byte("0123456789abcdefghij"), 8, k)
+	want := 0
+	for _, b := range v.Blocks {
+		want += 8 + len(b.CT)
+	}
+	if got := v.BytesStored(); got != want || want <= 20 {
+		t.Fatalf("BytesStored = %d, want %d (over the 20 plaintext bytes)", got, want)
+	}
+	ops := make([]Op, 2)
+	for i := range ops {
+		ed, err := NewEditor(v, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops[i] = ed.WithSalt(uint64(i + 1)).Append([]byte("tail"))
+	}
+	a, b := ops[0], ops[1]
+	if len(a.Blocks) != 1 || a.Blocks[0].Tag == b.Blocks[0].Tag || bytes.Equal(a.Blocks[0].CT, b.Blocks[0].CT) {
+		t.Fatal("salted editors appended the same ciphertext")
+	}
+	if got, want := a.WireSize(), 14+12+len(a.Blocks[0].CT); got != want || b.WireSize() != want {
+		t.Fatalf("WireSize = %d and %d, want %d", got, b.WireSize(), want)
+	}
+	next := v.Clone(0)
+	if err := next.ApplyOp(a); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := next.BytesStored(), v.BytesStored()+8+len(a.Blocks[0].CT); got != want {
+		t.Fatalf("after the append BytesStored = %d, want %d", got, want)
+	}
+}

@@ -52,6 +52,19 @@ type tentMsg struct {
 func (m tentMsg) Demux() simnet.DemuxKey   { return simnet.DemuxKey(m.Obj) }
 func (q gossipReq) Demux() simnet.DemuxKey { return simnet.DemuxKey(q.Object) }
 
+// proposal is what a client's request carries into agreement: the
+// update, and its holders — the secondaries its tentative copies went
+// to — at guid.Size bytes each.
+type proposal struct {
+	u       *update.Update
+	holders []simnet.NodeID
+}
+
+// noticeSize is a commit notice's wire size (Fig. 5c to a holder): the
+// update's log entry (its ID and outcome), its log position and its
+// content digest.
+const noticeSize = update.EntryWireSize + 8 + guid.Size
+
 // Config tunes a ring.  The primary tier's f follows from its size
 // (3f+1 members); every replica's resident epidemic state is bounded by
 // epidemic.Window and epidemic.TentativeExpire.
@@ -144,6 +157,8 @@ type Ring struct {
 type ringMetrics struct {
 	gossipRounds *obs.Counter
 	gossipMoved  *obs.Counter
+	// noticeMisses counts notices whose holder held no matching copy.
+	noticeMisses *obs.Counter
 }
 
 // Instrument attaches observability to the ring and everything under
@@ -161,6 +176,7 @@ func (r *Ring) Instrument(reg *obs.Registry, tr *obs.Tracer, t *epidemic.Tally) 
 	r.om = ringMetrics{
 		gossipRounds: reg.Counter("replica", "gossip_rounds"),
 		gossipMoved:  reg.Counter("replica", "gossip_moved"),
+		noticeMisses: reg.Counter("replica", "notice_misses"),
 	}
 }
 
@@ -190,6 +206,7 @@ func NewRing(net *simnet.Network, primaryNodes []simnet.NodeID, v0 *object.Versi
 	r.tree = dtree.New(net, primaryNodes[0], treeFanout)
 	r.tree.OnDeliver(r.onTreeDeliver)
 	r.tree.OnPull(r.onTreePull)
+	r.tree.OnNotice(dtree.Notices{Size: noticeSize, Resolve: r.onNotice, Serve: r.held})
 	// Every honest primary executes committed updates; replica 0 drives
 	// the shared authoritative state and the commit side effects.
 	g.SetExecutor(0, r.executeCommitted)
@@ -309,25 +326,33 @@ func (r *Ring) RemoveSecondary(node simnet.NodeID) error {
 
 // Submit sends a client update into the ring (Fig 5a): the full update
 // to the primary tier, and tentative copies to up to `spread` random
-// secondaries.  onResult fires when the primary tier's quorum of
+// secondaries, which the request names as its holders.  A copy to the
+// node that receives the request's payload rides the request and costs
+// its object ID.  onResult fires when the primary tier's quorum of
 // replies reaches the client.
 func (r *Ring) Submit(client simnet.NodeID, u *update.Update, spread int, onResult func(byz.Result)) {
+	var holders []simnet.NodeID
+	if spread > 0 && len(r.byNode) > 0 {
+		perm := r.net.K.Rand().Perm(len(r.byNode))
+		holders = make([]simnet.NodeID, min(spread, len(perm)))
+		for j := range holders {
+			holders[j] = r.byNode[perm[j]].Node
+		}
+	}
 	req := byz.Request{
 		ID:        updateDigest(u),
-		Payload:   u,
-		Size:      u.WireSize(),
+		Payload:   proposal{u, holders},
+		Size:      u.WireSize() + guid.Size*len(holders),
 		Timestamp: u.Timestamp,
 	}
 	r.group.Submit(client, req, onResult)
-	// Random secondaries receive the update tentatively.
-	if spread > 0 && len(r.byNode) > 0 {
-		perm := r.net.K.Rand().Perm(len(r.byNode))
-		if spread > len(perm) {
-			spread = len(perm)
+	primary := r.group.Primary()
+	for _, h := range holders {
+		size := u.WireSize()
+		if h == primary {
+			size = guid.Size
 		}
-		for _, i := range perm[:spread] {
-			r.net.Send(client, r.byNode[i].Node, kindTentative, tentMsg{Obj: r.Object, U: u}, u.WireSize())
-		}
+		r.net.Send(client, h, kindTentative, tentMsg{Obj: r.Object, U: u}, size)
 	}
 }
 
@@ -357,10 +382,11 @@ func updateDigest(u *update.Update) guid.GUID {
 // apply the update to the authoritative state, archive a snapshot, and
 // push the result down the dissemination tree (Fig 5c).
 func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
-	u, ok := req.Payload.(*update.Update)
+	p, ok := req.Payload.(proposal)
 	if !ok {
 		return
 	}
+	u := p.u
 	if r.CheckWrite != nil {
 		if err := r.CheckWrite(u); err != nil {
 			// Unauthorized writes are ignored by servers (§4.2) — but the
@@ -397,7 +423,13 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 	}
 	r.EnsureLiveRoot()
 	if r.primaryState.CommittedLen() > pos {
-		r.tree.Push(u, pos, u.WireSize())
+		d := dtree.Delivery{Payload: u, Pos: pos, Size: u.WireSize()}
+		// A holder drops its copy TentativeExpire after the update's
+		// timestamp, so a commit later than that goes to it whole.
+		if len(p.holders) > 0 && r.net.K.Now() <= u.Timestamp+epidemic.TentativeExpire {
+			d.Holders, d.Digest = p.holders, u.Digest()
+		}
+		r.tree.Push(d)
 	}
 }
 
@@ -431,6 +463,36 @@ func (r *Ring) onTreeDeliver(node simnet.NodeID, d dtree.Delivery) {
 	}
 }
 
+// stateAt is the replica state a tree member holds: a secondary's own,
+// or, on a primary-tier node, the authoritative state.
+func (r *Ring) stateAt(node simnet.NodeID) *epidemic.Replica {
+	if sec, ok := r.secondaries[node]; ok {
+		return sec.Rep
+	}
+	return r.primaryState
+}
+
+// held returns node's copy of the update a notice names, the one whose
+// content digest is the committed update's.  It also serves a child
+// that missed from its parent's copy.
+func (r *Ring) held(node simnet.NodeID, d dtree.Delivery) (any, bool) {
+	u := r.stateAt(node).Held(d.Digest, d.Pos)
+	return u, u != nil
+}
+
+// onNotice resolves a commit notice at a holder to its own copy of the
+// update.  Without a matching copy — it was lost or expired in flight,
+// the replica is new, or a Byzantine client sent it other content under
+// the same ID — the miss is counted and the tree fetches the update
+// from the node's parent.
+func (r *Ring) onNotice(node simnet.NodeID, d dtree.Delivery) (any, bool) {
+	u, ok := r.held(node, d)
+	if !ok {
+		r.om.noticeMisses.Inc()
+	}
+	return u, ok
+}
+
 // onTreePull serves a child's pull: ship the parent's checkpoint — its
 // committed log window, the updates the parent still holds for the
 // window's last positions, and the base state the child adopts if it
@@ -440,11 +502,7 @@ func (r *Ring) onTreeDeliver(node simnet.NodeID, d dtree.Delivery) {
 // not, and the base state unless the updates reach back to position 0,
 // from where the child can always replay.
 func (r *Ring) onTreePull(parent simnet.NodeID) (any, int) {
-	src := r.primaryState
-	if sec, ok := r.secondaries[parent]; ok {
-		src = sec.Rep
-	}
-	c := src.Checkpoint()
+	c := r.stateAt(parent).Checkpoint()
 	size := 64
 	for pos := c.Start; pos < c.Len(); pos++ {
 		if u := c.Update(pos); u != nil {
@@ -517,13 +575,8 @@ func (r *Ring) handleGossip(at simnet.NodeID, req gossipReq) {
 	if !ok {
 		return
 	}
-	var peer *epidemic.Replica
-	if sec, ok := r.secondaries[req.From]; ok {
-		peer = sec.Rep
-	} else {
-		peer = r.primaryState // a primary initiated the exchange
-	}
-	moved := epidemic.AntiEntropy(peer, target.Rep, r.net.K.Now())
+	// A primary initiates one exchange a round with its own state.
+	moved := epidemic.AntiEntropy(r.stateAt(req.From), target.Rep, r.net.K.Now())
 	r.om.gossipMoved.Add(int64(moved))
 	if moved > 0 {
 		// The reply carries the reconciled updates; estimate ~512 B each

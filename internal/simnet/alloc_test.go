@@ -461,3 +461,43 @@ func TestHeapPerLink(t *testing.T) {
 		t.Fatalf("%.0f B of live heap per link, bound %.0f", perLink, bound)
 	}
 }
+
+// TestUnhandleShrinksTheTable: a node's demux table gives back its
+// array once removals leave it at a quarter of its capacity, and the
+// slots that remain still take their deliveries.
+func TestUnhandleShrinksTheTable(t *testing.T) {
+	k := sim.NewKernel(4)
+	net := New(k, Config{})
+	a := net.AddNode(0, 0).ID
+	b := net.Node(net.AddNode(0, 0).ID)
+	const n = 64
+	kinds := make([][]string, n)
+	ran := 0
+	for i := range kinds {
+		var key DemuxKey
+		key[0] = byte(i)
+		kinds[i] = []string{"x"}
+		b.HandleDemux(key, kinds[i], func(Message) { ran++ })
+	}
+	full := b.DemuxCap()
+	for i := 0; i < n-4; i++ {
+		var key DemuxKey
+		key[0] = byte(i)
+		b.Unhandle(key, kinds[i])
+		if left := n - 1 - i; b.DemuxCap() > 4*left+4 && left > 1 {
+			t.Fatalf("%d slots left in a table of capacity %d", left, b.DemuxCap())
+		}
+	}
+	if b.DemuxCap() >= full/4 {
+		t.Fatalf("4 slots keep a table of capacity %d (it held %d)", b.DemuxCap(), full)
+	}
+	for i := n - 4; i < n; i++ {
+		var key DemuxKey
+		key[0] = byte(i)
+		net.Send(a, b.ID, "x", demuxProbe{key: key}, 8)
+	}
+	k.Run()
+	if ran != 4 {
+		t.Fatalf("%d of the 4 remaining slots ran", ran)
+	}
+}

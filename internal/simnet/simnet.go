@@ -176,6 +176,9 @@ func (n Node) HandleDemux(key DemuxKey, kinds []string, h Handler) {
 // if there is none.  Called during a delivery, it gives the node a
 // fresh array, as HandleDemux does, so the delivery in progress walks
 // the slots it began with: it neither skips a slot nor revisits one.
+// A table that falls to a quarter of its capacity gets a fresh array
+// too, of its own size, so a node's table shrinks with its
+// registrations.
 // A node whose last registration goes still takes deliveries, which no
 // slot matches: only a node that never registered one drops them as
 // unhandled.
@@ -186,13 +189,13 @@ func (n Node) Unhandle(key DemuxKey, kinds []string) {
 		if s := tab[i]; s.key != key || len(s.kinds) != len(kinds) || unsafe.SliceData(s.kinds) != unsafe.SliceData(kinds) {
 			continue
 		}
-		if n.net.dispatching {
-			tab = slices.Concat(tab[:i], tab[i+1:])
-		} else {
-			tab = slices.Delete(tab, i, i+1)
-		}
-		if len(tab) == 0 {
+		switch {
+		case len(tab) == 1:
 			tab = noSlots
+		case n.net.dispatching || len(tab)-1 <= cap(tab)/4:
+			tab = slices.Concat(tab[:i], tab[i+1:])
+		default:
+			tab = slices.Delete(tab, i, i+1)
 		}
 		n.net.demux[n.ID] = tab
 		return

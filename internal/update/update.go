@@ -346,6 +346,19 @@ func (u *Update) VerifySig() bool {
 	return ok
 }
 
+// Digest names the update's content: the SHA-1 of the statement its
+// signature covers.  Signing, or a VerifySig that passed, leaves it in
+// the signature memo, which answers without hashing; an update that was
+// neither is digested here.  The memo is not re-checked, so content
+// changed after signing (or in a struct copy) keeps the signed digest
+// until it is signed again.
+func (u *Update) Digest() guid.GUID {
+	if d := u.memo.Statement(); d != guid.Zero {
+		return d
+	}
+	return guid.FromData(u.signedBytes())
+}
+
 // WireSize estimates the update's total bytes on the wire — the u term
 // of the paper's Figure 6 cost model.  It does not join a signature
 // still being computed: every Ed25519 signature is the same length.
