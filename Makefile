@@ -17,7 +17,7 @@ PAR_PKGS = ./internal/par/ ./internal/archive/ ./internal/blobstore/ \
 	./internal/fault/ ./internal/obs/ ./internal/crypt/ \
 	./internal/update/ ./internal/acl/ ./internal/core/
 
-.PHONY: check fmt vet vet-rand build test race-par bench bench-smoke cover cover-write gates trajectory
+.PHONY: check fmt vet vet-rand build test race-par bench bench-smoke cover cover-write gates trajectory million
 
 # Every prerequisite after vet compiles the tree and `gates` links
 # every program, so `build` is not one of them; `cover` replays the
@@ -102,10 +102,15 @@ gates:
 # it.  Needs jq.
 SEED ?= 1
 TRAJECTORY = BENCH_TRAJECTORY.json
+# Shell fragments trajectory and million share: HEAD_SH sets $commit,
+# and APPEND_SH appends the records in $new to the trajectory.
+HEAD_SH = commit=$$(git rev-parse --short HEAD); \
+	git diff --quiet HEAD -- . ':(exclude)$(TRAJECTORY)' || commit=$$commit+
+APPEND_SH = { echo '['; { [ ! -s $(TRAJECTORY) ] || jq -c '.[]' $(TRAJECTORY); cat $$new; } | sed '$$!s/$$/,/'; echo ']'; } > $$new.all; \
+	mv $$new.all $(TRAJECTORY); rm $$new
 trajectory:
 	@set -e; \
-	commit=$$(git rev-parse --short HEAD); \
-	git diff --quiet HEAD -- . ':(exclude)$(TRAJECTORY)' || commit=$$commit+; \
+	$(HEAD_SH); \
 	names=$$(jq -c '[.end_to_end[].name]' BENCHMARK.json); \
 	mkdir -p .bench_build; new=.bench_build/trajectory.new; : > $$new; \
 	for w in $$(jq -r '.workloads[].name' BENCHMARK.json); do \
@@ -113,6 +118,43 @@ trajectory:
 		jq -c --arg commit $$commit --arg workload $$w --argjson seed $(SEED) --argjson names "$$names" \
 			'{commit: $$commit, seed: $$seed, workload: $$workload, failed: .failed, metrics: (.metrics as $$m | reduce $$names[] as $$n ({}; .[$$n] = $$m[$$n].value))}' >> $$new; \
 	done; \
-	{ echo '['; { [ ! -s $(TRAJECTORY) ] || jq -c '.[]' $(TRAJECTORY); cat $$new; } | sed '$$!s/$$/,/'; echo ']'; } > $$new.all; \
-	mv $$new.all $(TRAJECTORY); rm $$new; \
+	$(APPEND_SH); \
 	echo "trajectory: $$(jq length $(TRAJECTORY)) records in $(TRAJECTORY), the last $$(jq -r '.workloads | length' BENCHMARK.json) from $$commit at seed $(SEED)"
+
+# The million-node line: `make million SEED=1` runs `osexp soak $SEED
+# -nodes 1000000 -ops 1000000` twice, with the default churn and with
+# -churn 0, and appends one record each (workload million-churn,
+# million-steady) to BENCH_TRAJECTORY.json: failed ops, wall seconds,
+# peak RSS from osexp's mem: line, ok ops, the virtual span in seconds
+# and the messages sent.  Each run's stdout and stderr stay in
+# .bench_build/.  About five minutes on a 2-core box, so it is not part
+# of check.  Needs jq.
+MILLION = soak $(SEED) -nodes 1000000 -ops 1000000
+# MILLION_JQ turns one run's stdout and stderr into its record.
+MILLION_JQ = \
+	def secs: capture("^(?:(?<h>[0-9]+)h)?(?:(?<m>[0-9]+)m)?(?:(?<s>[0-9.]+)s)?$$") | \
+		(.h // "0" | tonumber) * 3600 + (.m // "0" | tonumber) * 60 + (.s // "0" | tonumber); \
+	capture("ops: [0-9]+ issued, (?<ok>[0-9]+) ok, (?<failed>[0-9]+) failed") as $$o | \
+	{commit: $$commit, seed: $$seed, workload: $$workload, failed: ($$o.failed | tonumber), metrics: { \
+		total_s: ($$t1 - $$t0), \
+		peak_rss_mb: (capture("peak RSS (?<v>[0-9.]+) MB").v | tonumber), \
+		ok: ($$o.ok | tonumber), \
+		virtual_s: (capture("over (?<v>[0-9hms.]+) virtual time").v | secs), \
+		msgs: (capture("traffic: (?<v>[0-9]+) msgs").v | tonumber)}}
+million:
+	@set -e; \
+	$(HEAD_SH); \
+	mkdir -p .bench_build; $(GO) build -o .bench_build/osexp ./cmd/osexp; \
+	new=.bench_build/million.new; : > $$new; \
+	for w in million-churn million-steady; do \
+		churn=; [ $$w = million-churn ] || churn="-churn 0"; \
+		t0=$$(date +%s.%N); \
+		.bench_build/osexp $(MILLION) $$churn > .bench_build/$$w.out 2> .bench_build/$$w.err; \
+		t1=$$(date +%s.%N); \
+		cat .bench_build/$$w.out .bench_build/$$w.err | \
+		jq -R -s -c --arg commit $$commit --arg workload $$w --argjson seed $(SEED) \
+			--argjson t0 $$t0 --argjson t1 $$t1 '$(MILLION_JQ)' >> $$new; \
+		echo "million: $$(tail -n 1 $$new)"; \
+	done; \
+	$(APPEND_SH); \
+	echo "million: $$(jq length $(TRAJECTORY)) records in $(TRAJECTORY), the last 2 from $$commit at seed $(SEED)"

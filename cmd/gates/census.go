@@ -24,7 +24,6 @@ const module = "oceanstore/"
 // categories are the only reasons a function may stay unreached
 // (DESIGN §15).
 var categories = map[string]bool{
-	"item5": true, // reserved for ROADMAP item 5 (location in measured runs)
 	"fault": true, // fault injector
 	"test":  true, // test reference
 	"paper": true, // paper mechanism: WHY names its § and the test that covers it

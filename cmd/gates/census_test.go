@@ -42,7 +42,7 @@ oceanstore.go Facade paper §4.6 facade; TestFacade
 		{
 			name: "listed function now reached",
 			reach: `internal/a/a.go *T.Unreached test TestT
-internal/a/a.go Reached item5 router
+internal/a/a.go Reached test TestReached
 oceanstore.go Facade fault injector
 `,
 			wantErr: "stale line internal/a/a.go Reached: a run reaches it now",

@@ -101,7 +101,7 @@ func runPlaxton(w io.Writer, seed int64, _ *obsink) {
 		g := guid.Random(r)
 		var holders []int
 		for i := 0; i < 512; i += 32 {
-			if _, err := mesh.Publish(i, g, 0); err != nil {
+			if _, err := mesh.Publish(i, g); err != nil {
 				panic(err)
 			}
 			holders = append(holders, i)
@@ -110,7 +110,7 @@ func runPlaxton(w io.Writer, seed int64, _ *obsink) {
 		const trials = 200
 		for i := 0; i < trials; i++ {
 			start := r.Intn(512)
-			res, err := mesh.Locate(start, g, 0)
+			res, err := mesh.Locate(start, g)
 			if err != nil {
 				continue
 			}
@@ -137,7 +137,7 @@ func runPlaxton(w io.Writer, seed int64, _ *obsink) {
 		mesh.Salts = salts
 		g := guid.Random(r)
 		holder := 17
-		hops, err := mesh.Publish(holder, g, 0)
+		hops, err := mesh.Publish(holder, g)
 		if err != nil {
 			panic(err)
 		}
@@ -154,7 +154,7 @@ func runPlaxton(w io.Writer, seed int64, _ *obsink) {
 				continue
 			}
 			total++
-			if lr, err := mesh.Locate(start, g, 0); err == nil && lr.Holder == holder {
+			if lr, err := mesh.Locate(start, g); err == nil && lr.Holder == holder {
 				ok++
 			}
 		}

@@ -3,6 +3,7 @@ package byz
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -20,11 +21,12 @@ var schedules = flag.Int("schedules", 0, "seeds per plan for TestScheduleSearch'
 
 // Schedule search (ROADMAP 15(a)): a 4-member tier (f = 1) with three
 // concurrent clients, an executor on every member, and a fault plan
-// that reorders and drops messages, or crashes the view-0 primary or
-// makes it equivocate partway through.  The plan and the kernel seed fix one interleaving;
-// sweeping seeds samples many.  At the end the correct members'
-// executions are judged for safety alone: a member that missed
-// messages may have executed less, but never something else.
+// that reorders and drops messages, orders them by sender priority, or
+// crashes the view-0 primary or makes it equivocate partway through.
+// The plan and the kernel seed fix one interleaving; sweeping seeds
+// samples many.  At the end the correct members' executions are judged
+// for safety alone: a member that missed messages may have executed
+// less, but never something else.
 const (
 	searchMembers = 4
 	// searchSpacing separates one client's submissions; the clients
@@ -54,20 +56,25 @@ var fullShape = searchShape{clients: 3, requests: 4}
 // equivocation plan, member 0 turns Byzantine after its
 // equivocateAfter-th message instead: from then on each pre-prepare it
 // sends to members 2 and 3 carries another request than the one it
-// sends to member 1 at the same view and sequence number.
+// sends to member 1 at the same view and sequence number.  For a
+// priority-change-point plan, pctDepth is its depth d (see pct).
 type schedule struct {
 	plan            fault.Plan
 	crashAfter      int
 	equivocateAfter int
+	pctDepth        int
 }
 
-// name is the plan's, with the crash or the equivocation in front of it.
+// name is the plan's, with the crash, the equivocation or the PCT depth
+// in front of it.
 func (s schedule) name() string {
 	switch {
 	case s.crashAfter > 0:
 		return fmt.Sprintf("crash-primary-after-%d/%s", s.crashAfter, s.plan.Name)
 	case s.equivocateAfter > 0:
 		return fmt.Sprintf("equivocate-after-%d/%s", s.equivocateAfter, s.plan.Name)
+	case s.pctDepth > 0:
+		return fmt.Sprintf("pct-depth-%d/%s", s.pctDepth, s.plan.Name)
 	}
 	return s.plan.Name
 }
@@ -129,6 +136,68 @@ func equivocationPlans(net fault.Plan) []schedule {
 		out = append(out, schedule{plan: net, equivocateAfter: k})
 	}
 	return out
+}
+
+// pctPlans are priority-change-point schedules of depth 1, 2 and 3 on a
+// fault-free network (ROADMAP 22(d)).  The protocol passes every
+// schedule of them in the long sweep, so the in-suite slice sweeps them
+// too.
+func pctPlans() []schedule {
+	var out []schedule
+	for d := 1; d <= 3; d++ {
+		out = append(out, schedule{plan: *fault.NewPlan("fault-free"), pctDepth: d})
+	}
+	return out
+}
+
+const (
+	// pctSteps is the range a change point is drawn from: the sends of a
+	// fault-free schedule, 32 for each of its 12 requests, so every
+	// change point fires.
+	pctSteps = 384
+	// pctQuantum is the delay a message pays for each sender that
+	// outranks its own: wider than the links' latency spread, so
+	// priority decides the order, and six of them stay far under
+	// requestTimeout, so no view changes.
+	pctQuantum = 50 * time.Millisecond
+)
+
+// pct is a priority-change-point plan (PCT, Burckhardt et al., ASPLOS
+// 2010) for message passing: each node is a thread, and the network
+// delivers the higher-priority senders' messages first.  Every node
+// starts with a distinct random priority in d..d+n-1; at the i-th of
+// d-1 change points, each a random send in 1..pctSteps, the sender's
+// priority falls to i, below every starting one.
+type pct struct {
+	prio     []int       // by node ID
+	changeAt map[int]int // send number → the priority its sender falls to
+	sent     int
+}
+
+func newPCT(nodes, depth int, seed int64) *pct {
+	r := rand.New(rand.NewSource(seed))
+	p := &pct{prio: make([]int, nodes), changeAt: map[int]int{}}
+	for i, j := range r.Perm(nodes) {
+		p.prio[i] = depth + j
+	}
+	for i, step := range r.Perm(pctSteps)[:depth-1] {
+		p.changeAt[step+1] = i + 1
+	}
+	return p
+}
+
+func (p *pct) FilterSend(m simnet.Message, _ time.Duration) (bool, time.Duration) {
+	p.sent++
+	if i, ok := p.changeAt[p.sent]; ok {
+		p.prio[m.From] = i
+	}
+	rank := 0
+	for _, q := range p.prio {
+		if q > p.prio[m.From] {
+			rank++
+		}
+	}
+	return false, time.Duration(rank) * pctQuantum
 }
 
 // equivocator is the fault plan of an equivocation schedule: it counts
@@ -200,6 +269,11 @@ func runSchedule(sched schedule, seed int64, shape searchShape) (violations []st
 	if sched.equivocateAfter > 0 {
 		net.SetFaultPlan(eq)
 	}
+	var prio *pct
+	if sched.pctDepth > 0 {
+		prio = newPCT(net.Len(), sched.pctDepth, seed)
+		net.SetFaultPlan(prio)
+	}
 	sent := 0
 	if sched.crashAfter > 0 {
 		net.SetTrace(func(ev simnet.TraceEvent) {
@@ -234,6 +308,9 @@ func runSchedule(sched schedule, seed int64, shape searchShape) (violations []st
 	}
 	if sched.equivocateAfter > 0 && eq.forged == 0 {
 		violations = append(violations, fmt.Sprintf("member 0 sent %d messages and never equivocated", eq.sent))
+	}
+	if prio != nil && prio.sent < pctSteps {
+		violations = append(violations, fmt.Sprintf("%d sends, too few for every change point to fire", prio.sent))
 	}
 
 	// Every member but an equivocating primary is correct: a member that
@@ -282,16 +359,16 @@ func runSchedule(sched schedule, seed int64, shape searchShape) (violations []st
 }
 
 // TestScheduleSearch sweeps the in-suite slice — the reorder plans, the
-// primary-crash plans and the fault-free equivocation plans over a
-// fixed seed range, all of which the protocol passes — or, with
-// -schedules N, N seeds of every plan, reporting each violating
-// schedule.
+// primary-crash plans, the fault-free equivocation plans and the PCT
+// plans over a fixed seed range, all of which the protocol passes —
+// or, with -schedules N, N seeds of every plan, reporting each
+// violating schedule.
 func TestScheduleSearch(t *testing.T) {
 	faultFree := equivocationPlans(*fault.NewPlan("fault-free"))
-	n, plans := 500, slices.Concat(reorderPlans(), crashPlans(), faultFree)
+	n, plans := 500, slices.Concat(reorderPlans(), crashPlans(), faultFree, pctPlans())
 	if *schedules > 0 {
 		jittered := equivocationPlans(*fault.NewPlan("jitter-50ms").Jitter(0, 50*time.Millisecond))
-		n, plans = *schedules, slices.Concat(reorderPlans(), viewChangePlans(), crashPlans(), faultFree, jittered)
+		n, plans = *schedules, slices.Concat(reorderPlans(), viewChangePlans(), crashPlans(), faultFree, jittered, pctPlans())
 	}
 	type outcome struct {
 		violations []string

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +88,46 @@ func TestTwoTierLocation(t *testing.T) {
 	}
 	if res.Probabilistic && res.Holder == 12 {
 		t.Fatal("removed replica still served probabilistically")
+	}
+}
+
+// TestRemoveReplicaLeavesEveryLocator: retiring a floating replica
+// through the pool takes it out of both location tiers — the Bloom
+// filters and the mesh's pointers — so no start locates it afterwards.
+func TestRemoveReplicaLeavesEveryLocator(t *testing.T) {
+	p := smallPool(22)
+	tt := p.EnableTwoTier(3)
+	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
+	obj, err := alice.Create("retired", []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, _ := p.Ring(obj)
+	node := simnet.NodeID(0)
+	for slices.Contains(ring.PrimaryNodes(), node) {
+		node++
+	}
+	if err := p.AddReplica(obj, node); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := tt.Locate(node, obj); err != nil || res.Holder != node {
+		t.Fatalf("two-tier locate from the new replica: %+v %v", res, err)
+	}
+	if holder, err := p.Locate(node, obj); err != nil || holder != node {
+		t.Fatalf("mesh locate from the new replica: %d %v", holder, err)
+	}
+	if err := p.RemoveReplica(obj, node); err != nil {
+		t.Fatal(err)
+	}
+	for from := simnet.NodeID(0); from < 24; from++ {
+		res, err := tt.Locate(from, obj)
+		if err != nil || res.Holder == node {
+			t.Fatalf("two-tier locate from %d after removal: %+v %v", from, res, err)
+		}
+		holder, err := p.Locate(from, obj)
+		if err != nil || holder == node {
+			t.Fatalf("mesh locate from %d after removal: %d %v", from, holder, err)
+		}
 	}
 }
 

@@ -266,6 +266,47 @@ func TestDropLossyPoolStillCommits(t *testing.T) {
 	}
 }
 
+// TestMaintenanceRepairsArchives: the archival scheduler over a
+// pool's service is the unattended repair duty — a commit-time archive
+// that loses fragments to disk failure is rebuilt with nobody calling
+// repair by hand.
+func TestMaintenanceRepairsArchives(t *testing.T) {
+	p := smallPool(51)
+	sched := archive.NewScheduler(p.Arch, archive.SchedulerConfig{
+		Threshold: 6,
+	})
+	defer sched.Start()()
+	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
+	obj, err := alice.Create("arch", []byte("durable data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, _ := p.Ring(obj)
+	root := ring.ArchiveRoots[0]
+	// Destroy fragments directly (disk loss) until below threshold.
+	removed := 0
+	for _, nid := range p.Arch.HoldersOf(root) {
+		st := p.Arch.Store(nid)
+		for _, idx := range archive.HeldIndexes(st, root) {
+			if p.Arch.LiveFragments(root) <= 5 {
+				break
+			}
+			st.Drop(root, idx)
+			removed++
+		}
+	}
+	if p.Arch.LiveFragments(root) > 5 {
+		t.Fatalf("could not degrade archive (removed %d)", removed)
+	}
+	p.Run(5 * time.Minute)
+	if live := p.Arch.LiveFragments(root); live < 8 {
+		t.Fatalf("scheduler left archive at %d live fragments", live)
+	}
+	if st := sched.Stats(); st.Repairs == 0 || st.RepairFailed != 0 {
+		t.Fatalf("scheduler stats after repair: %+v", st)
+	}
+}
+
 // readPlain decrypts a version directly (test helper).
 func readPlain(v *object.Version, key crypt.BlockKey) ([]byte, error) {
 	return object.NewView(v, key).Read()

@@ -111,9 +111,9 @@ func TestSoakFloatingReplicasLeaveTheTier(t *testing.T) {
 func TestChurnFollowsThePlacementOrder(t *testing.T) {
 	w := soakWorld256(t)
 	var victims []simnet.NodeID
-	w.Pool.Net.OnLiveness(func(id simnet.NodeID, up bool) {
-		if !up {
-			victims = append(victims, id)
+	w.Pool.Net.SetTrace(func(ev simnet.TraceEvent) {
+		if ev.Event == "crash" {
+			victims = append(victims, ev.From)
 		}
 	})
 	w.StartChurn(time.Minute, 20*time.Second)

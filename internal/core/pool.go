@@ -46,8 +46,7 @@ type PoolConfig struct {
 	// fills every node's routing table by scanning every other node —
 	// O(n²) table fill, the measured reason soak worlds leave it out —
 	// so soak deployments, which address replicas directly, set NoMesh
-	// and build in O(n); a near-linear builder is ROADMAP item 5.
-	// Locate and Router are unavailable on a meshless pool.
+	// and build in O(n).  Locate is unavailable on a meshless pool.
 	NoMesh bool
 	// StoreFactory, when set, selects the fragment-store backend each
 	// storage node gets on first use (e.g. a blobstore volume per
@@ -106,8 +105,6 @@ type Pool struct {
 	twoTier *TwoTier
 	// readSvc is the lazily started remote-read service (readpath.go).
 	readSvc *readService
-	// router is the lazily started asynchronous mesh router.
-	router *plaxton.Router
 
 	obsReg *obs.Registry
 	obsTr  *obs.Tracer
@@ -117,17 +114,14 @@ type Pool struct {
 }
 
 // Instrument attaches an observability registry and/or tracer to the
-// whole deployment: the network, the archival service, the mesh router
-// (if started), and every current and future object ring.  Passing nil
-// for either disables that sink.  Instrumentation is counting only —
-// it draws no randomness and never alters a run's trajectory.
+// whole deployment: the network, the archival service, and every
+// current and future object ring.  Passing nil for either disables
+// that sink.  Instrumentation is counting only — it draws no
+// randomness and never alters a run's trajectory.
 func (p *Pool) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	p.obsReg, p.obsTr, p.tally = reg, tr, epidemic.NewTally(reg)
 	p.Net.Instrument(reg, tr)
 	p.Arch.Instrument(reg, tr)
-	if p.router != nil {
-		p.router.Instrument(reg, tr)
-	}
 	// Registry handle creation is order-insensitive and Snapshot sorts,
 	// so map iteration order here cannot leak into the output.
 	for _, st := range p.objects {
@@ -172,23 +166,6 @@ func NewPool(seed int64, cfg PoolConfig) *Pool {
 		p.Arch.SetStoreFactory(cfg.StoreFactory)
 	}
 	return p
-}
-
-// Router returns the asynchronous mesh router: routes, publishes and
-// locates ride the simulated network with per-hop timeouts, backup-link
-// failover and capped exponential backoff, instead of the synchronous
-// table walk Mesh performs.
-func (p *Pool) Router() *plaxton.Router {
-	if p.Mesh == nil {
-		panic("core: pool built with NoMesh has no location mesh to route over")
-	}
-	if p.router == nil {
-		p.router = plaxton.NewRouter(p.Mesh, p.Net, plaxton.DefaultRouterConfig())
-		if p.obsReg != nil || p.obsTr != nil {
-			p.router.Instrument(p.obsReg, p.obsTr)
-		}
-	}
-	return p.router
 }
 
 // pickPrimaries hands a new object the next 3f+1 nodes of the
@@ -265,7 +242,7 @@ func (p *Pool) CreateObject(owner *crypt.Signer, name string, initial []byte, ke
 	// Publish the object's location (its primary-tier members hold it).
 	for _, nid := range primaries {
 		if p.Mesh != nil {
-			if _, err := p.Mesh.Publish(int(nid), obj, p.K.Now()); err != nil {
+			if _, err := p.Mesh.Publish(int(nid), obj); err != nil {
 				return guid.Zero, err
 			}
 		}
@@ -313,7 +290,7 @@ func (p *Pool) AddReplica(obj guid.GUID, node simnet.NodeID) error {
 	if p.Mesh == nil {
 		return nil
 	}
-	_, err := p.Mesh.Publish(int(node), obj, p.K.Now())
+	_, err := p.Mesh.Publish(int(node), obj)
 	return err
 }
 
@@ -330,7 +307,7 @@ func (p *Pool) RemoveReplica(obj guid.GUID, node simnet.NodeID) error {
 		p.twoTier.noteRemoval(node, obj)
 	}
 	if p.Mesh != nil {
-		p.Mesh.Unpublish(int(node), obj, p.K.Now())
+		p.Mesh.Unpublish(int(node), obj)
 	}
 	return nil
 }
@@ -341,7 +318,7 @@ func (p *Pool) Locate(from simnet.NodeID, obj guid.GUID) (simnet.NodeID, error) 
 	if p.Mesh == nil {
 		return simnet.None, errors.New("core: pool built with NoMesh cannot locate")
 	}
-	res, err := p.Mesh.Locate(int(from), obj, p.K.Now())
+	res, err := p.Mesh.Locate(int(from), obj)
 	if err != nil {
 		return simnet.None, err
 	}

@@ -11,8 +11,8 @@ package fault_test
 //     fired is present in the final committed state.
 //  2. Every archived object that still has at least DataShards live
 //     fragments is reconstructible.
-//  3. Routing and reads terminate or error — callbacks always fire by
-//     their virtual-time deadlines; nothing hangs the virtual clock.
+//  3. Reads terminate or error — callbacks always fire by their
+//     virtual-time deadlines; nothing hangs the virtual clock.
 //  4. Byte and latency statistics are deterministic for a fixed seed
 //     (TestDeterminismRegression below).
 //
@@ -31,7 +31,6 @@ import (
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/fault"
 	"oceanstore/internal/guid"
-	"oceanstore/internal/plaxton"
 	"oceanstore/internal/simnet"
 	"oceanstore/internal/update"
 )
@@ -57,10 +56,6 @@ type chaosOutcome struct {
 	readsErr    int      // remote reads that errored by deadline
 	readsMute   int      // remote reads whose callback never fired (bug)
 	doubleFired int      // read callbacks that fired more than once (bug)
-	routesOK    int
-	routesErr   int
-	routeMute   int
-	inflight    int // routes outstanding after the run (must be 0)
 	archives    []archiveCheck
 }
 
@@ -72,9 +67,8 @@ type archiveCheck struct {
 }
 
 // chaosRun drives one (seed, plan) combination: a writer appending
-// markers, a reader doing remote reads, background mesh routes — all
-// while the plan's faults fire — then a heal and settle phase, then the
-// archive reconstruction probes.
+// markers and a reader doing remote reads while the plan's faults fire,
+// then a heal and settle phase, then the archive reconstruction probes.
 //
 // It deliberately takes no *testing.T: the seed sweep fans runs out on
 // fault.Sweep's worker pool, where testing's Fatal machinery must not
@@ -102,12 +96,6 @@ func chaosRun(seed int64, plan fault.Plan, trace func(simnet.TraceEvent)) (chaos
 		return out, fmt.Errorf("archive: %w", err)
 	}
 
-	stop := p.StartMaintenance(core.MaintenanceConfig{
-		Republish:  30 * time.Second,
-		MeshRepair: 30 * time.Second,
-		TreeRepair: 30 * time.Second,
-	})
-	defer stop()
 	defer archive.NewScheduler(p.Arch, archive.SchedulerConfig{
 		Threshold: 4,
 	}).Start()()
@@ -155,29 +143,6 @@ func chaosRun(seed int64, plan fault.Plan, trace func(simnet.TraceEvent)) (chaos
 		})
 	}
 
-	// Routing workload: surrogate routes from varying live nodes.  Every
-	// route must terminate (success or error) by its deadline.
-	router := p.Router()
-	routesIssued := 0
-	for i := 0; i < 7; i++ {
-		i := i
-		p.K.At(time.Duration(10+20*i)*time.Second, func() {
-			g := guid.Random(p.K.Rand())
-			start := (5 + 3*i) % harnessNodes
-			if p.Net.Node(simnet.NodeID(start)).Down() {
-				start = 20 // the client node never churns in the standard plans
-			}
-			routesIssued++
-			router.RouteToRoot(start, g, 30*time.Second, func(_ plaxton.RouteResult, err error) {
-				if err != nil {
-					out.routesErr++
-				} else {
-					out.routesOK++
-				}
-			})
-		})
-	}
-
 	p.K.RunFor(150 * time.Second)
 
 	// Heal: lift the schedule, recover everything, clear partitions.
@@ -189,9 +154,6 @@ func chaosRun(seed int64, plan fault.Plan, trace func(simnet.TraceEvent)) (chaos
 		}
 	}
 	p.K.RunFor(90 * time.Second)
-
-	out.inflight = router.Inflight()
-	out.routeMute = routesIssued - out.routesOK - out.routesErr
 
 	// Final committed state, read locally (the invariant is about the
 	// data, not the path).
@@ -281,14 +243,6 @@ func TestInvariantsUnderFaults(t *testing.T) {
 			if out.readsMute != 0 {
 				t.Errorf("plan %q seed %d: %d remote reads never called back",
 					plan.Name, seed, out.readsMute)
-			}
-			if out.routeMute != 0 {
-				t.Errorf("plan %q seed %d: %d mesh routes never called back",
-					plan.Name, seed, out.routeMute)
-			}
-			if out.inflight != 0 {
-				t.Errorf("plan %q seed %d: %d mesh routes still inflight after deadlines",
-					plan.Name, seed, out.inflight)
 			}
 		})
 	}

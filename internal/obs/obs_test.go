@@ -207,7 +207,7 @@ func TestTracerAppendAndJSONL(t *testing.T) {
 	a := NewTracer(8)
 	a.Emit(Event{T: 1, Node: 0, Peer: 2, Layer: "simnet", Event: "send", ID: 7, Kind: "req", Bytes: 64})
 	b := NewTracer(2)
-	b.Emit(Event{T: 2, Node: 1, Peer: -1, Layer: "plaxton", Event: "route-done", Path: []int{1, 4, 2}})
+	b.Emit(Event{T: 2, Node: 1, Peer: -1, Layer: "archive", Event: "retrieve-done", ID: 9})
 	b.Emit(Event{T: 3, Node: 0, Layer: "byz", Event: "commit"})
 	b.Emit(Event{T: 4, Node: 0, Layer: "byz", Event: "commit"}) // wraps: drops T=2
 	a.Append(b)

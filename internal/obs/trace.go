@@ -9,8 +9,7 @@ import (
 // Event is one traced protocol event.  T is virtual time in
 // nanoseconds; Node is where the event happened, Peer the other
 // endpoint (-1 when there is none).  ID correlates the events of one
-// message or route (simnet message IDs, router route IDs, archive
-// retrieval IDs); Path carries a hop path where one exists.
+// message or retrieval (simnet message IDs, archive retrieval IDs).
 //
 // Field order is the JSONL column order — encoding/json emits struct
 // fields in declaration order, which is what makes the export
@@ -25,7 +24,6 @@ type Event struct {
 	ID    uint64 `json:"id,omitempty"`
 	Kind  string `json:"kind,omitempty"`
 	Bytes int    `json:"bytes,omitempty"`
-	Path  []int  `json:"path,omitempty"`
 }
 
 // DefaultTraceCap bounds a tracer ring when no capacity is given.

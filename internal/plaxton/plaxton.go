@@ -16,15 +16,13 @@
 // routing.  Publishing a replica walks from the replica's server to the
 // root, depositing a location pointer at every hop; a search climbs
 // toward the root until it hits a pointer, then routes directly to the
-// replica.  The paper's §4.3.3 fault-tolerance additions are included:
-// salted multi-root publishing, backup neighbour links, and soft-state
-// republish with pointer expiry.
+// replica.  Two of the paper's §4.3.3 fault-tolerance additions are
+// included: salted multi-root publishing and backup neighbour links.
 package plaxton
 
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"oceanstore/internal/guid"
 )
@@ -43,14 +41,6 @@ type entry struct {
 	backups []int
 }
 
-// pointer is a deposited location pointer: object GUID → the node
-// currently holding a replica.  Expiry implements soft state: without
-// periodic republish the pointer decays (§4.3.3).
-type pointer struct {
-	holder  int
-	expires time.Duration
-}
-
 // Node is one server in the mesh.
 type Node struct {
 	ID    guid.GUID
@@ -58,8 +48,9 @@ type Node struct {
 	Down  bool
 	// table[l][d]: neighbour matching our low l digits with digit l = d.
 	table [][Base]entry
-	// pointers deposited by publishes routed through this node.
-	pointers map[guid.GUID][]pointer
+	// pointers deposited by publishes routed through this node: object
+	// GUID → the nodes holding a replica.
+	pointers map[guid.GUID][]int
 }
 
 // Mesh is the global structure.  Distances come from the caller (the
@@ -72,8 +63,6 @@ type Mesh struct {
 	// Salts is the number of salted roots per GUID (§4.3.3); publish and
 	// locate spread over all of them.
 	Salts uint32
-	// PointerTTL bounds pointer life; zero means no expiry.
-	PointerTTL time.Duration
 }
 
 // RouteResult reports a mesh traversal.
@@ -117,7 +106,7 @@ func neededLevels(n int) int {
 }
 
 func (m *Mesh) newNode(id guid.GUID, idx int) *Node {
-	n := &Node{ID: id, Index: idx, pointers: make(map[guid.GUID][]pointer)}
+	n := &Node{ID: id, Index: idx, pointers: make(map[guid.GUID][]int)}
 	n.table = make([][Base]entry, m.levels)
 	for l := range n.table {
 		for d := range n.table[l] {
@@ -130,18 +119,17 @@ func (m *Mesh) newNode(id guid.GUID, idx int) *Node {
 // Node returns node i.
 func (m *Mesh) Node(i int) *Node { return m.nodes[i] }
 
-// fillTable populates node i's routing table from all live nodes.
+// fillTable populates node i's routing table from all other nodes.
 func (m *Mesh) fillTable(i int) {
 	x := m.nodes[i]
 	for l := 0; l < m.levels; l++ {
 		// Loopback: X itself always occupies its own digit slot.
 		x.table[l][x.ID.Digit(l)] = entry{primary: i}
 	}
-	for j, y := range m.nodes {
-		if j == i || y.Down {
-			continue
+	for j := range m.nodes {
+		if j != i {
+			m.offerLink(i, j)
 		}
-		m.offerLink(i, j)
 	}
 }
 
@@ -222,48 +210,9 @@ func (m *Mesh) nextHop(cur int, target guid.GUID, level int) int {
 	return -1
 }
 
-// HopCandidates returns the fallback-ordered candidate list for
-// resolving digit `level` of target from cur: slots in surrogate-scan
-// order, each slot's primary before its backups, skipping nodes the
-// mesh already knows are down.  The list is what the asynchronous
-// Router tries in order when hops time out — the first entry is
-// exactly nextHop's choice, and an entry equal to cur means the level
-// resolves in place.  At most cap candidates are returned (cap <= 0
-// means no limit).
-func (m *Mesh) HopCandidates(cur int, target guid.GUID, level int, cap int) []int {
-	x := m.nodes[cur]
-	want := int(target.Digit(level))
-	var out []int
-	add := func(c int) bool {
-		if c < 0 || m.nodes[c].Down {
-			return false
-		}
-		out = append(out, c)
-		return cap > 0 && len(out) >= cap
-	}
-	for k := 0; k < Base; k++ {
-		e := x.table[level][(want+k)%Base]
-		if add(e.primary) {
-			return out
-		}
-		if e.primary == cur && !m.nodes[cur].Down {
-			// Loopback: the level resolves in place; farther slots are
-			// only surrogate fallbacks for a dead cur, which cannot apply
-			// to the node doing the routing.
-			return out
-		}
-		for _, b := range e.backups {
-			if add(b) {
-				return out
-			}
-		}
-	}
-	return out
-}
-
 // RouteToRoot routes from start to the surrogate root of g, returning
-// the path.  In a fully repaired mesh every start converges on the same
-// root for the same set of live nodes.
+// the path.  While no node is removed every start converges on the
+// same root.
 func (m *Mesh) RouteToRoot(start int, g guid.GUID) (RouteResult, error) {
 	if m.nodes[start].Down {
 		return RouteResult{}, fmt.Errorf("plaxton: start node %d is down", start)

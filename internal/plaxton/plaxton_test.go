@@ -4,15 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"oceanstore/internal/guid"
 )
 
-// plane holds node positions that can grow as nodes join online.
+// plane holds node positions.
 type plane struct {
 	pos [][2]float64
-	r   *rand.Rand
 }
 
 func (p *plane) dist(a, b int) float64 {
@@ -20,17 +18,11 @@ func (p *plane) dist(a, b int) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// add places a new node and inserts it into the mesh online.
-func (p *plane) add(m *Mesh) int {
-	p.pos = append(p.pos, [2]float64{p.r.Float64() * 100, p.r.Float64() * 100})
-	return m.AddNode(guid.Random(p.r))
-}
-
 // testMesh builds an n-node mesh with nodes at random plane positions.
 func testMesh(t *testing.T, n int, seed int64) (*Mesh, *plane, *rand.Rand) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	p := &plane{r: r}
+	p := &plane{}
 	ids := make([]guid.GUID, n)
 	for i := range ids {
 		ids[i] = guid.Random(r)
@@ -84,7 +76,7 @@ func TestPublishLocate(t *testing.T) {
 	m, _, r := testMesh(t, 128, 3)
 	g := guid.Random(r)
 	holder := 42
-	hops, err := m.Publish(holder, g, 0)
+	hops, err := m.Publish(holder, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +84,7 @@ func TestPublishLocate(t *testing.T) {
 		t.Fatalf("publish hops = %d", hops)
 	}
 	for start := 0; start < 128; start += 13 {
-		res, err := m.Locate(start, g, 0)
+		res, err := m.Locate(start, g)
 		if err != nil {
 			t.Fatalf("locate from %d: %v", start, err)
 		}
@@ -101,7 +93,7 @@ func TestPublishLocate(t *testing.T) {
 		}
 	}
 	// Self-locate: the holder finds itself at zero cost.
-	res, err := m.Locate(holder, g, 0)
+	res, err := m.Locate(holder, g)
 	if err != nil || res.Hops != 0 || res.Distance != 0 {
 		t.Fatalf("self locate: %+v %v", res, err)
 	}
@@ -109,7 +101,7 @@ func TestPublishLocate(t *testing.T) {
 
 func TestLocateMissingObject(t *testing.T) {
 	m, _, r := testMesh(t, 64, 4)
-	if _, err := m.Locate(0, guid.Random(r), 0); err != ErrNotFound {
+	if _, err := m.Locate(0, guid.Random(r)); err != ErrNotFound {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 }
@@ -122,7 +114,7 @@ func TestLocatePrefersCloseReplica(t *testing.T) {
 	g := guid.Random(r)
 	var holders []int
 	for i := 0; i < 256; i += 8 {
-		if _, err := m.Publish(i, g, 0); err != nil {
+		if _, err := m.Publish(i, g); err != nil {
 			t.Fatal(err)
 		}
 		holders = append(holders, i)
@@ -131,7 +123,7 @@ func TestLocatePrefersCloseReplica(t *testing.T) {
 	var locSum, randSum float64
 	for trial := 0; trial < 40; trial++ {
 		start := r.Intn(256)
-		res, err := m.Locate(start, g, 0)
+		res, err := m.Locate(start, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,11 +138,11 @@ func TestLocatePrefersCloseReplica(t *testing.T) {
 func TestUnpublish(t *testing.T) {
 	m, _, r := testMesh(t, 64, 6)
 	g := guid.Random(r)
-	if _, err := m.Publish(10, g, 0); err != nil {
+	if _, err := m.Publish(10, g); err != nil {
 		t.Fatal(err)
 	}
-	m.Unpublish(10, g, 0)
-	if _, err := m.Locate(3, g, 0); err != ErrNotFound {
+	m.Unpublish(10, g)
+	if _, err := m.Locate(3, g); err != ErrNotFound {
 		t.Fatalf("unpublished object still located: %v", err)
 	}
 }
@@ -160,7 +152,7 @@ func TestSaltedRootsSurviveRootFailure(t *testing.T) {
 	m.Salts = 4
 	g := guid.Random(r)
 	holder := 9
-	if _, err := m.Publish(holder, g, 0); err != nil {
+	if _, err := m.Publish(holder, g); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the primary root (and everything on the primary path except
@@ -176,7 +168,7 @@ func TestSaltedRootsSurviveRootFailure(t *testing.T) {
 		if m.Node(start).Down {
 			continue
 		}
-		if res, err := m.Locate(start, g, 0); err == nil && res.Holder == holder {
+		if res, err := m.Locate(start, g); err == nil && res.Holder == holder {
 			found++
 		}
 	}
@@ -185,126 +177,22 @@ func TestSaltedRootsSurviveRootFailure(t *testing.T) {
 	}
 }
 
-func TestSoftStateExpiry(t *testing.T) {
-	m, _, r := testMesh(t, 64, 8)
-	m.PointerTTL = 10 * time.Second
-	g := guid.Random(r)
-	if _, err := m.Publish(5, g, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Locate(30, g, 5*time.Second); err != nil {
-		t.Fatal("fresh pointer not found")
-	}
-	// After TTL, pointers are stale even before the sweep runs.
-	if _, err := m.Locate(30, g, 11*time.Second); err != ErrNotFound {
-		t.Fatalf("stale pointer served: %v", err)
-	}
-	// Republish refreshes.
-	if _, err := m.Publish(5, g, 12*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Locate(30, g, 20*time.Second); err != nil {
-		t.Fatal("republished pointer not found")
-	}
-	// The sweep physically removes expired state.
-	if removed := m.ExpireSoftState(40 * time.Second); removed == 0 {
-		t.Fatal("sweep removed nothing")
-	}
-	if _, err := m.Locate(30, g, 41*time.Second); err != ErrNotFound {
-		t.Fatal("swept pointer served")
-	}
-}
-
 func TestDeadHolderSkipped(t *testing.T) {
 	m, _, r := testMesh(t, 64, 9)
 	g := guid.Random(r)
-	if _, err := m.Publish(5, g, 0); err != nil {
+	if _, err := m.Publish(5, g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Publish(40, g, 0); err != nil {
+	if _, err := m.Publish(40, g); err != nil {
 		t.Fatal(err)
 	}
 	m.RemoveNode(5)
-	res, err := m.Locate(6, g, 0)
+	res, err := m.Locate(6, g)
 	if err != nil {
 		t.Fatal("locate failed though a live replica exists")
 	}
 	if res.Holder != 40 {
 		t.Fatalf("located dead holder %d", res.Holder)
-	}
-}
-
-func TestNodeInsertionOnline(t *testing.T) {
-	m, p, r := testMesh(t, 64, 10)
-	g := guid.Random(r)
-	if _, err := m.Publish(3, g, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Insert 20 new nodes; they must immediately be able to locate
-	// existing objects and be routable.
-	for i := 0; i < 20; i++ {
-		idx := p.add(m)
-		if res, err := m.Locate(idx, g, 0); err != nil || res.Holder != 3 {
-			t.Fatalf("new node %d cannot locate: %+v %v", idx, res, err)
-		}
-	}
-	if len(m.nodes) != 84 {
-		t.Fatalf("len = %d", len(m.nodes))
-	}
-	// Objects published by a new node are locatable from old nodes.
-	g2 := guid.Random(r)
-	if _, err := m.Publish(70, g2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := m.Locate(0, g2, 0); err != nil || res.Holder != 70 {
-		t.Fatalf("old node cannot locate new node's object: %v", err)
-	}
-}
-
-func TestFailureRepairAndRepublish(t *testing.T) {
-	m, _, r := testMesh(t, 128, 11)
-	m.Salts = 2
-	g := guid.Random(r)
-	holder := 100
-	if _, err := m.Publish(holder, g, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Kill 25% of nodes (not the holder).
-	for i := 0; i < 32; i++ {
-		idx := r.Intn(128)
-		if idx != holder {
-			m.RemoveNode(idx)
-		}
-	}
-	m.Repair()
-	m.ExpireSoftState(0)
-	if _, err := m.Publish(holder, g, 0); err != nil { // republish
-		t.Fatal(err)
-	}
-	ok := 0
-	total := 0
-	for start := 0; start < 128; start += 5 {
-		if m.Node(start).Down {
-			continue
-		}
-		total++
-		if res, err := m.Locate(start, g, 0); err == nil && res.Holder == holder {
-			ok++
-		}
-	}
-	if ok < total {
-		t.Fatalf("after repair+republish only %d/%d locates succeed", ok, total)
-	}
-	// Revive everyone; repair; still consistent.
-	for i := 0; i < 128; i++ {
-		m.ReviveNode(i)
-	}
-	m.Repair()
-	if _, err := m.Publish(holder, g, 0); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := m.Locate(1, g, 0); err != nil || res.Holder != holder {
-		t.Fatalf("after revive: %+v %v", res, err)
 	}
 }
 
@@ -314,10 +202,10 @@ func TestRouteFromDownNodeFails(t *testing.T) {
 	if _, err := m.RouteToRoot(4, guid.Random(r)); err == nil {
 		t.Fatal("route from down node succeeded")
 	}
-	if _, err := m.Locate(4, guid.Random(r), 0); err == nil {
+	if _, err := m.Locate(4, guid.Random(r)); err == nil {
 		t.Fatal("locate from down node succeeded")
 	}
-	if _, err := m.Publish(4, guid.Random(r), 0); err == nil {
+	if _, err := m.Publish(4, guid.Random(r)); err == nil {
 		t.Fatal("publish from down node succeeded")
 	}
 }
@@ -327,10 +215,10 @@ func TestTinyMeshes(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		m, _, r := testMesh(t, n, int64(20+n))
 		g := guid.Random(r)
-		if _, err := m.Publish(0, g, 0); err != nil {
+		if _, err := m.Publish(0, g); err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.Locate(n-1, g, 0)
+		res, err := m.Locate(n-1, g)
 		if err != nil || res.Holder != 0 {
 			t.Fatalf("n=%d: %+v %v", n, res, err)
 		}
@@ -340,7 +228,7 @@ func TestTinyMeshes(t *testing.T) {
 func TestPointerCountGrowsWithPublish(t *testing.T) {
 	m, _, r := testMesh(t, 64, 13)
 	g := guid.Random(r)
-	if _, err := m.Publish(7, g, 0); err != nil {
+	if _, err := m.Publish(7, g); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -351,7 +239,7 @@ func TestPointerCountGrowsWithPublish(t *testing.T) {
 		t.Fatal("publish deposited no pointers")
 	}
 	// Publishing twice from the same holder must not duplicate pointers.
-	if _, err := m.Publish(7, g, 0); err != nil {
+	if _, err := m.Publish(7, g); err != nil {
 		t.Fatal(err)
 	}
 	total2 := 0

@@ -421,7 +421,7 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 			}
 		}
 	}
-	r.EnsureLiveRoot()
+	r.ensureLiveRoot()
 	if r.primaryState.CommittedLen() > pos {
 		d := dtree.Delivery{Payload: u, Pos: pos, Size: u.WireSize()}
 		// A holder drops its copy TentativeExpire after the update's
@@ -433,10 +433,10 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 	}
 }
 
-// EnsureLiveRoot re-homes the dissemination tree onto a live primary
+// ensureLiveRoot re-homes the dissemination tree onto a live primary
 // when its rooting primary has died — pushes must originate somewhere
-// alive.  Safe to call periodically (maintenance) and before pushes.
-func (r *Ring) EnsureLiveRoot() {
+// alive.  Called before every push.
+func (r *Ring) ensureLiveRoot() {
 	if !r.net.Node(r.tree.Root()).Down() {
 		return
 	}

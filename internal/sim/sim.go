@@ -100,8 +100,8 @@ func (t Timer) Stop() bool {
 }
 
 // Every schedules fn to run now+d and then every d thereafter, until
-// the returned cancel function is called.  Used for soft-state beacons,
-// republish sweeps and repair processes.
+// the returned cancel function is called.  Used for gossip rounds,
+// audits and archival scrub and repair sweeps.
 func (k *Kernel) Every(d time.Duration, fn func()) (cancel func()) {
 	stopped := false
 	var tick func()

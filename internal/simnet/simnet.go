@@ -15,7 +15,7 @@
 // and recovery are first-class kernel events — Crash/Recover and their
 // scheduled variants — so that a down node sheds its partition state,
 // drops due to crashes are accounted separately from other losses, and
-// every liveness transition is observable by the protocol layers.
+// every liveness transition is counted and traced.
 //
 // # Node layout
 //
@@ -114,8 +114,8 @@ func demuxFrom(tab []demuxSlot, w uint64) int {
 
 // GlobalHandler consumes messages delivered to any node.  Services
 // that attend many servers (the archival store and its auditor, the
-// mesh router, the remote-read service) register one of these instead
-// of closing a handler over each of a million IDs.
+// remote-read service) register one of these instead of closing a
+// handler over each of a million IDs.
 type GlobalHandler func(to NodeID, m Message)
 
 // Node is a 16-byte value handle onto one simulated machine's state,
@@ -313,7 +313,6 @@ type Network struct {
 	partition []int32
 	plan      FaultPlan
 	trace     func(TraceEvent)
-	liveness  []func(id NodeID, up bool)
 	topology  []func(added []Node)
 
 	// In-flight messages: those due at the same tick share one queued
@@ -646,13 +645,6 @@ func (n *Network) SetFaultPlan(p FaultPlan) { n.plan = p }
 // SetTrace installs (or, with nil, removes) the event trace callback.
 func (n *Network) SetTrace(fn func(TraceEvent)) { n.trace = fn }
 
-// OnLiveness registers a callback fired on every Crash/Recover
-// transition, so protocol layers can react to churn (mesh liveness
-// sync, tree re-homing) without polling.
-func (n *Network) OnLiveness(fn func(id NodeID, up bool)) {
-	n.liveness = append(n.liveness, fn)
-}
-
 // HandleAll registers a handler that sees every delivered message,
 // whatever its destination, before the destination's HandleDemux
 // handlers.  Services that attend many nodes use it to attend a
@@ -690,8 +682,7 @@ func (n *Network) emit(ev event, m Message) {
 
 // Crash takes a node down as a first-class event: it stops sending and
 // receiving, its partition membership is shed (a machine that is off
-// belongs to no partition group), and liveness callbacks fire.
-// Idempotent.
+// belongs to no partition group).  Idempotent.
 func (n *Network) Crash(id NodeID) {
 	if n.down[id] {
 		return
@@ -699,9 +690,6 @@ func (n *Network) Crash(id NodeID) {
 	n.down[id] = true
 	n.partition[id] = 0
 	n.emit(evCrash, Message{From: id, To: id})
-	for _, fn := range n.liveness {
-		fn(id, false)
-	}
 }
 
 // Recover brings a crashed node back up.  It rejoins partition group 0
@@ -713,9 +701,6 @@ func (n *Network) Recover(id NodeID) {
 	}
 	n.down[id] = false
 	n.emit(evRecover, Message{From: id, To: id})
-	for _, fn := range n.liveness {
-		fn(id, true)
-	}
 }
 
 // CrashAt schedules a crash at absolute virtual time t.

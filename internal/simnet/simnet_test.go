@@ -173,18 +173,11 @@ func TestCrashIsFirstClass(t *testing.T) {
 	delivered := 0
 	net.HandleAll(func(NodeID, Message) { delivered++ })
 
-	var transitions []bool
-	net.OnLiveness(func(id NodeID, up bool) {
-		if id == 1 {
-			transitions = append(transitions, up)
-		}
-	})
-
 	// A crashed node sheds its partition state and takes no new state
 	// while down.
 	net.SetPartition(1, 5)
 	net.Crash(1)
-	net.Crash(1)           // idempotent: no second crash, no second callback
+	net.Crash(1)           // idempotent: no second crash
 	net.SetPartition(1, 7) // ignored: the machine is off
 	net.Send(0, 1, "x", nil, 1)
 	k.Run()
@@ -208,8 +201,21 @@ func TestCrashIsFirstClass(t *testing.T) {
 	if s := net.Stats(); s.Recoveries != 1 {
 		t.Fatalf("recovery accounting: %+v", s)
 	}
-	if len(transitions) != 2 || transitions[0] || !transitions[1] {
-		t.Fatalf("liveness transitions = %v, want [false true]", transitions)
+}
+
+// TestSendOutOfRangePanics: a send naming a node the network never
+// placed is a caller bug, not a message to drop.
+func TestSendOutOfRangePanics(t *testing.T) {
+	_, net := uniformNet(t, 2, time.Millisecond)
+	for _, ends := range [][2]NodeID{{0, 2}, {2, 0}, {-1, 1}, {1, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("send %d->%d did not panic", ends[0], ends[1])
+				}
+			}()
+			net.Send(ends[0], ends[1], "x", nil, 1)
+		}()
 	}
 }
 
