@@ -22,7 +22,7 @@ func tier(n, f int, seed int64) (*sim.Kernel, *simnet.Network, *byz.Group, simne
 		nodes = append(nodes, net.AddNode(0, 0).ID)
 	}
 	client := net.AddNode(0, 0).ID
-	g, err := byz.NewGroup(net, nodes, f)
+	g, err := byz.NewGroup(net, nodes, f, guid.Zero)
 	if err != nil {
 		panic(err)
 	}

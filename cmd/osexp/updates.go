@@ -92,9 +92,10 @@ func runByzFaults(w io.Writer, seed int64, _ *obsink) {
 	for _, tc := range []struct{ crash, lie int }{
 		{0, 0}, {2, 0}, {4, 0}, {0, 2}, {0, 4}, {2, 2}, {5, 0}, {0, 5},
 	} {
-		k, _, g, client := tier(n, f, seed)
+		k, net, g, client := tier(n, f, seed)
+		// The tier's members are the network's first n nodes.
 		for i := 0; i < tc.crash; i++ {
-			g.SetFault(1+i, byz.Crashed)
+			net.Crash(simnet.NodeID(1 + i))
 		}
 		for i := 0; i < tc.lie; i++ {
 			g.SetFault(1+tc.crash+i, byz.Lying)

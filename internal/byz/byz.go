@@ -22,9 +22,17 @@
 // certificate is inspected, and a certificate nobody asked for is never
 // built.
 //
+// A tier gets its tag — the object it orders — when it is built, and
+// each member registers once under it, so tiers of different objects
+// share nodes.  A client submits each request once: the tier
+// retransmits it until f+1 replies agree, or until the client cancels
+// it.  The primary orders requests as they arrive.
+//
 // A simplified view change provides liveness when the primary crashes:
 // backups time out on client requests the primary never pre-prepared
-// and vote the next view in.  (The full PBFT prepared-certificate
+// and vote the next view in.  A crash is simnet's (Network.Crash): a
+// down member receives and sends nothing.  The one replica fault this
+// package injects is lying.  (The full PBFT prepared-certificate
 // transfer is out of scope; experiments exercise crash faults before
 // and lying faults during agreement, not equivocating primaries across
 // view changes.)
@@ -62,8 +70,6 @@ type Fault byte
 // Fault modes.
 const (
 	Honest Fault = iota
-	// Crashed replicas send and process nothing.
-	Crashed
 	// Lying replicas participate but vote wrong digests, attempting to
 	// corrupt agreement.
 	Lying
@@ -75,10 +81,7 @@ type Request struct {
 	ID      guid.GUID // request digest (content hash of the update)
 	Payload any
 	Size    int // wire size of the payload, the u of Figure 6
-	// Timestamp is the client's optimistic timestamp; the primary uses
-	// it to guide ordering (§4.4.3).
-	Timestamp time.Duration
-	Client    simnet.NodeID
+	Client  simnet.NodeID
 }
 
 // Result is what the client learns once f+1 replicas replied.
@@ -251,11 +254,6 @@ type Group struct {
 	replicas []*replica
 	// clients holds the nodes with a request outstanding at the tier.
 	clients map[simnet.NodeID]*clientState
-	// done remembers the last doneWindow requests the tier's clients
-	// resolved or cancelled, each beside its client, so a duplicate
-	// Submit is ignored while another client's Submit of the same ID is
-	// served (same horizon argument as the replica-side doneWindow).
-	done doneIndex[clientReq, struct{}]
 	// tag scopes this group's messages; replicas of other groups sharing
 	// the same physical nodes ignore them.
 	tag guid.GUID
@@ -302,9 +300,11 @@ func (g *Group) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// NewGroup builds a primary tier over the given simnet nodes, wiring a
-// message handler onto each.  len(nodes) must be at least 3f+1.
-func NewGroup(net *simnet.Network, nodes []simnet.NodeID, f int) (*Group, error) {
+// NewGroup builds a primary tier over the given simnet nodes and
+// registers each member's handler once, under tag: the object the tier
+// orders, which scopes its messages so tiers of other objects can share
+// the nodes.  len(nodes) must be at least 3f+1.
+func NewGroup(net *simnet.Network, nodes []simnet.NodeID, f int, tag guid.GUID) (*Group, error) {
 	if len(nodes) < 3*f+1 {
 		return nil, fmt.Errorf("byz: %d replicas cannot tolerate %d faults (need 3f+1)", len(nodes), f)
 	}
@@ -316,23 +316,15 @@ func NewGroup(net *simnet.Network, nodes []simnet.NodeID, f int) (*Group, error)
 		nodes:   append([]simnet.NodeID(nil), nodes...),
 		f:       f,
 		clients: make(map[simnet.NodeID]*clientState),
+		tag:     tag,
 	}
-	for i := range nodes {
-		g.replicas = append(g.replicas, newReplica(g, i))
+	for i, nd := range nodes {
+		r := newReplica(g, i)
+		g.replicas = append(g.replicas, r)
 		g.signers = append(g.signers, crypt.NewSigner(net.K.Rand()))
+		net.Node(nd).HandleDemux(simnet.DemuxKey(tag), replicaKinds, r.handle)
 	}
-	g.hookReplicas()
 	return g, nil
-}
-
-// hookReplicas registers every replica's handler under the current tag.
-// Handlers tag-filter themselves, so re-hooking after SetTag leaves the
-// old registrations inert.
-func (g *Group) hookReplicas() {
-	key := simnet.DemuxKey(g.tag)
-	for i, nd := range g.nodes {
-		g.net.Node(nd).HandleDemux(key, replicaKinds, g.replicas[i].handle)
-	}
 }
 
 // PublicKeys returns the replicas' certificate-verification keys, in
@@ -343,16 +335,6 @@ func (g *Group) PublicKeys() [][]byte {
 		out[i] = s.Public()
 	}
 	return out
-}
-
-// SetTag scopes the group's protocol messages to an object, so several
-// groups can share physical nodes.  Set before the first Submit.
-func (g *Group) SetTag(tag guid.GUID) {
-	if tag == g.tag {
-		return
-	}
-	g.tag = tag
-	g.hookReplicas()
 }
 
 // SetFault injects a failure mode into replica i.
@@ -372,10 +354,8 @@ type reqState struct {
 	have     []bool
 	seqs     []uint64
 	digests  []guid.GUID
-	// retx holds the queued retransmission of every Submit call made for
-	// this request (one, unless the caller re-submitted it while it was
-	// still outstanding).
-	retx []sim.Timer
+	// retx is the request's queued retransmission.
+	retx sim.Timer
 }
 
 // clientState tracks reply quorums per request for one client node.
@@ -384,20 +364,11 @@ type reqState struct {
 // and clearReq drops both with the last, so a long run's client state
 // is O(in-flight requests), not O(clients that ever wrote).  A request
 // is outstanding exactly while its `pending` entry exists — late
-// replies and the retransmission loop both gate on it.  The tier's
-// done index, not the client, remembers what resolved.
+// replies and the retransmission loop both gate on it.  Nothing
+// remembers a request once it resolved.
 type clientState struct {
 	pending map[guid.GUID]*reqState
 }
-
-// clientReq names one client's request in the tier's done index.
-type clientReq struct {
-	id     guid.GUID
-	client simnet.NodeID
-}
-
-// Uint64 is the request ID's: its leading bytes pick the home slot.
-func (c clientReq) Uint64() uint64 { return c.id.Uint64() }
 
 // getReq pulls a scrubbed reqState from the pool (or allocates one
 // sized to the tier).
@@ -413,21 +384,17 @@ func (g *Group) getReq() *reqState {
 	}
 }
 
-// clearReq retires a resolved (or abandoned) request's bookkeeping,
-// records it in the tier's bounded done index, and recycles the record.
-// With the client's last outstanding request its state and reply route
-// go too; a late reply then meets no route and drops.
+// clearReq retires a resolved (or abandoned) request's bookkeeping and
+// recycles the record; a request that is not outstanding leaves nothing
+// to retire.  With the client's last outstanding request its state and
+// reply route go too; a late reply then meets no route and drops.
 func (g *Group) clearReq(client simnet.NodeID, id guid.GUID) {
-	key := clientReq{id, client}
 	cs := g.clients[client]
-	var rs *reqState
-	if cs != nil {
-		rs = cs.pending[id]
+	if cs == nil {
+		return
 	}
+	rs := cs.pending[id]
 	if rs == nil {
-		if !g.done.has(key) {
-			g.done.add(key, struct{}{})
-		}
 		return
 	}
 	delete(cs.pending, id)
@@ -435,32 +402,23 @@ func (g *Group) clearReq(client simnet.NodeID, id guid.GUID) {
 		delete(g.clients, client)
 		g.net.Node(client).Unhandle(simnet.DemuxKey(g.tag), replyKinds)
 	}
-	for _, t := range rs.retx {
-		t.Stop()
-	}
-	rs.retx = rs.retx[:0]
+	rs.retx.Stop()
 	rs.callback = nil
 	clear(rs.have)
 	clear(rs.seqs)
 	clear(rs.digests)
 	g.reqFree = append(g.reqFree, rs)
-	// A pending request is not in the done index: Submit checks it first.
-	g.done.add(key, struct{}{})
 }
 
 // Submit sends a request from the given client node to the primary
 // tier.  Following Figure 5 the client sends the full update to the
 // primary and small notifications to the other replicas (which arms
 // their view-change timers).  onDone fires when f+1 matching replies
-// arrive.
+// arrive.  Each request is submitted once: a Submit of one the client
+// still has outstanding panics.
 func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 	req.Client = client
 	req.Tag = g.tag
-	if g.done.has(clientReq{req.ID, client}) {
-		// Duplicate submit of a resolved request: nothing is sent and no
-		// callback will fire.
-		return
-	}
 	cs := g.clients[client]
 	if cs == nil {
 		cs = &clientState{pending: make(map[guid.GUID]*reqState, 1)}
@@ -468,11 +426,11 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 		g.net.Node(client).HandleDemux(simnet.DemuxKey(g.tag), replyKinds,
 			func(m simnet.Message) { g.clientHandle(client, m) })
 	}
-	rs, live := cs.pending[req.ID]
-	if !live {
-		rs = g.getReq()
-		cs.pending[req.ID] = rs
+	if cs.pending[req.ID] != nil {
+		panic(fmt.Sprintf("byz: request %s submitted again while outstanding", req.ID.Short()))
 	}
+	rs := g.getReq()
+	cs.pending[req.ID] = rs
 	rs.sent = g.net.K.Now()
 	rs.callback = onDone
 	g.om.submits.Inc()
@@ -486,7 +444,7 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 	view := g.currentView()
 	primary := int(view) % len(g.replicas)
 	// Backup notification: digest only, boxed once for every backup.
-	var note any = Request{Tag: g.tag, ID: req.ID, Timestamp: req.Timestamp, Client: client}
+	var note any = Request{Tag: g.tag, ID: req.ID, Client: client}
 	for i := range g.replicas {
 		if i == primary {
 			g.net.Send(client, g.nodes[i], kindRequest, req, req.Size+CHeader)
@@ -500,7 +458,6 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 	// propose it.
 	// The loop lives exactly as long as rs is this request's record:
 	// clearReq stops it, so it never fires for a resolved request.
-	chain := len(rs.retx)
 	var retransmit func()
 	retransmit = func() {
 		g.net.NoteRetry(kindRequest)
@@ -508,17 +465,16 @@ func (g *Group) Submit(client simnet.NodeID, req Request, onDone func(Result)) {
 		for i := range g.replicas {
 			g.net.Send(client, g.nodes[i], kindRequest, req, req.Size+CHeader)
 		}
-		rs.retx[chain] = g.net.K.After(2*requestTimeout, retransmit)
+		rs.retx = g.net.K.After(2*requestTimeout, retransmit)
 	}
-	rs.retx = append(rs.retx, g.net.K.After(2*requestTimeout, retransmit))
+	rs.retx = g.net.K.After(2*requestTimeout, retransmit)
 }
 
 // Cancel abandons a client's outstanding request: the retransmission
-// loop stops and any late quorum is ignored.  Layers
-// that give up on an update (a session's update timeout) call this so a
-// timed-out request cannot hold virtual time hostage.  A request that is
-// not outstanding is recorded as done all the same, so a later Submit
-// of it is ignored.
+// loop stops and any late quorum is ignored.  Layers that give up on an
+// update (a session's update timeout) call this so a timed-out request
+// cannot hold virtual time hostage.  Cancelling a request that is not
+// outstanding does nothing.
 func (g *Group) Cancel(client simnet.NodeID, id guid.GUID) {
 	g.clearReq(client, id)
 }
@@ -529,14 +485,13 @@ func (g *Group) Primary() simnet.NodeID {
 	return g.nodes[int(g.currentView())%len(g.replicas)]
 }
 
-// currentView reports the highest view any live replica is in — the
-// view a fresh client should address.
+// currentView reports the highest view any member is in — the view a
+// fresh client should address.  A member whose node is down counts too:
+// the tier cannot see simnet's crashes.
 func (g *Group) currentView() uint64 {
 	v := uint64(0)
 	for _, r := range g.replicas {
-		if r.fault != Crashed && r.view > v {
-			v = r.view
-		}
+		v = max(v, r.view)
 	}
 	return v
 }

@@ -21,7 +21,7 @@ func tier(t *testing.T, n, f int, seed int64) (*sim.Kernel, *simnet.Network, *Gr
 		nodes = append(nodes, net.AddNode(0, 0).ID)
 	}
 	client := net.AddNode(0, 0).ID
-	g, err := NewGroup(net, nodes, f)
+	g, err := NewGroup(net, nodes, f, guid.Zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,13 @@ func TestGeometryValidation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		nodes = append(nodes, net.AddNode(0, 0).ID)
 	}
-	if _, err := NewGroup(net, nodes, 2); err == nil {
+	if _, err := NewGroup(net, nodes, 2, guid.Zero); err == nil {
 		t.Fatal("4 replicas accepted f=2")
 	}
-	if _, err := NewGroup(net, nodes, -1); err == nil {
+	if _, err := NewGroup(net, nodes, -1, guid.Zero); err == nil {
 		t.Fatal("negative f accepted")
 	}
-	if g, err := NewGroup(net, nodes, 1); err != nil || len(g.nodes) != 4 || g.f != 1 {
+	if g, err := NewGroup(net, nodes, 1, guid.Zero); err != nil || len(g.nodes) != 4 || g.f != 1 {
 		t.Fatalf("valid group rejected: %v", err)
 	}
 }
@@ -79,17 +79,19 @@ func TestCommitHappyPath(t *testing.T) {
 	}
 }
 
-// TestTaggedGroupsShareNodes: two tiers on the same four nodes, scoped
-// to different objects by SetTag, each order and execute only their
+// TestTaggedGroupsShareNodes: two tiers on the same four nodes as a
+// third, each built for its own object, order and execute only their
 // own requests.
 func TestTaggedGroupsShareNodes(t *testing.T) {
-	k, net, a, client := tier(t, 4, 1, 4)
-	b, err := NewGroup(net, a.nodes, 1)
+	k, net, zero, client := tier(t, 4, 1, 4)
+	a, err := NewGroup(net, zero.nodes, 1, guid.FromData([]byte("object a")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetTag(guid.FromData([]byte("object a")))
-	b.SetTag(guid.FromData([]byte("object b")))
+	b, err := NewGroup(net, zero.nodes, 1, guid.FromData([]byte("object b")))
+	if err != nil {
+		t.Fatal(err)
+	}
 	orderA, orderB := record(a), record(b)
 	var resA, resB *Result
 	a.Submit(client, req("ua", 100), func(r Result) { resA = &r })
@@ -175,9 +177,9 @@ func TestExecutorRunsInOrder(t *testing.T) {
 }
 
 func TestToleratesFCrashedBackups(t *testing.T) {
-	k, _, g, client := tier(t, 7, 2, 6)
-	g.SetFault(3, Crashed)
-	g.SetFault(5, Crashed)
+	k, net, g, client := tier(t, 7, 2, 6)
+	net.Crash(g.nodes[3])
+	net.Crash(g.nodes[5])
 	var res *Result
 	g.Submit(client, req("u", 1000), func(r Result) { res = &r })
 	k.RunFor(10 * time.Second)
@@ -210,10 +212,10 @@ func TestToleratesFLyingReplicas(t *testing.T) {
 }
 
 func TestMoreThanFCrashedStalls(t *testing.T) {
-	k, _, g, client := tier(t, 4, 1, 8)
+	k, net, g, client := tier(t, 4, 1, 8)
 	// Crash 2 > f=1 backups: no 2f+1 quorum can form.
-	g.SetFault(1, Crashed)
-	g.SetFault(2, Crashed)
+	net.Crash(g.nodes[1])
+	net.Crash(g.nodes[2])
 	committed := false
 	g.Submit(client, req("u", 1000), func(Result) { committed = true })
 	k.RunFor(30 * time.Second)
@@ -223,9 +225,9 @@ func TestMoreThanFCrashedStalls(t *testing.T) {
 }
 
 func TestViewChangeOnCrashedPrimary(t *testing.T) {
-	k, _, g, client := tier(t, 7, 2, 9)
+	k, net, g, client := tier(t, 7, 2, 9)
 	order := record(g)
-	g.SetFault(0, Crashed) // view 0's primary
+	net.Crash(g.nodes[0]) // view 0's primary
 	var res *Result
 	g.Submit(client, req("u", 1000), func(r Result) { res = &r })
 	k.RunFor(60 * time.Second)
@@ -307,47 +309,43 @@ func sends(net *simnet.Network, fn func()) map[string]int {
 	return n
 }
 
-// TestDuplicateSubmitIgnored: a client ignores a Submit of any of the
-// last doneWindow requests it resolved or cancelled — no callback,
-// nothing sent — and treats one resolved doneWindow resolutions ago as
-// new.
-func TestDuplicateSubmitIgnored(t *testing.T) {
+// TestEachRequestSubmittedOnce: a second Submit of a request the client
+// still has outstanding panics and sends nothing.  Cancelling a request
+// that is not outstanding does nothing.  Once a request resolves, or is
+// cancelled, a Submit of its ID is a new request, and a cancelled
+// request's callback never fires.
+func TestEachRequestSubmittedOnce(t *testing.T) {
 	k, net, g, client := tier(t, 4, 1, 12)
-	order := record(g)
-	count := 0
-	r := req("dup", 500)
-	g.Submit(client, r, func(Result) { count++ })
-	k.RunFor(5 * time.Second)
-	g.Submit(client, r, func(Result) { count++ })
-	k.RunFor(5 * time.Second)
-	if len(order[1]) != 1 {
-		t.Fatalf("duplicate executed: %v", order[1])
+	r := req("once", 500)
+	committed := 0
+	onDone := func(Result) { committed++ }
+	g.Submit(client, r, onDone)
+	got := sends(net, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second Submit of an outstanding request did not panic")
+			}
+		}()
+		g.Submit(client, r, onDone)
+	})
+	if len(got) != 0 {
+		t.Fatalf("the second Submit sent %v", got)
 	}
-	if count != 1 {
-		t.Fatalf("callbacks fired %d times", count)
+	g.Cancel(client, req("never submitted", 500).ID)
+	k.RunFor(5 * time.Second)
+	if committed != 1 {
+		t.Fatalf("callbacks fired %d times, want 1", committed)
 	}
-	// Cancelling a resolved request leaves the done-set as it was: r is
-	// stored once.
+	g.Cancel(client, r.ID) // resolved: not outstanding
+	if len(g.clients) != 0 || len(g.reqFree) != 1 {
+		t.Fatalf("cancelling a resolved request left %d clients, %d pooled records", len(g.clients), len(g.reqFree))
+	}
+	g.Submit(client, r, onDone)
 	g.Cancel(client, r.ID)
-	if n := len(g.done.ids); n != 1 {
-		t.Fatalf("done-set holds %d IDs after one resolution and its cancel", n)
-	}
-	resolve := func(from, to int) {
-		for i := from; i < to; i++ {
-			g.Submit(client, req(fmt.Sprintf("more%d", i), 100), nil)
-		}
-		k.RunFor(2 * time.Second)
-	}
-	resolve(0, doneWindow-1) // r is the oldest of the last doneWindow
-	if got := sends(net, func() { g.Submit(client, r, func(Result) { count++ }) }); len(got) != 0 {
-		t.Fatalf("a duplicate within %d resolutions sent %v", doneWindow, got)
-	}
-	resolve(doneWindow-1, doneWindow)
-	if got := sends(net, func() { g.Submit(client, r, nil) }); len(got) != 1 || got[kindRequest] != len(g.nodes) {
-		t.Fatalf("a Submit %d resolutions later sent %v, want it sent afresh", doneWindow, got)
-	}
-	if count != 1 {
-		t.Fatalf("callbacks fired %d times", count)
+	g.Submit(client, r, onDone)
+	k.RunFor(5 * time.Second)
+	if committed != 2 {
+		t.Fatalf("a cancelled Submit and a fresh one: %d callbacks in all, want 2", committed)
 	}
 }
 

@@ -1,21 +1,22 @@
 package byz
 
-// doneIndex is a bounded done-set: the last doneWindow keys added, each
-// held once, in a ring in the order they were added, with a value
-// beside each (a replica keeps a request ID and the sequence number it
-// executed at; the tier keeps a client's request and nothing else).  An open-addressed table of
-// ring positions answers lookups, so the IDs are not repeated in a map
-// beside the ring.  The table is a power of two at least twice the
-// ring's length and grows with it, so a tier that executed a handful
-// of requests keeps a handful of slots.
+import "oceanstore/internal/guid"
+
+// doneIndex is a replica's bounded done-set: the last doneWindow
+// request IDs it executed, each held once, in a ring in execution
+// order, with the sequence number each executed at beside it.  An
+// open-addressed table of ring positions answers lookups, so the IDs
+// are not repeated in a map beside the ring.  The table is a power of
+// two at least twice the ring's length and grows with it, so a tier
+// that executed a handful of requests keeps a handful of slots.
 //
 // Request IDs are SHA-1 digests, so an ID's leading bytes are its home
 // slot.  A crafted ID can only collide: probing stops at an empty slot
 // and the table is at most half full, so one lookup costs at most one
 // scan of the window.
-type doneIndex[K doneKey, V any] struct {
-	ids  []K
-	vals []V
+type doneIndex struct {
+	ids  []guid.GUID
+	seqs []uint64
 	// head is the oldest position once the ring is full, and the next
 	// one added overwrites it.
 	head int
@@ -24,37 +25,31 @@ type doneIndex[K doneKey, V any] struct {
 	slots []uint16
 }
 
-// doneKey is what a doneIndex holds: a request ID, or one naming the
-// request's client too.  Uint64 reads the ID's leading bytes.
-type doneKey interface {
-	comparable
-	Uint64() uint64
-}
-
 // doneSlots is the table's smallest size.
 const doneSlots = 4
 
-// doneHome is id's home slot in a table of mask+1 slots.
-func doneHome[K doneKey](id K, mask int) int { return int(id.Uint64()) & mask }
+// doneHome is id's home slot in a table of mask+1 slots: the ID's
+// leading bytes.
+func doneHome(id guid.GUID, mask int) int { return int(id.Uint64()) & mask }
 
-// get returns the value held with id, and whether id is held.
-func (d *doneIndex[K, V]) get(id K) (V, bool) {
+// get returns the sequence number id executed at, and whether id is
+// held.
+func (d *doneIndex) get(id guid.GUID) (uint64, bool) {
 	if i, ok := d.find(id); ok {
-		return d.vals[d.slots[i]-1], true
+		return d.seqs[d.slots[i]-1], true
 	}
-	var zero V
-	return zero, false
+	return 0, false
 }
 
 // has reports whether id is held.
-func (d *doneIndex[K, V]) has(id K) bool {
+func (d *doneIndex) has(id guid.GUID) bool {
 	_, ok := d.find(id)
 	return ok
 }
 
 // find returns id's slot if it is held, and otherwise the empty slot
 // its probe ended at.
-func (d *doneIndex[K, V]) find(id K) (int, bool) {
+func (d *doneIndex) find(id guid.GUID) (int, bool) {
 	mask := len(d.slots) - 1
 	if mask < 0 {
 		return 0, false
@@ -70,11 +65,12 @@ func (d *doneIndex[K, V]) find(id K) (int, bool) {
 	}
 }
 
-// add records id, which must not be held, with v.  Once the ring holds
-// doneWindow IDs the oldest leaves to make room; add returns it.
-func (d *doneIndex[K, V]) add(id K, v V) (old K, evicted bool) {
+// add records id, which must not be held, with the sequence number it
+// executed at.  Once the ring holds doneWindow IDs the oldest leaves to
+// make room; add returns it.
+func (d *doneIndex) add(id guid.GUID, seq uint64) (old guid.GUID, evicted bool) {
 	if len(d.ids) < doneWindow {
-		d.ids, d.vals = append(d.ids, id), append(d.vals, v)
+		d.ids, d.seqs = append(d.ids, id), append(d.seqs, seq)
 		if 2*len(d.ids) > len(d.slots) {
 			d.grow()
 		} else {
@@ -86,7 +82,7 @@ func (d *doneIndex[K, V]) add(id K, v V) (old K, evicted bool) {
 	old = d.ids[d.head]
 	i, _ := d.find(old)
 	d.remove(i)
-	d.ids[d.head], d.vals[d.head] = id, v
+	d.ids[d.head], d.seqs[d.head] = id, seq
 	i, _ = d.find(id)
 	d.slots[i] = uint16(d.head + 1)
 	d.head = (d.head + 1) % doneWindow
@@ -95,7 +91,7 @@ func (d *doneIndex[K, V]) add(id K, v V) (old K, evicted bool) {
 
 // grow doubles the table (or makes the first) and re-enters every ring
 // position.
-func (d *doneIndex[K, V]) grow() {
+func (d *doneIndex) grow() {
 	d.slots = make([]uint16, max(doneSlots, 2*len(d.slots)))
 	for p, id := range d.ids {
 		i, _ := d.find(id)
@@ -106,7 +102,7 @@ func (d *doneIndex[K, V]) grow() {
 // remove empties slot i by backward-shift deletion: each later entry
 // of the probe run that may sit at the hole moves into it, so no
 // tombstone is left and every probe still ends at the first empty slot.
-func (d *doneIndex[K, V]) remove(i int) {
+func (d *doneIndex) remove(i int) {
 	mask := len(d.slots) - 1
 	for j := (i + 1) & mask; d.slots[j] != 0; j = (j + 1) & mask {
 		// The entry at j may move to the hole at i unless its home lies

@@ -127,7 +127,7 @@ type replica struct {
 	// execution, so answering them only needs a recent horizon —
 	// retaining every ID ever executed made the tier's memory grow with
 	// total traffic.
-	done doneIndex[guid.GUID, uint64]
+	done doneIndex
 	// viewVotes collects view-change votes per proposed view.
 	viewVotes map[uint64]map[int]bool
 	// installedClaims records which peers claim to have installed which
@@ -195,9 +195,6 @@ func (r *replica) broadcast(kind string, payload any, size int) {
 }
 
 func (r *replica) handle(m simnet.Message) {
-	if r.fault == Crashed {
-		return
-	}
 	switch p := m.Payload.(type) {
 	case Request:
 		if p.Tag == r.g.tag {
@@ -458,14 +455,11 @@ func (r *replica) maybeCommitted(s *slot) {
 const checkpointWindow = 64
 
 // doneWindow bounds the executed-request dedup horizon (a replica's
-// done index, the assigned fact of a record the index outlives, and the
-// tier's index of its clients' resolved requests): the last doneWindow
-// entries, each held once in a doneIndex.  Both tier-wide indexes count
-// the tier's requests, whichever client sent them, so the client side
-// forgets a request no sooner than the replicas do.  Retransmissions
-// arrive at most one client retry period after execution; 512
-// executions is orders of magnitude more than any group commits in that
-// span.
+// done index and the assigned fact of a record the index outlives): the
+// last doneWindow executions, each held once in a doneIndex.
+// Retransmissions arrive at most one client retry period after
+// execution; 512 executions is orders of magnitude more than any group
+// commits in that span.
 const doneWindow = 512
 
 // executeReady executes committed slots in sequence order.  An executed
@@ -603,10 +597,6 @@ func (r *replica) requestTimeout(id guid.GUID) {
 	// its deadline, finds the request done, and returns.)
 	if len(rec.timers) > 0 {
 		rec.timers = slices.Delete(rec.timers, 0, 1)
-	}
-	if r.fault == Crashed {
-		r.release(id, rec)
-		return
 	}
 	if r.done.has(id) {
 		return

@@ -52,7 +52,8 @@ var fullShape = searchShape{clients: 3, requests: 4}
 // schedule is a fault plan and, for a primary-crash plan, how many
 // messages member 0 — the view-0 primary — sends before it crashes
 // (0: it never does).  The crash is crash-stop, right after that send:
-// the member sends, receives and executes nothing more.  For an
+// the member's node goes down, so it sends and receives nothing more,
+// and its executor is cleared, so it executes nothing more.  For an
 // equivocation plan, member 0 turns Byzantine after its
 // equivocateAfter-th message instead: from then on each pre-prepare it
 // sends to members 2 and 3 carries another request than the one it
@@ -256,7 +257,7 @@ func runSchedule(sched schedule, seed int64, shape searchShape) (violations []st
 	for i := 0; i < shape.clients; i++ {
 		clients = append(clients, net.AddNode(float64(15*i), 30).ID)
 	}
-	g, err := NewGroup(net, members, 1)
+	g, err := NewGroup(net, members, 1, guid.Zero)
 	if err != nil {
 		panic(err)
 	}
@@ -282,10 +283,9 @@ func runSchedule(sched schedule, seed int64, shape searchShape) (violations []st
 			}
 			if sent++; sent == sched.crashAfter {
 				// Crash-stop: the rest of the handler running this send
-				// neither sends nor executes (executors run only on
-				// honest members).
-				g.SetFault(0, Crashed)
+				// neither sends (the node is down) nor executes.
 				net.Node(members[0]).SetDown(true)
+				g.SetExecutor(0, nil)
 			}
 		})
 	}
@@ -295,7 +295,6 @@ func runSchedule(sched schedule, seed int64, shape searchShape) (violations []st
 			at := time.Duration(j)*searchSpacing + time.Duration(c)*searchSpacing/time.Duration(shape.clients)
 			r := req(fmt.Sprintf("client %d request %d", c, j), 64)
 			k.At(at, func() {
-				r.Timestamp = k.Now()
 				g.Submit(client, r, func(res Result) { results = append(results, res) })
 			})
 		}

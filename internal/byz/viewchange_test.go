@@ -10,10 +10,10 @@ import (
 func TestCascadedViewChanges(t *testing.T) {
 	// Primaries of view 0 AND view 1 are dead: liveness requires two
 	// successive view changes before view 2's primary commits.
-	k, _, g, client := tier(t, 7, 2, 40)
+	k, net, g, client := tier(t, 7, 2, 40)
 	order := record(g)
-	g.SetFault(0, Crashed) // view 0 primary
-	g.SetFault(1, Crashed) // view 1 primary
+	net.Crash(g.nodes[0]) // view 0 primary
+	net.Crash(g.nodes[1]) // view 1 primary
 	if p := g.Primary(); p != g.nodes[0] {
 		t.Fatalf("a fresh request goes to node %d, want view 0's primary %d", p, g.nodes[0])
 	}
@@ -36,9 +36,9 @@ func TestCascadedViewChanges(t *testing.T) {
 }
 
 func TestUpdatesAfterViewChangeKeepSerializing(t *testing.T) {
-	k, _, g, client := tier(t, 7, 2, 41)
+	k, net, g, client := tier(t, 7, 2, 41)
 	order := record(g)
-	g.SetFault(0, Crashed)
+	net.Crash(g.nodes[0])
 	done := 0
 	for i := 0; i < 3; i++ {
 		g.Submit(client, req(string(rune('a'+i)), 500), func(Result) { done++ })
@@ -65,7 +65,7 @@ func TestUpdatesAfterViewChangeKeepSerializing(t *testing.T) {
 func TestCrashRecoveryMidStream(t *testing.T) {
 	// Primary crashes AFTER some commits; later updates need the view
 	// change, and the already-executed prefix stays intact.
-	k, _, g, client := tier(t, 7, 2, 42)
+	k, net, g, client := tier(t, 7, 2, 42)
 	order := record(g)
 	first := false
 	g.Submit(client, req("early", 500), func(Result) { first = true })
@@ -73,7 +73,7 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 	if !first {
 		t.Fatal("setup commit failed")
 	}
-	g.SetFault(0, Crashed)
+	net.Crash(g.nodes[0])
 	second := false
 	g.Submit(client, req("late", 500), func(Result) { second = true })
 	k.RunFor(3 * time.Minute)

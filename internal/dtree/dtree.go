@@ -476,45 +476,6 @@ func (t *Tree) reattach(id simnet.NodeID) {
 	t.fixDepths(id, pm.depth+1)
 }
 
-// Rehome moves the tree's root to newRoot — the failover path when the
-// rooting primary dies.  newRoot joins as a member if necessary; the
-// old root is demoted to an ordinary member beneath it (Repair will
-// rewire its children if it is down).
-func (t *Tree) Rehome(newRoot simnet.NodeID) {
-	if newRoot == t.root {
-		return
-	}
-	old := t.root
-	if _, ok := t.m[newRoot]; !ok {
-		t.m[newRoot] = &member{id: newRoot, parent: simnet.None}
-		t.hook(newRoot)
-	} else {
-		// Detach newRoot from its current parent.
-		nm := t.m[newRoot]
-		if pm, ok := t.m[nm.parent]; ok {
-			for i, c := range pm.children {
-				if c == newRoot {
-					pm.children = append(pm.children[:i], pm.children[i+1:]...)
-					break
-				}
-			}
-		}
-		nm.parent = simnet.None
-	}
-	t.root = newRoot
-	// Demote the old root under the new one, unless the new root was a
-	// descendant of the old root's subtree (then the old root keeps its
-	// children and simply gets a parent).
-	om := t.m[old]
-	om.parent = newRoot
-	t.m[newRoot].children = append(t.m[newRoot].children, old)
-	// Repair any accidental self-ancestry introduced by the swap and
-	// recompute all depths.
-	t.m[newRoot].depth = 0
-	t.fixDepths(old, 1)
-	t.Repair()
-}
-
 func (t *Tree) markSubtree(id simnet.NodeID, set map[simnet.NodeID]bool) {
 	set[id] = true
 	for _, c := range t.m[id].children {

@@ -43,11 +43,14 @@ func TestJoinBuildsBoundedFanoutTree(t *testing.T) {
 			t.Fatalf("node %d has %d children > fanout 3", p, c)
 		}
 	}
-	if tr.Depth(0) != 0 {
-		t.Fatal("root depth must be 0")
+	if tr.Root() != 0 || tr.Depth(0) != 0 {
+		t.Fatalf("root %d at depth %d, want node 0 at 0", tr.Root(), tr.Depth(0))
 	}
 	if tr.Depth(simnet.NodeID(999)) != -1 {
 		t.Fatal("non-member depth must be -1")
+	}
+	if _, err := tr.Parent(simnet.NodeID(999)); err == nil {
+		t.Fatal("a non-member has a parent")
 	}
 	// Rejoining is a no-op.
 	if err := tr.Join(simnet.NodeID(5)); err != nil {
@@ -55,6 +58,10 @@ func TestJoinBuildsBoundedFanoutTree(t *testing.T) {
 	}
 	if len(tr.Members()) != 50 {
 		t.Fatal("rejoin changed membership")
+	}
+	// A fanout below 1 takes the default.
+	if def := New(tr.net, 0, 0); def.fanout != 4 {
+		t.Fatalf("fanout 0 built a tree of fanout %d, want 4", def.fanout)
 	}
 }
 
@@ -125,6 +132,29 @@ func TestLowBandwidthLeafGetsInvalidation(t *testing.T) {
 	if s.ByKind[KindInvalidate] >= s.ByKind[KindUpdate]/10 {
 		t.Fatalf("invalidation bytes %d not small vs update bytes %d",
 			s.ByKind[KindInvalidate], s.ByKind[KindUpdate])
+	}
+
+	// A low-bandwidth inner node passes invalidations, not the update,
+	// to everything below it.
+	inner, _ := tr.Parent(leaf)
+	if inner == tr.Root() {
+		t.Fatal("setup: the leaf hangs off the root")
+	}
+	net.Node(inner).SetLowBandwidth(true)
+	clear(deliveries)
+	tr.Push(Delivery{Payload: "second", Size: 1 << 20})
+	k.RunFor(10 * time.Second)
+	for n, dd := range deliveries {
+		below := false
+		for p := n; p != simnet.None; p, _ = tr.Parent(p) {
+			below = below || p == inner
+		}
+		if dd.Invalidated != below {
+			t.Fatalf("node %d (below the low-bandwidth node %d: %v) got %+v", n, inner, below, dd)
+		}
+	}
+	if len(deliveries) != 20 || !deliveries[leaf].Invalidated {
+		t.Fatalf("%d deliveries, the leaf's %+v", len(deliveries), deliveries[leaf])
 	}
 }
 
@@ -314,55 +344,6 @@ func TestLatencyGreedyParentSelection(t *testing.T) {
 	p, _ := tr.Parent(2)
 	if p != 1 {
 		t.Fatalf("node 2 attached to %d, want 1", p)
-	}
-}
-
-func TestRehomeAfterRootDeath(t *testing.T) {
-	k, net, tr := build(t, 12, 3, 9)
-	net.Node(0).SetDown(true) // kill the root
-	newRoot := simnet.NodeID(11)
-	// 11 is already a member (build joined 1..11); rehome to it.
-	tr.Rehome(newRoot)
-	if tr.Root() != newRoot {
-		t.Fatalf("root = %d", tr.Root())
-	}
-	if tr.Depth(newRoot) != 0 {
-		t.Fatalf("new root depth %d", tr.Depth(newRoot))
-	}
-	// A push now reaches all live members.
-	got := map[simnet.NodeID]bool{}
-	tr.OnDeliver(func(n simnet.NodeID, d Delivery) { got[n] = true })
-	tr.Push(Delivery{Payload: "after-rehome", Size: 64})
-	k.RunFor(10 * time.Second)
-	want := 0
-	for i := 1; i < 12; i++ {
-		want++
-	}
-	if len(got) < want {
-		t.Fatalf("push reached %d, want %d live members", len(got), want)
-	}
-	// Depth invariant holds everywhere.
-	for i := 0; i < 12; i++ {
-		id := simnet.NodeID(i)
-		p, err := tr.Parent(id)
-		if err != nil || p == simnet.None {
-			continue
-		}
-		if tr.Depth(id) != tr.Depth(p)+1 {
-			t.Fatalf("node %d depth %d, parent %d depth %d", id, tr.Depth(id), p, tr.Depth(p))
-		}
-	}
-	// Rehoming to the current root is a no-op.
-	tr.Rehome(newRoot)
-	if tr.Root() != newRoot {
-		t.Fatal("self-rehome changed root")
-	}
-	// Rehoming to a non-member adds it as the new root.
-	net.AddNode(5, 5)
-	outsider := simnet.NodeID(12)
-	tr.Rehome(outsider)
-	if tr.Root() != outsider || tr.Depth(outsider) != 0 {
-		t.Fatal("outsider rehome failed")
 	}
 }
 

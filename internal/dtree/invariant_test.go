@@ -66,7 +66,8 @@ func checkTreeInvariants(t *testing.T, tr *Tree, fanout int, when time.Duration)
 // engine's staggered churn plan — members bounce down and up on a
 // schedule while Repair runs periodically — and checks the structural
 // invariants after every repair pass, across several seeds.  The root
-// is never churned (Rehome covers root failover separately).
+// is never churned: it is the primary that pushes, and a tree has no
+// other root to fail over to.
 func TestInvariantsUnderTimedChurn(t *testing.T) {
 	const n, fanout = 40, 3
 	for seed := int64(1); seed <= 5; seed++ {

@@ -184,11 +184,10 @@ func (r *Ring) Instrument(reg *obs.Registry, tr *obs.Tracer, t *epidemic.Tally) 
 // tolerate f faults — and wires archival to the given service.  v0 is
 // the object's initial version.
 func NewRing(net *simnet.Network, primaryNodes []simnet.NodeID, v0 *object.Version, obj guid.GUID, arch *archive.Service, cfg Config) (*Ring, error) {
-	g, err := byz.NewGroup(net, primaryNodes, (len(primaryNodes)-1)/3)
+	g, err := byz.NewGroup(net, primaryNodes, (len(primaryNodes)-1)/3, obj)
 	if err != nil {
 		return nil, err
 	}
-	g.SetTag(obj)
 	r := &Ring{
 		Object:       obj,
 		cfg:          cfg,
@@ -340,10 +339,9 @@ func (r *Ring) Submit(client simnet.NodeID, u *update.Update, spread int, onResu
 		}
 	}
 	req := byz.Request{
-		ID:        updateDigest(u),
-		Payload:   proposal{u, holders},
-		Size:      u.WireSize() + guid.Size*len(holders),
-		Timestamp: u.Timestamp,
+		ID:      updateDigest(u),
+		Payload: proposal{u, holders},
+		Size:    u.WireSize() + guid.Size*len(holders),
 	}
 	r.group.Submit(client, req, onResult)
 	primary := r.group.Primary()
@@ -421,7 +419,6 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 			}
 		}
 	}
-	r.ensureLiveRoot()
 	if r.primaryState.CommittedLen() > pos {
 		d := dtree.Delivery{Payload: u, Pos: pos, Size: u.WireSize()}
 		// A holder drops its copy TentativeExpire after the update's
@@ -430,21 +427,6 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 			d.Holders, d.Digest = p.holders, u.Digest()
 		}
 		r.tree.Push(d)
-	}
-}
-
-// ensureLiveRoot re-homes the dissemination tree onto a live primary
-// when its rooting primary has died — pushes must originate somewhere
-// alive.  Called before every push.
-func (r *Ring) ensureLiveRoot() {
-	if !r.net.Node(r.tree.Root()).Down() {
-		return
-	}
-	for _, nid := range r.primaryNodes {
-		if !r.net.Node(nid).Down() {
-			r.tree.Rehome(nid)
-			return
-		}
 	}
 }
 

@@ -554,6 +554,29 @@ func TestTwoRingsShareNodes(t *testing.T) {
 	}
 }
 
+// TestOneRegistrationPerMember: a ring's primary tier registers each
+// member once, under the object's tag, and nothing under the zero key;
+// a second ring on the same nodes adds one registration each under its
+// own tag.
+func TestOneRegistrationPerMember(t *testing.T) {
+	w := newWorld(t, 13, DefaultConfig())
+	other := guid.FromData([]byte("other-object"))
+	v0 := object.NewObject([]byte("other."), 64, w.key)
+	if _, err := NewRing(w.net, w.ring.PrimaryNodes(), v0, other, nil, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range w.ring.PrimaryNodes() {
+		node := w.net.Node(n)
+		for key, want := range map[simnet.DemuxKey]int{
+			simnet.DemuxKey(w.obj): 1, simnet.DemuxKey(other): 1, {}: 0,
+		} {
+			if got := node.Handlers(key); got != want {
+				t.Errorf("node %d holds %d registrations under %x, want %d", n, got, key[:4], want)
+			}
+		}
+	}
+}
+
 func TestRingCommitCertificate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Archive = archive.Config{DataShards: 4, TotalFragments: 8}
