@@ -17,7 +17,7 @@ PAR_PKGS = ./internal/par/ ./internal/archive/ ./internal/blobstore/ \
 	./internal/fault/ ./internal/obs/ ./internal/crypt/ \
 	./internal/update/ ./internal/acl/ ./internal/core/
 
-.PHONY: check fmt vet vet-rand build test race-par bench bench-smoke cover cover-write gates trajectory million
+.PHONY: check fmt vet vet-rand build test race-par bench bench-smoke cover cover-write gates trajectory million schedules
 
 # Every prerequisite after vet compiles the tree and `gates` links
 # every program, so `build` is not one of them; `cover` replays the
@@ -92,6 +92,16 @@ cover-write:
 # and leaves the outputs on disk.
 gates:
 	$(GO) run ./cmd/gates
+
+# The agreement-safety long sweep: `make schedules N=2000` runs N seeds
+# of every byz.TestScheduleSearch plan and logs each plan's count of
+# violating schedules — the table EXPERIMENTS.md's "Agreement safety,
+# searched" records — and fails on any violation.  About a minute at
+# N=2000 on a 2-core box, so it is not part of check; the suite runs a
+# 300-seed slice of the same plans.
+N ?= 2000
+schedules:
+	$(GO) test ./internal/byz -run '^TestScheduleSearch$$' -schedules $(N) -count=1 -v
 
 # Benchmark trajectory: `make trajectory SEED=1` runs each workload
 # BENCHMARK.json names once, untraced, through the benchmark's own entry

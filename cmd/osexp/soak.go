@@ -244,6 +244,9 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 	for _, f := range world.Failures() {
 		fmt.Fprintf(w, "failures: %s\n", f)
 	}
+	for _, d := range world.Divergences() {
+		fmt.Fprintf(w, "divergence: %s\n", d)
+	}
 	if ctrl := world.Controller(); ctrl != nil {
 		// Controller counters and the replica trajectory are pure
 		// functions of the trajectory, so this line rides the

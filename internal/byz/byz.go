@@ -28,14 +28,16 @@
 // retransmits it until f+1 replies agree, or until the client cancels
 // it.  The primary orders requests as they arrive.
 //
-// A simplified view change provides liveness when the primary crashes:
-// backups time out on client requests the primary never pre-prepared
-// and vote the next view in.  A crash is simnet's (Network.Crash): a
-// down member receives and sends nothing.  The one replica fault this
-// package injects is lying.  (The full PBFT prepared-certificate
-// transfer is out of scope; experiments exercise crash faults before
-// and lying faults during agreement, not equivocating primaries across
-// view changes.)
+// Views change as in PBFT (Castro-Liskov §4.4): a member whose request
+// timer fires votes for the next view, carrying its prepared
+// certificates and its recent executions, and the new primary's
+// new-view message — the one way into a view — holds 2f+1 votes, from
+// which every member recomputes the order the view must keep, and the
+// payloads of requests it names by ID alone that the primary holds.  A
+// crash is simnet's (Network.Crash); the one replica fault injected
+// here is lying.  There is no state transfer: a member behind an order's
+// start stays behind, and one that lacks a request no new view brought
+// waits for the client's retransmission of it.
 package byz
 
 import (
@@ -194,7 +196,7 @@ const (
 	kindPrepare    = "byz-prepare"
 	kindCommit     = "byz-commit"
 	kindReply      = "byz-reply"
-	kindViewChange = "byz-viewchange"
+	kindViewChange = "byz-viewchange" // votes and new-view messages
 )
 
 // replicaKinds are the wire kinds a tier replica receives and
@@ -208,11 +210,16 @@ var (
 
 // Demux keys (simnet demux dispatch): every protocol payload names its
 // tier by tag.
-func (r Request) Demux() simnet.DemuxKey       { return simnet.DemuxKey(r.Tag) }
-func (m prePrepareMsg) Demux() simnet.DemuxKey { return simnet.DemuxKey(m.Tag) }
-func (m voteMsg) Demux() simnet.DemuxKey       { return simnet.DemuxKey(m.Tag) }
-func (m replyMsg) Demux() simnet.DemuxKey      { return simnet.DemuxKey(m.Tag) }
-func (m viewChangeMsg) Demux() simnet.DemuxKey { return simnet.DemuxKey(m.Tag) }
+func (r Request) Demux() simnet.DemuxKey        { return simnet.DemuxKey(r.Tag) }
+func (m prePrepareMsg) Demux() simnet.DemuxKey  { return simnet.DemuxKey(m.Tag) }
+func (m voteMsg) Demux() simnet.DemuxKey        { return simnet.DemuxKey(m.Tag) }
+func (m replyMsg) Demux() simnet.DemuxKey       { return simnet.DemuxKey(m.Tag) }
+func (m *viewChangeMsg) Demux() simnet.DemuxKey { return simnet.DemuxKey(m.Tag) }
+func (m *newViewMsg) Demux() simnet.DemuxKey    { return simnet.DemuxKey(m.Tag) }
+
+// full reports whether the request carries its payload, not only its
+// digest (a backup's notification, or an ID a new view names).
+func (r Request) full() bool { return r.Payload != nil || r.Size != 0 }
 
 type prePrepareMsg struct {
 	Tag       guid.GUID
@@ -235,15 +242,75 @@ type replyMsg struct {
 	From   int
 }
 
+// viewChangeMsg is a member's vote for NewView.  It carries what the
+// new view must keep: a prepared certificate for each slot the sender
+// prepared and has not executed, and each execution in its checkpoint
+// window, [Floor, Cursor).  A member votes once for a view and re-sends
+// the same message.
 type viewChangeMsg struct {
-	Tag     guid.GUID
-	NewView uint64
-	Replica int
-	// Installed announces that the sender has installed NewView (it saw
-	// 2f+1 votes) — the new-view message of PBFT, minus the proofs.  A
-	// replica adopts a view once f+1 distinct peers claim it installed,
-	// which guarantees at least one honest witness.
-	Installed bool
+	Tag           guid.GUID
+	NewView       uint64
+	Replica       int
+	Floor, Cursor uint64
+	Prepared      []preparedCert
+	Executed      []executedEntry
+}
+
+// preparedCert is a prepared certificate.  Messages pass by reference,
+// so it is the slot's pre-prepare and the members, the primary aside,
+// whose matching prepares it counted.
+type preparedCert struct {
+	PrePrepare prePrepareMsg
+	Prepares   []int
+}
+
+// executedEntry is one execution a vote reports: the request that ran
+// at Seq, by ID alone (the zero ID for a null request), or with its
+// payload when the sender kept it and the new view's primary may lack
+// it (see replica.kept).
+type executedEntry struct {
+	Seq uint64
+	Req Request
+}
+
+const executedEntrySize = 8 + guid.Size // a sequence number and an ID
+
+// size is the vote's charge: a small message, plus per certificate a
+// pre-prepare header and 2f prepares, plus each executed entry and the
+// payloads they carry.
+func (m *viewChangeMsg) size(f int) int {
+	n := CSmall + len(m.Prepared)*(CHeader+2*f*CSmall) + len(m.Executed)*executedEntrySize
+	for _, e := range m.Executed {
+		n += e.Req.Size
+	}
+	return n
+}
+
+// newViewMsg starts View: Votes, indexed by member, holds the 2f+1 or
+// more votes for it that the new primary used, which prove the view and
+// fix its order.  Payloads are the requests the order names by ID alone
+// (its votes report them executed) whose payload the primary holds, so
+// a member that missed one can run it.
+type newViewMsg struct {
+	Tag      guid.GUID
+	View     uint64
+	Votes    []*viewChangeMsg
+	Payloads []Request
+}
+
+// size is the new-view's charge: a small message plus the votes and the
+// payloads it carries.
+func (m *newViewMsg) size(f int) int {
+	n := CSmall
+	for _, vc := range m.Votes {
+		if vc != nil {
+			n += vc.size(f)
+		}
+	}
+	for _, req := range m.Payloads {
+		n += req.Size
+	}
+	return n
 }
 
 // Group is one object's primary tier.
@@ -263,6 +330,8 @@ type Group struct {
 	// reqFree recycles client-side per-request records (reqState).
 	reqFree []*reqState
 
+	diverged int // see Divergences
+
 	om  byzMetrics
 	otr *obs.Tracer
 }
@@ -277,6 +346,7 @@ type byzMetrics struct {
 	voteRefreshes     *obs.Counter // prepare/commit re-broadcasts
 	viewVoteTimeouts  *obs.Counter // view-change votes cast on timeout
 	viewInstalls      *obs.Counter
+	divergences       *obs.Counter // executions another member's done index contradicts
 	reReplies         *obs.Counter // replies re-sent for executed requests
 	executes          *obs.Counter
 	commitLatency     *obs.Histogram
@@ -294,6 +364,7 @@ func (g *Group) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		voteRefreshes:     reg.Counter("byz", "vote_refreshes"),
 		viewVoteTimeouts:  reg.Counter("byz", "view_vote_timeouts"),
 		viewInstalls:      reg.Counter("byz", "view_installs"),
+		divergences:       reg.Counter("byz", "divergences"),
 		reReplies:         reg.Counter("byz", "re_replies"),
 		executes:          reg.Counter("byz", "executes"),
 		commitLatency:     reg.Histogram("byz", "commit_latency_ns"),
@@ -310,6 +381,9 @@ func NewGroup(net *simnet.Network, nodes []simnet.NodeID, f int, tag guid.GUID) 
 	}
 	if f < 0 {
 		return nil, errors.New("byz: negative f")
+	}
+	if len(nodes) > 64 {
+		return nil, fmt.Errorf("byz: %d replicas; a tier has at most 64, one commit bit each", len(nodes))
 	}
 	g := &Group{
 		net:     net,
@@ -336,6 +410,10 @@ func (g *Group) PublicKeys() [][]byte {
 	}
 	return out
 }
+
+// Divergences is how many executions, on any member, another member's
+// done index contradicts; zero while the tier keeps one order.
+func (g *Group) Divergences() int { return g.diverged }
 
 // SetFault injects a failure mode into replica i.
 func (g *Group) SetFault(i int, f Fault) { g.replicas[i].fault = f }

@@ -56,6 +56,9 @@ func TestGeometryValidation(t *testing.T) {
 	if _, err := NewGroup(net, nodes, -1, guid.Zero); err == nil {
 		t.Fatal("negative f accepted")
 	}
+	if _, err := NewGroup(net, make([]simnet.NodeID, 65), 1, guid.Zero); err == nil {
+		t.Fatal("a 65-member tier accepted")
+	}
 	if g, err := NewGroup(net, nodes, 1, guid.Zero); err != nil || len(g.nodes) != 4 || g.f != 1 {
 		t.Fatalf("valid group rejected: %v", err)
 	}

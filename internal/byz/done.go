@@ -3,10 +3,13 @@ package byz
 import "oceanstore/internal/guid"
 
 // doneIndex is a replica's bounded done-set: the last doneWindow
-// request IDs it executed, each held once, in a ring in execution
-// order, with the sequence number each executed at beside it.  An
-// open-addressed table of ring positions answers lookups, so the IDs
-// are not repeated in a map beside the ring.  The table is a power of
+// request IDs it executed, in a ring in execution order, with the
+// sequence number each executed at beside it.  Every sequence number
+// takes one ring position, so seq's is seq mod doneWindow; a null
+// request (the zero ID) and a request skipped as a duplicate take theirs
+// too.  An open-addressed table of ring positions answers lookups by ID
+// for the rest, each ID held once, so the IDs are not repeated in a map
+// beside the ring.  The table is a power of
 // two at least twice the ring's length and grows with it, so a tier
 // that executed a handful of requests keeps a handful of slots.
 //
@@ -65,37 +68,59 @@ func (d *doneIndex) find(id guid.GUID) (int, bool) {
 	}
 }
 
-// add records id, which must not be held, with the sequence number it
-// executed at.  Once the ring holds doneWindow IDs the oldest leaves to
-// make room; add returns it.
-func (d *doneIndex) add(id guid.GUID, seq uint64) (old guid.GUID, evicted bool) {
+// add records that id executed at seq, the sequence number after the
+// last one added; with indexed, id must not be held, and lookups find
+// it.  Once the ring is full the oldest entry leaves; add returns its ID
+// if lookups found it.
+func (d *doneIndex) add(id guid.GUID, seq uint64, indexed bool) (old guid.GUID, evicted bool) {
 	if len(d.ids) < doneWindow {
 		d.ids, d.seqs = append(d.ids, id), append(d.seqs, seq)
 		if 2*len(d.ids) > len(d.slots) {
 			d.grow()
-		} else {
+		} else if indexed {
 			i, _ := d.find(id)
 			d.slots[i] = uint16(len(d.ids))
 		}
 		return old, false
 	}
-	old = d.ids[d.head]
-	i, _ := d.find(old)
-	d.remove(i)
+	old, evicted = d.ids[d.head], d.unindex(d.head)
 	d.ids[d.head], d.seqs[d.head] = id, seq
-	i, _ = d.find(id)
-	d.slots[i] = uint16(d.head + 1)
+	if indexed {
+		i, _ := d.find(id)
+		d.slots[i] = uint16(d.head + 1)
+	}
 	d.head = (d.head + 1) % doneWindow
-	return old, true
+	return old, evicted
+}
+
+// unindex takes ring position p out of the table, if the table points
+// at it, and reports whether it did.
+func (d *doneIndex) unindex(p int) bool {
+	i, ok := d.find(d.ids[p])
+	if !ok || int(d.slots[i]) != p+1 {
+		return false
+	}
+	d.remove(i)
+	return true
+}
+
+// at returns the ID that executed at seq, if the ring still holds it.
+func (d *doneIndex) at(seq uint64) (guid.GUID, bool) {
+	p := int(seq % doneWindow)
+	if p < len(d.seqs) && d.seqs[p] == seq {
+		return d.ids[p], true
+	}
+	return guid.GUID{}, false
 }
 
 // grow doubles the table (or makes the first) and re-enters every ring
-// position.
+// position lookups find (a duplicate's first execution holds its slot).
 func (d *doneIndex) grow() {
 	d.slots = make([]uint16, max(doneSlots, 2*len(d.slots)))
 	for p, id := range d.ids {
-		i, _ := d.find(id)
-		d.slots[i] = uint16(p + 1)
+		if i, held := d.find(id); !held && id != guid.Zero {
+			d.slots[i] = uint16(p + 1)
+		}
 	}
 }
 

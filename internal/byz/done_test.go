@@ -15,13 +15,15 @@ import (
 
 // TestDoneIndexModel drives a doneIndex with random adds and lookups
 // well past doneWindow, across every table growth, and checks each step
-// against a Go map plus a FIFO of the IDs in add order (every seventh
-// step, the table's invariants too).  Three ID
-// shapes: SHA-1 digests; IDs whose leading bytes all name the table's
-// last slot, so every probe run wraps its end and every eviction
-// shifts entries across it; and IDs spread over the last four home
-// slots, so backward-shift deletion must leave an entry whose home lies
-// between the hole and it.
+// against a Go map of the IDs lookups must find plus a FIFO of every
+// entry in add order (every seventh step, the table's invariants too).
+// One add in five is a no-op's — a null request or a duplicate of an ID
+// held — which takes a ring position and a sequence number but no table
+// slot.  Three ID shapes: SHA-1 digests; IDs whose leading bytes all
+// name the table's last slot, so every probe run wraps its end and
+// every eviction shifts entries across it; and IDs spread over the last
+// four home slots, so backward-shift deletion must leave an entry whose
+// home lies between the hole and it.
 func TestDoneIndexModel(t *testing.T) {
 	digest := func(i int) guid.GUID { return guid.FromData([]byte(fmt.Sprint(i))) }
 	shapes := map[string]func(i int) guid.GUID{
@@ -29,25 +31,43 @@ func TestDoneIndexModel(t *testing.T) {
 		"one home":   func(i int) guid.GUID { return collidingID(^uint64(0), i) },
 		"four homes": func(i int) guid.GUID { return collidingID(^uint64(0)-uint64(digest(i)[0]%4), i) },
 	}
+	type entry struct {
+		id      guid.GUID
+		indexed bool
+	}
 	for name, id := range shapes {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
 			var d doneIndex
 			want := map[guid.GUID]uint64{}
-			var fifo []guid.GUID
-			next := 0
+			var fifo []entry
+			next, seq := 0, uint64(0)
 			for step := 0; step < 6*doneWindow; step++ {
-				if rng.Intn(3) > 0 { // add a fresh ID
-					x := id(next)
-					next++
-					old, evicted := d.add(x, uint64(step))
-					want[x] = uint64(step)
-					fifo = append(fifo, x)
-					if len(fifo) > doneWindow {
-						if !evicted || old != fifo[0] {
-							t.Fatalf("step %d: add evicted %v (%v), want the oldest %v", step, old.Short(), evicted, fifo[0].Short())
+				if c := rng.Intn(15); c >= 5 {
+					// Add a fresh ID, or (one add in five) a no-op's.
+					e := entry{id(next), true}
+					if c < 8 {
+						e = entry{guid.Zero, false}
+						if dup := fifo[rng.Intn(len(fifo)+1):]; len(dup) > 0 && dup[0].indexed {
+							e.id = dup[0].id
 						}
-						delete(want, fifo[0])
+					} else {
+						next++
+					}
+					old, evicted := d.add(e.id, seq, e.indexed)
+					if e.indexed {
+						want[e.id] = seq
+					}
+					fifo = append(fifo, e)
+					seq++
+					if len(fifo) > doneWindow {
+						o := fifo[0]
+						if evicted != o.indexed || evicted && old != o.id {
+							t.Fatalf("step %d: add evicted %v (%v), want the oldest %v (%v)", step, old.Short(), evicted, o.id.Short(), o.indexed)
+						}
+						if o.indexed {
+							delete(want, o.id)
+						}
 						fifo = fifo[1:]
 					} else if evicted {
 						t.Fatalf("step %d: add evicted %v with %d held", step, old.Short(), len(fifo)-1)
@@ -60,11 +80,18 @@ func TestDoneIndexModel(t *testing.T) {
 						t.Fatalf("step %d: get(%v) = %d, %v; want %d, %v", step, x.Short(), v, ok, wv, wok)
 					}
 				}
+				// And what ran at one sequence number ever used, or the next.
+				s := uint64(rng.Int63n(int64(seq) + 1))
+				x, ok := d.at(s)
+				first := seq - uint64(len(fifo))
+				if wok := s >= first && s < seq; ok != wok || ok && x != fifo[s-first].id {
+					t.Fatalf("step %d: at(%d) = %v, %v; want it held %v", step, s, x.Short(), ok, wok)
+				}
 				if step%7 == 0 {
-					checkDoneIndex(t, &d, want)
+					checkDoneIndex(t, &d, want, len(fifo))
 				}
 			}
-			checkDoneIndex(t, &d, want)
+			checkDoneIndex(t, &d, want, len(fifo))
 		})
 	}
 }
@@ -78,14 +105,14 @@ func collidingID(lead uint64, i int) guid.GUID {
 	return id
 }
 
-// checkDoneIndex checks d's invariants against the model: it holds
-// exactly want's IDs, each in one slot, reachable from its home slot
-// without crossing an empty one, in a table a power of two at least
-// twice the ring's length.
-func checkDoneIndex(t *testing.T, d *doneIndex, want map[guid.GUID]uint64) {
+// checkDoneIndex checks d's invariants against the model: its ring
+// holds ring entries, and its table exactly want's IDs, each in one
+// slot, reachable from its home slot without crossing an empty one, in
+// a table a power of two at least twice the ring's length.
+func checkDoneIndex(t *testing.T, d *doneIndex, want map[guid.GUID]uint64, ring int) {
 	t.Helper()
-	if len(d.ids) != len(want) {
-		t.Fatalf("holds %d IDs, want %d", len(d.ids), len(want))
+	if len(d.ids) != ring {
+		t.Fatalf("holds %d entries, want %d", len(d.ids), ring)
 	}
 	n := len(d.slots)
 	if n&(n-1) != 0 || n < 2*len(d.ids) {

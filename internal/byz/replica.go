@@ -2,7 +2,6 @@ package byz
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"oceanstore/internal/crypt"
@@ -28,6 +27,9 @@ type slot struct {
 	prepared  bool
 	committed bool
 	votes     []vote // indexed by replica id
+	// old is the certificate it held from an earlier view, reported
+	// until the slot prepares in this one.
+	old *preparedCert
 }
 
 // vote is one replica's prepare and commit in a slot, each with the
@@ -57,6 +59,18 @@ func newSlot(n int) *slot {
 	return &b.slot
 }
 
+// commits is the members whose commits match the slot's digest, one bit
+// each.
+func (s *slot) commits() uint64 {
+	var b uint64
+	for i, v := range s.votes {
+		if v.commVoted && v.commit == s.digest {
+			b |= 1 << i
+		}
+	}
+	return b
+}
+
 // quorum counts the prepare votes (commit: the commit votes) matching
 // the slot's digest.
 func (s *slot) quorum(commit bool) int {
@@ -72,14 +86,14 @@ func (s *slot) quorum(commit bool) int {
 
 // reqRec is what a replica knows about one client request in flight,
 // from the first copy it sees until it executes.  Its three facts are
-// independent — a view change can return a pre-prepared request to
-// pending, a retransmission can re-arm a pre-prepared one — and the
-// record lives while any of them holds.  That a request executed, and
+// independent — a view change can drop a pre-prepared request's slot, a
+// retransmission can re-arm a pre-prepared one — and the record lives
+// while any of them holds.  That a request executed, and
 // at which sequence number, is the replica's done index, not a record.
 type reqRec struct {
 	// pending: seen (in full or as a digest-only notification) but not
 	// pre-prepared in the current view; req is the best copy so far.
-	// View-change timeouts and the new primary's re-proposal read it.
+	// View-change timeouts read it.
 	pending bool
 	req     Request
 	// assigned: pre-prepared at seq and not executed there, so a second
@@ -100,8 +114,13 @@ type replica struct {
 	fault Fault
 	exec  Executor
 
-	view    uint64
-	nextSeq uint64 // primary only: next sequence number to assign
+	view uint64
+	// voted is the highest view this replica voted for, at votedAt, and
+	// last re-sent at resentAt; above view, it is changing views and
+	// takes no part in its own.
+	voted             uint64
+	votedAt, resentAt time.Duration
+	nextSeq           uint64 // primary only: next sequence number to assign
 	// execCursor is the next sequence number to execute, enforcing
 	// in-order execution.  Every sequence number below it has executed
 	// and keeps no slot (see ran).
@@ -128,11 +147,20 @@ type replica struct {
 	// retaining every ID ever executed made the tier's memory grow with
 	// total traffic.
 	done doneIndex
-	// viewVotes collects view-change votes per proposed view.
-	viewVotes map[uint64]map[int]bool
-	// installedClaims records which peers claim to have installed which
-	// views, for the f+1 catch-up jump.
-	installedClaims map[uint64]map[int]bool
+	// viewVotes collects view-change votes per proposed view, by sender.
+	viewVotes map[uint64]map[int]*viewChangeMsg
+	// newView proved view (nil in view 0); laggards get it re-sent.
+	newView *newViewMsg
+	// ahead holds agreement messages from views not yet installed.
+	ahead []simnet.Message
+	// low is the highest start of an order installed: what ran below it
+	// is never ordered again, so votes report nothing beneath it.
+	low uint64
+	// kept holds, in sequence order, each request of the checkpoint
+	// window that ran before every member's commit for it arrived: a
+	// member that missed its pre-prepare gets its payload with a new
+	// view.  An entry leaves once the last commit arrives.
+	kept []keptReq
 	// slotFree and recFree recycle executed and abandoned slots (their
 	// votes included) and retired request records, so steady-state
 	// agreement allocates no per-slot or per-request state and each pool
@@ -141,14 +169,20 @@ type replica struct {
 	recFree  []*reqRec
 }
 
+// keptReq is a request kept after it ran at seq, with the members whose
+// matching commits arrived, one bit each.
+type keptReq struct {
+	seq     uint64
+	req     Request
+	commits uint64
+}
+
 func newReplica(g *Group, id int) *replica {
 	return &replica{
 		g:         g,
 		id:        id,
 		reqs:      make(map[guid.GUID]*reqRec),
-		viewVotes: make(map[uint64]map[int]bool),
-
-		installedClaims: make(map[uint64]map[int]bool),
+		viewVotes: make(map[uint64]map[int]*viewChangeMsg),
 	}
 }
 
@@ -182,6 +216,9 @@ func (r *replica) release(id guid.GUID, rec *reqRec) {
 
 func (r *replica) isPrimary() bool { return int(r.view)%len(r.g.replicas) == r.id }
 
+// changing reports whether the replica voted for a view above its own.
+func (r *replica) changing() bool { return r.voted > r.view }
+
 func (r *replica) node() simnet.NodeID { return r.g.nodes[r.id] }
 
 // send multicasts to every other replica.
@@ -201,11 +238,11 @@ func (r *replica) handle(m simnet.Message) {
 			r.onRequest(p)
 		}
 	case prePrepareMsg:
-		if p.Tag == r.g.tag {
+		if p.Tag == r.g.tag && !r.early(p.View, m) {
 			r.onPrePrepare(p)
 		}
 	case voteMsg:
-		if p.Tag != r.g.tag {
+		if p.Tag != r.g.tag || r.early(p.View, m) {
 			return
 		}
 		if m.Kind == kindPrepare {
@@ -213,11 +250,29 @@ func (r *replica) handle(m simnet.Message) {
 		} else {
 			r.onCommit(p)
 		}
-	case viewChangeMsg:
+	case *viewChangeMsg:
 		if p.Tag == r.g.tag {
 			r.onViewChange(p)
 		}
+	case *newViewMsg:
+		if p.Tag == r.g.tag && m.From == r.g.nodes[p.View%uint64(len(r.g.nodes))] {
+			r.onNewView(p)
+		}
 	}
+}
+
+// early keeps a message from a view this replica has not installed, to
+// handle once it has, and re-sends the replica's vote, which shows it
+// is behind; it reports whether m was early.
+func (r *replica) early(view uint64, m simnet.Message) bool {
+	if view <= r.view {
+		return false
+	}
+	if len(r.ahead) < windowSpan {
+		r.ahead = append(r.ahead, m)
+	}
+	r.refreshViewVotes()
+	return true
 }
 
 func (r *replica) armTimer(id guid.GUID, rec *reqRec) {
@@ -243,6 +298,13 @@ func (r *replica) onRequest(req Request) {
 	// once and wedge the view change when dropped.
 	r.refreshViewVotes()
 	if rec.assigned {
+		if s := r.lookup(rec.seq); s != nil && s.digest == req.ID && !s.req.full() && req.full() {
+			// A new view named the request without its payload: here it is.
+			s.req = req
+			if r.executeReady(); r.done.has(req.ID) {
+				return
+			}
+		}
 		// Pre-prepared but not yet executed: the slot may be stalled on
 		// dropped votes, which no one otherwise retransmits.  Re-announce
 		// our votes so the client's periodic retransmission heals vote
@@ -254,8 +316,8 @@ func (r *replica) onRequest(req Request) {
 		}
 		return
 	}
-	if r.isPrimary() {
-		if req.Payload == nil && req.Size == 0 {
+	if r.isPrimary() && !r.changing() {
+		if !req.full() {
 			// Digest-only notification reached the primary (e.g. after a
 			// view change); it cannot propose without the payload, but it
 			// remembers interest.
@@ -264,7 +326,7 @@ func (r *replica) onRequest(req Request) {
 			}
 			return
 		}
-		r.propose(req, rec)
+		r.propose(req)
 		return
 	}
 	// Backup: remember the request and arm the view-change timer
@@ -285,18 +347,34 @@ func (rec *reqRec) preprepared(seq uint64) {
 }
 
 // propose assigns the next sequence number and pre-prepares.
-func (r *replica) propose(req Request, rec *reqRec) {
+func (r *replica) propose(req Request) {
 	seq := r.nextSeq
 	r.nextSeq++
-	rec.preprepared(seq)
 	pp := prePrepareMsg{Tag: r.g.tag, View: r.view, Seq: seq, Req: req}
 	r.broadcast(kindPrePrepare, pp, req.Size+CHeader)
-	// The primary acts as having pre-prepared and prepared its own slot.
 	if s := r.slot(seq); s != nil {
-		s.req, s.hasReq, s.digest = req, true, req.ID
-		s.setPrepare(r.id, req.ID)
-		r.maybePrepared(s, seq)
+		r.prePrepared(s, seq, req)
 	}
+}
+
+// prePrepared takes req (the zero Request: a null request) as seq's in
+// this view: the pre-prepare doubles as the primary's prepare vote
+// (PBFT), and a backup casts and sends its own.
+func (r *replica) prePrepared(s *slot, seq uint64, req Request) {
+	s.req, s.hasReq, s.digest = req, true, req.ID
+	if req.ID != guid.Zero {
+		rec := r.rec(req.ID)
+		rec.preprepared(seq)
+		rec.armed = false // a retransmission may arm afresh; queued timers still fire
+	}
+	primary := int(r.view) % len(r.g.replicas)
+	s.setPrepare(primary, req.ID)
+	if r.id != primary {
+		digest := r.vouch(req.ID)
+		s.setPrepare(r.id, digest)
+		r.broadcast(kindPrepare, voteMsg{Tag: r.g.tag, View: r.view, Seq: seq, Digest: digest, Replica: r.id}, CSmall)
+	}
+	r.maybePrepared(s, seq)
 }
 
 func (s *slot) setPrepare(id int, d guid.GUID) {
@@ -375,33 +453,18 @@ func (r *replica) putSlot(s *slot) {
 }
 
 func (r *replica) onPrePrepare(pp prePrepareMsg) {
-	if pp.View != r.view {
+	if pp.View != r.view || r.changing() {
 		return
 	}
 	s := r.slot(pp.Seq)
 	if s == nil || s.hasReq {
 		return
 	}
-	s.req, s.hasReq = pp.Req, true
-	s.digest = pp.Req.ID
-	rec := r.rec(pp.Req.ID)
-	rec.preprepared(pp.Seq)
-	rec.armed = false // a retransmission may arm afresh; queued timers still fire
-
-	// The pre-prepare doubles as the primary's prepare vote (PBFT).
-	s.setPrepare(int(pp.View)%len(r.g.replicas), pp.Req.ID)
-
-	digest := pp.Req.ID
-	if r.fault == Lying {
-		digest = guid.FromData([]byte("lie")) // corrupt vote
-	}
-	s.setPrepare(r.id, digest)
-	r.broadcast(kindPrepare, voteMsg{Tag: r.g.tag, View: r.view, Seq: pp.Seq, Digest: digest, Replica: r.id}, CSmall)
-	r.maybePrepared(s, pp.Seq)
+	r.prePrepared(s, pp.Seq, pp.Req)
 }
 
 func (r *replica) onPrepare(v voteMsg) {
-	if v.View != r.view {
+	if v.View != r.view || r.changing() {
 		return
 	}
 	s := r.slot(v.Seq)
@@ -418,23 +481,21 @@ func (r *replica) maybePrepared(s *slot, seq uint64) {
 		return
 	}
 	s.prepared = true
-	digest := s.digest
-	if r.fault == Lying {
-		digest = guid.FromData([]byte("lie"))
-	}
+	digest := r.vouch(s.digest)
 	s.setCommit(r.id, digest)
 	r.broadcast(kindCommit, voteMsg{Tag: r.g.tag, View: r.view, Seq: seq, Digest: digest, Replica: r.id}, CSmall)
 	r.maybeCommitted(s)
 }
 
 func (r *replica) onCommit(v voteMsg) {
-	if v.View != r.view {
+	if v.View != r.view || r.changing() {
 		return
 	}
-	s := r.slot(v.Seq)
-	if s == nil {
+	if r.ran(v.Seq) {
+		r.lateCommit(v)
 		return
 	}
+	s := r.slot(v.Seq) // not nil: seq has not run
 	s.setCommit(v.Replica, v.Digest)
 	r.maybeCommitted(s)
 }
@@ -448,6 +509,43 @@ func (r *replica) maybeCommitted(s *slot) {
 	r.executeReady()
 }
 
+// lateCommit records a commit for a request that ran here, and stops
+// keeping it once every member committed it.
+func (r *replica) lateCommit(v voteMsg) {
+	i, ok := r.keptAt(v.Seq, v.Digest)
+	if !ok {
+		return
+	}
+	if r.kept[i].commits |= 1 << v.Replica; r.kept[i].commits == r.allCommits() {
+		r.kept = slices.Delete(r.kept, i, i+1)
+	}
+}
+
+// keptAt finds the kept request id that ran at seq.
+func (r *replica) keptAt(seq uint64, id guid.GUID) (int, bool) {
+	i := slices.IndexFunc(r.kept, func(k keptReq) bool { return k.seq == seq && k.req.ID == id })
+	return i, i >= 0
+}
+
+// held is this replica's copy, with its payload, of request id at seq:
+// from seq's slot, the request's record, or what it kept after running
+// it.
+func (r *replica) held(seq uint64, id guid.GUID) (Request, bool) {
+	if s := r.lookup(seq); s != nil && s.digest == id && s.req.full() {
+		return s.req, true
+	}
+	if rec := r.reqs[id]; rec != nil && rec.req.full() {
+		return rec.req, true
+	}
+	if i, ok := r.keptAt(seq, id); ok {
+		return r.kept[i].req, true
+	}
+	return Request{}, false
+}
+
+// allCommits is the commit bits of every member.
+func (r *replica) allCommits() uint64 { return 1<<len(r.g.replicas) - 1 }
+
 // checkpointWindow is how far the floor trails the execution cursor:
 // a message naming a sequence number below it is stale (PBFT's
 // checkpoint, simplified — votes for long-executed slots are useless),
@@ -456,10 +554,14 @@ const checkpointWindow = 64
 
 // doneWindow bounds the executed-request dedup horizon (a replica's
 // done index and the assigned fact of a record the index outlives): the
-// last doneWindow executions, each held once in a doneIndex.
-// Retransmissions arrive at most one client retry period after
-// execution; 512 executions is orders of magnitude more than any group
-// commits in that span.
+// last doneWindow sequence numbers executed, null and duplicate ones
+// included.  A client re-sends a request every 2×requestTimeout (6 s)
+// until f+1 replies agree.  The hottest object of `osexp soak 1 -nodes
+// 1000000 -ops 1000000` runs at most 1 099 executions in any 6 s, so
+// there 512 cover about 2.8 s, and a request all of whose replies were
+// lost can be ordered again; the primary's log answers it as a
+// duplicate commit while its window (epidemic.Window) still holds the
+// ID.  The benchmark's four workloads send no retransmission at all.
 const doneWindow = 512
 
 // executeReady executes committed slots in sequence order.  An executed
@@ -474,11 +576,21 @@ func (r *replica) executeReady() {
 			return
 		}
 		req := s.req
+		// A null request, or one this replica already ran at an earlier
+		// sequence number (a new view can order a request twice), is a
+		// no-op: agreeing on its slot is fine, executing it twice is not.
+		noop := req.ID == guid.Zero || r.done.has(req.ID)
+		if !noop && !req.full() {
+			return // a new view named it without its payload; a retransmission brings it
+		}
 		r.execCursor++
 		if len(r.window) > 0 {
 			r.window = slices.Delete(r.window, 0, 1)
 		}
 		delete(r.far, seq)
+		if commits := s.commits(); !noop && commits != r.allCommits() {
+			r.kept = append(r.kept, keptReq{seq, req, commits})
+		}
 		r.putSlot(s)
 		if rec := r.reqs[req.ID]; rec != nil {
 			// From here on a view-change timer for this request could only
@@ -489,18 +601,18 @@ func (r *replica) executeReady() {
 			rec.timers, rec.armed, rec.assigned = rec.timers[:0], false, false
 			r.release(req.ID, rec)
 		}
-		if r.done.has(req.ID) {
-			// A view change recycled a request this replica had already
-			// executed under an earlier sequence number (the new primary
-			// had not committed it).  Agreeing on the slot is fine;
-			// executing it twice is not.
-			continue
+		if r.diverges(seq, req.ID, !noop) {
+			r.g.diverged++
+			r.g.om.divergences.Inc()
 		}
-		if old, evicted := r.done.add(req.ID, seq); evicted {
+		if old, evicted := r.done.add(req.ID, seq, !noop); evicted {
 			if orec := r.reqs[old]; orec != nil {
 				orec.assigned = false
 				r.release(old, orec)
 			}
+		}
+		if noop {
+			continue
 		}
 		r.g.om.executes.Inc()
 		if r.exec != nil && r.fault == Honest {
@@ -511,18 +623,45 @@ func (r *replica) executeReady() {
 	}
 }
 
+// diverges reports whether another member's done index contradicts
+// running id at seq: it ran another request there, or (id not a no-op
+// here) ran id elsewhere.  A tier's members share a process, so no
+// record beside the done indexes is needed.
+func (r *replica) diverges(seq uint64, id guid.GUID, ran bool) bool {
+	for _, q := range r.g.replicas {
+		if q == r {
+			continue
+		}
+		if at, ok := q.done.at(seq); ok && at != id {
+			return true
+		}
+		if !ran {
+			continue
+		}
+		if s, ok := q.done.get(id); ok && s != seq {
+			return true
+		}
+	}
+	return false
+}
+
 // reply sends (or re-sends) the signed execution reply for an executed
 // request.  Honest replicas' slot digest is always the request ID, so a
 // re-reply needs only the (seq, id) pair the done index retains.  The
 // reply is charged a signature's bytes; the signature over (tag, seq,
 // digest) is made only if a client's commit certificate is inspected.
 func (r *replica) reply(seq uint64, id guid.GUID, client simnet.NodeID) {
-	digest := id
-	if r.fault == Lying {
-		digest = guid.FromData([]byte("lie"))
-	}
 	r.g.net.Send(r.node(), client, kindReply,
-		replyMsg{Tag: r.g.tag, Seq: seq, ID: id, Digest: digest, From: r.id}, CReply+crypt.SignatureSize)
+		replyMsg{Tag: r.g.tag, Seq: seq, ID: id, Digest: r.vouch(id), From: r.id}, CReply+crypt.SignatureSize)
+}
+
+// vouch is the digest this replica's votes and replies carry for d: d
+// itself, or a corrupt one from a lying replica.
+func (r *replica) vouch(d guid.GUID) guid.GUID {
+	if r.fault == Lying {
+		return guid.FromData([]byte("lie"))
+	}
+	return d
 }
 
 // refreshVotes re-broadcasts this replica's own prepare/commit votes
@@ -544,23 +683,14 @@ func (r *replica) refreshVotes(seq uint64) {
 	}
 }
 
-// refreshViewVotes re-broadcasts this replica's outstanding view-change
-// votes (views above the installed one) in ascending view order, plus
-// an installed announcement for the current view, so replicas stranded
-// in older views keep hearing about it.
+// refreshViewVotes re-sends the vote for the view this replica is
+// changing to, at most once a requestTimeout: a vote is sent once
+// otherwise, and a lost one would wedge the view change.
 func (r *replica) refreshViewVotes() {
-	var views []uint64
-	for nv, votes := range r.viewVotes {
-		if nv > r.view && votes[r.id] {
-			views = append(views, nv)
-		}
-	}
-	sort.Slice(views, func(i, j int) bool { return views[i] < views[j] })
-	for _, nv := range views {
-		r.broadcast(kindViewChange, viewChangeMsg{Tag: r.g.tag, NewView: nv, Replica: r.id}, CSmall)
-	}
-	if r.view > 0 {
-		r.broadcast(kindViewChange, viewChangeMsg{Tag: r.g.tag, NewView: r.view, Replica: r.id, Installed: true}, CSmall)
+	now := r.g.net.K.Now()
+	if vc := r.viewVotes[r.voted][r.id]; r.changing() && vc != nil && now-r.resentAt >= requestTimeout {
+		r.resentAt = now
+		r.broadcast(kindViewChange, vc, vc.size(r.g.f))
 	}
 }
 
@@ -571,6 +701,11 @@ func (r *replica) truncateLog() {
 		return
 	}
 	r.floor = r.execCursor - checkpointWindow
+	i := 0
+	for i < len(r.kept) && r.kept[i].seq < r.floor {
+		i++
+	}
+	r.kept = slices.Delete(r.kept, 0, i)
 	for seq, s := range r.far {
 		if seq < r.floor {
 			delete(r.far, seq)
@@ -604,53 +739,48 @@ func (r *replica) requestTimeout(id guid.GUID) {
 	if !rec.pending {
 		if !rec.assigned {
 			r.release(id, rec)
-			return // a view change recycled the request; a retransmit restarts it
+			return // a new view dropped its slot; a retransmission restarts it
 		}
 		if r.lookup(rec.seq) == nil {
 			return
 		}
+	} else {
+		// The copy has served: a retransmission brings the request back,
+		// to the primary too, which proposes what clients still wait for.
+		rec.pending = false
+		r.release(id, rec)
 	}
-	r.g.om.viewVoteTimeouts.Inc()
-	nv := r.view + 1
-	r.voteView(nv)
-	r.broadcast(kindViewChange, viewChangeMsg{Tag: r.g.tag, NewView: nv, Replica: r.id}, CSmall)
+	// Each view it votes for past the next one waits twice as long to
+	// start (PBFT's doubling), so a member the rest do not follow votes
+	// ever more rarely.
+	if !r.changing() || r.g.net.K.Now()-r.votedAt >= requestTimeout<<min(r.voted-r.view-1, 16) {
+		r.g.om.viewVoteTimeouts.Inc()
+		r.voteView(max(r.view, r.voted) + 1)
+	}
 }
 
-func (r *replica) onViewChange(vc viewChangeMsg) {
+func (r *replica) onViewChange(vc *viewChangeMsg) {
 	if vc.NewView <= r.view {
-		return
-	}
-	if vc.Installed {
-		// A peer claims this view is already installed.  One claim could
-		// be a lie; f+1 distinct claimants include an honest replica, so
-		// jump straight to the view (PBFT's new-view, minus the proofs).
-		// Without this, replicas that installed a view stop advertising
-		// its votes and laggards can never assemble 2f+1 — the tier
-		// splits across views forever.
-		if r.installedClaims[vc.NewView] == nil {
-			r.installedClaims[vc.NewView] = make(map[int]bool)
-		}
-		r.installedClaims[vc.NewView][vc.Replica] = true
-		if len(r.installedClaims[vc.NewView]) >= r.g.f+1 {
-			r.installView(vc.NewView)
+		// The sender has not installed this replica's view: its primary
+		// re-sends the new-view message that proves it.
+		if r.newView != nil && r.isPrimary() {
+			r.g.net.Send(r.node(), r.g.nodes[vc.Replica], kindViewChange, r.newView, r.newView.size(r.g.f))
 		}
 		return
 	}
-	if r.viewVotes[vc.NewView] == nil {
-		r.viewVotes[vc.NewView] = make(map[int]bool)
-	}
-	r.viewVotes[vc.NewView][vc.Replica] = true
+	r.record(vc)
 	// PBFT's catch-up rule: when f+1 distinct replicas are voting for
-	// views beyond ours, join the smallest such view even without a
-	// local timeout.  Without this, replicas whose timeouts fired at
-	// different moments scatter their votes across different view
-	// numbers (one stuck at view 0 votes for 1 while the rest vote for
-	// 2) and no view ever collects 2f+1 votes — a livelock that message
-	// loss makes routine.
+	// views beyond the one this replica is in or changing to, join the
+	// smallest such view even without a local timeout.  Without this,
+	// replicas whose timeouts fired at different moments scatter their
+	// votes across different view numbers (one stuck at view 0 votes for
+	// 1 while the rest vote for 2) and no view ever collects 2f+1 votes —
+	// a livelock that message loss makes routine.
+	cur := max(r.view, r.voted)
 	ahead := make(map[int]bool)
 	smallest := uint64(0)
 	for nv, votes := range r.viewVotes {
-		if nv <= r.view {
+		if nv <= cur {
 			continue
 		}
 		for rep := range votes {
@@ -662,61 +792,159 @@ func (r *replica) onViewChange(vc viewChangeMsg) {
 			smallest = nv
 		}
 	}
-	if len(ahead) >= r.g.f+1 && !r.viewVotes[smallest][r.id] {
+	if len(ahead) >= r.g.f+1 {
 		r.voteView(smallest)
-		if r.view < smallest {
-			r.broadcast(kindViewChange, viewChangeMsg{Tag: r.g.tag, NewView: smallest, Replica: r.id}, CSmall)
-		}
 	}
 	r.maybeNewView(vc.NewView)
 }
 
-func (r *replica) voteView(nv uint64) {
-	if r.viewVotes[nv] == nil {
-		r.viewVotes[nv] = make(map[int]bool)
+// record keeps a vote, the latest from its sender for its view.
+func (r *replica) record(vc *viewChangeMsg) {
+	if r.viewVotes[vc.NewView] == nil {
+		r.viewVotes[vc.NewView] = make(map[int]*viewChangeMsg)
 	}
-	r.viewVotes[nv][r.id] = true
+	r.viewVotes[vc.NewView][vc.Replica] = vc
+}
+
+// voteView votes for view nv, with the latest prepared certificate of
+// every slot in its window and what ran at each sequence number of its
+// checkpoint window (a slot is freed as it runs, so without those a
+// committed sequence number could vanish from every vote), and stops
+// taking part in its own view.
+func (r *replica) voteView(nv uint64) {
+	vc := &viewChangeMsg{Tag: r.g.tag, NewView: nv, Replica: r.id, Floor: max(r.floor, r.low), Cursor: r.execCursor}
+	primary := nv % uint64(len(r.g.replicas))
+	for seq := vc.Floor; seq < r.execCursor; seq++ {
+		e := executedEntry{Seq: seq}
+		e.Req.ID, _ = r.done.at(seq)
+		if i, ok := r.keptAt(seq, e.Req.ID); ok && r.kept[i].commits&(1<<primary) == 0 {
+			e.Req = r.kept[i].req // the new primary did not commit it
+		}
+		vc.Executed = append(vc.Executed, e)
+	}
+	seqs := make([]uint64, 0, len(r.window)+len(r.far))
+	for i := range r.window {
+		seqs = append(seqs, r.execCursor+uint64(i))
+	}
+	for seq := range r.far {
+		seqs = append(seqs, seq)
+	}
+	slices.Sort(seqs)
+	for _, seq := range seqs {
+		if c := r.latest(r.lookup(seq), seq); c != nil && seq >= vc.Floor {
+			vc.Prepared = append(vc.Prepared, *c)
+		}
+	}
+	if nv > r.voted {
+		r.voted, r.votedAt = nv, r.g.net.K.Now()
+	}
+	r.record(vc)
+	r.broadcast(kindViewChange, vc, vc.size(r.g.f))
 	r.maybeNewView(nv)
 }
 
-// maybeNewView installs a new view on 2f+1 votes.  The new primary
-// re-proposes every pending request it holds a payload for.
-func (r *replica) maybeNewView(nv uint64) {
-	if nv <= r.view || len(r.viewVotes[nv]) < 2*r.g.f+1 {
-		return
+// latest is the latest prepared certificate this replica holds for
+// seq, whose slot is s: the slot's own if it prepared in this view,
+// else the one it kept from an earlier view.
+func (r *replica) latest(s *slot, seq uint64) *preparedCert {
+	switch {
+	case s == nil:
+		return nil
+	case !s.prepared:
+		return s.old
 	}
-	r.installView(nv)
+	c := &preparedCert{PrePrepare: prePrepareMsg{Tag: r.g.tag, View: r.view, Seq: seq, Req: s.req}}
+	primary := int(r.view) % len(r.g.replicas)
+	for j, v := range s.votes {
+		if j != primary && v.prepVoted && v.prepare == s.digest {
+			c.Prepares = append(c.Prepares, j)
+		}
+	}
+	return c
 }
 
-// installView switches to view nv: recycles un-committed slots back to
-// pending, purges dead votes, announces the installation, and (as the
-// new primary) re-proposes what it can.
-func (r *replica) installView(nv uint64) {
-	if nv <= r.view {
+// maybeNewView starts view nv on 2f+1 votes, if this replica is its
+// primary, sending every member the votes, which prove nv and fix its
+// order; it votes for nv first if it has not.  It leaves out each vote
+// whose floor is above the lowest start the rest can prove.
+func (r *replica) maybeNewView(nv uint64) {
+	votes := r.viewVotes[nv]
+	n := len(r.g.replicas)
+	if nv <= r.view || nv < r.voted || int(nv%uint64(n)) != r.id || len(votes) < 2*r.g.f+1 {
 		return
 	}
-	r.view = nv
+	if votes[r.id] == nil {
+		r.voteView(nv) // which comes back here
+		return
+	}
+	floors := make([]uint64, 0, len(votes))
+	for _, vc := range votes {
+		floors = append(floors, vc.Floor)
+	}
+	slices.Sort(floors)
+	for _, floor := range floors {
+		nm := &newViewMsg{Tag: r.g.tag, View: nv, Votes: make([]*viewChangeMsg, n)}
+		for i, vc := range votes {
+			if vc.Floor <= floor {
+				nm.Votes[i] = vc
+			}
+		}
+		if start, _, order, ok := newViewOrder(nm.Votes, nv, r.g.f); ok {
+			for i, req := range order {
+				if p, ok := r.held(start+uint64(i), req.ID); !req.full() && ok {
+					nm.Payloads = append(nm.Payloads, p)
+				}
+			}
+			r.broadcast(kindViewChange, nm, nm.size(r.g.f))
+			r.installView(nm)
+			return
+		}
+	}
+}
+
+// onNewView enters the view a new-view message from its primary proves:
+// 2f+1 votes for it, each filed under its sender, that fix an order.  A
+// replica that voted for a later view waits for that one.
+func (r *replica) onNewView(nm *newViewMsg) {
+	for i, vc := range nm.Votes {
+		if vc != nil && (vc.Replica != i || vc.NewView != nm.View) {
+			return
+		}
+	}
+	if nm.View > r.view && nm.View >= r.voted && len(nm.Votes) == len(r.g.replicas) {
+		r.installView(nm)
+	}
+}
+
+// installView enters nm.View and agrees again, at the same sequence
+// numbers, on the order its votes fix: it pre-prepares each entry it
+// has not run, keeping its payload and latest certificate there, votes
+// again for each it ran that a voter has not.  Clients re-send what
+// they still wait for, and the new primary proposes it then.
+func (r *replica) installView(nm *newViewMsg) {
+	start, behind, order, ok := newViewOrder(nm.Votes, nm.View, r.g.f)
+	if !ok {
+		return
+	}
+	olds := make([]*preparedCert, len(order))
+	for i, req := range order {
+		seq := start + uint64(i)
+		olds[i] = r.latest(r.lookup(seq), seq)
+		if p, ok := r.held(seq, req.ID); ok {
+			order[i] = p
+		} else if j := slices.IndexFunc(nm.Payloads, func(p Request) bool { return p.ID == req.ID }); j >= 0 && req.ID != guid.Zero {
+			order[i] = nm.Payloads[j]
+		}
+	}
+	r.dropSlots()
+	r.view, r.newView, r.nextSeq = nm.View, nm, start+uint64(len(order))
+	r.low = max(r.low, start)
 	r.g.om.viewInstalls.Inc()
 	if tr := r.g.otr; tr != nil {
 		tr.Emit(obs.Event{
 			T: int64(r.g.net.K.Now()), Node: int(r.node()), Peer: -1,
-			Layer: "byz", Event: "view-install", ID: nv,
+			Layer: "byz", Event: "view-install", ID: r.view,
 		})
-	}
-	// Abandon un-pre-prepared slots from the old view; keep committed
-	// state (sequence numbers already executed are final).
-	r.nextSeq = r.execCursor
-	for i, s := range r.window {
-		if s != nil && !s.committed {
-			r.window[i] = nil
-			r.recycle(s)
-		}
-	}
-	for seq, s := range r.far {
-		if !s.committed {
-			delete(r.far, seq)
-			r.recycle(s)
-		}
 	}
 	// Votes for views at or below the installed one are dead weight.
 	for v := range r.viewVotes {
@@ -724,43 +952,122 @@ func (r *replica) installView(nv uint64) {
 			delete(r.viewVotes, v)
 		}
 	}
-	for v := range r.installedClaims {
-		if v <= r.view {
-			delete(r.installedClaims, v)
+	for i, req := range order {
+		if seq := start + uint64(i); seq >= r.execCursor {
+			s := r.slot(seq)
+			s.old = olds[i]
+			r.prePrepared(s, seq, req)
+		} else if at, _ := r.done.at(seq); seq >= behind && at == req.ID {
+			v := voteMsg{Tag: r.g.tag, View: r.view, Seq: seq, Digest: r.vouch(req.ID), Replica: r.id}
+			if !r.isPrimary() {
+				r.broadcast(kindPrepare, v, CSmall)
+			}
+			r.broadcast(kindCommit, v, CSmall)
 		}
 	}
-	r.broadcast(kindViewChange, viewChangeMsg{Tag: r.g.tag, NewView: r.view, Replica: r.id, Installed: true}, CSmall)
-	if r.isPrimary() {
-		// Defer a tick so every replica installs the view first.
-		r.g.net.K.After(time.Millisecond, func() {
-			// Deterministic proposal order (reqs is a map).
-			var ids []guid.GUID
-			for id, rec := range r.reqs {
-				if rec.pending {
-					ids = append(ids, id)
-				}
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i].Compare(ids[j]) < 0 })
-			for _, id := range ids {
-				rec := r.reqs[id]
-				if rec.req.Payload == nil && rec.req.Size == 0 {
-					continue // digest-only notification; client will retry
-				}
-				if !rec.assigned {
-					r.propose(rec.req, rec)
-				}
-			}
-		})
+	ahead := r.ahead
+	r.ahead = nil
+	for _, m := range ahead {
+		r.handle(m)
 	}
 }
 
-// recycle returns an un-committed slot's request to pending — the next
-// primary proposes it afresh — and the slot to the pool.
-func (r *replica) recycle(s *slot) {
-	if s.hasReq {
-		rec := r.rec(s.req.ID)
-		rec.assigned = false
-		rec.pending, rec.req = true, s.req
+// dropSlots retires every slot: agreement state does not outlive its
+// view.  A request that loses its slot waits to be proposed again.
+func (r *replica) dropSlots() {
+	for seq, s := range r.far {
+		delete(r.far, seq)
+		r.window = append(r.window, s)
 	}
-	r.putSlot(s)
+	for _, s := range r.window {
+		if s == nil {
+			continue
+		}
+		if rec := r.reqs[s.req.ID]; s.hasReq && rec != nil {
+			rec.assigned = false
+			r.release(s.req.ID, rec)
+		}
+		r.putSlot(s)
+	}
+	clear(r.window)
+	r.window = r.window[:0]
+}
+
+// newViewOrder is the order a new view's votes fix (Castro–Liskov
+// §4.4): from start, the highest floor among them, to the highest
+// sequence number any reports, each number holds the request a vote
+// reports executed there, else its highest-view certificate's request,
+// else a null request (the zero Request), a no-op; an entry carries the
+// request's payload if any report of it does.  Every vote reports
+// all it ran at or above start, since its floor is at or below it.  A
+// start is taken only if f+1 votes ran up to it, so one lying vote
+// cannot move it; a certificate only if it is from a view below view
+// and 2f distinct members other than that view's primary prepared it;
+// an execution only inside its vote's [Floor, Cursor).  A report
+// windowSpan or more above start is ignored, so no vote can size the
+// order.  behind is the lowest execution cursor at or above start
+// among the votes: a voter below start can run none of the order.
+func newViewOrder(votes []*viewChangeMsg, view uint64, f int) (start, behind uint64, order []Request, ok bool) {
+	n, ran := 0, 0
+	for _, vc := range votes {
+		if vc != nil {
+			n, start = n+1, max(start, vc.Floor)
+		}
+	}
+	behind = ^uint64(0)
+	for _, vc := range votes {
+		if vc != nil && vc.Cursor >= start {
+			ran, behind = ran+1, min(behind, vc.Cursor)
+		}
+	}
+	if n < 2*f+1 || ran < f+1 {
+		return 0, 0, nil, false
+	}
+	var rank []uint64 // 1 + the view of the certificate taken; all ones once executed
+	put := func(seq, rk uint64, req Request) {
+		i := seq - start // a report below start wraps past windowSpan
+		if i >= windowSpan {
+			return
+		}
+		for uint64(len(order)) <= i {
+			order, rank = append(order, Request{}), append(rank, 0)
+		}
+		switch {
+		case rank[i] > 0 && order[i].ID == req.ID:
+			if req.full() {
+				order[i] = req // a copy with its payload
+			}
+			rank[i] = max(rank[i], rk)
+		case rk > rank[i]:
+			order[i], rank[i] = req, rk
+		}
+	}
+	for _, vc := range votes {
+		if vc == nil {
+			continue
+		}
+		for _, c := range vc.Prepared {
+			if c.PrePrepare.View < view && c.distinct(len(votes)) >= 2*f {
+				put(c.PrePrepare.Seq, c.PrePrepare.View+1, c.PrePrepare.Req)
+			}
+		}
+		for _, e := range vc.Executed {
+			if e.Seq >= vc.Floor && e.Seq < vc.Cursor {
+				put(e.Seq, ^uint64(0), e.Req)
+			}
+		}
+	}
+	return start, behind, order, true
+}
+
+// distinct counts the members of a tier of n, other than the
+// certificate's view's primary, whose prepares it names, each once.
+func (c *preparedCert) distinct(n int) int {
+	k, primary := 0, int(c.PrePrepare.View%uint64(n))
+	for i, j := range c.Prepares {
+		if j >= 0 && j < n && j != primary && !slices.Contains(c.Prepares[:i], j) {
+			k++
+		}
+	}
+	return k
 }

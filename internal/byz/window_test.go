@@ -137,58 +137,118 @@ func TestForgedSeqCannotPinMemory(t *testing.T) {
 	if len(r.far) != forged {
 		t.Fatalf("fallback holds %d slots, want %d", len(r.far), forged)
 	}
-	r.installView(1)
-	if r.slotCount() != 0 {
-		t.Fatalf("%d forged slots survive the view change", r.slotCount())
+	// The honest members vote member 1, the deposed primary's backup, in;
+	// none prepared a forged slot, so the new view keeps none of them.
+	for _, q := range g.replicas[1:] {
+		q.voteView(1)
+	}
+	k.RunFor(time.Second)
+	if r.view != 1 || r.slotCount() != 0 {
+		t.Fatalf("view %d: %d forged slots survive the view change", r.view, r.slotCount())
 	}
 	if len(r.slotFree) != forged {
 		t.Fatalf("%d slots back in the pool, want %d", len(r.slotFree), forged)
 	}
 }
 
-// TestViewInstallRecyclesWindowAndFallback: installing a view returns
-// every un-committed slot's request to pending, wherever the slot
-// lived, and keeps a committed slot still waiting on an earlier one.
-// Executed sequence numbers have no slot left to keep; their requests
-// stay done.
-func TestViewInstallRecyclesWindowAndFallback(t *testing.T) {
-	_, _, g, client := tier(t, 4, 1, 23)
-	commitN(t, g, client, "done", 3)
-	r := g.replicas[2]
-	if n := r.slotCount(); n != 0 {
-		t.Fatalf("%d slots kept for executed sequence numbers", n)
+// TestPreparedSlotKeepsItsSeqAcrossAView: a request that every member
+// prepared at sequence number 4, whose commits were all lost, keeps 4
+// in the next view and executes there; it is not returned to pending.
+// Sequence number 3, pre-prepared to one backup only and so prepared
+// nowhere, becomes a null request.  (The view change used to recycle
+// every uncommitted slot, and the new primary re-proposed the request
+// at the execution cursor, 3.)
+func TestPreparedSlotKeepsItsSeqAcrossAView(t *testing.T) {
+	k, _, g, x, ran := preparedAtFour(t)
+	k.RunFor(150 * time.Millisecond) // member 1 has its 2f+1 votes; the others not yet its new-view
+	nv := g.replicas[1]
+	if nv.view != 1 || nv.nextSeq != 5 {
+		t.Fatalf("the new primary is in view %d and proposes at %d, want view 1 at 5", nv.view, nv.nextSeq)
 	}
-	// gap commits one past the cursor, so it cannot execute yet.
-	gap, near, far := req("gap", 100), req("near", 100), req("far", 100)
-	seq := r.execCursor + 1
-	r.onPrePrepare(prePrepareMsg{View: 0, Seq: seq, Req: gap})
-	r.onPrepare(voteMsg{View: 0, Seq: seq, Digest: gap.ID, Replica: 1})
-	r.onCommit(voteMsg{View: 0, Seq: seq, Digest: gap.ID, Replica: 0})
-	r.onCommit(voteMsg{View: 0, Seq: seq, Digest: gap.ID, Replica: 1})
-	if s := r.lookup(seq); s == nil || !s.committed {
-		t.Fatal("setup: the gap slot did not commit")
+	if s, rec := nv.lookup(4), nv.reqs[x.ID]; s == nil || s.digest != x.ID || rec == nil || rec.pending || !rec.assigned || rec.seq != 4 {
+		t.Fatalf("after the new view, slot 4 is %+v and x's record %+v", s, rec)
 	}
-	r.onPrePrepare(prePrepareMsg{View: 0, Seq: r.execCursor + 2, Req: near})
-	r.onPrePrepare(prePrepareMsg{View: 0, Seq: r.execCursor + windowSpan + 5, Req: far})
-	if r.slotCount() != 3 || len(r.far) != 1 {
-		t.Fatalf("setup: %d slots (%d in fallback), want 3 (1)", r.slotCount(), len(r.far))
+	if s := nv.lookup(3); s == nil || s.digest != guid.Zero {
+		t.Fatalf("slot 3 is %+v, want a null request", s)
 	}
-	r.installView(1)
-	if r.slotCount() != 1 || r.lookup(seq) == nil || len(r.far) != 0 {
-		t.Fatalf("%d slots (%d in fallback) after view install, want the committed one", r.slotCount(), len(r.far))
-	}
-	for _, rq := range []Request{near, far} {
-		rec := r.reqs[rq.ID]
-		if rec == nil || !rec.pending || rec.assigned || rec.req.ID != rq.ID {
-			t.Fatalf("request %s not returned to pending: %+v", rq.Payload, rec)
+	k.RunFor(time.Second)
+	for i, r := range g.replicas {
+		if r.view != 1 || r.execCursor != 5 {
+			t.Fatalf("member %d: view %d, executed through %d", i, r.view, r.execCursor)
+		}
+		if got := ran[i][len(ran[i])-1]; got != (executed{4, x.ID}) {
+			t.Fatalf("member %d last ran %v, want x at 4", i, got)
 		}
 	}
-	if rec := r.reqs[gap.ID]; rec == nil || rec.pending || !rec.assigned {
-		t.Fatalf("the committed request was recycled: %+v", rec)
+	if d := g.Divergences(); d != 0 {
+		t.Fatalf("%d divergent executions", d)
 	}
-	if !r.isDone(guid.FromData([]byte("done0"))) {
-		t.Fatal("an executed request stopped being done at the view change")
+}
+
+// preparedAtFour sets up a view change on a 4-member tier that executed
+// three requests: request x is prepared at sequence number 4 on every
+// member and committed on none (every commit is lost), a request
+// pre-prepared at 3 only to member 1 is prepared nowhere, and members 1
+// to 3 then vote view 1 in.  It returns before the votes are delivered,
+// with every member's executions, in order, in ran.
+func preparedAtFour(t *testing.T) (k *sim.Kernel, net *simnet.Network, g *Group, x Request, ran [][]executed) {
+	t.Helper()
+	k, net, g, client := tier(t, 4, 1, 23)
+	for i := range g.replicas {
+		ran = append(ran, nil)
+		g.SetExecutor(i, func(seq uint64, r Request) { ran[i] = append(ran[i], executed{seq, r.ID}) })
 	}
+	commitN(t, g, client, "done", 3)
+	net.SetFaultPlan(dropKind(kindCommit))
+	lost := req("lost", 100)
+	x = req("x", 100)
+	x.Client = client
+	g.replicas[1].onPrePrepare(prePrepareMsg{Tag: g.tag, View: 0, Seq: 3, Req: lost})
+	p := g.replicas[0]
+	p.nextSeq = 4
+	p.propose(x)
+	k.RunFor(time.Second)
+	for _, r := range g.replicas {
+		if s := r.lookup(4); s == nil || !s.prepared || s.committed {
+			t.Fatalf("setup: member %d's slot 4 is %+v, want prepared and not committed", r.id, s)
+		}
+	}
+	net.SetFaultPlan(nil)
+	for _, r := range g.replicas[1:] {
+		r.voteView(1)
+	}
+	return k, net, g, x, ran
+}
+
+// TestDivergenceCounted: a member that ran another request at a
+// sequence number than the rest do is counted once by each member that
+// executes there after it, and by nobody before.
+func TestDivergenceCounted(t *testing.T) {
+	_, _, g, client := tier(t, 4, 1, 27)
+	commitN(t, g, client, "u", 2)
+	if d := g.Divergences(); d != 0 {
+		t.Fatalf("%d divergent executions on a tier that kept one order", d)
+	}
+	r := g.replicas[3]
+	y := req("y", 100)
+	y.Client = client
+	s := r.slot(2)
+	s.req, s.hasReq, s.digest, s.prepared, s.committed = y, true, y.ID, true, true
+	r.executeReady()
+	if d := g.Divergences(); d != 0 {
+		t.Fatalf("%d divergent executions before any other member ran sequence number 2", d)
+	}
+	commitN(t, g, client, "z", 1)
+	if d := g.Divergences(); d != 3 {
+		t.Fatalf("%d divergent executions, want one for each of the three members that ran z at 2", d)
+	}
+}
+
+// dropKind is a fault plan that drops every message of one kind.
+type dropKind string
+
+func (d dropKind) FilterSend(m simnet.Message, _ time.Duration) (bool, time.Duration) {
+	return m.Kind == string(d), 0
 }
 
 // TestRecordsAndTimersRetire: what a replica keeps tracks requests in
@@ -282,11 +342,11 @@ func TestLateRetransmissionAfterEviction(t *testing.T) {
 		t.Fatalf("a retransmission past the horizon sent %v", got)
 	}
 	k.RunUntil(4 * time.Second)
-	if r.viewVotes[1][r.id] {
+	if r.viewVotes[1][r.id] != nil {
 		t.Fatal("a timer stopped at execution still voted at its old deadline")
 	}
 	k.RunUntil(6 * time.Second)
-	if !r.viewVotes[1][r.id] {
+	if r.viewVotes[1][r.id] == nil {
 		t.Fatal("the fresh timer never voted")
 	}
 }

@@ -385,7 +385,8 @@ func (w *SoakWorld) InFlight() int {
 //     primary gained since its creation number at least the writes
 //     acknowledged (none lost) and at most those plus the writes
 //     abandoned, which may still have committed (none applied twice);
-//   - every secondary's committed log is a prefix of its primary's.
+//   - every secondary's committed log is a prefix of its primary's;
+//   - every object's tier members kept one order (Divergences).
 //
 // The exactly-once check is a count by design, not a scan for update
 // IDs: the primary keeps only a window of its log, and CommittedLen
@@ -409,6 +410,22 @@ func (w *SoakWorld) Problems() []string {
 				obj.Short(), n, t.acked, t.abandoned))
 		}
 		out = append(out, ring.PrefixProblems()...)
+	}
+	return append(out, w.Divergences()...)
+}
+
+// Divergences describes, one line per object in creation order, each
+// object whose tier members ran different requests at one sequence
+// number, or one request at different sequence numbers: how many
+// executions another member's record contradicts.  A run whose tiers
+// keep one order has none.
+func (w *SoakWorld) Divergences() []string {
+	var out []string
+	for _, obj := range w.objects {
+		ring, _ := w.Pool.Ring(obj)
+		if n := ring.Group().Divergences(); n > 0 {
+			out = append(out, fmt.Sprintf("object %s: %d executions contradict another tier member's", obj.Short(), n))
+		}
 	}
 	return out
 }

@@ -398,14 +398,19 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 			return
 		}
 	}
-	// Commit at the log end; an update executed twice is not pushed again.
+	// Commit at the log end.  An update executed twice (the tier orders a
+	// request again once its first execution has left the members' done
+	// indexes) is a duplicate commit while the log's window holds it:
+	// the log answers with the logged outcome and does not grow, so the
+	// history and the tree are left as they were.
 	pos := r.primaryState.CommittedLen()
 	out := r.primaryState.Commit(u, pos, r.net.K.Now())
 	for _, cb := range r.onCommit {
 		cb(u, out)
 	}
 	r.fireWaiter(u, out)
-	if out.Committed {
+	grew := r.primaryState.CommittedLen() > pos
+	if out.Committed && grew {
 		r.history.Add(r.primaryState.CommittedState())
 		r.commitCount++
 		every := r.cfg.ArchiveEvery
@@ -419,7 +424,7 @@ func (r *Ring) executeCommitted(seq uint64, req byz.Request) {
 			}
 		}
 	}
-	if r.primaryState.CommittedLen() > pos {
+	if grew {
 		d := dtree.Delivery{Payload: u, Pos: pos, Size: u.WireSize()}
 		// A holder drops its copy TentativeExpire after the update's
 		// timestamp, so a commit later than that goes to it whole.
