@@ -17,7 +17,7 @@ PAR_PKGS = ./internal/par/ ./internal/archive/ ./internal/blobstore/ \
 	./internal/fault/ ./internal/obs/ ./internal/crypt/ \
 	./internal/update/ ./internal/acl/ ./internal/core/
 
-.PHONY: check fmt vet vet-rand build test race-par bench bench-smoke cover cover-write gates trajectory million schedules
+.PHONY: check fmt vet vet-rand build test race-par bench bench-smoke cover cover-write gates experiments trajectory million schedules
 
 # Every prerequisite after vet compiles the tree and `gates` links
 # every program, so `build` is not one of them; `cover` replays the
@@ -78,27 +78,42 @@ cover:
 cover-write:
 	$(GO) test -race -cover ./... | $(GO) run ./cmd/coverfloor -floors cover/FLOORS.txt -write
 
-# Determinism and reachability gates (cmd/gates): coverage-instrumented
-# builds of osexp, the oceanstore demo and the examples run one table —
-# the 100k-node soak, the 1k-node disk and mem soaks at both fsync
-# disciplines, the 10k-node introspective flash soak, the scenario
-# catalogue, every experiment with both dumps, a two-seed sweep, an
+# Document, determinism and reachability gates (cmd/gates).  First the
+# documents: every backticked `pkg.Name` or `Type.Member` in DESIGN.md,
+# README.md, EXPERIMENTS.md and benchmark/README.md must name something
+# the module declares (or be allowed, with a why, by cover/NAMES.txt),
+# and every DESIGN §n citation must name a section.  Then
+# coverage-instrumented builds of osexp, the oceanstore demo and the
+# examples run one table — the 100k-node soak, the 1k-node disk and mem
+# soaks at both fsync disciplines, the 10k-node introspective flash
+# soak, the scenario catalogue, every experiment with both dumps (whose
+# stdout must equal the committed EXPERIMENTS.out), a two-seed sweep, an
 # open-loop diurnal soak that grows mid-run, and each example program —
 # each row byte-identical (stdout and the dumps it names) across
 # GOMAXPROCS 1/4 and storage backends, with its rails present and, for
 # the 100k-node row, peak RSS within budget.  The same runs take the
 # census: the functions none of them enters must be exactly the ones
-# cover/REACH.txt lists.  A failure names the row (or the census line)
-# and leaves the outputs on disk.
+# cover/REACH.txt lists.  A failure names the row (or the document, file
+# or census line) and leaves the outputs on disk.
 gates:
 	$(GO) run ./cmd/gates
+
+# The paper's tables: `make experiments` writes `osexp all 1`'s stdout,
+# every figure and claim EXPERIMENTS.md sets beside the paper, to the
+# committed EXPERIMENTS.out.  `make gates` fails when the experiments
+# row's stdout differs from it, naming the first differing line; after
+# a change that moves an experiment, run this and commit the file with
+# the prose that reads it.  About five seconds.
+experiments:
+	$(GO) run ./cmd/osexp all 1 > EXPERIMENTS.out.tmp
+	mv EXPERIMENTS.out.tmp EXPERIMENTS.out
 
 # The agreement-safety long sweep: `make schedules N=2000` runs N seeds
 # of every byz.TestScheduleSearch plan and logs each plan's count of
 # violating schedules — the table EXPERIMENTS.md's "Agreement safety,
 # searched" records — and fails on any violation.  About a minute at
 # N=2000 on a 2-core box, so it is not part of check; the suite runs a
-# 300-seed slice of the same plans.
+# 500-seed slice of the same plans.
 N ?= 2000
 schedules:
 	$(GO) test ./internal/byz -run '^TestScheduleSearch$$' -schedules $(N) -count=1 -v

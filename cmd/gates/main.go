@@ -1,12 +1,20 @@
-// Command gates is `make gates`: one run that answers two questions —
-// is every output deterministic, and what code does no run reach?
+// Command gates is `make gates`: one run that answers three questions —
+// do the documents name what the code declares, is every output
+// deterministic, and what code does no run reach?
 //
-// It builds osexp, the oceanstore demo and the examples with coverage
-// instrumentation (-cover -coverpkg=./...), drives them through one
-// table of runs under a GOCOVERDIR it owns, and fails unless
+// It first checks the documents (see docs.go): every backticked code
+// name in DESIGN.md, README.md, EXPERIMENTS.md and benchmark/README.md
+// names a declaration of the module or is allowed by cover/NAMES.txt,
+// and every DESIGN §n citation names a section.  Then it builds osexp,
+// the oceanstore demo and the examples with coverage instrumentation
+// (-cover -coverpkg=./...), drives them through one table of runs under
+// a GOCOVERDIR it owns, and fails unless
 //
 //   - every run of a row emits byte-identical stdout and byte-identical
 //     files for the outputs the row names ({metrics}, {trace});
+//   - a row's first run prints exactly the committed file it names, if
+//     any (the experiments row: EXPERIMENTS.out, which `make
+//     experiments` writes);
 //   - the rails the row names are present, and the row's first run
 //     stays inside its peak-RSS budget;
 //   - the census holds: the functions no run entered are exactly the
@@ -17,12 +25,14 @@
 //	go run ./cmd/gates
 //
 // Runs are sequential.  Binaries and outputs land in a fresh temp
-// directory that is removed on success; on failure the row is named and
-// the directory — with both differing files — is left on disk.
+// directory that is removed on success; on failure the row (or the
+// document, file and line) is named and the directory — with both
+// differing files — is left on disk.
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"os/exec"
@@ -56,6 +66,9 @@ type row struct {
 	// rssBudgetMB, when positive, bounds the first variant's peak RSS
 	// as the kernel reports it in the child's rusage.
 	rssBudgetMB float64
+	// golden, when set, is the committed file the first variant's
+	// stdout must equal byte for byte.
+	golden string
 	// pass is the line printed when the row holds.
 	pass string
 }
@@ -163,6 +176,7 @@ var gates = []row{
 		args:     []string{"-metrics", "{metrics}", "-trace", "{trace}", "all", "1"},
 		variants: procs1and4,
 		stdout:   []string{`^==== scenarios: `, `^invariant failures: 0$`},
+		golden:   "EXPERIMENTS.out",
 		pass:     "every experiment's report, metrics dump and trace byte-identical at GOMAXPROCS 1 and 4",
 	},
 	{
@@ -254,17 +268,20 @@ func run(bin, covDir, dir string, r row, i int) (result, error) {
 	return res, nil
 }
 
-// same reports whether two files hold the same bytes.
-func same(a, b string) (bool, error) {
-	x, err := os.ReadFile(a)
-	if err != nil {
-		return false, err
+// same fails unless files a and b hold the same bytes, naming the first
+// line at which they differ.
+func same(a, b string) error {
+	x, err1 := os.ReadFile(a)
+	y, err2 := os.ReadFile(b)
+	if err := cmp.Or(err1, err2); err != nil || bytes.Equal(x, y) {
+		return err
 	}
-	y, err := os.ReadFile(b)
-	if err != nil {
-		return false, err
+	xs, ys := strings.SplitAfter(string(x), "\n"), strings.SplitAfter(string(y), "\n")
+	i := 0
+	for xs[i] == ys[i] { // they differ before either runs out
+		i++
 	}
-	return bytes.Equal(x, y), nil
+	return fmt.Errorf("%s:%d differs from %s: %q against %q", a, i+1, b, xs[i], ys[i])
 }
 
 // rails checks that every (?m) pattern matches the file.
@@ -297,13 +314,8 @@ func check(bin, covDir, dir string, r row) (string, error) {
 			continue
 		}
 		for j, out := range res.outputs {
-			ok, err := same(first.outputs[j], out)
-			if err != nil {
-				return "", err
-			}
-			if !ok {
-				return "", fmt.Errorf("%s differ between [%s] and [%s]: %s %s",
-					filepath.Ext(out)[1:], first.label, res.label, first.outputs[j], out)
+			if err := same(first.outputs[j], out); err != nil {
+				return "", fmt.Errorf("%s differ between [%s] and [%s]: %w", filepath.Ext(out)[1:], first.label, res.label, err)
 			}
 		}
 	}
@@ -314,6 +326,12 @@ func check(bin, covDir, dir string, r row) (string, error) {
 		return "", err
 	}
 	pass := r.pass
+	if r.golden != "" {
+		if err := same(r.golden, first.outputs[0]); err != nil {
+			return "", fmt.Errorf("%w (make experiments regenerates %s)", err, r.golden)
+		}
+		pass += "; stdout equals " + r.golden
+	}
 	if r.rssBudgetMB > 0 {
 		if first.peakRSSMB <= 0 {
 			return "", fmt.Errorf("no peak RSS in the child's rusage")
@@ -326,9 +344,14 @@ func check(bin, covDir, dir string, r row) (string, error) {
 	return pass, nil
 }
 
-// gate builds the instrumented programs into dir, runs the table and
-// takes the census.
+// gate checks the documents, builds the instrumented programs into dir,
+// runs the table and takes the census.
 func gate(dir string) error {
+	docs, err := docGate()
+	if err != nil {
+		return fmt.Errorf("docs: %w", err)
+	}
+	fmt.Printf("gates: docs: %s\n", docs)
 	bin, covDir := filepath.Join(dir, "bin"), filepath.Join(dir, "cover")
 	for _, d := range []string{bin, covDir} {
 		if err := os.Mkdir(d, 0o755); err != nil {
