@@ -31,7 +31,7 @@ func main() {
 	cfg := oceanstore.DefaultConfig()
 	world := oceanstore.NewWorld(seed, cfg)
 	fmt.Printf("pool: %d nodes, %d domains, f=%d primary tiers, seed %d\n\n",
-		cfg.Nodes, cfg.Domains, cfg.Faults, seed)
+		cfg.Nodes, cfg.Domains, oceanstore.TierFaults, seed)
 
 	alice := world.NewClient("alice")
 	bob := world.NewClient("bob")

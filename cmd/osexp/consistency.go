@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"oceanstore/internal/byz"
+	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/par"
 	"oceanstore/internal/sim"
@@ -45,18 +46,20 @@ func measureCost(m, n, u int, seed int64) int64 {
 }
 
 // analyticCost is the paper's Figure 6 model b = c1·n² + (u+c2)·n + c3,
-// with our protocol's constants: prepares and commits are each
-// (n-1)(n-1) CSmall messages, the pre-prepare ships u+CHeader to n-1
-// replicas, the client sends u+CHeader once plus n-1 digests, and n
-// replicas reply.
+// with our protocol's constants: the n-1 backups each send n-1
+// CSmall prepares, all n replicas each send n-1 CSmall commits, the
+// pre-prepare ships u+CHeader to n-1 replicas, the client sends
+// u+CHeader once plus n-1 digests, and n replicas reply with a signed
+// CReply.
 func analyticCost(n, u int) float64 {
 	nn := float64(n)
 	uu := float64(u)
-	prepares := (nn - 1) * (nn - 1) * byz.CSmall * 2  // prepare + commit
-	preprepare := (uu + byz.CHeader) * (nn - 1)       // primary fan-out
-	request := (uu + byz.CHeader) + (nn-1)*byz.CSmall // client -> tier
-	replies := nn * byz.CReply                        // tier -> client
-	return prepares + preprepare + request + replies
+	prepares := (nn - 1) * (nn - 1) * byz.CSmall       // backups -> tier
+	commits := nn * (nn - 1) * byz.CSmall              // every replica -> tier
+	preprepare := (uu + byz.CHeader) * (nn - 1)        // primary fan-out
+	request := (uu + byz.CHeader) + (nn-1)*byz.CSmall  // client -> tier
+	replies := nn * (byz.CReply + crypt.SignatureSize) // tier -> client
+	return prepares + commits + preprepare + request + replies
 }
 
 // runFig6 prints the Figure 6 series: normalized cost (bytes / (u·n))

@@ -401,16 +401,16 @@ func writeHeapProfile() {
 
 func main() {
 	fs := flag.NewFlagSet("osexp", flag.ExitOnError)
-	nSeeds := fs.Int("seeds", 1, "run the experiment over N consecutive seeds in parallel")
+	nSeeds := fs.Int("seeds", 1, "run the experiment over `N` consecutive seeds in parallel")
 	metricsPath := fs.String("metrics", "", "write deterministic metrics as Benchmark lines to `FILE` (\"-\" for stdout)")
 	tracePath := fs.String("trace", "", "write per-message trace events as JSONL to `FILE` (\"-\" for stdout)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to `FILE`")
 	memProfile := fs.String("memprofile", "", "write a pprof allocs profile (with live-heap numbers) to `FILE`")
-	fs.Usage = usage
+	fs.Usage = func() { usage(fs) }
 	fs.Parse(os.Args[1:])
 	args := fs.Args()
 	if len(args) < 1 {
-		usage()
+		usage(fs)
 		os.Exit(2)
 	}
 	name := args[0]
@@ -446,7 +446,7 @@ func main() {
 		}
 		if list == nil {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n\n", name)
-			usage()
+			usage(fs)
 			os.Exit(2)
 		}
 	}
@@ -471,22 +471,25 @@ func main() {
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: osexp [-seeds N] [-metrics FILE] [-trace FILE] <experiment> [seed] [experiment flags]")
-	fmt.Fprintln(os.Stderr, "experiments:")
+// usage prints the command line, the experiments, and every flag of
+// the global flag set fs and of each experiment's own flag set, all
+// read from the flag sets themselves.
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprintln(w, "usage: osexp [-seeds N] [-metrics FILE] [-trace FILE] <experiment> [seed] [experiment flags]")
+	fmt.Fprintln(w, "experiments:")
 	for _, e := range experiments {
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", e.name, e.desc)
+		fmt.Fprintf(w, "  %-12s %s\n", e.name, e.desc)
 	}
-	fmt.Fprintln(os.Stderr, "  all          run everything")
-	fmt.Fprintln(os.Stderr, "flags:")
-	fmt.Fprintln(os.Stderr, "  -seeds N       run over seeds seed..seed+N-1 in parallel, with an aggregate row")
-	fmt.Fprintln(os.Stderr, "  -metrics FILE  dump deterministic counters/histograms as Benchmark lines")
-	fmt.Fprintln(os.Stderr, "  -trace FILE    dump per-message trace events as JSONL (instrumented experiments)")
-	fmt.Fprintln(os.Stderr, "  -cpuprofile FILE  write a pprof CPU profile of the run")
-	fmt.Fprintln(os.Stderr, "  -memprofile FILE  write a pprof allocs profile of the run")
-	fmt.Fprintln(os.Stderr, "soak flags (after the seed): -nodes -ops -clients -objects -secondaries -write -create -zipf")
-	fmt.Fprintln(os.Stderr, "  -size -think -openloop -arrival -maxinflight -churn -downfor -grow -growat")
-	fmt.Fprintln(os.Stderr, "  -backend -storedir -scrub -flush -introspect -iepoch -readsvc")
-	fmt.Fprintln(os.Stderr, "  -flash -flashfor -flashmass -flashobjs -diurnal -nightrate -hotrotate")
-	fmt.Fprintln(os.Stderr, "scenarios flags (after the seed): -only NAME -armedonly -interval D")
+	fmt.Fprintln(w, "  all          run everything")
+	fmt.Fprintln(w, "flags:")
+	fs.PrintDefaults()
+	for _, e := range experiments {
+		if mkfs, ok := flaggedExperiments[e.name]; ok {
+			fmt.Fprintf(w, "%s flags (after the seed):\n", e.name)
+			efs := mkfs()
+			efs.SetOutput(w)
+			efs.PrintDefaults()
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"flag"
 	"io"
 	"os"
 	"path"
@@ -343,5 +344,46 @@ func TestE10OnController(t *testing.T) {
 	if hotEnd.meanReadLatency >= rows[0].meanReadLatency || last.meanReadLatency <= hotEnd.meanReadLatency {
 		t.Fatalf("read latency did not follow the tier: first %v, hot peak %v, end %v",
 			rows[0].meanReadLatency, hotEnd.meanReadLatency, last.meanReadLatency)
+	}
+}
+
+// TestFig6AnalyticMatchesMeasured: E1's cost model names every byte the
+// simulated agreement sends, so its analytic column equals the measured
+// one for each of the paper's tiers.
+func TestFig6AnalyticMatchesMeasured(t *testing.T) {
+	for _, tier := range [][2]int{{2, 7}, {3, 10}, {4, 13}} {
+		for _, u := range []int{100, 4 << 10} {
+			m, n := tier[0], tier[1]
+			if an, me := analyticCost(n, u), measureCost(m, n, u, 1); an != float64(me) {
+				t.Errorf("m=%d n=%d u=%d: analytic %.0f B, measured %d B", m, n, u, an, me)
+			}
+		}
+	}
+}
+
+// TestUsageListsEveryFlag: the usage text keeps the lines the usage
+// gate row checks and lists every flag of the global set and of each
+// experiment's own set, read from the sets themselves.
+func TestUsageListsEveryFlag(t *testing.T) {
+	fs := flag.NewFlagSet("osexp", flag.ContinueOnError)
+	fs.Int("seeds", 1, "run the experiment over `N` consecutive seeds in parallel")
+	var buf bytes.Buffer
+	fs.SetOutput(&buf)
+	usage(fs)
+	out := buf.String()
+	for _, rail := range []string{`(?m)^usage: osexp `, `(?m)^  all +run everything$`, `(?m)^  -seeds N$`} {
+		if !regexp.MustCompile(rail).MatchString(out) {
+			t.Errorf("usage does not match %s:\n%s", rail, out)
+		}
+	}
+	for name, mkfs := range flaggedExperiments {
+		if !strings.Contains(out, "\n"+name+" flags (after the seed):\n") {
+			t.Errorf("usage has no %s flags heading", name)
+		}
+		mkfs().VisitAll(func(f *flag.Flag) {
+			if !regexp.MustCompile(`(?m)^  -` + f.Name + `( |$)`).MatchString(out) {
+				t.Errorf("usage does not list %s's -%s", name, f.Name)
+			}
+		})
 	}
 }

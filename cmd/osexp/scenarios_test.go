@@ -62,7 +62,8 @@ func TestScenariosFlagParsing(t *testing.T) {
 }
 
 // TestSoakFlagParsing covers the soak subcommand's flag set the same
-// way; a mis-declared flag name or type breaks heavy-run scripts.
+// way; a mis-declared flag name or type breaks heavy-run scripts.  Every
+// flag the set registers must be parsed by some case.
 func TestSoakFlagParsing(t *testing.T) {
 	saved := soakOpts
 	defer func() { soakOpts = saved }()
@@ -71,29 +72,39 @@ func TestSoakFlagParsing(t *testing.T) {
 		args  []string
 		check func() bool
 	}{
-		{"nodes-ops", []string{"-nodes", "512", "-ops", "100"},
-			func() bool { return soakOpts.nodes == 512 && soakOpts.ops == 100 }},
-		{"mix", []string{"-write", "0.5", "-create", "0.1", "-zipf", "1.3"},
-			func() bool { return soakOpts.write == 0.5 && soakOpts.create == 0.1 && soakOpts.zipf == 1.3 }},
+		{"nodes-ops", []string{"-nodes", "512", "-ops", "100", "-clients", "64"},
+			func() bool { return soakOpts.nodes == 512 && soakOpts.ops == 100 && soakOpts.clients == 64 }},
+		{"mix", []string{"-write", "0.5"},
+			func() bool { return soakOpts.write == 0.5 }},
 		{"openloop", []string{"-openloop", "-arrival", "25ms"},
 			func() bool { return soakOpts.open && soakOpts.arrival == 25*time.Millisecond }},
 		{"churn", []string{"-churn", "2m", "-downfor", "30s"},
 			func() bool { return soakOpts.churn == 2*time.Minute && soakOpts.downFor == 30*time.Second }},
 		{"growth", []string{"-grow", "64", "-growat", "1m"},
 			func() bool { return soakOpts.grow == 64 && soakOpts.growAt == time.Minute }},
+		{"storage", []string{"-backend", "disk", "-storedir", "vols", "-scrub", "1m", "-flush", "5s"},
+			func() bool {
+				return soakOpts.backend == "disk" && soakOpts.storeDir == "vols" &&
+					soakOpts.scrub == time.Minute && soakOpts.flush == 5*time.Second
+			}},
 		{"introspect", []string{"-introspect", "-readsvc", "5ms", "-secondaries", "8", "-iepoch", "2s"},
 			func() bool {
 				return soakOpts.introspect && soakOpts.readSvc == 5*time.Millisecond &&
 					soakOpts.secondaries == 8 && soakOpts.iepoch == 2*time.Second
 			}},
-		{"shape", []string{"-flash", "3m", "-flashmass", "0.8", "-flashobjs", "2", "-diurnal", "1h", "-hotrotate", "10m"},
+		{"shape", []string{"-flash", "3m", "-flashfor", "90s", "-flashmass", "0.8", "-flashobjs", "2", "-diurnal", "1h"},
 			func() bool {
-				return soakOpts.flash == 3*time.Minute && soakOpts.flashMass == 0.8 &&
-					soakOpts.flashObjs == 2 && soakOpts.diurnal == time.Hour &&
-					soakOpts.hotRotate == 10*time.Minute
+				return soakOpts.flash == 3*time.Minute && soakOpts.flashFor == 90*time.Second &&
+					soakOpts.flashMass == 0.8 && soakOpts.flashObjs == 2 && soakOpts.diurnal == time.Hour
 			}},
 	}
+	parsed := map[string]bool{}
 	for _, tc := range cases {
+		for _, a := range tc.args {
+			if name, ok := strings.CutPrefix(a, "-"); ok {
+				parsed[name] = true
+			}
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			soakOpts = saved
 			if err := soakFlagSet().Parse(tc.args); err != nil {
@@ -104,6 +115,11 @@ func TestSoakFlagParsing(t *testing.T) {
 			}
 		})
 	}
+	soakFlagSet().VisitAll(func(f *flag.Flag) {
+		if !parsed[f.Name] {
+			t.Errorf("soak flag -%s is parsed by no case", f.Name)
+		}
+	})
 }
 
 // TestScenariosReportShape: the report must carry one armed line per
@@ -258,16 +274,20 @@ func TestSoakProblemFailsTheRun(t *testing.T) {
 	}
 }
 
-// TestSoakRejectsRemovedFlag: -shards selected nothing and is gone; an
-// old script passing it must get a flag error, not a silent default.
+// TestSoakRejectsRemovedFlag: -shards selected nothing, and the traffic
+// knobs below it were never set by any documented run; all are gone.
+// An old script passing one must get a flag error, not a silent
+// default.
 func TestSoakRejectsRemovedFlag(t *testing.T) {
 	saved := soakOpts
 	defer func() { soakOpts = saved }()
-	fs := soakFlagSet()
-	fs.Init("soak", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	if err := fs.Parse([]string{"-nodes", "64", "-shards", "1"}); err == nil {
-		t.Fatal("-shards parsed; want a flag error")
+	for _, name := range []string{"shards", "objects", "create", "zipf", "size", "think", "maxinflight", "nightrate", "hotrotate"} {
+		fs := soakFlagSet()
+		fs.Init("soak", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse([]string{"-nodes", "64", "-" + name, "1"}); err == nil {
+			t.Errorf("-%s parsed; want a flag error", name)
+		}
 	}
 }
 

@@ -20,16 +20,10 @@ type soakOptions struct {
 	nodes       int
 	ops         int
 	clients     int
-	objects     int
 	secondaries int
 	write       float64
-	create      float64
-	zipf        float64
-	size        int
-	think       time.Duration
 	open        bool
 	arrival     time.Duration
-	maxInfl     int
 	churn       time.Duration
 	downFor     time.Duration
 	grow        int
@@ -46,9 +40,17 @@ type soakOptions struct {
 	flashMass   float64
 	flashObjs   int
 	diurnal     time.Duration
-	nightRate   float64
-	hotRotate   time.Duration
 }
+
+// The soak's traffic constants: the create share of the mix, the Zipf
+// skew of object popularity, the mean write payload (exponential) and
+// a closed-loop client's mean think time.
+const (
+	soakCreateFrac = 0.01
+	soakZipf       = 1.1
+	soakWriteSize  = 256
+	soakThink      = 200 * time.Millisecond
+)
 
 // soakOpts holds the knobs' values; the initializers are the defaults.
 // soakFlagSet echoes them so `osexp all` (which never parses soak
@@ -60,10 +62,6 @@ var soakOpts = soakOptions{
 	nodes:     256,
 	ops:       4000,
 	write:     0.3,
-	create:    0.01,
-	zipf:      1.1,
-	size:      256,
-	think:     200 * time.Millisecond,
 	arrival:   50 * time.Millisecond,
 	churn:     time.Minute,
 	downFor:   20 * time.Second,
@@ -72,7 +70,6 @@ var soakOpts = soakOptions{
 	flashFor:  2 * time.Minute,
 	flashMass: 0.9,
 	flashObjs: 4,
-	nightRate: 0.25,
 }
 
 // soakFlagSet builds the flag set parsed from the arguments after
@@ -83,16 +80,10 @@ func soakFlagSet() *flag.FlagSet {
 	fs.IntVar(&o.nodes, "nodes", o.nodes, "server count")
 	fs.IntVar(&o.ops, "ops", o.ops, "total operation budget")
 	fs.IntVar(&o.clients, "clients", o.clients, "virtual clients (0 = scale with nodes)")
-	fs.IntVar(&o.objects, "objects", o.objects, "pre-created objects (0 = scale with nodes)")
 	fs.IntVar(&o.secondaries, "secondaries", o.secondaries, "static floating replicas per object (0 = default 4)")
 	fs.Float64Var(&o.write, "write", o.write, "write fraction of the mix")
-	fs.Float64Var(&o.create, "create", o.create, "create fraction of the mix")
-	fs.Float64Var(&o.zipf, "zipf", o.zipf, "Zipf skew for object popularity")
-	fs.IntVar(&o.size, "size", o.size, "mean write payload bytes (exponential)")
-	fs.DurationVar(&o.think, "think", o.think, "mean per-client think time (closed loop)")
 	fs.BoolVar(&o.open, "openloop", o.open, "open-loop arrivals instead of closed-loop")
 	fs.DurationVar(&o.arrival, "arrival", o.arrival, "mean interarrival (open loop)")
-	fs.IntVar(&o.maxInfl, "maxinflight", o.maxInfl, "backpressure cap on unresolved writes per object (0 = scale with nodes)")
 	fs.DurationVar(&o.churn, "churn", o.churn, "node bounce period (0 disables churn)")
 	fs.DurationVar(&o.downFor, "downfor", o.downFor, "how long a bounced node stays down")
 	fs.IntVar(&o.grow, "grow", o.grow, "nodes to add mid-run (0 disables growth)")
@@ -109,8 +100,6 @@ func soakFlagSet() *flag.FlagSet {
 	fs.Float64Var(&o.flashMass, "flashmass", o.flashMass, "fraction of draws the flash redirects onto the hot set")
 	fs.IntVar(&o.flashObjs, "flashobjs", o.flashObjs, "hot-set size the flash concentrates onto")
 	fs.DurationVar(&o.diurnal, "diurnal", o.diurnal, "diurnal period for arrival-intensity modulation (0 disables)")
-	fs.Float64Var(&o.nightRate, "nightrate", o.nightRate, "night-time arrival intensity relative to day")
-	fs.DurationVar(&o.hotRotate, "hotrotate", o.hotRotate, "hot-spot rotation period for the Zipf mapping (0 disables)")
 	return fs
 }
 
@@ -123,14 +112,8 @@ func runSoak(w io.Writer, seed int64, ob *obsink) {
 	if o.clients > 0 {
 		cfg.Clients = o.clients
 	}
-	if o.objects > 0 {
-		cfg.Objects = o.objects
-	}
 	if o.secondaries > 0 {
 		cfg.Secondaries = o.secondaries
-	}
-	if o.maxInfl > 0 {
-		cfg.MaxInFlight = o.maxInfl
 	}
 	cfg.Backend = o.backend
 	cfg.ScrubInterval = o.scrub
@@ -177,10 +160,6 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 	var shape workload.Shape
 	if o.diurnal > 0 {
 		shape.DiurnalPeriod = o.diurnal
-		shape.DiurnalNightRate = o.nightRate
-	}
-	if o.hotRotate > 0 {
-		shape.RotateEvery = o.hotRotate
 	}
 	if o.flash > 0 {
 		shape.FlashAt = o.flash
@@ -192,12 +171,12 @@ func soakWorld(w io.Writer, world *core.SoakWorld, cfg core.SoakConfig, o soakOp
 	eng := workload.NewEngine(world.Pool.K, workload.EngineConfig{
 		Clients:       cfg.Clients,
 		Ops:           o.ops,
-		Mix:           workload.Mix{WriteFrac: o.write, CreateFrac: o.create},
+		Mix:           workload.Mix{WriteFrac: o.write, CreateFrac: soakCreateFrac},
 		Objects:       cfg.Objects,
-		ZipfS:         o.zipf,
-		MeanWriteSize: o.size,
+		ZipfS:         soakZipf,
+		MeanWriteSize: soakWriteSize,
 		ClosedLoop:    !o.open,
-		MeanThink:     o.think,
+		MeanThink:     soakThink,
 		MeanArrival:   o.arrival,
 		RetryBackoff:  time.Second,
 		Shape:         shape,

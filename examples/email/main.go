@@ -181,21 +181,20 @@ func main() {
 	expect(printFolder(mail, inbox) == got+"draft written while offline",
 		"after reconnection the draft committed, once, at the end of the inbox")
 
-	// COMMIT CERTIFICATE (§4.4.3): the owner files a note and asks the
-	// primary tier for a certificate of its commit.  The certificate
-	// carries the signatures of f+1 tier members over (object, sequence
-	// number, update digest), so it can be checked later, offline, by
-	// anyone holding the tier's public keys.  The owner's client numbers
-	// its updates; the note is the one after the offline draft.
+	// COMMIT CERTIFICATE (§4.4.3): the owner files a note through its
+	// session and asks the primary tier for a certificate of its
+	// commit.  The certificate carries the signatures of f+1 tier
+	// members over (object, sequence number, update digest), so it can
+	// be checked later, offline, by anyone holding the tier's public
+	// keys.  The owner's client numbers its updates across its
+	// sessions, so the note comes next after the offline draft.
 	ed, _, err := mail.Editor(inbox)
 	check(err)
 	note := update.NewUnconditional(inbox, update.BlockOps(ed.Append([]byte("note: filed with a receipt"))))
-	note.ClientID, note.Seq, note.Timestamp = owner.Signer.GUID(), draft.Seq+1, world.Now()
-	note.Sign(owner.Signer)
 	var receipt byz.Result
-	ring, _ := world.Pool.Ring(inbox)
-	ring.Submit(owner.Node, note, 0, func(r byz.Result) { receipt = r })
+	mail.SubmitCertified(note, func(r byz.Result) { receipt = r })
 	world.Run(time.Minute)
+	ring, _ := world.Pool.Ring(inbox)
 	keys := ring.Group().PublicKeys()
 	f := (len(keys) - 1) / 3
 	cert := receipt.Certificate
@@ -203,6 +202,7 @@ func main() {
 	printFolder(mail, inbox)
 	expect(receipt.Committed && cert.Verify(keys, f),
 		"the certificate verifies against the tier's %d public keys with f = %d", len(keys), f)
+	expect(note.Seq == draft.Seq+1, "the owner's session numbered the note %d, next after the offline draft", note.Seq)
 	forged := *cert
 	forged.Seq++
 	expect(!forged.Verify(keys, f), "a copy claiming the next sequence number does not")

@@ -147,18 +147,18 @@ func main() {
 	// DISASTER: a whole administrative domain — a quarter of all servers,
 	// the failure that dispersal across domains is designed for — goes
 	// down, and so does every member of the target object's primary tier.
-	region := world.Pool.Net.Node(ring.PrimaryAnchor()).Domain()
+	net := world.Pool.Net
+	region := net.Node(ring.PrimaryAnchor()).Domain()
 	downed := 0
 	for i := 0; i < cfg.Nodes-1; i++ { // the curator sits on the last node
-		nd := world.Pool.Net.Node(simnet.NodeID(i))
-		if nd.Domain() == region {
-			nd.SetDown(true)
+		if id := simnet.NodeID(i); net.Node(id).Domain() == region {
+			net.Crash(id)
 			downed++
 		}
 	}
 	for _, nid := range ring.PrimaryNodes() {
-		if nd := world.Pool.Net.Node(nid); !nd.Down() {
-			nd.SetDown(true)
+		if !net.Node(nid).Down() {
+			net.Crash(nid)
 			downed++
 		}
 	}

@@ -170,7 +170,7 @@ func TestDisperseSkipsDownNodesAndRanksDomains(t *testing.T) {
 	svc := NewService(net, nodes)
 	for _, n := range nodes {
 		if n.Domain() == 2 {
-			n.SetDown(true)
+			net.Crash(n.ID)
 		}
 	}
 	placement, err := svc.disperse(16, []int{3, 1, 0}, 7, nil)
@@ -198,7 +198,7 @@ func TestDisperseSkipsDownNodesAndRanksDomains(t *testing.T) {
 	}
 	// All nodes down: error.
 	for _, n := range nodes {
-		n.SetDown(true)
+		net.Crash(n.ID)
 	}
 	if _, err := svc.disperse(4, nil, 0, nil); !errors.Is(err, ErrInsufficientDomains) {
 		t.Fatalf("dispersal onto dead fleet: err %v, want ErrInsufficientDomains", err)
@@ -374,7 +374,7 @@ func TestRetrieveSurvivesNodeFailures(t *testing.T) {
 	// Kill half the fleet (not node 0, the requester).
 	down := 0
 	for i := 1; i < 30 && down < 15; i += 2 {
-		net.Node(simnet.NodeID(i)).SetDown(true)
+		net.Crash(simnet.NodeID(i))
 		down++
 	}
 	var got []byte
@@ -401,7 +401,7 @@ func TestSchedulerRestoresRedundancy(t *testing.T) {
 			break
 		}
 		if nid != 0 && !killed[nid] {
-			net.Node(nid).SetDown(true)
+			net.Crash(nid)
 			killed[nid] = true
 		}
 	}

@@ -171,7 +171,7 @@ func TestDisperseInsufficientDomains(t *testing.T) {
 
 	// Every node down: Archive surfaces the typed error too.
 	for i := 0; i < 8; i++ {
-		svc.net.Node(simnet.NodeID(i)).SetDown(true)
+		svc.net.Crash(simnet.NodeID(i))
 	}
 	_, err = svc.Archive(make([]byte, 64), Config{DataShards: 2, TotalFragments: 4}, nil)
 	if !errors.Is(err, ErrInsufficientDomains) {

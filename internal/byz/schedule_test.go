@@ -310,7 +310,7 @@ func runSchedule(sched schedule, seed int64, shape searchShape) (violations []st
 			if sent++; sent == sched.crashAfter {
 				// Crash-stop: the rest of the handler running this send
 				// neither sends (the node is down) nor executes.
-				net.Node(members[0]).SetDown(true)
+				net.Crash(members[0])
 				g.SetExecutor(0, nil)
 			}
 		})

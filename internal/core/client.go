@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"oceanstore/internal/acl"
+	"oceanstore/internal/byz"
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
@@ -142,6 +143,9 @@ type write struct {
 	resolved bool
 	// done, when set, learns the outcome after the session's callbacks.
 	done func(committed bool)
+	// certified, when set, receives the primary tier's result with its
+	// commit certificate once a quorum of replies reaches the client.
+	certified func(byz.Result)
 }
 
 // NewSession opens a session with the given guarantees.
@@ -314,13 +318,19 @@ func (s *Session) Editor(obj guid.GUID) (*object.Editor, *object.Version, error)
 // the same object resolves, so writes apply in issue order even across
 // retransmissions and view changes.
 func (s *Session) Submit(u *update.Update) update.UpdateID {
-	return s.submit(u, nil)
+	return s.submit(&write{u: u})
 }
 
-// submit is Submit for a caller that also wants the write's outcome:
-// done, when set, runs after the session's callbacks.
-func (s *Session) submit(u *update.Update, done func(committed bool)) update.UpdateID {
-	c := s.c
+// SubmitCertified is Submit for a caller that wants proof of the
+// commit (§4.4.3): certified receives the tier's result, whose
+// Certificate anyone holding the tier's public keys can check offline.
+func (s *Session) SubmitCertified(u *update.Update, certified func(byz.Result)) update.UpdateID {
+	return s.submit(&write{u: u, certified: certified})
+}
+
+// submit numbers, signs and queues w's update.
+func (s *Session) submit(w *write) update.UpdateID {
+	c, u := s.c, w.u
 	c.seq++
 	u.ClientID = c.Signer.GUID()
 	u.Seq = c.seq
@@ -328,7 +338,6 @@ func (s *Session) submit(u *update.Update, done func(committed bool)) update.Upd
 	// The signature is computed off this goroutine and joined by its
 	// first reader — the tier's CheckWrite, one agreement away.
 	u.StartSign(c.Signer)
-	w := &write{u: u, done: done}
 	st := s.objs[u.Object]
 	p := &st.first
 	for *p != nil {
@@ -374,7 +383,7 @@ func (s *Session) send(w *write) {
 			s.resolve(w, false)
 		})
 	}
-	ring.Submit(c.Node, u, c.Spread, nil)
+	ring.Submit(c.Node, u, c.Spread, w.certified)
 }
 
 // resolve decides a write's outcome: on a commit the session's
@@ -435,7 +444,7 @@ func (s *Session) replace(obj guid.GUID, idx int, payload []byte, done func(comm
 		return update.UpdateID{}, err
 	}
 	u := update.NewUnconditional(obj, update.BlockOps(op))
-	return s.submit(u, done), nil
+	return s.submit(&write{u: u, done: done}), nil
 }
 
 // Watch registers a callback fired whenever ANY client's update to obj

@@ -7,6 +7,7 @@ import (
 
 	"oceanstore/internal/acl"
 	"oceanstore/internal/archive"
+	"oceanstore/internal/byz"
 	"oceanstore/internal/crypt"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/update"
@@ -488,5 +489,52 @@ func TestFailedCreateLeavesNothingBehind(t *testing.T) {
 	got, err := p.CreateObject(owner, "doc", []byte("v0"), key, acl.Certify(owner, obj, writers, 1))
 	if err != nil || got != obj {
 		t.Fatalf("retried create: %v, %v", got, err)
+	}
+}
+
+// TestSessionWriteCarriesCertificate: a session write submitted with
+// SubmitCertified receives the tier's commit certificate, which
+// verifies offline against the tier's public keys, and the session's
+// next write is numbered right after it.
+func TestSessionWriteCarriesCertificate(t *testing.T) {
+	p := smallPool(41)
+	alice := p.NewClient(20, crypt.NewSigner(p.K.Rand()))
+	obj, err := alice.Create("receipts", []byte("base."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := alice.NewSession(ACID)
+	ed, _, err := s.Editor(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	note := update.NewUnconditional(obj, update.BlockOps(ed.Append([]byte("A"))))
+	var receipts []byz.Result
+	s.SubmitCertified(note, func(r byz.Result) { receipts = append(receipts, r) })
+	p.Run(30 * time.Second)
+	if len(receipts) != 1 || !receipts[0].Committed {
+		t.Fatalf("got %d results (%+v), want one committed", len(receipts), receipts)
+	}
+	ring, _ := p.Ring(obj)
+	keys := ring.Group().PublicKeys()
+	cert := receipts[0].Certificate
+	if cert == nil || !cert.Verify(keys, TierFaults) {
+		t.Fatalf("certificate %+v does not verify against the tier's %d keys", cert, len(keys))
+	}
+	forged := *cert
+	forged.Seq++
+	if forged.Verify(keys, TierFaults) {
+		t.Fatal("a copy claiming the next sequence number verifies")
+	}
+	next, err := s.Append(obj, []byte("B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Seq != note.Seq+1 {
+		t.Fatalf("the next write is numbered %d, want %d after the certified one", next.Seq, note.Seq+1)
+	}
+	p.Run(30 * time.Second)
+	if got, err := s.Read(obj); err != nil || string(got) != "base.AB" {
+		t.Fatalf("read %q, %v; want both writes in order", got, err)
 	}
 }

@@ -53,8 +53,8 @@ func TestEligibleSecondaries(t *testing.T) {
 
 	// Two secondaries miss every write below; one of them comes back
 	// before the reads, live but behind each session's floor.
-	p.Net.Node(down).SetDown(true)
-	p.Net.Node(behind).SetDown(true)
+	p.Net.Crash(down)
+	p.Net.Crash(behind)
 	sessions := make([]*Session, len(cases))
 	for i, tc := range cases {
 		s := alice.NewSession(tc.g)
@@ -68,7 +68,7 @@ func TestEligibleSecondaries(t *testing.T) {
 		}
 		sessions[i] = s
 	}
-	p.Net.Node(behind).SetDown(false)
+	p.Net.Recover(behind)
 	if sec, _ := ring.Secondary(stale); sec != nil {
 		sec.Stale = true
 	}

@@ -78,13 +78,14 @@ func TestTimedOutWriteLeavesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.submit(update.NewUnconditional(obj, update.BlockOps(ed.Append([]byte("late")))), func(ok bool) {
+	late := update.NewUnconditional(obj, update.BlockOps(ed.Append([]byte("late"))))
+	sess.submit(&write{u: late, done: func(ok bool) {
 		if ok {
 			commits++
 		} else {
 			aborts++
 		}
-	})
+	}})
 	p.Run(time.Minute)
 	if aborts != 1 || commits != 0 {
 		t.Fatalf("at the deadline: %d aborts and %d commits, want 1 and 0", aborts, commits)
@@ -190,7 +191,7 @@ func TestSecondaryChurnDuringUpdates(t *testing.T) {
 		p.Run(20 * time.Second)
 		// Crash one secondary each round; repair the tree.
 		victim := simnet.NodeID(4 + i)
-		p.Net.Node(victim).SetDown(true)
+		p.Net.Crash(victim)
 		ring.Tree().Repair()
 		p.Run(20 * time.Second)
 	}

@@ -122,7 +122,7 @@ func TestMonotonicReadsNeverGoBack(t *testing.T) {
 			if got := w.read(t, s, remote); got != "AB" || w.a.Reads != 1 {
 				t.Fatalf("first read %q with %d reads at a, want \"AB\" from a", got, w.a.Reads)
 			}
-			w.p.Net.Node(w.a.Node).SetDown(true)
+			w.p.Net.Crash(w.a.Node)
 			if got := w.read(t, s, remote); got != "AB" {
 				t.Fatalf("second read %q after \"AB\": the session went backwards", got)
 			}
@@ -147,7 +147,7 @@ func TestMonotonicReadsFallBackToThePrimaryTier(t *testing.T) {
 	if st := s.objs[w.obj]; st.committed != w.a.Rep.CommittedLen() || !slices.Equal(st.read, []update.UpdateID{u.ID()}) {
 		t.Fatalf("floor (%d, %v), want (%d, [%v])", st.committed, st.read, w.a.Rep.CommittedLen(), u.ID())
 	}
-	w.p.Net.Node(w.a.Node).SetDown(true)
+	w.p.Net.Crash(w.a.Node)
 	rep, err := s.pickReplica(w.obj)
 	if err != nil {
 		t.Fatal(err)

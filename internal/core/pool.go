@@ -30,8 +30,6 @@ type PoolConfig struct {
 	Nodes int
 	// Domains is the number of administrative domains.
 	Domains int
-	// Faults is f for every object's primary tier (3f+1 members).
-	Faults int
 	// BlockSize is the object block granularity.
 	BlockSize int
 	// Ring tunes per-object replication; zero-valued fields default.
@@ -61,7 +59,6 @@ func DefaultPoolConfig() PoolConfig {
 	return PoolConfig{
 		Nodes:          64,
 		Domains:        4,
-		Faults:         1,
 		BlockSize:      1024,
 		Ring:           ring,
 		Extent:         50,
@@ -69,6 +66,10 @@ func DefaultPoolConfig() PoolConfig {
 		LatencyPerUnit: time.Millisecond,
 	}
 }
+
+// TierFaults is f for every object's primary tier, which has 3f+1
+// members (§4.4.3).
+const TierFaults = 1
 
 // meshSalts is the location mesh's salted-root redundancy: each object
 // is published toward this many independent roots.
@@ -131,7 +132,7 @@ func (p *Pool) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 
 // NewPool builds a deployment with the given seed.
 func NewPool(seed int64, cfg PoolConfig) *Pool {
-	if cfg.Nodes < 3*cfg.Faults+1+1 {
+	if cfg.Nodes < 3*TierFaults+1+1 {
 		panic("core: pool too small for the primary tier plus a client")
 	}
 	k := sim.NewKernel(seed)
@@ -172,7 +173,7 @@ func NewPool(seed int64, cfg PoolConfig) *Pool {
 // locality order, wrapping at its end: the first tiers are cut at the
 // centre of the plane and later ones walk outward ring by ring.
 func (p *Pool) pickPrimaries() []simnet.NodeID {
-	n := 3*p.cfg.Faults + 1
+	n := 3*TierFaults + 1
 	out := make([]simnet.NodeID, n)
 	for i := range out {
 		out[i] = p.order[(p.nextPrimary+i)%len(p.order)]

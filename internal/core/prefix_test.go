@@ -35,12 +35,12 @@ func TestReadYourWritesAcrossAMissedPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Run(10 * time.Second)
-	p.Net.Node(victim).SetDown(true)
+	p.Net.Crash(victim)
 	if _, err := mine.Append(obj, []byte("B")); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(5 * time.Second)
-	p.Net.Node(victim).SetDown(false)
+	p.Net.Recover(victim)
 	if _, err := other.Append(obj, []byte("C")); err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,8 @@ type SoakConfig struct {
 	// watches per-object read/write traffic and promotes/demotes
 	// floating replicas under hysteresis, budgets, and rate limits.
 	Introspect bool
-	// IntrospectEpoch is the controller's observation epoch (default
-	// 10s).
+	// IntrospectEpoch is the controller's observation epoch
+	// (DefaultSoakConfig: 10s).
 	IntrospectEpoch time.Duration
 	// NodeBudget caps how many floating replicas introspective
 	// promotion may place on one node (default 8).  Static placement
@@ -94,8 +94,6 @@ const (
 	// soakRetainVersions caps each object's retained version history;
 	// deep-archival copies persist regardless.
 	soakRetainVersions = 8
-	// soakFaults is f per primary tier (3f+1 members).
-	soakFaults = 1
 	// soakGossipInterval is the secondary anti-entropy period.
 	soakGossipInterval = 30 * time.Second
 	// soakGuarantees are the session guarantees every client runs under.
@@ -187,7 +185,6 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 	pc := PoolConfig{
 		Nodes:     cfg.Nodes,
 		Domains:   cfg.Domains,
-		Faults:    soakFaults,
 		BlockSize: cfg.BlockSize,
 		Ring: replica.Config{
 			ArchiveEvery:   cfg.ArchiveEvery,
@@ -278,11 +275,7 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 	}
 	if cfg.Introspect {
 		w.ctrl = introspect.NewController(cfg.IntrospectCfg, soakHost{w})
-		epoch := cfg.IntrospectEpoch
-		if epoch <= 0 {
-			epoch = 10 * time.Second
-		}
-		p.K.Every(epoch, w.ctrl.Tick)
+		p.K.Every(cfg.IntrospectEpoch, w.ctrl.Tick)
 	}
 	return w, nil
 }

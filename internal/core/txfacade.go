@@ -104,13 +104,13 @@ func (t *Tx) Commit() (update.UpdateID, error) {
 	t.submitted = true
 	t.status = TxSubmitted
 	u := update.NewVersionGuarded(t.obj, t.base.Num, update.BlockOps(t.staged...))
-	return t.sess.submit(u, func(committed bool) {
+	return t.sess.submit(&write{u: u, done: func(committed bool) {
 		if committed {
 			t.status = TxCommitted
 		} else {
 			t.status = TxAborted
 		}
-	}), nil
+	}}), nil
 }
 
 // Status reports the transaction's current state.

@@ -133,11 +133,9 @@ type Tree struct {
 	pullWait  map[simnet.NodeID]func(Delivery)
 }
 
-// New creates a tree rooted at root (a primary-tier contact node).
+// New creates a tree rooted at root (a primary-tier contact node) in
+// which no member has more than fanout (at least 1) children.
 func New(net *simnet.Network, root simnet.NodeID, fanout int) *Tree {
-	if fanout < 1 {
-		fanout = 4
-	}
 	t := &Tree{
 		id:       treeCounter.Add(1),
 		net:      net,

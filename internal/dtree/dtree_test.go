@@ -59,9 +59,14 @@ func TestJoinBuildsBoundedFanoutTree(t *testing.T) {
 	if len(tr.Members()) != 50 {
 		t.Fatal("rejoin changed membership")
 	}
-	// A fanout below 1 takes the default.
-	if def := New(tr.net, 0, 0); def.fanout != 4 {
-		t.Fatalf("fanout 0 built a tree of fanout %d, want 4", def.fanout)
+	// A node finds no parent when every member is full or down.
+	narrow := New(tr.net, 0, 1)
+	if err := narrow.Join(simnet.NodeID(1)); err != nil {
+		t.Fatal(err)
+	}
+	tr.net.Crash(1)
+	if err := narrow.Join(simnet.NodeID(2)); err == nil {
+		t.Fatal("joined under a full root and a down member")
 	}
 }
 
@@ -270,7 +275,7 @@ func TestRepairAfterParentCrash(t *testing.T) {
 	// Crash a third of the inner nodes.
 	crashed := map[simnet.NodeID]bool{}
 	for i := 1; i < 30; i += 3 {
-		net.Node(simnet.NodeID(i)).SetDown(true)
+		net.Crash(simnet.NodeID(i))
 		crashed[simnet.NodeID(i)] = true
 	}
 	moved := tr.Repair()
@@ -307,7 +312,7 @@ func TestRepairAfterParentCrash(t *testing.T) {
 func TestDepthsStayConsistentAfterReattach(t *testing.T) {
 	_, net, tr := build(t, 30, 2, 7)
 	for i := 1; i < 30; i += 4 {
-		net.Node(simnet.NodeID(i)).SetDown(true)
+		net.Crash(simnet.NodeID(i))
 	}
 	tr.Repair()
 	// depth(child) == depth(parent) + 1 everywhere.

@@ -634,10 +634,10 @@ func TestMissedPushLeavesAPrefix(t *testing.T) {
 	}
 	w.ring.Submit(w.client, w.appendUpdate(t, "a"), 0, nil)
 	step(10 * time.Second)
-	w.net.Node(victim).SetDown(true)
+	w.net.Crash(victim)
 	w.ring.Submit(w.client, w.appendUpdate(t, "b"), 0, nil)
 	step(5 * time.Second)
-	w.net.Node(victim).SetDown(false)
+	w.net.Recover(victim)
 	w.ring.Submit(w.client, w.appendUpdate(t, "c"), 0, nil)
 	step(3 * time.Hour)
 	if got, want := sec.Rep.CommittedLen(), primary.CommittedLen(); got != want || want != 3 {

@@ -353,10 +353,10 @@ func TestLinkCountersStayWithTheirRegistry(t *testing.T) {
 	net.Send(0, 1, "x", nil, 20)
 	net.Send(2, 1, "x", nil, 30)
 	k.Run()
-	net.Node(1).SetDown(true)
+	net.Crash(1)
 	net.Send(0, 1, "x", nil, 5) // dropped at delivery
 	k.Run()
-	net.Node(1).SetDown(false)
+	net.Recover(1)
 	net.Instrument(nil, nil)
 	net.NoteRetry("a")
 	net.Send(0, 1, "x", nil, 40)

@@ -140,11 +140,6 @@ func (n Node) Down() bool { return n.net.down[n.ID] }
 // updates into invalidations (paper §4.4.3).
 func (n Node) LowBandwidth() bool { return n.net.lowbw[n.ID] }
 
-// SetDown flips the liveness flag silently — no partition shedding, no
-// liveness callbacks.  Tests use it to model a machine vanishing
-// mid-protocol; prefer Network.Crash/Recover for observable churn.
-func (n Node) SetDown(v bool) { n.net.down[n.ID] = v }
-
 // SetLowBandwidth marks or unmarks the node as a low-bandwidth leaf.
 func (n Node) SetLowBandwidth(v bool) { n.net.lowbw[n.ID] = v }
 

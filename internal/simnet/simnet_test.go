@@ -71,7 +71,7 @@ func TestCrashedNodes(t *testing.T) {
 	delivered := 0
 	net.HandleAll(func(NodeID, Message) { delivered++ })
 
-	net.Node(1).SetDown(true)
+	net.Crash(1)
 	net.Send(0, 1, "x", nil, 1)
 	k.Run()
 	if delivered != 0 {
@@ -79,15 +79,15 @@ func TestCrashedNodes(t *testing.T) {
 	}
 	// Crashed sender pays nothing and sends nothing.
 	net.ResetStats()
-	net.Node(1).SetDown(false)
-	net.Node(0).SetDown(true)
+	net.Recover(1)
+	net.Crash(0)
 	net.Send(0, 1, "x", nil, 1)
 	k.Run()
 	if s := net.Stats(); s.MessagesSent != 0 || s.BytesSent != 0 {
 		t.Fatalf("down sender accounted: %+v", s)
 	}
 	// Recovery: node comes back up and receives again.
-	net.Node(0).SetDown(false)
+	net.Recover(0)
 	net.Send(0, 1, "x", nil, 1)
 	k.Run()
 	if delivered != 1 {

@@ -25,11 +25,11 @@ func TestNodeAccessorsAndSetters(t *testing.T) {
 	if !a.LowBandwidth() || !net.Node(a.ID).LowBandwidth() {
 		t.Fatal("SetLowBandwidth not visible through a second handle")
 	}
-	a.SetDown(true)
+	net.Crash(a.ID)
 	if !a.Down() {
-		t.Fatal("SetDown not visible")
+		t.Fatal("Crash not visible through the handle")
 	}
-	a.SetDown(false)
+	net.Recover(a.ID)
 	if net.Distance(a.ID, net.AddNode(0, 0).ID) != 5 {
 		t.Fatal("distance through SoA coordinates wrong")
 	}

@@ -116,7 +116,7 @@ type EngineConfig struct {
 	// terminates.
 	RetryBackoff time.Duration
 	// Shape bends the steady-state traffic in virtual time: diurnal
-	// intensity swings, hot-spot rotation, flash crowds.  The zero
+	// intensity swings and flash crowds.  The zero
 	// Shape reproduces the unshaped engine draw for draw.
 	Shape Shape
 }
@@ -249,7 +249,7 @@ func (e *Engine) expDur(mean time.Duration) time.Duration {
 }
 
 // pacedDur is expDur under the shape's diurnal schedule: at night the
-// mean gap stretches by 1/DiurnalNightRate, thinning arrivals.  The
+// mean gap stretches by 1/nightRate, thinning arrivals.  The
 // day-time (and unshaped) path divides by exactly 1, so legacy runs
 // see identical draws.
 func (e *Engine) pacedDur(mean time.Duration) time.Duration {
@@ -263,7 +263,7 @@ func (e *Engine) pacedDur(mean time.Duration) time.Duration {
 }
 
 // drawObject samples one target index from the confirmed universe and
-// folds in the shape's hot-spot rotation and flash redirect.  The
+// folds in the shape's flash redirect.  The
 // flash coin is drawn only while the flash is active, so an idle shape
 // leaves the RNG stream untouched.
 func (e *Engine) drawObject() int {
@@ -274,7 +274,7 @@ func (e *Engine) drawObject() int {
 	if sh.NeedsFlashCoin(now) {
 		u = e.k.Rand().Float64()
 	}
-	return sh.MapObject(base, e.stats.Confirmed, now, u)
+	return sh.MapObject(base, now, u)
 }
 
 // remaining reports how many ops have not yet been charged against

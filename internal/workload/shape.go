@@ -4,86 +4,44 @@ import "time"
 
 // Shape bends the engine's steady-state traffic into the time-varying
 // patterns the introspection layer must react to (§4.7.2): diurnal
-// intensity swings, a rotating hot spot, and flash crowds.  Every
-// component is a pure function of virtual time — the same instant in
-// two runs sees the same schedule — and a zero Shape draws no extra
-// randomness, so legacy configurations reproduce byte-identically.
+// intensity swings and flash crowds.  Every component is a pure
+// function of virtual time — the same instant in two runs sees the
+// same schedule — and a zero Shape draws no extra randomness, so
+// unshaped configurations reproduce byte-identically.
 type Shape struct {
 	// DiurnalPeriod is the day length; 0 disables diurnal modulation.
-	// The first DiurnalDayFrac of every period is "day" (full arrival
-	// intensity); the rest is "night", where think/arrival means are
-	// stretched by 1/DiurnalNightRate.
+	// The first half of every period is "day" (full arrival
+	// intensity); the second half is "night", where think/arrival
+	// means are stretched by 1/nightRate.
 	DiurnalPeriod time.Duration
-	// DiurnalDayFrac is the daylight fraction of the period (0 < f < 1,
-	// default 0.5).
-	DiurnalDayFrac float64
-	// DiurnalNightRate is the night-time arrival intensity relative to
-	// day (0 < r <= 1, default 0.25).
-	DiurnalNightRate float64
-
-	// RotateEvery shifts the Zipf rank→object mapping each period, so
-	// the hot spot wanders across the universe; 0 disables rotation.
-	RotateEvery time.Duration
-	// RotateStride is how many object slots the mapping shifts per
-	// rotation (default 1).
-	RotateStride int
 
 	// FlashFor, when positive, arms a flash crowd: during
 	// [FlashAt, FlashAt+FlashFor) a FlashMass fraction of object draws
-	// is redirected onto the FlashObjects-sized hot set starting at
-	// object index FlashFirst — a step function concentrating Zipf mass
-	// onto a few objects, then releasing it.
+	// is redirected onto the hot set of the first FlashObjects objects
+	// — a step function concentrating Zipf mass onto a few objects,
+	// then releasing it.
 	FlashAt   time.Duration
 	FlashFor  time.Duration
 	FlashMass float64
 	// FlashObjects sizes the hot set (default 1).
 	FlashObjects int
-	// FlashFirst is the first object index of the hot set (default 0).
-	FlashFirst int
 }
 
-// dayFrac returns the effective daylight fraction.
-func (s Shape) dayFrac() float64 {
-	if s.DiurnalDayFrac <= 0 || s.DiurnalDayFrac >= 1 {
-		return 0.5
-	}
-	return s.DiurnalDayFrac
-}
-
-// nightRate returns the effective night intensity.
-func (s Shape) nightRate() float64 {
-	if s.DiurnalNightRate <= 0 || s.DiurnalNightRate > 1 {
-		return 0.25
-	}
-	return s.DiurnalNightRate
-}
+// nightRate is the night-time arrival intensity relative to day.
+const nightRate = 0.25
 
 // RateAt reports the arrival-intensity multiplier at virtual time t:
-// 1 during the day, DiurnalNightRate at night, always 1 with the
-// modulation off.  Exact in virtual time — the step lands precisely at
-// DiurnalDayFrac of each period.
+// 1 during the day, nightRate at night, always 1 with the modulation
+// off.  Exact in virtual time — the step lands precisely halfway
+// through each period.
 func (s Shape) RateAt(t time.Duration) float64 {
 	if s.DiurnalPeriod <= 0 {
 		return 1
 	}
-	phase := t % s.DiurnalPeriod
-	if float64(phase) < s.dayFrac()*float64(s.DiurnalPeriod) {
+	if 2*(t%s.DiurnalPeriod) < s.DiurnalPeriod {
 		return 1
 	}
-	return s.nightRate()
-}
-
-// RotationAt reports the object-index offset the hot-spot rotation
-// applies at virtual time t.
-func (s Shape) RotationAt(t time.Duration) int {
-	if s.RotateEvery <= 0 {
-		return 0
-	}
-	stride := s.RotateStride
-	if stride <= 0 {
-		stride = 1
-	}
-	return int(t/s.RotateEvery) * stride
+	return nightRate
 }
 
 // FlashActive reports whether the flash crowd is in force at t.
@@ -91,48 +49,16 @@ func (s Shape) FlashActive(t time.Duration) bool {
 	return s.FlashFor > 0 && t >= s.FlashAt && t < s.FlashAt+s.FlashFor
 }
 
-// flashSize returns the effective hot-set size.
-func (s Shape) flashSize() int {
-	if s.FlashObjects <= 0 {
-		return 1
-	}
-	return s.FlashObjects
-}
-
-// FlashSet reports the hot-set index range [first, first+size) the
-// flash concentrates onto, clamped into a universe of n objects.
-func (s Shape) FlashSet(n int) (first, size int) {
-	size = s.flashSize()
-	if size > n {
-		size = n
-	}
-	first = s.FlashFirst
-	if first < 0 {
-		first = 0
-	}
-	if first >= n {
-		first = 0
-	}
-	if first+size > n {
-		size = n - first
-	}
-	return first, size
-}
-
-// MapObject folds the rotation and flash steps over a Zipf-drawn base
-// index, given the confirmed universe size n and the flash coin u
-// (only consulted while the flash is active; callers must draw it
-// exactly then, so inactive shapes perturb no RNG stream).
-func (s Shape) MapObject(base, n int, t time.Duration, u float64) int {
-	obj := base
-	if off := s.RotationAt(t); off != 0 {
-		obj = (obj + off) % n
-	}
+// MapObject applies the flash step to a Zipf-drawn base index, given the flash coin u (only consulted while the flash is
+// active; callers must draw it exactly then, so inactive shapes
+// perturb no RNG stream).  A redirected draw lands on base modulo the
+// hot-set size: base itself when the hot set is larger than the
+// universe base was drawn from.
+func (s Shape) MapObject(base int, t time.Duration, u float64) int {
 	if s.FlashActive(t) && u < s.FlashMass {
-		first, size := s.FlashSet(n)
-		obj = first + obj%size
+		return base % max(s.FlashObjects, 1)
 	}
-	return obj
+	return base
 }
 
 // NeedsFlashCoin reports whether a draw at time t must consume one

@@ -9,56 +9,37 @@ import (
 	"oceanstore/internal/sim"
 )
 
-// TestShapeRateAtExact: the diurnal step lands precisely at the
-// configured daylight fraction of each period, in virtual time.
+// TestShapeRateAtExact: the diurnal step lands precisely halfway
+// through each period, in virtual time.
 func TestShapeRateAtExact(t *testing.T) {
-	s := Shape{DiurnalPeriod: time.Hour, DiurnalDayFrac: 0.25, DiurnalNightRate: 0.1}
+	s := Shape{DiurnalPeriod: time.Hour}
 	cases := []struct {
 		t    time.Duration
 		want float64
 	}{
 		{0, 1},
-		{15*time.Minute - time.Nanosecond, 1},
-		{15 * time.Minute, 0.1},
-		{time.Hour - time.Nanosecond, 0.1},
+		{30*time.Minute - time.Nanosecond, 1},
+		{30 * time.Minute, nightRate},
+		{time.Hour - time.Nanosecond, nightRate},
 		{time.Hour, 1},
-		{time.Hour + 14*time.Minute, 1},
-		{2*time.Hour + 30*time.Minute, 0.1},
+		{time.Hour + 29*time.Minute, 1},
+		{2*time.Hour + 45*time.Minute, nightRate},
 	}
 	for _, c := range cases {
 		if got := s.RateAt(c.t); got != c.want {
 			t.Errorf("RateAt(%v) = %v, want %v", c.t, got, c.want)
 		}
 	}
+	// An odd period's day ends at its first instant at or past half.
+	odd := Shape{DiurnalPeriod: 3}
+	for at, want := range []float64{1, 1, nightRate} {
+		if got := odd.RateAt(time.Duration(at)); got != want {
+			t.Errorf("period 3ns: RateAt(%dns) = %v, want %v", at, got, want)
+		}
+	}
 	var zero Shape
 	if zero.RateAt(37*time.Minute) != 1 {
 		t.Error("zero Shape must not modulate rate")
-	}
-}
-
-// TestShapeRotationAt: the hot-spot offset advances by the stride once
-// per period, exactly on the period boundary.
-func TestShapeRotationAt(t *testing.T) {
-	s := Shape{RotateEvery: 10 * time.Minute, RotateStride: 3}
-	cases := []struct {
-		t    time.Duration
-		want int
-	}{
-		{0, 0},
-		{10*time.Minute - time.Nanosecond, 0},
-		{10 * time.Minute, 3},
-		{25 * time.Minute, 6},
-		{60 * time.Minute, 18},
-	}
-	for _, c := range cases {
-		if got := s.RotationAt(c.t); got != c.want {
-			t.Errorf("RotationAt(%v) = %d, want %d", c.t, got, c.want)
-		}
-	}
-	// Default stride is one.
-	d := Shape{RotateEvery: time.Minute}
-	if got := d.RotationAt(5 * time.Minute); got != 5 {
-		t.Errorf("default stride: RotationAt = %d, want 5", got)
 	}
 }
 
@@ -88,50 +69,42 @@ func TestShapeFlashWindow(t *testing.T) {
 	}
 }
 
-// TestShapeFlashSetClamped: the hot set clamps into the universe.
+// TestShapeFlashSetClamped: a redirected draw lands in the hot set,
+// which clamps into the universe the draw came from.
 func TestShapeFlashSetClamped(t *testing.T) {
 	cases := []struct {
-		shape       Shape
-		n           int
-		first, size int
+		objects    int
+		base, want int
 	}{
-		{Shape{FlashObjects: 4, FlashFirst: 2}, 100, 2, 4},
-		{Shape{FlashObjects: 4, FlashFirst: 98}, 100, 98, 2},
-		{Shape{FlashObjects: 200}, 100, 0, 100},
-		{Shape{FlashObjects: 4, FlashFirst: 150}, 100, 0, 4},
-		{Shape{FlashObjects: 0}, 100, 0, 1},
-		{Shape{FlashObjects: 4, FlashFirst: -2}, 100, 0, 4},
+		{4, 2, 2},
+		{4, 7, 3},
+		{4, 99, 3},
+		{200, 57, 57}, // a hot set past the universe leaves every draw in place
+		{0, 57, 0},    // the default hot set is object 0
 	}
 	for i, c := range cases {
-		first, size := c.shape.FlashSet(c.n)
-		if first != c.first || size != c.size {
-			t.Errorf("case %d: FlashSet = (%d,%d), want (%d,%d)", i, first, size, c.first, c.size)
+		s := Shape{FlashFor: time.Minute, FlashMass: 1, FlashObjects: c.objects}
+		if got := s.MapObject(c.base, time.Second, 0); got != c.want {
+			t.Errorf("case %d: %d hot objects mapped %d -> %d, want %d", i, c.objects, c.base, got, c.want)
 		}
 	}
 }
 
-// TestShapeMapObject: rotation shifts, flash redirects under the coin,
-// and the zero Shape is the identity.
+// TestShapeMapObject: flash redirects under the coin, and the zero
+// Shape is the identity.
 func TestShapeMapObject(t *testing.T) {
 	var zero Shape
-	if got := zero.MapObject(7, 16, time.Hour, 0); got != 7 {
+	if got := zero.MapObject(7, time.Hour, 0); got != 7 {
 		t.Errorf("zero Shape mapped 7 -> %d", got)
 	}
-	rot := Shape{RotateEvery: time.Minute}
-	if got := rot.MapObject(7, 16, 3*time.Minute, 1); got != 10 {
-		t.Errorf("rotation mapped 7 -> %d, want 10", got)
+	fl := Shape{FlashAt: 0, FlashFor: time.Minute, FlashMass: 0.5, FlashObjects: 2}
+	if got := fl.MapObject(7, time.Second, 0.4); got != 1 {
+		t.Errorf("flash redirect mapped 7 -> %d, want 1 (7 mod 2)", got)
 	}
-	if got := rot.MapObject(15, 16, 3*time.Minute, 1); got != 2 {
-		t.Errorf("rotation must wrap: 15 -> %d, want 2", got)
-	}
-	fl := Shape{FlashAt: 0, FlashFor: time.Minute, FlashMass: 0.5, FlashObjects: 2, FlashFirst: 4}
-	if got := fl.MapObject(7, 16, time.Second, 0.4); got != 5 {
-		t.Errorf("flash redirect mapped 7 -> %d, want 5 (4 + 7 mod 2)", got)
-	}
-	if got := fl.MapObject(7, 16, time.Second, 0.6); got != 7 {
+	if got := fl.MapObject(7, time.Second, 0.6); got != 7 {
 		t.Errorf("coin above mass must not redirect: 7 -> %d", got)
 	}
-	if got := fl.MapObject(7, 16, 2*time.Minute, 0); got != 7 {
+	if got := fl.MapObject(7, 2*time.Minute, 0); got != 7 {
 		t.Errorf("flash over: 7 -> %d, want 7", got)
 	}
 }
@@ -181,11 +154,7 @@ func TestEngineDiurnalThinsArrivals(t *testing.T) {
 	cfg.Ops = 4000
 	cfg.Mix = Mix{} // reads only: completions are prompt
 	cfg.MeanThink = 50 * time.Millisecond
-	cfg.Shape = Shape{
-		DiurnalPeriod:    20 * time.Second,
-		DiurnalDayFrac:   0.5,
-		DiurnalNightRate: 0.25,
-	}
+	cfg.Shape = Shape{DiurnalPeriod: 20 * time.Second}
 	ft := &fakeTarget{delay: time.Millisecond}
 	day, night := 0, 0
 	runTapped(t, 3, cfg, ft, func(_ Request, at time.Duration) {
@@ -219,12 +188,11 @@ func TestEngineFlashConcentrates(t *testing.T) {
 		FlashFor:     time.Minute,
 		FlashMass:    0.9,
 		FlashObjects: 2,
-		FlashFirst:   5,
 	}
 	ft := &fakeTarget{delay: time.Millisecond}
 	inFlash, hot, outHot, outside := 0, 0, 0, 0
 	runTapped(t, 9, cfg, ft, func(req Request, at time.Duration) {
-		isHot := req.Object >= 5 && req.Object < 7
+		isHot := req.Object < 2
 		if cfg.Shape.FlashActive(at) {
 			inFlash++
 			if isHot {

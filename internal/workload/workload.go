@@ -4,7 +4,7 @@
 // libraries with bulk reads, diurnal working sets that migrate between
 // office and home) reduce to Zipf object popularity and a traffic
 // engine (Engine) that draws a read/write/create mix against it,
-// shaped by flash crowds, diurnal rates and hot-spot rotation — plus
+// shaped by flash crowds and diurnal rates — plus
 // the diurnal site trace the migration detector consumes.  Everything
 // is deterministic under a seed.
 package workload

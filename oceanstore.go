@@ -56,6 +56,9 @@ type Config = core.PoolConfig
 // DefaultConfig is a 64-node, 4-domain pool with WAN-like latencies.
 func DefaultConfig() Config { return core.DefaultPoolConfig() }
 
+// TierFaults is f for every object's primary tier (3f+1 members).
+const TierFaults = core.TierFaults
+
 // Session guarantees (Bayou-style, §2) and the strong-session preset.
 const (
 	ReadYourWrites    = core.ReadYourWrites
