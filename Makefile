@@ -111,8 +111,8 @@ experiments:
 # The agreement-safety long sweep: `make schedules N=2000` runs N seeds
 # of every byz.TestScheduleSearch plan and logs each plan's count of
 # violating schedules — the table EXPERIMENTS.md's "Agreement safety,
-# searched" records — and fails on any violation.  About a minute at
-# N=2000 on a 2-core box, so it is not part of check; the suite runs a
+# searched" records — and fails on any violation.  About 30 s at N=2000
+# on a 2-core box, so it is not part of check; the suite runs a
 # 500-seed slice of the same plans.
 N ?= 2000
 schedules:

@@ -266,8 +266,8 @@ type preparedCert struct {
 
 // executedEntry is one execution a vote reports: the request that ran
 // at Seq, by ID alone (the zero ID for a null request), or with its
-// payload when the sender kept it and the new view's primary may lack
-// it (see replica.kept).
+// payload when the sender still holds its slot and the new view's
+// primary may lack it (see replica.window).
 type executedEntry struct {
 	Seq uint64
 	Req Request
@@ -347,6 +347,7 @@ type byzMetrics struct {
 	viewVoteTimeouts  *obs.Counter // view-change votes cast on timeout
 	viewInstalls      *obs.Counter
 	divergences       *obs.Counter // executions another member's done index contradicts
+	outOfWindow       *obs.Counter // messages naming a sequence number outside the watermarks
 	reReplies         *obs.Counter // replies re-sent for executed requests
 	executes          *obs.Counter
 	commitLatency     *obs.Histogram
@@ -365,6 +366,7 @@ func (g *Group) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		viewVoteTimeouts:  reg.Counter("byz", "view_vote_timeouts"),
 		viewInstalls:      reg.Counter("byz", "view_installs"),
 		divergences:       reg.Counter("byz", "divergences"),
+		outOfWindow:       reg.Counter("byz", "out_of_window"),
 		reReplies:         reg.Counter("byz", "re_replies"),
 		executes:          reg.Counter("byz", "executes"),
 		commitLatency:     reg.Histogram("byz", "commit_latency_ns"),

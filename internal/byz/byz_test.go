@@ -352,14 +352,38 @@ func TestEachRequestSubmittedOnce(t *testing.T) {
 	}
 }
 
+// TestDigestOnlyNoteAtThePrimary: a digest-only note that reaches the
+// primary (a backup's note does, once a view change made its receiver
+// primary) proposes nothing, since the primary lacks the payload, and
+// is remembered as pending; the full request, when it comes, is
+// proposed and runs.
+func TestDigestOnlyNoteAtThePrimary(t *testing.T) {
+	k, net, g, client := tier(t, 4, 1, 37)
+	x := req("x", 100)
+	x.Tag, x.Client = g.tag, client
+	note := Request{Tag: g.tag, ID: x.ID, Client: client}
+	p := g.replicas[0]
+	if got := sends(net, func() { p.onRequest(note); p.onRequest(note) }); len(got) != 0 {
+		t.Fatalf("a digest-only note at the primary sent %v", got)
+	}
+	if rec := p.reqs[x.ID]; rec == nil || !rec.pending || rec.req.full() || rec.assigned {
+		t.Fatalf("the note left the record %+v, want it pending by ID", rec)
+	}
+	p.onRequest(x)
+	k.RunFor(time.Second)
+	if p.execCursor != 1 || !p.isDone(x.ID) {
+		t.Fatalf("the full request after the note: executed through %d", p.execCursor)
+	}
+}
+
 // isDone reports whether id is among the replica's last doneWindow
 // executions.
 func (r *replica) isDone(id guid.GUID) bool { return r.done.has(id) }
 
-// slotCount is how many sequence numbers the replica holds agreement
-// state for, in the window and outside it.
+// slotCount is how many sequence numbers the replica holds a slot for,
+// run or not.
 func (r *replica) slotCount() int {
-	n := len(r.far)
+	n := 0
 	for _, s := range r.window {
 		if s != nil {
 			n++

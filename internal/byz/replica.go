@@ -11,10 +11,10 @@ import (
 	"oceanstore/internal/simnet"
 )
 
-// slot tracks agreement state for one un-executed (view, seq).  Votes
-// are recorded with the digest they carried; only votes matching the
-// pre-prepared request's digest count toward quorums, which both
-// tolerates out-of-order arrival and defeats lying replicas.
+// slot tracks agreement state for one (view, seq).  Votes are recorded
+// with the digest they carried; only votes matching the pre-prepared
+// request's digest count toward quorums, which both tolerates
+// out-of-order arrival and defeats lying replicas.
 //
 // Vote state is one flat per-replica array, not maps: the tier is small
 // (3f+1, typically 4–7), and a pooled slot reuses it across sequence
@@ -122,18 +122,19 @@ type replica struct {
 	votedAt, resentAt time.Duration
 	nextSeq           uint64 // primary only: next sequence number to assign
 	// execCursor is the next sequence number to execute, enforcing
-	// in-order execution.  Every sequence number below it has executed
-	// and keeps no slot (see ran).
+	// in-order execution.
 	execCursor uint64
-	// Agreement state for un-executed sequence numbers: window[i] is the
-	// slot of execCursor+i (nil until a message names it), and floor
-	// trails the execution cursor by checkpointWindow.  A sequence number
-	// outside [floor, floor+windowSpan) — a stale vote from below the
-	// checkpoint, or whatever a lying primary cares to forge — gets its
-	// slot in far instead, so no message can size the window.
-	floor  uint64
-	window []*slot
-	far    map[uint64]*slot
+	// The log: window[i] is the slot of base+i, nil until a message
+	// names it or once it is freed, and base <= execCursor.  A slot that
+	// executed stays until every member's matching commit arrives, so a
+	// member that missed its pre-prepare gets its payload with a new
+	// view, or until the floor, which trails the execution cursor by
+	// checkpointWindow, passes it.  A sequence number outside PBFT's
+	// watermarks [floor, floor+windowSpan) — a stale vote from below the
+	// checkpoint, or whatever a lying primary cares to forge — gets no
+	// slot, so no message can size the log.
+	floor, base uint64
+	window      []*slot
 	// reqs holds one record per request in flight.
 	reqs map[guid.GUID]*reqRec
 	// done holds the last doneWindow executed request IDs, in execution
@@ -156,25 +157,12 @@ type replica struct {
 	// low is the highest start of an order installed: what ran below it
 	// is never ordered again, so votes report nothing beneath it.
 	low uint64
-	// kept holds, in sequence order, each request of the checkpoint
-	// window that ran before every member's commit for it arrived: a
-	// member that missed its pre-prepare gets its payload with a new
-	// view.  An entry leaves once the last commit arrives.
-	kept []keptReq
 	// slotFree and recFree recycle executed and abandoned slots (their
 	// votes included) and retired request records, so steady-state
 	// agreement allocates no per-slot or per-request state and each pool
 	// holds the most this replica ever had in flight.
 	slotFree []*slot
 	recFree  []*reqRec
-}
-
-// keptReq is a request kept after it ran at seq, with the members whose
-// matching commits arrived, one bit each.
-type keptReq struct {
-	seq     uint64
-	req     Request
-	commits uint64
 }
 
 func newReplica(g *Group, id int) *replica {
@@ -391,34 +379,23 @@ func (s *slot) setCommit(id int, d guid.GUID) {
 // writes at 1024).
 const windowSpan = 2048
 
-// ran reports whether seq executed inside the checkpoint window,
-// [floor, execCursor).  Such a sequence number keeps no slot, because
-// against an executed slot a late pre-prepare, prepare or commit, a
-// vote refresh or a view-change timer would do nothing; messages naming
-// it are dropped.  A seq below the floor is not reported: a stale
-// message still gets a far slot, which the next truncation discards.
-func (r *replica) ran(seq uint64) bool {
-	return seq-r.floor < r.execCursor-r.floor // seq < floor wraps past the span
+// lookup finds seq's slot in the log, or nil.
+func (r *replica) lookup(seq uint64) *slot {
+	if i := seq - r.base; i < uint64(len(r.window)) { // seq < base wraps past len
+		return r.window[i]
+	}
+	return nil
 }
 
-// lookup finds the slot for seq, or nil — always nil once seq ran.  The
-// far map is consulted only while it holds something, which an honest
-// run's steady state never does.
-func (r *replica) lookup(seq uint64) *slot {
-	if i := seq - r.execCursor; i < uint64(len(r.window)) { // seq < execCursor wraps past len
-		if s := r.window[i]; s != nil {
-			return s
-		}
-	}
-	if len(r.far) == 0 {
+// slot finds or starts the slot for seq.  Once seq executed it only
+// finds: the slot it kept, or nil.  Outside the watermarks it is nil,
+// and the message naming seq is counted as dropped.
+func (r *replica) slot(seq uint64) *slot {
+	if seq-r.floor >= windowSpan { // seq < floor wraps past the span
+		r.g.om.outOfWindow.Inc()
 		return nil
 	}
-	return r.far[seq]
-}
-
-// slot finds or starts the slot for seq; it is nil once seq ran.
-func (r *replica) slot(seq uint64) *slot {
-	if s := r.lookup(seq); s != nil || r.ran(seq) {
+	if s := r.lookup(seq); s != nil || seq < r.execCursor {
 		return s
 	}
 	var s *slot
@@ -428,19 +405,19 @@ func (r *replica) slot(seq uint64) *slot {
 	} else {
 		s = newSlot(len(r.g.replicas))
 	}
-	if seq-r.floor < windowSpan { // and not ran, so seq >= execCursor
-		i := seq - r.execCursor
-		for uint64(len(r.window)) <= i {
-			r.window = append(r.window, nil)
-		}
-		r.window[i] = s
-	} else {
-		if r.far == nil {
-			r.far = make(map[uint64]*slot)
-		}
-		r.far[seq] = s
+	i := seq - r.base
+	for uint64(len(r.window)) <= i {
+		r.window = append(r.window, nil)
 	}
+	r.window[i] = s
 	return s
+}
+
+// free retires the slot of seq, which executed.
+func (r *replica) free(seq uint64) {
+	i := seq - r.base
+	r.putSlot(r.window[i])
+	r.window[i] = nil
 }
 
 // putSlot scrubs a retired slot (dropping its payload reference) and
@@ -491,13 +468,19 @@ func (r *replica) onCommit(v voteMsg) {
 	if v.View != r.view || r.changing() {
 		return
 	}
-	if r.ran(v.Seq) {
-		r.lateCommit(v)
-		return
+	s := r.slot(v.Seq)
+	switch {
+	case s == nil:
+	case v.Seq >= r.execCursor:
+		s.setCommit(v.Replica, v.Digest)
+		r.maybeCommitted(s)
+	case v.Digest == s.digest:
+		// It ran here: once every member committed it, no member needs
+		// its payload from this one.
+		if s.setCommit(v.Replica, v.Digest); s.commits() == r.allCommits() {
+			r.free(v.Seq)
+		}
 	}
-	s := r.slot(v.Seq) // not nil: seq has not run
-	s.setCommit(v.Replica, v.Digest)
-	r.maybeCommitted(s)
 }
 
 // maybeCommitted fires when 2f+1 commits arrived; executes in order.
@@ -509,36 +492,14 @@ func (r *replica) maybeCommitted(s *slot) {
 	r.executeReady()
 }
 
-// lateCommit records a commit for a request that ran here, and stops
-// keeping it once every member committed it.
-func (r *replica) lateCommit(v voteMsg) {
-	i, ok := r.keptAt(v.Seq, v.Digest)
-	if !ok {
-		return
-	}
-	if r.kept[i].commits |= 1 << v.Replica; r.kept[i].commits == r.allCommits() {
-		r.kept = slices.Delete(r.kept, i, i+1)
-	}
-}
-
-// keptAt finds the kept request id that ran at seq.
-func (r *replica) keptAt(seq uint64, id guid.GUID) (int, bool) {
-	i := slices.IndexFunc(r.kept, func(k keptReq) bool { return k.seq == seq && k.req.ID == id })
-	return i, i >= 0
-}
-
 // held is this replica's copy, with its payload, of request id at seq:
-// from seq's slot, the request's record, or what it kept after running
-// it.
+// from seq's slot, run or not, or the request's record.
 func (r *replica) held(seq uint64, id guid.GUID) (Request, bool) {
 	if s := r.lookup(seq); s != nil && s.digest == id && s.req.full() {
 		return s.req, true
 	}
 	if rec := r.reqs[id]; rec != nil && rec.req.full() {
 		return rec.req, true
-	}
-	if i, ok := r.keptAt(seq, id); ok {
-		return r.kept[i].req, true
 	}
 	return Request{}, false
 }
@@ -549,7 +510,7 @@ func (r *replica) allCommits() uint64 { return 1<<len(r.g.replicas) - 1 }
 // checkpointWindow is how far the floor trails the execution cursor:
 // a message naming a sequence number below it is stale (PBFT's
 // checkpoint, simplified — votes for long-executed slots are useless),
-// and its slot is discarded at the next truncation.
+// and a slot below it is discarded at the next truncation.
 const checkpointWindow = 64
 
 // doneWindow bounds the executed-request dedup horizon (a replica's
@@ -564,9 +525,10 @@ const checkpointWindow = 64
 // ID.  The benchmark's four workloads send no retransmission at all.
 const doneWindow = 512
 
-// executeReady executes committed slots in sequence order.  An executed
-// slot goes straight back to the pool and its request's record retires;
-// what outlives them is the cursor and the done index.
+// executeReady executes committed slots in sequence order.  Its
+// request's record retires; the slot goes back to the pool unless a
+// member's commit for what ran there is missing, and then stays until
+// it arrives (onCommit) or the floor passes it (truncateLog).
 func (r *replica) executeReady() {
 	defer r.truncateLog()
 	for {
@@ -584,14 +546,9 @@ func (r *replica) executeReady() {
 			return // a new view named it without its payload; a retransmission brings it
 		}
 		r.execCursor++
-		if len(r.window) > 0 {
-			r.window = slices.Delete(r.window, 0, 1)
+		if noop || s.commits() == r.allCommits() {
+			r.free(seq)
 		}
-		delete(r.far, seq)
-		if commits := s.commits(); !noop && commits != r.allCommits() {
-			r.kept = append(r.kept, keptReq{seq, req, commits})
-		}
-		r.putSlot(s)
 		if rec := r.reqs[req.ID]; rec != nil {
 			// From here on a view-change timer for this request could only
 			// find it done and return: take them out of the kernel instead.
@@ -670,7 +627,7 @@ func (r *replica) vouch(d guid.GUID) guid.GUID {
 // Retransmission is driven by client retries, so it stops by itself.
 func (r *replica) refreshVotes(seq uint64) {
 	s := r.lookup(seq)
-	if s == nil || !s.hasReq {
+	if s == nil || !s.hasReq || seq < r.execCursor {
 		return
 	}
 	r.g.om.voteRefreshes.Inc()
@@ -694,24 +651,23 @@ func (r *replica) refreshViewVotes() {
 	}
 }
 
-// truncateLog moves the floor up behind the execution cursor and
-// discards whatever stale messages parked in far below it.
+// truncateLog moves the floor up behind the execution cursor and trims
+// the log's executed front: freed slots, and every slot below the floor.
 func (r *replica) truncateLog() {
-	if r.execCursor < checkpointWindow {
-		return
+	if r.execCursor >= checkpointWindow {
+		r.floor = r.execCursor - checkpointWindow
 	}
-	r.floor = r.execCursor - checkpointWindow
-	i := 0
-	for i < len(r.kept) && r.kept[i].seq < r.floor {
-		i++
-	}
-	r.kept = slices.Delete(r.kept, 0, i)
-	for seq, s := range r.far {
-		if seq < r.floor {
-			delete(r.far, seq)
+	k := 0
+	for ; k < len(r.window) && r.base+uint64(k) < r.execCursor; k++ {
+		if s := r.window[k]; s != nil {
+			if r.base+uint64(k) >= r.floor {
+				break
+			}
 			r.putSlot(s)
 		}
 	}
+	r.window = slices.Delete(r.window, 0, k)
+	r.base += uint64(k)
 }
 
 // requestTimeout fires when a request this backup knows about has not
@@ -807,32 +763,26 @@ func (r *replica) record(vc *viewChangeMsg) {
 }
 
 // voteView votes for view nv, with the latest prepared certificate of
-// every slot in its window and what ran at each sequence number of its
-// checkpoint window (a slot is freed as it runs, so without those a
-// committed sequence number could vanish from every vote), and stops
-// taking part in its own view.
+// every slot it has not run and what ran at each sequence number of its
+// checkpoint window (a slot is freed once every member committed it, so
+// without those a committed sequence number could vanish from every
+// vote), and stops taking part in its own view.
 func (r *replica) voteView(nv uint64) {
 	vc := &viewChangeMsg{Tag: r.g.tag, NewView: nv, Replica: r.id, Floor: max(r.floor, r.low), Cursor: r.execCursor}
 	primary := nv % uint64(len(r.g.replicas))
 	for seq := vc.Floor; seq < r.execCursor; seq++ {
 		e := executedEntry{Seq: seq}
 		e.Req.ID, _ = r.done.at(seq)
-		if i, ok := r.keptAt(seq, e.Req.ID); ok && r.kept[i].commits&(1<<primary) == 0 {
-			e.Req = r.kept[i].req // the new primary did not commit it
+		if s := r.lookup(seq); s != nil && s.commits()&(1<<primary) == 0 {
+			e.Req = s.req // the new primary did not commit it
 		}
 		vc.Executed = append(vc.Executed, e)
 	}
-	seqs := make([]uint64, 0, len(r.window)+len(r.far))
-	for i := range r.window {
-		seqs = append(seqs, r.execCursor+uint64(i))
-	}
-	for seq := range r.far {
-		seqs = append(seqs, seq)
-	}
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		if c := r.latest(r.lookup(seq), seq); c != nil && seq >= vc.Floor {
-			vc.Prepared = append(vc.Prepared, *c)
+	for i := r.execCursor - r.base; i < uint64(len(r.window)); i++ {
+		if seq := r.base + i; seq >= vc.Floor {
+			if c := r.latest(r.window[i], seq); c != nil {
+				vc.Prepared = append(vc.Prepared, *c)
+			}
 		}
 	}
 	if nv > r.voted {
@@ -929,7 +879,9 @@ func (r *replica) installView(nm *newViewMsg) {
 	olds := make([]*preparedCert, len(order))
 	for i, req := range order {
 		seq := start + uint64(i)
-		olds[i] = r.latest(r.lookup(seq), seq)
+		if seq >= r.execCursor {
+			olds[i] = r.latest(r.lookup(seq), seq)
+		}
 		if p, ok := r.held(seq, req.ID); ok {
 			order[i] = p
 		} else if j := slices.IndexFunc(nm.Payloads, func(p Request) bool { return p.ID == req.ID }); j >= 0 && req.ID != guid.Zero {
@@ -954,9 +906,10 @@ func (r *replica) installView(nm *newViewMsg) {
 	}
 	for i, req := range order {
 		if seq := start + uint64(i); seq >= r.execCursor {
-			s := r.slot(seq)
-			s.old = olds[i]
-			r.prePrepared(s, seq, req)
+			if s := r.slot(seq); s != nil {
+				s.old = olds[i]
+				r.prePrepared(s, seq, req)
+			}
 		} else if at, _ := r.done.at(seq); seq >= behind && at == req.ID {
 			v := voteMsg{Tag: r.g.tag, View: r.view, Seq: seq, Digest: r.vouch(req.ID), Replica: r.id}
 			if !r.isPrimary() {
@@ -972,14 +925,12 @@ func (r *replica) installView(nm *newViewMsg) {
 	}
 }
 
-// dropSlots retires every slot: agreement state does not outlive its
-// view.  A request that loses its slot waits to be proposed again.
+// dropSlots retires every slot it has not run: agreement state does not
+// outlive its view.  A request that loses its slot waits to be proposed
+// again.  A slot that ran stays until its commits arrive, as in its view.
 func (r *replica) dropSlots() {
-	for seq, s := range r.far {
-		delete(r.far, seq)
-		r.window = append(r.window, s)
-	}
-	for _, s := range r.window {
+	live := r.window[r.execCursor-r.base:]
+	for _, s := range live {
 		if s == nil {
 			continue
 		}
@@ -989,8 +940,8 @@ func (r *replica) dropSlots() {
 		}
 		r.putSlot(s)
 	}
-	clear(r.window)
-	r.window = r.window[:0]
+	clear(live)
+	r.window = r.window[:r.execCursor-r.base]
 }
 
 // newViewOrder is the order a new view's votes fix (Castro–Liskov

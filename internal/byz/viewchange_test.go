@@ -171,12 +171,24 @@ func (d dropKindTo) FilterSend(m simnet.Message, _ time.Duration) (bool, time.Du
 	return m.Kind == d.kind && m.To == d.to, 0
 }
 
+// kept lists the sequence numbers a member ran and still holds a slot
+// for.
+func kept(r *replica) (seqs []uint64) {
+	for seq := r.base; seq < r.execCursor; seq++ {
+		if r.lookup(seq) != nil {
+			seqs = append(seqs, seq)
+		}
+	}
+	return seqs
+}
+
 // TestMissedPayloadComesWithTheNewView: member 3 misses the pre-prepare
 // of x, which the other three commit and run at sequence number 2 and
-// keep, lacking member 3's commit.  In the next view the order names x
-// by ID alone, and the new primary's new-view carries its payload, so
-// member 3 runs x there without a client retransmission; once member 3
-// commits, nobody keeps x any more.
+// keep the slot of, lacking member 3's commit.  The slot survives the
+// view change.  In the next view the order names x by ID alone, and the
+// new primary's new-view carries its payload, so member 3 runs x there
+// without a client retransmission; its commit is the last one, and
+// every member frees the slot.
 func TestMissedPayloadComesWithTheNewView(t *testing.T) {
 	k, net, g, client := tier(t, 4, 1, 31)
 	order := record(g)
@@ -191,12 +203,16 @@ func TestMissedPayloadComesWithTheNewView(t *testing.T) {
 		t.Fatalf("setup: result %+v, member 3 executed through %d", res, g.replicas[3].execCursor)
 	}
 	for _, r := range g.replicas[:3] {
-		if len(r.kept) != 1 || r.kept[0].req.ID != x.ID {
-			t.Fatalf("member %d keeps %+v, want x", r.id, r.kept)
+		if got := kept(r); len(got) != 1 || got[0] != 2 || r.lookup(2).req.ID != x.ID {
+			t.Fatalf("member %d keeps %v, want x at 2", r.id, got)
 		}
 	}
 	for _, r := range g.replicas[1:] {
 		r.voteView(1)
+	}
+	k.RunFor(100 * time.Millisecond) // member 1 installed view 1; member 3's commit is not out yet
+	if r := g.replicas[1]; r.view != 1 || len(kept(r)) != 1 {
+		t.Fatalf("the new primary is in view %d and keeps %v, want x carried across", r.view, kept(r))
 	}
 	k.RunFor(time.Second)
 	if nm := g.replicas[3].newView; nm == nil || len(nm.Payloads) != 1 || nm.Payloads[0].ID != x.ID {
@@ -206,8 +222,8 @@ func TestMissedPayloadComesWithTheNewView(t *testing.T) {
 		t.Fatalf("member 3 ran %d requests, want x third", len(got))
 	}
 	for _, r := range g.replicas {
-		if len(r.kept) != 0 {
-			t.Errorf("member %d still keeps %d requests", r.id, len(r.kept))
+		if got := kept(r); len(got) != 0 || r.slotCount() != 0 {
+			t.Errorf("member %d still keeps %v, %d slots", r.id, got, r.slotCount())
 		}
 	}
 	if d := g.Divergences(); d != 0 {
@@ -215,9 +231,10 @@ func TestMissedPayloadComesWithTheNewView(t *testing.T) {
 	}
 }
 
-// TestPayloadComesWithARetransmission: when no member kept the payload
-// of a request a new view names by ID alone, the member that missed it
-// stalls there until the client's retransmission brings it.
+// TestPayloadComesWithARetransmission: when no member kept the slot, and
+// so the payload, of a request a new view names by ID alone, the member
+// that missed it stalls there until the client's retransmission brings
+// it.
 func TestPayloadComesWithARetransmission(t *testing.T) {
 	k, net, g, client := tier(t, 4, 1, 31)
 	order := record(g)
@@ -228,8 +245,8 @@ func TestPayloadComesWithARetransmission(t *testing.T) {
 	g.Submit(client, x, nil)
 	k.RunFor(time.Second)
 	net.SetFaultPlan(nil)
-	for _, r := range g.replicas {
-		r.kept = nil
+	for _, r := range g.replicas[:3] {
+		r.free(2)
 	}
 	for _, r := range g.replicas[1:] {
 		r.voteView(1)
@@ -246,16 +263,52 @@ func TestPayloadComesWithARetransmission(t *testing.T) {
 }
 
 // TestKeptStaysInTheCheckpointWindow: with one member down, every
-// execution lacks its commit, and a member keeps only the requests of
-// its checkpoint window.
+// execution lacks its commit, and a member keeps the slots of its
+// checkpoint window only: the log starts at the floor.
 func TestKeptStaysInTheCheckpointWindow(t *testing.T) {
 	_, net, g, client := tier(t, 4, 1, 33)
 	net.Crash(g.nodes[3])
 	commitN(t, g, client, "u", checkpointWindow+10)
 	for _, r := range g.replicas[:3] {
-		if len(r.kept) != checkpointWindow || r.kept[0].seq != r.floor {
-			t.Fatalf("member %d keeps %d requests from %d, want %d from its floor %d",
-				r.id, len(r.kept), r.kept[0].seq, checkpointWindow, r.floor)
+		if got := kept(r); len(got) != checkpointWindow || got[0] != r.floor || r.base != r.floor {
+			t.Fatalf("member %d keeps %d slots from %d, log from %d; want %d from its floor %d",
+				r.id, len(got), got[0], r.base, checkpointWindow, r.floor)
 		}
+	}
+}
+
+// dropKindFrom is a fault plan that drops every message of one kind
+// from one node.
+type dropKindFrom struct {
+	kind string
+	from simnet.NodeID
+}
+
+func (d dropKindFrom) FilterSend(m simnet.Message, _ time.Duration) (bool, time.Duration) {
+	return m.Kind == d.kind && m.From == d.from, 0
+}
+
+// TestExecutedSlotFreedAtItsLastCommit: member 3's commits are lost, so
+// the others keep the slot of what they ran.  A late commit with another
+// digest, from member 2, whose matching one arrived, neither frees the
+// slot nor takes member 2's commit back; member 3's matching one is the
+// last, and the slot goes back to the pool.
+func TestExecutedSlotFreedAtItsLastCommit(t *testing.T) {
+	_, net, g, client := tier(t, 4, 1, 34)
+	net.SetFaultPlan(dropKindFrom{kindCommit, g.nodes[3]})
+	commitN(t, g, client, "u", 1)
+	net.SetFaultPlan(nil)
+	r := g.replicas[0]
+	if s := r.lookup(0); r.execCursor != 1 || s == nil || s.commits() != 0b0111 {
+		t.Fatalf("setup: member 0 executed through %d and keeps slot 0 as %+v", r.execCursor, s)
+	}
+	other := req("other", 100)
+	r.onCommit(voteMsg{Tag: g.tag, View: r.view, Seq: 0, Digest: other.ID, Replica: 2})
+	if s := r.lookup(0); s == nil || s.commits() != 0b0111 {
+		t.Fatalf("after a commit with another digest slot 0 is %+v", s)
+	}
+	r.onCommit(voteMsg{Tag: g.tag, View: r.view, Seq: 0, Digest: req("u0", 100).ID, Replica: 3})
+	if r.lookup(0) != nil || len(r.slotFree) != 1 {
+		t.Fatalf("after the last commit slot 0 is %+v, %d slots pooled", r.lookup(0), len(r.slotFree))
 	}
 }

@@ -27,63 +27,65 @@ func commitN(t *testing.T, g *Group, client simnet.NodeID, prefix string, n int)
 }
 
 // TestStaleAndFarSeqStayOutOfTheWindow: a message naming a sequence
-// number behind the floor or far ahead of it — in any of the three
-// phases — gets its slot in the fallback map, as it always has, and
-// leaves the window's size alone.  The stale ones go at the next
-// truncation.
+// number outside the watermarks — behind the floor, or windowSpan or
+// more above it — in any of the three phases is dropped and counted: it
+// gets no slot, and the log is unchanged.  One at the high edge is in
+// range, and the log grows to it and no further.
 func TestStaleAndFarSeqStayOutOfTheWindow(t *testing.T) {
 	_, _, g, client := tier(t, 4, 1, 21)
+	reg := obs.NewRegistry()
+	g.Instrument(reg, nil)
 	commitN(t, g, client, "warm", checkpointWindow+36)
 	r := g.replicas[1]
 	if r.floor != 36 {
 		t.Fatalf("floor = %d, want 36", r.floor)
 	}
-	before := len(r.window)
-	stale := []uint64{0, 7, r.floor - 1}
-	far := []uint64{r.floor + windowSpan, 1 << 40, math.MaxUint64}
-	for i, seq := range append(append([]uint64(nil), stale...), far...) {
+	before, slots := len(r.window), r.slotCount()
+	out := []uint64{0, 7, r.floor - 1, r.floor + windowSpan, 1 << 40, math.MaxUint64}
+	for i, seq := range out {
 		forged := req(fmt.Sprintf("forged%d", i), 100)
 		r.onPrepare(voteMsg{View: r.view, Seq: seq, Digest: forged.ID, Replica: 2})
 		r.onCommit(voteMsg{View: r.view, Seq: seq, Digest: forged.ID, Replica: 3})
 		r.onPrePrepare(prePrepareMsg{View: r.view, Seq: seq, Req: forged})
 	}
-	if len(r.window) != before {
-		t.Fatalf("window grew %d -> %d on out-of-range sequence numbers", before, len(r.window))
+	if len(r.window) != before || r.slotCount() != slots || len(r.reqs) != 0 {
+		t.Fatalf("out-of-range sequence numbers moved the log: %d -> %d wide, %d -> %d slots, %d records",
+			before, len(r.window), slots, r.slotCount(), len(r.reqs))
 	}
-	if len(r.far) != len(stale)+len(far) {
-		t.Fatalf("fallback holds %d slots, want %d", len(r.far), len(stale)+len(far))
+	dropped := reg.CounterValue(obs.NodeWide, "byz", "out_of_window")
+	if dropped != int64(3*len(out)) {
+		t.Fatalf("byz.out_of_window = %d, want %d", dropped, 3*len(out))
 	}
-	// A sequence number at the window's far edge is in range: the window,
-	// which starts at the execution cursor, grows to its bound and no
-	// further.
 	r.onPrepare(voteMsg{View: r.view, Seq: r.floor + windowSpan - 1, Replica: 2})
-	if len(r.window) != windowSpan-checkpointWindow {
-		t.Fatalf("window is %d wide, want the %d bound", len(r.window), windowSpan-checkpointWindow)
+	if end := r.base + uint64(len(r.window)); end != r.floor+windowSpan {
+		t.Fatalf("the log ends at %d, want the high mark %d", end, r.floor+windowSpan)
 	}
-	// The tier still works, and the next execution truncates the stale
-	// slots away.
+	// The tier still works, and drops nothing of its own.
 	commitN(t, g, client, "after", 1)
-	for _, seq := range stale {
-		if r.lookup(seq) != nil {
-			t.Fatalf("stale slot %d survived truncation", seq)
-		}
-	}
-	if len(r.far) != len(far) {
-		t.Fatalf("fallback holds %d slots after truncation, want the %d far-future ones", len(r.far), len(far))
+	if got := reg.CounterValue(obs.NodeWide, "byz", "out_of_window"); got != dropped {
+		t.Fatalf("byz.out_of_window = %d after an honest commit, want %d", got, dropped)
 	}
 }
 
 // TestExecutedSeqIsInert: against a sequence number this replica has
-// executed and still holds inside its checkpoint window, a late
-// pre-prepare, prepare or commit, a vote refresh, and a retransmission
-// of the request it ran send nothing but the one re-reply, refresh no
-// vote and — however long the tier then waits — vote no view change.
+// executed inside its checkpoint window — its slot freed, or kept for a
+// missing commit — a late pre-prepare, prepare or commit, a vote
+// refresh, and a retransmission of the request it ran send nothing but
+// the one re-reply, refresh no vote and — however long the tier then
+// waits — vote no view change.
 func TestExecutedSeqIsInert(t *testing.T) {
 	k, net, g, client := tier(t, 4, 1, 26)
 	reg := obs.NewRegistry()
 	g.Instrument(reg, nil)
-	commitN(t, g, client, "u", checkpointWindow+10)
+	commitN(t, g, client, "u", checkpointWindow+9)
+	net.SetFaultPlan(dropKindFrom{kindCommit, g.nodes[3]})
+	g.Submit(client, req(fmt.Sprint("u", checkpointWindow+9), 100), nil)
+	k.RunFor(time.Second)
+	net.SetFaultPlan(nil)
 	r := g.replicas[1]
+	if r.lookup(r.floor) != nil || r.lookup(r.execCursor-1) == nil {
+		t.Fatalf("setup: slots %d and %d are %v and %v, want freed and kept", r.floor, r.execCursor-1, r.lookup(r.floor), r.lookup(r.execCursor-1))
+	}
 	for _, seq := range []uint64{r.floor, r.execCursor - 1} {
 		ran := req(fmt.Sprintf("u%d", seq), 100)
 		ran.Tag, ran.Client = g.tag, client
@@ -114,14 +116,15 @@ func TestExecutedSeqIsInert(t *testing.T) {
 }
 
 // TestForgedSeqCannotPinMemory: a lying primary pre-prepares a thousand
-// requests at absurd sequence numbers to one backup.  None of them
-// sizes the window — the naive seq-floor index would have asked for
-// 2^50 entries — and the view change that deposes the primary returns
-// every slot to the pool.  (Forged slots a quorum of honest backups has
-// already committed are kept, as committed slots always are: refusing
-// them takes PBFT's watermarks, which this tier does not have.)
+// requests at absurd sequence numbers to one backup.  Each lies past the
+// backup's high watermark, so none gets a slot or a request record — the
+// naive seq-floor index would have asked for 2^50 entries — and each is
+// counted.  The view change that deposes the primary finds nothing of
+// them.
 func TestForgedSeqCannotPinMemory(t *testing.T) {
 	k, net, g, _ := tier(t, 4, 1, 22)
+	reg := obs.NewRegistry()
+	g.Instrument(reg, nil)
 	const forged = 1000
 	for i := 0; i < forged; i++ {
 		rq := req(fmt.Sprintf("forged%d", i), 100)
@@ -131,23 +134,59 @@ func TestForgedSeqCannotPinMemory(t *testing.T) {
 	}
 	k.RunFor(time.Second)
 	r := g.replicas[1]
-	if len(r.window) != 0 {
-		t.Fatalf("forged sequence numbers sized the window to %d", len(r.window))
+	if len(r.window) != 0 || len(r.slotFree) != 0 || len(r.reqs) != 0 {
+		t.Fatalf("forged sequence numbers made a log %d wide, %d pooled slots and %d records", len(r.window), len(r.slotFree), len(r.reqs))
 	}
-	if len(r.far) != forged {
-		t.Fatalf("fallback holds %d slots, want %d", len(r.far), forged)
+	if got := reg.CounterValue(obs.NodeWide, "byz", "out_of_window"); got != forged {
+		t.Fatalf("byz.out_of_window = %d, want %d", got, forged)
 	}
-	// The honest members vote member 1, the deposed primary's backup, in;
-	// none prepared a forged slot, so the new view keeps none of them.
+	// The honest members vote member 1, the deposed primary's backup, in.
 	for _, q := range g.replicas[1:] {
 		q.voteView(1)
 	}
 	k.RunFor(time.Second)
 	if r.view != 1 || r.slotCount() != 0 {
-		t.Fatalf("view %d: %d forged slots survive the view change", r.view, r.slotCount())
+		t.Fatalf("view %d: %d slots after the view change", r.view, r.slotCount())
 	}
-	if len(r.slotFree) != forged {
-		t.Fatalf("%d slots back in the pool, want %d", len(r.slotFree), forged)
+}
+
+// TestNewViewPastTheHighMark: a member that missed more than
+// windowSpan-checkpointWindow executions installs a new view whose
+// order runs past its high watermark.  It takes a slot for each entry
+// below the mark, drops and counts the rest, and the other three go on
+// ordering without it.
+func TestNewViewPastTheHighMark(t *testing.T) {
+	k, net, g, client := tier(t, 4, 1, 35)
+	reg := obs.NewRegistry()
+	g.Instrument(reg, nil)
+	const batch, total = 40, windowSpan + 32
+	net.Crash(g.nodes[3])
+	for i := 0; i < total; i += batch {
+		for j := i; j < min(i+batch, total); j++ {
+			g.Submit(client, req(fmt.Sprintf("u%d", j), 100), nil)
+		}
+		k.RunFor(time.Second)
+	}
+	net.Recover(g.nodes[3])
+	r := g.replicas[3]
+	if g.replicas[0].execCursor != total || r.execCursor != 0 {
+		t.Fatalf("setup: members executed through %d and %d", g.replicas[0].execCursor, r.execCursor)
+	}
+	for _, q := range g.replicas[1:] {
+		q.voteView(1)
+	}
+	k.RunFor(time.Second)
+	// The order runs over the others' checkpoint window, [total-64, total):
+	// 32 entries below member 3's high mark, windowSpan, and 32 at or past it.
+	if r.view != 1 || r.slotCount() != 32 || r.lookup(windowSpan-1) == nil || r.lookup(windowSpan) != nil {
+		t.Fatalf("member 3 in view %d holds %d slots", r.view, r.slotCount())
+	}
+	if got := reg.CounterValue(obs.NodeWide, "byz", "out_of_window"); got != 32 {
+		t.Fatalf("byz.out_of_window = %d, want 32", got)
+	}
+	commitN(t, g, client, "after", 1)
+	if g.replicas[1].execCursor != total+1 || r.execCursor != 0 {
+		t.Fatalf("after the view: members executed through %d and %d", g.replicas[1].execCursor, r.execCursor)
 	}
 }
 
